@@ -217,14 +217,6 @@ func runBench(dir, baselineDir string, scale float64, seed int64) error {
 	if err := write("BENCH_drift.json", drift104); err != nil {
 		return err
 	}
-	pipe104, err := pipelineBench(capture.Bytes())
-	if err != nil {
-		return err
-	}
-	if err := write("BENCH_pipeline.json", pipe104); err != nil {
-		return err
-	}
-	printPipelineOverhead(os.Stdout, pipe104)
 	proto, err := protocolBench(scale, seed)
 	if err != nil {
 		return err

@@ -14,7 +14,6 @@ var benchFiles = []string{
 	"BENCH_stream.json",
 	"BENCH_historian.json",
 	"BENCH_drift.json",
-	"BENCH_pipeline.json",
 	"BENCH_protocol.json",
 }
 

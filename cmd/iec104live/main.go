@@ -163,7 +163,7 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	simIn := runner.Segment("live", "sim").(*pipeline.SimInput)
+	simIn := runner.Segment("live", "sim").(*pipeline.FeedInput)
 	an := runner.Segment("live", "an").(*pipeline.AnalyzerSegment)
 	e := an.Engine()
 

@@ -138,33 +138,34 @@ func run() int {
 	if *readers <= 0 {
 		*readers = *workers
 	}
+	o := options{
+		tracePath:     *tracePath,
+		traceSample:   *traceSample,
+		protocols:     *proto,
+		path:          flag.Arg(0),
+		follow:        *follow,
+		workers:       *workers,
+		readers:       *readers,
+		metricsAddr:   *metricsAddr,
+		snapshotEvery: *snapshotEvery,
+		idleTimeout:   *idleTimeout,
+		historianDir:  *historianDir,
+		pointCap:      *pointCap,
+		names:         *names,
+		journal:       journal,
+		want:          want,
+		saveProfile:   *saveProfile,
+		profileLabel:  label,
+		pushURL:       *pushURL,
+		baselinePath:  *baselinePath,
+		loadBaseline:  *loadBaseline,
+	}
 	if *follow || *workers > 1 || *readers > 1 {
 		if *saveBaseline != "" {
 			log.Print("-save-baseline needs the offline single-analyzer mode (raw samples are not retained across shards)")
 			return 2
 		}
-		return runStreaming(streamOpts{
-			tracePath:     *tracePath,
-			traceSample:   *traceSample,
-			protocols:     *proto,
-			path:          flag.Arg(0),
-			follow:        *follow,
-			workers:       *workers,
-			readers:       *readers,
-			metricsAddr:   *metricsAddr,
-			snapshotEvery: *snapshotEvery,
-			idleTimeout:   *idleTimeout,
-			historianDir:  *historianDir,
-			pointCap:      *pointCap,
-			names:         *names,
-			journal:       journal,
-			want:          want,
-			saveProfile:   *saveProfile,
-			profileLabel:  label,
-			pushURL:       *pushURL,
-			baselinePath:  *baselinePath,
-			loadBaseline:  *loadBaseline,
-		})
+		return runStreaming(o)
 	}
 
 	if *tracePath != "" {
@@ -235,41 +236,9 @@ func run() int {
 		}
 	}
 
-	first, last := analyzer.CaptureWindow()
-	fmt.Printf("Capture: %d packets (%d IEC 104), window %s .. %s, parse errors %d\n\n",
-		analyzer.Packets, analyzer.IECPackets,
-		first.Format("2006-01-02 15:04:05"), last.Format("15:04:05"), analyzer.ParseErrors)
-	if analyzer.SeqAnomalies > 0 {
-		fmt.Printf("IEC 104 sequence anomalies: %d\n\n", analyzer.SeqAnomalies)
-	}
-
-	if want["flows"] {
-		printFlows(analyzer)
-	}
-	if want["compliance"] {
-		printCompliance(analyzer)
-		printDialects(analyzer.Dialects(), analyzer.StreamCompliance())
-	}
-	if want["clusters"] {
-		printClusters(analyzer)
-	}
-	if want["markov"] {
-		printMarkov(analyzer)
-	}
-	if want["types"] {
-		fmt.Println("== ASDU type distribution (Table 7) ==")
-		fmt.Println(core.FormatTypeTable(analyzer.TypeDistribution()))
-	}
-	if want["physical"] {
-		printPhysical(analyzer)
-	}
-	if want["timing"] {
-		printTiming(analyzer)
-	}
-	if want["stats"] {
-		printStats(reg, journal)
-	}
-	if code := driftActions(analyzer.Partial(), flag.Arg(0), label, *saveProfile, *pushURL, *baselinePath); code != 0 {
+	code := printReports(analyzer.Partial(), o, reg,
+		func() { printPhysical(analyzer) }, func() { printTiming(analyzer) }, o.baselinePath)
+	if code != 0 {
 		exit = code
 	}
 	if *saveBaseline != "" {
@@ -311,9 +280,60 @@ func run() int {
 	return exit
 }
 
+// printReports renders every report both modes share — capture header,
+// flows, compliance and dialects, clusters, Markov chains, ASDU types,
+// pipeline stats — from one core.Partial, in -report order, then runs
+// the drift actions. The offline mode passes its analyzer's Partial,
+// the streaming mode the engine's merged final state; physical and
+// timing print the two sections that offline need more than a Partial
+// (raw sample series) and in streaming mode render differently.
+// baselinePath is empty when the engine already did the comparison.
+func printReports(p core.Partial, o options, reg *obs.Registry, physical, timing func(), baselinePath string) int {
+	fmt.Printf("Capture: %d packets (%d IEC 104), window %s .. %s, parse errors %d\n\n",
+		p.Packets, p.IECPackets,
+		p.First.Format("2006-01-02 15:04:05"), p.Last.Format("15:04:05"), p.ParseErrors)
+	if p.SeqAnomalies > 0 {
+		fmt.Printf("IEC 104 sequence anomalies: %d\n\n", p.SeqAnomalies)
+	}
+	if p.FlowsEvicted > 0 {
+		fmt.Printf("flows evicted after %s idle: %d\n\n", o.idleTimeout, p.FlowsEvicted)
+	}
+
+	if o.want["flows"] {
+		s := p.Flows
+		fmt.Println("== TCP flow analysis (Table 3) ==")
+		fmt.Printf("short-lived: %d (%.1f%%), of which <1s: %d (%.1f%%)\n",
+			s.ShortLived, 100*s.ShortProportion(), s.ShortLivedSubSec, 100*s.SubSecProportion())
+		fmt.Printf("long-lived:  %d (%.1f%%)\n\n", s.LongLived, 100*s.LongProportion())
+	}
+	if o.want["compliance"] {
+		printCompliance(p.ComplianceReport())
+		printDialects(p.Dialects, p.Streams)
+	}
+	if o.want["clusters"] {
+		printClusters(p.ClusterReport(5, 1202))
+	}
+	if o.want["markov"] {
+		printMarkov(p.MarkovReport())
+	}
+	if o.want["types"] {
+		fmt.Println("== ASDU type distribution (Table 7) ==")
+		fmt.Println(core.FormatTypeTable(p.TypeDistribution()))
+	}
+	if o.want["physical"] {
+		physical()
+	}
+	if o.want["timing"] {
+		timing()
+	}
+	if o.want["stats"] {
+		printStats(reg, o.journal)
+	}
+	return driftActions(p, o.path, o.profileLabel, o.saveProfile, o.pushURL, baselinePath)
+}
+
 // driftActions runs the profile-persistence, probe-push and
-// baseline-comparison flags over the merged analysis state; both the
-// offline and the streaming paths end here.
+// baseline-comparison flags over the merged analysis state.
 func driftActions(p core.Partial, source, label, savePath, pushURL, baselinePath string) int {
 	if savePath != "" {
 		prof := drift.NewProfile(label, source, p, time.Now())
@@ -468,19 +488,7 @@ func printTiming(a *core.Analyzer) {
 	}
 }
 
-func printFlows(a *core.Analyzer) { printFlowReport(a.FlowAnalysis()) }
-
-func printFlowReport(rep core.FlowReport) {
-	s := rep.Summary
-	fmt.Println("== TCP flow analysis (Table 3) ==")
-	fmt.Printf("short-lived: %d (%.1f%%), of which <1s: %d (%.1f%%)\n",
-		s.ShortLived, 100*s.ShortProportion(), s.ShortLivedSubSec, 100*s.SubSecProportion())
-	fmt.Printf("long-lived:  %d (%.1f%%)\n\n", s.LongLived, 100*s.LongProportion())
-}
-
-func printCompliance(a *core.Analyzer) { printComplianceReport(a.Compliance()) }
-
-func printComplianceReport(rep core.ComplianceReport) {
+func printCompliance(rep core.ComplianceReport) {
 	fmt.Println("== IEC 104 compliance (§6.1) ==")
 	if len(rep.NonCompliant) == 0 {
 		fmt.Println("all endpoints standard-compliant")
@@ -516,12 +524,7 @@ func printDialects(ds []core.DialectStat, streams []protocol.StreamCompliance) {
 	fmt.Println()
 }
 
-func printClusters(a *core.Analyzer) {
-	rep, err := a.ClusterSessions(5, 1202)
-	printClusterReport(rep, err)
-}
-
-func printClusterReport(rep *core.ClusterReport, err error) {
+func printClusters(rep *core.ClusterReport, err error) {
 	fmt.Println("== Session clustering (Fig. 10/11) ==")
 	if err != nil {
 		fmt.Printf("(skipped: %v)\n\n", err)
@@ -532,9 +535,7 @@ func printClusterReport(rep *core.ClusterReport, err error) {
 	fmt.Printf("outlier cluster: %s\n\n", strings.Join(rep.Outliers, ", "))
 }
 
-func printMarkov(a *core.Analyzer) { printMarkovReport(a.MarkovChains()) }
-
-func printMarkovReport(rep core.MarkovReport) {
+func printMarkov(rep core.MarkovReport) {
 	fmt.Println("== Markov chains (Fig. 13) ==")
 	fmt.Printf("connections=%d point(1,1)=%d square=%d ellipse=%d\n",
 		len(rep.Chains), len(rep.Point11), len(rep.Square), len(rep.Ellipse))
@@ -565,8 +566,9 @@ func printPhysical(a *core.Analyzer) {
 	}
 }
 
-// streamOpts carries the flag values into the streaming path.
-type streamOpts struct {
+// options carries the flag values into the streaming path and the
+// shared report printer.
+type options struct {
 	path          string
 	protocols     string
 	follow        bool
@@ -595,7 +597,7 @@ type streamOpts struct {
 // file is tailed until SIGINT/SIGTERM, otherwise it is read to EOF;
 // either way the final merged state renders the same reports as the
 // offline path.
-func runStreaming(o streamOpts) int {
+func runStreaming(o options) int {
 	reg := obs.NewRegistry()
 
 	var rec *trace.Recorder
@@ -704,46 +706,12 @@ func runStreaming(o streamOpts) int {
 	}
 
 	p := e.Final()
-	fmt.Printf("Capture: %d packets (%d IEC 104), window %s .. %s, parse errors %d\n\n",
-		p.Packets, p.IECPackets,
-		p.First.Format("2006-01-02 15:04:05"), p.Last.Format("15:04:05"), p.ParseErrors)
-	if p.SeqAnomalies > 0 {
-		fmt.Printf("IEC 104 sequence anomalies: %d\n\n", p.SeqAnomalies)
-	}
-	if p.FlowsEvicted > 0 {
-		fmt.Printf("flows evicted after %s idle: %d\n\n", o.idleTimeout, p.FlowsEvicted)
-	}
-
-	if o.want["flows"] {
-		printFlowReport(p.FlowReport())
-	}
-	if o.want["compliance"] {
-		printComplianceReport(p.ComplianceReport())
-		printDialects(p.Dialects, p.Streams)
-	}
-	if o.want["clusters"] {
-		rep, err := p.ClusterReport(5, 1202)
-		printClusterReport(rep, err)
-	}
-	if o.want["markov"] {
-		printMarkovReport(p.MarkovReport())
-	}
-	if o.want["types"] {
-		fmt.Println("== ASDU type distribution (Table 7) ==")
-		fmt.Println(core.FormatTypeTable(p.TypeDistribution()))
-	}
-	if o.want["physical"] {
-		printPhysicalDigests(p.Physical)
-	}
-	if o.want["timing"] {
+	code := printReports(p, o, reg, func() { printPhysicalDigests(p.Physical) }, func() {
 		fmt.Println("== recovered reporting periods (timing characteristics) ==")
 		fmt.Println("(unavailable in streaming mode: raw per-point timestamps are not retained)")
 		fmt.Println()
-	}
-	if o.want["stats"] {
-		printStats(reg, o.journal)
-	}
-	if code := driftActions(p, o.path, o.profileLabel, o.saveProfile, o.pushURL, ""); code != 0 {
+	}, "")
+	if code != 0 {
 		exit = code
 	}
 	if rep := e.DriftReport(); rep != nil {

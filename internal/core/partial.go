@@ -98,15 +98,19 @@ func (a *Analyzer) Partial() Partial {
 // MergePartials combines shard snapshots into one. Counters add;
 // compliance verdicts merge per endpoint; chains, features and
 // physical digests concatenate (deduplicating by key, which only
-// triggers if two shards somehow saw the same flow) and are sorted so
-// the merged result is deterministic regardless of shard count or
-// scheduling.
+// triggers when two inputs saw the same connection — two probes on one
+// link) and are sorted so the merged result is deterministic regardless
+// of shard count or scheduling. The inputs are never modified.
 func MergePartials(parts []Partial) Partial {
 	var out Partial
 	out.TypeCounts = make(map[iec104.TypeID]int)
 	out.OtherPorts = make(map[uint16]int)
 	compliance := make(map[netip.Addr]*StationCompliance)
 	chains := make(map[ConnKey]*ConnChain)
+	// ownChain marks the connections whose chain MergePartials has
+	// already detached from its inputs; nil until the first collision,
+	// so disjoint inputs (every engine shard merge) pay nothing.
+	var ownChain map[ConnKey]bool
 	dialects := make(map[protocol.ID]*DialectStat)
 	type streamKey struct {
 		proto protocol.ID
@@ -156,6 +160,17 @@ func MergePartials(parts []Partial) Partial {
 			}
 			if cur.Proto == 0 {
 				cur.Proto = cc.Proto
+			}
+			if !ownChain[cc.Key] {
+				// cur.Chain still is the first input's chain: merge
+				// into a copy, never into the caller's partial.
+				own := markov.NewChain()
+				own.Merge(cur.Chain)
+				cur.Chain = own
+				if ownChain == nil {
+					ownChain = make(map[ConnKey]bool)
+				}
+				ownChain[cc.Key] = true
 			}
 			cur.Chain.Merge(cc.Chain)
 		}

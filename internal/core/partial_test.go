@@ -203,6 +203,34 @@ func TestMergePartialsCommutativeAssociative(t *testing.T) {
 	equalMerged(t, "identity", solo, MergePartials([]Partial{solo}))
 }
 
+// TestMergePartialsOverlapLeavesInputsAlone: two probes reporting the
+// same connections (every ConnKey collides) must merge to the same
+// result every time, and the merge must not write into either input —
+// the fleet view re-merges the stored probe partials on every rebuild.
+func TestMergePartialsOverlapLeavesInputsAlone(t *testing.T) {
+	pa, pb := shardedPartials(t, 1)[0], shardedPartials(t, 1)[0]
+	pristine := shardedPartials(t, 1)[0]
+	if len(pa.Chains) == 0 {
+		t.Fatal("capture produced no chains")
+	}
+
+	first := MergePartials([]Partial{pa, pb})
+	second := MergePartials([]Partial{pa, pb})
+	equalMerged(t, "repeated overlapping merge", first, second)
+	tokens := func(p Partial) (n int) {
+		for _, cc := range p.Chains {
+			n += cc.Chain.TotalTokens()
+		}
+		return n
+	}
+	if got, want := tokens(first), 2*tokens(pristine); got != want {
+		t.Fatalf("merged chains hold %d tokens, want %d (both inputs' counts)", got, want)
+	}
+	for _, in := range []Partial{pa, pb} {
+		equalMerged(t, "input after merges", MergePartials([]Partial{pristine}), MergePartials([]Partial{in}))
+	}
+}
+
 // TestMergePartialsCrossProtocolCommutative re-runs the merge-order
 // property over a mixed-protocol capture: the per-dialect stats, token
 // maps, proto-tagged chains and C37.118 stream verdicts must also be

@@ -85,7 +85,6 @@ type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1, last is +Inf
 	sum    atomic.Uint64   // float64 bits
-	n      atomic.Uint64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -98,7 +97,6 @@ func newHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.n.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -108,8 +106,15 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n.Load() }
+// Count returns the number of observations: the bucket sum, so it can
+// never disagree with the buckets a reader sees.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
@@ -496,8 +501,8 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 			for i := range s.h.counts {
 				hs.Counts[i] = s.h.counts[i].Load()
+				hs.Count += hs.Counts[i]
 			}
-			hs.Count = s.h.Count()
 			hs.Sum = s.h.Sum()
 			snap.Histograms = append(snap.Histograms, hs)
 		}

@@ -81,7 +81,7 @@ func Stages() []string {
 
 // StageSecondsMetric is the per-stage latency histogram family fed by
 // sampled spans: uncharted_stage_seconds{stage,shard}. The shard label
-// is the lane name ("reader", "0".."N-1", "snapshot").
+// is the lane name ("reader0".."readerN-1", "0".."N-1", "snapshot").
 const StageSecondsMetric = "uncharted_stage_seconds"
 
 // Span is one recorded stage execution.

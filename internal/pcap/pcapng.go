@@ -348,21 +348,6 @@ type PacketReader interface {
 	LinkType() LinkType
 }
 
-// ReadPacketBuffer reads the next packet from pr into a Buffer drawn
-// from pool. On success the caller owns the Buffer and must Release it
-// exactly once when the packet bytes are no longer needed; on error
-// (including io.EOF) the buffer has already been recycled.
-func ReadPacketBuffer(pr PacketReader, pool *BufferPool) (*Buffer, CaptureInfo, error) {
-	b := pool.Get()
-	data, ci, err := pr.ReadPacketInto(b.Data[:cap(b.Data)])
-	if err != nil {
-		b.Release()
-		return nil, CaptureInfo{}, err
-	}
-	b.Data = data
-	return b, ci, nil
-}
-
 // NewAutoReader sniffs the capture format (classic pcap in either
 // endianness, with µs or ns timestamps, or pcapng) and returns the
 // matching reader.

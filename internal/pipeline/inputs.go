@@ -2,29 +2,20 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"uncharted/internal/core"
-	"uncharted/internal/drift"
 	"uncharted/internal/obs"
 	"uncharted/internal/pcap"
 	"uncharted/internal/scadasim"
 	"uncharted/internal/stream"
 	"uncharted/internal/topology"
 )
-
-// maxPartialBytes bounds one posted probe partial, matching the
-// control-room service's limit.
-const maxPartialBytes = 64 << 20
 
 func init() {
 	Register(Spec{
@@ -83,31 +74,76 @@ func init() {
 	})
 }
 
-// batcher groups packets into emitted messages. Emitted slices are
-// handed to consumers (who share them read-only across a fan-out), so
-// a fresh slice backs every message.
+// slabSize sets how many decoded record bytes share one backing
+// allocation in batcher.Raw.
+const slabSize = 256 << 10
+
+// batcher is the packet inputs' stream.RecordSink: it groups the
+// records stream.Pull hands it into emitted messages. Emitted slices
+// are handed to consumers (who share them read-only across a
+// fan-out), so a fresh slice backs every message. Emit blocks rather
+// than fails, so no method ever reports a dead context.
 type batcher struct {
 	emit Emit
 	size int
 	buf  []pcap.Packet
+	slab []byte
 }
 
-func (b *batcher) add(p pcap.Packet) {
+// Raw implements stream.RecordSink with amortized allocations: the
+// record is copied onto a shared slab (a fresh slab roughly every
+// 256 KiB, never reused) and decoded in place, so the emitted packets
+// — whose layer slices alias the slab — stay valid for every fan-out
+// consumer at one allocation per slab instead of one per packet.
+// Undecodable records are skipped, matching the offline path.
+func (b *batcher) Raw(ctx context.Context, data []byte, ci pcap.CaptureInfo, link pcap.LinkType) bool {
+	if len(b.slab)+len(data) > cap(b.slab) {
+		n := slabSize
+		if len(data) > n {
+			n = len(data)
+		}
+		b.slab = make([]byte, 0, n)
+	}
+	off := len(b.slab)
+	b.slab = append(b.slab, data...)
+	if pkt, err := pcap.DecodePacket(link, ci, b.slab[off:len(b.slab):len(b.slab)]); err == nil {
+		b.Packet(ctx, pkt)
+	}
+	return true
+}
+
+// Packet implements stream.RecordSink.
+func (b *batcher) Packet(ctx context.Context, p pcap.Packet) bool {
 	if b.buf == nil {
 		b.buf = make([]pcap.Packet, 0, b.size)
 	}
 	b.buf = append(b.buf, p)
 	if len(b.buf) >= b.size {
-		b.flush()
+		b.Flush(ctx)
 	}
+	return true
 }
 
-func (b *batcher) flush() {
-	if len(b.buf) == 0 {
-		return
+// Flush implements stream.RecordSink.
+func (b *batcher) Flush(context.Context) bool {
+	if len(b.buf) > 0 {
+		b.emit(Msg{Pkts: b.buf})
+		b.buf = nil
 	}
-	b.emit(Msg{Pkts: b.buf})
-	b.buf = nil
+	return true
+}
+
+// pump drives one opened source into emitted messages with the shared
+// read loop, then closes it. A canceled ctx is a drain, not an error.
+func pump(ctx context.Context, src stream.Source, emit Emit, batch int, poll time.Duration) error {
+	err := stream.Pull(ctx, src, poll, nil, &batcher{emit: emit, size: batch})
+	if cerr := src.Close(); err == nil {
+		err = cerr
+	}
+	if ctx.Err() != nil {
+		return nil
+	}
+	return err
 }
 
 // PCAPInput streams one or more finished captures. With readers > 0 it
@@ -171,241 +207,83 @@ func (s *PCAPInput) Handoff() bool { return s.readers > 0 }
 
 // Run implements Segment.
 func (s *PCAPInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
-	if s.readers > 0 {
-		src, err := stream.NewFileSource(s.files[0])
-		if err != nil {
-			return err
-		}
-		emit(Msg{Src: src})
-		return nil
-	}
-	b := &batcher{emit: emit, size: s.batch}
 	for _, path := range s.files {
-		f, err := os.Open(path)
+		feed, err := stream.OpenSource(stream.SourceSpec{Kind: "pcap", Path: path, Speed: s.speed})
 		if err != nil {
 			return err
 		}
-		var src stream.Source
-		if s.speed > 0 {
-			src, err = stream.NewReplaySource(f, s.speed)
-		} else {
-			src, err = stream.NewPCAPSource(f)
-		}
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if rs, ok := src.(stream.RawSource); ok {
-			err = pumpRawSource(ctx, rs, b, 25*time.Millisecond)
-		} else {
-			err = pumpSource(ctx, src, b, 25*time.Millisecond)
-		}
-		f.Close()
-		if err != nil {
-			return err
-		}
-		if ctx.Err() != nil {
+		if s.readers > 0 {
+			// The consuming analyzer reads (and closes) the capture itself.
+			emit(Msg{Src: feed.Source})
 			return nil
 		}
+		if err := pump(ctx, feed.Source, emit, s.batch, 25*time.Millisecond); err != nil || ctx.Err() != nil {
+			return err
+		}
 	}
-	b.flush()
 	return nil
 }
 
-// pumpSource drives one source into the batcher until io.EOF or ctx
-// cancellation; ErrNotReady flushes in-flight work and polls. A
-// canceled ctx is a drain, not an error.
-func pumpSource(ctx context.Context, src stream.Source, b *batcher, poll time.Duration) error {
-	for {
-		if ctx.Err() != nil {
-			b.flush()
-			return nil
-		}
-		pkt, err := src.Next()
-		switch {
-		case err == nil:
-			b.add(pkt)
-		case errors.Is(err, stream.ErrNotReady):
-			b.flush()
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(poll):
-			}
-		case errors.Is(err, io.EOF):
-			b.flush()
-			return nil
-		default:
-			b.flush()
-			return err
-		}
-	}
-}
-
-// slabSize sets how many decoded record bytes share one backing
-// allocation in pumpRawSource.
-const slabSize = 256 << 10
-
-// pumpRawSource drives a RawSource into the batcher with amortized
-// allocations: each record is read into a reused scratch buffer, then
-// copied onto a shared slab (a fresh slab roughly every 256 KiB, never
-// reused) and decoded in place, so the emitted packets — whose layer
-// slices alias the slab — stay valid for every fan-out consumer at one
-// allocation per slab instead of one per packet. Undecodable records
-// are skipped, matching PCAPSource.Next. A canceled ctx is a drain.
-func pumpRawSource(ctx context.Context, src stream.RawSource, b *batcher, poll time.Duration) error {
-	var scratch, slab []byte
-	for {
-		if ctx.Err() != nil {
-			b.flush()
-			return nil
-		}
-		data, ci, link, err := src.NextRaw(scratch)
-		switch {
-		case err == nil:
-			scratch = data
-			if len(slab)+len(data) > cap(slab) {
-				n := slabSize
-				if len(data) > n {
-					n = len(data)
-				}
-				slab = make([]byte, 0, n)
-			}
-			off := len(slab)
-			slab = append(slab, data...)
-			pkt, derr := pcap.DecodePacket(link, ci, slab[off:len(slab):len(slab)])
-			if derr == nil {
-				b.add(pkt)
-			}
-		case errors.Is(err, stream.ErrNotReady):
-			b.flush()
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(poll):
-			}
-		case errors.Is(err, io.EOF):
-			b.flush()
-			return nil
-		default:
-			b.flush()
-			return err
-		}
-	}
-}
-
-// FollowInput tails a growing capture.
-type FollowInput struct {
-	src   *stream.FollowSource
+// FeedInput streams one source opened at build time: a growing capture
+// being tailed (follow — never EOF, runs until the drain) or a
+// synthesized grid capture, optionally with an Industroyer-style
+// attack injected mid-feed (sim).
+type FeedInput struct {
+	feed  *stream.Feed
 	batch int
 	poll  time.Duration
 }
 
 func buildFollowInput(bc BuildCtx) (Segment, error) {
-	src, err := stream.NewFollowSource(bc.Params.Str("path"))
-	if err != nil {
-		return nil, err
-	}
-	return &FollowInput{src: src, batch: bc.Params.Int("batch"), poll: bc.Params.Dur("poll")}, nil
-}
-
-// Run implements Segment: a followed file never ends, so the segment
-// runs until the drain.
-func (s *FollowInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
-	defer s.src.Close()
-	return pumpRawSource(ctx, s.src, &batcher{emit: emit, size: s.batch}, s.poll)
-}
-
-// SimInput feeds a synthesized grid capture, optionally with an
-// Industroyer-style attack injected mid-feed.
-type SimInput struct {
-	trace   *scadasim.Trace
-	network *topology.Network
-	speed   float64
-	batch   int
-	poll    time.Duration
+	return buildFeedInput(bc, stream.SourceSpec{Kind: "follow", Path: bc.Params.Str("path")})
 }
 
 func buildSimInput(bc BuildCtx) (Segment, error) {
-	year := topology.Y1
-	if bc.Params.Int("year") == 2 {
-		year = topology.Y2
+	spec := stream.SimSpec{
+		Year:     bc.Params.Int("year"),
+		Seed:     int64(bc.Params.Int("seed")),
+		Duration: bc.Params.Dur("duration"),
+		Modbus:   bc.Params.Bool("modbus"),
+		Attack:   bc.Params.Str("attack"),
 	}
-	cfg := scadasim.DefaultConfig(year, int64(bc.Params.Int("seed")))
-	cfg.Duration = bc.Params.Dur("duration")
-	cfg.EnableModbus = bc.Params.Bool("modbus")
-	cfg.Faults.TimeoutProb = bc.Params.Float("fault_timeout")
-	cfg.Faults.ShortReadProb = bc.Params.Float("fault_shortread")
-	attack := bc.Params.Str("attack")
-	if attack != "" {
-		// Long cycle period: general interrogations would otherwise
-		// legitimise the attacker's recon tokens.
-		cfg.CyclePeriod = 100 * time.Minute
-	}
-	sim, err := scadasim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	s := &SimInput{
-		trace:   tr,
-		network: sim.Network(),
-		speed:   bc.Params.Float("speed"),
-		batch:   bc.Params.Int("batch"),
-		poll:    bc.Params.Dur("poll"),
-	}
-	if attack != "" {
-		ac := scadasim.AttackConfig{At: cfg.Start.Add(cfg.Duration / 2)}
-		switch attack {
-		case "recon":
-			ac.Kind = scadasim.AttackRecon
-		case "breaker":
-			ac.Kind = scadasim.AttackBreakerTrip
-		case "setpoint":
-			ac.Kind = scadasim.AttackSetpointTamper
-			ac.Attacker = s.network.ServerAddr("C1")
-		default:
-			return nil, fmt.Errorf("unknown attack %q (want recon, breaker or setpoint)", attack)
-		}
-		n, err := sim.InjectAttack(tr, ac)
-		if err != nil {
-			return nil, err
-		}
-		bc.Env.Logf("segment %s: injected %s attack: %d packets at +%s", bc.ID, ac.Kind, n, cfg.Duration/2)
-	}
-	return s, nil
+	spec.Faults.TimeoutProb = bc.Params.Float("fault_timeout")
+	spec.Faults.ShortReadProb = bc.Params.Float("fault_shortread")
+	return buildFeedInput(bc, stream.SourceSpec{Kind: "sim", Speed: bc.Params.Float("speed"), Sim: spec})
 }
 
-// Trace exposes the generated records (presets write the -pcap
-// cross-check capture from it).
-func (s *SimInput) Trace() *scadasim.Trace { return s.trace }
+func buildFeedInput(bc BuildCtx, spec stream.SourceSpec) (Segment, error) {
+	feed, err := stream.OpenSource(spec)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Sim.Attack != "" {
+		bc.Env.Logf("segment %s: injected %s attack: %d packets at +%s", bc.ID, feed.Attack, feed.Injected, spec.Sim.Duration/2)
+	}
+	return &FeedInput{feed: feed, batch: bc.Params.Int("batch"), poll: bc.Params.Dur("poll")}, nil
+}
 
-// Network exposes the simulated topology.
-func (s *SimInput) Network() *topology.Network { return s.network }
+// Trace exposes a sim feed's generated records (presets write the
+// -pcap cross-check capture from it).
+func (s *FeedInput) Trace() *scadasim.Trace { return s.feed.Trace }
+
+// Network exposes a sim feed's simulated topology.
+func (s *FeedInput) Network() *topology.Network { return s.feed.Network }
 
 // Run implements Segment.
-func (s *SimInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
-	src := stream.NewRecordSource(s.trace.Records, s.speed)
-	return pumpSource(ctx, src, &batcher{emit: emit, size: s.batch}, s.poll)
+func (s *FeedInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
+	return pump(ctx, s.feed.Source, emit, s.batch, s.poll)
 }
 
 // ProbeInput is the remote-probe receiver: probes POST drift-codec
-// profiles (the same wire format the control-room service accepts) to
-// /{id}/partial, and every accepted post re-merges the fleet and
-// emits one Snapshot downstream.
+// profiles (the same wire format, and the same stream.ProbeSet, as the
+// control-room service) to /{id}/partial, and every accepted post
+// re-merges the fleet and emits one Snapshot downstream.
 type ProbeInput struct {
 	env      *Env
 	id       string
 	clusterK int
-
-	mu      sync.Mutex
-	byProbe map[string]core.Partial
-	ver     int
-
-	dirty chan struct{}
+	probes   stream.ProbeSet
+	dirty    chan struct{}
 }
 
 func buildProbeInput(bc BuildCtx) (Segment, error) {
@@ -413,7 +291,6 @@ func buildProbeInput(bc BuildCtx) (Segment, error) {
 		env:      bc.Env,
 		id:       bc.ID,
 		clusterK: bc.Params.Int("cluster_k"),
-		byProbe:  make(map[string]core.Partial),
 		dirty:    make(chan struct{}, 1),
 	}
 	bc.Env.Handle("/"+bc.ID+"/partial", http.HandlerFunc(s.handlePartial))
@@ -426,70 +303,33 @@ func (s *ProbeInput) handlePartial(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "POST a drift-codec profile", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxPartialBytes+1))
+	ack, code, err := s.probes.Accept(req)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), code)
 		return
 	}
-	if len(body) > maxPartialBytes {
-		http.Error(w, "partial too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	prof, err := drift.DecodeProfile(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	probe := req.URL.Query().Get("probe")
-	if probe == "" {
-		probe = prof.Meta.Label
-	}
-	if probe == "" {
-		http.Error(w, "probe label missing: set ?probe= or the profile's label", http.StatusBadRequest)
-		return
-	}
-	s.mu.Lock()
-	s.byProbe[probe] = prof.Partial
-	s.ver++
-	ver, probes := s.ver, len(s.byProbe)
-	s.mu.Unlock()
 	select {
 	case s.dirty <- struct{}{}:
 	default:
 	}
-	s.env.Journal.Log(time.Now(), obs.EventPartial, probe, map[string]any{
+	s.env.Journal.Log(time.Now(), obs.EventPartial, ack.Probe, map[string]any{
 		"pipeline": s.env.Pipeline,
 		"segment":  s.id,
-		"packets":  prof.Partial.Packets,
-		"probes":   probes,
-		"version":  ver,
+		"packets":  ack.Packets,
+		"probes":   ack.Probes,
+		"version":  ack.Version,
 	})
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\"probe\":%q,\"probes\":%d,\"version\":%d}\n", probe, probes, ver)
+	fmt.Fprintf(w, "{\"probe\":%q,\"probes\":%d,\"version\":%d}\n", ack.Probe, ack.Probes, ack.Version)
 }
 
-// snapshot merges the current probe set; MergePartials is commutative
-// and associative, so arrival order never matters.
+// snapshot merges the current probe set, nil while it is empty.
 func (s *ProbeInput) snapshot() *Snapshot {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.byProbe))
-	for n := range s.byProbe {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]core.Partial, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, s.byProbe[n])
-	}
-	ver := s.ver
-	s.mu.Unlock()
-	if len(parts) == 0 {
+	prof, merged := s.probes.Profile(s.clusterK, 1202)
+	if prof == nil {
 		return nil
 	}
-	merged := core.MergePartials(parts)
-	prof := stream.BuildProfile(merged, ver, s.clusterK, 1202)
-	prof.Workers = len(parts)
-	return &Snapshot{Seq: ver, Partial: merged, Profile: prof}
+	return &Snapshot{Seq: prof.Seq, Partial: merged, Profile: prof}
 }
 
 // Run implements Segment: it emits one merged snapshot per accepted

@@ -1,17 +1,23 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"uncharted/internal/core"
+	"uncharted/internal/drift"
 	"uncharted/internal/obs"
 	"uncharted/internal/pcap"
 	"uncharted/internal/scadasim"
@@ -406,8 +412,9 @@ func TestRunnerDrain(t *testing.T) {
 }
 
 // BenchmarkGraphVsHandwired measures the segment runtime's overhead
-// against the hand-wired engine on the same capture; benchtables
-// -bench runs the same comparison into BENCH_pipeline.json.
+// against the hand-wired engine on the same capture, for use while
+// working on the runtime; the committed number is benchmark/'s
+// pipeline.graph_overhead_ratio.
 func BenchmarkGraphVsHandwired(b *testing.B) {
 	cfg := scadasim.DefaultConfig(topology.Y1, 11)
 	cfg.Duration = 30 * time.Second
@@ -467,4 +474,85 @@ func BenchmarkGraphVsHandwired(b *testing.B) {
 			}
 		}
 	})
+}
+
+// zeros is an endless all-zero body for the oversize-post case.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestProbeInputPartials drives the probe input's /partial endpoint:
+// the shared stream.ProbeSet's reject paths surface with the pipeline's
+// status codes, and an accepted post is merged into the snapshot the
+// input emits downstream.
+func TestProbeInputPartials(t *testing.T) {
+	cfg, err := Parse([]byte(`{"pipelines": [{"name": "fleet", "segments": [
+	  { "id": "src", "segment": "probe" },
+	  { "id": "latest", "segment": "snapshot_http", "from": ["src"] }
+	]}]}`), "probe.jsonc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := NewRunner(cfg, Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := runner.Endpoints()["/pipelines/fleet/src/partial"]
+	if partial == nil {
+		t.Fatal("probe input mounted no /partial endpoint")
+	}
+	post := func(method, query string, body io.Reader) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		partial.ServeHTTP(rr, httptest.NewRequest(method, "/pipelines/fleet/src/partial"+query, body))
+		return rr
+	}
+
+	unlabeled := drift.NewProfile("", "", core.Partial{}, time.Unix(0, 0)).Encode()
+	rejects := []struct {
+		name     string
+		method   string
+		body     io.Reader
+		wantCode int
+		wantBody string
+	}{
+		{"wrong method", http.MethodGet, nil, http.StatusMethodNotAllowed, "POST"},
+		{"oversize body", http.MethodPost, io.LimitReader(zeros{}, stream.MaxPartialBytes+1), http.StatusRequestEntityTooLarge, "exceeds"},
+		{"bad codec", http.MethodPost, strings.NewReader("not a profile"), http.StatusBadRequest, ""},
+		{"missing label", http.MethodPost, bytes.NewReader(unlabeled), http.StatusBadRequest, "probe label"},
+	}
+	for _, tc := range rejects {
+		t.Run(tc.name, func(t *testing.T) {
+			rr := post(tc.method, "", tc.body)
+			if rr.Code != tc.wantCode || !strings.Contains(rr.Body.String(), tc.wantBody) {
+				t.Errorf("code %d body %.120q, want %d containing %q", rr.Code, rr.Body.String(), tc.wantCode, tc.wantBody)
+			}
+		})
+	}
+
+	// The label may come from ?probe= instead of the profile.
+	p := core.Partial{Packets: 42}
+	rr := post(http.MethodPost, "?probe=siteA", bytes.NewReader(drift.NewProfile("", "", p, time.Unix(0, 0)).Encode()))
+	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"probe":"siteA","probes":1,"version":1`) {
+		t.Fatalf("accepted post: code %d body %q", rr.Code, rr.Body.String())
+	}
+
+	// Draining the graph emits the merged fleet state downstream; no
+	// rejected post may have reached it.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := runner.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rr = httptest.NewRecorder()
+	runner.Endpoints()["/pipelines/fleet/latest"].ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/pipelines/fleet/latest", nil))
+	var prof stream.Profile
+	if err := json.Unmarshal(rr.Body.Bytes(), &prof); err != nil {
+		t.Fatalf("latest snapshot: %v (code %d body %.120q)", err, rr.Code, rr.Body.String())
+	}
+	if prof.Packets != 42 || prof.Workers != 1 || prof.Seq != 1 {
+		t.Errorf("merged snapshot packets=%d workers=%d seq=%d, want 42/1/1", prof.Packets, prof.Workers, prof.Seq)
+	}
 }

@@ -20,7 +20,6 @@ func testTenant(cacheMax int) (*Service, *Tenant) {
 	s := &Service{cache: NewCache(cacheMax), reg: reg}
 	t := &Tenant{
 		name:        "t1",
-		agg:         newAggregator(),
 		cacheHits:   treg.Counter("uncharted_service_cache_hits_total"),
 		cacheMisses: treg.Counter("uncharted_service_cache_misses_total"),
 	}

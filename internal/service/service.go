@@ -29,7 +29,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -186,9 +185,7 @@ func (s *Service) handleIndex(w http.ResponseWriter, _ *http.Request) {
 				r.Seq = p.Seq
 			}
 		}
-		t.agg.mu.Lock()
-		r.Probes = len(t.agg.byProbe)
-		t.agg.mu.Unlock()
+		r.Probes = t.probes.Len()
 		for ep := range t.handlers {
 			r.Endpoints = append(r.Endpoints, ep)
 		}
@@ -234,9 +231,10 @@ func (s *Service) Start(ctx context.Context) {
 	}
 }
 
-// Drain cancels every tenant's ingest and waits until all engines
-// have drained their shards and published their final profiles — the
-// graceful-shutdown path reusing the engine lifecycle state machine.
+// Drain cancels every tenant's ingest, waits until all engines have
+// drained their shards and published their final profiles — the
+// graceful-shutdown path reusing the engine lifecycle state machine —
+// and closes the tenants' historians: /query is gone after Drain.
 func (s *Service) Drain() {
 	for _, name := range s.order {
 		if c := s.tenants[name].cancel; c != nil {
@@ -244,7 +242,9 @@ func (s *Service) Drain() {
 		}
 	}
 	for _, name := range s.order {
-		<-s.tenants[name].done
+		t := s.tenants[name]
+		<-t.done
+		t.closeStore()
 	}
 }
 
@@ -297,17 +297,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // writeJSONError is the service's uniform error document.
 func writeJSONError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// readAll reads a request body up to limit bytes, failing when the
-// body exceeds it.
-func readAll(req *http.Request, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(body)) > limit {
-		return nil, fmt.Errorf("body exceeds %d bytes", limit)
-	}
-	return body, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -178,6 +179,18 @@ func TestPartialEndpointValidation(t *testing.T) {
 		t.Errorf("garbage partial: code %d, want 400", resp2.StatusCode)
 	}
 
+	// A body over the shared aggregator's cap is refused, not buffered.
+	respBig, err := http.Post(srv.URL+"/v1/fleet/partial", "application/octet-stream",
+		io.LimitReader(zeros{}, stream.MaxPartialBytes+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyBig, _ := io.ReadAll(respBig.Body)
+	respBig.Body.Close()
+	if respBig.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(bodyBig), "exceeds") {
+		t.Errorf("oversize partial: code %d body %.120q, want 413", respBig.StatusCode, bodyBig)
+	}
+
 	// A valid profile with no label and no ?probe= is rejected.
 	empty := drift.NewProfile("", "", core.Partial{}, time.Unix(0, 0))
 	resp3, err := http.Post(srv.URL+"/v1/fleet/partial", "application/octet-stream",
@@ -189,6 +202,78 @@ func TestPartialEndpointValidation(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadRequest || !strings.Contains(string(body3), "probe label") {
 		t.Errorf("unlabeled partial: code %d body %.120q, want 400 probe-label error", resp3.StatusCode, body3)
+	}
+
+	// No rejected post reached the aggregate.
+	_, index := get(t, srv.URL+"/v1/")
+	if !strings.Contains(string(index), `"probes": 0`) {
+		t.Errorf("rejected posts changed the probe set: %s", index)
+	}
+}
+
+// zeros is an endless all-zero body for the oversize-post case.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestFinishedPCAPTenantKeepsServingQueries: a pcap tenant whose
+// capture has been read to EOF still answers point queries from its
+// historian — the store stays open until Drain.
+func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
+	cfg := scadasim.DefaultConfig(topology.Y1, 7)
+	cfg.Duration = 2 * time.Minute
+	sim, err := scadasim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var capture bytes.Buffer
+	if err := tr.WritePCAP(&capture); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/era.pcap"
+	if err := os.WriteFile(path, capture.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// startSimService waits for the feed to end before returning.
+	svc, srv := startSimService(t,
+		TenantConfig{Name: "era", Source: SourceConfig{Kind: "pcap", Path: path}, Historian: true},
+		Config{HistorianRoot: t.TempDir()})
+
+	_, body := get(t, srv.URL+"/v1/era/query")
+	var catalog []struct {
+		Station string `json:"station"`
+		IOA     uint32 `json:"ioa"`
+		Samples int64  `json:"samples"`
+	}
+	if err := json.Unmarshal(body, &catalog); err != nil || len(catalog) == 0 {
+		t.Fatalf("catalog: %v (%d points, body %.120q)", err, len(catalog), body)
+	}
+	pt := catalog[0]
+	resp, body := get(t, fmt.Sprintf("%s/v1/era/query?station=%s&ioa=%d", srv.URL, pt.Station, pt.IOA))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("point query after EOF: code %d body %.200q", resp.StatusCode, body)
+	}
+	var samples []struct {
+		V float64 `json:"v"`
+	}
+	if err := json.Unmarshal(body, &samples); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(samples)) != pt.Samples || len(samples) == 0 {
+		t.Errorf("point query returned %d samples, catalog says %d", len(samples), pt.Samples)
+	}
+
+	svc.Drain()
+	if err := svc.Tenant("era").Err(); err != nil {
+		t.Errorf("tenant error after drain: %v", err)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/netip"
-	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -17,70 +15,24 @@ import (
 	"uncharted/internal/historian"
 	"uncharted/internal/obs"
 	"uncharted/internal/pipeline"
-	"uncharted/internal/scadasim"
 	"uncharted/internal/stream"
-	"uncharted/internal/topology"
 )
 
 // clusterSeed keeps tenant clustering deterministic across restarts,
 // matching the single-engine commands.
 const clusterSeed = 1202
 
-// maxPartialBytes bounds one posted probe partial (the full Y1 era
-// profile encodes to a few MB; 64 MB leaves room for much larger
-// fleets without letting a stray client exhaust memory).
-const maxPartialBytes = 64 << 20
-
-// aggregator accumulates remote-probe partials for one tenant. Each
-// probe's latest partial replaces its previous one, so probes can
-// re-post rolling updates; the fleet view is MergePartials over the
-// current set, which is commutative and associative, so arrival order
-// never matters.
-type aggregator struct {
-	mu      sync.Mutex
-	byProbe map[string]core.Partial
-	ver     uint64
-}
-
-func newAggregator() *aggregator { return &aggregator{byProbe: make(map[string]core.Partial)} }
-
-// put stores a probe's latest partial and returns the new version and
-// probe count.
-func (a *aggregator) put(probe string, p core.Partial) (ver uint64, probes int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.byProbe[probe] = p
-	a.ver++
-	return a.ver, len(a.byProbe)
-}
-
-// partials returns the current probe set in deterministic order plus
-// the aggregate version.
-func (a *aggregator) partials() ([]core.Partial, uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	names := make([]string, 0, len(a.byProbe))
-	for n := range a.byProbe {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]core.Partial, 0, len(names))
-	for _, n := range names {
-		out = append(out, a.byProbe[n])
-	}
-	return out, a.ver
-}
-
 // Tenant is one hosted balancing authority / era / capture: its own
 // engine (nil for probe-only tenants), historian namespace, fleet
-// aggregator, and pre-built handler set.
+// aggregate, and pre-built handler set.
 type Tenant struct {
 	name   string
 	cfg    TenantConfig
 	engine *stream.Engine
 	src    stream.Source
 	hist   *historian.Store
-	agg    *aggregator
+	// probes is the fleet aggregate: partials posted by remote probes.
+	probes stream.ProbeSet
 	// runner hosts a declared segment graph for "pipeline" tenants;
 	// engine then aliases the graph's first analyzer (or stays nil for
 	// analyzer-less graphs).
@@ -101,9 +53,9 @@ type Tenant struct {
 }
 
 // newTenant builds one tenant from its config: source, engine,
-// historian namespace, aggregator and metric series — everything but
-// the handler set, which the service wires after it exists (handlers
-// close over the service's cache).
+// historian namespace and metric series — everything but the handler
+// set, which the service wires after it exists (handlers close over
+// the service's cache).
 func newTenant(cfg TenantConfig, svcCfg Config, reg *obs.Registry, journal *obs.Journal) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("service: tenant with empty name")
@@ -112,7 +64,6 @@ func newTenant(cfg TenantConfig, svcCfg Config, reg *obs.Registry, journal *obs.
 	t := &Tenant{
 		name:        cfg.Name,
 		cfg:         cfg,
-		agg:         newAggregator(),
 		journal:     journal,
 		cacheHits:   treg.Counter("uncharted_service_cache_hits_total"),
 		cacheMisses: treg.Counter("uncharted_service_cache_misses_total"),
@@ -226,49 +177,26 @@ func (t *Tenant) attachPipeline(sc SourceConfig, reg *obs.Registry, journal *obs
 	return nil
 }
 
-// buildSource materialises a tenant's packet source. A probe source
-// returns (nil, nil, nil): no local ingest.
+// buildSource materialises a tenant's packet source through the shared
+// opener. A probe source returns (nil, nil, nil): no local ingest.
 func buildSource(sc SourceConfig) (stream.Source, map[netip.Addr]string, error) {
-	switch sc.Kind {
-	case "probe", "":
+	if sc.Kind == "probe" || sc.Kind == "" {
 		return nil, nil, nil
-	case "sim":
-		year := topology.Y1
-		if sc.Year == 2 {
-			year = topology.Y2
-		}
-		cfg := scadasim.DefaultConfig(year, sc.Seed)
-		if sc.Duration > 0 {
-			cfg.Duration = time.Duration(sc.Duration)
-		}
-		sim, err := scadasim.New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		tr, err := sim.Run()
-		if err != nil {
-			return nil, nil, err
-		}
-		return stream.NewRecordSource(tr.Records, sc.Speed), core.NamesFromTopology(sim.Network()), nil
-	case "pcap":
-		f, err := os.Open(sc.Path)
-		if err != nil {
-			return nil, nil, err
-		}
-		src, err := stream.NewPCAPSource(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return src, nil, nil
-	case "follow":
-		src, err := stream.NewFollowSource(sc.Path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return src, nil, nil
 	}
-	return nil, nil, fmt.Errorf("unknown source kind %q (want sim, pcap, follow or probe)", sc.Kind)
+	feed, err := stream.OpenSource(stream.SourceSpec{
+		Kind:  sc.Kind,
+		Path:  sc.Path,
+		Speed: sc.Speed,
+		Sim:   stream.SimSpec{Year: sc.Year, Seed: sc.Seed, Duration: time.Duration(sc.Duration)},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var names map[netip.Addr]string
+	if feed.Network != nil {
+		names = core.NamesFromTopology(feed.Network)
+	}
+	return feed.Source, names, nil
 }
 
 // engineVersion is the cache version for engine-backed endpoints: the
@@ -285,28 +213,20 @@ func (t *Tenant) engineVersion() string {
 // fleetVersion is the cache version for the fleet view: it moves with
 // both the probe aggregate and the local snapshot sequence.
 func (t *Tenant) fleetVersion() string {
-	t.agg.mu.Lock()
-	ver := t.agg.ver
-	t.agg.mu.Unlock()
-	return strconv.FormatUint(ver, 10) + "-" + t.engineVersion()
+	return strconv.FormatUint(t.probes.Version(), 10) + "-" + t.engineVersion()
 }
 
 // fleetProfile merges the probe partials with the tenant's own latest
 // snapshot (when an engine exists) into the fleet-wide rolling
 // profile, or nil when nothing has been seen yet.
 func (t *Tenant) fleetProfile() *stream.Profile {
-	parts, ver := t.agg.partials()
 	if t.engine != nil {
 		if p, ok := t.engine.LastPartial(); ok {
-			parts = append(parts, p)
+			prof, _ := t.probes.Profile(t.cfg.ClusterK, clusterSeed, p)
+			return prof
 		}
 	}
-	if len(parts) == 0 {
-		return nil
-	}
-	merged := core.MergePartials(parts)
-	prof := stream.BuildProfile(merged, int(ver), t.cfg.ClusterK, clusterSeed)
-	prof.Workers = len(parts)
+	prof, _ := t.probes.Profile(t.cfg.ClusterK, clusterSeed)
 	return prof
 }
 
@@ -327,47 +247,27 @@ func (t *Tenant) Ready() (bool, string) {
 	return true, ""
 }
 
-// handlePartial is POST /v1/{tenant}/partial: decode a drift-codec
-// profile posted by a remote probe and fold it into the fleet
-// aggregate. The probe label comes from ?probe=, falling back to the
-// profile's own Meta.Label.
+// handlePartial is POST /v1/{tenant}/partial (the route pattern
+// carries the method): fold a drift-codec profile posted by a remote
+// probe into the fleet aggregate.
 func (t *Tenant) handlePartial(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSONError(w, http.StatusMethodNotAllowed, "POST a drift-codec profile")
-		return
-	}
-	body, err := readAll(req, maxPartialBytes)
+	ack, code, err := t.probes.Accept(req)
 	if err != nil {
-		writeJSONError(w, http.StatusRequestEntityTooLarge, err.Error())
+		writeJSONError(w, code, err.Error())
 		return
 	}
-	prof, err := drift.DecodeProfile(body)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	probe := req.URL.Query().Get("probe")
-	if probe == "" {
-		probe = prof.Meta.Label
-	}
-	if probe == "" {
-		writeJSONError(w, http.StatusBadRequest, "probe label missing: set ?probe= or the profile's label")
-		return
-	}
-	ver, probes := t.agg.put(probe, prof.Partial)
 	t.partialsIn.Inc()
-	t.journal.Log(time.Now(), obs.EventPartial, probe, map[string]any{
+	t.journal.Log(time.Now(), obs.EventPartial, ack.Probe, map[string]any{
 		"tenant":  t.name,
-		"packets": prof.Partial.Packets,
-		"probes":  probes,
-		"version": ver,
+		"packets": ack.Packets,
+		"probes":  ack.Probes,
+		"version": ack.Version,
 	})
 	writeJSON(w, http.StatusOK, map[string]any{
 		"tenant":  t.name,
-		"probe":   probe,
-		"probes":  probes,
-		"version": ver,
+		"probe":   ack.Probe,
+		"probes":  ack.Probes,
+		"version": ack.Version,
 	})
 }
 
@@ -393,14 +293,28 @@ func (t *Tenant) run(ctx context.Context) {
 		err = nil
 	}
 	t.src.Close()
-	if t.hist != nil {
-		if cerr := t.hist.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
+	// The historian stays open: a finished feed keeps answering
+	// /query from it (the engine synced it on its final publish).
+	// Service.Drain closes it.
 	t.errMu.Lock()
 	t.runErr = err
 	t.errMu.Unlock()
+}
+
+// closeStore closes the tenant's own historian namespace once its
+// ingest is done; a pipeline tenant's graph closes its own. Store.Close
+// is idempotent, so a second Drain is harmless.
+func (t *Tenant) closeStore() {
+	if t.hist == nil || t.runner != nil {
+		return
+	}
+	if err := t.hist.Close(); err != nil {
+		t.errMu.Lock()
+		if t.runErr == nil {
+			t.runErr = err
+		}
+		t.errMu.Unlock()
+	}
 }
 
 // Err returns the tenant's terminal ingest error, if any; valid once

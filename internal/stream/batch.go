@@ -7,47 +7,11 @@ import (
 	"uncharted/internal/pcap"
 )
 
-// batch is one unit of work on a shard queue: either decoded packets
-// (from a plain Source) or raw frames packed into a pooled slab (from a
-// RawSource). Exactly one of dec / raw is set.
-type batch struct {
-	dec *pktBatch
-	raw *rawBatch
-}
+// slabCap is a fresh slab's capacity: room for a default 64-record
+// batch of full-size frames, so steady state never regrows it.
+const slabCap = 64 << 10
 
-// size returns how many packets/frames the batch carries.
-func (b batch) size() int {
-	if b.raw != nil {
-		return len(b.raw.frames)
-	}
-	return len(b.dec.pkts)
-}
-
-// firstTime returns the capture timestamp of the batch's first entry.
-func (b batch) firstTime() time.Time {
-	if b.raw != nil {
-		return b.raw.frames[0].ci.Timestamp
-	}
-	return b.dec.pkts[0].Info.Timestamp
-}
-
-// recycle returns a batch of either kind to the pools it came from.
-func (b batch) recycle() {
-	if b.raw != nil {
-		b.raw.pools.putRaw(b.raw)
-		return
-	}
-	b.dec.pools.putDec(b.dec)
-}
-
-// pktBatch is a pooled decoded-packet slice. Pooling the wrapper (not
-// the bare slice) keeps pool round-trips allocation-free.
-type pktBatch struct {
-	pkts  []pcap.Packet
-	pools *batchPools // owning pools, for the consumer-side return
-}
-
-// rawFrame locates one record inside a rawBatch slab. Offsets, not
+// rawFrame locates one record inside a batch slab. Offsets, not
 // subslices: the slab's backing array may move while the reader is
 // still appending frames to the batch.
 type rawFrame struct {
@@ -55,105 +19,92 @@ type rawFrame struct {
 	ci       pcap.CaptureInfo
 }
 
-// rawBatch carries undecoded records for one shard: the frame bytes
-// live back to back in slab (a pcap.Buffer drawn from the owning
-// pools), located by the frames index. The consuming shard releases
-// the slab and returns the batch to the pools it came from, so a
-// steady-state run cycles a fixed set of buffers with no per-batch
+// batch is one unit of work on a shard queue, filled by one reader for
+// one shard. A RawSource reader packs undecoded records back to back
+// into slab, located by frames, and the shard decodes them; a plain
+// Source reader appends already-decoded packets to pkts. A run fills
+// one kind only, so the other slice stays nil and costs nothing. The
+// consuming shard hands the batch back to the pool it came from, so a
+// steady-state run cycles a fixed set of carriers with no per-batch
 // allocation.
-type rawBatch struct {
+type batch struct {
+	pool *batchPool
+
 	link   pcap.LinkType
+	slab   []byte
 	frames []rawFrame
-	slab   *pcap.Buffer
-	pools  *batchPools
+
+	pkts []pcap.Packet
 }
 
-// batchPools hold the recycled batch carriers shared by one reader
-// (producer) and the shards (consumers). Recycling goes through plain
-// mutex-guarded free lists rather than sync.Pool: the producer Gets on
-// its own goroutine while consumers Put from shard goroutines, and
-// sync.Pool's per-P caches turn that steady cross-goroutine flow into
-// misses — which is exactly the allocs/op-grows-with-shards regression
-// the committed BENCH_stream.json used to show. A single uncontended
-// lock per batch (amortized over BatchSize packets) is far cheaper
-// than re-allocating 64 KiB slabs.
-type batchPools struct {
-	slabs pcap.BufferPool // slab allocator + poison mode for tests
+// size returns how many records the batch carries.
+func (b *batch) size() int { return len(b.frames) + len(b.pkts) }
 
-	mu   sync.Mutex
-	bufs []*pcap.Buffer
-	raw  []*rawBatch
-	dec  []*pktBatch
+// firstTime returns the capture timestamp of the batch's first record.
+func (b *batch) firstTime() time.Time {
+	if len(b.frames) > 0 {
+		return b.frames[0].ci.Timestamp
+	}
+	return b.pkts[0].Info.Timestamp
 }
 
-func (p *batchPools) getRaw(link pcap.LinkType) *rawBatch {
-	p.mu.Lock()
-	var rb *rawBatch
-	if n := len(p.raw); n > 0 {
-		rb, p.raw = p.raw[n-1], p.raw[:n-1]
+// addRaw copies one undecoded record into the slab.
+func (b *batch) addRaw(data []byte, ci pcap.CaptureInfo) {
+	if b.slab == nil {
+		b.slab = make([]byte, 0, slabCap)
 	}
-	var slab *pcap.Buffer
-	if n := len(p.bufs); n > 0 {
-		slab, p.bufs = p.bufs[n-1], p.bufs[:n-1]
-	}
-	p.mu.Unlock()
-	if rb == nil {
-		rb = &rawBatch{}
-	}
-	if slab == nil {
-		slab = p.slabs.Get()
-	}
-	rb.link = link
-	rb.slab = slab
-	rb.pools = p
-	return rb
+	off := len(b.slab)
+	b.slab = append(b.slab, data...)
+	b.frames = append(b.frames, rawFrame{off: off, end: off + len(data), ci: ci})
 }
 
-// putRaw recycles the slab and the batch. The caller must be done with
-// every frame: slab bytes are invalid from here on (and poisoned in
-// tests, honoring the BufferPool's poison mode even though the slab
-// never passes through Release).
-func (p *batchPools) putRaw(rb *rawBatch) {
-	slab := rb.slab
-	if p.slabs.Poisoned() {
-		for i := range slab.Data {
-			slab.Data[i] = 0xDB
+// recycle empties the batch and returns it to its pool. The caller
+// must be done with every record: slab bytes are invalid from here on
+// (and overwritten when the pool poisons), and the packet entries are
+// zeroed to drop their payload references.
+func (b *batch) recycle() {
+	p := b.pool
+	if p.poison {
+		for i := range b.slab {
+			b.slab[i] = 0xDB
 		}
 	}
-	slab.Data = slab.Data[:0]
-	rb.slab = nil
-	rb.frames = rb.frames[:0]
+	b.slab = b.slab[:0]
+	b.frames = b.frames[:0]
+	clear(b.pkts)
+	b.pkts = b.pkts[:0]
 	p.mu.Lock()
-	p.bufs = append(p.bufs, slab)
-	p.raw = append(p.raw, rb)
+	p.free = append(p.free, b)
 	p.mu.Unlock()
 }
 
-func (p *batchPools) getDec() *pktBatch {
+// batchPool is the free list of batch carriers shared by one reader
+// (producer) and the shards (consumers). A plain mutex-guarded list
+// rather than sync.Pool: the producer Gets on its own goroutine while
+// consumers Put from shard goroutines, and sync.Pool's per-P caches
+// turn that steady cross-goroutine flow into misses — the
+// allocs-grow-with-shards regression TestSegmentedAllocsGuard pins. A
+// single uncontended lock per batch (amortized over BatchSize records)
+// is far cheaper than re-allocating 64 KiB slabs.
+type batchPool struct {
+	// poison overwrites every recycled slab with 0xDB, so a consumer
+	// that wrongly keeps a frame past recycle sees garbage instead of
+	// stale bytes. Tests only; set before the pool is shared.
+	poison bool
+
+	mu   sync.Mutex
+	free []*batch
+}
+
+func (p *batchPool) get() *batch {
 	p.mu.Lock()
-	var pb *pktBatch
-	if n := len(p.dec); n > 0 {
-		pb, p.dec = p.dec[n-1], p.dec[:n-1]
+	var b *batch
+	if n := len(p.free); n > 0 {
+		b, p.free = p.free[n-1], p.free[:n-1]
 	}
 	p.mu.Unlock()
-	if pb == nil {
-		pb = &pktBatch{}
+	if b == nil {
+		b = &batch{pool: p}
 	}
-	pb.pools = p
-	return pb
+	return b
 }
-
-// putDec zeroes the packet entries (dropping their payload references)
-// and recycles the batch.
-func (p *batchPools) putDec(pb *pktBatch) {
-	clear(pb.pkts)
-	pb.pkts = pb.pkts[:0]
-	p.mu.Lock()
-	p.dec = append(p.dec, pb)
-	p.mu.Unlock()
-}
-
-// recycle returns a batch of either kind to this pool set. Kept for
-// call sites that hold the pools anyway; batches returned by a shard
-// use batch.recycle, which routes to the owning reader's pools.
-func (p *batchPools) recycle(b batch) { b.recycle() }

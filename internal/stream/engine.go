@@ -1,34 +1,33 @@
 // Package stream turns the offline measurement pipeline into a
-// long-running service: one or more reader stages pull records from a
-// Source (a finished capture, a growing capture being tailed, a
-// time-scaled replay, or an in-process simulator feed) and fan
-// batches out to N analysis shards over bounded channels. Seekable
-// captures can be ingested by N parallel readers over independent
-// record-aligned segments (Config.Readers, pcap.PlanSegments), with
-// per-reader→per-shard dedicated queues so no channel or lock is
-// shared across readers.
+// long-running service. Every ingest — a finished capture, a growing
+// capture being tailed, a time-scaled replay, an in-process simulator
+// feed — runs through one read loop (Pull): a reader goroutine pulls
+// records from a Source and fans batches out to N analysis shards
+// over bounded queues. A run has one reader per planned source: a
+// seekable capture splits into up to Config.Readers record-aligned
+// segments (pcap.PlanSegments) read in parallel, everything else is
+// the one-source case of the same stage. Each reader owns its batch
+// pool, its trace lane (reader0..N-1) and one queue per shard, so no
+// channel or lock is shared across readers.
 //
 // Traffic is partitioned by unordered IP pair, so every TCP flow,
 // every logical server/outstation connection and every directional
 // session is owned by exactly one shard: each shard runs an ordinary
 // *core.Analyzer with no locks on the hot path, and the per-connection
-// token order the §6.3 Markov models depend on is preserved — under
-// parallel ingest each shard drains its per-reader queues strictly in
-// segment order, so it sees exactly the packet order a sequential
-// read would deliver. Shard snapshots are core.Partial values, merged
-// into a rolling Profile that is published over HTTP next to the
-// /metrics endpoint and journalled as JSONL; snapshots use a sealed-
-// epoch protocol (each shard publishes its own partial between
-// batches) so publishing never stops the world. Bounded queues give
-// backpressure: a reader either blocks (lossless, default) or sheds
-// whole batches with an explicit drop counter when a shard falls
-// behind.
+// token order the §6.3 Markov models depend on is preserved — each
+// shard drains its per-reader queues strictly in segment order, so it
+// sees exactly the packet order a sequential read would deliver.
+// Shard snapshots are core.Partial values, merged into a rolling
+// Profile that is published over HTTP next to the /metrics endpoint
+// and journalled as JSONL; snapshots use a sealed-epoch protocol (each
+// shard publishes its own partial between batches) so publishing
+// never stops the world. Bounded queues give backpressure: a reader
+// either blocks (lossless, default) or sheds whole batches with an
+// explicit drop counter when a shard falls behind.
 package stream
 
 import (
 	"context"
-	"errors"
-	"io"
 	"math"
 	"net/http"
 	"net/netip"
@@ -65,10 +64,10 @@ type Config struct {
 	// Workers is the shard count; minimum (and default) 1.
 	Workers int
 	// Readers is how many parallel segment readers ingest a seekable
-	// capture. It only engages when the source implements
-	// SegmentedSource (FileSource does) and the capture splits into
-	// more than one record-aligned segment; every other source keeps
-	// the single-reader stage. Minimum (and default) 1.
+	// capture: a source that implements SegmentedSource (FileSource
+	// does) is split into up to this many record-aligned segments,
+	// one reader each. Every other source, and a capture too small to
+	// split, is read by one. Minimum (and default) 1.
 	Readers int
 	// BatchSize is how many packets ride one channel send (default 64).
 	BatchSize int
@@ -197,21 +196,20 @@ func causeName(cur int32) string {
 const sealedForever = math.MaxInt64
 
 // shard owns one analyzer. Readers communicate with it only through
-// its per-reader queues, so analyzer state needs no locks. Under
-// parallel ingest ins holds one dedicated bounded queue per reader;
-// the shard drains them strictly in segment order (queue r is read to
-// exhaustion — the reader closes it at its segment's end — before
-// queue r+1 is touched), which reproduces the sequential capture
-// order exactly. Readers ahead of the shard's current segment block
-// on their own queue, so segment prefetch is pipelined but never
-// reordered.
+// its per-reader queues, so analyzer state needs no locks. ins holds
+// one dedicated bounded queue per reader; the shard drains them
+// strictly in segment order (queue r is read to exhaustion — the
+// reader closes it when its source ends — before queue r+1 is
+// touched), which reproduces the sequential capture order exactly.
+// Readers ahead of the shard's current segment block on their own
+// queue, so segment prefetch is pipelined but never reordered.
 type shard struct {
 	id int
 	an *core.Analyzer
 	// ins is the per-reader queue fan-in, held behind an atomic pointer
-	// because Run widens it to the planned reader count after the
-	// engine is already visible to Status() callers.
-	ins  atomic.Pointer[[]chan batch]
+	// because Run sizes it to the planned reader count after the engine
+	// is already visible to Status() callers; nil before Run.
+	ins  atomic.Pointer[[]chan *batch]
 	wake chan struct{} // capacity 1: pokes the shard to seal a snapshot
 	done chan struct{}
 
@@ -223,8 +221,9 @@ type shard struct {
 	lane   *trace.Lane
 	cur    atomic.Int32
 	curSeg atomic.Int32
-	// scratch holds one batch's decoded packets between the decode and
-	// feed passes; reused across batches.
+	// scratch holds one raw batch's decoded packets between the decode
+	// and feed passes; reused across batches. Per shard, not per batch:
+	// a 64-packet slice on every in-flight batch would be megabytes.
 	scratch []pcap.Packet
 
 	// Sealed-epoch snapshot protocol: the engine bumps epoch and pokes
@@ -237,7 +236,12 @@ type shard struct {
 }
 
 // queues returns the current per-reader fan-in.
-func (s *shard) queues() []chan batch { return *s.ins.Load() }
+func (s *shard) queues() []chan *batch {
+	if qs := s.ins.Load(); qs != nil {
+		return *qs
+	}
+	return nil
+}
 
 func (s *shard) run() {
 	defer func() {
@@ -290,57 +294,59 @@ func (s *shard) poke() {
 	}
 }
 
-// consume feeds one batch into the shard's analyzer and recycles the
-// batch to the pools it came from. Raw batches are decoded here — on
-// the shard worker, off the reader goroutine — and records that fail
-// link-layer decoding are skipped, matching the offline ReadPCAP path
-// exactly. Decode and feed run as separate passes so each gets its
-// own span and the published stage tells the reader which one a
-// backlog is stuck in.
-func (s *shard) consume(b batch) {
-	if rb := b.raw; rb != nil {
+// consume feeds one batch into the shard's analyzer and recycles it to
+// the pool it came from. Raw records are decoded here — on the shard
+// worker, off the reader goroutine — and records that fail link-layer
+// decoding are skipped, matching the offline ReadPCAP path exactly.
+// Decode and feed run as separate passes so each gets its own span and
+// the published stage tells the reader which one a backlog is stuck in.
+func (s *shard) consume(b *batch) {
+	pkts := b.pkts
+	if len(b.frames) > 0 {
 		s.cur.Store(int32(trace.StageDecode))
 		sp := s.lane.Start()
-		pkts := s.scratch[:0]
-		for i := range rb.frames {
-			fr := &rb.frames[i]
-			pkt, err := pcap.DecodePacket(rb.link, fr.ci, rb.slab.Data[fr.off:fr.end])
+		pkts = s.scratch[:0]
+		for i := range b.frames {
+			fr := &b.frames[i]
+			pkt, err := pcap.DecodePacket(b.link, fr.ci, b.slab[fr.off:fr.end])
 			if err != nil {
 				continue
 			}
 			pkts = append(pkts, pkt)
 		}
-		s.lane.End(sp, trace.StageDecode, len(rb.frames), -1)
-		s.cur.Store(int32(trace.StageFeed))
-		for i := range pkts {
-			s.an.FeedPacket(pkts[i])
-		}
+		s.lane.End(sp, trace.StageDecode, len(b.frames), -1)
+	}
+	s.cur.Store(int32(trace.StageFeed))
+	for i := range pkts {
+		s.an.FeedPacket(pkts[i])
+	}
+	if len(b.frames) > 0 {
 		// The packets reference slab bytes: drop them before the slab
 		// goes back to the pool.
 		clear(pkts)
 		s.scratch = pkts[:0]
-		rb.pools.putRaw(rb)
-		s.cur.Store(curIdle)
-		return
 	}
-	s.cur.Store(int32(trace.StageFeed))
-	for i := range b.dec.pkts {
-		s.an.FeedPacket(b.dec.pkts[i])
-	}
-	b.dec.pools.putDec(b.dec)
+	b.recycle()
 	s.cur.Store(curIdle)
 }
 
-// readerState tracks one parallel segment reader: its own batch pools
-// (no pool is shared across readers), its trace lane, and progress
-// for statusz.
-type readerState struct {
-	lane  *trace.Lane
-	pools batchPools
+// reader is one ingest goroutine: the Pull sink that routes its
+// source's records into per-shard batches and enqueues them on queue
+// column r. It owns its batch pool and its trace lane (nothing is
+// shared across readers but the shards themselves) and carries the
+// progress statusz reports.
+type reader struct {
+	e       *Engine
+	r       int
+	src     Source
+	lane    *trace.Lane
+	pool    batchPool
+	pending []*batch // the batch being filled, per shard
+
 	info  SegmentInfo
 	start time.Time
 	bytes atomic.Int64 // record payload bytes consumed so far
-	endNs atomic.Int64 // unix nanos when the segment finished; 0 while running
+	endNs atomic.Int64 // unix nanos when the source ended; 0 while running
 }
 
 // Engine is the streaming pipeline. Create with New, drive with Run;
@@ -349,17 +355,18 @@ type readerState struct {
 type Engine struct {
 	cfg     Config
 	shards  []*shard
-	pools   batchPools // the single-reader stage's pools
 	metrics *engineMetrics
+	// poison turns on the readers' slab poisoning (see batchPool);
+	// tests set it before Run.
+	poison bool
 
-	trcReader *trace.Lane
-	trcSnap   *trace.Lane
-	trcPlan   *trace.Lane
-	state     atomic.Int32
-	started   atomic.Int64 // unix nanos at Run start; 0 before
+	trcSnap *trace.Lane
+	trcPlan *trace.Lane
+	state   atomic.Int32
+	started atomic.Int64 // unix nanos at Run start; 0 before
 
 	snapEpoch atomic.Int64
-	readers   atomic.Pointer[[]*readerState] // nil until a segmented Run
+	readers   atomic.Pointer[[]*reader] // nil until Run
 
 	profile  atomic.Pointer[Profile]
 	lastPart atomic.Pointer[core.Partial]
@@ -387,7 +394,6 @@ func New(cfg Config) *Engine {
 	if cfg.Baseline != nil {
 		e.driftSeen = make(map[string]bool)
 	}
-	e.trcReader = cfg.Trace.Lane("reader")
 	e.trcSnap = cfg.Trace.Lane("snapshot")
 	e.trcPlan = cfg.Trace.Lane("plan")
 	// Merges, publishes and segment plans are rare and off the hot
@@ -433,7 +439,6 @@ func New(cfg Config) *Engine {
 			lane:  lane,
 			epoch: &e.snapEpoch,
 		}
-		sh.ins.Store(&[]chan batch{make(chan batch, cfg.queueCap())})
 		sh.cur.Store(curIdle)
 		e.shards = append(e.shards, sh)
 	}
@@ -468,23 +473,11 @@ func (e *Engine) shardForPair(a, b netip.Addr) int {
 // drains the shards and publishes the final profile. It returns nil on
 // clean exhaustion, ctx.Err() on cancellation, or the source's error.
 //
-// When Config.Readers > 1 and the source is segmented (FileSource
-// over a seekable capture), Run plans record-aligned segments and
-// ingests them with one reader goroutine per segment; on any planning
-// shortfall it downgrades silently to the sequential single-reader
-// stage.
+// The source is first planned into one or more reader inputs (see
+// plan); one reader goroutine per input then runs the same read loop.
 func (e *Engine) Run(ctx context.Context, src Source) error {
 	// Plan before the shards start so the queue fan-in width is known.
-	var segs []RawSource
-	if e.cfg.Readers > 1 {
-		psp := e.trcPlan.Start()
-		segs = segmentsOrNil(src, e.cfg.Readers)
-		e.trcPlan.End(psp, trace.StagePlan, len(segs), -1)
-	}
-	nReaders := 1
-	if len(segs) > 1 {
-		nReaders = len(segs)
-	}
+	readers := e.attach(e.plan(src))
 
 	e.mu.Lock()
 	e.running = true
@@ -493,13 +486,6 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 	e.state.Store(stateRunning)
 
 	for _, sh := range e.shards {
-		if len(sh.queues()) != nReaders {
-			nq := make([]chan batch, nReaders)
-			for r := range nq {
-				nq[r] = make(chan batch, e.cfg.queueCap())
-			}
-			sh.ins.Store(&nq)
-		}
 		go sh.run()
 	}
 
@@ -522,27 +508,17 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 		}()
 	}
 
-	var srcErr error
-	if nReaders > 1 {
-		srcErr = e.readSegments(ctx, segs)
-	} else {
-		srcErr = e.readLoop(ctx, src)
-	}
+	srcErr := e.readAll(ctx, readers)
 
 	e.state.Store(stateDraining)
 	close(stopSnap)
 	snapWG.Wait()
 
-	// Shut down: from here Snapshot serves the final profile instead of
-	// waiting on seals, so no request can race the closing queues.
+	// Shut down: every reader has closed its queues, so the shards exit
+	// once drained; from here Snapshot serves the final profile instead
+	// of waiting on seals.
 	e.mu.Lock()
 	e.running = false
-	if nReaders == 1 {
-		// Parallel readers close their own queues as each segment ends.
-		for _, sh := range e.shards {
-			close(sh.queues()[0])
-		}
-	}
 	for _, sh := range e.shards {
 		<-sh.done
 	}
@@ -563,6 +539,58 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 	return srcErr
 }
 
+// plan turns the source into the reader inputs: up to Config.Readers
+// record-aligned segments when it is a SegmentedSource asked for
+// parallelism, otherwise — not segmented, too small to split, or the
+// planner failed — the source itself, which is the one-reader case of
+// the same ingest stage.
+func (e *Engine) plan(src Source) []Source {
+	if ss, ok := src.(SegmentedSource); ok && e.cfg.Readers > 1 {
+		psp := e.trcPlan.Start()
+		segs, err := ss.Segments(e.cfg.Readers)
+		e.trcPlan.End(psp, trace.StagePlan, len(segs), -1)
+		if err == nil && len(segs) > 1 {
+			srcs := make([]Source, len(segs))
+			for i, seg := range segs {
+				srcs[i] = seg
+			}
+			return srcs
+		}
+	}
+	return []Source{src}
+}
+
+// attach builds one reader per planned input and gives every shard one
+// queue per reader. Called once, before the shards and readers start.
+func (e *Engine) attach(srcs []Source) []*reader {
+	readers := make([]*reader, len(srcs))
+	for r, src := range srcs {
+		rd := &reader{
+			e:       e,
+			r:       r,
+			src:     src,
+			lane:    e.cfg.Trace.Lane("reader" + strconv.Itoa(r)),
+			pending: make([]*batch, len(e.shards)),
+			start:   time.Now(),
+		}
+		rd.pool.poison = e.poison
+		if ext, ok := src.(segmentExtent); ok {
+			rd.info = ext.Extent()
+		}
+		readers[r] = rd
+	}
+	for _, sh := range e.shards {
+		qs := make([]chan *batch, len(readers))
+		for r := range qs {
+			qs[r] = make(chan *batch, e.cfg.queueCap())
+		}
+		sh.ins.Store(&qs)
+	}
+	e.readers.Store(&readers)
+	e.metrics.noteReaders(len(readers))
+	return readers
+}
+
 // Ready reports whether the engine is serving fresh data — the reader
 // attached and the shards running — with a reason when it is not. The
 // obs.ReadyHandler adapter turns it into a /readyz endpoint.
@@ -578,122 +606,18 @@ func (e *Engine) Ready() (bool, string) {
 	return false, "engine not started"
 }
 
-// readLoop drives the single-reader stage: it pulls records from the
-// source, routes them to shards, and flushes pending batches at quiet
-// points. Sources that implement RawSource take the fast path where
-// the reader only copies raw frames into pooled per-shard slabs and
-// the shard workers do the L2-L4 decoding.
-func (e *Engine) readLoop(ctx context.Context, src Source) error {
-	if rs, ok := src.(RawSource); ok {
-		return e.readRaw(ctx, rs)
-	}
-	return e.readDecoded(ctx, src)
-}
-
-func (e *Engine) readDecoded(ctx context.Context, src Source) error {
-	pending := make([]*pktBatch, len(e.shards))
-	flush := func(i int) bool {
-		pb := pending[i]
-		if pb == nil {
-			return true
-		}
-		pending[i] = nil
-		return e.dispatch(ctx, i, batch{dec: pb})
-	}
-	flushAll := func() bool {
-		for i := range pending {
-			if !flush(i) {
-				return false
-			}
-		}
-		return true
-	}
-
-	var srcErr error
-read:
-	for {
-		select {
-		case <-ctx.Done():
-			srcErr = ctx.Err()
-			break read
-		default:
-		}
-		sp := e.trcReader.Start()
-		pkt, err := src.Next()
-		switch {
-		case err == nil:
-			e.trcReader.End(sp, trace.StageRead, 1, -1)
-			i := e.shardFor(pkt)
-			pb := pending[i]
-			if pb == nil {
-				pb = e.pools.getDec()
-				pending[i] = pb
-			}
-			pb.pkts = append(pb.pkts, pkt)
-			if len(pb.pkts) >= e.cfg.BatchSize {
-				if !flush(i) {
-					srcErr = ctx.Err()
-					break read
-				}
-			}
-		case errors.Is(err, ErrNotReady):
-			if !flushAll() {
-				srcErr = ctx.Err()
-				break read
-			}
-			select {
-			case <-ctx.Done():
-				srcErr = ctx.Err()
-				break read
-			case <-time.After(e.cfg.PollInterval):
-			}
-		case errors.Is(err, io.EOF):
-			flushAll()
-			break read
-		default:
-			srcErr = err
-			break read
-		}
-	}
-	if srcErr == nil || errors.Is(srcErr, context.Canceled) {
-		flushAll()
-	}
-	return srcErr
-}
-
-func (e *Engine) readRaw(ctx context.Context, src RawSource) error {
-	return e.readRawInto(ctx, src, e.trcReader, &e.pools, 0, nil)
-}
-
-// readSegments runs one reader goroutine per planned segment. Each
-// reader owns its pools, its trace lane and its per-shard queues;
-// nothing is shared across readers but the shards themselves. The
-// first error in segment order is returned (every other segment still
-// drains, so an intact tail is analyzed even when a middle segment is
-// corrupt).
-func (e *Engine) readSegments(ctx context.Context, segs []RawSource) error {
-	states := make([]*readerState, len(segs))
-	poison := e.pools.slabs.Poisoned()
-	for r, src := range segs {
-		st := &readerState{start: time.Now()}
-		st.lane = e.cfg.Trace.Lane("reader" + strconv.Itoa(r))
-		st.pools.slabs.SetPoison(poison)
-		if ext, ok := src.(segmentExtent); ok {
-			st.info = ext.Extent()
-		}
-		states[r] = st
-	}
-	e.readers.Store(&states)
-	e.metrics.noteReaders(len(segs))
-
+// readAll runs every reader to the end of its source and returns the
+// first error in segment order (every other segment still drains, so
+// an intact tail is analyzed even when a middle segment is corrupt).
+func (e *Engine) readAll(ctx context.Context, readers []*reader) error {
 	var wg sync.WaitGroup
-	errs := make([]error, len(segs))
-	for r := range segs {
+	errs := make([]error, len(readers))
+	for r, rd := range readers {
 		wg.Add(1)
-		go func(r int) {
+		go func(r int, rd *reader) {
 			defer wg.Done()
-			errs[r] = e.readSegment(ctx, r, segs[r], states[r])
-		}(r)
+			errs[r] = rd.run(ctx)
+		}(r, rd)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -704,149 +628,100 @@ func (e *Engine) readSegments(ctx context.Context, segs []RawSource) error {
 	return nil
 }
 
-// readSegment is one parallel reader: the raw read loop over one
-// segment, dispatching into queue column r. Its deferred queue close
-// is the in-order fan-in's progress signal — shards move to queue r+1
-// the moment queue r is drained and closed.
-func (e *Engine) readSegment(ctx context.Context, r int, src RawSource, st *readerState) error {
+// run is one reader goroutine: the shared read loop over this reader's
+// source. Closing the queue column on the way out is the in-order
+// fan-in's progress signal — shards move to queue r+1 the moment queue
+// r is drained and closed.
+func (rd *reader) run(ctx context.Context) error {
 	defer func() {
-		for _, sh := range e.shards {
-			close(sh.queues()[r])
+		for _, sh := range rd.e.shards {
+			close(sh.queues()[rd.r])
 		}
-		st.endNs.Store(time.Now().UnixNano())
+		rd.endNs.Store(time.Now().UnixNano())
 	}()
-	return e.readRawInto(ctx, src, st.lane, &st.pools, r, st)
+	return Pull(ctx, rd.src, rd.e.cfg.PollInterval, rd.lane, rd)
 }
 
-// readRawInto is the raw read loop shared by the single-reader stage
-// (r=0, engine pools, reader lane) and every parallel segment reader
-// (their own pools and lanes). st is nil for the single-reader stage.
-func (e *Engine) readRawInto(ctx context.Context, src RawSource, lane *trace.Lane, pools *batchPools, r int, st *readerState) error {
-	pending := make([]*rawBatch, len(e.shards))
-	flush := func(i int) bool {
-		rb := pending[i]
-		if rb == nil {
-			return true
+// Raw implements RecordSink: route by the cheap header peek and copy
+// the record into the owning shard's pending slab. Records the peek
+// cannot classify go to shard 0, whose worker-side decode then skips
+// them exactly like the offline path would.
+func (rd *reader) Raw(ctx context.Context, data []byte, ci pcap.CaptureInfo, link pcap.LinkType) bool {
+	rsp := rd.lane.Start()
+	i := 0
+	if len(rd.e.shards) > 1 {
+		if sa, da, ok := pcap.PeekIPv4Pair(link, data); ok {
+			i = rd.e.shardForPair(sa, da)
 		}
-		pending[i] = nil
-		e.metrics.noteReaderBytes(r, st, len(rb.slab.Data))
-		return e.dispatchTo(ctx, lane, r, i, batch{raw: rb})
 	}
-	flushAll := func() bool {
-		for i := range pending {
-			if !flush(i) {
-				return false
-			}
+	b := rd.fill(i)
+	b.link = link
+	b.addRaw(data, ci)
+	rd.lane.End(rsp, trace.StageRoute, 1, -1)
+	if len(b.frames) >= rd.e.cfg.BatchSize {
+		return rd.flush(ctx, i)
+	}
+	return true
+}
+
+// Packet implements RecordSink for sources that decode themselves.
+func (rd *reader) Packet(ctx context.Context, pkt pcap.Packet) bool {
+	i := rd.e.shardFor(pkt)
+	b := rd.fill(i)
+	b.pkts = append(b.pkts, pkt)
+	if len(b.pkts) >= rd.e.cfg.BatchSize {
+		return rd.flush(ctx, i)
+	}
+	return true
+}
+
+// Flush implements RecordSink: every pending batch goes out.
+func (rd *reader) Flush(ctx context.Context) bool {
+	for i := range rd.pending {
+		if !rd.flush(ctx, i) {
+			return false
 		}
+	}
+	return true
+}
+
+// fill returns the batch being filled for shard i.
+func (rd *reader) fill(i int) *batch {
+	b := rd.pending[i]
+	if b == nil {
+		b = rd.pool.get()
+		rd.pending[i] = b
+	}
+	return b
+}
+
+// flush enqueues shard i's pending batch, if any. Progress is booked
+// once per flushed batch, not per record.
+func (rd *reader) flush(ctx context.Context, i int) bool {
+	b := rd.pending[i]
+	if b == nil {
 		return true
 	}
-
-	// scratch is the reader's record buffer: each record is read into
-	// it, then copied into the owning shard's pending slab, so a single
-	// buffer serves the whole run.
-	var scratch []byte
-	var srcErr error
-read:
-	for {
-		select {
-		case <-ctx.Done():
-			srcErr = ctx.Err()
-			break read
-		default:
-		}
-		sp := lane.Start()
-		data, ci, link, err := src.NextRaw(scratch)
-		switch {
-		case err == nil:
-			lane.End(sp, trace.StageRead, 1, -1)
-			scratch = data
-			rsp := lane.Start()
-			// Route by the cheap header peek; records the peek cannot
-			// classify go to shard 0, whose worker-side decode then skips
-			// them exactly like the offline path would.
-			i := 0
-			if len(e.shards) > 1 {
-				if sa, da, ok := pcap.PeekIPv4Pair(link, data); ok {
-					i = e.shardForPair(sa, da)
-				}
-			}
-			rb := pending[i]
-			if rb == nil {
-				rb = pools.getRaw(link)
-				pending[i] = rb
-			}
-			off := len(rb.slab.Data)
-			rb.slab.Data = append(rb.slab.Data, data...)
-			rb.frames = append(rb.frames, rawFrame{off: off, end: off + len(data), ci: ci})
-			lane.End(rsp, trace.StageRoute, 1, -1)
-			if len(rb.frames) >= e.cfg.BatchSize {
-				if !flush(i) {
-					srcErr = ctx.Err()
-					break read
-				}
-			}
-		case errors.Is(err, ErrNotReady):
-			if !flushAll() {
-				srcErr = ctx.Err()
-				break read
-			}
-			select {
-			case <-ctx.Done():
-				srcErr = ctx.Err()
-				break read
-			case <-time.After(e.cfg.PollInterval):
-			}
-		case errors.Is(err, io.EOF):
-			flushAll()
-			break read
-		default:
-			srcErr = err
-			break read
-		}
-	}
-	if srcErr == nil || errors.Is(srcErr, context.Canceled) {
-		flushAll()
-	}
-	return srcErr
+	rd.pending[i] = nil
+	rd.bytes.Add(int64(len(b.slab)))
+	rd.e.metrics.noteReaderBytes(rd.r, len(b.slab))
+	return rd.enqueue(ctx, i, b)
 }
 
-// dispatch hands a batch to a shard on the single-reader queue; kept
-// as the narrow entry point the decoded path and tests use.
-func (e *Engine) dispatch(ctx context.Context, i int, b batch) bool {
-	return e.dispatchTo(ctx, e.trcReader, 0, i, b)
-}
-
-// dispatchTo hands a batch from reader r to shard i under the
+// enqueue hands a batch from this reader to shard i under the
 // configured policy. The false return means the context died while
 // blocked. Every outcome is attributed: a clean enqueue records the
 // queue depth it saw; a full queue reads the shard's published stage
 // so the stall (Block) or the loss (DropNewest) is counted against
 // the stage that caused it — or against "order" when the shard simply
 // has not reached this reader's segment yet.
-func (e *Engine) dispatchTo(ctx context.Context, lane *trace.Lane, r, i int, b batch) bool {
+func (rd *reader) enqueue(ctx context.Context, i int, b *batch) bool {
+	e, lane := rd.e, rd.lane
 	n := b.size()
 	e.metrics.noteBatch(n)
 	sh := e.shards[i]
-	q := sh.queues()[r]
+	q := sh.queues()[rd.r]
 	sp := lane.Start()
-	if e.cfg.Policy == DropNewest {
-		select {
-		case q <- b:
-			depth := len(q)
-			e.metrics.noteDepth(i, depth)
-			lane.End(sp, trace.StageEnqueue, n, depth)
-		default:
-			cause := stallCause(sh, r)
-			e.metrics.noteDropped(i, n, cause)
-			e.metrics.noteDepth(i, cap(q))
-			e.cfg.Journal.Log(b.firstTime(), obs.EventDrop, "", map[string]any{
-				"shard": i, "packets": n, "cause": cause,
-			})
-			b.recycle()
-			lane.End(sp, trace.StageEnqueue, n, cap(q))
-		}
-		return true
-	}
 	select {
 	case q <- b:
 		depth := len(q)
@@ -855,8 +730,18 @@ func (e *Engine) dispatchTo(ctx context.Context, lane *trace.Lane, r, i int, b b
 		return true
 	default:
 	}
-	// The queue is full: a real reader stall begins here.
-	cause := stallCause(sh, r)
+	// The queue is full: shed the batch, or a real reader stall begins.
+	cause := stallCause(sh, rd.r)
+	if e.cfg.Policy == DropNewest {
+		e.metrics.noteDropped(i, n, cause)
+		e.metrics.noteDepth(i, cap(q))
+		e.cfg.Journal.Log(b.firstTime(), obs.EventDrop, "", map[string]any{
+			"shard": i, "packets": n, "cause": cause,
+		})
+		b.recycle()
+		lane.End(sp, trace.StageEnqueue, n, cap(q))
+		return true
+	}
 	stallStart := time.Now()
 	select {
 	case q <- b:

@@ -322,16 +322,18 @@ func TestReplaySourceTimeScales(t *testing.T) {
 func TestDropPolicyCountsSheddedBatches(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Config{Workers: 1, QueueDepth: 1, Policy: DropNewest, Registry: reg})
-	// The shard goroutine is not running, so the queue fills and the
-	// second dispatch must shed instead of blocking.
-	mkBatch := func() batch {
-		pb := e.pools.getDec()
-		pb.pkts = append(pb.pkts, make([]pcap.Packet, 3)...)
-		return batch{dec: pb}
+	// One reader attached, but the shard goroutine is not running, so
+	// the queue fills and the second enqueue must shed instead of
+	// blocking.
+	rd := e.attach([]Source{nil})[0]
+	mkBatch := func() *batch {
+		b := rd.pool.get()
+		b.pkts = append(b.pkts, make([]pcap.Packet, 3)...)
+		return b
 	}
 	ctx := context.Background()
-	if !e.dispatch(ctx, 0, mkBatch()) || !e.dispatch(ctx, 0, mkBatch()) {
-		t.Fatal("dispatch returned false without cancellation")
+	if !rd.enqueue(ctx, 0, mkBatch()) || !rd.enqueue(ctx, 0, mkBatch()) {
+		t.Fatal("enqueue returned false without cancellation")
 	}
 	if got := reg.Counter(MetricDroppedBatches, "shard", "0").Value(); got != 1 {
 		t.Fatalf("dropped batches %d, want 1", got)

@@ -32,8 +32,8 @@ type segmentExtent interface {
 
 // FileSource reads a finished capture from a seekable backing store.
 // It behaves exactly like PCAPSource when read sequentially, and
-// additionally implements SegmentedSource so the engine can ingest
-// it with N parallel readers (Config.Readers).
+// additionally implements SegmentedSource so the engine can split it
+// across Config.Readers parallel readers.
 type FileSource struct {
 	ra   io.ReaderAt
 	size int64
@@ -76,13 +76,7 @@ func (s *FileSource) sequential() (*PCAPSource, error) {
 }
 
 // Next implements Source via a sequential read of the whole capture.
-func (s *FileSource) Next() (pcap.Packet, error) {
-	inner, err := s.sequential()
-	if err != nil {
-		return pcap.Packet{}, err
-	}
-	return inner.Next()
-}
+func (s *FileSource) Next() (pcap.Packet, error) { return nextDecoded(s) }
 
 // NextRaw implements RawSource via a sequential read.
 func (s *FileSource) NextRaw(scratch []byte) ([]byte, pcap.CaptureInfo, pcap.LinkType, error) {
@@ -133,19 +127,3 @@ type segmentSource struct {
 }
 
 func (s *segmentSource) Extent() SegmentInfo { return s.info }
-
-// segmentsOrNil plans parallel sub-sources for src, or returns nil
-// when src is not segmented, n does not ask for parallelism, or the
-// capture cannot be split — all of which downgrade cleanly to the
-// sequential single-reader path.
-func segmentsOrNil(src Source, n int) []RawSource {
-	ss, ok := src.(SegmentedSource)
-	if !ok || n <= 1 {
-		return nil
-	}
-	segs, err := ss.Segments(n)
-	if err != nil || len(segs) <= 1 {
-		return nil
-	}
-	return segs
-}

@@ -58,7 +58,7 @@ type engineMetrics struct {
 	driftFindings *obs.Gauge
 	driftSeverity *obs.Gauge
 	readers       *obs.Gauge
-	readerBytes   []*obs.Counter // lazily widened by noteReaders
+	readerBytes   []*obs.Counter // sized by noteReaders
 }
 
 func newEngineMetrics(reg *obs.Registry, workers int) *engineMetrics {
@@ -78,7 +78,7 @@ func newEngineMetrics(reg *obs.Registry, workers int) *engineMetrics {
 	reg.SetHelp(MetricDriftFindings, "Findings in the latest baseline comparison.")
 	reg.SetHelp(MetricDriftSeverity, "Maximum severity in the latest baseline comparison.")
 	reg.SetHelp(MetricDriftCompares, "Baseline comparisons performed.")
-	reg.SetHelp(MetricReaders, "Parallel segment readers in the current run.")
+	reg.SetHelp(MetricReaders, "Reader goroutines in the current run.")
 	reg.SetHelp(MetricReaderBytes, "Capture bytes consumed, by reader.")
 	m := &engineMetrics{
 		reg:           reg,
@@ -107,13 +107,12 @@ func newEngineMetrics(reg *obs.Registry, workers int) *engineMetrics {
 	}
 	reg.Gauge(MetricWorkers).Set(float64(workers))
 	m.readers = reg.Gauge(MetricReaders)
-	m.readers.Set(1)
 	return m
 }
 
-// noteReaders records the parallel-reader count for a segmented run
-// and pre-resolves one byte counter per reader. Called once, before
-// the reader goroutines start.
+// noteReaders records the run's reader count and pre-resolves one
+// byte counter per reader. Called once, before the reader goroutines
+// start.
 func (m *engineMetrics) noteReaders(n int) {
 	if m == nil {
 		return
@@ -124,13 +123,8 @@ func (m *engineMetrics) noteReaders(n int) {
 	}
 }
 
-// noteReaderBytes advances reader r's progress by n capture bytes:
-// the readerState's statusz counter always, the metric series when a
-// registry is attached. Called once per flushed batch, not per record.
-func (m *engineMetrics) noteReaderBytes(r int, st *readerState, n int) {
-	if st != nil {
-		st.bytes.Add(int64(n))
-	}
+// noteReaderBytes advances reader r's byte counter by n capture bytes.
+func (m *engineMetrics) noteReaderBytes(r, n int) {
 	if m == nil || r >= len(m.readerBytes) {
 		return
 	}

@@ -3,7 +3,10 @@ package stream
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -11,6 +14,7 @@ import (
 
 	"uncharted/internal/core"
 	"uncharted/internal/drift"
+	"uncharted/internal/pcap"
 	"uncharted/internal/scadasim"
 	"uncharted/internal/topology"
 )
@@ -28,15 +32,38 @@ func runSegmented(t testing.TB, capture []byte, cfg Config) (*Engine, core.Parti
 	return e, e.Final()
 }
 
-// TestSegmentedEquivalence is the tentpole's correctness pin: the
-// N-reader segmented engine must produce a final Partial that
-// DeepEquals the single-reader engine at the same shard count — the
-// in-order fan-in reproduces the sequential packet order per shard
-// exactly, so even order-sensitive state (Markov token chains,
-// dialect pinning moments, flow lifetimes) is identical. Checked on
-// the deterministic IEC 104 capture and on a mixed-protocol capture
-// in auto-detect mode, at 1 and 4 shards.
-func TestSegmentedEquivalence(t *testing.T) {
+// frontierCancel wraps a followed capture that is already complete on
+// disk: the first ErrNotReady means every record has been served (and
+// makes the read loop flush), the second cancels the run with nothing
+// left in flight.
+type frontierCancel struct {
+	RawSource
+	cancel   context.CancelFunc
+	frontier int
+}
+
+func (s *frontierCancel) NextRaw(scratch []byte) ([]byte, pcap.CaptureInfo, pcap.LinkType, error) {
+	data, ci, link, err := s.RawSource.NextRaw(scratch)
+	if errors.Is(err, ErrNotReady) {
+		if s.frontier++; s.frontier == 2 {
+			s.cancel()
+		}
+	}
+	return data, ci, link, err
+}
+
+// TestIngestPathEquivalence is the single read loop's correctness pin:
+// whatever face a capture is read through — a decoded-only Source, a
+// sequential RawSource, a seekable FileSource split across 1, 2 or 4
+// segment readers, or a finished file behind FollowSource cancelled at
+// the write frontier — the engine's final Partial must DeepEqual the
+// sequential raw read at the same shard count. The in-order fan-in
+// reproduces the sequential packet order per shard exactly, so even
+// order-sensitive state (Markov token chains, dialect pinning moments,
+// flow lifetimes) is identical. Checked on the deterministic IEC 104
+// capture and on a mixed-protocol capture in auto-detect mode, at 1
+// and 4 shards.
+func TestIngestPathEquivalence(t *testing.T) {
 	iecSim, iecTr := simulate(t, 7, 3*time.Minute)
 	iecCapture := tracePCAP(t, iecTr)
 
@@ -53,7 +80,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 	}
 	mixCapture := tracePCAP(t, mixTr)
 
-	cases := []struct {
+	captures := []struct {
 		name    string
 		capture []byte
 		cfg     Config
@@ -61,37 +88,91 @@ func TestSegmentedEquivalence(t *testing.T) {
 		{"iec104", iecCapture, Config{Names: core.NamesFromTopology(iecSim.Network())}},
 		{"mixed", mixCapture, Config{Names: core.NamesFromTopology(mixSim.Network()), Protocols: []string{"auto"}}},
 	}
-	for _, tc := range cases {
+
+	sequential := func(t *testing.T, capture []byte) Source {
+		src, err := NewPCAPSource(bytes.NewReader(capture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	seekable := func(_ *testing.T, capture []byte) Source {
+		return NewReaderAtSource(bytes.NewReader(capture), int64(len(capture)))
+	}
+	paths := []struct {
+		name    string
+		readers int // Config.Readers
+		minRead int // readers the run must report
+		follow  bool
+		open    func(t *testing.T, capture []byte) Source
+	}{
+		{name: "decoded", readers: 1, minRead: 1, open: func(t *testing.T, capture []byte) Source {
+			return decodedOnly{sequential(t, capture)}
+		}},
+		{name: "file-1reader", readers: 1, minRead: 1, open: seekable},
+		{name: "file-2readers", readers: 2, minRead: 2, open: seekable},
+		{name: "file-4readers", readers: 4, minRead: 2, open: seekable},
+		// Readers is inert on a source that cannot be segmented.
+		{name: "follow", readers: 4, minRead: 1, follow: true, open: func(t *testing.T, capture []byte) Source {
+			path := filepath.Join(t.TempDir(), "done.pcap")
+			if err := os.WriteFile(path, capture, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			src, err := NewFollowSource(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}},
+	}
+
+	for _, tc := range captures {
 		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s_%dshard", tc.name, workers), func(t *testing.T) {
-				base := tc.cfg
-				base.Workers = workers
-				base.Readers = 1
-				_, want := runSegmented(t, tc.capture, base)
+			cfg := tc.cfg
+			cfg.Workers = workers
+			cfg.PollInterval = time.Millisecond
+			ref := New(cfg)
+			if err := ref.Run(context.Background(), sequential(t, tc.capture)); err != nil {
+				t.Fatal(err)
+			}
+			want := ref.Final()
+			if want.Packets == 0 {
+				t.Fatal("capture produced no packets")
+			}
+			wantEnc := drift.NewProfile("seg", "equiv", want, goldenSavedAt).Encode()
 
-				seg := tc.cfg
-				seg.Workers = workers
-				seg.Readers = 4
-				e, got := runSegmented(t, tc.capture, seg)
-
-				if n := len(e.Status().Readers); n < 2 {
-					t.Fatalf("segmented run used %d readers, parallel path did not engage", n)
-				}
-				if want.Packets == 0 {
-					t.Fatal("capture produced no packets")
-				}
-				if !reflect.DeepEqual(want, got) {
-					diffPartials(t, want, got)
-					t.Errorf("segmented %d-reader final state differs from single-reader at %d shards", 4, workers)
-				}
-				// Belt and braces: the canonical drift encoding must be
-				// byte-identical too (the property the golden fixtures pin).
-				we := drift.NewProfile("seg", "equiv", want, goldenSavedAt).Encode()
-				ge := drift.NewProfile("seg", "equiv", got, goldenSavedAt).Encode()
-				if !bytes.Equal(we, ge) {
-					t.Errorf("drift encodings differ (%d vs %d bytes)", len(we), len(ge))
-				}
-			})
+			for _, path := range paths {
+				t.Run(fmt.Sprintf("%s_%dshard_%s", tc.name, workers, path.name), func(t *testing.T) {
+					cfg := cfg
+					cfg.Readers = path.readers
+					src := path.open(t, tc.capture)
+					defer src.Close()
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					var wantErr error
+					if path.follow {
+						src = &frontierCancel{RawSource: src.(RawSource), cancel: cancel}
+						wantErr = context.Canceled
+					}
+					e := New(cfg)
+					if err := e.Run(ctx, src); err != wantErr {
+						t.Fatalf("Run returned %v, want %v", err, wantErr)
+					}
+					if n := len(e.Status().Readers); n < path.minRead {
+						t.Fatalf("run used %d readers, want at least %d", n, path.minRead)
+					}
+					got := e.Final()
+					if !reflect.DeepEqual(want, got) {
+						diffPartials(t, want, got)
+						t.Errorf("final state differs from the sequential raw read at %d shards", workers)
+					}
+					// Belt and braces: the canonical drift encoding must be
+					// byte-identical too (the property the golden fixtures pin).
+					if ge := drift.NewProfile("seg", "equiv", got, goldenSavedAt).Encode(); !bytes.Equal(wantEnc, ge) {
+						t.Errorf("drift encodings differ (%d vs %d bytes)", len(wantEnc), len(ge))
+					}
+				})
+			}
 		}
 	}
 }

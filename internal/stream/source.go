@@ -39,6 +39,21 @@ type RawSource interface {
 	NextRaw(scratch []byte) (data []byte, ci pcap.CaptureInfo, link pcap.LinkType, err error)
 }
 
+// nextDecoded is Source.Next for every RawSource in this package: read
+// the next record into its own buffer and decode it, skipping records
+// that fail link-layer decoding like the offline Analyzer.ReadPCAP.
+func nextDecoded(src RawSource) (pcap.Packet, error) {
+	for {
+		data, ci, link, err := src.NextRaw(nil)
+		if err != nil {
+			return pcap.Packet{}, err
+		}
+		if pkt, err := pcap.DecodePacket(link, ci, data); err == nil {
+			return pkt, nil
+		}
+	}
+}
+
 // PCAPSource reads a finished capture (classic pcap or pcapng) as
 // fast as the engine consumes it.
 type PCAPSource struct {
@@ -54,24 +69,8 @@ func NewPCAPSource(r io.Reader) (*PCAPSource, error) {
 	return &PCAPSource{pr: pr}, nil
 }
 
-// Next returns the next decodable packet. Records that fail link-layer
-// decoding are skipped, matching the offline Analyzer.ReadPCAP path.
-func (s *PCAPSource) Next() (pcap.Packet, error) {
-	for {
-		data, ci, err := s.pr.ReadPacket()
-		if err != nil {
-			if err == io.EOF {
-				return pcap.Packet{}, io.EOF
-			}
-			return pcap.Packet{}, fmt.Errorf("stream: reading capture: %w", err)
-		}
-		pkt, err := pcap.DecodePacket(s.pr.LinkType(), ci, data)
-		if err != nil {
-			continue
-		}
-		return pkt, nil
-	}
-}
+// Next returns the next decodable packet.
+func (s *PCAPSource) Next() (pcap.Packet, error) { return nextDecoded(s) }
 
 // NextRaw implements RawSource: it returns the next record undecoded,
 // read into scratch.
@@ -208,22 +207,10 @@ func (s *FollowSource) nextRecord(scratch []byte) ([]byte, pcap.CaptureInfo, err
 
 // Next returns the next decodable packet, ErrNotReady at the write
 // frontier, and never io.EOF.
-func (s *FollowSource) Next() (pcap.Packet, error) {
-	for {
-		data, ci, err := s.nextRecord(nil)
-		if err != nil {
-			return pcap.Packet{}, err
-		}
-		pkt, err := pcap.DecodePacket(s.pr.LinkType(), ci, data)
-		if err != nil {
-			continue
-		}
-		return pkt, nil
-	}
-}
+func (s *FollowSource) Next() (pcap.Packet, error) { return nextDecoded(s) }
 
-// NextRaw implements RawSource with the same write-frontier gating as
-// Next, minus the decode.
+// NextRaw implements RawSource: the next fully buffered record,
+// undecoded.
 func (s *FollowSource) NextRaw(scratch []byte) ([]byte, pcap.CaptureInfo, pcap.LinkType, error) {
 	data, ci, err := s.nextRecord(scratch)
 	var link pcap.LinkType
@@ -236,16 +223,34 @@ func (s *FollowSource) NextRaw(scratch []byte) ([]byte, pcap.CaptureInfo, pcap.L
 // Close releases the tailed file.
 func (s *FollowSource) Close() error { return s.f.Close() }
 
-// ReplaySource replays a finished capture against the wall clock,
-// scaled by Speed: a packet captured Δt after the first is released
-// Δt/Speed after the replay started. It turns any recorded capture
-// into a live feed for exercising the engine's follow machinery.
-type ReplaySource struct {
-	inner   *PCAPSource
+// pacer releases timestamped records against the wall clock, scaled by
+// speed: a record stamped Δt after the first is due Δt/speed after the
+// first was asked for. speed <= 0 holds nothing back.
+type pacer struct {
 	speed   float64
-	now     func() time.Time
 	started time.Time
 	base    time.Time
+}
+
+// due reports whether the record stamped ts may be released yet.
+func (p *pacer) due(ts time.Time) bool {
+	if p.speed <= 0 {
+		return true
+	}
+	if p.started.IsZero() {
+		p.started = time.Now()
+		p.base = ts
+	}
+	return !time.Now().Before(p.started.Add(time.Duration(float64(ts.Sub(p.base)) / p.speed)))
+}
+
+// ReplaySource replays a finished capture against the wall clock,
+// scaled by Speed (see pacer). It turns any recorded capture into a
+// live feed for exercising the engine's follow machinery.
+type ReplaySource struct {
+	inner   *PCAPSource
+	file    io.Closer // the capture file, when OpenSource opened it
+	pace    pacer
 	pending *pcap.Packet
 }
 
@@ -256,7 +261,7 @@ func NewReplaySource(r io.Reader, speed float64) (*ReplaySource, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ReplaySource{inner: inner, speed: speed, now: time.Now}, nil
+	return &ReplaySource{inner: inner, pace: pacer{speed: speed}}, nil
 }
 
 // Next returns the next packet once its scaled capture offset has
@@ -269,23 +274,22 @@ func (s *ReplaySource) Next() (pcap.Packet, error) {
 		}
 		s.pending = &pkt
 	}
-	if s.speed > 0 {
-		if s.started.IsZero() {
-			s.started = s.now()
-			s.base = s.pending.Info.Timestamp
-		}
-		due := s.started.Add(time.Duration(float64(s.pending.Info.Timestamp.Sub(s.base)) / s.speed))
-		if s.now().Before(due) {
-			return pcap.Packet{}, ErrNotReady
-		}
+	if !s.pace.due(s.pending.Info.Timestamp) {
+		return pcap.Packet{}, ErrNotReady
 	}
 	pkt := *s.pending
 	s.pending = nil
 	return pkt, nil
 }
 
-// Close implements Source.
-func (s *ReplaySource) Close() error { return s.inner.Close() }
+// Close implements Source; the reader passed to NewReplaySource is
+// caller-owned.
+func (s *ReplaySource) Close() error {
+	if s.file != nil {
+		return s.file.Close()
+	}
+	return nil
+}
 
 // RecordSource feeds simulator records straight into the engine with
 // no pcap round-trip: each record is serialized and decoded exactly
@@ -293,18 +297,15 @@ func (s *ReplaySource) Close() error { return s.inner.Close() }
 // profile is comparable with the offline one. Speed works like
 // ReplaySource's.
 type RecordSource struct {
-	recs    []scadasim.Record
-	i       int
-	speed   float64
-	now     func() time.Time
-	started time.Time
-	base    time.Time
+	recs []scadasim.Record
+	i    int
+	pace pacer
 }
 
 // NewRecordSource wraps a simulated trace's records. speed <= 0 means
 // "as fast as possible".
 func NewRecordSource(recs []scadasim.Record, speed float64) *RecordSource {
-	return &RecordSource{recs: recs, speed: speed, now: time.Now}
+	return &RecordSource{recs: recs, pace: pacer{speed: speed}}
 }
 
 // Next serializes and decodes the next record.
@@ -314,15 +315,8 @@ func (s *RecordSource) Next() (pcap.Packet, error) {
 			return pcap.Packet{}, io.EOF
 		}
 		r := &s.recs[s.i]
-		if s.speed > 0 {
-			if s.started.IsZero() {
-				s.started = s.now()
-				s.base = r.Time
-			}
-			due := s.started.Add(time.Duration(float64(r.Time.Sub(s.base)) / s.speed))
-			if s.now().Before(due) {
-				return pcap.Packet{}, ErrNotReady
-			}
+		if !s.pace.due(r.Time) {
+			return pcap.Packet{}, ErrNotReady
 		}
 		s.i++
 		frame, err := pcap.BuildTCPPacket(r.Src, r.Dst, pcap.TCP{

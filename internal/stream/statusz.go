@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"uncharted/internal/obs"
 	"uncharted/internal/obs/trace"
 )
 
@@ -22,8 +23,9 @@ type StageStatus struct {
 	P99   float64 `json:"p99_seconds"`
 }
 
-// ReaderStatus is one parallel segment reader's live progress: the
-// byte range it owns, how far it has read, and its observed rate.
+// ReaderStatus is one reader's live progress: the byte range it owns
+// (zero for a source that is not a planned capture segment), how far
+// it has read, and its observed rate. Every run has at least one.
 type ReaderStatus struct {
 	ID          int     `json:"id"`
 	SegmentOff  int64   `json:"segment_off"`
@@ -49,18 +51,18 @@ type ShardStatus struct {
 
 // Status is the engine's /statusz document.
 type Status struct {
-	State          string        `json:"state"`
-	UptimeSeconds  float64       `json:"uptime_seconds"`
-	Workers        int           `json:"workers"`
-	BatchSize      int           `json:"batch_size"`
-	QueueDepth     int           `json:"queue_depth"`
-	Policy         string        `json:"policy"`
-	Packets        int64         `json:"packets"`
-	Batches        int64         `json:"batches"`
-	Snapshots      int64         `json:"snapshots"`
+	State          string         `json:"state"`
+	UptimeSeconds  float64        `json:"uptime_seconds"`
+	Workers        int            `json:"workers"`
+	BatchSize      int            `json:"batch_size"`
+	QueueDepth     int            `json:"queue_depth"`
+	Policy         string         `json:"policy"`
+	Packets        int64          `json:"packets"`
+	Batches        int64          `json:"batches"`
+	Snapshots      int64          `json:"snapshots"`
 	DroppedBatches int64          `json:"dropped_batches"`
 	DroppedPackets int64          `json:"dropped_packets"`
-	Readers        []ReaderStatus `json:"readers,omitempty"`
+	Readers        []ReaderStatus `json:"readers,omitempty"` // empty only before Run
 	Stages         []StageStatus  `json:"stages,omitempty"`
 	Shards         []ShardStatus  `json:"shards"`
 }
@@ -140,22 +142,8 @@ func (e *Engine) Status() Status {
 			sm := &m.shards[sh.id]
 			ss.DroppedBatches = sm.dropB.Value()
 			ss.DroppedPackets = sm.dropP.Value()
-			for cause, c := range sm.stalls {
-				if v := c.Value(); v > 0 {
-					if ss.Stalls == nil {
-						ss.Stalls = make(map[string]int64)
-					}
-					ss.Stalls[cause] = v
-				}
-			}
-			for cause, c := range sm.dropBy {
-				if v := c.Value(); v > 0 {
-					if ss.DropCauses == nil {
-						ss.DropCauses = make(map[string]int64)
-					}
-					ss.DropCauses[cause] = v
-				}
-			}
+			ss.Stalls = nonZero(sm.stalls)
+			ss.DropCauses = nonZero(sm.dropBy)
 		}
 		st.Shards = append(st.Shards, ss)
 	}
@@ -180,6 +168,20 @@ func (e *Engine) Status() Status {
 		})
 	}
 	return st
+}
+
+// nonZero returns the counters that have fired, by cause; nil if none.
+func nonZero(byCause map[string]*obs.Counter) map[string]int64 {
+	var out map[string]int64
+	for cause, c := range byCause {
+		if v := c.Value(); v > 0 {
+			if out == nil {
+				out = make(map[string]int64)
+			}
+			out[cause] = v
+		}
+	}
+	return out
 }
 
 // StatuszHandler serves the live pipeline topology: HTML by default

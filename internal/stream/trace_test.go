@@ -66,7 +66,7 @@ func TestEngineTracingRawPath(t *testing.T) {
 			stages[s.Stage.String()] = true
 		}
 	}
-	for _, lane := range []string{"reader", "0", "1", "2", "3", "snapshot"} {
+	for _, lane := range []string{"reader0", "0", "1", "2", "3", "snapshot"} {
 		if !lanes[lane] {
 			t.Errorf("missing lane %q (have %v)", lane, lanes)
 		}
@@ -241,24 +241,24 @@ func TestBlockPolicyAttributesStalls(t *testing.T) {
 	e := New(Config{Workers: 1, QueueDepth: 1, Registry: reg})
 	sh := e.shards[0]
 	sh.cur.Store(int32(trace.StageFeed)) // the shard "is" feeding
+	rd := e.attach([]Source{nil})[0]
 
-	mkBatch := func() batch {
-		pb := e.pools.getDec()
-		pb.pkts = append(pb.pkts, make([]pcap.Packet, 2)...)
-		return batch{dec: pb}
+	mkBatch := func() *batch {
+		b := rd.pool.get()
+		b.pkts = append(b.pkts, make([]pcap.Packet, 2)...)
+		return b
 	}
 	ctx := context.Background()
-	if !e.dispatch(ctx, 0, mkBatch()) { // fills the queue
-		t.Fatal("first dispatch failed")
+	if !rd.enqueue(ctx, 0, mkBatch()) { // fills the queue
+		t.Fatal("first enqueue failed")
 	}
-	// Second dispatch blocks; free a slot shortly after so it lands.
+	// Second enqueue blocks; free a slot shortly after so it lands.
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		b := <-sh.queues()[0]
-		e.pools.recycle(b)
+		(<-sh.queues()[0]).recycle()
 	}()
-	if !e.dispatch(ctx, 0, mkBatch()) {
-		t.Fatal("second dispatch failed")
+	if !rd.enqueue(ctx, 0, mkBatch()) {
+		t.Fatal("second enqueue failed")
 	}
 	if got := reg.Counter(MetricStalls, "shard", "0", "cause", "feed").Value(); got != 1 {
 		t.Fatalf("feed-attributed stalls = %d, want 1", got)
@@ -267,6 +267,5 @@ func TestBlockPolicyAttributesStalls(t *testing.T) {
 		t.Fatalf("stall duration observations = %d, want 1", h.Count())
 	}
 	// Drain the remaining batch so nothing leaks into other tests.
-	b := <-sh.queues()[0]
-	e.pools.recycle(b)
+	(<-sh.queues()[0]).recycle()
 }
