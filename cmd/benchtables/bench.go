@@ -224,6 +224,9 @@ func runBench(dir, baselineDir string, scale float64, seed int64) error {
 	if err := write("BENCH_protocol.json", proto); err != nil {
 		return err
 	}
+	if err := checkAllocCeilings(proto); err != nil {
+		return err
+	}
 	if line := printProtocolOverhead(proto, core104); line != "" {
 		fmt.Fprintln(os.Stdout, line)
 	}

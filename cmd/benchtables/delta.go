@@ -108,6 +108,25 @@ func printScaling(w io.Writer, rows []BenchResult) {
 	}
 }
 
+// c37118DecodeAllocCeiling bounds allocs/op of the decode_c37118 row:
+// one session, one configuration frame and 256 data frames per op, of
+// which the data frames must contribute nothing. Unlike a throughput,
+// an allocation count does not depend on the runner, so exceeding it
+// fails the run instead of printing a warning.
+const c37118DecodeAllocCeiling = 32
+
+// checkAllocCeilings returns an error when a row exceeds its
+// machine-independent allocs/op ceiling.
+func checkAllocCeilings(rows []BenchResult) error {
+	for _, r := range rows {
+		if r.Name == "decode_c37118" && r.AllocsPerOp > c37118DecodeAllocCeiling {
+			return fmt.Errorf("%s: %d allocs/op exceeds the ceiling of %d",
+				r.Name, r.AllocsPerOp, c37118DecodeAllocCeiling)
+		}
+	}
+	return nil
+}
+
 // fmtNum keeps big counts readable without scientific notation.
 func fmtNum(v float64) string {
 	switch {

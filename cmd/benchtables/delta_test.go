@@ -65,3 +65,23 @@ func TestPrintScalingQuietWhenScaling(t *testing.T) {
 		t.Errorf("missing 4-shard row still printed: %q", b.String())
 	}
 }
+
+// TestAllocCeilingFails: a decode_c37118 row over its machine-
+// independent allocs/op ceiling is an error (runBench returns it and
+// main exits non-zero), at the ceiling it is not, and rows without a
+// ceiling are never judged.
+func TestAllocCeilingFails(t *testing.T) {
+	err := checkAllocCeilings([]BenchResult{
+		{Name: "decode_modbus", AllocsPerOp: 5000},
+		{Name: "decode_c37118", AllocsPerOp: 1297},
+	})
+	if err == nil || !strings.Contains(err.Error(), "decode_c37118") || !strings.Contains(err.Error(), "1297") {
+		t.Fatalf("1297 allocs/op passed the ceiling: %v", err)
+	}
+	if strings.Contains(err.Error(), "decode_modbus") {
+		t.Errorf("row without a ceiling was judged: %v", err)
+	}
+	if err := checkAllocCeilings([]BenchResult{{Name: "decode_c37118", AllocsPerOp: 32}}); err != nil {
+		t.Errorf("row at the ceiling failed: %v", err)
+	}
+}

@@ -3,15 +3,24 @@
 // the substations and the SCADA servers also carried phasor
 // measurement units reporting to the control centre ("our capture
 // included other industrial protocols over TCP/IP such as ICCP and
-// C37.118" — §5). The paper leaves their analysis to future work; this
-// package exists so the synthesized captures contain realistic
-// non-IEC-104 industrial traffic that the measurement pipeline must
-// recognise and skip, and so a future analysis has a real codec to
-// build on.
+// C37.118" — §5). The paper leaves their analysis to future work; here
+// C37.118 is a first-class decoded dialect: the package registers a
+// protocol.Dialect whose sessions frame the stream, tokenise every
+// frame for the Markov profiles, turn data frames into frequency,
+// ROCOF and phasor-magnitude points for the physical store, and judge
+// each stream's data rate against its configuration. The same codec
+// synthesizes the PMU traffic of the generated captures.
 //
 // Implemented: configuration-2 and data frames with 16-bit integer
 // phasors, frequency/ROCOF words and the CRC-CCITT trailer. Command
 // and header frames are framed but carry opaque bodies.
+//
+// A data frame has no self-describing structure: its shape is whatever
+// the stream's last configuration frame declared. An accepted
+// configuration is therefore compiled once into a layout (per PMU:
+// point-address base, phasor count, nominal frequency, conversion
+// factor; total body length), and every data frame — in a session and
+// in ParseData alike — is decoded by walking that layout.
 package c37118
 
 import (
@@ -20,6 +29,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"uncharted/internal/protocol"
 )
 
 // SyncByte opens every C37.118 frame.
@@ -59,6 +70,9 @@ var (
 	ErrBadSync    = errors.New("c37118: bad sync byte")
 	ErrBadCRC     = errors.New("c37118: CRC mismatch")
 	ErrBadSize    = errors.New("c37118: frame size field out of range")
+	// ErrWrongType rejects a valid frame handed to the parser of another
+	// frame type (a data frame to ParseConfig, a config to ParseData).
+	ErrWrongType = errors.New("c37118: unexpected frame type")
 )
 
 // Phasor is one phasor channel value.
@@ -106,19 +120,28 @@ type Data struct {
 	PMUs   []PMUData
 }
 
-// crcCCITT computes the CRC-CCITT (0xFFFF seed, polynomial 0x1021)
-// used by the standard's CHK field.
-func crcCCITT(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
+// crcTable holds the CRC-CCITT remainder of every byte value.
+var crcTable = func() (t [256]uint16) {
+	for i := range t {
+		crc := uint16(i) << 8
+		for bit := 0; bit < 8; bit++ {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
 			} else {
 				crc <<= 1
 			}
 		}
+		t[i] = crc
+	}
+	return t
+}()
+
+// crcCCITT computes the CRC-CCITT (0xFFFF seed, polynomial 0x1021)
+// used by the standard's CHK field.
+func crcCCITT(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
 	}
 	return crc
 }
@@ -179,8 +202,8 @@ func checkFrame(b []byte) (FrameInfo, []byte, error) {
 	}
 	frame := b[:info.FrameSize]
 	want := binary.BigEndian.Uint16(frame[info.FrameSize-2:])
-	if got := crcCCITT(frame[:info.FrameSize-2]); got != want {
-		return info, nil, fmt.Errorf("%w: got %#04x want %#04x", ErrBadCRC, got, want)
+	if crcCCITT(frame[:info.FrameSize-2]) != want {
+		return info, nil, ErrBadCRC
 	}
 	return info, frame[14 : info.FrameSize-2], nil
 }
@@ -248,8 +271,13 @@ func ParseConfig(b []byte) (*Config, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseConfigBody(info, body)
+}
+
+// parseConfigBody decodes the body of an already validated frame.
+func parseConfigBody(info FrameInfo, body []byte) (*Config, error) {
 	if info.Type != FrameConfig2 && info.Type != FrameConfig1 {
-		return nil, fmt.Errorf("c37118: frame type %v is not a configuration", info.Type)
+		return nil, ErrWrongType
 	}
 	c := &Config{IDCode: info.IDCode, Time: info.Time}
 	if len(body) < 6 {
@@ -342,6 +370,87 @@ func (d *Data) Marshal(cfg *Config) ([]byte, error) {
 	return out, nil
 }
 
+// pmuLayout is one PMU's slice of a data frame, reduced to what
+// decoding needs.
+type pmuLayout struct {
+	// base is the PMU's point-address base. Point addresses pack the PMU
+	// IDCode with a channel slot: 1 = frequency, 2 = ROCOF, 16+i =
+	// phasor i magnitude.
+	base    uint32
+	phasors int
+	nominal float64 // Hz
+	factor  float64
+}
+
+// layout is a configuration compiled for data-frame decoding.
+type layout struct {
+	pmus []pmuLayout
+	// bodyLen is the byte length of the data-frame body the
+	// configuration describes.
+	bodyLen int
+}
+
+func compileLayout(cfg *Config) layout {
+	l := layout{pmus: make([]pmuLayout, len(cfg.PMUs))}
+	for i, pc := range cfg.PMUs {
+		l.pmus[i] = pmuLayout{
+			base:    uint32(pc.IDCode) << 8,
+			phasors: len(pc.PhasorNames),
+			nominal: float64(pc.NominalFreq),
+			factor:  cfgFactor(pc),
+		}
+		l.bodyLen += 2 + len(pc.PhasorNames)*4 + 4
+	}
+	return l
+}
+
+// decode walks a validated data-frame body, appending each PMU's
+// frequency, ROCOF and phasor-magnitude points (stamped t) to pts. With
+// d non-nil it also fills d.PMUs with the structured form, including
+// the phasor angles and status words no point carries.
+func (l *layout) decode(body []byte, t time.Time, pts []protocol.Point, d *Data) ([]protocol.Point, error) {
+	if len(body) < l.bodyLen {
+		return pts, ErrShortFrame
+	}
+	off := 0
+	for i := range l.pmus {
+		p := &l.pmus[i]
+		tail := off + 2 + p.phasors*4
+		freqDev := float64(int16(binary.BigEndian.Uint16(body[tail:])))
+		rocof := float64(int16(binary.BigEndian.Uint16(body[tail+2:])))
+		freq := p.nominal + freqDev/1000
+		rocof /= 100
+		pts = append(pts,
+			protocol.Point{IOA: p.base | 1, Code: protocol.C37PointFreq, T: t, V: freq},
+			protocol.Point{IOA: p.base | 2, Code: protocol.C37PointROCOF, T: t, V: rocof},
+		)
+		var pd *PMUData
+		if d != nil {
+			d.PMUs = append(d.PMUs, PMUData{
+				Stat:  binary.BigEndian.Uint16(body[off:]),
+				Freq:  freq,
+				ROCOF: rocof,
+			})
+			pd = &d.PMUs[len(d.PMUs)-1]
+		}
+		off += 2
+		for j := 0; j < p.phasors; j++ {
+			re := float64(int16(binary.BigEndian.Uint16(body[off:])))
+			im := float64(int16(binary.BigEndian.Uint16(body[off+2:])))
+			off += 4
+			mag := math.Hypot(re, im) * p.factor
+			pts = append(pts, protocol.Point{
+				IOA: p.base | uint32(16+j), Code: protocol.C37PointPhasor, T: t, V: mag,
+			})
+			if pd != nil {
+				pd.Phasors = append(pd.Phasors, Phasor{Magnitude: mag, AngleRad: math.Atan2(im, re)})
+			}
+		}
+		off = tail + 4
+	}
+	return pts, nil
+}
+
 // ParseData decodes a data frame using its configuration.
 func ParseData(b []byte, cfg *Config) (*Data, error) {
 	info, body, err := checkFrame(b)
@@ -349,34 +458,17 @@ func ParseData(b []byte, cfg *Config) (*Data, error) {
 		return nil, err
 	}
 	if info.Type != FrameData {
-		return nil, fmt.Errorf("c37118: frame type %v is not data", info.Type)
+		return nil, ErrWrongType
 	}
 	d := &Data{IDCode: info.IDCode, Time: info.Time}
-	off := 0
-	for _, pc := range cfg.PMUs {
-		need := 2 + len(pc.PhasorNames)*4 + 4
-		if len(body) < off+need {
-			return nil, ErrShortFrame
+	l := compileLayout(cfg)
+	if _, err := l.decode(body, info.Time, nil, d); err != nil {
+		return nil, err
+	}
+	for i, pc := range cfg.PMUs {
+		for j, name := range pc.PhasorNames {
+			d.PMUs[i].Phasors[j].Name = name
 		}
-		var pd PMUData
-		pd.Stat = binary.BigEndian.Uint16(body[off : off+2])
-		off += 2
-		for _, name := range pc.PhasorNames {
-			re := float64(int16(binary.BigEndian.Uint16(body[off : off+2])))
-			im := float64(int16(binary.BigEndian.Uint16(body[off+2 : off+4])))
-			off += 4
-			pd.Phasors = append(pd.Phasors, Phasor{
-				Name:      name,
-				Magnitude: math.Hypot(re, im) * cfgFactor(pc),
-				AngleRad:  math.Atan2(im, re),
-			})
-		}
-		freqDev := float64(int16(binary.BigEndian.Uint16(body[off : off+2])))
-		rocof := float64(int16(binary.BigEndian.Uint16(body[off+2 : off+4])))
-		off += 4
-		pd.Freq = float64(pc.NominalFreq) + freqDev/1000
-		pd.ROCOF = rocof / 100
-		d.PMUs = append(d.PMUs, pd)
 	}
 	return d, nil
 }

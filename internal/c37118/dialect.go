@@ -90,7 +90,10 @@ func (dialect) Sniff(b []byte) bool {
 // measured on the frames' own GPS timestamps so capture jitter cannot
 // fail a healthy stream.
 type streamStat struct {
-	cfg         *Config
+	cfg *Config
+	// lay is cfg compiled for data-frame decoding, rebuilt whenever a
+	// new configuration frame replaces cfg.
+	lay         layout
 	dataFrames  int
 	errors      int
 	first, last time.Time
@@ -120,10 +123,13 @@ func (s *session) Next(buf []byte, fromStation bool) (protocol.Event, []byte, in
 	if !ok {
 		return protocol.Event{}, rest, skipped, false
 	}
-	info, _, err := checkFrame(frame)
+	info, body, err := checkFrame(frame)
 	if err != nil {
-		if info.IDCode != 0 || len(s.streams) > 0 {
-			s.stream(info.IDCode).errors++
+		// The IDCode of a frame that failed its CRC is as untrustworthy
+		// as the rest of it: charge a stream that already exists, never
+		// mint one from damaged bytes.
+		if st, ok := s.streams[info.IDCode]; ok {
+			st.errors++
 		}
 		return protocol.Event{Err: err}, rest, skipped, true
 	}
@@ -131,12 +137,13 @@ func (s *session) Next(buf []byte, fromStation bool) (protocol.Event, []byte, in
 	ev := protocol.Event{Token: protocol.Token{Proto: protocol.C37118, Kind: uint8(info.Type)}}
 	switch info.Type {
 	case FrameConfig1, FrameConfig2:
-		cfg, err := ParseConfig(frame)
+		st := s.stream(info.IDCode)
+		cfg, err := parseConfigBody(info, body)
 		if err != nil {
-			s.stream(info.IDCode).errors++
+			st.errors++
 			return protocol.Event{Err: err}, rest, skipped, true
 		}
-		s.stream(info.IDCode).cfg = cfg
+		st.cfg, st.lay = cfg, compileLayout(cfg)
 	case FrameData:
 		st := s.stream(info.IDCode)
 		st.dataFrames++
@@ -147,27 +154,10 @@ func (s *session) Next(buf []byte, fromStation bool) (protocol.Event, []byte, in
 		if st.cfg == nil {
 			break // no measurements until the config frame passes
 		}
-		d, err := ParseData(frame, st.cfg)
+		s.pts, err = st.lay.decode(body, info.Time, s.pts[:0], nil)
 		if err != nil {
 			st.errors++
 			return protocol.Event{Err: err}, rest, skipped, true
-		}
-		s.pts = s.pts[:0]
-		for pi, pd := range d.PMUs {
-			pc := st.cfg.PMUs[pi]
-			// Point addresses pack the PMU IDCode with a channel slot:
-			// 1 = frequency, 2 = ROCOF, 16+i = phasor i magnitude.
-			base := uint32(pc.IDCode) << 8
-			s.pts = append(s.pts,
-				protocol.Point{IOA: base | 1, Code: protocol.C37PointFreq, T: d.Time, V: pd.Freq},
-				protocol.Point{IOA: base | 2, Code: protocol.C37PointROCOF, T: d.Time, V: pd.ROCOF},
-			)
-			for j, ph := range pd.Phasors {
-				s.pts = append(s.pts, protocol.Point{
-					IOA: base | uint32(16+j), Code: protocol.C37PointPhasor,
-					T: d.Time, V: ph.Magnitude,
-				})
-			}
 		}
 		ev.Points = s.pts
 	}

@@ -267,6 +267,10 @@ func FuzzSessionNext(f *testing.F) {
 	f.Add(append(append(append([]byte{}, iecS...), cf...), df...))
 	f.Add(append(append(append([]byte{}, mbap...), df...), iecS...))
 	f.Add(append(append(append([]byte{}, cf...), mbap...), df...))
+	// Mid-stream re-configuration: the compiled layout changes shape
+	// between two data frames.
+	reconfig, _, _ := reconfigStream(f)
+	f.Add(reconfig)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sess := dialect{}.NewSession()
 		buf := data

@@ -196,7 +196,15 @@ type Analyzer struct {
 	// connection (absent = IEC 104).
 	connProto map[ConnKey]protocol.ID
 	// dialectStats accumulates per-dialect frame/error/byte tallies.
-	dialectStats map[protocol.ID]*DialectStat
+	dialectStats map[protocol.ID]*dialectTally
+}
+
+// dialectTally is the analyzer-side accumulator behind DialectStat. It
+// counts tokens by value, so the per-frame path never renders a token
+// string; Dialects renders the textual keys at snapshot time.
+type dialectTally struct {
+	frames, parseErrors, bytes int
+	tokens                     map[protocol.Token]int
 }
 
 // DialectStat is one dialect's traffic summary in a snapshot.
@@ -226,7 +234,10 @@ type protoDir struct {
 type protoFlow struct {
 	proto protocol.ID
 	sess  protocol.Session
-	ck    ConnKey
+	// ds is the flow's dialect tally, resolved when the flow first
+	// delivers fresh bytes.
+	ds *dialectTally
+	ck ConnKey
 	// serverName / outName / station are resolved once per flow.
 	serverName, outName, station string
 	toks                         *tokenList
@@ -277,7 +288,7 @@ func (a *Analyzer) EnableProtocols(ids ...protocol.ID) {
 		a.protocols = make(map[protocol.ID]bool)
 		a.protoDirs = make(map[dirKey]*protoDir)
 		a.connProto = make(map[ConnKey]protocol.ID)
-		a.dialectStats = make(map[protocol.ID]*DialectStat)
+		a.dialectStats = make(map[protocol.ID]*dialectTally)
 	}
 	for _, id := range ids {
 		if id == protocol.IEC104 {
@@ -424,8 +435,10 @@ func (a *Analyzer) feedDialect(sp tcpflow.StreamPayload) bool {
 	if len(sp.Data) == 0 {
 		return true
 	}
-	ds := a.dialectStatFor(pd.flow.proto)
-	ds.Bytes += len(sp.Data)
+	if pd.flow.ds == nil {
+		pd.flow.ds = a.dialectStatFor(pd.flow.proto)
+	}
+	pd.flow.ds.bytes += len(sp.Data)
 	buf := sp.Data
 	if len(pd.buf) > 0 {
 		pd.buf = append(pd.buf, sp.Data...)
@@ -449,17 +462,13 @@ func (a *Analyzer) feedDialect(sp tcpflow.StreamPayload) bool {
 // accumulators — the dialect-neutral mirror of consumeFrame.
 func (a *Analyzer) consumeDialectEvent(pd *protoDir, sp tcpflow.StreamPayload, ev protocol.Event) {
 	pf := pd.flow
-	ds := a.dialectStatFor(pf.proto)
 	if ev.Err != nil {
-		ds.ParseErrors++
+		pf.ds.parseErrors++
 		a.ParseErrors++
 		return
 	}
-	ds.Frames++
-	if ds.TokenCounts == nil {
-		ds.TokenCounts = make(map[string]int)
-	}
-	ds.TokenCounts[ev.Token.String()]++
+	pf.ds.frames++
+	pf.ds.tokens[ev.Token]++
 
 	if pf.toks == nil {
 		tl, ok := a.tokens[pf.ck]
@@ -508,10 +517,10 @@ func (a *Analyzer) consumeDialectEvent(pd *protoDir, sp tcpflow.StreamPayload, e
 	}
 }
 
-func (a *Analyzer) dialectStatFor(id protocol.ID) *DialectStat {
+func (a *Analyzer) dialectStatFor(id protocol.ID) *dialectTally {
 	ds, ok := a.dialectStats[id]
 	if !ok {
-		ds = &DialectStat{Proto: id}
+		ds = &dialectTally{tokens: make(map[protocol.Token]int)}
 		a.dialectStats[id] = ds
 	}
 	return ds
@@ -521,13 +530,15 @@ func (a *Analyzer) dialectStatFor(id protocol.ID) *DialectStat {
 // Empty unless EnableProtocols saw traffic.
 func (a *Analyzer) Dialects() []DialectStat {
 	out := make([]DialectStat, 0, len(a.dialectStats))
-	for _, ds := range a.dialectStats {
-		cp := *ds
-		cp.TokenCounts = make(map[string]int, len(ds.TokenCounts))
-		for t, n := range ds.TokenCounts {
-			cp.TokenCounts[t] = n
+	for id, ds := range a.dialectStats {
+		st := DialectStat{
+			Proto: id, Frames: ds.frames, ParseErrors: ds.parseErrors, Bytes: ds.bytes,
+			TokenCounts: make(map[string]int, len(ds.tokens)),
 		}
-		out = append(out, cp)
+		for t, n := range ds.tokens {
+			st.TokenCounts[t.String()] += n
+		}
+		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Proto < out[j].Proto })
 	return out

@@ -3,18 +3,20 @@ package core
 import (
 	"bytes"
 	"io"
+	"net/netip"
 	"testing"
 	"time"
 
+	// Importing the codecs also registers the non-default dialects the
+	// detect-mode tests exercise.
+	"uncharted/internal/c37118"
+	"uncharted/internal/modbus"
 	"uncharted/internal/pcap"
 	"uncharted/internal/physical"
 	"uncharted/internal/protocol"
 	"uncharted/internal/scadasim"
+	"uncharted/internal/tcpflow"
 	"uncharted/internal/topology"
-
-	// Register the non-default dialects the detect-mode tests exercise.
-	_ "uncharted/internal/c37118"
-	_ "uncharted/internal/modbus"
 )
 
 // mixedAnalyzer runs a Y1 capture with the Modbus association enabled
@@ -232,5 +234,65 @@ func TestPhysicalTypeOfRoundTrip(t *testing.T) {
 	pt := physical.TypeOf(protocol.Modbus, 3)
 	if pt.Proto() != protocol.Modbus || pt.Code() != 3 {
 		t.Fatalf("TypeOf round trip broke: %v -> %v/%v", pt, pt.Proto(), pt.Code())
+	}
+}
+
+// TestDialectFeedAllocCeiling is a CI tripwire like
+// pcap.TestReadPacketIntoAllocCeiling: once a C37.118 and a Modbus flow
+// are established, feeding each another frame — decode, token and
+// session tallies, physical samples — must not touch the heap. Series
+// creation is excluded by pre-feeding; the occasional doubling of a
+// sample or token buffer averages out below one allocation per run.
+func TestDialectFeedAllocCeiling(t *testing.T) {
+	a := NewAnalyzer(nil)
+	a.EnableProtocols(protocol.C37118, protocol.Modbus)
+
+	pmu := netip.MustParseAddrPort("10.0.9.1:40001")
+	pdc := netip.MustParseAddrPort("10.0.0.5:4712")
+	master := netip.MustParseAddrPort("10.0.0.6:40002")
+	plc := netip.MustParseAddrPort("10.0.8.1:502")
+	at := time.Unix(1560000000, 0).UTC()
+	feed := func(src, dst netip.AddrPort, data []byte) {
+		a.OnPayload(tcpflow.StreamPayload{Src: src, Dst: dst, Time: at, Data: data})
+	}
+
+	cfg := &c37118.Config{
+		IDCode: 7, Time: at, DataRate: 30,
+		PMUs: []c37118.PMUConfig{{
+			StationName: "PMU", IDCode: 8, PhasorNames: []string{"VA", "VB", "IA"},
+			NominalFreq: 60, ConversionFactor: 0.01,
+		}},
+	}
+	cf, err := cfg.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	df, err := (&c37118.Data{IDCode: 7, Time: at, PMUs: []c37118.PMUData{{
+		Phasors: []c37118.Phasor{{Magnitude: 132}, {Magnitude: 131}, {Magnitude: 4}},
+		Freq:    60.002,
+	}}}).Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := modbus.ReadRequest(9, 1, modbus.FuncReadHolding, 100, 6)
+	resp := modbus.ReadRegistersResponse(9, 1, modbus.FuncReadHolding, []uint16{1, 2, 3, 4, 5, 6})
+
+	frame := func() {
+		feed(pmu, pdc, df)
+		feed(master, plc, req)
+		feed(plc, master, resp)
+	}
+	feed(pmu, pdc, cf)
+	for i := 0; i < 64; i++ {
+		frame()
+	}
+	if got := len(a.Physical().All()); got != 5+6 {
+		t.Fatalf("pre-feed built %d series, want 11", got)
+	}
+	if n := testing.AllocsPerRun(400, frame); n != 0 {
+		t.Errorf("%v allocs per C37.118 frame + Modbus poll, want 0", n)
+	}
+	if a.ParseErrors != 0 {
+		t.Fatalf("%d parse errors on clean frames", a.ParseErrors)
 	}
 }

@@ -169,3 +169,24 @@ func FuzzDecodeMBAP(f *testing.F) {
 		}
 	})
 }
+
+// TestSessionNextAllocCeiling is a CI tripwire like
+// pcap.TestReadPacketIntoAllocCeiling: a steady-state poll — request,
+// then the paired response with its register points — must decode
+// without touching the heap.
+func TestSessionNextAllocCeiling(t *testing.T) {
+	sess := dialect{}.NewSession()
+	req := ReadRequest(9, 1, FuncReadHolding, 200, 3)
+	resp := ReadRegistersResponse(9, 1, FuncReadHolding, []uint16{11, 22, 33})
+	poll := func() int {
+		sess.Next(req, false)
+		ev, _, _, _ := sess.Next(resp, true)
+		return len(ev.Points)
+	}
+	if n := poll(); n != 3 {
+		t.Fatalf("warm-up poll yielded %d points, want 3", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { poll() }); n != 0 {
+		t.Errorf("%v allocs per request/response pair, want 0", n)
+	}
+}

@@ -111,8 +111,8 @@ func (s *Series) Digest() Digest {
 // Digests summarises every series in first-seen order.
 func (st *Store) Digests() []Digest {
 	out := make([]Digest, 0, len(st.order))
-	for _, k := range st.order {
-		out = append(out, st.m[k].Digest())
+	for _, s := range st.order {
+		out = append(out, s.Digest())
 	}
 	return out
 }

@@ -126,15 +126,61 @@ func (s *Series) At(t time.Time) (float64, bool) {
 
 // Store accumulates series from parsed traffic.
 type Store struct {
-	m     map[SeriesKey]*Series
-	order []SeriesKey
+	// stations is the one series index: station name, then point
+	// address. A frame's points all belong to one station, so the string
+	// is hashed at most once per frame and each point costs an integer
+	// lookup; lastName/last memoize the most recent station, which
+	// consecutive frames of a flow repeat.
+	stations map[string]map[uint32]*Series
+	lastName string
+	last     map[uint32]*Series
+	// order lists every series first-seen first.
+	order []*Series
 	// maxSamples, when non-zero, bounds retained samples per series:
 	// the oldest are folded into the series' digest and dropped.
 	maxSamples int
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{m: make(map[SeriesKey]*Series)} }
+func NewStore() *Store { return &Store{stations: make(map[string]map[uint32]*Series)} }
+
+// station returns one station's point index, creating it on first use.
+func (st *Store) station(name string) map[uint32]*Series {
+	if st.last != nil && st.lastName == name {
+		return st.last
+	}
+	idx, ok := st.stations[name]
+	if !ok {
+		idx = make(map[uint32]*Series)
+		st.stations[name] = idx
+	}
+	st.lastName, st.last = name, idx
+	return idx
+}
+
+// insert registers a new series under its key.
+func (st *Store) insert(s *Series) {
+	st.station(s.Key.Station)[s.Key.IOA] = s
+	st.order = append(st.order, s)
+}
+
+// add stores one sample, keeping Samples time-ordered (Series.At
+// binary-searches by time; time-tagged retransmissions in ablation
+// mode or reordered captures may deliver an older timestamp late) and
+// within the store's per-series cap.
+func (st *Store) add(s *Series, ts time.Time, v float64) {
+	if n := len(s.Samples); n > 0 && ts.Before(s.Samples[n-1].T) {
+		idx := sort.Search(n, func(i int) bool { return s.Samples[i].T.After(ts) })
+		s.Samples = append(s.Samples, Sample{})
+		copy(s.Samples[idx+1:], s.Samples[idx:])
+		s.Samples[idx] = Sample{T: ts, V: v}
+	} else {
+		s.Samples = append(s.Samples, Sample{T: ts, V: v})
+	}
+	if st.maxSamples > 0 && len(s.Samples) > st.maxSamples {
+		s.evictOldest(len(s.Samples) - st.maxSamples/2)
+	}
+}
 
 // SetMaxSamplesPerSeries bounds the retained in-memory samples per
 // series (minimum 2). Evicted samples keep contributing to each
@@ -180,33 +226,19 @@ func EachValue(a *iec104.ASDU, at time.Time, fn func(ioa uint32, t time.Time, v 
 // control-direction frames (setpoints), which are stored as separate
 // series so AGC commands and telemetry never mix.
 func (st *Store) Feed(station string, a *iec104.ASDU, at time.Time, command bool) {
+	idx := st.station(station)
 	EachValue(a, at, func(ioa uint32, ts time.Time, v float64) {
-		key := SeriesKey{Station: station, IOA: ioa}
-		s, ok := st.m[key]
+		s, ok := idx[ioa]
 		if !ok {
 			// Pre-size the sample buffer: telemetry series accumulate
 			// hundreds of points, and starting append's doubling at 64
 			// skips the six smallest growth steps — which otherwise
 			// repeat per series per analysis shard.
-			s = &Series{Key: key, Type: IEC104Type(a.Type), Command: command,
-				Samples: make([]Sample, 0, 64)}
-			st.m[key] = s
-			st.order = append(st.order, key)
+			s = &Series{Key: SeriesKey{Station: station, IOA: ioa}, Type: IEC104Type(a.Type),
+				Command: command, Samples: make([]Sample, 0, 64)}
+			st.insert(s)
 		}
-		// Series.At binary-searches by time, so keep Samples sorted:
-		// time-tagged retransmissions (ablation mode) or reordered
-		// captures may deliver an older timestamp late.
-		if n := len(s.Samples); n > 0 && ts.Before(s.Samples[n-1].T) {
-			idx := sort.Search(n, func(i int) bool { return s.Samples[i].T.After(ts) })
-			s.Samples = append(s.Samples, Sample{})
-			copy(s.Samples[idx+1:], s.Samples[idx:])
-			s.Samples[idx] = Sample{T: ts, V: v}
-		} else {
-			s.Samples = append(s.Samples, Sample{T: ts, V: v})
-		}
-		if st.maxSamples > 0 && len(s.Samples) > st.maxSamples {
-			s.evictOldest(len(s.Samples) - st.maxSamples/2)
-		}
+		st.add(s, ts, v)
 	})
 }
 
@@ -231,25 +263,21 @@ func (s *Series) evictOldest(n int) {
 
 // Get returns one series.
 func (st *Store) Get(key SeriesKey) (*Series, bool) {
-	s, ok := st.m[key]
+	s, ok := st.stations[key.Station][key.IOA]
 	return s, ok
 }
 
 // All returns every series in first-seen order.
 func (st *Store) All() []*Series {
-	out := make([]*Series, 0, len(st.order))
-	for _, k := range st.order {
-		out = append(out, st.m[k])
-	}
-	return out
+	return append(make([]*Series, 0, len(st.order)), st.order...)
 }
 
 // ByStation returns the series of one station.
 func (st *Store) ByStation(station string) []*Series {
 	var out []*Series
-	for _, k := range st.order {
-		if k.Station == station {
-			out = append(out, st.m[k])
+	for _, s := range st.order {
+		if s.Key.Station == station {
+			out = append(out, s)
 		}
 	}
 	return out
@@ -260,8 +288,8 @@ func (st *Store) ByStation(station string) []*Series {
 // shortlist of "interesting" physical behaviour.
 func (st *Store) Ranked(minSamples int) []*Series {
 	var out []*Series
-	for _, k := range st.order {
-		if s := st.m[k]; len(s.Samples)+s.nEvicted >= minSamples {
+	for _, s := range st.order {
+		if len(s.Samples)+s.nEvicted >= minSamples {
 			out = append(out, s)
 		}
 	}
@@ -275,14 +303,13 @@ func (st *Store) Ranked(minSamples int) []*Series {
 // stations transmitting it (Table 8's "Transmitting Station Count").
 func (st *Store) TypeStations() map[PointType]int {
 	byType := map[PointType]map[string]bool{}
-	for _, k := range st.order {
-		s := st.m[k]
+	for _, s := range st.order {
 		m, ok := byType[s.Type]
 		if !ok {
 			m = map[string]bool{}
 			byType[s.Type] = m
 		}
-		m[k.Station] = true
+		m[s.Key.Station] = true
 	}
 	out := make(map[PointType]int, len(byType))
 	for t, m := range byType {
@@ -298,28 +325,18 @@ func (st *Store) TypeStations() map[PointType]int {
 // dialects never collide in the type namespace even when register and
 // IOA numbers overlap.
 func (st *Store) FeedPoints(station string, proto protocol.ID, pts []protocol.Point, at time.Time) {
-	for _, p := range pts {
-		key := SeriesKey{Station: station, IOA: p.IOA}
-		s, ok := st.m[key]
+	idx := st.station(station)
+	for i := range pts {
+		p := &pts[i]
+		s, ok := idx[p.IOA]
 		if !ok {
-			s = &Series{Key: key, Type: TypeOf(proto, p.Code), Command: p.Command}
-			st.m[key] = s
-			st.order = append(st.order, key)
+			s = &Series{Key: SeriesKey{Station: station, IOA: p.IOA}, Type: TypeOf(proto, p.Code), Command: p.Command}
+			st.insert(s)
 		}
 		ts := p.T
 		if ts.IsZero() {
 			ts = at
 		}
-		if n := len(s.Samples); n > 0 && ts.Before(s.Samples[n-1].T) {
-			idx := sort.Search(n, func(i int) bool { return s.Samples[i].T.After(ts) })
-			s.Samples = append(s.Samples, Sample{})
-			copy(s.Samples[idx+1:], s.Samples[idx:])
-			s.Samples[idx] = Sample{T: ts, V: p.V}
-		} else {
-			s.Samples = append(s.Samples, Sample{T: ts, V: p.V})
-		}
-		if st.maxSamples > 0 && len(s.Samples) > st.maxSamples {
-			s.evictOldest(len(s.Samples) - st.maxSamples/2)
-		}
+		st.add(s, ts, p.V)
 	}
 }
