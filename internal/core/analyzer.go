@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"uncharted/internal/iec104"
+	"uncharted/internal/markov"
 	"uncharted/internal/obs"
 	"uncharted/internal/obs/trace"
 	"uncharted/internal/pcap"
@@ -86,9 +87,18 @@ type dirCache struct {
 }
 
 // tokenList is the token accumulator of one logical connection; the
-// map holds pointers so appends do not rewrite the map slot.
+// map holds pointers so appends do not rewrite the map slot. chain
+// counts the stream as it grows (cur is its write position), so a
+// snapshot clones a count table instead of re-reading toks.
 type tokenList struct {
-	toks []iec104.Token
+	toks  []iec104.Token
+	chain markov.Chain
+	cur   markov.Cursor
+}
+
+func (tl *tokenList) push(tok iec104.Token) {
+	tl.toks = append(tl.toks, tok)
+	tl.chain.Observe(&tl.cur, tok)
 }
 
 // framingRef is one entry of the analyzer's framing-lookup memo.
@@ -479,7 +489,7 @@ func (a *Analyzer) consumeDialectEvent(pd *protoDir, sp tcpflow.StreamPayload, e
 		pf.toks = tl
 		a.connProto[pf.ck] = pf.proto
 	}
-	pf.toks.toks = append(pf.toks.toks, ev.Token)
+	pf.toks.push(ev.Token)
 
 	if pd.dc == nil {
 		dc, ok := a.sessionAPDUs[pd.skey]
@@ -922,7 +932,7 @@ func (a *Analyzer) consumeFrame(sp tcpflow.StreamPayload, frame []byte, st *endp
 		}
 		c.toks = tl
 	}
-	c.toks.toks = append(c.toks.toks, tok)
+	c.toks.push(tok)
 	if a.observer != nil {
 		a.observer.ObserveFrame(FrameEvent{
 			Time:           sp.Time,

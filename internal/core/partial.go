@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"uncharted/internal/iec104"
-	"uncharted/internal/markov"
 	"uncharted/internal/physical"
 	"uncharted/internal/protocol"
 	"uncharted/internal/tcpflow"
@@ -31,8 +30,8 @@ type Partial struct {
 	Compliance   []StationCompliance
 	TypeCounts   map[iec104.TypeID]int
 	TotalASDUs   int
-	// Chains carries one freshly built Markov chain per logical
-	// connection; chains never alias analyzer state.
+	// Chains carries a copy of each logical connection's Markov chain;
+	// chains never alias analyzer state.
 	Chains []ConnChain
 	// Features is one clustering row per directional session.
 	Features []SessionFeature
@@ -79,17 +78,7 @@ func (a *Analyzer) Partial() Partial {
 	sort.Slice(p.Compliance, func(i, j int) bool {
 		return p.Compliance[i].Name < p.Compliance[j].Name
 	})
-	for _, key := range a.ConnKeys() {
-		ch := markov.NewChain()
-		ch.Add(a.TokenStream(key))
-		p.Chains = append(p.Chains, ConnChain{
-			Key:        key,
-			Server:     a.Name(key.Server),
-			Outstation: a.Name(key.Outstation),
-			Proto:      a.connProto[key],
-			Chain:      ch,
-		})
-	}
+	p.Chains = a.connChains()
 	p.Dialects = a.Dialects()
 	p.Streams = a.StreamCompliance()
 	return p
@@ -164,9 +153,7 @@ func MergePartials(parts []Partial) Partial {
 			if !ownChain[cc.Key] {
 				// cur.Chain still is the first input's chain: merge
 				// into a copy, never into the caller's partial.
-				own := markov.NewChain()
-				own.Merge(cur.Chain)
-				cur.Chain = own
+				cur.Chain = cur.Chain.Clone()
 				if ownChain == nil {
 					ownChain = make(map[ConnKey]bool)
 				}

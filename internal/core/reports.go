@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -224,21 +225,28 @@ type MarkovReport struct {
 	Distribution [9]int
 }
 
-// MarkovChains builds per-connection chains and classifies every
-// outstation.
-func (a *Analyzer) MarkovChains() MarkovReport {
-	var chains []ConnChain
-	for _, key := range a.ConnKeys() {
-		ch := markov.NewChain()
-		ch.Add(a.TokenStream(key))
+// connChains copies every logical connection's live chain, sorted by
+// connection. The chains are counted as tokens arrive, so this costs
+// O(connections), not O(tokens).
+func (a *Analyzer) connChains() []ConnChain {
+	keys := a.ConnKeys()
+	chains := slices.Grow([]ConnChain(nil), len(keys)) // nil when there are none
+	for _, key := range keys {
 		chains = append(chains, ConnChain{
 			Key:        key,
 			Server:     a.Name(key.Server),
 			Outstation: a.Name(key.Outstation),
-			Chain:      ch,
+			Proto:      a.connProto[key],
+			Chain:      a.tokens[key].chain.Clone(),
 		})
 	}
-	return MarkovFromChains(chains)
+	return chains
+}
+
+// MarkovChains classifies every outstation from its connections'
+// chains.
+func (a *Analyzer) MarkovChains() MarkovReport {
+	return MarkovFromChains(a.connChains())
 }
 
 // MarkovFromChains classifies a prepared per-connection chain set —

@@ -24,8 +24,8 @@ func tokenDist(c *Chain) map[string]float64 {
 		return nil
 	}
 	out := make(map[string]float64, len(c.nodes))
-	for tok, n := range c.nodes {
-		out[tok.String()] = float64(n)
+	for _, nc := range c.nodes {
+		out[nc.Token.String()] = float64(nc.Count)
 	}
 	return out
 }
@@ -34,11 +34,9 @@ func edgeDist(c *Chain) map[string]float64 {
 	if c == nil {
 		return nil
 	}
-	out := make(map[string]float64)
-	for from, m := range c.counts {
-		for to, n := range m {
-			out[from.String()+" "+to.String()] = float64(n)
-		}
+	out := make(map[string]float64, len(c.edges))
+	for _, ec := range c.edges {
+		out[ec.From.String()+" "+ec.To.String()] = float64(ec.Count)
 	}
 	return out
 }

@@ -3,10 +3,23 @@
 // probabilities, per-connection Markov chains whose node/edge counts
 // reproduce the Fig. 13 scatter, and the eight-way connection-type
 // classifier of Table 6 / Fig. 17.
+//
+// A Chain is a flat count table: one []TokenCount and one []EdgeCount
+// (the ChainState element types), each kept sorted by packed token
+// value. A connection's chain has a dozen nodes and a few dozen edges,
+// so a lookup is a short binary search, a Clone is two appends — which
+// is what lets core.Analyzer.Partial hand out a snapshot of a live
+// chain at a cost independent of how many tokens it has counted — and
+// two chains holding the same counts are reflect.DeepEqual whatever
+// order they were built or merged in. Out-degrees and the total token
+// count are derived from the table, never stored. The position in a
+// token stream (the previous token, which the next bigram needs) is
+// not the chain's business: it lives in the Cursor its writer holds.
 package markov
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,66 +33,137 @@ type Edge struct {
 	Prob     float64
 }
 
-// Chain is a first-order Markov chain over APDU tokens.
+// Chain is a first-order Markov chain over APDU tokens. The zero value
+// is an empty chain.
 type Chain struct {
-	counts map[iec104.Token]map[iec104.Token]int
-	outs   map[iec104.Token]int
-	nodes  map[iec104.Token]int
-	total  int
+	nodes []TokenCount // sorted by nodeKey
+	edges []EdgeCount  // sorted by edgeKey
+}
+
+// Cursor is a writer's position in one token stream: the previous
+// token, plus memos of where the node and the edge it last bumped sit
+// in the table (periodic traffic repeats one token, hence one
+// transition, for long runs). A memo is checked against the entry it
+// points at before use, so inserts that shift the table only cost it a
+// miss. The zero value starts a new sequence.
+type Cursor struct {
+	prev       iec104.Token
+	started    bool
+	node, edge int
+}
+
+// nodeKey packs a token into its sort key.
+func nodeKey(t iec104.Token) uint32 {
+	return uint32(t.Proto)<<24 | uint32(t.Kind)<<16 | uint32(t.Code)
+}
+
+// edgeKey packs a transition into its sort key: by source, then target.
+func edgeKey(from, to iec104.Token) uint64 {
+	return uint64(nodeKey(from))<<32 | uint64(nodeKey(to))
 }
 
 // NewChain returns an empty chain.
-func NewChain() *Chain {
-	return &Chain{
-		counts: make(map[iec104.Token]map[iec104.Token]int),
-		outs:   make(map[iec104.Token]int),
-		nodes:  make(map[iec104.Token]int),
+func NewChain() *Chain { return &Chain{} }
+
+// Clone returns a copy sharing nothing with c.
+func (c *Chain) Clone() *Chain {
+	return &Chain{nodes: slices.Clone(c.nodes), edges: slices.Clone(c.edges)}
+}
+
+// findNode returns the position of the first node whose key is >= k.
+// (It and findEdge are written out rather than calling
+// slices.BinarySearchFunc: they run per token, and the comparator call
+// makes the generic search three times slower on tables this small.)
+func (c *Chain) findNode(k uint32) int {
+	lo, hi := 0, len(c.nodes)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if nodeKey(c.nodes[mid].Token) < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
+	return lo
+}
+
+// findEdge returns the position of the first edge whose key is >= k.
+func (c *Chain) findEdge(k uint64) int {
+	lo, hi := 0, len(c.edges)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if edgeKey(c.edges[mid].From, c.edges[mid].To) < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// addNode adds n observations of tok and returns the node's position.
+func (c *Chain) addNode(tok iec104.Token, n int) int {
+	k := nodeKey(tok)
+	i := c.findNode(k)
+	if i == len(c.nodes) || nodeKey(c.nodes[i].Token) != k {
+		c.nodes = slices.Insert(c.nodes, i, TokenCount{Token: tok})
+	}
+	c.nodes[i].Count += n
+	return i
+}
+
+// addEdge adds n observations of from→to and returns the edge's
+// position.
+func (c *Chain) addEdge(from, to iec104.Token, n int) int {
+	k := edgeKey(from, to)
+	i := c.findEdge(k)
+	if i == len(c.edges) || edgeKey(c.edges[i].From, c.edges[i].To) != k {
+		c.edges = slices.Insert(c.edges, i, EdgeCount{From: from, To: to})
+	}
+	c.edges[i].Count += n
+	return i
+}
+
+// Observe counts the next token of the stream cur follows: the token
+// itself and, unless it opens the sequence, its transition from the
+// previous one.
+func (c *Chain) Observe(cur *Cursor, tok iec104.Token) {
+	if i := cur.node; i < len(c.nodes) && c.nodes[i].Token == tok {
+		c.nodes[i].Count++
+	} else {
+		cur.node = c.addNode(tok, 1)
+	}
+	if cur.started {
+		if i := cur.edge; i < len(c.edges) && c.edges[i].From == cur.prev && c.edges[i].To == tok {
+			c.edges[i].Count++
+		} else {
+			cur.edge = c.addEdge(cur.prev, tok, 1)
+		}
+	}
+	cur.prev, cur.started = tok, true
 }
 
 // Add extends the chain with a token sequence. Sequences added
 // separately are not stitched together (no cross-sequence bigram).
 func (c *Chain) Add(seq []iec104.Token) {
-	for i, tok := range seq {
-		c.nodes[tok]++
-		c.total++
-		if i == 0 {
-			continue
-		}
-		prev := seq[i-1]
-		m, ok := c.counts[prev]
-		if !ok {
-			m = make(map[iec104.Token]int)
-			c.counts[prev] = m
-		}
-		m[tok]++
-		c.outs[prev]++
+	var cur Cursor
+	for _, tok := range seq {
+		c.Observe(&cur, tok)
 	}
 }
 
-// Merge folds another chain's counts into c: node, edge and total
-// counts add. Sequences observed separately stay unstitched — no
-// cross-chain bigram is invented, matching Add's semantics.
+// Merge folds another chain's counts into c: node and edge counts add.
+// Sequences observed separately stay unstitched — no cross-chain
+// bigram is invented, matching Add's semantics.
 func (c *Chain) Merge(o *Chain) {
 	if o == nil {
 		return
 	}
-	for tok, n := range o.nodes {
-		c.nodes[tok] += n
+	for _, nc := range o.nodes {
+		c.addNode(nc.Token, nc.Count)
 	}
-	c.total += o.total
-	for from, m := range o.counts {
-		dst, ok := c.counts[from]
-		if !ok {
-			dst = make(map[iec104.Token]int, len(m))
-			c.counts[from] = dst
-		}
-		for to, n := range m {
-			dst[to] += n
-		}
-	}
-	for from, n := range o.outs {
-		c.outs[from] += n
+	for _, ec := range o.edges {
+		c.addEdge(ec.From, ec.To, ec.Count)
 	}
 }
 
@@ -87,58 +171,128 @@ func (c *Chain) Merge(o *Chain) {
 func (c *Chain) Nodes() int { return len(c.nodes) }
 
 // Edges returns the number of distinct transitions observed.
-func (c *Chain) Edges() int {
-	n := 0
-	for _, m := range c.counts {
-		n += len(m)
-	}
-	return n
-}
+func (c *Chain) Edges() int { return len(c.edges) }
 
 // Tokens returns the distinct tokens in canonical order.
 func (c *Chain) Tokens() []iec104.Token {
-	out := make([]iec104.Token, 0, len(c.nodes))
-	for t := range c.nodes {
-		out = append(out, t)
+	out := make([]iec104.Token, len(c.nodes))
+	for i, nc := range c.nodes {
+		out[i] = nc.Token
 	}
 	iec104.SortTokens(out)
 	return out
 }
 
 // TotalTokens returns the number of token observations.
-func (c *Chain) TotalTokens() int { return c.total }
+func (c *Chain) TotalTokens() int {
+	n := 0
+	for _, nc := range c.nodes {
+		n += nc.Count
+	}
+	return n
+}
 
 // Count returns how often token t was observed.
-func (c *Chain) Count(t iec104.Token) int { return c.nodes[t] }
+func (c *Chain) Count(t iec104.Token) int {
+	if i := c.findNode(nodeKey(t)); i < len(c.nodes) && c.nodes[i].Token == t {
+		return c.nodes[i].Count
+	}
+	return 0
+}
+
+// outgoing returns the edges leaving from — one contiguous run of the
+// table — and their summed count, the out-degree C(from,·).
+func (c *Chain) outgoing(from iec104.Token) ([]EdgeCount, int) {
+	lo := c.findEdge(edgeKey(from, iec104.Token{}))
+	hi, total := lo, 0
+	for hi < len(c.edges) && c.edges[hi].From == from {
+		total += c.edges[hi].Count
+		hi++
+	}
+	return c.edges[lo:hi], total
+}
 
 // Prob returns the MLE transition probability P(to | from), equation
 // (2) of the paper: C(from,to) / C(from,·).
 func (c *Chain) Prob(from, to iec104.Token) float64 {
-	if c.outs[from] == 0 {
-		return 0
+	run, total := c.outgoing(from)
+	for _, ec := range run {
+		if ec.To == to {
+			return mle(ec.Count, total)
+		}
 	}
-	return float64(c.counts[from][to]) / float64(c.outs[from])
+	return 0
 }
 
-// EdgeList returns every transition sorted by (from, to).
+func mle(count, total int) float64 {
+	if total == 0 {
+		return 0
+	}
+	return float64(count) / float64(total)
+}
+
+// EdgeList returns every transition sorted by (from, to) in textual
+// token order.
 func (c *Chain) EdgeList() []Edge {
 	var out []Edge
-	for from, m := range c.counts {
-		for to, cnt := range m {
-			out = append(out, Edge{From: from, To: to, Count: cnt, Prob: c.Prob(from, to)})
+	for i := 0; i < len(c.edges); {
+		run, total := c.outgoing(c.edges[i].From)
+		for _, ec := range run {
+			out = append(out, Edge{From: ec.From, To: ec.To, Count: ec.Count, Prob: mle(ec.Count, total)})
 		}
+		i += len(run)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From.String() != out[j].From.String() {
-			return out[i].From.String() < out[j].From.String()
-		}
-		return out[i].To.String() < out[j].To.String()
-	})
+	sortByText(out, func(e Edge) [2]uint64 { return [2]uint64{textKey(e.From), textKey(e.To)} })
 	return out
 }
 
+// textKey packs a token's textual form into an integer that orders
+// exactly as the string does: its bytes big-endian, zero-padded. Every
+// grammar renders in at most six bytes (a one- to three-letter prefix,
+// a uint16 in decimal), which TestTextKeyOrdersLikeString sweeps.
+func textKey(t iec104.Token) uint64 {
+	var k uint64
+	s := t.String()
+	for i := 0; i < 8; i++ {
+		k <<= 8
+		if i < len(s) {
+			k |= uint64(s[i])
+		}
+	}
+	return k
+}
+
+// byText sorts xs by a pair of text keys held beside them.
+type byText[E any] struct {
+	xs   []E
+	keys [][2]uint64
+}
+
+func (b byText[E]) Len() int { return len(b.xs) }
+func (b byText[E]) Less(i, j int) bool {
+	if b.keys[i][0] != b.keys[j][0] {
+		return b.keys[i][0] < b.keys[j][0]
+	}
+	return b.keys[i][1] < b.keys[j][1]
+}
+func (b byText[E]) Swap(i, j int) {
+	b.xs[i], b.xs[j] = b.xs[j], b.xs[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+}
+
+// sortByText orders xs by the text keys key returns, rendering each
+// element's once. The textual order is the drift codec's and every
+// report's canonical order.
+func sortByText[E any](xs []E, key func(E) [2]uint64) {
+	keys := make([][2]uint64, len(xs))
+	for i, x := range xs {
+		keys[i] = key(x)
+	}
+	sort.Sort(byText[E]{xs: xs, keys: keys})
+}
+
 // Has reports whether the token appears in the chain.
-func (c *Chain) Has(t iec104.Token) bool { return c.nodes[t] > 0 }
+func (c *Chain) Has(t iec104.Token) bool { return c.Count(t) > 0 }
 
 // HasInterrogation reports whether the chain contains I100 — the
 // discriminator of the Fig. 13 ellipse.
@@ -153,7 +307,7 @@ func (c *Chain) IsPoint11() bool {
 	if c.Nodes() != 1 || c.Edges() > 1 {
 		return false
 	}
-	return c.nodes[iec104.TokenTestFRAct] > 0
+	return c.Has(iec104.TokenTestFRAct)
 }
 
 // String renders a compact dot-like description for reports.

@@ -2,9 +2,11 @@ package markov
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"uncharted/internal/iec104"
+	"uncharted/internal/protocol"
 )
 
 func toks(names ...string) []iec104.Token {
@@ -256,5 +258,36 @@ func TestClassifyAllAndDistribution(t *testing.T) {
 func TestClassifyEmpty(t *testing.T) {
 	if got := ClassifyOutstation(nil); got.Type != 0 {
 		t.Fatalf("empty classified %d", got.Type)
+	}
+}
+
+// TestTextKeyOrdersLikeString sweeps every dialect (and an unknown
+// one), every token kind and every code: sorting by textKey is sorting
+// by String(), and two tokens share a key only when they share a
+// rendering — which is what lets State and EdgeList sort on integers.
+func TestTextKeyOrdersLikeString(t *testing.T) {
+	type keyed struct {
+		s string
+		k uint64
+	}
+	var all []keyed
+	for proto := protocol.ID(0); proto <= protocol.Modbus+1; proto++ {
+		for kind := uint8(0); kind < 7; kind++ {
+			for code := 0; code <= math.MaxUint16; code++ {
+				tok := iec104.Token{Proto: proto, Kind: kind, Code: uint16(code)}
+				s := tok.String()
+				if len(s) > 8 {
+					t.Fatalf("token %+v renders as %q: more than the 8 bytes textKey packs", tok, s)
+				}
+				all = append(all, keyed{s, textKey(tok)})
+			}
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].s < all[j].s })
+	for i := 1; i < len(all); i++ {
+		a, b := all[i-1], all[i]
+		if (a.s == b.s) != (a.k == b.k) || a.k > b.k {
+			t.Fatalf("%q (key %#x) then %q (key %#x): key order is not string order", a.s, a.k, b.s, b.k)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package markov
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"uncharted/internal/iec104"
@@ -20,9 +21,9 @@ type EdgeCount struct {
 }
 
 // ChainState is a Chain's full serializable state: node and edge
-// counts in canonical (sorted) order. Out-degrees and the total token
-// count are derivable and rebuilt on restore, so two chains with equal
-// states are behaviourally identical. Building the same State twice —
+// counts in canonical order (sorted by token text). It is the chain's
+// own table in a different order, so two chains with equal states are
+// identical. Building the same State twice —
 // or once before and once after a round trip — yields identical
 // values, which is what makes the drift codec's output bit-exact.
 type ChainState struct {
@@ -32,43 +33,26 @@ type ChainState struct {
 
 // State snapshots the chain. The result shares nothing with c.
 func (c *Chain) State() ChainState {
-	var s ChainState
-	for tok, n := range c.nodes {
-		s.Nodes = append(s.Nodes, TokenCount{Token: tok, Count: n})
-	}
-	sort.Slice(s.Nodes, func(i, j int) bool {
-		return s.Nodes[i].Token.String() < s.Nodes[j].Token.String()
-	})
-	for from, m := range c.counts {
-		for to, n := range m {
-			s.Edges = append(s.Edges, EdgeCount{From: from, To: to, Count: n})
-		}
-	}
-	sort.Slice(s.Edges, func(i, j int) bool {
-		if s.Edges[i].From.String() != s.Edges[j].From.String() {
-			return s.Edges[i].From.String() < s.Edges[j].From.String()
-		}
-		return s.Edges[i].To.String() < s.Edges[j].To.String()
-	})
+	s := ChainState{Nodes: slices.Clone(c.nodes), Edges: slices.Clone(c.edges)}
+	sortByText(s.Nodes, func(nc TokenCount) [2]uint64 { return [2]uint64{textKey(nc.Token)} })
+	sortByText(s.Edges, func(ec EdgeCount) [2]uint64 { return [2]uint64{textKey(ec.From), textKey(ec.To)} })
 	return s
 }
 
-// ChainFromState rebuilds a chain from a snapshot, rederiving the
-// out-degree and total-token counters.
+// ChainFromState rebuilds a chain from a snapshot. Entries may come in
+// any order and repeat (a decoded profile is untrusted input); repeats
+// add.
 func ChainFromState(s ChainState) *Chain {
-	c := NewChain()
+	// Grow leaves an empty table nil, as every other empty chain's is.
+	c := &Chain{
+		nodes: slices.Grow([]TokenCount(nil), len(s.Nodes)),
+		edges: slices.Grow([]EdgeCount(nil), len(s.Edges)),
+	}
 	for _, nc := range s.Nodes {
-		c.nodes[nc.Token] += nc.Count
-		c.total += nc.Count
+		c.addNode(nc.Token, nc.Count)
 	}
 	for _, ec := range s.Edges {
-		m, ok := c.counts[ec.From]
-		if !ok {
-			m = make(map[iec104.Token]int)
-			c.counts[ec.From] = m
-		}
-		m[ec.To] += ec.Count
-		c.outs[ec.From] += ec.Count
+		c.addEdge(ec.From, ec.To, ec.Count)
 	}
 	return c
 }

@@ -71,25 +71,33 @@ func (d *Digest) merge(o Digest) {
 	d.Count += o.Count
 }
 
-// observe folds one sample into the digest (Welford's single-sample
-// update).
+// observe folds one sample into the digest.
 func (d *Digest) observe(t time.Time, v float64) {
+	d.observeValue(v)
+	if d.Count == 1 {
+		d.First, d.Last = t, t
+		return
+	}
+	if t.Before(d.First) {
+		d.First = t
+	}
+	if t.After(d.Last) {
+		d.Last = t
+	}
+}
+
+// observeValue folds one value into the count, range and moments
+// (Welford's single-sample update), leaving the time bounds alone.
+func (d *Digest) observeValue(v float64) {
 	d.Count++
 	if d.Count == 1 {
 		d.Min, d.Max = v, v
-		d.First, d.Last = t, t
 	} else {
 		if v < d.Min {
 			d.Min = v
 		}
 		if v > d.Max {
 			d.Max = v
-		}
-		if t.Before(d.First) {
-			d.First = t
-		}
-		if t.After(d.Last) {
-			d.Last = t
 		}
 	}
 	delta := v - d.Mean
@@ -99,12 +107,26 @@ func (d *Digest) observe(t time.Time, v float64) {
 
 // Digest summarises one series over its full history: the retained
 // window plus any samples evicted under the store's per-series cap.
+// It is the fold of every sample in time order. A series the store has
+// only ever appended to in time order has that fold ready — arrival
+// order was time order, so the running moments are the fold's and the
+// time bounds are its first and last samples' — which makes this O(1);
+// a series that took a late sample, or whose Samples were filled in by
+// hand, is re-folded from the evicted prefix and the retained window.
 func (s *Series) Digest() Digest {
-	d := s.evicted
-	d.Key, d.Type, d.Command = s.Key, s.Type, s.Command
-	for _, smp := range s.Samples {
-		d.observe(smp.T, smp.V)
+	d := s.running
+	if n := len(s.Samples); n > 0 && d.Count == n+s.nEvicted {
+		d.First, d.Last = s.Samples[0].T, s.Samples[n-1].T
+		if s.nEvicted > 0 {
+			d.First = s.evicted.First
+		}
+	} else {
+		d = s.evicted
+		for _, smp := range s.Samples {
+			d.observe(smp.T, smp.V)
+		}
 	}
+	d.Key, d.Type, d.Command = s.Key, s.Type, s.Command
 	return d
 }
 

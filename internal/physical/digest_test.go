@@ -1,0 +1,196 @@
+package physical
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"uncharted/internal/iec104"
+	"uncharted/internal/protocol"
+)
+
+// refoldDigest is Series.Digest as it was before the running fold: the
+// evicted prefix, then every retained sample in time order. It is the
+// reference the running digest must equal bit for bit.
+func refoldDigest(s *Series) Digest {
+	d := s.evicted
+	d.Key, d.Type, d.Command = s.Key, s.Type, s.Command
+	for _, smp := range s.Samples {
+		d.observe(smp.T, smp.V)
+	}
+	return d
+}
+
+// sameBits compares two digests exactly: identity, counts, times, and
+// every float by its bit pattern (no tolerance, NaN == NaN).
+func sameBits(a, b Digest) bool {
+	bits := math.Float64bits
+	return a.Key == b.Key && a.Type == b.Type && a.Command == b.Command && a.Count == b.Count &&
+		bits(a.Min) == bits(b.Min) && bits(a.Max) == bits(b.Max) &&
+		bits(a.Mean) == bits(b.Mean) && bits(a.M2) == bits(b.M2) &&
+		a.First.Equal(b.First) && a.Last.Equal(b.Last)
+}
+
+// isRunning reports whether the series answers Digest from its running
+// fold (rather than re-reading its samples).
+func isRunning(s *Series) bool { return s.running.Count == len(s.Samples)+s.nEvicted }
+
+// TestDigestsMatchRefold: over seeded random feeds — in time order,
+// with late samples, with runs of one timestamp; capped and uncapped;
+// through Feed and through FeedPoints — every series' Digest is
+// bit-equal to the evicted-then-window fold, a series fed in time order
+// answers from its running fold, and one that ever took a late sample
+// does not.
+func TestDigestsMatchRefold(t *testing.T) {
+	type shape struct {
+		name       string
+		late, dups bool
+	}
+	seed := int64(0)
+	shapes := []shape{{"in-order", false, false}, {"duplicates", false, true}, {"late", true, false}, {"late+duplicates", true, true}}
+	for _, sh := range shapes {
+		for _, limit := range []int{0, 16} {
+			for _, points := range []bool{false, true} {
+				seed++
+				rng := rand.New(rand.NewSource(seed))
+				t.Run(fmt.Sprintf("%s/cap=%d/points=%v", sh.name, limit, points), func(t *testing.T) {
+					st := NewStore()
+					st.SetMaxSamplesPerSeries(limit)
+					const nSeries, nSamples = 12, 4000
+					clock := make([]time.Time, nSeries)
+					sawLate := make([]bool, nSeries)
+					for i := range clock {
+						clock[i] = t0
+					}
+					for n := 0; n < nSamples; n++ {
+						i := rng.Intn(nSeries)
+						ts := clock[i]
+						switch {
+						case sh.dups && rng.Intn(4) == 0:
+							// same timestamp again: appended, still in order
+						case sh.late && i%3 == 0 && rng.Intn(50) == 0 && ts.After(t0):
+							ts = ts.Add(-time.Duration(1+rng.Intn(5000)) * time.Millisecond)
+							sawLate[i] = true
+						default:
+							clock[i] = clock[i].Add(time.Duration(1+rng.Intn(2000)) * time.Millisecond)
+							ts = clock[i]
+						}
+						v := 50 + 20*rng.NormFloat64()
+						station, ioa := fmt.Sprintf("O%d", i%4), uint32(1000+i)
+						if points {
+							st.FeedPoints(station, protocol.Modbus, []protocol.Point{{IOA: ioa, V: v, T: ts}}, t0)
+						} else {
+							a := iec104.NewMeasurement(iec104.MMeNc, 1, ioa,
+								iec104.Value{Kind: iec104.KindFloat, Float: v}, iec104.CauseSpontaneous)
+							st.Feed(station, a, ts, false)
+						}
+					}
+					digests := st.Digests()
+					all := st.All()
+					if len(all) != nSeries || len(digests) != nSeries {
+						t.Fatalf("%d series, %d digests", len(all), len(digests))
+					}
+					evicted := 0
+					for j, s := range all {
+						want := refoldDigest(s)
+						if !sameBits(digests[j], want) {
+							t.Fatalf("%v: digest %+v, refold %+v", s.Key, digests[j], want)
+						}
+						i := int(s.Key.IOA - 1000)
+						if isRunning(s) == sawLate[i] {
+							t.Fatalf("%v: took a late sample %v, answers from the running fold %v", s.Key, sawLate[i], isRunning(s))
+						}
+						evicted += s.Evicted()
+					}
+					if (limit > 0) != (evicted > 0) {
+						t.Fatalf("cap %d evicted %d samples", limit, evicted)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunningDigestDoesNotRereadSamples: a series fed in time order
+// answers Digest without looking at its samples — scribbling over them
+// does not move it — which is what keeps a snapshot's cost independent
+// of how long the capture has run.
+func TestRunningDigestDoesNotRereadSamples(t *testing.T) {
+	st := NewStore()
+	for i := 0; i < 100; i++ {
+		st.FeedPoints("pmu", protocol.C37118, []protocol.Point{{IOA: 1, V: float64(i)}}, t0.Add(time.Duration(i)*time.Second))
+	}
+	s, _ := st.Get(SeriesKey{Station: "pmu", IOA: 1})
+	want := s.Digest()
+	for i := range s.Samples {
+		s.Samples[i].V = -1
+	}
+	if got := s.Digest(); !sameBits(got, want) || got.Mean != 49.5 {
+		t.Fatalf("digest %+v after the samples were overwritten, %+v before", got, want)
+	}
+}
+
+// TestHandBuiltSeriesDigest: a Series assembled by hand has no running
+// fold and is digested from its samples; so is a store-fed series
+// somebody appended to directly.
+func TestHandBuiltSeriesDigest(t *testing.T) {
+	s := mkSeries("O1", 1, []float64{1, 2, 3, 4}, time.Second)
+	d := s.Digest()
+	if d.Count != 4 || d.Mean != 2.5 || d.Min != 1 || d.Max != 4 || !d.First.Equal(t0) || !d.Last.Equal(t0.Add(3*time.Second)) {
+		t.Fatalf("hand-built digest %+v", d)
+	}
+
+	st := NewStore()
+	st.FeedPoints("O1", protocol.Modbus, []protocol.Point{{IOA: 7, V: 1}, {IOA: 7, V: 2}}, t0)
+	fed, _ := st.Get(SeriesKey{Station: "O1", IOA: 7})
+	fed.Samples = append(fed.Samples, Sample{T: t0.Add(time.Second), V: 6})
+	if d := fed.Digest(); d.Count != 3 || d.Mean != 3 || d.Max != 6 || !sameBits(d, refoldDigest(fed)) {
+		t.Fatalf("digest after a direct append %+v", d)
+	}
+}
+
+// rankedByComparator is Store.Ranked as it was: NormalizedVariance
+// evaluated inside the sort comparator.
+func rankedByComparator(st *Store, minSamples int) []*Series {
+	var out []*Series
+	for _, s := range st.All() {
+		if len(s.Samples)+s.Evicted() >= minSamples {
+			out = append(out, s)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		return out[i].NormalizedVariance() > out[j].NormalizedVariance()
+	})
+	return out
+}
+
+// TestRankedScoresOnce: scoring each series once ranks exactly as
+// scoring inside the comparator did, ties included (several flat
+// series share a variance of zero and must keep first-seen order).
+func TestRankedScoresOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	st := NewStore()
+	st.SetMaxSamplesPerSeries(64)
+	for n := 0; n < 6000; n++ {
+		i := rng.Intn(40)
+		v := float64(i) // flat series: ties
+		if i%3 != 0 {
+			v = 100 + float64(i)*rng.NormFloat64()
+		}
+		st.FeedPoints("O", protocol.Modbus, []protocol.Point{{IOA: uint32(i), V: v}}, t0.Add(time.Duration(n)*time.Second))
+	}
+	for _, min := range []int{0, 100, 160} {
+		got, want := st.Ranked(min), rankedByComparator(st, min)
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("minSamples %d: ranked %d series, comparator version %d", min, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("minSamples %d: rank %d is %v, comparator version %v", min, i, got[i].Key, want[i].Key)
+			}
+		}
+	}
+}

@@ -73,6 +73,14 @@ type Series struct {
 	Command bool
 	Samples []Sample
 
+	// running folds the value of every sample the store appended at the
+	// end of Samples, as it arrived. While its count equals the series'
+	// whole history, arrival order was time order and it holds the
+	// series' count, range and moments; see Digest. (Kept next to
+	// Samples: the store writes both for every sample. The time bounds
+	// are not folded — they can be read off an ordered series, and a
+	// time.Time store per sample costs more than the arithmetic.)
+	running Digest
 	// evicted summarises samples dropped under a store-level cap
 	// (SetMaxSamplesPerSeries), so moment statistics stay exact over
 	// the full history even when only a bounded window is retained.
@@ -174,8 +182,11 @@ func (st *Store) add(s *Series, ts time.Time, v float64) {
 		s.Samples = append(s.Samples, Sample{})
 		copy(s.Samples[idx+1:], s.Samples[idx:])
 		s.Samples[idx] = Sample{T: ts, V: v}
+		// Not folded into running, which thereby stays one short of
+		// the history for good: Digest re-folds this series from now on.
 	} else {
 		s.Samples = append(s.Samples, Sample{T: ts, V: v})
+		s.running.observeValue(v)
 	}
 	if st.maxSamples > 0 && len(s.Samples) > st.maxSamples {
 		s.evictOldest(len(s.Samples) - st.maxSamples/2)
@@ -287,15 +298,21 @@ func (st *Store) ByStation(station string) []*Series {
 // ones), ordered by decreasing normalized variance — the paper's
 // shortlist of "interesting" physical behaviour.
 func (st *Store) Ranked(minSamples int) []*Series {
-	var out []*Series
+	type scored struct {
+		s     *Series
+		score float64
+	}
+	var ranked []scored
 	for _, s := range st.order {
 		if len(s.Samples)+s.nEvicted >= minSamples {
-			out = append(out, s)
+			ranked = append(ranked, scored{s, s.NormalizedVariance()})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].NormalizedVariance() > out[j].NormalizedVariance()
-	})
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].score > ranked[j].score })
+	var out []*Series
+	for _, r := range ranked {
+		out = append(out, r.s)
+	}
 	return out
 }
 

@@ -228,11 +228,13 @@ type shard struct {
 
 	// Sealed-epoch snapshot protocol: the engine bumps epoch and pokes
 	// wake; the shard, between batches (or while idle), stores a fresh
-	// Partial in sealed and advances sealedSeq. Snapshot never stops
-	// the shard — it waits for the seal and merges off the hot path.
-	epoch     *atomic.Int64 // the engine's snapshot epoch counter
-	sealedSeq atomic.Int64
-	sealed    atomic.Pointer[core.Partial]
+	// Partial in sealed, advances sealedSeq and signals sealedNote.
+	// Snapshot never stops the shard — it waits for the seal and merges
+	// off the hot path.
+	epoch      *atomic.Int64 // the engine's snapshot epoch counter
+	sealedSeq  atomic.Int64
+	sealed     atomic.Pointer[core.Partial]
+	sealedNote chan struct{} // capacity 1: "sealedSeq moved"
 }
 
 // queues returns the current per-reader fan-in.
@@ -283,6 +285,10 @@ func (s *shard) maybeSeal() {
 	p := s.an.Partial()
 	s.sealed.Store(&p)
 	s.sealedSeq.Store(want)
+	select {
+	case s.sealedNote <- struct{}{}:
+	default: // an unread note already tells Snapshot to look again
+	}
 }
 
 // poke nudges the shard's seal check without blocking; a pending poke
@@ -432,12 +438,13 @@ func New(cfg Config) *Engine {
 			an.SetFrameObserver(observer)
 		}
 		sh := &shard{
-			id:    i,
-			an:    an,
-			wake:  make(chan struct{}, 1),
-			done:  make(chan struct{}),
-			lane:  lane,
-			epoch: &e.snapEpoch,
+			id:         i,
+			an:         an,
+			wake:       make(chan struct{}, 1),
+			sealedNote: make(chan struct{}, 1),
+			done:       make(chan struct{}),
+			lane:       lane,
+			epoch:      &e.snapEpoch,
 		}
 		sh.cur.Store(curIdle)
 		e.shards = append(e.shards, sh)
@@ -787,7 +794,6 @@ func (e *Engine) Snapshot() core.Partial {
 		sh.poke()
 	}
 	for i, sh := range e.shards {
-		wait := 10 * time.Microsecond
 		for {
 			seq := sh.sealedSeq.Load()
 			if seq == sealedForever {
@@ -802,10 +808,13 @@ func (e *Engine) Snapshot() core.Partial {
 				parts[i] = *sh.sealed.Load()
 				break
 			}
-			sh.poke()
-			time.Sleep(wait)
-			if wait < time.Millisecond {
-				wait *= 2
+			// The poke above cannot be lost (wake holds it until the
+			// shard's next between-batches point), so just wait for the
+			// shard to say it sealed — or to exit. A note left over
+			// from an earlier epoch costs one more turn of the loop.
+			select {
+			case <-sh.sealedNote:
+			case <-sh.done:
 			}
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"uncharted/internal/core"
+	"uncharted/internal/drift"
 	"uncharted/internal/ids"
 	"uncharted/internal/obs"
 	"uncharted/internal/pcap"
@@ -475,4 +476,59 @@ func offlineAnalyzer(t testing.TB, sim *scadasim.Simulator, capture []byte) *cor
 		t.Fatal(err)
 	}
 	return a
+}
+
+// TestSealedPartialsDoNotAliasShards: every partial a periodic snapshot
+// publishes is a copy of the shards' live count tables and digests, not
+// a view of them. Each one's drift encoding, taken again after the
+// shards have consumed the rest of the capture, is byte for byte what
+// it was when it was published. CI runs this under -race, where a
+// shared table would also show as a data race between the shard that
+// keeps counting and the encoder reading here.
+func TestSealedPartialsDoNotAliasShards(t *testing.T) {
+	sim, tr := simulate(t, 7, 3*time.Minute)
+	capture := tracePCAP(t, tr)
+	encode := func(p core.Partial) []byte {
+		return drift.NewProfile("alias", "alias", p, goldenSavedAt).Encode()
+	}
+	type sealed struct {
+		part core.Partial
+		enc  []byte
+	}
+	var kept []sealed
+	e := New(Config{
+		Workers:       2,
+		SnapshotEvery: time.Millisecond,
+		Names:         core.NamesFromTopology(sim.Network()),
+		// Snapshot calls the hook under its own lock, one at a time.
+		OnSnapshot: func(p core.Partial, _ *Profile, final bool) {
+			if !final && len(kept) < 64 {
+				kept = append(kept, sealed{p, encode(p)})
+			}
+		},
+	})
+	src, err := NewPCAPSource(bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) < 2 {
+		t.Skipf("only %d mid-run snapshots: the capture drained too fast to test aliasing", len(kept))
+	}
+	finalEnc := encode(e.Final())
+	moved := 0
+	for i, s := range kept {
+		if !bytes.Equal(encode(s.part), s.enc) {
+			t.Fatalf("snapshot %d of %d changed after it was published", i+1, len(kept))
+		}
+		if !bytes.Equal(s.enc, finalEnc) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no mid-run snapshot differs from the final state: nothing was fed after them")
+	}
+	t.Logf("%d mid-run snapshots, %d before the end of the capture", len(kept), moved)
 }
