@@ -263,9 +263,10 @@ func Silhouette(points [][]float64, assign []int, k int) (float64, error) {
 		sizes[a]++
 	}
 	var total float64
+	sums := make([]float64, k)
 	for i, p := range points {
 		// Mean distance to each cluster.
-		sums := make([]float64, k)
+		clear(sums)
 		for j, q := range points {
 			if i == j {
 				continue

@@ -2,6 +2,7 @@ package drift
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -32,6 +33,26 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(base.State(), restored.State()) {
 		t.Fatal("restored baseline state differs")
+	}
+
+	// The committed fixture is this same Y1 whitelist as the string-keyed
+	// ids.Baseline / markov.NGram encoded it, before vocabularies and
+	// n-gram counts were keyed by token value: the value-keyed
+	// representation must train to the same bytes and re-encode a
+	// decoded fixture to the same bytes.
+	fixture, err := os.ReadFile(filepath.Join("testdata", "baseline_y1_string_keyed.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, fixture) {
+		t.Errorf("trained baseline encodes to %d bytes that differ from the %d-byte pre-change fixture", len(first), len(fixture))
+	}
+	old, err := DecodeBaseline(fixture)
+	if err != nil {
+		t.Fatalf("decode pre-change fixture: %v", err)
+	}
+	if !bytes.Equal(EncodeBaseline(old), fixture) {
+		t.Error("EncodeBaseline(DecodeBaseline(fixture)) differs from the pre-change fixture")
 	}
 
 	scanned := y2.analyze(t)

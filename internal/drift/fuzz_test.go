@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"uncharted/internal/core"
+	"uncharted/internal/ids"
 	"uncharted/internal/iec104"
 	"uncharted/internal/markov"
 	"uncharted/internal/physical"
@@ -98,5 +99,97 @@ func TestSeedProfileRoundTrips(t *testing.T) {
 	}
 	if !bytes.Equal(first, decoded.Encode()) {
 		t.Fatal("seed profile does not round trip bit-exactly")
+	}
+}
+
+// seedBaseline builds a tiny handcrafted whitelist exercising every
+// section of the baseline container.
+func seedBaseline(t testing.TB) *ids.Baseline {
+	t.Helper()
+	b, err := ids.BaselineFromState(ids.BaselineState{
+		Endpoints: []netip.Addr{netip.MustParseAddr("10.0.0.2"), netip.MustParseAddr("10.0.1.30")},
+		Conns:     []ids.ConnVocab{{Server: "C2", Outstation: "O30", Tokens: []string{"I100", "I36", "S", "U1", "U2"}}},
+		Bigram: markov.NGramState{
+			N:        2,
+			Counts:   []markov.StringCount{{Key: "I100 I36", Count: 1}, {Key: "I36 S", Count: 4}, {Key: "U1 U2", Count: 1}, {Key: "U2 I100", Count: 1}},
+			Contexts: []markov.StringCount{{Key: "I100", Count: 1}, {Key: "I36", Count: 4}, {Key: "U1", Count: 1}, {Key: "U2", Count: 1}},
+			Vocab:    []string{"I100", "I36", "S", "U1", "U2"},
+		},
+		Points: []ids.PointRange{{Station: "O30", IOA: 1201, Min: 59.9, Max: 60.1,
+			Type: physical.IEC104Type(iec104.MMeTf), Samples: 30}},
+		Profiles:         []ids.StationProfile{{Name: "O30", Profile: iec104.LegacyCOT}},
+		Rates:            []ids.ConnRate{{Server: "C2", Outstation: "O30", Rate: 0.02}},
+		PerplexityFactor: 2, RangeMargin: 0.25, WorstPerplexity: 2.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzDecodeBaseline drives the baseline container decoder — and behind
+// it the token parsing of ids.BaselineFromState and
+// markov.NGramFromState — with arbitrary bytes. It must never panic,
+// and a whitelist it accepts must re-encode stably.
+func FuzzDecodeBaseline(f *testing.F) {
+	valid := EncodeBaseline(seedBaseline(f))
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add([]byte(magic))
+	f.Add(valid[:len(valid)/2])
+	f.Add(append([]byte(nil), valid[:len(valid)-2]...))
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/3] ^= 0xff
+	f.Add(flipped)
+	f.Add(garbageVocabToken(f, valid))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBaseline(data)
+		if err != nil {
+			return
+		}
+		first := EncodeBaseline(b)
+		b2, err := DecodeBaseline(first)
+		if err != nil {
+			t.Fatalf("re-decode of accepted baseline failed: %v", err)
+		}
+		if second := EncodeBaseline(b2); !bytes.Equal(first, second) {
+			t.Fatalf("encode(decode(x)) is not a fixed point: %d vs %d bytes", len(first), len(second))
+		}
+	})
+}
+
+// garbageVocabToken returns valid with the vocabulary token "I100"
+// overwritten by same-length garbage and the container resealed, so the
+// damage reaches the token parser instead of failing the checksum.
+func garbageVocabToken(t testing.TB, valid []byte) []byte {
+	t.Helper()
+	payload, version, err := unseal(valid, KindBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(payload, []byte("I100"))
+	if at < 0 {
+		t.Fatal("seed baseline payload has no I100 token")
+	}
+	bad := append([]byte(nil), payload...)
+	copy(bad[at:], "\xffQ!\x00")
+	return seal(KindBaseline, version, bad)
+}
+
+// TestSeedBaselineDecodes keeps the fuzz seeds honest under plain
+// `go test`: the valid seed round-trips bit-exactly, and the seed with
+// one garbage vocabulary token is rejected with an error.
+func TestSeedBaselineDecodes(t *testing.T) {
+	valid := EncodeBaseline(seedBaseline(t))
+	b, err := DecodeBaseline(valid)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !bytes.Equal(valid, EncodeBaseline(b)) {
+		t.Fatal("seed baseline does not round trip bit-exactly")
+	}
+	if b, err := DecodeBaseline(garbageVocabToken(t, valid)); err == nil {
+		t.Fatalf("baseline with a garbage vocabulary token accepted: %+v", b.State().Conns)
 	}
 }

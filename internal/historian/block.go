@@ -22,7 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"uncharted/internal/physical"
@@ -69,11 +69,16 @@ const maxBlockSamples = 1 << 20
 // quantized, so encoding deltas in their natural unit instead of raw
 // nanoseconds keeps delta-of-deltas in the 1-bit or 16-bit buckets.
 // Division by the exact GCD is lossless.
-func EncodeBlock(samples []physical.Sample) []byte {
+func EncodeBlock(samples []physical.Sample) []byte { return appendBlock(nil, samples) }
+
+// appendBlock appends the block payload of samples to dst. It is the
+// one encoder: the store's flush path hands it store-owned scratch, so
+// a flush allocates nothing once the scratch has grown to size.
+func appendBlock(dst []byte, samples []physical.Sample) []byte {
 	var head [2*binary.MaxVarintLen64 + 16]byte
 	n := binary.PutUvarint(head[:], uint64(len(samples)))
 	if len(samples) == 0 {
-		return head[:n]
+		return append(dst, head[:n]...)
 	}
 	first := samples[0]
 	scale := int64(0)
@@ -88,7 +93,7 @@ func EncodeBlock(samples []physical.Sample) []byte {
 	n += binary.PutUvarint(head[n:], uint64(scale))
 	binary.LittleEndian.PutUint64(head[n:], uint64(first.T.UnixNano()))
 	binary.LittleEndian.PutUint64(head[n+8:], math.Float64bits(first.V))
-	w := &bitWriter{b: append([]byte(nil), head[:n+16]...)}
+	w := bitWriter{b: append(dst, head[:n+16]...)}
 
 	prevTS := first.T.UnixNano()
 	var prevDelta int64
@@ -255,10 +260,15 @@ func DecodeBlock(payload []byte) ([]physical.Sample, error) {
 }
 
 // sortSamples orders samples by time, stably, so append order breaks
-// ties exactly like physical.Store.Feed's insertion rule.
+// ties exactly like physical.Store.Feed's insertion rule. A buffer
+// filled in arrival order is almost always ordered already.
 func sortSamples(s []physical.Sample) {
-	sort.SliceStable(s, func(i, j int) bool { return s[i].T.Before(s[j].T) })
+	if !slices.IsSortedFunc(s, compareTime) {
+		slices.SortStableFunc(s, compareTime)
+	}
 }
+
+func compareTime(a, b physical.Sample) int { return a.T.Compare(b.T) }
 
 // gcd64 is the non-negative GCD; gcd64(0, x) == |x|.
 func gcd64(a, b int64) int64 {

@@ -63,11 +63,11 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	}
 }
 
-func (m *storeMetrics) noteAppend() {
+func (m *storeMetrics) noteAppends(n int) {
 	if m == nil {
 		return
 	}
-	m.appends.Inc()
+	m.appends.Add(int64(n))
 }
 
 func (m *storeMetrics) noteBlock(samples, payloadBytes, recordBytes int) {

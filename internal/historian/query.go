@@ -56,7 +56,7 @@ func (st *Store) Query(key PointKey, from, to time.Time) (Samples, error) {
 			}
 		}
 	}
-	if buf, ok := st.buffers[key]; ok {
+	if buf := st.stations[key.Station][key.IOA]; buf != nil {
 		for _, s := range buf.samples {
 			if n := s.T.UnixNano(); n >= fromN && n <= toN {
 				out = append(out, s)
@@ -165,12 +165,11 @@ func (st *Store) Catalog() []PointInfo {
 			}
 		}
 	}
-	for _, key := range st.order {
-		buf := st.buffers[key]
+	for _, buf := range st.order {
 		if len(buf.samples) == 0 {
 			continue
 		}
-		pi := get(key, buf.typ, buf.flags)
+		pi := get(buf.key, buf.typ, buf.flags)
 		pi.Samples += int64(len(buf.samples))
 		for _, s := range buf.samples {
 			extend(pi, s.T, s.T)
@@ -205,7 +204,7 @@ func extend(pi *PointInfo, first, last time.Time) {
 func (st *Store) SeriesFor(key PointKey, from, to time.Time) (*physical.Series, error) {
 	st.mu.Lock()
 	typ, flags := byte(0), byte(0)
-	if buf, ok := st.buffers[key]; ok {
+	if buf := st.stations[key.Station][key.IOA]; buf != nil {
 		typ, flags = buf.typ, buf.flags
 	} else {
 		segs := append(append([]*segment(nil), st.sealed...), st.active)

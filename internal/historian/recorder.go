@@ -1,21 +1,19 @@
 package historian
 
 import (
-	"time"
-
 	"uncharted/internal/core"
 	"uncharted/internal/obs/trace"
-	"uncharted/internal/physical"
 )
 
 // Recorder bridges the analysis pipeline to the historian: it
 // implements core.FrameObserver and appends every value-bearing
-// information object of each accepted I-format APDU. It extracts
-// samples with physical.EachValue under the same station/command
-// resolution as physical.Store.Feed, so the durable history and the
-// in-memory series are sample-for-sample identical — the property
-// that makes historian-backed event detection reproduce live results
-// exactly.
+// information object of each accepted I-format APDU — a frame's
+// samples under one store lock, through the station's write handle. It
+// extracts samples with physical.EachValue under the same
+// station/command resolution as physical.Store.Feed, so the durable
+// history and the in-memory series are sample-for-sample identical —
+// the property that makes historian-backed event detection reproduce
+// live results exactly.
 type Recorder struct {
 	store *Store
 	// lane is the optional flight-recorder lane StageHistorian spans
@@ -42,17 +40,10 @@ func (r *Recorder) ObserveFrame(ev core.FrameEvent) {
 	sp := r.lane.Start()
 	// Mirrors the analyzer's Feed call: the point belongs to the
 	// outstation; server-to-outstation I-frames are commands.
-	command := !ev.FromOutstation
-	key := PointKey{Station: ev.Outstation}
-	typ := physical.IEC104Type(ev.ASDU.Type)
-	n := 0
-	physical.EachValue(ev.ASDU, ev.Time, func(ioa uint32, t time.Time, v float64) {
-		n++
-		key.IOA = ioa
-		if err := r.store.Append(key, typ, command, physical.Sample{T: t, V: v}); err != nil {
-			r.err = err
-		}
-	})
+	n, err := r.store.appendASDU(ev.Outstation, ev.ASDU, ev.Time, !ev.FromOutstation)
+	if err != nil {
+		r.err = err
+	}
 	r.lane.End(sp, trace.StageHistorian, n, -1)
 }
 

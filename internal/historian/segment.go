@@ -98,33 +98,57 @@ func createSegment(path string) (*segment, error) {
 	}, nil
 }
 
-// appendRecord encodes one block record for key and appends it,
-// updating the in-memory index. It returns the record's size in bytes.
-func (s *segment) appendRecord(key PointKey, typ, flags byte, count uint32, first, last int64, payload []byte) (int, error) {
-	rec := make([]byte, 0, 32+len(key.Station)+len(payload))
-	rec = binary.LittleEndian.AppendUint32(rec, recMagic)
-	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(key.Station)))
-	rec = append(rec, key.Station...)
-	rec = binary.LittleEndian.AppendUint32(rec, key.IOA)
-	rec = append(rec, typ, flags)
-	rec = binary.LittleEndian.AppendUint32(rec, count)
-	rec = binary.LittleEndian.AppendUint64(rec, uint64(first))
-	rec = binary.LittleEndian.AppendUint64(rec, uint64(last))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+// stagedBlock is one encoded record of a write batch that has not
+// reached the file yet: the point buffer it was encoded from and its
+// index entry, with Off still relative to the start of the batch.
+type stagedBlock struct {
+	buf  *pointBuffer
+	meta blockMeta
+}
 
-	off := s.size
-	if _, err := s.f.WriteAt(rec, off); err != nil {
-		return 0, err
+// appendRecord appends one block record — header, the compressed block
+// of buf's samples, CRC — to dst and returns it with the record's
+// staged index entry. The payload is encoded in place behind its
+// header (its length is patched in afterwards), so nothing is built on
+// the side.
+func appendRecord(dst []byte, buf *pointBuffer) ([]byte, stagedBlock) {
+	start := len(dst)
+	first := buf.samples[0].T.UnixNano()
+	last := buf.samples[len(buf.samples)-1].T.UnixNano()
+	dst = binary.LittleEndian.AppendUint32(dst, recMagic)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(buf.key.Station)))
+	dst = append(dst, buf.key.Station...)
+	dst = binary.LittleEndian.AppendUint32(dst, buf.key.IOA)
+	dst = append(dst, buf.typ, buf.flags)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(buf.samples)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(first))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(last))
+	dst = append(dst, 0, 0, 0, 0) // payload length, known once encoded
+	payload := len(dst)
+	dst = appendBlock(dst, buf.samples)
+	size := len(dst) - payload
+	binary.LittleEndian.PutUint32(dst[payload-4:], uint32(size))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return dst, stagedBlock{buf: buf, meta: blockMeta{
+		Off: int64(start), Count: uint32(len(buf.samples)), First: first, Last: last, Bytes: uint32(size),
+	}}
+}
+
+// writeBatch appends a run of encoded records with one write and then
+// indexes them. On a write error nothing is indexed and the segment is
+// as it was.
+func (s *segment) writeBatch(recs []byte, blocks []stagedBlock) error {
+	if _, err := s.f.WriteAt(recs, s.size); err != nil {
+		return err
 	}
-	s.size += int64(len(rec))
-	pm := s.point(key, typ, flags)
-	pm.Blocks = append(pm.Blocks, blockMeta{
-		Off: off, Count: count, First: first, Last: last, Bytes: uint32(len(payload)),
-	})
-	pm.Samples += int64(count)
-	return len(rec), nil
+	for _, b := range blocks {
+		b.meta.Off += s.size
+		pm := s.point(b.buf.key, b.buf.typ, b.buf.flags)
+		pm.Blocks = append(pm.Blocks, b.meta)
+		pm.Samples += int64(b.meta.Count)
+	}
+	s.size += int64(len(recs))
+	return nil
 }
 
 // readRecordPayload re-reads and verifies the record at meta.Off and

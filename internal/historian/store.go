@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"uncharted/internal/iec104"
 	"uncharted/internal/obs"
 	"uncharted/internal/physical"
 )
@@ -62,9 +63,15 @@ func (o *Options) setDefaults() {
 // pointBuffer is the in-memory tail of one point: samples appended
 // since its last flushed block.
 type pointBuffer struct {
+	key        PointKey
 	typ, flags byte
 	samples    []physical.Sample
 }
+
+// stationBuffers is the write handle for one station: its points by
+// address. A frame's samples all belong to one station, so the handle
+// is resolved once per frame and each sample costs an integer lookup.
+type stationBuffers map[uint32]*pointBuffer
 
 // Store is the embedded historian: buffered writes, compressed
 // append-only segments, and queries that merge disk with the
@@ -77,10 +84,15 @@ type Store struct {
 	sealed   []*segment
 	active   *segment
 	nextSeq  int
-	buffers  map[PointKey]*pointBuffer
-	order    []PointKey
-	unsynced int64 // record bytes written since the last fsync
+	stations map[string]stationBuffers
+	order    []*pointBuffer // every buffer, in first-append order: the flush order
+	unsynced int64          // record bytes written since the last fsync
 	closed   bool
+	// recs and staged are the write batch being built: encoded records
+	// and their index entries, kept between flushes so a flush reuses
+	// their storage and reaches the file as one write.
+	recs   []byte
+	staged []stagedBlock
 
 	m *storeMetrics
 }
@@ -107,10 +119,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{
-		dir:     dir,
-		opts:    opts,
-		buffers: make(map[PointKey]*pointBuffer),
-		m:       newStoreMetrics(opts.Registry),
+		dir:      dir,
+		opts:     opts,
+		stations: make(map[string]stationBuffers),
+		m:        newStoreMetrics(opts.Registry),
 	}
 	names, err := segmentNames(dir)
 	if err != nil {
@@ -206,48 +218,104 @@ func (st *Store) Append(key PointKey, typ physical.PointType, command bool, s ph
 	if st.closed {
 		return os.ErrClosed
 	}
-	buf, ok := st.buffers[key]
-	if !ok {
+	st.m.noteAppends(1)
+	return st.appendLocked(st.stationLocked(key.Station), key, typ, command, s)
+}
+
+// appendASDU buffers every value-bearing information object of one
+// frame under a single lock — the recorder's form of Append. It returns
+// how many samples the frame carried and the first append error.
+func (st *Store) appendASDU(station string, a *iec104.ASDU, at time.Time, command bool) (n int, err error) {
+	typ := physical.IEC104Type(a.Type)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.closed {
+		return 0, os.ErrClosed
+	}
+	sb := st.stationLocked(station)
+	physical.EachValue(a, at, func(ioa uint32, t time.Time, v float64) {
+		n++
+		e := st.appendLocked(sb, PointKey{Station: station, IOA: ioa}, typ, command, physical.Sample{T: t, V: v})
+		if e != nil && err == nil {
+			err = e
+		}
+	})
+	st.m.noteAppends(n)
+	return n, err
+}
+
+func (st *Store) stationLocked(name string) stationBuffers {
+	sb := st.stations[name]
+	if sb == nil {
+		sb = make(stationBuffers)
+		st.stations[name] = sb
+	}
+	return sb
+}
+
+func (st *Store) appendLocked(sb stationBuffers, key PointKey, typ physical.PointType, command bool, s physical.Sample) error {
+	buf := sb[key.IOA]
+	if buf == nil {
 		flags := byte(typ.Proto()) << flagProtoShift
 		if command {
 			flags |= flagCommand
 		}
-		buf = &pointBuffer{typ: typ.Code(), flags: flags}
-		st.buffers[key] = buf
-		st.order = append(st.order, key)
+		buf = &pointBuffer{key: key, typ: typ.Code(), flags: flags}
+		sb[key.IOA] = buf
+		st.order = append(st.order, buf)
 	}
 	buf.samples = append(buf.samples, s)
-	st.m.noteAppend()
 	if len(buf.samples) >= st.opts.FlushSamples {
-		return st.flushPointLocked(key, buf)
+		if err := st.stageLocked(buf); err != nil {
+			return err
+		}
+		return st.writeStagedLocked()
 	}
 	return nil
 }
 
-// flushPointLocked encodes a point's buffer into one block record and
-// appends it to the active segment, rotating and fsyncing as
-// configured.
-func (st *Store) flushPointLocked(key PointKey, buf *pointBuffer) error {
-	if len(buf.samples) == 0 {
+// stageLocked encodes a point's buffer as one block record at the end
+// of the write batch. Rotation and the batched fsync are decided after
+// every record, exactly as if each had been written on its own — the
+// batch goes out first whenever one of them is due — so segment files
+// do not depend on how records were batched.
+func (st *Store) stageLocked(buf *pointBuffer) error {
+	sortSamples(buf.samples)
+	var blk stagedBlock
+	st.recs, blk = appendRecord(st.recs, buf)
+	st.staged = append(st.staged, blk)
+	pending := int64(len(st.recs))
+	rotate := st.active.size+pending >= st.opts.MaxSegmentBytes
+	if !rotate && (st.opts.FsyncEveryBytes <= 0 || st.unsynced+pending < st.opts.FsyncEveryBytes) {
 		return nil
 	}
-	sortSamples(buf.samples)
-	payload := EncodeBlock(buf.samples)
-	first := buf.samples[0].T.UnixNano()
-	last := buf.samples[len(buf.samples)-1].T.UnixNano()
-	n, err := st.active.appendRecord(key, buf.typ, buf.flags, uint32(len(buf.samples)), first, last, payload)
-	if err != nil {
+	if err := st.writeStagedLocked(); err != nil {
 		return err
 	}
-	st.m.noteBlock(len(buf.samples), len(payload), n)
-	buf.samples = buf.samples[:0]
-	st.unsynced += int64(n)
-	if st.active.size >= st.opts.MaxSegmentBytes {
+	if rotate {
 		return st.rotateLocked()
 	}
-	if st.opts.FsyncEveryBytes > 0 && st.unsynced >= st.opts.FsyncEveryBytes {
-		return st.syncActiveLocked()
+	return st.syncActiveLocked()
+}
+
+// writeStagedLocked appends the write batch to the active segment with
+// one write, then empties the buffers it drained. If the write fails
+// the batch is dropped and every buffer keeps its samples.
+func (st *Store) writeStagedLocked() error {
+	recs, staged := st.recs, st.staged
+	st.recs, st.staged = recs[:0], staged[:0]
+	if len(recs) == 0 {
+		return nil
 	}
+	if err := st.active.writeBatch(recs, staged); err != nil {
+		return err
+	}
+	for _, blk := range staged {
+		st.m.noteBlock(int(blk.meta.Count), int(blk.meta.Bytes),
+			recordHeaderSize(len(blk.buf.key.Station))+int(blk.meta.Bytes)+4)
+		blk.buf.samples = blk.buf.samples[:0]
+	}
+	st.unsynced += int64(len(recs))
 	return nil
 }
 
@@ -272,14 +340,14 @@ func (st *Store) Flush() error {
 }
 
 func (st *Store) flushAllLocked() error {
-	for _, key := range st.order {
-		if buf := st.buffers[key]; len(buf.samples) > 0 {
-			if err := st.flushPointLocked(key, buf); err != nil {
+	for _, buf := range st.order {
+		if len(buf.samples) > 0 {
+			if err := st.stageLocked(buf); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return st.writeStagedLocked()
 }
 
 // Sync flushes all buffers and fsyncs the active segment — the
@@ -407,6 +475,7 @@ func (st *Store) downsampleSegment(seg *segment) (*segment, error) {
 		return nil, err
 	}
 	step := st.opts.DownsampleStep
+	var rec []byte
 	for _, key := range seg.order {
 		pm := seg.points[key]
 		var all []physical.Sample
@@ -430,10 +499,9 @@ func (st *Store) downsampleSegment(seg *segment) (*segment, error) {
 		if len(ds) == 0 {
 			continue
 		}
-		payload := EncodeBlock(ds)
-		_, err := out.appendRecord(key, pm.Type, pm.Flags|flagDownsampled,
-			uint32(len(ds)), ds[0].T.UnixNano(), ds[len(ds)-1].T.UnixNano(), payload)
-		if err != nil {
+		var blk stagedBlock
+		rec, blk = appendRecord(rec[:0], &pointBuffer{key: key, typ: pm.Type, flags: pm.Flags | flagDownsampled, samples: ds})
+		if err := out.writeBatch(rec, []stagedBlock{blk}); err != nil {
 			out.close()
 			os.Remove(tmp)
 			return nil, err

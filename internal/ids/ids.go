@@ -14,6 +14,13 @@
 // unexpected parties, control commands from new endpoints, setpoints
 // outside physical ranges and breaker commands that contradict the
 // whitelisted activation signature.
+//
+// Key layout: vocabularies are sets of protocol.Token values and the
+// language model is markov.NGram's packed-token table, so no check
+// renders a token. Connections and points are keyed by resolved names
+// (connKey, pointKey) because alerts are about names; the live Monitor
+// reaches them through one core.ConnKey lookup per frame and an IOA
+// lookup per object. Text exists in alerts and in BaselineState only.
 package ids
 
 import (
@@ -97,7 +104,7 @@ type connKey struct {
 // Baseline is the trained whitelist.
 type Baseline struct {
 	endpoints map[netip.Addr]bool
-	conns     map[connKey]map[string]bool // allowed token vocabulary
+	conns     map[connKey]map[iec104.Token]bool // allowed token vocabulary
 	bigram    *markov.NGram
 	points    map[pointKey]*valueRange
 	profiles  map[string]iec104.Profile
@@ -119,7 +126,7 @@ type Baseline struct {
 func Train(a *core.Analyzer) (*Baseline, error) {
 	b := &Baseline{
 		endpoints:        make(map[netip.Addr]bool),
-		conns:            make(map[connKey]map[string]bool),
+		conns:            make(map[connKey]map[iec104.Token]bool),
 		points:           make(map[pointKey]*valueRange),
 		profiles:         make(map[string]iec104.Profile),
 		commandRate:      make(map[connKey]float64),
@@ -138,14 +145,14 @@ func Train(a *core.Analyzer) (*Baseline, error) {
 		ck := connKey{Server: a.Name(key.Server), Outstation: a.Name(key.Outstation)}
 		vocab, ok := b.conns[ck]
 		if !ok {
-			vocab = make(map[string]bool)
+			vocab = make(map[iec104.Token]bool)
 			b.conns[ck] = vocab
 		}
 		stream := a.TokenStream(key)
 		b.bigram.Train(stream)
 		commands := 0
 		for _, t := range stream {
-			vocab[t.String()] = true
+			vocab[t] = true
 			if t.IsCommand() {
 				commands++
 			}
@@ -232,10 +239,10 @@ func (b *Baseline) Scan(a *core.Analyzer) []Alert {
 		}
 		stream := a.TokenStream(key)
 		commands := 0
-		newTokens := map[string]bool{}
+		newTokens := map[iec104.Token]bool{}
 		for _, t := range stream {
-			if known && !vocab[t.String()] && !newTokens[t.String()] {
-				newTokens[t.String()] = true
+			if known && !vocab[t] && !newTokens[t] {
+				newTokens[t] = true
 				sev := 1
 				if t.IsCommand() {
 					sev = 3 // a brand-new command type is the Industroyer pattern

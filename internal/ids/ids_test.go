@@ -1,7 +1,6 @@
 package ids
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -14,34 +13,8 @@ import (
 // attack) and runs the pipeline.
 func buildAnalyzer(t testing.TB, seed int64, attack *scadasim.AttackConfig) (*core.Analyzer, *scadasim.Trace) {
 	t.Helper()
-	cfg := scadasim.DefaultConfig(topology.Y1, seed)
-	cfg.Duration = 4 * time.Minute
-	cfg.CyclePeriod = 100 * time.Minute // keep baseline vocabularies stable
-	sim, err := scadasim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attack != nil {
-		if attack.At.IsZero() {
-			attack.At = cfg.Start.Add(2 * time.Minute)
-		}
-		if _, err := sim.InjectAttack(tr, *attack); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := tr.WritePCAP(&buf); err != nil {
-		t.Fatal(err)
-	}
-	a := core.NewAnalyzer(core.NamesFromTopology(sim.Network()))
-	if err := a.ReadPCAP(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return a, tr
+	capture, sim, tr := goldenCapture(t, shortConfig(seed), attack)
+	return goldenAnalyzer(t, sim, false, nil, capture), tr
 }
 
 func TestCleanTrafficScansQuiet(t *testing.T) {

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"time"
 
 	"uncharted/internal/core"
 	"uncharted/internal/iec104"
+	"uncharted/internal/physical"
 )
 
 // Monitor is the online counterpart of Baseline.Scan: it implements
@@ -17,6 +19,13 @@ import (
 // offline scanner's thresholds exactly. Dialect-change detection needs
 // a settled per-endpoint profile and stays a Scan-time check.
 //
+// Cost model: everything a frame's checks need is resolved once, on
+// its connection's first frame, into one connState. A steady-state
+// frame costs that value-keyed lookup, one token-keyed vocabulary
+// lookup, one bigram score and an integer-keyed lookup per information
+// object — no string is built and nothing allocated until an alert
+// fires.
+//
 // A Monitor is not safe for concurrent use: attach one per analyzer
 // (the streaming engine runs one per shard) and serialise the sink if
 // alerts from several monitors converge.
@@ -24,25 +33,52 @@ type Monitor struct {
 	b    *Baseline
 	sink func(Alert)
 
+	// flows is the per-frame lookup. Alerts are about names, so address
+	// pairs that resolve to one pair of names share a state (conns) and
+	// connections to one outstation share its point table (stations).
+	flows    map[core.ConnKey]*connState
+	conns    map[connKey]*connState
+	stations map[string]map[uint32]*pointState
+	// alertedEndpoint is read only when a flow is resolved: an address
+	// is first seen on the first frame of some flow.
 	alertedEndpoint map[netip.Addr]bool
-	alertedConn     map[connKey]bool
-	alertedToken    map[connKey]map[string]bool
-	alertedPoint    map[pointKey]bool
-	alertedRange    map[pointKey]bool
-	alertedBurst    map[connKey]bool
-	alertedSeq      map[connKey]bool
-
-	conns map[connKey]*connState
+	// scoreSeq: the baseline has a perplexity ceiling and a language
+	// model to score against.
+	scoreSeq bool
 
 	alerts int
 }
 
-// connState is the rolling per-connection window the sequence and
+// connState is one logical connection: what the baseline allows on it,
+// what has already alerted, and the window the sequence and
 // command-burst checks score.
 type connState struct {
-	tokens   int
-	commands int
-	recent   []iec104.Token
+	server, outstation string
+	vocab              map[iec104.Token]bool // baseline vocabulary; nil: the baseline never saw this connection
+	baseRate           float64               // baseline commands per APDU
+	points             map[uint32]*pointState
+
+	alertedTokens            map[iec104.Token]bool
+	alertedBurst, alertedSeq bool
+
+	tokens, commands int
+	// The perplexity window is the last seqWindow tokens, of which only
+	// the bigram terms are ever read: logProb[i%seqWindow] is the
+	// smoothed log-probability of the bigram ending at token i, computed
+	// once, when that token arrives. Periodic traffic repeats one
+	// transition for long runs, so the last term is memoised by its
+	// (memoFrom, prev) bigram.
+	prev, memoFrom iec104.Token
+	memo           float64
+	logProb        [seqWindow]float64
+}
+
+// pointState is one information object of an outstation: its widened
+// baseline envelope, or (vr nil) a point the baseline never saw.
+type pointState struct {
+	vr      *valueRange
+	lo, hi  float64
+	alerted bool
 }
 
 // seqWindow bounds the token window scored for perplexity;
@@ -58,18 +94,21 @@ const (
 // NewMonitor wraps a trained baseline for live checking. sink receives
 // every alert as it fires; a nil sink only counts.
 func NewMonitor(b *Baseline, sink func(Alert)) *Monitor {
-	return &Monitor{
+	m := &Monitor{
 		b:               b,
 		sink:            sink,
-		alertedEndpoint: make(map[netip.Addr]bool),
-		alertedConn:     make(map[connKey]bool),
-		alertedToken:    make(map[connKey]map[string]bool),
-		alertedPoint:    make(map[pointKey]bool),
-		alertedRange:    make(map[pointKey]bool),
-		alertedBurst:    make(map[connKey]bool),
-		alertedSeq:      make(map[connKey]bool),
+		flows:           make(map[core.ConnKey]*connState),
 		conns:           make(map[connKey]*connState),
+		stations:        make(map[string]map[uint32]*pointState),
+		alertedEndpoint: make(map[netip.Addr]bool),
+		scoreSeq:        b.worstPerplexity > 0 && b.bigram.VocabSize() > 0,
 	}
+	for pk, vr := range b.points {
+		ps := &pointState{vr: vr}
+		ps.lo, ps.hi = b.bounds(vr)
+		m.station(pk.Station)[pk.IOA] = ps
+	}
+	return m
 }
 
 // Alerts returns how many alerts have fired so far.
@@ -82,9 +121,13 @@ func (m *Monitor) emit(kind AlertKind, sev int, subject, format string, args ...
 	}
 }
 
-// ObserveFrame implements core.FrameObserver.
-func (m *Monitor) ObserveFrame(ev core.FrameEvent) {
-	for _, addr := range []netip.Addr{ev.Conn.Server, ev.Conn.Outstation} {
+func (cs *connState) label() string { return cs.server + "-" + cs.outstation }
+
+// resolve handles a flow's first frame: the endpoint and connection
+// whitelist checks, which depend only on who is talking, and the lookup
+// of everything later frames need.
+func (m *Monitor) resolve(ev *core.FrameEvent) *connState {
+	for _, addr := range [2]netip.Addr{ev.Conn.Server, ev.Conn.Outstation} {
 		if !m.b.endpoints[addr] && !m.alertedEndpoint[addr] {
 			m.alertedEndpoint[addr] = true
 			name := ev.Server
@@ -95,116 +138,137 @@ func (m *Monitor) ObserveFrame(ev core.FrameEvent) {
 				"address %s speaks IEC 104 but is not in the baseline", addr)
 		}
 	}
-
 	ck := connKey{Server: ev.Server, Outstation: ev.Outstation}
-	label := ev.Server + "-" + ev.Outstation
-	vocab, known := m.b.conns[ck]
-	if !known && !m.alertedConn[ck] {
-		m.alertedConn[ck] = true
-		m.emit(AlertNewConnection, 2, label, "no baseline traffic between these endpoints")
+	cs := m.conns[ck]
+	if cs == nil {
+		cs = &connState{
+			server:     ev.Server,
+			outstation: ev.Outstation,
+			vocab:      m.b.conns[ck],
+			baseRate:   m.b.commandRate[ck],
+			points:     m.station(ev.Outstation),
+		}
+		m.conns[ck] = cs
+		if cs.vocab == nil {
+			m.emit(AlertNewConnection, 2, cs.label(), "no baseline traffic between these endpoints")
+		}
+	}
+	m.flows[ev.Conn] = cs
+	return cs
+}
+
+// station returns an outstation's point table (empty for one the
+// baseline never saw).
+func (m *Monitor) station(name string) map[uint32]*pointState {
+	points := m.stations[name]
+	if points == nil {
+		points = make(map[uint32]*pointState)
+		m.stations[name] = points
+	}
+	return points
+}
+
+// ObserveFrame implements core.FrameObserver.
+func (m *Monitor) ObserveFrame(ev core.FrameEvent) {
+	cs := m.flows[ev.Conn]
+	if cs == nil {
+		cs = m.resolve(&ev)
 	}
 
 	tok := ev.Token
 	isCommand := tok.IsCommand()
-	if known && !vocab[tok.String()] {
-		seen := m.alertedToken[ck]
-		if seen == nil {
-			seen = make(map[string]bool)
-			m.alertedToken[ck] = seen
+	if cs.vocab != nil && !cs.vocab[tok] && !cs.alertedTokens[tok] {
+		if cs.alertedTokens == nil {
+			cs.alertedTokens = make(map[iec104.Token]bool)
 		}
-		if !seen[tok.String()] {
-			seen[tok.String()] = true
-			sev := 1
-			if isCommand {
-				sev = 3 // a brand-new command type is the Industroyer pattern
-			}
-			m.emit(AlertNewToken, sev, label, "token %s outside baseline vocabulary", tok)
+		cs.alertedTokens[tok] = true
+		sev := 1
+		if isCommand {
+			sev = 3 // a brand-new command type is the Industroyer pattern
 		}
+		m.emit(AlertNewToken, sev, cs.label(), "token %s outside baseline vocabulary", tok)
 	}
 
-	cs := m.conns[ck]
-	if cs == nil {
-		cs = &connState{}
-		m.conns[ck] = cs
+	scoring := m.scoreSeq && !cs.alertedSeq
+	if scoring && cs.tokens > 0 {
+		if cs.tokens == 1 || tok != cs.prev || cs.prev != cs.memoFrom {
+			// The model is a non-empty bigram, so SmoothedProb cannot
+			// fail and its result is positive.
+			p, _ := m.b.bigram.SmoothedProb([]iec104.Token{cs.prev, tok})
+			cs.memo = math.Log(p)
+		}
+		cs.logProb[cs.tokens%seqWindow] = cs.memo
 	}
+	cs.memoFrom, cs.prev = cs.prev, tok
 	cs.tokens++
 	if isCommand {
 		cs.commands++
 	}
-	cs.recent = append(cs.recent, tok)
-	if len(cs.recent) > seqWindow {
-		cs.recent = cs.recent[len(cs.recent)-seqWindow:]
-	}
 
-	if cs.tokens >= minBurstTokens && !m.alertedBurst[ck] {
+	if cs.tokens >= minBurstTokens && !cs.alertedBurst {
 		rate := float64(cs.commands) / float64(cs.tokens)
-		base := m.b.commandRate[ck]
-		if rate > 0.2 && rate > 4*base+0.05 {
-			m.alertedBurst[ck] = true
-			m.emit(AlertCommandBurst, 3, label,
-				"command rate %.0f%% of APDUs (baseline %.0f%%)", 100*rate, 100*base)
+		if rate > 0.2 && rate > 4*cs.baseRate+0.05 {
+			cs.alertedBurst = true
+			m.emit(AlertCommandBurst, 3, cs.label(),
+				"command rate %.0f%% of APDUs (baseline %.0f%%)", 100*rate, 100*cs.baseRate)
 		}
 	}
 
-	if cs.tokens%seqCheckEvery == 0 && !m.alertedSeq[ck] && m.b.worstPerplexity > 0 {
-		if p, err := m.b.bigram.Perplexity(cs.recent); err == nil &&
-			p > m.b.PerplexityFactor*m.b.worstPerplexity {
-			m.alertedSeq[ck] = true
-			m.emit(AlertSequence, 2, label,
+	if scoring && cs.tokens%seqCheckEvery == 0 {
+		if p := cs.perplexity(); p > m.b.PerplexityFactor*m.b.worstPerplexity {
+			cs.alertedSeq = true
+			m.emit(AlertSequence, 2, cs.label(),
 				"token-sequence perplexity %.1f exceeds baseline ceiling %.1f",
 				p, m.b.worstPerplexity)
 		}
 	}
 
 	if ev.ASDU != nil {
-		m.observeObjects(ev)
+		m.observeObjects(cs, ev.ASDU, !ev.FromOutstation)
 	}
 }
 
+// perplexity scores the window: its bigrams' cached terms summed
+// oldest first — the additions markov.NGram.SequenceLogProb makes, in
+// its order, so the result is bit-identical to Perplexity(window).
+func (cs *connState) perplexity() float64 {
+	window := cs.tokens
+	if window > seqWindow {
+		window = seqWindow
+	}
+	var lp float64
+	for i := cs.tokens - window + 1; i < cs.tokens; i++ {
+		lp += cs.logProb[i%seqWindow]
+	}
+	return math.Exp(-lp / float64(window-1))
+}
+
 // observeObjects applies the point-whitelist and operating-envelope
-// checks to each value-bearing information object, mirroring the
+// checks to each value-bearing information object, under the
 // extraction rules of physical.Store.Feed: the station is always the
 // outstation side, control-direction frames are commands.
-func (m *Monitor) observeObjects(ev core.FrameEvent) {
-	command := !ev.FromOutstation
-	for _, obj := range ev.ASDU.Objects {
-		var v float64
-		switch obj.Value.Kind {
-		case iec104.KindFloat, iec104.KindNormalized, iec104.KindScaled,
-			iec104.KindSingle, iec104.KindDouble, iec104.KindStep,
-			iec104.KindCounter, iec104.KindCommand:
-			v = obj.Value.Float
-		default:
-			continue
-		}
-		pk := pointKey{Station: ev.Outstation, IOA: obj.IOA}
-		vr, knownPoint := m.b.points[pk]
-		if !knownPoint {
-			if !m.alertedPoint[pk] {
-				m.alertedPoint[pk] = true
-				sev := 1
-				if command {
-					sev = 3
-				}
-				m.emit(AlertUnknownPoint, sev, pk.Station,
-					"IOA %d (%s) never seen in baseline", pk.IOA, ev.ASDU.Type.Acronym())
+func (m *Monitor) observeObjects(cs *connState, asdu *iec104.ASDU, command bool) {
+	physical.EachValue(asdu, time.Time{}, func(ioa uint32, _ time.Time, v float64) {
+		ps := cs.points[ioa]
+		switch {
+		case ps == nil:
+			cs.points[ioa] = &pointState{alerted: true}
+			sev := 1
+			if command {
+				sev = 3
 			}
-			continue
-		}
-		if m.alertedRange[pk] {
-			continue
-		}
-		lo, hi := m.b.bounds(vr)
-		if v < lo || v > hi {
-			m.alertedRange[pk] = true
+			m.emit(AlertUnknownPoint, sev, cs.outstation,
+				"IOA %d (%s) never seen in baseline", ioa, asdu.Type.Acronym())
+		case !ps.alerted && (v < ps.lo || v > ps.hi):
+			ps.alerted = true
 			sev := 2
 			if command {
 				sev = 3
 			}
-			m.emit(AlertValueRange, sev, fmt.Sprintf("%s/%d", pk.Station, pk.IOA),
-				"value %.4g outside baseline [%.4g, %.4g]", v, vr.Min, vr.Max)
+			m.emit(AlertValueRange, sev, fmt.Sprintf("%s/%d", cs.outstation, ioa),
+				"value %.4g outside baseline [%.4g, %.4g]", v, ps.vr.Min, ps.vr.Max)
 		}
-	}
+	})
 }
 
 // bounds widens a point's baseline envelope by the configured margin:

@@ -8,6 +8,7 @@ import (
 	"uncharted/internal/iec104"
 	"uncharted/internal/markov"
 	"uncharted/internal/physical"
+	"uncharted/internal/protocol"
 )
 
 // BaselineState is a Baseline's full serializable state in canonical
@@ -74,7 +75,7 @@ func (b *Baseline) State() BaselineState {
 	for ck, vocab := range b.conns {
 		cv := ConnVocab{Server: ck.Server, Outstation: ck.Outstation}
 		for t := range vocab {
-			cv.Tokens = append(cv.Tokens, t)
+			cv.Tokens = append(cv.Tokens, t.String())
 		}
 		sort.Strings(cv.Tokens)
 		s.Conns = append(s.Conns, cv)
@@ -114,11 +115,13 @@ func (b *Baseline) State() BaselineState {
 	return s
 }
 
-// BaselineFromState rebuilds a trained baseline from a snapshot.
+// BaselineFromState rebuilds a trained baseline from a snapshot. The
+// snapshot is untrusted (drift.DecodeBaseline hands it over): a token
+// text protocol.ParseToken rejects is an error, never a dropped entry.
 func BaselineFromState(s BaselineState) (*Baseline, error) {
 	b := &Baseline{
 		endpoints:        make(map[netip.Addr]bool, len(s.Endpoints)),
-		conns:            make(map[connKey]map[string]bool, len(s.Conns)),
+		conns:            make(map[connKey]map[iec104.Token]bool, len(s.Conns)),
 		points:           make(map[pointKey]*valueRange, len(s.Points)),
 		profiles:         make(map[string]iec104.Profile, len(s.Profiles)),
 		commandRate:      make(map[connKey]float64, len(s.Rates)),
@@ -135,8 +138,12 @@ func BaselineFromState(s BaselineState) (*Baseline, error) {
 		b.endpoints[a] = true
 	}
 	for _, cv := range s.Conns {
-		vocab := make(map[string]bool, len(cv.Tokens))
-		for _, t := range cv.Tokens {
+		vocab := make(map[iec104.Token]bool, len(cv.Tokens))
+		for _, text := range cv.Tokens {
+			t, err := protocol.ParseToken(text)
+			if err != nil {
+				return nil, fmt.Errorf("ids: restore baseline: vocabulary of %s-%s: %w", cv.Server, cv.Outstation, err)
+			}
 			vocab[t] = true
 		}
 		b.conns[connKey{Server: cv.Server, Outstation: cv.Outstation}] = vocab

@@ -15,6 +15,12 @@
 // count are derived from the table, never stored. The position in a
 // token stream (the previous token, which the next bigram needs) is
 // not the chain's business: it lives in the Cursor its writer holds.
+//
+// An NGram keys its counts the same way, by value: a gram's key is its
+// tokens' packed values (the chain's nodeKey) end to end, four bytes a
+// token, whatever the order, built in a stack buffer per lookup. Token
+// text appears only in the serialized forms (ChainState, NGramState),
+// which keep their sorted textual order so encodings do not change.
 package markov
 
 import (
@@ -24,6 +30,7 @@ import (
 	"strings"
 
 	"uncharted/internal/iec104"
+	"uncharted/internal/protocol"
 )
 
 // Edge is one observed transition with its MLE probability.
@@ -55,6 +62,11 @@ type Cursor struct {
 // nodeKey packs a token into its sort key.
 func nodeKey(t iec104.Token) uint32 {
 	return uint32(t.Proto)<<24 | uint32(t.Kind)<<16 | uint32(t.Code)
+}
+
+// tokenOf is nodeKey's inverse.
+func tokenOf(k uint32) iec104.Token {
+	return iec104.Token{Proto: protocol.ID(k >> 24), Kind: uint8(k >> 16), Code: uint16(k)}
 }
 
 // edgeKey packs a transition into its sort key: by source, then target.

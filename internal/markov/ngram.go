@@ -1,9 +1,9 @@
 package markov
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 
 	"uncharted/internal/iec104"
 )
@@ -11,12 +11,26 @@ import (
 // NGram is an order-n language model over APDU tokens with maximum
 // likelihood estimation (the paper's equations (1) and (2)) and
 // optional add-one smoothing for scoring unseen sequences.
+//
+// Counts are keyed by value, never by text: a gram's key is its
+// tokens' packed values (nodeKey, big endian) end to end, four bytes
+// per token, so its context's key is that key less its last four bytes.
+// A lookup packs the key into a stack buffer and indexes the map with
+// it directly — no string is built, so scoring allocates nothing. The
+// textual form ("I13 S") exists only in State and NGramFromState.
 type NGram struct {
 	n      int
-	counts map[string]int // n-gram joint counts
-	ctx    map[string]int // (n-1)-gram context counts
-	vocab  map[string]bool
+	counts map[string]int // n-gram joint counts, by packed key
+	ctx    map[string]int // (n-1)-gram context counts, by packed key
+	vocab  map[iec104.Token]struct{}
 }
+
+// keyBytes is one token's share of a packed key; stackKey is the
+// scratch a lookup packs into (grams longer than 8 spill to the heap).
+const (
+	keyBytes = 4
+	stackKey = 8 * keyBytes
+)
 
 // NewNGram builds an empty model of order n (n >= 1).
 func NewNGram(n int) (*NGram, error) {
@@ -27,64 +41,69 @@ func NewNGram(n int) (*NGram, error) {
 		n:      n,
 		counts: make(map[string]int),
 		ctx:    make(map[string]int),
-		vocab:  make(map[string]bool),
+		vocab:  make(map[iec104.Token]struct{}),
 	}, nil
 }
 
 // Order returns n.
 func (m *NGram) Order() int { return m.n }
 
-func key(toks []iec104.Token) string {
-	parts := make([]string, len(toks))
-	for i, t := range toks {
-		parts[i] = t.String()
+// appendKey packs toks onto dst.
+func appendKey(dst []byte, toks []iec104.Token) []byte {
+	for _, t := range toks {
+		dst = binary.BigEndian.AppendUint32(dst, nodeKey(t))
 	}
-	return strings.Join(parts, " ")
+	return dst
 }
 
 // Train adds one token sequence to the model.
 func (m *NGram) Train(seq []iec104.Token) {
 	for _, t := range seq {
-		m.vocab[t.String()] = true
+		m.vocab[t] = struct{}{}
 	}
-	if len(seq) < m.n {
-		return
-	}
+	var buf [stackKey]byte
 	for i := 0; i+m.n <= len(seq); i++ {
-		gram := seq[i : i+m.n]
-		m.counts[key(gram)]++
-		m.ctx[key(gram[:m.n-1])]++
+		k := appendKey(buf[:0], seq[i:i+m.n])
+		m.counts[string(k)]++
+		m.ctx[string(k[:len(k)-keyBytes])]++
 	}
 }
 
 // VocabSize returns the number of distinct tokens seen.
 func (m *NGram) VocabSize() int { return len(m.vocab) }
 
+// lookup returns the joint count of gram and the count of its context.
+func (m *NGram) lookup(gram []iec104.Token) (joint, context int, err error) {
+	if len(gram) != m.n {
+		return 0, 0, fmt.Errorf("markov: gram length %d, model order %d", len(gram), m.n)
+	}
+	var buf [stackKey]byte
+	k := appendKey(buf[:0], gram)
+	return m.counts[string(k)], m.ctx[string(k[:len(k)-keyBytes])], nil
+}
+
 // Prob returns the MLE conditional probability of the last token of
 // gram given its n-1 predecessors. gram must have length n.
 func (m *NGram) Prob(gram []iec104.Token) (float64, error) {
-	if len(gram) != m.n {
-		return 0, fmt.Errorf("markov: gram length %d, model order %d", len(gram), m.n)
+	joint, c, err := m.lookup(gram)
+	if err != nil || c == 0 {
+		return 0, err
 	}
-	c := m.ctx[key(gram[:m.n-1])]
-	if c == 0 {
-		return 0, nil
-	}
-	return float64(m.counts[key(gram)]) / float64(c), nil
+	return float64(joint) / float64(c), nil
 }
 
 // SmoothedProb is Prob with add-one (Laplace) smoothing, usable for
 // scoring sequences containing unseen transitions.
 func (m *NGram) SmoothedProb(gram []iec104.Token) (float64, error) {
-	if len(gram) != m.n {
-		return 0, fmt.Errorf("markov: gram length %d, model order %d", len(gram), m.n)
+	joint, c, err := m.lookup(gram)
+	if err != nil {
+		return 0, err
 	}
 	v := len(m.vocab)
 	if v == 0 {
 		return 0, fmt.Errorf("markov: empty model")
 	}
-	c := m.ctx[key(gram[:m.n-1])]
-	return (float64(m.counts[key(gram)]) + 1) / (float64(c) + float64(v)), nil
+	return (float64(joint) + 1) / (float64(c) + float64(v)), nil
 }
 
 // SequenceLogProb scores a whole sequence via the chain rule (the

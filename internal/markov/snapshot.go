@@ -1,11 +1,14 @@
 package markov
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"uncharted/internal/iec104"
+	"uncharted/internal/protocol"
 )
 
 // TokenCount is one token's observation count in a ChainState.
@@ -74,10 +77,24 @@ type NGramState struct {
 	Vocab    []string
 }
 
+// keyText renders a packed gram key in the state's textual form: the
+// tokens' texts joined by single spaces (the empty key — the order-1
+// context — is the empty string).
+func keyText(k string) string {
+	var sb strings.Builder
+	for i := 0; i+keyBytes <= len(k); i += keyBytes {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(tokenOf(binary.BigEndian.Uint32([]byte(k[i : i+keyBytes]))).String())
+	}
+	return sb.String()
+}
+
 func sortedCounts(m map[string]int) []StringCount {
 	out := make([]StringCount, 0, len(m))
 	for k, v := range m {
-		out = append(out, StringCount{Key: k, Count: v})
+		out = append(out, StringCount{Key: keyText(k), Count: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -91,26 +108,56 @@ func (m *NGram) State() NGramState {
 		Contexts: sortedCounts(m.ctx),
 	}
 	for t := range m.vocab {
-		s.Vocab = append(s.Vocab, t)
+		s.Vocab = append(s.Vocab, t.String())
 	}
 	sort.Strings(s.Vocab)
 	return s
 }
 
-// NGramFromState rebuilds a model from a snapshot.
+// restoreCounts parses a state's textual counts into a packed-key map.
+// A decoded state is untrusted input: a token text the grammar rejects,
+// or a key that is not exactly n single-spaced tokens, is an error. A
+// key listed twice keeps its last count.
+func restoreCounts(dst map[string]int, src []StringCount, n int) error {
+	for _, c := range src {
+		var k []byte
+		if c.Key != "" {
+			for _, text := range strings.Split(c.Key, " ") {
+				t, err := protocol.ParseToken(text)
+				if err != nil {
+					return fmt.Errorf("markov: gram %q: %w", c.Key, err)
+				}
+				k = binary.BigEndian.AppendUint32(k, nodeKey(t))
+			}
+		}
+		if len(k) != n*keyBytes {
+			return fmt.Errorf("markov: gram %q is not %d tokens", c.Key, n)
+		}
+		dst[string(k)] = c.Count
+	}
+	return nil
+}
+
+// NGramFromState rebuilds a model from a snapshot. It fails — rather
+// than panicking or dropping the entry — on any token text
+// protocol.ParseToken rejects.
 func NGramFromState(s NGramState) (*NGram, error) {
 	m, err := NewNGram(s.N)
 	if err != nil {
 		return nil, fmt.Errorf("markov: restore n-gram: %w", err)
 	}
-	for _, c := range s.Counts {
-		m.counts[c.Key] = c.Count
+	if err := restoreCounts(m.counts, s.Counts, m.n); err != nil {
+		return nil, err
 	}
-	for _, c := range s.Contexts {
-		m.ctx[c.Key] = c.Count
+	if err := restoreCounts(m.ctx, s.Contexts, m.n-1); err != nil {
+		return nil, err
 	}
-	for _, t := range s.Vocab {
-		m.vocab[t] = true
+	for _, text := range s.Vocab {
+		t, err := protocol.ParseToken(text)
+		if err != nil {
+			return nil, fmt.Errorf("markov: restore n-gram vocabulary: %w", err)
+		}
+		m.vocab[t] = struct{}{}
 	}
 	return m, nil
 }

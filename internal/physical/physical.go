@@ -213,7 +213,8 @@ func (st *Store) SetMaxSamplesPerSeries(n int) {
 // and the historian write path share this extraction, so the in-memory
 // series and the durable history see identical samples.
 func EachValue(a *iec104.ASDU, at time.Time, fn func(ioa uint32, t time.Time, v float64)) {
-	for _, obj := range a.Objects {
+	for i := range a.Objects {
+		obj := &a.Objects[i] // an InfoObject is ~130 bytes: do not copy it per element
 		var v float64
 		switch obj.Value.Kind {
 		case iec104.KindFloat, iec104.KindNormalized, iec104.KindScaled,

@@ -41,6 +41,9 @@ func Pull(ctx context.Context, src Source, poll time.Duration, lane *trace.Lane,
 	// scratch is the record buffer: each raw record is read into it and
 	// copied out by the sink, so a single buffer serves the whole run.
 	var scratch []byte
+	// wait is the one quiet-point poll timer. It is only Reset after its
+	// tick was received, so no stale tick can be pending.
+	var wait *time.Timer
 	for {
 		select {
 		case <-ctx.Done():
@@ -75,10 +78,16 @@ func Pull(ctx context.Context, src Source, poll time.Duration, lane *trace.Lane,
 			if !sink.Flush(ctx) {
 				return ctx.Err()
 			}
+			if wait == nil {
+				wait = time.NewTimer(poll)
+				defer wait.Stop()
+			} else {
+				wait.Reset(poll)
+			}
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(poll):
+			case <-wait.C:
 			}
 		case errors.Is(err, io.EOF):
 			return nil
