@@ -65,13 +65,12 @@ func (a *Analyzer) ExtendedSessionFeatures() []ExtendedFeature {
 		if s.Packets > 0 {
 			meanPkt = float64(s.Bytes) / float64(s.Packets)
 		}
-		inter := interArrivals(s)
 		out = append(out, ExtendedFeature{
 			Src: a.Name(s.Key.Src), Dst: a.Name(s.Key.Dst),
 			Values: map[FeatureName]float64{
 				FeatDirection:    dir,
 				FeatMeanInterArr: s.MeanInterArrival(),
-				FeatStdInterArr:  stats.StdDev(inter),
+				FeatStdInterArr:  stats.StdDev(s.InterArrivals()),
 				FeatTotalBytes:   float64(s.Bytes),
 				FeatTotalPackets: float64(s.Packets),
 				FeatMeanPktSize:  meanPkt,
@@ -83,13 +82,6 @@ func (a *Analyzer) ExtendedSessionFeatures() []ExtendedFeature {
 		})
 	}
 	return out
-}
-
-// interArrivals reconstructs the gap series from the mean and count;
-// tcpflow keeps the raw gaps private, so approximate the spread from
-// first/last and packet count when unavailable.
-func interArrivals(s *tcpflow.Session) []float64 {
-	return s.InterArrivals()
 }
 
 // FeatureScore is one row of the selection report.

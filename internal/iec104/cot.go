@@ -52,9 +52,19 @@ var causeNames = map[Cause]string{
 	CauseUnknownIOA:   "unknown-ioa",
 }
 
+// causeIndex is causeNames laid out by cause value (the field is six
+// bits wide), built once: Valid runs per ASDU and indexes it instead of
+// hashing. An empty name means the map has no entry.
+var causeIndex = func() (idx [64]string) {
+	for c, name := range causeNames {
+		idx[c] = name
+	}
+	return idx
+}()
+
 func (c Cause) String() string {
-	if n, ok := causeNames[c]; ok {
-		return n
+	if c < 64 && causeIndex[c] != "" {
+		return causeIndex[c]
 	}
 	if c >= 21 && c <= 36 {
 		return fmt.Sprintf("inro%d", c-20)
@@ -64,10 +74,7 @@ func (c Cause) String() string {
 
 // Valid reports whether c is a cause value defined by the standard.
 func (c Cause) Valid() bool {
-	if _, ok := causeNames[c]; ok {
-		return true
-	}
-	return c >= 21 && c <= 36
+	return c < 64 && causeIndex[c] != "" || c >= 21 && c <= 36
 }
 
 // COT is the full cause-of-transmission field. In IEC 104 it occupies

@@ -163,12 +163,21 @@ var typeTable = map[TypeID]typeInfo{
 	FScNb: {"F_SC_NB_1", "Query log, request archive file", 16, false},
 }
 
+// typeIndex is typeTable laid out by type identification, built once:
+// the per-ASDU lookups index it instead of hashing. An empty acronym
+// means the map has no entry.
+var typeIndex = func() (idx [256]typeInfo) {
+	for t, ti := range typeTable {
+		idx[t] = ti
+	}
+	return idx
+}()
+
 // Supported reports whether t is one of the 54 type identifications
 // IEC 104 carries over TCP/IP (IEC 101 defines 127; IEC 104 supports
 // only this subset).
 func Supported(t TypeID) bool {
-	_, ok := typeTable[t]
-	return ok
+	return typeIndex[t].acronym != ""
 }
 
 // SupportedTypeIDs returns the 54 supported type identifications in
@@ -186,16 +195,16 @@ func SupportedTypeIDs() []TypeID {
 // Acronym returns the standard acronym for t (e.g. "M_ME_TF_1"), or a
 // numeric placeholder for unsupported types.
 func (t TypeID) Acronym() string {
-	if ti, ok := typeTable[t]; ok {
-		return ti.acronym
+	if a := typeIndex[t].acronym; a != "" {
+		return a
 	}
 	return fmt.Sprintf("TYPE_%d", uint8(t))
 }
 
 // Description returns the standard's prose description of t.
 func (t TypeID) Description() string {
-	if ti, ok := typeTable[t]; ok {
-		return ti.desc
+	if Supported(t) {
+		return typeIndex[t].desc
 	}
 	return "unsupported type identification"
 }
@@ -206,8 +215,8 @@ func (t TypeID) String() string { return t.Acronym() }
 // octets (excluding the IOA) and whether the size is fixed. Variable-
 // size types (file segments) return (0, false).
 func (t TypeID) ElementSize() (int, bool) {
-	ti, ok := typeTable[t]
-	if !ok || ti.variable {
+	ti := &typeIndex[t]
+	if !Supported(t) || ti.variable {
 		return 0, false
 	}
 	return ti.elemSize, true

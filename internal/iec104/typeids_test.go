@@ -1,6 +1,7 @@
 package iec104
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -255,5 +256,53 @@ func TestClampNVA(t *testing.T) {
 	got, _ = ParseASDU(b, Standard)
 	if got.Objects[0].Value.Float < -1 {
 		t.Fatalf("under-range normalized value %v not clamped", got.Objects[0].Value.Float)
+	}
+}
+
+// TestTableLookupsMatchMaps: the arrays the per-ASDU lookups index
+// answer exactly as the maps they were built from, for every type
+// identification and every cause value an octet can carry.
+func TestTableLookupsMatchMaps(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		id := TypeID(i)
+		ti, ok := typeTable[id]
+		if Supported(id) != ok {
+			t.Errorf("type %d: Supported %v, map %v", i, Supported(id), ok)
+		}
+		wantSize, wantFixed := 0, false
+		wantAcr, wantDesc := "TYPE_"+strconv.Itoa(i), "unsupported type identification"
+		if ok {
+			wantAcr, wantDesc = ti.acronym, ti.desc
+			if !ti.variable {
+				wantSize, wantFixed = ti.elemSize, true
+			}
+		}
+		if size, fixed := id.ElementSize(); size != wantSize || fixed != wantFixed {
+			t.Errorf("type %d: ElementSize %d,%v, map %d,%v", i, size, fixed, wantSize, wantFixed)
+		}
+		if id.Acronym() != wantAcr || id.Description() != wantDesc {
+			t.Errorf("type %d: %q / %q, map %q / %q", i, id.Acronym(), id.Description(), wantAcr, wantDesc)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		c := Cause(i)
+		name, ok := causeNames[c]
+		group := i >= 21 && i <= 36
+		if c.Valid() != (ok || group) {
+			t.Errorf("cause %d: Valid %v, map %v", i, c.Valid(), ok || group)
+		}
+		switch {
+		case ok:
+		case group:
+			name = "inro" + strconv.Itoa(i-20)
+		default:
+			name = "cause(" + strconv.Itoa(i) + ")"
+		}
+		if c.String() != name {
+			t.Errorf("cause %d: %q, want %q", i, c.String(), name)
+		}
+	}
+	if len(SupportedTypeIDs()) != len(typeTable) {
+		t.Errorf("%d supported type IDs, map has %d", len(SupportedTypeIDs()), len(typeTable))
 	}
 }

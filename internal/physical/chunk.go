@@ -1,0 +1,174 @@
+package physical
+
+import (
+	"math/bits"
+	"sort"
+	"time"
+)
+
+// Sample storage. A store appends to fixed chunks carved from slabs it
+// owns, so a sample is written once and never copied because its series
+// grew; a series is copied into one exact-size slice only when somebody
+// asks to read it. The sizes below are derived from what a series (or
+// the store) already holds, the way append's growth is, and are not
+// settings.
+const (
+	// A chunk is one of chunkClasses powers of two from minChunk samples up,
+	// about an eighth of what its series holds when it is added: the
+	// unfilled end of a series stays a bounded fraction of it (every
+	// series of every shard carries one), and a long series still grows
+	// by few chunks.
+	minChunk     = 32
+	chunkClasses = 5 // 32, 64, 128, 256, 512
+	// Chunks are carved from slabs, so a chunk costs no allocation of
+	// its own. A slab is as large as everything carved before it, within
+	// these bounds (in samples), and a multiple of the largest chunk.
+	minSlab = 1 << 10
+	maxSlab = 16 << 10
+	// chunkHeaders is the initial capacity of a series' chunk list.
+	chunkHeaders = 8
+)
+
+// chunkClass returns the size class of the chunk a series holding n
+// samples takes next: the largest power of two not above n/8, within
+// the chunk classes. A chunk of class c holds minChunk<<c samples.
+func chunkClass(n int) int {
+	c := bits.Len(uint(n)/(8*minChunk)) - 1
+	return max(0, min(c, chunkClasses-1))
+}
+
+// grow gives s a new last chunk — one a series gave back if there is
+// one of the right size, otherwise a piece of the slab — and returns it.
+func (st *Store) grow(s *Series) []Sample {
+	c := chunkClass(s.Len())
+	var chunk []Sample
+	if f := st.free[c]; len(f) > 0 {
+		chunk, st.free[c] = f[len(f)-1], f[:len(f)-1]
+	} else {
+		chunk = st.carve(minChunk << c)
+	}
+	if s.chunks == nil {
+		s.chunks = make([][]Sample, 0, chunkHeaders)
+	}
+	s.chunks = append(s.chunks, chunk)
+	s.fill = 0
+	return chunk
+}
+
+// carve cuts a chunk of size samples off the slab, starting a new slab
+// when the current one cannot hold it. What is left of the old slab is a
+// multiple of minChunk and goes to the free lists as whole chunks.
+func (st *Store) carve(size int) []Sample {
+	if len(st.slab) < size {
+		for rest := st.slab; len(rest) > 0; {
+			n := minChunk << (bits.Len(uint(len(rest))/minChunk) - 1)
+			st.release(rest[:n:n])
+			rest = rest[n:]
+		}
+		n := max(minSlab, min(st.carved, maxSlab))
+		st.slab = make([]Sample, n)
+		st.carved += n
+	}
+	chunk := st.slab[:size:size]
+	st.slab = st.slab[size:]
+	return chunk
+}
+
+// release puts a whole chunk on its size class's free list.
+func (st *Store) release(chunk []Sample) {
+	c := bits.TrailingZeros(uint(len(chunk) / minChunk))
+	st.free[c] = append(st.free[c], chunk)
+}
+
+// live returns the samples of s.chunks[i] that are part of the series.
+func (s *Series) live(i int) []Sample {
+	c := s.chunks[i]
+	if i == len(s.chunks)-1 {
+		c = c[:s.fill]
+	}
+	if i == 0 {
+		c = c[s.head:]
+	}
+	return c
+}
+
+// contiguous makes Samples hold the whole retained window. A series
+// without a tail — a hand-built one always — is left as it is.
+func (s *Series) contiguous() {
+	if len(s.chunks) > 0 {
+		s.st.compact(s, 0)
+	}
+}
+
+// compact copies s's tail behind its Samples into one slice with room
+// for exactly spare more, and gives the chunks back.
+func (st *Store) compact(s *Series, spare int) {
+	out := make([]Sample, 0, s.Len()+spare)
+	out = append(out, s.Samples...)
+	for i, c := range s.chunks {
+		out = append(out, s.live(i)...)
+		st.release(c)
+	}
+	s.Samples = out
+	clear(s.chunks) // a stale chunk header would keep its slab alive
+	s.chunks = s.chunks[:0]
+	s.head, s.fill, s.tail = 0, 0, 0
+}
+
+// insertLate stores a sample older than the series' last: the series
+// is made contiguous (with the slot reserved, so the insert does not
+// regrow it), the sample is shifted into place, and the running digest
+// is re-folded over the history in its new order — evicted prefix, then
+// the window — so that in-order samples after it continue the same
+// sequence of updates a fold of the whole history would make. Both are
+// O(window), once per late sample.
+func (st *Store) insertLate(s *Series, ts time.Time, v float64) {
+	if len(s.chunks) > 0 {
+		st.compact(s, 1)
+	}
+	idx := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].T.After(ts) })
+	s.Samples = append(s.Samples, Sample{})
+	copy(s.Samples[idx+1:], s.Samples[idx:])
+	s.Samples[idx] = Sample{T: ts, V: v}
+	s.running = s.evicted
+	for _, smp := range s.Samples {
+		s.running.observeValue(smp.V)
+	}
+}
+
+// evict folds the n oldest retained samples (fewer than the series
+// holds) into the series' evicted digest and drops them. Evicting down
+// to half the cap, rather than one sample at a time, keeps the amortized
+// cost O(1) per fed sample. Whole chunks go back to the free lists; a
+// chunk that keeps some samples is not re-sliced — it would no longer
+// match a size class and could never be reused — its head offset moves.
+func (st *Store) evict(s *Series, n int) {
+	s.nEvicted += n
+	if k := min(n, len(s.Samples)); k > 0 {
+		s.evicted.observeAll(s.Samples[:k])
+		if s.Samples = s.Samples[k:]; len(s.Samples) == 0 {
+			s.Samples = nil
+		}
+		n -= k
+	}
+	drop := 0
+	for n > 0 { // n is less than the tail holds: it ends inside a chunk's live part
+		c := s.chunks[drop][s.head:]
+		k := min(n, len(c))
+		s.evicted.observeAll(c[:k])
+		n -= k
+		s.tail -= k
+		if k < len(c) {
+			s.head += k
+			break
+		}
+		st.release(s.chunks[drop])
+		s.head = 0
+		drop++
+	}
+	// Slide the list down rather than re-slice its front, so appending to
+	// it does not reallocate for ever.
+	kept := copy(s.chunks, s.chunks[drop:])
+	clear(s.chunks[kept:])
+	s.chunks = s.chunks[:kept]
+}

@@ -105,29 +105,60 @@ func (d *Digest) observeValue(v float64) {
 	d.M2 += delta * (v - d.Mean)
 }
 
+// observeAll folds samples, in order.
+func (d *Digest) observeAll(samples []Sample) {
+	for _, smp := range samples {
+		d.observe(smp.T, smp.V)
+	}
+}
+
 // Digest summarises one series over its full history: the retained
 // window plus any samples evicted under the store's per-series cap.
-// It is the fold of every sample in time order. A series the store has
-// only ever appended to in time order has that fold ready — arrival
-// order was time order, so the running moments are the fold's and the
-// time bounds are its first and last samples' — which makes this O(1);
-// a series that took a late sample, or whose Samples were filled in by
-// hand, is re-folded from the evicted prefix and the retained window.
+// It is the fold of every sample in time order. A series only its store
+// has written to has that fold ready — the store keeps the running
+// moments in time order, late samples included, and the time bounds are
+// those of the window's ends and the evicted prefix — which makes this
+// O(1); a series whose Samples were filled in or appended to by hand is
+// re-folded from the evicted prefix and the retained window.
 func (s *Series) Digest() Digest {
 	d := s.running
-	if n := len(s.Samples); n > 0 && d.Count == n+s.nEvicted {
-		d.First, d.Last = s.Samples[0].T, s.Samples[n-1].T
+	if n := s.Len(); n > 0 && d.Count == n+s.nEvicted {
+		// Ties go to the evicted prefix, as they do in the fold. A late
+		// sample can sit in a capped window, so either end may be older
+		// or newer than the prefix's.
+		d.First, d.Last = s.first().T, s.last().T
 		if s.nEvicted > 0 {
-			d.First = s.evicted.First
+			if !d.First.Before(s.evicted.First) {
+				d.First = s.evicted.First
+			}
+			if !d.Last.After(s.evicted.Last) {
+				d.Last = s.evicted.Last
+			}
 		}
 	} else {
 		d = s.evicted
-		for _, smp := range s.Samples {
-			d.observe(smp.T, smp.V)
+		d.observeAll(s.Samples)
+		for i := range s.chunks {
+			d.observeAll(s.live(i))
 		}
 	}
 	d.Key, d.Type, d.Command = s.Key, s.Type, s.Command
 	return d
+}
+
+// first and last return the ends of a non-empty series' window.
+func (s *Series) first() Sample {
+	if len(s.Samples) > 0 {
+		return s.Samples[0]
+	}
+	return s.chunks[0][s.head]
+}
+
+func (s *Series) last() Sample {
+	if k := len(s.chunks); k > 0 {
+		return s.chunks[k-1][s.fill-1]
+	}
+	return s.Samples[len(s.Samples)-1]
 }
 
 // Digests summarises every series in first-seen order.

@@ -41,9 +41,8 @@ func isRunning(s *Series) bool { return s.running.Count == len(s.Samples)+s.nEvi
 // TestDigestsMatchRefold: over seeded random feeds — in time order,
 // with late samples, with runs of one timestamp; capped and uncapped;
 // through Feed and through FeedPoints — every series' Digest is
-// bit-equal to the evicted-then-window fold, a series fed in time order
-// answers from its running fold, and one that ever took a late sample
-// does not.
+// bit-equal to the evicted-then-window fold, and every series answers
+// from its running fold, one that took late samples included.
 func TestDigestsMatchRefold(t *testing.T) {
 	type shape struct {
 		name       string
@@ -99,9 +98,8 @@ func TestDigestsMatchRefold(t *testing.T) {
 						if !sameBits(digests[j], want) {
 							t.Fatalf("%v: digest %+v, refold %+v", s.Key, digests[j], want)
 						}
-						i := int(s.Key.IOA - 1000)
-						if isRunning(s) == sawLate[i] {
-							t.Fatalf("%v: took a late sample %v, answers from the running fold %v", s.Key, sawLate[i], isRunning(s))
+						if i := int(s.Key.IOA - 1000); !isRunning(s) {
+							t.Fatalf("%v (took a late sample: %v) does not answer from its running fold", s.Key, sawLate[i])
 						}
 						evicted += s.Evicted()
 					}
@@ -114,22 +112,36 @@ func TestDigestsMatchRefold(t *testing.T) {
 	}
 }
 
-// TestRunningDigestDoesNotRereadSamples: a series fed in time order
-// answers Digest without looking at its samples — scribbling over them
-// does not move it — which is what keeps a snapshot's cost independent
-// of how long the capture has run.
+// TestRunningDigestDoesNotRereadSamples: a store-fed series answers
+// Digest without looking at its samples — scribbling over them does not
+// move it — which is what keeps a snapshot's cost independent of how
+// long the capture has run. That holds for a series that took a late
+// sample too: the history is re-folded at the insert, not at the seal.
 func TestRunningDigestDoesNotRereadSamples(t *testing.T) {
 	st := NewStore()
 	for i := 0; i < 100; i++ {
-		st.FeedPoints("pmu", protocol.C37118, []protocol.Point{{IOA: 1, V: float64(i)}}, t0.Add(time.Duration(i)*time.Second))
+		at := t0.Add(time.Duration(i) * time.Second)
+		st.FeedPoints("pmu", protocol.C37118, []protocol.Point{{IOA: 1, V: float64(i)}}, at)
+		if i == 60 {
+			at = t0.Add(30500 * time.Millisecond) // late: belongs between samples 30 and 31
+		}
+		st.FeedPoints("pmu", protocol.C37118, []protocol.Point{{IOA: 2, V: float64(i)}}, at)
 	}
-	s, _ := st.Get(SeriesKey{Station: "pmu", IOA: 1})
-	want := s.Digest()
-	for i := range s.Samples {
-		s.Samples[i].V = -1
-	}
-	if got := s.Digest(); !sameBits(got, want) || got.Mean != 49.5 {
-		t.Fatalf("digest %+v after the samples were overwritten, %+v before", got, want)
+	for ioa := uint32(1); ioa <= 2; ioa++ {
+		s, _ := st.Get(SeriesKey{Station: "pmu", IOA: ioa})
+		if ioa == 2 && s.Samples[31].V != 60 {
+			t.Fatalf("late sample not in time order: %v", s.Samples[29:33])
+		}
+		want := s.Digest()
+		if !sameBits(want, refoldDigest(s)) {
+			t.Fatalf("ioa %d: digest %+v, refold %+v", ioa, want, refoldDigest(s))
+		}
+		for i := range s.Samples {
+			s.Samples[i].V = -1
+		}
+		if got := s.Digest(); !sameBits(got, want) || math.Abs(got.Mean-49.5) > 1e-12 {
+			t.Fatalf("ioa %d: digest %+v after the samples were overwritten, %+v before", ioa, got, want)
+		}
 	}
 }
 

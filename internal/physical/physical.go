@@ -4,6 +4,22 @@
 // normalized variance to find "interesting" events, and matching the
 // event signatures the paper builds — the generator-synchronisation
 // state machine of Fig. 21 and the unmet-load incident of Figs. 18/19.
+//
+// # Storage
+//
+// A Store writes each sample once. Feed and FeedPoints append to the
+// series' last chunk — a fixed-size piece of a slab the store owns —
+// and nothing already stored moves when a series grows; under
+// SetMaxSamplesPerSeries whole chunks are dropped from the front and
+// refilled by whoever grows next. A series becomes one contiguous,
+// exact-size Series.Samples slice only when somebody reads it:
+// Store.All, Get, ByStation and Ranked, and Series.At, Values and Sample
+// copy the chunked tail behind Samples and give the chunks back
+// (Len, Evicted, Digest and Store.Digests need no copy, so analysis
+// shards, which only ever seal digests, never pay for one). Reading an
+// uncapped store with All therefore costs one copy of what it returns.
+// A Store was always for one goroutine at a time; since a read may now
+// move samples, that includes its readers.
 package physical
 
 import (
@@ -71,15 +87,32 @@ type Series struct {
 	Type PointType
 	// Direction is true for control-direction objects (commands).
 	Command bool
+	// Samples is the retained window in time order. On a series a Store
+	// accessor hands out (All, Get, ByStation, Ranked) it holds the whole
+	// window at the moment of the call; feeding the store afterwards
+	// appends to the series' chunked tail, not here, so fetch the series
+	// again (or go through Len/Sample/At/Values, which make it contiguous
+	// first) to see what arrived since. A hand-built Series is just this
+	// slice.
 	Samples []Sample
 
-	// running folds the value of every sample the store appended at the
-	// end of Samples, as it arrived. While its count equals the series'
-	// whole history, arrival order was time order and it holds the
-	// series' count, range and moments; see Digest. (Kept next to
-	// Samples: the store writes both for every sample. The time bounds
-	// are not folded — they can be read off an ordered series, and a
-	// time.Time store per sample costs more than the arithmetic.)
+	// st is the store that feeds this series and owns its chunks; nil for
+	// a hand-built Series.
+	st *Store
+	// chunks is the tail: what the store appended since Samples was last
+	// made contiguous, in store-owned fixed-size chunks (len == cap, a
+	// size class). All but the last are full; head counts the samples of
+	// chunks[0] already evicted, fill the slots of the last chunk in use,
+	// tail the live samples in between. Every chunk holds at least one.
+	chunks           [][]Sample
+	head, fill, tail int
+
+	// running folds the value of every sample of the series' history —
+	// evicted ones included — in time order, so Digest is a copy. The
+	// store keeps it current: an in-order sample is folded as it arrives
+	// and a late one re-folds the history once, at the insert. (The time
+	// bounds are not folded — they can be read off an ordered series, and
+	// a time.Time store per sample costs more than the arithmetic.)
 	running Digest
 	// evicted summarises samples dropped under a store-level cap
 	// (SetMaxSamplesPerSeries), so moment statistics stay exact over
@@ -94,11 +127,14 @@ func (s *Series) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.Samples)
+	return len(s.Samples) + s.tail
 }
 
 // Sample implements View.
-func (s *Series) Sample(i int) Sample { return s.Samples[i] }
+func (s *Series) Sample(i int) Sample {
+	s.contiguous()
+	return s.Samples[i]
+}
 
 // Evicted returns how many samples were dropped under the store's
 // per-series cap (zero when uncapped).
@@ -106,6 +142,7 @@ func (s *Series) Evicted() int { return s.nEvicted }
 
 // Values returns the raw retained values.
 func (s *Series) Values() []float64 {
+	s.contiguous()
 	out := make([]float64, len(s.Samples))
 	for i, smp := range s.Samples {
 		out[i] = smp.V
@@ -125,6 +162,7 @@ func (s *Series) NormalizedVariance() float64 {
 
 // At returns the value in force at t (last sample not after t).
 func (s *Series) At(t time.Time) (float64, bool) {
+	s.contiguous()
 	if len(s.Samples) == 0 || t.Before(s.Samples[0].T) {
 		return 0, false
 	}
@@ -132,7 +170,10 @@ func (s *Series) At(t time.Time) (float64, bool) {
 	return s.Samples[idx-1].V, true
 }
 
-// Store accumulates series from parsed traffic.
+// Store accumulates series from parsed traffic. It is used from one
+// goroutine at a time, reads included: an accessor that hands out
+// series makes them contiguous first, which moves samples and recycles
+// chunks.
 type Store struct {
 	// stations is the one series index: station name, then point
 	// address. A frame's points all belong to one station, so the string
@@ -147,6 +188,12 @@ type Store struct {
 	// maxSamples, when non-zero, bounds retained samples per series:
 	// the oldest are folded into the series' digest and dropped.
 	maxSamples int
+	// slab is the unused end of the newest sample slab, carved holds how
+	// many samples of slab the store has allocated so far, and free lists
+	// the chunks series gave back, by size class; see chunk.go.
+	slab   []Sample
+	carved int
+	free   [chunkClasses][][]Sample
 }
 
 // NewStore returns an empty store.
@@ -168,28 +215,38 @@ func (st *Store) station(name string) map[uint32]*Series {
 
 // insert registers a new series under its key.
 func (st *Store) insert(s *Series) {
+	s.st = st
 	st.station(s.Key.Station)[s.Key.IOA] = s
 	st.order = append(st.order, s)
 }
 
-// add stores one sample, keeping Samples time-ordered (Series.At
+// add stores one sample, keeping the series time-ordered (Series.At
 // binary-searches by time; time-tagged retransmissions in ablation
 // mode or reordered captures may deliver an older timestamp late) and
-// within the store's per-series cap.
+// within the store's per-series cap. A sample is written once, into the
+// series' last chunk; nothing already stored moves when a series grows.
 func (st *Store) add(s *Series, ts time.Time, v float64) {
-	if n := len(s.Samples); n > 0 && ts.Before(s.Samples[n-1].T) {
-		idx := sort.Search(n, func(i int) bool { return s.Samples[i].T.After(ts) })
-		s.Samples = append(s.Samples, Sample{})
-		copy(s.Samples[idx+1:], s.Samples[idx:])
-		s.Samples[idx] = Sample{T: ts, V: v}
-		// Not folded into running, which thereby stays one short of
-		// the history for good: Digest re-folds this series from now on.
+	var last []Sample // the chunk being filled
+	var prev *Sample  // the series' newest sample
+	if k := len(s.chunks); k > 0 {
+		last = s.chunks[k-1]
+		prev = &last[s.fill-1]
+	} else if n := len(s.Samples); n > 0 {
+		prev = &s.Samples[n-1]
+	}
+	if prev != nil && ts.Before(prev.T) {
+		st.insertLate(s, ts, v)
 	} else {
-		s.Samples = append(s.Samples, Sample{T: ts, V: v})
+		if s.fill == len(last) {
+			last = st.grow(s)
+		}
+		last[s.fill] = Sample{T: ts, V: v}
+		s.fill++
+		s.tail++
 		s.running.observeValue(v)
 	}
-	if st.maxSamples > 0 && len(s.Samples) > st.maxSamples {
-		s.evictOldest(len(s.Samples) - st.maxSamples/2)
+	if st.maxSamples > 0 && s.Len() > st.maxSamples {
+		st.evict(s, s.Len()-st.maxSamples/2)
 	}
 }
 
@@ -242,45 +299,31 @@ func (st *Store) Feed(station string, a *iec104.ASDU, at time.Time, command bool
 	EachValue(a, at, func(ioa uint32, ts time.Time, v float64) {
 		s, ok := idx[ioa]
 		if !ok {
-			// Pre-size the sample buffer: telemetry series accumulate
-			// hundreds of points, and starting append's doubling at 64
-			// skips the six smallest growth steps — which otherwise
-			// repeat per series per analysis shard.
-			s = &Series{Key: SeriesKey{Station: station, IOA: ioa}, Type: IEC104Type(a.Type),
-				Command: command, Samples: make([]Sample, 0, 64)}
+			s = &Series{Key: SeriesKey{Station: station, IOA: ioa}, Type: IEC104Type(a.Type), Command: command}
 			st.insert(s)
 		}
 		st.add(s, ts, v)
 	})
 }
 
-// evictOldest folds the first n samples into the series' digest and
-// drops them, sliding the retained window forward. Evicting down to
-// half the cap (rather than one sample at a time) keeps the amortized
-// cost O(1) per fed sample.
-func (s *Series) evictOldest(n int) {
-	if n <= 0 {
-		return
-	}
-	if n > len(s.Samples) {
-		n = len(s.Samples)
-	}
-	for _, smp := range s.Samples[:n] {
-		s.evicted.observe(smp.T, smp.V)
-	}
-	s.nEvicted += n
-	kept := copy(s.Samples, s.Samples[n:])
-	s.Samples = s.Samples[:kept]
-}
-
 // Get returns one series.
 func (st *Store) Get(key SeriesKey) (*Series, bool) {
 	s, ok := st.stations[key.Station][key.IOA]
+	if ok {
+		s.contiguous()
+	}
 	return s, ok
 }
 
-// All returns every series in first-seen order.
+// All returns every series in first-seen order. Making them contiguous
+// costs one copy of every series that grew since it was last read; the
+// chunks they were copied from are all free afterwards, and the slabs
+// are let go rather than kept as a second copy's worth of free lists.
 func (st *Store) All() []*Series {
+	for _, s := range st.order {
+		s.contiguous()
+	}
+	st.slab, st.carved, st.free = nil, 0, [chunkClasses][][]Sample{}
 	return append(make([]*Series, 0, len(st.order)), st.order...)
 }
 
@@ -289,6 +332,7 @@ func (st *Store) ByStation(station string) []*Series {
 	var out []*Series
 	for _, s := range st.order {
 		if s.Key.Station == station {
+			s.contiguous()
 			out = append(out, s)
 		}
 	}
@@ -305,7 +349,8 @@ func (st *Store) Ranked(minSamples int) []*Series {
 	}
 	var ranked []scored
 	for _, s := range st.order {
-		if len(s.Samples)+s.nEvicted >= minSamples {
+		if s.Len()+s.nEvicted >= minSamples {
+			s.contiguous()
 			ranked = append(ranked, scored{s, s.NormalizedVariance()})
 		}
 	}

@@ -392,6 +392,7 @@ type Session struct {
 	Bytes        int
 	First, Last  time.Time
 	interArrival []float64 // seconds between consecutive packets
+	gapSum       float64   // their sum, added up as they are appended
 	lastSeen     time.Time
 }
 
@@ -407,11 +408,7 @@ func (s *Session) MeanInterArrival() float64 {
 	if len(s.interArrival) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, v := range s.interArrival {
-		sum += v
-	}
-	return sum / float64(len(s.interArrival))
+	return s.gapSum / float64(len(s.interArrival))
 }
 
 // Sessions groups packets into directional host-pair sessions.
@@ -449,7 +446,9 @@ func (ss *Sessions) Feed(pkt pcap.Packet) *Session {
 		ss.last[0], ss.last[1] = s, ss.last[0]
 	}
 	if s.Packets > 0 {
-		s.interArrival = append(s.interArrival, pkt.Info.Timestamp.Sub(s.lastSeen).Seconds())
+		gap := pkt.Info.Timestamp.Sub(s.lastSeen).Seconds()
+		s.interArrival = append(s.interArrival, gap)
+		s.gapSum += gap
 	}
 	s.Packets++
 	s.Bytes += len(pkt.IP.Payload)

@@ -236,6 +236,27 @@ func TestSessions(t *testing.T) {
 	}
 }
 
+// TestMeanInterArrivalMatchesGapList: the running gap sum makes the
+// same additions in the same order as summing the list did, so the mean
+// is bit-identical, however irregular the gaps.
+func TestMeanInterArrivalMatchesGapList(t *testing.T) {
+	ss := NewSessions()
+	at := t0
+	for i := 0; i < 5000; i++ {
+		at = at.Add(time.Duration(1+(i*7919)%1_000_003) * time.Microsecond)
+		ss.Feed(mkPacket(hostA, hostB, at, pcap.FlagACK, uint32(i), 1, []byte{1}))
+	}
+	s := ss.All()[0]
+	gaps := s.InterArrivals()
+	var sum float64
+	for _, g := range gaps {
+		sum += g
+	}
+	if want := sum / float64(len(gaps)); len(gaps) != 4999 || s.MeanInterArrival() != want {
+		t.Fatalf("mean inter-arrival %v over %d gaps, summing the list gives %v", s.MeanInterArrival(), len(gaps), want)
+	}
+}
+
 func TestReassemblyFeedsIEC104Frames(t *testing.T) {
 	// An APDU split across two TCP segments must come out contiguous.
 	apdu := []byte{0x68, 0x0E, 0x02, 0x00, 0x02, 0x00,
