@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"uncharted/internal/experiments"
-	"uncharted/internal/obs"
 )
 
 func main() {
@@ -33,30 +32,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	out := flag.String("out", "", "directory to write per-experiment .txt files (empty = stdout)")
 	asJSON := flag.Bool("json", false, "emit results as a JSON array on stdout")
-	bench := flag.Bool("bench", false,
-		"run the pipeline benchmarks instead of the experiments and write BENCH_core.json / BENCH_stream.json to -out (default .)")
-	baseline := flag.String("baseline", ".",
-		"directory with previous BENCH_*.json to print an old-vs-new delta table against in -bench mode (empty disables)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file at exit")
 	flag.Parse()
-
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProfiles()
-
-	if *bench {
-		dir := *out
-		if dir == "" {
-			dir = "."
-		}
-		if err := runBench(dir, *baseline, *scale, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	r := experiments.NewRunner(*scale, *seed)
 	var results []experiments.Result

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"uncharted/internal/historian"
-	"uncharted/internal/iec104"
 )
 
 func main() {
@@ -79,14 +78,7 @@ func runLs(args []string) int {
 		"STATION", "IOA", "TYPE", "DIR", "SAMPLES", "BLOCKS", "BYTES", "FIRST", "LAST")
 	var samples, bytes int64
 	for _, pi := range cat {
-		dir := "mon"
-		if pi.Command {
-			dir = "cmd"
-		}
-		fmt.Printf("%-10s %8d %-10s %-4s %10d %8d %10d  %-20s %-20s\n",
-			pi.Key.Station, pi.Key.IOA, iec104.TypeID(pi.Type).Acronym(), dir,
-			pi.Samples, pi.Blocks, pi.Bytes,
-			pi.First.Format("2006-01-02T15:04:05"), pi.Last.Format("2006-01-02T15:04:05"))
+		fmt.Println(lsRow(pi))
 		samples += pi.Samples
 		bytes += pi.Bytes
 	}
@@ -95,6 +87,20 @@ func runLs(args []string) int {
 			len(cat), samples, bytes, float64(samples*16)/float64(bytes))
 	}
 	return 0
+}
+
+// lsRow formats one catalog line. The type column is the point type's
+// own acronym: a PointType carries its dialect in the high byte, so it
+// must not be narrowed to an IEC 104 TypeID.
+func lsRow(pi historian.PointInfo) string {
+	dir := "mon"
+	if pi.Command {
+		dir = "cmd"
+	}
+	return fmt.Sprintf("%-10s %8d %-10s %-4s %10d %8d %10d  %-20s %-20s",
+		pi.Key.Station, pi.Key.IOA, pi.Type.Acronym(), dir,
+		pi.Samples, pi.Blocks, pi.Bytes,
+		pi.First.Format("2006-01-02T15:04:05"), pi.Last.Format("2006-01-02T15:04:05"))
 }
 
 // pointFlags adds the flags shared by get and export.
@@ -194,6 +200,8 @@ func runExport(args []string) int {
 			log.Print(err)
 			return 1
 		}
+		// Error paths drop the close error; the success path checks it
+		// below, and closing twice is harmless.
 		defer f.Close()
 		w = f
 	}
@@ -226,6 +234,12 @@ func runExport(args []string) int {
 	if err := cw.Error(); err != nil {
 		log.Print(err)
 		return 1
+	}
+	if w != os.Stdout {
+		if err := w.Close(); err != nil {
+			log.Print(err)
+			return 1
+		}
 	}
 	log.Printf("exported %d samples from %d point(s)", rows, len(keys))
 	return 0

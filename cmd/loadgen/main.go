@@ -4,8 +4,7 @@
 // unchartedd, reporting latency percentiles, error rates and the
 // snapshot-cache hit ratio (observed from the X-Cache header).
 //
-// The report is written as JSON in the committed BENCH_service.json
-// format, so a run can be delta-compared by cmd/benchtables. Exit
+// The report is written as JSON (service.LoadReport) with -out. Exit
 // status enforces thresholds for CI smoke tests: -max-5xx bounds
 // server errors, -require-hit-ratio sets a cache hit-ratio floor.
 //
@@ -14,7 +13,7 @@
 //	loadgen -base http://127.0.0.1:9180 -tenants east,west
 //	loadgen -base http://127.0.0.1:9180 -tenants east,west \
 //	  -clients 1000 -duration 10s -mix profile:8,query:2,statusz:1 \
-//	  -out BENCH_service.json -max-5xx 0 -require-hit-ratio 0.9
+//	  -out service-load.json -max-5xx 0 -require-hit-ratio 0.9
 package main
 
 import (

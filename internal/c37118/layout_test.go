@@ -1,6 +1,7 @@
 package c37118
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -321,4 +322,37 @@ func TestSessionNextAllocCeiling(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { sess.Next(bad, true) }); n != 0 {
 		t.Errorf("CRC miss: %v allocs per Next, want 0", n)
 	}
+}
+
+// TestSessionStreamAllocCeiling bounds what a whole stream costs: a
+// fresh session over one CFG-2 frame and 256 data frames allocates at
+// most 32 times in total — the session, its stream row and the compiled
+// layout — because the data frames contribute nothing. An allocation
+// count does not depend on the runner, so this fails rather than warns.
+func TestSessionStreamAllocCeiling(t *testing.T) {
+	const frames, ceiling = 256, 32
+	_, cfg2, lastData := reconfigStream(t)
+	stream := append(mustMarshal(t, cfg2), bytes.Repeat(lastData, frames)...)
+	decoded := 0
+	n := testing.AllocsPerRun(20, func() {
+		sess := dialect{}.NewSession()
+		decoded = 0
+		for buf := stream; ; decoded++ {
+			ev, rest, _, ok := sess.Next(buf, true)
+			if !ok {
+				break
+			}
+			if ev.Err != nil {
+				t.Fatalf("frame %d: %v", decoded, ev.Err)
+			}
+			buf = rest
+		}
+	})
+	if decoded != frames+1 {
+		t.Fatalf("decoded %d frames, want %d", decoded, frames+1)
+	}
+	if n > ceiling {
+		t.Errorf("config + %d data frames: %v allocs, ceiling %d", frames, n, ceiling)
+	}
+	t.Logf("config + %d data frames: %v allocs", frames, n)
 }

@@ -15,25 +15,33 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden block files")
 
+// goldenBase is the first timestamp of every golden case.
+var goldenBase = time.Date(2019, 6, 1, 12, 0, 0, 0, time.UTC)
+
+// deadbandSamples models deadband-reported telemetry: fixed 4 s
+// cadence, float32-precision values quantized to 0.01 so consecutive
+// reports often repeat — the shape IEC 104 M_ME_NC points actually
+// have, and the one the ≥8x compression claim is made on.
+func deadbandSamples(n int) []physical.Sample {
+	out := make([]physical.Sample, n)
+	for i := range out {
+		v := float64(float32(math.Round((60+0.02*math.Sin(float64(i)/20))*100) / 100))
+		out[i] = physical.Sample{T: goldenBase.Add(time.Duration(i) * 4 * time.Second), V: v}
+	}
+	return out
+}
+
 // goldenCases are deterministic sample sets covering the codec's
 // branches: regular cadence (dod==0 fast path), jittered cadence
 // (16/32-bit dod buckets), large gaps (64-bit dod), constant values,
 // slowly drifting floats (window reuse), NaN/Inf, and out-of-order
 // timestamps.
 func goldenCases() map[string][]physical.Sample {
-	base := time.Date(2019, 6, 1, 12, 0, 0, 0, time.UTC)
+	base := goldenBase
 	rng := rand.New(rand.NewSource(42))
 	cases := map[string][]physical.Sample{}
 
-	// regular models deadband-reported telemetry: fixed 4 s cadence,
-	// float32-precision values quantized to 0.01 so consecutive reports
-	// often repeat — the shape IEC 104 M_ME_NC points actually have.
-	regular := make([]physical.Sample, 200)
-	for i := range regular {
-		v := float64(float32(math.Round((60+0.02*math.Sin(float64(i)/20))*100) / 100))
-		regular[i] = physical.Sample{T: base.Add(time.Duration(i) * 4 * time.Second), V: v}
-	}
-	cases["regular"] = regular
+	cases["regular"] = deadbandSamples(200)
 
 	jitter := make([]physical.Sample, 200)
 	t := base
@@ -174,12 +182,43 @@ func TestBlockGolden(t *testing.T) {
 // TestBlockCompression asserts the ≥8x ratio the ISSUE requires on
 // SCADA-shaped data (regular cadence, small value drift).
 func TestBlockCompression(t *testing.T) {
-	samples := goldenCases()["regular"]
-	payload := EncodeBlock(samples)
-	raw := len(samples) * rawSampleBytes
-	if ratio := float64(raw) / float64(len(payload)); ratio < 8 {
-		t.Fatalf("compression ratio %.2fx < 8x (%d raw -> %d compressed)", ratio, raw, len(payload))
+	// 200 is the golden "regular" block, 512 the BenchmarkBlockCodec one.
+	for _, n := range []int{200, 512} {
+		samples := deadbandSamples(n)
+		payload := EncodeBlock(samples)
+		raw := len(samples) * rawSampleBytes
+		if ratio := float64(raw) / float64(len(payload)); ratio < 8 {
+			t.Fatalf("%d samples: compression ratio %.2fx < 8x (%d raw -> %d compressed)", n, ratio, raw, len(payload))
+		}
 	}
+}
+
+// BenchmarkBlockCodec is the block codec's throughput in raw sample
+// bytes (16 B/sample) on deadband telemetry, with the compression
+// ratio it achieves there as the "x" metric.
+func BenchmarkBlockCodec(b *testing.B) {
+	samples := deadbandSamples(512)
+	raw := int64(len(samples) * rawSampleBytes)
+	encoded := EncodeBlock(samples)
+	ratio := float64(raw) / float64(len(encoded))
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(raw)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			encoded = EncodeBlock(samples)
+		}
+		b.ReportMetric(ratio, "x")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(raw)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeBlock(encoded); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(ratio, "x")
+	})
 }
 
 // TestDecodeCorrupt feeds truncations and bit flips of a valid block;

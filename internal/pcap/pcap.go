@@ -59,6 +59,13 @@ func (r *Reader) Instrument(reg *obs.Registry) {
 	r.metrics = newReaderMetrics(reg)
 }
 
+// maxRecordLen bounds the capture length the reader believes whatever
+// snap length the file header declares (a damaged or hostile header can
+// say 0, meaning unlimited, or 0xFFFFFFFF): the record body is allocated
+// before it is read, so an unchecked length lets a 40-byte file ask for
+// 4 GB. It is the pcapng reader's block ceiling.
+const maxRecordLen = 1 << 24
+
 // Errors returned by the reader.
 var (
 	ErrBadMagic = errors.New("pcap: unrecognised magic number")
@@ -139,9 +146,13 @@ func (r *Reader) ReadPacketInto(scratch []byte) ([]byte, CaptureInfo, error) {
 	frac := r.order.Uint32(r.recHdr[4:8])
 	capLen := r.order.Uint32(r.recHdr[8:12])
 	origLen := r.order.Uint32(r.recHdr[12:16])
-	if r.snapLen != 0 && capLen > r.snapLen {
+	limit := r.snapLen
+	if limit == 0 || limit > maxRecordLen {
+		limit = maxRecordLen
+	}
+	if capLen > limit {
 		r.metrics.noteSnapLen()
-		return nil, CaptureInfo{}, fmt.Errorf("%w: %d > %d", ErrSnapLen, capLen, r.snapLen)
+		return nil, CaptureInfo{}, fmt.Errorf("%w: %d > %d", ErrSnapLen, capLen, limit)
 	}
 	data := grow(scratch, int(capLen))
 	if _, err := io.ReadFull(r.r, data); err != nil {

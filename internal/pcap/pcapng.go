@@ -85,6 +85,10 @@ func NewNgReader(r io.Reader) (*NgReader, error) {
 			return nil, err
 		}
 		switch typ {
+		case blockSHB:
+			if err := ng.parseSHB(body); err != nil {
+				return nil, err
+			}
 		case blockIDB:
 			if err := ng.parseIDB(body); err != nil {
 				return nil, err
@@ -135,6 +139,9 @@ func (ng *NgReader) readBlockHeader() (uint32, []byte, error) {
 		body := ng.growScratch(int(total - 12))
 		if _, err := io.ReadFull(ng.r, body); err != nil {
 			return 0, nil, fmt.Errorf("pcap: reading SHB: %w", err)
+		}
+		if ng.order.Uint32(body[len(body)-4:]) != total {
+			return 0, nil, fmt.Errorf("%w: SHB trailing length mismatch", ErrNgCorrupt)
 		}
 		// body = byte-order magic already consumed; body holds
 		// version + section length + options + trailing length.

@@ -10,7 +10,7 @@ import (
 
 // buildClassic writes a classic pcap with the given payload sizes and
 // returns the file bytes plus the byte offset of every record.
-func buildClassic(t *testing.T, payloads [][]byte) ([]byte, []int64) {
+func buildClassic(t testing.TB, payloads [][]byte) ([]byte, []int64) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf, LinkTypeEthernet)
@@ -29,66 +29,91 @@ func buildClassic(t *testing.T, payloads [][]byte) ([]byte, []int64) {
 	return buf.Bytes(), offs
 }
 
-// readAll drains a PacketReader into (data, ci) pairs.
-func readAll(t *testing.T, pr PacketReader) ([][]byte, []CaptureInfo) {
-	t.Helper()
-	var datas [][]byte
-	var cis []CaptureInfo
+// captureRead is what one way of reading a capture produced: the
+// records it yielded before stopping and why it stopped.
+type captureRead struct {
+	datas [][]byte
+	cis   []CaptureInfo
+	err   error // nil for a clean io.EOF
+}
+
+// drain appends pr's records to cr and reports whether pr ended cleanly;
+// any other error is kept in cr.err.
+func (cr *captureRead) drain(pr PacketReader) bool {
 	for {
 		data, ci, err := pr.ReadPacket()
 		if err == io.EOF {
-			return datas, cis
+			return true
 		}
 		if err != nil {
-			t.Fatalf("ReadPacket: %v", err)
+			cr.err = err
+			return false
 		}
-		datas = append(datas, append([]byte(nil), data...))
-		cis = append(cis, ci)
+		cr.datas = append(cr.datas, data)
+		cr.cis = append(cr.cis, ci)
 	}
 }
 
-// planAndReadAll plans n segments and concatenates every segment's
-// records in order.
-func planAndReadAll(t *testing.T, file []byte, n int) ([][]byte, []CaptureInfo, *SegmentPlan) {
-	t.Helper()
+func readSequential(file []byte) captureRead {
+	var cr captureRead
+	pr, err := NewAutoReader(bytes.NewReader(file))
+	if err != nil {
+		cr.err = err
+		return cr
+	}
+	cr.drain(pr)
+	return cr
+}
+
+// readSegmented plans n segments and reads them in order, stopping at
+// the first one that does not end cleanly, as a sequential reader would.
+// The plan is nil when PlanSegments refused the capture.
+func readSegmented(file []byte, n int) (captureRead, *SegmentPlan) {
+	var cr captureRead
 	plan, err := PlanSegments(bytes.NewReader(file), int64(len(file)), n)
 	if err != nil {
-		t.Fatal(err)
+		cr.err = err
+		return cr, nil
 	}
-	var datas [][]byte
-	var cis []CaptureInfo
 	for i := 0; i < plan.Len(); i++ {
 		pr, err := plan.Open(i)
 		if err != nil {
-			t.Fatal(err)
+			cr.err = err
+			break
 		}
-		d, c := readAll(t, pr)
-		datas = append(datas, d...)
-		cis = append(cis, c...)
+		if !cr.drain(pr) {
+			break
+		}
 	}
-	return datas, cis, plan
+	return cr, plan
+}
+
+// recordsMatch reports whether got's records are, in order, the first
+// len(got.datas) of want's.
+func recordsMatch(got, want captureRead) bool {
+	if len(got.datas) > len(want.datas) {
+		return false
+	}
+	for i := range got.datas {
+		if !bytes.Equal(got.datas[i], want.datas[i]) || got.cis[i] != want.cis[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // assertSameRecords requires the segmented read to reproduce the
-// sequential read exactly.
+// sequential read exactly, both ending cleanly.
 func assertSameRecords(t *testing.T, file []byte, n int) *SegmentPlan {
 	t.Helper()
-	pr, err := NewAutoReader(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
+	want := readSequential(file)
+	got, plan := readSegmented(file, n)
+	if want.err != nil || got.err != nil {
+		t.Fatalf("sequential read ended %v, %d-segment read %v", want.err, n, got.err)
 	}
-	wantD, wantC := readAll(t, pr)
-	gotD, gotC, plan := planAndReadAll(t, file, n)
-	if len(gotD) != len(wantD) {
-		t.Fatalf("segmented read yielded %d records, sequential %d (plan %d segs)", len(gotD), len(wantD), plan.Len())
-	}
-	for i := range wantD {
-		if !bytes.Equal(gotD[i], wantD[i]) {
-			t.Fatalf("record %d bytes differ", i)
-		}
-		if !gotC[i].Timestamp.Equal(wantC[i].Timestamp) || gotC[i].CaptureLength != wantC[i].CaptureLength || gotC[i].Length != wantC[i].Length {
-			t.Fatalf("record %d capture info %+v != %+v", i, gotC[i], wantC[i])
-		}
+	if len(got.datas) != len(want.datas) || !recordsMatch(got, want) {
+		t.Fatalf("segmented read (%d records, plan %d segs) differs from sequential (%d records)",
+			len(got.datas), plan.Len(), len(want.datas))
 	}
 	return plan
 }
@@ -118,24 +143,30 @@ func TestPlanClassicBoundariesAreRecordStarts(t *testing.T) {
 	}
 }
 
-// TestPlanClassicFakeValidatingPayload plants byte sequences inside
-// packet bodies that parse as plausible record headers (sane lengths,
-// a timestamp inside the capture's window) — a single-header check
-// would bite; the chain validation must step over them.
-func TestPlanClassicFakeValidatingPayload(t *testing.T) {
+// fakeHeaderPayloads returns n packet bodies made of back-to-back byte
+// runs that parse as plausible record headers of buildClassic's capture
+// (sane lengths, a timestamp inside its window), so nearly every probe
+// offset inside a body lands on one.
+func fakeHeaderPayloads(n int) [][]byte {
 	base := time.Date(2017, 11, 3, 12, 0, 0, 0, time.UTC)
 	fake := make([]byte, 16)
 	binary.LittleEndian.PutUint32(fake[0:4], uint32(base.Unix())+5) // in-window timestamp
 	binary.LittleEndian.PutUint32(fake[4:8], 123456)
 	binary.LittleEndian.PutUint32(fake[8:12], 52)  // capLen: plausible
 	binary.LittleEndian.PutUint32(fake[12:16], 52) // origLen == capLen
-	payloads := make([][]byte, 200)
+	payloads := make([][]byte, n)
 	for i := range payloads {
-		// Payload = back-to-back fake headers, so nearly every probe
-		// offset inside a body lands on one.
 		payloads[i] = bytes.Repeat(fake, 4)
 	}
-	file, offs := buildClassic(t, payloads)
+	return payloads
+}
+
+// TestPlanClassicFakeValidatingPayload plants byte sequences inside
+// packet bodies that parse as plausible record headers (sane lengths,
+// a timestamp inside the capture's window) — a single-header check
+// would bite; the chain validation must step over them.
+func TestPlanClassicFakeValidatingPayload(t *testing.T) {
+	file, offs := buildClassic(t, fakeHeaderPayloads(200))
 	isRecord := map[int64]bool{}
 	for _, o := range offs {
 		isRecord[o] = true
@@ -230,10 +261,29 @@ func TestPlanClassicEmptyCapture(t *testing.T) {
 	if err := w.WriteHeader(); err != nil {
 		t.Fatal(err)
 	}
-	d, _, plan := planAndReadAll(t, buf.Bytes(), 4)
-	if len(d) != 0 || plan.Len() != 1 {
-		t.Errorf("empty capture: %d records, %d segments", len(d), plan.Len())
+	got, plan := readSegmented(buf.Bytes(), 4)
+	if got.err != nil || len(got.datas) != 0 || plan.Len() != 1 {
+		t.Errorf("empty capture: %d records then %v, %d segments", len(got.datas), got.err, plan.Len())
 	}
+}
+
+// buildNgTwoSections is a pcapng capture of two sections with perSection
+// packets each: Ethernet at µs resolution, then a mid-file section
+// header after which interface 0 is raw IP at ns resolution.
+func buildNgTwoSections(perSection int) []byte {
+	w := newNgWriter(binary.LittleEndian)
+	w.shb()
+	w.idb(LinkTypeEthernet, 0) // µs resolution
+	base := time.Date(2019, 3, 9, 8, 0, 0, 0, time.UTC)
+	for i := 0; i < perSection; i++ {
+		w.epb(0, base.Add(time.Duration(i)*time.Second), 1_000_000, bytes.Repeat([]byte{byte(i)}, 40))
+	}
+	w.shb()
+	w.idb(LinkTypeRaw, 9) // 10^-9
+	for i := 0; i < perSection; i++ {
+		w.epb(0, base.Add(time.Duration(100+i)*time.Second), 1_000_000_000, bytes.Repeat([]byte{0xFF, byte(i)}, 25))
+	}
+	return w.buf.Bytes()
 }
 
 // TestPlanNgMidFileSHB: a second section header mid-file resets the
@@ -241,20 +291,7 @@ func TestPlanClassicEmptyCapture(t *testing.T) {
 // new section's interfaces (different link type and ts resolution),
 // exactly like a sequential read.
 func TestPlanNgMidFileSHB(t *testing.T) {
-	w := newNgWriter(binary.LittleEndian)
-	w.shb()
-	w.idb(LinkTypeEthernet, 0) // µs resolution
-	base := time.Date(2019, 3, 9, 8, 0, 0, 0, time.UTC)
-	for i := 0; i < 50; i++ {
-		w.epb(0, base.Add(time.Duration(i)*time.Second), 1_000_000, bytes.Repeat([]byte{byte(i)}, 40))
-	}
-	// New section: interface 0 is now raw-IP with ns resolution.
-	w.shb()
-	w.idb(LinkTypeRaw, 9) // 10^-9
-	for i := 0; i < 50; i++ {
-		w.epb(0, base.Add(time.Duration(100+i)*time.Second), 1_000_000_000, bytes.Repeat([]byte{0xFF, byte(i)}, 25))
-	}
-	file := w.buf.Bytes()
+	file := buildNgTwoSections(50)
 
 	for _, n := range []int{2, 3, 4, 8} {
 		assertSameRecords(t, file, n)
@@ -296,8 +333,15 @@ func TestPlanNgOversplit(t *testing.T) {
 // TestPlanBigEndianNanos: the seeded classic reader carries byte
 // order and timestamp resolution across segments.
 func TestPlanBigEndianNanos(t *testing.T) {
-	// Hand-build a big-endian nanosecond capture (the Writer only
-	// emits little-endian µs).
+	file := buildBigEndianNanos(64)
+	for _, n := range []int{2, 4} {
+		assertSameRecords(t, file, n)
+	}
+}
+
+// buildBigEndianNanos hand-builds a big-endian nanosecond capture of n
+// records (the Writer only emits little-endian µs).
+func buildBigEndianNanos(n int) []byte {
 	var buf bytes.Buffer
 	var hdr [24]byte
 	binary.BigEndian.PutUint32(hdr[0:4], magicNanos)
@@ -307,7 +351,7 @@ func TestPlanBigEndianNanos(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[20:24], uint32(LinkTypeEthernet))
 	buf.Write(hdr[:])
 	base := time.Date(2017, 11, 3, 12, 0, 0, 0, time.UTC)
-	for i := 0; i < 64; i++ {
+	for i := 0; i < n; i++ {
 		pl := bytes.Repeat([]byte{byte(i)}, 30+i%11)
 		var rec [16]byte
 		ts := base.Add(time.Duration(i) * 125 * time.Millisecond)
@@ -318,7 +362,5 @@ func TestPlanBigEndianNanos(t *testing.T) {
 		buf.Write(rec[:])
 		buf.Write(pl)
 	}
-	for _, n := range []int{2, 4} {
-		assertSameRecords(t, buf.Bytes(), n)
-	}
+	return buf.Bytes()
 }

@@ -57,9 +57,8 @@ type EndpointStats struct {
 	MaxMicros   float64 `json:"max_us"`
 }
 
-// LoadReport is the machine-readable result of one load run — the
-// shape committed as BENCH_service.json and delta-compared by
-// cmd/benchtables.
+// LoadReport is the machine-readable result of one load run, the
+// JSON cmd/loadgen writes with -out.
 type LoadReport struct {
 	Clients        int             `json:"clients"`
 	Tenants        int             `json:"tenants"`
@@ -302,25 +301,11 @@ func WaitReady(ctx context.Context, base string, timeout time.Duration) error {
 	return fmt.Errorf("loadgen: %s/readyz not ready after %s: %s", base, timeout, last)
 }
 
-// WriteLoadReport writes a load report as indented JSON — the
-// committed BENCH_service.json format.
+// WriteLoadReport writes a load report as indented JSON.
 func WriteLoadReport(path string, rep *LoadReport) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadLoadReport reads a previously written load report.
-func LoadLoadReport(path string) (*LoadReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep LoadReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
 }
