@@ -44,15 +44,10 @@ type DirCounts struct {
 // Total returns the APDU count.
 func (d DirCounts) Total() int { return d.I + d.S + d.U }
 
-// dirKey identifies one flow direction (src half-connection to dst)
-// for the framing buffers. Keying by struct instead of a rendered
-// string keeps the per-segment map lookup allocation-free.
-type dirKey struct {
-	src, dst netip.AddrPort
-}
-
 // endpointState holds the APDU framing buffer and IEC 104 sequence
-// state of one flow direction.
+// state of one flow direction. It is parked on the flow
+// (tcpflow.Flow.Slot), so a chunk reaches it without a lookup and it
+// goes away with the flow.
 type endpointState struct {
 	buf []byte
 	// nextNS is the expected N(S) of the next I-frame; nsSeen arms
@@ -74,16 +69,62 @@ type dirCache struct {
 	fromOutstation bool
 	command        bool
 	sc             *StationCompliance
-	srcKey         string
-	ck             ConnKey
-	skey           tcpflow.SessionKey
-	serverName     string
-	outName        string
-	station        string
-	stationAddr    netip.Addr
-	dc             *DirCounts
-	toks           *tokenList
-	ioas           map[uint32]bool
+	// ep is the sender's slot in the tolerant parser's dialect cache.
+	ep          iec104.EndpointID
+	ck          ConnKey
+	skey        tcpflow.SessionKey
+	serverName  string
+	outName     string
+	station     string
+	stationAddr netip.Addr
+	dc          *DirCounts
+	toks        *tokenList
+	ioas        *ioaSet
+	// typeBooked has a bit per ASDU type this direction has already
+	// entered into typeStations: the station of a direction never
+	// changes, so only the first frame of a type needs the maps.
+	typeBooked [4]uint64
+}
+
+// ioaSet is the set of distinct information object addresses one
+// directional session has carried. Every object of every I-frame is
+// added, so the common case must not hash: field IOAs cluster low (the
+// dialect detector's plausibility score assumes as much), and addresses
+// below 2¹⁶ are a bitset grown to the highest one seen. Only the rest
+// go to a map.
+type ioaSet struct {
+	low  []uint64
+	high map[uint32]struct{}
+	n    int
+}
+
+func (s *ioaSet) add(ioa uint32) {
+	if ioa < 1<<16 {
+		w := int(ioa >> 6)
+		if w >= len(s.low) {
+			s.low = append(s.low, make([]uint64, w+1-len(s.low))...)
+		}
+		if bit := uint64(1) << (ioa & 63); s.low[w]&bit == 0 {
+			s.low[w] |= bit
+			s.n++
+		}
+		return
+	}
+	if _, ok := s.high[ioa]; !ok {
+		if s.high == nil {
+			s.high = make(map[uint32]struct{})
+		}
+		s.high[ioa] = struct{}{}
+		s.n++
+	}
+}
+
+// size is the number of distinct addresses; a nil set is empty.
+func (s *ioaSet) size() int {
+	if s == nil {
+		return 0
+	}
+	return s.n
 }
 
 // tokenList is the token accumulator of one logical connection; the
@@ -101,12 +142,6 @@ func (tl *tokenList) push(tok iec104.Token) {
 	tl.chain.Observe(&tl.cur, tok)
 }
 
-// framingRef is one entry of the analyzer's framing-lookup memo.
-type framingRef struct {
-	key dirKey
-	st  *endpointState
-}
-
 // Analyzer ingests decoded packets and accumulates every §6 analysis.
 type Analyzer struct {
 	names map[netip.Addr]string
@@ -122,9 +157,9 @@ type Analyzer struct {
 	sessionAPDUs map[tcpflow.SessionKey]*DirCounts
 	// sessionIOAs tracks distinct information object addresses per
 	// directional session (one of the ten candidate features of §6.3).
-	sessionIOAs map[tcpflow.SessionKey]map[uint32]bool
+	sessionIOAs map[tcpflow.SessionKey]*ioaSet
 
-	typeCounts map[iec104.TypeID]int
+	typeCounts [256]int // by iec104.TypeID
 	totalASDUs int
 	// typeStations tracks, per ASDU type, the outstations involved:
 	// the sender for monitor-direction types, the target for commands
@@ -133,19 +168,13 @@ type Analyzer struct {
 
 	compliance map[netip.Addr]*StationCompliance
 
-	// framing buffers keyed by flow + direction. lastFraming memoizes
-	// the two most recent lookups (request/response traffic alternates
-	// between exactly two directions), skipping the map hash on most
-	// segments.
-	framing     map[dirKey]*endpointState
-	lastFraming [2]framingRef
-
-	// endpointKeys interns the "ip" endpoint strings handed to the
-	// tolerant parser; nameCache interns rendered addresses for
-	// endpoints the address book does not know. Both exist so the
-	// per-frame path never calls netip.Addr.String.
-	endpointKeys map[netip.Addr]string
-	nameCache    map[netip.Addr]string
+	// endpoints resolves a sender address to its slot in the tolerant
+	// parser (keyed there by the rendered address); nameCache interns
+	// rendered addresses for endpoints the address book does not know.
+	// Both are consulted once per flow direction, so neither the
+	// per-frame path nor a reconnect calls netip.Addr.String.
+	endpoints map[netip.Addr]iec104.EndpointID
+	nameCache map[netip.Addr]string
 
 	// scratchAPDU / scratchASDU are the caller-owned decode targets of
 	// consumeFrame's tolerant parse. They are reused for every frame,
@@ -194,11 +223,6 @@ type Analyzer struct {
 	// byte for byte — like the IEC 104-only one.
 	protocols     map[protocol.ID]bool
 	detectUnknown bool
-	// protoDirs maps each flow direction to its generic decode state;
-	// both directions share one *protoFlow (dialects pair requests with
-	// responses across directions). A nil value is the negative cache:
-	// the flow was inspected and claimed by no enabled dialect.
-	protoDirs map[dirKey]*protoDir
 	// protoFlowList keeps every claimed flow for snapshot-time
 	// compliance collection.
 	protoFlowList []*protoFlow
@@ -229,7 +253,11 @@ type DialectStat struct {
 	TokenCounts map[string]int
 }
 
-// protoDir is one flow direction's generic decode state.
+// protoDir is one flow direction's generic decode state, parked on the
+// flow like endpointState. Both directions share one *protoFlow
+// (dialects pair requests with responses across directions). A nil
+// *protoDir in the slot is the negative cache: the flow was inspected
+// and claimed by no enabled dialect.
 type protoDir struct {
 	flow        *protoFlow
 	fromStation bool
@@ -296,7 +324,6 @@ func (a *Analyzer) SetFrameObserver(o FrameObserver) { a.observer = o }
 func (a *Analyzer) EnableProtocols(ids ...protocol.ID) {
 	if a.protocols == nil {
 		a.protocols = make(map[protocol.ID]bool)
-		a.protoDirs = make(map[dirKey]*protoDir)
 		a.connProto = make(map[ConnKey]protocol.ID)
 		a.dialectStats = make(map[protocol.ID]*dialectTally)
 	}
@@ -356,10 +383,10 @@ func (a *Analyzer) enabledByPort(port uint16) protocol.Dialect {
 // claimFlow decides whether an enabled dialect owns a new flow
 // direction and builds its decode state. Returns nil when no dialect
 // claims the flow (the negative-cache entry).
-func (a *Analyzer) claimFlow(sp tcpflow.StreamPayload) *protoDir {
+func (a *Analyzer) claimFlow(sp *tcpflow.StreamPayload) *protoDir {
 	// The reverse direction may already be claimed; both directions
 	// share one session so dialects can pair requests with responses.
-	if rev, ok := a.protoDirs[dirKey{src: sp.Dst, dst: sp.Src}]; ok {
+	if rev, ok := sp.Flow.Slot[1-sp.Dir].(*protoDir); ok {
 		if rev == nil {
 			return nil
 		}
@@ -426,12 +453,11 @@ func (a *Analyzer) claimFlow(sp tcpflow.StreamPayload) *protoDir {
 
 // feedDialect routes a non-IEC-104 stream chunk through the registry.
 // It reports whether an enabled dialect consumed the chunk.
-func (a *Analyzer) feedDialect(sp tcpflow.StreamPayload) bool {
-	key := dirKey{src: sp.Src, dst: sp.Dst}
-	pd, seen := a.protoDirs[key]
+func (a *Analyzer) feedDialect(sp *tcpflow.StreamPayload) bool {
+	pd, seen := sp.Flow.Slot[sp.Dir].(*protoDir)
 	if !seen {
 		pd = a.claimFlow(sp)
-		a.protoDirs[key] = pd
+		sp.Flow.Slot[sp.Dir] = pd
 	}
 	if pd == nil {
 		return false
@@ -470,7 +496,7 @@ func (a *Analyzer) feedDialect(sp tcpflow.StreamPayload) bool {
 
 // consumeDialectEvent books one generic decoded frame into the shared
 // accumulators — the dialect-neutral mirror of consumeFrame.
-func (a *Analyzer) consumeDialectEvent(pd *protoDir, sp tcpflow.StreamPayload, ev protocol.Event) {
+func (a *Analyzer) consumeDialectEvent(pd *protoDir, sp *tcpflow.StreamPayload, ev protocol.Event) {
 	pf := pd.flow
 	if ev.Err != nil {
 		pf.ds.parseErrors++
@@ -644,12 +670,10 @@ func NewAnalyzer(names map[netip.Addr]string) *Analyzer {
 		store:                physical.NewStore(),
 		tokens:               make(map[ConnKey]*tokenList),
 		sessionAPDUs:         make(map[tcpflow.SessionKey]*DirCounts),
-		sessionIOAs:          make(map[tcpflow.SessionKey]map[uint32]bool),
-		typeCounts:           make(map[iec104.TypeID]int),
+		sessionIOAs:          make(map[tcpflow.SessionKey]*ioaSet),
 		typeStations:         make(map[iec104.TypeID]map[netip.Addr]bool),
 		compliance:           make(map[netip.Addr]*StationCompliance),
-		framing:              make(map[dirKey]*endpointState),
-		endpointKeys:         make(map[netip.Addr]string),
+		endpoints:            make(map[netip.Addr]iec104.EndpointID),
 		nameCache:            make(map[netip.Addr]string),
 		otherPorts:           make(map[uint16]int),
 		DedupRetransmissions: true,
@@ -662,12 +686,27 @@ func NewAnalyzer(names map[netip.Addr]string) *Analyzer {
 // flow tracker, and attaches an optional event journal. Either argument
 // may be nil; ReadPCAP additionally instruments the capture reader and
 // books per-stage wall time once a registry is attached.
+//
+// The per-packet and per-frame counters are tallied privately and reach
+// reg when FlushMetrics runs — which Partial and ReadPCAP do themselves.
 func (a *Analyzer) Instrument(reg *obs.Registry, j *obs.Journal) {
 	if reg != nil {
 		a.metrics = newAnalyzerMetrics(reg)
 		a.tracker.Instrument(reg)
 	}
 	a.journal = j
+}
+
+// FlushMetrics publishes what the analyzer and its flow tracker have
+// counted since the last flush. Several analyzers share one registry's
+// series (every shard of an engine does), so the feed path counts in
+// its own memory and whoever drives the analyzer flushes where a reader
+// of /metrics should catch up: the engine after every batch, Partial at
+// every snapshot, ReadPCAP as it goes. Must be called from the
+// goroutine that feeds the analyzer. A no-op without a registry.
+func (a *Analyzer) FlushMetrics() {
+	a.metrics.flush()
+	a.tracker.FlushMetrics()
 }
 
 // NamesFromTopology builds the address book of the simulated network.
@@ -697,14 +736,14 @@ func (a *Analyzer) Name(addr netip.Addr) string {
 	return n
 }
 
-// endpointKey interns the parser's per-endpoint cache key.
-func (a *Analyzer) endpointKey(addr netip.Addr) string {
-	if k, ok := a.endpointKeys[addr]; ok {
-		return k
+// endpoint resolves a sender to its slot in the tolerant parser.
+func (a *Analyzer) endpoint(addr netip.Addr) iec104.EndpointID {
+	id, ok := a.endpoints[addr]
+	if !ok {
+		id = a.parser.Endpoint(addr.String())
+		a.endpoints[addr] = id
 	}
-	k := addr.String()
-	a.endpointKeys[addr] = k
-	return k
+	return id
 }
 
 // SetTraceLane attaches (or, with nil, detaches) a flight-recorder
@@ -713,8 +752,16 @@ func (a *Analyzer) endpointKey(addr netip.Addr) string {
 // calls FeedPacket — in the streaming engine, the owning shard's lane.
 func (a *Analyzer) SetTraceLane(l *trace.Lane) { a.lane = l }
 
-// FeedPacket ingests one decoded TCP packet.
-func (a *Analyzer) FeedPacket(pkt pcap.Packet) {
+// FeedPacket ingests one decoded TCP packet: Feed for callers that hold
+// the packet by value.
+func (a *Analyzer) FeedPacket(pkt pcap.Packet) { a.Feed(&pkt) }
+
+// Feed ingests one decoded TCP packet. The flow tracker finds the
+// packet's flow — the one hash a packet costs — and everything else
+// that is per flow direction (the session, the framing and sequence
+// state, the generic dialect's decode state) hangs off that flow. pkt
+// is only read, and nothing keeps it or its bytes past the call.
+func (a *Analyzer) Feed(pkt *pcap.Packet) {
 	sp := a.lane.Start()
 	a.Packets++
 	iec := pkt.TCP.SrcPort == IEC104Port || pkt.TCP.DstPort == IEC104Port
@@ -722,8 +769,8 @@ func (a *Analyzer) FeedPacket(pkt pcap.Packet) {
 		a.IECPackets++
 	}
 	a.metrics.notePacket(iec)
-	a.tracker.Feed(pkt)
-	a.sessions.Feed(pkt)
+	f, dir := a.tracker.Track(pkt)
+	a.sessions.FeedFlow(f, dir, pkt)
 	a.lane.End(sp, trace.StageFeed, 1, -1)
 }
 
@@ -732,7 +779,8 @@ func (a *Analyzer) FeedPacket(pkt pcap.Packet) {
 // Streams that do not touch the IEC 104 port (the tap also carries
 // C37.118 synchrophasors, ICCP and other plant traffic) are tallied
 // and skipped.
-func (a *Analyzer) OnPayload(sp tcpflow.StreamPayload) {
+func (a *Analyzer) OnPayload(chunk tcpflow.StreamPayload) {
+	sp := &chunk
 	if sp.Src.Port() != IEC104Port && sp.Dst.Port() != IEC104Port {
 		if a.protocols != nil && a.feedDialect(sp) {
 			return
@@ -767,21 +815,10 @@ func (a *Analyzer) OnPayload(sp tcpflow.StreamPayload) {
 	if len(sp.Data) == 0 {
 		return
 	}
-	key := dirKey{src: sp.Src, dst: sp.Dst}
-	var st *endpointState
-	switch {
-	case a.lastFraming[0].st != nil && a.lastFraming[0].key == key:
-		st = a.lastFraming[0].st
-	case a.lastFraming[1].st != nil && a.lastFraming[1].key == key:
-		st = a.lastFraming[1].st
-	default:
-		var ok bool
-		st, ok = a.framing[key]
-		if !ok {
-			st = &endpointState{}
-			a.framing[key] = st
-		}
-		a.lastFraming[0], a.lastFraming[1] = framingRef{key, st}, a.lastFraming[0]
+	st, ok := sp.Flow.Slot[sp.Dir].(*endpointState)
+	if !ok {
+		st = &endpointState{}
+		sp.Flow.Slot[sp.Dir] = st
 	}
 	// Fast path: with no partial frame pending, scan the segment in
 	// place instead of copying it into the framing buffer. Only a
@@ -826,7 +863,7 @@ func nextFrame(buf []byte) (frame, rest []byte, skipped int, ok bool) {
 // consumeFrame parses one APDU and updates every accumulator. st
 // carries the flow direction's sequence state (nil when the frame is a
 // retransmission replay that must not advance it).
-func (a *Analyzer) consumeFrame(sp tcpflow.StreamPayload, frame []byte, st *endpointState) {
+func (a *Analyzer) consumeFrame(sp *tcpflow.StreamPayload, frame []byte, st *endpointState) {
 	var c *dirCache
 	if st != nil {
 		c = &st.dir
@@ -840,7 +877,7 @@ func (a *Analyzer) consumeFrame(sp tcpflow.StreamPayload, frame []byte, st *endp
 	sc := c.sc
 	sc.Frames++
 
-	_, err := a.parser.ParseFrameInto(c.srcKey, frame, &a.scratchAPDU, &a.scratchASDU)
+	_, err := a.parser.ParseFrameAt(c.ep, frame, &a.scratchAPDU, &a.scratchASDU)
 	if err != nil {
 		a.ParseErrors++
 		if a.metrics != nil || a.journal != nil {
@@ -874,7 +911,7 @@ func (a *Analyzer) consumeFrame(sp tcpflow.StreamPayload, frame []byte, st *endp
 			sc.StrictInvalid++
 			strictInvalid = true
 		}
-		if p, ok := a.parser.ProfileFor(c.srcKey); ok {
+		if p, ok := a.parser.ProfileAt(c.ep); ok {
 			newlyDetected := !sc.Detected
 			// A flip is the station settling on a legacy dialect, or a
 			// pinned dialect changing; first detection of the standard
@@ -964,25 +1001,29 @@ func (a *Analyzer) consumeFrame(sp tcpflow.StreamPayload, frame []byte, st *endp
 	}
 
 	if apdu.Format == iec104.FormatI && apdu.ASDU != nil {
-		a.typeCounts[apdu.ASDU.Type]++
+		typ := apdu.ASDU.Type
+		a.typeCounts[typ]++
 		a.totalASDUs++
 		if c.ioas == nil {
 			ioas, ok := a.sessionIOAs[c.skey]
 			if !ok {
-				ioas = make(map[uint32]bool)
+				ioas = &ioaSet{}
 				a.sessionIOAs[c.skey] = ioas
 			}
 			c.ioas = ioas
 		}
-		for _, obj := range apdu.ASDU.Objects {
-			c.ioas[obj.IOA] = true
+		for i := range apdu.ASDU.Objects {
+			c.ioas.add(apdu.ASDU.Objects[i].IOA)
 		}
-		ts, ok := a.typeStations[apdu.ASDU.Type]
-		if !ok {
-			ts = make(map[netip.Addr]bool)
-			a.typeStations[apdu.ASDU.Type] = ts
+		if word, bit := &c.typeBooked[typ>>6], uint64(1)<<(typ&63); *word&bit == 0 {
+			*word |= bit
+			ts, ok := a.typeStations[typ]
+			if !ok {
+				ts = make(map[netip.Addr]bool)
+				a.typeStations[typ] = ts
+			}
+			ts[c.stationAddr] = true
 		}
-		ts[c.stationAddr] = true
 		a.store.Feed(c.station, apdu.ASDU, sp.Time, c.command)
 	}
 }
@@ -992,12 +1033,12 @@ func (a *Analyzer) consumeFrame(sp tcpflow.StreamPayload, frame []byte, st *endp
 // entry, interned strings) is state consumeFrame previously created on
 // every frame regardless of parse outcome, so eager filling changes no
 // observable behaviour.
-func (a *Analyzer) fillDirCache(c *dirCache, sp tcpflow.StreamPayload) {
+func (a *Analyzer) fillDirCache(c *dirCache, sp *tcpflow.StreamPayload) {
 	srcAddr := sp.Src.Addr()
 	dstAddr := sp.Dst.Addr()
 	c.fromOutstation = sp.Src.Port() == IEC104Port
 	c.sc = a.complianceFor(srcAddr)
-	c.srcKey = a.endpointKey(srcAddr)
+	c.ep = a.endpoint(srcAddr)
 	c.ck = ConnKey{Server: srcAddr, Outstation: dstAddr}
 	if c.fromOutstation {
 		c.ck = ConnKey{Server: dstAddr, Outstation: srcAddr}
@@ -1051,11 +1092,14 @@ func (a *Analyzer) ReadPCAP(r io.Reader) error {
 		}
 		return a.readInstrumented(pr)
 	}
-	// One scratch buffer serves the whole capture: nothing downstream
-	// of FeedPacket retains packet bytes past the call (reassembly and
-	// framing copy what they buffer), so each record may overwrite the
-	// previous one.
-	var scratch []byte
+	// One scratch buffer and one packet serve the whole capture:
+	// nothing downstream of Feed retains the packet or its bytes past
+	// the call (reassembly and framing copy what they buffer), so each
+	// record may overwrite the previous one.
+	var (
+		scratch []byte
+		pkt     pcap.Packet
+	)
 	for {
 		data, ci, err := pr.ReadPacketInto(scratch)
 		if err == io.EOF {
@@ -1065,25 +1109,30 @@ func (a *Analyzer) ReadPCAP(r io.Reader) error {
 			return fmt.Errorf("core: reading capture: %w", err)
 		}
 		scratch = data
-		pkt, err := pcap.DecodePacket(pr.LinkType(), ci, data)
-		if err != nil {
+		if pcap.DecodePacketInto(&pkt, pr.LinkType(), ci, data) != nil {
 			continue
 		}
-		a.FeedPacket(pkt)
+		a.Feed(&pkt)
 	}
 }
 
 // readInstrumented is ReadPCAP's loop with per-stage wall-time
-// accounting. The clock reads live here — not in FeedPacket — so the
-// FeedPacket hot path itself stays free of timing overhead.
+// accounting. The clock reads live here — not in Feed — so the Feed hot
+// path itself stays free of timing overhead. This loop is one analyzer
+// on one goroutine and already reads the clock six times a record, so
+// it publishes its counters after every record: a scrape during a long
+// offline read is never stale, and a pipe that goes quiet strands
+// nothing.
 func (a *Analyzer) readInstrumented(pr pcap.PacketReader) error {
 	var (
 		readStage   = a.metrics.reg.Stage(StagePcapRead)
 		decodeStage = a.metrics.reg.Stage(StagePcapDecode)
 		feedStage   = a.metrics.reg.Stage(StageAnalyzeFeed)
 		scratch     []byte
+		pkt         pcap.Packet
 	)
 	for {
+		a.FlushMetrics()
 		t0 := time.Now()
 		data, ci, err := pr.ReadPacketInto(scratch)
 		readStage.Observe(time.Since(t0))
@@ -1095,21 +1144,21 @@ func (a *Analyzer) readInstrumented(pr pcap.PacketReader) error {
 		}
 		scratch = data
 		t0 = time.Now()
-		pkt, err := pcap.DecodePacket(pr.LinkType(), ci, data)
+		err = pcap.DecodePacketInto(&pkt, pr.LinkType(), ci, data)
 		decodeStage.Observe(time.Since(t0))
 		if err != nil {
 			a.metrics.noteDecodeError()
 			continue
 		}
 		t0 = time.Now()
-		a.FeedPacket(pkt)
+		a.Feed(&pkt)
 		feedStage.Observe(time.Since(t0))
 	}
 }
 
 // notePortTraffic accounts a non-IEC stream chunk under the lower
 // (well-known) port of the pair.
-func (a *Analyzer) notePortTraffic(sp tcpflow.StreamPayload) {
+func (a *Analyzer) notePortTraffic(sp *tcpflow.StreamPayload) {
 	port := sp.Src.Port()
 	if sp.Dst.Port() < port {
 		port = sp.Dst.Port()
@@ -1183,21 +1232,13 @@ func (a *Analyzer) CaptureWindow() (time.Time, time.Time) {
 }
 
 // EnableFlowEviction turns on idle-flow eviction in the tracker for
-// streaming over endless captures: flows (and their APDU framing
-// buffers) idle longer than timeout are dropped, keeping memory
+// streaming over endless captures: flows idle longer than timeout are
+// dropped, and with them what the analyzer parked on them — the APDU
+// framing buffer and sequence state, or the generic dialect's decode
+// state and negative-cache mark (stream compliance lives on the
+// protoFlow record, which survives in protoFlowList) — keeping memory
 // bounded. The flow taxonomy stays exact; a flow that wakes up after
 // eviction re-enters as a fresh long-lived flow.
 func (a *Analyzer) EnableFlowEviction(timeout time.Duration) {
 	a.tracker.SetIdleTimeout(timeout)
-	a.tracker.OnEvict(func(f *tcpflow.Flow) {
-		delete(a.framing, dirKey{src: f.Key.A, dst: f.Key.B})
-		delete(a.framing, dirKey{src: f.Key.B, dst: f.Key.A})
-		// The memo may point at the states just deleted.
-		a.lastFraming = [2]framingRef{}
-		// Generic-dialect decode state (including negative-cache
-		// entries) goes too; compliance already lives on the flow
-		// record, which survives in protoFlowList.
-		delete(a.protoDirs, dirKey{src: f.Key.A, dst: f.Key.B})
-		delete(a.protoDirs, dirKey{src: f.Key.B, dst: f.Key.A})
-	})
 }

@@ -74,7 +74,7 @@ func (a *Analyzer) ExtendedSessionFeatures() []ExtendedFeature {
 				FeatTotalBytes:   float64(s.Bytes),
 				FeatTotalPackets: float64(s.Packets),
 				FeatMeanPktSize:  meanPkt,
-				FeatIOACount:     float64(len(a.sessionIOAs[key])),
+				FeatIOACount:     float64(a.sessionIOAs[key].size()),
 				FeatPctI:         float64(dc.I) / total,
 				FeatPctS:         float64(dc.S) / total,
 				FeatPctU:         float64(dc.U) / total,

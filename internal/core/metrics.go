@@ -29,26 +29,27 @@ const (
 	StageAnalyzeFeed = "analyzer.feed"
 )
 
-// analyzerMetrics holds the pre-resolved handles the hot path updates
-// plus the registry for the rare labeled paths (parse-error causes,
-// per-dialect strict verdicts) that resolve lazily.
+// analyzerMetrics holds the analyzer's private tallies of the series
+// every analyzer on the registry shares (flush publishes them), plus
+// the registry for the rare labeled path (parse-error causes) that
+// resolves lazily and counts directly.
 type analyzerMetrics struct {
 	reg *obs.Registry
 
-	packetsIEC   *obs.Counter
-	packetsOther *obs.Counter
-	framesI      *obs.Counter
-	framesS      *obs.Counter
-	framesU      *obs.Counter
-	resyncs      *obs.Counter
-	resyncBytes  *obs.Counter
-	seqAnomalies *obs.Counter
-	flips        *obs.Counter
-	decodeErrors *obs.Counter
+	packetsIEC   obs.Tally
+	packetsOther obs.Tally
+	framesI      obs.Tally
+	framesS      obs.Tally
+	framesU      obs.Tally
+	resyncs      obs.Tally
+	resyncBytes  obs.Tally
+	seqAnomalies obs.Tally
+	flips        obs.Tally
+	decodeErrors obs.Tally
 
-	// strictBy caches the per-dialect strict-invalid handles. The
+	// strictBy holds the per-dialect strict-invalid tallies. The
 	// analyzer runs single-goroutine, so a plain map suffices.
-	strictBy map[string]*obs.Counter
+	strictBy map[string]*obs.Tally
 }
 
 func newAnalyzerMetrics(reg *obs.Registry) *analyzerMetrics {
@@ -71,17 +72,37 @@ func newAnalyzerMetrics(reg *obs.Registry) *analyzerMetrics {
 	}
 	return &analyzerMetrics{
 		reg:          reg,
-		packetsIEC:   reg.Counter(MetricPackets, "proto", "iec104"),
-		packetsOther: reg.Counter(MetricPackets, "proto", "other"),
-		framesI:      reg.Counter(MetricFrames, "format", "i"),
-		framesS:      reg.Counter(MetricFrames, "format", "s"),
-		framesU:      reg.Counter(MetricFrames, "format", "u"),
-		resyncs:      reg.Counter(MetricResyncs),
-		resyncBytes:  reg.Counter(MetricResyncBytes),
-		seqAnomalies: reg.Counter(MetricSeqAnomalies),
-		flips:        reg.Counter(MetricComplianceFlips),
-		decodeErrors: reg.Counter(MetricDecodeErrors),
-		strictBy:     make(map[string]*obs.Counter),
+		packetsIEC:   reg.Counter(MetricPackets, "proto", "iec104").Tally(),
+		packetsOther: reg.Counter(MetricPackets, "proto", "other").Tally(),
+		framesI:      reg.Counter(MetricFrames, "format", "i").Tally(),
+		framesS:      reg.Counter(MetricFrames, "format", "s").Tally(),
+		framesU:      reg.Counter(MetricFrames, "format", "u").Tally(),
+		resyncs:      reg.Counter(MetricResyncs).Tally(),
+		resyncBytes:  reg.Counter(MetricResyncBytes).Tally(),
+		seqAnomalies: reg.Counter(MetricSeqAnomalies).Tally(),
+		flips:        reg.Counter(MetricComplianceFlips).Tally(),
+		decodeErrors: reg.Counter(MetricDecodeErrors).Tally(),
+		strictBy:     make(map[string]*obs.Tally),
+	}
+}
+
+// flush publishes the tallies. Nil-safe.
+func (m *analyzerMetrics) flush() {
+	if m == nil {
+		return
+	}
+	m.packetsIEC.Flush()
+	m.packetsOther.Flush()
+	m.framesI.Flush()
+	m.framesS.Flush()
+	m.framesU.Flush()
+	m.resyncs.Flush()
+	m.resyncBytes.Flush()
+	m.seqAnomalies.Flush()
+	m.flips.Flush()
+	m.decodeErrors.Flush()
+	for _, t := range m.strictBy {
+		t.Flush()
 	}
 }
 
@@ -157,12 +178,13 @@ func (m *analyzerMetrics) noteStrictInvalid(dialect string) {
 	if m == nil {
 		return
 	}
-	c := m.strictBy[dialect]
-	if c == nil {
-		c = m.reg.Counter(MetricStrictInvalid, "dialect", dialect)
-		m.strictBy[dialect] = c
+	t := m.strictBy[dialect]
+	if t == nil {
+		tally := m.reg.Counter(MetricStrictInvalid, "dialect", dialect).Tally()
+		t = &tally
+		m.strictBy[dialect] = t
 	}
-	c.Inc()
+	t.Inc()
 }
 
 // parseErrorCause maps a tolerant-parser failure to a stable label for
@@ -196,7 +218,7 @@ func parseErrorCause(err error) string {
 }
 
 // connLabel renders a flow direction for journal events.
-func connLabel(sp tcpflow.StreamPayload) string {
+func connLabel(sp *tcpflow.StreamPayload) string {
 	return sp.Src.String() + ">" + sp.Dst.String()
 }
 

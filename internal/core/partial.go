@@ -49,8 +49,10 @@ type Partial struct {
 
 // Partial snapshots the analyzer. The result shares nothing mutable
 // with the analyzer, so the caller may keep it while analysis
-// continues.
+// continues. It also publishes the analyzer's metric tallies, so the
+// registry's counters cover at least what the snapshot covers.
 func (a *Analyzer) Partial() Partial {
+	a.FlushMetrics()
 	first, last := a.tracker.Window()
 	p := Partial{
 		Packets:      a.Packets,
@@ -62,15 +64,12 @@ func (a *Analyzer) Partial() Partial {
 		Flows:        a.tracker.Summarize(),
 		FlowsEvicted: a.tracker.EvictedFlows(),
 		TotalASDUs:   a.totalASDUs,
-		TypeCounts:   make(map[iec104.TypeID]int, len(a.typeCounts)),
+		TypeCounts:   a.typeCountMap(),
 		Features:     a.SessionFeatures(),
 		// MergeDigests on a single list just sorts by series key, so a
 		// lone Partial and a merged one order Physical identically.
 		Physical:   physical.MergeDigests(a.store.Digests()),
 		OtherPorts: a.OtherProtocols(),
-	}
-	for t, c := range a.typeCounts {
-		p.TypeCounts[t] = c
 	}
 	for _, sc := range a.compliance {
 		p.Compliance = append(p.Compliance, *sc)

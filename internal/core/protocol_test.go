@@ -15,7 +15,6 @@ import (
 	"uncharted/internal/physical"
 	"uncharted/internal/protocol"
 	"uncharted/internal/scadasim"
-	"uncharted/internal/tcpflow"
 	"uncharted/internal/topology"
 )
 
@@ -239,10 +238,11 @@ func TestPhysicalTypeOfRoundTrip(t *testing.T) {
 
 // TestDialectFeedAllocCeiling is a CI tripwire like
 // pcap.TestReadPacketIntoAllocCeiling: once a C37.118 and a Modbus flow
-// are established, feeding each another frame — decode, token and
-// session tallies, physical samples — must not touch the heap. Series
-// creation is excluded by pre-feeding; the occasional doubling of a
-// sample or token buffer averages out below one allocation per run.
+// are established, feeding each another frame as a TCP segment — flow
+// and session bookkeeping, reassembly, decode, token and session
+// tallies, physical samples — must not touch the heap. Series creation
+// is excluded by pre-feeding; the occasional doubling of a sample, gap
+// or token buffer averages out below one allocation per run.
 func TestDialectFeedAllocCeiling(t *testing.T) {
 	a := NewAnalyzer(nil)
 	a.EnableProtocols(protocol.C37118, protocol.Modbus)
@@ -252,9 +252,7 @@ func TestDialectFeedAllocCeiling(t *testing.T) {
 	master := netip.MustParseAddrPort("10.0.0.6:40002")
 	plc := netip.MustParseAddrPort("10.0.8.1:502")
 	at := time.Unix(1560000000, 0).UTC()
-	feed := func(src, dst netip.AddrPort, data []byte) {
-		a.OnPayload(tcpflow.StreamPayload{Src: src, Dst: dst, Time: at, Data: data})
-	}
+	feed := newWire(a, at).send
 
 	cfg := &c37118.Config{
 		IDCode: 7, Time: at, DataRate: 30,

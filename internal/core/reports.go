@@ -80,6 +80,16 @@ func (f SessionFeature) Vector() []float64 {
 	return []float64{f.DeltaT, f.Num, f.PctI, f.PctS, f.PctU}
 }
 
+// SessionAPDUs returns the APDU format tally summed over every
+// directional session: all frames the analyzer accepted, by format.
+func (a *Analyzer) SessionAPDUs() DirCounts {
+	var sum DirCounts
+	for _, dc := range a.sessionAPDUs {
+		sum.I, sum.S, sum.U = sum.I+dc.I, sum.S+dc.S, sum.U+dc.U
+	}
+	return sum
+}
+
 // SessionFeatures extracts one row per directional session that
 // carried at least one APDU.
 func (a *Analyzer) SessionFeatures() []SessionFeature {
@@ -285,7 +295,19 @@ type TypeIDShare struct {
 
 // TypeDistribution returns the observed ASDU type shares, descending.
 func (a *Analyzer) TypeDistribution() []TypeIDShare {
-	return TypeSharesFromCounts(a.typeCounts, a.totalASDUs)
+	return TypeSharesFromCounts(a.typeCountMap(), a.totalASDUs)
+}
+
+// typeCountMap renders the per-type ASDU tally as the map reports and
+// snapshots carry: observed types only.
+func (a *Analyzer) typeCountMap() map[iec104.TypeID]int {
+	out := make(map[iec104.TypeID]int)
+	for t, c := range a.typeCounts {
+		if c > 0 {
+			out[iec104.TypeID(t)] = c
+		}
+	}
+	return out
 }
 
 // TypeSharesFromCounts renders (possibly merged) per-type ASDU counts
@@ -308,7 +330,15 @@ func TypeSharesFromCounts(counts map[iec104.TypeID]int, total int) []TypeIDShare
 
 // ObservedTypeCount returns how many distinct type IDs appeared (the
 // paper observed 13 of the 54).
-func (a *Analyzer) ObservedTypeCount() int { return len(a.typeCounts) }
+func (a *Analyzer) ObservedTypeCount() int {
+	n := 0
+	for _, c := range a.typeCounts {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // FormatTypeTable renders Table 7 as text.
 func FormatTypeTable(shares []TypeIDShare) string {

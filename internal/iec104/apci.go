@@ -95,6 +95,19 @@ var (
 	ErrTrailing     = errors.New("iec104: trailing bytes after ASDU")
 )
 
+// Decode misses are built once, here and in asdu.go and time.go: the
+// tolerant parser sweeps five candidate profiles over every frame of an
+// endpoint it has not pinned, and most candidates miss, so an error
+// formatted per miss was an allocation per candidate. Each still wraps
+// the sentinel callers match with errors.Is; what they no longer carry
+// is the offending value, which the frame in hand shows.
+var (
+	errSWithASDU = fmt.Errorf("%w: S-format APDU with ASDU bytes", ErrBadControl)
+	errUWithASDU = fmt.Errorf("%w: U-format APDU with ASDU bytes", ErrBadControl)
+	errUFunction = fmt.Errorf("%w: U control octet names no function", ErrBadControl)
+	errUPadding  = fmt.Errorf("%w: nonzero U padding", ErrBadControl)
+)
+
 // EncodeAPCI writes the 6-octet APCI for the APDU header into dst, which
 // must have room for 6 bytes. asduLen is the length of the ASDU that
 // will follow (0 for S and U frames). It returns the total APDU length
@@ -209,23 +222,23 @@ func ParseAPDUInto(dst *APDU, scratch *ASDU, data []byte, p Profile, alias bool)
 	case cf[0]&0x03 == 0x01: // S format
 		a.Format = FormatS
 		if apduLen != 4 {
-			return 0, fmt.Errorf("%w: S-format APDU with ASDU bytes", ErrBadControl)
+			return 0, errSWithASDU
 		}
 		a.RecvSeq = uint16(cf[2])>>1 | uint16(cf[3])<<7
 	default: // U format (low two bits 11)
 		a.Format = FormatU
 		if apduLen != 4 {
-			return 0, fmt.Errorf("%w: U-format APDU with ASDU bytes", ErrBadControl)
+			return 0, errUWithASDU
 		}
 		u := UFunc(cf[0] >> 2)
 		switch u {
 		case UStartDTAct, UStartDTCon, UStopDTAct, UStopDTCon, UTestFRAct, UTestFRCon:
 			a.U = u
 		default:
-			return 0, fmt.Errorf("%w: U control octet %#x", ErrBadControl, cf[0])
+			return 0, errUFunction
 		}
 		if cf[1] != 0 || cf[2] != 0 || cf[3] != 0 {
-			return 0, fmt.Errorf("%w: nonzero U padding", ErrBadControl)
+			return 0, errUPadding
 		}
 	}
 	return total, nil

@@ -12,6 +12,9 @@ var (
 	ErrUnsupportedType = errors.New("iec104: unsupported type identification")
 	ErrObjectCount     = errors.New("iec104: object count does not match ASDU length")
 	ErrNoObjects       = errors.New("iec104: ASDU carries zero information objects")
+
+	errInvalidCause = errors.New("iec104: invalid cause of transmission")
+	errVariableSize = errors.New("iec104: variable-size type must carry one object")
 )
 
 // ASDU is an Application Service Data Unit: the data unit identifier
@@ -130,7 +133,7 @@ func ParseASDUInto(dst *ASDU, data []byte, p Profile, alias bool) error {
 	a := dst
 	*a = ASDU{Type: TypeID(data[0]), Objects: dst.Objects[:0]}
 	if !Supported(a.Type) {
-		return fmt.Errorf("%w: %d", ErrUnsupportedType, data[0])
+		return ErrUnsupportedType
 	}
 	count := int(data[1] & 0x7F)
 	a.Sequence = data[1]&0x80 != 0
@@ -143,7 +146,7 @@ func ParseASDUInto(dst *ASDU, data []byte, p Profile, alias bool) error {
 		return err
 	}
 	if !a.COT.Cause.Valid() {
-		return fmt.Errorf("iec104: invalid cause of transmission %d", uint8(a.COT.Cause))
+		return errInvalidCause
 	}
 	off := 2 + p.COTSize
 	if p.CommonAddrSize == 2 {
@@ -167,7 +170,7 @@ func ParseASDUInto(dst *ASDU, data []byte, p Profile, alias bool) error {
 		// single object. The length octet inside the element governs
 		// its size; we keep the whole remainder.
 		if a.Sequence || count != 1 {
-			return fmt.Errorf("iec104: variable-size type %v must carry one object", a.Type)
+			return errVariableSize
 		}
 		if len(body) < p.IOASize {
 			return ErrShortASDU
@@ -187,24 +190,34 @@ func ParseASDUInto(dst *ASDU, data []byte, p Profile, alias bool) error {
 		need = count * (p.IOASize + elemSize)
 	}
 	if len(body) != need {
-		return fmt.Errorf("%w: %v x%d (SQ=%t) needs %d body bytes, have %d",
-			ErrObjectCount, a.Type, count, a.Sequence, need, len(body))
+		return ErrObjectCount
 	}
 
+	// object appends one decoded information object, written in place:
+	// the slice is extended first (appending a literal would build the
+	// object on the stack and copy it in).
+	object := func(ioa uint32, el []byte) error {
+		n := len(a.Objects)
+		if n < cap(a.Objects) {
+			a.Objects = a.Objects[:n+1]
+		} else {
+			a.Objects = append(a.Objects, InfoObject{})
+		}
+		obj := &a.Objects[n]
+		obj.IOA = ioa
+		if err := decodeElement(a.Type, el, &obj.Value); err != nil {
+			return err
+		}
+		obj.Raw = rawBytes(el)
+		return nil
+	}
 	if a.Sequence {
 		base := decodeIOA(body, p.IOASize)
 		pos := p.IOASize
 		for i := 0; i < count; i++ {
-			el := body[pos : pos+elemSize]
-			v, err := decodeElement(a.Type, el)
-			if err != nil {
+			if err := object(base+uint32(i), body[pos:pos+elemSize]); err != nil {
 				return err
 			}
-			a.Objects = append(a.Objects, InfoObject{
-				IOA:   base + uint32(i),
-				Value: v,
-				Raw:   rawBytes(el),
-			})
 			pos += elemSize
 		}
 	} else {
@@ -212,16 +225,9 @@ func ParseASDUInto(dst *ASDU, data []byte, p Profile, alias bool) error {
 		for i := 0; i < count; i++ {
 			ioa := decodeIOA(body[pos:], p.IOASize)
 			pos += p.IOASize
-			el := body[pos : pos+elemSize]
-			v, err := decodeElement(a.Type, el)
-			if err != nil {
+			if err := object(ioa, body[pos:pos+elemSize]); err != nil {
 				return err
 			}
-			a.Objects = append(a.Objects, InfoObject{
-				IOA:   ioa,
-				Value: v,
-				Raw:   rawBytes(el),
-			})
 			pos += elemSize
 		}
 	}

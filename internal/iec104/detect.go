@@ -193,7 +193,12 @@ func qualityOctetOf(t TypeID, raw []byte) int {
 // parser the paper built (and released) to analyse the non-compliant
 // outstations.
 type TolerantParser struct {
-	profiles map[string]Profile
+	// ids maps an endpoint key to its slot in eps. The slots sit in one
+	// slice, so an endpoint costs no heap object of its own and a caller
+	// that resolved the key once (Endpoint) reaches the slot without
+	// hashing a string per frame.
+	ids map[string]EndpointID
+	eps []endpointSlot
 	// Detections counts how many frames were profile-detected (as
 	// opposed to served from the per-endpoint cache).
 	Detections int
@@ -258,19 +263,52 @@ func (tp *TolerantParser) StrictPlausible(frame []byte) bool {
 
 // NewTolerantParser returns a parser with an empty endpoint cache.
 func NewTolerantParser() *TolerantParser {
-	return &TolerantParser{profiles: make(map[string]Profile)}
+	return &TolerantParser{ids: make(map[string]EndpointID)}
+}
+
+// EndpointID is an endpoint key resolved to its slot in one parser's
+// dialect cache; it means nothing to another parser.
+type EndpointID int32
+
+// endpointSlot is one endpoint's learned dialect.
+type endpointSlot struct {
+	profile Profile
+	pinned  bool
+}
+
+// Endpoint resolves an endpoint key (typically the sender's address),
+// creating an unpinned slot the first time a key is seen. Callers that
+// parse many frames of one endpoint resolve it once and use the *At
+// methods.
+func (tp *TolerantParser) Endpoint(endpoint string) EndpointID {
+	id, ok := tp.ids[endpoint]
+	if !ok {
+		id = EndpointID(len(tp.eps))
+		tp.eps = append(tp.eps, endpointSlot{})
+		tp.ids[endpoint] = id
+	}
+	return id
 }
 
 // ProfileFor returns the cached dialect for an endpoint key, and
 // whether one is cached.
 func (tp *TolerantParser) ProfileFor(endpoint string) (Profile, bool) {
-	p, ok := tp.profiles[endpoint]
-	return p, ok
+	id, ok := tp.ids[endpoint]
+	if !ok {
+		return Profile{}, false
+	}
+	return tp.ProfileAt(id)
+}
+
+// ProfileAt is ProfileFor for a resolved endpoint.
+func (tp *TolerantParser) ProfileAt(id EndpointID) (Profile, bool) {
+	ep := &tp.eps[id]
+	return ep.profile, ep.pinned
 }
 
 // SetProfile pins a dialect for an endpoint, bypassing detection.
 func (tp *TolerantParser) SetProfile(endpoint string, p Profile) {
-	tp.profiles[endpoint] = p
+	tp.eps[tp.Endpoint(endpoint)] = endpointSlot{profile: p, pinned: true}
 }
 
 // Parse decodes every APDU in payload originating from the given
@@ -281,9 +319,10 @@ func (tp *TolerantParser) SetProfile(endpoint string, p Profile) {
 func (tp *TolerantParser) Parse(endpoint string, payload []byte) ([]*APDU, error) {
 	var out []*APDU
 	off := 0
+	id := tp.Endpoint(endpoint)
 	for off < len(payload) {
 		frame := payload[off:]
-		p, cached := tp.profiles[endpoint]
+		p, cached := tp.ProfileAt(id)
 		if cached {
 			apdu, n, err := ParseAPDU(frame, p)
 			if err == nil {
@@ -302,7 +341,7 @@ func (tp *TolerantParser) Parse(endpoint string, payload []byte) ([]*APDU, error
 			return out, err
 		}
 		if apdu.Format == FormatI {
-			tp.profiles[endpoint] = detected
+			tp.eps[id] = endpointSlot{profile: detected, pinned: true}
 		}
 		out = append(out, apdu)
 		off += n
@@ -319,9 +358,15 @@ func (tp *TolerantParser) Parse(endpoint string, payload []byte) ([]*APDU, error
 // analyzer's per-frame hot path, which always hands in exactly one
 // framed APDU. Returns the number of bytes consumed.
 func (tp *TolerantParser) ParseFrameInto(endpoint string, frame []byte, dst *APDU, scratch *ASDU) (int, error) {
-	p, cached := tp.profiles[endpoint]
-	if cached {
-		n, err := ParseAPDUInto(dst, scratch, frame, p, true)
+	return tp.ParseFrameAt(tp.Endpoint(endpoint), frame, dst, scratch)
+}
+
+// ParseFrameAt is ParseFrameInto for a resolved endpoint: the per-frame
+// path of a caller that keeps the EndpointID with its own per-endpoint
+// state.
+func (tp *TolerantParser) ParseFrameAt(id EndpointID, frame []byte, dst *APDU, scratch *ASDU) (int, error) {
+	if ep := &tp.eps[id]; ep.pinned {
+		n, err := ParseAPDUInto(dst, scratch, frame, ep.profile, true)
 		if err == nil {
 			return n, nil
 		}
@@ -346,7 +391,7 @@ func (tp *TolerantParser) ParseFrameInto(endpoint string, frame []byte, dst *APD
 		return 0, err
 	}
 	if dst.Format == FormatI {
-		tp.profiles[endpoint] = detected
+		tp.eps[id] = endpointSlot{profile: detected, pinned: true}
 	}
 	return n, nil
 }

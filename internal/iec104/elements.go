@@ -89,13 +89,15 @@ type InfoObject struct {
 	Raw []byte
 }
 
-// elementLen returns the element size for t, using raw length for
-// variable types when decoding sequences is impossible.
-func decodeElement(t TypeID, b []byte) (Value, error) {
-	v := Value{Kind: KindRaw}
+// decodeElement decodes one information element of type t from b into
+// v — in place, so an object is written once, where it will live. On
+// error v is partly filled.
+func decodeElement(t TypeID, b []byte, v *Value) error {
+	*v = Value{}
+	v.Kind = KindRaw
 	need, fixed := t.ElementSize()
 	if fixed && len(b) < need {
-		return v, fmt.Errorf("iec104: %v element truncated: need %d bytes, have %d", t, need, len(b))
+		return fmt.Errorf("iec104: %v element truncated: need %d bytes, have %d", t, need, len(b))
 	}
 	timeAt := func(off int) error {
 		ct, err := DecodeCP56Time2a(b[off:])
@@ -114,7 +116,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Float = float64(v.Bits)
 		if t == MSpTb {
 			if err := timeAt(1); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case MDpNa, MDpTb:
@@ -124,7 +126,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Float = float64(v.Bits)
 		if t == MDpTb {
 			if err := timeAt(1); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case MStNa, MStTb:
@@ -138,7 +140,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Quality = qualityFromByte(b[1])
 		if t == MStTb {
 			if err := timeAt(2); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case MBoNa, MBoTb:
@@ -147,7 +149,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Quality = qualityFromByte(b[4])
 		if t == MBoTb {
 			if err := timeAt(5); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case MMeNa, MMeTd, MMeNd:
@@ -159,7 +161,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		case MMeTd:
 			v.Quality = qualityFromByte(b[2])
 			if err := timeAt(3); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case MMeNb, MMeTe:
@@ -168,7 +170,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Quality = qualityFromByte(b[2])
 		if t == MMeTe {
 			if err := timeAt(3); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case MMeNc, MMeTf:
@@ -177,7 +179,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Quality = qualityFromByte(b[4])
 		if t == MMeTf {
 			if err := timeAt(5); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case MItNa, MItTb:
@@ -188,7 +190,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Quality.Invalid = b[4]&0x80 != 0
 		if t == MItTb {
 			if err := timeAt(5); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case MPsNa:
@@ -201,7 +203,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Float = float64(b[0] & 0x03)
 		if t.HasTimeTag() {
 			if err := timeAt(1); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case CSeNa, CSeTa:
@@ -210,7 +212,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Bits = uint32(b[2])
 		if t == CSeTa {
 			if err := timeAt(3); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case CSeNb, CSeTb:
@@ -219,7 +221,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Bits = uint32(b[2])
 		if t == CSeTb {
 			if err := timeAt(3); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case CSeNc, CSeTc:
@@ -228,7 +230,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Bits = uint32(b[4])
 		if t == CSeTc {
 			if err := timeAt(5); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case CBoNa, CBoTa:
@@ -236,7 +238,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		v.Bits = binary.LittleEndian.Uint32(b)
 		if t == CBoTa {
 			if err := timeAt(4); err != nil {
-				return v, err
+				return err
 			}
 		}
 	case MEiNa, CIcNa, CCiNa, CRpNa, PAcNa:
@@ -247,13 +249,13 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 	case CCsNa:
 		v.Kind = KindNone
 		if err := timeAt(0); err != nil {
-			return v, err
+			return err
 		}
 	case CTsTa:
 		v.Kind = KindBitstring
 		v.Bits = uint32(binary.LittleEndian.Uint16(b))
 		if err := timeAt(2); err != nil {
-			return v, err
+			return err
 		}
 	case PMeNa, PMeNb:
 		v.Kind = KindCommand
@@ -270,7 +272,7 @@ func decodeElement(t TypeID, b []byte) (Value, error) {
 		// File-transfer and remaining types: keep raw bytes only.
 		v.Kind = KindRaw
 	}
-	return v, nil
+	return nil
 }
 
 // encodeElement renders v for type t. For KindRaw values the raw bytes

@@ -8,6 +8,14 @@ import (
 // ErrShortTime is returned when a time tag is truncated.
 var ErrShortTime = errors.New("iec104: truncated time tag")
 
+var (
+	errTimeMillis = errors.New("iec104: CP56Time2a milliseconds out of range")
+	errTimeMinute = errors.New("iec104: CP56Time2a minute out of range")
+	errTimeHour   = errors.New("iec104: CP56Time2a hour out of range")
+	errTimeDay    = errors.New("iec104: CP56Time2a day out of range")
+	errTimeMonth  = errors.New("iec104: CP56Time2a month out of range")
+)
+
 // CP56Time2a is the 7-octet absolute time tag used by the *_TB_1 /
 // *_TD_1 / *_TE_1 / *_TF_1 types: milliseconds within the minute,
 // minute (with invalid bit), hour (with summer-time bit), day of month
@@ -50,23 +58,23 @@ func DecodeCP56Time2a(b []byte) (CP56Time2a, error) {
 	}
 	ms := int(b[0]) | int(b[1])<<8
 	if ms > 59999 {
-		return CP56Time2a{}, errors.New("iec104: CP56Time2a milliseconds out of range")
+		return CP56Time2a{}, errTimeMillis
 	}
 	minute := int(b[2] & 0x3F)
 	if minute > 59 {
-		return CP56Time2a{}, errors.New("iec104: CP56Time2a minute out of range")
+		return CP56Time2a{}, errTimeMinute
 	}
 	hour := int(b[3] & 0x1F)
 	if hour > 23 {
-		return CP56Time2a{}, errors.New("iec104: CP56Time2a hour out of range")
+		return CP56Time2a{}, errTimeHour
 	}
 	day := int(b[4] & 0x1F)
 	if day < 1 || day > 31 {
-		return CP56Time2a{}, errors.New("iec104: CP56Time2a day out of range")
+		return CP56Time2a{}, errTimeDay
 	}
 	month := int(b[5] & 0x0F)
 	if month < 1 || month > 12 {
-		return CP56Time2a{}, errors.New("iec104: CP56Time2a month out of range")
+		return CP56Time2a{}, errTimeMonth
 	}
 	yy := int(b[6] & 0x7F)
 	year := 2000 + yy

@@ -57,6 +57,35 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+// Tally is one goroutine's private count in front of a Counter that
+// several goroutines share (every shard of an engine resolves the same
+// series): Inc and Add touch only the owner's memory, Flush publishes
+// what has accumulated. The shared value therefore trails by whatever
+// the owner has not flushed, so an owner flushes at fixed points of its
+// loop — never on a count threshold, which would strand the tail of an
+// idle source. Not safe for concurrent use.
+type Tally struct {
+	c *Counter
+	n int64
+}
+
+// Tally returns a zeroed private count that flushes into c.
+func (c *Counter) Tally() Tally { return Tally{c: c} }
+
+// Inc adds one to the private count.
+func (t *Tally) Inc() { t.n++ }
+
+// Add adds n to the private count.
+func (t *Tally) Add(n int64) { t.n += n }
+
+// Flush adds the private count to the shared counter and zeroes it.
+func (t *Tally) Flush() {
+	if t.n != 0 {
+		t.c.Add(t.n)
+		t.n = 0
+	}
+}
+
 // Gauge is a float metric that can go up and down.
 type Gauge struct {
 	bits atomic.Uint64

@@ -35,15 +35,22 @@ type Ethernet struct {
 
 // DecodeEthernet parses an Ethernet II frame.
 func DecodeEthernet(data []byte) (Ethernet, error) {
-	if len(data) < 14 {
-		return Ethernet{}, ErrShortEthernet
-	}
 	var e Ethernet
+	err := e.decode(data)
+	return e, err
+}
+
+// decode parses an Ethernet II frame into e, setting every field; e is
+// untouched on error.
+func (e *Ethernet) decode(data []byte) error {
+	if len(data) < 14 {
+		return ErrShortEthernet
+	}
 	copy(e.Dst[:], data[0:6])
 	copy(e.Src[:], data[6:12])
 	e.EtherType = binary.BigEndian.Uint16(data[12:14])
 	e.Payload = data[14:]
-	return e, nil
+	return nil
 }
 
 // Serialize renders the frame (header plus payload).
@@ -71,24 +78,31 @@ type IPv4 struct {
 
 // DecodeIPv4 parses an IPv4 packet and validates its header checksum.
 func DecodeIPv4(data []byte) (IPv4, error) {
+	var p IPv4
+	err := p.decode(data)
+	return p, err
+}
+
+// decode parses an IPv4 packet into p, setting every field; p is
+// untouched on error.
+func (p *IPv4) decode(data []byte) error {
 	if len(data) < 20 {
-		return IPv4{}, ErrShortIPv4
+		return ErrShortIPv4
 	}
 	if data[0]>>4 != 4 {
-		return IPv4{}, ErrNotIPv4
+		return ErrNotIPv4
 	}
 	ihl := int(data[0]&0x0F) * 4
 	if ihl < 20 || len(data) < ihl {
-		return IPv4{}, fmt.Errorf("%w: IHL %d", ErrShortIPv4, ihl)
+		return fmt.Errorf("%w: IHL %d", ErrShortIPv4, ihl)
 	}
 	totalLen := int(binary.BigEndian.Uint16(data[2:4]))
 	if totalLen < ihl || totalLen > len(data) {
-		return IPv4{}, fmt.Errorf("pcap: IPv4 total length %d outside [%d,%d]", totalLen, ihl, len(data))
+		return fmt.Errorf("pcap: IPv4 total length %d outside [%d,%d]", totalLen, ihl, len(data))
 	}
 	if Checksum(data[:ihl]) != 0 {
-		return IPv4{}, errors.New("pcap: IPv4 header checksum mismatch")
+		return errors.New("pcap: IPv4 header checksum mismatch")
 	}
-	var p IPv4
 	p.TOS = data[1]
 	p.ID = binary.BigEndian.Uint16(data[4:6])
 	ff := binary.BigEndian.Uint16(data[6:8])
@@ -96,12 +110,11 @@ func DecodeIPv4(data []byte) (IPv4, error) {
 	p.FragOff = ff & 0x1FFF
 	p.TTL = data[8]
 	p.Protocol = data[9]
-	src, _ := netip.AddrFromSlice(data[12:16])
-	dst, _ := netip.AddrFromSlice(data[16:20])
-	p.Src, p.Dst = src, dst
+	p.Src = netip.AddrFrom4([4]byte(data[12:16]))
+	p.Dst = netip.AddrFrom4([4]byte(data[16:20]))
 	p.Options = data[20:ihl]
 	p.Payload = data[ihl:totalLen]
-	return p, nil
+	return nil
 }
 
 // Serialize renders the packet with a freshly computed header checksum.
@@ -191,24 +204,31 @@ func (t TCP) FlagString() string {
 // DecodeTCP parses a TCP segment. The checksum is not verified here
 // because verification needs the IP pseudo-header; use VerifyTCPChecksum.
 func DecodeTCP(data []byte) (TCP, error) {
+	var t TCP
+	err := t.decode(data)
+	return t, err
+}
+
+// decode parses a TCP segment into t, setting every field; t is
+// untouched on error.
+func (t *TCP) decode(data []byte) error {
 	if len(data) < 20 {
-		return TCP{}, ErrShortTCP
+		return ErrShortTCP
 	}
 	off := int(data[12]>>4) * 4
 	if off < 20 || len(data) < off {
-		return TCP{}, fmt.Errorf("%w: data offset %d", ErrShortTCP, off)
+		return fmt.Errorf("%w: data offset %d", ErrShortTCP, off)
 	}
-	return TCP{
-		SrcPort: binary.BigEndian.Uint16(data[0:2]),
-		DstPort: binary.BigEndian.Uint16(data[2:4]),
-		Seq:     binary.BigEndian.Uint32(data[4:8]),
-		Ack:     binary.BigEndian.Uint32(data[8:12]),
-		Flags:   data[13] & 0x3F,
-		Window:  binary.BigEndian.Uint16(data[14:16]),
-		Urgent:  binary.BigEndian.Uint16(data[18:20]),
-		Options: data[20:off],
-		Payload: data[off:],
-	}, nil
+	t.SrcPort = binary.BigEndian.Uint16(data[0:2])
+	t.DstPort = binary.BigEndian.Uint16(data[2:4])
+	t.Seq = binary.BigEndian.Uint32(data[4:8])
+	t.Ack = binary.BigEndian.Uint32(data[8:12])
+	t.Flags = data[13] & 0x3F
+	t.Window = binary.BigEndian.Uint16(data[14:16])
+	t.Urgent = binary.BigEndian.Uint16(data[18:20])
+	t.Options = data[20:off]
+	t.Payload = data[off:]
+	return nil
 }
 
 // Serialize renders the segment with the checksum computed against the
@@ -318,33 +338,37 @@ type Packet struct {
 // Frames that are not IPv4/TCP return an error; callers typically skip
 // them (SCADA taps also see ARP, ICCP on other ports, etc.).
 func DecodePacket(link LinkType, ci CaptureInfo, data []byte) (Packet, error) {
-	p := Packet{Info: ci}
+	var p Packet
+	err := DecodePacketInto(&p, link, ci, data)
+	return p, err
+}
+
+// DecodePacketInto is DecodePacket into caller-owned storage: every
+// layer is parsed straight into dst, so a loop that reuses its slots
+// never copies a Packet. On error dst holds the layers decoded so far
+// and is not a valid packet.
+func DecodePacketInto(dst *Packet, link LinkType, ci CaptureInfo, data []byte) error {
+	dst.Info = ci
 	ipBytes := data
 	if link == LinkTypeEthernet {
-		eth, err := DecodeEthernet(data)
-		if err != nil {
-			return p, err
+		if err := dst.Eth.decode(data); err != nil {
+			return err
 		}
-		if eth.EtherType != EtherTypeIPv4 {
-			return p, fmt.Errorf("%w: ethertype %#04x", ErrNotIPv4, eth.EtherType)
+		if dst.Eth.EtherType != EtherTypeIPv4 {
+			return fmt.Errorf("%w: ethertype %#04x", ErrNotIPv4, dst.Eth.EtherType)
 		}
-		p.Eth, p.HasEth = eth, true
-		ipBytes = eth.Payload
+		dst.HasEth = true
+		ipBytes = dst.Eth.Payload
+	} else {
+		dst.Eth, dst.HasEth = Ethernet{}, false
 	}
-	ip, err := DecodeIPv4(ipBytes)
-	if err != nil {
-		return p, err
+	if err := dst.IP.decode(ipBytes); err != nil {
+		return err
 	}
-	if ip.Protocol != IPProtoTCP {
-		return p, fmt.Errorf("%w: protocol %d", ErrNotTCP, ip.Protocol)
+	if dst.IP.Protocol != IPProtoTCP {
+		return fmt.Errorf("%w: protocol %d", ErrNotTCP, dst.IP.Protocol)
 	}
-	p.IP = ip
-	tcp, err := DecodeTCP(ip.Payload)
-	if err != nil {
-		return p, err
-	}
-	p.TCP = tcp
-	return p, nil
+	return dst.TCP.decode(dst.IP.Payload)
 }
 
 // PeekIPv4Pair extracts the IPv4 source and destination addresses from
@@ -365,9 +389,7 @@ func PeekIPv4Pair(link LinkType, data []byte) (src, dst netip.Addr, ok bool) {
 	if len(data) < 20 || data[0]>>4 != 4 {
 		return netip.Addr{}, netip.Addr{}, false
 	}
-	src, _ = netip.AddrFromSlice(data[12:16])
-	dst, _ = netip.AddrFromSlice(data[16:20])
-	return src, dst, true
+	return netip.AddrFrom4([4]byte(data[12:16])), netip.AddrFrom4([4]byte(data[16:20])), true
 }
 
 // BuildTCPPacket serializes a full Ethernet/IPv4/TCP frame. MAC

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"uncharted/internal/core"
+	"uncharted/internal/obs"
 	"uncharted/internal/pcap"
 	"uncharted/internal/scadasim"
 	"uncharted/internal/topology"
@@ -110,30 +111,41 @@ func benchmarkEngine(b *testing.B, workers int) {
 // runBenchEngineRaw streams the capture bytes through the raw
 // (undecoded) path with the given reader fan-out, exercising the
 // segment planner and the per-reader pools.
-func runBenchEngineRaw(tb testing.TB, workers, readers int) core.Partial {
+func runBenchEngineRaw(tb testing.TB, workers, readers int, reg *obs.Registry) core.Partial {
 	src := NewReaderAtSource(bytes.NewReader(benchCapture.raw), benchCapture.bytes)
-	e := New(Config{Workers: workers, Readers: readers, Names: core.NamesFromTopology(benchCapture.network)})
+	e := New(Config{Workers: workers, Readers: readers, Names: core.NamesFromTopology(benchCapture.network), Registry: reg})
 	if err := e.Run(context.Background(), src); err != nil {
 		tb.Fatal(err)
 	}
 	return e.Final()
 }
 
-func benchmarkEngineRaw(b *testing.B, workers, readers int) {
+func benchmarkEngineRaw(b *testing.B, workers, readers int, instrumented bool) {
 	loadBenchCapture(b)
 	b.SetBytes(benchCapture.bytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runBenchEngineRaw(b, workers, readers)
+		var reg *obs.Registry
+		if instrumented {
+			reg = obs.NewRegistry()
+		}
+		runBenchEngineRaw(b, workers, readers, reg)
 	}
 	b.ReportMetric(float64(benchCapture.apdus)*float64(b.N)/b.Elapsed().Seconds(), "apdus/s")
 }
 
 func BenchmarkEngine1Shard(b *testing.B)        { benchmarkEngine(b, 1) }
 func BenchmarkEngine4Shard(b *testing.B)        { benchmarkEngine(b, 4) }
-func BenchmarkEngine1Shard4Reader(b *testing.B) { benchmarkEngineRaw(b, 1, 4) }
-func BenchmarkEngine4Shard4Reader(b *testing.B) { benchmarkEngineRaw(b, 4, 4) }
+func BenchmarkEngine1Shard4Reader(b *testing.B) { benchmarkEngineRaw(b, 1, 4, false) }
+func BenchmarkEngine4Shard4Reader(b *testing.B) { benchmarkEngineRaw(b, 4, 4, false) }
+
+// BenchmarkEngine2ShardInstrumented is the configuration every front
+// end runs (pipeline.NewRunner always attaches a Registry): two shards
+// booking into the same counter series. Shards that counted straight
+// into the shared counters traded their cache lines per packet, which
+// none of the uninstrumented benchmarks above can show.
+func BenchmarkEngine2ShardInstrumented(b *testing.B) { benchmarkEngineRaw(b, 2, 2, true) }
 
 // TestShardScalingNotSlower is the throughput guard: on a multi-core
 // machine the sharded engine must beat one shard; on a single-CPU

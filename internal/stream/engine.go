@@ -306,32 +306,39 @@ func (s *shard) poke() {
 // decoding are skipped, matching the offline ReadPCAP path exactly.
 // Decode and feed run as separate passes so each gets its own span and
 // the published stage tells the reader which one a backlog is stuck in.
+// A record is decoded in place into its scratch slot and fed from
+// there, so no Packet is copied on the way. The analyzer's counters are
+// published once per batch, here: /metrics trails a shard by at most
+// the batch it is working on.
 func (s *shard) consume(b *batch) {
 	pkts := b.pkts
+	var slots []pcap.Packet
 	if len(b.frames) > 0 {
 		s.cur.Store(int32(trace.StageDecode))
 		sp := s.lane.Start()
-		pkts = s.scratch[:0]
+		if cap(s.scratch) < len(b.frames) {
+			s.scratch = make([]pcap.Packet, len(b.frames))
+		}
+		slots = s.scratch[:len(b.frames)]
+		n := 0
 		for i := range b.frames {
 			fr := &b.frames[i]
-			pkt, err := pcap.DecodePacket(b.link, fr.ci, b.slab[fr.off:fr.end])
-			if err != nil {
-				continue
+			if pcap.DecodePacketInto(&slots[n], b.link, fr.ci, b.slab[fr.off:fr.end]) == nil {
+				n++
 			}
-			pkts = append(pkts, pkt)
 		}
 		s.lane.End(sp, trace.StageDecode, len(b.frames), -1)
+		pkts = slots[:n]
 	}
 	s.cur.Store(int32(trace.StageFeed))
 	for i := range pkts {
-		s.an.FeedPacket(pkts[i])
+		s.an.Feed(&pkts[i])
 	}
-	if len(b.frames) > 0 {
-		// The packets reference slab bytes: drop them before the slab
-		// goes back to the pool.
-		clear(pkts)
-		s.scratch = pkts[:0]
-	}
+	s.an.FlushMetrics()
+	// The slots reference slab bytes (a failed decode leaves some in the
+	// slot after the last good one): drop them all before the slab goes
+	// back to the pool.
+	clear(slots)
 	b.recycle()
 	s.cur.Store(curIdle)
 }
@@ -452,28 +459,51 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// shardFor partitions by unordered IP pair: both directions of a flow
+// shardForPair partitions by unordered IP pair: both directions of a flow
 // — and every flow between the same two hosts, so reconnects of one
 // logical connection too — land on the same shard.
-func (e *Engine) shardFor(pkt pcap.Packet) int {
-	return e.shardForPair(pkt.IP.Src, pkt.IP.Dst)
-}
-
 func (e *Engine) shardForPair(a, b netip.Addr) int {
 	if len(e.shards) == 1 {
 		return 0
 	}
+	return int(pairHash(a, b) % uint64(len(e.shards)))
+}
+
+// FNV-1a, 64 bit. fnvPrime10 is fnvPrime¹⁰ mod 2⁶⁴: hashing a zero byte
+// is a bare multiply, so the ten leading zeros of an IPv4 address in
+// 16-byte form fold into one.
+const (
+	fnvOffset  = 14695981039346656037
+	fnvPrime   = 1099511628211
+	fnvPrime10 = 0x18a5210383502249
+)
+
+// pairHash is FNV-1a over the 16-byte forms of the two addresses, lower
+// address first. Which shard owns a host pair decides which shard pins
+// a dialect first, so the value is part of the goldens (and of the
+// benchmark's own copy of this routing) and must not change; an IPv4
+// address just takes 7 multiplies to get there instead of 16.
+func pairHash(a, b netip.Addr) uint64 {
 	if b.Compare(a) < 0 {
 		a, b = b, a
 	}
-	h := uint64(14695981039346656037) // FNV-1a
-	for _, by := range a.As16() {
-		h = (h ^ uint64(by)) * 1099511628211
+	return fnvAddr(fnvAddr(fnvOffset, a), b)
+}
+
+func fnvAddr(h uint64, ip netip.Addr) uint64 {
+	if ip.Is4() {
+		h *= fnvPrime10
+		h = (h ^ 0xff) * fnvPrime
+		h = (h ^ 0xff) * fnvPrime
+		for _, by := range ip.As4() {
+			h = (h ^ uint64(by)) * fnvPrime
+		}
+		return h
 	}
-	for _, by := range b.As16() {
-		h = (h ^ uint64(by)) * 1099511628211
+	for _, by := range ip.As16() {
+		h = (h ^ uint64(by)) * fnvPrime
 	}
-	return int(h % uint64(len(e.shards)))
+	return h
 }
 
 // Run consumes the source until io.EOF or ctx cancellation, then
@@ -528,6 +558,11 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 	e.running = false
 	for _, sh := range e.shards {
 		<-sh.done
+	}
+	// Every batch is back in its pool. The engine keeps its readers for
+	// /statusz, which wants their counters, not their carriers.
+	for _, rd := range readers {
+		rd.release()
 	}
 	msp := e.trcSnap.Start()
 	parts := make([]core.Partial, len(e.shards))
@@ -649,6 +684,17 @@ func (rd *reader) run(ctx context.Context) error {
 	return Pull(ctx, rd.src, rd.e.cfg.PollInterval, rd.lane, rd)
 }
 
+// release drops the reader's batch carriers — the pool's free list and
+// any batch left half filled by a cancelled run — once nothing can use
+// them again, so a finished engine that is still referenced (a served
+// tenant, a graph pass) does not pin QueueDepth 64 KiB slabs per reader.
+func (rd *reader) release() {
+	rd.pending = nil
+	rd.pool.mu.Lock()
+	rd.pool.free = nil
+	rd.pool.mu.Unlock()
+}
+
 // Raw implements RecordSink: route by the cheap header peek and copy
 // the record into the owning shard's pending slab. Records the peek
 // cannot classify go to shard 0, whose worker-side decode then skips
@@ -673,7 +719,7 @@ func (rd *reader) Raw(ctx context.Context, data []byte, ci pcap.CaptureInfo, lin
 
 // Packet implements RecordSink for sources that decode themselves.
 func (rd *reader) Packet(ctx context.Context, pkt pcap.Packet) bool {
-	i := rd.e.shardFor(pkt)
+	i := rd.e.shardForPair(pkt.IP.Src, pkt.IP.Dst)
 	b := rd.fill(i)
 	b.pkts = append(b.pkts, pkt)
 	if len(b.pkts) >= rd.e.cfg.BatchSize {

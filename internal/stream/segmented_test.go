@@ -231,7 +231,7 @@ func TestSegmentedAllocsGuard(t *testing.T) {
 
 	perMB := func(workers int) float64 {
 		allocs := testing.AllocsPerRun(3, func() {
-			if p := runBenchEngineRaw(t, workers, 4); p.Packets == 0 {
+			if p := runBenchEngineRaw(t, workers, 4, nil); p.Packets == 0 {
 				t.Fatal("no packets analyzed")
 			}
 		})
@@ -263,7 +263,7 @@ func TestReaderScalingSmoke(t *testing.T) {
 		best := time.Duration(1<<63 - 1)
 		for round := 0; round < 3; round++ {
 			start := time.Now()
-			p := runBenchEngineRaw(t, workers, 4)
+			p := runBenchEngineRaw(t, workers, 4, nil)
 			el := time.Since(start)
 			if p.Packets != len(benchCapture.pkts) {
 				t.Fatalf("engine(%d workers) processed %d packets, want %d", workers, p.Packets, len(benchCapture.pkts))

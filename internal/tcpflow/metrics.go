@@ -13,15 +13,18 @@ const (
 	MetricFlowsEvict  = "uncharted_tcpflow_flows_evicted_total"
 )
 
-// trackerMetrics holds the pre-resolved handles one Tracker updates.
+// trackerMetrics holds one Tracker's private tallies of the series
+// every tracker on the registry shares; flush publishes them.
 type trackerMetrics struct {
-	flowsOpened  *obs.Counter
-	flowsClosed  *obs.Counter
-	openFlows    *obs.Gauge
-	segments     *obs.Counter
-	retransmits  *obs.Counter
-	outOfOrder   *obs.Counter
-	flowsEvicted *obs.Counter
+	flowsOpened  obs.Tally
+	flowsClosed  obs.Tally
+	segments     obs.Tally
+	retransmits  obs.Tally
+	outOfOrder   obs.Tally
+	flowsEvicted obs.Tally
+	// openDelta is the unpublished change of the open-flow gauge.
+	openFlows *obs.Gauge
+	openDelta int
 }
 
 func newTrackerMetrics(reg *obs.Registry) *trackerMetrics {
@@ -33,13 +36,30 @@ func newTrackerMetrics(reg *obs.Registry) *trackerMetrics {
 	reg.SetHelp(MetricOutOfOrder, "Payload segments buffered ahead of a sequence gap.")
 	reg.SetHelp(MetricFlowsEvict, "Flows dropped by streaming-mode idle eviction.")
 	return &trackerMetrics{
-		flowsOpened:  reg.Counter(MetricFlowsOpened),
-		flowsClosed:  reg.Counter(MetricFlowsClosed),
+		flowsOpened:  reg.Counter(MetricFlowsOpened).Tally(),
+		flowsClosed:  reg.Counter(MetricFlowsClosed).Tally(),
 		openFlows:    reg.Gauge(MetricOpenFlows),
-		segments:     reg.Counter(MetricSegments),
-		retransmits:  reg.Counter(MetricRetransmits),
-		outOfOrder:   reg.Counter(MetricOutOfOrder),
-		flowsEvicted: reg.Counter(MetricFlowsEvict),
+		segments:     reg.Counter(MetricSegments).Tally(),
+		retransmits:  reg.Counter(MetricRetransmits).Tally(),
+		outOfOrder:   reg.Counter(MetricOutOfOrder).Tally(),
+		flowsEvicted: reg.Counter(MetricFlowsEvict).Tally(),
+	}
+}
+
+// flush publishes the tallies. Nil-safe.
+func (m *trackerMetrics) flush() {
+	if m == nil {
+		return
+	}
+	m.flowsOpened.Flush()
+	m.flowsClosed.Flush()
+	m.segments.Flush()
+	m.retransmits.Flush()
+	m.outOfOrder.Flush()
+	m.flowsEvicted.Flush()
+	if m.openDelta != 0 {
+		m.openFlows.Add(float64(m.openDelta))
+		m.openDelta = 0
 	}
 }
 
@@ -47,7 +67,7 @@ func newTrackerMetrics(reg *obs.Registry) *trackerMetrics {
 func (m *trackerMetrics) noteFlowOpened() {
 	if m != nil {
 		m.flowsOpened.Inc()
-		m.openFlows.Add(1)
+		m.openDelta++
 	}
 }
 
@@ -55,7 +75,7 @@ func (m *trackerMetrics) noteFlowOpened() {
 func (m *trackerMetrics) noteFlowClosed() {
 	if m != nil {
 		m.flowsClosed.Inc()
-		m.openFlows.Add(-1)
+		m.openDelta--
 	}
 }
 
@@ -67,7 +87,7 @@ func (m *trackerMetrics) noteFlowEvicted(wasClosed bool) {
 	}
 	m.flowsEvicted.Inc()
 	if !wasClosed {
-		m.openFlows.Add(-1)
+		m.openDelta--
 	}
 }
 

@@ -6,6 +6,7 @@
 package tcpflow
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"sort"
 	"time"
@@ -34,6 +35,52 @@ func addrPortLess(x, y netip.AddrPort) bool {
 		return c < 0
 	}
 	return x.Port() < y.Port()
+}
+
+// flowKey is the flow table's key: the packet's 4-tuple flattened to
+// pointer-free words, lower endpoint first, so the map hashes it with
+// one pass over 40 bytes where Key (two netip.AddrPort, each holding a
+// zone pointer) goes field by field. Addresses are in their 16-byte
+// form; v6 tells a real IPv6 endpoint from the IPv4 address its mapped
+// form would collide with (bit 1: a, bit 0: b). Zones are not part of
+// the key: no address decoded off a wire carries one.
+type flowKey struct {
+	aHi, aLo, bHi, bLo uint64
+	ports              uint32 // a's port in the high half, b's in the low
+	v6                 uint32
+}
+
+// flatten returns an address as the two words of its 16-byte form and
+// whether it is anything but IPv4.
+func flatten(ip netip.Addr) (hi, lo uint64, v6 uint32) {
+	if ip.Is4() {
+		b := ip.As4()
+		return 0, 0xffff<<32 | uint64(binary.BigEndian.Uint32(b[:])), 0
+	}
+	b := ip.As16()
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:]), 1
+}
+
+// flowKeyOf flattens the packet's endpoints. swapped reports that the
+// sender is the key's b side.
+func flowKeyOf(pkt *pcap.Packet) (k flowKey, swapped bool) {
+	sHi, sLo, s6 := flatten(pkt.IP.Src)
+	dHi, dLo, d6 := flatten(pkt.IP.Dst)
+	sp, dp := uint32(pkt.TCP.SrcPort), uint32(pkt.TCP.DstPort)
+	switch {
+	case s6 != d6:
+		swapped = s6 > d6
+	case sHi != dHi:
+		swapped = sHi > dHi
+	case sLo != dLo:
+		swapped = sLo > dLo
+	default:
+		swapped = sp > dp
+	}
+	if swapped {
+		return flowKey{aHi: dHi, aLo: dLo, bHi: sHi, bLo: sLo, ports: dp<<16 | sp, v6: d6<<1 | s6}, true
+	}
+	return flowKey{aHi: sHi, aLo: sLo, bHi: dHi, bLo: dLo, ports: sp<<16 | dp, v6: s6<<1 | d6}, false
 }
 
 // Class is the paper's flow taxonomy.
@@ -74,6 +121,17 @@ type Flow struct {
 	Initiator  netip.AddrPort // sender of the first SYN, if seen
 	AtoB, BtoA DirStats
 
+	// Slot is the tracker's Consumer's own state per direction (0: Key.A
+	// sends, the StreamPayload.Dir of its chunks) — whatever it would
+	// otherwise look up by address pair on every chunk. The tracker
+	// never reads it; it is dropped with the flow on eviction, so a flow
+	// that wakes up later starts with empty slots.
+	Slot [2]any
+
+	key  flowKey
+	flip bool        // key's a side is Key.B (only if the two orders disagree)
+	sess [2]*Session // directional sessions, parked by Sessions.FeedFlow
+
 	streams     [2]*stream
 	closeCounts bool // flow already booked as closed in the metrics
 }
@@ -102,7 +160,10 @@ func (f *Flow) Retransmits() int { return f.AtoB.Retransmits + f.BtoA.Retransmit
 // whatever they keep. This is what lets the ingest path reuse one
 // packet buffer for the whole capture.
 type StreamPayload struct {
-	Flow     *Flow
+	Flow *Flow
+	// Dir is the chunk's direction within Flow: 0 when Flow.Key.A sent
+	// it. It indexes Flow.Slot.
+	Dir      int
 	Src, Dst netip.AddrPort
 	Time     time.Time // capture time of the segment completing this chunk
 	Data     []byte
@@ -123,13 +184,13 @@ type Consumer interface {
 
 // Tracker ingests decoded packets and maintains flow state.
 type Tracker struct {
-	flows    map[Key]*Flow
+	flows    map[flowKey]*Flow
 	order    []*Flow // insertion order for deterministic output
 	consumer Consumer
 	metrics  *trackerMetrics
 
 	// lastFlow memoizes the most recent lookup: SCADA captures carry
-	// long packet runs on one flow (and Key is direction-normalized),
+	// long packet runs on one flow (and the key is direction-normalized),
 	// so most Feeds skip the map hash entirely.
 	lastFlow *Flow
 
@@ -142,7 +203,6 @@ type Tracker struct {
 	// from the table, their taxonomy folded into evicted. This bounds
 	// memory on endless captures.
 	idleTimeout time.Duration
-	onEvict     func(*Flow)
 	lastSweep   time.Time
 	evicted     Summary
 	evictedN    int
@@ -150,14 +210,21 @@ type Tracker struct {
 
 // NewTracker returns an empty tracker. consumer may be nil.
 func NewTracker(consumer Consumer) *Tracker {
-	return &Tracker{flows: make(map[Key]*Flow), consumer: consumer}
+	return &Tracker{flows: make(map[flowKey]*Flow), consumer: consumer}
 }
 
 // Instrument books flow-lifecycle and reassembly counters into reg
-// under the uncharted_tcpflow_* names.
+// under the uncharted_tcpflow_* names. The tracker tallies them locally;
+// FlushMetrics publishes.
 func (t *Tracker) Instrument(reg *obs.Registry) {
 	t.metrics = newTrackerMetrics(reg)
 }
+
+// FlushMetrics adds what the tracker has tallied since the last flush
+// to the registry's counters. Call it from the goroutine that feeds the
+// tracker, at points where a reader of /metrics should catch up: the
+// end of a batch, a snapshot, the end of the capture.
+func (t *Tracker) FlushMetrics() { t.metrics.flush() }
 
 // SetIdleTimeout enables (d > 0) or disables (d <= 0) idle-flow
 // eviction. Eviction keeps the Summarize taxonomy exact — evicted
@@ -165,11 +232,6 @@ func (t *Tracker) Instrument(reg *obs.Registry) {
 // them, and a flow that wakes up after eviction is tracked as a fresh
 // (long-lived) flow.
 func (t *Tracker) SetIdleTimeout(d time.Duration) { t.idleTimeout = d }
-
-// OnEvict registers a callback invoked for every evicted flow, before
-// the flow is dropped. Consumers use it to release per-flow state of
-// their own (reassembly buffers, framing state).
-func (t *Tracker) OnEvict(fn func(*Flow)) { t.onEvict = fn }
 
 // EvictIdle drops every flow whose last packet is older than the idle
 // timeout relative to now (capture time) and returns how many were
@@ -187,10 +249,7 @@ func (t *Tracker) EvictIdle(now time.Time) int {
 			kept = append(kept, f)
 			continue
 		}
-		if t.onEvict != nil {
-			t.onEvict(f)
-		}
-		delete(t.flows, f.Key)
+		delete(t.flows, f.key)
 		t.evicted.add(f)
 		t.evictedN++
 		t.metrics.noteFlowEvicted(f.closeCounts)
@@ -211,52 +270,54 @@ func (t *Tracker) EvictedFlows() int { return t.evictedN }
 // independent of eviction.
 func (t *Tracker) Window() (first, last time.Time) { return t.first, t.last }
 
-// Feed ingests one decoded TCP packet.
-func (t *Tracker) Feed(pkt pcap.Packet) {
-	src := netip.AddrPortFrom(pkt.IP.Src, pkt.TCP.SrcPort)
-	dst := netip.AddrPortFrom(pkt.IP.Dst, pkt.TCP.DstPort)
-	if t.first.IsZero() || pkt.Info.Timestamp.Before(t.first) {
-		t.first = pkt.Info.Timestamp
+// Feed ingests one decoded TCP packet: Track for callers that hold the
+// packet by value.
+func (t *Tracker) Feed(pkt pcap.Packet) { t.Track(&pkt) }
+
+// Track ingests one decoded TCP packet and returns the flow it belongs
+// to and its direction within it (0 when Flow.Key.A is the sender). The
+// flow is found with one hash of the flattened 4-tuple; everything a
+// caller keeps per flow direction can hang off the returned pair. pkt
+// is only read, and not retained.
+func (t *Tracker) Track(pkt *pcap.Packet) (*Flow, int) {
+	ts := pkt.Info.Timestamp
+	if t.first.IsZero() || ts.Before(t.first) {
+		t.first = ts
 	}
-	if pkt.Info.Timestamp.After(t.last) {
-		t.last = pkt.Info.Timestamp
+	if ts.After(t.last) {
+		t.last = ts
 	}
 	if t.idleTimeout > 0 {
 		// Sweep at a quarter of the timeout so an idle flow lives at
 		// most 1.25 timeouts; capture time drives the clock, so replays
 		// behave identically at any speed.
 		if t.lastSweep.IsZero() {
-			t.lastSweep = pkt.Info.Timestamp
-		} else if pkt.Info.Timestamp.Sub(t.lastSweep) >= t.idleTimeout/4 {
-			t.lastSweep = pkt.Info.Timestamp
+			t.lastSweep = ts
+		} else if ts.Sub(t.lastSweep) >= t.idleTimeout/4 {
+			t.lastSweep = ts
 			t.EvictIdle(t.last)
 		}
 	}
-	key := MakeKey(src, dst)
+	key, swapped := flowKeyOf(pkt)
 	f := t.lastFlow
-	if f == nil || f.Key != key {
+	if f == nil || f.key != key {
 		var ok bool
 		f, ok = t.flows[key]
 		if !ok {
-			f = &Flow{Key: key, First: pkt.Info.Timestamp, Last: pkt.Info.Timestamp}
-			f.streams[0] = newStream()
-			f.streams[1] = newStream()
-			t.flows[key] = f
-			t.order = append(t.order, f)
-			t.metrics.noteFlowOpened()
+			f = t.open(pkt, key, swapped)
 		}
 		t.lastFlow = f
 	}
-	if pkt.Info.Timestamp.Before(f.First) {
-		f.First = pkt.Info.Timestamp
+	if ts.Before(f.First) {
+		f.First = ts
 	}
-	if pkt.Info.Timestamp.After(f.Last) {
-		f.Last = pkt.Info.Timestamp
+	if ts.After(f.Last) {
+		f.Last = ts
 	}
 	if pkt.TCP.SYN() {
 		f.SawSYN = true
 		if !pkt.TCP.ACK() && !f.Initiator.IsValid() {
-			f.Initiator = src
+			f.Initiator = netip.AddrPortFrom(pkt.IP.Src, pkt.TCP.SrcPort)
 		}
 	}
 	if pkt.TCP.FIN() {
@@ -270,10 +331,10 @@ func (t *Tracker) Feed(pkt pcap.Packet) {
 		t.metrics.noteFlowClosed()
 	}
 
-	dirIdx := 0
+	dir := 0
 	ds := &f.AtoB
-	if src != f.Key.A {
-		dirIdx = 1
+	if swapped != f.flip {
+		dir = 1
 		ds = &f.BtoA
 	}
 	ds.Packets++
@@ -281,22 +342,44 @@ func (t *Tracker) Feed(pkt pcap.Packet) {
 	ds.PayloadBytes += len(pkt.TCP.Payload)
 
 	if len(pkt.TCP.Payload) == 0 {
-		return
+		return f, dir
 	}
-	newData, retrans, buffered := f.streams[dirIdx].insert(pkt.TCP.Seq, pkt.TCP.Payload)
+	newData, retrans, buffered := f.streams[dir].insert(pkt.TCP.Seq, pkt.TCP.Payload)
 	t.metrics.noteSegment(retrans, buffered)
 	if retrans {
 		ds.Retransmits++
 	}
 	if t.consumer != nil {
 		t.consumer.OnPayload(StreamPayload{
-			Flow: f, Src: src, Dst: dst,
-			Time:       pkt.Info.Timestamp,
+			Flow: f, Dir: dir,
+			Src:        netip.AddrPortFrom(pkt.IP.Src, pkt.TCP.SrcPort),
+			Dst:        netip.AddrPortFrom(pkt.IP.Dst, pkt.TCP.DstPort),
+			Time:       ts,
 			Data:       newData,
 			Raw:        pkt.TCP.Payload,
 			Retransmit: retrans,
 		})
 	}
+	return f, dir
+}
+
+// open starts tracking the flow pkt is the first packet of.
+func (t *Tracker) open(pkt *pcap.Packet, key flowKey, swapped bool) *Flow {
+	src := netip.AddrPortFrom(pkt.IP.Src, pkt.TCP.SrcPort)
+	dst := netip.AddrPortFrom(pkt.IP.Dst, pkt.TCP.DstPort)
+	f := &Flow{
+		Key: MakeKey(src, dst), First: pkt.Info.Timestamp, Last: pkt.Info.Timestamp,
+		key: key,
+	}
+	// The flattened order and MakeKey's agree for every pair of valid
+	// addresses; flip keeps AtoB/BtoA right even if they did not.
+	f.flip = (f.Key.A == src) == swapped
+	f.streams[0] = newStream()
+	f.streams[1] = newStream()
+	t.flows[key] = f
+	t.order = append(t.order, f)
+	t.metrics.noteFlowOpened()
+	return f
 }
 
 // Flows returns every tracked flow in first-seen order.
@@ -415,10 +498,6 @@ func (s *Session) MeanInterArrival() float64 {
 type Sessions struct {
 	m     map[SessionKey]*Session
 	order []*Session
-	// last memoizes the two most recent lookups: sessions are
-	// directional, so request/response traffic alternates between
-	// exactly two keys.
-	last [2]*Session
 }
 
 // NewSessions returns an empty session table.
@@ -426,16 +505,22 @@ func NewSessions() *Sessions {
 	return &Sessions{m: make(map[SessionKey]*Session)}
 }
 
-// Feed ingests one decoded packet.
-func (ss *Sessions) Feed(pkt pcap.Packet) *Session {
-	key := SessionKey{Src: pkt.IP.Src, Dst: pkt.IP.Dst}
+// Feed ingests one decoded packet: FeedFlow for callers that track no
+// flows and hold the packet by value.
+func (ss *Sessions) Feed(pkt pcap.Packet) *Session { return ss.FeedFlow(nil, 0, &pkt) }
+
+// FeedFlow books pkt — direction dir of flow f, as Tracker.Track
+// returned them — into its directional session. The session is looked
+// up on the first packet of a flow direction and parked on the flow, so
+// a flow must be fed to one session table only. With a nil f every
+// packet is looked up.
+func (ss *Sessions) FeedFlow(f *Flow, dir int, pkt *pcap.Packet) *Session {
 	var s *Session
-	switch {
-	case ss.last[0] != nil && ss.last[0].Key == key:
-		s = ss.last[0]
-	case ss.last[1] != nil && ss.last[1].Key == key:
-		s = ss.last[1]
-	default:
+	if f != nil {
+		s = f.sess[dir]
+	}
+	if s == nil {
+		key := SessionKey{Src: pkt.IP.Src, Dst: pkt.IP.Dst}
 		var ok bool
 		s, ok = ss.m[key]
 		if !ok {
@@ -443,7 +528,9 @@ func (ss *Sessions) Feed(pkt pcap.Packet) *Session {
 			ss.m[key] = s
 			ss.order = append(ss.order, s)
 		}
-		ss.last[0], ss.last[1] = s, ss.last[0]
+		if f != nil {
+			f.sess[dir] = s
+		}
 	}
 	if s.Packets > 0 {
 		gap := pkt.Info.Timestamp.Sub(s.lastSeen).Seconds()
