@@ -136,10 +136,28 @@ var crcTable = func() (t [256]uint16) {
 	return t
 }()
 
+// crcSlices extends crcTable to four bytes a step: crcSlices[k][i] is the
+// remainder of byte i followed by k zero bytes.
+var crcSlices = func() (t [4][256]uint16) {
+	t[0] = crcTable
+	for k := 0; k < 3; k++ {
+		for i, r := range t[k] {
+			t[k+1][i] = r<<8 ^ crcTable[r>>8]
+		}
+	}
+	return t
+}()
+
 // crcCCITT computes the CRC-CCITT (0xFFFF seed, polynomial 0x1021)
-// used by the standard's CHK field.
+// used by the standard's CHK field, four bytes a step: the two
+// register bytes fold into the first two data bytes, and each of the
+// four is carried past the bytes behind it by its own table.
 func crcCCITT(data []byte) uint16 {
 	crc := uint16(0xFFFF)
+	for ; len(data) >= 4; data = data[4:] {
+		crc = crcSlices[3][byte(crc>>8)^data[0]] ^ crcSlices[2][byte(crc)^data[1]] ^
+			crcSlices[1][data[2]] ^ crcSlices[0][data[3]]
+	}
 	for _, b := range data {
 		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
 	}

@@ -1,6 +1,7 @@
 package c37118
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"time"
@@ -19,9 +20,9 @@ const Port = 4712
 func NextFrame(buf []byte) (frame, rest []byte, skipped int, ok bool) {
 	skipped = 0
 	for {
-		i := 0
-		for i < len(buf) && buf[i] != SyncByte {
-			i++
+		i := bytes.IndexByte(buf, SyncByte)
+		if i < 0 {
+			i = len(buf)
 		}
 		skipped += i
 		buf = buf[i:]

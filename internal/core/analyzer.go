@@ -238,7 +238,19 @@ type Analyzer struct {
 // string; Dialects renders the textual keys at snapshot time.
 type dialectTally struct {
 	frames, parseErrors, bytes int
-	tokens                     map[protocol.Token]int
+	// tokens holds one counter per distinct token, by pointer, so a flow
+	// direction can keep the slot of the token it keeps repeating.
+	tokens map[protocol.Token]*int
+}
+
+// slot returns the counter of tok, creating it on first use.
+func (ds *dialectTally) slot(tok protocol.Token) *int {
+	n, ok := ds.tokens[tok]
+	if !ok {
+		n = new(int)
+		ds.tokens[tok] = n
+	}
+	return n
 }
 
 // DialectStat is one dialect's traffic summary in a snapshot.
@@ -266,6 +278,11 @@ type protoDir struct {
 	skey tcpflow.SessionKey
 	dc   *DirCounts
 	buf  []byte
+	// lastTok / lastCount memoise the tally slot of the direction's
+	// previous token: a PMU stream repeats one data-frame token, each
+	// direction of a Modbus association its request or its response.
+	lastTok   protocol.Token
+	lastCount *int
 }
 
 // protoFlow is the per-flow state shared by both directions.
@@ -504,7 +521,10 @@ func (a *Analyzer) consumeDialectEvent(pd *protoDir, sp *tcpflow.StreamPayload, 
 		return
 	}
 	pf.ds.frames++
-	pf.ds.tokens[ev.Token]++
+	if pd.lastCount == nil || pd.lastTok != ev.Token {
+		pd.lastTok, pd.lastCount = ev.Token, pf.ds.slot(ev.Token)
+	}
+	*pd.lastCount++
 
 	if pf.toks == nil {
 		tl, ok := a.tokens[pf.ck]
@@ -556,7 +576,7 @@ func (a *Analyzer) consumeDialectEvent(pd *protoDir, sp *tcpflow.StreamPayload, 
 func (a *Analyzer) dialectStatFor(id protocol.ID) *dialectTally {
 	ds, ok := a.dialectStats[id]
 	if !ok {
-		ds = &dialectTally{tokens: make(map[protocol.Token]int)}
+		ds = &dialectTally{tokens: make(map[protocol.Token]*int)}
 		a.dialectStats[id] = ds
 	}
 	return ds
@@ -572,7 +592,7 @@ func (a *Analyzer) Dialects() []DialectStat {
 			TokenCounts: make(map[string]int, len(ds.tokens)),
 		}
 		for t, n := range ds.tokens {
-			st.TokenCounts[t.String()] += n
+			st.TokenCounts[t.String()] += *n
 		}
 		out = append(out, st)
 	}

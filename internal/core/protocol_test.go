@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -99,6 +100,23 @@ func TestMixedCaptureDialects(t *testing.T) {
 	}
 	if stats[protocol.Modbus].TokenCounts["R3"] == 0 {
 		t.Errorf("Modbus ReadHolding responses missing from token counts: %v", stats[protocol.Modbus].TokenCounts)
+	}
+
+	// The per-dialect token tally (bumped through a slot each flow
+	// direction memoises) is the recount of the raw token streams.
+	recount := make(map[protocol.ID]map[string]int)
+	for ck, id := range a.connProto {
+		if recount[id] == nil {
+			recount[id] = make(map[string]int)
+		}
+		for _, tok := range a.tokens[ck].toks {
+			recount[id][tok.String()]++
+		}
+	}
+	for id, want := range recount {
+		if !reflect.DeepEqual(stats[id].TokenCounts, want) {
+			t.Errorf("%s: token counts %v, recount of the token streams %v", id, stats[id].TokenCounts, want)
+		}
 	}
 
 	// Every dialect contributes Markov chains, tagged with its proto.

@@ -71,38 +71,59 @@ func (d *Digest) merge(o Digest) {
 	d.Count += o.Count
 }
 
-// observe folds one sample into the digest.
-func (d *Digest) observe(t time.Time, v float64) {
-	d.observeValue(v)
-	if d.Count == 1 {
-		d.First, d.Last = t, t
-		return
-	}
-	if t.Before(d.First) {
-		d.First = t
-	}
-	if t.After(d.Last) {
-		d.Last = t
-	}
+// moments is the value half of a Digest — count, range, mean and M2 —
+// small enough to sit beside a series' write cursor.
+type moments struct {
+	count              int
+	min, max, mean, m2 float64
 }
 
-// observeValue folds one value into the count, range and moments
-// (Welford's single-sample update), leaving the time bounds alone.
-func (d *Digest) observeValue(v float64) {
-	d.Count++
-	if d.Count == 1 {
-		d.Min, d.Max = v, v
+// observe folds one value (Welford's single-sample update).
+func (m *moments) observe(v float64) {
+	m.count++
+	if m.count == 1 {
+		m.min, m.max = v, v
 	} else {
-		if v < d.Min {
-			d.Min = v
+		if v < m.min {
+			m.min = v
 		}
-		if v > d.Max {
-			d.Max = v
+		if v > m.max {
+			m.max = v
 		}
 	}
-	delta := v - d.Mean
-	d.Mean += delta / float64(d.Count)
-	d.M2 += delta * (v - d.Mean)
+	delta := v - m.mean
+	m.mean += delta / float64(m.count)
+	m.m2 += delta * (v - m.mean)
+}
+
+func (d *Digest) moments() moments { return moments{d.Count, d.Min, d.Max, d.Mean, d.M2} }
+
+func (d *Digest) setMoments(m moments) {
+	d.Count, d.Min, d.Max, d.Mean, d.M2 = m.count, m.min, m.max, m.mean, m.m2
+}
+
+// observe folds one sample into the digest.
+func (d *Digest) observe(t time.Time, v float64) {
+	m := d.moments()
+	m.observe(v)
+	d.setRun(m, t, t)
+}
+
+// setRun records a time-ordered run of samples folded into d: m is d's
+// moments with the run's values observed, first and last the times of
+// the run's two ends.
+func (d *Digest) setRun(m moments, first, last time.Time) {
+	if d.Count == 0 {
+		d.First, d.Last = first, last
+	} else {
+		if first.Before(d.First) {
+			d.First = first
+		}
+		if last.After(d.Last) {
+			d.Last = last
+		}
+	}
+	d.setMoments(m)
 }
 
 // observeAll folds samples, in order.
@@ -121,12 +142,13 @@ func (d *Digest) observeAll(samples []Sample) {
 // O(1); a series whose Samples were filled in or appended to by hand is
 // re-folded from the evicted prefix and the retained window.
 func (s *Series) Digest() Digest {
-	d := s.running
-	if n := s.Len(); n > 0 && d.Count == n+s.nEvicted {
+	var d Digest
+	if n := s.Len(); n > 0 && s.running.count == n+s.nEvicted {
+		d.setMoments(s.running)
 		// Ties go to the evicted prefix, as they do in the fold. A late
 		// sample can sit in a capped window, so either end may be older
 		// or newer than the prefix's.
-		d.First, d.Last = s.first().T, s.last().T
+		d.First, d.Last = s.firstTime(), s.lastTime()
 		if s.nEvicted > 0 {
 			if !d.First.Before(s.evicted.First) {
 				d.First = s.evicted.First
@@ -139,26 +161,29 @@ func (s *Series) Digest() Digest {
 		d = s.evicted
 		d.observeAll(s.Samples)
 		for i := range s.chunks {
-			d.observeAll(s.live(i))
+			for _, p := range s.live(i) {
+				d.observe(unpack(p.t), p.v)
+			}
 		}
 	}
 	d.Key, d.Type, d.Command = s.Key, s.Type, s.Command
 	return d
 }
 
-// first and last return the ends of a non-empty series' window.
-func (s *Series) first() Sample {
+// firstTime and lastTime return the time bounds of a non-empty series'
+// window.
+func (s *Series) firstTime() time.Time {
 	if len(s.Samples) > 0 {
-		return s.Samples[0]
+		return s.Samples[0].T
 	}
-	return s.chunks[0][s.head]
+	return unpack(s.chunks[0][s.head].t)
 }
 
-func (s *Series) last() Sample {
-	if k := len(s.chunks); k > 0 {
-		return s.chunks[k-1][s.fill-1]
+func (s *Series) lastTime() time.Time {
+	if s.tail > 0 {
+		return unpack(s.lastT)
 	}
-	return s.Samples[len(s.Samples)-1]
+	return s.Samples[len(s.Samples)-1].T
 }
 
 // Digests summarises every series in first-seen order.

@@ -36,7 +36,7 @@ func sameBits(a, b Digest) bool {
 
 // isRunning reports whether the series answers Digest from its running
 // fold (rather than re-reading its samples).
-func isRunning(s *Series) bool { return s.running.Count == len(s.Samples)+s.nEvicted }
+func isRunning(s *Series) bool { return s.running.count == len(s.Samples)+s.nEvicted }
 
 // TestDigestsMatchRefold: over seeded random feeds — in time order,
 // with late samples, with runs of one timestamp; capped and uncapped;

@@ -7,23 +7,31 @@
 //
 // # Storage
 //
-// A Store writes each sample once. Feed and FeedPoints append to the
-// series' last chunk — a fixed-size piece of a slab the store owns —
-// and nothing already stored moves when a series grows; under
-// SetMaxSamplesPerSeries whole chunks are dropped from the front and
-// refilled by whoever grows next. A series becomes one contiguous,
-// exact-size Series.Samples slice only when somebody reads it:
-// Store.All, Get, ByStation and Ranked, and Series.At, Values and Sample
-// copy the chunked tail behind Samples and give the chunks back
-// (Len, Evicted, Digest and Store.Digests need no copy, so analysis
-// shards, which only ever seal digests, never pay for one). Reading an
-// uncapped store with All therefore costs one copy of what it returns.
-// A Store was always for one goroutine at a time; since a read may now
-// move samples, that includes its readers.
+// A Store writes each sample once, in packed form: sixteen pointer-free
+// bytes (UTC wall nanoseconds and the value). Feed and FeedPoints find
+// the series through the station's page table — an array index per
+// point, no hash — and append to the chunk the series is filling, a
+// fixed-size piece of a slab the store owns; nothing already stored
+// moves when a series grows, and under SetMaxSamplesPerSeries whole
+// chunks are dropped from the front and refilled by whoever grows next.
+// A series becomes one contiguous, exact-size Series.Samples slice of
+// time.Time-bearing Samples only when somebody reads it: Store.All,
+// Get, ByStation and Ranked, and Series.At, Values and Sample convert
+// the chunked tail behind Samples and give the chunks back (Len,
+// Evicted, Digest and Store.Digests need no copy, so analysis shards,
+// which only ever seal digests, never pay for one). Reading an uncapped
+// store with All therefore costs one conversion of what it returns.
+// Every capture reader and codec in the module produces UTC wall-clock
+// times, which the packed form holds exactly; a series handed any other
+// time (zero, zoned, monotonic, outside 1678-2262) keeps plain Samples
+// from then on rather than have it rounded. A Store was always for one
+// goroutine at a time; since a read may move samples, that includes its
+// readers.
 package physical
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -83,6 +91,27 @@ func viewAt(v View, t time.Time) (float64, bool) {
 
 // Series is the extracted history of one point.
 type Series struct {
+	// The write cursor and the running moments come first and together:
+	// storing an in-order sample reads and writes these words and one
+	// chunk slot, nothing else of the series.
+	//
+	// cur is the chunk being filled — its length the slots in use, its
+	// capacity the chunk's — and nil when the series has no tail. lastT
+	// is the packed time of the series' newest sample, which decides
+	// in-order or late without reading chunk memory: the smallest int64
+	// while the series is empty (nothing is older), the largest once the
+	// series is plain (everything takes the slow path). tail counts the
+	// live samples in chunks. running folds the value of every sample of
+	// the series' history — evicted ones included — in time order, so
+	// Digest is a copy. The store keeps it current: an in-order sample is
+	// folded as it arrives and a late one re-folds the history once, at
+	// the insert. (The time bounds are not folded — they can be read off
+	// an ordered series.)
+	cur     []slot
+	lastT   int64
+	tail    int
+	running moments
+
 	Key  SeriesKey
 	Type PointType
 	// Direction is true for control-direction objects (commands).
@@ -101,25 +130,23 @@ type Series struct {
 	st *Store
 	// chunks is the tail: what the store appended since Samples was last
 	// made contiguous, in store-owned fixed-size chunks (len == cap, a
-	// size class). All but the last are full; head counts the samples of
-	// chunks[0] already evicted, fill the slots of the last chunk in use,
-	// tail the live samples in between. Every chunk holds at least one.
-	chunks           [][]Sample
-	head, fill, tail int
+	// size class) of packed slots. All but the last — cur — are full;
+	// head counts the slots of chunks[0] already evicted. Every chunk
+	// holds at least one live sample.
+	chunks [][]slot
+	head   int
 
-	// running folds the value of every sample of the series' history —
-	// evicted ones included — in time order, so Digest is a copy. The
-	// store keeps it current: an in-order sample is folded as it arrives
-	// and a late one re-folds the history once, at the insert. (The time
-	// bounds are not folded — they can be read off an ordered series, and
-	// a time.Time store per sample costs more than the arithmetic.)
-	running Digest
 	// evicted summarises samples dropped under a store-level cap
 	// (SetMaxSamplesPerSeries), so moment statistics stay exact over
 	// the full history even when only a bounded window is retained.
 	evicted  Digest
 	nEvicted int
 }
+
+// plain reports whether the series was handed a time the packed form
+// cannot hold exactly (see pack). It keeps whole Samples from then on
+// and never has a tail.
+func (s *Series) plain() bool { return s.lastT == math.MaxInt64 }
 
 // Len implements View. It is nil-receiver-safe so a typed-nil *Series
 // passed through the View interface behaves like an empty series.
@@ -177,12 +204,12 @@ func (s *Series) At(t time.Time) (float64, bool) {
 type Store struct {
 	// stations is the one series index: station name, then point
 	// address. A frame's points all belong to one station, so the string
-	// is hashed at most once per frame and each point costs an integer
-	// lookup; lastName/last memoize the most recent station, which
-	// consecutive frames of a flow repeat.
-	stations map[string]map[uint32]*Series
+	// is hashed at most once per frame and each point costs a page-table
+	// index (points.slot); lastName/last memoize the most recent station,
+	// which consecutive frames of a flow repeat.
+	stations map[string]*points
 	lastName string
-	last     map[uint32]*Series
+	last     *points
 	// order lists every series first-seen first.
 	order []*Series
 	// maxSamples, when non-zero, bounds retained samples per series:
@@ -191,59 +218,100 @@ type Store struct {
 	// slab is the unused end of the newest sample slab, carved holds how
 	// many samples of slab the store has allocated so far, and free lists
 	// the chunks series gave back, by size class; see chunk.go.
-	slab   []Sample
+	slab   []slot
 	carved int
-	free   [chunkClasses][][]Sample
+	free   [chunkClasses][][]slot
+}
+
+// A station's points are indexed by pages of pageSize consecutive
+// addresses: the points of a C37.118 frame (IDCode<<8 | channel) and
+// the consecutive addresses of an SQ=1 ASDU or a register block are an
+// array index each, behind one page lookup the index memoises. A
+// capture with one point per page pays a page (512 bytes) per point —
+// no more than the point's Series and first chunk already cost.
+const (
+	pageBits = 6
+	pageSize = 1 << pageBits
+)
+
+type page [pageSize]*Series
+
+// points is one station's point index.
+type points struct {
+	pages map[uint32]*page // by address >> pageBits
+	// last memoises the page used last, number lastNo.
+	lastNo uint32
+	last   *page
+}
+
+// slot returns where the station keeps its series for address ioa,
+// creating the page on first use; the caller fills a nil slot in.
+func (px *points) slot(ioa uint32) **Series {
+	if no := ioa >> pageBits; px.last == nil || px.lastNo != no {
+		p, ok := px.pages[no]
+		if !ok {
+			p = new(page)
+			px.pages[no] = p
+		}
+		px.lastNo, px.last = no, p
+	}
+	return &px.last[ioa%pageSize]
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{stations: make(map[string]map[uint32]*Series)} }
+func NewStore() *Store { return &Store{stations: make(map[string]*points)} }
 
 // station returns one station's point index, creating it on first use.
-func (st *Store) station(name string) map[uint32]*Series {
+func (st *Store) station(name string) *points {
 	if st.last != nil && st.lastName == name {
 		return st.last
 	}
 	idx, ok := st.stations[name]
 	if !ok {
-		idx = make(map[uint32]*Series)
+		idx = &points{pages: make(map[uint32]*page)}
 		st.stations[name] = idx
 	}
 	st.lastName, st.last = name, idx
 	return idx
 }
 
-// insert registers a new series under its key.
-func (st *Store) insert(s *Series) {
-	s.st = st
-	st.station(s.Key.Station)[s.Key.IOA] = s
+// newSeries registers an empty series in its station's index slot.
+func (st *Store) newSeries(at **Series, key SeriesKey, typ PointType, command bool) *Series {
+	s := &Series{Key: key, Type: typ, Command: command, st: st, lastT: math.MinInt64}
+	*at = s
 	st.order = append(st.order, s)
+	return s
 }
 
 // add stores one sample, keeping the series time-ordered (Series.At
 // binary-searches by time; time-tagged retransmissions in ablation
 // mode or reordered captures may deliver an older timestamp late) and
 // within the store's per-series cap. A sample is written once, into the
-// series' last chunk; nothing already stored moves when a series grows.
+// chunk the series is filling; nothing already stored moves when a
+// series grows.
 func (st *Store) add(s *Series, ts time.Time, v float64) {
-	var last []Sample // the chunk being filled
-	var prev *Sample  // the series' newest sample
-	if k := len(s.chunks); k > 0 {
-		last = s.chunks[k-1]
-		prev = &last[s.fill-1]
-	} else if n := len(s.Samples); n > 0 {
-		prev = &s.Samples[n-1]
-	}
-	if prev != nil && ts.Before(prev.T) {
-		st.insertLate(s, ts, v)
-	} else {
-		if s.fill == len(last) {
-			last = st.grow(s)
+	t, ok := pack(ts)
+	switch {
+	case ok && t >= s.lastT:
+		n := len(s.cur)
+		if n == cap(s.cur) {
+			st.grow(s)
+			n = 0
 		}
-		last[s.fill] = Sample{T: ts, V: v}
-		s.fill++
+		s.cur = s.cur[:n+1]
+		s.cur[n] = slot{t: t, v: v}
+		s.lastT = t
 		s.tail++
-		s.running.observeValue(v)
+		s.running.observe(v)
+	case ok && !s.plain():
+		st.insertLate(s, ts, v)
+	default:
+		if !s.plain() {
+			// Not rounded to fit: this series keeps time.Time values for good.
+			s.contiguous()
+			s.lastT = math.MaxInt64
+		}
+		st.addPlain(s, ts, v)
 	}
 	if st.maxSamples > 0 && s.Len() > st.maxSamples {
 		st.evict(s, s.Len()-st.maxSamples/2)
@@ -297,10 +365,10 @@ func EachValue(a *iec104.ASDU, at time.Time, fn func(ioa uint32, t time.Time, v 
 func (st *Store) Feed(station string, a *iec104.ASDU, at time.Time, command bool) {
 	idx := st.station(station)
 	EachValue(a, at, func(ioa uint32, ts time.Time, v float64) {
-		s, ok := idx[ioa]
-		if !ok {
-			s = &Series{Key: SeriesKey{Station: station, IOA: ioa}, Type: IEC104Type(a.Type), Command: command}
-			st.insert(s)
+		sp := idx.slot(ioa)
+		s := *sp
+		if s == nil {
+			s = st.newSeries(sp, SeriesKey{Station: station, IOA: ioa}, IEC104Type(a.Type), command)
 		}
 		st.add(s, ts, v)
 	})
@@ -308,11 +376,17 @@ func (st *Store) Feed(station string, a *iec104.ASDU, at time.Time, command bool
 
 // Get returns one series.
 func (st *Store) Get(key SeriesKey) (*Series, bool) {
-	s, ok := st.stations[key.Station][key.IOA]
-	if ok {
-		s.contiguous()
+	var s *Series
+	if px := st.stations[key.Station]; px != nil {
+		if p := px.pages[key.IOA>>pageBits]; p != nil {
+			s = p[key.IOA%pageSize]
+		}
 	}
-	return s, ok
+	if s == nil {
+		return nil, false
+	}
+	s.contiguous()
+	return s, true
 }
 
 // All returns every series in first-seen order. Making them contiguous
@@ -323,7 +397,7 @@ func (st *Store) All() []*Series {
 	for _, s := range st.order {
 		s.contiguous()
 	}
-	st.slab, st.carved, st.free = nil, 0, [chunkClasses][][]Sample{}
+	st.slab, st.carved, st.free = nil, 0, [chunkClasses][][]slot{}
 	return append(make([]*Series, 0, len(st.order)), st.order...)
 }
 
@@ -391,10 +465,10 @@ func (st *Store) FeedPoints(station string, proto protocol.ID, pts []protocol.Po
 	idx := st.station(station)
 	for i := range pts {
 		p := &pts[i]
-		s, ok := idx[p.IOA]
-		if !ok {
-			s = &Series{Key: SeriesKey{Station: station, IOA: p.IOA}, Type: TypeOf(proto, p.Code), Command: p.Command}
-			st.insert(s)
+		sp := idx.slot(p.IOA)
+		s := *sp
+		if s == nil {
+			s = st.newSeries(sp, SeriesKey{Station: station, IOA: p.IOA}, TypeOf(proto, p.Code), p.Command)
 		}
 		ts := p.T
 		if ts.IsZero() {

@@ -74,8 +74,7 @@ func TestRankedByNormalizedVariance(t *testing.T) {
 	st := NewStore()
 	flat := mkSeries("O1", 1, []float64{100, 100.1, 99.9, 100, 100.05}, time.Second)
 	wild := mkSeries("O1", 2, []float64{100, 160, 40, 150, 60}, time.Second)
-	st.insert(flat)
-	st.insert(wild)
+	st.order = append(st.order, flat, wild)
 
 	ranked := st.Ranked(3)
 	if len(ranked) != 2 {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uncharted/internal/iec104"
 	"uncharted/internal/protocol"
@@ -226,11 +227,18 @@ func TestChunkedStoreMatchesReference(t *testing.T) {
 	type shape struct {
 		name                  string
 		late, dups, zeroFirst bool
+		// zoned, mono: now and then a sample's time carries a zone or a
+		// monotonic reading. The packed form holds neither, so such a
+		// series moves to plain Samples midway — and must still hand
+		// back, as structs, exactly the times it was given.
+		zoned, mono bool
 	}
 	shapes := []shape{
 		{name: "in-order"}, {name: "late", late: true}, {name: "duplicates", dups: true},
 		{name: "zero-first", zeroFirst: true}, {name: "late+duplicates+zero-first", late: true, dups: true, zeroFirst: true},
+		{name: "zoned", late: true, zoned: true}, {name: "monotonic", late: true, mono: true},
 	}
+	zone, now := time.FixedZone("CET", 3600), time.Now()
 	seed := int64(100)
 	for _, sh := range shapes {
 		for _, limit := range []int{0, 16, 512} {
@@ -259,6 +267,16 @@ func TestChunkedStoreMatchesReference(t *testing.T) {
 							clock[i] = clock[i].Add(time.Duration(1+rng.Intn(2000)) * time.Millisecond)
 							ts = clock[i]
 						}
+						if (sh.zoned || sh.mono) && rng.Intn(300) == 0 {
+							if sh.zoned {
+								ts = ts.In(zone)
+							} else {
+								ts = now.Add(ts.Sub(now)) // the same instant, with now's monotonic clock
+							}
+							if _, ok := pack(ts); ok {
+								t.Fatalf("%v packs", ts)
+							}
+						}
 						p.feed(fmt.Sprintf("O%d", i%3), uint32(1000+i), ts, 50+20*rng.NormFloat64())
 						switch rng.Intn(1500) {
 						case 0:
@@ -278,10 +296,231 @@ func TestChunkedStoreMatchesReference(t *testing.T) {
 						}
 					}
 					p.checkAll(rng)
+					if sh.zoned || sh.mono {
+						var plain, packed int
+						for _, s := range p.st.order {
+							if s.plain() {
+								plain++
+							} else {
+								packed++
+							}
+						}
+						if plain == 0 || packed == 0 {
+							t.Fatalf("%d plain and %d packed series: the shape must exercise both", plain, packed)
+						}
+					}
 				})
 			}
 		}
 	}
+}
+
+// TestEvictKeepsTimeBounds: eviction folds a dropped run's values one by
+// one but takes its time bounds from the run's two ends. Over capped
+// series whose evicted runs span chunks, end inside one, start in
+// Samples (after a read) and contain late samples older than anything
+// evicted before, Digest().First/Last are — as structs — what folding
+// every evicted sample's time gives.
+func TestEvictKeepsTimeBounds(t *testing.T) {
+	for _, limit := range []int{2, 16, 100, 700} {
+		rng := rand.New(rand.NewSource(int64(limit)))
+		p := newStorePair(t, limit, true)
+		clock := t0
+		for n := 0; n < 20*limit+500; n++ {
+			ts := clock
+			switch rng.Intn(40) {
+			case 0: // older than the whole history
+				ts = t0.Add(-time.Duration(n+1) * time.Hour)
+			case 1: // late, somewhere inside the window
+				ts = clock.Add(-time.Duration(rng.Intn(limit)+1) * time.Second)
+			default:
+				clock = clock.Add(time.Second)
+				ts = clock
+			}
+			p.feed("O1", 7, ts, rng.Float64())
+			if rng.Intn(3*limit) == 0 {
+				if _, ok := p.st.Get(SeriesKey{Station: "O1", IOA: 7}); !ok { // the read leaves the window in Samples
+					t.Fatal("series missing")
+				}
+			}
+			got, want := p.st.order[0].Digest(), refoldDigest(p.ref.order[0])
+			if got.First != want.First || got.Last != want.Last {
+				t.Fatalf("cap %d, sample %d: bounds %v … %v, per-sample fold %v … %v", limit, n, got.First, got.Last, want.First, want.Last)
+			}
+		}
+		if s := p.st.order[0]; s.Evicted() < 15*limit || s.plain() {
+			t.Fatalf("cap %d: %d evicted, plain %v", limit, s.Evicted(), s.plain())
+		}
+	}
+}
+
+// TestPackedSlotIsPointerFree: what chunks, slabs and free lists hold is
+// sixteen bytes the collector has no reason to look at. A time.Time (or
+// anything else with a pointer in it) back in the slot doubles the
+// sample store and makes every slab scannable again.
+func TestPackedSlotIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size != 16 {
+		t.Errorf("a slot is %d bytes, want 16", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String, reflect.Map,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %v: the slot must hold no pointer", path, typ)
+		}
+	}
+	walk("slot", reflect.TypeOf(slot{}))
+	for name, typ := range map[string]reflect.Type{
+		"Series.chunks": reflect.TypeOf(Series{}.chunks).Elem().Elem(),
+		"Series.cur":    reflect.TypeOf(Series{}.cur).Elem(),
+		"Store.slab":    reflect.TypeOf(Store{}.slab).Elem(),
+		"Store.free":    reflect.TypeOf(Store{}.free).Elem().Elem().Elem(),
+	} {
+		if typ != reflect.TypeOf(slot{}) {
+			t.Errorf("%s holds %v, want slots", name, typ)
+		}
+	}
+}
+
+// FuzzPackedRoundTrip: the packed form never changes a time. Whatever
+// instant, zone and clock a time carries, either pack refuses it or the
+// slot gives back that time.Time as a struct (not merely an Equal one);
+// through a Store the time comes back unchanged either way; and what
+// every producer in the module emits — a UTC wall time between 1678 and
+// 2262 — is never refused.
+func FuzzPackedRoundTrip(f *testing.F) {
+	f.Add(int64(-62135596800), int64(0), 0, false) // the zero time
+	for _, sec := range []int64{packSecMin, packSecMax} {
+		for d := int64(-2); d <= 2; d++ { // 1677 and 2262, either side of what an int64 of nanoseconds holds
+			f.Add(sec+d, int64(0), 0, false)
+			f.Add(sec+d, int64(999_999_999), 0, false)
+		}
+	}
+	f.Add(int64(1560000000), int64(5), 3600, false)  // a time.FixedZone
+	f.Add(int64(1560000000), int64(5), 0, true)      // a monotonic reading, as time.Now() has
+	f.Add(int64(946598400), int64(0), 0, false)      // a CP56 glitch tag: 2000-01-00
+	f.Add(int64(1552294800), int64(-1), -7200, true) // nanoseconds that borrow a second
+	now := time.Now()
+	f.Fuzz(func(t *testing.T, sec, nsec int64, zoneOffset int, monotonic bool) {
+		ts := time.Unix(sec, nsec).UTC()
+		canonical := zoneOffset == 0 && !monotonic && ts.Unix() >= packSecMin && ts.Unix() <= packSecMax
+		if monotonic {
+			ts = now.Add(ts.Sub(now))
+		}
+		if zoneOffset != 0 {
+			ts = ts.In(time.FixedZone("fuzz", zoneOffset%(24*3600)))
+		}
+		packed, ok := pack(ts)
+		if ok {
+			if got := (slot{t: packed, v: 1}).sample(); got.T != ts || got.V != 1 {
+				t.Fatalf("%#v packed to %d comes back as %#v", ts, packed, got.T)
+			}
+		} else if canonical {
+			t.Fatalf("%#v (UTC wall time in range) refused", ts)
+		}
+		// Behind a packed sample, alone, and in front of one.
+		st := NewStore()
+		st.FeedPoints("s", protocol.Modbus, []protocol.Point{{IOA: 1, V: 1}, {IOA: 2, V: 2, T: ts}, {IOA: 1, V: 3, T: ts}, {IOA: 3, V: 4, T: ts}}, t0)
+		st.FeedPoints("s", protocol.Modbus, []protocol.Point{{IOA: 3, V: 5}}, t0)
+		for ioa := uint32(1); ioa <= 3; ioa++ {
+			s, _ := st.Get(SeriesKey{Station: "s", IOA: ioa})
+			found := 0
+			for _, smp := range s.Samples {
+				if smp.T == ts || (ts.IsZero() && smp.T == t0) { // a zero point time means the capture time
+					found++
+				} else if smp.T != t0 {
+					t.Fatalf("ioa %d: stored %#v, fed %#v and %#v", ioa, smp.T, ts, t0)
+				}
+			}
+			if found == 0 || s.plain() != (!ok && !ts.IsZero()) {
+				t.Fatalf("ioa %d: %#v found %d times in %v (plain %v, packs %v)", ioa, ts, found, s.Samples, s.plain(), ok)
+			}
+		}
+	})
+}
+
+// TestSparseIOAStateBounded: the paged point index keeps state linear in
+// the number of points however hostile their addresses. One point per
+// page costs at most a page more per point than the densest layout (and
+// no more than twice it: a point already costs a Series and a first
+// chunk), the accessors list series exactly as a map-indexed store does,
+// and the ends of the address space round-trip.
+func TestSparseIOAStateBounded(t *testing.T) {
+	const nPoints = 10000
+	pts := make([]protocol.Point, 1)
+	build := func(stride uint32) (*Store, float64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		st := NewStore()
+		for i := uint32(0); i < nPoints; i++ {
+			pts[0] = protocol.Point{IOA: i * stride, V: float64(i % 7)}
+			st.FeedPoints("rtu", protocol.Modbus, pts, t0)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return st, float64(after.HeapAlloc-before.HeapAlloc) / nPoints
+	}
+	denseStore, dense := build(1)
+	sparseStore, sparse := build(pageSize * 64) // stride 4096: every point on a page of its own
+	t.Logf("%.0f B retained per point packed densely, %.0f B with one point per page (a page is %d B)", dense, sparse, unsafe.Sizeof(page{}))
+	if limit := 2*dense + float64(unsafe.Sizeof(page{})); dense < 100 || sparse > limit {
+		t.Fatalf("%.0f B per sparse point, ceiling %.0f (dense: %.0f)", sparse, limit, dense)
+	}
+	if n := len(sparseStore.stations["rtu"].pages); n != nPoints {
+		t.Fatalf("%d pages for %d points at one per page", n, nPoints)
+	}
+	runtime.KeepAlive(denseStore)
+
+	// Against a map-indexed reference: scattered stations and addresses,
+	// the address-space ends included.
+	rng := rand.New(rand.NewSource(21))
+	p := newStorePair(t, 0, true)
+	ends := []uint32{0, 1<<24 - 1, ^uint32(0), pageSize - 1, pageSize, ^uint32(0) - pageSize}
+	for n := 0; n < 5000; n++ {
+		ioa := rng.Uint32() >> uint(rng.Intn(32))
+		if n < 3*len(ends) {
+			ioa = ends[n%len(ends)]
+		}
+		p.feed(fmt.Sprintf("O%d", rng.Intn(4)), ioa, t0.Add(time.Duration(n)*time.Second), float64(rng.Intn(5)))
+	}
+	for _, ioa := range ends {
+		for _, station := range []string{"O0", "O3", "nowhere"} {
+			s, ok := p.st.Get(SeriesKey{Station: station, IOA: ioa})
+			if r := p.ref.byKey[SeriesKey{Station: station, IOA: ioa}]; ok != (r != nil) || ok && s.Key != r.Key {
+				t.Fatalf("Get(%s/%d) = %v, %v; reference %v", station, ioa, s, ok, r)
+			}
+		}
+	}
+	if _, ok := p.st.Get(SeriesKey{Station: "O0", IOA: 12345678}); ok || len(p.st.stations["O0"].pages) > len(p.ref.order) {
+		t.Fatal("a lookup of an unknown point found one, or left a page behind")
+	}
+	for station := 0; station < 4; station++ {
+		name := fmt.Sprintf("O%d", station)
+		var want []SeriesKey
+		for _, r := range p.ref.order {
+			if r.Key.Station == name {
+				want = append(want, r.Key)
+			}
+		}
+		got := p.st.ByStation(name)
+		if len(got) != len(want) {
+			t.Fatalf("ByStation(%s): %d series, reference %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Key != want[i] {
+				t.Fatalf("ByStation(%s)[%d] = %v, reference %v", name, i, got[i].Key, want[i])
+			}
+		}
+	}
+	p.checkAll(rng) // All, Digests and Ranked order, and every series' samples
 }
 
 // feedInOrder appends perSeries in-order samples to each of nSeries
@@ -297,10 +536,10 @@ func feedInOrder(st *Store, nSeries, from, perSeries int) {
 	}
 }
 
-// TestStoreFeedAllocBytes: a sample is written once. Feeding 200 k
-// in-order samples to 50 series allocates little more than their own
-// 32 bytes each (slab and chunk-list slack); growing one slice per
-// series allocated about 3.3 times that.
+// TestStoreFeedAllocBytes: a sample is written once, in packed form.
+// Feeding 200 k in-order samples to 50 series allocates little more
+// than a slot's 16 bytes each (slab and chunk-list slack); growing one
+// slice of 32-byte Samples per series allocated about 6.6 times that.
 func TestStoreFeedAllocBytes(t *testing.T) {
 	const nSeries, perSeries = 50, 4000
 	st := NewStore()
@@ -309,8 +548,8 @@ func TestStoreFeedAllocBytes(t *testing.T) {
 	feedInOrder(st, nSeries, 0, perSeries)
 	runtime.ReadMemStats(&after)
 	perSample := float64(after.TotalAlloc-before.TotalAlloc) / (nSeries * perSeries)
-	t.Logf("%.1f B allocated per sample (a Sample is %d B)", perSample, reflect.TypeOf(Sample{}).Size())
-	if limit := 1.15 * float64(reflect.TypeOf(Sample{}).Size()); perSample > limit {
+	t.Logf("%.1f B allocated per sample (a slot is %d B)", perSample, unsafe.Sizeof(slot{}))
+	if limit := 1.15 * float64(unsafe.Sizeof(slot{})); perSample > limit {
 		t.Fatalf("%.1f B allocated per sample fed, ceiling %.1f", perSample, limit)
 	}
 	if s, _ := st.Get(SeriesKey{Station: "pmu", IOA: 7}); len(s.Samples) != perSeries {
@@ -354,21 +593,46 @@ func TestCappedSeriesSlabFootprint(t *testing.T) {
 	}
 }
 
+// feedPMUFrames feeds frames rounds of six PMU stations in turn, each a
+// frame of 14 points addressed the way the C37.118 codec does
+// (IDCode<<8 | channel), so consecutive calls never repeat a station.
+func feedPMUFrames(st *Store, frames int) {
+	const stations, points = 6, 14
+	names := [stations]string{"pmu-1", "pmu-2", "pmu-3", "pmu-4", "pmu-5", "pmu-6"}
+	pts := make([]protocol.Point, points)
+	for n := 0; n < frames; n++ {
+		at := t0.Add(time.Duration(n) * 20 * time.Millisecond)
+		for id := range names {
+			for j := range pts {
+				pts[j] = protocol.Point{IOA: uint32(id+1)<<8 | uint32(j+1), V: float64(n % 97), T: at}
+			}
+			st.FeedPoints(names[id], protocol.C37118, pts, at)
+		}
+	}
+}
+
 // BenchmarkStoreFeed measures the append path alone, per sample, for
-// the two shapes a capture holds: dense (a PMU stream's 14 400 samples
-// per series) and sparse (a polled point's 40).
+// the shapes a capture holds: dense (a PMU stream's 14 400 samples per
+// series, one point a call), sparse (a polled point's 40) and pmu-frame
+// (14 points of one station a call, six stations interleaved — each
+// series' cursor has left the cache by the time its next sample comes).
 func BenchmarkStoreFeed(b *testing.B) {
 	for _, bc := range []struct {
-		name               string
-		nSeries, perSeries int
-	}{{"dense", 8, 14400}, {"sparse", 600, 40}} {
+		name    string
+		samples int
+		feed    func(*Store)
+	}{
+		{"dense", 8 * 14400, func(st *Store) { feedInOrder(st, 8, 0, 14400) }},
+		{"sparse", 600 * 40, func(st *Store) { feedInOrder(st, 600, 0, 40) }},
+		{"pmu-frame", 6 * 14 * 14400, func(st *Store) { feedPMUFrames(st, 14400) }},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
-			samples := float64(bc.nSeries * bc.perSeries)
+			samples := float64(bc.samples)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				feedInOrder(NewStore(), bc.nSeries, 0, bc.perSeries)
+				bc.feed(NewStore())
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
