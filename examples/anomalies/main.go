@@ -113,7 +113,10 @@ func trainWhitelist(a *core.Analyzer) *markov.NGram {
 		log.Fatal(err)
 	}
 	for _, key := range a.ConnKeys() {
-		m.Train(a.TokenStream(key))
+		chain, _ := a.ConnTokens(key)
+		if err := m.TrainChain(chain); err != nil {
+			log.Fatal(err)
+		}
 	}
 	return m
 }

@@ -127,19 +127,34 @@ func (s *ioaSet) size() int {
 	return s.n
 }
 
-// tokenList is the token accumulator of one logical connection; the
-// map holds pointers so appends do not rewrite the map slot. chain
-// counts the stream as it grows (cur is its write position), so a
-// snapshot clones a count table instead of re-reading toks.
+// tokenList is what one logical connection keeps of its token stream:
+// chain counts it as it arrives (cur is the write position), so a
+// snapshot clones a count table, and vocab lists the chain's nodes in
+// first-seen order. Both are bounded by the alphabet; a caller that
+// wants the stream itself records it with a FrameObserver.
 type tokenList struct {
-	toks  []iec104.Token
 	chain markov.Chain
 	cur   markov.Cursor
+	vocab []iec104.Token
+}
+
+// connTokens returns connection k's token state, creating it on the
+// connection's first accepted frame.
+func (a *Analyzer) connTokens(k ConnKey) *tokenList {
+	tl, ok := a.tokens[k]
+	if !ok {
+		tl = &tokenList{}
+		a.tokens[k] = tl
+	}
+	return tl
 }
 
 func (tl *tokenList) push(tok iec104.Token) {
-	tl.toks = append(tl.toks, tok)
+	n := tl.chain.Nodes()
 	tl.chain.Observe(&tl.cur, tok)
+	if tl.chain.Nodes() != n {
+		tl.vocab = append(tl.vocab, tok)
+	}
 }
 
 // Analyzer ingests decoded packets and accumulates every §6 analysis.
@@ -151,7 +166,7 @@ type Analyzer struct {
 	sessions *tcpflow.Sessions
 	store    *physical.Store
 
-	// tokens per logical connection, in arrival order.
+	// tokens per logical connection.
 	tokens map[ConnKey]*tokenList
 	// sessionAPDUs tallies formats per directional host pair.
 	sessionAPDUs map[tcpflow.SessionKey]*DirCounts
@@ -527,12 +542,7 @@ func (a *Analyzer) consumeDialectEvent(pd *protoDir, sp *tcpflow.StreamPayload, 
 	*pd.lastCount++
 
 	if pf.toks == nil {
-		tl, ok := a.tokens[pf.ck]
-		if !ok {
-			tl = &tokenList{}
-			a.tokens[pf.ck] = tl
-		}
-		pf.toks = tl
+		pf.toks = a.connTokens(pf.ck)
 		a.connProto[pf.ck] = pf.proto
 	}
 	pf.toks.push(ev.Token)
@@ -982,12 +992,7 @@ func (a *Analyzer) consumeFrame(sp *tcpflow.StreamPayload, frame []byte, st *end
 	// entry (exactly as before the cache).
 	tok := apdu.Token()
 	if c.toks == nil {
-		tl, ok := a.tokens[c.ck]
-		if !ok {
-			tl = &tokenList{}
-			a.tokens[c.ck] = tl
-		}
-		c.toks = tl
+		c.toks = a.connTokens(c.ck)
 	}
 	c.toks.push(tok)
 	if a.observer != nil {
@@ -1221,12 +1226,14 @@ func (a *Analyzer) Sessions() *tcpflow.Sessions { return a.sessions }
 // Physical exposes the extracted time-series store.
 func (a *Analyzer) Physical() *physical.Store { return a.store }
 
-// TokenStream returns the token sequence of one logical connection.
-func (a *Analyzer) TokenStream(k ConnKey) []iec104.Token {
+// ConnTokens returns one logical connection's live Markov chain and
+// its vocabulary in first-seen order (nil, nil for an unknown one).
+// Both belong to the analyzer: read, do not modify.
+func (a *Analyzer) ConnTokens(k ConnKey) (*markov.Chain, []iec104.Token) {
 	if tl, ok := a.tokens[k]; ok {
-		return tl.toks
+		return &tl.chain, tl.vocab
 	}
-	return nil
+	return nil, nil
 }
 
 // ConnKeys returns every logical connection sorted by name.

@@ -70,7 +70,7 @@ func (a *Analyzer) ExtendedSessionFeatures() []ExtendedFeature {
 			Values: map[FeatureName]float64{
 				FeatDirection:    dir,
 				FeatMeanInterArr: s.MeanInterArrival(),
-				FeatStdInterArr:  stats.StdDev(s.InterArrivals()),
+				FeatStdInterArr:  s.StdInterArrival(),
 				FeatTotalBytes:   float64(s.Bytes),
 				FeatTotalPackets: float64(s.Packets),
 				FeatMeanPktSize:  meanPkt,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -157,30 +158,29 @@ func TestEvictedFlowStartsFresh(t *testing.T) {
 	}
 }
 
-// TestIEC104FeedAllocs is TestDialectFeedAllocCeiling's sibling for the
-// specialised path: once the flows, sessions, series and the
-// outstation's dialect are known, a polling exchange fed packet by
-// packet — with a registry attached, as every front end runs it —
-// allocates nothing. (The rare doubling of a sample, gap or token
-// buffer averages out below one allocation per run.)
-func TestIEC104FeedAllocs(t *testing.T) {
-	a := NewAnalyzer(nil)
+// pollingExchange returns a function feeding one polling exchange to
+// a — four measurement I-frames from an outstation, one S-frame back, a
+// second apart from the next — packet by packet, with a registry
+// attached as every front end runs it. A whole cycle of the 15-bit send
+// sequence is built here, so calling it allocates only what the
+// analyzer does, however often.
+func pollingExchange(t *testing.T, a *Analyzer) func() {
+	t.Helper()
 	a.Instrument(obs.NewRegistry(), nil)
 	w := newWire(a, time.Unix(1560000000, 0).UTC())
 	rtu := netip.MustParseAddrPort("10.0.1.1:2404")
 	scada := netip.MustParseAddrPort("10.0.0.5:40001")
-
-	var ns uint16
 	ack, err := iec104.NewS(0).Marshal(iec104.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := make([][]byte, 0x8000)
-	exchange := func() {
+	for i := range frames {
+		frames[i] = measurementFrame(t, uint16(i), 100+uint32(i%4), 49.9)
+	}
+	ns := 0
+	return func() {
 		for i := 0; i < 4; i++ {
-			if frames[ns] == nil {
-				frames[ns] = measurementFrame(t, ns, 100+uint32(i), 49.9)
-			}
 			w.send(rtu, scada, frames[ns])
 			ns = (ns + 1) & 0x7FFF
 		}
@@ -188,10 +188,17 @@ func TestIEC104FeedAllocs(t *testing.T) {
 		w.at = w.at.Add(time.Second)
 		a.FlushMetrics()
 	}
+}
+
+// TestIEC104FeedAllocs is TestDialectFeedAllocCeiling's sibling for the
+// specialised path: once the flows, sessions, series and the
+// outstation's dialect are known, a polling exchange allocates nothing.
+// (The rare new sample chunk averages out below one allocation per run;
+// TestSteadyStateFeedGrowsNothing counts the bytes.)
+func TestIEC104FeedAllocs(t *testing.T) {
+	a := NewAnalyzer(nil)
 	const warm, runs = 64, 400
-	for i := 0; i < (warm+runs+1)*4; i++ { // build every frame before measuring
-		frames[i] = measurementFrame(t, uint16(i), 100+uint32(i%4), 49.9)
-	}
+	exchange := pollingExchange(t, a)
 	for i := 0; i < warm; i++ {
 		exchange()
 	}
@@ -200,6 +207,58 @@ func TestIEC104FeedAllocs(t *testing.T) {
 	}
 	if a.ParseErrors != 0 || a.SeqAnomalies != 0 || len(a.Physical().All()) != 4 {
 		t.Fatalf("%d parse errors, %d sequence anomalies, %d series", a.ParseErrors, a.SeqAnomalies, len(a.Physical().All()))
+	}
+}
+
+// TestSteadyStateFeedGrowsNothing: nothing the analyzer keeps grows per
+// packet. A connection is a chain and a vocabulary, a session is
+// running moments, so over 20 000 packets of a warmed polling exchange
+// the only bytes allocated are sample storage: none at all under a
+// sample cap (0 is what an idle machine reads), and without one the
+// store's slabs — each as large as everything carved before it, so
+// never more than the 16 bytes of every sample stored so far (plus
+// chunk bookkeeping).
+func TestSteadyStateFeedGrowsNothing(t *testing.T) {
+	const warm, runs = 2000, 4000
+	// TotalAlloc is process-wide, and under load the runtime allocates
+	// beside the test now and then: a sudog (48 or 96 bytes), a thread
+	// (an m, its g0 and gsignal: 5 504). One byte per packet is 20 000.
+	const runtimeNoise = 8 << 10
+	for _, tc := range []struct {
+		name           string
+		cap            int
+		bytesPerSample float64 // allowance per sample the store ends up holding
+	}{
+		{"capped", 512, 0},
+		{"uncapped", 0, 1.15 * 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAnalyzer(nil)
+			a.Physical().SetMaxSamplesPerSeries(tc.cap)
+			exchange := pollingExchange(t, a)
+			for i := 0; i < warm; i++ {
+				exchange()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				exchange()
+			}
+			runtime.ReadMemStats(&after)
+			grown := after.TotalAlloc - before.TotalAlloc
+			stored := 0
+			for _, s := range a.Physical().All() {
+				stored += s.Len()
+			}
+			budget := uint64(tc.bytesPerSample*float64(stored)) + runtimeNoise
+			t.Logf("%d bytes allocated over %d packets (%.1f B/packet)", grown, 5*runs, float64(grown)/(5*runs))
+			if grown > budget {
+				t.Errorf("%d bytes allocated over %d packets with %d samples stored, want at most %d", grown, 5*runs, stored, budget)
+			}
+			if a.ParseErrors != 0 || a.SeqAnomalies != 0 || len(a.Physical().All()) != 4 {
+				t.Fatalf("%d parse errors, %d sequence anomalies, %d series", a.ParseErrors, a.SeqAnomalies, len(a.Physical().All()))
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	// Importing the codecs also registers the non-default dialects the
 	// detect-mode tests exercise.
 	"uncharted/internal/c37118"
+	"uncharted/internal/iec104"
 	"uncharted/internal/modbus"
 	"uncharted/internal/pcap"
 	"uncharted/internal/physical"
@@ -19,9 +20,16 @@ import (
 	"uncharted/internal/topology"
 )
 
+// streamRecorder is a FrameObserver keeping what the analyzer does
+// not: every connection's token stream, in arrival order.
+type streamRecorder map[ConnKey][]iec104.Token
+
+func (r streamRecorder) ObserveFrame(ev FrameEvent) { r[ev.Conn] = append(r[ev.Conn], ev.Token) }
+
 // mixedAnalyzer runs a Y1 capture with the Modbus association enabled
-// through one analyzer, optionally in registry auto-detect mode.
-func mixedAnalyzer(t *testing.T, detect bool) *Analyzer {
+// through one analyzer, optionally in registry auto-detect mode, with
+// obs (when not nil) attached.
+func mixedAnalyzer(t *testing.T, detect bool, obs FrameObserver) *Analyzer {
 	t.Helper()
 	cfg := scadasim.DefaultConfig(topology.Y1, 11)
 	cfg.Duration = 5 * time.Minute
@@ -39,6 +47,7 @@ func mixedAnalyzer(t *testing.T, detect bool) *Analyzer {
 		t.Fatal(err)
 	}
 	a := NewAnalyzer(NamesFromTopology(sim.Network()))
+	a.SetFrameObserver(obs)
 	if detect {
 		a.EnableProtocolDetect()
 	}
@@ -69,7 +78,8 @@ func mixedAnalyzer(t *testing.T, detect bool) *Analyzer {
 // C37.118 rate-compliance verdicts — while the IEC 104 aggregates stay
 // intact.
 func TestMixedCaptureDialects(t *testing.T) {
-	a := mixedAnalyzer(t, true)
+	streams := streamRecorder{}
+	a := mixedAnalyzer(t, true, streams)
 	p := a.Partial()
 
 	if p.IECPackets == 0 || p.TotalASDUs == 0 {
@@ -109,7 +119,7 @@ func TestMixedCaptureDialects(t *testing.T) {
 		if recount[id] == nil {
 			recount[id] = make(map[string]int)
 		}
-		for _, tok := range a.tokens[ck].toks {
+		for _, tok := range streams[ck] {
 			recount[id][tok.String()]++
 		}
 	}
@@ -165,7 +175,7 @@ func TestMixedCaptureDialects(t *testing.T) {
 // capture books nothing in the generic path — the non-IEC traffic lands
 // in OtherPorts exactly as before the refactor.
 func TestDialectsOffByDefault(t *testing.T) {
-	a := mixedAnalyzer(t, false)
+	a := mixedAnalyzer(t, false, nil)
 	p := a.Partial()
 	if len(p.Dialects) != 0 || len(p.Streams) != 0 {
 		t.Fatalf("generic decode ran without enabling: %+v %+v", p.Dialects, p.Streams)

@@ -51,7 +51,8 @@ func (r *Runner) Table4Tokens() (Result, error) {
 	}
 	observed := map[string]bool{}
 	for _, key := range a.ConnKeys() {
-		for _, tok := range a.TokenStream(key) {
+		_, vocab := a.ConnTokens(key)
+		for _, tok := range vocab {
 			observed[tok.String()] = true
 		}
 	}

@@ -148,17 +148,19 @@ func Train(a *core.Analyzer) (*Baseline, error) {
 			vocab = make(map[iec104.Token]bool)
 			b.conns[ck] = vocab
 		}
-		stream := a.TokenStream(key)
-		b.bigram.Train(stream)
+		chain, seen := a.ConnTokens(key)
+		if err := b.bigram.TrainChain(chain); err != nil {
+			return nil, err
+		}
 		commands := 0
-		for _, t := range stream {
+		for _, t := range seen {
 			vocab[t] = true
 			if t.IsCommand() {
-				commands++
+				commands += chain.Count(t)
 			}
 		}
-		if len(stream) > 0 {
-			rate := float64(commands) / float64(len(stream))
+		if total := chain.TotalTokens(); total > 0 {
+			rate := float64(commands) / float64(total)
 			if rate > b.commandRate[ck] {
 				b.commandRate[ck] = rate
 			}
@@ -167,11 +169,8 @@ func Train(a *core.Analyzer) (*Baseline, error) {
 	// Baseline perplexity: the worst-scoring baseline connection sets
 	// the detection floor.
 	for _, key := range a.ConnKeys() {
-		stream := a.TokenStream(key)
-		if len(stream) < 2 {
-			continue
-		}
-		p, err := b.bigram.Perplexity(stream)
+		chain, _ := a.ConnTokens(key)
+		p, err := b.bigram.PerplexityChain(chain)
 		if err == nil && p > b.worstPerplexity {
 			b.worstPerplexity = p
 		}
@@ -237,12 +236,10 @@ func (b *Baseline) Scan(a *core.Analyzer) []Alert {
 		if !known {
 			add(AlertNewConnection, 2, label, "no baseline traffic between these endpoints")
 		}
-		stream := a.TokenStream(key)
+		chain, seen := a.ConnTokens(key)
 		commands := 0
-		newTokens := map[iec104.Token]bool{}
-		for _, t := range stream {
-			if known && !vocab[t] && !newTokens[t] {
-				newTokens[t] = true
+		for _, t := range seen {
+			if known && !vocab[t] {
 				sev := 1
 				if t.IsCommand() {
 					sev = 3 // a brand-new command type is the Industroyer pattern
@@ -250,16 +247,16 @@ func (b *Baseline) Scan(a *core.Analyzer) []Alert {
 				add(AlertNewToken, sev, label, "token %s outside baseline vocabulary", t)
 			}
 			if t.IsCommand() {
-				commands++
+				commands += chain.Count(t)
 			}
 		}
-		if len(stream) >= 4 {
-			if p, err := b.bigram.Perplexity(stream); err == nil &&
+		if total := chain.TotalTokens(); total >= 4 {
+			if p, err := b.bigram.PerplexityChain(chain); err == nil &&
 				b.worstPerplexity > 0 && p > b.PerplexityFactor*b.worstPerplexity {
 				add(AlertSequence, 2, label,
 					"token-sequence perplexity %.1f exceeds baseline ceiling %.1f", p, b.worstPerplexity)
 			}
-			rate := float64(commands) / float64(len(stream))
+			rate := float64(commands) / float64(total)
 			base := b.commandRate[ck]
 			if rate > 0.2 && rate > 4*base+0.05 {
 				add(AlertCommandBurst, 3, label,

@@ -1,10 +1,14 @@
 package ids
 
 import (
+	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
 	"uncharted/internal/core"
+	"uncharted/internal/iec104"
+	"uncharted/internal/pcap"
 	"uncharted/internal/scadasim"
 	"uncharted/internal/topology"
 )
@@ -168,6 +172,81 @@ func TestAttackOrderingPreserved(t *testing.T) {
 	for i := 1; i < len(tr.Records); i++ {
 		if tr.Records[i].Time.Before(tr.Records[i-1].Time) {
 			t.Fatalf("records out of order after injection at %d", i)
+		}
+	}
+}
+
+// TestNewTokensAlertInFirstSeenOrder: Scan reads a connection's
+// vocabulary, not its token stream, and the vocabulary is in first-seen
+// order — so two command types a monitoring link never used alert once
+// each, in the order they first appeared, whichever sorts first.
+func TestNewTokensAlertInFirstSeenOrder(t *testing.T) {
+	rtu := netip.MustParseAddrPort("10.0.1.1:2404")
+	scada := netip.MustParseAddrPort("10.0.0.5:40001")
+	marshal := func(apdu *iec104.APDU) []byte {
+		t.Helper()
+		b, err := apdu.Marshal(iec104.Standard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// analyze feeds the monitoring exchange (a measurement up, an
+	// acknowledgement down) with the given commands sent in between.
+	analyze := func(commands ...*iec104.ASDU) *core.Analyzer {
+		a := core.NewAnalyzer(nil)
+		at := time.Unix(1560000000, 0).UTC()
+		seq := map[netip.AddrPort]uint32{}
+		send := func(src, dst netip.AddrPort, data []byte) {
+			a.FeedPacket(pcap.Packet{
+				Info: pcap.CaptureInfo{Timestamp: at},
+				IP:   pcap.IPv4{Src: src.Addr(), Dst: dst.Addr(), Protocol: pcap.IPProtoTCP, Payload: data},
+				TCP: pcap.TCP{
+					SrcPort: src.Port(), DstPort: dst.Port(),
+					Seq: seq[src], Flags: pcap.FlagACK | pcap.FlagPSH, Payload: data,
+				},
+			})
+			seq[src] += uint32(len(data))
+			at = at.Add(time.Second)
+		}
+		var up, down uint16
+		for round := 0; round < 6; round++ {
+			m := iec104.NewMeasurement(iec104.MMeNc, 1, 100, iec104.Value{Kind: iec104.KindFloat, Float: 49.9}, iec104.CauseSpontaneous)
+			send(rtu, scada, marshal(iec104.NewI(up, down, m)))
+			up++
+			for _, c := range commands {
+				send(scada, rtu, marshal(iec104.NewI(down, up, c)))
+				down++
+			}
+			send(scada, rtu, marshal(iec104.NewS(up)))
+		}
+		return a
+	}
+	b, err := Train(analyze())
+	if err != nil {
+		t.Fatal(err)
+	}
+	interro := iec104.NewInterrogation(1, iec104.CauseActivation)
+	setpoint := iec104.NewSetpointFloat(1, 7001, 55.5, iec104.CauseActivation)
+	for _, tc := range []struct {
+		name     string
+		commands []*iec104.ASDU
+		want     []string
+	}{
+		{"I100 then I50", []*iec104.ASDU{interro, setpoint}, []string{"token I100 outside baseline vocabulary", "token I50 outside baseline vocabulary"}},
+		{"I50 then I100", []*iec104.ASDU{setpoint, interro}, []string{"token I50 outside baseline vocabulary", "token I100 outside baseline vocabulary"}},
+	} {
+		var got []string
+		for _, al := range b.Scan(analyze(tc.commands...)) {
+			if al.Kind == AlertNewToken {
+				if al.Severity != 3 {
+					t.Errorf("%s: %v is a new command type, want severity 3", tc.name, al)
+				}
+				got = append(got, al.Detail)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: new-token alerts %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package markov
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -32,6 +33,8 @@ const (
 	stackKey = 8 * keyBytes
 )
 
+var errNotBigram = errors.New("markov: a chain holds bigram counts; the model is not of order 2")
+
 // NewNGram builds an empty model of order n (n >= 1).
 func NewNGram(n int) (*NGram, error) {
 	if n < 1 {
@@ -48,9 +51,9 @@ func NewNGram(n int) (*NGram, error) {
 // Order returns n.
 func (m *NGram) Order() int { return m.n }
 
-// appendKey packs toks onto dst.
-func appendKey(dst []byte, toks []iec104.Token) []byte {
-	for _, t := range toks {
+// appendKey packs gram onto dst.
+func appendKey(dst []byte, gram []iec104.Token) []byte {
+	for _, t := range gram {
 		dst = binary.BigEndian.AppendUint32(dst, nodeKey(t))
 	}
 	return dst
@@ -67,6 +70,25 @@ func (m *NGram) Train(seq []iec104.Token) {
 		m.counts[string(k)]++
 		m.ctx[string(k[:len(k)-keyBytes])]++
 	}
+}
+
+// TrainChain adds the token stream a chain has counted, as an order-2
+// Train of that stream would: a bigram's counts are the chain's edges,
+// its vocabulary the chain's nodes.
+func (m *NGram) TrainChain(c *Chain) error {
+	if m.n != 2 {
+		return errNotBigram
+	}
+	for _, nc := range c.nodes {
+		m.vocab[nc.Token] = struct{}{}
+	}
+	var buf [stackKey]byte
+	for _, ec := range c.edges {
+		k := appendKey(buf[:0], []iec104.Token{ec.From, ec.To})
+		m.counts[string(k)] += ec.Count
+		m.ctx[string(k[:keyBytes])] += ec.Count
+	}
+	return nil
 }
 
 // VocabSize returns the number of distinct tokens seen.
@@ -137,5 +159,28 @@ func (m *NGram) Perplexity(seq []iec104.Token) (float64, error) {
 		return 0, err
 	}
 	grams := len(seq) - m.n + 1
+	return math.Exp(-lp / float64(grams)), nil
+}
+
+// PerplexityChain is Perplexity of the token stream a chain has
+// counted, under an order-2 model: the log-probabilities summed per
+// edge, weighted by its count, instead of per arrival.
+func (m *NGram) PerplexityChain(c *Chain) (float64, error) {
+	if m.n != 2 {
+		return 0, errNotBigram
+	}
+	if len(c.edges) == 0 {
+		return 0, fmt.Errorf("markov: sequence shorter than model order")
+	}
+	var lp float64
+	grams := 0
+	for _, ec := range c.edges {
+		p, err := m.SmoothedProb([]iec104.Token{ec.From, ec.To})
+		if err != nil {
+			return 0, err
+		}
+		lp += float64(ec.Count) * math.Log(p)
+		grams += ec.Count
+	}
 	return math.Exp(-lp / float64(grams)), nil
 }

@@ -263,10 +263,19 @@ func TestCloneDoesNotAlias(t *testing.T) {
 	}
 }
 
+// streamRecorder is a core.FrameObserver keeping what the analyzer
+// does not: every connection's token stream, in arrival order.
+type streamRecorder map[core.ConnKey][]iec104.Token
+
+func (r streamRecorder) ObserveFrame(ev core.FrameEvent) {
+	r[ev.Conn] = append(r[ev.Conn], ev.Token)
+}
+
 // goldenAnalyzer runs the capture behind internal/stream's golden
 // fixtures (Y1, seed 7, three minutes; mixed adds the C37.118 and
-// Modbus traffic and auto-detection) through one analyzer.
-func goldenAnalyzer(t *testing.T, mixed, dedup bool) *core.Analyzer {
+// Modbus traffic and auto-detection) through one analyzer, and returns
+// the token streams it saw go by.
+func goldenAnalyzer(t *testing.T, mixed, dedup bool) (*core.Analyzer, streamRecorder) {
 	t.Helper()
 	cfg := scadasim.DefaultConfig(topology.Y1, 7)
 	cfg.Duration = 3 * time.Minute
@@ -285,25 +294,28 @@ func goldenAnalyzer(t *testing.T, mixed, dedup bool) *core.Analyzer {
 	}
 	a := core.NewAnalyzer(core.NamesFromTopology(sim.Network()))
 	a.DedupRetransmissions = dedup
+	streams := streamRecorder{}
+	a.SetFrameObserver(streams)
 	if mixed {
 		a.EnableProtocolDetect()
 	}
 	if err := a.ReadPCAP(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return a, streams
 }
 
 // TestLiveChainsMatchReferenceOnGoldenCaptures: the chain the analyzer
-// counts while it appends each connection's token stream — what
-// Partial and MarkovChains hand out — is the chain the reference
-// builds from the finished stream, for every connection of the golden
+// counts as each connection's tokens arrive — what Partial and
+// MarkovChains hand out — is the chain the reference builds from the
+// finished stream (recorded by an observer; the analyzer keeps only
+// the chain and its first-seen vocabulary), for every connection of the golden
 // IEC 104 and mixed captures, with retransmission dedup on and off.
 func TestLiveChainsMatchReferenceOnGoldenCaptures(t *testing.T) {
 	for _, mixed := range []bool{false, true} {
 		for _, dedup := range []bool{true, false} {
 			t.Run(fmt.Sprintf("mixed=%v/dedup=%v", mixed, dedup), func(t *testing.T) {
-				a := goldenAnalyzer(t, mixed, dedup)
+				a, streams := goldenAnalyzer(t, mixed, dedup)
 				chains := a.Partial().Chains
 				report := a.MarkovChains().Chains
 				keys := a.ConnKeys()
@@ -312,8 +324,12 @@ func TestLiveChainsMatchReferenceOnGoldenCaptures(t *testing.T) {
 				}
 				tokens := 0
 				for i, key := range keys {
-					stream := a.TokenStream(key)
+					stream := streams[key]
 					tokens += len(stream)
+					if live, vocab := a.ConnTokens(key); !reflect.DeepEqual(vocab, firstSeen(stream)) || live.TotalTokens() != len(stream) {
+						t.Fatalf("%v: vocabulary %v over %d tokens, the stream's first-seen order is %v over %d",
+							key, vocab, live.TotalTokens(), firstSeen(stream), len(stream))
+					}
 					ref := newRefChain()
 					ref.add(stream)
 					label := chains[i].Server + "-" + chains[i].Outstation
@@ -331,4 +347,18 @@ func TestLiveChainsMatchReferenceOnGoldenCaptures(t *testing.T) {
 			})
 		}
 	}
+}
+
+// firstSeen returns a stream's distinct tokens in order of first
+// appearance.
+func firstSeen(stream []iec104.Token) []iec104.Token {
+	var out []iec104.Token
+	seen := map[iec104.Token]bool{}
+	for _, t := range stream {
+		if !seen[t] {
+			seen[t] = true
+			out = append(out, t)
+		}
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -228,17 +229,42 @@ func MergeDigests(lists ...[]Digest) []Digest {
 	return merged
 }
 
+// scored is a ranking candidate: its score and its index in the list
+// being ranked.
+type scored struct {
+	score float64
+	i     int
+}
+
+// ranked returns the candidates' elements of xs stably ordered by
+// decreasing score (nil for no candidates). A candidate is scored once
+// and the sort moves 16-byte pairs without reflection: a Digest is 128
+// bytes to swap and two divisions to score again.
+func ranked[E any](xs []E, rank []scored) []E {
+	slices.SortStableFunc(rank, func(a, b scored) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case b.score > a.score:
+			return 1
+		}
+		return 0
+	})
+	out := slices.Grow([]E(nil), len(rank))
+	for _, r := range rank {
+		out = append(out, xs[r.i])
+	}
+	return out
+}
+
 // RankDigests orders digests with at least minSamples by decreasing
 // normalized variance — the streaming counterpart of Store.Ranked.
 func RankDigests(ds []Digest, minSamples int) []Digest {
-	var out []Digest
-	for _, d := range ds {
-		if d.Count >= minSamples {
-			out = append(out, d)
+	rank := make([]scored, 0, len(ds))
+	for i := range ds {
+		if ds[i].Count >= minSamples {
+			rank = append(rank, scored{ds[i].NormalizedVariance(), i})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].NormalizedVariance() > out[j].NormalizedVariance()
-	})
-	return out
+	return ranked(ds, rank)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -203,6 +205,55 @@ func TestRankedScoresOnce(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("minSamples %d: rank %d is %v, comparator version %v", min, i, got[i].Key, want[i].Key)
 			}
+		}
+	}
+}
+
+// refRankDigests is RankDigests as it was before it scored each digest
+// once: filter, then a reflective stable sort recomputing the score per
+// comparison. Kept as the reference the order is proven against.
+func refRankDigests(ds []Digest, minSamples int) []Digest {
+	var out []Digest
+	for _, d := range ds {
+		if d.Count >= minSamples {
+			out = append(out, d)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		return out[i].NormalizedVariance() > out[j].NormalizedVariance()
+	})
+	return out
+}
+
+// TestRankDigestsMatchesReference: over 10 000 seeded digest lists —
+// tied scores, zero and near-zero means, counts on both sides of the
+// minSamples cut-off, empty results — RankDigests returns exactly what
+// the reference does, ties in input order, and leaves its input alone.
+func TestRankDigestsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20200327))
+	means := []float64{0, 1e-12, -1e-12, 1, -2, 60, 130000}
+	m2s := []float64{0, 0.5, 4, 4, 1e6}
+	for n := 0; n < 10000; n++ {
+		ds := make([]Digest, rng.Intn(40))
+		for i := range ds {
+			ds[i] = Digest{
+				Key:   SeriesKey{Station: "O1", IOA: uint32(i)},
+				Count: rng.Intn(12),
+				Mean:  means[rng.Intn(len(means))],
+				M2:    m2s[rng.Intn(len(m2s))],
+			}
+			if rng.Intn(4) == 0 {
+				ds[i].Mean, ds[i].M2 = rng.NormFloat64()*50, rng.Float64()*1000
+			}
+		}
+		before := slices.Clone(ds)
+		minSamples := rng.Intn(14)
+		got, want := RankDigests(ds, minSamples), refRankDigests(ds, minSamples)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("list %d (%d digests, minSamples %d):\n got %v\nwant %v", n, len(ds), minSamples, got, want)
+		}
+		if !reflect.DeepEqual(ds, before) {
+			t.Fatalf("list %d: RankDigests reordered its input", n)
 		}
 	}
 }

@@ -417,23 +417,14 @@ func (st *Store) ByStation(station string) []*Series {
 // ones), ordered by decreasing normalized variance — the paper's
 // shortlist of "interesting" physical behaviour.
 func (st *Store) Ranked(minSamples int) []*Series {
-	type scored struct {
-		s     *Series
-		score float64
-	}
-	var ranked []scored
-	for _, s := range st.order {
+	var rank []scored
+	for i, s := range st.order {
 		if s.Len()+s.nEvicted >= minSamples {
 			s.contiguous()
-			ranked = append(ranked, scored{s, s.NormalizedVariance()})
+			rank = append(rank, scored{s.NormalizedVariance(), i})
 		}
 	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].score > ranked[j].score })
-	var out []*Series
-	for _, r := range ranked {
-		out = append(out, r.s)
-	}
-	return out
+	return ranked(st.order, rank)
 }
 
 // TypeStations returns, per point type, the number of distinct

@@ -7,9 +7,14 @@ import (
 	"uncharted/internal/pcap"
 )
 
-// slabCap is a fresh slab's capacity: room for a default 64-record
-// batch of full-size frames, so steady state never regrows it.
-const slabCap = 64 << 10
+// A fresh carrier's slab is a quarter above the fullest batch its
+// reader has handed off so far, within these bounds. maxSlabCap is room
+// for a default 64-record batch of near-full-size frames; a
+// small-packet capture fills an eighth of that.
+const (
+	minSlabCap = 4 << 10
+	maxSlabCap = 64 << 10
+)
 
 // rawFrame locates one record inside a batch slab. Offsets, not
 // subslices: the slab's backing array may move while the reader is
@@ -50,9 +55,6 @@ func (b *batch) firstTime() time.Time {
 
 // addRaw copies one undecoded record into the slab.
 func (b *batch) addRaw(data []byte, ci pcap.CaptureInfo) {
-	if b.slab == nil {
-		b.slab = make([]byte, 0, slabCap)
-	}
 	off := len(b.slab)
 	b.slab = append(b.slab, data...)
 	b.frames = append(b.frames, rawFrame{off: off, end: off + len(data), ci: ci})
@@ -85,15 +87,26 @@ func (b *batch) recycle() {
 // turn that steady cross-goroutine flow into misses — the
 // allocs-grow-with-shards regression TestSegmentedAllocsGuard pins. A
 // single uncontended lock per batch (amortized over BatchSize records)
-// is far cheaper than re-allocating 64 KiB slabs.
+// is far cheaper than re-allocating slabs.
 type batchPool struct {
 	// poison overwrites every recycled slab with 0xDB, so a consumer
 	// that wrongly keeps a frame past recycle sees garbage instead of
 	// stale bytes. Tests only; set before the pool is shared.
 	poison bool
 
+	// fullest and most are the most slab bytes and raw records a batch
+	// carried when its reader handed it off. Reader side only (sent,
+	// get), so not under mu.
+	fullest, most int
+
 	mu   sync.Mutex
 	free []*batch
+}
+
+// sent notes how full b is as its reader hands it off.
+func (p *batchPool) sent(b *batch) {
+	p.fullest = max(p.fullest, len(b.slab))
+	p.most = max(p.most, len(b.frames))
 }
 
 func (p *batchPool) get() *batch {
@@ -105,6 +118,10 @@ func (p *batchPool) get() *batch {
 	p.mu.Unlock()
 	if b == nil {
 		b = &batch{pool: p}
+		if p.fullest > 0 {
+			b.slab = make([]byte, 0, min(max(p.fullest+p.fullest/4, minSlabCap), maxSlabCap))
+			b.frames = make([]rawFrame, 0, p.most)
+		}
 	}
 	return b
 }

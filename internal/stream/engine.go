@@ -687,7 +687,7 @@ func (rd *reader) run(ctx context.Context) error {
 // release drops the reader's batch carriers — the pool's free list and
 // any batch left half filled by a cancelled run — once nothing can use
 // them again, so a finished engine that is still referenced (a served
-// tenant, a graph pass) does not pin QueueDepth 64 KiB slabs per reader.
+// tenant, a graph pass) does not pin QueueDepth slabs per reader.
 func (rd *reader) release() {
 	rd.pending = nil
 	rd.pool.mu.Lock()
@@ -756,6 +756,7 @@ func (rd *reader) flush(ctx context.Context, i int) bool {
 		return true
 	}
 	rd.pending[i] = nil
+	rd.pool.sent(b)
 	rd.bytes.Add(int64(len(b.slab)))
 	rd.e.metrics.noteReaderBytes(rd.r, len(b.slab))
 	return rd.enqueue(ctx, i, b)

@@ -62,3 +62,53 @@ func TestBatchRecyclePoisons(t *testing.T) {
 		t.Error("recycle kept a packet's payload reference alive")
 	}
 }
+
+// TestSlabSizedByTraffic: a carrier's slab is as large as the run's
+// batches need, not a fixed 64 KiB. A reader fills batches of 64
+// records, hands them off and keeps up to depth in flight before the
+// shard returns the oldest. After a run of 100-byte packets no slab in
+// the pool is larger than twice what the fullest batch carried — the
+// carrier made before anything was handed off (grown by append) and the
+// ones made after (sized from the fullest sent, whether or not any has
+// come back) alike — and a run of 1 400-byte packets, whose batches
+// outgrow any fresh slab, allocates nothing once its carriers have been
+// round.
+func TestSlabSizedByTraffic(t *testing.T) {
+	const depth, records = 8, 64
+	// cycle runs n batches of data-sized records through pool.
+	cycle := func(pool *batchPool, inflight []*batch, data []byte, n int) []*batch {
+		for i := 0; i < n; i++ {
+			if len(inflight) == depth {
+				inflight[0].recycle()
+				inflight = append(inflight[:0], inflight[1:]...)
+			}
+			b := pool.get()
+			for r := 0; r < records; r++ {
+				b.addRaw(data, pcap.CaptureInfo{})
+			}
+			pool.sent(b)
+			inflight = append(inflight, b)
+		}
+		return inflight
+	}
+
+	small, packet := &batchPool{}, make([]byte, 100)
+	for _, b := range cycle(small, nil, packet, 40) {
+		b.recycle()
+	}
+	if len(small.free) != depth || small.fullest != records*len(packet) || small.most != records {
+		t.Fatalf("%d carriers in the pool, fullest %d bytes in %d records; want %d, %d and %d",
+			len(small.free), small.fullest, small.most, depth, records*len(packet), records)
+	}
+	for i, b := range small.free {
+		if c := cap(b.slab); c < small.fullest || c > 2*small.fullest || cap(b.frames) < records || cap(b.frames) > 2*records {
+			t.Errorf("carrier %d: a %d-byte slab and %d frame slots for batches of %d bytes in %d records", i, c, cap(b.frames), small.fullest, records)
+		}
+	}
+
+	full, packet := &batchPool{}, make([]byte, 1400)
+	inflight := cycle(full, nil, packet, 2*depth)
+	if n := testing.AllocsPerRun(50, func() { inflight = cycle(full, inflight, packet, depth) }); n != 0 {
+		t.Errorf("%v allocations per %d full-size batches after warm-up, want 0", n, depth)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"uncharted/internal/pcap"
@@ -139,31 +140,41 @@ func (s *FollowSource) ReadByte() (byte, error) {
 	return b, nil
 }
 
-// fill appends newly written file bytes to the window, compacting the
-// consumed prefix first so the buffer stays proportional to the
-// unparsed tail.
-func (s *FollowSource) fill() error {
-	if s.head > 0 && s.head == len(s.pending) {
-		s.pending = s.pending[:0]
-		s.head = 0
-	} else if s.head > 1<<16 {
+// followWindow is how far ahead of the parse position FollowSource
+// reads: a few thousand records per read call, and the bound on what a
+// tail holds of a file that already has content.
+const followWindow = 256 << 10
+
+// want makes n unconsumed bytes available, or reports ErrNotReady when
+// the file does not hold them yet. It reads up to a window (or n, for a
+// record larger than that) past the parse position; what it first moves
+// to the front is less than the n being waited for.
+func (s *FollowSource) want(n int) error {
+	if s.avail() >= n {
+		return nil
+	}
+	if s.head > 0 {
 		s.pending = append(s.pending[:0], s.pending[s.head:]...)
 		s.head = 0
 	}
-	var chunk [64 * 1024]byte
-	for {
-		n, err := s.f.Read(chunk[:])
-		s.pending = append(s.pending, chunk[:n]...)
+	target := max(n, followWindow)
+	for len(s.pending) < target {
+		// Grow by a window at a time: a corrupt header may declare far
+		// more than the file will ever hold.
+		s.pending = slices.Grow(s.pending, min(target-len(s.pending), followWindow))
+		got, err := s.f.Read(s.pending[len(s.pending):min(cap(s.pending), target)])
+		s.pending = s.pending[:len(s.pending)+got]
 		if err == io.EOF {
-			return nil
+			break
 		}
 		if err != nil {
 			return err
 		}
-		if n < len(chunk) {
-			return nil
-		}
 	}
+	if s.avail() < n {
+		return ErrNotReady
+	}
+	return nil
 }
 
 func (s *FollowSource) avail() int { return len(s.pending) - s.head }
@@ -172,12 +183,9 @@ func (s *FollowSource) avail() int { return len(s.pending) - s.head }
 // scratch), ErrNotReady at the write frontier, and never io.EOF: a
 // followed file has no end until the caller stops.
 func (s *FollowSource) nextRecord(scratch []byte) ([]byte, pcap.CaptureInfo, error) {
-	if err := s.fill(); err != nil {
-		return nil, pcap.CaptureInfo{}, err
-	}
 	if s.pr == nil {
-		if s.avail() < 24 {
-			return nil, pcap.CaptureInfo{}, ErrNotReady
+		if err := s.want(24); err != nil {
+			return nil, pcap.CaptureInfo{}, err
 		}
 		switch binary.LittleEndian.Uint32(s.pending[s.head : s.head+4]) {
 		case 0xa1b2c3d4, 0xa1b23c4d:
@@ -195,12 +203,12 @@ func (s *FollowSource) nextRecord(scratch []byte) ([]byte, pcap.CaptureInfo, err
 	}
 	// Gate ReadPacket on a fully buffered record: 16-byte record
 	// header plus the captured length it declares.
-	if s.avail() < 16 {
-		return nil, pcap.CaptureInfo{}, ErrNotReady
+	if err := s.want(16); err != nil {
+		return nil, pcap.CaptureInfo{}, err
 	}
 	capLen := int(s.order.Uint32(s.pending[s.head+8 : s.head+12]))
-	if s.avail() < 16+capLen {
-		return nil, pcap.CaptureInfo{}, ErrNotReady
+	if err := s.want(16 + capLen); err != nil {
+		return nil, pcap.CaptureInfo{}, err
 	}
 	return s.pr.ReadPacketInto(scratch)
 }

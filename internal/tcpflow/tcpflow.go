@@ -7,6 +7,7 @@ package tcpflow
 
 import (
 	"encoding/binary"
+	"math"
 	"net/netip"
 	"sort"
 	"time"
@@ -469,29 +470,35 @@ type SessionKey struct {
 }
 
 // Session accumulates one direction of communication between two hosts.
+// Of the Packets-1 gaps between consecutive packets it keeps running
+// moments, not the gaps: their sum (added in arrival order, so the mean
+// is the one summing a list would give) and Welford's mean/M2 pair.
 type Session struct {
-	Key          SessionKey
-	Packets      int
-	Bytes        int
-	First, Last  time.Time
-	interArrival []float64 // seconds between consecutive packets
-	gapSum       float64   // their sum, added up as they are appended
-	lastSeen     time.Time
-}
-
-// InterArrivals returns a copy of the gaps (in seconds) between
-// consecutive packets of the session.
-func (s *Session) InterArrivals() []float64 {
-	return append([]float64(nil), s.interArrival...)
+	Key         SessionKey
+	Packets     int
+	Bytes       int
+	First, Last time.Time
+	gapSum      float64 // seconds
+	gapMean     float64
+	gapM2       float64 // summed squared deviation from gapMean
 }
 
 // MeanInterArrival returns the average spacing between consecutive
 // packets in seconds (the Δt clustering feature).
 func (s *Session) MeanInterArrival() float64 {
-	if len(s.interArrival) == 0 {
+	if s.Packets < 2 {
 		return 0
 	}
-	return s.gapSum / float64(len(s.interArrival))
+	return s.gapSum / float64(s.Packets-1)
+}
+
+// StdInterArrival returns the population standard deviation of that
+// spacing, in seconds.
+func (s *Session) StdInterArrival() float64 {
+	if s.Packets < 2 {
+		return 0
+	}
+	return math.Sqrt(s.gapM2 / float64(s.Packets-1))
 }
 
 // Sessions groups packets into directional host-pair sessions.
@@ -533,14 +540,15 @@ func (ss *Sessions) FeedFlow(f *Flow, dir int, pkt *pcap.Packet) *Session {
 		}
 	}
 	if s.Packets > 0 {
-		gap := pkt.Info.Timestamp.Sub(s.lastSeen).Seconds()
-		s.interArrival = append(s.interArrival, gap)
+		gap := pkt.Info.Timestamp.Sub(s.Last).Seconds()
 		s.gapSum += gap
+		d := gap - s.gapMean
+		s.gapMean += d / float64(s.Packets)
+		s.gapM2 += d * (gap - s.gapMean)
 	}
 	s.Packets++
 	s.Bytes += len(pkt.IP.Payload)
 	s.Last = pkt.Info.Timestamp
-	s.lastSeen = pkt.Info.Timestamp
 	return s
 }
 

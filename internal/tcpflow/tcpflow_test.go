@@ -2,11 +2,13 @@ package tcpflow
 
 import (
 	"bytes"
+	"math"
 	"net/netip"
 	"testing"
 	"time"
 
 	"uncharted/internal/pcap"
+	"uncharted/internal/stats"
 )
 
 var (
@@ -237,23 +239,69 @@ func TestSessions(t *testing.T) {
 }
 
 // TestMeanInterArrivalMatchesGapList: the running gap sum makes the
-// same additions in the same order as summing the list did, so the mean
-// is bit-identical, however irregular the gaps.
+// same additions in the same order as summing a list of the gaps does,
+// so the mean is bit-identical, however irregular the gaps.
 func TestMeanInterArrivalMatchesGapList(t *testing.T) {
 	ss := NewSessions()
 	at := t0
+	var gaps []float64
 	for i := 0; i < 5000; i++ {
-		at = at.Add(time.Duration(1+(i*7919)%1_000_003) * time.Microsecond)
+		next := at.Add(time.Duration(1+(i*7919)%1_000_003) * time.Microsecond)
+		if i > 0 {
+			gaps = append(gaps, next.Sub(at).Seconds())
+		}
+		at = next
 		ss.Feed(mkPacket(hostA, hostB, at, pcap.FlagACK, uint32(i), 1, []byte{1}))
 	}
 	s := ss.All()[0]
-	gaps := s.InterArrivals()
 	var sum float64
 	for _, g := range gaps {
 		sum += g
 	}
 	if want := sum / float64(len(gaps)); len(gaps) != 4999 || s.MeanInterArrival() != want {
 		t.Fatalf("mean inter-arrival %v over %d gaps, summing the list gives %v", s.MeanInterArrival(), len(gaps), want)
+	}
+}
+
+// TestStdInterArrivalMatchesTwoPass: the Welford pair a session keeps
+// gives the deviation the two-pass formula gives over a list of the
+// gaps — which the session no longer holds — to 1e-9 relative, and
+// exactly 0 for constant gaps.
+func TestStdInterArrivalMatchesTwoPass(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		packets int
+		gap     func(i int) time.Duration
+	}{
+		{"irregular", 5000, func(i int) time.Duration { return time.Duration(1+(i*7919)%1_000_003) * time.Microsecond }},
+		{"wide", 3000, func(i int) time.Duration {
+			return time.Duration(1+(i*i*31)%977) * time.Duration(1+i%4*1000) * time.Millisecond
+		}},
+		{"constant", 2000, func(int) time.Duration { return 4 * time.Second }},
+		{"single-gap", 2, func(int) time.Duration { return 1500 * time.Millisecond }},
+		{"single-packet", 1, func(int) time.Duration { return time.Second }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ss := NewSessions()
+			at := t0
+			var gaps []float64
+			for i := 0; i < tc.packets; i++ {
+				if i > 0 {
+					next := at.Add(tc.gap(i))
+					gaps = append(gaps, next.Sub(at).Seconds())
+					at = next
+				}
+				ss.Feed(mkPacket(hostA, hostB, at, pcap.FlagACK, uint32(i), 1, []byte{1}))
+			}
+			got, want := ss.All()[0].StdInterArrival(), stats.StdDev(gaps)
+			if tc.name == "irregular" || tc.name == "wide" {
+				if want == 0 || math.Abs(got-want) > 1e-9*want {
+					t.Fatalf("std inter-arrival %v, two-pass over %d gaps gives %v", got, len(gaps), want)
+				}
+			} else if got != 0 || want != 0 {
+				t.Fatalf("std inter-arrival %v (two-pass %v), want exactly 0", got, want)
+			}
+		})
 	}
 }
 
