@@ -1,18 +1,16 @@
 package drift
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"uncharted/internal/ids"
+	"uncharted/internal/obs"
 )
 
 // WriteJSON renders the report as indented JSON.
 func (r *DriftReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return obs.WriteIndentedJSON(w, r)
 }
 
 // WriteText renders the report the way the CLIs print it: the two

@@ -30,13 +30,10 @@ func QueryHandler(st *Store) http.Handler {
 			return
 		}
 		q := req.URL.Query()
-		var enc *json.Encoder
 		if format == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		} else {
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			enc = json.NewEncoder(w)
-			enc.SetIndent("", "  ")
 		}
 
 		station := q.Get("station")
@@ -70,7 +67,7 @@ func QueryHandler(st *Store) http.Handler {
 					Bytes: pi.Bytes, First: pi.First, Last: pi.Last,
 				})
 			}
-			enc.Encode(rows)
+			obs.WriteIndentedJSON(w, rows)
 			return
 		}
 
@@ -110,7 +107,7 @@ func QueryHandler(st *Store) http.Handler {
 				}
 				return
 			}
-			enc.Encode(buckets)
+			obs.WriteIndentedJSON(w, buckets)
 			return
 		}
 
@@ -134,7 +131,7 @@ func QueryHandler(st *Store) http.Handler {
 		for i, s := range samples {
 			rows[i] = row{T: s.T, V: s.V}
 		}
-		enc.Encode(rows)
+		obs.WriteIndentedJSON(w, rows)
 	})
 }
 

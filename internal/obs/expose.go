@@ -83,9 +83,7 @@ type varsPayload struct {
 func (r *Registry) WriteJSON(w io.Writer, journal *Journal) error {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(varsPayload{
+	return WriteIndentedJSON(w, varsPayload{
 		Metrics:        r.Snapshot(),
 		Journal:        journal.Counts(),
 		JournalDropped: journal.Dropped(),

@@ -209,7 +209,10 @@ func (s *Stage) snapshot() StageSnapshot {
 type series struct {
 	name   string
 	labels []string // alternating key, value
-	typ    MetricType
+	// rendered is labelString(labels), the tail of the series' map key
+	// kept from creation: it is the second sort key of every Snapshot.
+	rendered string
+	typ      MetricType
 
 	c *Counter
 	g *Gauge
@@ -288,17 +291,21 @@ func NewRegistry() *Registry {
 // endpoints of the long-running commands.
 var Default = NewRegistry()
 
-// seriesKey builds the unique map key for (name, labels).
+// seriesKey builds the unique map key for (name, labels): the name
+// followed by labelString(labels), the way the series opens its line
+// in the Prometheus exposition. One allocation, sized up front.
 func seriesKey(name string, labels []string) string {
 	if len(labels) == 0 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
+	n := len(name) + 1
 	for _, l := range labels {
-		b.WriteByte(0xff)
-		b.WriteString(l)
+		n += len(l) + 2 // k="v" and its comma or closing brace
 	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(name)
+	writeLabels(&b, labels)
 	return b.String()
 }
 
@@ -323,7 +330,7 @@ func (r *Registry) lookup(name string, typ MetricType, labels []string, bounds [
 	if s == nil {
 		o.mu.Lock()
 		if s = o.series[key]; s == nil {
-			s = &series{name: name, labels: append([]string(nil), labels...), typ: typ}
+			s = &series{name: name, labels: append([]string(nil), labels...), rendered: key[len(name):], typ: typ}
 			switch typ {
 			case TypeCounter:
 				s.c = &Counter{}
@@ -507,7 +514,7 @@ func (r *Registry) Snapshot() Snapshot {
 		if all[i].name != all[j].name {
 			return all[i].name < all[j].name
 		}
-		return labelString(all[i].labels) < labelString(all[j].labels)
+		return all[i].rendered < all[j].rendered
 	})
 	sort.Slice(stages, func(i, j int) bool { return stages[i].name < stages[j].name })
 
@@ -548,6 +555,12 @@ func labelString(labels []string) string {
 		return ""
 	}
 	var b strings.Builder
+	writeLabels(&b, labels)
+	return b.String()
+}
+
+// writeLabels appends the {k="v",...} rendering of a non-empty list.
+func writeLabels(b *strings.Builder, labels []string) {
 	b.WriteByte('{')
 	for i := 0; i+1 < len(labels); i += 2 {
 		if i > 0 {
@@ -559,7 +572,6 @@ func labelString(labels []string) string {
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
-	return b.String()
 }
 
 // escapeLabel escapes a label value per the Prometheus text format.

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -210,4 +213,99 @@ func TestTypeMismatchPanics(t *testing.T) {
 		}
 	}()
 	reg.Gauge("mixed_metric")
+}
+
+// snapshotKeys lists a snapshot's series of one kind as (name, rendered
+// labels) pairs, in snapshot order.
+func snapshotKeys(snap Snapshot) (counters, gauges, hists [][2]string) {
+	for _, c := range snap.Counters {
+		counters = append(counters, [2]string{c.Name, labelString(c.Labels)})
+	}
+	for _, g := range snap.Gauges {
+		gauges = append(gauges, [2]string{g.Name, labelString(g.Labels)})
+	}
+	for _, h := range snap.Histograms {
+		hists = append(hists, [2]string{h.Name, labelString(h.Labels)})
+	}
+	return
+}
+
+// TestSnapshotOrderUnchanged: a series keeps its rendered label string
+// from creation and Snapshot sorts on it; the order must be exactly
+// what sorting by (name, labelString(labels)) gives — names that
+// prefix each other, label values that need escaping, labels that only
+// differ late, and series booked through With views included.
+func TestSnapshotOrderUnchanged(t *testing.T) {
+	r := NewRegistry()
+	view := r.With("tenant", "east").With("shard", "1")
+	for _, name := range []string{"req", "req_total", "re", "req_total_bytes"} {
+		r.Counter(name)
+		r.Counter(name, "code", "200")
+		r.Counter(name, "code", "200", "endpoint", "query")
+		r.Counter(name, "code", "20")
+		r.Counter(name, "path", `a"b`)
+		r.Counter(name, "path", "a\nb")
+		r.Counter(name, "path", `a\b`)
+		r.Counter(name, "path", "a b")
+		r.Counter(name, "path", "a")
+		r.Counter(name, "tenant", "east")
+		view.Counter(name)
+		view.Counter(name, "code", "200")
+		r.With("tenant", "west").Counter(name, "code", "404")
+		r.Gauge(name+"_g", "z", "1")
+		r.Gauge(name+"_g", "a", "2")
+		view.Gauge(name + "_g")
+		r.Histogram(name+"_h", DurationBuckets, "stage", "b")
+		view.Histogram(name+"_h", DurationBuckets, "stage", "a")
+	}
+	for _, reg := range []*Registry{r, view} {
+		counters, gauges, hists := snapshotKeys(reg.Snapshot())
+		for kind, got := range map[string][][2]string{"counters": counters, "gauges": gauges, "histograms": hists} {
+			if len(got) == 0 {
+				t.Fatalf("%s: empty", kind)
+			}
+			want := append([][2]string(nil), got...)
+			sort.SliceStable(want, func(i, j int) bool {
+				if want[i][0] != want[j][0] {
+					return want[i][0] < want[j][0]
+				}
+				return want[i][1] < want[j][1]
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s out of (name, labelString) order:\n got %v\nwant %v", kind, got, want)
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i] == got[i-1] {
+					t.Errorf("%s: duplicate series %v", kind, got[i])
+				}
+			}
+		}
+	}
+	if counters, _, _ := snapshotKeys(view.Snapshot()); len(counters) != 8 {
+		t.Errorf("view snapshot has %d counters, want 8", len(counters))
+	}
+}
+
+// BenchmarkRegistrySnapshot is the cost behind every /statusz, /metrics
+// and /debug/vars: a registry the size of a two-tenant service's.
+func BenchmarkRegistrySnapshot(b *testing.B) {
+	r := NewRegistry()
+	for _, tenant := range []string{"live0", "probe0", "live1", "probe1"} {
+		v := r.With("tenant", tenant)
+		for i := 0; i < 40; i++ {
+			name := "uncharted_metric_" + strconv.Itoa(i%10) + "_total"
+			v.Counter(name, "endpoint", "e"+strconv.Itoa(i), "code", "200").Inc()
+			v.Gauge("uncharted_gauge_"+strconv.Itoa(i%10), "shard", strconv.Itoa(i)).Set(1)
+		}
+		for i := 0; i < 12; i++ {
+			v.Stage("stage." + strconv.Itoa(i)).Observe(time.Millisecond)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(r.Snapshot().Counters) != 160 {
+			b.Fatal("snapshot lost series")
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"fmt"
 	"html"
 	"io"
@@ -99,9 +98,7 @@ func NewStatusHandler(get func() []PipelineStatus) http.Handler {
 		switch format {
 		case "json":
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(sts)
+			obs.WriteIndentedJSON(w, sts)
 		case "text":
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			for _, st := range sts {

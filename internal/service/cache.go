@@ -8,15 +8,19 @@ import (
 	"sync"
 )
 
-// Cache is the snapshot/query response cache: a mutex-guarded LRU of
-// fully rendered HTTP responses keyed by (tenant, endpoint, snapshot
-// version, raw query). Because the published snapshot's sequence
-// number is part of the key, every newly published snapshot
-// invalidates all of a tenant's hot entries at once — readers of the
-// new snapshot miss, render once, and every subsequent read is served
-// from memory without touching the analyzer. Entries hold immutable
-// byte slices, so concurrent readers can never observe a torn
-// response.
+// Cache is the snapshot/query response cache: a mutex-guarded LRU
+// holding one fully rendered HTTP response per document, where a
+// document is (tenant, endpoint, raw query). The snapshot version the
+// response was rendered from is a field of the entry, not part of the
+// key: get hits only while that version is still the current one, and
+// the re-render a stale entry causes overwrites it in place. So a
+// newly published snapshot invalidates all of a tenant's hot entries
+// at once — the next reader of each misses, renders once, and every
+// later read is served from memory without touching the analyzer —
+// and a superseded document is released the moment its successor is
+// stored instead of waiting to fall off the LRU tail. Entries hold
+// immutable byte slices, so concurrent readers can never observe a
+// torn response.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
@@ -26,10 +30,11 @@ type Cache struct {
 
 // cacheEntry is one rendered response.
 type cacheEntry struct {
-	key   string
-	etag  string
-	ctype string
-	body  []byte
+	key     string
+	version string
+	etag    string
+	ctype   string
+	body    []byte
 }
 
 // NewCache builds a cache holding at most max rendered responses;
@@ -41,29 +46,35 @@ func NewCache(max int) *Cache {
 	return &Cache{max: max, ll: list.New(), entries: make(map[string]*list.Element)}
 }
 
-// get returns the entry for key, promoting it to most recently used.
-func (c *Cache) get(key string) (*cacheEntry, bool) {
+// get returns key's entry if it was rendered from version, promoting
+// it to most recently used. An entry of any other version is a miss
+// and stays where it is until the re-render's put replaces it.
+func (c *Cache) get(key, version string) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
+	e := el.Value.(*cacheEntry)
+	if e.version != version {
+		return nil, false
+	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry), true
+	return e, true
 }
 
-// put inserts (or replaces) the entry for key, evicting from the LRU
-// tail when over capacity.
-func (c *Cache) put(key string, e *cacheEntry) {
+// put stores e as the one entry for its key, replacing whatever
+// version was there, and evicts from the LRU tail when over capacity.
+func (c *Cache) put(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[e.key]; ok {
 		el.Value = e
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.ll.PushFront(e)
+	c.entries[e.key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.max {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
@@ -71,29 +82,55 @@ func (c *Cache) put(key string, e *cacheEntry) {
 	}
 }
 
-// Len reports the live entry count.
+// Len reports the live entry count; a nil cache (caching disabled)
+// holds nothing.
 func (c *Cache) Len() int {
+	if c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
-// cacheKey builds the cache key and the strong ETag for one request.
-func cacheKey(tenant, endpoint, version, rawQuery string) (key, etag string) {
-	key = tenant + "\x00" + endpoint + "\x00" + version + "\x00" + rawQuery
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return key, fmt.Sprintf("%q", fmt.Sprintf("%s-%s-%s-%016x", tenant, endpoint, version, h.Sum64()))
+// cacheKey names one cached document.
+func cacheKey(tenant, endpoint, rawQuery string) string {
+	return tenant + "\x00" + endpoint + "\x00" + rawQuery
 }
 
-// recorder captures an inner handler's response for caching.
+// newETag builds the strong validator of one document at one version:
+// readable up to the version, then a hash that also covers the query.
+func newETag(tenant, endpoint, version, rawQuery string) string {
+	h := fnv.New64a()
+	h.Write([]byte(tenant + "\x00" + endpoint + "\x00" + version + "\x00" + rawQuery))
+	return fmt.Sprintf("%q", fmt.Sprintf("%s-%s-%s-%016x", tenant, endpoint, version, h.Sum64()))
+}
+
+// serve answers req from the entry: 304 when the request's validator
+// is the entry's ETag, the stored body otherwise.
+func (e *cacheEntry) serve(w http.ResponseWriter, req *http.Request) {
+	h := w.Header()
+	h.Set("ETag", e.etag)
+	if e.ctype != "" {
+		h.Set("Content-Type", e.ctype)
+	}
+	if req.Header.Get("If-None-Match") == e.etag {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	w.WriteHeader(http.StatusOK)
+	w.Write(e.body)
+}
+
+// recorder captures an inner handler's status and body for caching;
+// headers go straight into the real response's. The JSON renderers
+// hand over a whole document in one Write, so the first append
+// allocates the body at its final size.
 type recorder struct {
 	hdr  http.Header
 	code int
 	body []byte
 }
-
-func newRecorder() *recorder { return &recorder{hdr: make(http.Header), code: http.StatusOK} }
 
 func (r *recorder) Header() http.Header         { return r.hdr }
 func (r *recorder) WriteHeader(code int)        { r.code = code }
@@ -102,51 +139,39 @@ func (r *recorder) Write(p []byte) (int, error) { r.body = append(r.body, p...);
 // cached wraps a query handler with the snapshot cache. version must
 // return a string that changes whenever the underlying data does —
 // the engine's published snapshot sequence — so hot reads of the
-// current snapshot are served straight from memory and every new
-// snapshot starts a fresh generation. Only 200 responses to GET/HEAD
-// are stored; If-None-Match requests matching the entry's ETag get
-// 304. The X-Cache header says hit or miss, which is how cmd/loadgen
-// measures the hit ratio from outside.
+// current snapshot are served straight from memory and the first read
+// after a new snapshot replaces the document it supersedes. Only 200
+// responses to GET/HEAD are stored; a request whose If-None-Match is
+// the document's ETag gets 304 with no body, whether the document came
+// from the cache or was just rendered. The X-Cache header says hit or
+// miss, which is how cmd/loadgen measures the hit ratio from outside.
+// The route patterns carry the method, so only GET and HEAD get here.
 func (s *Service) cached(t *Tenant, endpoint string, version func() string, inner http.Handler) http.Handler {
 	if s.cache == nil {
 		return inner
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			inner.ServeHTTP(w, req)
-			return
-		}
-		key, etag := cacheKey(t.name, endpoint, version(), req.URL.RawQuery)
-		if e, ok := s.cache.get(key); ok {
+		ver, key := version(), cacheKey(t.name, endpoint, req.URL.RawQuery)
+		if e, ok := s.cache.get(key, ver); ok {
 			t.cacheHits.Inc()
-			h := w.Header()
-			h.Set("X-Cache", "hit")
-			h.Set("ETag", e.etag)
-			if e.ctype != "" {
-				h.Set("Content-Type", e.ctype)
-			}
-			if req.Header.Get("If-None-Match") == e.etag {
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-			w.Write(e.body)
+			w.Header().Set("X-Cache", "hit")
+			e.serve(w, req)
 			return
 		}
 		t.cacheMisses.Inc()
-		rec := newRecorder()
+		rec := &recorder{hdr: w.Header(), code: http.StatusOK}
 		inner.ServeHTTP(rec, req)
-		h := w.Header()
-		for k, vv := range rec.hdr {
-			h[k] = vv
+		rec.hdr.Set("X-Cache", "miss")
+		if rec.code != http.StatusOK {
+			w.WriteHeader(rec.code)
+			w.Write(rec.body)
+			return
 		}
-		h.Set("X-Cache", "miss")
-		if rec.code == http.StatusOK {
-			h.Set("ETag", etag)
-			s.cache.put(key, &cacheEntry{
-				key: key, etag: etag, ctype: rec.hdr.Get("Content-Type"), body: rec.body,
-			})
+		e := &cacheEntry{
+			key: key, version: ver, etag: newETag(t.name, endpoint, ver, req.URL.RawQuery),
+			ctype: rec.hdr.Get("Content-Type"), body: rec.body,
 		}
-		w.WriteHeader(rec.code)
-		w.Write(rec.body)
+		s.cache.put(e)
+		e.serve(w, req)
 	})
 }

@@ -28,19 +28,19 @@ func testTenant(cacheMax int) (*Service, *Tenant) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.put("a", &cacheEntry{key: "a"})
-	c.put("b", &cacheEntry{key: "b"})
-	if _, ok := c.get("a"); !ok { // promote a; b is now LRU
+	c.put(&cacheEntry{key: "a", version: "1"})
+	c.put(&cacheEntry{key: "b", version: "1"})
+	if _, ok := c.get("a", "1"); !ok { // promote a; b is now LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", &cacheEntry{key: "c"}) // evicts b
-	if _, ok := c.get("b"); ok {
+	c.put(&cacheEntry{key: "c", version: "1"}) // evicts b
+	if _, ok := c.get("b", "1"); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a", "1"); !ok {
 		t.Error("a should have survived (recently used)")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.get("c", "1"); !ok {
 		t.Error("c should be present")
 	}
 	if got := c.Len(); got != 2 {
@@ -48,29 +48,89 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheKeyDistinct: a document — (tenant, endpoint, raw query) —
+// has one key whatever its version, distinct documents have distinct
+// keys, and every (document, version) has its own quoted ETag.
 func TestCacheKeyDistinct(t *testing.T) {
-	seen := map[string]string{}
+	keys := map[string]string{}  // key → the document that produced it
+	etags := map[string]string{} // etag → the (document, version) that produced it
 	for _, tc := range []struct{ tenant, ep, ver, query string }{
 		{"a", "profile", "1", ""},
 		{"a", "profile", "2", ""},
 		{"a", "profile", "1", "format=text"},
 		{"a", "drift", "1", ""},
 		{"b", "profile", "1", ""},
+		{"a", "profile", "", "1"}, // a version must not read as a query
 	} {
-		key, etag := cacheKey(tc.tenant, tc.ep, tc.ver, tc.query)
-		if prev, dup := seen[key]; dup {
-			t.Errorf("key collision: %q vs %q", prev, key)
+		doc := fmt.Sprintf("%q/%q?%q", tc.tenant, tc.ep, tc.query)
+		key := cacheKey(tc.tenant, tc.ep, tc.query)
+		if prev, seen := keys[key]; seen && prev != doc {
+			t.Errorf("key collision: %s vs %s", prev, doc)
 		}
-		seen[key] = etag
-		if !strings.HasPrefix(etag, `"`) || !strings.HasSuffix(etag, `"`) {
+		keys[key] = doc
+		etag := newETag(tc.tenant, tc.ep, tc.ver, tc.query)
+		if prev, dup := etags[etag]; dup {
+			t.Errorf("etag collision: %s vs %s@%s", prev, doc, tc.ver)
+		}
+		etags[etag] = doc + "@" + tc.ver
+		if len(etag) < 3 || !strings.HasPrefix(etag, `"`) || !strings.HasSuffix(etag, `"`) {
 			t.Errorf("etag %q not quoted", etag)
 		}
 	}
-	// Same inputs must be stable.
-	k1, e1 := cacheKey("a", "profile", "1", "")
-	k2, e2 := cacheKey("a", "profile", "1", "")
-	if k1 != k2 || e1 != e2 {
-		t.Error("cacheKey not deterministic")
+	if len(keys) != 5 {
+		t.Errorf("%d keys for 5 documents", len(keys))
+	}
+	if cacheKey("a", "profile", "") != cacheKey("a", "profile", "") ||
+		newETag("a", "profile", "1", "") != newETag("a", "profile", "1", "") {
+		t.Error("cacheKey / newETag not deterministic")
+	}
+}
+
+// TestCacheSupersededVersionReplaced: a new version of a document
+// takes its predecessor's slot, so the cache holds one entry per URL
+// however many snapshots have been published; an entry of another
+// version is a miss, and storing an old version late never lets it be
+// served as the current one.
+func TestCacheSupersededVersionReplaced(t *testing.T) {
+	s, tn := testTenant(64)
+	var version atomic.Int64
+	inner := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		fmt.Fprintf(w, "v%d?%s", version.Load(), req.URL.RawQuery)
+	})
+	h := s.cached(tn, "profile", func() string { return fmt.Sprint(version.Load()) }, inner)
+	queries := []string{"", "format=text", "station=O29&ioa=3001"}
+	for v := 1; v <= 100; v++ {
+		version.Store(int64(v))
+		for _, q := range queries {
+			for _, wantCache := range []string{"miss", "hit"} {
+				req := httptest.NewRequest("GET", "/v1/t1/profile", nil)
+				req.URL.RawQuery = q
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, req)
+				if got, want := rr.Body.String(), fmt.Sprintf("v%d?%s", v, q); got != want {
+					t.Fatalf("version %d query %q: body %q, want %q", v, q, got, want)
+				}
+				if got := rr.Header().Get("X-Cache"); got != wantCache {
+					t.Fatalf("version %d query %q: X-Cache %q, want %q", v, q, got, wantCache)
+				}
+			}
+		}
+		if got := s.cache.Len(); got != len(queries) {
+			t.Fatalf("after version %d: %d entries, want %d", v, got, len(queries))
+		}
+	}
+
+	c := NewCache(4)
+	c.put(&cacheEntry{key: "k", version: "2", body: []byte("new")})
+	if _, ok := c.get("k", "1"); ok {
+		t.Error("version 2 entry served as version 1")
+	}
+	c.put(&cacheEntry{key: "k", version: "1", body: []byte("old")}) // a slow render finishing late
+	if e, ok := c.get("k", "2"); ok {
+		t.Errorf("late put of version 1 hit under version 2: %q", e.body)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1", c.Len())
 	}
 }
 
@@ -154,8 +214,62 @@ func TestCachedInvalidation(t *testing.T) {
 
 	// The stale ETag no longer matches — full 200 response.
 	rr = get("", etags[0])
-	if rr.Code != http.StatusOK {
-		t.Errorf("stale If-None-Match: code %d, want 200", rr.Code)
+	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"snapshot":2`) {
+		t.Errorf("stale If-None-Match: code %d body %q, want 200 with snapshot 2", rr.Code, rr.Body.String())
+	}
+
+	// The version-1 rendering of the other query is still stored, but
+	// stale: it must not be served, even to its own validator.
+	before := renders.Load()
+	rr = get("format=json", etags[2])
+	if rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != "miss" ||
+		rr.Header().Get("ETag") == etags[2] || !strings.Contains(rr.Body.String(), `"snapshot":2`) {
+		t.Errorf("stale entry: code %d X-Cache %q ETag %q body %q, want a fresh 200",
+			rr.Code, rr.Header().Get("X-Cache"), rr.Header().Get("ETag"), rr.Body.String())
+	}
+	if renders.Load() != before+1 {
+		t.Errorf("stale entry read rendered %d times, want 1", renders.Load()-before)
+	}
+}
+
+// TestCachedMissConditional: a miss whose fresh render carries the
+// very ETag the client sent (its entry was evicted, the version did
+// not move) is a 304 with no body — and the entry is stored again.
+func TestCachedMissConditional(t *testing.T) {
+	s, tn := testTenant(1)
+	inner := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintf(w, "doc %s", req.URL.RawQuery)
+	})
+	h := s.cached(tn, "query", func() string { return "7" }, inner)
+	get := func(query, inm string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("GET", "/v1/t1/query?"+query, nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		return rr
+	}
+	etag := get("a", "").Header().Get("ETag")
+	get("b", "") // capacity 1: evicts a
+	rr := get("a", etag)
+	if rr.Code != http.StatusNotModified || rr.Body.Len() != 0 {
+		t.Errorf("evicted + matching validator: code %d body %q, want empty 304", rr.Code, rr.Body.String())
+	}
+	if got := rr.Header().Get("X-Cache"); got != "miss" {
+		t.Errorf("X-Cache %q, want miss", got)
+	}
+	if got := rr.Header().Get("ETag"); got != etag {
+		t.Errorf("304 ETag %q, want %q", got, etag)
+	}
+	if rr = get("a", ""); rr.Header().Get("X-Cache") != "hit" || rr.Body.String() != "doc a" {
+		t.Errorf("after the 304 miss: X-Cache %q body %q, want the entry stored", rr.Header().Get("X-Cache"), rr.Body.String())
+	}
+	// A validator that does not match still gets the body on a miss.
+	get("b", "")
+	if rr = get("a", `"other"`); rr.Code != http.StatusOK || rr.Body.String() != "doc a" {
+		t.Errorf("miss + foreign validator: code %d body %q", rr.Code, rr.Body.String())
 	}
 }
 

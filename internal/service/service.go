@@ -3,7 +3,8 @@
 // per tenant, where a tenant is a balancing authority, a capture era,
 // or a single capture — behind a multi-tenant HTTP API:
 //
-//	GET  /v1/{tenant}/profile   rolling profile (cached per snapshot)
+//	GET  /v1/{tenant}/profile   rolling profile (cached per snapshot;
+//	                            a probe-only tenant's is its /fleet)
 //	GET  /v1/{tenant}/drift     live drift report (cached)
 //	GET  /v1/{tenant}/query     historian queries, per-tenant namespace
 //	GET  /v1/{tenant}/statusz   live pipeline topology (uncached)
@@ -14,10 +15,12 @@
 //	GET  /v1/                   tenant index
 //
 // The query handlers are the same constructors the single-engine
-// commands mount (internal/stream), wrapped in a snapshot-keyed LRU
-// response cache: hot reads of the current snapshot are served from
-// memory with a stable ETag and never touch the analyzer; publishing
-// a new snapshot starts a fresh cache generation. Remote probes
+// commands mount (internal/stream), wrapped in an LRU response cache
+// that holds one rendered document per (tenant, endpoint, query) and
+// checks the snapshot version it was rendered from: hot reads of the
+// current snapshot are served from memory with a stable ETag and never
+// touch the analyzer; after a new snapshot the first read of a
+// document re-renders it over its predecessor. Remote probes
 // (profiler -push, or anything that can write the drift profile
 // codec) post their merged partials to /partial, and the commutative
 // MergePartials folds them into a fleet-wide rolling profile — the
@@ -27,10 +30,10 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 
 	"uncharted/internal/obs"
@@ -91,44 +94,62 @@ func New(cfg Config, reg *obs.Registry, journal *obs.Journal) (*Service, error) 
 	return s, nil
 }
 
-// wireTenant builds the tenant's handler set from the shared stream
+// route is one endpoint mounted for a tenant, with the request
+// counters nearly every response lands on resolved up front.
+type route struct {
+	h               http.Handler
+	ok, notModified *obs.Counter
+}
+
+// requests is the per-(tenant, endpoint, status) request counter.
+func (s *Service) requests(tenant, endpoint, code string) *obs.Counter {
+	return s.reg.Counter("uncharted_service_requests_total", "tenant", tenant, "endpoint", endpoint, "code", code)
+}
+
+// wireTenant builds the tenant's route set from the shared stream
 // constructors plus the service-level cache and aggregation routes.
 func (s *Service) wireTenant(t *Tenant) {
-	t.handlers = make(map[string]http.Handler)
+	t.routes = make(map[string]route)
+	mount := func(endpoint string, h http.Handler) {
+		ok, notModified := s.requests(t.name, endpoint, "200"), s.requests(t.name, endpoint, "304")
+		t.routes[endpoint] = route{h, ok, notModified}
+	}
+	fleet := s.cached(t, "fleet", t.fleetVersion, stream.NewProfileHandler(t.fleetProfile))
 	if t.engine != nil {
 		eps := stream.Endpoints(t.engine, t.hist)
-		t.handlers["profile"] = s.cached(t, "profile", t.engineVersion, eps["/profile"])
-		t.handlers["statusz"] = eps["/statusz"]
+		mount("profile", s.cached(t, "profile", t.engineVersion, eps["/profile"]))
+		mount("statusz", eps["/statusz"])
 		if h, ok := eps["/drift"]; ok {
-			t.handlers["drift"] = s.cached(t, "drift", t.engineVersion, h)
+			mount("drift", s.cached(t, "drift", t.engineVersion, h))
 		}
 		if h, ok := eps["/query"]; ok {
-			t.handlers["query"] = s.cached(t, "query", t.engineVersion, h)
+			mount("query", s.cached(t, "query", t.engineVersion, h))
 		}
 	} else {
-		// Probe-only tenant: the fleet aggregate IS the profile.
-		t.handlers["profile"] = s.cached(t, "profile", t.fleetVersion, stream.NewProfileHandler(t.fleetProfile))
+		// Probe-only tenant: the fleet aggregate IS the profile — the
+		// same handler, so one merge, one encode and one cache entry
+		// per fleet version answer both URLs.
+		mount("profile", fleet)
 	}
 	if t.runner != nil {
 		// The live graph view (uncached: it moves every poll).
-		t.handlers["pipeline"] = pipeline.NewStatusHandler(t.runner.Status)
+		mount("pipeline", pipeline.NewStatusHandler(t.runner.Status))
 	}
-	t.handlers["fleet"] = s.cached(t, "fleet", t.fleetVersion, stream.NewProfileHandler(t.fleetProfile))
-	t.handlers["partial"] = http.HandlerFunc(t.handlePartial)
-	t.handlers["readyz"] = obs.ReadyHandler(t.Ready)
+	mount("fleet", fleet)
+	mount("partial", http.HandlerFunc(t.handlePartial))
+	mount("readyz", obs.ReadyHandler(t.Ready))
 }
 
 // routes mounts the /v1 tree. Patterns carry the method, so a POST to
 // /profile is 405 from the mux itself.
 func (s *Service) routes() {
-	query := func(endpoint string) http.Handler { return s.tenantRoute(endpoint) }
-	s.mux.Handle("GET /v1/{tenant}/profile", query("profile"))
-	s.mux.Handle("GET /v1/{tenant}/drift", query("drift"))
-	s.mux.Handle("GET /v1/{tenant}/query", query("query"))
-	s.mux.Handle("GET /v1/{tenant}/statusz", query("statusz"))
-	s.mux.Handle("GET /v1/{tenant}/fleet", query("fleet"))
-	s.mux.Handle("GET /v1/{tenant}/pipeline", query("pipeline"))
-	s.mux.Handle("GET /v1/{tenant}/readyz", query("readyz"))
+	s.mux.Handle("GET /v1/{tenant}/profile", s.tenantRoute("profile"))
+	s.mux.Handle("GET /v1/{tenant}/drift", s.tenantRoute("drift"))
+	s.mux.Handle("GET /v1/{tenant}/query", s.tenantRoute("query"))
+	s.mux.Handle("GET /v1/{tenant}/statusz", s.tenantRoute("statusz"))
+	s.mux.Handle("GET /v1/{tenant}/fleet", s.tenantRoute("fleet"))
+	s.mux.Handle("GET /v1/{tenant}/pipeline", s.tenantRoute("pipeline"))
+	s.mux.Handle("GET /v1/{tenant}/readyz", s.tenantRoute("readyz"))
 	s.mux.Handle("POST /v1/{tenant}/partial", s.tenantRoute("partial"))
 	s.mux.HandleFunc("GET /v1/{$}", s.handleIndex)
 	s.mux.HandleFunc("GET /v1", s.handleIndex)
@@ -141,23 +162,27 @@ func (s *Service) tenantRoute(endpoint string) http.Handler {
 		name := req.PathValue("tenant")
 		t, ok := s.tenants[name]
 		if !ok {
-			s.reg.Counter("uncharted_service_requests_total",
-				"tenant", "unknown", "endpoint", endpoint, "code", "404").Inc()
+			s.requests("unknown", endpoint, "404").Inc()
 			writeJSONError(w, http.StatusNotFound, fmt.Sprintf("unknown tenant %q", name))
 			return
 		}
-		h, ok := t.handlers[endpoint]
+		r, ok := t.routes[endpoint]
 		if !ok {
-			s.reg.Counter("uncharted_service_requests_total",
-				"tenant", name, "endpoint", endpoint, "code", "404").Inc()
+			s.requests(name, endpoint, "404").Inc()
 			writeJSONError(w, http.StatusNotFound,
 				fmt.Sprintf("endpoint %s not enabled for tenant %s", endpoint, name))
 			return
 		}
 		cw := &countingWriter{ResponseWriter: w, code: http.StatusOK}
-		h.ServeHTTP(cw, req)
-		s.reg.Counter("uncharted_service_requests_total",
-			"tenant", name, "endpoint", endpoint, "code", fmt.Sprint(cw.code)).Inc()
+		r.h.ServeHTTP(cw, req)
+		switch cw.code {
+		case http.StatusOK:
+			r.ok.Inc()
+		case http.StatusNotModified:
+			r.notModified.Inc()
+		default:
+			s.requests(name, endpoint, strconv.Itoa(cw.code)).Inc()
+		}
 	})
 }
 
@@ -186,7 +211,7 @@ func (s *Service) handleIndex(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 		r.Probes = t.probes.Len()
-		for ep := range t.handlers {
+		for ep := range t.routes {
 			r.Endpoints = append(r.Endpoints, ep)
 		}
 		sort.Strings(r.Endpoints)
@@ -194,15 +219,8 @@ func (s *Service) handleIndex(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"tenants":       rows,
-		"cache_entries": s.cacheLen(),
+		"cache_entries": s.cache.Len(),
 	})
-}
-
-func (s *Service) cacheLen() int {
-	if s.cache == nil {
-		return 0
-	}
-	return s.cache.Len()
 }
 
 // Handler returns the /v1 tree, ready to mount into obs.HandlerWith
@@ -289,9 +307,7 @@ func (c *countingWriter) WriteHeader(code int) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	obs.WriteIndentedJSON(w, v)
 }
 
 // writeJSONError is the service's uniform error document.

@@ -158,6 +158,93 @@ func TestServiceCacheOverHTTP(t *testing.T) {
 	}
 }
 
+// TestProbeProfileSharesFleetEntry: a probe-only tenant's /profile is
+// its /fleet — one handler behind one cache entry — so per fleet
+// version the aggregate is merged, built and encoded once whichever
+// URL asks first, and the other is a hit with the same bytes.
+func TestProbeProfileSharesFleetEntry(t *testing.T) {
+	svc, srv := startSimService(t, TenantConfig{Name: "fleet", Source: SourceConfig{Kind: "probe"}}, Config{})
+	misses := func() int64 {
+		for _, c := range svc.reg.Snapshot().Counters {
+			if c.Name == "uncharted_service_cache_misses_total" {
+				return c.Value
+			}
+		}
+		t.Fatal("no cache-miss counter")
+		return 0
+	}
+	for round, urls := range [][2]string{{"/fleet", "/profile"}, {"/profile", "/fleet"}} {
+		body := drift.NewProfile("site"+fmt.Sprint(round), "tap", core.Partial{}, time.Unix(0, 0).UTC()).Encode()
+		resp, err := http.Post(srv.URL+"/v1/fleet/partial", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: post partial: code %d", round, resp.StatusCode)
+		}
+
+		before, entries := misses(), svc.cache.Len()
+		r1, b1 := get(t, srv.URL+"/v1/fleet"+urls[0])
+		r2, b2 := get(t, srv.URL+"/v1/fleet"+urls[1])
+		if r1.StatusCode != http.StatusOK || r1.Header.Get("X-Cache") != "miss" {
+			t.Errorf("round %d: first read of %s: code %d X-Cache %q, want a 200 miss", round, urls[0], r1.StatusCode, r1.Header.Get("X-Cache"))
+		}
+		if r2.StatusCode != http.StatusOK || r2.Header.Get("X-Cache") != "hit" {
+			t.Errorf("round %d: %s after %s: code %d X-Cache %q, want a 200 hit", round, urls[1], urls[0], r2.StatusCode, r2.Header.Get("X-Cache"))
+		}
+		if !bytes.Equal(b1, b2) || len(b1) == 0 {
+			t.Errorf("round %d: %s (%d bytes) and %s (%d bytes) differ", round, urls[0], len(b1), urls[1], len(b2))
+		}
+		if e1, e2 := r1.Header.Get("ETag"), r2.Header.Get("ETag"); e1 == "" || e1 != e2 {
+			t.Errorf("round %d: ETags %q / %q, want equal and non-empty", round, e1, e2)
+		}
+		if got := misses() - before; got != 1 {
+			t.Errorf("round %d: %d cache misses for one fleet version, want 1", round, got)
+		}
+		// The first round creates the entry; every later version reuses it.
+		if want := max(entries, 1); svc.cache.Len() != want {
+			t.Errorf("round %d: %d cache entries, want %d", round, svc.cache.Len(), want)
+		}
+	}
+}
+
+// TestRequestCountersByCode: the 200 and 304 request counters a route
+// resolves at wiring time and the looked-up ones for every other code
+// are the same uncharted_service_requests_total family on /metrics.
+func TestRequestCountersByCode(t *testing.T) {
+	svc, srv := startSimService(t, TenantConfig{Name: "east", Workers: 1}, Config{})
+	r, _ := get(t, srv.URL+"/v1/east/profile")
+	get(t, srv.URL+"/v1/east/profile")
+	req, _ := http.NewRequest("GET", srv.URL+"/v1/east/profile", nil)
+	req.Header.Set("If-None-Match", r.Header.Get("ETag"))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	get(t, srv.URL+"/v1/east/profile?format=xml") // 400
+	get(t, srv.URL+"/v1/east/drift")              // 404: no baseline configured
+	get(t, srv.URL+"/v1/nobody/profile")          // 404: unknown tenant
+
+	var metrics bytes.Buffer
+	if err := svc.reg.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`uncharted_service_requests_total{tenant="east",endpoint="profile",code="200"} 2`,
+		`uncharted_service_requests_total{tenant="east",endpoint="profile",code="304"} 1`,
+		`uncharted_service_requests_total{tenant="east",endpoint="profile",code="400"} 1`,
+		`uncharted_service_requests_total{tenant="east",endpoint="drift",code="404"} 1`,
+		`uncharted_service_requests_total{tenant="unknown",endpoint="profile",code="404"} 1`,
+	} {
+		if !strings.Contains(metrics.String(), line+"\n") {
+			t.Errorf("/metrics lacks %s", line)
+		}
+	}
+}
+
 func TestPartialEndpointValidation(t *testing.T) {
 	_, srv := startSimService(t, TenantConfig{Name: "fleet", Source: SourceConfig{Kind: "probe"}}, Config{})
 

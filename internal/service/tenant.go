@@ -24,7 +24,7 @@ const clusterSeed = 1202
 
 // Tenant is one hosted balancing authority / era / capture: its own
 // engine (nil for probe-only tenants), historian namespace, fleet
-// aggregate, and pre-built handler set.
+// aggregate, and pre-built route set.
 type Tenant struct {
 	name   string
 	cfg    TenantConfig
@@ -38,7 +38,7 @@ type Tenant struct {
 	// analyzer-less graphs).
 	runner *pipeline.Runner
 
-	handlers map[string]http.Handler
+	routes map[string]route
 
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
@@ -53,7 +53,7 @@ type Tenant struct {
 }
 
 // newTenant builds one tenant from its config: source, engine,
-// historian namespace and metric series — everything but the handler
+// historian namespace and metric series — everything but the route
 // set, which the service wires after it exists (handlers close over
 // the service's cache).
 func newTenant(cfg TenantConfig, svcCfg Config, reg *obs.Registry, journal *obs.Journal) (*Tenant, error) {

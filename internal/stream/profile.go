@@ -1,13 +1,13 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 	"time"
 
 	"uncharted/internal/core"
+	"uncharted/internal/obs"
 	"uncharted/internal/physical"
 )
 
@@ -241,9 +241,7 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 
 // WriteJSON renders the profile, indented for human consumption.
 func (p *Profile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
+	return obs.WriteIndentedJSON(w, p)
 }
 
 // WriteText renders the profile as a compact plain-text operator

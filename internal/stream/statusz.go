@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"html"
 	"io"
@@ -193,9 +192,7 @@ func (e *Engine) StatuszHandler() http.Handler {
 
 // WriteJSON renders the status document, indented.
 func (st Status) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(st)
+	return obs.WriteIndentedJSON(w, st)
 }
 
 // WriteText renders the status document as a terminal-friendly
