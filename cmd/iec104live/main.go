@@ -33,21 +33,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"log"
 	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 	"time"
 
 	"uncharted/internal/core"
 	"uncharted/internal/ids"
-	"uncharted/internal/obs"
 	"uncharted/internal/obs/trace"
 	"uncharted/internal/pipeline"
-	"uncharted/internal/stream"
 	"uncharted/internal/topology"
 )
 
@@ -64,7 +59,6 @@ func run() int {
 	duration := flag.Duration("duration", 2*time.Minute, "simulated feed length")
 	speed := flag.Float64("speed", 0, "replay speed multiple (60 = one simulated minute per wall second; 0 = as fast as possible)")
 	workers := flag.Int("workers", 2, "analysis shards")
-	readers := flag.Int("readers", 0, "parallel capture readers configured on the engine (0 = match -workers; engages when a seekable capture is handed off, inert on the live sim feed)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars and /profile on this address (e.g. :9104)")
 	snapshotEvery := flag.Duration("snapshot", time.Second, "rolling-profile period")
 	attack := flag.String("attack", "", "inject an attack mid-feed and detect it online: recon, breaker or setpoint")
@@ -113,134 +107,79 @@ func run() int {
 		}
 	}
 
-	var journal *obs.Journal
-	if *journalPath != "" {
-		jf, err := os.Create(*journalPath)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer jf.Close()
-		journal = obs.NewJournal(jf)
-	}
-
-	reg := obs.NewRegistry()
-	var rec *trace.Recorder
-	if *tracePath != "" {
-		rec = trace.New(trace.Config{SampleEvery: *traceSample, Registry: reg})
-		stopDump := rec.DumpOnSIGUSR1(*tracePath, log.Printf)
-		defer stopDump()
-		log.Printf("flight recorder armed: sampling 1 in %d spans, SIGUSR1 dumps %s", *traceSample, *tracePath)
-	}
 	if *historianDir != "" {
 		log.Printf("recording measurements into historian at %s", *historianDir)
 	}
 
 	// The sim→analyzer graph is the same declared pipeline a
-	// cmd/pipelined config would build; the simulator runs (and the
-	// attack is injected) while the runner constructs the segments.
-	graph, hooks := pipeline.LiveGraph(pipeline.LivePreset{
-		Year:          *year,
-		Seed:          int(*seed),
-		Duration:      *duration,
-		Speed:         *speed,
-		Attack:        *attack,
-		Workers:       *workers,
-		Readers:       *readers,
-		SnapshotEvery: *snapshotEvery,
-		HistorianDir:  *historianDir,
-		PointCap:      *pointCap,
-		Trace:         rec,
-		Observer:      observer,
-	})
-	runner, err := pipeline.NewRunner(graph, pipeline.Options{
-		Registry: reg,
-		Journal:  journal,
-		Logf:     log.Printf,
-		Hooks:    hooks,
-	})
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	simIn := runner.Segment("live", "sim").(*pipeline.FeedInput)
-	an := runner.Segment("live", "an").(*pipeline.AnalyzerSegment)
-	e := an.Engine()
-
-	if *pcapOut != "" {
-		pf, err := os.Create(*pcapOut)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		if err := simIn.Trace().WritePCAP(pf); err != nil {
-			log.Print(err)
-			pf.Close()
-			return 1
-		}
-		if err := pf.Close(); err != nil {
-			log.Print(err)
-			return 1
-		}
-		log.Printf("wrote equivalent capture to %s", *pcapOut)
-	}
-
-	if *metricsAddr != "" {
-		eps := stream.Endpoints(e, an.Historian())
-		for p, h := range runner.Endpoints() {
-			eps[p] = h
-		}
-		addr, shutdown, err := obs.ServeWith(*metricsAddr, reg, journal, eps)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer shutdown()
-		log.Printf("serving metrics, rolling profile and /statusz on http://%s/", addr)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	log.Printf("feeding %s of simulated traffic (%d records) through %d shard(s); interrupt to drain",
-		*duration, len(simIn.Trace().Records), *workers)
-	exit := 0
-	start := time.Now()
-	err = runner.Run(ctx)
-	switch {
-	case err != nil:
-		log.Printf("stream failed: %v", err)
-		exit = 1
-	case ctx.Err() != nil:
-		log.Printf("interrupted after %s, shards drained", time.Since(start).Round(time.Millisecond))
-	default:
-		log.Printf("feed exhausted in %s", time.Since(start).Round(time.Millisecond))
-	}
-	if *attack != "" {
-		log.Printf("online alerts raised: %d", alerts)
-	}
-	if rec != nil {
-		if err := rec.WriteChromeTraceFile(*tracePath); err != nil {
-			log.Printf("warning: trace export failed: %v", err)
-			exit = 1
-		} else {
-			log.Printf("wrote Chrome trace to %s (open in chrome://tracing or Perfetto)", *tracePath)
-		}
-	}
-
-	// The final profile is exact: every dispatched packet was analyzed
-	// before the shards shut down.
-	if prof := e.Profile(); prof != nil {
-		if err := prof.WriteJSON(os.Stdout); err != nil {
-			log.Print(err)
-			exit = 1
-		}
-	}
-	if err := journal.Err(); err != nil {
-		log.Printf("warning: journal write failed: %v", err)
-		if exit == 0 {
-			exit = 1
-		}
-	}
-	return exit
+	// cmd/pipelined config would build, hosted like every graph-running
+	// command's; the simulator runs (and the attack is injected) while
+	// the runner constructs the segments.
+	return pipeline.Host{
+		Graph: func(rec *trace.Recorder) (*pipeline.Config, map[string]any) {
+			return pipeline.LiveGraph(pipeline.LivePreset{
+				Year:          *year,
+				Seed:          int(*seed),
+				Duration:      *duration,
+				Speed:         *speed,
+				Attack:        *attack,
+				Workers:       *workers,
+				SnapshotEvery: *snapshotEvery,
+				HistorianDir:  *historianDir,
+				PointCap:      *pointCap,
+				Trace:         rec,
+				Observer:      observer,
+			})
+		},
+		JournalPath: *journalPath,
+		Addr:        *metricsAddr,
+		Root:        true,
+		TracePath:   *tracePath,
+		TraceSample: *traceSample,
+		Before: func(h *pipeline.Hosted) error {
+			tr := h.Runner.Segment("live", "sim").(*pipeline.PacketInput).Trace()
+			if *pcapOut != "" {
+				pf, err := os.Create(*pcapOut)
+				if err != nil {
+					return err
+				}
+				if err := tr.WritePCAP(pf); err != nil {
+					pf.Close()
+					return err
+				}
+				if err := pf.Close(); err != nil {
+					return err
+				}
+				log.Printf("wrote equivalent capture to %s", *pcapOut)
+			}
+			log.Printf("feeding %s of simulated traffic (%d records) through %d shard(s); interrupt to drain",
+				*duration, len(tr.Records), *workers)
+			return nil
+		},
+		After: func(h *pipeline.Hosted) int {
+			exit := 0
+			elapsed := h.Elapsed.Round(time.Millisecond)
+			switch {
+			case h.Err != nil:
+				log.Printf("stream failed: %v", h.Err)
+				exit = 1
+			case h.Interrupted:
+				log.Printf("interrupted after %s, shards drained", elapsed)
+			default:
+				log.Printf("feed exhausted in %s", elapsed)
+			}
+			if *attack != "" {
+				log.Printf("online alerts raised: %d", alerts)
+			}
+			// The final profile is exact: every dispatched packet was analyzed
+			// before the shards shut down.
+			if prof := h.Runner.Analyzer().Engine().Profile(); prof != nil {
+				if err := prof.WriteJSON(os.Stdout); err != nil {
+					log.Print(err)
+					exit = 1
+				}
+			}
+			return exit
+		},
+	}.Run()
 }

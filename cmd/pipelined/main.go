@@ -20,17 +20,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"uncharted/internal/obs"
+	"uncharted/internal/obs/trace"
 	"uncharted/internal/pipeline"
 )
 
@@ -67,77 +64,36 @@ func run() int {
 		return 1
 	}
 
-	var journal *obs.Journal
-	if *journalPath != "" {
-		jf, err := os.Create(*journalPath)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer jf.Close()
-		journal = obs.NewJournal(jf)
-	}
-
-	reg := obs.NewRegistry()
-	runner, err := pipeline.NewRunner(cfg, pipeline.Options{
-		Registry:   reg,
-		Journal:    journal,
-		QueueDepth: *queueDepth,
-	})
-	if err != nil {
-		printErrors(err)
-		return 1
-	}
-
-	if *addr != "" {
-		a, shutdown, err := obs.ServeWith(*addr, reg, journal, runner.Endpoints())
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer shutdown()
-		log.Printf("serving /metrics, /statusz and /pipelines/... on http://%s/", a)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	names := runner.Pipelines()
-	log.Printf("running %d pipeline(s): %s; interrupt to drain", len(names), strings.Join(names, ", "))
-	start := time.Now()
-	err = runner.Run(ctx)
-	elapsed := time.Since(start).Round(time.Millisecond)
-
-	exit := 0
-	if err != nil {
-		printErrors(err)
-		exit = 1
-	}
-	if ctx.Err() != nil {
-		log.Printf("interrupted after %s, graphs drained", elapsed)
-	} else {
-		log.Printf("all inputs exhausted in %s", elapsed)
-	}
-	for _, st := range runner.Status() {
-		var pkts, stalls int64
-		for _, s := range st.Segments {
-			if s.PktsOut > pkts {
-				pkts = s.PktsOut
-			}
-			stalls += s.Stalls
-		}
-		log.Printf("pipeline %s: %d segments, %d packets at the widest edge, %d stalls",
-			st.Name, len(st.Segments), pkts, stalls)
-	}
-	if journal != nil {
-		if jerr := journal.Err(); jerr != nil {
-			log.Printf("warning: journal write failed: %v", jerr)
-			if exit == 0 {
+	log.Printf("running %d pipeline(s); interrupt to drain", len(cfg.Pipelines))
+	return pipeline.Host{
+		Graph:       func(*trace.Recorder) (*pipeline.Config, map[string]any) { return cfg, nil },
+		JournalPath: *journalPath,
+		Addr:        *addr,
+		QueueDepth:  *queueDepth,
+		After: func(h *pipeline.Hosted) int {
+			exit := 0
+			if h.Err != nil {
+				printErrors(h.Err)
 				exit = 1
 			}
-		}
-	}
-	return exit
+			elapsed := h.Elapsed.Round(time.Millisecond)
+			if h.Interrupted {
+				log.Printf("interrupted after %s, graphs drained", elapsed)
+			} else {
+				log.Printf("all inputs exhausted in %s", elapsed)
+			}
+			for _, st := range h.Runner.Status() {
+				var pkts, stalls int64
+				for _, s := range st.Segments {
+					pkts = max(pkts, s.PktsOut)
+					stalls += s.Stalls
+				}
+				log.Printf("pipeline %s: %d segments, %d packets at the widest edge, %d stalls",
+					st.Name, len(st.Segments), pkts, stalls)
+			}
+			return exit
+		},
+	}.Run()
 }
 
 // runValidate dry-runs every config: parse, schema-check and

@@ -18,24 +18,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
-	"net/netip"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"uncharted/internal/core"
 	"uncharted/internal/drift"
-	"uncharted/internal/ids"
-	"uncharted/internal/obs"
-	"uncharted/internal/stream"
-	"uncharted/internal/topology"
+	"uncharted/internal/obs/trace"
+	"uncharted/internal/pipeline"
 )
 
 func main() {
@@ -86,51 +76,32 @@ func runSave(args []string) int {
 		*label = path
 	}
 
-	p, err := analyze(path, *workers, *names)
-	if err != nil {
-		log.Print(err)
-		return 2
-	}
-	prof := drift.NewProfile(*label, path, p, time.Now())
-	if err := drift.SaveProfile(*out, prof); err != nil {
-		log.Print(err)
-		return 2
-	}
-	log.Printf("saved profile %q to %s: %d packets, %d connections, %d points, window %s .. %s",
-		*label, *out, p.Packets, len(p.Chains), len(p.Physical),
-		p.First.Format("2006-01-02 15:04:05"), p.Last.Format("15:04:05"))
-	return 0
-}
-
-// analyze runs a finished capture through the pipeline: one offline
-// analyzer, or the sharded streaming engine when workers > 1 (the
-// merge is order-independent, so both produce the same profile).
-func analyze(path string, workers int, names bool) (core.Partial, error) {
-	var nm map[netip.Addr]string
-	if names {
-		nm = core.NamesFromTopology(topology.Build())
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return core.Partial{}, err
-	}
-	defer f.Close()
-	if workers <= 1 {
-		a := core.NewAnalyzer(nm)
-		if err := a.ReadPCAP(f); err != nil {
-			return core.Partial{}, fmt.Errorf("reading %s: %w", path, err)
-		}
-		return a.Partial(), nil
-	}
-	src, err := stream.NewPCAPSource(f)
-	if err != nil {
-		return core.Partial{}, err
-	}
-	e := stream.New(stream.Config{Workers: workers, Names: nm})
-	if err := e.Run(context.Background(), src); err != nil {
-		return core.Partial{}, err
-	}
-	return e.Final(), nil
+	return pipeline.Host{
+		Graph: func(*trace.Recorder) (*pipeline.Config, map[string]any) {
+			return pipeline.ProfilerGraph(pipeline.ProfilerPreset{Path: path, Workers: *workers, Names: *names})
+		},
+		Trouble: 2,
+		After: func(h *pipeline.Hosted) int {
+			switch {
+			case h.Err != nil:
+				log.Printf("reading %s: %v", path, h.Err)
+				return 2
+			case h.Interrupted:
+				log.Printf("interrupted before the end of %s: no profile saved", path)
+				return 2
+			}
+			p := h.Runner.Analyzer().Engine().Final()
+			prof := drift.NewProfile(*label, path, p, time.Now())
+			if err := drift.SaveProfile(*out, prof); err != nil {
+				log.Print(err)
+				return 2
+			}
+			log.Printf("saved profile %q to %s: %d packets, %d connections, %d points, window %s .. %s",
+				*label, *out, p.Packets, len(p.Chains), len(p.Physical),
+				p.First.Format("2006-01-02 15:04:05"), p.Last.Format("15:04:05"))
+			return 0
+		},
+	}.Run()
 }
 
 // runDiff loads two profiles and prints the drift report.
@@ -186,59 +157,38 @@ func runWatch(args []string) int {
 		log.Print(err)
 		return 2
 	}
-	log.Printf("watching %s against profile %q (%s)",
+	log.Printf("watching %s against profile %q (%s); interrupt to drain and print the final report",
 		fs.Arg(0), baseline.Meta.Label, baseline.Meta.SavedAt.Format("2006-01-02"))
 
-	var nm map[netip.Addr]string
-	if *names {
-		nm = core.NamesFromTopology(topology.Build())
-	}
-	e := stream.New(stream.Config{
-		Workers:       *workers,
-		SnapshotEvery: *interval,
-		Names:         nm,
-		Baseline:      baseline,
-		DriftAlerts: func(al ids.Alert) {
-			log.Printf("DRIFT %v", al)
+	return pipeline.Host{
+		Graph: func(*trace.Recorder) (*pipeline.Config, map[string]any) {
+			return pipeline.ProfilerGraph(pipeline.ProfilerPreset{
+				Path:          fs.Arg(0),
+				Follow:        true,
+				Workers:       *workers,
+				SnapshotEvery: *interval,
+				Names:         *names,
+				BaselinePath:  *basePath,
+			})
 		},
-	})
-
-	if *metricsAddr != "" {
-		reg := obs.NewRegistry()
-		addr, shutdown, err := obs.ServeWith(*metricsAddr, reg, nil, map[string]http.Handler{
-			"/profile": e.ProfileHandler(),
-			"/drift":   e.DriftHandler(),
-		})
-		if err != nil {
-			log.Print(err)
-			return 2
-		}
-		defer shutdown()
-		log.Printf("serving live drift report on http://%s/drift", addr)
-	}
-
-	src, err := stream.NewFollowSource(fs.Arg(0))
-	if err != nil {
-		log.Print(err)
-		return 2
-	}
-	defer src.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	log.Print("interrupt to drain and print the final report")
-	if err := e.Run(ctx, src); err != nil && !errors.Is(err, context.Canceled) {
-		log.Printf("stream stopped early: %v", err)
-		return 2
-	}
-	rep := e.DriftReport()
-	if rep == nil {
-		log.Print("no snapshot was published before shutdown")
-		return 2
-	}
-	rep.WriteText(os.Stdout)
-	if rep.MaxSeverity() >= drift.SevWarn {
-		return 1
-	}
-	return 0
+		Addr:    *metricsAddr,
+		Root:    true,
+		Trouble: 2,
+		After: func(h *pipeline.Hosted) int {
+			if h.Err != nil {
+				log.Printf("stream stopped early: %v", h.Err)
+				return 2
+			}
+			rep := h.Runner.Analyzer().Engine().DriftReport()
+			if rep == nil {
+				log.Print("no snapshot was published before shutdown")
+				return 2
+			}
+			rep.WriteText(os.Stdout)
+			if rep.MaxSeverity() >= drift.SevWarn {
+				return 1
+			}
+			return 0
+		},
+	}.Run()
 }

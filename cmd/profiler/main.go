@@ -24,19 +24,14 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"sync"
-	"syscall"
 	"time"
 
 	"uncharted/internal/core"
@@ -63,6 +58,33 @@ const reportHelp = `comma-separated reports to print; valid values:
   timing      recovered per-station reporting periods (offline mode only)
   stats       pipeline observability: stage timings, counters, journal events`
 
+// The flag table. Both halves of the command and the shared report
+// printer read it directly.
+var (
+	reports       = flag.String("report", "flows,compliance,clusters,markov,types,physical,timing,stats", reportHelp)
+	names         = flag.Bool("names", true, "label addresses with the simulated topology's names (C1, O30, ...)")
+	proto         = flag.String("proto", "", "extra dialects to decode, comma-separated (c37118, modbus), or \"auto\" to content-detect every registered dialect")
+	journalPath   = flag.String("journal", "", "append structured pipeline events to this JSONL file")
+	follow        = flag.Bool("follow", false, "tail a growing capture with the streaming engine until interrupted")
+	workers       = flag.Int("workers", 1, "analysis shards for the streaming engine (with -follow, or >1 to shard a finished capture)")
+	readers       = flag.Int("readers", 0, "parallel segment readers for a finished capture: the file is split at record boundaries and ingested concurrently (0 = match -workers; ignored with -follow)")
+	metricsAddr   = flag.String("metrics", "", "serve /metrics, /debug/vars and /profile on this address (e.g. :9104)")
+	snapshotEvery = flag.Duration("snapshot", 2*time.Second, "rolling-profile period in streaming mode")
+	idleTimeout   = flag.Duration("idle-timeout", 0, "evict flows idle this long in streaming mode (0 = keep all)")
+	historianDir  = flag.String("historian", "", "record every extracted measurement into the durable historian at this directory (adds /query next to /metrics)")
+	pointCap      = flag.Int("point-cap", 0, "cap in-memory samples per series; pair with -historian so long -follow runs hold steady memory (0 = unbounded)")
+	saveProfile   = flag.String("save-profile", "", "save the merged analysis state as a versioned profile file for later drift comparison")
+	profileLabel  = flag.String("profile-label", "", "label stored with -save-profile and -push (default: capture path)")
+	pushURL       = flag.String("push", "", "probe mode: POST the final merged partial (drift profile codec) to this control-room URL, e.g. http://host:9180/v1/fleet/partial")
+	baselinePath  = flag.String("baseline", "", "compare against this stored profile and print the drift report; with -follow the rolling profile is diffed live and served at /drift")
+	saveBaseline  = flag.String("save-baseline", "", "train an IDS whitelist on the capture and persist it (offline single-analyzer mode only)")
+	loadBaseline  = flag.String("load-baseline", "", "load a persisted IDS whitelist: offline mode scans the capture, streaming mode arms per-shard monitors")
+	cpuProfile    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile    = flag.String("memprofile", "", "write a pprof allocation profile to this file at exit")
+	tracePath     = flag.String("trace", "", "streaming mode: record sampled stage spans and write a Chrome trace_event JSON file here on drain (SIGUSR1 dumps mid-run)")
+	traceSample   = flag.Int("trace-sample", 64, "with -trace, record 1 in N span starts per lane")
+)
+
 func main() {
 	os.Exit(run())
 }
@@ -71,28 +93,6 @@ func run() int {
 	log.SetFlags(0)
 	log.SetPrefix("profiler: ")
 
-	reports := flag.String("report", "flows,compliance,clusters,markov,types,physical,timing,stats", reportHelp)
-	names := flag.Bool("names", true, "label addresses with the simulated topology's names (C1, O30, ...)")
-	proto := flag.String("proto", "", "extra dialects to decode, comma-separated (c37118, modbus), or \"auto\" to content-detect every registered dialect")
-	journalPath := flag.String("journal", "", "append structured pipeline events to this JSONL file")
-	follow := flag.Bool("follow", false, "tail a growing capture with the streaming engine until interrupted")
-	workers := flag.Int("workers", 1, "analysis shards for the streaming engine (with -follow, or >1 to shard a finished capture)")
-	readers := flag.Int("readers", 0, "parallel segment readers for a finished capture: the file is split at record boundaries and ingested concurrently (0 = match -workers; ignored with -follow)")
-	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars and /profile on this address (e.g. :9104)")
-	snapshotEvery := flag.Duration("snapshot", 2*time.Second, "rolling-profile period in streaming mode")
-	idleTimeout := flag.Duration("idle-timeout", 0, "evict flows idle this long in streaming mode (0 = keep all)")
-	historianDir := flag.String("historian", "", "record every extracted measurement into the durable historian at this directory (adds /query next to /metrics)")
-	pointCap := flag.Int("point-cap", 0, "cap in-memory samples per series; pair with -historian so long -follow runs hold steady memory (0 = unbounded)")
-	saveProfile := flag.String("save-profile", "", "save the merged analysis state as a versioned profile file for later drift comparison")
-	profileLabel := flag.String("profile-label", "", "label stored with -save-profile and -push (default: capture path)")
-	pushURL := flag.String("push", "", "probe mode: POST the final merged partial (drift profile codec) to this control-room URL, e.g. http://host:9180/v1/fleet/partial")
-	baselinePath := flag.String("baseline", "", "compare against this stored profile and print the drift report; with -follow the rolling profile is diffed live and served at /drift")
-	saveBaseline := flag.String("save-baseline", "", "train an IDS whitelist on the capture and persist it (offline single-analyzer mode only)")
-	loadBaseline := flag.String("load-baseline", "", "load a persisted IDS whitelist: offline mode scans the capture, streaming mode arms per-shard monitors")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file at exit")
-	tracePath := flag.String("trace", "", "streaming mode: record sampled stage spans and write a Chrome trace_event JSON file here on drain (SIGUSR1 dumps mid-run)")
-	traceSample := flag.Int("trace-sample", 64, "with -trace, record 1 in N span starts per lane")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Print("usage: profiler [-report list] [-journal events.jsonl] [-follow] [-workers N] [-metrics addr] capture.pcap")
@@ -106,27 +106,9 @@ func run() int {
 	}
 	defer stopProfiles()
 
-	var journal *obs.Journal
-	if *journalPath != "" {
-		jf, err := os.Create(*journalPath)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer jf.Close()
-		journal = obs.NewJournal(jf)
+	if *profileLabel == "" {
+		*profileLabel = flag.Arg(0)
 	}
-
-	want := map[string]bool{}
-	for _, r := range strings.Split(*reports, ",") {
-		want[strings.TrimSpace(r)] = true
-	}
-
-	label := *profileLabel
-	if label == "" {
-		label = flag.Arg(0)
-	}
-
 	protos, err := stream.ParseProtocols(*proto)
 	if err != nil {
 		log.Print(err)
@@ -138,38 +120,27 @@ func run() int {
 	if *readers <= 0 {
 		*readers = *workers
 	}
-	o := options{
-		tracePath:     *tracePath,
-		traceSample:   *traceSample,
-		protocols:     *proto,
-		path:          flag.Arg(0),
-		follow:        *follow,
-		workers:       *workers,
-		readers:       *readers,
-		metricsAddr:   *metricsAddr,
-		snapshotEvery: *snapshotEvery,
-		idleTimeout:   *idleTimeout,
-		historianDir:  *historianDir,
-		pointCap:      *pointCap,
-		names:         *names,
-		journal:       journal,
-		want:          want,
-		saveProfile:   *saveProfile,
-		profileLabel:  label,
-		pushURL:       *pushURL,
-		baselinePath:  *baselinePath,
-		loadBaseline:  *loadBaseline,
-	}
 	if *follow || *workers > 1 || *readers > 1 {
 		if *saveBaseline != "" {
 			log.Print("-save-baseline needs the offline single-analyzer mode (raw samples are not retained across shards)")
 			return 2
 		}
-		return runStreaming(o)
+		return runStreaming()
 	}
 
 	if *tracePath != "" {
 		log.Print("note: -trace records the streaming pipeline; ignored in offline single-analyzer mode (use -follow or -workers > 1)")
+	}
+
+	var journal *obs.Journal
+	if *journalPath != "" {
+		jf, err := os.Create(*journalPath)
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
+		defer jf.Close()
+		journal = obs.NewJournal(jf)
 	}
 
 	f, err := os.Open(flag.Arg(0))
@@ -236,8 +207,8 @@ func run() int {
 		}
 	}
 
-	code := printReports(analyzer.Partial(), o, reg,
-		func() { printPhysical(analyzer) }, func() { printTiming(analyzer) }, o.baselinePath)
+	code := printReports(analyzer.Partial(), reg, journal,
+		func() { printPhysical(analyzer) }, func() { printTiming(analyzer) }, *baselinePath)
 	if code != 0 {
 		exit = code
 	}
@@ -287,8 +258,12 @@ func run() int {
 // the streaming mode the engine's merged final state; physical and
 // timing print the two sections that offline need more than a Partial
 // (raw sample series) and in streaming mode render differently.
-// baselinePath is empty when the engine already did the comparison.
-func printReports(p core.Partial, o options, reg *obs.Registry, physical, timing func(), baselinePath string) int {
+// baseline is empty when the engine already did the comparison.
+func printReports(p core.Partial, reg *obs.Registry, journal *obs.Journal, physical, timing func(), baseline string) int {
+	want := map[string]bool{}
+	for _, r := range strings.Split(*reports, ",") {
+		want[strings.TrimSpace(r)] = true
+	}
 	fmt.Printf("Capture: %d packets (%d IEC 104), window %s .. %s, parse errors %d\n\n",
 		p.Packets, p.IECPackets,
 		p.First.Format("2006-01-02 15:04:05"), p.Last.Format("15:04:05"), p.ParseErrors)
@@ -296,40 +271,40 @@ func printReports(p core.Partial, o options, reg *obs.Registry, physical, timing
 		fmt.Printf("IEC 104 sequence anomalies: %d\n\n", p.SeqAnomalies)
 	}
 	if p.FlowsEvicted > 0 {
-		fmt.Printf("flows evicted after %s idle: %d\n\n", o.idleTimeout, p.FlowsEvicted)
+		fmt.Printf("flows evicted after %s idle: %d\n\n", *idleTimeout, p.FlowsEvicted)
 	}
 
-	if o.want["flows"] {
+	if want["flows"] {
 		s := p.Flows
 		fmt.Println("== TCP flow analysis (Table 3) ==")
 		fmt.Printf("short-lived: %d (%.1f%%), of which <1s: %d (%.1f%%)\n",
 			s.ShortLived, 100*s.ShortProportion(), s.ShortLivedSubSec, 100*s.SubSecProportion())
 		fmt.Printf("long-lived:  %d (%.1f%%)\n\n", s.LongLived, 100*s.LongProportion())
 	}
-	if o.want["compliance"] {
+	if want["compliance"] {
 		printCompliance(p.ComplianceReport())
 		printDialects(p.Dialects, p.Streams)
 	}
-	if o.want["clusters"] {
+	if want["clusters"] {
 		printClusters(p.ClusterReport(5, 1202))
 	}
-	if o.want["markov"] {
+	if want["markov"] {
 		printMarkov(p.MarkovReport())
 	}
-	if o.want["types"] {
+	if want["types"] {
 		fmt.Println("== ASDU type distribution (Table 7) ==")
 		fmt.Println(core.FormatTypeTable(p.TypeDistribution()))
 	}
-	if o.want["physical"] {
+	if want["physical"] {
 		physical()
 	}
-	if o.want["timing"] {
+	if want["timing"] {
 		timing()
 	}
-	if o.want["stats"] {
-		printStats(reg, o.journal)
+	if want["stats"] {
+		printStats(reg, journal)
 	}
-	return driftActions(p, o.path, o.profileLabel, o.saveProfile, o.pushURL, baselinePath)
+	return driftActions(p, flag.Arg(0), *profileLabel, *saveProfile, *pushURL, baseline)
 }
 
 // driftActions runs the profile-persistence, probe-push and
@@ -566,168 +541,81 @@ func printPhysical(a *core.Analyzer) {
 	}
 }
 
-// options carries the flag values into the streaming path and the
-// shared report printer.
-type options struct {
-	path          string
-	protocols     string
-	follow        bool
-	workers       int
-	metricsAddr   string
-	snapshotEvery time.Duration
-	idleTimeout   time.Duration
-	historianDir  string
-	pointCap      int
-	names         bool
-	readers       int
-	journal       *obs.Journal
-	want          map[string]bool
-	saveProfile   string
-	pushURL       string
-	profileLabel  string
-	baselinePath  string
-	loadBaseline  string
-	tracePath     string
-	traceSample   int
-}
-
 // runStreaming analyzes the capture through the declared pipeline
-// runtime: the ProfilerGraph preset constructs the src→analyzer graph
-// the streaming engine used to be hand-wired into, with -follow the
+// runtime: the ProfilerGraph preset is the src→analyzer graph, hosted
+// like every graph-running command's (pipeline.Host). With -follow the
 // file is tailed until SIGINT/SIGTERM, otherwise it is read to EOF;
 // either way the final merged state renders the same reports as the
 // offline path.
-func runStreaming(o options) int {
-	reg := obs.NewRegistry()
-
-	var rec *trace.Recorder
-	if o.tracePath != "" {
-		rec = trace.New(trace.Config{SampleEvery: o.traceSample, Registry: reg})
-		stopDump := rec.DumpOnSIGUSR1(o.tracePath, log.Printf)
-		defer stopDump()
-		log.Printf("flight recorder armed: sampling 1 in %d spans, SIGUSR1 dumps %s", o.traceSample, o.tracePath)
+func runStreaming() int {
+	if *historianDir != "" {
+		log.Printf("recording measurements into historian at %s", *historianDir)
 	}
-	if o.historianDir != "" {
-		log.Printf("recording measurements into historian at %s", o.historianDir)
+	if *baselinePath != "" {
+		log.Printf("drift detection armed against stored profile %s", *baselinePath)
 	}
-	if o.baselinePath != "" {
-		log.Printf("drift detection armed against stored profile %s", o.baselinePath)
+	if *loadBaseline != "" {
+		log.Printf("IDS monitors armed from stored whitelist %s", *loadBaseline)
+	}
+	if *follow {
+		log.Printf("following %s with %d worker shard(s); interrupt to drain", flag.Arg(0), *workers)
 	}
 
-	// The IDS monitors stay cmd-wired (hook, not ids_baseline param) so
-	// the alert log lines keep their historical shape.
-	var observer func(int) core.FrameObserver
-	if o.loadBaseline != "" {
-		idsBase, err := drift.LoadBaseline(o.loadBaseline)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		eps, conns, points := idsBase.Size()
-		log.Printf("IDS monitors armed: %d endpoints, %d connections, %d points whitelisted",
-			eps, conns, points)
-		// Monitors are per shard (lock-free inside); the shared log sink
-		// serialises itself.
-		var alertMu sync.Mutex
-		observer = func(shard int) core.FrameObserver {
-			return ids.NewMonitor(idsBase, func(al ids.Alert) {
-				alertMu.Lock()
-				defer alertMu.Unlock()
-				log.Printf("ALERT [shard %d] %v", shard, al)
+	return pipeline.Host{
+		Graph: func(rec *trace.Recorder) (*pipeline.Config, map[string]any) {
+			return pipeline.ProfilerGraph(pipeline.ProfilerPreset{
+				Path:            flag.Arg(0),
+				Follow:          *follow,
+				Workers:         *workers,
+				Readers:         *readers,
+				SnapshotEvery:   *snapshotEvery,
+				IdleTimeout:     *idleTimeout,
+				PointCap:        *pointCap,
+				Names:           *names,
+				HistorianDir:    *historianDir,
+				BaselinePath:    *baselinePath,
+				IDSBaselinePath: *loadBaseline,
+				Protocols:       *proto,
+				Trace:           rec,
 			})
-		}
-	}
-
-	graph, hooks := pipeline.ProfilerGraph(pipeline.ProfilerPreset{
-		Path:          o.path,
-		Follow:        o.follow,
-		Workers:       o.workers,
-		Readers:       o.readers,
-		SnapshotEvery: o.snapshotEvery,
-		IdleTimeout:   o.idleTimeout,
-		PointCap:      o.pointCap,
-		Names:         o.names,
-		HistorianDir:  o.historianDir,
-		BaselinePath:  o.baselinePath,
-		Protocols:     o.protocols,
-		Trace:         rec,
-		Observer:      observer,
-	})
-	runner, err := pipeline.NewRunner(graph, pipeline.Options{
-		Registry: reg,
-		Journal:  o.journal,
-		Logf:     log.Printf,
-		Hooks:    hooks,
-	})
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	seg := runner.Segment("profiler", "an").(*pipeline.AnalyzerSegment)
-	e := seg.Engine()
-
-	if o.metricsAddr != "" {
-		// The historical root endpoints stay, the pipeline surface
-		// (/statusz graph view, /pipelines/profiler/...) mounts next to
-		// them.
-		eps := stream.Endpoints(e, seg.Historian())
-		for p, h := range runner.Endpoints() {
-			eps[p] = h
-		}
-		addr, shutdown, err := obs.ServeWith(o.metricsAddr, reg, o.journal, eps)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer shutdown()
-		log.Printf("serving metrics, rolling profile and /statusz on http://%s/", addr)
-	}
-
-	ctx := context.Background()
-	if o.follow {
-		var stop context.CancelFunc
-		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		log.Printf("following %s with %d worker shard(s); interrupt to drain", o.path, o.workers)
-	}
-
-	exit := 0
-	if err := runner.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "profiler: warning: stream stopped early: %v (reporting partial results)\n", err)
-		exit = 1
-	}
-	if rec != nil {
-		if err := rec.WriteChromeTraceFile(o.tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "profiler: warning: trace export failed: %v\n", err)
-			exit = 1
-		} else {
-			log.Printf("wrote Chrome trace to %s (open in chrome://tracing or Perfetto)", o.tracePath)
-		}
-	}
-
-	p := e.Final()
-	code := printReports(p, o, reg, func() { printPhysicalDigests(p.Physical) }, func() {
-		fmt.Println("== recovered reporting periods (timing characteristics) ==")
-		fmt.Println("(unavailable in streaming mode: raw per-point timestamps are not retained)")
-		fmt.Println()
-	}, "")
-	if code != 0 {
-		exit = code
-	}
-	if rep := e.DriftReport(); rep != nil {
-		// The engine already diffed the final merged state against the
-		// baseline on the last publish; print that report rather than
-		// recomputing it.
-		rep.WriteText(os.Stdout)
-		fmt.Println()
-	}
-	if err := o.journal.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "profiler: warning: journal write failed: %v\n", err)
-		if exit == 0 {
-			exit = 1
-		}
-	}
-	return exit
+		},
+		JournalPath: *journalPath,
+		Addr:        *metricsAddr,
+		Root:        true,
+		TracePath:   *tracePath,
+		TraceSample: *traceSample,
+		After: func(h *pipeline.Hosted) int {
+			exit := 0
+			switch {
+			case h.Err != nil:
+				fmt.Fprintf(os.Stderr, "profiler: warning: stream stopped early: %v (reporting partial results)\n", h.Err)
+				exit = 1
+			case h.Interrupted && !*follow:
+				// An interrupt is how a followed capture ends; on a finished
+				// one it cuts the read short like a damaged file does.
+				fmt.Fprintln(os.Stderr, "profiler: warning: interrupted before the end of the capture (reporting partial results)")
+				exit = 1
+			}
+			e := h.Runner.Analyzer().Engine()
+			p := e.Final()
+			code := printReports(p, h.Registry, h.Journal, func() { printPhysicalDigests(p.Physical) }, func() {
+				fmt.Println("== recovered reporting periods (timing characteristics) ==")
+				fmt.Println("(unavailable in streaming mode: raw per-point timestamps are not retained)")
+				fmt.Println()
+			}, "")
+			if code != 0 {
+				exit = code
+			}
+			if rep := e.DriftReport(); rep != nil {
+				// The engine already diffed the final merged state against the
+				// baseline on the last publish; print that report rather than
+				// recomputing it.
+				rep.WriteText(os.Stdout)
+				fmt.Println()
+			}
+			return exit
+		},
+	}.Run()
 }
 
 // printPhysicalDigests is the streaming analogue of printPhysical,

@@ -1,8 +1,8 @@
 // Command unchartedd is the control-room daemon: it hosts N tenants —
-// balancing authorities, capture eras, single captures — each with its
-// own streaming engine and historian namespace, behind one multi-tenant
-// HTTP API with a snapshot-keyed response cache and remote-probe
-// aggregation (internal/service).
+// balancing authorities, capture eras, single captures — each a hosted
+// segment graph with its own engine and historian namespace, behind
+// one multi-tenant HTTP API with a snapshot-keyed response cache and
+// remote-probe aggregation (internal/service).
 //
 // The tenant list comes from a JSON config file:
 //
@@ -25,7 +25,8 @@
 // tenant label.
 //
 // SIGINT/SIGTERM drains every tenant's engine gracefully (shards
-// finish their batches, final profiles publish) before exit.
+// finish their batches, final profiles publish) before exit; the exit
+// status is 1 when a tenant's ingest or the journal failed.
 //
 // Usage:
 //
@@ -90,28 +91,32 @@ func run() int {
 		return 1
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	svc.Start(ctx)
-
+	// Bind before any tenant ingests: a taken port then costs nothing
+	// but the exit, with no historian written to and left unsynced.
 	bound, shutdown, err := obs.ServeWith(listen, reg, journal, svc.Endpoints())
 	if err != nil {
 		log.Printf("listen %s: %v", listen, err)
 		return 1
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	svc.Start(ctx)
 	log.Printf("unchartedd: serving %d tenants on http://%s/v1/", len(svc.Tenants()), bound)
 
 	<-ctx.Done()
 	log.Printf("unchartedd: draining tenants")
 	svc.Drain()
 	shutdown()
+	exit := 0
 	for _, name := range svc.Tenants() {
 		if terr := svc.Tenant(name).Err(); terr != nil {
 			log.Printf("tenant %s: %v", name, terr)
+			exit = 1
 		}
 	}
 	if err := journal.Err(); err != nil {
 		log.Printf("warning: journal write failed: %v", err)
+		exit = 1
 	}
-	return 0
+	return exit
 }

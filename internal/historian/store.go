@@ -97,16 +97,16 @@ type Store struct {
 	m *storeMetrics
 }
 
-// OpenNamespace opens (or creates) a historian under root/ns. The
-// namespace must be a single clean path element — tenant names map
-// onto isolated per-tenant stores under one configured root without
-// any chance of escaping it.
-func OpenNamespace(root, ns string, opts Options) (*Store, error) {
+// NamespaceDir returns the directory of namespace ns under root, for
+// Open. The namespace must be a single clean path element — tenant
+// names map onto isolated per-tenant stores under one configured root
+// without any chance of escaping it.
+func NamespaceDir(root, ns string) (string, error) {
 	if ns == "" || ns != filepath.Base(ns) || ns == "." || ns == ".." ||
 		strings.ContainsAny(ns, `/\`) {
-		return nil, fmt.Errorf("historian: invalid namespace %q", ns)
+		return "", fmt.Errorf("historian: invalid namespace %q", ns)
 	}
-	return Open(filepath.Join(root, ns), opts)
+	return filepath.Join(root, ns), nil
 }
 
 // Open opens (or creates) a historian under dir. An unsealed last

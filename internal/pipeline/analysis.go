@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -27,10 +29,10 @@ func init() {
 		Role: RoleAnalysis,
 		In:   PortPackets,
 		Out:  PortProfiles,
-		Doc:  "the sharded core analyzer: consumes packets, publishes rolling profiles, serves /{id}/profile, /{id}/statusz, /{id}/readyz (+/drift, /query when armed)",
+		Doc:  "the sharded core analyzer: consumes packets — or runs the source of an input wired to it alone — publishes rolling profiles, serves /{id}/profile, /{id}/statusz, /{id}/readyz (+/drift, /query when armed; /query outlives the feed, until the host stops)",
 		Params: []ParamSpec{
 			{Name: "workers", Type: ParamInt, Default: 1, Doc: "analysis shards"},
-			{Name: "readers", Type: ParamInt, Default: 0, Doc: "parallel capture readers for handed-off sources (0 = match workers; only effective when the input hands off a seekable capture)"},
+			{Name: "readers", Type: ParamInt, Default: 0, Doc: "parallel capture readers for a handed-off source (0 = match workers; a single pcap file wired straight into this analyzer is handed off and split across them)"},
 			{Name: "snapshot", Type: ParamDuration, Default: time.Duration(0), Doc: "rolling-profile period (0 = final profile only)"},
 			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per shard-queue send"},
 			{Name: "queue", Type: ParamInt, Default: 64, Doc: "per-shard queue capacity in batches"},
@@ -75,7 +77,7 @@ func init() {
 		Kind: "historian",
 		Role: RoleAnalysis,
 		In:   PortPackets,
-		Doc:  "record every extracted measurement into the durable historian and serve /{id}/query",
+		Doc:  "record every extracted measurement into the durable historian and serve /{id}/query (synced when the feed ends, open until the host stops)",
 		Params: []ParamSpec{
 			{Name: "dir", Type: ParamString, Required: true, Doc: "historian directory"},
 			{Name: "point_cap", Type: ParamInt, Default: 0, Doc: "cap in-memory samples per series (0 = unbounded)"},
@@ -120,9 +122,6 @@ type AnalyzerHooks struct {
 	Observer func(shard int) core.FrameObserver
 	// Trace attaches the flight recorder.
 	Trace *trace.Recorder
-	// DriftAlerts receives live drift alerts (on top of the built-in
-	// journal + log wiring).
-	DriftAlerts func(ids.Alert)
 }
 
 // AnalyzerSegment wraps the streaming engine — the exact same sharded
@@ -209,9 +208,6 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 		Baseline:        baseline,
 		DriftAlerts: func(al ids.Alert) {
 			bc.Env.Logf("DRIFT [%s] %v", bc.ID, al)
-			if hooks.DriftAlerts != nil {
-				hooks.DriftAlerts(al)
-			}
 		},
 		// Forward published snapshots down the profiles edge. Called
 		// with the engine lock held, so hand off without blocking; a
@@ -228,7 +224,7 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 			}
 		},
 	})
-	for path, h := range stream.Endpoints(s.eng, s.hist) {
+	for path, h := range s.Endpoints() {
 		bc.Env.Handle("/"+bc.ID+path, h)
 	}
 	return s, nil
@@ -252,22 +248,36 @@ func alertLogger(env *Env, id string, shard int) func(ids.Alert) {
 // Engine exposes the wrapped engine (presets print its final profile).
 func (s *AnalyzerSegment) Engine() *stream.Engine { return s.eng }
 
-// Historian exposes the segment's store, nil unless the historian
-// param is set (presets mount the legacy /query endpoint from it).
-func (s *AnalyzerSegment) Historian() *historian.Store { return s.hist }
+// Endpoints is the engine's query surface — /profile, /statusz, /readyz
+// (+ /drift, /query when armed) — as a fresh path → handler map: mounted
+// under /{id} in the pipeline, at the root by a single-analyzer host
+// and under /v1/{tenant} by the control-room service.
+func (s *AnalyzerSegment) Endpoints() map[string]http.Handler {
+	return stream.Endpoints(s.eng, s.hist)
+}
 
-// AcceptsHandoff marks the segment as a valid receiver for a
-// whole-capture source handoff (Msg.Src); the runner checks this when
-// an input declares Handoff.
-func (s *AnalyzerSegment) AcceptsHandoff() {}
+// SourcePackets implements sourceTaker: the packets the engine has
+// dispatched to its shards.
+func (s *AnalyzerSegment) SourcePackets() int64 { return s.eng.Status().Packets }
 
-// Run implements Segment: the engine consumes the packets edge via a
-// chanSource; snapshots forwarded by the OnSnapshot hook ride the
-// profiles edge, and the exact final state follows the drain. When the
-// first message carries a source handoff instead of packets, the
-// engine runs straight over that source — seekable captures then get
-// the N-reader segmented ingest path.
-func (s *AnalyzerSegment) Run(_ context.Context, in <-chan Msg, emit Emit) error {
+// Close closes the historian. It stays open when the feed ends — the
+// engine synced it on its final publish, and a finished capture keeps
+// answering /query from it — until the host stops (Runner.Close).
+func (s *AnalyzerSegment) Close() error {
+	if s.hist == nil {
+		return nil
+	}
+	return s.hist.Close()
+}
+
+// Run implements Segment: snapshots forwarded by the OnSnapshot hook
+// ride the profiles edge, and the exact final state follows the drain.
+// An inline edge is consumed via a chanSource, whose end-of-stream is
+// the runtime's close cascade. When the first message carries a source
+// handoff instead of packets, the engine runs straight over that
+// source under the runner's context: cancellation is the drain, and
+// the final profile still publishes.
+func (s *AnalyzerSegment) Run(ctx context.Context, in <-chan Msg, emit Emit) error {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -276,36 +286,22 @@ func (s *AnalyzerSegment) Run(_ context.Context, in <-chan Msg, emit Emit) error
 			emit(Msg{Snap: sn})
 		}
 	}()
-	// The engine runs under a background context: cancellation reaches
-	// it as the close cascade on in (chanSource io.EOF), which drains
-	// the shards and publishes the exact final profile.
-	var src stream.Source
-	first, ok := <-in
-	if ok && first.Src != nil {
-		src = first.Src
-		// The edge still needs draining so the producer never blocks.
-		go func() {
-			for range in {
-			}
-		}()
-	} else {
-		src = &chanSource{in: in, cur: first.Pkts}
-	}
-	err := s.eng.Run(context.Background(), src)
-	if first.Src != nil {
+	var err error
+	if first, ok := <-in; ok && first.Src != nil {
+		err = s.eng.Run(ctx, first.Src)
+		if errors.Is(err, ctx.Err()) {
+			err = nil // canceled mid-read: a drain, not a failure
+		}
 		if cerr := first.Src.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
+	} else {
+		err = s.eng.Run(context.Background(), &chanSource{in: in, cur: first.Pkts})
 	}
 	close(s.fwd)
 	wg.Wait()
 	if prof := s.eng.Profile(); prof != nil {
 		emit(Msg{Snap: &Snapshot{Seq: prof.Seq, Final: true, Partial: s.eng.Final(), Profile: prof}})
-	}
-	if s.hist != nil {
-		if cerr := s.hist.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
 	}
 	return err
 }
@@ -489,7 +485,8 @@ func buildHistorian(bc BuildCtx) (Segment, error) {
 	return &HistorianSegment{store: st, an: an, rec: rec}, nil
 }
 
-// Run implements Segment.
+// Run implements Segment. The store is made durable at the end of the
+// feed and stays open for /query until the host stops.
 func (s *HistorianSegment) Run(_ context.Context, in <-chan Msg, _ Emit) error {
 	for m := range in {
 		for i := range m.Pkts {
@@ -497,8 +494,11 @@ func (s *HistorianSegment) Run(_ context.Context, in <-chan Msg, _ Emit) error {
 		}
 	}
 	err := s.rec.Err()
-	if cerr := s.store.Close(); cerr != nil && err == nil {
-		err = cerr
+	if serr := s.store.Sync(); serr != nil && err == nil {
+		err = serr
 	}
 	return err
 }
+
+// Close closes the store (Runner.Close).
+func (s *HistorianSegment) Close() error { return s.store.Close() }

@@ -14,7 +14,6 @@ import (
 	"uncharted/internal/pcap"
 	"uncharted/internal/scadasim"
 	"uncharted/internal/stream"
-	"uncharted/internal/topology"
 )
 
 func init() {
@@ -22,12 +21,11 @@ func init() {
 		Kind: "pcap",
 		Role: RoleInput,
 		Out:  PortPackets,
-		Doc:  "read finished captures (a file, or every *.pcap/*.pcapng in a directory, sorted)",
+		Doc:  "read finished captures (a file, or every *.pcap/*.pcapng in a directory, sorted); a single file feeding nothing but one analyzer is handed to that analyzer's engine whole",
 		Params: []ParamSpec{
 			{Name: "path", Type: ParamString, Required: true, Doc: "capture file or directory"},
-			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per emitted message"},
+			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per emitted message (inline edge only: a handed-off source is batched by the analyzer)"},
 			{Name: "speed", Type: ParamFloat, Default: 0.0, Doc: "replay pacing (60 = one captured minute per wall second; 0 = as fast as possible; single file only)"},
-			{Name: "readers", Type: ParamInt, Default: 0, Doc: "parallel segment readers: hand the capture to the consuming analyzer for N-reader ingest (0 = decode inline; needs a single unpaced file and exactly one analyzer consumer)"},
 		},
 		Build: buildPCAPInput,
 	})
@@ -35,11 +33,11 @@ func init() {
 		Kind: "follow",
 		Role: RoleInput,
 		Out:  PortPackets,
-		Doc:  "tail a growing classic-pcap capture (never EOF; stops on drain)",
+		Doc:  "tail a growing classic-pcap capture (never EOF; stops on drain); handed to the engine of an analyzer it alone feeds",
 		Params: []ParamSpec{
 			{Name: "path", Type: ParamString, Required: true, Doc: "capture file being written"},
-			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per emitted message"},
-			{Name: "poll", Type: ParamDuration, Default: 25 * time.Millisecond, Doc: "sleep at the write frontier"},
+			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per emitted message (inline edge only)"},
+			{Name: "poll", Type: ParamDuration, Default: 25 * time.Millisecond, Doc: "sleep at the write frontier (inline edge only: a handed-off source is polled by the analyzer's engine)"},
 		},
 		Build: buildFollowInput,
 	})
@@ -47,7 +45,7 @@ func init() {
 		Kind: "sim",
 		Role: RoleInput,
 		Out:  PortPackets,
-		Doc:  "feed the in-process grid simulator, optionally with an injected mid-feed attack",
+		Doc:  "feed the in-process grid simulator, optionally with an injected mid-feed attack; handed to the engine of an analyzer it alone feeds",
 		Params: []ParamSpec{
 			{Name: "year", Type: ParamInt, Default: 1, Doc: "capture campaign to simulate (1 or 2)"},
 			{Name: "seed", Type: ParamInt, Default: 1, Doc: "simulation seed"},
@@ -57,8 +55,8 @@ func init() {
 			{Name: "modbus", Type: ParamBool, Default: false, Doc: "add a Modbus/TCP polling association to the simulated tap"},
 			{Name: "fault_timeout", Type: ParamFloat, Default: 0.0, Doc: "probability a device response is dropped (lossy field link)"},
 			{Name: "fault_shortread", Type: ParamFloat, Default: 0.0, Doc: "probability a frame is torn across two TCP segments"},
-			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per emitted message"},
-			{Name: "poll", Type: ParamDuration, Default: 25 * time.Millisecond, Doc: "sleep while paced replay has nothing due"},
+			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per emitted message (inline edge only)"},
+			{Name: "poll", Type: ParamDuration, Default: 25 * time.Millisecond, Doc: "sleep while paced replay has nothing due (inline edge only)"},
 		},
 		Build: buildSimInput,
 	})
@@ -146,96 +144,57 @@ func pump(ctx context.Context, src stream.Source, emit Emit, batch int, poll tim
 	return err
 }
 
-// PCAPInput streams one or more finished captures. With readers > 0 it
-// does not decode at all: the single capture file is handed whole to
-// the consuming analyzer (Msg.Src), whose engine ingests it with N
-// parallel segment readers.
-type PCAPInput struct {
-	files   []string
+// PacketInput streams packet sources in order: one finished capture,
+// one growing capture being tailed (follow — never EOF, runs until the
+// drain), one synthesized grid feed, optionally with an
+// Industroyer-style attack injected mid-feed (sim), or every capture of
+// a directory. The first source is opened at build time. When it is the
+// only one and the runner arms the handoff (see NewRunner), nothing is
+// decoded here: the source goes whole to the consuming analyzer, whose
+// engine reads — and closes — it itself.
+type PacketInput struct {
+	feed    *stream.Feed
+	more    []string // the rest of a capture directory, opened in turn
 	batch   int
-	speed   float64
-	readers int
+	poll    time.Duration
+	handoff bool
 }
 
 func buildPCAPInput(bc BuildCtx) (Segment, error) {
-	path := bc.Params.Str("path")
+	path, speed := bc.Params.Str("path"), bc.Params.Float("speed")
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	s := &PCAPInput{batch: bc.Params.Int("batch"), speed: bc.Params.Float("speed"), readers: bc.Params.Int("readers")}
-	if s.batch < 1 {
-		s.batch = 64
-	}
-	if s.readers > 0 && s.speed > 0 {
-		return nil, fmt.Errorf("readers and speed are mutually exclusive: paced replay is inherently sequential")
-	}
-	if !fi.IsDir() {
-		s.files = []string{path}
-		return s, nil
-	}
-	if s.readers > 0 {
-		return nil, fmt.Errorf("readers needs a single capture file, %s is a directory", path)
-	}
-	entries, err := os.ReadDir(path)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch strings.ToLower(filepath.Ext(e.Name())) {
-		case ".pcap", ".pcapng":
-			s.files = append(s.files, filepath.Join(path, e.Name()))
-		}
-	}
-	if len(s.files) == 0 {
-		return nil, fmt.Errorf("no *.pcap or *.pcapng files in %s", path)
-	}
-	if s.speed > 0 && len(s.files) > 1 {
-		return nil, fmt.Errorf("speed pacing needs a single capture file, %s holds %d", path, len(s.files))
-	}
-	sort.Strings(s.files)
-	return s, nil
-}
-
-// Handoff reports whether this input hands its capture to the consumer
-// as a whole source instead of decoding inline; the runner checks the
-// receiving side can take it.
-func (s *PCAPInput) Handoff() bool { return s.readers > 0 }
-
-// Run implements Segment.
-func (s *PCAPInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
-	for _, path := range s.files {
-		feed, err := stream.OpenSource(stream.SourceSpec{Kind: "pcap", Path: path, Speed: s.speed})
+	files := []string{path}
+	if fi.IsDir() {
+		entries, err := os.ReadDir(path)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if s.readers > 0 {
-			// The consuming analyzer reads (and closes) the capture itself.
-			emit(Msg{Src: feed.Source})
-			return nil
+		files = nil
+		for _, e := range entries {
+			if ext := strings.ToLower(filepath.Ext(e.Name())); !e.IsDir() && (ext == ".pcap" || ext == ".pcapng") {
+				files = append(files, filepath.Join(path, e.Name()))
+			}
 		}
-		if err := pump(ctx, feed.Source, emit, s.batch, 25*time.Millisecond); err != nil || ctx.Err() != nil {
-			return err
+		if len(files) == 0 {
+			return nil, fmt.Errorf("no *.pcap or *.pcapng files in %s", path)
 		}
+		if speed > 0 && len(files) > 1 {
+			return nil, fmt.Errorf("speed pacing needs a single capture file, %s holds %d", path, len(files))
+		}
+		sort.Strings(files)
 	}
-	return nil
-}
-
-// FeedInput streams one source opened at build time: a growing capture
-// being tailed (follow — never EOF, runs until the drain) or a
-// synthesized grid capture, optionally with an Industroyer-style
-// attack injected mid-feed (sim).
-type FeedInput struct {
-	feed  *stream.Feed
-	batch int
-	poll  time.Duration
+	s, err := buildPacketInput(bc, stream.SourceSpec{Kind: "pcap", Path: files[0], Speed: speed})
+	if err == nil {
+		s.more = files[1:]
+	}
+	return s, err
 }
 
 func buildFollowInput(bc BuildCtx) (Segment, error) {
-	return buildFeedInput(bc, stream.SourceSpec{Kind: "follow", Path: bc.Params.Str("path")})
+	return buildPacketInput(bc, stream.SourceSpec{Kind: "follow", Path: bc.Params.Str("path")})
 }
 
 func buildSimInput(bc BuildCtx) (Segment, error) {
@@ -248,10 +207,10 @@ func buildSimInput(bc BuildCtx) (Segment, error) {
 	}
 	spec.Faults.TimeoutProb = bc.Params.Float("fault_timeout")
 	spec.Faults.ShortReadProb = bc.Params.Float("fault_shortread")
-	return buildFeedInput(bc, stream.SourceSpec{Kind: "sim", Speed: bc.Params.Float("speed"), Sim: spec})
+	return buildPacketInput(bc, stream.SourceSpec{Kind: "sim", Speed: bc.Params.Float("speed"), Sim: spec})
 }
 
-func buildFeedInput(bc BuildCtx, spec stream.SourceSpec) (Segment, error) {
+func buildPacketInput(bc BuildCtx, spec stream.SourceSpec) (*PacketInput, error) {
 	feed, err := stream.OpenSource(spec)
 	if err != nil {
 		return nil, err
@@ -259,19 +218,44 @@ func buildFeedInput(bc BuildCtx, spec stream.SourceSpec) (Segment, error) {
 	if spec.Sim.Attack != "" {
 		bc.Env.Logf("segment %s: injected %s attack: %d packets at +%s", bc.ID, feed.Attack, feed.Injected, spec.Sim.Duration/2)
 	}
-	return &FeedInput{feed: feed, batch: bc.Params.Int("batch"), poll: bc.Params.Dur("poll")}, nil
+	s := &PacketInput{feed: feed, batch: bc.Params.Int("batch"), poll: bc.Params.Dur("poll")}
+	if s.batch < 1 {
+		s.batch = 64
+	}
+	if s.poll <= 0 {
+		s.poll = 25 * time.Millisecond
+	}
+	return s, nil
 }
 
-// Trace exposes a sim feed's generated records (presets write the
+// Trace exposes a sim feed's generated records (iec104live writes its
 // -pcap cross-check capture from it).
-func (s *FeedInput) Trace() *scadasim.Trace { return s.feed.Trace }
+func (s *PacketInput) Trace() *scadasim.Trace { return s.feed.Trace }
 
-// Network exposes a sim feed's simulated topology.
-func (s *FeedInput) Network() *topology.Network { return s.feed.Network }
+// oneSource implements sourceGiver: a capture directory is a sequence
+// of sources, which only an inline edge can carry.
+func (s *PacketInput) oneSource() bool { return len(s.more) == 0 }
+
+// armHandoff implements sourceGiver.
+func (s *PacketInput) armHandoff() { s.handoff = true }
 
 // Run implements Segment.
-func (s *FeedInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
-	return pump(ctx, s.feed.Source, emit, s.batch, s.poll)
+func (s *PacketInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
+	if s.handoff {
+		emit(Msg{Src: s.feed.Source})
+		return nil
+	}
+	err := pump(ctx, s.feed.Source, emit, s.batch, s.poll)
+	for _, path := range s.more {
+		if err != nil || ctx.Err() != nil {
+			break
+		}
+		var feed *stream.Feed
+		if feed, err = stream.OpenSource(stream.SourceSpec{Kind: "pcap", Path: path}); err == nil {
+			err = pump(ctx, feed.Source, emit, s.batch, s.poll)
+		}
+	}
+	return err
 }
 
 // ProbeInput is the remote-probe receiver: probes POST drift-codec

@@ -14,10 +14,17 @@
 // analysis snapshots, an alerts edge carries IDS/drift alerts. Edges
 // are bounded, sends block (lossless backpressure, with stall
 // accounting per segment), and every segment gets its own
-// pipeline/segment-labeled obs metric series. The hand-wired commands
-// (profiler, iec104live) are thin presets over this runtime — see
-// ProfilerPreset and LivePreset — and produce identical profiles to
-// the graphs they construct.
+// pipeline/segment-labeled obs metric series. One edge carries no
+// packets: an input that reads a single source and feeds nothing but
+// one analyzer hands the source to that analyzer's engine (the runner
+// decides from the graph's topology; see Msg.Src).
+//
+// This package is also the one place an engine is built and run. The
+// analyzer segment is the only caller of stream.New; the
+// single-analyzer front ends (profiler's streaming half, iec104live, a
+// control-room tenant's shorthand) are presets over SourceGraph, the
+// input → analyzer pair; and Host is what every graph-running command
+// does around its graph.
 package pipeline
 
 import (
@@ -80,11 +87,12 @@ type Msg struct {
 	Pkts  []pcap.Packet
 	Snap  *Snapshot
 	Alert *ids.Alert
-	// Src is a whole-capture source handoff riding a packets edge: an
-	// input that owns a seekable finished capture hands the source
-	// itself to its (single) consumer instead of decoding inline, so a
-	// segment-aware consumer can ingest it with N parallel readers.
-	// The receiver owns Src and must Close it.
+	// Src is a source handoff riding a packets edge: an input that reads
+	// one source, wired to a single consumer that can run it, hands the
+	// source itself over instead of decoding inline (the runner decides
+	// from the graph's topology), so the consumer's engine reads it with
+	// its own readers — N parallel ones over a seekable capture. The
+	// receiver owns Src and must Close it.
 	Src stream.Source
 }
 
@@ -121,7 +129,6 @@ type Env struct {
 	Logf func(format string, args ...any)
 
 	handlers map[string]http.Handler
-	hooks    map[string]any
 }
 
 // Handle registers an HTTP handler on the pipeline's mount table.

@@ -6,15 +6,15 @@ import (
 	"time"
 
 	"uncharted/internal/core"
-	"uncharted/internal/ids"
 	"uncharted/internal/obs/trace"
 )
 
-// The presets turn the hand-wired commands into declared graphs: the
-// profiler's streaming path and iec104live construct the same
-// input→analyzer pipelines a config file would, so every capability
-// those commands expose is reachable from cmd/pipelined too — and the
-// equivalence tests pin the profiles to be identical either way.
+// The presets are the single-analyzer commands as declared graphs: the
+// profiler's streaming path, iec104live and a control-room tenant's
+// shorthand all construct the same input→analyzer pipeline a config
+// file would, through SourceGraph, so every capability those front
+// ends expose is reachable from cmd/pipelined too — and the equivalence
+// tests pin the profiles to be identical either way.
 
 // presetNode builds one NodeConfig with marshalled params. Params values
 // must be JSON-encodable; durations are emitted as nanosecond numbers,
@@ -33,25 +33,36 @@ func presetNode(id, kind string, from []string, params map[string]any) NodeConfi
 	return nc
 }
 
+// SourceGraph declares the graph every preset is: one packet input
+// (segment inputID of kind inputKind) wired straight into one analyzer
+// (segment "an") in a pipeline called name — the topology on which the
+// input hands its source to the analyzer's engine.
+func SourceGraph(name, inputID, inputKind string, input, analyzer map[string]any) *Config {
+	return &Config{Pipelines: []PipelineConfig{{
+		Name: name,
+		Nodes: []NodeConfig{
+			presetNode(inputID, inputKind, nil, input),
+			presetNode("an", "analyzer", []string{inputID}, analyzer),
+		},
+	}}}
+}
+
 // ProfilerPreset parameterises the profiler command's streaming path.
 type ProfilerPreset struct {
 	// Path is the capture; Follow tails it instead of reading to EOF.
 	Path   string
 	Follow bool
-	// Workers / SnapshotEvery / IdleTimeout / PointCap / Names map to
-	// the analyzer params of the same name. SnapshotEvery only applies
-	// when following (a finished capture publishes the final profile
-	// only), matching the command.
+	// Workers / Readers / SnapshotEvery / IdleTimeout / PointCap / Names
+	// map to the analyzer params of the same name. SnapshotEvery only
+	// applies when following (a finished capture publishes the final
+	// profile only), matching the command; Readers only to a finished
+	// capture (a growing file cannot be segment-planned).
 	Workers       int
+	Readers       int
 	SnapshotEvery time.Duration
 	IdleTimeout   time.Duration
 	PointCap      int
 	Names         bool
-	// Readers > 1 on a finished capture routes through the source
-	// handoff: the input hands the file to the analyzer, whose engine
-	// ingests it with N parallel segment readers. Ignored when
-	// following (a growing file cannot be segment-planned).
-	Readers int
 	// HistorianDir / BaselinePath / IDSBaselinePath arm the analyzer's
 	// optional stages.
 	HistorianDir    string
@@ -60,53 +71,33 @@ type ProfilerPreset struct {
 	// Protocols is the analyzer's protocol param: comma-separated extra
 	// dialects, or "auto" (empty = IEC 104 only).
 	Protocols string
-	// Trace / Observer / DriftAlerts are the programmatic attachments
-	// (flight recorder, per-shard monitors, drift alert sink).
-	Trace       *trace.Recorder
-	Observer    func(shard int) core.FrameObserver
-	DriftAlerts func(ids.Alert)
+	// Trace attaches the flight recorder.
+	Trace *trace.Recorder
 }
 
-// ProfilerGraph returns the declared graph equivalent to the
-// profiler's hand-wired streaming engine — pipeline "profiler",
-// segments "src" → "an" — plus the hooks to install via Options.Hooks.
+// ProfilerGraph returns the declared graph of the profiler's streaming
+// path — pipeline "profiler", segments "src" → "an" — plus the hooks to
+// install via Options.Hooks.
 func ProfilerGraph(p ProfilerPreset) (*Config, map[string]any) {
-	srcKind := "pcap"
+	srcKind, snapshot := "pcap", time.Duration(0)
 	if p.Follow {
-		srcKind = "follow"
+		srcKind, snapshot = "follow", p.SnapshotEvery
 	}
-	snapshot := time.Duration(0)
-	if p.Follow {
-		snapshot = p.SnapshotEvery
-	}
-	srcParams := map[string]any{"path": p.Path}
-	if !p.Follow && p.Readers > 1 {
-		srcParams["readers"] = p.Readers
-	}
-	cfg := &Config{Pipelines: []PipelineConfig{{
-		Name: "profiler",
-		Nodes: []NodeConfig{
-			presetNode("src", srcKind, nil, srcParams),
-			presetNode("an", "analyzer", []string{"src"}, map[string]any{
-				"workers":      p.Workers,
-				"readers":      p.Readers,
-				"snapshot":     snapshot,
-				"idle_timeout": p.IdleTimeout,
-				"cluster_k":    5,
-				"cluster_seed": 1202,
-				"point_cap":    p.PointCap,
-				"names":        p.Names,
-				"historian":    p.HistorianDir,
-				"baseline":     p.BaselinePath,
-				"ids_baseline": p.IDSBaselinePath,
-				"protocol":     p.Protocols,
-			}),
-		},
-	}}}
-	hooks := map[string]any{
-		"profiler/an": AnalyzerHooks{Trace: p.Trace, Observer: p.Observer, DriftAlerts: p.DriftAlerts},
-	}
-	return cfg, hooks
+	cfg := SourceGraph("profiler", "src", srcKind, map[string]any{"path": p.Path}, map[string]any{
+		"workers":      p.Workers,
+		"readers":      p.Readers,
+		"snapshot":     snapshot,
+		"idle_timeout": p.IdleTimeout,
+		"cluster_k":    5,
+		"cluster_seed": 1202,
+		"point_cap":    p.PointCap,
+		"names":        p.Names,
+		"historian":    p.HistorianDir,
+		"baseline":     p.BaselinePath,
+		"ids_baseline": p.IDSBaselinePath,
+		"protocol":     p.Protocols,
+	})
+	return cfg, map[string]any{"profiler/an": AnalyzerHooks{Trace: p.Trace}}
 }
 
 // LivePreset parameterises the iec104live command's graph.
@@ -118,12 +109,9 @@ type LivePreset struct {
 	Duration time.Duration
 	Speed    float64
 	Attack   string
-	// Workers / Readers / SnapshotEvery / HistorianDir / PointCap map
-	// to the analyzer params. Readers only engages when a capture is
-	// handed off whole, so it is inert on the live simulator feed but
-	// keeps the command-line surface uniform.
+	// Workers / SnapshotEvery / HistorianDir / PointCap map to the
+	// analyzer params.
 	Workers       int
-	Readers       int
 	SnapshotEvery time.Duration
 	HistorianDir  string
 	PointCap      int
@@ -133,33 +121,22 @@ type LivePreset struct {
 	Observer func(shard int) core.FrameObserver
 }
 
-// LiveGraph returns the declared graph equivalent to iec104live's
-// hand-wired simulator→engine wiring — pipeline "live", segments
-// "sim" → "an" — plus the hooks to install via Options.Hooks.
+// LiveGraph returns the declared graph of iec104live — pipeline "live",
+// segments "sim" → "an" — plus the hooks to install via Options.Hooks.
 func LiveGraph(p LivePreset) (*Config, map[string]any) {
-	cfg := &Config{Pipelines: []PipelineConfig{{
-		Name: "live",
-		Nodes: []NodeConfig{
-			presetNode("sim", "sim", nil, map[string]any{
-				"year":     p.Year,
-				"seed":     p.Seed,
-				"duration": p.Duration,
-				"speed":    p.Speed,
-				"attack":   p.Attack,
-			}),
-			presetNode("an", "analyzer", []string{"sim"}, map[string]any{
-				"workers":      p.Workers,
-				"readers":      p.Readers,
-				"snapshot":     p.SnapshotEvery,
-				"cluster_k":    5,
-				"cluster_seed": 1202,
-				"point_cap":    p.PointCap,
-				"historian":    p.HistorianDir,
-			}),
-		},
-	}}}
-	hooks := map[string]any{
-		"live/an": AnalyzerHooks{Trace: p.Trace, Observer: p.Observer},
-	}
-	return cfg, hooks
+	cfg := SourceGraph("live", "sim", "sim", map[string]any{
+		"year":     p.Year,
+		"seed":     p.Seed,
+		"duration": p.Duration,
+		"speed":    p.Speed,
+		"attack":   p.Attack,
+	}, map[string]any{
+		"workers":      p.Workers,
+		"snapshot":     p.SnapshotEvery,
+		"cluster_k":    5,
+		"cluster_seed": 1202,
+		"point_cap":    p.PointCap,
+		"historian":    p.HistorianDir,
+	})
+	return cfg, map[string]any{"live/an": AnalyzerHooks{Trace: p.Trace, Observer: p.Observer}}
 }

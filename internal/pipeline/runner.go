@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sync"
@@ -61,6 +62,8 @@ type node struct {
 	in        chan Msg
 	producers atomic.Int32
 	consumers []*node
+	// source, on both ends of a handed-off edge, is its consumer.
+	source sourceTaker
 
 	state atomic.Int32
 	errMu sync.Mutex
@@ -83,6 +86,21 @@ func (n *node) Err() error {
 	n.errMu.Lock()
 	defer n.errMu.Unlock()
 	return n.err
+}
+
+// sourceGiver is a packet input that can hand its source (Msg.Src) to
+// its consumer instead of decoding it inline: oneSource reports that it
+// reads a single stream.Source, armHandoff makes Run emit it and return.
+type sourceGiver interface {
+	oneSource() bool
+	armHandoff()
+}
+
+// sourceTaker is a packets consumer that runs a Msg.Src itself;
+// SourcePackets is how many packets it has ingested from it (the edge's
+// own counters stay 0).
+type sourceTaker interface {
+	SourcePackets() int64
 }
 
 type pipe struct {
@@ -127,7 +145,6 @@ func NewRunner(cfg *Config, opts Options) (*Runner, error) {
 			Logf: func(format string, args ...any) {
 				opts.Logf("["+pc.Name+"] "+format, args...)
 			},
-			hooks: opts.Hooks,
 		}
 		p := &pipe{name: pc.Name, env: env, byID: make(map[string]*node, len(pc.Nodes))}
 		for ni := range pc.Nodes {
@@ -177,20 +194,19 @@ func NewRunner(cfg *Config, opts Options) (*Runner, error) {
 				n.producers.Add(1)
 			}
 		}
-		// A source handoff moves ownership of one capture, so it cannot
-		// be broadcast, and the receiver must know how to run it.
+		// Handoff by topology: an input that reads exactly one source and
+		// is the only producer of its only consumer, which can run a
+		// source, gives it away whole. Anything else (fan-out, a filter in
+		// between, a capture directory) decodes inline.
 		for _, n := range p.nodes {
-			h, ok := n.seg.(interface{ Handoff() bool })
-			if !ok || !h.Handoff() {
+			g, ok := n.seg.(sourceGiver)
+			if !ok || !g.oneSource() || len(n.consumers) != 1 || n.consumers[0].producers.Load() != 1 {
 				continue
 			}
-			if len(n.consumers) != 1 {
-				return nil, fmt.Errorf("pipeline %s segment %s: a source handoff (readers > 0) needs exactly one consumer, has %d",
-					pc.Name, n.id, len(n.consumers))
-			}
-			if _, ok := n.consumers[0].seg.(interface{ AcceptsHandoff() }); !ok {
-				return nil, fmt.Errorf("pipeline %s segment %s: consumer %s (%s) cannot take a source handoff; wire readers > 0 into an analyzer",
-					pc.Name, n.id, n.consumers[0].id, n.consumers[0].kind)
+			c := n.consumers[0]
+			if taker, ok := c.seg.(sourceTaker); ok {
+				g.armHandoff()
+				n.source, c.source = taker, taker
 			}
 		}
 		r.pipes = append(r.pipes, p)
@@ -224,6 +240,37 @@ func (r *Runner) Run(ctx context.Context) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// Close releases what segments keep open past the end of Run — an
+// analyzer's historian goes on answering /query after its capture
+// ended — and joins the failures. Whoever stops the host calls it.
+func (r *Runner) Close() error {
+	var errs []error
+	for _, p := range r.pipes {
+		for _, n := range p.nodes {
+			if c, ok := n.seg.(io.Closer); ok {
+				if err := c.Close(); err != nil {
+					errs = append(errs, fmt.Errorf("pipeline %s segment %s: %w", p.name, n.id, err))
+				}
+			}
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// Analyzer returns the first analyzer segment in config order — the
+// one a single-analyzer front end (a preset command, a service tenant)
+// binds its profile surface to — or nil when no graph has one.
+func (r *Runner) Analyzer() *AnalyzerSegment {
+	for _, p := range r.pipes {
+		for _, n := range p.nodes {
+			if a, ok := n.seg.(*AnalyzerSegment); ok {
+				return a
+			}
+		}
+	}
+	return nil
 }
 
 // runNode wraps one segment's Run with metrics, edge close

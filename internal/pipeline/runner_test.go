@@ -113,15 +113,21 @@ func TestProfilerPresetEquivalence(t *testing.T) {
 	}
 }
 
-// TestProfilerHandoffEquivalence pins the parallel-ingest plumbing:
-// a pcap input with readers > 1 hands the capture file to the analyzer
-// whole, and the N-reader segmented engine produces exactly the state
-// the inline-decoding graph produces.
+// TestProfilerHandoffEquivalence pins the two ways a capture reaches
+// the analyzer against each other: the preset's src → an topology hands
+// the file to the engine whole (1 reader, then 4 segment readers), and
+// the same graph with a pass-through filter in between decodes inline —
+// all three produce exactly the same state.
 func TestProfilerHandoffEquivalence(t *testing.T) {
 	path := writeTestCapture(t, 20*time.Second, 13)
 
-	run := func(readers int) core.Partial {
+	run := func(readers int, inline bool) core.Partial {
 		cfg, hooks := ProfilerGraph(ProfilerPreset{Path: path, Workers: 2, Readers: readers, Names: true})
+		if inline {
+			nodes := cfg.Pipelines[0].Nodes
+			nodes[1].From = []string{"tee"}
+			cfg.Pipelines[0].Nodes = append(nodes, presetNode("tee", "tee", []string{"src"}, nil))
+		}
 		runner, err := NewRunner(cfg, Options{Hooks: hooks, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
@@ -129,62 +135,204 @@ func TestProfilerHandoffEquivalence(t *testing.T) {
 		if err := runner.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return runner.Segment("profiler", "an").(*AnalyzerSegment).Engine().Final()
+		if handedOff := runner.Status()[0].Segments[0].MsgsOut == 1; handedOff == inline {
+			t.Fatalf("readers=%d inline=%v: source handed off = %v", readers, inline, handedOff)
+		}
+		return runner.Analyzer().Engine().Final()
 	}
 
-	want := run(0) // inline decode, no handoff
-	got := run(4)  // source handoff, 4 segment readers
+	want := run(1, true)
 	if want.Packets == 0 {
 		t.Fatal("inline graph analyzed zero packets")
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("handoff path differs from inline path: packets %d vs %d, asdus %d vs %d",
-			want.Packets, got.Packets, want.TotalASDUs, got.TotalASDUs)
+	for _, readers := range []int{1, 4} {
+		if got := run(readers, false); !reflect.DeepEqual(want, got) {
+			t.Errorf("handoff path at %d readers differs from inline path: packets %d vs %d, asdus %d vs %d",
+				readers, got.Packets, want.Packets, got.TotalASDUs, want.TotalASDUs)
+		}
 	}
 }
 
-// TestHandoffValidation pins the runner's topology check: a source
-// handoff moves ownership of one file, so it must feed exactly one
-// analyzer.
-func TestHandoffValidation(t *testing.T) {
-	path := writeTestCapture(t, 2*time.Second, 5)
-	build := func(doc string) error {
-		cfg, err := Parse([]byte(doc), "handoff.jsonc")
+// TestHandoffByTopology pins the one decision the runner takes from the
+// graph's shape: an input that reads one source, wired to nothing but
+// one analyzer, gives the source away (a single Src message, the
+// engine's own readers); every other shape decodes inline.
+func TestHandoffByTopology(t *testing.T) {
+	path := writeTestCapture(t, 5*time.Second, 5)
+	ref := core.NewAnalyzer(nil)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.ReadPCAP(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	total := ref.Partial().Packets
+
+	// A capture directory: two copies of the file, read back to back.
+	dir := t.TempDir()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a.pcap", "b.pcap"} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cases := []struct {
+		name     string
+		segments string
+		handoff  bool
+		readers  int   // engine readers of analyzer "an"
+		packets  []int // final packets per analyzer, in declaration order
+	}{
+		{"single analyzer consumer hands off", fmt.Sprintf(`
+		  { "id": "src", "segment": "pcap", "params": { "path": %q } },
+		  { "id": "an", "segment": "analyzer", "from": ["src"], "params": { "workers": 2, "readers": 3 } }`, path),
+			true, 3, []int{total}},
+		{"fan-out decodes inline", fmt.Sprintf(`
+		  { "id": "src", "segment": "pcap", "params": { "path": %q } },
+		  { "id": "an", "segment": "analyzer", "from": ["src"], "params": { "readers": 3 } },
+		  { "id": "a2", "segment": "analyzer", "from": ["src"] }`, path),
+			false, 1, []int{total, total}},
+		{"filter in between decodes inline", fmt.Sprintf(`
+		  { "id": "src", "segment": "pcap", "params": { "path": %q } },
+		  { "id": "t", "segment": "tee", "from": ["src"] },
+		  { "id": "an", "segment": "analyzer", "from": ["t"], "params": { "readers": 3 } }`, path),
+			false, 1, []int{total}},
+		{"directory decodes inline", fmt.Sprintf(`
+		  { "id": "src", "segment": "pcap", "params": { "path": %q } },
+		  { "id": "an", "segment": "analyzer", "from": ["src"], "params": { "readers": 3 } }`, dir),
+			false, 1, []int{2 * total}},
+		{"paced file hands off to one reader", fmt.Sprintf(`
+		  { "id": "src", "segment": "pcap", "params": { "path": %q, "speed": 1e6 } },
+		  { "id": "an", "segment": "analyzer", "from": ["src"], "params": { "readers": 3 } }`, path),
+			true, 1, []int{total}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := Parse([]byte(`{"pipelines": [{"name": "p", "segments": [`+tc.segments+`]}]}`), "handoff.jsonc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := NewRunner(cfg, Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := runner.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			for _, n := range cfg.Pipelines[0].Nodes {
+				if a, ok := runner.Segment("p", n.ID).(*AnalyzerSegment); ok {
+					got = append(got, a.Engine().Final().Packets)
+				}
+			}
+			if !reflect.DeepEqual(got, tc.packets) {
+				t.Errorf("analyzers saw %v packets, want %v", got, tc.packets)
+			}
+			if n := len(runner.Analyzer().Engine().Status().Readers); n != tc.readers {
+				t.Errorf("engine ran %d readers, want %d", n, tc.readers)
+			}
+			// Both ends of a handed-off edge report the engine's count; an
+			// inline edge counts the packets that rode it.
+			var src, an SegmentStatus
+			for _, s := range runner.Status()[0].Segments {
+				switch s.ID {
+				case "src":
+					src = s
+				case "an":
+					an = s
+				}
+			}
+			if handedOff := src.MsgsOut == 1; handedOff != tc.handoff {
+				t.Errorf("input emitted %d messages: handoff = %v, want %v", src.MsgsOut, handedOff, tc.handoff)
+			}
+			if src.PktsOut != int64(tc.packets[0]) || an.PktsIn != int64(tc.packets[0]) {
+				t.Errorf("edge reports %d packets out, %d in; want %d", src.PktsOut, an.PktsIn, tc.packets[0])
+			}
+		})
+	}
+
+	t.Run("readers on a pcap input is an unknown param", func(t *testing.T) {
+		_, err := Parse([]byte(fmt.Sprintf(`{"pipelines": [{"name": "p", "segments": [
+		  { "id": "src", "segment": "pcap", "params": { "path": %q, "readers": 2 } },
+		  { "id": "an", "segment": "analyzer", "from": ["src"] }
+		]}]}`, path)), "handoff.jsonc")
+		if err == nil || !strings.Contains(err.Error(), `handoff.jsonc:2`) || !strings.Contains(err.Error(), `unknown param "readers"`) {
+			t.Fatalf("Parse error = %v, want handoff.jsonc:2 ... unknown param \"readers\"", err)
+		}
+	})
+}
+
+// TestHandoffDrains: a handed-off source runs under the runner's
+// context, so canceling it is a drain — Run returns promptly with a nil
+// error and the final profile published — both while a followed capture
+// sits at its write frontier and while a finished one is still being
+// read.
+func TestHandoffDrains(t *testing.T) {
+	path := writeTestCapture(t, 10*time.Second, 17)
+
+	t.Run("follow at its frontier", func(t *testing.T) {
+		cfg, hooks := ProfilerGraph(ProfilerPreset{Path: path, Follow: true, Workers: 2, SnapshotEvery: 20 * time.Millisecond})
+		runner, err := NewRunner(cfg, Options{Hooks: hooks, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = NewRunner(cfg, Options{Logf: t.Logf})
-		return err
-	}
-
-	t.Run("fan-out rejected", func(t *testing.T) {
-		err := build(fmt.Sprintf(`{"pipelines": [{"name": "p", "segments": [
-		  { "id": "src", "segment": "pcap", "params": { "path": %q, "readers": 2 } },
-		  { "id": "a1", "segment": "analyzer", "from": ["src"] },
-		  { "id": "a2", "segment": "analyzer", "from": ["src"] }
-		]}]}`, path))
-		if err == nil {
-			t.Fatal("handoff into two consumers built, want error")
+		eng := runner.Analyzer().Engine()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan error, 1)
+		go func() { done <- runner.Run(ctx) }()
+		// The frontier is reached once a snapshot stops growing.
+		for last, deadline := -1, time.Now().Add(10*time.Second); ; {
+			if time.Now().After(deadline) {
+				t.Fatal("followed capture never reached its frontier")
+			}
+			time.Sleep(50 * time.Millisecond)
+			if p := eng.Profile(); p != nil {
+				if p.Packets > 0 && p.Packets == last {
+					break
+				}
+				last = p.Packets
+			}
+		}
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("drain returned %v, want nil", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("canceled follow graph did not drain")
+		}
+		if prof := eng.Profile(); prof == nil || prof.Packets != eng.Final().Packets || prof.Packets == 0 {
+			t.Errorf("final profile after drain: %+v", prof)
 		}
 	})
 
-	t.Run("non-analyzer consumer rejected", func(t *testing.T) {
-		err := build(fmt.Sprintf(`{"pipelines": [{"name": "p", "segments": [
-		  { "id": "src", "segment": "pcap", "params": { "path": %q, "readers": 2 } },
-		  { "id": "f", "segment": "sample", "from": ["src"], "params": { "every": 2 } }
-		]}]}`, path))
-		if err == nil {
-			t.Fatal("handoff into a filter built, want error")
+	t.Run("finished capture mid-read", func(t *testing.T) {
+		cfg, hooks := ProfilerGraph(ProfilerPreset{Path: path, Workers: 2, Readers: 2})
+		runner, err := NewRunner(cfg, Options{Hooks: hooks, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-
-	t.Run("paced handoff rejected", func(t *testing.T) {
-		err := build(fmt.Sprintf(`{"pipelines": [{"name": "p", "segments": [
-		  { "id": "src", "segment": "pcap", "params": { "path": %q, "readers": 2, "speed": 60 } },
-		  { "id": "an", "segment": "analyzer", "from": ["src"] }
-		]}]}`, path))
-		if err == nil {
-			t.Fatal("paced handoff built, want error")
+		// Canceled before the first record: the earliest "mid-read" there
+		// is, and the one that needs no timing.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := runner.Run(ctx); err != nil {
+			t.Fatalf("drain returned %v, want nil", err)
+		}
+		eng := runner.Analyzer().Engine()
+		if eng.Profile() == nil {
+			t.Fatal("no final profile published after the drain")
+		}
+		if got := eng.Final().Packets; got != 0 {
+			t.Errorf("canceled run still read %d packets: the source ignored the runner's context", got)
 		}
 	})
 }

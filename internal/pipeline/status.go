@@ -77,6 +77,14 @@ func (r *Runner) pipeStatus(p *pipe) PipelineStatus {
 		if n.in != nil {
 			ss.QueueLen, ss.QueueCap = len(n.in), cap(n.in)
 		}
+		if n.source != nil {
+			// A handed-off edge: report what the consumer's engine read.
+			if pk := n.source.SourcePackets(); n.in == nil {
+				ss.PktsOut = pk
+			} else {
+				ss.PktsIn = pk
+			}
+		}
 		if err := n.Err(); err != nil {
 			ss.Error = err.Error()
 		}

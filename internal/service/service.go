@@ -1,7 +1,11 @@
 // Package service is the control-room layer of the measurement
 // pipeline: one process hosting N concurrent streaming engines — one
 // per tenant, where a tenant is a balancing authority, a capture era,
-// or a single capture — behind a multi-tenant HTTP API:
+// or a single capture — behind a multi-tenant HTTP API. A tenant with
+// local ingest is a segment graph (internal/pipeline): its config's
+// shorthand compiles into the src → analyzer pair a cmd/pipelined file
+// would declare, or names such a file, and a pipeline.Runner hosts it;
+// the service builds no engine and opens no source of its own.
 //
 //	GET  /v1/{tenant}/profile   rolling profile (cached per snapshot;
 //	                            a probe-only tenant's is its /fleet)
@@ -9,7 +13,7 @@
 //	GET  /v1/{tenant}/query     historian queries, per-tenant namespace
 //	GET  /v1/{tenant}/statusz   live pipeline topology (uncached)
 //	GET  /v1/{tenant}/fleet     fleet-wide merged profile (cached)
-//	GET  /v1/{tenant}/pipeline  hosted segment-graph status (pipeline tenants)
+//	GET  /v1/{tenant}/pipeline  the tenant's live segment graph (engine tenants)
 //	POST /v1/{tenant}/partial   remote-probe partial ingest
 //	GET  /v1/{tenant}/readyz    tenant readiness
 //	GET  /v1/                   tenant index
@@ -116,7 +120,7 @@ func (s *Service) wireTenant(t *Tenant) {
 	}
 	fleet := s.cached(t, "fleet", t.fleetVersion, stream.NewProfileHandler(t.fleetProfile))
 	if t.engine != nil {
-		eps := stream.Endpoints(t.engine, t.hist)
+		eps := t.runner.Analyzer().Endpoints()
 		mount("profile", s.cached(t, "profile", t.engineVersion, eps["/profile"]))
 		mount("statusz", eps["/statusz"])
 		if h, ok := eps["/drift"]; ok {
@@ -262,7 +266,7 @@ func (s *Service) Drain() {
 	for _, name := range s.order {
 		t := s.tenants[name]
 		<-t.done
-		t.closeStore()
+		t.closeGraph()
 	}
 }
 

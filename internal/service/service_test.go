@@ -306,12 +306,12 @@ func (zeros) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestFinishedPCAPTenantKeepsServingQueries: a pcap tenant whose
-// capture has been read to EOF still answers point queries from its
-// historian — the store stays open until Drain.
-func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
-	cfg := scadasim.DefaultConfig(topology.Y1, 7)
-	cfg.Duration = 2 * time.Minute
+// writeCapture synthesizes a short era-1 capture file and returns its
+// path and packet count.
+func writeCapture(t *testing.T, d time.Duration, seed int64) (string, int) {
+	t.Helper()
+	cfg := scadasim.DefaultConfig(topology.Y1, seed)
+	cfg.Duration = d
 	sim, err := scadasim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -328,39 +328,187 @@ func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
 	if err := os.WriteFile(path, capture.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path, len(tr.Records)
+}
 
-	// startSimService waits for the feed to end before returning.
-	svc, srv := startSimService(t,
-		TenantConfig{Name: "era", Source: SourceConfig{Kind: "pcap", Path: path}, Historian: true},
-		Config{HistorianRoot: t.TempDir()})
-
-	_, body := get(t, srv.URL+"/v1/era/query")
-	var catalog []struct {
-		Station string `json:"station"`
-		IOA     uint32 `json:"ioa"`
-		Samples int64  `json:"samples"`
-	}
-	if err := json.Unmarshal(body, &catalog); err != nil || len(catalog) == 0 {
-		t.Fatalf("catalog: %v (%d points, body %.120q)", err, len(catalog), body)
-	}
-	pt := catalog[0]
-	resp, body := get(t, fmt.Sprintf("%s/v1/era/query?station=%s&ioa=%d", srv.URL, pt.Station, pt.IOA))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("point query after EOF: code %d body %.200q", resp.StatusCode, body)
-	}
-	var samples []struct {
-		V float64 `json:"v"`
-	}
-	if err := json.Unmarshal(body, &samples); err != nil {
+// TestFinishedPCAPTenantKeepsServingQueries: a tenant whose capture has
+// been read to EOF still answers point queries from its historian — the
+// store stays open until Drain — whether the graph came from the
+// shorthand or from a pipeline file.
+func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
+	path, _ := writeCapture(t, 2*time.Minute, 7)
+	histRoot := t.TempDir()
+	graph := t.TempDir() + "/graph.jsonc"
+	doc := fmt.Sprintf(`{"pipelines": [{"name": "era", "segments": [
+	  { "id": "src", "segment": "pcap", "params": { "path": %q } },
+	  { "id": "an", "segment": "analyzer", "from": ["src"], "params": { "historian": %q } }
+	]}]}`, path, histRoot+"/declared")
+	if err := os.WriteFile(graph, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(samples)) != pt.Samples || len(samples) == 0 {
-		t.Errorf("point query returned %d samples, catalog says %d", len(samples), pt.Samples)
-	}
+	for _, tc := range []TenantConfig{
+		{Name: "shorthand", Source: SourceConfig{Kind: "pcap", Path: path}, Historian: true},
+		{Name: "pipeline", Source: SourceConfig{Kind: "pipeline", File: graph}},
+	} {
+		t.Run(tc.Name, func(t *testing.T) {
+			// startSimService waits for the feed to end before returning.
+			svc, srv := startSimService(t, tc, Config{HistorianRoot: histRoot})
+			base := srv.URL + "/v1/" + tc.Name
 
-	svc.Drain()
-	if err := svc.Tenant("era").Err(); err != nil {
-		t.Errorf("tenant error after drain: %v", err)
+			_, body := get(t, base+"/query")
+			var catalog []struct {
+				Station string `json:"station"`
+				IOA     uint32 `json:"ioa"`
+				Samples int64  `json:"samples"`
+			}
+			if err := json.Unmarshal(body, &catalog); err != nil || len(catalog) < 2 {
+				t.Fatalf("catalog: %v (%d points, body %.120q)", err, len(catalog), body)
+			}
+			pt := catalog[0]
+			resp, body := get(t, fmt.Sprintf("%s/query?station=%s&ioa=%d", base, pt.Station, pt.IOA))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("point query after EOF: code %d body %.200q", resp.StatusCode, body)
+			}
+			var samples []struct {
+				V float64 `json:"v"`
+			}
+			if err := json.Unmarshal(body, &samples); err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(samples)) != pt.Samples || len(samples) == 0 {
+				t.Errorf("point query returned %d samples, catalog says %d", len(samples), pt.Samples)
+			}
+
+			svc.Drain()
+			if err := svc.Tenant(tc.Name).Err(); err != nil {
+				t.Errorf("tenant error after drain: %v", err)
+			}
+			// Drain closed the store: a point nobody asked for yet (so not
+			// in the response cache) cannot be read any more.
+			pt = catalog[1]
+			if resp, body := get(t, fmt.Sprintf("%s/query?station=%s&ioa=%d", base, pt.Station, pt.IOA)); resp.StatusCode == http.StatusOK {
+				t.Errorf("point query after Drain still answers 200: %.120q", body)
+			}
+		})
+	}
+}
+
+// referenceTenantEngine wires an engine the way newTenant did before a
+// tenant became a graph — source through the shared opener, names from
+// a simulated feed's topology only, the shorthand's own defaults — and
+// is kept as what TestTenantGraphEquivalence compares the graph with.
+func referenceTenantEngine(t *testing.T, cfg TenantConfig) (*stream.Engine, stream.Source) {
+	t.Helper()
+	sc := cfg.Source
+	feed, err := stream.OpenSource(stream.SourceSpec{
+		Kind:  sc.Kind,
+		Path:  sc.Path,
+		Speed: sc.Speed,
+		Sim:   stream.SimSpec{Year: sc.Year, Seed: sc.Seed, Duration: time.Duration(sc.Duration)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names map[netip.Addr]string
+	if feed.Network != nil {
+		names = core.NamesFromTopology(feed.Network)
+	}
+	snapshotEvery := time.Duration(cfg.Snapshot)
+	if snapshotEvery <= 0 {
+		snapshotEvery = time.Second
+	}
+	return stream.New(stream.Config{
+		Workers:         cfg.Workers,
+		SnapshotEvery:   snapshotEvery,
+		IdleTimeout:     time.Duration(cfg.IdleTimeout),
+		ClusterK:        cfg.ClusterK,
+		ClusterSeed:     clusterSeed,
+		Names:           names,
+		Registry:        obs.NewRegistry().With("tenant", cfg.Name),
+		MaxPointSamples: cfg.PointCap,
+	}), feed.Source
+}
+
+// TestTenantGraphEquivalence: a shorthand tenant — now compiled into a
+// src → an graph and hosted like a pipeline file's — ends in exactly
+// the state, and serves byte for byte the /profile, of the engine the
+// shorthand used to wire by hand. The rows leave duration, cluster_k,
+// workers and names to the shorthand's own defaults, which are not the
+// segments'. The snapshot period is an hour so that both sides publish
+// once, at the end, and the profiles carry the same sequence number.
+func TestTenantGraphEquivalence(t *testing.T) {
+	path, packets := writeCapture(t, time.Minute, 5)
+	hour := Duration(time.Hour)
+	for _, tc := range []TenantConfig{
+		{Name: "pcap", Source: SourceConfig{Kind: "pcap", Path: path}, Workers: 2, Snapshot: hour,
+			PointCap: 32, IdleTimeout: Duration(20 * time.Second)},
+		{Name: "follow", Source: SourceConfig{Kind: "follow", Path: path}, Snapshot: hour, ClusterK: 3},
+		{Name: "sim", Source: SourceConfig{Kind: "sim", Year: 2, Seed: 9}, Workers: 2, Snapshot: hour},
+	} {
+		t.Run(tc.Name, func(t *testing.T) {
+			// caughtUp blocks until a tailing engine has dispatched the
+			// whole capture; a finite feed ends on its own.
+			caughtUp := func(e *stream.Engine) {
+				for deadline := time.Now().Add(20 * time.Second); tc.Source.Kind == "follow" && e.Status().Packets < int64(packets); {
+					if time.Now().After(deadline) {
+						t.Fatalf("tail stuck at %d of %d packets", e.Status().Packets, packets)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+
+			ref, src := referenceTenantEngine(t, tc)
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- ref.Run(ctx, src) }()
+			caughtUp(ref)
+			if tc.Source.Kind == "follow" {
+				cancel()
+			}
+			if err := <-done; err != nil && err != context.Canceled {
+				t.Fatal(err)
+			}
+			cancel()
+			src.Close()
+
+			svc, err := New(Config{Tenants: []TenantConfig{tc}}, obs.NewRegistry(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.Start(context.Background())
+			tenant := svc.Tenant(tc.Name)
+			caughtUp(tenant.engine)
+			if tc.Source.Kind == "follow" {
+				svc.Drain()
+			}
+			svc.Wait()
+			if err := tenant.Err(); err != nil {
+				t.Fatal(err)
+			}
+
+			want, got := ref.Final(), tenant.engine.Final()
+			if want.Packets == 0 || (tc.Source.Kind != "sim" && want.Packets != packets) {
+				t.Fatalf("reference analyzed %d packets of %d", want.Packets, packets)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("tenant final state differs from the hand-wired engine's: packets %d vs %d, asdus %d vs %d",
+					got.Packets, want.Packets, got.TotalASDUs, want.TotalASDUs)
+			}
+			wantBody := httptest.NewRecorder()
+			stream.NewProfileHandler(ref.Profile).ServeHTTP(wantBody, httptest.NewRequest("GET", "/profile", nil))
+			gotBody := httptest.NewRecorder()
+			svc.Handler().ServeHTTP(gotBody, httptest.NewRequest("GET", "/v1/"+tc.Name+"/profile", nil))
+			if gotBody.Code != http.StatusOK || !bytes.Equal(wantBody.Body.Bytes(), gotBody.Body.Bytes()) {
+				t.Errorf("/profile (code %d, %d bytes) differs from the hand-wired engine's (%d bytes)",
+					gotBody.Code, gotBody.Body.Len(), wantBody.Body.Len())
+			}
+			// The tenant's graph is on view like a pipeline file's would be.
+			view := httptest.NewRecorder()
+			svc.Handler().ServeHTTP(view, httptest.NewRequest("GET", "/v1/"+tc.Name+"/pipeline?format=text", nil))
+			if view.Code != http.StatusOK || !strings.Contains(view.Body.String(), "pipeline "+tc.Source.Kind) {
+				t.Errorf("/pipeline: code %d body %.200q", view.Code, view.Body.String())
+			}
+		})
 	}
 }
 

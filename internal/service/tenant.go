@@ -2,16 +2,13 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"log"
 	"net/http"
-	"net/netip"
 	"strconv"
 	"sync"
 	"time"
 
-	"uncharted/internal/core"
-	"uncharted/internal/drift"
 	"uncharted/internal/historian"
 	"uncharted/internal/obs"
 	"uncharted/internal/pipeline"
@@ -22,21 +19,23 @@ import (
 // matching the single-engine commands.
 const clusterSeed = 1202
 
-// Tenant is one hosted balancing authority / era / capture: its own
-// engine (nil for probe-only tenants), historian namespace, fleet
-// aggregate, and pre-built route set.
+// Tenant is one hosted balancing authority / era / capture. A tenant
+// with local ingest is a segment graph — declared in a cmd/pipelined
+// config ("pipeline" sources) or compiled from the TenantConfig
+// shorthand into the src → an pair such a file would declare — hosted
+// by its own pipeline.Runner; a probe-only tenant has none. Either way
+// it carries a fleet aggregate and a pre-built route set.
 type Tenant struct {
-	name   string
-	cfg    TenantConfig
+	name string
+	cfg  TenantConfig
+	// runner hosts the tenant's graph; engine is the engine of the
+	// graph's first analyzer, which the profile surface binds to (nil
+	// for probe-only tenants and analyzer-less graphs: the fleet
+	// aggregate is then the only profile).
+	runner *pipeline.Runner
 	engine *stream.Engine
-	src    stream.Source
-	hist   *historian.Store
 	// probes is the fleet aggregate: partials posted by remote probes.
 	probes stream.ProbeSet
-	// runner hosts a declared segment graph for "pipeline" tenants;
-	// engine then aliases the graph's first analyzer (or stays nil for
-	// analyzer-less graphs).
-	runner *pipeline.Runner
 
 	routes map[string]route
 
@@ -52,10 +51,10 @@ type Tenant struct {
 	runErr error
 }
 
-// newTenant builds one tenant from its config: source, engine,
-// historian namespace and metric series — everything but the route
-// set, which the service wires after it exists (handlers close over
-// the service's cache).
+// newTenant builds one tenant from its config: the graph with its
+// source, engine and historian namespace, and the metric series —
+// everything but the route set, which the service wires after it
+// exists (handlers close over the service's cache).
 func newTenant(cfg TenantConfig, svcCfg Config, reg *obs.Registry, journal *obs.Journal) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("service: tenant with empty name")
@@ -70,133 +69,105 @@ func newTenant(cfg TenantConfig, svcCfg Config, reg *obs.Registry, journal *obs.
 		partialsIn:  treg.Counter("uncharted_service_partials_total"),
 		done:        make(chan struct{}),
 	}
-
-	if cfg.Source.Kind == "pipeline" {
-		if err := t.attachPipeline(cfg.Source, treg, journal); err != nil {
-			return nil, fmt.Errorf("service: tenant %s: %w", cfg.Name, err)
-		}
+	var graph *pipeline.Config
+	var err error
+	// A shorthand tenant's graph has nothing to say on the daemon's log:
+	// its drift findings are on /drift and in the journal, its failure in
+	// Err. A declared graph may hold log outputs.
+	logf := func(string, ...any) {}
+	switch cfg.Source.Kind {
+	case "probe", "":
+		// Probe-only tenant: no local ingest, the fleet aggregate is the
+		// profile.
 		return t, nil
+	case "pipeline":
+		graph, err = declaredGraph(cfg.Source)
+		logf = func(format string, args ...any) { log.Printf("tenant "+cfg.Name+": "+format, args...) }
+	default:
+		graph, err = shorthandGraph(cfg, svcCfg.HistorianRoot)
 	}
-
-	src, nameMap, err := buildSource(cfg.Source)
+	if err == nil {
+		t.runner, err = pipeline.NewRunner(graph, pipeline.Options{Registry: treg, Journal: journal, Logf: logf})
+	}
 	if err != nil {
 		return nil, fmt.Errorf("service: tenant %s: %w", cfg.Name, err)
 	}
-	if src == nil {
-		// Probe-only tenant: no engine, the fleet aggregate is the
-		// profile.
-		return t, nil
+	if a := t.runner.Analyzer(); a != nil {
+		t.engine = a.Engine()
 	}
-	t.src = src
-
-	if cfg.Historian {
-		root := svcCfg.HistorianRoot
-		if root == "" {
-			return nil, fmt.Errorf("service: tenant %s: historian enabled but no historian_root configured", cfg.Name)
-		}
-		st, err := historian.OpenNamespace(root, cfg.Name, historian.Options{Registry: treg})
-		if err != nil {
-			return nil, fmt.Errorf("service: tenant %s: %w", cfg.Name, err)
-		}
-		t.hist = st
-	}
-
-	var baseline *drift.Profile
-	if cfg.BaselinePath != "" {
-		baseline, err = drift.LoadProfile(cfg.BaselinePath)
-		if err != nil {
-			return nil, fmt.Errorf("service: tenant %s: %w", cfg.Name, err)
-		}
-	}
-
-	snapshotEvery := time.Duration(cfg.Snapshot)
-	if snapshotEvery <= 0 {
-		snapshotEvery = time.Second
-	}
-	t.engine = stream.New(stream.Config{
-		Workers:         cfg.Workers,
-		SnapshotEvery:   snapshotEvery,
-		IdleTimeout:     time.Duration(cfg.IdleTimeout),
-		ClusterK:        cfg.ClusterK,
-		ClusterSeed:     clusterSeed,
-		Names:           nameMap,
-		Registry:        treg,
-		Journal:         journal,
-		Historian:       t.hist,
-		MaxPointSamples: cfg.PointCap,
-		Baseline:        baseline,
-	})
 	return t, nil
 }
 
-// attachPipeline hosts a declared segment graph as the tenant's
-// ingest: the named pipeline from a cmd/pipelined config file runs
-// inside the tenant, and the tenant's profile surface binds to the
-// graph's first analyzer segment (a graph without one still runs; the
-// fleet aggregate is then the only profile).
-func (t *Tenant) attachPipeline(sc SourceConfig, reg *obs.Registry, journal *obs.Journal) error {
+// declaredGraph loads the named pipeline of a cmd/pipelined config
+// file: the graph of a "pipeline" source.
+func declaredGraph(sc SourceConfig) (*pipeline.Config, error) {
 	if sc.File == "" {
-		return fmt.Errorf(`pipeline source needs "file" (a cmd/pipelined config)`)
+		return nil, fmt.Errorf(`pipeline source needs "file" (a cmd/pipelined config)`)
 	}
 	pcfg, err := pipeline.Load(sc.File)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var pc *pipeline.PipelineConfig
 	if sc.Pipeline == "" {
 		if len(pcfg.Pipelines) != 1 {
-			return fmt.Errorf("%s declares %d pipelines; set \"pipeline\" to pick one", sc.File, len(pcfg.Pipelines))
+			return nil, fmt.Errorf("%s declares %d pipelines; set \"pipeline\" to pick one", sc.File, len(pcfg.Pipelines))
 		}
-		pc = &pcfg.Pipelines[0]
-	} else {
-		for i := range pcfg.Pipelines {
-			if pcfg.Pipelines[i].Name == sc.Pipeline {
-				pc = &pcfg.Pipelines[i]
-				break
-			}
-		}
-		if pc == nil {
-			return fmt.Errorf("%s declares no pipeline %q", sc.File, sc.Pipeline)
+		return pcfg, nil
+	}
+	for _, pc := range pcfg.Pipelines {
+		if pc.Name == sc.Pipeline {
+			return &pipeline.Config{Pipelines: []pipeline.PipelineConfig{pc}}, nil
 		}
 	}
-	runner, err := pipeline.NewRunner(&pipeline.Config{Pipelines: []pipeline.PipelineConfig{*pc}},
-		pipeline.Options{Registry: reg, Journal: journal})
-	if err != nil {
-		return err
-	}
-	t.runner = runner
-	for _, st := range runner.Status() {
-		for _, seg := range st.Segments {
-			if a, ok := runner.Segment(st.Name, seg.ID).(*pipeline.AnalyzerSegment); ok {
-				t.engine = a.Engine()
-				t.hist = a.Historian()
-				return nil
-			}
-		}
-	}
-	return nil
+	return nil, fmt.Errorf("%s declares no pipeline %q", sc.File, sc.Pipeline)
 }
 
-// buildSource materialises a tenant's packet source through the shared
-// opener. A probe source returns (nil, nil, nil): no local ingest.
-func buildSource(sc SourceConfig) (stream.Source, map[netip.Addr]string, error) {
-	if sc.Kind == "probe" || sc.Kind == "" {
-		return nil, nil, nil
+// shorthandGraph compiles the TenantConfig shorthand into the graph a
+// config file would declare for it: pipeline {kind}, segments "src"
+// (the sim, pcap or follow input) → "an". Every value is written out,
+// because the shorthand's defaults are its own: a sim source without a
+// duration simulates the campaign default, clustering is off unless
+// cluster_k says otherwise, the snapshot period defaults to 1 s, only
+// a simulated feed is labeled with the simulated topology's names, and
+// the historian lives in the tenant's namespace under the service root.
+func shorthandGraph(cfg TenantConfig, historianRoot string) (*pipeline.Config, error) {
+	sc := cfg.Source
+	var src map[string]any
+	switch sc.Kind {
+	case "sim":
+		src = map[string]any{"year": sc.Year, "seed": sc.Seed, "duration": time.Duration(sc.Duration), "speed": sc.Speed}
+	case "pcap":
+		src = map[string]any{"path": sc.Path, "speed": sc.Speed}
+	case "follow":
+		src = map[string]any{"path": sc.Path}
+	default:
+		return nil, fmt.Errorf("unknown source kind %q (want sim, pcap, follow, probe or pipeline)", sc.Kind)
 	}
-	feed, err := stream.OpenSource(stream.SourceSpec{
-		Kind:  sc.Kind,
-		Path:  sc.Path,
-		Speed: sc.Speed,
-		Sim:   stream.SimSpec{Year: sc.Year, Seed: sc.Seed, Duration: time.Duration(sc.Duration)},
-	})
-	if err != nil {
-		return nil, nil, err
+	snapshot := time.Duration(cfg.Snapshot)
+	if snapshot <= 0 {
+		snapshot = time.Second
 	}
-	var names map[netip.Addr]string
-	if feed.Network != nil {
-		names = core.NamesFromTopology(feed.Network)
+	an := map[string]any{
+		"workers":      cfg.Workers,
+		"snapshot":     snapshot,
+		"idle_timeout": time.Duration(cfg.IdleTimeout),
+		"cluster_k":    cfg.ClusterK,
+		"cluster_seed": clusterSeed,
+		"point_cap":    cfg.PointCap,
+		"names":        sc.Kind == "sim",
+		"baseline":     cfg.BaselinePath,
 	}
-	return feed.Source, names, nil
+	if cfg.Historian {
+		if historianRoot == "" {
+			return nil, fmt.Errorf("historian enabled but no historian_root configured")
+		}
+		dir, err := historian.NamespaceDir(historianRoot, cfg.Name)
+		if err != nil {
+			return nil, err
+		}
+		an["historian"] = dir
+	}
+	return pipeline.SourceGraph(sc.Kind, "src", sc.Kind, src, an), nil
 }
 
 // engineVersion is the cache version for engine-backed endpoints: the
@@ -271,50 +242,34 @@ func (t *Tenant) handlePartial(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// run drives the tenant's engine until its source is exhausted or the
-// service drains it.
+// run drives the tenant's graph until its source is exhausted or the
+// service drains it; a cancelled ctx is the normal way a live tenant
+// stops, and the runner reports it as a clean drain. The historian
+// stays open: a finished feed keeps answering /query from it (the
+// engine synced it on its final publish) until Service.Drain.
 func (t *Tenant) run(ctx context.Context) {
 	defer close(t.done)
 	if t.runner != nil {
-		// The graph owns its segments' lifecycles (the analyzer closes
-		// its own historian); a cancelled ctx is the normal drain.
-		err := t.runner.Run(ctx)
-		t.errMu.Lock()
-		t.runErr = err
-		t.errMu.Unlock()
-		return
+		t.fail(t.runner.Run(ctx))
 	}
-	if t.engine == nil {
-		return
-	}
-	err := t.engine.Run(ctx, t.src)
-	if errors.Is(err, context.Canceled) {
-		// A drain is the normal way a live tenant stops.
-		err = nil
-	}
-	t.src.Close()
-	// The historian stays open: a finished feed keeps answering
-	// /query from it (the engine synced it on its final publish).
-	// Service.Drain closes it.
-	t.errMu.Lock()
-	t.runErr = err
-	t.errMu.Unlock()
 }
 
-// closeStore closes the tenant's own historian namespace once its
-// ingest is done; a pipeline tenant's graph closes its own. Store.Close
-// is idempotent, so a second Drain is harmless.
-func (t *Tenant) closeStore() {
-	if t.hist == nil || t.runner != nil {
-		return
+// closeGraph closes what the tenant's graph kept open past its ingest
+// (the historian namespace). Closing is idempotent, so a second Drain
+// is harmless.
+func (t *Tenant) closeGraph() {
+	if t.runner != nil {
+		t.fail(t.runner.Close())
 	}
-	if err := t.hist.Close(); err != nil {
-		t.errMu.Lock()
-		if t.runErr == nil {
-			t.runErr = err
-		}
-		t.errMu.Unlock()
+}
+
+// fail records the tenant's first terminal error.
+func (t *Tenant) fail(err error) {
+	t.errMu.Lock()
+	if t.runErr == nil {
+		t.runErr = err
 	}
+	t.errMu.Unlock()
 }
 
 // Err returns the tenant's terminal ingest error, if any; valid once
