@@ -6,9 +6,9 @@
 // the exact final profile as JSON.
 //
 // With -attack an Industroyer-style scenario is injected mid-feed and
-// an online detector (one ids.Monitor per shard, trained on a clean
-// run of the same grid) raises alerts the moment the offending frames
-// pass through.
+// the feed fans out to an online detector (the graph's ids segment,
+// trained on a clean run of the same grid) that raises alerts the
+// moment the offending frames pass through.
 //
 // With -pcap the identical traffic is also written as a capture, so
 // the streamed profile can be cross-checked against the offline
@@ -36,14 +36,11 @@ import (
 	"flag"
 	"log"
 	"os"
-	"sync"
 	"time"
 
-	"uncharted/internal/core"
 	"uncharted/internal/ids"
 	"uncharted/internal/obs/trace"
 	"uncharted/internal/pipeline"
-	"uncharted/internal/topology"
 )
 
 func main() {
@@ -70,41 +67,11 @@ func run() int {
 	traceSample := flag.Int("trace-sample", 64, "with -trace, record 1 in N span starts per lane")
 	flag.Parse()
 
-	y := topology.Y1
-	if *year == 2 {
-		y = topology.Y2
-	}
-
-	var observer func(int) core.FrameObserver
-	var alertMu sync.Mutex
-	alerts := 0
-	if *attack != "" {
-		switch *attack {
-		case "recon", "breaker", "setpoint":
-		default:
-			log.Printf("unknown -attack %q (want recon, breaker or setpoint)", *attack)
-			return 2
-		}
-		// Train on a clean run of the same grid and length (a different
-		// seed, like training on yesterday's capture).
-		baseline, err := pipeline.TrainBaseline(y, *seed+1000, *duration)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		eps, conns, points := baseline.Size()
-		log.Printf("online detector armed: %d endpoints, %d connections, %d physical points whitelisted",
-			eps, conns, points)
-		// Monitors are per shard (no locking inside), but they share the
-		// alert sink, so the sink serialises itself.
-		observer = func(shard int) core.FrameObserver {
-			return ids.NewMonitor(baseline, func(al ids.Alert) {
-				alertMu.Lock()
-				defer alertMu.Unlock()
-				alerts++
-				log.Printf("ALERT [shard %d] %v", shard, al)
-			})
-		}
+	switch *attack {
+	case "", "recon", "breaker", "setpoint":
+	default:
+		log.Printf("unknown -attack %q (want recon, breaker or setpoint)", *attack)
+		return 2
 	}
 
 	if *historianDir != "" {
@@ -113,11 +80,11 @@ func run() int {
 
 	// The sim→analyzer graph is the same declared pipeline a
 	// cmd/pipelined config would build, hosted like every graph-running
-	// command's; the simulator runs (and the attack is injected) while
-	// the runner constructs the segments.
+	// command's; the simulator runs (the attack is injected, the detector
+	// trained) while the runner constructs the segments.
 	return pipeline.Host{
 		Graph: func(rec *trace.Recorder) (*pipeline.Config, map[string]any) {
-			return pipeline.LiveGraph(pipeline.LivePreset{
+			graph, hooks := pipeline.LiveGraph(pipeline.LivePreset{
 				Year:          *year,
 				Seed:          int(*seed),
 				Duration:      *duration,
@@ -128,8 +95,9 @@ func run() int {
 				HistorianDir:  *historianDir,
 				PointCap:      *pointCap,
 				Trace:         rec,
-				Observer:      observer,
 			})
+			hooks["live/ids"] = func(al ids.Alert) { log.Printf("ALERT %v", al) }
+			return graph, hooks
 		},
 		JournalPath: *journalPath,
 		Addr:        *metricsAddr,
@@ -168,8 +136,8 @@ func run() int {
 			default:
 				log.Printf("feed exhausted in %s", elapsed)
 			}
-			if *attack != "" {
-				log.Printf("online alerts raised: %d", alerts)
+			if det, ok := h.Runner.Segment("live", "ids").(*pipeline.IDSSegment); ok {
+				log.Printf("online alerts raised: %d", det.Alerts())
 			}
 			// The final profile is exact: every dispatched packet was analyzed
 			// before the shards shut down.

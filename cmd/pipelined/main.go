@@ -41,7 +41,6 @@ func run() int {
 
 	addr := flag.String("addr", "", "serve /metrics, /statusz and /pipelines/... on this address (e.g. :9190)")
 	journalPath := flag.String("journal", "", "append structured events from every pipeline to this JSONL file")
-	queueDepth := flag.Int("queue", 64, "per-edge buffer in messages")
 	validate := flag.Bool("validate", false, "parse, schema-check and graph-check the config(s), then exit (0 = valid)")
 	segments := flag.Bool("segments", false, "print the segment catalog and exit")
 	flag.Parse()
@@ -69,7 +68,6 @@ func run() int {
 		Graph:       func(*trace.Recorder) (*pipeline.Config, map[string]any) { return cfg, nil },
 		JournalPath: *journalPath,
 		Addr:        *addr,
-		QueueDepth:  *queueDepth,
 		After: func(h *pipeline.Hosted) int {
 			exit := 0
 			if h.Err != nil {

@@ -5,13 +5,16 @@
 // physical-measurement ranking, and the pipeline's own observability
 // stats (per-stage wall time and metric counters).
 //
-// With -follow the capture is tailed like `tail -f` through the
-// streaming engine: -workers shards analyze concurrently, a rolling
-// profile is published at -metrics under /profile, and Ctrl-C drains
-// the pipeline and prints the final reports. In streaming mode -trace
-// arms the flight recorder: sampled stage spans exported as a Chrome
-// trace_event JSON file on drain (or SIGUSR1), with /statusz and
-// /readyz served next to /metrics.
+// Every run is the declared src → analyzer graph (pipeline.ProfilerGraph)
+// under the shared host: -workers shards analyze concurrently, a rolling
+// profile is published at -metrics under /profile with /statusz and
+// /readyz next to /metrics, and Ctrl-C drains the pipeline and prints
+// the reports of what was read. With -follow the capture is tailed like
+// `tail -f` until interrupted. -trace arms the flight recorder: sampled
+// stage spans exported as a Chrome trace_event JSON file on drain (or
+// SIGUSR1). A one-shard run (the default) keeps every sample in one
+// analyzer, which is what the timing report, -save-baseline and the
+// end-of-run -load-baseline scan read.
 //
 // Usage:
 //
@@ -30,13 +33,13 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"uncharted/internal/core"
 	"uncharted/internal/drift"
-	"uncharted/internal/historian"
 	"uncharted/internal/ids"
 	"uncharted/internal/obs"
 	"uncharted/internal/obs/trace"
@@ -44,8 +47,10 @@ import (
 	"uncharted/internal/pipeline"
 	"uncharted/internal/protocol"
 	"uncharted/internal/stream"
-	"uncharted/internal/topology"
 )
+
+// reportNames is every -report value, in the default print order.
+var reportNames = []string{"flows", "compliance", "clusters", "markov", "types", "physical", "timing", "stats"}
 
 // reportHelp documents every -report value.
 const reportHelp = `comma-separated reports to print; valid values:
@@ -55,33 +60,32 @@ const reportHelp = `comma-separated reports to print; valid values:
   markov      per-connection Markov chains and outstation classes (Fig. 13/17, Table 6)
   types       ASDU type distribution (Table 7)
   physical    measurement series ranked by normalized variance (§6.4)
-  timing      recovered per-station reporting periods (offline mode only)
+  timing      recovered per-station reporting periods (one-shard runs)
   stats       pipeline observability: stage timings, counters, journal events`
 
-// The flag table. Both halves of the command and the shared report
-// printer read it directly.
+// The flag table; the report printer reads it directly.
 var (
-	reports       = flag.String("report", "flows,compliance,clusters,markov,types,physical,timing,stats", reportHelp)
+	reports       = flag.String("report", strings.Join(reportNames, ","), reportHelp)
 	names         = flag.Bool("names", true, "label addresses with the simulated topology's names (C1, O30, ...)")
 	proto         = flag.String("proto", "", "extra dialects to decode, comma-separated (c37118, modbus), or \"auto\" to content-detect every registered dialect")
 	journalPath   = flag.String("journal", "", "append structured pipeline events to this JSONL file")
-	follow        = flag.Bool("follow", false, "tail a growing capture with the streaming engine until interrupted")
-	workers       = flag.Int("workers", 1, "analysis shards for the streaming engine (with -follow, or >1 to shard a finished capture)")
+	follow        = flag.Bool("follow", false, "tail a growing capture until interrupted")
+	workers       = flag.Int("workers", 1, "analysis shards")
 	readers       = flag.Int("readers", 0, "parallel segment readers for a finished capture: the file is split at record boundaries and ingested concurrently (0 = match -workers; ignored with -follow)")
 	metricsAddr   = flag.String("metrics", "", "serve /metrics, /debug/vars and /profile on this address (e.g. :9104)")
-	snapshotEvery = flag.Duration("snapshot", 2*time.Second, "rolling-profile period in streaming mode")
-	idleTimeout   = flag.Duration("idle-timeout", 0, "evict flows idle this long in streaming mode (0 = keep all)")
+	snapshotEvery = flag.Duration("snapshot", 2*time.Second, "rolling-profile period with -follow")
+	idleTimeout   = flag.Duration("idle-timeout", 0, "evict flows idle this long (0 = keep all)")
 	historianDir  = flag.String("historian", "", "record every extracted measurement into the durable historian at this directory (adds /query next to /metrics)")
 	pointCap      = flag.Int("point-cap", 0, "cap in-memory samples per series; pair with -historian so long -follow runs hold steady memory (0 = unbounded)")
 	saveProfile   = flag.String("save-profile", "", "save the merged analysis state as a versioned profile file for later drift comparison")
 	profileLabel  = flag.String("profile-label", "", "label stored with -save-profile and -push (default: capture path)")
 	pushURL       = flag.String("push", "", "probe mode: POST the final merged partial (drift profile codec) to this control-room URL, e.g. http://host:9180/v1/fleet/partial")
-	baselinePath  = flag.String("baseline", "", "compare against this stored profile and print the drift report; with -follow the rolling profile is diffed live and served at /drift")
-	saveBaseline  = flag.String("save-baseline", "", "train an IDS whitelist on the capture and persist it (offline single-analyzer mode only)")
-	loadBaseline  = flag.String("load-baseline", "", "load a persisted IDS whitelist: offline mode scans the capture, streaming mode arms per-shard monitors")
+	baselinePath  = flag.String("baseline", "", "compare against this stored profile and print the drift report; the rolling profile is diffed live and served at /drift")
+	saveBaseline  = flag.String("save-baseline", "", "train an IDS whitelist on the capture and persist it (needs a one-shard run)")
+	loadBaseline  = flag.String("load-baseline", "", "load a persisted IDS whitelist: arms one online monitor per shard, and a one-shard run also scans the whole capture at the end")
 	cpuProfile    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile    = flag.String("memprofile", "", "write a pprof allocation profile to this file at exit")
-	tracePath     = flag.String("trace", "", "streaming mode: record sampled stage spans and write a Chrome trace_event JSON file here on drain (SIGUSR1 dumps mid-run)")
+	tracePath     = flag.String("trace", "", "record sampled stage spans and write a Chrome trace_event JSON file here on drain (SIGUSR1 dumps mid-run)")
 	traceSample   = flag.Int("trace-sample", 64, "with -trace, record 1 in N span starts per lane")
 )
 
@@ -89,6 +93,9 @@ func main() {
 	os.Exit(run())
 }
 
+// run checks the flags, hosts the ProfilerGraph preset like every
+// graph-running command (pipeline.Host) and renders the reports from
+// the drained engine.
 func run() int {
 	log.SetFlags(0)
 	log.SetPrefix("profiler: ")
@@ -96,6 +103,23 @@ func run() int {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Print("usage: profiler [-report list] [-journal events.jsonl] [-follow] [-workers N] [-metrics addr] capture.pcap")
+		return 2
+	}
+	want := map[string]bool{}
+	for _, r := range strings.Split(*reports, ",") {
+		r = strings.TrimSpace(r)
+		if !slices.Contains(reportNames, r) {
+			log.Printf("unknown -report %q (want %s)", r, strings.Join(reportNames, ", "))
+			return 2
+		}
+		want[r] = true
+	}
+	if _, err := stream.ParseProtocols(*proto); err != nil {
+		log.Print(err)
+		return 2
+	}
+	if *saveBaseline != "" && *workers > 1 {
+		log.Print("-save-baseline needs a one-shard run (raw samples stay with the shard that saw them)")
 		return 2
 	}
 
@@ -109,111 +133,85 @@ func run() int {
 	if *profileLabel == "" {
 		*profileLabel = flag.Arg(0)
 	}
-	protos, err := stream.ParseProtocols(*proto)
-	if err != nil {
-		log.Print(err)
-		return 2
-	}
-
-	// -readers defaults to the shard count: parallel ingest engages
-	// exactly when the analysis side fans out too.
-	if *readers <= 0 {
-		*readers = *workers
-	}
-	if *follow || *workers > 1 || *readers > 1 {
-		if *saveBaseline != "" {
-			log.Print("-save-baseline needs the offline single-analyzer mode (raw samples are not retained across shards)")
-			return 2
-		}
-		return runStreaming()
-	}
-
-	if *tracePath != "" {
-		log.Print("note: -trace records the streaming pipeline; ignored in offline single-analyzer mode (use -follow or -workers > 1)")
-	}
-
-	var journal *obs.Journal
-	if *journalPath != "" {
-		jf, err := os.Create(*journalPath)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer jf.Close()
-		journal = obs.NewJournal(jf)
-	}
-
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	defer f.Close()
-
-	var analyzer *core.Analyzer
-	if *names {
-		analyzer = core.NewAnalyzer(core.NamesFromTopology(topology.Build()))
-	} else {
-		analyzer = core.NewAnalyzer(nil)
-	}
-	if err := analyzer.EnableProtocolNames(protos...); err != nil {
-		log.Print(err)
-		return 2
-	}
-	reg := obs.NewRegistry()
-	analyzer.Instrument(reg, journal)
-	if *pointCap > 0 {
-		analyzer.Physical().SetMaxSamplesPerSeries(*pointCap)
-	}
-
-	exit := 0
-	extra := map[string]http.Handler{}
-	var recorder *historian.Recorder
 	if *historianDir != "" {
-		hist, err := historian.Open(*historianDir, historian.Options{Registry: reg})
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer func() {
-			if err := hist.Close(); err != nil {
-				log.Printf("warning: historian close failed: %v", err)
-			}
-		}()
-		recorder = historian.NewRecorder(hist)
-		analyzer.SetFrameObserver(recorder)
-		extra["/query"] = historian.QueryHandler(hist)
 		log.Printf("recording measurements into historian at %s", *historianDir)
 	}
-	if *metricsAddr != "" {
-		addr, shutdown, err := obs.ServeWith(*metricsAddr, reg, journal, extra)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer shutdown()
-		log.Printf("serving metrics on http://%s/", addr)
+	if *baselinePath != "" {
+		log.Printf("drift detection armed against stored profile %s", *baselinePath)
 	}
-	if err := analyzer.ReadPCAP(f); err != nil {
-		// A truncated or partially corrupt capture still carries data:
-		// report what parsed, but exit non-zero so scripts notice.
-		fmt.Fprintf(os.Stderr, "profiler: warning: capture read stopped early: %v (reporting partial results)\n", err)
-		exit = 1
+	if *loadBaseline != "" {
+		log.Printf("IDS monitors armed from stored whitelist %s", *loadBaseline)
 	}
-	if recorder != nil {
-		if err := recorder.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "profiler: warning: historian write failed: %v\n", err)
-			exit = 1
-		}
+	if *follow {
+		log.Printf("following %s with %d worker shard(s); interrupt to drain", flag.Arg(0), *workers)
 	}
 
-	code := printReports(analyzer.Partial(), reg, journal,
-		func() { printPhysical(analyzer) }, func() { printTiming(analyzer) }, *baselinePath)
-	if code != 0 {
-		exit = code
+	return pipeline.Host{
+		Graph: func(rec *trace.Recorder) (*pipeline.Config, map[string]any) {
+			return pipeline.ProfilerGraph(pipeline.ProfilerPreset{
+				Path:            flag.Arg(0),
+				Follow:          *follow,
+				Workers:         *workers,
+				Readers:         *readers,
+				SnapshotEvery:   *snapshotEvery,
+				IdleTimeout:     *idleTimeout,
+				PointCap:        *pointCap,
+				Names:           *names,
+				HistorianDir:    *historianDir,
+				BaselinePath:    *baselinePath,
+				IDSBaselinePath: *loadBaseline,
+				Protocols:       *proto,
+				Trace:           rec,
+			})
+		},
+		JournalPath: *journalPath,
+		Addr:        *metricsAddr,
+		Root:        true,
+		TracePath:   *tracePath,
+		TraceSample: *traceSample,
+		After: func(h *pipeline.Hosted) int {
+			exit := 0
+			switch {
+			case h.Err != nil:
+				// A truncated or partially corrupt capture still carries
+				// data: report what parsed, but exit non-zero so scripts
+				// notice.
+				fmt.Fprintf(os.Stderr, "profiler: warning: capture read stopped early: %v (reporting partial results)\n", h.Err)
+				exit = 1
+			case h.Interrupted && !*follow:
+				// An interrupt is how a followed capture ends; on a finished
+				// one it cuts the read short like a damaged file does.
+				fmt.Fprintln(os.Stderr, "profiler: warning: interrupted before the end of the capture (reporting partial results)")
+				exit = 1
+			}
+			e := h.Runner.Analyzer().Engine()
+			whole := e.Analyzer() // nil when the run was sharded
+			if code := printReports(want, e.Final(), whole, h.Registry, h.Journal); code != 0 {
+				exit = code
+			}
+			if rep := e.DriftReport(); rep != nil {
+				// The engine diffed the final merged state against the
+				// baseline on its last publish.
+				rep.WriteText(os.Stdout)
+				fmt.Println()
+			}
+			if code := baselineActions(whole); code != 0 {
+				exit = code
+			}
+			return exit
+		},
+	}.Run()
+}
+
+// baselineActions runs the IDS-whitelist flags over the analyzer that
+// saw the whole run; a sharded run has none (whole is nil) and its
+// -load-baseline detection was the shards' online monitors.
+func baselineActions(whole *core.Analyzer) int {
+	if whole == nil {
+		return 0
 	}
 	if *saveBaseline != "" {
-		base, err := ids.Train(analyzer)
+		base, err := ids.Train(whole)
 		if err != nil {
 			log.Printf("training baseline: %v", err)
 			return 1
@@ -232,7 +230,7 @@ func run() int {
 			log.Print(err)
 			return 1
 		}
-		alerts := base.Scan(analyzer)
+		alerts := base.Scan(whole)
 		fmt.Printf("== IDS scan against %s ==\n", *loadBaseline)
 		if len(alerts) == 0 {
 			fmt.Println("no deviations from baseline")
@@ -242,28 +240,15 @@ func run() int {
 		}
 		fmt.Println()
 	}
-	if err := journal.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "profiler: warning: journal write failed: %v\n", err)
-		if exit == 0 {
-			exit = 1
-		}
-	}
-	return exit
+	return 0
 }
 
-// printReports renders every report both modes share — capture header,
-// flows, compliance and dialects, clusters, Markov chains, ASDU types,
-// pipeline stats — from one core.Partial, in -report order, then runs
-// the drift actions. The offline mode passes its analyzer's Partial,
-// the streaming mode the engine's merged final state; physical and
-// timing print the two sections that offline need more than a Partial
-// (raw sample series) and in streaming mode render differently.
-// baseline is empty when the engine already did the comparison.
-func printReports(p core.Partial, reg *obs.Registry, journal *obs.Journal, physical, timing func(), baseline string) int {
-	want := map[string]bool{}
-	for _, r := range strings.Split(*reports, ",") {
-		want[strings.TrimSpace(r)] = true
-	}
+// printReports renders the capture header and the wanted reports, in
+// a fixed order, from the run's merged core.Partial, then runs the
+// profile-persistence and probe-push flags over it. whole is the
+// analyzer that saw the whole run, nil when it was sharded: timing needs
+// its per-point timestamps.
+func printReports(want map[string]bool, p core.Partial, whole *core.Analyzer, reg *obs.Registry, journal *obs.Journal) int {
 	fmt.Printf("Capture: %d packets (%d IEC 104), window %s .. %s, parse errors %d\n\n",
 		p.Packets, p.IECPackets,
 		p.First.Format("2006-01-02 15:04:05"), p.Last.Format("15:04:05"), p.ParseErrors)
@@ -296,45 +281,29 @@ func printReports(p core.Partial, reg *obs.Registry, journal *obs.Journal, physi
 		fmt.Println(core.FormatTypeTable(p.TypeDistribution()))
 	}
 	if want["physical"] {
-		physical()
+		printPhysical(p.Physical)
 	}
 	if want["timing"] {
-		timing()
+		printTiming(whole)
 	}
 	if want["stats"] {
 		printStats(reg, journal)
 	}
-	return driftActions(p, flag.Arg(0), *profileLabel, *saveProfile, *pushURL, baseline)
-}
 
-// driftActions runs the profile-persistence, probe-push and
-// baseline-comparison flags over the merged analysis state.
-func driftActions(p core.Partial, source, label, savePath, pushURL, baselinePath string) int {
-	if savePath != "" {
-		prof := drift.NewProfile(label, source, p, time.Now())
-		if err := drift.SaveProfile(savePath, prof); err != nil {
+	if *saveProfile != "" {
+		prof := drift.NewProfile(*profileLabel, flag.Arg(0), p, time.Now())
+		if err := drift.SaveProfile(*saveProfile, prof); err != nil {
 			log.Print(err)
 			return 1
 		}
 		log.Printf("saved profile %q (%d packets, %d connections) to %s",
-			label, p.Packets, len(p.Chains), savePath)
+			*profileLabel, p.Packets, len(p.Chains), *saveProfile)
 	}
-	if pushURL != "" {
-		if err := pushPartial(pushURL, label, source, p); err != nil {
+	if *pushURL != "" {
+		if err := pushPartial(*pushURL, *profileLabel, flag.Arg(0), p); err != nil {
 			log.Print(err)
 			return 1
 		}
-	}
-	if baselinePath != "" {
-		base, err := drift.LoadProfile(baselinePath)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		cur := drift.NewProfile(label, source, p, time.Now())
-		rep := drift.Compare(base, cur, drift.DefaultThresholds())
-		rep.WriteText(os.Stdout)
-		fmt.Println()
 	}
 	return 0
 }
@@ -345,7 +314,9 @@ func driftActions(p core.Partial, source, label, savePath, pushURL, baselinePath
 // folds it into the fleet-wide profile.
 func pushPartial(url, label, source string, p core.Partial) error {
 	prof := drift.NewProfile(label, source, p, time.Now())
-	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(prof.Encode()))
+	// Bounded: a stuck control room fails the push instead of hanging it.
+	client := http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Post(url, "application/octet-stream", bytes.NewReader(prof.Encode()))
 	if err != nil {
 		return fmt.Errorf("push %s: %w", url, err)
 	}
@@ -447,9 +418,14 @@ func roundDur(d time.Duration) string {
 	return d.String()
 }
 
-func printTiming(a *core.Analyzer) {
+func printTiming(whole *core.Analyzer) {
 	fmt.Println("== recovered reporting periods (timing characteristics) ==")
-	for _, st := range a.StationTimings(20) {
+	if whole == nil {
+		fmt.Println("(unavailable at more than one shard: per-point timestamps stay with the shard that saw them)")
+		fmt.Println()
+		return
+	}
+	for _, st := range whole.StationTimings(20) {
 		periods := "spontaneous-only"
 		if len(st.Periods) > 0 {
 			parts := make([]string, len(st.Periods))
@@ -527,112 +503,17 @@ func printMarkov(rep core.MarkovReport) {
 	fmt.Printf("distribution (types 1-8): %v\n\n", rep.Distribution[1:])
 }
 
-func printPhysical(a *core.Analyzer) {
+// printPhysical ranks the merged per-series moment sketches, so the
+// report is the same at any shard count.
+func printPhysical(digests []physical.Digest) {
 	fmt.Println("== Physical measurements (§6.4) ==")
-	st := a.Physical()
-	fmt.Printf("series extracted: %d\n", len(st.All()))
+	fmt.Printf("series extracted: %d\n", len(digests))
 	fmt.Println("top normalized-variance series:")
-	for i, s := range st.Ranked(10) {
+	for i, d := range physical.RankDigests(digests, 10) {
 		if i >= 8 {
 			break
 		}
 		fmt.Printf("  %-14s %-10s nvar=%.4g samples=%d\n",
-			s.Key, s.Type.Acronym(), s.NormalizedVariance(), len(s.Samples))
-	}
-}
-
-// runStreaming analyzes the capture through the declared pipeline
-// runtime: the ProfilerGraph preset is the src→analyzer graph, hosted
-// like every graph-running command's (pipeline.Host). With -follow the
-// file is tailed until SIGINT/SIGTERM, otherwise it is read to EOF;
-// either way the final merged state renders the same reports as the
-// offline path.
-func runStreaming() int {
-	if *historianDir != "" {
-		log.Printf("recording measurements into historian at %s", *historianDir)
-	}
-	if *baselinePath != "" {
-		log.Printf("drift detection armed against stored profile %s", *baselinePath)
-	}
-	if *loadBaseline != "" {
-		log.Printf("IDS monitors armed from stored whitelist %s", *loadBaseline)
-	}
-	if *follow {
-		log.Printf("following %s with %d worker shard(s); interrupt to drain", flag.Arg(0), *workers)
-	}
-
-	return pipeline.Host{
-		Graph: func(rec *trace.Recorder) (*pipeline.Config, map[string]any) {
-			return pipeline.ProfilerGraph(pipeline.ProfilerPreset{
-				Path:            flag.Arg(0),
-				Follow:          *follow,
-				Workers:         *workers,
-				Readers:         *readers,
-				SnapshotEvery:   *snapshotEvery,
-				IdleTimeout:     *idleTimeout,
-				PointCap:        *pointCap,
-				Names:           *names,
-				HistorianDir:    *historianDir,
-				BaselinePath:    *baselinePath,
-				IDSBaselinePath: *loadBaseline,
-				Protocols:       *proto,
-				Trace:           rec,
-			})
-		},
-		JournalPath: *journalPath,
-		Addr:        *metricsAddr,
-		Root:        true,
-		TracePath:   *tracePath,
-		TraceSample: *traceSample,
-		After: func(h *pipeline.Hosted) int {
-			exit := 0
-			switch {
-			case h.Err != nil:
-				fmt.Fprintf(os.Stderr, "profiler: warning: stream stopped early: %v (reporting partial results)\n", h.Err)
-				exit = 1
-			case h.Interrupted && !*follow:
-				// An interrupt is how a followed capture ends; on a finished
-				// one it cuts the read short like a damaged file does.
-				fmt.Fprintln(os.Stderr, "profiler: warning: interrupted before the end of the capture (reporting partial results)")
-				exit = 1
-			}
-			e := h.Runner.Analyzer().Engine()
-			p := e.Final()
-			code := printReports(p, h.Registry, h.Journal, func() { printPhysicalDigests(p.Physical) }, func() {
-				fmt.Println("== recovered reporting periods (timing characteristics) ==")
-				fmt.Println("(unavailable in streaming mode: raw per-point timestamps are not retained)")
-				fmt.Println()
-			}, "")
-			if code != 0 {
-				exit = code
-			}
-			if rep := e.DriftReport(); rep != nil {
-				// The engine already diffed the final merged state against the
-				// baseline on the last publish; print that report rather than
-				// recomputing it.
-				rep.WriteText(os.Stdout)
-				fmt.Println()
-			}
-			return exit
-		},
-	}.Run()
-}
-
-// printPhysicalDigests is the streaming analogue of printPhysical,
-// rendered from merged moment sketches instead of raw sample series.
-func printPhysicalDigests(digests []physical.Digest) {
-	fmt.Println("== Physical measurements (§6.4) ==")
-	fmt.Printf("series extracted: %d\n", len(digests))
-	fmt.Println("top normalized-variance series:")
-	for i, d := range physical.RankDigests(digests, 2) {
-		if i >= 8 {
-			break
-		}
-		kind := "measurement"
-		if d.Command {
-			kind = "command"
-		}
-		fmt.Printf("  %s/%-6d %-11s nvar=%.4g samples=%d\n",
-			d.Key.Station, d.Key.IOA, kind, d.NormalizedVariance(), d.Count)
+			d.Key, d.Type.Acronym(), d.NormalizedVariance(), d.Count)
 	}
 }

@@ -34,8 +34,6 @@ func init() {
 			{Name: "workers", Type: ParamInt, Default: 1, Doc: "analysis shards"},
 			{Name: "readers", Type: ParamInt, Default: 0, Doc: "parallel capture readers for a handed-off source (0 = match workers; a single pcap file wired straight into this analyzer is handed off and split across them)"},
 			{Name: "snapshot", Type: ParamDuration, Default: time.Duration(0), Doc: "rolling-profile period (0 = final profile only)"},
-			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per shard-queue send"},
-			{Name: "queue", Type: ParamInt, Default: 64, Doc: "per-shard queue capacity in batches"},
 			{Name: "cluster_k", Type: ParamInt, Default: 5, Doc: "session clustering K (0 = off)"},
 			{Name: "cluster_seed", Type: ParamInt, Default: 1202, Doc: "session clustering seed"},
 			{Name: "idle_timeout", Type: ParamDuration, Default: time.Duration(0), Doc: "evict flows idle this long (0 = never)"},
@@ -113,19 +111,8 @@ func (s *chanSource) Next() (pcap.Packet, error) {
 
 func (s *chanSource) Close() error { return nil }
 
-// AnalyzerHooks is the Options.Hooks payload an analyzer segment
-// accepts: programmatic attachments no config file can express.
-type AnalyzerHooks struct {
-	// Observer attaches a core.FrameObserver per shard (e.g. the
-	// presets' alert-counting IDS monitors). Composed with (not
-	// replaced by) the ids_baseline param's monitors.
-	Observer func(shard int) core.FrameObserver
-	// Trace attaches the flight recorder.
-	Trace *trace.Recorder
-}
-
-// AnalyzerSegment wraps the streaming engine — the exact same sharded
-// analyzer the hand-wired commands use, so profiles are identical.
+// AnalyzerSegment wraps the streaming engine: every front end's
+// analysis is this one sharded analyzer.
 type AnalyzerSegment struct {
 	env  *Env
 	id   string
@@ -136,8 +123,10 @@ type AnalyzerSegment struct {
 	fwdDropped *obs.Counter
 }
 
+// buildAnalyzer builds the segment; its Options.Hooks payload is the
+// flight recorder (*trace.Recorder) to attach.
 func buildAnalyzer(bc BuildCtx) (Segment, error) {
-	hooks, _ := bc.Hook.(AnalyzerHooks)
+	rec, _ := bc.Hook.(*trace.Recorder)
 	s := &AnalyzerSegment{
 		env:        bc.Env,
 		id:         bc.ID,
@@ -153,19 +142,14 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 			return nil, err
 		}
 	}
-	observer := hooks.Observer
+	var observer func(shard int) core.FrameObserver
 	if path := bc.Params.Str("ids_baseline"); path != "" {
 		base, err := drift.LoadBaseline(path)
 		if err != nil {
 			return nil, err
 		}
-		inner := observer
 		observer = func(shard int) core.FrameObserver {
-			mon := ids.NewMonitor(base, alertLogger(bc.Env, bc.ID, shard))
-			if inner == nil {
-				return mon
-			}
-			return core.Observers(inner(shard), mon)
+			return ids.NewMonitor(base, alertLogger(bc.Env, bc.ID, shard))
 		}
 	}
 	if dir := bc.Params.Str("historian"); dir != "" {
@@ -191,8 +175,6 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 	s.eng = stream.New(stream.Config{
 		Workers:         bc.Params.Int("workers"),
 		Readers:         readers,
-		BatchSize:       bc.Params.Int("batch"),
-		QueueDepth:      bc.Params.Int("queue"),
 		SnapshotEvery:   bc.Params.Dur("snapshot"),
 		IdleTimeout:     bc.Params.Dur("idle_timeout"),
 		ClusterK:        bc.Params.Int("cluster_k"),
@@ -201,7 +183,7 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 		Protocols:       protos,
 		Registry:        bc.Env.Registry.With("segment", bc.ID),
 		Journal:         bc.Env.Journal,
-		Trace:           hooks.Trace,
+		Trace:           rec,
 		Observer:        observer,
 		Historian:       s.hist,
 		MaxPointSamples: bc.Params.Int("point_cap"),

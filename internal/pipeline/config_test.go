@@ -103,6 +103,16 @@ func TestParseErrors(t *testing.T) {
 			want: []string{"bad.jsonc:2", "seed"},
 		},
 		{
+			// Knobs nobody set, now constants: batch, queue, poll.
+			name: "removed tuning params",
+			doc: `{"pipelines": [{"name": "p", "segments": [
+				{ "id": "src", "segment": "follow", "params": { "path": "x.pcap", "poll": "5ms" } },
+				{ "id": "an", "segment": "analyzer", "from": ["src"], "params": { "batch": 32 } },
+				{ "id": "a2", "segment": "analyzer", "from": ["src"], "params": { "queue": 8 } }
+			]}]}`,
+			want: []string{"bad.jsonc:2", `unknown param "poll"`, "bad.jsonc:3", `unknown param "batch"`, "bad.jsonc:4", `unknown param "queue"`},
+		},
+		{
 			name: "dangling edge",
 			doc: `{"pipelines": [{"name": "p", "segments": [
 				{ "id": "src", "segment": "sim" },
@@ -168,8 +178,10 @@ func TestPresetGraphsValidate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("ProfilerGraph config invalid: %v", err)
 	}
-	cfg, _ = LiveGraph(LivePreset{Year: 1, Seed: 1, Workers: 2})
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("LiveGraph config invalid: %v", err)
+	for _, attack := range []string{"", "recon"} {
+		cfg, _ = LiveGraph(LivePreset{Year: 1, Seed: 1, Workers: 2, Attack: attack})
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("LiveGraph config (attack %q) invalid: %v", attack, err)
+		}
 	}
 }

@@ -19,9 +19,9 @@ import (
 // Host is what a graph-running command does around its graph, written
 // once: journal file, registry, flight recorder with its SIGUSR1 dump,
 // Runner, HTTP surface, signal context, the run, closing the graph's
-// stores and the trace export. profiler's streaming half, iec104live,
-// pipelined and profilediff save|watch keep their flags, their graph
-// and what they print.
+// stores and the trace export. profiler, iec104live, pipelined and
+// profilediff save|watch keep their flags, their graph and what they
+// print.
 type Host struct {
 	// Graph declares what to run; rec is nil unless TracePath is set.
 	Graph func(rec *trace.Recorder) (*Config, map[string]any)
@@ -40,7 +40,6 @@ type Host struct {
 	// the run, or on SIGUSR1.
 	TracePath   string
 	TraceSample int
-	QueueDepth  int // Options.QueueDepth
 	// Before runs once the graph is built and served, before it starts;
 	// an error aborts the host. After runs when the graph has drained
 	// and its stores are closed, the HTTP surface still up, and returns
@@ -100,7 +99,7 @@ func (h Host) run() (code int, err error) {
 	}
 
 	graph, hooks := h.Graph(rec)
-	runner, err := NewRunner(graph, Options{Registry: reg, Journal: journal, QueueDepth: h.QueueDepth, Hooks: hooks})
+	runner, err := NewRunner(graph, Options{Registry: reg, Journal: journal, Hooks: hooks})
 	if err != nil {
 		return 0, err
 	}

@@ -24,7 +24,6 @@ func init() {
 		Doc:  "read finished captures (a file, or every *.pcap/*.pcapng in a directory, sorted); a single file feeding nothing but one analyzer is handed to that analyzer's engine whole",
 		Params: []ParamSpec{
 			{Name: "path", Type: ParamString, Required: true, Doc: "capture file or directory"},
-			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per emitted message (inline edge only: a handed-off source is batched by the analyzer)"},
 			{Name: "speed", Type: ParamFloat, Default: 0.0, Doc: "replay pacing (60 = one captured minute per wall second; 0 = as fast as possible; single file only)"},
 		},
 		Build: buildPCAPInput,
@@ -36,8 +35,6 @@ func init() {
 		Doc:  "tail a growing classic-pcap capture (never EOF; stops on drain); handed to the engine of an analyzer it alone feeds",
 		Params: []ParamSpec{
 			{Name: "path", Type: ParamString, Required: true, Doc: "capture file being written"},
-			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per emitted message (inline edge only)"},
-			{Name: "poll", Type: ParamDuration, Default: 25 * time.Millisecond, Doc: "sleep at the write frontier (inline edge only: a handed-off source is polled by the analyzer's engine)"},
 		},
 		Build: buildFollowInput,
 	})
@@ -55,8 +52,6 @@ func init() {
 			{Name: "modbus", Type: ParamBool, Default: false, Doc: "add a Modbus/TCP polling association to the simulated tap"},
 			{Name: "fault_timeout", Type: ParamFloat, Default: 0.0, Doc: "probability a device response is dropped (lossy field link)"},
 			{Name: "fault_shortread", Type: ParamFloat, Default: 0.0, Doc: "probability a frame is torn across two TCP segments"},
-			{Name: "batch", Type: ParamInt, Default: 64, Doc: "packets per emitted message (inline edge only)"},
-			{Name: "poll", Type: ParamDuration, Default: 25 * time.Millisecond, Doc: "sleep while paced replay has nothing due (inline edge only)"},
 		},
 		Build: buildSimInput,
 	})
@@ -72,9 +67,17 @@ func init() {
 	})
 }
 
-// slabSize sets how many decoded record bytes share one backing
-// allocation in batcher.Raw.
-const slabSize = 256 << 10
+const (
+	// slabSize sets how many decoded record bytes share one backing
+	// allocation in batcher.Raw.
+	slabSize = 256 << 10
+	// inlineBatch is how many packets ride one message of an inline edge
+	// and inlinePoll how long an inline input sleeps at a quiet point (a
+	// tail's write frontier, a paced replay with nothing due) — the
+	// engine's own defaults for a handed-off source.
+	inlineBatch = 64
+	inlinePoll  = 25 * time.Millisecond
+)
 
 // batcher is the packet inputs' stream.RecordSink: it groups the
 // records stream.Pull hands it into emitted messages. Emitted slices
@@ -83,7 +86,6 @@ const slabSize = 256 << 10
 // than fails, so no method ever reports a dead context.
 type batcher struct {
 	emit Emit
-	size int
 	buf  []pcap.Packet
 	slab []byte
 }
@@ -113,10 +115,10 @@ func (b *batcher) Raw(ctx context.Context, data []byte, ci pcap.CaptureInfo, lin
 // Packet implements stream.RecordSink.
 func (b *batcher) Packet(ctx context.Context, p pcap.Packet) bool {
 	if b.buf == nil {
-		b.buf = make([]pcap.Packet, 0, b.size)
+		b.buf = make([]pcap.Packet, 0, inlineBatch)
 	}
 	b.buf = append(b.buf, p)
-	if len(b.buf) >= b.size {
+	if len(b.buf) >= inlineBatch {
 		b.Flush(ctx)
 	}
 	return true
@@ -133,8 +135,8 @@ func (b *batcher) Flush(context.Context) bool {
 
 // pump drives one opened source into emitted messages with the shared
 // read loop, then closes it. A canceled ctx is a drain, not an error.
-func pump(ctx context.Context, src stream.Source, emit Emit, batch int, poll time.Duration) error {
-	err := stream.Pull(ctx, src, poll, nil, &batcher{emit: emit, size: batch})
+func pump(ctx context.Context, src stream.Source, emit Emit) error {
+	err := stream.Pull(ctx, src, inlinePoll, nil, &batcher{emit: emit})
 	if cerr := src.Close(); err == nil {
 		err = cerr
 	}
@@ -155,8 +157,6 @@ func pump(ctx context.Context, src stream.Source, emit Emit, batch int, poll tim
 type PacketInput struct {
 	feed    *stream.Feed
 	more    []string // the rest of a capture directory, opened in turn
-	batch   int
-	poll    time.Duration
 	handoff bool
 }
 
@@ -218,14 +218,7 @@ func buildPacketInput(bc BuildCtx, spec stream.SourceSpec) (*PacketInput, error)
 	if spec.Sim.Attack != "" {
 		bc.Env.Logf("segment %s: injected %s attack: %d packets at +%s", bc.ID, feed.Attack, feed.Injected, spec.Sim.Duration/2)
 	}
-	s := &PacketInput{feed: feed, batch: bc.Params.Int("batch"), poll: bc.Params.Dur("poll")}
-	if s.batch < 1 {
-		s.batch = 64
-	}
-	if s.poll <= 0 {
-		s.poll = 25 * time.Millisecond
-	}
-	return s, nil
+	return &PacketInput{feed: feed}, nil
 }
 
 // Trace exposes a sim feed's generated records (iec104live writes its
@@ -245,14 +238,14 @@ func (s *PacketInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
 		emit(Msg{Src: s.feed.Source})
 		return nil
 	}
-	err := pump(ctx, s.feed.Source, emit, s.batch, s.poll)
+	err := pump(ctx, s.feed.Source, emit)
 	for _, path := range s.more {
 		if err != nil || ctx.Err() != nil {
 			break
 		}
 		var feed *stream.Feed
 		if feed, err = stream.OpenSource(stream.SourceSpec{Kind: "pcap", Path: path}); err == nil {
-			err = pump(ctx, feed.Source, emit, s.batch, s.poll)
+			err = pump(ctx, feed.Source, emit)
 		}
 	}
 	return err

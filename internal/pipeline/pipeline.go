@@ -21,7 +21,7 @@
 //
 // This package is also the one place an engine is built and run. The
 // analyzer segment is the only caller of stream.New; the
-// single-analyzer front ends (profiler's streaming half, iec104live, a
+// single-analyzer front ends (profiler, iec104live, a
 // control-room tenant's shorthand) are presets over SourceGraph, the
 // input → analyzer pair; and Host is what every graph-running command
 // does around its graph.

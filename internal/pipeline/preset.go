@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"time"
 
-	"uncharted/internal/core"
 	"uncharted/internal/obs/trace"
 )
 
 // The presets are the single-analyzer commands as declared graphs: the
-// profiler's streaming path, iec104live and a control-room tenant's
-// shorthand all construct the same input→analyzer pipeline a config
-// file would, through SourceGraph, so every capability those front
-// ends expose is reachable from cmd/pipelined too — and the equivalence
-// tests pin the profiles to be identical either way.
+// profiler, iec104live and a control-room tenant's shorthand all
+// construct the same input→analyzer pipeline a config file would,
+// through SourceGraph, so every capability those front ends expose is
+// reachable from cmd/pipelined too — and the equivalence tests pin the
+// profiles to be identical either way.
 
 // presetNode builds one NodeConfig with marshalled params. Params values
 // must be JSON-encodable; durations are emitted as nanosecond numbers,
@@ -47,7 +46,7 @@ func SourceGraph(name, inputID, inputKind string, input, analyzer map[string]any
 	}}}
 }
 
-// ProfilerPreset parameterises the profiler command's streaming path.
+// ProfilerPreset parameterises the profiler command's graph.
 type ProfilerPreset struct {
 	// Path is the capture; Follow tails it instead of reading to EOF.
 	Path   string
@@ -75,9 +74,9 @@ type ProfilerPreset struct {
 	Trace *trace.Recorder
 }
 
-// ProfilerGraph returns the declared graph of the profiler's streaming
-// path — pipeline "profiler", segments "src" → "an" — plus the hooks to
-// install via Options.Hooks.
+// ProfilerGraph returns the declared graph of the profiler — pipeline
+// "profiler", segments "src" → "an" — plus the hooks to install via
+// Options.Hooks.
 func ProfilerGraph(p ProfilerPreset) (*Config, map[string]any) {
 	srcKind, snapshot := "pcap", time.Duration(0)
 	if p.Follow {
@@ -97,13 +96,13 @@ func ProfilerGraph(p ProfilerPreset) (*Config, map[string]any) {
 		"ids_baseline": p.IDSBaselinePath,
 		"protocol":     p.Protocols,
 	})
-	return cfg, map[string]any{"profiler/an": AnalyzerHooks{Trace: p.Trace}}
+	return cfg, map[string]any{"profiler/an": p.Trace}
 }
 
 // LivePreset parameterises the iec104live command's graph.
 type LivePreset struct {
 	// Year / Seed / Duration / Speed / Attack map to the sim input's
-	// params of the same name.
+	// params of the same name. An Attack also arms the online detector.
 	Year     int
 	Seed     int
 	Duration time.Duration
@@ -115,14 +114,16 @@ type LivePreset struct {
 	SnapshotEvery time.Duration
 	HistorianDir  string
 	PointCap      int
-	// Trace / Observer attach the flight recorder and the per-shard
-	// attack monitors.
-	Trace    *trace.Recorder
-	Observer func(shard int) core.FrameObserver
+	// Trace attaches the flight recorder.
+	Trace *trace.Recorder
 }
 
 // LiveGraph returns the declared graph of iec104live — pipeline "live",
 // segments "sim" → "an" — plus the hooks to install via Options.Hooks.
+// With an Attack the feed also fans out to segment "ids", an online
+// detector trained on a clean run of the same grid and length (another
+// seed, like training on yesterday's capture); its alert sink is the
+// caller's "live/ids" hook.
 func LiveGraph(p LivePreset) (*Config, map[string]any) {
 	cfg := SourceGraph("live", "sim", "sim", map[string]any{
 		"year":     p.Year,
@@ -138,5 +139,13 @@ func LiveGraph(p LivePreset) (*Config, map[string]any) {
 		"point_cap":    p.PointCap,
 		"historian":    p.HistorianDir,
 	})
-	return cfg, map[string]any{"live/an": AnalyzerHooks{Trace: p.Trace, Observer: p.Observer}}
+	if p.Attack != "" {
+		live := &cfg.Pipelines[0]
+		live.Nodes = append(live.Nodes, presetNode("ids", "ids", []string{"sim"}, map[string]any{
+			"train_year":     p.Year,
+			"train_seed":     p.Seed + 1000,
+			"train_duration": p.Duration,
+		}))
+	}
+	return cfg, map[string]any{"live/an": p.Trace}
 }

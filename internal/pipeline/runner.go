@@ -28,6 +28,9 @@ const (
 	MetricQueueDepth = "uncharted_pipeline_queue_depth"
 )
 
+// edgeDepth is every edge's buffer in messages.
+const edgeDepth = 64
+
 // Options parameterises a Runner.
 type Options struct {
 	// Registry / Journal instrument every pipeline; both optional.
@@ -35,8 +38,6 @@ type Options struct {
 	Journal  *obs.Journal
 	// Logf receives operator-facing lines (default log.Printf).
 	Logf func(format string, args ...any)
-	// QueueDepth is the per-edge buffer in messages (default 64).
-	QueueDepth int
 	// Hooks installs programmatic overrides keyed "pipeline/segment";
 	// the matching BuildCtx.Hook receives the value. Presets use this
 	// for in-process observers and alert sinks that no config file can
@@ -127,9 +128,6 @@ func NewRunner(cfg *Config, opts Options) (*Runner, error) {
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 64
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -181,7 +179,7 @@ func NewRunner(cfg *Config, opts Options) (*Runner, error) {
 				queueDepth: sreg.Gauge(MetricQueueDepth),
 			}
 			if spec.In != PortNone {
-				n.in = make(chan Msg, opts.QueueDepth)
+				n.in = make(chan Msg, edgeDepth)
 			}
 			p.nodes = append(p.nodes, n)
 			p.byID[nc.ID] = n

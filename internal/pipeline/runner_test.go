@@ -18,6 +18,7 @@ import (
 
 	"uncharted/internal/core"
 	"uncharted/internal/drift"
+	"uncharted/internal/ids"
 	"uncharted/internal/obs"
 	"uncharted/internal/pcap"
 	"uncharted/internal/scadasim"
@@ -111,6 +112,163 @@ func TestProfilerPresetEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// writeAttackCapture synthesizes a short era-1 capture with an attack
+// injected mid-feed.
+func writeAttackCapture(t *testing.T, attack string, seed int64) string {
+	t.Helper()
+	feed, err := stream.OpenSource(stream.SourceSpec{Kind: "sim", Sim: stream.SimSpec{
+		Year: 1, Seed: seed, Duration: 20 * time.Second, Attack: attack,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), attack+".pcap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := feed.Trace.WritePCAP(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestProfilerOneShardAnalyzer pins what the profiler's one-shard run
+// adds: the engine's shard analyzer, read after the drain, is the
+// analyzer an offline ReadPCAP of the same capture builds — same
+// Partial, same recovered timings, same trained whitelist finding the
+// same deviations in an attack capture — and a sharded run has none.
+func TestProfilerOneShardAnalyzer(t *testing.T) {
+	offline := func(path string) *core.Analyzer {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		a := core.NewAnalyzer(core.NamesFromTopology(topology.Build()))
+		if err := a.ReadPCAP(f); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	graph := func(path string, workers int) *stream.Engine {
+		t.Helper()
+		cfg, hooks := ProfilerGraph(ProfilerPreset{Path: path, Workers: workers, Names: true})
+		runner, err := NewRunner(cfg, Options{Hooks: hooks, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := runner.Analyzer().Engine()
+		if eng.Analyzer() != nil {
+			t.Fatal("shard analyzer handed out before Run returned")
+		}
+		if err := runner.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+
+	clean := writeTestCapture(t, time.Minute, 11) // 20 samples of a 2 s cycle and to spare
+	want, got := offline(clean), graph(clean, 1).Analyzer()
+	if got == nil {
+		t.Fatal("one-shard run has no whole-run analyzer")
+	}
+	if wp := want.Partial(); wp.Packets == 0 || !reflect.DeepEqual(wp, got.Partial()) {
+		t.Errorf("one-shard analyzer's Partial differs from offline ReadPCAP's (%d packets offline)", wp.Packets)
+	}
+	if wt := want.StationTimings(20); len(wt) == 0 || !reflect.DeepEqual(wt, got.StationTimings(20)) {
+		t.Errorf("one-shard analyzer's StationTimings differ from offline ReadPCAP's (%d stations offline)", len(wt))
+	}
+
+	wantBase, err := ids.Train(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBase, err := ids.Train(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attack := writeAttackCapture(t, "recon", 11)
+	wantAlerts, gotAlerts := wantBase.Scan(offline(attack)), gotBase.Scan(graph(attack, 1).Analyzer())
+	if len(wantAlerts) == 0 || !reflect.DeepEqual(wantAlerts, gotAlerts) {
+		t.Errorf("scan of the attack capture: %d alerts offline, %d through the graph; want the same, non-empty list", len(wantAlerts), len(gotAlerts))
+	}
+
+	if graph(clean, 4).Analyzer() != nil {
+		t.Error("a 4-shard run handed out a whole-run analyzer: timing and training would read one shard's share")
+	}
+}
+
+// TestLiveGraphDetectsAttacks: iec104live -attack is the declared sim →
+// {an, ids} graph — each scenario raises its alert through the ids
+// segment — and the extra consumer changes how the feed reaches the
+// analyzer (inline edge instead of a handed-off source), not what the
+// analyzer concludes.
+func TestLiveGraphDetectsAttacks(t *testing.T) {
+	for attack, kind := range map[string]ids.AlertKind{
+		"recon":    ids.AlertNewEndpoint,
+		"breaker":  ids.AlertUnknownPoint,
+		"setpoint": ids.AlertNewToken,
+	} {
+		t.Run(attack, func(t *testing.T) {
+			cfg, hooks := LiveGraph(LivePreset{Year: 1, Seed: 1, Duration: 30 * time.Second, Workers: 2, Attack: attack})
+			critical := 0
+			hooks["live/ids"] = func(al ids.Alert) { // called from the ids segment's goroutine only
+				if al.Kind == kind && al.Severity == 3 {
+					critical++
+				}
+			}
+			runner, err := NewRunner(cfg, Options{Hooks: hooks, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := runner.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if critical == 0 {
+				t.Errorf("no critical %s alert reached the hook", kind)
+			}
+			if n := runner.Segment("live", "ids").(*IDSSegment).Alerts(); n < int64(critical) {
+				t.Errorf("IDSSegment.Alerts() = %d, hook saw %d critical ones", n, critical)
+			}
+		})
+	}
+
+	t.Run("clean feed, inline vs handoff", func(t *testing.T) {
+		run := func(detector bool) (core.Partial, *stream.Profile) {
+			cfg, hooks := LiveGraph(LivePreset{Year: 1, Seed: 3, Duration: 20 * time.Second, Workers: 2})
+			if detector {
+				live := &cfg.Pipelines[0]
+				live.Nodes = append(live.Nodes, presetNode("ids", "ids", []string{"sim"}, map[string]any{"train_year": 1, "train_duration": 20 * time.Second}))
+			}
+			runner, err := NewRunner(cfg, Options{Hooks: hooks, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := runner.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if handedOff := runner.Status()[0].Segments[0].MsgsOut == 1; handedOff == detector {
+				t.Fatalf("detector=%v: source handed off = %v", detector, handedOff)
+			}
+			eng := runner.Analyzer().Engine()
+			return eng.Final(), eng.Profile()
+		}
+		wantPartial, wantProfile := run(false)
+		gotPartial, gotProfile := run(true)
+		if wantPartial.Packets == 0 || !reflect.DeepEqual(wantPartial, gotPartial) {
+			t.Errorf("final state differs with the detector attached: %d vs %d packets", gotPartial.Packets, wantPartial.Packets)
+		}
+		if !reflect.DeepEqual(wantProfile, gotProfile) {
+			t.Error("final profile differs with the detector attached")
+		}
+	})
 }
 
 // TestProfilerHandoffEquivalence pins the two ways a capture reaches

@@ -937,6 +937,17 @@ func (e *Engine) Final() core.Partial {
 	return e.final
 }
 
+// Analyzer returns the analyzer that saw the whole run — raw sample
+// series, per-point timing, what ids.Train and Baseline.Scan read —
+// once Run has returned, like Final. A sharded run has no such
+// analyzer (each shard kept its own samples): it returns nil.
+func (e *Engine) Analyzer() *core.Analyzer {
+	if len(e.shards) != 1 || e.state.Load() != stateDone {
+		return nil
+	}
+	return e.shards[0].an
+}
+
 // LastPartial returns the merged analyzer state behind the most
 // recently published snapshot, or ok=false before the first one. The
 // value is detached from the shards (Partial snapshots share nothing
