@@ -509,10 +509,11 @@ func printPhysical(digests []physical.Digest) {
 	fmt.Println("== Physical measurements (§6.4) ==")
 	fmt.Printf("series extracted: %d\n", len(digests))
 	fmt.Println("top normalized-variance series:")
-	for i, d := range physical.RankDigests(digests, 10) {
+	for i, j := range physical.RankDigests(digests, 10) {
 		if i >= 8 {
 			break
 		}
+		d := &digests[j]
 		fmt.Printf("  %-14s %-10s nvar=%.4g samples=%d\n",
 			d.Key, d.Type.Acronym(), d.NormalizedVariance(), d.Count)
 	}

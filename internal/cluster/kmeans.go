@@ -74,9 +74,26 @@ func KMeans(points [][]float64, k int, rng *rand.Rand) (*Result, error) {
 	if k < 1 || k > len(points) {
 		return nil, fmt.Errorf("%w: k=%d with %d points", ErrBadK, k, len(points))
 	}
+	return lloyd(points, dim, seedPlusPlus(points, dim, k, rng)), nil
+}
 
-	centroids := seedPlusPlus(points, k, rng)
+// rows returns n rows of dim values over one backing array, each capped
+// at its own length.
+func rows(n, dim int) [][]float64 {
+	flat := make([]float64, n*dim)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return out
+}
+
+// lloyd runs Lloyd iterations from the given centroids, which it moves.
+func lloyd(points [][]float64, dim int, centroids [][]float64) *Result {
+	k := len(centroids)
 	assign := make([]int, len(points))
+	sums := rows(k, dim)
+	counts := make([]int, k)
 	const maxIter = 200
 	res := &Result{K: k}
 	for iter := 0; iter < maxIter; iter++ {
@@ -99,11 +116,10 @@ func KMeans(points [][]float64, k int, rng *rand.Rand) (*Result, error) {
 		}
 		// Recompute centroids; empty clusters keep their previous
 		// position (K-means++ seeding makes them rare).
-		sums := make([][]float64, k)
-		counts := make([]int, k)
 		for c := range sums {
-			sums[c] = make([]float64, dim)
+			clear(sums[c])
 		}
+		clear(counts)
 		for i, p := range points {
 			c := assign[i]
 			counts[c]++
@@ -125,14 +141,14 @@ func KMeans(points [][]float64, k int, rng *rand.Rand) (*Result, error) {
 	for i, p := range points {
 		res.SSE += sqDist(p, centroids[assign[i]])
 	}
-	return res, nil
+	return res
 }
 
 // seedPlusPlus picks initial centroids with the K-means++ D² weighting.
-func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
-	centroids := make([][]float64, 0, k)
-	first := points[rng.Intn(len(points))]
-	centroids = append(centroids, append([]float64(nil), first...))
+func seedPlusPlus(points [][]float64, dim, k int, rng *rand.Rand) [][]float64 {
+	slots := rows(k, dim)
+	centroids := slots[:1]
+	copy(centroids[0], points[rng.Intn(len(points))])
 
 	d2 := make([]float64, len(points))
 	for len(centroids) < k {
@@ -161,7 +177,8 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 			// All points coincide with centroids; pick any.
 			idx = rng.Intn(len(points))
 		}
-		centroids = append(centroids, append([]float64(nil), points[idx]...))
+		centroids = slots[:len(centroids)+1]
+		copy(centroids[len(centroids)-1], points[idx])
 	}
 	return centroids
 }
@@ -179,7 +196,8 @@ func SeedNaive(points [][]float64, k int) [][]float64 {
 // KMeansWithSeeds runs Lloyd iterations from the given centroids
 // (copied), for ablation comparisons.
 func KMeansWithSeeds(points [][]float64, seeds [][]float64) (*Result, error) {
-	if _, err := checkPoints(points); err != nil {
+	dim, err := checkPoints(points)
+	if err != nil {
 		return nil, err
 	}
 	if len(seeds) == 0 || len(seeds) > len(points) {
@@ -189,56 +207,7 @@ func KMeansWithSeeds(points [][]float64, seeds [][]float64) (*Result, error) {
 	for i, s := range seeds {
 		centroids[i] = append([]float64(nil), s...)
 	}
-	// Reuse KMeans's Lloyd loop by faking the seeding: simplest is to
-	// duplicate the loop here.
-	assign := make([]int, len(points))
-	res := &Result{K: len(seeds)}
-	dim := len(points[0])
-	for iter := 0; iter < 200; iter++ {
-		changed := false
-		for i, p := range points {
-			best, bestD := 0, math.Inf(1)
-			for c, cent := range centroids {
-				if d := sqDist(p, cent); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		res.Iterations = iter + 1
-		if !changed && iter > 0 {
-			break
-		}
-		sums := make([][]float64, len(seeds))
-		counts := make([]int, len(seeds))
-		for c := range sums {
-			sums[c] = make([]float64, dim)
-		}
-		for i, p := range points {
-			c := assign[i]
-			counts[c]++
-			for j, v := range p {
-				sums[c][j] += v
-			}
-		}
-		for c := range centroids {
-			if counts[c] == 0 {
-				continue
-			}
-			for j := range centroids[c] {
-				centroids[c][j] = sums[c][j] / float64(counts[c])
-			}
-		}
-	}
-	res.Centroids = centroids
-	res.Assign = assign
-	for i, p := range points {
-		res.SSE += sqDist(p, centroids[assign[i]])
-	}
-	return res, nil
+	return lloyd(points, dim, centroids), nil
 }
 
 // Silhouette returns the mean silhouette coefficient of a clustering:

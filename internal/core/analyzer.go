@@ -8,10 +8,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"uncharted/internal/iec104"
@@ -606,7 +609,7 @@ func (a *Analyzer) Dialects() []DialectStat {
 		}
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Proto < out[j].Proto })
+	slices.SortFunc(out, func(x, y DialectStat) int { return cmp.Compare(x.Proto, y.Proto) })
 	return out
 }
 
@@ -651,17 +654,19 @@ func (a *Analyzer) StreamCompliance() []protocol.StreamCompliance {
 	for _, k := range order {
 		out = append(out, *merged[k])
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Proto != b.Proto {
-			return a.Proto < b.Proto
-		}
-		if a.Conn != b.Conn {
-			return a.Conn < b.Conn
-		}
-		return a.Unit < b.Unit
-	})
+	slices.SortFunc(out, compareStreams)
 	return out
+}
+
+// compareStreams orders stream verdicts by dialect, connection, unit.
+func compareStreams(x, y protocol.StreamCompliance) int {
+	if x.Proto != y.Proto {
+		return cmp.Compare(x.Proto, y.Proto)
+	}
+	if c := strings.Compare(x.Conn, y.Conn); c != 0 {
+		return c
+	}
+	return strings.Compare(x.Unit, y.Unit)
 }
 
 // ConnProto returns the dialect of a logical connection (IEC 104 when
@@ -738,6 +743,12 @@ func (a *Analyzer) FlushMetrics() {
 	a.metrics.flush()
 	a.tracker.FlushMetrics()
 }
+
+// NoteDecodeErrors books n capture records that failed link-layer
+// decoding before reaching the analyzer — what a caller that decodes
+// for it (the streaming engine's shard) discards. Tallied like the
+// per-packet counters: FlushMetrics publishes it.
+func (a *Analyzer) NoteDecodeErrors(n int) { a.metrics.noteDecodeErrors(n) }
 
 // NamesFromTopology builds the address book of the simulated network.
 func NamesFromTopology(net *topology.Network) map[netip.Addr]string {
@@ -1172,7 +1183,7 @@ func (a *Analyzer) readInstrumented(pr pcap.PacketReader) error {
 		err = pcap.DecodePacketInto(&pkt, pr.LinkType(), ci, data)
 		decodeStage.Observe(time.Since(t0))
 		if err != nil {
-			a.metrics.noteDecodeError()
+			a.metrics.noteDecodeErrors(1)
 			continue
 		}
 		t0 = time.Now()
@@ -1242,11 +1253,11 @@ func (a *Analyzer) ConnKeys() []ConnKey {
 	for k := range a.tokens {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Server.Compare(out[j].Server); c != 0 {
-			return c < 0
+	slices.SortFunc(out, func(x, y ConnKey) int {
+		if c := x.Server.Compare(y.Server); c != 0 {
+			return c
 		}
-		return out[i].Outstation.Compare(out[j].Outstation) < 0
+		return x.Outstation.Compare(y.Outstation)
 	})
 	return out
 }

@@ -156,10 +156,10 @@ func (m *analyzerMetrics) noteFlip() {
 	}
 }
 
-// noteDecodeError books an undecodable capture record. Nil-safe.
-func (m *analyzerMetrics) noteDecodeError() {
-	if m != nil {
-		m.decodeErrors.Inc()
+// noteDecodeErrors books n undecodable capture records. Nil-safe.
+func (m *analyzerMetrics) noteDecodeErrors(n int) {
+	if m != nil && n > 0 {
+		m.decodeErrors.Add(int64(n))
 	}
 }
 

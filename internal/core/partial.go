@@ -1,8 +1,9 @@
 package core
 
 import (
-	"net/netip"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"uncharted/internal/iec104"
@@ -66,17 +67,18 @@ func (a *Analyzer) Partial() Partial {
 		TotalASDUs:   a.totalASDUs,
 		TypeCounts:   a.typeCountMap(),
 		Features:     a.SessionFeatures(),
-		// MergeDigests on a single list just sorts by series key, so a
-		// lone Partial and a merged one order Physical identically.
-		Physical:   physical.MergeDigests(a.store.Digests()),
-		OtherPorts: a.OtherProtocols(),
+		Physical:     a.store.Digests(),
+		OtherPorts:   a.OtherProtocols(),
+		Compliance:   slices.Grow([]StationCompliance(nil), len(a.compliance)),
 	}
+	// The store's digests are one per series, so sorting the fresh list
+	// by key orders it as MergeDigests would: a lone Partial and a merged
+	// one order Physical identically.
+	physical.SortDigests(p.Physical)
 	for _, sc := range a.compliance {
 		p.Compliance = append(p.Compliance, *sc)
 	}
-	sort.Slice(p.Compliance, func(i, j int) bool {
-		return p.Compliance[i].Name < p.Compliance[j].Name
-	})
+	slices.SortFunc(p.Compliance, compareNames)
 	p.Chains = a.connChains()
 	p.Dialects = a.Dialects()
 	p.Streams = a.StreamCompliance()
@@ -89,16 +91,29 @@ func (a *Analyzer) Partial() Partial {
 // triggers when two inputs saw the same connection — two probes on one
 // link) and are sorted so the merged result is deterministic regardless
 // of shard count or scheduling. The inputs are never modified.
+//
+// Every list is sized from the inputs up front and holds values: rows
+// of one key are folded after a stable sort, in input order — the order
+// a map of first rows merged them in — so a merge allocates the lists
+// it returns rather than a box per row.
 func MergePartials(parts []Partial) Partial {
-	var out Partial
-	out.TypeCounts = make(map[iec104.TypeID]int)
-	out.OtherPorts = make(map[uint16]int)
-	compliance := make(map[netip.Addr]*StationCompliance)
-	chains := make(map[ConnKey]*ConnChain)
-	// ownChain marks the connections whose chain MergePartials has
-	// already detached from its inputs; nil until the first collision,
-	// so disjoint inputs (every engine shard merge) pay nothing.
-	var ownChain map[ConnKey]bool
+	var nCompliance, nChains, nFeatures, nDurations int
+	for i := range parts {
+		p := &parts[i]
+		nCompliance += len(p.Compliance)
+		nChains += len(p.Chains)
+		nFeatures += len(p.Features)
+		nDurations += len(p.Flows.ShortLivedDuration)
+	}
+	out := Partial{
+		TypeCounts: make(map[iec104.TypeID]int),
+		OtherPorts: make(map[uint16]int),
+		Flows:      tcpflow.Summary{ShortLivedDuration: make([]time.Duration, 0, nDurations)},
+		Compliance: slices.Grow([]StationCompliance(nil), nCompliance),
+		Chains:     slices.Grow([]ConnChain(nil), nChains),
+		Features:   slices.Grow([]SessionFeature(nil), nFeatures),
+	}
+	physLists := make([][]physical.Digest, 0, len(parts))
 	dialects := make(map[protocol.ID]*DialectStat)
 	type streamKey struct {
 		proto protocol.ID
@@ -106,7 +121,6 @@ func MergePartials(parts []Partial) Partial {
 		unit  string
 	}
 	streams := make(map[streamKey]*protocol.StreamCompliance)
-	var physLists [][]physical.Digest
 
 	for _, p := range parts {
 		out.Packets += p.Packets
@@ -121,45 +135,15 @@ func MergePartials(parts []Partial) Partial {
 		if p.Last.After(out.Last) {
 			out.Last = p.Last
 		}
-		out.Flows = out.Flows.Merge(p.Flows)
+		out.Flows.Add(p.Flows)
 		for t, c := range p.TypeCounts {
 			out.TypeCounts[t] += c
 		}
 		for port, n := range p.OtherPorts {
 			out.OtherPorts[port] += n
 		}
-		for i := range p.Compliance {
-			sc := p.Compliance[i]
-			cur, ok := compliance[sc.Addr]
-			if !ok {
-				cp := sc
-				compliance[sc.Addr] = &cp
-				continue
-			}
-			mergeCompliance(cur, sc)
-		}
-		for i := range p.Chains {
-			cc := p.Chains[i]
-			cur, ok := chains[cc.Key]
-			if !ok {
-				cp := cc
-				chains[cc.Key] = &cp
-				continue
-			}
-			if cur.Proto == 0 {
-				cur.Proto = cc.Proto
-			}
-			if !ownChain[cc.Key] {
-				// cur.Chain still is the first input's chain: merge
-				// into a copy, never into the caller's partial.
-				cur.Chain = cur.Chain.Clone()
-				if ownChain == nil {
-					ownChain = make(map[ConnKey]bool)
-				}
-				ownChain[cc.Key] = true
-			}
-			cur.Chain.Merge(cc.Chain)
-		}
+		out.Compliance = append(out.Compliance, p.Compliance...)
+		out.Chains = append(out.Chains, p.Chains...)
 		for i := range p.Dialects {
 			ds := p.Dialects[i]
 			cur, ok := dialects[ds.Proto]
@@ -199,50 +183,88 @@ func MergePartials(parts []Partial) Partial {
 		physLists = append(physLists, p.Physical)
 	}
 
-	for _, sc := range compliance {
-		out.Compliance = append(out.Compliance, *sc)
-	}
-	sort.Slice(out.Compliance, func(i, j int) bool {
-		return out.Compliance[i].Name < out.Compliance[j].Name
-	})
-	for _, cc := range chains {
-		out.Chains = append(out.Chains, *cc)
-	}
-	sort.Slice(out.Chains, func(i, j int) bool {
-		a, b := out.Chains[i].Key, out.Chains[j].Key
-		if c := a.Server.Compare(b.Server); c != 0 {
-			return c < 0
+	out.Compliance = foldCompliance(out.Compliance)
+	out.Chains = foldChains(out.Chains)
+	// Unstable, as it always was: a tie (two probes' rows for one
+	// session) lands where pdqsort puts it, which slices.SortFunc and
+	// sort.Slice agree on.
+	slices.SortFunc(out.Features, func(a, b SessionFeature) int {
+		if c := strings.Compare(a.Src, b.Src); c != 0 {
+			return c
 		}
-		return a.Outstation.Compare(b.Outstation) < 0
-	})
-	sort.Slice(out.Features, func(i, j int) bool {
-		a, b := out.Features[i], out.Features[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Dst < b.Dst
+		return strings.Compare(a.Dst, b.Dst)
 	})
 	for _, ds := range dialects {
 		out.Dialects = append(out.Dialects, *ds)
 	}
-	sort.Slice(out.Dialects, func(i, j int) bool {
-		return out.Dialects[i].Proto < out.Dialects[j].Proto
-	})
+	slices.SortFunc(out.Dialects, func(a, b DialectStat) int { return cmp.Compare(a.Proto, b.Proto) })
 	for _, sc := range streams {
 		out.Streams = append(out.Streams, *sc)
 	}
-	sort.Slice(out.Streams, func(i, j int) bool {
-		a, b := out.Streams[i], out.Streams[j]
-		if a.Proto != b.Proto {
-			return a.Proto < b.Proto
-		}
-		if a.Conn != b.Conn {
-			return a.Conn < b.Conn
-		}
-		return a.Unit < b.Unit
-	})
+	slices.SortFunc(out.Streams, compareStreams)
 	out.Physical = physical.MergeDigests(physLists...)
 	return out
+}
+
+// compareNames orders compliance rows by station name, then address.
+func compareNames(a, b StationCompliance) int {
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	return a.Addr.Compare(b.Addr)
+}
+
+// foldCompliance merges the rows of each endpoint into its first, in
+// input order, and orders the result by name. rows is the merge's own
+// list; the result is a prefix of it.
+func foldCompliance(rows []StationCompliance) []StationCompliance {
+	slices.SortStableFunc(rows, func(a, b StationCompliance) int { return a.Addr.Compare(b.Addr) })
+	n := 0
+	for i := range rows {
+		if n > 0 && rows[n-1].Addr == rows[i].Addr {
+			mergeCompliance(&rows[n-1], rows[i])
+			continue
+		}
+		rows[n] = rows[i]
+		n++
+	}
+	clear(rows[n:])
+	rows = rows[:n]
+	slices.SortFunc(rows, compareNames)
+	return rows
+}
+
+// foldChains merges the chains of each connection into its first, in
+// input order, and leaves the result ordered by connection. chains is
+// the merge's own list, but the chains it points at belong to the
+// inputs: a connection seen twice is merged into a copy of its first
+// chain.
+func foldChains(chains []ConnChain) []ConnChain {
+	slices.SortStableFunc(chains, func(a, b ConnChain) int {
+		if c := a.Key.Server.Compare(b.Key.Server); c != 0 {
+			return c
+		}
+		return a.Key.Outstation.Compare(b.Key.Outstation)
+	})
+	n, owned := 0, false // owned: chains[n-1].Chain is the merge's copy
+	for i := range chains {
+		cc := chains[i]
+		if n == 0 || chains[n-1].Key != cc.Key {
+			chains[n], owned = cc, false
+			n++
+			continue
+		}
+		cur := &chains[n-1]
+		if cur.Proto == 0 {
+			cur.Proto = cc.Proto
+		}
+		if !owned {
+			cur.Chain, owned = cur.Chain.Clone(), true
+		}
+		cur.Chain.Merge(cc.Chain)
+	}
+	clear(chains[n:])
+	return chains[:n]
 }
 
 // mergeCompliance folds one shard's verdict for an endpoint into the

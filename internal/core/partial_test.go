@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"net/netip"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 
+	"uncharted/internal/iec104"
 	"uncharted/internal/pcap"
+	"uncharted/internal/physical"
+	"uncharted/internal/protocol"
 	"uncharted/internal/scadasim"
 	"uncharted/internal/topology"
 )
@@ -17,16 +21,17 @@ import (
 // shardedPartials splits a capture across n analyzers by unordered IP
 // pair — the streaming engine's partitioning — and snapshots each.
 func shardedPartials(t *testing.T, n int) []Partial {
-	return shardedPartialsMode(t, n, false)
+	return shardedPartialsMode(t, 17, n, false)
 }
 
-// shardedPartialsMode is shardedPartials with an optional mixed-protocol
-// capture: multi adds a Modbus association to the trace and runs every
-// shard analyzer in registry auto-detect mode, so the resulting partials
-// carry cross-protocol Dialects and Streams state.
-func shardedPartialsMode(t *testing.T, n int, multi bool) []Partial {
+// shardedPartialsMode is shardedPartials over the capture of a given
+// simulator seed, with an optional mixed-protocol capture: multi adds a
+// Modbus association to the trace and runs every shard analyzer in
+// registry auto-detect mode, so the resulting partials carry
+// cross-protocol Dialects and Streams state.
+func shardedPartialsMode(t *testing.T, seed int64, n int, multi bool) []Partial {
 	t.Helper()
-	cfg := scadasim.DefaultConfig(topology.Y1, 17)
+	cfg := scadasim.DefaultConfig(topology.Y1, seed)
 	cfg.Duration = 6 * time.Minute
 	cfg.EnableModbus = multi
 	sim, err := scadasim.New(cfg)
@@ -236,7 +241,7 @@ func TestMergePartialsOverlapLeavesInputsAlone(t *testing.T) {
 // maps, proto-tagged chains and C37.118 stream verdicts must also be
 // independent of shard merge order.
 func TestMergePartialsCrossProtocolCommutative(t *testing.T) {
-	parts := shardedPartialsMode(t, 3, true)
+	parts := shardedPartialsMode(t, 17, 3, true)
 	p0, p1, p2 := parts[0], parts[1], parts[2]
 
 	base := MergePartials([]Partial{p0, p1, p2})
@@ -261,4 +266,202 @@ func TestMergePartialsCrossProtocolCommutative(t *testing.T) {
 	right := MergePartials([]Partial{p0, MergePartials([]Partial{p1, p2})})
 	equalMerged(t, "cross-proto associativity", left, right)
 	equalMerged(t, "cross-proto associativity vs flat", base, left)
+}
+
+// refMergePartials is MergePartials as it was before it folded sorted
+// runs: every compliance row and chain boxed behind a map keyed by
+// endpoint or connection, later rows merged into the first, the lists
+// grown by appending and ordered with sort.Slice. Kept as the reference
+// the fold's row order, tie order and collision handling are pinned to
+// (its digests go through MergeDigests, which
+// TestMergeDigestsMatchesReference pins to its own reference).
+func refMergePartials(parts []Partial) Partial {
+	var out Partial
+	out.TypeCounts = make(map[iec104.TypeID]int)
+	out.OtherPorts = make(map[uint16]int)
+	compliance := make(map[netip.Addr]*StationCompliance)
+	chains := make(map[ConnKey]*ConnChain)
+	var ownChain map[ConnKey]bool
+	dialects := make(map[protocol.ID]*DialectStat)
+	type streamKey struct {
+		proto protocol.ID
+		conn  string
+		unit  string
+	}
+	streams := make(map[streamKey]*protocol.StreamCompliance)
+	var physLists [][]physical.Digest
+	durations := []time.Duration{}
+	for _, p := range parts {
+		out.Packets += p.Packets
+		out.IECPackets += p.IECPackets
+		out.ParseErrors += p.ParseErrors
+		out.SeqAnomalies += p.SeqAnomalies
+		out.TotalASDUs += p.TotalASDUs
+		out.FlowsEvicted += p.FlowsEvicted
+		if !p.First.IsZero() && (out.First.IsZero() || p.First.Before(out.First)) {
+			out.First = p.First
+		}
+		if p.Last.After(out.Last) {
+			out.Last = p.Last
+		}
+		out.Flows.ShortLived += p.Flows.ShortLived
+		out.Flows.ShortLivedSubSec += p.Flows.ShortLivedSubSec
+		out.Flows.ShortLivedOverSec += p.Flows.ShortLivedOverSec
+		out.Flows.LongLived += p.Flows.LongLived
+		durations = append(durations, p.Flows.ShortLivedDuration...)
+		for t, c := range p.TypeCounts {
+			out.TypeCounts[t] += c
+		}
+		for port, n := range p.OtherPorts {
+			out.OtherPorts[port] += n
+		}
+		for _, sc := range p.Compliance {
+			if cur, ok := compliance[sc.Addr]; ok {
+				mergeCompliance(cur, sc)
+				continue
+			}
+			cp := sc
+			compliance[sc.Addr] = &cp
+		}
+		for _, cc := range p.Chains {
+			cur, ok := chains[cc.Key]
+			if !ok {
+				cp := cc
+				chains[cc.Key] = &cp
+				continue
+			}
+			if cur.Proto == 0 {
+				cur.Proto = cc.Proto
+			}
+			if !ownChain[cc.Key] {
+				cur.Chain = cur.Chain.Clone()
+				if ownChain == nil {
+					ownChain = make(map[ConnKey]bool)
+				}
+				ownChain[cc.Key] = true
+			}
+			cur.Chain.Merge(cc.Chain)
+		}
+		for _, ds := range p.Dialects {
+			cur, ok := dialects[ds.Proto]
+			if !ok {
+				cp := ds
+				cp.TokenCounts = make(map[string]int, len(ds.TokenCounts))
+				for t, n := range ds.TokenCounts {
+					cp.TokenCounts[t] = n
+				}
+				dialects[ds.Proto] = &cp
+				continue
+			}
+			cur.Frames += ds.Frames
+			cur.ParseErrors += ds.ParseErrors
+			cur.Bytes += ds.Bytes
+			for t, n := range ds.TokenCounts {
+				cur.TokenCounts[t] += n
+			}
+		}
+		for _, sc := range p.Streams {
+			k := streamKey{sc.Proto, sc.Conn, sc.Unit}
+			cur, ok := streams[k]
+			if !ok {
+				cp := sc
+				streams[k] = &cp
+				continue
+			}
+			if sc.Frames > cur.Frames {
+				cur.ConfiguredRate, cur.ObservedRate = sc.ConfiguredRate, sc.ObservedRate
+				cur.Compliant, cur.Detail = sc.Compliant, sc.Detail
+			}
+			cur.Frames += sc.Frames
+			cur.Errors += sc.Errors
+		}
+		out.Features = append(out.Features, p.Features...)
+		physLists = append(physLists, p.Physical)
+	}
+	out.Flows.ShortLivedDuration = durations
+	for _, sc := range compliance {
+		out.Compliance = append(out.Compliance, *sc)
+	}
+	sort.Slice(out.Compliance, func(i, j int) bool { return out.Compliance[i].Name < out.Compliance[j].Name })
+	for _, cc := range chains {
+		out.Chains = append(out.Chains, *cc)
+	}
+	sort.Slice(out.Chains, func(i, j int) bool {
+		a, b := out.Chains[i].Key, out.Chains[j].Key
+		if c := a.Server.Compare(b.Server); c != 0 {
+			return c < 0
+		}
+		return a.Outstation.Compare(b.Outstation) < 0
+	})
+	sort.Slice(out.Features, func(i, j int) bool {
+		a, b := out.Features[i], out.Features[j]
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		return a.Dst < b.Dst
+	})
+	for _, ds := range dialects {
+		out.Dialects = append(out.Dialects, *ds)
+	}
+	sort.Slice(out.Dialects, func(i, j int) bool { return out.Dialects[i].Proto < out.Dialects[j].Proto })
+	for _, sc := range streams {
+		out.Streams = append(out.Streams, *sc)
+	}
+	sort.Slice(out.Streams, func(i, j int) bool {
+		a, b := out.Streams[i], out.Streams[j]
+		if a.Proto != b.Proto {
+			return a.Proto < b.Proto
+		}
+		if a.Conn != b.Conn {
+			return a.Conn < b.Conn
+		}
+		return a.Unit < b.Unit
+	})
+	out.Physical = physical.MergeDigests(physLists...)
+	return out
+}
+
+// TestMergePartialsMatchesReference: the sorted-run merge equals the
+// map-based one exactly — row order, the order of tied feature rows,
+// every chain's counts, every digest's moments — on disjoint shards,
+// on a mixed-protocol capture, and on two probes of one link that saw
+// different traffic: every connection collides (so each merged chain is
+// a copy of the first probe's with the second's folded in) and every
+// session appears twice with different features, so the sort's ties
+// carry distinct rows. The probes' partials are left as they were.
+func TestMergePartialsMatchesReference(t *testing.T) {
+	probeA, probeB := shardedPartialsMode(t, 17, 1, false)[0], shardedPartialsMode(t, 18, 1, false)[0]
+	pristineA := shardedPartialsMode(t, 17, 1, false)[0]
+	cases := map[string][]Partial{
+		"three shards":       shardedPartials(t, 3),
+		"mixed three shards": shardedPartialsMode(t, 17, 3, true),
+		"overlapping probes": {probeA, probeB, probeA},
+	}
+	for name, parts := range cases {
+		got, want := MergePartials(parts), refMergePartials(parts)
+		if !reflect.DeepEqual(got, want) {
+			gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+			for i := 0; i < gv.NumField(); i++ {
+				if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+					t.Errorf("%s: Partial.%s differs from the reference merge", name, gv.Type().Field(i).Name)
+				}
+			}
+		}
+	}
+
+	merged := MergePartials([]Partial{probeA, probeB})
+	if len(merged.Chains) != len(probeA.Chains) || len(merged.Features) != len(probeA.Features)+len(probeB.Features) {
+		t.Fatalf("probes do not overlap: %d+%d chains merge to %d", len(probeA.Chains), len(probeB.Chains), len(merged.Chains))
+	}
+	ties := 0
+	for i := 1; i < len(merged.Features); i++ {
+		a, b := merged.Features[i-1], merged.Features[i]
+		if a.Src == b.Src && a.Dst == b.Dst && a != b {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("the probes' session rows never tie with different features")
+	}
+	equalMerged(t, "probe A after merges", MergePartials([]Partial{pristineA}), MergePartials([]Partial{probeA}))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -93,7 +94,8 @@ func (a *Analyzer) SessionAPDUs() DirCounts {
 // SessionFeatures extracts one row per directional session that
 // carried at least one APDU.
 func (a *Analyzer) SessionFeatures() []SessionFeature {
-	var out []SessionFeature
+	// Every session with an APDU tally makes a row: nil when none has.
+	out := slices.Grow([]SessionFeature(nil), len(a.sessionAPDUs))
 	for _, s := range a.sessions.Sorted() {
 		key := tcpflow.SessionKey{Src: s.Key.Src, Dst: s.Key.Dst}
 		dc, ok := a.sessionAPDUs[key]
@@ -137,28 +139,15 @@ func (a *Analyzer) ClusterSessions(k int, seed int64) (*ClusterReport, error) {
 	return ClusterFeatures(a.SessionFeatures(), k, seed)
 }
 
-// ClusterFeatures clusters a prepared feature set — the entry point
-// shard-merged streaming profiles use.
+// ClusterFeatures clusters a prepared feature set: FitClusters plus the
+// model-selection diagnostics — the K = 2..8 sweep and the 2-D PCA
+// projection — that the offline report prints.
 func ClusterFeatures(feats []SessionFeature, k int, seed int64) (*ClusterReport, error) {
-	if len(feats) < k {
-		return nil, fmt.Errorf("core: %d sessions with APDUs, need at least %d", len(feats), k)
-	}
-	raw := make([][]float64, len(feats))
-	for i, f := range feats {
-		raw[i] = f.Vector()
-	}
-	std := standardizeColumns(raw)
-
-	rng := rand.New(rand.NewSource(seed))
-	elbow, _, err := cluster.Sweep(std, min(8, len(std)), rng)
+	rep, std, err := fitClusters(feats, k, seed)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cluster.KMeans(std, k, rand.New(rand.NewSource(seed+1)))
-	if err != nil {
-		return nil, err
-	}
-	sil, err := cluster.Silhouette(std, res.Assign, k)
+	rep.Elbow, _, err = cluster.Sweep(std, min(8, len(std)), rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
 	}
@@ -166,15 +155,43 @@ func ClusterFeatures(feats []SessionFeature, k int, seed int64) (*ClusterReport,
 	if err != nil {
 		return nil, err
 	}
+	rep.Projected = pca.Project(std, 2)
+	return rep, nil
+}
+
+// FitClusters is the clustering the rolling profile publishes: the
+// standardized features, K-means++ seeded with seed+1, the silhouette,
+// cluster sizes and outliers. Elbow and Projected stay empty. It fails
+// exactly when ClusterFeatures does — fewer than max(k, 2) sessions, or
+// k < 2 — and every field it fills equals ClusterFeatures' bit for bit:
+// the sweep draws from its own generator, so leaving it out moves
+// nothing.
+func FitClusters(feats []SessionFeature, k int, seed int64) (*ClusterReport, error) {
+	rep, _, err := fitClusters(feats, k, seed)
+	return rep, err
+}
+
+// fitClusters is FitClusters, also returning the standardized rows.
+func fitClusters(feats []SessionFeature, k int, seed int64) (*ClusterReport, [][]float64, error) {
+	if need := max(k, 2); len(feats) < need {
+		return nil, nil, fmt.Errorf("core: %d sessions with APDUs, need at least %d", len(feats), need)
+	}
+	std := standardize(feats)
+	res, err := cluster.KMeans(std, k, rand.New(rand.NewSource(seed+1)))
+	if err != nil {
+		return nil, nil, err
+	}
+	sil, err := cluster.Silhouette(std, res.Assign, k)
+	if err != nil {
+		return nil, nil, err
+	}
 	rep := &ClusterReport{
-		Features:  feats,
-		K:         k,
-		Assign:    res.Assign,
-		Sizes:     res.Sizes(),
-		SSE:       res.SSE,
-		Sil:       sil,
-		Projected: pca.Project(std, 2),
-		Elbow:     elbow,
+		Features: feats,
+		K:        k,
+		Assign:   res.Assign,
+		Sizes:    res.Sizes(),
+		SSE:      res.SSE,
+		Sil:      sil,
 	}
 	// Outliers: members of the smallest non-empty cluster.
 	smallest, smallestSize := -1, 1<<31
@@ -188,29 +205,34 @@ func ClusterFeatures(feats []SessionFeature, k int, seed int64) (*ClusterReport,
 			rep.Outliers = append(rep.Outliers, feats[i].Src+">"+feats[i].Dst)
 		}
 	}
-	return rep, nil
+	return rep, std, nil
 }
 
-func standardizeColumns(rows [][]float64) [][]float64 {
-	if len(rows) == 0 {
-		return nil
+// standardize returns each feature's Vector with every column scaled
+// as stats.Standardize scales it, as rows over one backing array.
+func standardize(feats []SessionFeature) [][]float64 {
+	const dim = 5 // len(SessionFeature.Vector())
+	flat := make([]float64, len(feats)*dim)
+	rows := make([][]float64, len(feats))
+	for i, f := range feats {
+		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+		rows[i][0], rows[i][1], rows[i][2], rows[i][3], rows[i][4] = f.DeltaT, f.Num, f.PctI, f.PctS, f.PctU
 	}
-	dim := len(rows[0])
-	out := make([][]float64, len(rows))
-	for i := range out {
-		out[i] = make([]float64, dim)
-	}
-	col := make([]float64, len(rows))
+	col := make([]float64, len(feats))
 	for j := 0; j < dim; j++ {
-		for i := range rows {
-			col[i] = rows[i][j]
+		for i, r := range rows {
+			col[i] = r[j]
 		}
-		std := stats.Standardize(col)
-		for i := range rows {
-			out[i][j] = std[i]
+		m, sd := stats.Mean(col), stats.StdDev(col)
+		for i, r := range rows {
+			if sd == 0 {
+				r[j] = 0
+			} else {
+				r[j] = (col[i] - m) / sd
+			}
 		}
 	}
-	return out
+	return rows
 }
 
 // ConnChain couples a logical connection with its Markov chain.
@@ -237,7 +259,8 @@ type MarkovReport struct {
 
 // connChains copies every logical connection's live chain, sorted by
 // connection. The chains are counted as tokens arrive, so this costs
-// O(connections), not O(tokens).
+// O(connections), not O(tokens), and the copies share one clone's
+// backing arrays.
 func (a *Analyzer) connChains() []ConnChain {
 	keys := a.ConnKeys()
 	chains := slices.Grow([]ConnChain(nil), len(keys)) // nil when there are none
@@ -247,8 +270,12 @@ func (a *Analyzer) connChains() []ConnChain {
 			Server:     a.Name(key.Server),
 			Outstation: a.Name(key.Outstation),
 			Proto:      a.connProto[key],
-			Chain:      a.tokens[key].chain.Clone(),
+			Chain:      &a.tokens[key].chain,
 		})
+	}
+	copies := markov.CloneAll(len(chains), func(i int) *markov.Chain { return chains[i].Chain })
+	for i := range chains {
+		chains[i].Chain = &copies[i]
 	}
 	return chains
 }
@@ -263,8 +290,8 @@ func (a *Analyzer) MarkovChains() MarkovReport {
 // the entry point shard-merged streaming profiles use. Each chain's
 // Cluster field is (re)computed.
 func MarkovFromChains(chains []ConnChain) MarkovReport {
-	var rep MarkovReport
-	var summaries []markov.ConnSummary
+	rep := MarkovReport{Chains: slices.Grow([]ConnChain(nil), len(chains))}
+	summaries := make([]markov.ConnSummary, 0, len(chains))
 	for _, cc := range chains {
 		cc.Cluster = markov.Classify11SquareEllipse(cc.Chain)
 		rep.Chains = append(rep.Chains, cc)
@@ -313,17 +340,17 @@ func (a *Analyzer) typeCountMap() map[iec104.TypeID]int {
 // TypeSharesFromCounts renders (possibly merged) per-type ASDU counts
 // as the Table 7 shares, descending.
 func TypeSharesFromCounts(counts map[iec104.TypeID]int, total int) []TypeIDShare {
-	var out []TypeIDShare
+	out := slices.Grow([]TypeIDShare(nil), len(counts))
 	for t, c := range counts {
 		out = append(out, TypeIDShare{
 			Type: t, Count: c, Percent: 100 * float64(c) / float64(total),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(a, b TypeIDShare) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return out[i].Type < out[j].Type
+		return cmp.Compare(a.Type, b.Type)
 	})
 	return out
 }

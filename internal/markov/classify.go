@@ -1,7 +1,8 @@
 package markov
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"uncharted/internal/iec104"
 	"uncharted/internal/protocol"
@@ -20,9 +21,12 @@ type connFlags struct {
 	hasI, hasI100, hasU16, hasU32, hasS bool
 }
 
+// flagsOf reads the flags off the chain's node table; order does not
+// matter to them, so nothing is copied or sorted.
 func flagsOf(c *Chain) connFlags {
 	var f connFlags
-	for _, t := range c.Tokens() {
+	for i := range c.nodes {
+		t := c.nodes[i].Token
 		// The Table 6 rules are defined over the IEC 104 alphabet; other
 		// dialects' tokens in a mixed chain carry no classification signal.
 		if t.Proto != protocol.IEC104 {
@@ -78,22 +82,33 @@ func ClassifyOutstation(conns []ConnSummary) OutstationClass {
 	}
 	out := OutstationClass{Outstation: conns[0].Outstation, Connections: len(conns)}
 
-	perServer := map[string]connFlags{}
+	// An outstation talks to a handful of servers: a short list on the
+	// stack, not a map.
+	type serverFlags struct {
+		server string
+		connFlags
+	}
+	var buf [4]serverFlags
+	perServer := buf[:0]
 	for _, c := range conns {
 		f := flagsOf(c.Chain)
-		prev := perServer[c.Server]
-		perServer[c.Server] = connFlags{
-			hasI:    prev.hasI || f.hasI,
-			hasI100: prev.hasI100 || f.hasI100,
-			hasU16:  prev.hasU16 || f.hasU16,
-			hasU32:  prev.hasU32 || f.hasU32,
-			hasS:    prev.hasS || f.hasS,
+		i := slices.IndexFunc(perServer, func(s serverFlags) bool { return s.server == c.Server })
+		if i < 0 {
+			perServer = append(perServer, serverFlags{server: c.Server, connFlags: f})
+			continue
 		}
+		prev := &perServer[i].connFlags
+		prev.hasI = prev.hasI || f.hasI
+		prev.hasI100 = prev.hasI100 || f.hasI100
+		prev.hasU16 = prev.hasU16 || f.hasU16
+		prev.hasU32 = prev.hasU32 || f.hasU32
+		prev.hasS = prev.hasS || f.hasS
 	}
 
 	var iServers, keepAliveServers, refusedServers, switchoverServers int
 	var soloBoth bool
-	for _, f := range perServer {
+	for _, s := range perServer {
+		f := s.connFlags
 		switch {
 		case f.hasI && f.hasU16 && f.hasU32 && f.hasI100:
 			switchoverServers++
@@ -131,17 +146,20 @@ func ClassifyOutstation(conns []ConnSummary) OutstationClass {
 }
 
 // ClassifyAll groups connection summaries by outstation and classifies
-// each, returning results sorted by outstation name.
+// each, returning results sorted by outstation name. The groups are the
+// runs of a copy of conns sorted by outstation; conns is not modified.
 func ClassifyAll(conns []ConnSummary) []OutstationClass {
-	byOut := map[string][]ConnSummary{}
-	for _, c := range conns {
-		byOut[c.Outstation] = append(byOut[c.Outstation], c)
-	}
+	sorted := slices.Clone(conns)
+	slices.SortStableFunc(sorted, func(a, b ConnSummary) int { return strings.Compare(a.Outstation, b.Outstation) })
 	var out []OutstationClass
-	for _, group := range byOut {
-		out = append(out, ClassifyOutstation(group))
+	for len(sorted) > 0 {
+		n := 1
+		for n < len(sorted) && sorted[n].Outstation == sorted[0].Outstation {
+			n++
+		}
+		out = append(out, ClassifyOutstation(sorted[:n]))
+		sorted = sorted[n:]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Outstation < out[j].Outstation })
 	return out
 }
 

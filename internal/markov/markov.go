@@ -9,7 +9,8 @@
 // value. A connection's chain has a dozen nodes and a few dozen edges,
 // so a lookup is a short binary search, a Clone is two appends — which
 // is what lets core.Analyzer.Partial hand out a snapshot of a live
-// chain at a cost independent of how many tokens it has counted — and
+// chain at a cost independent of how many tokens it has counted, and
+// CloneAll copy every chain of a snapshot into two shared tables — and
 // two chains holding the same counts are reflect.DeepEqual whatever
 // order they were built or merged in. Out-degrees and the total token
 // count are derived from the table, never stored. The position in a
@@ -80,6 +81,39 @@ func NewChain() *Chain { return &Chain{} }
 // Clone returns a copy sharing nothing with c.
 func (c *Chain) Clone() *Chain {
 	return &Chain{nodes: slices.Clone(c.nodes), edges: slices.Clone(c.edges)}
+}
+
+// CloneAll returns copies of the n chains chain(0..n-1), sharing nothing
+// with them, in three allocations whatever n: one node table, one edge
+// table and the []Chain. Each copy's tables are capped at their own
+// length, so growing one reallocates it rather than writing into its
+// neighbour's. chain is called twice per index.
+func CloneAll(n int, chain func(i int) *Chain) []Chain {
+	var nNodes, nEdges int
+	for i := 0; i < n; i++ {
+		c := chain(i)
+		nNodes += len(c.nodes)
+		nEdges += len(c.edges)
+	}
+	nodes := make([]TokenCount, 0, nNodes)
+	edges := make([]EdgeCount, 0, nEdges)
+	out := make([]Chain, n)
+	for i := range out {
+		c := chain(i)
+		out[i] = Chain{nodes: carve(&nodes, c.nodes), edges: carve(&edges, c.edges)}
+	}
+	return out
+}
+
+// carve appends src to *slab and returns the appended part, capped at
+// its length — nil for a nil src, as slices.Clone gives.
+func carve[E any](slab *[]E, src []E) []E {
+	if src == nil {
+		return nil
+	}
+	start := len(*slab)
+	*slab = append(*slab, src...)
+	return (*slab)[start:len(*slab):len(*slab)]
 }
 
 // findNode returns the position of the first node whose key is >= k.

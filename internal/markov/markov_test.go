@@ -2,6 +2,7 @@ package markov
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -289,5 +290,65 @@ func TestTextKeyOrdersLikeString(t *testing.T) {
 		if (a.s == b.s) != (a.k == b.k) || a.k > b.k {
 			t.Fatalf("%q (key %#x) then %q (key %#x): key order is not string order", a.s, a.k, b.s, b.k)
 		}
+	}
+}
+
+// TestCloneAllSharesNothing: CloneAll's copies equal Clone's — a chain
+// without edges keeps a nil edge table — in three allocations for any
+// number of chains, and a copy that grows reallocates its own tables
+// instead of writing into its neighbour's or its source's.
+func TestCloneAllSharesNothing(t *testing.T) {
+	src := []*Chain{NewChain(), NewChain(), NewChain()}
+	src[0].Add(toks("I36", "S", "I36", "I36"))
+	src[1].Add(toks("U16"))
+	src[2].Add(toks("I100", "I1", "I13", "S", "I13"))
+	chain := func(i int) *Chain { return src[i] }
+	copies := CloneAll(len(src), chain)
+	for i := range src {
+		if !reflect.DeepEqual(copies[i], *src[i].Clone()) {
+			t.Fatalf("copy %d is %+v, Clone gives %+v", i, copies[i], *src[i].Clone())
+		}
+	}
+	copies[0].Add(toks("U32", "U16", "I100"))
+	copies[1].Add(toks("U32"))
+	for i := range src {
+		if i > 1 && !reflect.DeepEqual(copies[i], *src[i].Clone()) {
+			t.Fatalf("growing copies 0 and 1 changed copy %d: %+v", i, copies[i])
+		}
+		if src[i].Has(toks("U32")[0]) {
+			t.Fatalf("growing a copy wrote into source chain %d", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { CloneAll(len(src), chain) }); allocs != 3 {
+		t.Fatalf("CloneAll allocates %.0f objects, want 3", allocs)
+	}
+}
+
+// TestClassifyFlagsAllocs: classification reads a chain's node table in
+// place — no token copy, no sort — and an outstation's per-server flags
+// live on the stack, so the flags of one chain and the verdict over a
+// primary and a healthy keep-alive secondary allocate nothing.
+func TestClassifyFlagsAllocs(t *testing.T) {
+	primary, backup := NewChain(), NewChain()
+	primary.Add(toks("I100", "I36", "S", "I36"))
+	backup.Add(toks("U16", "U32", "U16", "U32"))
+	conns := []ConnSummary{
+		{Server: "C1", Outstation: "O5", Chain: primary},
+		{Server: "C2", Outstation: "O5", Chain: backup},
+		{Server: "C1", Outstation: "O5", Chain: primary},
+	}
+	var f connFlags
+	if allocs := testing.AllocsPerRun(100, func() { f = flagsOf(primary) }); allocs != 0 {
+		t.Fatalf("flagsOf allocates %.0f objects", allocs)
+	}
+	if f != (connFlags{hasI: true, hasI100: true, hasS: true}) {
+		t.Fatalf("flags %+v", f)
+	}
+	var c OutstationClass
+	if allocs := testing.AllocsPerRun(100, func() { c = ClassifyOutstation(conns) }); allocs != 0 {
+		t.Fatalf("ClassifyOutstation allocates %.0f objects", allocs)
+	}
+	if c.Type != 2 || c.Connections != 3 {
+		t.Fatalf("class %+v, want type 2 over 3 connections", c)
 	}
 }

@@ -1,9 +1,10 @@
 package physical
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 )
 
@@ -196,37 +197,46 @@ func (st *Store) Digests() []Digest {
 	return out
 }
 
+// compareKeys orders digests by series key: station, then IOA.
+func compareKeys(a, b Digest) int {
+	if c := strings.Compare(a.Key.Station, b.Key.Station); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Key.IOA, b.Key.IOA)
+}
+
+// SortDigests orders a list of distinct series by key, in place: the
+// order MergeDigests gives, without its copy. A shard's seal sorts its
+// own fresh Store.Digests list this way.
+func SortDigests(ds []Digest) { slices.SortFunc(ds, compareKeys) }
+
 // MergeDigests combines digest lists from several shards: digests of
 // the same series are folded together, and the result is sorted by
-// series key for deterministic output.
+// series key for deterministic output. The lists are concatenated into
+// the result — its one allocation — stably sorted, and each run of one
+// series is folded into its first digest in list order, so the moments
+// come out of the same merges in the same order whatever the key
+// layout. The inputs are not modified.
 func MergeDigests(lists ...[]Digest) []Digest {
-	// One backing array holds every distinct digest; total is an upper
-	// bound and the slice never regrows, so the map's pointers into it
-	// stay valid. This keeps the merge to O(1) allocations rather than
-	// one boxed Digest per series per call.
 	total := 0
 	for _, list := range lists {
 		total += len(list)
 	}
 	merged := make([]Digest, 0, total)
-	byKey := make(map[SeriesKey]*Digest, total)
 	for _, list := range lists {
-		for _, d := range list {
-			if cur, ok := byKey[d.Key]; ok {
-				cur.merge(d)
-				continue
-			}
-			merged = append(merged, d)
-			byKey[d.Key] = &merged[len(merged)-1]
-		}
+		merged = append(merged, list...)
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Key.Station != merged[j].Key.Station {
-			return merged[i].Key.Station < merged[j].Key.Station
+	slices.SortStableFunc(merged, compareKeys)
+	n := 0
+	for i := range merged {
+		if n > 0 && merged[n-1].Key == merged[i].Key {
+			merged[n-1].merge(merged[i])
+			continue
 		}
-		return merged[i].Key.IOA < merged[j].Key.IOA
-	})
-	return merged
+		merged[n] = merged[i]
+		n++
+	}
+	return merged[:n]
 }
 
 // scored is a ranking candidate: its score and its index in the list
@@ -236,11 +246,10 @@ type scored struct {
 	i     int
 }
 
-// ranked returns the candidates' elements of xs stably ordered by
-// decreasing score (nil for no candidates). A candidate is scored once
-// and the sort moves 16-byte pairs without reflection: a Digest is 128
-// bytes to swap and two divisions to score again.
-func ranked[E any](xs []E, rank []scored) []E {
+// sortScored orders candidates stably by decreasing score. A candidate
+// is scored once and the sort moves 16-byte pairs without reflection: a
+// Digest is 128 bytes to swap and two divisions to score again.
+func sortScored(rank []scored) {
 	slices.SortStableFunc(rank, func(a, b scored) int {
 		switch {
 		case a.score > b.score:
@@ -250,6 +259,12 @@ func ranked[E any](xs []E, rank []scored) []E {
 		}
 		return 0
 	})
+}
+
+// ranked returns the candidates' elements of xs stably ordered by
+// decreasing score (nil for no candidates).
+func ranked[E any](xs []E, rank []scored) []E {
+	sortScored(rank)
 	out := slices.Grow([]E(nil), len(rank))
 	for _, r := range rank {
 		out = append(out, xs[r.i])
@@ -257,14 +272,21 @@ func ranked[E any](xs []E, rank []scored) []E {
 	return out
 }
 
-// RankDigests orders digests with at least minSamples by decreasing
-// normalized variance — the streaming counterpart of Store.Ranked.
-func RankDigests(ds []Digest, minSamples int) []Digest {
+// RankDigests returns the positions in ds of the digests with at least
+// minSamples, by decreasing normalized variance — the streaming
+// counterpart of Store.Ranked. Positions rather than copies: a caller
+// rendering the ranking reads each 128-byte digest once, in place.
+func RankDigests(ds []Digest, minSamples int) []int {
 	rank := make([]scored, 0, len(ds))
 	for i := range ds {
 		if ds[i].Count >= minSamples {
 			rank = append(rank, scored{ds[i].NormalizedVariance(), i})
 		}
 	}
-	return ranked(ds, rank)
+	sortScored(rank)
+	out := make([]int, len(rank))
+	for i, r := range rank {
+		out[i] = r.i
+	}
+	return out
 }

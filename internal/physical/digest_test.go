@@ -209,6 +209,98 @@ func TestRankedScoresOnce(t *testing.T) {
 	}
 }
 
+// refMergeDigests is MergeDigests as it was before it folded sorted
+// runs: the first digest of each series boxed behind a map, later ones
+// merged into it in list order, then the distinct series sorted by key.
+// Kept as the reference the fold is proven against.
+func refMergeDigests(lists ...[]Digest) []Digest {
+	total := 0
+	for _, list := range lists {
+		total += len(list)
+	}
+	merged := make([]Digest, 0, total)
+	byKey := make(map[SeriesKey]*Digest, total)
+	for _, list := range lists {
+		for _, d := range list {
+			if cur, ok := byKey[d.Key]; ok {
+				cur.merge(d)
+				continue
+			}
+			merged = append(merged, d)
+			byKey[d.Key] = &merged[len(merged)-1]
+		}
+	}
+	sort.Slice(merged, func(i, j int) bool {
+		if merged[i].Key.Station != merged[j].Key.Station {
+			return merged[i].Key.Station < merged[j].Key.Station
+		}
+		return merged[i].Key.IOA < merged[j].Key.IOA
+	})
+	return merged
+}
+
+// TestMergeDigestsMatchesReference: over seeded lists with series
+// repeated within a list and across lists (and some empty digests, which
+// merge by replacement), MergeDigests folds every series' digests in the
+// reference's order — moments equal bit for bit — leaves its inputs
+// alone, and allocates only its result.
+func TestMergeDigestsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	stations := []string{"O1", "O12", "O2", "pmu-7"}
+	digest := func() Digest {
+		d := Digest{
+			Key:  SeriesKey{Station: stations[rng.Intn(len(stations))], IOA: uint32(rng.Intn(6))},
+			Type: PointType(rng.Intn(3)),
+		}
+		if rng.Intn(8) == 0 {
+			return d // empty: a later digest of the series replaces it
+		}
+		start := t0.Add(time.Duration(rng.Intn(1000)) * time.Second)
+		for i, n := 0, 1+rng.Intn(30); i < n; i++ {
+			d.observe(start.Add(time.Duration(i)*time.Second), 50+20*rng.NormFloat64())
+		}
+		return d
+	}
+	for n := 0; n < 2000; n++ {
+		lists := make([][]Digest, rng.Intn(5))
+		for i := range lists {
+			lists[i] = make([]Digest, rng.Intn(25))
+			for j := range lists[i] {
+				lists[i][j] = digest()
+			}
+		}
+		before := make([][]Digest, len(lists))
+		for i, l := range lists {
+			before[i] = slices.Clone(l)
+		}
+		got, want := MergeDigests(lists...), refMergeDigests(lists...)
+		if len(got) != len(want) {
+			t.Fatalf("case %d: %d digests, reference %d", n, len(got), len(want))
+		}
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("case %d: digest %d is %+v, reference %+v", n, i, got[i], want[i])
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: merged lists differ beyond the moments", n)
+		}
+		if !reflect.DeepEqual(lists, before) {
+			t.Fatalf("case %d: MergeDigests modified its inputs", n)
+		}
+	}
+
+	lists := [][]Digest{make([]Digest, 40), make([]Digest, 40), make([]Digest, 40)}
+	for _, l := range lists {
+		for j := range l {
+			l[j] = digest()
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { MergeDigests(lists...) }); allocs != 1 {
+		t.Fatalf("MergeDigests allocates %.0f objects, want 1 (the result)", allocs)
+	}
+}
+
 // refRankDigests is RankDigests as it was before it scored each digest
 // once: filter, then a reflective stable sort recomputing the score per
 // comparison. Kept as the reference the order is proven against.
@@ -248,7 +340,11 @@ func TestRankDigestsMatchesReference(t *testing.T) {
 		}
 		before := slices.Clone(ds)
 		minSamples := rng.Intn(14)
-		got, want := RankDigests(ds, minSamples), refRankDigests(ds, minSamples)
+		var got []Digest
+		for _, i := range RankDigests(ds, minSamples) {
+			got = append(got, ds[i])
+		}
+		want := refRankDigests(ds, minSamples)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("list %d (%d digests, minSamples %d):\n got %v\nwant %v", n, len(ds), minSamples, got, want)
 		}

@@ -303,7 +303,8 @@ func (s *shard) poke() {
 // consume feeds one batch into the shard's analyzer and recycles it to
 // the pool it came from. Raw records are decoded here — on the shard
 // worker, off the reader goroutine — and records that fail link-layer
-// decoding are skipped, matching the offline ReadPCAP path exactly.
+// decoding are skipped, matching the offline ReadPCAP path exactly, and
+// counted under uncharted_analyzer_decode_errors_total.
 // Decode and feed run as separate passes so each gets its own span and
 // the published stage tells the reader which one a backlog is stuck in.
 // A record is decoded in place into its scratch slot and fed from
@@ -328,6 +329,7 @@ func (s *shard) consume(b *batch) {
 			}
 		}
 		s.lane.End(sp, trace.StageDecode, len(b.frames), -1)
+		s.an.NoteDecodeErrors(len(b.frames) - n)
 		pkts = slots[:n]
 	}
 	s.cur.Store(int32(trace.StageFeed))

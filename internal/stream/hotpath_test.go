@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -153,6 +154,58 @@ func TestCountersConserved(t *testing.T) {
 				}
 				if got[tcpflow.MetricFlowsOpened] != int64(final.Flows.Total()) {
 					t.Errorf("flows opened: registry %d, final partial %d", got[tcpflow.MetricFlowsOpened], final.Flows.Total())
+				}
+			})
+		}
+	}
+}
+
+// withNonIPv4 returns a classic-pcap capture's first n records with k of
+// them, spread evenly, rewritten to carry an ARP EtherType: records the
+// shards' link-layer decode must reject.
+func withNonIPv4(t *testing.T, capture []byte, n, k int) []byte {
+	t.Helper()
+	const globalHdr, recordHdr = 24, 16
+	out := append([]byte(nil), capture[:globalHdr]...)
+	off := globalHdr
+	for i := 0; i < n; i++ {
+		if off+recordHdr > len(capture) {
+			t.Fatalf("capture has fewer than %d records", n)
+		}
+		incl := int(binary.LittleEndian.Uint32(capture[off+8:]))
+		rec := append([]byte(nil), capture[off:off+recordHdr+incl]...)
+		if i%(n/k) == 0 && i/(n/k) < k {
+			binary.BigEndian.PutUint16(rec[recordHdr+12:], 0x0806)
+		}
+		out = append(out, rec...)
+		off += recordHdr + incl
+	}
+	return out
+}
+
+// TestDecodeErrorsCounted: a record the shard cannot decode is skipped
+// and counted — once, under uncharted_analyzer_decode_errors_total, at
+// every shard and reader count — so a capture the decoder cannot read
+// does not profile empty with every counter at zero.
+func TestDecodeErrorsCounted(t *testing.T) {
+	sim, tr := simulate(t, 7, 3*time.Minute)
+	const records, bad = 4000, 37
+	capture := withNonIPv4(t, tracePCAP(t, tr), records, bad)
+	names := core.NamesFromTopology(sim.Network())
+	for _, workers := range []int{1, 4} {
+		for _, readers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%dshard%dreader", workers, readers), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				e := New(Config{Workers: workers, Readers: readers, Names: names, Registry: reg})
+				if err := e.Run(context.Background(), NewReaderAtSource(bytes.NewReader(capture), int64(len(capture)))); err != nil {
+					t.Fatal(err)
+				}
+				got := counterTotals(reg)
+				if got[core.MetricDecodeErrors] != bad {
+					t.Errorf("decode errors: registry %d, capture has %d undecodable records", got[core.MetricDecodeErrors], bad)
+				}
+				if p := e.Final().Packets; p != records-bad || got[core.MetricPackets] != int64(p) {
+					t.Errorf("packets: final %d, registry %d, want %d", p, got[core.MetricPackets], records-bad)
 				}
 			})
 		}

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -138,7 +139,11 @@ type PhysicalPoint struct {
 
 // BuildProfile derives the published document from a merged snapshot.
 // k ≤ 0 skips clustering; clustering also degrades gracefully (to
-// absent) while fewer than k sessions exist.
+// absent) while fewer than max(k, 2) sessions exist. The clusters are
+// core.FitClusters — the fields of ClusterFeatures the document keeps,
+// without the model-selection sweep and projection it would discard —
+// and every list is sized exactly, so a publish allocates the document
+// and little else.
 func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 	prof := &Profile{
 		Seq:          seq,
@@ -160,13 +165,16 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 		SubSecProportion: p.Flows.SubSecProportion(),
 	}
 
-	comp := p.ComplianceReport()
+	// The §6.1 report, read straight off the snapshot's sorted rows.
 	prof.Compliance = ComplianceProfile{
-		Stations:     len(comp.Stations),
-		NonCompliant: comp.NonCompliant,
-		Dialects:     make(map[string]string, len(comp.Stations)),
+		Stations: len(p.Compliance),
+		Dialects: make(map[string]string, len(p.Compliance)),
 	}
-	for _, sc := range comp.Stations {
+	for i := range p.Compliance {
+		sc := &p.Compliance[i]
+		if sc.NonCompliant() {
+			prof.Compliance.NonCompliant = append(prof.Compliance.NonCompliant, sc.Name)
+		}
 		if sc.Detected {
 			prof.Compliance.Dialects[sc.Name] = sc.Profile.String()
 		}
@@ -174,6 +182,7 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 
 	mk := p.MarkovReport()
 	prof.Markov = MarkovProfile{
+		Connections:  slices.Grow([]ConnProfile(nil), len(mk.Chains)),
 		Point11:      mk.Point11,
 		Square:       mk.Square,
 		Ellipse:      mk.Ellipse,
@@ -191,7 +200,7 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 	}
 
 	if k > 0 {
-		if cr, err := p.ClusterReport(k, seed); err == nil {
+		if cr, err := core.FitClusters(p.Features, k, seed); err == nil {
 			prof.Clusters = &ClusterProfile{
 				K:          cr.K,
 				Sizes:      cr.Sizes,
@@ -201,6 +210,7 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 		}
 	}
 
+	prof.Dialects = slices.Grow(prof.Dialects, len(p.Dialects))
 	for _, ds := range p.Dialects {
 		prof.Dialects = append(prof.Dialects, DialectProfile{
 			Proto:       ds.Proto.String(),
@@ -210,6 +220,7 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 			Tokens:      ds.TokenCounts,
 		})
 	}
+	prof.Streams = slices.Grow(prof.Streams, len(p.Streams))
 	for _, sc := range p.Streams {
 		prof.Streams = append(prof.Streams, StreamProfile{
 			Proto:          sc.Proto.String(),
@@ -224,17 +235,21 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 		})
 	}
 
-	for _, d := range physical.RankDigests(p.Physical, 2) {
-		prof.Physical = append(prof.Physical, PhysicalPoint{
-			Station:            d.Key.Station,
-			IOA:                d.Key.IOA,
-			Count:              d.Count,
-			Min:                d.Min,
-			Max:                d.Max,
-			Mean:               d.Mean,
-			NormalizedVariance: d.NormalizedVariance(),
-			Command:            d.Command,
-		})
+	if rank := physical.RankDigests(p.Physical, 2); len(rank) > 0 {
+		prof.Physical = make([]PhysicalPoint, len(rank))
+		for i, j := range rank {
+			d := &p.Physical[j]
+			prof.Physical[i] = PhysicalPoint{
+				Station:            d.Key.Station,
+				IOA:                d.Key.IOA,
+				Count:              d.Count,
+				Min:                d.Min,
+				Max:                d.Max,
+				Mean:               d.Mean,
+				NormalizedVariance: d.NormalizedVariance(),
+				Command:            d.Command,
+			}
+		}
 	}
 	return prof
 }

@@ -9,7 +9,7 @@ import (
 	"encoding/binary"
 	"math"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"uncharted/internal/obs"
@@ -434,27 +434,27 @@ func (s *Summary) add(f *Flow) {
 	}
 }
 
-// Merge returns the element-wise sum of two summaries (shard merging).
-func (s Summary) Merge(o Summary) Summary {
+// Add folds another summary into s (shard merging): counts add and o's
+// durations are appended to s's, so a merge that sizes s's list for
+// every input first appends without regrowing it.
+func (s *Summary) Add(o Summary) {
 	s.ShortLived += o.ShortLived
 	s.ShortLivedSubSec += o.ShortLivedSubSec
 	s.ShortLivedOverSec += o.ShortLivedOverSec
 	s.LongLived += o.LongLived
-	merged := make([]time.Duration, 0, len(s.ShortLivedDuration)+len(o.ShortLivedDuration))
-	merged = append(merged, s.ShortLivedDuration...)
-	merged = append(merged, o.ShortLivedDuration...)
-	s.ShortLivedDuration = merged
-	return s
+	s.ShortLivedDuration = append(s.ShortLivedDuration, o.ShortLivedDuration...)
 }
 
 // Summarize classifies every flow, including any evicted ones.
 func (t *Tracker) Summarize() Summary {
+	// Sized as if every live flow were short-lived: one allocation.
+	durs := slices.Grow([]time.Duration(nil), len(t.evicted.ShortLivedDuration)+len(t.order))
 	s := Summary{
 		ShortLived:         t.evicted.ShortLived,
 		ShortLivedSubSec:   t.evicted.ShortLivedSubSec,
 		ShortLivedOverSec:  t.evicted.ShortLivedOverSec,
 		LongLived:          t.evicted.LongLived,
-		ShortLivedDuration: append([]time.Duration(nil), t.evicted.ShortLivedDuration...),
+		ShortLivedDuration: append(durs, t.evicted.ShortLivedDuration...),
 	}
 	for _, f := range t.order {
 		s.add(f)
@@ -558,13 +558,12 @@ func (ss *Sessions) All() []*Session { return ss.order }
 // Sorted returns the sessions ordered by (src, dst) for deterministic
 // reports.
 func (ss *Sessions) Sorted() []*Session {
-	out := append([]*Session(nil), ss.order...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if c := a.Src.Compare(b.Src); c != 0 {
-			return c < 0
+	out := slices.Clone(ss.order)
+	slices.SortFunc(out, func(x, y *Session) int {
+		if c := x.Key.Src.Compare(y.Key.Src); c != 0 {
+			return c
 		}
-		return a.Dst.Compare(b.Dst) < 0
+		return x.Key.Dst.Compare(y.Key.Dst)
 	})
 	return out
 }
