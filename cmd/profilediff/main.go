@@ -179,7 +179,7 @@ func runWatch(args []string) int {
 				log.Printf("stream stopped early: %v", h.Err)
 				return 2
 			}
-			rep := h.Runner.Analyzer().Engine().DriftReport()
+			rep := h.Runner.Analyzer().DriftReport()
 			if rep == nil {
 				log.Print("no snapshot was published before shutdown")
 				return 2

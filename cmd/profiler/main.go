@@ -184,13 +184,14 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "profiler: warning: interrupted before the end of the capture (reporting partial results)")
 				exit = 1
 			}
-			e := h.Runner.Analyzer().Engine()
+			an := h.Runner.Analyzer()
+			e := an.Engine()
 			whole := e.Analyzer() // nil when the run was sharded
 			if code := printReports(want, e.Final(), whole, h.Registry, h.Journal); code != 0 {
 				exit = code
 			}
-			if rep := e.DriftReport(); rep != nil {
-				// The engine diffed the final merged state against the
+			if rep := an.DriftReport(); rep != nil {
+				// The analyzer diffed the final merged state against the
 				// baseline on its last publish.
 				rep.WriteText(os.Stdout)
 				fmt.Println()

@@ -719,8 +719,7 @@ func NewAnalyzer(names map[netip.Addr]string) *Analyzer {
 
 // Instrument books the analyzer's counters into reg, instruments the
 // flow tracker, and attaches an optional event journal. Either argument
-// may be nil; ReadPCAP additionally instruments the capture reader and
-// books per-stage wall time once a registry is attached.
+// may be nil.
 //
 // The per-packet and per-frame counters are tallied privately and reach
 // reg when FlushMetrics runs — which Partial and ReadPCAP do themselves.
@@ -737,8 +736,8 @@ func (a *Analyzer) Instrument(reg *obs.Registry, j *obs.Journal) {
 // series (every shard of an engine does), so the feed path counts in
 // its own memory and whoever drives the analyzer flushes where a reader
 // of /metrics should catch up: the engine after every batch, Partial at
-// every snapshot, ReadPCAP as it goes. Must be called from the
-// goroutine that feeds the analyzer. A no-op without a registry.
+// every snapshot, ReadPCAP when the capture ends. Must be called from
+// the goroutine that feeds the analyzer. A no-op without a registry.
 func (a *Analyzer) FlushMetrics() {
 	a.metrics.flush()
 	a.tracker.FlushMetrics()
@@ -1114,20 +1113,14 @@ func (a *Analyzer) complianceFor(addr netip.Addr) *StationCompliance {
 // ReadPCAP runs the whole pipeline over a capture stream in either
 // classic pcap or pcapng format. Packets that are not IPv4/TCP are
 // skipped (taps also carry ARP, ICCP, C37.118 and other plant traffic
-// the paper leaves to future work). When the analyzer is instrumented,
-// the capture reader is instrumented too and the read / decode / feed
-// stages are individually timed.
+// the paper leaves to future work). An instrumented analyzer's counters
+// are flushed once, when the read ends.
 func (a *Analyzer) ReadPCAP(r io.Reader) error {
 	pr, err := pcap.NewAutoReader(r)
 	if err != nil {
 		return err
 	}
-	if a.metrics != nil {
-		if ir, ok := pr.(interface{ Instrument(*obs.Registry) }); ok {
-			ir.Instrument(a.metrics.reg)
-		}
-		return a.readInstrumented(pr)
-	}
+	defer a.FlushMetrics()
 	// One scratch buffer and one packet serve the whole capture:
 	// nothing downstream of Feed retains the packet or its bytes past
 	// the call (reassembly and framing copy what they buffer), so each
@@ -1146,49 +1139,10 @@ func (a *Analyzer) ReadPCAP(r io.Reader) error {
 		}
 		scratch = data
 		if pcap.DecodePacketInto(&pkt, pr.LinkType(), ci, data) != nil {
-			continue
-		}
-		a.Feed(&pkt)
-	}
-}
-
-// readInstrumented is ReadPCAP's loop with per-stage wall-time
-// accounting. The clock reads live here — not in Feed — so the Feed hot
-// path itself stays free of timing overhead. This loop is one analyzer
-// on one goroutine and already reads the clock six times a record, so
-// it publishes its counters after every record: a scrape during a long
-// offline read is never stale, and a pipe that goes quiet strands
-// nothing.
-func (a *Analyzer) readInstrumented(pr pcap.PacketReader) error {
-	var (
-		readStage   = a.metrics.reg.Stage(StagePcapRead)
-		decodeStage = a.metrics.reg.Stage(StagePcapDecode)
-		feedStage   = a.metrics.reg.Stage(StageAnalyzeFeed)
-		scratch     []byte
-		pkt         pcap.Packet
-	)
-	for {
-		a.FlushMetrics()
-		t0 := time.Now()
-		data, ci, err := pr.ReadPacketInto(scratch)
-		readStage.Observe(time.Since(t0))
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: reading capture: %w", err)
-		}
-		scratch = data
-		t0 = time.Now()
-		err = pcap.DecodePacketInto(&pkt, pr.LinkType(), ci, data)
-		decodeStage.Observe(time.Since(t0))
-		if err != nil {
 			a.metrics.noteDecodeErrors(1)
 			continue
 		}
-		t0 = time.Now()
 		a.Feed(&pkt)
-		feedStage.Observe(time.Since(t0))
 	}
 }
 

@@ -22,13 +22,6 @@ const (
 	MetricDecodeErrors    = "uncharted_analyzer_decode_errors_total"
 )
 
-// Stage names booked by the instrumented ReadPCAP loop.
-const (
-	StagePcapRead    = "pcap.read"
-	StagePcapDecode  = "pcap.decode"
-	StageAnalyzeFeed = "analyzer.feed"
-)
-
 // analyzerMetrics holds the analyzer's private tallies of the series
 // every analyzer on the registry shares (flush publishes them), plus
 // the registry for the rare labeled path (parse-error causes) that

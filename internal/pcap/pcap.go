@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"uncharted/internal/obs"
 )
 
 // Magic numbers of the classic libpcap file header.
@@ -50,13 +48,6 @@ type Reader struct {
 	snapLen   uint32
 	recHdr    [16]byte
 	packetNum int
-	metrics   *readerMetrics
-}
-
-// Instrument books per-record counters (packets, bytes, truncated
-// records) into reg under the uncharted_pcap_* names.
-func (r *Reader) Instrument(reg *obs.Registry) {
-	r.metrics = newReaderMetrics(reg)
 }
 
 // maxRecordLen bounds the capture length the reader believes whatever
@@ -139,7 +130,6 @@ func (r *Reader) ReadPacketInto(scratch []byte) ([]byte, CaptureInfo, error) {
 		if err == io.EOF {
 			return nil, CaptureInfo{}, io.EOF
 		}
-		r.metrics.noteShortHeader()
 		return nil, CaptureInfo{}, fmt.Errorf("pcap: record %d header: %w", r.packetNum, err)
 	}
 	sec := r.order.Uint32(r.recHdr[0:4])
@@ -151,17 +141,12 @@ func (r *Reader) ReadPacketInto(scratch []byte) ([]byte, CaptureInfo, error) {
 		limit = maxRecordLen
 	}
 	if capLen > limit {
-		r.metrics.noteSnapLen()
 		return nil, CaptureInfo{}, fmt.Errorf("%w: %d > %d", ErrSnapLen, capLen, limit)
 	}
 	data := grow(scratch, int(capLen))
 	if _, err := io.ReadFull(r.r, data); err != nil {
-		if truncated(err) {
-			r.metrics.noteShortBody()
-		}
 		return nil, CaptureInfo{}, fmt.Errorf("pcap: record %d body: %w", r.packetNum, err)
 	}
-	r.metrics.noteRead(int(capLen))
 	nanos := int64(frac) * 1000
 	if r.nanos {
 		nanos = int64(frac)

@@ -8,8 +8,6 @@ import (
 	"io"
 	"math"
 	"time"
-
-	"uncharted/internal/obs"
 )
 
 // pcapng block types.
@@ -30,18 +28,11 @@ type NgReader struct {
 	r     io.Reader
 	order binary.ByteOrder
 	// interfaces seen in the current section, in declaration order.
-	ifaces  []ngInterface
-	metrics *readerMetrics
+	ifaces []ngInterface
 	// scratch holds the current block body; it grows to the largest
 	// block seen and is reused for every subsequent block, so steady-
 	// state block reads allocate nothing.
 	scratch []byte
-}
-
-// Instrument books per-record counters (packets, bytes, truncated
-// records) into reg under the uncharted_pcap_* names.
-func (ng *NgReader) Instrument(reg *obs.Registry) {
-	ng.metrics = newReaderMetrics(reg)
 }
 
 type ngInterface struct {
@@ -252,9 +243,6 @@ func (ng *NgReader) ReadPacketInto(scratch []byte) ([]byte, CaptureInfo, error) 
 	for {
 		typ, body, err := ng.readBlockHeader()
 		if err != nil {
-			if err != io.EOF && truncated(err) {
-				ng.metrics.noteShortBody()
-			}
 			return nil, CaptureInfo{}, err
 		}
 		switch typ {
@@ -267,21 +255,9 @@ func (ng *NgReader) ReadPacketInto(scratch []byte) ([]byte, CaptureInfo, error) 
 				return nil, CaptureInfo{}, err
 			}
 		case blockEPB:
-			data, ci, err := ng.parseEPB(body, scratch)
-			if err == nil {
-				ng.metrics.noteRead(ci.CaptureLength)
-			} else {
-				ng.metrics.noteShortHeader()
-			}
-			return data, ci, err
+			return ng.parseEPB(body, scratch)
 		case blockSPB:
-			data, ci, err := ng.parseSPB(body, scratch)
-			if err == nil {
-				ng.metrics.noteRead(ci.CaptureLength)
-			} else {
-				ng.metrics.noteShortHeader()
-			}
-			return data, ci, err
+			return ng.parseSPB(body, scratch)
 		default:
 			// Name resolution, statistics, custom blocks: skip.
 		}

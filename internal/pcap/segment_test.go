@@ -3,10 +3,17 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 	"time"
 )
+
+// truncated reports whether err looks like a cut-off record rather
+// than corrupt framing.
+func truncated(err error) bool {
+	return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)
+}
 
 // buildClassic writes a classic pcap with the given payload sizes and
 // returns the file bytes plus the byte offset of every record.

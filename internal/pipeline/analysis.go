@@ -114,10 +114,11 @@ func (s *chanSource) Close() error { return nil }
 // AnalyzerSegment wraps the streaming engine: every front end's
 // analysis is this one sharded analyzer.
 type AnalyzerSegment struct {
-	env  *Env
-	id   string
-	eng  *stream.Engine
-	hist *historian.Store
+	env   *Env
+	id    string
+	eng   *stream.Engine
+	hist  *historian.Store
+	drift *driftWatch // nil unless the baseline param armed it
 
 	fwd        chan *Snapshot
 	fwdDropped *obs.Counter
@@ -134,13 +135,12 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 		fwdDropped: bc.Env.Registry.With("segment", bc.ID).Counter("uncharted_pipeline_snapshot_drops_total"),
 	}
 
-	var baseline *drift.Profile
 	if path := bc.Params.Str("baseline"); path != "" {
-		var err error
-		baseline, err = drift.LoadProfile(path)
+		w, err := newDriftWatch(bc, path)
 		if err != nil {
 			return nil, err
 		}
+		s.drift = w
 	}
 	var observer func(shard int) core.FrameObserver
 	if path := bc.Params.Str("ids_baseline"); path != "" {
@@ -187,15 +187,16 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 		Observer:        observer,
 		Historian:       s.hist,
 		MaxPointSamples: bc.Params.Int("point_cap"),
-		Baseline:        baseline,
-		DriftAlerts: func(al ids.Alert) {
-			bc.Env.Logf("DRIFT [%s] %v", bc.ID, al)
-		},
-		// Forward published snapshots down the profiles edge. Called
-		// with the engine lock held, so hand off without blocking; a
-		// full buffer drops the stale intermediate (the final state is
+		// Compare every published snapshot against the baseline — the
+		// final one too: a finished capture's report comes only from
+		// it — and forward the intermediate ones down the profiles edge.
+		// Called with the engine lock held, so hand off without blocking;
+		// a full buffer drops the stale intermediate (the final state is
 		// emitted separately after the drain, losslessly).
 		OnSnapshot: func(p core.Partial, prof *stream.Profile, final bool) {
+			if s.drift != nil {
+				s.drift.check(p, prof.Seq)
+			}
 			if final {
 				return
 			}
@@ -230,13 +231,32 @@ func alertLogger(env *Env, id string, shard int) func(ids.Alert) {
 // Engine exposes the wrapped engine (presets print its final profile).
 func (s *AnalyzerSegment) Engine() *stream.Engine { return s.eng }
 
-// Endpoints is the engine's query surface — /profile, /statusz, /readyz
-// (+ /drift, /query when armed) — as a fresh path → handler map: mounted
-// under /{id} in the pipeline, at the root by a single-analyzer host
-// and under /v1/{tenant} by the control-room service.
+// Endpoints is the segment's query surface — the engine's /profile,
+// /statusz and /readyz, plus /drift and /query when armed — as a fresh
+// path → handler map: mounted under /{id} in the pipeline, at the root
+// by a single-analyzer host and under /v1/{tenant} by the control-room
+// service.
 func (s *AnalyzerSegment) Endpoints() map[string]http.Handler {
-	return stream.Endpoints(s.eng, s.hist)
+	eps := stream.Endpoints(s.eng)
+	if s.drift != nil {
+		eps["/drift"] = s.drift.handler()
+	}
+	if s.hist != nil {
+		eps["/query"] = historian.QueryHandler(s.hist)
+	}
+	return eps
 }
+
+// DriftReport returns the latest comparison against the baseline param,
+// or nil when none is armed or nothing has been published yet. After
+// the drain it is the final state's.
+func (s *AnalyzerSegment) DriftReport() *drift.DriftReport { return s.drift.report() }
+
+// Drift is DriftReport together with the seq of the snapshot it
+// compared — the version the control-room service caches /drift under:
+// the engine stores a snapshot's profile before the watch stores its
+// report, so the profile's seq can be one ahead of what /drift serves.
+func (s *AnalyzerSegment) Drift() (*drift.DriftReport, int) { return s.drift.latest() }
 
 // SourcePackets implements sourceTaker: the packets the engine has
 // dispatched to its shards.
@@ -310,7 +330,7 @@ func buildIDS(bc BuildCtx) (Segment, error) {
 		}
 		s.base = base
 	case bc.Params.Int("train_year") > 0:
-		base, err := TrainBaseline(trainYear(bc.Params.Int("train_year")),
+		base, err := TrainBaseline(campaign(bc.Params.Int("train_year")),
 			int64(bc.Params.Int("train_seed")), bc.Params.Dur("train_duration"))
 		if err != nil {
 			return nil, err
@@ -325,7 +345,8 @@ func buildIDS(bc BuildCtx) (Segment, error) {
 	return s, nil
 }
 
-func trainYear(y int) topology.Year {
+// campaign maps a year param (1 or 2) to its capture campaign.
+func campaign(y int) topology.Year {
 	if y == 2 {
 		return topology.Y2
 	}
@@ -391,54 +412,161 @@ func (s *IDSSegment) Run(_ context.Context, in <-chan Msg, emit Emit) error {
 	return nil
 }
 
-// DriftSegment compares every incoming snapshot against a stored
-// baseline profile.
-type DriftSegment struct {
+// Drift metric names, booked on the registry of the segment that armed
+// a baseline.
+const (
+	metricDriftFindings = "uncharted_stream_drift_findings"
+	metricDriftSeverity = "uncharted_stream_drift_max_severity"
+	metricDriftCompares = "uncharted_stream_drift_compares_total"
+)
+
+// driftWatch is live drift detection, the paper's §6 two-era comparison
+// run on every snapshot: the analyzer's baseline param runs it from the
+// engine's snapshot hook, the drift segment over its profiles edge.
+// Each check compares the snapshot against the stored baseline, books
+// the metrics, journals the comparison and every finding not seen
+// before in this run, and logs the latter as DRIFT lines.
+type driftWatch struct {
 	env  *Env
 	id   string
 	base *drift.Profile
-	rep  atomic.Pointer[drift.DriftReport]
+	seen map[string]bool // kind|subject of every finding journalled
+
+	last     atomic.Pointer[driftState]
+	compares *obs.Counter
+	findings *obs.Gauge
+	severity *obs.Gauge
 }
 
-func buildDrift(bc BuildCtx) (Segment, error) {
-	base, err := drift.LoadProfile(bc.Params.Str("baseline"))
+// driftState is one comparison and the seq of the snapshot it compared.
+type driftState struct {
+	seq int
+	rep *drift.DriftReport
+}
+
+func newDriftWatch(bc BuildCtx, path string) (*driftWatch, error) {
+	base, err := drift.LoadProfile(path)
 	if err != nil {
 		return nil, err
 	}
-	s := &DriftSegment{env: bc.Env, id: bc.ID, base: base}
-	bc.Env.Handle("/"+bc.ID+"/drift", stream.NewDriftHandler(s.Report))
-	return s, nil
+	reg := bc.Env.Registry.With("segment", bc.ID)
+	reg.SetHelp(metricDriftFindings, "Findings in the latest baseline comparison.")
+	reg.SetHelp(metricDriftSeverity, "Maximum severity in the latest baseline comparison.")
+	reg.SetHelp(metricDriftCompares, "Baseline comparisons performed.")
+	return &driftWatch{
+		env:      bc.Env,
+		id:       bc.ID,
+		base:     base,
+		seen:     make(map[string]bool),
+		compares: reg.Counter(metricDriftCompares),
+		findings: reg.Gauge(metricDriftFindings),
+		severity: reg.Gauge(metricDriftSeverity),
+	}, nil
 }
 
-// Report returns the latest comparison, or nil before the first
-// snapshot arrives.
-func (s *DriftSegment) Report() *drift.DriftReport { return s.rep.Load() }
+// check compares snapshot seq against the baseline and returns the
+// findings it reports for the first time. Calls must not overlap.
+func (w *driftWatch) check(p core.Partial, seq int) []drift.Finding {
+	rep := drift.Compare(w.base, drift.NewProfile("live", "pipeline:"+w.env.Pipeline, p, p.Last), drift.DefaultThresholds())
+	w.last.Store(&driftState{seq: seq, rep: rep})
+	w.compares.Inc()
+	w.findings.Set(float64(len(rep.Findings)))
+	w.severity.Set(float64(rep.MaxSeverity()))
 
-// Run implements Segment: one Compare per snapshot, one alert per
-// finding the first time it appears.
-func (s *DriftSegment) Run(_ context.Context, in <-chan Msg, emit Emit) error {
-	seen := make(map[string]bool)
-	for m := range in {
-		sn := m.Snap
-		if sn == nil {
-			continue
+	var fresh []drift.Finding
+	for _, f := range rep.Findings {
+		if key := f.Kind + "|" + f.Subject; !w.seen[key] {
+			w.seen[key] = true
+			fresh = append(fresh, f)
 		}
-		cur := drift.NewProfile("live", "pipeline:"+s.env.Pipeline, sn.Partial, sn.Partial.Last)
-		rep := drift.Compare(s.base, cur, drift.DefaultThresholds())
-		s.rep.Store(rep)
-		s.env.Journal.Log(sn.Partial.Last, obs.EventDrift, "", map[string]any{
-			"segment": s.id, "seq": sn.Seq,
-			"findings": len(rep.Findings), "max_severity": rep.MaxSeverity(),
+	}
+	w.env.Journal.Log(p.Last, obs.EventDrift, "", map[string]any{
+		"segment":      w.id,
+		"seq":          seq,
+		"baseline":     w.base.Meta.Label,
+		"findings":     len(rep.Findings),
+		"new":          len(fresh),
+		"max_severity": rep.MaxSeverity(),
+		"max_jsd":      rep.MaxTransitionJSD,
+	})
+	for _, f := range fresh {
+		w.env.Journal.Log(p.Last, obs.EventDrift, f.Subject, map[string]any{
+			"segment":  w.id,
+			"kind":     f.Kind,
+			"severity": f.Severity,
+			"detail":   f.Detail,
+			"score":    f.Score,
 		})
-		for _, f := range rep.Findings {
-			key := f.Kind + "|" + f.Subject
-			if seen[key] {
-				continue
+		w.env.Logf("DRIFT [%s] %v", w.id, f.Alert())
+	}
+	return fresh
+}
+
+// latest returns the most recent comparison and its snapshot's seq;
+// nil and 0 before the first, or on a nil watch.
+func (w *driftWatch) latest() (*drift.DriftReport, int) {
+	if w == nil {
+		return nil, 0
+	}
+	if st := w.last.Load(); st != nil {
+		return st.rep, st.seq
+	}
+	return nil, 0
+}
+
+// report is latest without the seq.
+func (w *driftWatch) report() *drift.DriftReport {
+	rep, _ := w.latest()
+	return rep
+}
+
+// handler serves the latest report as JSON (default) or the
+// profilediff text rendering with ?format=text; 503 before the first
+// comparison.
+func (w *driftWatch) handler() http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		format, ok := obs.PickFormat(rw, req, "json", "text")
+		if !ok {
+			return
+		}
+		rep := w.report()
+		if rep == nil {
+			http.Error(rw, "no drift report published yet", http.StatusServiceUnavailable)
+			return
+		}
+		if format == "text" {
+			rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			rep.WriteText(rw)
+			return
+		}
+		rw.Header().Set("Content-Type", "application/json; charset=utf-8")
+		rep.WriteJSON(rw)
+	})
+}
+
+// DriftSegment runs a drift watch over the snapshots of its profiles
+// edge, serves /{id}/drift and emits one alert per new finding.
+type DriftSegment struct {
+	watch *driftWatch
+}
+
+func buildDrift(bc BuildCtx) (Segment, error) {
+	w, err := newDriftWatch(bc, bc.Params.Str("baseline"))
+	if err != nil {
+		return nil, err
+	}
+	bc.Env.Handle("/"+bc.ID+"/drift", w.handler())
+	return &DriftSegment{watch: w}, nil
+}
+
+// Run implements Segment.
+func (s *DriftSegment) Run(_ context.Context, in <-chan Msg, emit Emit) error {
+	for m := range in {
+		if sn := m.Snap; sn != nil {
+			for _, f := range s.watch.check(sn.Partial, sn.Seq) {
+				al := f.Alert()
+				emit(Msg{Alert: &al})
 			}
-			seen[key] = true
-			al := f.Alert()
-			s.env.Logf("DRIFT [%s] %v", s.id, al)
-			emit(Msg{Alert: &al})
 		}
 	}
 	return nil

@@ -74,9 +74,9 @@ const (
 	// inlineBatch is how many packets ride one message of an inline edge
 	// and inlinePoll how long an inline input sleeps at a quiet point (a
 	// tail's write frontier, a paced replay with nothing due) — the
-	// engine's own defaults for a handed-off source.
-	inlineBatch = 64
-	inlinePoll  = 25 * time.Millisecond
+	// engine's own values for a handed-off source.
+	inlineBatch = stream.BatchSize
+	inlinePoll  = stream.DefaultPollInterval
 )
 
 // batcher is the packet inputs' stream.RecordSink: it groups the
@@ -155,8 +155,9 @@ func pump(ctx context.Context, src stream.Source, emit Emit) error {
 // decoded here: the source goes whole to the consuming analyzer, whose
 // engine reads — and closes — it itself.
 type PacketInput struct {
-	feed    *stream.Feed
-	more    []string // the rest of a capture directory, opened in turn
+	src     stream.Source
+	trace   *scadasim.Trace // a sim input's generated records
+	more    []string        // the rest of a capture directory, opened in turn
 	handoff bool
 }
 
@@ -186,44 +187,86 @@ func buildPCAPInput(bc BuildCtx) (Segment, error) {
 		}
 		sort.Strings(files)
 	}
-	s, err := buildPacketInput(bc, stream.SourceSpec{Kind: "pcap", Path: files[0], Speed: speed})
-	if err == nil {
-		s.more = files[1:]
-	}
-	return s, err
-}
-
-func buildFollowInput(bc BuildCtx) (Segment, error) {
-	return buildPacketInput(bc, stream.SourceSpec{Kind: "follow", Path: bc.Params.Str("path")})
-}
-
-func buildSimInput(bc BuildCtx) (Segment, error) {
-	spec := stream.SimSpec{
-		Year:     bc.Params.Int("year"),
-		Seed:     int64(bc.Params.Int("seed")),
-		Duration: bc.Params.Dur("duration"),
-		Modbus:   bc.Params.Bool("modbus"),
-		Attack:   bc.Params.Str("attack"),
-	}
-	spec.Faults.TimeoutProb = bc.Params.Float("fault_timeout")
-	spec.Faults.ShortReadProb = bc.Params.Float("fault_shortread")
-	return buildPacketInput(bc, stream.SourceSpec{Kind: "sim", Speed: bc.Params.Float("speed"), Sim: spec})
-}
-
-func buildPacketInput(bc BuildCtx, spec stream.SourceSpec) (*PacketInput, error) {
-	feed, err := stream.OpenSource(spec)
+	// A finished capture is seekable — the engine may split it across
+	// parallel segment readers — unless it is paced.
+	fs, err := stream.NewFileSource(files[0])
 	if err != nil {
 		return nil, err
 	}
-	if spec.Sim.Attack != "" {
-		bc.Env.Logf("segment %s: injected %s attack: %d packets at +%s", bc.ID, feed.Attack, feed.Injected, spec.Sim.Duration/2)
+	s := &PacketInput{src: fs, more: files[1:]}
+	if speed > 0 {
+		s.src = stream.NewReplaySource(fs, speed)
 	}
-	return &PacketInput{feed: feed}, nil
+	return s, nil
 }
 
-// Trace exposes a sim feed's generated records (iec104live writes its
+func buildFollowInput(bc BuildCtx) (Segment, error) {
+	src, err := stream.NewFollowSource(bc.Params.Str("path"))
+	if err != nil {
+		return nil, err
+	}
+	return &PacketInput{src: src}, nil
+}
+
+func buildSimInput(bc BuildCtx) (Segment, error) {
+	cfg := scadasim.DefaultConfig(campaign(bc.Params.Int("year")), int64(bc.Params.Int("seed")))
+	if d := bc.Params.Dur("duration"); d > 0 {
+		cfg.Duration = d
+	}
+	cfg.EnableModbus = bc.Params.Bool("modbus")
+	cfg.Faults.TimeoutProb = bc.Params.Float("fault_timeout")
+	cfg.Faults.ShortReadProb = bc.Params.Float("fault_shortread")
+	attack := bc.Params.Str("attack")
+	tr, kind, injected, err := simulate(cfg, attack)
+	if err != nil {
+		return nil, err
+	}
+	if attack != "" {
+		bc.Env.Logf("segment %s: injected %s attack: %d packets at +%s", bc.ID, kind, injected, cfg.Duration/2)
+	}
+	return &PacketInput{src: stream.NewRecordSource(tr.Records, bc.Params.Float("speed")), trace: tr}, nil
+}
+
+// simulate runs the grid simulator and injects attack — "recon",
+// "breaker" or "setpoint", empty for a clean feed — at half the feed
+// length, returning the trace, the injected kind and how many packets
+// it added.
+func simulate(cfg scadasim.Config, attack string) (*scadasim.Trace, scadasim.AttackKind, int, error) {
+	ac := scadasim.AttackConfig{At: cfg.Start.Add(cfg.Duration / 2)}
+	switch attack {
+	case "":
+	case "recon":
+		ac.Kind = scadasim.AttackRecon
+	case "breaker":
+		ac.Kind = scadasim.AttackBreakerTrip
+	case "setpoint":
+		ac.Kind = scadasim.AttackSetpointTamper
+	default:
+		return nil, 0, 0, fmt.Errorf("unknown attack %q (want recon, breaker or setpoint)", attack)
+	}
+	if attack != "" {
+		// Long cycle period: general interrogations would otherwise
+		// legitimise the attacker's recon tokens.
+		cfg.CyclePeriod = 100 * time.Minute
+	}
+	sim, err := scadasim.New(cfg)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	tr, err := sim.Run()
+	if err != nil || attack == "" {
+		return tr, 0, 0, err
+	}
+	if ac.Kind == scadasim.AttackSetpointTamper {
+		ac.Attacker = sim.Network().ServerAddr("C1")
+	}
+	injected, err := sim.InjectAttack(tr, ac)
+	return tr, ac.Kind, injected, err
+}
+
+// Trace exposes a sim input's generated records (iec104live writes its
 // -pcap cross-check capture from it).
-func (s *PacketInput) Trace() *scadasim.Trace { return s.feed.Trace }
+func (s *PacketInput) Trace() *scadasim.Trace { return s.trace }
 
 // oneSource implements sourceGiver: a capture directory is a sequence
 // of sources, which only an inline edge can carry.
@@ -235,17 +278,17 @@ func (s *PacketInput) armHandoff() { s.handoff = true }
 // Run implements Segment.
 func (s *PacketInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
 	if s.handoff {
-		emit(Msg{Src: s.feed.Source})
+		emit(Msg{Src: s.src})
 		return nil
 	}
-	err := pump(ctx, s.feed.Source, emit)
+	err := pump(ctx, s.src, emit)
 	for _, path := range s.more {
 		if err != nil || ctx.Err() != nil {
 			break
 		}
-		var feed *stream.Feed
-		if feed, err = stream.OpenSource(stream.SourceSpec{Kind: "pcap", Path: path}); err == nil {
-			err = pump(ctx, feed.Source, emit)
+		var src *stream.FileSource
+		if src, err = stream.NewFileSource(path); err == nil {
+			err = pump(ctx, src, emit)
 		}
 	}
 	return err

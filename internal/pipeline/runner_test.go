@@ -29,7 +29,13 @@ import (
 // writeTestCapture synthesizes a short era-1 capture.
 func writeTestCapture(t *testing.T, dur time.Duration, seed int64) string {
 	t.Helper()
-	cfg := scadasim.DefaultConfig(topology.Y1, seed)
+	return writeEraCapture(t, topology.Y1, dur, seed)
+}
+
+// writeEraCapture synthesizes a capture of either campaign.
+func writeEraCapture(t *testing.T, year topology.Year, dur time.Duration, seed int64) string {
+	t.Helper()
+	cfg := scadasim.DefaultConfig(year, seed)
 	cfg.Duration = dur
 	sim, err := scadasim.New(cfg)
 	if err != nil {
@@ -118,9 +124,9 @@ func TestProfilerPresetEquivalence(t *testing.T) {
 // injected mid-feed.
 func writeAttackCapture(t *testing.T, attack string, seed int64) string {
 	t.Helper()
-	feed, err := stream.OpenSource(stream.SourceSpec{Kind: "sim", Sim: stream.SimSpec{
-		Year: 1, Seed: seed, Duration: 20 * time.Second, Attack: attack,
-	}})
+	cfg := scadasim.DefaultConfig(topology.Y1, seed)
+	cfg.Duration = 20 * time.Second
+	tr, _, _, err := simulate(cfg, attack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +135,7 @@ func writeAttackCapture(t *testing.T, attack string, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feed.Trace.WritePCAP(f); err != nil {
+	if err := tr.WritePCAP(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

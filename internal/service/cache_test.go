@@ -1,14 +1,19 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"uncharted/internal/core"
+	"uncharted/internal/drift"
 	"uncharted/internal/obs"
 )
 
@@ -271,6 +276,68 @@ func TestCachedMissConditional(t *testing.T) {
 	if rr = get("a", `"other"`); rr.Code != http.StatusOK || rr.Body.String() != "doc a" {
 		t.Errorf("miss + foreign validator: code %d body %q", rr.Code, rr.Body.String())
 	}
+}
+
+// TestDriftCachedUnderReportSeq: a tenant's /drift is cached under the
+// seq of the report it serves, not under the published profile's. The
+// engine stores a snapshot's profile before the drift watch stores that
+// snapshot's report; a read in between renders the older report, and
+// cached under the profile's seq it would be served for good once a
+// finished capture stops publishing.
+func TestDriftCachedUnderReportSeq(t *testing.T) {
+	// A real tenant: the route exists with a baseline and is keyed on
+	// the watch's seq.
+	base := filepath.Join(t.TempDir(), "base.prof")
+	if err := drift.SaveProfile(base, drift.NewProfile("empty", "test", core.Partial{}, time.Unix(0, 0).UTC())); err != nil {
+		t.Fatal(err)
+	}
+	svc, srv := startSimService(t, TenantConfig{Name: "east", BaselinePath: base}, Config{})
+	resp, body := get(t, srv.URL+"/v1/east/drift")
+	rep, seq := svc.Tenant("east").runner.Analyzer().Drift()
+	if resp.StatusCode != http.StatusOK || rep == nil || len(rep.Findings) == 0 {
+		t.Fatalf("/drift: %d %.80q, report %v", resp.StatusCode, body, rep)
+	}
+	if etag := resp.Header.Get("ETag"); !strings.HasPrefix(etag, fmt.Sprintf(`"east-drift-%d-`, seq)) {
+		t.Errorf("ETag %s not keyed on the report's seq %d", etag, seq)
+	}
+
+	// The watch one seq behind the published profile (seq 8).
+	s, tn := testTenant(16)
+	type state struct {
+		rep *drift.DriftReport
+		seq int
+	}
+	var cur atomic.Pointer[state]
+	latest := func() (*drift.DriftReport, int) { st := cur.Load(); return st.rep, st.seq }
+	h := s.cached(tn, "drift", driftVersion(latest), http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		rep, _ := latest()
+		rep.WriteJSON(w)
+	}))
+	check := func(wantCache string, seq int, wantFindings int) {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/t1/drift", nil))
+		var served drift.DriftReport
+		if err := json.Unmarshal(rr.Body.Bytes(), &served); err != nil || rr.Code != http.StatusOK {
+			t.Fatalf("code %d body %.80q: %v", rr.Code, rr.Body.String(), err)
+		}
+		if got := rr.Header().Get("X-Cache"); got != wantCache {
+			t.Errorf("X-Cache %s, want %s", got, wantCache)
+		}
+		if etag := rr.Header().Get("ETag"); !strings.HasPrefix(etag, fmt.Sprintf(`"t1-drift-%d-`, seq)) {
+			t.Errorf("ETag %s, want the report's seq %d", etag, seq)
+		}
+		if len(served.Findings) != wantFindings {
+			t.Errorf("served %d findings, want %d", len(served.Findings), wantFindings)
+		}
+	}
+	cur.Store(&state{rep: &drift.DriftReport{}, seq: 7})
+	check("miss", 7, 0)
+	check("hit", 7, 0)
+	// The report of seq 8 lands: the cached seq-7 rendering is stale.
+	cur.Store(&state{rep: &drift.DriftReport{Findings: []drift.Finding{{Kind: drift.FindEndpointAdded, Subject: "O50"}}}, seq: 8})
+	check("miss", 8, 1)
+	check("hit", 8, 1)
 }
 
 func TestCachedSkipsNon200(t *testing.T) {

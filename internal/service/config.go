@@ -49,7 +49,7 @@ type SourceConfig struct {
 	// Year / Seed / Duration / Speed parameterise a sim source. Year
 	// is the capture campaign (1 or 2), Speed the replay pacing
 	// (60 = one simulated minute per wall second; 0 = as fast as
-	// possible); the shared opener paces a pcap source the same way.
+	// possible); a pcap source is paced the same way.
 	Year     int      `json:"year,omitempty"`
 	Seed     int64    `json:"seed,omitempty"`
 	Duration Duration `json:"duration,omitempty"`

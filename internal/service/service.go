@@ -18,10 +18,11 @@
 //	GET  /v1/{tenant}/readyz    tenant readiness
 //	GET  /v1/                   tenant index
 //
-// The query handlers are the same constructors the single-engine
-// commands mount (internal/stream), wrapped in an LRU response cache
-// that holds one rendered document per (tenant, endpoint, query) and
-// checks the snapshot version it was rendered from: hot reads of the
+// The query handlers are the analyzer segment's, the same ones every
+// graph-running command mounts (pipeline.AnalyzerSegment.Endpoints),
+// wrapped in an LRU response cache that holds one rendered document per
+// (tenant, endpoint, query) and checks the snapshot version it was
+// rendered from: hot reads of the
 // current snapshot are served from memory with a stable ETag and never
 // touch the analyzer; after a new snapshot the first read of a
 // document re-renders it over its predecessor. Remote probes
@@ -110,8 +111,8 @@ func (s *Service) requests(tenant, endpoint, code string) *obs.Counter {
 	return s.reg.Counter("uncharted_service_requests_total", "tenant", tenant, "endpoint", endpoint, "code", code)
 }
 
-// wireTenant builds the tenant's route set from the shared stream
-// constructors plus the service-level cache and aggregation routes.
+// wireTenant builds the tenant's route set from its analyzer's
+// endpoints plus the service-level cache and aggregation routes.
 func (s *Service) wireTenant(t *Tenant) {
 	t.routes = make(map[string]route)
 	mount := func(endpoint string, h http.Handler) {
@@ -120,11 +121,12 @@ func (s *Service) wireTenant(t *Tenant) {
 	}
 	fleet := s.cached(t, "fleet", t.fleetVersion, stream.NewProfileHandler(t.fleetProfile))
 	if t.engine != nil {
-		eps := t.runner.Analyzer().Endpoints()
+		an := t.runner.Analyzer()
+		eps := an.Endpoints()
 		mount("profile", s.cached(t, "profile", t.engineVersion, eps["/profile"]))
 		mount("statusz", eps["/statusz"])
 		if h, ok := eps["/drift"]; ok {
-			mount("drift", s.cached(t, "drift", t.engineVersion, h))
+			mount("drift", s.cached(t, "drift", driftVersion(an.Drift), h))
 		}
 		if h, ok := eps["/query"]; ok {
 			mount("query", s.cached(t, "query", t.engineVersion, h))

@@ -394,24 +394,42 @@ func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
 }
 
 // referenceTenantEngine wires an engine the way newTenant did before a
-// tenant became a graph — source through the shared opener, names from
-// a simulated feed's topology only, the shorthand's own defaults — and
-// is kept as what TestTenantGraphEquivalence compares the graph with.
+// tenant became a graph — the source opened by kind, names from a
+// simulated feed's topology only, the shorthand's own defaults — and is
+// kept as what TestTenantGraphEquivalence compares the graph with.
 func referenceTenantEngine(t *testing.T, cfg TenantConfig) (*stream.Engine, stream.Source) {
 	t.Helper()
-	sc := cfg.Source
-	feed, err := stream.OpenSource(stream.SourceSpec{
-		Kind:  sc.Kind,
-		Path:  sc.Path,
-		Speed: sc.Speed,
-		Sim:   stream.SimSpec{Year: sc.Year, Seed: sc.Seed, Duration: time.Duration(sc.Duration)},
-	})
+	var (
+		src   stream.Source
+		names map[netip.Addr]string
+		err   error
+	)
+	switch sc := cfg.Source; sc.Kind {
+	case "pcap":
+		src, err = stream.NewFileSource(sc.Path)
+	case "follow":
+		src, err = stream.NewFollowSource(sc.Path)
+	case "sim":
+		year := topology.Y1
+		if sc.Year == 2 {
+			year = topology.Y2
+		}
+		scfg := scadasim.DefaultConfig(year, sc.Seed)
+		if sc.Duration > 0 {
+			scfg.Duration = time.Duration(sc.Duration)
+		}
+		sim, serr := scadasim.New(scfg)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		tr, rerr := sim.Run()
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		src, names = stream.NewRecordSource(tr.Records, sc.Speed), core.NamesFromTopology(sim.Network())
+	}
 	if err != nil {
 		t.Fatal(err)
-	}
-	var names map[netip.Addr]string
-	if feed.Network != nil {
-		names = core.NamesFromTopology(feed.Network)
 	}
 	snapshotEvery := time.Duration(cfg.Snapshot)
 	if snapshotEvery <= 0 {
@@ -426,7 +444,7 @@ func referenceTenantEngine(t *testing.T, cfg TenantConfig) (*stream.Engine, stre
 		Names:           names,
 		Registry:        obs.NewRegistry().With("tenant", cfg.Name),
 		MaxPointSamples: cfg.PointCap,
-	}), feed.Source
+	}), src
 }
 
 // TestTenantGraphEquivalence: a shorthand tenant — now compiled into a

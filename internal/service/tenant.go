@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"uncharted/internal/drift"
 	"uncharted/internal/historian"
 	"uncharted/internal/obs"
 	"uncharted/internal/pipeline"
@@ -179,6 +180,18 @@ func (t *Tenant) engineVersion() string {
 		}
 	}
 	return "0"
+}
+
+// driftVersion is the cache version for /drift: the seq of the snapshot
+// the served report compared, not the engine's. A snapshot's profile is
+// stored before its drift report, so a read between the two would
+// otherwise cache the old report under the new seq — for good, once a
+// finished capture's final publish stops the seq moving.
+func driftVersion(latest func() (*drift.DriftReport, int)) func() string {
+	return func() string {
+		_, seq := latest()
+		return strconv.Itoa(seq)
+	}
 }
 
 // fleetVersion is the cache version for the fleet view: it moves with

@@ -73,14 +73,24 @@ func KSSignificance(d float64, na, nb int) float64 {
 // disjoint support. One empty and one non-empty distribution diverge
 // maximally; two empty distributions do not diverge.
 func JensenShannon(p, q map[string]float64) float64 {
-	var tp, tq float64
-	for _, v := range p {
-		if v > 0 {
-			tp += v
+	// Sum in key order: map order would move the last bits of the
+	// result from one call to the next.
+	keys := make([]string, 0, len(p)+len(q))
+	for k := range p {
+		keys = append(keys, k)
+	}
+	for k := range q {
+		if _, ok := p[k]; !ok {
+			keys = append(keys, k)
 		}
 	}
-	for _, v := range q {
-		if v > 0 {
+	sort.Strings(keys)
+	var tp, tq float64
+	for _, k := range keys {
+		if v := p[k]; v > 0 {
+			tp += v
+		}
+		if v := q[k]; v > 0 {
 			tq += v
 		}
 	}
@@ -90,15 +100,8 @@ func JensenShannon(p, q map[string]float64) float64 {
 	if tp == 0 || tq == 0 {
 		return 1
 	}
-	keys := make(map[string]struct{}, len(p)+len(q))
-	for k := range p {
-		keys[k] = struct{}{}
-	}
-	for k := range q {
-		keys[k] = struct{}{}
-	}
 	var js float64
-	for k := range keys {
+	for _, k := range keys {
 		pp := math.Max(p[k], 0) / tp
 		qq := math.Max(q[k], 0) / tq
 		m := (pp + qq) / 2

@@ -18,8 +18,9 @@
 // shard drains its per-reader queues strictly in segment order, so it
 // sees exactly the packet order a sequential read would deliver.
 // Shard snapshots are core.Partial values, merged into a rolling
-// Profile that is published over HTTP next to the /metrics endpoint
-// and journalled as JSONL; snapshots use a sealed-epoch protocol (each
+// Profile that is published to Profile/OnSnapshot readers (the
+// pipeline's analyzer segment serves it over HTTP) and journalled as
+// JSONL; snapshots use a sealed-epoch protocol (each
 // shard publishes its own partial between batches) so publishing
 // never stops the world. Bounded queues give backpressure: a reader
 // either blocks (lossless, default) or sheds whole batches with an
@@ -29,7 +30,6 @@ package stream
 import (
 	"context"
 	"math"
-	"net/http"
 	"net/netip"
 	"strconv"
 	"sync"
@@ -37,9 +37,7 @@ import (
 	"time"
 
 	"uncharted/internal/core"
-	"uncharted/internal/drift"
 	"uncharted/internal/historian"
-	"uncharted/internal/ids"
 	"uncharted/internal/obs"
 	"uncharted/internal/obs/trace"
 	"uncharted/internal/pcap"
@@ -69,8 +67,6 @@ type Config struct {
 	// one reader each. Every other source, and a capture too small to
 	// split, is read by one. Minimum (and default) 1.
 	Readers int
-	// BatchSize is how many packets ride one channel send (default 64).
-	BatchSize int
 	// QueueDepth is each reader's buffering budget in batches (default
 	// 64), split across its per-shard queues. Splitting — rather than
 	// giving every queue the full budget — keeps the in-flight slab
@@ -84,7 +80,7 @@ type Config struct {
 	// periodic snapshotter (a final profile is still produced).
 	SnapshotEvery time.Duration
 	// PollInterval is how long the reader sleeps on ErrNotReady
-	// (default 25ms).
+	// (default DefaultPollInterval).
 	PollInterval time.Duration
 	// IdleTimeout, when set, evicts flows idle for that long from the
 	// per-shard trackers (streaming memory bound; taxonomy is kept).
@@ -127,27 +123,21 @@ type Config struct {
 	// bound that lets -follow runs hold steady-state memory while the
 	// historian keeps the full history on disk.
 	MaxPointSamples int
-	// Baseline, when set, turns on live drift detection: every
-	// published snapshot is compared against this stored profile and
-	// the resulting DriftReport is served at /drift, journalled, and
-	// fed to DriftAlerts.
-	Baseline *drift.Profile
-	// DriftThresholds overrides drift.DefaultThresholds for the live
-	// comparison; nil uses the defaults.
-	DriftThresholds *drift.Thresholds
-	// DriftAlerts receives one ids.Alert per finding the first time it
-	// appears in this run. Called from the snapshot path with the
-	// engine lock held: keep it fast and do not call back into the
-	// engine.
-	DriftAlerts func(ids.Alert)
 	// OnSnapshot receives every published snapshot: the merged Partial,
 	// the derived Profile and whether this is the final end-of-stream
 	// publish. Called from the snapshot path with the engine lock held:
 	// keep it fast (hand off to a channel) and do not call back into
 	// the engine. The pipeline runtime uses it to forward snapshots
-	// down profiles edges.
+	// down profiles edges and to run live drift detection.
 	OnSnapshot func(p core.Partial, prof *Profile, final bool)
 }
+
+const (
+	// BatchSize is how many packets ride one channel send.
+	BatchSize = 64
+	// DefaultPollInterval is Config.PollInterval's default.
+	DefaultPollInterval = 25 * time.Millisecond
+)
 
 func (c *Config) fill() {
 	if c.Workers < 1 {
@@ -156,14 +146,11 @@ func (c *Config) fill() {
 	if c.Readers < 1 {
 		c.Readers = 1
 	}
-	if c.BatchSize < 1 {
-		c.BatchSize = 64
-	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 64
 	}
 	if c.PollInterval <= 0 {
-		c.PollInterval = 25 * time.Millisecond
+		c.PollInterval = DefaultPollInterval
 	}
 }
 
@@ -371,9 +358,11 @@ type Engine struct {
 	cfg     Config
 	shards  []*shard
 	metrics *engineMetrics
-	// poison turns on the readers' slab poisoning (see batchPool);
-	// tests set it before Run.
-	poison bool
+	// poison turns on the readers' slab poisoning (see batchPool) and
+	// batchSize is how many records a reader batches per shard
+	// (BatchSize); tests set them before Run.
+	poison    bool
+	batchSize int
 
 	trcSnap *trace.Lane
 	trcPlan *trace.Lane
@@ -385,13 +374,11 @@ type Engine struct {
 
 	profile  atomic.Pointer[Profile]
 	lastPart atomic.Pointer[core.Partial]
-	driftRep atomic.Pointer[drift.DriftReport]
 	seq      int
 
-	mu        sync.Mutex
-	running   bool
-	final     core.Partial
-	driftSeen map[string]bool
+	mu      sync.Mutex
+	running bool
+	final   core.Partial
 }
 
 // Engine lifecycle states, published for readiness probes.
@@ -405,10 +392,7 @@ const (
 // New builds an engine; Run starts it.
 func New(cfg Config) *Engine {
 	cfg.fill()
-	e := &Engine{cfg: cfg, metrics: newEngineMetrics(cfg.Registry, cfg.Workers)}
-	if cfg.Baseline != nil {
-		e.driftSeen = make(map[string]bool)
-	}
+	e := &Engine{cfg: cfg, metrics: newEngineMetrics(cfg.Registry, cfg.Workers), batchSize: BatchSize}
 	e.trcSnap = cfg.Trace.Lane("snapshot")
 	e.trcPlan = cfg.Trace.Lane("plan")
 	// Merges, publishes and segment plans are rare and off the hot
@@ -713,7 +697,7 @@ func (rd *reader) Raw(ctx context.Context, data []byte, ci pcap.CaptureInfo, lin
 	b.link = link
 	b.addRaw(data, ci)
 	rd.lane.End(rsp, trace.StageRoute, 1, -1)
-	if len(b.frames) >= rd.e.cfg.BatchSize {
+	if len(b.frames) >= rd.e.batchSize {
 		return rd.flush(ctx, i)
 	}
 	return true
@@ -724,7 +708,7 @@ func (rd *reader) Packet(ctx context.Context, pkt pcap.Packet) bool {
 	i := rd.e.shardForPair(pkt.IP.Src, pkt.IP.Dst)
 	b := rd.fill(i)
 	b.pkts = append(b.pkts, pkt)
-	if len(b.pkts) >= rd.e.cfg.BatchSize {
+	if len(b.pkts) >= rd.e.batchSize {
 		return rd.flush(ctx, i)
 	}
 	return true
@@ -905,7 +889,6 @@ func (e *Engine) publish(p core.Partial, seq int, final bool) {
 		"asdus":        p.TotalASDUs,
 		"parse_errors": p.ParseErrors,
 	})
-	e.noteDrift(p, seq)
 	if e.cfg.OnSnapshot != nil {
 		e.cfg.OnSnapshot(p, prof, final)
 	}
@@ -961,11 +944,4 @@ func (e *Engine) LastPartial() (core.Partial, bool) {
 		return core.Partial{}, false
 	}
 	return *p, true
-}
-
-// ProfileHandler serves the rolling profile — mount it at /profile
-// next to the obs handler. JSON by default, ?format=text for the
-// operator summary.
-func (e *Engine) ProfileHandler() http.Handler {
-	return NewProfileHandler(e.Profile)
 }

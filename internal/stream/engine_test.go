@@ -306,10 +306,11 @@ func TestReplaySourceTimeScales(t *testing.T) {
 
 	// 1 simulated minute at 6000x is ~10ms of wall time: fast enough
 	// for a test, slow enough to exercise the ErrNotReady path.
-	src, err := NewReplaySource(bytes.NewReader(capture), 6000)
+	pcapSrc, err := NewPCAPSource(bytes.NewReader(capture))
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := NewReplaySource(pcapSrc, 6000)
 	e := New(Config{Workers: 2, PollInterval: time.Millisecond, Names: core.NamesFromTopology(sim.Network())})
 	if err := e.Run(context.Background(), src); err != nil {
 		t.Fatal(err)
@@ -352,6 +353,44 @@ func TestDropPolicyCountsSheddedBatches(t *testing.T) {
 	}
 }
 
+// TestEngineNoBaselineNoDrift: an engine run with no snapshot hook — no
+// drift watch attached — still publishes its final profile, serves it
+// at /profile, and its route map has no /drift (a mux answers 404) and
+// no drift metrics.
+func TestEngineNoBaselineNoDrift(t *testing.T) {
+	sim, tr := simulate(t, 1, 2*time.Minute)
+	src, err := NewPCAPSource(bytes.NewReader(tracePCAP(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	e := New(Config{Workers: 2, Names: core.NamesFromTopology(sim.Network()), Registry: reg})
+	if err := e.Run(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	if p := e.Profile(); p == nil || p.Packets == 0 {
+		t.Fatalf("final profile not published: %+v", p)
+	}
+	mux := http.NewServeMux()
+	for path, h := range Endpoints(e) {
+		mux.Handle(path, h)
+	}
+	for path, want := range map[string]int{"/profile": 200, "/drift": 404} {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		if rr.Code != want {
+			t.Errorf("%s without a baseline: status %d, want %d", path, rr.Code, want)
+		}
+	}
+	var m bytes.Buffer
+	if err := reg.WritePrometheus(&m); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(m.Bytes(), []byte("uncharted_stream_drift_")) {
+		t.Error("drift metrics registered without a baseline")
+	}
+}
+
 func TestRollingProfileAndHTTP(t *testing.T) {
 	sim, tr := simulate(t, 16, 2*time.Minute)
 	capture := tracePCAP(t, tr)
@@ -386,7 +425,7 @@ func TestRollingProfileAndHTTP(t *testing.T) {
 
 	// The profile is served over the shared obs mux.
 	srv := httptest.NewServer(obs.HandlerWith(reg, nil, map[string]http.Handler{
-		"/profile": e.ProfileHandler(),
+		"/profile": NewProfileHandler(e.Profile),
 	}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/profile")

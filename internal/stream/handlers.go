@@ -3,17 +3,15 @@ package stream
 import (
 	"net/http"
 
-	"uncharted/internal/drift"
-	"uncharted/internal/historian"
 	"uncharted/internal/obs"
 )
 
-// This file holds the reusable HTTP handler constructors for the
-// engine's query surface. The single-engine commands (profiler
-// -follow, iec104live) and the multi-tenant control-room service
-// (internal/service) all mount these same constructors, so the two
-// surfaces cannot drift apart: one implementation decides status
-// codes, Content-Type headers and the ?format=json|text negotiation.
+// This file holds the HTTP handler constructors for what the engine
+// publishes. The pipeline's analyzer segment mounts them (so every
+// graph-running command and control-room tenant serves them) and the
+// control-room service renders its fleet view with NewProfileHandler:
+// one implementation decides status codes, Content-Type headers and
+// the ?format negotiation.
 
 // NewProfileHandler serves the profile returned by get as JSON
 // (default) or a plain-text operator summary with ?format=text. A nil
@@ -40,29 +38,16 @@ func NewProfileHandler(get func() *Profile) http.Handler {
 	})
 }
 
-// NewDriftHandler serves the drift report returned by get as JSON
-// (default) or the profilediff-style text rendering with ?format=text.
-// A nil report — no baseline configured, or nothing published yet —
-// is 503.
-func NewDriftHandler(get func() *drift.DriftReport) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		format, ok := obs.PickFormat(w, req, "json", "text")
-		if !ok {
-			return
-		}
-		rep := get()
-		if rep == nil {
-			http.Error(w, "no drift report published yet", http.StatusServiceUnavailable)
-			return
-		}
-		if format == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			rep.WriteText(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		rep.WriteJSON(w)
-	})
+// Endpoints is the engine's own query surface as a fresh path → handler
+// map: /profile, /statusz and /readyz. It never carries /drift or
+// /query — drift watches and historians belong to whatever wraps the
+// engine, which adds their routes to this map.
+func Endpoints(e *Engine) map[string]http.Handler {
+	return map[string]http.Handler{
+		"/profile": NewProfileHandler(e.Profile),
+		"/statusz": NewStatusHandler(e.Status),
+		"/readyz":  obs.ReadyHandler(e.Ready),
+	}
 }
 
 // NewStatusHandler serves the live pipeline topology returned by get:
@@ -87,24 +72,4 @@ func NewStatusHandler(get func() Status) http.Handler {
 			writeStatusHTML(w, st)
 		}
 	})
-}
-
-// Endpoints assembles the engine's full query surface as a path →
-// handler map ready for obs.ServeWith (or for per-tenant mounting by
-// the control-room service): /profile and /statusz always, /readyz
-// from the engine lifecycle, /drift when a baseline is configured, and
-// /query when a historian is attached.
-func Endpoints(e *Engine, hist *historian.Store) map[string]http.Handler {
-	eps := map[string]http.Handler{
-		"/profile": e.ProfileHandler(),
-		"/statusz": e.StatuszHandler(),
-		"/readyz":  obs.ReadyHandler(e.Ready),
-	}
-	if e.cfg.Baseline != nil {
-		eps["/drift"] = e.DriftHandler()
-	}
-	if hist != nil {
-		eps["/query"] = historian.QueryHandler(hist)
-	}
-	return eps
 }

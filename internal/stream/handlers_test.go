@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"uncharted/internal/core"
-	"uncharted/internal/drift"
 )
 
 // TestHandlerConstructors exercises the shared endpoint constructors
@@ -14,7 +13,6 @@ import (
 // and an unknown format is a JSON 400.
 func TestHandlerConstructors(t *testing.T) {
 	prof := BuildProfile(core.Partial{}, 3, 0, 1)
-	rep := &drift.DriftReport{}
 	st := Status{State: "running", Workers: 2, Policy: "block"}
 
 	type probe struct {
@@ -49,21 +47,6 @@ func TestHandlerConstructors(t *testing.T) {
 		}
 	})
 
-	t.Run("drift", func(t *testing.T) {
-		h := NewDriftHandler(func() *drift.DriftReport { return rep })
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest("GET", "/drift", nil))
-		if rr.Code != 200 || rr.Header().Get("Content-Type") != "application/json; charset=utf-8" {
-			t.Errorf("drift json: code %d CT %q", rr.Code, rr.Header().Get("Content-Type"))
-		}
-		h = NewDriftHandler(func() *drift.DriftReport { return nil })
-		rr = httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest("GET", "/drift", nil))
-		if rr.Code != 503 {
-			t.Errorf("nil drift: code %d, want 503", rr.Code)
-		}
-	})
-
 	t.Run("status", func(t *testing.T) {
 		h := NewStatusHandler(func() Status { return st })
 		for _, p := range []probe{
@@ -83,20 +66,25 @@ func TestHandlerConstructors(t *testing.T) {
 	})
 }
 
-// TestEndpointsMap checks the shared route map the single-engine
-// commands and the control-room service both mount.
+// TestEndpointsMap checks the engine's route map, the base every
+// analyzer segment and control-room tenant mounts.
 func TestEndpointsMap(t *testing.T) {
 	e := New(Config{Workers: 1})
-	eps := Endpoints(e, nil)
+	eps := Endpoints(e)
 	for _, want := range []string{"/profile", "/statusz", "/readyz"} {
 		if eps[want] == nil {
 			t.Errorf("Endpoints missing %s", want)
 		}
 	}
 	if eps["/drift"] != nil {
-		t.Error("drift endpoint present without a baseline")
+		t.Error("drift endpoint present on a bare engine")
 	}
 	if eps["/query"] != nil {
-		t.Error("query endpoint present without a historian")
+		t.Error("query endpoint present on a bare engine")
+	}
+	rr := httptest.NewRecorder()
+	eps["/readyz"].ServeHTTP(rr, httptest.NewRequest("GET", "/readyz", nil))
+	if rr.Code != 503 {
+		t.Errorf("/readyz before Run: status %d, want 503", rr.Code)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"uncharted/internal/drift"
 	"uncharted/internal/obs"
 )
 
@@ -23,9 +22,6 @@ const (
 	MetricStalls         = "uncharted_stream_backpressure_stalls_total"
 	MetricStallSeconds   = "uncharted_stream_stall_seconds"
 	MetricDropCause      = "uncharted_stream_backpressure_drops_total"
-	MetricDriftFindings  = "uncharted_stream_drift_findings"
-	MetricDriftSeverity  = "uncharted_stream_drift_max_severity"
-	MetricDriftCompares  = "uncharted_stream_drift_compares_total"
 	MetricReaders        = "uncharted_stream_readers"
 	MetricReaderBytes    = "uncharted_stream_reader_bytes_total"
 )
@@ -49,16 +45,13 @@ type shardMetrics struct {
 // engineMetrics books the engine's counters; a nil receiver (no
 // registry configured) is a no-op, mirroring the other packages.
 type engineMetrics struct {
-	reg           *obs.Registry
-	packets       *obs.Counter
-	batches       *obs.Counter
-	snapshots     *obs.Counter
-	shards        []shardMetrics
-	driftCompares *obs.Counter
-	driftFindings *obs.Gauge
-	driftSeverity *obs.Gauge
-	readers       *obs.Gauge
-	readerBytes   []*obs.Counter // sized by noteReaders
+	reg         *obs.Registry
+	packets     *obs.Counter
+	batches     *obs.Counter
+	snapshots   *obs.Counter
+	shards      []shardMetrics
+	readers     *obs.Gauge
+	readerBytes []*obs.Counter // sized by noteReaders
 }
 
 func newEngineMetrics(reg *obs.Registry, workers int) *engineMetrics {
@@ -75,19 +68,13 @@ func newEngineMetrics(reg *obs.Registry, workers int) *engineMetrics {
 	reg.SetHelp(MetricStalls, "Reader stalls under the Block policy, by shard and the stage that caused them.")
 	reg.SetHelp(MetricStallSeconds, "Time the reader spent blocked on a full shard queue.")
 	reg.SetHelp(MetricDropCause, "DropNewest losses by shard and the stage that caused them.")
-	reg.SetHelp(MetricDriftFindings, "Findings in the latest baseline comparison.")
-	reg.SetHelp(MetricDriftSeverity, "Maximum severity in the latest baseline comparison.")
-	reg.SetHelp(MetricDriftCompares, "Baseline comparisons performed.")
 	reg.SetHelp(MetricReaders, "Reader goroutines in the current run.")
 	reg.SetHelp(MetricReaderBytes, "Capture bytes consumed, by reader.")
 	m := &engineMetrics{
-		reg:           reg,
-		packets:       reg.Counter(MetricPackets),
-		batches:       reg.Counter(MetricBatches),
-		snapshots:     reg.Counter(MetricSnapshots),
-		driftCompares: reg.Counter(MetricDriftCompares),
-		driftFindings: reg.Gauge(MetricDriftFindings),
-		driftSeverity: reg.Gauge(MetricDriftSeverity),
+		reg:       reg,
+		packets:   reg.Counter(MetricPackets),
+		batches:   reg.Counter(MetricBatches),
+		snapshots: reg.Counter(MetricSnapshots),
 	}
 	for i := 0; i < workers; i++ {
 		shard := strconv.Itoa(i)
@@ -167,15 +154,6 @@ func (m *engineMetrics) noteStall(shard int, cause string, d time.Duration) {
 		c.Inc()
 	}
 	sm.stallSec.Observe(d.Seconds())
-}
-
-func (m *engineMetrics) noteDrift(rep *drift.DriftReport) {
-	if m == nil {
-		return
-	}
-	m.driftCompares.Inc()
-	m.driftFindings.Set(float64(len(rep.Findings)))
-	m.driftSeverity.Set(float64(rep.MaxSeverity()))
 }
 
 func (m *engineMetrics) noteSnapshot() {

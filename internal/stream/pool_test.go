@@ -29,11 +29,10 @@ func TestBufferPoolLifecycleAcrossShards(t *testing.T) {
 	}
 	e := New(Config{
 		Workers:    4,
-		BatchSize:  4,
 		QueueDepth: 2,
 		Names:      core.NamesFromTopology(sim.Network()),
 	})
-	e.poison = true
+	e.poison, e.batchSize = true, 4
 	if err := e.Run(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}

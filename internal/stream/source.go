@@ -256,20 +256,15 @@ func (p *pacer) due(ts time.Time) bool {
 // scaled by Speed (see pacer). It turns any recorded capture into a
 // live feed for exercising the engine's follow machinery.
 type ReplaySource struct {
-	inner   *PCAPSource
-	file    io.Closer // the capture file, when OpenSource opened it
+	inner   Source
 	pace    pacer
 	pending *pcap.Packet
 }
 
-// NewReplaySource wraps the capture read from r. speed <= 0 means
-// "as fast as possible".
-func NewReplaySource(r io.Reader, speed float64) (*ReplaySource, error) {
-	inner, err := NewPCAPSource(r)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplaySource{inner: inner, pace: pacer{speed: speed}}, nil
+// NewReplaySource paces the packets of inner, which it owns: Close
+// closes it. speed <= 0 means "as fast as possible".
+func NewReplaySource(inner Source, speed float64) *ReplaySource {
+	return &ReplaySource{inner: inner, pace: pacer{speed: speed}}
 }
 
 // Next returns the next packet once its scaled capture offset has
@@ -290,14 +285,8 @@ func (s *ReplaySource) Next() (pcap.Packet, error) {
 	return pkt, nil
 }
 
-// Close implements Source; the reader passed to NewReplaySource is
-// caller-owned.
-func (s *ReplaySource) Close() error {
-	if s.file != nil {
-		return s.file.Close()
-	}
-	return nil
-}
+// Close closes the wrapped source.
+func (s *ReplaySource) Close() error { return s.inner.Close() }
 
 // RecordSource feeds simulator records straight into the engine with
 // no pcap round-trip: each record is serialized and decoded exactly

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"html"
 	"io"
-	"net/http"
 	"sort"
 	"time"
 
@@ -93,7 +92,7 @@ func (e *Engine) Status() Status {
 	st := Status{
 		State:      stateName(e.state.Load()),
 		Workers:    e.cfg.Workers,
-		BatchSize:  e.cfg.BatchSize,
+		BatchSize:  e.batchSize,
 		QueueDepth: e.cfg.QueueDepth,
 		Policy:     e.cfg.Policy.String(),
 	}
@@ -181,13 +180,6 @@ func nonZero(byCause map[string]*obs.Counter) map[string]int64 {
 		}
 	}
 	return out
-}
-
-// StatuszHandler serves the live pipeline topology: HTML by default
-// (auto-refreshing), ?format=json — the document cmd/unchartedtop
-// polls — or ?format=text for terminals.
-func (e *Engine) StatuszHandler() http.Handler {
-	return NewStatusHandler(e.Status)
 }
 
 // WriteJSON renders the status document, indented.

@@ -213,7 +213,7 @@ func TestStatuszAndReadiness(t *testing.T) {
 
 	// JSON view round-trips.
 	rr = httptest.NewRecorder()
-	e.StatuszHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/statusz?format=json", nil))
+	NewStatusHandler(e.Status).ServeHTTP(rr, httptest.NewRequest("GET", "/statusz?format=json", nil))
 	if rr.Code != 200 {
 		t.Fatalf("/statusz?format=json = %d", rr.Code)
 	}
@@ -227,7 +227,7 @@ func TestStatuszAndReadiness(t *testing.T) {
 
 	// HTML view serves and mentions the shards.
 	rr = httptest.NewRecorder()
-	e.StatuszHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/statusz", nil))
+	NewStatusHandler(e.Status).ServeHTTP(rr, httptest.NewRequest("GET", "/statusz", nil))
 	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "shards") {
 		t.Fatalf("/statusz HTML = %d", rr.Code)
 	}
