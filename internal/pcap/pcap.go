@@ -39,15 +39,41 @@ type CaptureInfo struct {
 	Length        int // original wire length
 }
 
-// Reader decodes a libpcap stream.
+// Reader decodes a libpcap stream, or an image (NewImageReader).
 type Reader struct {
-	r         io.Reader
-	order     binary.ByteOrder
-	nanos     bool
-	linkType  LinkType
-	snapLen   uint32
-	recHdr    [16]byte
-	packetNum int
+	in input
+	fileHeader
+	layout *Layout
+	recHdr []byte // a stream's record header
+}
+
+// fileHeader is what a classic capture's global header says about
+// every record behind it.
+type fileHeader struct {
+	order   binary.ByteOrder
+	nanos   bool
+	link    LinkType
+	snapLen uint32
+}
+
+// parseFileHeader decodes the 24-byte global header.
+func parseFileHeader(hdr []byte) (fileHeader, error) {
+	var h fileHeader
+	switch magic := binary.LittleEndian.Uint32(hdr[0:4]); magic {
+	case magicMicros:
+		h.order = binary.LittleEndian
+	case magicNanos:
+		h.order, h.nanos = binary.LittleEndian, true
+	case magicMicrosSwapped:
+		h.order = binary.BigEndian
+	case magicNanosSwapped:
+		h.order, h.nanos = binary.BigEndian, true
+	default:
+		return h, fmt.Errorf("%w: %#08x", ErrBadMagic, magic)
+	}
+	h.snapLen = h.order.Uint32(hdr[16:20])
+	h.link = LinkType(h.order.Uint32(hdr[20:24]))
+	return h, nil
 }
 
 // maxRecordLen bounds the capture length the reader believes whatever
@@ -80,35 +106,24 @@ func buffered(r io.Reader) io.Reader {
 // buffered (implements io.ByteReader) it is wrapped in a bufio.Reader
 // so per-record header reads do not hit the underlying file.
 func NewReader(r io.Reader) (*Reader, error) {
-	r = buffered(r)
-	var hdr [24]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return newReader(input{r: buffered(r)})
+}
+
+func newReader(in input) (*Reader, error) {
+	var buf []byte
+	hdr, err := in.take(24, &buf)
+	if err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
 	}
-	pr := &Reader{r: r}
-	magic := binary.LittleEndian.Uint32(hdr[0:4])
-	switch magic {
-	case magicMicros:
-		pr.order = binary.LittleEndian
-	case magicNanos:
-		pr.order, pr.nanos = binary.LittleEndian, true
-	case magicMicrosSwapped:
-		pr.order = binary.BigEndian
-	case magicNanosSwapped:
-		pr.order, pr.nanos = binary.BigEndian, true
-	default:
-		return nil, fmt.Errorf("%w: %#08x", ErrBadMagic, magic)
+	h, err := parseFileHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	pr.snapLen = pr.order.Uint32(hdr[16:20])
-	pr.linkType = LinkType(pr.order.Uint32(hdr[20:24]))
-	return pr, nil
+	return &Reader{in: in, fileHeader: h, layout: &Layout{classic: h}}, nil
 }
 
 // LinkType returns the capture's link type.
-func (r *Reader) LinkType() LinkType { return r.linkType }
-
-// SnapLen returns the capture's snapshot length.
-func (r *Reader) SnapLen() uint32 { return r.snapLen }
+func (r *Reader) LinkType() LinkType { return r.link }
 
 // ReadPacket returns the next record in a freshly allocated buffer the
 // caller owns outright. It returns io.EOF cleanly at the end of the
@@ -126,37 +141,63 @@ func (r *Reader) ReadPacket() ([]byte, CaptureInfo, error) {
 // amortize the allocation to zero. Passing nil always allocates, which
 // is what ReadPacket does.
 func (r *Reader) ReadPacketInto(scratch []byte) ([]byte, CaptureInfo, error) {
-	if _, err := io.ReadFull(r.r, r.recHdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, CaptureInfo{}, io.EOF
-		}
-		return nil, CaptureInfo{}, fmt.Errorf("pcap: record %d header: %w", r.packetNum, err)
+	_, hdr, data, err := r.next(scratch)
+	if err != nil {
+		return nil, CaptureInfo{}, err
 	}
-	sec := r.order.Uint32(r.recHdr[0:4])
-	frac := r.order.Uint32(r.recHdr[4:8])
-	capLen := r.order.Uint32(r.recHdr[8:12])
-	origLen := r.order.Uint32(r.recHdr[12:16])
+	if r.in.r == nil {
+		data = append(scratch[:0], data...) // an image's bytes stay in it
+	}
+	return data, r.record(hdr), nil
+}
+
+// NextAt reads the next record without handing out its bytes: they are
+// bytes [off, end) of the capture, and l.Record reads the record again
+// from hdr, where its header starts. Over an image (NewImageReader,
+// PlanImage) nothing was copied. Errors are ReadPacket's.
+func (r *Reader) NextAt() (hdr, off, end int, l *Layout, err error) {
+	at, _, data, err := r.next(nil)
+	return at, r.in.pos - len(data), r.in.pos, r.layout, err
+}
+
+// next reads one record: where it starts, its header, and its bytes —
+// in scratch from a stream, in place from an image.
+func (r *Reader) next(scratch []byte) (int, []byte, []byte, error) {
+	at := r.in.pos
+	hdr, err := r.in.take(16, &r.recHdr)
+	if err != nil {
+		if err == io.EOF {
+			return at, nil, nil, io.EOF
+		}
+		return at, nil, nil, fmt.Errorf("pcap: record at byte %d: header: %w", at, err)
+	}
+	capLen := r.order.Uint32(hdr[8:12])
 	limit := r.snapLen
 	if limit == 0 || limit > maxRecordLen {
 		limit = maxRecordLen
 	}
 	if capLen > limit {
-		return nil, CaptureInfo{}, fmt.Errorf("%w: %d > %d", ErrSnapLen, capLen, limit)
+		return at, nil, nil, fmt.Errorf("%w: %d > %d", ErrSnapLen, capLen, limit)
 	}
-	data := grow(scratch, int(capLen))
-	if _, err := io.ReadFull(r.r, data); err != nil {
-		return nil, CaptureInfo{}, fmt.Errorf("pcap: record %d body: %w", r.packetNum, err)
+	data, err := r.in.take(int(capLen), &scratch)
+	if err != nil {
+		return at, nil, nil, fmt.Errorf("pcap: record at byte %d: body: %w", at, err)
 	}
+	return at, hdr, data, nil
+}
+
+// record decodes a 16-byte record header.
+func (h *fileHeader) record(hdr []byte) CaptureInfo {
+	frac := h.order.Uint32(hdr[4:8])
 	nanos := int64(frac) * 1000
-	if r.nanos {
+	if h.nanos {
 		nanos = int64(frac)
 	}
-	r.packetNum++
-	return data, CaptureInfo{
-		Timestamp:     time.Unix(int64(sec), nanos).UTC(),
-		CaptureLength: int(capLen),
-		Length:        int(origLen),
-	}, nil
+	return CaptureInfo{
+		Timestamp:     time.Unix(int64(h.order.Uint32(hdr[0:4])), nanos).UTC(),
+		CaptureLength: int(h.order.Uint32(hdr[8:12])),
+		Length:        int(h.order.Uint32(hdr[12:16])),
+	}
 }
 
 // grow returns a length-n slice backed by scratch when its capacity

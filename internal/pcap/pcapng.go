@@ -22,17 +22,24 @@ const (
 const byteOrderMagic = 0x1A2B3C4D
 
 // NgReader decodes pcapng capture streams (the format Wireshark writes
-// by default since 1.8). Only reading is supported; the synthesizer
-// always writes classic pcap.
+// by default since 1.8), or images of them (NewImageReader). Only
+// reading is supported; the synthesizer always writes classic pcap.
 type NgReader struct {
-	r     io.Reader
-	order binary.ByteOrder
-	// interfaces seen in the current section, in declaration order.
+	in input
+	ngState
+	layout *Layout // the current section's, made by NextAt
+	// hdr and scratch hold a stream's current block header and body;
+	// scratch grows to the largest block seen and is reused for every
+	// subsequent block, so steady-state block reads allocate nothing.
+	hdr, scratch []byte
+}
+
+// ngState is what reading a block takes besides its bytes: the byte
+// order of its section and the interfaces declared in it so far, in
+// declaration order.
+type ngState struct {
+	order  binary.ByteOrder
 	ifaces []ngInterface
-	// scratch holds the current block body; it grows to the largest
-	// block seen and is reused for every subsequent block, so steady-
-	// state block reads allocate nothing.
-	scratch []byte
 }
 
 type ngInterface struct {
@@ -53,8 +60,12 @@ var (
 // already buffered (implements io.ByteReader) it is wrapped in a
 // bufio.Reader.
 func NewNgReader(r io.Reader) (*NgReader, error) {
-	ng := &NgReader{r: buffered(r)}
-	typ, body, err := ng.readBlockHeader()
+	return newNgReader(input{r: buffered(r)})
+}
+
+func newNgReader(in input) (*NgReader, error) {
+	ng := &NgReader{in: in}
+	typ, body, err := ng.readBlock()
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +79,7 @@ func NewNgReader(r io.Reader) (*NgReader, error) {
 	// answerable before the first packet; packet blocks cannot
 	// legally precede their interface.
 	for len(ng.ifaces) == 0 {
-		typ, body, err := ng.readBlockHeader()
+		typ, body, err := ng.readBlock()
 		if err == io.EOF {
 			break
 		}
@@ -93,12 +104,12 @@ func NewNgReader(r io.Reader) (*NgReader, error) {
 	return ng, nil
 }
 
-// readBlockHeader reads one block and returns its type and body
-// (between the leading and trailing length fields). Byte order for the
-// very first SHB is sniffed from the byte-order magic.
-func (ng *NgReader) readBlockHeader() (uint32, []byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(ng.r, hdr[:]); err != nil {
+// readBlock reads one block and returns its type and body (between the
+// leading and trailing length fields). Byte order for the very first
+// SHB is sniffed from the byte-order magic.
+func (ng *NgReader) readBlock() (uint32, []byte, error) {
+	hdr, err := ng.in.take(8, &ng.hdr)
+	if err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
@@ -106,46 +117,44 @@ func (ng *NgReader) readBlockHeader() (uint32, []byte, error) {
 	}
 	if ng.order == nil {
 		// The SHB starts 0A 0D 0D 0A regardless of endianness; the
-		// byte-order magic is the first body word. Peek at it.
+		// byte-order magic is the first body word.
 		if binary.BigEndian.Uint32(hdr[0:4]) != blockSHB {
 			return 0, nil, ErrNotPcapNg
 		}
-		var magic [4]byte
-		if _, err := io.ReadFull(ng.r, magic[:]); err != nil {
+		var buf []byte
+		magic, err := ng.in.take(4, &buf)
+		if err != nil {
 			return 0, nil, fmt.Errorf("pcap: reading byte-order magic: %w", err)
 		}
-		switch binary.LittleEndian.Uint32(magic[:]) {
-		case byteOrderMagic:
+		switch {
+		case binary.LittleEndian.Uint32(magic) == byteOrderMagic:
 			ng.order = binary.LittleEndian
-		default:
-			if binary.BigEndian.Uint32(magic[:]) != byteOrderMagic {
-				return 0, nil, fmt.Errorf("%w: byte-order magic % x", ErrNotPcapNg, magic)
-			}
+		case binary.BigEndian.Uint32(magic) == byteOrderMagic:
 			ng.order = binary.BigEndian
+		default:
+			return 0, nil, fmt.Errorf("%w: byte-order magic % x", ErrNotPcapNg, magic)
 		}
 		total := ng.order.Uint32(hdr[4:8])
 		if total < 28 || total > 1<<24 {
 			return 0, nil, fmt.Errorf("%w: SHB length %d", ErrNgCorrupt, total)
 		}
-		body := ng.growScratch(int(total - 12))
-		if _, err := io.ReadFull(ng.r, body); err != nil {
+		body, err := ng.in.take(int(total-12), &ng.scratch)
+		if err != nil {
 			return 0, nil, fmt.Errorf("pcap: reading SHB: %w", err)
 		}
 		if ng.order.Uint32(body[len(body)-4:]) != total {
 			return 0, nil, fmt.Errorf("%w: SHB trailing length mismatch", ErrNgCorrupt)
 		}
-		// body = byte-order magic already consumed; body holds
-		// version + section length + options + trailing length.
-		full := append(magic[:], body[:len(body)-4]...)
-		return blockSHB, full, nil
+		// The body proper starts with the magic already consumed.
+		return blockSHB, append(magic[:4:4], body[:len(body)-4]...), nil
 	}
 	typ := ng.order.Uint32(hdr[0:4])
 	total := ng.order.Uint32(hdr[4:8])
 	if total < 12 || total%4 != 0 || total > 1<<24 {
 		return 0, nil, fmt.Errorf("%w: block %#08x length %d", ErrNgCorrupt, typ, total)
 	}
-	body := ng.growScratch(int(total - 8))
-	if _, err := io.ReadFull(ng.r, body); err != nil {
+	body, err := ng.in.take(int(total-8), &ng.scratch)
+	if err != nil {
 		return 0, nil, fmt.Errorf("pcap: reading block %#08x: %w", typ, err)
 	}
 	// Verify the trailing length copy.
@@ -155,18 +164,7 @@ func (ng *NgReader) readBlockHeader() (uint32, []byte, error) {
 	return typ, body[:len(body)-4], nil
 }
 
-// growScratch returns the reader's scratch buffer sized to n bytes,
-// growing it when a larger block arrives. The returned slice is only
-// valid until the next block read.
-func (ng *NgReader) growScratch(n int) []byte {
-	if cap(ng.scratch) < n {
-		ng.scratch = make([]byte, n)
-	}
-	ng.scratch = ng.scratch[:n]
-	return ng.scratch
-}
-
-func (ng *NgReader) parseSHB(body []byte) error {
+func (ng *ngState) parseSHB(body []byte) error {
 	if len(body) < 16 {
 		return ErrNgCorrupt
 	}
@@ -179,7 +177,7 @@ func (ng *NgReader) parseSHB(body []byte) error {
 	return nil
 }
 
-func (ng *NgReader) parseIDB(body []byte) error {
+func (ng *ngState) parseIDB(body []byte) error {
 	if len(body) < 8 {
 		return ErrNgCorrupt
 	}
@@ -240,63 +238,88 @@ func (ng *NgReader) ReadPacket() ([]byte, CaptureInfo, error) {
 // ownership contract as Reader.ReadPacketInto: the result is valid
 // until the scratch is reused, and passing nil allocates.
 func (ng *NgReader) ReadPacketInto(scratch []byte) ([]byte, CaptureInfo, error) {
+	body, lo, hi, ci, err := ng.next()
+	if err != nil {
+		return nil, CaptureInfo{}, err
+	}
+	data := grow(scratch, hi-lo) // out of the reader's scratch or the image
+	copy(data, body[lo:hi])
+	return data, ci, nil
+}
+
+// NextAt reads the next packet without handing out its bytes (see
+// Reader.NextAt); hdr is where its block starts. Errors are
+// ReadPacket's.
+func (ng *NgReader) NextAt() (hdr, off, end int, l *Layout, err error) {
+	body, lo, hi, _, err := ng.next()
+	if ng.layout == nil {
+		ng.layout = &Layout{ng: ng.ngState}
+	}
+	// The body ends where the block's trailing length field begins.
+	base := ng.in.pos - 4 - len(body)
+	return base - 8, base + lo, base + hi, ng.layout, err
+}
+
+// next reads blocks up to the next packet and returns the packet
+// block's body with the packet at body[lo:hi].
+func (ng *NgReader) next() (body []byte, lo, hi int, ci CaptureInfo, err error) {
 	for {
-		typ, body, err := ng.readBlockHeader()
+		typ, body, err := ng.readBlock()
 		if err != nil {
-			return nil, CaptureInfo{}, err
+			return nil, 0, 0, CaptureInfo{}, err
 		}
 		switch typ {
 		case blockSHB:
 			if err := ng.parseSHB(body); err != nil {
-				return nil, CaptureInfo{}, err
+				return nil, 0, 0, CaptureInfo{}, err
 			}
+			ng.layout = nil
 		case blockIDB:
 			if err := ng.parseIDB(body); err != nil {
-				return nil, CaptureInfo{}, err
+				return nil, 0, 0, CaptureInfo{}, err
 			}
+			ng.layout = nil
 		case blockEPB:
-			return ng.parseEPB(body, scratch)
+			lo, hi, ci, err := ng.parseEPB(body)
+			return body, lo, hi, ci, err
 		case blockSPB:
-			return ng.parseSPB(body, scratch)
+			lo, hi, ci, err := ng.parseSPB(body)
+			return body, lo, hi, ci, err
 		default:
 			// Name resolution, statistics, custom blocks: skip.
 		}
 	}
 }
 
-func (ng *NgReader) parseEPB(body, scratch []byte) ([]byte, CaptureInfo, error) {
+func (ng *ngState) parseEPB(body []byte) (lo, hi int, ci CaptureInfo, err error) {
 	if len(body) < 20 {
-		return nil, CaptureInfo{}, ErrNgCorrupt
+		return 0, 0, CaptureInfo{}, ErrNgCorrupt
 	}
 	ifaceID := ng.order.Uint32(body[0:4])
 	if int(ifaceID) >= len(ng.ifaces) {
-		return nil, CaptureInfo{}, ErrNgInterface
+		return 0, 0, CaptureInfo{}, ErrNgInterface
 	}
 	iface := ng.ifaces[ifaceID]
 	tsRaw := uint64(ng.order.Uint32(body[4:8]))<<32 | uint64(ng.order.Uint32(body[8:12]))
 	capLen := int(ng.order.Uint32(body[12:16]))
 	origLen := int(ng.order.Uint32(body[16:20]))
 	if capLen < 0 || 20+capLen > len(body) {
-		return nil, CaptureInfo{}, ErrNgCorrupt
+		return 0, 0, CaptureInfo{}, ErrNgCorrupt
 	}
-	// The block body lives in the reader's scratch; copy the packet out
-	// into the caller's buffer before the next block overwrites it.
-	data := grow(scratch, capLen)
-	copy(data, body[20:20+capLen])
 	div := iface.tsDivisor
 	sec := tsRaw / div
 	frac := tsRaw % div
 	nanos := int64(frac) * int64(time.Second) / int64(div)
-	return data, CaptureInfo{
+	return 20, 20 + capLen, CaptureInfo{
 		Timestamp:     time.Unix(int64(sec), nanos).UTC(),
 		CaptureLength: capLen,
 		Length:        origLen,
 	}, nil
 }
 
-func (ng *NgReader) parseSPB(body, scratch []byte) ([]byte, CaptureInfo, error) {
+func (ng *ngState) parseSPB(body []byte) (lo, hi int, ci CaptureInfo, err error) {
 	if len(body) < 4 || len(ng.ifaces) == 0 {
-		return nil, CaptureInfo{}, ErrNgCorrupt
+		return 0, 0, CaptureInfo{}, ErrNgCorrupt
 	}
 	origLen := int(ng.order.Uint32(body[0:4]))
 	capLen := origLen
@@ -307,9 +330,7 @@ func (ng *NgReader) parseSPB(body, scratch []byte) ([]byte, CaptureInfo, error) 
 	if 4+capLen > len(body) {
 		capLen = len(body) - 4
 	}
-	data := grow(scratch, capLen)
-	copy(data, body[4:4+capLen])
-	return data, CaptureInfo{CaptureLength: capLen, Length: origLen}, nil
+	return 4, 4 + capLen, CaptureInfo{CaptureLength: capLen, Length: origLen}, nil
 }
 
 // LinkType returns the first interface's link type (Ethernet when no

@@ -1,7 +1,9 @@
 package pcap
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -39,22 +41,14 @@ func (s Segment) Size() int64 { return s.End - s.Off }
 // the whole file would.
 type SegmentPlan struct {
 	ra   io.ReaderAt
+	img  []byte // the capture, when planned by PlanImage
 	segs []Segment
 
 	// classic pcap state (nil ngStates means classic).
-	order   binary.ByteOrder
-	nanos   bool
-	link    LinkType
-	snapLen uint32
+	fileHeader
 
 	// pcapng per-segment state snapshots, parallel to segs.
 	ngStates []ngState
-}
-
-// ngState is the section state a pcapng segment starts in.
-type ngState struct {
-	order  binary.ByteOrder
-	ifaces []ngInterface
 }
 
 // Planner tuning constants.
@@ -81,17 +75,41 @@ const (
 // segments — always at least one covering the whole record area —
 // when the file is too small or boundaries cannot be validated.
 func PlanSegments(ra io.ReaderAt, size int64, n int) (*SegmentPlan, error) {
-	if n < 1 {
-		n = 1
+	return plan(ra, size, n, input{r: buffered(io.NewSectionReader(ra, 0, size))})
+}
+
+// PlanImage is PlanSegments over a capture held whole in memory. The
+// plan and its segment readers read the image in place, like
+// NewImageReader, and img must stay unchanged while any of them is in
+// use.
+func PlanImage(img []byte, n int) (*SegmentPlan, error) {
+	p, err := plan(bytes.NewReader(img), int64(len(img)), n, input{img: img, end: len(img)})
+	if err != nil {
+		return nil, err
 	}
+	p.img = img
+	return p, nil
+}
+
+// plan sniffs the format and plans ra; in reads the same capture front
+// to back, which is how a pcapng plan walks it.
+func plan(ra io.ReaderAt, size int64, n int, in input) (*SegmentPlan, error) {
 	var magic [4]byte
 	if _, err := ra.ReadAt(magic[:], 0); err != nil {
 		return nil, fmt.Errorf("pcap: sniffing capture format: %w", err)
 	}
+	var p *SegmentPlan
+	var err error
 	if binary.BigEndian.Uint32(magic[:]) == blockSHB {
-		return planNg(ra, size, n)
+		p, err = planNg(in, size, max(n, 1))
+	} else {
+		p, err = planClassic(ra, size, max(n, 1))
 	}
-	return planClassic(ra, size, n)
+	if err != nil {
+		return nil, err
+	}
+	p.ra = ra
+	return p, nil
 }
 
 // Len returns the number of planned segments.
@@ -109,12 +127,14 @@ func (p *SegmentPlan) Open(i int) (PacketReader, error) {
 		return nil, fmt.Errorf("pcap: segment %d out of range [0,%d)", i, len(p.segs))
 	}
 	seg := p.segs[i]
-	sec := io.NewSectionReader(p.ra, seg.Off, seg.Size())
-	if p.ngStates != nil {
-		st := p.ngStates[i]
-		return newNgReaderAt(sec, st.order, st.ifaces), nil
+	in := input{img: p.img, pos: int(seg.Off), end: int(seg.End)}
+	if p.img == nil {
+		in = input{r: buffered(io.NewSectionReader(p.ra, seg.Off, seg.Size())), pos: int(seg.Off)}
 	}
-	return newReaderAt(sec, p.order, p.nanos, p.link, p.snapLen), nil
+	if p.ngStates != nil {
+		return &NgReader{in: in, ngState: p.ngStates[i]}, nil
+	}
+	return &Reader{in: in, fileHeader: p.fileHeader, layout: &Layout{classic: p.fileHeader}}, nil
 }
 
 // planClassic probes for record boundaries in a classic pcap file.
@@ -123,38 +143,25 @@ func planClassic(ra io.ReaderAt, size int64, n int) (*SegmentPlan, error) {
 	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
 	}
-	p := &SegmentPlan{ra: ra}
-	magic := binary.LittleEndian.Uint32(hdr[0:4])
-	switch magic {
-	case magicMicros:
-		p.order = binary.LittleEndian
-	case magicNanos:
-		p.order, p.nanos = binary.LittleEndian, true
-	case magicMicrosSwapped:
-		p.order = binary.BigEndian
-	case magicNanosSwapped:
-		p.order, p.nanos = binary.BigEndian, true
-	default:
-		return nil, fmt.Errorf("%w: %#08x", ErrBadMagic, magic)
+	h, err := parseFileHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	p.snapLen = p.order.Uint32(hdr[16:20])
-	p.link = LinkType(p.order.Uint32(hdr[20:24]))
+	p := &SegmentPlan{fileHeader: h}
 
 	const dataOff = 24
 	if size <= dataOff || n == 1 {
-		p.segs = []Segment{{Off: dataOff, End: max64(size, dataOff)}}
+		p.segs = []Segment{{Off: dataOff, End: max(size, dataOff)}}
 		return p, nil
 	}
 
 	// The first record's timestamp anchors the sanity window for every
 	// probe: captures span hours to months, not decades.
-	refSec, haveRef := int64(0), false
-	var rec [16]byte
-	if _, err := ra.ReadAt(rec[:], dataOff); err == nil {
-		refSec, haveRef = int64(p.order.Uint32(rec[0:4])), true
-	}
+	v := &segValidator{ra: ra, size: size, order: p.order, snapLen: p.snapLen}
+	var refSec uint32
+	refSec, _, _, v.haveRef = v.header(dataOff)
+	v.refSec = int64(refSec)
 
-	v := &segValidator{ra: ra, size: size, order: p.order, snapLen: p.snapLen, refSec: refSec, haveRef: haveRef}
 	bounds := []int64{dataOff}
 	span := size - dataOff
 	for k := 1; k < n; k++ {
@@ -187,30 +194,15 @@ type segValidator struct {
 	refSec  int64
 	haveRef bool
 
-	win    []byte // scan window, so byte-wise probing does not ReadAt per byte
-	winOff int64
+	// hdr receives each probed header: ReadAt takes its buffer through
+	// an interface, so a local array would be a heap allocation per read.
+	hdr [16]byte
 }
 
 // findBoundary scans forward from target for the first offset where a
 // record-header chain validates.
 func (v *segValidator) findBoundary(target int64) (int64, bool) {
-	end := min64(target+segMaxScan, v.size)
-	n := int(end - target)
-	if n <= 0 {
-		return 0, false
-	}
-	if cap(v.win) < n {
-		v.win = make([]byte, n)
-	}
-	v.win = v.win[:n]
-	if rn, err := v.ra.ReadAt(v.win, target); rn < n {
-		if err != nil && err != io.EOF {
-			return 0, false
-		}
-		v.win = v.win[:rn]
-	}
-	v.winOff = target
-	for off := target; off < end; off++ {
+	for off, end := target, min(target+segMaxScan, v.size); off < end; off++ {
 		if v.validChain(off) {
 			return off, true
 		}
@@ -218,19 +210,15 @@ func (v *segValidator) findBoundary(target int64) (int64, bool) {
 	return 0, false
 }
 
-// header reads a 16-byte record header at off, from the window when
-// possible.
+// header reads the 16-byte record header at off.
 func (v *segValidator) header(off int64) (sec, capLen, origLen uint32, ok bool) {
 	if off+16 > v.size {
 		return 0, 0, 0, false
 	}
-	var hdr [16]byte
-	if w := off - v.winOff; w >= 0 && int(w)+16 <= len(v.win) {
-		copy(hdr[:], v.win[w:w+16])
-	} else if _, err := v.ra.ReadAt(hdr[:], off); err != nil {
+	if _, err := v.ra.ReadAt(v.hdr[:], off); err != nil {
 		return 0, 0, 0, false
 	}
-	return v.order.Uint32(hdr[0:4]), v.order.Uint32(hdr[8:12]), v.order.Uint32(hdr[12:16]), true
+	return v.order.Uint32(v.hdr[0:4]), v.order.Uint32(v.hdr[8:12]), v.order.Uint32(v.hdr[12:16]), true
 }
 
 // validChain accepts off as a record boundary when segChainHops
@@ -279,15 +267,13 @@ func (v *segValidator) validChain(off int64) bool {
 	return true
 }
 
-// planNg hops the self-framing pcapng block chain from the start of
-// the file, snapshotting section state at each cut.
-func planNg(ra io.ReaderAt, size int64, n int) (*SegmentPlan, error) {
-	p := &SegmentPlan{ra: ra}
-	st := &NgReader{}
-
-	var off int64
-	var hdr [8]byte
-	var body []byte
+// planNg walks the self-framing pcapng block chain with the reader's
+// own block parser, snapshotting section state at each cut. A torn
+// final block ends the walk: the last segment covers it, and its reader
+// reports the truncation a sequential read would.
+func planNg(in input, size int64, n int) (*SegmentPlan, error) {
+	p := &SegmentPlan{}
+	ng := &NgReader{in: in}
 	// first pass target spacing
 	cutEvery := size / int64(n)
 	if cutEvery < 1 {
@@ -297,88 +283,31 @@ func planNg(ra io.ReaderAt, size int64, n int) (*SegmentPlan, error) {
 
 	startSeg := func(at int64) {
 		p.segs = append(p.segs, Segment{Off: at})
-		snap := make([]ngInterface, len(st.ifaces))
-		copy(snap, st.ifaces)
-		p.ngStates = append(p.ngStates, ngState{order: st.order, ifaces: snap})
+		// Capped, so a segment reader's appends never write into the
+		// table the walk (or another segment) goes on using.
+		ifaces := ng.ifaces[:len(ng.ifaces):len(ng.ifaces)]
+		p.ngStates = append(p.ngStates, ngState{order: ng.order, ifaces: ifaces})
 	}
 	startSeg(0)
 
-	for off < size {
-		if _, err := ra.ReadAt(hdr[:], off); err != nil {
-			return nil, fmt.Errorf("pcap: reading pcapng block header at %d: %w", off, err)
-		}
-		var typ, total uint32
-		if st.order == nil {
-			if binary.BigEndian.Uint32(hdr[0:4]) != blockSHB {
-				return nil, ErrNotPcapNg
-			}
-			var magic [4]byte
-			if _, err := ra.ReadAt(magic[:], off+8); err != nil {
-				return nil, fmt.Errorf("pcap: reading byte-order magic: %w", err)
-			}
-			switch {
-			case binary.LittleEndian.Uint32(magic[:]) == byteOrderMagic:
-				st.order = binary.LittleEndian
-			case binary.BigEndian.Uint32(magic[:]) == byteOrderMagic:
-				st.order = binary.BigEndian
-			default:
-				return nil, fmt.Errorf("%w: byte-order magic % x", ErrNotPcapNg, magic)
-			}
-			typ = blockSHB
-			total = st.order.Uint32(hdr[4:8])
-			if total < 28 || total > 1<<24 {
-				return nil, fmt.Errorf("%w: SHB length %d", ErrNgCorrupt, total)
-			}
-		} else {
-			typ = st.order.Uint32(hdr[0:4])
-			total = st.order.Uint32(hdr[4:8])
-			if total < 12 || total%4 != 0 || total > 1<<24 {
-				return nil, fmt.Errorf("%w: block %#08x length %d", ErrNgCorrupt, typ, total)
-			}
-		}
-		if off+int64(total) > size {
-			// Truncated final block: the plan stops at the last whole
-			// block; the segment reader surfaces the same behavior a
-			// sequential read would (EOF after the last whole block for
-			// SectionReader semantics is close enough — the tail bytes
-			// are unreadable either way). Extend the last segment to
-			// cover the tail so the reader reports the truncation.
+	for {
+		typ, body, err := ng.readBlock()
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			break
 		}
-		// Trailing length self-check, mirroring the sequential reader.
-		var trailer [4]byte
-		if _, err := ra.ReadAt(trailer[:], off+int64(total)-4); err != nil {
-			return nil, fmt.Errorf("pcap: reading pcapng block trailer at %d: %w", off, err)
+		if err != nil {
+			return nil, err
 		}
-		if st.order.Uint32(trailer[:]) != total {
-			return nil, fmt.Errorf("%w: trailing length mismatch at %d", ErrNgCorrupt, off)
-		}
-		// State-bearing blocks get a full body parse.
 		switch typ {
 		case blockSHB:
-			if cap(body) < int(total) {
-				body = make([]byte, total)
-			}
-			body = body[:total]
-			if _, err := ra.ReadAt(body, off); err != nil {
-				return nil, fmt.Errorf("pcap: reading SHB at %d: %w", off, err)
-			}
-			if err := st.parseSHB(body[8 : total-4]); err != nil {
-				return nil, err
-			}
+			err = ng.parseSHB(body)
 		case blockIDB:
-			if cap(body) < int(total) {
-				body = make([]byte, total)
-			}
-			body = body[:total]
-			if _, err := ra.ReadAt(body, off); err != nil {
-				return nil, fmt.Errorf("pcap: reading IDB at %d: %w", off, err)
-			}
-			if err := st.parseIDB(body[8 : total-4]); err != nil {
-				return nil, err
-			}
+			err = ng.parseIDB(body)
 		}
-		off += int64(total)
+		if err != nil {
+			return nil, err
+		}
+		off := int64(ng.in.pos)
 		if off >= nextCut && off < size && len(p.segs) < n {
 			p.segs[len(p.segs)-1].End = off
 			startSeg(off)
@@ -395,30 +324,4 @@ func planNg(ra io.ReaderAt, size int64, n int) (*SegmentPlan, error) {
 		p.segs[len(p.segs)-1].End = size
 	}
 	return p, nil
-}
-
-// newReaderAt builds a classic pcap Reader over a mid-file range,
-// seeded with the global-header state instead of parsing one.
-func newReaderAt(r io.Reader, order binary.ByteOrder, nanos bool, link LinkType, snapLen uint32) *Reader {
-	return &Reader{r: buffered(r), order: order, nanos: nanos, linkType: link, snapLen: snapLen}
-}
-
-// newNgReaderAt builds a pcapng reader over a mid-file range, seeded
-// with the section state a sequential read would have there.
-func newNgReaderAt(r io.Reader, order binary.ByteOrder, ifaces []ngInterface) *NgReader {
-	return &NgReader{r: buffered(r), order: order, ifaces: ifaces}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -25,10 +25,11 @@ type rawFrame struct {
 }
 
 // batch is one unit of work on a shard queue, filled by one reader for
-// one shard. A RawSource reader packs undecoded records back to back
-// into slab, located by frames, and the shard decodes them; a plain
-// Source reader appends already-decoded packets to pkts. A run fills
-// one kind only, so the other slice stays nil and costs nothing. The
+// one shard. A reader over a capture image lists where each record's
+// header starts in img (hdrs, all read with layout); another RawSource
+// reader copies records back to back into slab, located by frames; a
+// plain Source reader appends decoded packets to pkts. A run fills one
+// kind only, so the other slices stay nil and cost nothing. The
 // consuming shard hands the batch back to the pool it came from, so a
 // steady-state run cycles a fixed set of carriers with no per-batch
 // allocation.
@@ -36,21 +37,36 @@ type batch struct {
 	pool *batchPool
 
 	link   pcap.LinkType
+	img    []byte // read-only; valid until the source is closed, after the run
+	layout *pcap.Layout
+	hdrs   []int
 	slab   []byte
 	frames []rawFrame
+	nbytes int // record bytes in img or slab
 
 	pkts []pcap.Packet
 }
 
 // size returns how many records the batch carries.
-func (b *batch) size() int { return len(b.frames) + len(b.pkts) }
+func (b *batch) size() int { return len(b.hdrs) + len(b.frames) + len(b.pkts) }
+
+// raw returns the i-th undecoded record and its capture header.
+func (b *batch) raw(i int) ([]byte, pcap.CaptureInfo) {
+	if b.img != nil {
+		off, end, ci := b.layout.Record(b.img, b.hdrs[i])
+		return b.img[off:end:end], ci
+	}
+	fr := &b.frames[i]
+	return b.slab[fr.off:fr.end], fr.ci
+}
 
 // firstTime returns the capture timestamp of the batch's first record.
 func (b *batch) firstTime() time.Time {
-	if len(b.frames) > 0 {
-		return b.frames[0].ci.Timestamp
+	if len(b.pkts) > 0 {
+		return b.pkts[0].Info.Timestamp
 	}
-	return b.pkts[0].Info.Timestamp
+	_, ci := b.raw(0)
+	return ci.Timestamp
 }
 
 // addRaw copies one undecoded record into the slab.
@@ -58,12 +74,13 @@ func (b *batch) addRaw(data []byte, ci pcap.CaptureInfo) {
 	off := len(b.slab)
 	b.slab = append(b.slab, data...)
 	b.frames = append(b.frames, rawFrame{off: off, end: off + len(data), ci: ci})
+	b.nbytes += len(data)
 }
 
 // recycle empties the batch and returns it to its pool. The caller
 // must be done with every record: slab bytes are invalid from here on
-// (and overwritten when the pool poisons), and the packet entries are
-// zeroed to drop their payload references.
+// (and overwritten when the pool poisons; an image is never written),
+// and the packet entries are zeroed to drop their payload references.
 func (b *batch) recycle() {
 	p := b.pool
 	if p.poison {
@@ -71,6 +88,8 @@ func (b *batch) recycle() {
 			b.slab[i] = 0xDB
 		}
 	}
+	b.img, b.layout, b.nbytes = nil, nil, 0
+	b.hdrs = b.hdrs[:0]
 	b.slab = b.slab[:0]
 	b.frames = b.frames[:0]
 	clear(b.pkts)
@@ -95,8 +114,8 @@ type batchPool struct {
 	poison bool
 
 	// fullest and most are the most slab bytes and raw records a batch
-	// carried when its reader handed it off. Reader side only (sent,
-	// get), so not under mu.
+	// carried when its reader handed it off (an image's reader fills no
+	// slab). Reader side only (sent, get), so not under mu.
 	fullest, most int
 
 	mu   sync.Mutex
@@ -106,7 +125,7 @@ type batchPool struct {
 // sent notes how full b is as its reader hands it off.
 func (p *batchPool) sent(b *batch) {
 	p.fullest = max(p.fullest, len(b.slab))
-	p.most = max(p.most, len(b.frames))
+	p.most = max(p.most, len(b.frames), len(b.hdrs))
 }
 
 func (p *batchPool) get() *batch {
@@ -121,6 +140,8 @@ func (p *batchPool) get() *batch {
 		if p.fullest > 0 {
 			b.slab = make([]byte, 0, min(max(p.fullest+p.fullest/4, minSlabCap), maxSlabCap))
 			b.frames = make([]rawFrame, 0, p.most)
+		} else if p.most > 0 {
+			b.hdrs = make([]int, 0, p.most)
 		}
 	}
 	return b

@@ -301,22 +301,22 @@ func (s *shard) poke() {
 func (s *shard) consume(b *batch) {
 	pkts := b.pkts
 	var slots []pcap.Packet
-	if len(b.frames) > 0 {
+	if raw := len(b.hdrs) + len(b.frames); raw > 0 {
 		s.cur.Store(int32(trace.StageDecode))
 		sp := s.lane.Start()
-		if cap(s.scratch) < len(b.frames) {
-			s.scratch = make([]pcap.Packet, len(b.frames))
+		if cap(s.scratch) < raw {
+			s.scratch = make([]pcap.Packet, raw)
 		}
-		slots = s.scratch[:len(b.frames)]
+		slots = s.scratch[:raw]
 		n := 0
-		for i := range b.frames {
-			fr := &b.frames[i]
-			if pcap.DecodePacketInto(&slots[n], b.link, fr.ci, b.slab[fr.off:fr.end]) == nil {
+		for i := 0; i < raw; i++ {
+			data, ci := b.raw(i)
+			if pcap.DecodePacketInto(&slots[n], b.link, ci, data) == nil {
 				n++
 			}
 		}
-		s.lane.End(sp, trace.StageDecode, len(b.frames), -1)
-		s.an.NoteDecodeErrors(len(b.frames) - n)
+		s.lane.End(sp, trace.StageDecode, raw, -1)
+		s.an.NoteDecodeErrors(raw - n)
 		pkts = slots[:n]
 	}
 	s.cur.Store(int32(trace.StageFeed))
@@ -324,9 +324,9 @@ func (s *shard) consume(b *batch) {
 		s.an.Feed(&pkts[i])
 	}
 	s.an.FlushMetrics()
-	// The slots reference slab bytes (a failed decode leaves some in the
-	// slot after the last good one): drop them all before the slab goes
-	// back to the pool.
+	// The slots reference record bytes (a failed decode leaves some in
+	// the slot after the last good one): drop them all before the slab
+	// goes back to the pool.
 	clear(slots)
 	b.recycle()
 	s.cur.Store(curIdle)
@@ -602,8 +602,8 @@ func (e *Engine) attach(srcs []Source) []*reader {
 			start:   time.Now(),
 		}
 		rd.pool.poison = e.poison
-		if ext, ok := src.(segmentExtent); ok {
-			rd.info = ext.Extent()
+		if seg, ok := src.(*segmentSource); ok {
+			rd.info = seg.info
 		}
 		readers[r] = rd
 	}
@@ -681,12 +681,36 @@ func (rd *reader) release() {
 	rd.pool.mu.Unlock()
 }
 
-// Raw implements RecordSink: route by the cheap header peek and copy
-// the record into the owning shard's pending slab. Records the peek
-// cannot classify go to shard 0, whose worker-side decode then skips
-// them exactly like the offline path would.
+// Raw implements RecordSink: it copies the record into a pending slab.
 func (rd *reader) Raw(ctx context.Context, data []byte, ci pcap.CaptureInfo, link pcap.LinkType) bool {
 	rsp := rd.lane.Start()
+	i, b := rd.route(data, link)
+	b.addRaw(data, ci)
+	return rd.routed(ctx, rsp, i, b)
+}
+
+// at routes a record of an image and adds where its header starts to
+// the owning shard's pending batch; nothing is copied. A batch reads
+// all its records with one Layout: a record with a new one flushes it.
+func (rd *reader) at(ctx context.Context, rec imageRecord) bool {
+	rsp := rd.lane.Start()
+	i, b := rd.route(rec.img[rec.off:rec.end], rec.link)
+	if b.layout != rec.layout && len(b.hdrs) > 0 {
+		if !rd.flush(ctx, i) {
+			return false
+		}
+		i, b = rd.route(rec.img[rec.off:rec.end], rec.link)
+	}
+	b.img, b.layout = rec.img, rec.layout
+	b.hdrs = append(b.hdrs, rec.hdr)
+	b.nbytes += rec.end - rec.off
+	return rd.routed(ctx, rsp, i, b)
+}
+
+// route picks a raw record's shard by the cheap header peek and returns
+// its pending batch. Records the peek cannot classify go to shard 0,
+// whose decode then skips them exactly like the offline path would.
+func (rd *reader) route(data []byte, link pcap.LinkType) (int, *batch) {
 	i := 0
 	if len(rd.e.shards) > 1 {
 		if sa, da, ok := pcap.PeekIPv4Pair(link, data); ok {
@@ -695,9 +719,14 @@ func (rd *reader) Raw(ctx context.Context, data []byte, ci pcap.CaptureInfo, lin
 	}
 	b := rd.fill(i)
 	b.link = link
-	b.addRaw(data, ci)
+	return i, b
+}
+
+// routed closes the route span a Raw or at call opened and flushes
+// shard i's batch b once it is full.
+func (rd *reader) routed(ctx context.Context, rsp trace.SpanStart, i int, b *batch) bool {
 	rd.lane.End(rsp, trace.StageRoute, 1, -1)
-	if len(b.frames) >= rd.e.batchSize {
+	if b.size() >= rd.e.batchSize {
 		return rd.flush(ctx, i)
 	}
 	return true
@@ -743,8 +772,8 @@ func (rd *reader) flush(ctx context.Context, i int) bool {
 	}
 	rd.pending[i] = nil
 	rd.pool.sent(b)
-	rd.bytes.Add(int64(len(b.slab)))
-	rd.e.metrics.noteReaderBytes(rd.r, len(b.slab))
+	rd.bytes.Add(int64(b.nbytes))
+	rd.e.metrics.noteReaderBytes(rd.r, b.nbytes)
 	return rd.enqueue(ctx, i, b)
 }
 
@@ -754,16 +783,17 @@ func (rd *reader) flush(ctx context.Context, i int) bool {
 // queue depth it saw; a full queue reads the shard's published stage
 // so the stall (Block) or the loss (DropNewest) is counted against
 // the stage that caused it — or against "order" when the shard simply
-// has not reached this reader's segment yet.
+// has not reached this reader's segment yet. A batch counts as
+// dispatched once it is queued: dispatched plus dropped is what was read.
 func (rd *reader) enqueue(ctx context.Context, i int, b *batch) bool {
 	e, lane := rd.e, rd.lane
-	n := b.size()
-	e.metrics.noteBatch(n)
+	n := b.size() // b belongs to the shard once it is sent
 	sh := e.shards[i]
 	q := sh.queues()[rd.r]
 	sp := lane.Start()
 	select {
 	case q <- b:
+		e.metrics.noteBatch(n)
 		depth := len(q)
 		e.metrics.noteDepth(i, depth)
 		lane.End(sp, trace.StageEnqueue, n, depth)
@@ -785,6 +815,7 @@ func (rd *reader) enqueue(ctx context.Context, i int, b *batch) bool {
 	stallStart := time.Now()
 	select {
 	case q <- b:
+		e.metrics.noteBatch(n)
 		e.metrics.noteStall(i, cause, time.Since(stallStart))
 		depth := len(q)
 		e.metrics.noteDepth(i, depth)

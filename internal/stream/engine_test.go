@@ -343,13 +343,69 @@ func TestDropPolicyCountsSheddedBatches(t *testing.T) {
 	if got := reg.Counter(MetricDroppedPackets, "shard", "0").Value(); got != 3 {
 		t.Fatalf("dropped packets %d, want 3", got)
 	}
-	if got := reg.Counter(MetricBatches).Value(); got != 2 {
-		t.Fatalf("batches %d, want 2", got)
+	// A shed batch was never dispatched: it counts as dropped only.
+	if got := reg.Counter(MetricBatches).Value(); got != 1 {
+		t.Fatalf("batches %d, want 1", got)
 	}
 	// The shard goroutine never started, so the loss is attributed to
 	// an idle shard.
 	if got := reg.Counter(MetricDropCause, "shard", "0", "cause", "idle").Value(); got != 1 {
 		t.Fatalf("idle-attributed drops %d, want 1", got)
+	}
+}
+
+// stallObserver holds its shard in the feed stage at every frame until
+// release is closed.
+type stallObserver struct{ release <-chan struct{} }
+
+func (o stallObserver) ObserveFrame(core.FrameEvent) { <-o.release }
+
+// releaseAtEOF counts the records it hands out and closes release when
+// the wrapped source runs dry.
+type releaseAtEOF struct {
+	RawSource
+	release chan struct{}
+	records int64
+}
+
+func (s *releaseAtEOF) NextRaw(scratch []byte) ([]byte, pcap.CaptureInfo, pcap.LinkType, error) {
+	data, ci, link, err := s.RawSource.NextRaw(scratch)
+	if err == nil {
+		s.records++
+	} else if err == io.EOF {
+		close(s.release)
+	}
+	return data, ci, link, err
+}
+
+// TestDispatchCountedOnceQueued: a batch counts as dispatched only once
+// it is in a shard's queue. Under DropNewest against a shard stalled
+// until the source runs dry, every record read is either dispatched or
+// dropped, and every dispatched packet is analyzed.
+func TestDispatchCountedOnceQueued(t *testing.T) {
+	sim, tr := simulate(t, 7, 2*time.Minute)
+	pcapSrc, err := NewPCAPSource(bytes.NewReader(tracePCAP(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &releaseAtEOF{RawSource: pcapSrc, release: make(chan struct{})}
+	e := New(Config{
+		Workers: 1, QueueDepth: 2, Policy: DropNewest, Registry: obs.NewRegistry(),
+		Names:    core.NamesFromTopology(sim.Network()),
+		Observer: func(int) core.FrameObserver { return stallObserver{src.release} },
+	})
+	if err := e.Run(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Status()
+	if st.DroppedPackets == 0 || st.Packets == 0 {
+		t.Fatalf("%d packets dispatched, %d dropped: the stall shed nothing", st.Packets, st.DroppedPackets)
+	}
+	if st.Packets+st.DroppedPackets != src.records {
+		t.Errorf("%d records read, %d dispatched + %d dropped", src.records, st.Packets, st.DroppedPackets)
+	}
+	if got := e.Final().Packets; int64(got) != st.Packets {
+		t.Errorf("%d packets dispatched, %d analyzed", st.Packets, got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"io"
 	"os"
 
@@ -24,67 +25,104 @@ type SegmentInfo struct {
 	Size int64 // segment length in bytes
 }
 
-// segmentExtent is implemented by segment sources that know their
-// byte range; statusz uses it for per-reader progress.
-type segmentExtent interface {
-	Extent() SegmentInfo
+// imageSource is a RawSource whose records lie in an image that stays
+// valid, and unchanged, until the source is closed: nextAt says where
+// the next one is instead of copying it.
+type imageSource interface {
+	RawSource
+	nextAt() (imageRecord, error)
 }
 
-// FileSource reads a finished capture from a seekable backing store.
-// It behaves exactly like PCAPSource when read sequentially, and
-// additionally implements SegmentedSource so the engine can split it
-// across Config.Readers parallel readers.
+// imageRecord locates a record in img: its bytes are [off, end), and
+// layout reads it again from hdr, where its header starts.
+type imageRecord struct {
+	img           []byte
+	hdr, off, end int
+	layout        *pcap.Layout
+	link          pcap.LinkType
+}
+
+// FileSource reads a finished capture held whole in memory: the file
+// mapped read-only, or read into the heap where it cannot be mapped.
+// Read sequentially it yields what PCAPSource yields over the same
+// bytes. It is a SegmentedSource, so the engine can split it across
+// Config.Readers parallel readers, and an imageSource, so no record is
+// copied between the file and the shard that decodes it.
 type FileSource struct {
-	ra   io.ReaderAt
-	size int64
-	f    *os.File // set when opened from a path; closed by Close
-
-	inner *PCAPSource // lazy sequential face
+	img    []byte
+	mapped bool           // Close unmaps img
+	seq    *segmentSource // the sequential face, opened on first use
 }
 
-// NewFileSource opens a capture file for (optionally parallel)
-// reading. The returned source owns the file handle; Close releases
-// it.
+// NewFileSource maps a capture file for (optionally parallel) reading;
+// Close releases the mapping. Truncating the file while an engine
+// reads it is a fatal fault (SIGBUS), as for any mapping: a file being
+// written is FollowSource's.
 func NewFileSource(path string) (*FileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	return &FileSource{ra: f, size: st.Size(), f: f}, nil
+	size := int(st.Size())
+	if int64(size) != st.Size() {
+		return nil, fmt.Errorf("stream: %s is too large to map (%d bytes)", path, st.Size())
+	}
+	if img, err := mapFile(f, size); err == nil {
+		return &FileSource{img: img, mapped: true}, nil
+	}
+	// No mapping (an empty file, no mmap here): one heap image instead.
+	img := make([]byte, size)
+	if _, err := io.ReadFull(f, img); err != nil {
+		return nil, fmt.Errorf("stream: reading %s: %w", path, err)
+	}
+	return &FileSource{img: img}, nil
 }
 
-// NewReaderAtSource wraps an in-memory or otherwise seekable capture
-// of the given size (bytes.Reader satisfies io.ReaderAt).
+// NewReaderAtSource reads a capture of the given size (bytes.Reader
+// satisfies io.ReaderAt) into a heap image and reads it like
+// NewFileSource. Whatever ReadAt could not deliver is a capture cut
+// short there: its reader reports the truncation.
 func NewReaderAtSource(ra io.ReaderAt, size int64) *FileSource {
-	return &FileSource{ra: ra, size: size}
+	img := make([]byte, max(size, 0))
+	n, _ := ra.ReadAt(img, 0)
+	return &FileSource{img: img[:n]}
 }
 
-func (s *FileSource) sequential() (*PCAPSource, error) {
-	if s.inner == nil {
-		inner, err := NewPCAPSource(io.NewSectionReader(s.ra, 0, s.size))
+func (s *FileSource) sequential() (*segmentSource, error) {
+	if s.seq == nil {
+		pr, err := pcap.NewImageReader(s.img)
 		if err != nil {
 			return nil, err
 		}
-		s.inner = inner
+		s.seq = newSegmentSource(pr, s.img, SegmentInfo{})
 	}
-	return s.inner, nil
+	return s.seq, nil
 }
 
 // Next implements Source via a sequential read of the whole capture.
 func (s *FileSource) Next() (pcap.Packet, error) { return nextDecoded(s) }
 
-// NextRaw implements RawSource via a sequential read.
+// NextRaw implements RawSource via a sequential read, copying each
+// record into scratch.
 func (s *FileSource) NextRaw(scratch []byte) ([]byte, pcap.CaptureInfo, pcap.LinkType, error) {
-	inner, err := s.sequential()
+	seq, err := s.sequential()
 	if err != nil {
 		return nil, pcap.CaptureInfo{}, 0, err
 	}
-	return inner.NextRaw(scratch)
+	return seq.NextRaw(scratch)
+}
+
+func (s *FileSource) nextAt() (imageRecord, error) {
+	seq, err := s.sequential()
+	if err != nil {
+		return imageRecord{}, err
+	}
+	return seq.nextAt()
 }
 
 // Segments plans up to n record-aligned segments and opens an
@@ -92,7 +130,7 @@ func (s *FileSource) NextRaw(scratch []byte) ([]byte, pcap.CaptureInfo, pcap.Lin
 // the capture is too small to split further; reading them in order
 // reproduces the sequential record stream exactly.
 func (s *FileSource) Segments(n int) ([]RawSource, error) {
-	plan, err := pcap.PlanSegments(s.ra, s.size, n)
+	plan, err := pcap.PlanImage(s.img, n)
 	if err != nil {
 		return nil, err
 	}
@@ -103,27 +141,43 @@ func (s *FileSource) Segments(n int) ([]RawSource, error) {
 			return nil, err
 		}
 		seg := plan.Segment(i)
-		out[i] = &segmentSource{
-			PCAPSource: PCAPSource{pr: pr},
-			info:       SegmentInfo{Off: seg.Off, Size: seg.Size()},
-		}
+		out[i] = newSegmentSource(pr, s.img, SegmentInfo{Off: seg.Off, Size: seg.Size()})
 	}
 	return out, nil
 }
 
-// Close releases the file handle when the source owns one.
+// Close releases the image, unmapping a mapped file. A shard decodes
+// its records where they lie, so Close must wait for Engine.Run to
+// return. Closing twice is harmless.
 func (s *FileSource) Close() error {
-	if s.f != nil {
-		return s.f.Close()
+	img, mapped := s.img, s.mapped
+	s.img, s.mapped, s.seq = nil, false, nil
+	if mapped {
+		return unmap(img)
 	}
 	return nil
 }
 
-// segmentSource is one planned byte range of a FileSource: a plain
-// PCAPSource over a state-seeded range reader, plus its extent.
+// segmentSource reads a range of a FileSource's image — a planned
+// segment, or the whole capture — in place through nextAt, and through
+// the copying PCAPSource face for any other caller.
 type segmentSource struct {
 	PCAPSource
-	info SegmentInfo
+	at   inPlace
+	img  []byte
+	info SegmentInfo // statusz reports a reader's progress through it
 }
 
-func (s *segmentSource) Extent() SegmentInfo { return s.info }
+// inPlace is what pcap's readers over an image add to PacketReader.
+type inPlace interface {
+	NextAt() (hdr, off, end int, l *pcap.Layout, err error)
+}
+
+func newSegmentSource(pr pcap.PacketReader, img []byte, info SegmentInfo) *segmentSource {
+	return &segmentSource{PCAPSource: PCAPSource{pr: pr}, at: pr.(inPlace), img: img, info: info}
+}
+
+func (s *segmentSource) nextAt() (imageRecord, error) {
+	hdr, off, end, l, err := s.at.NextAt()
+	return imageRecord{s.img, hdr, off, end, l, s.pr.LinkType()}, readErr(err)
+}

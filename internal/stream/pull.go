@@ -25,8 +25,10 @@ type RecordSink interface {
 }
 
 // Pull is the one read loop: it pulls records from src — undecoded via
-// NextRaw when src is a RawSource, decoded via Next otherwise — and
-// hands each to sink until io.EOF, a source error or ctx cancellation.
+// NextRaw when src is a RawSource, decoded via Next otherwise, and
+// located in place when src is an imageSource and sink an engine reader
+// — and hands each to sink until io.EOF, a source error or ctx
+// cancellation.
 // ErrNotReady flushes the sink and polls again after poll. Each
 // successful read is a StageRead span on lane (nil: untraced).
 //
@@ -38,6 +40,8 @@ type RecordSink interface {
 func Pull(ctx context.Context, src Source, poll time.Duration, lane *trace.Lane, sink RecordSink) error {
 	defer sink.Flush(ctx)
 	raw, _ := src.(RawSource)
+	img, _ := src.(imageSource)
+	rd, _ := sink.(*reader)
 	// scratch is the record buffer: each raw record is read into it and
 	// copied out by the sink, so a single buffer serves the whole run.
 	var scratch []byte
@@ -53,7 +57,14 @@ func Pull(ctx context.Context, src Source, poll time.Duration, lane *trace.Lane,
 		var err error
 		delivered := false
 		sp := lane.Start()
-		if raw != nil {
+		switch {
+		case img != nil && rd != nil:
+			var rec imageRecord
+			if rec, err = img.nextAt(); err == nil {
+				lane.End(sp, trace.StageRead, 1, -1)
+				delivered = rd.at(ctx, rec)
+			}
+		case raw != nil:
 			var data []byte
 			var ci pcap.CaptureInfo
 			var link pcap.LinkType
@@ -62,7 +73,7 @@ func Pull(ctx context.Context, src Source, poll time.Duration, lane *trace.Lane,
 				scratch = data
 				delivered = sink.Raw(ctx, data, ci, link)
 			}
-		} else {
+		default:
 			var pkt pcap.Packet
 			if pkt, err = src.Next(); err == nil {
 				lane.End(sp, trace.StageRead, 1, -1)

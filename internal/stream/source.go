@@ -77,13 +77,16 @@ func (s *PCAPSource) Next() (pcap.Packet, error) { return nextDecoded(s) }
 // read into scratch.
 func (s *PCAPSource) NextRaw(scratch []byte) ([]byte, pcap.CaptureInfo, pcap.LinkType, error) {
 	data, ci, err := s.pr.ReadPacketInto(scratch)
-	if err != nil {
-		if err == io.EOF {
-			return nil, ci, s.pr.LinkType(), io.EOF
-		}
-		return nil, ci, s.pr.LinkType(), fmt.Errorf("stream: reading capture: %w", err)
+	return data, ci, s.pr.LinkType(), readErr(err)
+}
+
+// readErr is a capture reader's error as a source reports it: io.EOF
+// bare, anything else as a failed read.
+func readErr(err error) error {
+	if err == nil || err == io.EOF {
+		return err
 	}
-	return data, ci, s.pr.LinkType(), nil
+	return fmt.Errorf("stream: reading capture: %w", err)
 }
 
 // Close implements Source; the underlying reader is caller-owned.
