@@ -134,15 +134,15 @@ func (s *Series) live(i int) []slot {
 // without a tail — a hand-built one always — is left as it is.
 func (s *Series) contiguous() {
 	if s.tail > 0 {
-		s.st.compact(s, 0)
+		s.st.compact(s)
 	}
 }
 
 // compact turns s's tail into Samples behind the ones it has, in one
-// slice with room for exactly spare more, and gives the chunks back.
-// This is the one place a stored time becomes a time.Time again.
-func (st *Store) compact(s *Series, spare int) {
-	out := make([]Sample, 0, s.Len()+spare)
+// exact-size slice, and gives the chunks back. Only readers run it
+// (contiguous): the one place a stored time becomes a time.Time again.
+func (st *Store) compact(s *Series) {
+	out := make([]Sample, 0, s.Len())
 	out = append(out, s.Samples...)
 	for i, c := range s.chunks {
 		for _, p := range s.live(i) {
@@ -156,24 +156,49 @@ func (st *Store) compact(s *Series, spare int) {
 	s.cur, s.head, s.tail = nil, 0, 0
 }
 
-// insertLate stores a sample older than the series' last: the series
-// is made contiguous (with the slot reserved, so the insert does not
-// regrow it), the sample is shifted into place, and the running moments
-// are re-folded over the history in its new order — evicted prefix, then
-// the window — so that in-order samples after it continue the same
-// sequence of updates a fold of the whole history would make. Both are
-// O(window), once per late sample.
+// insertLate stores a sample older than the series' last after every
+// sample not newer than it: into Samples if it belongs there (a series a
+// reader made contiguous), else into the tail as a slot, the slots behind
+// it carried one place on; only a full cur allocates. The running moments
+// are then re-folded in the history's new order — evicted prefix, Samples,
+// tail — so that later in-order samples continue the updates a fold of
+// the whole history makes: O(window) arithmetic per late sample.
 func (st *Store) insertLate(s *Series, ts time.Time, v float64) {
-	if s.tail > 0 {
-		st.compact(s, 1)
+	if n := len(s.Samples); s.tail == 0 || n > 0 && ts.Before(s.Samples[n-1].T) {
+		idx := sort.Search(n, func(i int) bool { return s.Samples[i].T.After(ts) })
+		s.Samples = append(s.Samples, Sample{})
+		copy(s.Samples[idx+1:], s.Samples[idx:])
+		s.Samples[idx] = Sample{T: ts, V: v}
+	} else {
+		// The place is the first slot newer than p, in the first chunk whose
+		// last slot is newer (cur's is: it holds lastT; the others are full).
+		p := slot{t: ts.UnixNano(), v: v} // a series with a tail packs all it is given
+		i := len(s.chunks) - 1
+		for i > 0 && s.chunks[i-1][len(s.chunks[i-1])-1].t > p.t {
+			i--
+		}
+		live := s.live(i)
+		j := sort.Search(len(live), func(k int) bool { return live[k].t > p.t })
+		if len(s.cur) == cap(s.cur) {
+			st.grow(s)
+		}
+		s.cur = s.cur[:len(s.cur)+1]
+		s.tail++
+		for ; i < len(s.chunks); i, j = i+1, 0 {
+			c := s.live(i)[j:]
+			last := c[len(c)-1]
+			copy(c[1:], c)
+			c[0], p = p, last
+		}
 	}
-	idx := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].T.After(ts) })
-	s.Samples = append(s.Samples, Sample{})
-	copy(s.Samples[idx+1:], s.Samples[idx:])
-	s.Samples[idx] = Sample{T: ts, V: v}
 	s.running = s.evicted.moments()
 	for _, smp := range s.Samples {
 		s.running.observe(smp.V)
+	}
+	for i := range s.chunks {
+		for _, p := range s.live(i) {
+			s.running.observe(p.v)
+		}
 	}
 }
 

@@ -14,19 +14,20 @@
 // fixed-size piece of a slab the store owns; nothing already stored
 // moves when a series grows, and under SetMaxSamplesPerSeries whole
 // chunks are dropped from the front and refilled by whoever grows next.
+// A late sample is shifted into place within the chunks, still packed.
 // A series becomes one contiguous, exact-size Series.Samples slice of
 // time.Time-bearing Samples only when somebody reads it: Store.All,
 // Get, ByStation and Ranked, and Series.At, Values and Sample convert
-// the chunked tail behind Samples and give the chunks back (Len,
-// Evicted, Digest and Store.Digests need no copy, so analysis shards,
-// which only ever seal digests, never pay for one). Reading an uncapped
-// store with All therefore costs one conversion of what it returns.
-// Every capture reader and codec in the module produces UTC wall-clock
-// times, which the packed form holds exactly; a series handed any other
-// time (zero, zoned, monotonic, outside 1678-2262) keeps plain Samples
-// from then on rather than have it rounded. A Store was always for one
-// goroutine at a time; since a read may move samples, that includes its
-// readers.
+// the chunked tail behind Samples (Store.compact, run for nothing else)
+// and give the chunks back (Len, Evicted, Digest and Store.Digests need
+// no copy, so analysis shards, which only ever seal digests, never pay
+// for one). Reading an uncapped store with All therefore costs one
+// conversion of what it returns. Every capture reader and codec in the
+// module produces UTC wall-clock times, which the packed form holds
+// exactly; a series handed any other time (zero, zoned, monotonic,
+// outside 1678-2262) keeps plain Samples from then on rather than have
+// it rounded. A Store was always for one goroutine at a time; since a
+// read may move samples, that includes its readers.
 package physical
 
 import (
@@ -287,8 +288,8 @@ func (st *Store) newSeries(at **Series, key SeriesKey, typ PointType, command bo
 // binary-searches by time; time-tagged retransmissions in ablation
 // mode or reordered captures may deliver an older timestamp late) and
 // within the store's per-series cap. A sample is written once, into the
-// chunk the series is filling; nothing already stored moves when a
-// series grows.
+// chunk the series is filling, or a late one where it belongs in the
+// chunks; nothing already stored moves when a series grows.
 func (st *Store) add(s *Series, ts time.Time, v float64) {
 	t, ok := pack(ts)
 	switch {
