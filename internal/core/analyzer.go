@@ -1159,12 +1159,19 @@ func (a *Analyzer) notePortTraffic(sp *tcpflow.StreamPayload) {
 // OtherProtocols returns payload byte counts of non-IEC-104 streams by
 // well-known port (the ICCP / C37.118 traffic the paper's tap also
 // carried and left for future work).
-func (a *Analyzer) OtherProtocols() map[uint16]int {
-	out := make(map[uint16]int, len(a.otherPorts))
-	for p, n := range a.otherPorts {
-		out[p] = n
+func (a *Analyzer) OtherProtocols() map[uint16]int { return a.otherPortsInto(nil) }
+
+// otherPortsInto writes OtherProtocols' tally over m, or into a new map
+// when m is nil, and returns it.
+func (a *Analyzer) otherPortsInto(m map[uint16]int) map[uint16]int {
+	clear(m)
+	if m == nil {
+		m = make(map[uint16]int, len(a.otherPorts))
 	}
-	return out
+	for p, n := range a.otherPorts {
+		m[p] = n
+	}
+	return m
 }
 
 // TypeStations returns, per ASDU type, the distinct outstations

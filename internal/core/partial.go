@@ -53,6 +53,18 @@ type Partial struct {
 // continues. It also publishes the analyzer's metric tallies, so the
 // registry's counters cover at least what the snapshot covers.
 func (a *Analyzer) Partial() Partial {
+	var p Partial
+	a.PartialInto(&p)
+	return p
+}
+
+// PartialInto is Partial written over *dst: the seal a caller that
+// snapshots repeatedly makes into one value. It reuses dst's lists and
+// maps, so *dst's previous contents — and any copy of the struct that
+// shares its lists or maps — are overwritten. The chain tables Chains
+// points at, Dialects and Streams are fresh on every call, and a dst
+// that is the zero Partial ends up exactly as Partial returns it.
+func (a *Analyzer) PartialInto(dst *Partial) {
 	a.FlushMetrics()
 	first, last := a.tracker.Window()
 	p := Partial{
@@ -62,27 +74,41 @@ func (a *Analyzer) Partial() Partial {
 		SeqAnomalies: a.SeqAnomalies,
 		First:        first,
 		Last:         last,
-		Flows:        a.tracker.Summarize(),
+		Flows:        a.tracker.SummarizeInto(dst.Flows.ShortLivedDuration),
 		FlowsEvicted: a.tracker.EvictedFlows(),
 		TotalASDUs:   a.totalASDUs,
-		TypeCounts:   a.typeCountMap(),
-		Features:     a.SessionFeatures(),
-		Physical:     a.store.Digests(),
-		OtherPorts:   a.OtherProtocols(),
-		Compliance:   slices.Grow([]StationCompliance(nil), len(a.compliance)),
+		TypeCounts:   a.typeCountsInto(dst.TypeCounts),
+		Features:     a.appendSessionFeatures(refill(dst.Features, len(a.sessionAPDUs))),
+		OtherPorts:   a.otherPortsInto(dst.OtherPorts),
+		Compliance:   slices.Grow(refill(dst.Compliance, len(a.compliance)), len(a.compliance)),
 	}
-	// The store's digests are one per series, so sorting the fresh list
-	// by key orders it as MergeDigests would: a lone Partial and a merged
-	// one order Physical identically.
+	if dst.Physical == nil {
+		p.Physical = a.store.Digests() // never nil
+	} else {
+		p.Physical = a.store.AppendDigests(dst.Physical[:0])
+	}
+	// The store's digests are one per series, so sorting the list by key
+	// orders it as MergeDigests would: a lone Partial and a merged one
+	// order Physical identically.
 	physical.SortDigests(p.Physical)
 	for _, sc := range a.compliance {
 		p.Compliance = append(p.Compliance, *sc)
 	}
 	slices.SortFunc(p.Compliance, compareNames)
-	p.Chains = a.connChains()
+	p.Chains = a.appendConnChains(refill(dst.Chains, len(a.tokens)))
 	p.Dialects = a.Dialects()
 	p.Streams = a.StreamCompliance()
-	return p
+	*dst = p
+}
+
+// refill empties a list for a seal that builds it from n candidate
+// rows, keeping its array; with none it is nil, the shape a fresh
+// seal's slices.Grow(nil, 0) leaves.
+func refill[S ~[]E, E any](s S, n int) S {
+	if n == 0 {
+		return nil
+	}
+	return s[:0]
 }
 
 // MergePartials combines shard snapshots into one. Counters add;

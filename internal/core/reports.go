@@ -94,8 +94,13 @@ func (a *Analyzer) SessionAPDUs() DirCounts {
 // SessionFeatures extracts one row per directional session that
 // carried at least one APDU.
 func (a *Analyzer) SessionFeatures() []SessionFeature {
-	// Every session with an APDU tally makes a row: nil when none has.
-	out := slices.Grow([]SessionFeature(nil), len(a.sessionAPDUs))
+	return a.appendSessionFeatures(nil) // nil when no session has a tally
+}
+
+// appendSessionFeatures appends SessionFeatures' rows to dst, growing it
+// once for every session with an APDU tally.
+func (a *Analyzer) appendSessionFeatures(dst []SessionFeature) []SessionFeature {
+	out := slices.Grow(dst, len(a.sessionAPDUs))
 	for _, s := range a.sessions.Sorted() {
 		key := tcpflow.SessionKey{Src: s.Key.Src, Dst: s.Key.Dst}
 		dc, ok := a.sessionAPDUs[key]
@@ -262,8 +267,15 @@ type MarkovReport struct {
 // O(connections), not O(tokens), and the copies share one clone's
 // backing arrays.
 func (a *Analyzer) connChains() []ConnChain {
+	return a.appendConnChains(nil) // nil when there are none
+}
+
+// appendConnChains appends connChains' list to dst. The list may be
+// reused; the chain copies it points at are fresh on every call.
+func (a *Analyzer) appendConnChains(dst []ConnChain) []ConnChain {
 	keys := a.ConnKeys()
-	chains := slices.Grow([]ConnChain(nil), len(keys)) // nil when there are none
+	chains := slices.Grow(dst, len(keys))
+	base := len(chains)
 	for _, key := range keys {
 		chains = append(chains, ConnChain{
 			Key:        key,
@@ -273,9 +285,10 @@ func (a *Analyzer) connChains() []ConnChain {
 			Chain:      &a.tokens[key].chain,
 		})
 	}
-	copies := markov.CloneAll(len(chains), func(i int) *markov.Chain { return chains[i].Chain })
-	for i := range chains {
-		chains[i].Chain = &copies[i]
+	added := chains[base:]
+	copies := markov.CloneAll(len(added), func(i int) *markov.Chain { return added[i].Chain })
+	for i := range added {
+		added[i].Chain = &copies[i]
 	}
 	return chains
 }
@@ -327,14 +340,21 @@ func (a *Analyzer) TypeDistribution() []TypeIDShare {
 
 // typeCountMap renders the per-type ASDU tally as the map reports and
 // snapshots carry: observed types only.
-func (a *Analyzer) typeCountMap() map[iec104.TypeID]int {
-	out := make(map[iec104.TypeID]int)
+func (a *Analyzer) typeCountMap() map[iec104.TypeID]int { return a.typeCountsInto(nil) }
+
+// typeCountsInto writes typeCountMap's tally over m, or into a new map
+// when m is nil, and returns it.
+func (a *Analyzer) typeCountsInto(m map[iec104.TypeID]int) map[iec104.TypeID]int {
+	clear(m)
+	if m == nil {
+		m = make(map[iec104.TypeID]int)
+	}
 	for t, c := range a.typeCounts {
 		if c > 0 {
-			out[iec104.TypeID(t)] = c
+			m[iec104.TypeID(t)] = c
 		}
 	}
-	return out
+	return m
 }
 
 // TypeSharesFromCounts renders (possibly merged) per-type ASDU counts

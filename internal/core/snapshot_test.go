@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/netip"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -196,6 +198,96 @@ func TestPartialCostIndependentOfHistory(t *testing.T) {
 	if long > partialAllocCeiling {
 		t.Errorf("Partial() allocates %v times, ceiling %d", long, partialAllocCeiling)
 	}
+}
+
+// TestPartialIntoMatchesPartial: a seal written over the last one is a
+// fresh seal. On the y1 capture and the auto-detected mixed one, one
+// long-lived dst refilled by PartialInto at ten seeded random packet
+// counts equals Partial() every time — nil lists, empty lists and
+// non-nil maps included — also with idle-flow eviction and under a
+// 16-sample cap. A dst first filled by a larger analyzer, refilled by a
+// smaller one or by one that saw nothing, shrinks to its lists and
+// loses the map keys it never saw.
+func TestPartialIntoMatchesPartial(t *testing.T) {
+	variants := []struct {
+		name  string
+		setup func(*core.Analyzer)
+	}{
+		{"plain", func(*core.Analyzer) {}},
+		{"evict", func(a *core.Analyzer) { a.EnableFlowEviction(5 * time.Second) }},
+		{"cap16", func(a *core.Analyzer) { a.Physical().SetMaxSamplesPerSeries(16) }},
+	}
+	check := func(t *testing.T, label string, a *core.Analyzer, dst *core.Partial) {
+		t.Helper()
+		a.PartialInto(dst)
+		if want := a.Partial(); !reflect.DeepEqual(*dst, want) {
+			t.Fatalf("%s: PartialInto differs from Partial", label)
+		}
+	}
+	for _, mixed := range []bool{false, true} {
+		g := loadGolden(t, mixed)
+		for _, v := range variants {
+			t.Run(fmt.Sprintf("mixed=%v/%s", mixed, v.name), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(35))
+				cuts := make([]int, 10)
+				for i := range cuts {
+					cuts[i] = rng.Intn(len(g.pkts) + 1)
+				}
+				sort.Ints(cuts)
+				a := g.analyzer()
+				v.setup(a)
+				var dst core.Partial
+				fed := 0
+				for _, cut := range cuts {
+					for ; fed < cut; fed++ {
+						a.FeedPacket(g.pkts[fed])
+					}
+					check(t, fmt.Sprintf("after %d packets", cut), a, &dst)
+				}
+				if v.name == "evict" && dst.FlowsEvicted == 0 {
+					t.Fatal("no flow was evicted: the eviction case is not exercised")
+				}
+			})
+		}
+	}
+
+	t.Run("shrink", func(t *testing.T) {
+		big := loadGolden(t, true).analyzer()
+		for _, p := range loadGolden(t, true).pkts {
+			big.FeedPacket(p)
+		}
+		g := loadGolden(t, false)
+		small := g.analyzer()
+		for _, p := range g.pkts[:len(g.pkts)/10] {
+			small.FeedPacket(p)
+		}
+		large, little := big.Partial(), small.Partial()
+		if len(little.Features) >= len(large.Features) || len(little.Physical) >= len(large.Physical) ||
+			len(little.Chains) >= len(large.Chains) {
+			t.Fatalf("the smaller analyzer is not smaller: %d/%d features, %d/%d series, %d/%d chains",
+				len(little.Features), len(large.Features), len(little.Physical), len(large.Physical),
+				len(little.Chains), len(large.Chains))
+		}
+		lost := 0
+		for k := range large.TypeCounts {
+			if _, ok := little.TypeCounts[k]; !ok {
+				lost++
+			}
+		}
+		for k := range large.OtherPorts {
+			if _, ok := little.OtherPorts[k]; !ok {
+				lost++
+			}
+		}
+		if lost == 0 {
+			t.Fatal("the smaller analyzer saw every map key the larger one did")
+		}
+		var dst core.Partial
+		check(t, "larger analyzer", big, &dst)
+		check(t, "smaller analyzer", small, &dst)
+		check(t, "larger analyzer again", big, &dst)
+		check(t, "empty analyzer", g.analyzer(), &dst)
+	})
 }
 
 // BenchmarkPartial times one seal of an analyzer holding the golden

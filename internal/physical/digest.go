@@ -190,11 +190,17 @@ func (s *Series) lastTime() time.Time {
 
 // Digests summarises every series in first-seen order.
 func (st *Store) Digests() []Digest {
-	out := make([]Digest, 0, len(st.order))
+	return st.AppendDigests(make([]Digest, 0, len(st.order)))
+}
+
+// AppendDigests appends every series' digest to dst in first-seen
+// order and returns the extended list: Digests into a list the caller
+// reuses.
+func (st *Store) AppendDigests(dst []Digest) []Digest {
 	for _, s := range st.order {
-		out = append(out, s.Digest())
+		dst = append(dst, s.Digest())
 	}
-	return out
+	return dst
 }
 
 // compareKeys orders digests by series key: station, then IOA.

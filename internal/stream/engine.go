@@ -21,7 +21,7 @@
 // Profile that is published to Profile/OnSnapshot readers (the
 // pipeline's analyzer segment serves it over HTTP) and journalled as
 // JSONL; snapshots use a sealed-epoch protocol (each
-// shard publishes its own partial between batches) so publishing
+// shard reseals its own partial between batches) so publishing
 // never stops the world. Bounded queues give backpressure: a reader
 // either blocks (lossless, default) or sheds whole batches with an
 // explicit drop counter when a shard falls behind.
@@ -214,14 +214,22 @@ type shard struct {
 	scratch []pcap.Packet
 
 	// Sealed-epoch snapshot protocol: the engine bumps epoch and pokes
-	// wake; the shard, between batches (or while idle), stores a fresh
-	// Partial in sealed, advances sealedSeq and signals sealedNote.
+	// wake; the shard, between batches (or while idle), reseals its
+	// partial into buf, advances sealedSeq and signals sealedNote.
 	// Snapshot never stops the shard — it waits for the seal and merges
 	// off the hot path.
 	epoch      *atomic.Int64 // the engine's snapshot epoch counter
 	sealedSeq  atomic.Int64
-	sealed     atomic.Pointer[core.Partial]
 	sealedNote chan struct{} // capacity 1: "sealedSeq moved"
+	// buf is the shard's last seal, written over by the next one. The
+	// shard writes it only before advancing sealedSeq, and Snapshot reads
+	// it only once sealedSeq has reached its epoch, so the atomic orders
+	// the read after the write. The shard rewrites it for epoch N+1,
+	// which Snapshot issues, under e.mu, only after its merge of epoch N
+	// has returned — and MergePartials copies every value it reads from
+	// a seal except the chain tables, which are fresh each seal, so
+	// nothing published aliases buf.
+	buf core.Partial
 }
 
 // queues returns the current per-reader fan-in.
@@ -261,16 +269,15 @@ func (s *shard) run() {
 	}
 }
 
-// maybeSeal publishes a fresh partial when a snapshot epoch newer than
-// the last seal is pending. Called between batches and when poked, so
-// the analyzer is always quiescent here.
+// maybeSeal reseals the shard's partial into buf when a snapshot epoch
+// newer than the last seal is pending. Called between batches and when
+// poked, so the analyzer is always quiescent here.
 func (s *shard) maybeSeal() {
 	want := s.epoch.Load()
 	if want <= s.sealedSeq.Load() {
 		return
 	}
-	p := s.an.Partial()
-	s.sealed.Store(&p)
+	s.an.PartialInto(&s.buf)
 	s.sealedSeq.Store(want)
 	select {
 	case s.sealedNote <- struct{}{}:
@@ -869,7 +876,7 @@ func (e *Engine) Snapshot() core.Partial {
 				break
 			}
 			if seq >= epoch {
-				parts[i] = *sh.sealed.Load()
+				parts[i] = sh.buf
 				break
 			}
 			// The poke above cannot be lost (wake holds it until the
@@ -966,9 +973,10 @@ func (e *Engine) Analyzer() *core.Analyzer {
 
 // LastPartial returns the merged analyzer state behind the most
 // recently published snapshot, or ok=false before the first one. The
-// value is detached from the shards (Partial snapshots share nothing
-// mutable), so callers may merge it further — the control-room service
-// folds it into fleet-wide aggregates — but must not mutate it.
+// value is detached from the shards (the merge copies what it reads
+// from their seals, which are rewritten in place), so callers may keep
+// it and merge it further — the control-room service folds it into
+// fleet-wide aggregates — but must not mutate it.
 func (e *Engine) LastPartial() (core.Partial, bool) {
 	p := e.lastPart.Load()
 	if p == nil {

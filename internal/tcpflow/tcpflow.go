@@ -446,9 +446,20 @@ func (s *Summary) Add(o Summary) {
 }
 
 // Summarize classifies every flow, including any evicted ones.
-func (t *Tracker) Summarize() Summary {
-	// Sized as if every live flow were short-lived: one allocation.
-	durs := slices.Grow([]time.Duration(nil), len(t.evicted.ShortLivedDuration)+len(t.order))
+func (t *Tracker) Summarize() Summary { return t.SummarizeInto(nil) }
+
+// SummarizeInto is Summarize with the duration list written over durs
+// (from its start, whatever it held), so a caller that summarizes
+// repeatedly reuses one list. Its shape is Summarize's: nil when there
+// is no live flow and no evicted short-lived one.
+func (t *Tracker) SummarizeInto(durs []time.Duration) Summary {
+	// Sized as if every live flow were short-lived: at most one
+	// allocation.
+	n := len(t.evicted.ShortLivedDuration) + len(t.order)
+	if n == 0 {
+		durs = nil
+	}
+	durs = slices.Grow(durs[:0], n)
 	s := Summary{
 		ShortLived:         t.evicted.ShortLived,
 		ShortLivedSubSec:   t.evicted.ShortLivedSubSec,
