@@ -5,18 +5,23 @@
 // signatures (generator synchronisation, unmet load) and stale-data
 // pathologies only surface when two *years* of physical values stay
 // queryable; this package retains every extracted sample across
-// restarts, in roughly 1/16th of the raw footprint.
+// restarts, in about a quarter of the raw 16 bytes a sample (4.2 B on
+// the live benchmark's capture).
 //
 // Layout: samples are buffered per point and flushed as compressed
 // blocks — Gorilla-style delta-of-delta timestamps plus XOR float
 // compression, CRC-checked — into append-only segment files. Sealed
 // segments carry an in-file sparse index keyed by (station, IOA,
 // type); the active segment is recovered on open by scanning and
-// truncating any torn tail block. Queries merge on-disk blocks with
-// the in-memory tail, so a point's history is always complete.
+// truncating any torn tail block. Sync makes the buffers durable
+// through an append-only journal (journal.go) rather than by cutting
+// blocks, so block boundaries do not depend on how often a caller
+// syncs. Queries merge on-disk blocks with the in-memory tail, so a
+// point's history is always complete.
 package historian
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,12 +74,18 @@ const maxBlockSamples = 1 << 20
 // quantized, so encoding deltas in their natural unit instead of raw
 // nanoseconds keeps delta-of-deltas in the 1-bit or 16-bit buckets.
 // Division by the exact GCD is lossless.
-func EncodeBlock(samples []physical.Sample) []byte { return appendBlock(nil, samples) }
+func EncodeBlock(samples []physical.Sample) []byte {
+	slots := make([]slot, len(samples))
+	for i, s := range samples {
+		slots[i] = slot{t: s.T.UnixNano(), v: s.V}
+	}
+	return appendBlock(nil, slots)
+}
 
 // appendBlock appends the block payload of samples to dst. It is the
 // one encoder: the store's flush path hands it store-owned scratch, so
 // a flush allocates nothing once the scratch has grown to size.
-func appendBlock(dst []byte, samples []physical.Sample) []byte {
+func appendBlock(dst []byte, samples []slot) []byte {
 	var head [2*binary.MaxVarintLen64 + 16]byte
 	n := binary.PutUvarint(head[:], uint64(len(samples)))
 	if len(samples) == 0 {
@@ -82,26 +93,26 @@ func appendBlock(dst []byte, samples []physical.Sample) []byte {
 	}
 	first := samples[0]
 	scale := int64(0)
-	prev := first.T.UnixNano()
+	prev := first.t
 	for _, s := range samples[1:] {
-		scale = gcd64(scale, s.T.UnixNano()-prev)
-		prev = s.T.UnixNano()
+		scale = gcd64(scale, s.t-prev)
+		prev = s.t
 	}
 	if scale <= 0 {
 		scale = 1
 	}
 	n += binary.PutUvarint(head[n:], uint64(scale))
-	binary.LittleEndian.PutUint64(head[n:], uint64(first.T.UnixNano()))
-	binary.LittleEndian.PutUint64(head[n+8:], math.Float64bits(first.V))
+	binary.LittleEndian.PutUint64(head[n:], uint64(first.t))
+	binary.LittleEndian.PutUint64(head[n+8:], math.Float64bits(first.v))
 	w := bitWriter{b: append(dst, head[:n+16]...)}
 
-	prevTS := first.T.UnixNano()
+	prevTS := first.t
 	var prevDelta int64
-	prevBits := math.Float64bits(first.V)
+	prevBits := math.Float64bits(first.v)
 	leading, trailing := uint(255), uint(0) // 255 = no window yet
 
 	for _, s := range samples[1:] {
-		ts := s.T.UnixNano()
+		ts := s.t
 		delta := (ts - prevTS) / scale
 		dod := delta - prevDelta
 		prevTS, prevDelta = ts, delta
@@ -119,7 +130,7 @@ func appendBlock(dst []byte, samples []physical.Sample) []byte {
 			w.writeBits(uint64(dod), 64)
 		}
 
-		vb := math.Float64bits(s.V)
+		vb := math.Float64bits(s.v)
 		xor := vb ^ prevBits
 		prevBits = vb
 		if xor == 0 {
@@ -269,6 +280,15 @@ func sortSamples(s []physical.Sample) {
 }
 
 func compareTime(a, b physical.Sample) int { return a.T.Compare(b.T) }
+
+// sortSlots is sortSamples for packed samples.
+func sortSlots(s []slot) {
+	if !slices.IsSortedFunc(s, compareSlot) {
+		slices.SortStableFunc(s, compareSlot)
+	}
+}
+
+func compareSlot(a, b slot) int { return cmp.Compare(a.t, b.t) }
 
 // gcd64 is the non-negative GCD; gcd64(0, x) == |x|.
 func gcd64(a, b int64) int64 {

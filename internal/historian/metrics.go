@@ -13,6 +13,8 @@ const (
 	MetricSegments    = "uncharted_historian_segments"
 	MetricCompactions = "uncharted_historian_compactions_total"
 	MetricTornBytes   = "uncharted_historian_torn_bytes_total"
+	MetricDropped     = "uncharted_historian_dropped_samples_total"
+	MetricJournal     = "uncharted_historian_journal_bytes"
 )
 
 // rawSampleBytes is the uncompressed footprint of one sample
@@ -32,6 +34,8 @@ type storeMetrics struct {
 	segments *obs.Gauge
 	compact  map[string]*obs.Counter
 	torn     *obs.Counter
+	dropped  *obs.Counter
+	journal  *obs.Gauge
 }
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
@@ -43,10 +47,12 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	reg.SetHelp(MetricBytes, "Record bytes written to segment files.")
 	reg.SetHelp(MetricRawBytes, "Uncompressed equivalent (16 B/sample) of flushed samples.")
 	reg.SetHelp(MetricRatio, "Raw-to-record compression ratio of flushed data.")
-	reg.SetHelp(MetricFsyncs, "Batched fsyncs of the active segment.")
+	reg.SetHelp(MetricFsyncs, "Fsyncs of the active segment (batched, and before each Sync journal frame) and of the Sync journal.")
 	reg.SetHelp(MetricSegments, "Segment files currently open (sealed + active).")
 	reg.SetHelp(MetricCompactions, "Compaction actions by kind (drop, downsample).")
-	reg.SetHelp(MetricTornBytes, "Torn tail bytes truncated during crash recovery.")
+	reg.SetHelp(MetricTornBytes, "Torn tail bytes of segments and the Sync journal discarded during crash recovery.")
+	reg.SetHelp(MetricDropped, "Recorded samples skipped because their time lies outside 1678-2262.")
+	reg.SetHelp(MetricJournal, "Bytes in the Sync journal: what Syncs made durable since the buffers were last all flushed to blocks.")
 	return &storeMetrics{
 		appends:  reg.Counter(MetricAppends),
 		blocks:   reg.Counter(MetricBlocks),
@@ -59,7 +65,9 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 			"drop":       reg.Counter(MetricCompactions, "kind", "drop"),
 			"downsample": reg.Counter(MetricCompactions, "kind", "downsample"),
 		},
-		torn: reg.Counter(MetricTornBytes),
+		torn:    reg.Counter(MetricTornBytes),
+		dropped: reg.Counter(MetricDropped),
+		journal: reg.Gauge(MetricJournal),
 	}
 }
 
@@ -110,4 +118,18 @@ func (m *storeMetrics) noteTorn(n int64) {
 		return
 	}
 	m.torn.Add(n)
+}
+
+func (m *storeMetrics) noteDropped(n int) {
+	if m == nil || n == 0 {
+		return
+	}
+	m.dropped.Add(int64(n))
+}
+
+func (m *storeMetrics) noteJournal(size int64) {
+	if m == nil {
+		return
+	}
+	m.journal.Set(float64(size))
 }

@@ -57,9 +57,11 @@ func (st *Store) Query(key PointKey, from, to time.Time) (Samples, error) {
 		}
 	}
 	if buf := st.stations[key.Station][key.IOA]; buf != nil {
-		for _, s := range buf.samples {
-			if n := s.T.UnixNano(); n >= fromN && n <= toN {
-				out = append(out, s)
+		for k := range buf.chunks {
+			for _, s := range buf.live(k) {
+				if s.t >= fromN && s.t <= toN {
+					out = append(out, physical.Sample{T: time.Unix(0, s.t).UTC(), V: s.v})
+				}
 			}
 		}
 	}
@@ -166,14 +168,18 @@ func (st *Store) Catalog() []PointInfo {
 		}
 	}
 	for _, buf := range st.order {
-		if len(buf.samples) == 0 {
+		if buf.n == 0 {
 			continue
 		}
 		pi := get(buf.key, buf.typ, buf.flags)
-		pi.Samples += int64(len(buf.samples))
-		for _, s := range buf.samples {
-			extend(pi, s.T, s.T)
+		pi.Samples += int64(buf.n)
+		first, last := int64(math.MaxInt64), int64(math.MinInt64)
+		for k := range buf.chunks {
+			for _, s := range buf.live(k) {
+				first, last = min(first, s.t), max(last, s.t)
+			}
 		}
+		extend(pi, time.Unix(0, first).UTC(), time.Unix(0, last).UTC())
 	}
 	out := make([]PointInfo, 0, len(order))
 	sort.Slice(order, func(i, j int) bool {

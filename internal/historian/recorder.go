@@ -13,7 +13,9 @@ import (
 // station/command resolution as physical.Store.Feed, so the durable
 // history and the in-memory series are sample-for-sample identical —
 // the property that makes historian-backed event detection reproduce
-// live results exactly.
+// live results exactly. An object stamped outside 1678-2262 (a zero
+// capture time, a pcapng timestamp past 2262) cannot be stored: it is
+// skipped and counted in MetricDropped, and recording goes on.
 type Recorder struct {
 	store *Store
 	// lane is the optional flight-recorder lane StageHistorian spans

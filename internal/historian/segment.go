@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // On-disk constants. All integers are little endian.
@@ -63,6 +64,7 @@ type pointMeta struct {
 // active (append-mode); sealed segments are immutable.
 type segment struct {
 	path   string
+	seq    int // from the file name: the order of segments
 	f      *os.File
 	size   int64 // bytes of valid record data (excluding index/trailer)
 	sealed bool
@@ -92,6 +94,7 @@ func createSegment(path string) (*segment, error) {
 	}
 	return &segment{
 		path:   path,
+		seq:    segmentSeq(filepath.Base(path)),
 		f:      f,
 		size:   int64(len(segMagic)),
 		points: make(map[PointKey]*pointMeta),
@@ -107,31 +110,92 @@ type stagedBlock struct {
 }
 
 // appendRecord appends one block record — header, the compressed block
-// of buf's samples, CRC — to dst and returns it with the record's
-// staged index entry. The payload is encoded in place behind its
-// header (its length is patched in afterwards), so nothing is built on
-// the side.
-func appendRecord(dst []byte, buf *pointBuffer) ([]byte, stagedBlock) {
+// of samples, CRC — for buf's point to dst and returns it with the
+// record's staged index entry. The payload is encoded in place behind
+// its header (its length is patched in afterwards), so nothing is built
+// on the side.
+func appendRecord(dst []byte, buf *pointBuffer, samples []slot) ([]byte, stagedBlock) {
 	start := len(dst)
-	first := buf.samples[0].T.UnixNano()
-	last := buf.samples[len(buf.samples)-1].T.UnixNano()
+	first, last := samples[0].t, samples[len(samples)-1].t
 	dst = binary.LittleEndian.AppendUint32(dst, recMagic)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(buf.key.Station)))
 	dst = append(dst, buf.key.Station...)
 	dst = binary.LittleEndian.AppendUint32(dst, buf.key.IOA)
 	dst = append(dst, buf.typ, buf.flags)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(buf.samples)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(samples)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(first))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(last))
 	dst = append(dst, 0, 0, 0, 0) // payload length, known once encoded
 	payload := len(dst)
-	dst = appendBlock(dst, buf.samples)
+	dst = appendBlock(dst, samples)
 	size := len(dst) - payload
 	binary.LittleEndian.PutUint32(dst[payload-4:], uint32(size))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 	return dst, stagedBlock{buf: buf, meta: blockMeta{
-		Off: int64(start), Count: uint32(len(buf.samples)), First: first, Last: last, Bytes: uint32(size),
+		Off: int64(start), Count: uint32(len(samples)), First: first, Last: last, Bytes: uint32(size),
 	}}
+}
+
+// record is one block record as read back: its point, its index entry
+// (Off is where it starts in what it was read from) and its compressed
+// payload.
+type record struct {
+	key        PointKey
+	typ, flags byte
+	meta       blockMeta
+	payload    []byte
+}
+
+// readRecord parses the block record at off in r, whose valid bytes end
+// at end, and checks its CRC. It is the one record parser: a segment
+// scan and a journal replay both walk records with it. ok is false for
+// anything but one whole, intact record — a torn or corrupt tail.
+func readRecord(r io.ReaderAt, off, end int64) (rec record, next int64, ok bool) {
+	var hdr [4 + 2]byte
+	if end-off < int64(len(hdr)) {
+		return rec, off, false
+	}
+	if _, err := r.ReadAt(hdr[:], off); err != nil || binary.LittleEndian.Uint32(hdr[:4]) != recMagic {
+		return rec, off, false
+	}
+	keyLen := int(binary.LittleEndian.Uint16(hdr[4:]))
+	if keyLen > maxKeyLen {
+		return rec, off, false
+	}
+	head := int64(recordHeaderSize(keyLen))
+	if end-off < head {
+		return rec, off, false
+	}
+	rest := make([]byte, head-int64(len(hdr)))
+	if _, err := r.ReadAt(rest, off+int64(len(hdr))); err != nil {
+		return rec, off, false
+	}
+	payloadLen := binary.LittleEndian.Uint32(rest[len(rest)-4:])
+	total := head + int64(payloadLen) + 4
+	if total > end-off {
+		return rec, off, false
+	}
+	buf := make([]byte, total)
+	if _, err := r.ReadAt(buf, off); err != nil {
+		return rec, off, false
+	}
+	body := buf[:total-4]
+	if binary.LittleEndian.Uint32(buf[total-4:]) != crc32.ChecksumIEEE(body) {
+		return rec, off, false
+	}
+	return record{
+		key:   PointKey{Station: string(rest[:keyLen]), IOA: binary.LittleEndian.Uint32(rest[keyLen:])},
+		typ:   rest[keyLen+4],
+		flags: rest[keyLen+5],
+		meta: blockMeta{
+			Off:   off,
+			Count: binary.LittleEndian.Uint32(rest[keyLen+6:]),
+			First: int64(binary.LittleEndian.Uint64(rest[keyLen+10:])),
+			Last:  int64(binary.LittleEndian.Uint64(rest[keyLen+18:])),
+			Bytes: payloadLen,
+		},
+		payload: body[head:],
+	}, off + total, true
 }
 
 // writeBatch appends a run of encoded records with one write and then
@@ -231,18 +295,14 @@ func openSegment(path string) (seg *segment, tornBytes int64, err error) {
 		f.Close()
 		return nil, 0, fmt.Errorf("historian: %s is not a historian segment", path)
 	}
-	s := &segment{path: path, f: f, points: make(map[PointKey]*pointMeta)}
+	s := &segment{path: path, seq: segmentSeq(filepath.Base(path)), f: f, points: make(map[PointKey]*pointMeta)}
 
 	if s.loadIndex(fileSize) == nil {
 		s.sealed = true
 		return s, 0, nil
 	}
 	// No (or invalid) index: scan records, truncate any torn tail.
-	valid, err := s.scan(fileSize)
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
+	valid := s.scan(fileSize)
 	s.size = valid
 	if valid < fileSize {
 		tornBytes = fileSize - valid
@@ -336,50 +396,18 @@ func (s *segment) loadIndex(fileSize int64) error {
 // scan walks the record run from the top of the file, rebuilding the
 // in-memory index. It returns the offset of the first invalid byte —
 // everything after it is a torn tail.
-func (s *segment) scan(fileSize int64) (int64, error) {
+func (s *segment) scan(fileSize int64) int64 {
 	off := int64(len(segMagic))
-	var hdr [4 + 2]byte
-	for off < fileSize {
-		if _, err := s.f.ReadAt(hdr[:], off); err != nil {
-			return off, nil // short header: torn
+	for {
+		rec, next, ok := readRecord(s.f, off, fileSize)
+		if !ok {
+			return off
 		}
-		if binary.LittleEndian.Uint32(hdr[:4]) != recMagic {
-			return off, nil
-		}
-		keyLen := int(binary.LittleEndian.Uint16(hdr[4:]))
-		if keyLen > maxKeyLen {
-			return off, nil
-		}
-		rest := make([]byte, keyLen+4+1+1+4+8+8+4)
-		if _, err := s.f.ReadAt(rest, off+int64(len(hdr))); err != nil {
-			return off, nil
-		}
-		payloadLen := binary.LittleEndian.Uint32(rest[len(rest)-4:])
-		total := int64(recordHeaderSize(keyLen)) + int64(payloadLen) + 4
-		if off+total > fileSize {
-			return off, nil
-		}
-		rec := make([]byte, total)
-		if _, err := s.f.ReadAt(rec, off); err != nil {
-			return off, nil
-		}
-		body := rec[:len(rec)-4]
-		if binary.LittleEndian.Uint32(rec[len(rec)-4:]) != crc32.ChecksumIEEE(body) {
-			return off, nil
-		}
-		key := PointKey{Station: string(rest[:keyLen]), IOA: binary.LittleEndian.Uint32(rest[keyLen:])}
-		typ, flags := rest[keyLen+4], rest[keyLen+5]
-		count := binary.LittleEndian.Uint32(rest[keyLen+6:])
-		first := int64(binary.LittleEndian.Uint64(rest[keyLen+10:]))
-		last := int64(binary.LittleEndian.Uint64(rest[keyLen+18:]))
-		pm := s.point(key, typ, flags)
-		pm.Blocks = append(pm.Blocks, blockMeta{
-			Off: off, Count: count, First: first, Last: last, Bytes: payloadLen,
-		})
-		pm.Samples += int64(count)
-		off += total
+		pm := s.point(rec.key, rec.typ, rec.flags)
+		pm.Blocks = append(pm.Blocks, rec.meta)
+		pm.Samples += int64(rec.meta.Count)
+		off = next
 	}
-	return off, nil
 }
 
 // lastTS returns the newest sample timestamp in the segment (unix

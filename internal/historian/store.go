@@ -2,6 +2,7 @@ package historian
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,11 +19,14 @@ import (
 // defaults.
 type Options struct {
 	// MaxSegmentBytes seals the active segment once its record data
-	// reaches this size and starts a new one. Default 8 MiB.
+	// reaches this size and starts a new one. Default 8 MiB. It bounds
+	// the Sync journal too.
 	MaxSegmentBytes int64
 	// FlushSamples flushes a point's buffer to a compressed block once
 	// it holds this many samples. Default 512. Larger blocks compress
-	// better; smaller ones bound the data at risk in a crash.
+	// better; smaller ones bound the memory a point's tail holds (16 B a
+	// sample) and the size of a block. It bounds no data at risk: Sync
+	// journals the buffers.
 	FlushSamples int
 	// FsyncEveryBytes batches fsync: the active segment is synced after
 	// this many bytes of new records. Default 1 MiB. Zero syncs only on
@@ -60,12 +64,86 @@ func (o *Options) setDefaults() {
 	}
 }
 
+// slot is one buffered sample in the form the codec reads: UTC
+// nanoseconds since the Unix epoch and the value, sixteen bytes with no
+// pointer in them.
+type slot struct {
+	t int64
+	v float64
+}
+
+// A point's buffer is a list of fixed chunks carved from store-owned
+// slabs; a flush gives its chunks back to the store's free list.
+const (
+	chunkSlots = 64
+	slabChunks = 16
+)
+
 // pointBuffer is the in-memory tail of one point: samples appended
-// since its last flushed block.
+// since its last flushed block, in append order.
 type pointBuffer struct {
 	key        PointKey
 	typ, flags byte
-	samples    []physical.Sample
+	chunks     [][]slot // full chunks, then the one being filled
+	n          int      // samples buffered
+	journaled  int      // how many of them a journal frame holds
+}
+
+// live returns the buffered samples of chunk k.
+func (b *pointBuffer) live(k int) []slot {
+	return b.chunks[k][:min(chunkSlots, b.n-k*chunkSlots)]
+}
+
+// push appends one sample to buf, starting a chunk — a recycled one, or
+// a piece of the slab — when the last is full.
+func (st *Store) push(buf *pointBuffer, s slot) {
+	i := buf.n % chunkSlots
+	if i == 0 {
+		var c []slot
+		if k := len(st.free); k > 0 {
+			c, st.free = st.free[k-1], st.free[:k-1]
+		} else {
+			if len(st.slab) == 0 {
+				st.slab = make([]slot, slabChunks*chunkSlots)
+			}
+			c, st.slab = st.slab[:chunkSlots:chunkSlots], st.slab[chunkSlots:]
+		}
+		buf.chunks = append(buf.chunks, c)
+	}
+	buf.chunks[len(buf.chunks)-1][i] = s
+	buf.n++
+}
+
+// gather copies buf's samples from index from on into the store's
+// encoding scratch.
+func (st *Store) gather(buf *pointBuffer, from int) []slot {
+	st.scratch = st.scratch[:0]
+	for k := from / chunkSlots; k < len(buf.chunks); k++ {
+		st.scratch = append(st.scratch, buf.live(k)[max(0, from-k*chunkSlots):]...)
+	}
+	return st.scratch
+}
+
+// drain empties buf and puts its chunks on the free list.
+func (st *Store) drain(buf *pointBuffer) {
+	st.free = append(st.free, buf.chunks...)
+	clear(buf.chunks)
+	buf.chunks = buf.chunks[:0]
+	buf.n, buf.journaled = 0, 0
+}
+
+// Unix seconds whose nanosecond count fits an int64 (1677-09-21 …
+// 2262-04-11, a second short of the type's range at either end): the
+// times a slot, and a block, can hold. physical packs to the same
+// bounds.
+const (
+	minStorableSec = math.MinInt64/1_000_000_000 + 1
+	maxStorableSec = math.MaxInt64/1_000_000_000 - 1
+)
+
+func storable(t time.Time) bool {
+	sec := t.Unix()
+	return sec >= minStorableSec && sec <= maxStorableSec
 }
 
 // stationBuffers is the write handle for one station: its points by
@@ -93,6 +171,16 @@ type Store struct {
 	// their storage and reaches the file as one write.
 	recs   []byte
 	staged []stagedBlock
+	// free and slab hold the buffers' chunks; scratch is one buffer's
+	// samples gathered for encoding.
+	free    [][]slot
+	slab    []slot
+	scratch []slot
+	// journal is the Sync journal (journal.go), opened at its first
+	// frame; jsize its length; frame the frame being built.
+	journal *os.File
+	jsize   int64
+	frame   []byte
 
 	m *storeMetrics
 }
@@ -112,7 +200,10 @@ func NamespaceDir(root, ns string) (string, error) {
 // Open opens (or creates) a historian under dir. An unsealed last
 // segment — the active one at crash or shutdown — is recovered: its
 // records are re-indexed by scanning and a torn tail, if any, is
-// truncated, losing at most the last partially written block.
+// truncated. Then the Sync journal is replayed, so every sample
+// appended before the last Sync returned is back; the replayed samples
+// are written to blocks and the journal emptied. One process may have
+// a directory open at a time: recovery truncates files in place.
 func Open(dir string, opts Options) (*Store, error) {
 	opts.setDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -158,6 +249,10 @@ func Open(dir string, opts Options) (*Store, error) {
 			st.closeAll()
 			return nil, err
 		}
+	}
+	if err := st.replayJournalLocked(); err != nil {
+		st.closeAll()
+		return nil, fmt.Errorf("historian: replaying %s: %w", journalName, err)
 	}
 	st.m.noteSegments(len(st.sealed) + 1)
 	return st, nil
@@ -211,36 +306,50 @@ func (st *Store) rotateLocked() error {
 // Append buffers one sample for a point. typ carries the dialect and
 // its local type code (for IEC 104, numerically the TypeID); command
 // flags control-direction (setpoint) series. The buffer is flushed to
-// a compressed block at Options.FlushSamples.
+// a compressed block at Options.FlushSamples. A time outside
+// 1678-2262, the zero time included, cannot be stored and is an error.
 func (st *Store) Append(key PointKey, typ physical.PointType, command bool, s physical.Sample) error {
+	if !storable(s.T) {
+		return fmt.Errorf("historian: %v: time %v outside the storable range", key, s.T)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return os.ErrClosed
 	}
 	st.m.noteAppends(1)
-	return st.appendLocked(st.stationLocked(key.Station), key, typ, command, s)
+	buf := st.bufferLocked(st.stationLocked(key.Station), key, typ.Code(), pointFlags(typ, command))
+	return st.appendLocked(buf, slot{t: s.T.UnixNano(), v: s.V})
 }
 
 // appendASDU buffers every value-bearing information object of one
-// frame under a single lock — the recorder's form of Append. It returns
-// how many samples the frame carried and the first append error.
+// frame under a single lock — the recorder's form of Append. An object
+// whose time cannot be stored is skipped and counted as dropped, not
+// an error. It returns how many samples it appended and the first
+// append error.
 func (st *Store) appendASDU(station string, a *iec104.ASDU, at time.Time, command bool) (n int, err error) {
 	typ := physical.IEC104Type(a.Type)
+	code, flags := typ.Code(), pointFlags(typ, command)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return 0, os.ErrClosed
 	}
 	sb := st.stationLocked(station)
+	dropped := 0
 	physical.EachValue(a, at, func(ioa uint32, t time.Time, v float64) {
+		if !storable(t) {
+			dropped++
+			return
+		}
 		n++
-		e := st.appendLocked(sb, PointKey{Station: station, IOA: ioa}, typ, command, physical.Sample{T: t, V: v})
+		e := st.appendLocked(st.bufferLocked(sb, PointKey{Station: station, IOA: ioa}, code, flags), slot{t: t.UnixNano(), v: v})
 		if e != nil && err == nil {
 			err = e
 		}
 	})
 	st.m.noteAppends(n)
+	st.m.noteDropped(dropped)
 	return n, err
 }
 
@@ -253,19 +362,30 @@ func (st *Store) stationLocked(name string) stationBuffers {
 	return sb
 }
 
-func (st *Store) appendLocked(sb stationBuffers, key PointKey, typ physical.PointType, command bool, s physical.Sample) error {
+// pointFlags is the flags byte a point of typ is stored under.
+func pointFlags(typ physical.PointType, command bool) byte {
+	flags := byte(typ.Proto()) << flagProtoShift
+	if command {
+		flags |= flagCommand
+	}
+	return flags
+}
+
+// bufferLocked returns key's buffer in its station's handle sb,
+// creating it with the stored type and flags bytes.
+func (st *Store) bufferLocked(sb stationBuffers, key PointKey, typ, flags byte) *pointBuffer {
 	buf := sb[key.IOA]
 	if buf == nil {
-		flags := byte(typ.Proto()) << flagProtoShift
-		if command {
-			flags |= flagCommand
-		}
-		buf = &pointBuffer{key: key, typ: typ.Code(), flags: flags}
+		buf = &pointBuffer{key: key, typ: typ, flags: flags}
 		sb[key.IOA] = buf
 		st.order = append(st.order, buf)
 	}
-	buf.samples = append(buf.samples, s)
-	if len(buf.samples) >= st.opts.FlushSamples {
+	return buf
+}
+
+func (st *Store) appendLocked(buf *pointBuffer, s slot) error {
+	st.push(buf, s)
+	if buf.n >= st.opts.FlushSamples {
 		if err := st.stageLocked(buf); err != nil {
 			return err
 		}
@@ -280,9 +400,10 @@ func (st *Store) appendLocked(sb stationBuffers, key PointKey, typ physical.Poin
 // batch goes out first whenever one of them is due — so segment files
 // do not depend on how records were batched.
 func (st *Store) stageLocked(buf *pointBuffer) error {
-	sortSamples(buf.samples)
+	samples := st.gather(buf, 0)
+	sortSlots(samples)
 	var blk stagedBlock
-	st.recs, blk = appendRecord(st.recs, buf)
+	st.recs, blk = appendRecord(st.recs, buf, samples)
 	st.staged = append(st.staged, blk)
 	pending := int64(len(st.recs))
 	rotate := st.active.size+pending >= st.opts.MaxSegmentBytes
@@ -313,7 +434,7 @@ func (st *Store) writeStagedLocked() error {
 	for _, blk := range staged {
 		st.m.noteBlock(int(blk.meta.Count), int(blk.meta.Bytes),
 			recordHeaderSize(len(blk.buf.key.Station))+int(blk.meta.Bytes)+4)
-		blk.buf.samples = blk.buf.samples[:0]
+		st.drain(blk.buf)
 	}
 	st.unsynced += int64(len(recs))
 	return nil
@@ -341,7 +462,7 @@ func (st *Store) Flush() error {
 
 func (st *Store) flushAllLocked() error {
 	for _, buf := range st.order {
-		if len(buf.samples) > 0 {
+		if buf.n > 0 {
 			if err := st.stageLocked(buf); err != nil {
 				return err
 			}
@@ -350,33 +471,34 @@ func (st *Store) flushAllLocked() error {
 	return st.writeStagedLocked()
 }
 
-// Sync flushes all buffers and fsyncs the active segment — the
-// snapshot-stage durability point.
+// Sync is the snapshot-stage durability point: every sample appended
+// before it returns survives a crash. It journals what was buffered
+// since the last Sync (journal.go) and writes no block, so a point's
+// blocks hold FlushSamples samples however often Sync runs; a Sync with
+// nothing new writes and fsyncs nothing.
 func (st *Store) Sync() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.flushAllLocked(); err != nil {
-		return err
-	}
-	return st.syncActiveLocked()
+	return st.journalLocked()
 }
 
-// Close flushes, fsyncs, and closes all segment files. The active
-// segment is left unsealed so the next Open resumes appending to it
-// with zero torn bytes.
+// Close flushes, fsyncs, empties the journal and closes every file.
+// The active segment is left unsealed so the next Open resumes
+// appending to it with zero torn bytes.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return nil
 	}
-	if err := st.flushAllLocked(); err != nil {
-		return err
-	}
-	if err := st.syncActiveLocked(); err != nil {
+	if err := st.resetJournalLocked(); err != nil {
 		return err
 	}
 	st.closed = true
+	for _, buf := range st.order {
+		buf.chunks = nil
+	}
+	st.free, st.slab, st.scratch = nil, nil, nil
 	return st.closeAll()
 }
 
@@ -391,6 +513,12 @@ func (st *Store) closeAll() error {
 		if err := st.active.close(); err != nil && first == nil {
 			first = err
 		}
+	}
+	if st.journal != nil {
+		if err := st.journal.Close(); err != nil && first == nil {
+			first = err
+		}
+		st.journal = nil
 	}
 	return first
 }
@@ -414,12 +542,17 @@ func (st *Store) Rotate() error {
 // segments whose newest sample is older than Retention are deleted;
 // otherwise, segments older than DownsampleAfter are rewritten with
 // bucketed means (idempotent — an already-downsampled segment is left
-// alone). The active segment is never touched.
+// alone). The active segment is never rewritten. The journal is
+// emptied first (the buffers go to blocks), because downsampling moves
+// the records a journal mark counts on.
 func (st *Store) Compact(now time.Time) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return os.ErrClosed
+	}
+	if err := st.resetJournalLocked(); err != nil {
+		return err
 	}
 	kept := st.sealed[:0]
 	for _, seg := range st.sealed {
@@ -500,7 +633,7 @@ func (st *Store) downsampleSegment(seg *segment) (*segment, error) {
 			continue
 		}
 		var blk stagedBlock
-		rec, blk = appendRecord(rec[:0], &pointBuffer{key: key, typ: pm.Type, flags: pm.Flags | flagDownsampled, samples: ds})
+		rec, blk = appendRecord(rec[:0], &pointBuffer{key: key, typ: pm.Type, flags: pm.Flags | flagDownsampled}, ds)
 		if err := out.writeBatch(rec, []stagedBlock{blk}); err != nil {
 			out.close()
 			os.Remove(tmp)
@@ -530,8 +663,8 @@ func (st *Store) downsampleSegment(seg *segment) (*segment, error) {
 
 // downsampleMean reduces time-sorted samples to one mean per step
 // bucket, stamped at the bucket start.
-func downsampleMean(s []physical.Sample, step time.Duration) []physical.Sample {
-	var out []physical.Sample
+func downsampleMean(s []physical.Sample, step time.Duration) []slot {
+	var out []slot
 	i := 0
 	for i < len(s) {
 		start := s[i].T.Truncate(step)
@@ -543,7 +676,7 @@ func downsampleMean(s []physical.Sample, step time.Duration) []physical.Sample {
 			n++
 			i++
 		}
-		out = append(out, physical.Sample{T: start, V: sum / float64(n)})
+		out = append(out, slot{t: start.UnixNano(), v: sum / float64(n)})
 	}
 	return out
 }

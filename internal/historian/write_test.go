@@ -15,16 +15,21 @@ import (
 	"uncharted/internal/physical"
 )
 
+// goldenOptions are goldenWorkload's store settings: 16 KiB segments,
+// which also bound the journal, batched fsyncs (4 KiB) and 64-sample
+// blocks.
+var goldenOptions = Options{MaxSegmentBytes: 16 << 10, FsyncEveryBytes: 4 << 10, FlushSamples: 64}
+
 // goldenWorkload drives a store the way a live engine does — frames
-// through a Recorder, the odd single Append, a Sync per "snapshot" —
-// with a deterministic script that crosses every decision the flush
-// path takes: several segment rotations in the middle of a Sync's
-// batch (16 KiB segments), batched fsyncs (4 KiB), one point that
-// reaches FlushSamples between Syncs, late samples that force a sort,
+// through a Recorder, the odd single Append, a Sync per "snapshot"
+// unless sync is false — with a deterministic script that crosses every
+// decision the write path takes: segment rotations in the middle of a
+// flush's batch, journal resets, batched fsyncs, one point that reaches
+// FlushSamples between Syncs, late samples that force a sort,
 // command-direction series and two stations sharing IOAs.
-func goldenWorkload(t testing.TB, dir string) {
+func goldenWorkload(t testing.TB, dir string, opts Options, sync bool) {
 	t.Helper()
-	st, err := Open(dir, Options{MaxSegmentBytes: 16 << 10, FsyncEveryBytes: 4 << 10, FlushSamples: 64})
+	st, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +65,9 @@ func goldenWorkload(t testing.TB, dir string) {
 				t.Fatal(err)
 			}
 		}
+		if !sync {
+			continue
+		}
 		if err := st.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -72,24 +80,13 @@ func goldenWorkload(t testing.TB, dir string) {
 	}
 }
 
-// TestSegmentBytesGolden pins the segment files goldenWorkload leaves
-// behind — name, size and SHA-256 of each — to what the
-// one-write-per-record store produced for the same script (the fixture
-// was generated at the commit before records were batched). Batching
-// changes how bytes reach the file, never which bytes: block
-// boundaries, record encoding, rotation points and seal indexes are all
-// identical. Regenerate (only for a deliberate format change) with:
-//
-//	go test ./internal/historian -run TestSegmentBytesGolden -update
-func TestSegmentBytesGolden(t *testing.T) {
-	dir := t.TempDir()
-	goldenWorkload(t, dir)
+// segmentDigest lists the segment files under dir — name, size and
+// SHA-256 of each.
+func segmentDigest(t *testing.T, dir string) (string, int) {
+	t.Helper()
 	names, err := segmentNames(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(names) < 4 {
-		t.Fatalf("workload produced %d segments; it must rotate several times", len(names))
 	}
 	var sb strings.Builder
 	for _, name := range names {
@@ -99,7 +96,26 @@ func TestSegmentBytesGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "%s %d %x\n", name, len(data), sha256.Sum256(data))
 	}
-	got := sb.String()
+	return sb.String(), len(names)
+}
+
+// TestSegmentBytesGolden pins the segment files goldenWorkload leaves
+// behind. Batching changes how bytes reach the file, never which bytes:
+// block boundaries, record encoding, rotation points and seal indexes
+// are all fixed by the script. The fixture was regenerated when Sync
+// began journaling instead of cutting every buffer into a block: blocks
+// now fill to FlushSamples or end at a journal reset, and the script's
+// files went from 14 segments (332 343 B) to 5 (103 141 B). Regenerate
+// (only for a deliberate format or block-boundary change) with:
+//
+//	go test ./internal/historian -run TestSegmentBytesGolden -update
+func TestSegmentBytesGolden(t *testing.T) {
+	dir := t.TempDir()
+	goldenWorkload(t, dir, goldenOptions, true)
+	got, n := segmentDigest(t, dir)
+	if n < 4 {
+		t.Fatalf("workload produced %d segments; it must rotate several times", n)
+	}
 	path := filepath.Join("testdata", "segments.golden")
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -113,27 +129,44 @@ func TestSegmentBytesGolden(t *testing.T) {
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("segment files differ from the pre-batching store's\n got:\n%s\nwant:\n%s", got, want)
+		t.Errorf("segment files differ from the golden\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSegmentBytesIndependentOfSync runs the golden script in a segment
+// large enough that neither it nor the journal is ever reset, once with
+// a Sync per round and once with none: the segment files are
+// byte-identical, because a Sync journals and never cuts a block.
+func TestSegmentBytesIndependentOfSync(t *testing.T) {
+	opts := goldenOptions
+	opts.MaxSegmentBytes = 64 << 20
+	synced, never := t.TempDir(), t.TempDir()
+	goldenWorkload(t, synced, opts, true)
+	goldenWorkload(t, never, opts, false)
+	a, _ := segmentDigest(t, synced)
+	b, _ := segmentDigest(t, never)
+	if a != b {
+		t.Errorf("segment files depend on the Sync cadence\nsynced every round:\n%s\nnever synced:\n%s", a, b)
 	}
 }
 
 // TestAppendAndSyncAllocs is the write path's allocation tripwire. On
-// points the store already knows, appending allocates nothing — through
-// Append or through a Recorder frame of eight objects — and a Sync that
-// flushes N buffered points allocates nothing either: no sort closure,
-// no per-block writer, no per-record buffer, one write for the lot. The
-// one thing a flush may grow is each point's block index, so the test
-// first syncs until every index has room for the measured runs.
+// points the store already knows, once flushes have recycled their
+// chunks, appending allocates nothing — through Append or through a
+// Recorder frame of eight objects. A Sync of N points writes one
+// journal frame and no block, and allocates O(1): no sort closure, no
+// per-record buffer, one write for the lot. A point that reaches
+// FlushSamples writes exactly one block.
 func TestAppendAndSyncAllocs(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
+	const (
+		nPoints = 256
+		flushAt = 512
+	)
+	st, err := Open(t.TempDir(), Options{FlushSamples: flushAt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	const (
-		nPoints  = 256
-		syncRuns = 3
-	)
 	base := time.Date(2019, 3, 20, 8, 0, 0, 0, time.UTC)
 	typ := physical.IEC104Type(iec104.MMeNc)
 	keys := make([]PointKey, nPoints)
@@ -152,24 +185,17 @@ func TestAppendAndSyncAllocs(t *testing.T) {
 			}
 		}
 	}
-	indexHasRoom := func() bool {
+	blocks := func() (n int) {
 		for _, key := range keys {
-			pm := st.active.points[key]
-			if pm == nil || cap(pm.Blocks)-len(pm.Blocks) < syncRuns+1 {
-				return false
-			}
+			n += len(st.active.points[key].Blocks)
 		}
-		return true
+		return n
 	}
-	fill(200) // grow every buffer past anything measured below
-	for warm := 0; !indexHasRoom(); warm++ {
-		if warm > 64 {
-			t.Fatal("block indexes never reached spare capacity")
-		}
-		if err := st.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		fill(2)
+	// Two flushes of every point: the free list holds their chunks, every
+	// chunk list has its full capacity, and the block indexes have grown.
+	fill(2 * flushAt)
+	if got := blocks(); got != 2*nPoints {
+		t.Fatalf("%d samples a point wrote %d blocks, want %d", 2*flushAt, got, 2*nPoints)
 	}
 
 	if allocs := testing.AllocsPerRun(100, func() { fill(1) }); allocs != 0 {
@@ -187,23 +213,33 @@ func TestAppendAndSyncAllocs(t *testing.T) {
 		t.Errorf("Recorder.ObserveFrame allocates %.2f per 8-object frame (err %v), want 0", allocs, rec.Err())
 	}
 
-	blocks := func() (n int) {
-		for _, key := range keys {
-			n += len(st.active.points[key].Blocks)
-		}
-		return n
-	}
 	before := blocks()
-	allocs := testing.AllocsPerRun(syncRuns, func() {
+	allocs := testing.AllocsPerRun(3, func() {
 		fill(2)
 		if err := st.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if flushed := blocks() - before; flushed != (syncRuns+1)*nPoints {
-		t.Fatalf("measured Syncs flushed %d blocks, want %d", flushed, (syncRuns+1)*nPoints)
+	if got := blocks() - before; got != 0 {
+		t.Fatalf("Syncs wrote %d blocks, want 0", got)
 	}
 	if allocs > 2 {
-		t.Errorf("a Sync flushing %d points allocates %.1f, want O(1)", nPoints, allocs)
+		t.Errorf("a Sync of %d points allocates %.1f, want O(1)", nPoints, allocs)
+	}
+	if st.jsize == 0 {
+		t.Fatal("Syncs wrote no journal frame")
+	}
+
+	// The first point reaches FlushSamples: one block, an empty buffer.
+	buf := st.stations[keys[0].Station][keys[0].IOA]
+	before = blocks()
+	for i := buf.n; i < flushAt; i++ {
+		tick++
+		if err := st.Append(keys[0], typ, false, physical.Sample{T: base.Add(time.Duration(tick) * time.Second), V: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := blocks() - before; got != 1 || buf.n != 0 {
+		t.Errorf("reaching FlushSamples wrote %d blocks and left %d samples buffered, want 1 and 0", got, buf.n)
 	}
 }
