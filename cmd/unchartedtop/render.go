@@ -13,15 +13,17 @@ import (
 // importing the engine, so it stays a pure HTTP client of the
 // observability contract.
 type statusDoc struct {
-	State          string     `json:"state"`
-	UptimeSeconds  float64    `json:"uptime_seconds"`
-	Workers        int        `json:"workers"`
-	Policy         string     `json:"policy"`
-	Packets        int64      `json:"packets"`
-	Batches        int64      `json:"batches"`
-	Snapshots      int64      `json:"snapshots"`
-	DroppedBatches int64      `json:"dropped_batches"`
-	DroppedPackets int64      `json:"dropped_packets"`
+	State          string      `json:"state"`
+	UptimeSeconds  float64     `json:"uptime_seconds"`
+	Workers        int         `json:"workers"`
+	Policy         string      `json:"policy"`
+	Packets        int64       `json:"packets"`
+	Batches        int64       `json:"batches"`
+	Snapshots      int64       `json:"snapshots"`
+	LastTick       *time.Time  `json:"last_tick"`
+	LastPublish    *time.Time  `json:"last_publish"`
+	DroppedBatches int64       `json:"dropped_batches"`
+	DroppedPackets int64       `json:"dropped_packets"`
 	Stages         []stageRow  `json:"stages"`
 	Shards         []shardRow  `json:"shards"`
 	Readers        []readerRow `json:"readers"`
@@ -95,10 +97,10 @@ func render(w io.Writer, prev, cur *sample) {
 	if prev != nil {
 		pPrev = prev.Status
 	}
-	fmt.Fprintf(w, "packets %d (%s) · batches %d (%s) · snapshots %d · dropped %d batches / %d packets (%s)\n",
+	fmt.Fprintf(w, "packets %d (%s) · batches %d (%s) · snapshots %d (changed %s, checked %s) · dropped %d batches / %d packets (%s)\n",
 		st.Packets, rate(st.Packets, pPrev.Packets),
 		st.Batches, rate(st.Batches, pPrev.Batches),
-		st.Snapshots,
+		st.Snapshots, age(cur.At, st.LastPublish), age(cur.At, st.LastTick),
 		st.DroppedBatches, st.DroppedPackets, rate(st.DroppedPackets, pPrev.DroppedPackets))
 
 	j := cur.Vars.Journal
@@ -184,6 +186,14 @@ func fmtLatency(s float64) string {
 		return fmt.Sprintf("%.2fms", s*1e3)
 	}
 	return fmt.Sprintf("%.3fs", s)
+}
+
+// age renders how long before the poll at t happened, "never" for nil.
+func age(at time.Time, t *time.Time) string {
+	if t == nil {
+		return "never"
+	}
+	return fmtUptime(at.Sub(*t).Seconds()) + " ago"
 }
 
 func fmtUptime(s float64) string {

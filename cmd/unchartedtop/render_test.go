@@ -8,9 +8,11 @@ import (
 
 func mkSample(at time.Time, packets int64) *sample {
 	s := &sample{At: at, Addr: "localhost:9104"}
+	tick, published := at.Add(-100*time.Millisecond), at.Add(-90*time.Second)
 	s.Status = statusDoc{
 		State: "running", UptimeSeconds: 42.5, Workers: 2, Policy: "block",
 		Packets: packets, Batches: packets / 100, Snapshots: 7,
+		LastTick: &tick, LastPublish: &published,
 		DroppedBatches: 1, DroppedPackets: 64,
 		Shards: []shardRow{
 			{ID: 0, QueueLen: 4, QueueCap: 8, Current: "feed",
@@ -41,7 +43,7 @@ func TestRenderFirstFrame(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"state running", "policy block", "2 workers",
-		"packets 10000 (-)",
+		"packets 10000 (-)", "snapshots 7 (changed 1m30s ago, checked 100ms ago)",
 		"alerts 3", "drift 1", "journal drops 2",
 		"SHARD", "[#####.....] 4/8", "feed",
 		"decode:1 feed:3", "idle:1",

@@ -3,6 +3,8 @@ package historian
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -123,16 +125,65 @@ func QueryHandler(st *Store) http.Handler {
 			}
 			return
 		}
-		type row struct {
-			T time.Time `json:"t"`
-			V float64   `json:"v"`
-		}
-		rows := make([]row, len(samples))
-		for i, s := range samples {
-			rows[i] = row{T: s.T, V: s.V}
-		}
-		obs.WriteIndentedJSON(w, rows)
+		writeSampleRows(w, samples)
 	})
+}
+
+// sampleRow is one /query JSON row.
+type sampleRow struct {
+	T time.Time `json:"t"`
+	V float64   `json:"v"`
+}
+
+// writeSampleRows writes samples as /query's JSON rows — byte for byte
+// what obs.WriteIndentedJSON writes for them as []sampleRow, in one
+// Write, without reflection or a second indenting pass: a point query
+// is the document a control room misses on most. A NaN or infinite
+// value (which encoding/json refuses) or a time outside UTC (whose year
+// and offset it checks) sends the whole document down the generic
+// path, so such a document comes out exactly as it always did.
+func writeSampleRows(w io.Writer, samples Samples) {
+	b := make([]byte, 0, 2+len(samples)*64)
+	b = append(b, '[')
+	for i, s := range samples {
+		if math.IsNaN(s.V) || math.IsInf(s.V, 0) || s.T.Location() != time.UTC {
+			rows := make([]sampleRow, len(samples))
+			for i, s := range samples {
+				rows[i] = sampleRow{T: s.T, V: s.V}
+			}
+			obs.WriteIndentedJSON(w, rows)
+			return
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n  {\n    \"t\": \""...)
+		b = s.T.AppendFormat(b, time.RFC3339Nano)
+		b = append(b, "\",\n    \"v\": "...)
+		b = appendJSONFloat(b, s.V)
+		b = append(b, "\n  }"...)
+	}
+	if len(samples) > 0 {
+		b = append(b, '\n')
+	}
+	b = append(b, "]\n"...)
+	w.Write(b)
+}
+
+// appendJSONFloat appends a finite f the way encoding/json encodes a
+// float64: shortest round-trip digits, exponent form only below 1e-6 or
+// from 1e21, and a one-digit negative exponent without its leading 0.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

@@ -29,9 +29,11 @@ const maxPooledJSON = 1 << 20
 // WriteIndentedJSON renders v as two-space-indented JSON with a
 // trailing newline — byte for byte what a fresh json.Encoder with
 // SetIndent("", "  ") writes — and hands it to w in a single Write.
-// Every JSON surface of the system (profile, statusz, drift, query,
-// pipeline status, the service's own documents, /debug/vars) renders
-// through here. On a marshal error nothing is written.
+// Every JSON surface of the system (profile, statusz, drift, the query
+// catalog, pipeline status, the service's own documents, /debug/vars)
+// renders through here; a point query's sample rows are appended
+// directly, byte for byte what this writes for them. On a marshal
+// error nothing is written.
 func WriteIndentedJSON(w io.Writer, v any) error {
 	j := indentedJSONPool.Get().(*indentedJSON)
 	j.buf.Reset()

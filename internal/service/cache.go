@@ -136,16 +136,26 @@ func (r *recorder) Header() http.Header         { return r.hdr }
 func (r *recorder) WriteHeader(code int)        { r.code = code }
 func (r *recorder) Write(p []byte) (int, error) { r.body = append(r.body, p...); return len(p), nil }
 
+// maxRenders bounds how often one miss renders its document while the
+// version keeps moving under it; the last render is then served
+// without being stored or tagged.
+const maxRenders = 3
+
 // cached wraps a query handler with the snapshot cache. version must
 // return a string that changes whenever the underlying data does —
-// the engine's published snapshot sequence — so hot reads of the
-// current snapshot are served straight from memory and the first read
-// after a new snapshot replaces the document it supersedes. Only 200
-// responses to GET/HEAD are stored; a request whose If-None-Match is
-// the document's ETag gets 304 with no body, whether the document came
-// from the cache or was just rendered. The X-Cache header says hit or
-// miss, which is how cmd/loadgen measures the hit ratio from outside.
-// The route patterns carry the method, so only GET and HEAD get here.
+// the engine's published snapshot sequence — and never returns to an
+// earlier value, so hot reads of the current snapshot are served
+// straight from memory and the first read after a new snapshot
+// replaces the document it supersedes. A render is stored and tagged
+// only when version reads the same after it as before it: a publish
+// landing mid-render would otherwise file the new content under the
+// old version (or the old under the new), where it would stay until
+// the next publish. Only 200 responses to GET/HEAD are stored; a
+// request whose If-None-Match is the document's ETag gets 304 with no
+// body, whether the document came from the cache or was just rendered.
+// The X-Cache header says hit or miss, which is how cmd/loadgen
+// measures the hit ratio from outside. The route patterns carry the
+// method, so only GET and HEAD get here.
 func (s *Service) cached(t *Tenant, endpoint string, version func() string, inner http.Handler) http.Handler {
 	if s.cache == nil {
 		return inner
@@ -159,10 +169,19 @@ func (s *Service) cached(t *Tenant, endpoint string, version func() string, inne
 			return
 		}
 		t.cacheMisses.Inc()
-		rec := &recorder{hdr: w.Header(), code: http.StatusOK}
-		inner.ServeHTTP(rec, req)
+		rec := &recorder{hdr: w.Header()}
+		stable := false
+		for renders := 1; ; renders++ {
+			rec.code, rec.body = http.StatusOK, rec.body[:0]
+			inner.ServeHTTP(rec, req)
+			now := version()
+			if stable = now == ver; stable || rec.code != http.StatusOK || renders == maxRenders {
+				break
+			}
+			ver = now
+		}
 		rec.hdr.Set("X-Cache", "miss")
-		if rec.code != http.StatusOK {
+		if rec.code != http.StatusOK || !stable {
 			w.WriteHeader(rec.code)
 			w.Write(rec.body)
 			return

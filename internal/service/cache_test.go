@@ -366,6 +366,72 @@ func TestCachedSkipsNon200(t *testing.T) {
 	}
 }
 
+// TestCachedETagNamesRenderedVersion: a publish can land between the
+// version read and the render, so the render shows content the version
+// read before it does not name. Such a response must never go out, or
+// be stored, under that version's ETag: once an idle tenant stops
+// publishing, a wrongly filed entry would be served until the next
+// packet arrives. The handler publishes at the start of its first one
+// or two renders, or of every render; each response must carry either
+// no ETag or the ETag of the version its body shows, and a render the
+// version held still for is tagged, stored and answers a conditional
+// read with 304.
+func TestCachedETagNamesRenderedVersion(t *testing.T) {
+	const every = -1
+	for _, publishes := range []int64{0, 1, 2, every} {
+		t.Run(fmt.Sprint(publishes), func(t *testing.T) {
+			s, tn := testTenant(16)
+			var version, renders atomic.Int64
+			version.Store(1)
+			inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				if n := renders.Add(1); publishes == every || n <= publishes {
+					version.Add(1)
+				}
+				w.Header().Set("Content-Type", "application/json; charset=utf-8")
+				fmt.Fprintf(w, `{"snapshot":%d}`, version.Load())
+			})
+			h := s.cached(tn, "profile", func() string { return fmt.Sprint(version.Load()) }, inner)
+			get := func(inm string) *httptest.ResponseRecorder {
+				req := httptest.NewRequest("GET", "/v1/t1/profile", nil)
+				if inm != "" {
+					req.Header.Set("If-None-Match", inm)
+				}
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, req)
+				return rr
+			}
+			var tagged string
+			for i := 0; i < 3; i++ {
+				rr := get("")
+				var v int64
+				if _, err := fmt.Sscanf(rr.Body.String(), `{"snapshot":%d}`, &v); err != nil || rr.Code != http.StatusOK {
+					t.Fatalf("read %d: code %d body %q", i, rr.Code, rr.Body.String())
+				}
+				etag := rr.Header().Get("ETag")
+				if etag == "" {
+					if publishes != every {
+						t.Errorf("read %d (version %d) carries no ETag", i, v)
+					}
+					continue
+				}
+				if want := fmt.Sprintf(`"t1-profile-%d-`, v); !strings.HasPrefix(etag, want) {
+					t.Errorf("read %d: body of version %d served under ETag %s", i, v, etag)
+				}
+				tagged = etag
+			}
+			if publishes == every {
+				if n := s.cache.Len(); n != 0 {
+					t.Errorf("%d entries stored while every render published", n)
+				}
+				return
+			}
+			if rr := get(tagged); rr.Code != http.StatusNotModified || rr.Header().Get("X-Cache") != "hit" {
+				t.Errorf("conditional read: code %d X-Cache %q, want 304 hit", rr.Code, rr.Header().Get("X-Cache"))
+			}
+		})
+	}
+}
+
 // TestCachedConcurrentReaders hammers the cached handler from many
 // goroutines while snapshots keep publishing, asserting no reader ever
 // observes a torn response: every body must exactly match the

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -156,6 +157,129 @@ func TestServiceCacheOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusNotModified {
 		t.Errorf("If-None-Match code %d, want 304", resp.StatusCode)
 	}
+}
+
+// TestIdleTenantKeepsETag: a follow tenant that has caught up with its
+// file publishes nothing more, so its documents keep their versions.
+// /profile, /fleet, /drift and a point /query answer with the same
+// ETag across at least ten 5 ms snapshot ticks, /statusz's last publish
+// stays put while its last check moves, and a conditional GET is a 304
+// from the cache. Records appended to the file move /profile again.
+func TestIdleTenantKeepsETag(t *testing.T) {
+	const tick = 5 * time.Millisecond
+	path, records := writeCapture(t, 2*time.Minute, 7)
+	more, _ := writeCapture(t, 20*time.Second, 8)
+	base := filepath.Join(t.TempDir(), "base.prof")
+	if err := drift.SaveProfile(base, drift.NewProfile("empty", "test", core.Partial{}, time.Unix(0, 0).UTC())); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Config{HistorianRoot: t.TempDir(), Tenants: []TenantConfig{{
+		Name: "live", Source: SourceConfig{Kind: "follow", Path: path},
+		Workers: 2, Snapshot: Duration(tick), Historian: true, BaselinePath: base,
+	}}}, obs.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start(context.Background())
+	t.Cleanup(svc.Drain)
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+	url := srv.URL + "/v1/live"
+	eng := svc.Tenant("live").engine
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(tick) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	profile := func() (etag string, seq, packets int) {
+		resp, body := get(t, url+"/profile")
+		var doc struct{ Seq, Packets int }
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &doc) != nil {
+			return "", 0, 0
+		}
+		return resp.Header.Get("ETag"), doc.Seq, doc.Packets
+	}
+	waitUntil(fmt.Sprintf("the tenant to ingest the capture's %d records", records), func() bool {
+		_, _, n := profile()
+		return n == records
+	})
+
+	_, body := get(t, url+"/query")
+	var catalog []struct {
+		Station string `json:"station"`
+		IOA     uint32 `json:"ioa"`
+	}
+	if err := json.Unmarshal(body, &catalog); err != nil || len(catalog) == 0 {
+		t.Fatalf("catalog: %v (%.120q)", err, body)
+	}
+	docs := []string{"/profile", "/fleet", "/drift", fmt.Sprintf("/query?station=%s&ioa=%d", catalog[0].Station, catalog[0].IOA)}
+	etags := func() []string {
+		var tags []string
+		for _, doc := range docs {
+			resp, _ := get(t, url+doc)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == "" {
+				t.Fatalf("%s: code %d, ETag %q", doc, resp.StatusCode, resp.Header.Get("ETag"))
+			}
+			tags = append(tags, resp.Header.Get("ETag"))
+		}
+		return tags
+	}
+	// A publish stores its profile before the drift watch compares it,
+	// so wait until /drift names the seq /profile does.
+	waitUntil("the drift report of the last publish", func() bool {
+		_, seq, _ := profile()
+		resp, _ := get(t, url+"/drift")
+		return strings.HasPrefix(resp.Header.Get("ETag"), fmt.Sprintf(`"live-drift-%d-`, seq))
+	})
+
+	before, published, since := etags(), eng.Status().LastPublish, time.Now()
+	waitUntil("ten snapshot ticks", func() bool {
+		last := eng.Status().LastTick
+		return last != nil && last.After(since.Add(10*tick))
+	})
+	after := etags()
+	for i, doc := range docs {
+		if before[i] != after[i] {
+			t.Errorf("%s: ETag %s became %s with nothing ingested", doc, before[i], after[i])
+		}
+	}
+	if st := eng.Status(); published == nil || st.LastPublish == nil || !st.LastPublish.Equal(*published) {
+		t.Errorf("/statusz last publish moved from %v to %v with nothing ingested", published, st.LastPublish)
+	}
+
+	req, _ := http.NewRequest(http.MethodGet, url+"/profile", nil)
+	req.Header.Set("If-None-Match", before[0])
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotModified || resp.Header.Get("X-Cache") != "hit" {
+		t.Errorf("conditional GET: code %d X-Cache %q, want 304 hit", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+
+	tail, err := os.ReadFile(more)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tail[24:]); err != nil { // its records, not its file header
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil("the appended records to publish", func() bool {
+		etag, _, n := profile()
+		return n > records && etag != before[0]
+	})
 }
 
 // TestProbeProfileSharesFleetEntry: a probe-only tenant's /profile is

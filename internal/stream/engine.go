@@ -76,8 +76,11 @@ type Config struct {
 	QueueDepth int
 	// Policy picks Block (default) or DropNewest.
 	Policy DropPolicy
-	// SnapshotEvery is the rolling-profile period; 0 disables the
-	// periodic snapshotter (a final profile is still produced).
+	// SnapshotEvery is how often the engine checks the shards for new
+	// content and, when there is some, publishes a rolling profile: a
+	// tick that finds nothing consumed or shed since the last publish
+	// publishes nothing. 0 disables the periodic snapshotter (a final
+	// profile is still produced).
 	SnapshotEvery time.Duration
 	// PollInterval is how long the reader sleeps on ErrNotReady
 	// (default DefaultPollInterval).
@@ -125,9 +128,12 @@ type Config struct {
 	MaxPointSamples int
 	// OnSnapshot receives every published snapshot: the merged Partial,
 	// the derived Profile and whether this is the final end-of-stream
-	// publish. Called from the snapshot path with the engine lock held:
-	// keep it fast (hand off to a channel) and do not call back into
-	// the engine. The pipeline runtime uses it to forward snapshots
+	// publish. A snapshot is published when its content changed — the
+	// first tick, every tick after a shard consumed a record or the
+	// engine shed one, and the final publish — so an idle feed calls it
+	// once, not once per tick. Called from the snapshot path with the
+	// engine lock held: keep it fast (hand off to a channel) and do not
+	// call back into the engine. The pipeline runtime uses it to forward snapshots
 	// down profiles edges and to run live drift detection.
 	OnSnapshot func(p core.Partial, prof *Profile, final bool)
 }
@@ -221,6 +227,12 @@ type shard struct {
 	epoch      *atomic.Int64 // the engine's snapshot epoch counter
 	sealedSeq  atomic.Int64
 	sealedNote chan struct{} // capacity 1: "sealedSeq moved"
+	// fed counts the records the shard has taken off its queues,
+	// decoded or not (one add per batch); sealedFed is fed as of buf,
+	// written beside it and read under the same sealedSeq ordering.
+	// A seal with nothing fed since the last one keeps buf as it is.
+	fed       atomic.Int64
+	sealedFed int64
 	// buf is the shard's last seal, written over by the next one. The
 	// shard writes it only before advancing sealedSeq, and Snapshot reads
 	// it only once sealedSeq has reached its epoch, so the atomic orders
@@ -228,7 +240,8 @@ type shard struct {
 	// which Snapshot issues, under e.mu, only after its merge of epoch N
 	// has returned — and MergePartials copies every value it reads from
 	// a seal except the chain tables, which are fresh each seal, so
-	// nothing published aliases buf.
+	// nothing published aliases buf. Once the shard has exited (done is
+	// closed), Snapshot reseals buf itself, under e.mu.
 	buf core.Partial
 }
 
@@ -271,13 +284,19 @@ func (s *shard) run() {
 
 // maybeSeal reseals the shard's partial into buf when a snapshot epoch
 // newer than the last seal is pending. Called between batches and when
-// poked, so the analyzer is always quiescent here.
+// poked, so the analyzer is always quiescent here. A shard that was fed
+// nothing since its last seal acknowledges the epoch with buf as it
+// is: the analyzer has not moved, and nothing published aliases buf.
 func (s *shard) maybeSeal() {
 	want := s.epoch.Load()
-	if want <= s.sealedSeq.Load() {
+	last := s.sealedSeq.Load()
+	if want <= last {
 		return
 	}
-	s.an.PartialInto(&s.buf)
+	if fed := s.fed.Load(); fed != s.sealedFed || last == 0 {
+		s.an.PartialInto(&s.buf)
+		s.sealedFed = fed
+	}
 	s.sealedSeq.Store(want)
 	select {
 	case s.sealedNote <- struct{}{}:
@@ -331,6 +350,7 @@ func (s *shard) consume(b *batch) {
 		s.an.Feed(&pkts[i])
 	}
 	s.an.FlushMetrics()
+	s.fed.Add(int64(b.size()))
 	// The slots reference record bytes (a failed decode leaves some in
 	// the slot after the last good one): drop them all before the slab
 	// goes back to the pool.
@@ -379,13 +399,27 @@ type Engine struct {
 	snapEpoch atomic.Int64
 	readers   atomic.Pointer[[]*reader] // nil until Run
 
-	profile  atomic.Pointer[Profile]
-	lastPart atomic.Pointer[core.Partial]
+	// pub is the last publish; seq numbers publishes. lastTick and
+	// lastPub are the unix nanos of the last content check and of the
+	// last publish, for /statusz.
+	pub      atomic.Pointer[published]
 	seq      int
+	lastTick atomic.Int64
+	lastPub  atomic.Int64
 
 	mu      sync.Mutex
 	running bool
 	final   core.Partial
+}
+
+// published is one publish, stored as one record so a reader that sees
+// a profile's Seq also sees the partial behind it. fed and dropped are
+// the shards' sealed record count and the engine's shed-packet total it
+// was cut at: a tick that finds both unchanged has nothing new.
+type published struct {
+	prof         *Profile
+	part         core.Partial
+	fed, dropped int64
 }
 
 // Engine lifecycle states, published for readiness probes.
@@ -564,8 +598,12 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 	}
 	e.final = core.MergePartials(parts)
 	e.trcSnap.End(msp, trace.StageMerge, len(parts), -1)
+	var fed int64
+	for _, sh := range e.shards {
+		fed += sh.fed.Load()
+	}
 	e.seq++
-	e.publish(e.final, e.seq, true)
+	e.publish(e.final, e.seq, true, fed)
 	e.mu.Unlock()
 	// The drain is complete: every observed frame has passed through
 	// the shard observers, so the historian tail can be made durable.
@@ -844,9 +882,14 @@ func stallCause(sh *shard, r int) string {
 	return causeName(sh.cur.Load())
 }
 
-// Snapshot merges a consistent-enough cut of all shards into a
-// Partial, publishes the derived rolling Profile, and returns the
-// Partial. After Run finishes it returns the exact final state.
+// Snapshot checks the shards for new content and, when there is some,
+// merges a consistent-enough cut of all shards into a Partial and
+// publishes the derived rolling Profile. It returns the published
+// Partial: the new one, or — when no shard consumed a record and the
+// engine shed none since the last publish — the last one, with the seq,
+// the Profile, OnSnapshot, the journal and the historian left alone.
+// The first check always publishes. After Run finishes it returns the
+// exact final state.
 //
 // Publishing does not stop the world: each shard seals its own
 // partial at its next between-batches point (sealed-epoch protocol)
@@ -858,25 +901,28 @@ func (e *Engine) Snapshot() core.Partial {
 	if !e.running {
 		return e.final
 	}
+	e.lastTick.Store(time.Now().UnixNano())
 	msp := e.trcSnap.Start()
 	epoch := e.snapEpoch.Add(1)
-	parts := make([]core.Partial, len(e.shards))
 	for _, sh := range e.shards {
 		sh.poke()
 	}
-	for i, sh := range e.shards {
+	var fed int64
+	exited := false
+	for _, sh := range e.shards {
 		for {
 			seq := sh.sealedSeq.Load()
 			if seq == sealedForever {
 				// The shard exited without sealing for this epoch. Once
 				// done is closed its goroutine is gone, so the analyzer
-				// is quiescent and can be read directly.
+				// is quiescent and can be sealed here.
 				<-sh.done
-				parts[i] = sh.an.Partial()
+				sh.an.PartialInto(&sh.buf)
+				sh.sealedFed = sh.fed.Load()
+				exited = true
 				break
 			}
 			if seq >= epoch {
-				parts[i] = sh.buf
 				break
 			}
 			// The poke above cannot be lost (wake holds it until the
@@ -888,11 +934,20 @@ func (e *Engine) Snapshot() core.Partial {
 			case <-sh.done:
 			}
 		}
+		fed += sh.sealedFed
+	}
+	_, dropped := e.metrics.dropped()
+	if last := e.pub.Load(); last != nil && !exited && fed == last.fed && dropped == last.dropped {
+		return last.part
+	}
+	parts := make([]core.Partial, len(e.shards))
+	for i, sh := range e.shards {
+		parts[i] = sh.buf
 	}
 	merged := core.MergePartials(parts)
 	e.trcSnap.End(msp, trace.StageMerge, len(parts), -1)
 	e.seq++
-	e.publish(merged, e.seq, false)
+	e.publish(merged, e.seq, false, fed)
 	e.syncHistorian(merged.Last)
 	return merged
 }
@@ -908,16 +963,16 @@ func (e *Engine) syncHistorian(at time.Time) {
 	}
 }
 
-// publish derives and stores the rolling profile. Called with e.mu
-// held (or single-threaded at shutdown).
-func (e *Engine) publish(p core.Partial, seq int, final bool) {
+// publish derives and stores the rolling profile of p, which holds fed
+// sealed records. Called with e.mu held (or single-threaded at
+// shutdown).
+func (e *Engine) publish(p core.Partial, seq int, final bool, fed int64) {
 	psp := e.trcSnap.Start()
 	prof := BuildProfile(p, seq, e.cfg.ClusterK, e.cfg.ClusterSeed)
 	prof.Workers = e.cfg.Workers
 	prof.DroppedBatches, prof.DroppedPackets = e.metrics.dropped()
-	e.profile.Store(prof)
-	pp := p
-	e.lastPart.Store(&pp)
+	e.pub.Store(&published{prof: prof, part: p, fed: fed, dropped: prof.DroppedPackets})
+	e.lastPub.Store(time.Now().UnixNano())
 	e.metrics.noteSnapshot()
 	e.cfg.Journal.Log(p.Last, obs.EventSnapshot, "", map[string]any{
 		"seq":          seq,
@@ -950,7 +1005,12 @@ func (e *Engine) publish(p core.Partial, seq int, final bool) {
 
 // Profile returns the latest published rolling profile, or nil before
 // the first snapshot.
-func (e *Engine) Profile() *Profile { return e.profile.Load() }
+func (e *Engine) Profile() *Profile {
+	if p := e.pub.Load(); p != nil {
+		return p.prof
+	}
+	return nil
+}
 
 // Final returns the exact end-of-stream state; valid after Run
 // returns.
@@ -978,9 +1038,9 @@ func (e *Engine) Analyzer() *core.Analyzer {
 // it and merge it further — the control-room service folds it into
 // fleet-wide aggregates — but must not mutate it.
 func (e *Engine) LastPartial() (core.Partial, bool) {
-	p := e.lastPart.Load()
+	p := e.pub.Load()
 	if p == nil {
 		return core.Partial{}, false
 	}
-	return *p, true
+	return p.part, true
 }

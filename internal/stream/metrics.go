@@ -62,7 +62,7 @@ func newEngineMetrics(reg *obs.Registry, workers int) *engineMetrics {
 	reg.SetHelp(MetricBatches, "Batches dispatched to analysis shards.")
 	reg.SetHelp(MetricDroppedBatches, "Batches shed under the drop policy, by shard.")
 	reg.SetHelp(MetricDroppedPackets, "Packets shed under the drop policy, by shard.")
-	reg.SetHelp(MetricSnapshots, "Rolling profiles published.")
+	reg.SetHelp(MetricSnapshots, "Rolling profiles published: one per content change (a shard consumed a record or the engine shed one since the last), not one per snapshot tick.")
 	reg.SetHelp(MetricWorkers, "Configured analysis shard count.")
 	reg.SetHelp(MetricQueueDepth, "Shard queue depth observed at the latest enqueue.")
 	reg.SetHelp(MetricStalls, "Reader stalls under the Block policy, by shard and the stage that caused them.")

@@ -17,8 +17,9 @@ import (
 // shard snapshot. It is what -follow mode serves at /profile and what
 // cmd/iec104live prints when it drains.
 type Profile struct {
-	// Seq increments per published snapshot; the final profile has the
-	// highest Seq.
+	// Seq increments per published snapshot, and a snapshot is
+	// published only when its content changed, so an unchanged Seq
+	// means unchanged content. The final profile has the highest Seq.
 	Seq int `json:"seq"`
 	// Workers is the shard count that produced this profile.
 	Workers int `json:"workers"`

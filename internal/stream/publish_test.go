@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,29 +18,6 @@ import (
 	"uncharted/internal/scadasim"
 	"uncharted/internal/topology"
 )
-
-// heldSource delivers its capture, then reports ErrNotReady once (the
-// reader flushes every pending batch to the shards) and keeps the
-// stream open until release is closed: an engine that has analyzed the
-// whole capture and is still running, so Snapshot seals and merges.
-type heldSource struct {
-	RawSource
-	release chan struct{}
-	drained bool
-}
-
-func (s *heldSource) NextRaw(scratch []byte) ([]byte, pcap.CaptureInfo, pcap.LinkType, error) {
-	if !s.drained {
-		data, ci, link, err := s.RawSource.NextRaw(scratch)
-		if err != io.EOF {
-			return data, ci, link, err
-		}
-		s.drained = true
-		return nil, pcap.CaptureInfo{}, 0, ErrNotReady
-	}
-	<-s.release
-	return nil, pcap.CaptureInfo{}, 0, io.EOF
-}
 
 // TestProfileClustersMatchReport: the profile's clusters are the fit,
 // not the full report, and must not differ from the report's fields
@@ -223,67 +201,169 @@ func TestPublishedPartialsStayPut(t *testing.T) {
 	t.Logf("%d partials kept (%d from the hook), %d mid-capture", len(hooked)+len(taken), len(hooked), moved)
 }
 
+// gatedSource delivers its capture a release at a time: each value
+// received on gate lets that many records through, then the source
+// reports ErrNotReady once (the reader flushes every pending batch to
+// the shards) and waits for the next release. Closing gate ends it.
+type gatedSource struct {
+	RawSource
+	gate    chan int
+	left    int
+	flushed bool
+}
+
+func (s *gatedSource) NextRaw(scratch []byte) ([]byte, pcap.CaptureInfo, pcap.LinkType, error) {
+	if s.left == 0 {
+		if !s.flushed {
+			s.flushed = true
+			return nil, pcap.CaptureInfo{}, 0, ErrNotReady
+		}
+		n, ok := <-s.gate
+		if !ok {
+			return nil, pcap.CaptureInfo{}, 0, io.EOF
+		}
+		s.left, s.flushed = n, false
+	}
+	s.left--
+	return s.RawSource.NextRaw(scratch)
+}
+
 // TestSnapshotAllocCeiling: one Snapshot of a warmed, running engine
-// — each shard seals its partial, the seals merge, the profile is built
-// and published — allocates what it publishes and little else. Over the
-// y1 fixture at two shards with session clustering on, a tick is 174
-// allocations and about 253 KB. It was 199 and 378 KB while each seal
-// built a fresh copy of its shard's lists, which the merge copied again
-// and dropped; 1 871 allocations while the profile fitted a K = 2..8
-// sweep and a PCA it threw away, merges boxed every row behind a map
-// and each seal cloned every chain three allocations at a time. The
-// ceilings are today's readings plus 10 %; under -race, which grows
-// slices differently, only the object count is held.
+// allocates what it publishes and little else — and nothing when there
+// is nothing new to publish. A 2-shard engine with session clustering
+// on takes the y1 fixture through a gated source: all but the last
+// (runs+1)×256 records, then 256 more before each measured tick.
+//
+// A changed tick — each shard reseals its partial, the seals merge,
+// the profile is built and published — is 174 allocations and about
+// 253 KB. It was 199 and 378 KB while each seal built a fresh copy of
+// its shard's lists, which the merge copied again and dropped; 1 871
+// allocations while the profile fitted a K = 2..8 sweep and a PCA it
+// threw away, merges boxed every row behind a map and each seal cloned
+// every chain three allocations at a time. The ceilings are those
+// readings plus 10 %; under -race, which grows slices differently, only
+// the object count is held.
+//
+// An idle tick — no shard consumed a record since the last publish —
+// publishes nothing: the same Profile, the same seq, no OnSnapshot call
+// and no new last-publish time, within one allocation and 1 KB.
 func TestSnapshotAllocCeiling(t *testing.T) {
 	const ceiling, byteCeiling = 191, 278_000
+	const runs, slice = 20, 256
 	sim, tr := simulate(t, 7, 3*time.Minute)
 	capture := tracePCAP(t, tr)
-	names := core.NamesFromTopology(sim.Network())
-	want := offlinePartial(t, sim, capture).Packets
 
-	e := New(Config{Workers: 2, Names: names, ClusterK: 5, ClusterSeed: 1202})
-	src := &heldSource{
+	var hooked atomic.Int64
+	e := New(Config{
+		Workers: 2, Names: core.NamesFromTopology(sim.Network()), ClusterK: 5, ClusterSeed: 1202,
+		PollInterval: time.Millisecond,
+		OnSnapshot:   func(core.Partial, *Profile, bool) { hooked.Add(1) },
+	})
+	src := &gatedSource{
 		RawSource: NewReaderAtSource(bytes.NewReader(capture), int64(len(capture))),
-		release:   make(chan struct{}),
+		gate:      make(chan int),
 	}
 	done := make(chan error, 1)
 	go func() { done <- e.Run(context.Background(), src) }()
 	defer func() {
-		close(src.release)
+		close(src.gate)
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 	}()
 
-	deadline := time.Now().Add(30 * time.Second)
-	for e.Snapshot().Packets < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("engine never caught up to the capture's %d packets", want)
+	fed := func() (per []int64, total int64) {
+		for _, sh := range e.shards {
+			per = append(per, sh.fed.Load())
+			total += per[len(per)-1]
 		}
-		time.Sleep(5 * time.Millisecond)
+		return per, total
 	}
+	var released int64
+	release := func(t *testing.T, n int) {
+		t.Helper()
+		released += int64(n)
+		src.gate <- n
+		deadline := time.Now().Add(30 * time.Second)
+		for _, total := fed(); total < released; _, total = fed() {
+			if time.Now().After(deadline) {
+				t.Fatalf("shards consumed %d of the %d records released", total, released)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	release(t, len(tr.Records)-(runs+1)*slice)
+	e.Snapshot()
 	if prof := e.Profile(); prof.Clusters == nil || len(prof.Physical) == 0 || len(prof.Markov.Connections) == 0 {
 		t.Fatalf("warmed profile is missing sections: clusters %v, %d series, %d connections",
 			prof.Clusters, len(prof.Physical), len(prof.Markov.Connections))
 	}
-	// testing.AllocsPerRun's measurement, reading bytes as well: one
-	// warm-up tick, then the average over 20. The shards seal on their
-	// own goroutines, which the process-wide counters include.
-	const runs = 20
-	e.Snapshot()
+
+	// testing.AllocsPerRun's measurement, reading bytes as well, around
+	// each Snapshot only: one warm-up tick, then the average over runs.
+	// The shards seal on their own goroutines, which the process-wide
+	// counters include.
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	t.Run("changed", func(t *testing.T) {
+		var allocs, bytesPer uint64
+		for i := 0; i <= runs; i++ {
+			was, _ := fed()
+			release(t, slice)
+			now, _ := fed()
+			for sh := range now {
+				if now[sh] == was[sh] {
+					t.Fatalf("round %d: shard %d was fed nothing, so it would not reseal", i, sh)
+				}
+			}
+			seq := e.Profile().Seq
+			runtime.ReadMemStats(&before)
+			e.Snapshot()
+			runtime.ReadMemStats(&after)
+			if got := e.Profile().Seq; got != seq+1 {
+				t.Fatalf("round %d: a tick after new records left seq %d at %d", i, seq, got)
+			}
+			if i > 0 {
+				allocs += after.Mallocs - before.Mallocs
+				bytesPer += after.TotalAlloc - before.TotalAlloc
+			}
+		}
+		allocs, bytesPer = allocs/runs, bytesPer/runs
+		t.Logf("one changed Snapshot: %d allocations (ceiling %d), %d bytes (ceiling %d)", allocs, ceiling, bytesPer, byteCeiling)
+		if allocs > ceiling {
+			t.Errorf("one changed Snapshot allocates %d objects, ceiling %d", allocs, ceiling)
+		}
+		if bytesPer > byteCeiling && !raceBuild {
+			t.Errorf("one changed Snapshot allocates %d bytes, ceiling %d", bytesPer, byteCeiling)
+		}
+	})
+
+	t.Run("idle", func(t *testing.T) {
+		const idleAllocs, idleBytes = 1, 1 << 10
+		prof, calls, status := e.Profile(), hooked.Load(), e.Status()
 		e.Snapshot()
-	}
-	runtime.ReadMemStats(&after)
-	allocs := (after.Mallocs - before.Mallocs) / runs
-	bytesPer := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("one Snapshot: %d allocations (ceiling %d), %d bytes (ceiling %d)", allocs, ceiling, bytesPer, byteCeiling)
-	if allocs > ceiling {
-		t.Errorf("one Snapshot allocates %d objects, ceiling %d", allocs, ceiling)
-	}
-	if bytesPer > byteCeiling && !raceBuild {
-		t.Errorf("one Snapshot allocates %d bytes, ceiling %d", bytesPer, byteCeiling)
-	}
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			e.Snapshot()
+		}
+		runtime.ReadMemStats(&after)
+		allocs := (after.Mallocs - before.Mallocs) / runs
+		bytesPer := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("one idle Snapshot: %d allocations (ceiling %d), %d bytes (ceiling %d)", allocs, idleAllocs, bytesPer, idleBytes)
+		if allocs > idleAllocs || bytesPer > idleBytes {
+			t.Errorf("one idle Snapshot allocates %d objects and %d bytes, ceilings %d and %d", allocs, bytesPer, idleAllocs, idleBytes)
+		}
+		if got := e.Profile(); got != prof {
+			t.Errorf("idle ticks replaced the profile: seq %d became %d", prof.Seq, got.Seq)
+		}
+		if got := hooked.Load(); got != calls {
+			t.Errorf("idle ticks called OnSnapshot %d times", got-calls)
+		}
+		st := e.Status()
+		if st.LastPublish == nil || !st.LastPublish.Equal(*status.LastPublish) {
+			t.Errorf("idle ticks moved the last publish from %v to %v", status.LastPublish, st.LastPublish)
+		}
+		if st.LastTick == nil || !st.LastTick.After(*status.LastTick) {
+			t.Errorf("idle ticks left the last check at %v (was %v)", st.LastTick, status.LastTick)
+		}
+	})
 }

@@ -47,7 +47,11 @@ type ShardStatus struct {
 	DropCauses     map[string]int64 `json:"drops_by_cause,omitempty"`
 }
 
-// Status is the engine's /statusz document.
+// Status is the engine's /statusz document. LastTick is when a
+// snapshot tick last checked the shards for new content, LastPublish
+// when a check (or the end of the run) last published some: on an idle
+// feed the first moves and the second does not. Each is absent before
+// the first of its kind.
 type Status struct {
 	State          string         `json:"state"`
 	UptimeSeconds  float64        `json:"uptime_seconds"`
@@ -58,6 +62,8 @@ type Status struct {
 	Packets        int64          `json:"packets"`
 	Batches        int64          `json:"batches"`
 	Snapshots      int64          `json:"snapshots"`
+	LastTick       *time.Time     `json:"last_tick,omitempty"`
+	LastPublish    *time.Time     `json:"last_publish,omitempty"`
 	DroppedBatches int64          `json:"dropped_batches"`
 	DroppedPackets int64          `json:"dropped_packets"`
 	Readers        []ReaderStatus `json:"readers,omitempty"` // empty only before Run
@@ -99,6 +105,7 @@ func (e *Engine) Status() Status {
 	if started := e.started.Load(); started != 0 {
 		st.UptimeSeconds = time.Since(time.Unix(0, started)).Seconds()
 	}
+	st.LastTick, st.LastPublish = unixTime(e.lastTick.Load()), unixTime(e.lastPub.Load())
 	if m := e.metrics; m != nil {
 		st.Packets = m.packets.Value()
 		st.Batches = m.batches.Value()
@@ -168,6 +175,15 @@ func (e *Engine) Status() Status {
 	return st
 }
 
+// unixTime is the time of unix nanos ns, or nil for 0 (never).
+func unixTime(ns int64) *time.Time {
+	if ns == 0 {
+		return nil
+	}
+	t := time.Unix(0, ns)
+	return &t
+}
+
 // nonZero returns the counters that have fired, by cause; nil if none.
 func nonZero(byCause map[string]*obs.Counter) map[string]int64 {
 	var out map[string]int64
@@ -194,6 +210,7 @@ func (st Status) WriteText(w io.Writer) error {
 		st.State, st.UptimeSeconds, st.Policy, st.Workers, st.BatchSize, st.QueueDepth)
 	fmt.Fprintf(w, "packets %d  batches %d  snapshots %d  dropped %d batches / %d packets\n",
 		st.Packets, st.Batches, st.Snapshots, st.DroppedBatches, st.DroppedPackets)
+	fmt.Fprintf(w, "last checked %s  last changed %s\n", fmtStamp(st.LastTick), fmtStamp(st.LastPublish))
 	for _, r := range st.Readers {
 		fmt.Fprintf(w, "reader %d: segment @%d +%d  read %d  %.1f MB/s%s\n",
 			r.ID, r.SegmentOff, r.SegmentSize, r.BytesRead, r.MBPerSec, doneSuffix(r.Done))
@@ -225,10 +242,12 @@ td:first-child,th:first-child{text-align:left}
 <h2>uncharted streaming pipeline</h2>
 <p>state <b>%s</b> · uptime %.1fs · policy %s · %d workers · batch %d · queue %d</p>
 <p>packets %d · batches %d · snapshots %d · dropped %d batches / %d packets</p>
+<p>last checked %s · last changed %s</p>
 `,
 		html.EscapeString(st.State), st.UptimeSeconds, html.EscapeString(st.Policy),
 		st.Workers, st.BatchSize, st.QueueDepth,
-		st.Packets, st.Batches, st.Snapshots, st.DroppedBatches, st.DroppedPackets)
+		st.Packets, st.Batches, st.Snapshots, st.DroppedBatches, st.DroppedPackets,
+		fmtStamp(st.LastTick), fmtStamp(st.LastPublish))
 
 	if len(st.Readers) > 0 {
 		fmt.Fprint(w, "<h3>readers</h3><table><tr><th>reader</th><th>segment</th><th>read</th><th>MB/s</th><th>state</th></tr>\n")
@@ -297,6 +316,14 @@ func doneSuffix(done bool) string {
 		return "  done"
 	}
 	return ""
+}
+
+// fmtStamp renders a status timestamp with its age, "-" for never.
+func fmtStamp(t *time.Time) string {
+	if t == nil {
+		return "-"
+	}
+	return fmt.Sprintf("%s (%s ago)", t.Format("15:04:05.000"), fmtSeconds(time.Since(*t).Seconds()))
 }
 
 func fmtSeconds(s float64) string {
