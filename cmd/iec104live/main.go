@@ -61,7 +61,7 @@ func run() int {
 	attack := flag.String("attack", "", "inject an attack mid-feed and detect it online: recon, breaker or setpoint")
 	pcapOut := flag.String("pcap", "", "also write the fed traffic as a capture for offline cross-checking")
 	journalPath := flag.String("journal", "", "append structured pipeline events to this JSONL file")
-	historianDir := flag.String("historian", "", "record every extracted measurement into the durable historian at this directory (adds /query next to /metrics)")
+	historianDir := flag.String("historian", "", "record every IEC 104 measurement into the durable historian at this directory (adds /query next to /metrics)")
 	pointCap := flag.Int("point-cap", 0, "cap in-memory samples per series; pair with -historian for bounded-memory long feeds (0 = unbounded)")
 	tracePath := flag.String("trace", "", "record sampled stage spans and write a Chrome trace_event JSON file here on drain (open in chrome://tracing or Perfetto; SIGUSR1 dumps mid-run)")
 	traceSample := flag.Int("trace-sample", 64, "with -trace, record 1 in N span starts per lane")

@@ -3,7 +3,7 @@
 // dialect detection, session clusters, Markov chains with the
 // outstation classification, the ASDU type distribution, the
 // physical-measurement ranking, and the pipeline's own observability
-// stats (per-stage wall time and metric counters).
+// stats (metric counters, gauges, histograms and journal event counts).
 //
 // Every run is the declared src → analyzer graph (pipeline.ProfilerGraph)
 // under the shared host: -workers shards analyze concurrently, a rolling
@@ -61,7 +61,7 @@ const reportHelp = `comma-separated reports to print; valid values:
   types       ASDU type distribution (Table 7)
   physical    measurement series ranked by normalized variance (§6.4)
   timing      recovered per-station reporting periods (one-shard runs)
-  stats       pipeline observability: stage timings, counters, journal events`
+  stats       pipeline observability: counters, gauges, histograms, journal events`
 
 // The flag table; the report printer reads it directly.
 var (
@@ -75,7 +75,7 @@ var (
 	metricsAddr   = flag.String("metrics", "", "serve /metrics, /debug/vars and /profile on this address (e.g. :9104)")
 	snapshotEvery = flag.Duration("snapshot", 2*time.Second, "rolling-profile period with -follow")
 	idleTimeout   = flag.Duration("idle-timeout", 0, "evict flows idle this long (0 = keep all)")
-	historianDir  = flag.String("historian", "", "record every extracted measurement into the durable historian at this directory (adds /query next to /metrics)")
+	historianDir  = flag.String("historian", "", "record every IEC 104 measurement into the durable historian at this directory (adds /query next to /metrics)")
 	pointCap      = flag.Int("point-cap", 0, "cap in-memory samples per series; pair with -historian so long -follow runs hold steady memory (0 = unbounded)")
 	saveProfile   = flag.String("save-profile", "", "save the merged analysis state as a versioned profile file for later drift comparison")
 	profileLabel  = flag.String("profile-label", "", "label stored with -save-profile and -push (default: capture path)")
@@ -331,23 +331,13 @@ func pushPartial(url, label, source string, p core.Partial) error {
 	return nil
 }
 
-// printStats renders the observability registry: per-stage wall-time
-// breakdown, then every counter (the malformed-frame causes and
-// strict-invalid dialects appear here as labeled series), then
-// histogram summaries.
+// printStats renders the observability registry: every counter (the
+// malformed-frame causes and strict-invalid dialects appear here as
+// labeled series), then gauges, histogram summaries (with -trace, the
+// flight recorder's per-stage latencies) and journal event counts.
 func printStats(reg *obs.Registry, journal *obs.Journal) {
 	snap := reg.Snapshot()
 	fmt.Println("== Pipeline stats (observability registry) ==")
-
-	if len(snap.Stages) > 0 {
-		fmt.Println("stage timings:")
-		fmt.Printf("  %-16s %10s %12s %12s %12s %12s\n", "stage", "calls", "total", "mean", "min", "max")
-		for _, st := range snap.Stages {
-			fmt.Printf("  %-16s %10d %12s %12s %12s %12s\n",
-				st.Name, st.Count, roundDur(st.Total), roundDur(st.Mean), roundDur(st.Min), roundDur(st.Max))
-		}
-	}
-
 	fmt.Println("counters:")
 	for _, c := range snap.Counters {
 		fmt.Printf("  %-46s %10d\n", c.Name+labelSuffix(c.Labels), c.Value)
@@ -358,15 +348,9 @@ func printStats(reg *obs.Registry, journal *obs.Journal) {
 			fmt.Printf("  %-46s %10g\n", g.Name+labelSuffix(g.Labels), g.Value)
 		}
 	}
-	var histograms []obs.HistogramSnapshot
-	for _, h := range snap.Histograms {
-		if h.Name != obs.StageDurationMetric { // stages are summarised above
-			histograms = append(histograms, h)
-		}
-	}
-	if len(histograms) > 0 {
+	if len(snap.Histograms) > 0 {
 		fmt.Println("histograms:")
-		for _, h := range histograms {
+		for _, h := range snap.Histograms {
 			mean := 0.0
 			if h.Count > 0 {
 				mean = h.Sum / float64(h.Count)
@@ -406,17 +390,6 @@ func labelSuffix(labels []string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// roundDur trims a duration to a readable precision.
-func roundDur(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return d.Round(time.Millisecond).String()
-	case d >= time.Millisecond:
-		return d.Round(time.Microsecond).String()
-	}
-	return d.String()
 }
 
 func printTiming(whole *core.Analyzer) {

@@ -43,13 +43,6 @@ func NextFrame(buf []byte) (frame, rest []byte, skipped int, ok bool) {
 	}
 }
 
-// ValidateFrame validates a framed byte slice (length and CRC) and
-// returns its header plus the body between the common header and the
-// CHK trailer — the exported entry point generic decoders use.
-func ValidateFrame(b []byte) (FrameInfo, []byte, error) {
-	return checkFrame(b)
-}
-
 // RateHz converts the DATA_RATE field to frames per second: positive
 // values are fps, negative values are seconds per frame.
 func RateHz(r int16) float64 {

@@ -669,12 +669,6 @@ func compareStreams(x, y protocol.StreamCompliance) int {
 	return strings.Compare(x.Unit, y.Unit)
 }
 
-// ConnProto returns the dialect of a logical connection (IEC 104 when
-// never claimed by another dialect).
-func (a *Analyzer) ConnProto(k ConnKey) protocol.ID {
-	return a.connProto[k]
-}
-
 // StationCompliance is the §6.1 verdict for one endpoint.
 type StationCompliance struct {
 	Addr   netip.Addr
@@ -1091,16 +1085,6 @@ func (a *Analyzer) fillDirCache(c *dirCache, sp *tcpflow.StreamPayload) {
 	c.filled = true
 }
 
-// strictPlausible checks whether a standard-profile parse of the frame
-// both succeeds and looks sane — the §6.1 Wireshark test. The analyzer
-// hot path calls the method on its own parser so the check reuses that
-// parser's detection scratch; this wrapper exists for callers without
-// one.
-func strictPlausible(frame []byte) bool {
-	var tp iec104.TolerantParser
-	return tp.StrictPlausible(frame)
-}
-
 func (a *Analyzer) complianceFor(addr netip.Addr) *StationCompliance {
 	sc, ok := a.compliance[addr]
 	if !ok {
@@ -1156,13 +1140,10 @@ func (a *Analyzer) notePortTraffic(sp *tcpflow.StreamPayload) {
 	a.otherPorts[port] += len(sp.Data)
 }
 
-// OtherProtocols returns payload byte counts of non-IEC-104 streams by
-// well-known port (the ICCP / C37.118 traffic the paper's tap also
-// carried and left for future work).
-func (a *Analyzer) OtherProtocols() map[uint16]int { return a.otherPortsInto(nil) }
-
-// otherPortsInto writes OtherProtocols' tally over m, or into a new map
-// when m is nil, and returns it.
+// otherPortsInto writes the payload byte counts of non-IEC-104 streams
+// by well-known port (the ICCP / C37.118 traffic the paper's tap also
+// carried and left for future work) over m, or into a new map when m is
+// nil, and returns it.
 func (a *Analyzer) otherPortsInto(m map[uint16]int) map[uint16]int {
 	clear(m)
 	if m == nil {

@@ -101,8 +101,9 @@ func TestDirCountsTotal(t *testing.T) {
 }
 
 func TestStrictPlausible(t *testing.T) {
+	var tp iec104.TolerantParser
 	std := mustFrame(t)
-	if !strictPlausible(std) {
+	if !tp.StrictPlausible(std) {
 		t.Error("standard frame reported implausible")
 	}
 	asdu := iec104.NewMeasurement(iec104.MMeNc, 1, 100,
@@ -111,12 +112,12 @@ func TestStrictPlausible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strictPlausible(legacy) {
+	if tp.StrictPlausible(legacy) {
 		t.Error("legacy frame reported plausible")
 	}
 	// Control frames are always fine.
 	u, _ := iec104.NewU(iec104.UTestFRAct).Marshal(iec104.Standard)
-	if !strictPlausible(u) {
+	if !tp.StrictPlausible(u) {
 		t.Error("U frame reported implausible")
 	}
 }

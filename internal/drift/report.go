@@ -38,17 +38,6 @@ func (r *DriftReport) WriteText(w io.Writer) {
 	}
 }
 
-// Alerts converts every finding into an ids drift alert, so stream
-// deployments surface longitudinal drift through the same channel as
-// the online monitors.
-func (r *DriftReport) Alerts() []ids.Alert {
-	out := make([]ids.Alert, 0, len(r.Findings))
-	for _, f := range r.Findings {
-		out = append(out, f.Alert())
-	}
-	return out
-}
-
 // Alert converts one finding into an ids drift alert.
 func (f Finding) Alert() ids.Alert {
 	return ids.Alert{

@@ -6,16 +6,18 @@ import (
 )
 
 // Recorder bridges the analysis pipeline to the historian: it
-// implements core.FrameObserver and appends every value-bearing
-// information object of each accepted I-format APDU — a frame's
-// samples under one store lock, through the station's write handle. It
-// extracts samples with physical.EachValue under the same
-// station/command resolution as physical.Store.Feed, so the durable
-// history and the in-memory series are sample-for-sample identical —
-// the property that makes historian-backed event detection reproduce
-// live results exactly. An object stamped outside 1678-2262 (a zero
-// capture time, a pcapng timestamp past 2262) cannot be stored: it is
-// skipped and counted in MetricDropped, and recording goes on.
+// implements core.FrameObserver and records every IEC 104 measurement,
+// appending every value-bearing information object of each accepted
+// I-format APDU — a frame's samples under one store lock, through the
+// station's write handle. Frames of other dialects (C37.118, Modbus)
+// carry no ASDU and are not recorded. It extracts samples with
+// physical.EachValue under the same station/command resolution as
+// physical.Store.Feed, so the durable history and the in-memory IEC 104
+// series are sample-for-sample identical — the property that makes
+// historian-backed event detection reproduce live results exactly. An
+// object stamped outside 1678-2262 (a zero capture time, a pcapng
+// timestamp past 2262) cannot be stored: it is skipped and counted in
+// MetricDropped, and recording goes on.
 type Recorder struct {
 	store *Store
 	// lane is the optional flight-recorder lane StageHistorian spans

@@ -680,6 +680,3 @@ func downsampleMean(s []physical.Sample, step time.Duration) []slot {
 	}
 	return out
 }
-
-// Dir returns the store's directory.
-func (st *Store) Dir() string { return st.dir }

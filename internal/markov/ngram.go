@@ -48,9 +48,6 @@ func NewNGram(n int) (*NGram, error) {
 	}, nil
 }
 
-// Order returns n.
-func (m *NGram) Order() int { return m.n }
-
 // appendKey packs gram onto dst.
 func appendKey(dst []byte, gram []iec104.Token) []byte {
 	for _, t := range gram {

@@ -1,8 +1,8 @@
 // Package obs is the pipeline's zero-dependency observability layer:
 // a concurrency-safe metrics registry (counters, gauges, histograms
-// with fixed bucket layouts), named-stage wall-time accounting, a
-// structured JSONL event journal, and HTTP exposition in Prometheus
-// text format plus expvar-style JSON.
+// with fixed bucket layouts), a structured JSONL event journal, and
+// HTTP exposition in Prometheus text format plus expvar-style JSON.
+// Per-stage timing is the flight recorder's (package trace).
 //
 // Components that sit on hot paths resolve their metric handles once
 // (at Instrument time) and then pay only an atomic operation per
@@ -17,7 +17,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // MetricType distinguishes the registry's series kinds.
@@ -157,54 +156,6 @@ var (
 	SizeBuckets = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
 )
 
-// Stage aggregates wall time of one named pipeline stage: call count,
-// total, min and max, plus a duration histogram.
-type Stage struct {
-	name string
-	hist *Histogram
-	// labels carries the base labels of the registry view that booked
-	// the stage (empty on a root), so view snapshots can filter.
-	labels []string
-
-	mu       sync.Mutex
-	count    int64
-	total    time.Duration
-	min, max time.Duration
-}
-
-// Observe records one stage execution.
-func (s *Stage) Observe(d time.Duration) {
-	s.hist.Observe(d.Seconds())
-	s.mu.Lock()
-	s.count++
-	s.total += d
-	if s.count == 1 || d < s.min {
-		s.min = d
-	}
-	if d > s.max {
-		s.max = d
-	}
-	s.mu.Unlock()
-}
-
-// Time runs fn, recording its wall time.
-func (s *Stage) Time(fn func()) {
-	start := time.Now()
-	fn()
-	s.Observe(time.Since(start))
-}
-
-// snapshot captures the stage's aggregate under its lock.
-func (s *Stage) snapshot() StageSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ss := StageSnapshot{Name: s.name, Count: s.count, Total: s.total, Min: s.min, Max: s.max}
-	if s.count > 0 {
-		ss.Mean = s.total / time.Duration(s.count)
-	}
-	return ss
-}
-
 // series is one (name, labels) time series.
 type series struct {
 	name   string
@@ -219,13 +170,12 @@ type series struct {
 	h *Histogram
 }
 
-// Registry is a concurrency-safe collection of metrics and stages.
+// Registry is a concurrency-safe collection of metrics.
 // The zero value is not usable; call NewRegistry.
 type Registry struct {
 	mu     sync.RWMutex
 	series map[string]*series
 	help   map[string]string
-	stages map[string]*Stage
 
 	// root points at the registry owning the maps above when this
 	// value is a label-scoped view created by With; nil on a root.
@@ -244,8 +194,8 @@ func (r *Registry) owner() *Registry {
 	return r
 }
 
-// With returns a label-scoped view of the registry: every metric or
-// stage booked through the view carries the given label pairs in
+// With returns a label-scoped view of the registry: every metric
+// booked through the view carries the given label pairs in
 // addition to its own, and the view's Snapshot reports only series
 // carrying them. The underlying store is shared, so a single /metrics
 // endpoint on the root exposes every view's series — this is how one
@@ -283,7 +233,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		series: make(map[string]*series),
 		help:   make(map[string]string),
-		stages: make(map[string]*Stage),
 	}
 }
 
@@ -375,40 +324,6 @@ func (r *Registry) SetHelp(name, help string) {
 	o.mu.Unlock()
 }
 
-// StageDurationMetric is the histogram family every stage feeds.
-const StageDurationMetric = "uncharted_stage_duration_seconds"
-
-// Stage returns (registering on first use) the named stage accumulator.
-// Resolve once and call Observe on hot paths. On a With view the
-// backing histogram carries the view's base labels, and two views book
-// distinct accumulators for the same stage name.
-func (r *Registry) Stage(name string) *Stage {
-	o := r.owner()
-	key := seriesKey(name, r.base)
-	o.mu.RLock()
-	st := o.stages[key]
-	o.mu.RUnlock()
-	if st != nil {
-		return st
-	}
-	h := r.Histogram(StageDurationMetric, DurationBuckets, "stage", name)
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if st = o.stages[key]; st == nil {
-		st = &Stage{name: name, hist: h, labels: r.base}
-		o.stages[key] = st
-	}
-	return st
-}
-
-// Timer starts timing one execution of a named stage and returns the
-// stop function: `defer reg.Timer("analyzer.feed")()`.
-func (r *Registry) Timer(stage string) func() {
-	st := r.Stage(stage)
-	start := time.Now()
-	return func() { st.Observe(time.Since(start)) }
-}
-
 // CounterSnapshot is one counter's point-in-time state.
 type CounterSnapshot struct {
 	Name   string   `json:"name"`
@@ -467,16 +382,6 @@ func (h HistogramSnapshot) Label(key string) string {
 	return ""
 }
 
-// StageSnapshot is one stage's aggregate timing.
-type StageSnapshot struct {
-	Name  string        `json:"name"`
-	Count int64         `json:"count"`
-	Total time.Duration `json:"total_ns"`
-	Mean  time.Duration `json:"mean_ns"`
-	Min   time.Duration `json:"min_ns"`
-	Max   time.Duration `json:"max_ns"`
-}
-
 // Snapshot is a consistent-enough point-in-time view of the registry:
 // each series is read atomically; a histogram's bucket counts are read
 // before its total, so Count may briefly exceed the bucket sum under
@@ -485,12 +390,11 @@ type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters,omitempty"`
 	Gauges     []GaugeSnapshot     `json:"gauges,omitempty"`
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
-	Stages     []StageSnapshot     `json:"stages,omitempty"`
 }
 
 // Snapshot captures every series, sorted by (name, labels). On a With
-// view, only the series and stages carrying the view's base labels are
-// included, so a tenant's snapshot never leaks its neighbours'.
+// view, only the series carrying the view's base labels are included,
+// so a tenant's snapshot never leaks its neighbours'.
 func (r *Registry) Snapshot() Snapshot {
 	o := r.owner()
 	o.mu.RLock()
@@ -501,13 +405,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		all = append(all, s)
 	}
-	stages := make([]*Stage, 0, len(o.stages))
-	for _, st := range o.stages {
-		if len(r.base) > 0 && !labelsContain(st.labels, r.base) {
-			continue
-		}
-		stages = append(stages, st)
-	}
 	o.mu.RUnlock()
 
 	sort.Slice(all, func(i, j int) bool {
@@ -516,7 +413,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		return all[i].rendered < all[j].rendered
 	})
-	sort.Slice(stages, func(i, j int) bool { return stages[i].name < stages[j].name })
 
 	var snap Snapshot
 	for _, s := range all {
@@ -542,9 +438,6 @@ func (r *Registry) Snapshot() Snapshot {
 			hs.Sum = s.h.Sum()
 			snap.Histograms = append(snap.Histograms, hs)
 		}
-	}
-	for _, st := range stages {
-		snap.Stages = append(snap.Stages, st.snapshot())
 	}
 	return snap
 }

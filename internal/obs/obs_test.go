@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestCounterConcurrent hammers one counter from many goroutines; run
@@ -120,38 +119,6 @@ func TestSnapshotConsistency(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestStage checks the aggregate wall-time accounting.
-func TestStage(t *testing.T) {
-	reg := NewRegistry()
-	st := reg.Stage("test.stage")
-	st.Observe(10 * time.Millisecond)
-	st.Observe(30 * time.Millisecond)
-	snap := reg.Snapshot()
-	if len(snap.Stages) != 1 {
-		t.Fatalf("stages = %d, want 1", len(snap.Stages))
-	}
-	ss := snap.Stages[0]
-	if ss.Name != "test.stage" || ss.Count != 2 {
-		t.Fatalf("stage snapshot = %+v", ss)
-	}
-	if ss.Total != 40*time.Millisecond || ss.Mean != 20*time.Millisecond {
-		t.Errorf("total=%v mean=%v, want 40ms/20ms", ss.Total, ss.Mean)
-	}
-	if ss.Min != 10*time.Millisecond || ss.Max != 30*time.Millisecond {
-		t.Errorf("min=%v max=%v, want 10ms/30ms", ss.Min, ss.Max)
-	}
-	// The stage also feeds the shared duration histogram family.
-	found := false
-	for _, hs := range snap.Histograms {
-		if hs.Name == StageDurationMetric && hs.Count == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("stage duration histogram missing from snapshot")
-	}
 }
 
 // TestWritePrometheus pins the exposition format on a small fixed
@@ -298,7 +265,7 @@ func BenchmarkRegistrySnapshot(b *testing.B) {
 			v.Gauge("uncharted_gauge_"+strconv.Itoa(i%10), "shard", strconv.Itoa(i)).Set(1)
 		}
 		for i := 0; i < 12; i++ {
-			v.Stage("stage." + strconv.Itoa(i)).Observe(time.Millisecond)
+			v.Histogram("uncharted_stage_seconds", DurationBuckets, "stage", strconv.Itoa(i)).Observe(0.001)
 		}
 	}
 	b.ReportAllocs()

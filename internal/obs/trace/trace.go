@@ -73,12 +73,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Stages lists every stage name in pipeline order — the vocabulary
-// trace validators (cmd/tracecheck) and dashboards iterate.
-func Stages() []string {
-	return append([]string(nil), stageNames[:]...)
-}
-
 // StageSecondsMetric is the per-stage latency histogram family fed by
 // sampled spans: uncharted_stage_seconds{stage,shard}. The shard label
 // is the lane name ("reader0".."readerN-1", "0".."N-1", "snapshot").

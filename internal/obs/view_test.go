@@ -3,7 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestRegistryWith covers the label-scoped views the control-room
@@ -53,16 +52,6 @@ func TestRegistryWith(t *testing.T) {
 	root.Counter("requests_total", "tenant", "east").Inc()
 	if got := east.Counter("requests_total").Value(); got != 4 {
 		t.Errorf("shared series value %d, want 4", got)
-	}
-
-	// Stages booked through a view are label-scoped the same way.
-	east.Stage("parse").Observe(time.Millisecond)
-	west.Stage("parse").Observe(time.Millisecond)
-	if got := len(east.Snapshot().Stages); got != 1 {
-		t.Errorf("east snapshot has %d stages, want 1", got)
-	}
-	if got := len(root.Snapshot().Stages); got != 2 {
-		t.Errorf("root snapshot has %d stages, want 2", got)
 	}
 
 	// Nested views accumulate base labels.

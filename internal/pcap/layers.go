@@ -178,7 +178,6 @@ func (t TCP) SYN() bool { return t.Flags&FlagSYN != 0 }
 func (t TCP) ACK() bool { return t.Flags&FlagACK != 0 }
 func (t TCP) FIN() bool { return t.Flags&FlagFIN != 0 }
 func (t TCP) RST() bool { return t.Flags&FlagRST != 0 }
-func (t TCP) PSH() bool { return t.Flags&FlagPSH != 0 }
 
 // FlagString renders the flags Wireshark-style, e.g. "SYN,ACK".
 func (t TCP) FlagString() string {

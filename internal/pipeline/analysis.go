@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,7 +39,7 @@ func init() {
 			{Name: "point_cap", Type: ParamInt, Default: 0, Doc: "cap in-memory samples per series (0 = unbounded)"},
 			{Name: "names", Type: ParamBool, Default: true, Doc: "label addresses with the simulated topology's names (C1, O30, ...)"},
 			{Name: "protocol", Type: ParamString, Default: "", Doc: "extra dialects to decode, comma-separated (c37118, modbus), or \"auto\" to content-detect every registered dialect"},
-			{Name: "historian", Type: ParamString, Default: "", Doc: "record measurements into the durable historian at this directory (adds /{id}/query)"},
+			{Name: "historian", Type: ParamString, Default: "", Doc: "record every IEC 104 measurement into the durable historian at this directory (adds /{id}/query)"},
 			{Name: "baseline", Type: ParamString, Default: "", Doc: "stored drift profile: arms live drift detection (adds /{id}/drift)"},
 			{Name: "ids_baseline", Type: ParamString, Default: "", Doc: "stored IDS baseline: arms one online monitor per shard"},
 		},
@@ -70,17 +69,6 @@ func init() {
 			{Name: "baseline", Type: ParamString, Required: true, Doc: "stored drift profile to compare against"},
 		},
 		Build: buildDrift,
-	})
-	Register(Spec{
-		Kind: "historian",
-		Role: RoleAnalysis,
-		In:   PortPackets,
-		Doc:  "record every extracted measurement into the durable historian and serve /{id}/query (synced when the feed ends, open until the host stops)",
-		Params: []ParamSpec{
-			{Name: "dir", Type: ParamString, Required: true, Doc: "historian directory"},
-			{Name: "point_cap", Type: ParamInt, Default: 0, Doc: "cap in-memory samples per series (0 = unbounded)"},
-		},
-		Build: buildHistorian,
 	})
 }
 
@@ -291,8 +279,11 @@ func (s *AnalyzerSegment) Run(ctx context.Context, in <-chan Msg, emit Emit) err
 	var err error
 	if first, ok := <-in; ok && first.Src != nil {
 		err = s.eng.Run(ctx, first.Src)
-		if errors.Is(err, ctx.Err()) {
-			err = nil // canceled mid-read: a drain, not a failure
+		// Canceled mid-read and nothing else wrong: a drain, not a
+		// failure. A historian error comes joined with the
+		// cancellation, so it is not dropped here.
+		if err == ctx.Err() {
+			err = nil
 		}
 		if cerr := first.Src.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -571,44 +562,3 @@ func (s *DriftSegment) Run(_ context.Context, in <-chan Msg, emit Emit) error {
 	}
 	return nil
 }
-
-// HistorianSegment records every extracted measurement into the
-// durable store — a terminal packets consumer with a query surface.
-type HistorianSegment struct {
-	store *historian.Store
-	an    *core.Analyzer
-	rec   *historian.Recorder
-}
-
-func buildHistorian(bc BuildCtx) (Segment, error) {
-	st, err := historian.Open(bc.Params.Str("dir"), historian.Options{Registry: bc.Env.Registry.With("segment", bc.ID)})
-	if err != nil {
-		return nil, err
-	}
-	an := core.NewAnalyzer(core.NamesFromTopology(topology.Build()))
-	if pc := bc.Params.Int("point_cap"); pc > 0 {
-		an.Physical().SetMaxSamplesPerSeries(pc)
-	}
-	rec := historian.NewRecorder(st)
-	an.SetFrameObserver(rec)
-	bc.Env.Handle("/"+bc.ID+"/query", historian.QueryHandler(st))
-	return &HistorianSegment{store: st, an: an, rec: rec}, nil
-}
-
-// Run implements Segment. The store is made durable at the end of the
-// feed and stays open for /query until the host stops.
-func (s *HistorianSegment) Run(_ context.Context, in <-chan Msg, _ Emit) error {
-	for m := range in {
-		for i := range m.Pkts {
-			s.an.FeedPacket(m.Pkts[i])
-		}
-	}
-	err := s.rec.Err()
-	if serr := s.store.Sync(); serr != nil && err == nil {
-		err = serr
-	}
-	return err
-}
-
-// Close closes the store (Runner.Close).
-func (s *HistorianSegment) Close() error { return s.store.Close() }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 
 	"uncharted/internal/core"
 	"uncharted/internal/drift"
+	"uncharted/internal/historian"
 	"uncharted/internal/obs"
 	"uncharted/internal/topology"
 )
@@ -285,46 +287,109 @@ func TestDriftHandler(t *testing.T) {
 	}
 }
 
-// TestHistorianSegmentMatchesAnalyzerHistorian: the historian segment
-// and the analyzer's historian param record the same history — the
-// same point catalog, the same samples per point — from one capture.
-func TestHistorianSegmentMatchesAnalyzerHistorian(t *testing.T) {
-	capture := writeTestCapture(t, time.Minute, 11)
-	cfg := SourceGraph("p", "src", "pcap", map[string]any{"path": capture},
-		map[string]any{"historian": filepath.Join(t.TempDir(), "an")})
-	cfg.Pipelines[0].Nodes = append(cfg.Pipelines[0].Nodes,
-		presetNode("hist", "historian", []string{"src"}, map[string]any{"dir": filepath.Join(t.TempDir(), "hist")}))
+// TestCanceledRunKeepsHistorianError: canceling a live run is a clean
+// drain, but not when the historian failed along the way — the segment
+// must not drop that error with the cancellation.
+func TestCanceledRunKeepsHistorianError(t *testing.T) {
+	capture := writeTestCapture(t, 30*time.Second, 11)
+	cfg := SourceGraph("p", "src", "follow", map[string]any{"path": capture},
+		map[string]any{"historian": t.TempDir()})
 	runner, err := NewRunner(cfg, Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer runner.Close()
-	if err := runner.Run(context.Background()); err != nil {
+	an := runner.Analyzer()
+	if err := an.hist.Close(); err != nil {
 		t.Fatal(err)
 	}
-	an, seg := runner.Analyzer().hist, runner.Segment("p", "hist").(*HistorianSegment).store
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- runner.Run(ctx) }()
+	deadline := time.Now().Add(30 * time.Second)
+	for an.SourcePackets() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the analyzer read no packets")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Run returned %v, want an error wrapping %v", err, os.ErrClosed)
+	}
+}
 
-	// Blocks are cut at FlushSamples whatever each store's Sync cadence
-	// (the analyzer's store syncs every tick, the segment's once), so
-	// the catalogs match down to block counts and compressed bytes.
-	want, got := seg.Catalog(), an.Catalog()
-	if len(want) == 0 {
-		t.Fatal("historian segment recorded no points")
+// TestAnalyzerHistorianMatchesSerialRecorder: the analyzer's historian
+// param over a handed-off capture records the same history as one
+// serial analyzer feeding a historian.Recorder, at one and two shards.
+// Two shards may interleave one point's appends, so there the block
+// layout may differ while every point's samples still match.
+func TestAnalyzerHistorianMatchesSerialRecorder(t *testing.T) {
+	capture := writeTestCapture(t, time.Minute, 11)
+	want, err := historian.Open(t.TempDir(), historian.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("catalogs differ: historian segment %d points, analyzer %d", len(want), len(got))
+	defer want.Close()
+	serial := core.NewAnalyzer(core.NamesFromTopology(topology.Build()))
+	rec := historian.NewRecorder(want)
+	serial.SetFrameObserver(rec)
+	f, err := os.Open(capture)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, pi := range want {
-		ws, err := seg.Query(pi.Key, time.Time{}, time.Time{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, err := an.Query(pi.Key, time.Time{}, time.Time{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ws, gs) {
-			t.Errorf("%v: historian segment %d samples, analyzer %d, or they differ", pi.Key, len(ws), len(gs))
-		}
+	defer f.Close()
+	if err := serial.ReadPCAP(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	wantCat := want.Catalog()
+	if len(wantCat) == 0 {
+		t.Fatal("serial recorder recorded no points")
+	}
+
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			// The pcap input feeds the analyzer alone, so its source is
+			// handed off to the engine.
+			cfg := SourceGraph("p", "src", "pcap", map[string]any{"path": capture},
+				map[string]any{"workers": workers, "historian": t.TempDir()})
+			runner, err := NewRunner(cfg, Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer runner.Close()
+			if err := runner.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			got := runner.Analyzer().hist
+			gotCat := got.Catalog()
+			if workers == 1 && !reflect.DeepEqual(wantCat, gotCat) {
+				t.Fatalf("catalogs differ: serial %d points, analyzer %d", len(wantCat), len(gotCat))
+			}
+			if len(gotCat) != len(wantCat) {
+				t.Fatalf("serial catalog has %d points, analyzer %d", len(wantCat), len(gotCat))
+			}
+			for i, w := range wantCat {
+				g := gotCat[i]
+				if g.Key != w.Key || g.Type != w.Type || g.Command != w.Command || g.Samples != w.Samples {
+					t.Fatalf("point %d: serial %v %v command=%v %d samples, analyzer %v %v command=%v %d samples",
+						i, w.Key, w.Type, w.Command, w.Samples, g.Key, g.Type, g.Command, g.Samples)
+				}
+				ws, err := want.Query(w.Key, time.Time{}, time.Time{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				gs, err := got.Query(w.Key, time.Time{}, time.Time{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ws, gs) {
+					t.Errorf("%v: serial %d samples, analyzer %d, or they differ", w.Key, len(ws), len(gs))
+				}
+			}
+		})
 	}
 }

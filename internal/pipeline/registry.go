@@ -178,12 +178,6 @@ func (p Params) IntsList(name string) []int {
 	return nil
 }
 
-// Has reports whether the param was set explicitly in the config.
-func (p Params) Has(name string) bool {
-	_, ok := p.values[name]
-	return ok
-}
-
 // parseParams validates raw JSON params against a spec: unknown keys,
 // missing required params and type mismatches are errors.
 func parseParams(spec []ParamSpec, raw json.RawMessage) (Params, error) {

@@ -119,9 +119,6 @@ func NewGrid(start time.Time, seed int64) *Grid {
 	}
 }
 
-// Now returns the simulation clock.
-func (g *Grid) Now() time.Time { return g.now }
-
 // AddGenerator registers a unit. Online units start at their setpoint.
 func (g *Grid) AddGenerator(name string, capacity, initialMW float64, online bool) *Generator {
 	gen := &Generator{

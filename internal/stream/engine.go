@@ -29,6 +29,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net/netip"
 	"strconv"
@@ -115,11 +116,11 @@ type Config struct {
 	// are per-shard, so no locking is needed inside them, but a shared
 	// alert sink must be serialised by the caller.
 	Observer func(shard int) core.FrameObserver
-	// Historian, when set, records every extracted measurement into the
+	// Historian, when set, records every IEC 104 measurement into the
 	// durable store: each shard gets a historian.Recorder composed with
 	// its Observer, and every Snapshot flushes and fsyncs the store so
 	// the on-disk history trails the live profile by at most one
-	// snapshot period.
+	// snapshot period. A failed append or final sync fails Run.
 	Historian *historian.Store
 	// MaxPointSamples, when positive, caps each shard's in-memory
 	// samples per series (physical.Store.SetMaxSamplesPerSeries): the
@@ -199,6 +200,9 @@ const sealedForever = math.MaxInt64
 type shard struct {
 	id int
 	an *core.Analyzer
+	// rec is the shard's historian recorder, nil without a historian;
+	// Run reads its first append error after the drain.
+	rec *historian.Recorder
 	// ins is the per-reader queue fan-in, held behind an atomic pointer
 	// because Run sizes it to the planned reader count after the engine
 	// is already visible to Status() callers; nil before Run.
@@ -463,8 +467,9 @@ func New(cfg Config) *Engine {
 		if cfg.Observer != nil {
 			observer = cfg.Observer(i)
 		}
+		var rec *historian.Recorder
 		if cfg.Historian != nil {
-			rec := historian.NewRecorder(cfg.Historian)
+			rec = historian.NewRecorder(cfg.Historian)
 			rec.SetTraceLane(lane)
 			observer = core.Observers(observer, rec)
 		}
@@ -474,6 +479,7 @@ func New(cfg Config) *Engine {
 		sh := &shard{
 			id:         i,
 			an:         an,
+			rec:        rec,
 			wake:       make(chan struct{}, 1),
 			sealedNote: make(chan struct{}, 1),
 			done:       make(chan struct{}),
@@ -535,7 +541,9 @@ func fnvAddr(h uint64, ip netip.Addr) uint64 {
 
 // Run consumes the source until io.EOF or ctx cancellation, then
 // drains the shards and publishes the final profile. It returns nil on
-// clean exhaustion, ctx.Err() on cancellation, or the source's error.
+// clean exhaustion, ctx.Err() on cancellation, or the source's error,
+// joined with the historian's error when an append or the final sync
+// failed.
 //
 // The source is first planned into one or more reader inputs (see
 // plan); one reader goroutine per input then runs the same read loop.
@@ -607,8 +615,11 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 	e.mu.Unlock()
 	// The drain is complete: every observed frame has passed through
 	// the shard observers, so the historian tail can be made durable.
-	e.syncHistorian(e.final.Last)
+	herr := e.finishHistorian(e.final.Last)
 	e.state.Store(stateDone)
+	if herr != nil {
+		return errors.Join(srcErr, herr)
+	}
 	return srcErr
 }
 
@@ -953,14 +964,34 @@ func (e *Engine) Snapshot() core.Partial {
 }
 
 // syncHistorian makes the on-disk history durable up to the samples
-// recorded so far — the snapshot-stage fsync point.
-func (e *Engine) syncHistorian(at time.Time) {
+// recorded so far — the snapshot-stage fsync point. A failure is
+// journaled and returned.
+func (e *Engine) syncHistorian(at time.Time) error {
 	if e.cfg.Historian == nil {
-		return
+		return nil
 	}
-	if err := e.cfg.Historian.Sync(); err != nil {
+	err := e.cfg.Historian.Sync()
+	if err != nil {
 		e.cfg.Journal.Log(at, obs.EventHistorianSync, "", map[string]any{"error": err.Error()})
 	}
+	return err
+}
+
+// finishHistorian runs the final sync after the drain and returns the
+// first shard recorder's append error joined with the sync's: a shard
+// stops recording at its first failed append, so either means history
+// was lost.
+func (e *Engine) finishHistorian(at time.Time) error {
+	if e.cfg.Historian == nil {
+		return nil
+	}
+	var recErr error
+	for _, sh := range e.shards {
+		if recErr = sh.rec.Err(); recErr != nil {
+			break
+		}
+	}
+	return errors.Join(recErr, e.syncHistorian(at))
 }
 
 // publish derives and stores the rolling profile of p, which holds fed

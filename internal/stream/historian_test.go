@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -96,5 +97,26 @@ func TestHistorianFlushOnShutdown(t *testing.T) {
 	}
 	if !capExceeded {
 		t.Fatal("no series outgrew the in-memory cap; the durability check is vacuous")
+	}
+}
+
+// TestHistorianWriteErrorFailsRun: a store that refuses every append
+// fails Run. Each shard's recorder stops at its first failed append and
+// the final sync fails too, so the run lost history and must say so.
+func TestHistorianWriteErrorFailsRun(t *testing.T) {
+	_, tr := simulate(t, 16, 30*time.Second)
+	hist, err := historian.Open(t.TempDir(), historian.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hist.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Workers: 2, Historian: hist})
+	if err := e.Run(context.Background(), NewRecordSource(tr.Records, 0)); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Run returned %v, want an error wrapping %v", err, os.ErrClosed)
+	}
+	if p := e.Snapshot(); p.Packets == 0 {
+		t.Fatal("engine analyzed nothing; the check is vacuous")
 	}
 }

@@ -523,10 +523,6 @@ func NewSessions() *Sessions {
 	return &Sessions{m: make(map[SessionKey]*Session)}
 }
 
-// Feed ingests one decoded packet: FeedFlow for callers that track no
-// flows and hold the packet by value.
-func (ss *Sessions) Feed(pkt pcap.Packet) *Session { return ss.FeedFlow(nil, 0, &pkt) }
-
 // FeedFlow books pkt — direction dir of flow f, as Tracker.Track
 // returned them — into its directional session. The session is looked
 // up on the first packet of a flow direction and parked on the flow, so

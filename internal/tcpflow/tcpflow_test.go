@@ -211,12 +211,16 @@ func TestSeparatePortsSeparateFlows(t *testing.T) {
 
 func TestSessions(t *testing.T) {
 	ss := NewSessions()
-	// Two flows, same host pair and direction → one session.
 	a2 := netip.MustParseAddrPort("10.0.0.1:40001")
-	ss.Feed(mkPacket(hostA, hostB, t0, pcap.FlagACK, 1, 1, []byte{1}))
-	ss.Feed(mkPacket(a2, hostB, t0.Add(2*time.Second), pcap.FlagACK, 1, 1, []byte{2}))
-	// Reverse direction → second session.
-	ss.Feed(mkPacket(hostB, hostA, t0.Add(3*time.Second), pcap.FlagACK, 1, 1, []byte{3}))
+	for _, pkt := range []pcap.Packet{
+		// Two flows, same host pair and direction → one session.
+		mkPacket(hostA, hostB, t0, pcap.FlagACK, 1, 1, []byte{1}),
+		mkPacket(a2, hostB, t0.Add(2*time.Second), pcap.FlagACK, 1, 1, []byte{2}),
+		// Reverse direction → second session.
+		mkPacket(hostB, hostA, t0.Add(3*time.Second), pcap.FlagACK, 1, 1, []byte{3}),
+	} {
+		ss.FeedFlow(nil, 0, &pkt)
+	}
 
 	all := ss.All()
 	if len(all) != 2 {
@@ -251,7 +255,8 @@ func TestMeanInterArrivalMatchesGapList(t *testing.T) {
 			gaps = append(gaps, next.Sub(at).Seconds())
 		}
 		at = next
-		ss.Feed(mkPacket(hostA, hostB, at, pcap.FlagACK, uint32(i), 1, []byte{1}))
+		pkt := mkPacket(hostA, hostB, at, pcap.FlagACK, uint32(i), 1, []byte{1})
+		ss.FeedFlow(nil, 0, &pkt)
 	}
 	s := ss.All()[0]
 	var sum float64
@@ -291,7 +296,8 @@ func TestStdInterArrivalMatchesTwoPass(t *testing.T) {
 					gaps = append(gaps, next.Sub(at).Seconds())
 					at = next
 				}
-				ss.Feed(mkPacket(hostA, hostB, at, pcap.FlagACK, uint32(i), 1, []byte{1}))
+				pkt := mkPacket(hostA, hostB, at, pcap.FlagACK, uint32(i), 1, []byte{1})
+				ss.FeedFlow(nil, 0, &pkt)
 			}
 			got, want := ss.All()[0].StdInterArrival(), stats.StdDev(gaps)
 			if tc.name == "irregular" || tc.name == "wide" {
