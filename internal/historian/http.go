@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -125,65 +124,42 @@ func QueryHandler(st *Store) http.Handler {
 			}
 			return
 		}
-		writeSampleRows(w, samples)
+		if err := writeSampleRows(w, samples); err != nil {
+			httpError(w, http.StatusInternalServerError, err.Error())
+		}
 	})
 }
 
-// sampleRow is one /query JSON row.
-type sampleRow struct {
-	T time.Time `json:"t"`
-	V float64   `json:"v"`
-}
-
 // writeSampleRows writes samples as /query's JSON rows — byte for byte
-// what obs.WriteIndentedJSON writes for them as []sampleRow, in one
-// Write, without reflection or a second indenting pass: a point query
-// is the document a control room misses on most. A NaN or infinite
-// value (which encoding/json refuses) or a time outside UTC (whose year
-// and offset it checks) sends the whole document down the generic
-// path, so such a document comes out exactly as it always did.
-func writeSampleRows(w io.Writer, samples Samples) {
-	b := make([]byte, 0, 2+len(samples)*64)
-	b = append(b, '[')
-	for i, s := range samples {
-		if math.IsNaN(s.V) || math.IsInf(s.V, 0) || s.T.Location() != time.UTC {
-			rows := make([]sampleRow, len(samples))
-			for i, s := range samples {
-				rows[i] = sampleRow{T: s.T, V: s.V}
+// what obs.WriteIndentedJSON writes for them as a list of
+// {"t": time, "v": value} objects, in one Write, without reflection or
+// a second indenting pass: a point query is the document a control room
+// misses on most. A NaN or infinite value, or a time whose year or zone
+// encoding/json refuses, fails the document as the generic renderer
+// does: nothing is written and its error is returned.
+func writeSampleRows(w io.Writer, samples Samples) error {
+	return obs.WriteAppended(w, func(b []byte) ([]byte, error) {
+		b = append(b, '[')
+		var err error
+		for i, s := range samples {
+			if i > 0 {
+				b = append(b, ',')
 			}
-			obs.WriteIndentedJSON(w, rows)
-			return
+			b = append(b, "\n  {\n    \"t\": "...)
+			if b, err = obs.AppendJSONTime(b, s.T); err != nil {
+				return b, err
+			}
+			b = append(b, ",\n    \"v\": "...)
+			if b, err = obs.AppendJSONFloat(b, s.V); err != nil {
+				return b, err
+			}
+			b = append(b, "\n  }"...)
 		}
-		if i > 0 {
-			b = append(b, ',')
+		if len(samples) > 0 {
+			b = append(b, '\n')
 		}
-		b = append(b, "\n  {\n    \"t\": \""...)
-		b = s.T.AppendFormat(b, time.RFC3339Nano)
-		b = append(b, "\",\n    \"v\": "...)
-		b = appendJSONFloat(b, s.V)
-		b = append(b, "\n  }"...)
-	}
-	if len(samples) > 0 {
-		b = append(b, '\n')
-	}
-	b = append(b, "]\n"...)
-	w.Write(b)
-}
-
-// appendJSONFloat appends a finite f the way encoding/json encodes a
-// float64: shortest round-trip digits, exponent form only below 1e-6 or
-// from 1e21, and a one-digit negative exponent without its leading 0.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
+		return append(b, "]\n"...), nil
+	})
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

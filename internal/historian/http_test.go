@@ -11,6 +11,12 @@ import (
 	"uncharted/internal/physical"
 )
 
+// sampleRow is one /query JSON row, as the generic renderer is given it.
+type sampleRow struct {
+	T time.Time `json:"t"`
+	V float64   `json:"v"`
+}
+
 // TestSampleRowsMatchEncoder: /query's direct row writer writes byte
 // for byte what the generic renderer writes for the same rows — on the
 // float shapes encoding/json treats specially (zero and negative zero,

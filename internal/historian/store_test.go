@@ -2,14 +2,17 @@ package historian
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"uncharted/internal/iec104"
 	"uncharted/internal/obs"
 	"uncharted/internal/physical"
 )
@@ -376,6 +379,28 @@ func TestQueryHandler(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("bad ioa returned %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestQueryNonFiniteIs500: a point whose history holds a value
+// encoding/json refuses answers its JSON query with a 500 naming the
+// encoding error, not an empty 200.
+func TestQueryNonFiniteIs500(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	key := PointKey{Station: "O29", IOA: 3001}
+	for i, v := range []float64{1, math.Inf(1), 2} {
+		if err := st.Append(key, physical.IEC104Type(iec104.MMeNc), false, physical.Sample{T: testBase.Add(time.Duration(i) * time.Second), V: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rr := httptest.NewRecorder()
+	QueryHandler(st).ServeHTTP(rr, httptest.NewRequest("GET", "/query?station=O29&ioa=3001", nil))
+	if rr.Code != http.StatusInternalServerError || !strings.Contains(rr.Body.String(), "+Inf") {
+		t.Errorf("query = %d %q, want a 500 naming the +Inf", rr.Code, rr.Body.String())
 	}
 }
 

@@ -143,9 +143,6 @@ func TestHistogramQuantile(t *testing.T) {
 	if p := empty.Quantile(0.5); p != 0 {
 		t.Errorf("empty quantile = %v", p)
 	}
-	if got := snap.Label("nope"); got != "" {
-		t.Errorf("missing label = %q", got)
-	}
 }
 
 // TestServe checks the real listener path with addr ":0".

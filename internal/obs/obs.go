@@ -147,6 +147,22 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
+// Snapshot reads the histogram's buckets, count and sum — the count as
+// the bucket sum, the sum after the buckets — into a snapshot with no
+// name or labels; Quantile reads it.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	hs := HistogramSnapshot{
+		Bounds: append([]float64(nil), h.bounds...),
+		Counts: make([]uint64, len(h.counts)),
+	}
+	for i := range h.counts {
+		hs.Counts[i] = h.counts[i].Load()
+		hs.Count += hs.Counts[i]
+	}
+	hs.Sum = h.Sum()
+	return hs
+}
+
 // Fixed bucket layouts.
 var (
 	// DurationBuckets covers stage timings from 1µs to ~10s
@@ -372,16 +388,6 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// Label returns the value of the named label, or "".
-func (h HistogramSnapshot) Label(key string) string {
-	for i := 0; i+1 < len(h.Labels); i += 2 {
-		if h.Labels[i] == key {
-			return h.Labels[i+1]
-		}
-	}
-	return ""
-}
-
 // Snapshot is a consistent-enough point-in-time view of the registry:
 // each series is read atomically; a histogram's bucket counts are read
 // before its total, so Count may briefly exceed the bucket sum under
@@ -426,16 +432,8 @@ func (r *Registry) Snapshot() Snapshot {
 				Name: s.name, Labels: s.labels, Value: s.g.Value(),
 			})
 		case TypeHistogram:
-			hs := HistogramSnapshot{
-				Name: s.name, Labels: s.labels,
-				Bounds: append([]float64(nil), s.h.bounds...),
-				Counts: make([]uint64, len(s.h.counts)),
-			}
-			for i := range s.h.counts {
-				hs.Counts[i] = s.h.counts[i].Load()
-				hs.Count += hs.Counts[i]
-			}
-			hs.Sum = s.h.Sum()
+			hs := s.h.Snapshot()
+			hs.Name, hs.Labels = s.name, s.labels
 			snap.Histograms = append(snap.Histograms, hs)
 		}
 	}

@@ -320,6 +320,25 @@ func (l *Lane) read(from uint64) ([]Span, uint64) {
 	return out, head
 }
 
+// EachStage calls fn with every stage histogram the recorder feeds,
+// lane by lane in registration order and stage by stage in pipeline
+// order: the uncharted_stage_seconds series of its registry, read
+// without walking the registry. A recorder without a registry, or a
+// nil one, has none.
+func (r *Recorder) EachStage(fn func(lane string, stage Stage, h *obs.Histogram)) {
+	if r == nil || r.reg == nil {
+		return
+	}
+	r.mu.Lock()
+	lanes := append([]*Lane(nil), r.lanes...)
+	r.mu.Unlock()
+	for _, l := range lanes {
+		for st, h := range l.hist {
+			fn(l.name, Stage(st), h)
+		}
+	}
+}
+
 // LaneSpans is one lane's drained spans.
 type LaneSpans struct {
 	Lane  string `json:"lane"`

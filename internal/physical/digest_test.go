@@ -1,6 +1,8 @@
 package physical
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -350,6 +352,64 @@ func TestRankDigestsMatchesReference(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ds, before) {
 			t.Fatalf("list %d: RankDigests reordered its input", n)
+		}
+	}
+}
+
+// TestNonFiniteValuesSkipped: a short float whose wire bytes are NaN or
+// an infinity, and a dialect point carrying one, leave the digests
+// exactly as the finite values alone leave them — the mean of a series
+// that saw one is not NaN, and a point that only ever carried them has
+// no series.
+func TestNonFiniteValuesSkipped(t *testing.T) {
+	// frame marshals a one-object short-float measurement, then writes
+	// bits over its float bytes, the way they would arrive off the wire.
+	frame := func(ioa uint32, bits uint32) *iec104.ASDU {
+		t.Helper()
+		const marker = float32(1.5)
+		b, err := iec104.NewMeasurement(iec104.MMeNc, 1, ioa, iec104.Value{Kind: iec104.KindFloat, Float: float64(marker)}, iec104.CauseSpontaneous).Marshal(iec104.Standard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [4]byte
+		binary.LittleEndian.PutUint32(want[:], math.Float32bits(marker))
+		at := bytes.Index(b, want[:])
+		if at < 0 {
+			t.Fatal("float bytes not found in the marshalled frame")
+		}
+		binary.LittleEndian.PutUint32(b[at:], bits)
+		a, err := iec104.ParseASDU(b, iec104.Standard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	t0 := time.Date(2019, 8, 1, 0, 0, 0, 0, time.UTC)
+	nan, posInf, negInf := uint32(0x7fc00000), math.Float32bits(float32(math.Inf(1))), math.Float32bits(float32(math.Inf(-1)))
+	if v := frame(1001, nan).Objects[0].Value.Float; !math.IsNaN(v) {
+		t.Fatalf("patched frame decodes to %v, want NaN", v)
+	}
+
+	withBad, finite := NewStore(), NewStore()
+	for i := 0; i < 20; i++ {
+		at := t0.Add(time.Duration(i) * time.Second)
+		good := frame(1001, math.Float32bits(float32(i)/4))
+		withBad.Feed("O29", good, at, false)
+		finite.Feed("O29", good, at, false)
+		withBad.Feed("O29", frame(1001, []uint32{nan, posInf, negInf}[i%3]), at, false)
+		withBad.Feed("O29", frame(2002, nan), at, false) // only ever NaN
+
+		pt := protocol.Point{IOA: 7, V: float64(i)}
+		withBad.FeedPoints("pmu", protocol.C37118, []protocol.Point{pt, {IOA: 7, V: math.NaN()}, {IOA: 8, V: math.Inf(1)}}, at)
+		finite.FeedPoints("pmu", protocol.C37118, []protocol.Point{pt}, at)
+	}
+	got, want := withBad.Digests(), finite.Digests()
+	if len(got) != len(want) {
+		t.Fatalf("%d digests, want the finite feed's %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Errorf("digest %v = %+v, want the finite feed's %+v", want[i].Key, got[i], want[i])
 		}
 	}
 }

@@ -335,9 +335,11 @@ func (st *Store) SetMaxSamplesPerSeries(n int) {
 
 // EachValue calls fn for every value-bearing information object of an
 // ASDU, resolving each object's timestamp (its CP56 time tag when
-// present and valid, otherwise the capture timestamp at). Store.Feed
-// and the historian write path share this extraction, so the in-memory
-// series and the durable history see identical samples.
+// present and valid, otherwise the capture timestamp at). A NaN or
+// infinite value — a short float can carry one off the wire — is
+// skipped: it would hold a series' mean at NaN for the rest of the run.
+// Store.Feed and the historian write path share this extraction, so
+// the in-memory series and the durable history see identical samples.
 func EachValue(a *iec104.ASDU, at time.Time, fn func(ioa uint32, t time.Time, v float64)) {
 	for i := range a.Objects {
 		obj := &a.Objects[i] // an InfoObject is ~130 bytes: do not copy it per element
@@ -348,6 +350,9 @@ func EachValue(a *iec104.ASDU, at time.Time, fn func(ioa uint32, t time.Time, v 
 			iec104.KindCommand:
 			v = obj.Value.Float
 		default:
+			continue
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
 		ts := at
@@ -452,11 +457,15 @@ func (st *Store) TypeStations() map[PointType]int {
 // owner; at is the capture timestamp, used when a point carries no
 // embedded time. Each point's series is typed TypeOf(proto, Code), so
 // dialects never collide in the type namespace even when register and
-// IOA numbers overlap.
+// IOA numbers overlap. A NaN or infinite value is skipped, as
+// EachValue skips it.
 func (st *Store) FeedPoints(station string, proto protocol.ID, pts []protocol.Point, at time.Time) {
 	idx := st.station(station)
 	for i := range pts {
 		p := &pts[i]
+		if math.IsNaN(p.V) || math.IsInf(p.V, 0) {
+			continue
+		}
 		sp := idx.slot(p.IOA)
 		s := *sp
 		if s == nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"uncharted/internal/core"
 	"uncharted/internal/drift"
 	"uncharted/internal/obs"
+	"uncharted/internal/stream"
 )
 
 // testTenant builds a bare tenant (no engine) plus a caching service
@@ -363,6 +365,28 @@ func TestCachedSkipsNon200(t *testing.T) {
 	}
 	if s.cache.Len() != 0 {
 		t.Errorf("cache holds %d entries after non-200s", s.cache.Len())
+	}
+}
+
+// TestNonFiniteProfileNotCached: a profile holding a measurement
+// encoding/json refuses is a 500 naming the encoding error, on /profile
+// and /fleet alike, and nothing is stored under the version's ETag.
+func TestNonFiniteProfileNotCached(t *testing.T) {
+	s, tn := testTenant(16)
+	prof := &stream.Profile{Seq: 1, Physical: []stream.PhysicalPoint{{Station: "O29", IOA: 3001, Count: 2, Mean: math.NaN()}}}
+	for _, endpoint := range []string{"profile", "fleet"} {
+		h := s.cached(tn, endpoint, func() string { return "1" }, stream.NewProfileHandler(func() *stream.Profile { return prof }))
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", "/"+endpoint, nil))
+		if rr.Code != http.StatusInternalServerError || !strings.Contains(rr.Body.String(), "NaN") {
+			t.Errorf("%s: %d %q, want a 500 naming the NaN", endpoint, rr.Code, rr.Body.String())
+		}
+		if rr.Header().Get("ETag") != "" {
+			t.Errorf("%s: a 500 carries ETag %s", endpoint, rr.Header().Get("ETag"))
+		}
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Errorf("cache holds %d entries after failed renders", n)
 	}
 }
 

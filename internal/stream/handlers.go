@@ -16,7 +16,9 @@ import (
 // NewProfileHandler serves the profile returned by get as JSON
 // (default) or a plain-text operator summary with ?format=text. A nil
 // profile — nothing published yet — is 503, the signal load balancers
-// and the readiness probes expect from a warming engine.
+// and the readiness probes expect from a warming engine; a profile
+// encoding/json would refuse (a NaN or infinite measurement) is 500
+// with the encoding error, never an empty 200 a cache could keep.
 func NewProfileHandler(get func() *Profile) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		format, ok := obs.PickFormat(w, req, "json", "text")
@@ -34,7 +36,9 @@ func NewProfileHandler(get func() *Profile) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		prof.WriteJSON(w)
+		if err := prof.WriteJSON(w); err != nil {
+			http.Error(w, "profile: "+err.Error(), http.StatusInternalServerError)
+		}
 	})
 }
 

@@ -255,9 +255,10 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 	return prof
 }
 
-// WriteJSON renders the profile, indented for human consumption.
+// WriteJSON renders the profile, indented for human consumption: its
+// AppendJSON document in one Write, nothing on an encoding error.
 func (p *Profile) WriteJSON(w io.Writer) error {
-	return obs.WriteIndentedJSON(w, p)
+	return obs.WriteAppended(w, p.AppendJSON)
 }
 
 // WriteText renders the profile as a compact plain-text operator

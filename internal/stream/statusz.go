@@ -91,9 +91,13 @@ func stateName(s int32) string {
 }
 
 // Status assembles the live pipeline view: engine state, per-shard
-// queue occupancy and attribution, and — when a registry is attached —
-// per-stage latency quantiles estimated from the flight recorder's
-// sampled histograms.
+// queue occupancy and attribution, and — when the engine is traced —
+// per-stage latency quantiles estimated from its flight recorder's
+// sampled histograms. The recorder hands those over itself
+// (trace.Recorder.EachStage), so the stage rows show whichever
+// registry, or label view of one, the engine books its own metrics on,
+// and a /statusz poll never walks a registry: with tracing off it
+// reads no histogram at all.
 func (e *Engine) Status() Status {
 	st := Status{
 		State:      stateName(e.state.Load()),
@@ -152,26 +156,25 @@ func (e *Engine) Status() Status {
 		}
 		st.Shards = append(st.Shards, ss)
 	}
-	if e.cfg.Registry != nil {
-		for _, h := range e.cfg.Registry.Snapshot().Histograms {
-			if h.Name != trace.StageSecondsMetric || h.Count == 0 {
-				continue
-			}
-			st.Stages = append(st.Stages, StageStatus{
-				Stage: h.Label("stage"),
-				Lane:  h.Label("shard"),
-				Count: h.Count,
-				P50:   h.Quantile(0.50),
-				P99:   h.Quantile(0.99),
-			})
+	e.cfg.Trace.EachStage(func(lane string, stage trace.Stage, h *obs.Histogram) {
+		hs := h.Snapshot()
+		if hs.Count == 0 {
+			return
 		}
-		sort.Slice(st.Stages, func(i, j int) bool {
-			if st.Stages[i].Lane != st.Stages[j].Lane {
-				return st.Stages[i].Lane < st.Stages[j].Lane
-			}
-			return st.Stages[i].Stage < st.Stages[j].Stage
+		st.Stages = append(st.Stages, StageStatus{
+			Stage: stage.String(),
+			Lane:  lane,
+			Count: hs.Count,
+			P50:   hs.Quantile(0.50),
+			P99:   hs.Quantile(0.99),
 		})
-	}
+	})
+	sort.Slice(st.Stages, func(i, j int) bool {
+		if st.Stages[i].Lane != st.Stages[j].Lane {
+			return st.Stages[i].Lane < st.Stages[j].Lane
+		}
+		return st.Stages[i].Stage < st.Stages[j].Stage
+	})
 	return st
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -230,6 +231,72 @@ func TestStatuszAndReadiness(t *testing.T) {
 	NewStatusHandler(e.Status).ServeHTTP(rr, httptest.NewRequest("GET", "/statusz", nil))
 	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "shards") {
 		t.Fatalf("/statusz HTML = %d", rr.Code)
+	}
+}
+
+// TestStatuszStagesUnderScopedRegistry: a hosted engine books its own
+// metrics on a label view of the registry while its flight recorder
+// feeds the stage histograms on the root, as pipeline.Host wires them.
+// Its /statusz still lists every stage row the recorder holds, with the
+// counts the root registry exposes for them.
+func TestStatuszStagesUnderScopedRegistry(t *testing.T) {
+	sim, tr := simulate(t, 25, time.Minute)
+	root := obs.NewRegistry()
+	rec := trace.New(trace.Config{SampleEvery: 1, Registry: root})
+	e := New(Config{
+		Workers:  2,
+		Registry: root.With("pipeline", "live").With("segment", "an"),
+		Trace:    rec,
+		Names:    core.NamesFromTopology(sim.Network()),
+	})
+	src, err := NewPCAPSource(bytes.NewReader(tracePCAP(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string]uint64{} // lane/stage → spans, as /metrics has them
+	for _, h := range root.Snapshot().Histograms {
+		if h.Name != trace.StageSecondsMetric || h.Count == 0 {
+			continue
+		}
+		label := map[string]string{}
+		for i := 0; i+1 < len(h.Labels); i += 2 {
+			label[h.Labels[i]] = h.Labels[i+1]
+		}
+		want[label["shard"]+"/"+label["stage"]] = h.Count
+	}
+	if len(want) == 0 {
+		t.Fatal("the traced run fed no stage histogram")
+	}
+	st := e.Status()
+	if len(st.Stages) != len(want) {
+		t.Errorf("%d stage rows, want the %d the root registry holds", len(st.Stages), len(want))
+	}
+	for _, sg := range st.Stages {
+		if n := want[sg.Lane+"/"+sg.Stage]; sg.Count != n {
+			t.Errorf("stage %s/%s: %d spans, the registry has %d", sg.Lane, sg.Stage, sg.Count, n)
+		}
+	}
+}
+
+// TestStatusCostIndependentOfRegistry: with tracing off, a /statusz of
+// an engine whose registry holds thousands of other series allocates
+// what one beside ten does — the document reads no registry.
+func TestStatusCostIndependentOfRegistry(t *testing.T) {
+	allocs := func(foreign int) float64 {
+		reg := obs.NewRegistry()
+		for i := 0; i < foreign; i++ {
+			reg.Counter("uncharted_foreign_total", "i", strconv.Itoa(i))
+			reg.Histogram(trace.StageSecondsMetric, obs.DurationBuckets, "stage", "feed", "shard", strconv.Itoa(i)).Observe(1e-3)
+		}
+		e := New(Config{Workers: 2, Registry: reg})
+		return testing.AllocsPerRun(20, func() { e.Status() })
+	}
+	if few, many := allocs(10), allocs(5000); many != few {
+		t.Errorf("Status allocates %v times beside 5000 foreign series, %v beside 10", many, few)
 	}
 }
 
