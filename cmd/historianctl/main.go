@@ -18,6 +18,7 @@ import (
 	"log"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"uncharted/internal/historian"
@@ -52,13 +53,24 @@ func run() int {
 	}
 }
 
-// open opens the store read-mostly with defaults; ctl operations never
-// need tuned write options.
-func open(dir string) (*historian.Store, error) {
+// open opens an existing historian. historian.Open creates what it is
+// pointed at, which suits the engine's writer but not an inspection
+// tool: a mistyped -dir would become an empty historian that lists
+// nothing and exits 0. So the directory must already hold a segment.
+func open(dir string, opts historian.Options) (*historian.Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("-dir is required")
 	}
-	return historian.Open(dir, historian.Options{})
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if n := e.Name(); !e.IsDir() && strings.HasPrefix(n, "seg-") && strings.HasSuffix(n, ".useg") {
+			return historian.Open(dir, opts)
+		}
+	}
+	return nil, fmt.Errorf("%s is not a historian directory: it holds no seg-*.useg segment", dir)
 }
 
 // runLs prints the point catalog: one line per stored point with its
@@ -67,7 +79,7 @@ func runLs(args []string) int {
 	fs := flag.NewFlagSet("ls", flag.ExitOnError)
 	dir := fs.String("dir", "", "historian directory")
 	fs.Parse(args)
-	st, err := open(*dir)
+	st, err := open(*dir, historian.Options{})
 	if err != nil {
 		log.Print(err)
 		return 1
@@ -129,7 +141,7 @@ func runGet(args []string) int {
 	fs := flag.NewFlagSet("get", flag.ExitOnError)
 	dir, station, ioa, fromS, toS, step := pointFlags(fs)
 	fs.Parse(args)
-	st, err := open(*dir)
+	st, err := open(*dir, historian.Options{})
 	if err != nil {
 		log.Print(err)
 		return 1
@@ -176,7 +188,7 @@ func runExport(args []string) int {
 	dir, station, ioa, fromS, toS, _ := pointFlags(fs)
 	out := fs.String("o", "-", "output file (- = stdout)")
 	fs.Parse(args)
-	st, err := open(*dir)
+	st, err := open(*dir, historian.Options{})
 	if err != nil {
 		log.Print(err)
 		return 1
@@ -268,7 +280,7 @@ func runCompact(args []string) int {
 		}
 		now = t
 	}
-	st, err := historian.Open(*dir, historian.Options{
+	st, err := open(*dir, historian.Options{
 		Retention:       *retention,
 		DownsampleAfter: *dsAfter,
 		DownsampleStep:  *dsStep,

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,5 +42,33 @@ func TestLsRowTypeColumn(t *testing.T) {
 		if len(f) < 4 || f[0] != "S1" || f[1] != "3001" || f[2] != tc.want || f[3] != tc.dir {
 			t.Errorf("type %#04x: row %q, want type %s dir %s", uint16(tc.typ), row, tc.want, tc.dir)
 		}
+	}
+}
+
+// TestRefusesNonHistorianDir: historianctl inspects a historian and
+// never creates one. Pointed at a missing directory, or at one that
+// holds no segment (a typo, or -dir /tmp), every subcommand exits 1 and
+// writes nothing there.
+func TestRefusesNonHistorianDir(t *testing.T) {
+	root := t.TempDir()
+	missing := filepath.Join(root, "typo")
+	empty := filepath.Join(root, "empty")
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	defer func(args []string) { os.Args = args }(os.Args)
+	for _, sub := range []string{"ls", "get", "export", "compact"} {
+		for _, dir := range []string{missing, empty} {
+			os.Args = []string{"historianctl", sub, "-dir", dir}
+			if code := run(); code != 1 {
+				t.Errorf("historianctl %s -dir %s: exit %d, want 1", sub, dir, code)
+			}
+		}
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("%s was created (stat: %v)", missing, err)
+	}
+	if entries, err := os.ReadDir(empty); err != nil || len(entries) != 0 {
+		t.Errorf("%s holds %d entries after the runs (%v), want none", empty, len(entries), err)
 	}
 }
