@@ -50,7 +50,7 @@ func main() {
 			[]float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1})
 	)
 	if *metrics != "" {
-		bound, stop, err := obs.Serve(*metrics, reg, nil)
+		bound, stop, err := obs.ServeWith(*metrics, reg, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

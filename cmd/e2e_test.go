@@ -98,7 +98,7 @@ var commandTests = []struct {
 	{"station", []string{"iec104station"}, testStation},
 	{"dashboard", []string{"iec104live", "unchartedtop"}, testDashboard},
 	{"service", []string{"unchartedd", "loadgen"}, testService},
-	{"pipelined", []string{"pipelined"}, testPipelined},
+	{"pipelines", []string{"unchartedd"}, testPipelines},
 	{"profilediff", []string{"profilediff", "profiler", "iec104gen"}, testProfileDiff},
 	{"agcsim", []string{"agcsim"}, testAgcsim},
 	{"iec104dump", []string{"iec104dump"}, testDump},
@@ -543,12 +543,14 @@ func testDashboard(t *testing.T) {
 }
 
 // testService: the control-room daemon with two paced simulator tenants
-// (ingest keeps publishing under load) and a finished-capture tenant
-// with a historian. The mixed read workload sees no 5xx and a hot
-// snapshot cache. The capture tenant's feed ends within the first
-// second, and its historian still answers a point query afterwards (the
-// drain closes it, not EOF). A daemon over a truncated capture exits 1:
-// a tenant whose ingest failed is not a clean run.
+// (ingest keeps publishing under load), a finished-capture tenant with a
+// historian and a declared pipeline over the same capture. The mixed
+// read workload sees no 5xx and a hot snapshot cache. The capture
+// tenant's feed ends within the first second, and its historian still
+// answers a point query afterwards (the drain closes it, not EOF); the
+// declared pipeline serves its profile under /v1 like any tenant. A
+// daemon over a truncated capture exits 1: a tenant whose ingest failed
+// is not a clean run.
 func testService(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "smoke.json"), fmt.Sprintf(`{
@@ -559,10 +561,16 @@ func testService(t *testing.T) {
      "workers": 2, "snapshot": "500ms", "historian": true},
     {"name": "west", "source": {"kind": "sim", "year": 2, "seed": 9, "speed": 120},
      "workers": 2, "snapshot": "500ms", "historian": true},
-    {"name": "era", "source": {"kind": "pcap", "path": %q}, "historian": true}
+    {"name": "era", "source": {"kind": "pcap", "path": %[1]q}, "historian": true}
+  ],
+  "pipelines": [
+    {"name": "declared", "segments": [
+      {"id": "src", "segment": "pcap", "params": {"path": %[1]q}},
+      {"id": "an", "segment": "analyzer", "from": ["src"]}
+    ]}
   ]
 }`, y1))
-	d := start(t, dir, "unchartedd", "-config", "smoke.json")
+	d := start(t, dir, "unchartedd", "smoke.json")
 	base := "http://" + d.addr
 	run(t, dir, 0, "loadgen", "-base", base, "-tenants", "east,west",
 		"-clients", "200", "-duration", "1s", "-mix", "profile:8,query:2,statusz:1",
@@ -603,6 +611,18 @@ func testService(t *testing.T) {
 	if err := getJSON(base+"/v1/era/query?"+q.Encode(), &rows); err != nil || len(rows) == 0 {
 		t.Errorf("point query after EOF: %d rows (%v)", len(rows), err)
 	}
+	eventually(t, "declared pipeline's profile", func() error {
+		var prof struct {
+			Packets int64 `json:"packets"`
+		}
+		if err := getJSON(base+"/v1/declared/profile", &prof); err != nil {
+			return err
+		}
+		if prof.Packets == 0 {
+			return errors.New("no packets in the declared pipeline's profile")
+		}
+		return nil
+	})
 	d.stop(t, 0)
 
 	capture, err := os.ReadFile(y1)
@@ -612,7 +632,7 @@ func testService(t *testing.T) {
 	writeFile(t, filepath.Join(dir, "cut.pcap"), string(capture[:300000]))
 	writeFile(t, filepath.Join(dir, "cut.json"),
 		`{"listen": "127.0.0.1:0", "tenants": [{"name": "cut", "source": {"kind": "pcap", "path": "cut.pcap"}}]}`)
-	cut := start(t, dir, "unchartedd", "-config", "cut.json")
+	cut := start(t, dir, "unchartedd", "cut.json")
 	eventually(t, "truncated tenant failed", func() error {
 		var g graphView
 		if err := getJSON("http://"+cut.addr+"/v1/cut/pipeline?format=json", &g); err != nil {
@@ -626,11 +646,13 @@ func testService(t *testing.T) {
 	cut.stop(t, 1)
 }
 
-// testPipelined: every committed example config dry-runs clean, then
-// the live IDS fleet boots for real: it publishes a snapshot, its
-// historian catalog fills, the combined /statusz lists it, and SIGINT
-// drains it with exit 0.
-func testPipelined(t *testing.T) {
+// testPipelines: every committed example config dry-runs clean on the
+// daemon, and a misspelt key fails the dry run naming the key. The live
+// IDS fleet boots for real: it publishes a snapshot, its historian
+// catalog fills, the combined /statusz lists it, and SIGINT drains it
+// with exit 0. With no address to serve on, a finished capture's graph
+// exports its profile and the daemon exits 0 on its own.
+func testPipelines(t *testing.T) {
 	dir := t.TempDir()
 	configs, err := filepath.Glob("../examples/pipelines/*.jsonc")
 	if err != nil || len(configs) == 0 {
@@ -641,7 +663,11 @@ func testPipelined(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run(t, dir, 0, "pipelined", append([]string{"-validate"}, configs...)...)
+	run(t, dir, 0, "unchartedd", append([]string{"-validate"}, configs...)...)
+	writeFile(t, filepath.Join(dir, "typo.json"),
+		`{"tenants": [{"name": "east", "source": {"kind": "sim"}, "worker": 2}]}`)
+	_, stderr := run(t, dir, 1, "unchartedd", "-validate", "typo.json")
+	mustContain(t, "-validate typo.json", stderr, `typo.json:1: tenant "east": unknown key "worker"`)
 
 	// Keep the example's historian inside the test's directory.
 	src, err := os.ReadFile("../examples/pipelines/live-ids.jsonc")
@@ -653,7 +679,7 @@ func testPipelined(t *testing.T) {
 		t.Fatalf("live-ids.jsonc no longer writes its historian to %s", hist)
 	}
 	writeFile(t, filepath.Join(dir, "live-ids.jsonc"), strings.ReplaceAll(string(src), hist, filepath.Join(dir, "hist")))
-	p := start(t, dir, "pipelined", "-addr", "127.0.0.1:0", "live-ids.jsonc")
+	p := start(t, dir, "unchartedd", "-addr", "127.0.0.1:0", "live-ids.jsonc")
 	base := "http://" + p.addr
 	eventually(t, "published snapshot", func() error {
 		var prof struct {
@@ -676,6 +702,19 @@ func testPipelined(t *testing.T) {
 		t.Errorf("statusz lists %+v (%v), want the live pipeline", status, err)
 	}
 	p.stop(t, 0)
+
+	writeFile(t, filepath.Join(dir, "batch.jsonc"), fmt.Sprintf(`{"pipelines": [{"name": "batch", "segments": [
+  {"id": "src", "segment": "pcap", "params": {"path": %q}},
+  {"id": "an", "segment": "analyzer", "from": ["src"]},
+  {"id": "out", "segment": "export", "from": ["an"], "params": {"path": "profile.json", "format": "json"}},
+]}]}`, y1))
+	run(t, dir, 0, "unchartedd", "batch.jsonc")
+	var exported struct {
+		Packets int64 `json:"packets"`
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, "profile.json")); err != nil || json.Unmarshal(raw, &exported) != nil || exported.Packets == 0 {
+		t.Errorf("batch export: %d packets (%v)", exported.Packets, err)
+	}
 }
 
 // testProfileDiff: the paper's longitudinal experiment (§6). A saved

@@ -78,10 +78,11 @@ func run() int {
 		log.Printf("recording measurements into historian at %s", *historianDir)
 	}
 
-	// The sim→analyzer graph is the same declared pipeline a
-	// cmd/pipelined config would build, hosted like every graph-running
-	// command's; the simulator runs (the attack is injected, the detector
-	// trained) while the runner constructs the segments.
+	// The sim→analyzer graph is the same declared pipeline an
+	// unchartedd config's "pipelines" entry would build, hosted like
+	// every graph-running command's; the simulator runs (the attack is
+	// injected, the detector trained) while the runner constructs the
+	// segments.
 	return pipeline.Host{
 		Graph: func(rec *trace.Recorder) (*pipeline.Config, map[string]any) {
 			graph, hooks := pipeline.LiveGraph(pipeline.LivePreset{
@@ -101,7 +102,6 @@ func run() int {
 		},
 		JournalPath: *journalPath,
 		Addr:        *metricsAddr,
-		Root:        true,
 		TracePath:   *tracePath,
 		TraceSample: *traceSample,
 		Before: func(h *pipeline.Hosted) error {

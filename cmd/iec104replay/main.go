@@ -65,7 +65,7 @@ func main() {
 
 	instrument := false
 	if *metrics != "" {
-		bound, stop, err := obs.Serve(*metrics, obs.Default, nil)
+		bound, stop, err := obs.ServeWith(*metrics, obs.Default, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

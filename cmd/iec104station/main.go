@@ -35,7 +35,7 @@ func serveMetrics(addr string) func() error {
 	if addr == "" {
 		return func() error { return nil }
 	}
-	bound, stop, err := obs.Serve(addr, obs.Default, nil)
+	bound, stop, err := obs.ServeWith(addr, obs.Default, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -172,7 +172,6 @@ func runWatch(args []string) int {
 			})
 		},
 		Addr:    *metricsAddr,
-		Root:    true,
 		Trouble: 2,
 		After: func(h *pipeline.Hosted) int {
 			if h.Err != nil {

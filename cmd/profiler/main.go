@@ -166,7 +166,6 @@ func run() int {
 		},
 		JournalPath: *journalPath,
 		Addr:        *metricsAddr,
-		Root:        true,
 		TracePath:   *tracePath,
 		TraceSample: *traceSample,
 		After: func(h *pipeline.Hosted) int {

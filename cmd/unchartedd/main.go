@@ -4,45 +4,43 @@
 // one multi-tenant HTTP API with a snapshot-keyed response cache and
 // remote-probe aggregation (internal/service).
 //
-// The tenant list comes from a JSON config file:
+// The config is one JSONC document (README "Control-room service"): a
+// "tenants" list of shorthand sources (sim, pcap, follow, probe) and a
+// "pipelines" list of declared segment graphs, each hosted as the
+// tenant of its name. A key the loader does not know is an error.
 //
-//	{
-//	  "listen": ":9180",
-//	  "historian_root": "/var/lib/uncharted",
-//	  "tenants": [
-//	    {"name": "east", "source": {"kind": "sim", "year": 1, "seed": 7, "speed": 60},
-//	     "workers": 2, "historian": true},
-//	    {"name": "west", "source": {"kind": "pcap", "path": "west.pcap"}},
-//	    {"name": "fleet", "source": {"kind": "probe"}}
-//	  ]
-//	}
+// Every tenant serves /v1/{tenant}/profile, /drift, /query, /statusz,
+// /fleet and /partial (remote probes post drift-codec partials there);
+// its graph's segment endpoints are under /pipelines/{tenant}/..., the
+// combined graph view is /statusz, and /metrics carries every tenant's
+// series with a tenant label.
 //
-// The query surface per tenant is the same one the single-engine
-// commands serve — /v1/{tenant}/profile, /drift, /query, /statusz —
-// plus /v1/{tenant}/partial, where remote probes (profiler -push) post
-// drift-codec partials that merge into the tenant's fleet profile at
-// /v1/{tenant}/fleet. /metrics carries every tenant's series with a
-// tenant label.
-//
-// SIGINT/SIGTERM drains every tenant's engine gracefully (shards
-// finish their batches, final profiles publish) before exit; the exit
-// status is 1 when a tenant's ingest or the journal failed.
+// With an HTTP address (the config's listen, or -addr) the daemon
+// serves until SIGINT/SIGTERM; with none it exits once every tenant's
+// input is exhausted. Either way every tenant drains (final profiles
+// publish) before exit; the exit status is 1 when a tenant's ingest or
+// the journal failed, 2 on a usage error.
 //
 // Usage:
 //
-//	unchartedd -config control-room.json
-//	unchartedd -config control-room.json -addr :9180 -journal events.jsonl
+//	unchartedd [-addr :9180] [-journal events.jsonl] config.jsonc
+//	unchartedd -validate config.jsonc ...   # parse, schema- and graph-check only
+//	unchartedd -segments                    # print the segment catalog
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"uncharted/internal/obs"
+	"uncharted/internal/pipeline"
 	"uncharted/internal/service"
 )
 
@@ -51,27 +49,28 @@ func main() {
 }
 
 func run() int {
-	configPath := flag.String("config", "", "service config file (JSON); required")
-	addr := flag.String("addr", "", "HTTP listen address (overrides the config's listen; default :9180)")
+	addr := flag.String("addr", "", "HTTP listen address (overrides the config's listen; with neither, exit once every input is exhausted)")
 	journalPath := flag.String("journal", "", "append structured pipeline events to this JSONL file")
+	validate := flag.Bool("validate", false, "parse, schema-check and graph-check the config(s), then exit (0 = valid)")
+	segments := flag.Bool("segments", false, "print the segment catalog and exit")
 	flag.Parse()
 
-	if *configPath == "" {
-		flag.Usage()
+	switch {
+	case *segments:
+		printCatalog()
+		return 0
+	case *validate:
+		return runValidate(flag.Args())
+	case flag.NArg() != 1:
+		log.Print("usage: unchartedd [-addr :9180] [-journal events.jsonl] config.jsonc")
 		return 2
 	}
-	cfg, err := service.LoadConfig(*configPath)
+	cfg, err := service.LoadConfig(flag.Arg(0))
 	if err != nil {
-		log.Printf("load config: %v", err)
+		printErrors(err)
 		return 1
 	}
-	listen := cfg.Listen
-	if *addr != "" {
-		listen = *addr
-	}
-	if listen == "" {
-		listen = ":9180"
-	}
+	listen := cmp.Or(*addr, cfg.Listen)
 
 	var journal *obs.Journal
 	if *journalPath != "" {
@@ -91,22 +90,33 @@ func run() int {
 		return 1
 	}
 
-	// Bind before any tenant ingests: a taken port then costs nothing
-	// but the exit, with no historian written to and left unsynced.
-	bound, shutdown, err := obs.ServeWith(listen, reg, journal, svc.Endpoints())
-	if err != nil {
-		log.Printf("listen %s: %v", listen, err)
-		return 1
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	svc.Start(ctx)
-	log.Printf("unchartedd: serving %d tenants on http://%s/v1/", len(svc.Tenants()), bound)
+	if listen != "" {
+		// Bind before any tenant ingests: a taken port then costs nothing
+		// but the exit, with no historian written to and left unsynced.
+		bound, shutdown, err := obs.ServeWith(listen, reg, journal, svc.Endpoints())
+		if err != nil {
+			log.Printf("listen %s: %v", listen, err)
+			return 1
+		}
+		defer shutdown()
+		svc.Start(ctx)
+		log.Printf("unchartedd: serving %d tenants on http://%s/v1/", len(svc.Tenants()), bound)
+	} else {
+		// Nothing to serve: the inputs running out ends the run like a
+		// signal does.
+		svc.Start(ctx)
+		go func() {
+			svc.Wait()
+			stop()
+		}()
+		log.Printf("unchartedd: running %d tenants until their inputs are exhausted", len(svc.Tenants()))
+	}
 
 	<-ctx.Done()
 	log.Printf("unchartedd: draining tenants")
 	svc.Drain()
-	shutdown()
 	exit := 0
 	for _, name := range svc.Tenants() {
 		if terr := svc.Tenant(name).Err(); terr != nil {
@@ -119,4 +129,70 @@ func run() int {
 		exit = 1
 	}
 	return exit
+}
+
+// runValidate dry-runs every config: parse, schema-check, compile every
+// tenant and graph-check every pipeline, without building a single
+// segment. Errors name the config path and line.
+func runValidate(paths []string) int {
+	if len(paths) == 0 {
+		log.Print("usage: unchartedd -validate config.jsonc [more.jsonc ...]")
+		return 2
+	}
+	exit := 0
+	for _, path := range paths {
+		cfg, err := service.LoadConfig(path)
+		if err != nil {
+			printErrors(err)
+			exit = 1
+			continue
+		}
+		segs := 0
+		for _, pc := range cfg.Pipelines {
+			segs += len(pc.Nodes)
+		}
+		log.Printf("%s: ok (%d tenants, %d pipelines, %d segments)", path, len(cfg.Tenants), len(cfg.Pipelines), segs)
+	}
+	return exit
+}
+
+// printErrors prints one line per joined error so a config with five
+// problems reports all five.
+func printErrors(err error) {
+	for _, line := range strings.Split(err.Error(), "\n") {
+		log.Print(line)
+	}
+}
+
+// printCatalog renders the segment catalog: every registered kind,
+// its role, ports and parameter schema.
+func printCatalog() {
+	fmt.Println("Registered segments (config key: \"segment\"):")
+	fmt.Println()
+	role := ""
+	for _, s := range pipeline.Catalog() {
+		if string(s.Role) != role {
+			role = string(s.Role)
+			fmt.Printf("%s segments:\n", strings.ToUpper(role[:1])+role[1:])
+		}
+		ports := portLabel(s.In) + " -> " + portLabel(s.Out)
+		fmt.Printf("  %-14s %-22s %s\n", s.Kind, ports, s.Doc)
+		for _, p := range s.Params {
+			req := ""
+			if p.Required {
+				req = ", required"
+			} else if p.Default != nil {
+				req = fmt.Sprintf(", default %v", p.Default)
+			}
+			fmt.Printf("      %-18s %s%s — %s\n", p.Name, p.Type, req, p.Doc)
+		}
+		fmt.Println()
+	}
+}
+
+func portLabel(p pipeline.PortType) string {
+	if p == pipeline.PortNone {
+		return "(none)"
+	}
+	return string(p)
 }

@@ -91,7 +91,7 @@ func (r *Registry) WriteJSON(w io.Writer, journal *Journal) error {
 	})
 }
 
-// Handler serves the registry over HTTP:
+// HandlerWith serves the registry over HTTP:
 //
 //	/metrics       Prometheus text exposition
 //	/debug/vars    expvar-style JSON (metrics + memstats)
@@ -101,13 +101,9 @@ func (r *Registry) WriteJSON(w io.Writer, journal *Journal) error {
 //
 // journal may be nil; when set, its per-type event counts are included
 // in the JSON document.
-func Handler(r *Registry, journal *Journal) http.Handler {
-	return HandlerWith(r, journal, nil)
-}
-
-// HandlerWith is Handler plus caller-supplied routes (path → handler),
-// which appear in the index page. Extra routes must not shadow the
-// built-in ones.
+//
+// extra adds caller-supplied routes (path → handler), which appear in
+// the index page; they must not shadow the built-in ones.
 func HandlerWith(r *Registry, journal *Journal, extra map[string]http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -195,26 +191,16 @@ func ReadyHandler(check func() (bool, string)) http.Handler {
 	})
 }
 
-// ServeWith is Serve with extra routes, mirroring HandlerWith.
+// ServeWith starts an HTTP server for HandlerWith(r, journal, extra)
+// on addr and returns the bound address (useful with ":0") plus a
+// shutdown function. The server runs until the shutdown function is
+// called.
 func ServeWith(addr string, r *Registry, journal *Journal, extra map[string]http.Handler) (net.Addr, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, err
 	}
 	srv := &http.Server{Handler: HandlerWith(r, journal, extra)}
-	go srv.Serve(ln)
-	return ln.Addr(), srv.Close, nil
-}
-
-// Serve starts an HTTP server for Handler(r, journal) on addr and
-// returns the bound address (useful with ":0") plus a shutdown
-// function. The server runs until the shutdown function is called.
-func Serve(addr string, r *Registry, journal *Journal) (net.Addr, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := &http.Server{Handler: Handler(r, journal)}
 	go srv.Serve(ln)
 	return ln.Addr(), srv.Close, nil
 }

@@ -20,7 +20,7 @@ func TestHandler(t *testing.T) {
 	j := NewJournal(&sink)
 	j.Log(time.Now(), EventConnState, "c", nil)
 
-	srv := httptest.NewServer(Handler(reg, j))
+	srv := httptest.NewServer(HandlerWith(reg, j, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -69,7 +69,7 @@ func TestHandler(t *testing.T) {
 // TestHealthAndProfiling: the handler serves liveness and the pprof
 // index out of the box.
 func TestHealthAndProfiling(t *testing.T) {
-	srv := httptest.NewServer(Handler(NewRegistry(), nil))
+	srv := httptest.NewServer(HandlerWith(NewRegistry(), nil, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -149,7 +149,7 @@ func TestHistogramQuantile(t *testing.T) {
 func TestServe(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("serving").Set(1)
-	addr, stop, err := Serve("127.0.0.1:0", reg, nil)
+	addr, stop, err := ServeWith("127.0.0.1:0", reg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

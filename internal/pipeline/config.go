@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"reflect"
+	"sort"
 	"strings"
 )
 
@@ -66,23 +68,36 @@ func (e *ConfigError) Error() string {
 	return b.String()
 }
 
-// Load reads, parses and validates a pipeline config file. JSONC is
-// accepted: // and /* */ comments plus trailing commas are stripped
-// before decoding. All validation failures are reported together.
-func Load(path string) (*Config, error) {
-	data, err := os.ReadFile(path)
+// Parse decodes and graph-checks a pipeline config document (JSONC,
+// read by Decode); file names the source in errors. All failures are
+// reported together.
+func Parse(data []byte, file string) (*Config, error) {
+	var cfg Config
+	lines, err := Decode(data, file, &cfg)
+	if err == nil {
+		err = cfg.Check(file, lines)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return Parse(data, path)
+	return &cfg, nil
 }
 
-// Parse decodes and validates config bytes; file names the source in
-// errors.
-func Parse(data []byte, file string) (*Config, error) {
-	clean := stripJSONC(data)
-	var cfg Config
-	if err := json.Unmarshal(clean, &cfg); err != nil {
+// Lines locates a decoded document's array elements: the line each
+// starts on, by its path from the top-level object, e.g.
+// "pipelines[0].segments[2]".
+type Lines map[string]int
+
+// Decode reads the JSONC document data into v, a pointer to a struct,
+// strictly: comments and trailing commas are stripped first
+// (StripJSONC), a syntax or type error names its line, and every
+// object key that names no field of its struct is an error naming the
+// key, its line and where it sits — encoding/json would drop it, and
+// the value it meant would silently take its default. On success it
+// returns where the document's array elements start.
+func Decode(data []byte, file string, v any) (Lines, error) {
+	clean := StripJSONC(data)
+	if err := json.Unmarshal(clean, v); err != nil {
 		line := 0
 		var syn *json.SyntaxError
 		var typ *json.UnmarshalTypeError
@@ -94,26 +109,28 @@ func Parse(data []byte, file string) (*Config, error) {
 		}
 		return nil, &ConfigError{File: file, Line: line, Msg: err.Error()}
 	}
-	if err := cfg.validate(file, nodeOffsets(clean)); err != nil {
-		return nil, err
+	w := keyWalk{dec: json.NewDecoder(bytes.NewReader(clean)), data: clean, file: file, lines: Lines{}}
+	w.value(reflect.ValueOf(v).Elem(), "", "")
+	if len(w.errs) > 0 {
+		return nil, errors.Join(w.errs...)
 	}
-	return &cfg, nil
+	return w.lines, nil
 }
 
 // Validate checks a programmatically built config (presets, tests).
-func (c *Config) Validate() error { return c.validate("", nil) }
+func (c *Config) Validate() error { return c.Check("", nil) }
 
-// validate runs every graph check and joins all failures. offsets,
-// when present, locates each node's declaration line ([pipeline
-// index][node index], from nodeOffsets).
-func (c *Config) validate(file string, offsets [][]int) error {
+// Check runs every graph check and joins all failures, locating each
+// in file by lines (Decode's, for the document that holds c.Pipelines
+// under its top-level "pipelines" key; nil leaves lines out).
+func (c *Config) Check(file string, lines Lines) error {
 	var errs []error
 	fail := func(pi, ni int, where, msg string) {
-		line := 0
-		if offsets != nil && pi < len(offsets) && ni >= 0 && ni < len(offsets[pi]) {
-			line = offsets[pi][ni]
+		path := fmt.Sprintf("pipelines[%d]", pi)
+		if ni >= 0 {
+			path += fmt.Sprintf(".segments[%d]", ni)
 		}
-		errs = append(errs, &ConfigError{File: file, Line: line, Where: where, Msg: msg})
+		errs = append(errs, &ConfigError{File: file, Line: lines[path], Where: where, Msg: msg})
 	}
 
 	if len(c.Pipelines) == 0 {
@@ -126,7 +143,7 @@ func (c *Config) validate(file string, offsets [][]int) error {
 		if p.Name == "" {
 			pwhere = fmt.Sprintf("pipelines[%d]", pi)
 			fail(pi, -1, pwhere, "pipeline has no name")
-		} else if !cleanName(p.Name) {
+		} else if !ValidName(p.Name) {
 			fail(pi, -1, pwhere, "name must be letters, digits, '-' or '_'")
 		}
 		if seenPipes[p.Name] {
@@ -147,7 +164,7 @@ func (c *Config) validate(file string, offsets [][]int) error {
 				fail(pi, ni, where, "segment has no id")
 				continue
 			}
-			if !cleanName(n.ID) {
+			if !ValidName(n.ID) {
 				fail(pi, ni, where, "id must be letters, digits, '-' or '_'")
 			}
 			if _, dup := byID[n.ID]; dup {
@@ -163,7 +180,7 @@ func (c *Config) validate(file string, offsets [][]int) error {
 			where := fmt.Sprintf("%s segment %q", pwhere, n.ID)
 			spec, ok := Lookup(n.Kind)
 			if !ok {
-				fail(pi, ni, where, fmt.Sprintf("unknown segment kind %q (run `pipelined -segments` for the catalog)", n.Kind))
+				fail(pi, ni, where, fmt.Sprintf("unknown segment kind %q (run `unchartedd -segments` for the catalog)", n.Kind))
 				continue
 			}
 			if _, err := parseParams(spec.Params, n.Params); err != nil {
@@ -270,7 +287,9 @@ func findCycles(nodes []NodeConfig) []string {
 	return cycles
 }
 
-func cleanName(s string) bool {
+// ValidName reports whether s can name a pipeline, segment or tenant:
+// letters, digits, '-' or '_', and not empty.
+func ValidName(s string) bool {
 	for _, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
@@ -281,10 +300,10 @@ func cleanName(s string) bool {
 	return s != ""
 }
 
-// stripJSONC blanks // and /* */ comments (newlines preserved, so
-// byte offsets keep mapping to the original lines) and removes
-// trailing commas before ] or }.
-func stripJSONC(data []byte) []byte {
+// StripJSONC blanks // and /* */ comments and trailing commas before
+// ] or } with spaces: the result has the input's length and its
+// newlines, so every byte offset maps to the original line.
+func StripJSONC(data []byte) []byte {
 	out := make([]byte, len(data))
 	copy(out, data)
 	const (
@@ -372,106 +391,136 @@ func lineAt(data []byte, off int64) int {
 	return 1 + bytes.Count(data[:off], []byte{'\n'})
 }
 
-// nodeOffsets walks the JSON token stream and records, for each
-// pipeline in document order, the line each of its segment objects
-// starts on. It mirrors the shape json.Unmarshal decodes, so indexes
-// line up with Config.Pipelines[i].Nodes[j].
-func nodeOffsets(data []byte) [][]int {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var out [][]int
+// keyWalk re-reads a document that decoded without error, alongside
+// the value it decoded into, to find what json.Unmarshal ignores: keys
+// that name no struct field. It records each array element's line on
+// the way.
+type keyWalk struct {
+	dec   *json.Decoder
+	data  []byte
+	file  string
+	lines Lines
+	errs  []error
+}
 
-	next := func() (json.Token, bool) {
-		t, err := dec.Token()
+var unmarshalerType = reflect.TypeFor[json.Unmarshaler]()
+
+// value walks the JSON value at the decoder's position, which decoded
+// into v (invalid for a value nothing decoded); path is its Lines path
+// and where its location in errors. A value decoded by its own
+// UnmarshalJSON (a duration, raw segment params) is opaque.
+func (w *keyWalk) value(v reflect.Value, path, where string) {
+	tok, err := w.dec.Token()
+	if err != nil {
+		return
+	}
+	d, ok := tok.(json.Delim)
+	if !ok {
+		return
+	}
+	opaque := !v.IsValid() || reflect.PointerTo(v.Type()).Implements(unmarshalerType)
+	switch {
+	case d == '{' && !opaque && v.Kind() == reflect.Struct:
+		w.object(v, path, where)
+	case d == '[' && !opaque && v.Kind() == reflect.Slice:
+		w.array(v, path, where)
+	default:
+		for depth := 1; depth > 0; {
+			tok, err := w.dec.Token()
+			if err != nil {
+				return
+			}
+			switch tok {
+			case json.Delim('{'), json.Delim('['):
+				depth++
+			case json.Delim('}'), json.Delim(']'):
+				depth--
+			}
+		}
+	}
+}
+
+// object walks a struct's keys once its '{' is read.
+func (w *keyWalk) object(v reflect.Value, path, where string) {
+	fields := jsonFields(v.Type())
+	for w.dec.More() {
+		at := elemStart(w.data, w.dec.InputOffset())
+		tok, err := w.dec.Token()
 		if err != nil {
-			return nil, false
+			return
 		}
-		return t, true
-	}
-	var skip func() bool
-	skip = func() bool {
-		t, ok := next()
+		key, _ := tok.(string)
+		i, ok := fields[key]
 		if !ok {
-			return false
-		}
-		if d, isDelim := t.(json.Delim); isDelim && (d == '{' || d == '[') {
-			for dec.More() {
-				if !skip() {
-					return false
-				}
+			known := make([]string, 0, len(fields))
+			for k := range fields {
+				known = append(known, k)
 			}
-			_, ok = next() // closing delim
-			return ok
+			sort.Strings(known)
+			w.errs = append(w.errs, &ConfigError{File: w.file, Line: lineAt(w.data, at), Where: where,
+				Msg: fmt.Sprintf("unknown key %q (want %s)", key, strings.Join(known, ", "))})
+			w.value(reflect.Value{}, "", "")
+			continue
 		}
-		return true
+		fv, fpath, fwhere := v.Field(i), key, where
+		if path != "" {
+			fpath = path + "." + key
+		}
+		if fv.Kind() == reflect.Struct {
+			fwhere = strings.TrimSpace(where + " " + key)
+		}
+		w.value(fv, fpath, fwhere)
 	}
+	w.dec.Token() // }
+}
 
-	// Top-level object.
-	if t, ok := next(); !ok {
-		return nil
-	} else if d, isDelim := t.(json.Delim); !isDelim || d != '{' {
-		return nil
-	}
-	for dec.More() {
-		key, ok := next()
-		if !ok {
-			return out
+// array walks a slice's elements once its '[' is read. An element
+// that names itself ("name" or "id") sits at where + `tenant "east"`
+// for a "tenants" array, any other at where + "tenants[1]".
+func (w *keyWalk) array(v reflect.Value, path, where string) {
+	key := path[strings.LastIndexByte(path, '.')+1:]
+	for i := 0; w.dec.More(); i++ {
+		at := fmt.Sprintf("%s[%d]", path, i)
+		w.lines[at] = lineAt(w.data, elemStart(w.data, w.dec.InputOffset()))
+		var ev reflect.Value
+		if i < v.Len() {
+			ev = v.Index(i)
 		}
-		if key != "pipelines" {
-			if !skip() {
-				return out
-			}
+		ewhere := fmt.Sprintf("%s[%d]", key, i)
+		if name := elemName(ev); name != "" {
+			ewhere = fmt.Sprintf("%s %q", strings.TrimSuffix(key, "s"), name)
+		}
+		w.value(ev, at, strings.TrimSpace(where+" "+ewhere))
+	}
+	w.dec.Token() // ]
+}
+
+// jsonFields maps a struct's JSON keys to its field indexes.
+func jsonFields(t reflect.Type) map[string]int {
+	fields := make(map[string]int, t.NumField())
+	for i := range t.NumField() {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !f.IsExported() || name == "-" {
 			continue
 		}
-		// pipelines: [ {...}, ... ]
-		if t, ok := next(); !ok {
-			return out
-		} else if d, isDelim := t.(json.Delim); !isDelim || d != '[' {
-			continue
-		}
-		for dec.More() {
-			// One pipeline object.
-			if t, ok := next(); !ok {
-				return out
-			} else if d, isDelim := t.(json.Delim); !isDelim || d != '{' {
-				if _, isDelim := t.(json.Delim); isDelim {
-					skipRest(dec)
-				}
-				continue
-			}
-			var lines []int
-			for dec.More() {
-				pkey, ok := next()
-				if !ok {
-					return out
-				}
-				if pkey != "segments" {
-					if !skip() {
-						return out
-					}
-					continue
-				}
-				if t, ok := next(); !ok {
-					return out
-				} else if d, isDelim := t.(json.Delim); !isDelim || d != '[' {
-					continue
-				}
-				for dec.More() {
-					// InputOffset points just past the previous token
-					// (the '[' or the prior element); the element itself
-					// starts at the next non-separator byte.
-					lines = append(lines, lineAt(data, elemStart(data, dec.InputOffset())))
-					if !skip() {
-						return out
-					}
-				}
-				next() // ]
-			}
-			next() // }
-			out = append(out, lines)
-		}
-		next() // ]
+		fields[cmp.Or(name, f.Name)] = i
 	}
-	return out
+	return fields
+}
+
+// elemName is a decoded struct's "name" or "id" field, if it has one.
+func elemName(v reflect.Value) string {
+	if !v.IsValid() || v.Kind() != reflect.Struct {
+		return ""
+	}
+	fields := jsonFields(v.Type())
+	for _, key := range []string{"name", "id"} {
+		if i, ok := fields[key]; ok && v.Field(i).Kind() == reflect.String {
+			return v.Field(i).String()
+		}
+	}
+	return ""
 }
 
 // elemStart advances past whitespace and the element separator to the
@@ -486,14 +535,4 @@ func elemStart(data []byte, off int64) int64 {
 		}
 	}
 	return off
-}
-
-// skipRest drains the decoder after an unexpected delimiter so the
-// walk can continue; malformed documents already failed Unmarshal.
-func skipRest(dec *json.Decoder) {
-	for {
-		if _, err := dec.Token(); err != nil {
-			return
-		}
-	}
 }

@@ -78,7 +78,7 @@ func TestParseErrors(t *testing.T) {
 			doc: `{"pipelines": [{"name": "p", "segments": [
 				{ "id": "src", "segment": "nope" }
 			]}]}`,
-			want: []string{"bad.jsonc:2", `unknown segment kind "nope"`, "pipelined -segments"},
+			want: []string{"bad.jsonc:2", `unknown segment kind "nope"`, "unchartedd -segments"},
 		},
 		{
 			name: "duplicate segment id",
@@ -111,6 +111,17 @@ func TestParseErrors(t *testing.T) {
 				{ "id": "a2", "segment": "analyzer", "from": ["src"], "params": { "queue": 8 } }
 			]}]}`,
 			want: []string{"bad.jsonc:2", `unknown param "poll"`, "bad.jsonc:3", `unknown param "batch"`, "bad.jsonc:4", `unknown param "queue"`},
+		},
+		{
+			// A misspelt key would otherwise be dropped, and the segment
+			// would run on its defaults.
+			name: "unknown keys",
+			doc: `{"pipeline": [],
+			  "pipelines": [{"name": "p", "segmnets": [], "segments": [
+				{ "id": "src", "segment": "sim", "parmas": { "year": 9 } }
+			]}]}`,
+			want: []string{`bad.jsonc:1: unknown key "pipeline"`, `bad.jsonc:2: pipeline "p": unknown key "segmnets"`,
+				`bad.jsonc:3: pipeline "p" segment "src": unknown key "parmas" (want from, id, params, segment)`},
 		},
 		{
 			name: "dangling edge",

@@ -19,22 +19,19 @@ import (
 // Host is what a graph-running command does around its graph, written
 // once: journal file, registry, flight recorder with its SIGUSR1 dump,
 // Runner, HTTP surface, signal context, the run, closing the graph's
-// stores and the trace export. profiler, iec104live, pipelined and
-// profilediff save|watch keep their flags, their graph and what they
-// print.
+// stores and the trace export. profiler, iec104live and profilediff
+// save|watch keep their flags, their graph and what they print.
 type Host struct {
 	// Graph declares what to run; rec is nil unless TracePath is set.
 	Graph func(rec *trace.Recorder) (*Config, map[string]any)
 	// JournalPath, when set, receives every pipeline's events as JSONL.
 	JournalPath string
-	// Addr, when set, serves /metrics, the combined graph view at
-	// /statusz and every segment endpoint under /pipelines/{p}/...
+	// Addr, when set, serves /metrics, every segment endpoint under
+	// /pipelines/{p}/... and the graph's first analyzer at the root —
+	// its engine's /profile, /statusz, /readyz (+ /drift, /query), the
+	// URL tree cmd/unchartedtop polls. The graph view is at
+	// /pipelines/{p}/statusz, and at /statusz when there is no analyzer.
 	Addr string
-	// Root also serves the graph's first analyzer at the root — its
-	// engine's /profile, /statusz, /readyz (+ /drift, /query), the URL
-	// tree of the single-analyzer commands that cmd/unchartedtop polls;
-	// the graph view is then at /pipelines/{p}/statusz only.
-	Root bool
 	// TracePath, when set, arms the flight recorder (1 in TraceSample
 	// span starts per lane) and receives a Chrome trace_event file after
 	// the run, or on SIGUSR1.
@@ -106,7 +103,7 @@ func (h Host) run() (code int, err error) {
 	res := &Hosted{Runner: runner, Registry: reg, Journal: journal}
 	if h.Addr != "" {
 		eps := runner.Endpoints()
-		if a := runner.Analyzer(); h.Root && a != nil {
+		if a := runner.Analyzer(); a != nil {
 			// The engine's /statusz shadows the graph view at the root.
 			for path, hd := range a.Endpoints() {
 				eps[path] = hd

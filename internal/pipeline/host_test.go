@@ -44,7 +44,7 @@ func TestHostRootServesTheEngine(t *testing.T) {
 			t.Fatalf("%s: code %d, decode: %v (body %.120q)", url, resp.StatusCode, err, body)
 		}
 	}
-	code := liveHost(Host{Addr: "127.0.0.1:0", Root: true, After: func(h *Hosted) int {
+	code := liveHost(Host{Addr: "127.0.0.1:0", After: func(h *Hosted) int {
 		if h.Err != nil {
 			t.Errorf("graph failed: %v", h.Err)
 		}

@@ -7,7 +7,8 @@
 // analyzer, the online IDS, the drift comparator, the historian
 // recorder) and outputs (snapshot HTTP endpoints, JSON/JSONL/CSV
 // export, a JSONL journal, alert webhooks) — and one process runs a
-// whole fleet's worth of them side by side (cmd/pipelined).
+// whole fleet's worth of them side by side (cmd/unchartedd hosts each
+// as a tenant).
 //
 // Segments compose behind channels of Msg values: a packets edge
 // carries decoded packet batches, a profiles edge carries published
@@ -132,7 +133,7 @@ type Env struct {
 }
 
 // Handle registers an HTTP handler on the pipeline's mount table.
-// Paths must begin with "/"; cmd/pipelined serves them under
+// Paths must begin with "/"; Host and cmd/unchartedd serve them under
 // /pipelines/{pipeline}{path}. Registering a taken path overwrites it.
 func (e *Env) Handle(path string, h http.Handler) {
 	if e.handlers == nil {

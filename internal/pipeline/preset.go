@@ -12,7 +12,7 @@ import (
 // profiler, iec104live and a control-room tenant's shorthand all
 // construct the same input→analyzer pipeline a config file would,
 // through SourceGraph, so every capability those front ends expose is
-// reachable from cmd/pipelined too — and the equivalence tests pin the
+// reachable from a declared pipeline too — and the equivalence tests pin the
 // profiles to be identical either way.
 
 // presetNode builds one NodeConfig with marshalled params. Params values

@@ -2,9 +2,12 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"time"
+
+	"uncharted/internal/pipeline"
 )
 
 // Duration is a time.Duration that unmarshals from JSON as either a
@@ -41,10 +44,9 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 // SourceConfig says where a tenant's packets come from.
 type SourceConfig struct {
 	// Kind picks the source: "sim" (in-process simulator), "pcap"
-	// (finished capture), "follow" (growing capture, tail -f style),
+	// (finished capture), "follow" (growing capture, tail -f style) or
 	// "probe" (no local ingest: the tenant only aggregates partials
-	// posted by remote probes) or "pipeline" (host a declared segment
-	// graph from a cmd/pipelined config file).
+	// posted by remote probes).
 	Kind string `json:"kind"`
 	// Year / Seed / Duration / Speed parameterise a sim source. Year
 	// is the capture campaign (1 or 2), Speed the replay pacing
@@ -56,15 +58,6 @@ type SourceConfig struct {
 	Speed    float64  `json:"speed,omitempty"`
 	// Path is the capture file for pcap / follow sources.
 	Path string `json:"path,omitempty"`
-	// File / Pipeline select a declared graph for the "pipeline"
-	// source kind: File is a cmd/pipelined config (JSON/JSONC) and
-	// Pipeline names the pipeline within it (optional when the file
-	// declares exactly one). The tenant's profile surface binds to the
-	// graph's first analyzer segment; tenant-level engine knobs
-	// (workers, snapshot, ...) are ignored — the graph declares its
-	// own.
-	File     string `json:"file,omitempty"`
-	Pipeline string `json:"pipeline,omitempty"`
 }
 
 // TenantConfig describes one hosted tenant: a balancing authority,
@@ -94,7 +87,8 @@ type TenantConfig struct {
 	BaselinePath string `json:"baseline,omitempty"`
 }
 
-// Config parameterises the whole control-room service.
+// Config parameterises the whole control-room service: the daemon's
+// config document.
 type Config struct {
 	// Listen is the HTTP address (cmd/unchartedd's -addr overrides).
 	Listen string `json:"listen,omitempty"`
@@ -104,19 +98,77 @@ type Config struct {
 	// HistorianRoot is the directory holding one historian namespace
 	// per tenant that enables it.
 	HistorianRoot string `json:"historian_root,omitempty"`
-	// Tenants is the hosted tenant list.
-	Tenants []TenantConfig `json:"tenants"`
+	// Tenants is the shorthand tenant list.
+	Tenants []TenantConfig `json:"tenants,omitempty"`
+	// Pipelines declares segment graphs in the pipeline package's
+	// vocabulary; each is hosted as the tenant of its name. Tenants and
+	// pipelines share one namespace.
+	Pipelines []pipeline.PipelineConfig `json:"pipelines,omitempty"`
 }
 
-// LoadConfig reads and validates a service config file.
+// LoadConfig reads a service config file; see ParseConfig.
 func LoadConfig(path string) (Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, err
 	}
+	return ParseConfig(data, path)
+}
+
+// ParseConfig decodes a service config document — JSONC, every key
+// known (pipeline.Decode) — compiles every shorthand tenant and
+// graph-checks every pipeline without building a segment. All failures
+// are reported together as pipeline.ConfigErrors naming file and line.
+func ParseConfig(data []byte, file string) (Config, error) {
 	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return Config{}, fmt.Errorf("service: %s: %w", path, err)
+	lines, err := pipeline.Decode(data, file, &cfg)
+	if err == nil {
+		err = cfg.check(file, lines)
+	}
+	if err != nil {
+		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// Validate checks a programmatically built config the way ParseConfig
+// checks a file.
+func (c Config) Validate() error { return c.check("", nil) }
+
+func (c Config) check(file string, lines pipeline.Lines) error {
+	var errs []error
+	fail := func(path, where, msg string) {
+		errs = append(errs, &pipeline.ConfigError{File: file, Line: lines[path], Where: where, Msg: msg})
+	}
+	if len(c.Tenants)+len(c.Pipelines) == 0 {
+		fail("", "", "no tenants or pipelines configured")
+	}
+	tenants := map[string]bool{}
+	for i, tc := range c.Tenants {
+		path, where := fmt.Sprintf("tenants[%d]", i), fmt.Sprintf("tenant %q", tc.Name)
+		if !pipeline.ValidName(tc.Name) {
+			fail(path, where, "name must be letters, digits, '-' or '_'")
+			continue // its graph would be named after it
+		}
+		if tenants[tc.Name] {
+			fail(path, where, "duplicate tenant name")
+		}
+		tenants[tc.Name] = true
+		graph, err := tc.graph(c.HistorianRoot)
+		if err == nil && graph != nil {
+			err = graph.Validate()
+		}
+		if err != nil {
+			fail(path, where, err.Error())
+		}
+	}
+	for i, pc := range c.Pipelines {
+		if tenants[pc.Name] {
+			fail(fmt.Sprintf("pipelines[%d]", i), fmt.Sprintf("pipeline %q", pc.Name), "name taken by a tenant")
+		}
+	}
+	if len(c.Pipelines) > 0 {
+		errs = append(errs, (&pipeline.Config{Pipelines: c.Pipelines}).Check(file, lines))
+	}
+	return errors.Join(errs...)
 }

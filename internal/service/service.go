@@ -2,10 +2,10 @@
 // pipeline: one process hosting N concurrent streaming engines — one
 // per tenant, where a tenant is a balancing authority, a capture era,
 // or a single capture — behind a multi-tenant HTTP API. A tenant with
-// local ingest is a segment graph (internal/pipeline): its config's
-// shorthand compiles into the src → analyzer pair a cmd/pipelined file
-// would declare, or names such a file, and a pipeline.Runner hosts it;
-// the service builds no engine and opens no source of its own.
+// local ingest is a segment graph (internal/pipeline): a pipeline the
+// config declares, or the src → analyzer pair a tenant's shorthand
+// compiles into, and a pipeline.Runner hosts it; the service builds no
+// engine and opens no source of its own.
 //
 //	GET  /v1/{tenant}/profile   rolling profile (cached per snapshot;
 //	                            a probe-only tenant's is its /fleet)
@@ -34,12 +34,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 
 	"uncharted/internal/obs"
 	"uncharted/internal/pipeline"
@@ -58,15 +58,16 @@ type Service struct {
 	mux     *http.ServeMux
 }
 
-// New builds the service and all its tenants (sources included: sim
-// tenants synthesize their feed here, so New is where the cost is).
-// reg and journal may be nil.
+// New builds the service and all its tenants — the shorthand ones,
+// then one per declared pipeline — sources included: sim tenants
+// synthesize their feed here, so New is where the cost is. reg and
+// journal may be nil.
 func New(cfg Config, reg *obs.Registry, journal *obs.Journal) (*Service, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	if len(cfg.Tenants) == 0 {
-		return nil, fmt.Errorf("service: no tenants configured")
 	}
 	var cache *Cache
 	if cfg.CacheEntries >= 0 {
@@ -80,20 +81,32 @@ func New(cfg Config, reg *obs.Registry, journal *obs.Journal) (*Service, error) 
 		tenants: make(map[string]*Tenant),
 		mux:     http.NewServeMux(),
 	}
-	for _, tc := range cfg.Tenants {
-		if strings.ContainsAny(tc.Name, "/\\ ") {
-			return nil, fmt.Errorf("service: invalid tenant name %q", tc.Name)
-		}
-		if _, dup := s.tenants[tc.Name]; dup {
-			return nil, fmt.Errorf("service: duplicate tenant %q", tc.Name)
-		}
-		t, err := newTenant(tc, cfg, reg, journal)
+	add := func(name, source string, clusterK int, graph *pipeline.Config, logf func(string, ...any)) error {
+		t, err := newTenant(name, source, clusterK, graph, logf, reg, journal)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.wireTenant(t)
-		s.tenants[tc.Name] = t
-		s.order = append(s.order, tc.Name)
+		s.tenants[name] = t
+		s.order = append(s.order, name)
+		return nil
+	}
+	// A shorthand tenant's graph has nothing to say on the daemon's log:
+	// its drift findings are on /drift and in the journal, its failure in
+	// Err. A declared graph may hold log outputs.
+	quiet := func(string, ...any) {}
+	for _, tc := range cfg.Tenants {
+		graph, _ := tc.graph(cfg.HistorianRoot) // compiled by Validate
+		source := cmp.Or(tc.Source.Kind, "probe")
+		if err := add(tc.Name, source, tc.ClusterK, graph, quiet); err != nil {
+			return nil, err
+		}
+	}
+	for _, pc := range cfg.Pipelines {
+		graph := &pipeline.Config{Pipelines: []pipeline.PipelineConfig{pc}}
+		if err := add(pc.Name, "pipeline", 0, graph, nil); err != nil {
+			return nil, err
+		}
 	}
 	s.routes()
 	return s, nil
@@ -207,10 +220,7 @@ func (s *Service) handleIndex(w http.ResponseWriter, _ *http.Request) {
 	for _, name := range s.order {
 		t := s.tenants[name]
 		ready, reason := t.Ready()
-		r := row{Name: name, Source: t.cfg.Source.Kind, Ready: ready, Reason: reason}
-		if r.Source == "" {
-			r.Source = "probe"
-		}
+		r := row{Name: name, Source: t.source, Ready: ready, Reason: reason}
 		if t.engine != nil {
 			if p := t.engine.Profile(); p != nil {
 				r.Seq = p.Seq
@@ -234,14 +244,31 @@ func (s *Service) handleIndex(w http.ResponseWriter, _ *http.Request) {
 // path, so no stripping is needed).
 func (s *Service) Handler() http.Handler { return s.mux }
 
-// Endpoints returns the route map for obs.HandlerWith so the daemon
-// serves /v1/... next to /metrics, /healthz and the pprof tree.
+// Endpoints returns the daemon's route map for obs.HandlerWith: the
+// /v1 tree, /readyz, every tenant graph's segment endpoints under
+// /pipelines/{p}/... (a tenant's graph is the pipeline of its name) and
+// the combined graph view of every tenant at /statusz.
 func (s *Service) Endpoints() map[string]http.Handler {
-	return map[string]http.Handler{
-		"/v1":     s.mux,
-		"/v1/":    s.mux,
-		"/readyz": obs.ReadyHandler(s.Ready),
+	eps := map[string]http.Handler{}
+	var runners []*pipeline.Runner
+	for _, name := range s.order {
+		if r := s.tenants[name].runner; r != nil {
+			runners = append(runners, r)
+			for path, h := range r.Endpoints() {
+				eps[path] = h
+			}
+		}
 	}
+	eps["/statusz"] = pipeline.NewStatusHandler(func() []pipeline.PipelineStatus {
+		var sts []pipeline.PipelineStatus
+		for _, r := range runners {
+			sts = append(sts, r.Status()...)
+		}
+		return sts
+	})
+	eps["/v1"], eps["/v1/"] = s.mux, s.mux
+	eps["/readyz"] = obs.ReadyHandler(s.Ready)
+	return eps
 }
 
 // Start launches every tenant's ingest. The engines drain when ctx is

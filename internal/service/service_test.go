@@ -20,6 +20,7 @@ import (
 	"uncharted/internal/core"
 	"uncharted/internal/drift"
 	"uncharted/internal/obs"
+	"uncharted/internal/pipeline"
 	"uncharted/internal/scadasim"
 	"uncharted/internal/stream"
 	"uncharted/internal/topology"
@@ -35,12 +36,20 @@ func startSimService(t *testing.T, tc TenantConfig, svcCfg Config) (*Service, *h
 		tc.Source = SourceConfig{Kind: "sim", Year: 1, Seed: 7, Duration: Duration(2 * time.Minute)}
 	}
 	svcCfg.Tenants = append(svcCfg.Tenants, tc)
-	svc, err := New(svcCfg, obs.NewRegistry(), nil)
+	return startService(t, svcCfg)
+}
+
+// startService boots cfg, waits until every tenant's finite feed has
+// ended, so queries observe the final snapshots, and mounts the /v1
+// tree on an httptest server.
+func startService(t *testing.T, cfg Config) (*Service, *httptest.Server) {
+	t.Helper()
+	svc, err := New(cfg, obs.NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc.Start(context.Background())
-	svc.Wait() // finite sim feed: drain fully so snapshots are stable
+	svc.Wait()
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	return svc, srv
@@ -458,26 +467,26 @@ func writeCapture(t *testing.T, d time.Duration, seed int64) (string, int) {
 // TestFinishedPCAPTenantKeepsServingQueries: a tenant whose capture has
 // been read to EOF still answers point queries from its historian — the
 // store stays open until Drain — whether the graph came from the
-// shorthand or from a pipeline file.
+// shorthand or is a declared pipeline.
 func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
 	path, _ := writeCapture(t, 2*time.Minute, 7)
 	histRoot := t.TempDir()
-	graph := t.TempDir() + "/graph.jsonc"
-	doc := fmt.Sprintf(`{"pipelines": [{"name": "era", "segments": [
-	  { "id": "src", "segment": "pcap", "params": { "path": %q } },
-	  { "id": "an", "segment": "analyzer", "from": ["src"], "params": { "historian": %q } }
-	]}]}`, path, histRoot+"/declared")
-	if err := os.WriteFile(graph, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []TenantConfig{
-		{Name: "shorthand", Source: SourceConfig{Kind: "pcap", Path: path}, Historian: true},
-		{Name: "pipeline", Source: SourceConfig{Kind: "pipeline", File: graph}},
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"shorthand", Config{HistorianRoot: histRoot, Tenants: []TenantConfig{
+			{Name: "shorthand", Source: SourceConfig{Kind: "pcap", Path: path}, Historian: true},
+		}}},
+		{"pipeline", Config{Pipelines: []pipeline.PipelineConfig{{Name: "pipeline", Nodes: []pipeline.NodeConfig{
+			{ID: "src", Kind: "pcap", Params: json.RawMessage(fmt.Sprintf(`{"path": %q}`, path))},
+			{ID: "an", Kind: "analyzer", From: []string{"src"}, Params: json.RawMessage(fmt.Sprintf(`{"historian": %q}`, histRoot+"/declared"))},
+		}}}}},
 	} {
-		t.Run(tc.Name, func(t *testing.T) {
-			// startSimService waits for the feed to end before returning.
-			svc, srv := startSimService(t, tc, Config{HistorianRoot: histRoot})
-			base := srv.URL + "/v1/" + tc.Name
+		t.Run(tc.name, func(t *testing.T) {
+			// startService waits for the feed to end before returning.
+			svc, srv := startService(t, tc.cfg)
+			base := srv.URL + "/v1/" + tc.name
 
 			_, body := get(t, base+"/query")
 			var catalog []struct {
@@ -504,7 +513,7 @@ func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
 			}
 
 			svc.Drain()
-			if err := svc.Tenant(tc.Name).Err(); err != nil {
+			if err := svc.Tenant(tc.name).Err(); err != nil {
 				t.Errorf("tenant error after drain: %v", err)
 			}
 			// Drain closed the store: a point nobody asked for yet (so not
@@ -572,7 +581,7 @@ func referenceTenantEngine(t *testing.T, cfg TenantConfig) (*stream.Engine, stre
 }
 
 // TestTenantGraphEquivalence: a shorthand tenant — now compiled into a
-// src → an graph and hosted like a pipeline file's — ends in exactly
+// src → an graph and hosted like a declared pipeline — ends in exactly
 // the state, and serves byte for byte the /profile, of the engine the
 // shorthand used to wire by hand. The rows leave duration, cluster_k,
 // workers and names to the shorthand's own defaults, which are not the
@@ -644,10 +653,11 @@ func TestTenantGraphEquivalence(t *testing.T) {
 				t.Errorf("/profile (code %d, %d bytes) differs from the hand-wired engine's (%d bytes)",
 					gotBody.Code, gotBody.Body.Len(), wantBody.Body.Len())
 			}
-			// The tenant's graph is on view like a pipeline file's would be.
+			// The tenant's graph is on view like a declared pipeline's, named
+			// after the tenant.
 			view := httptest.NewRecorder()
 			svc.Handler().ServeHTTP(view, httptest.NewRequest("GET", "/v1/"+tc.Name+"/pipeline?format=text", nil))
-			if view.Code != http.StatusOK || !strings.Contains(view.Body.String(), "pipeline "+tc.Source.Kind) {
+			if view.Code != http.StatusOK || !strings.Contains(view.Body.String(), "pipeline "+tc.Name) {
 				t.Errorf("/pipeline: code %d body %.200q", view.Code, view.Body.String())
 			}
 		})
@@ -904,30 +914,19 @@ func TestLoadgenAgainstService(t *testing.T) {
 	}
 }
 
+// hostedGraph is a declared sim → analyzer pipeline over a short feed.
+func hostedGraph(name string) pipeline.PipelineConfig {
+	return pipeline.PipelineConfig{Name: name, Nodes: []pipeline.NodeConfig{
+		{ID: "src", Kind: "sim", Params: json.RawMessage(`{"duration": "5s", "seed": 5}`)},
+		{ID: "an", Kind: "analyzer", From: []string{"src"}, Params: json.RawMessage(`{"workers": 2}`)},
+	}}
+}
+
 // TestPipelineTenant hosts a declared segment graph as a tenant: the
 // tenant's profile surface must bind to the graph's analyzer, and the
 // /pipeline endpoint must expose the live graph.
 func TestPipelineTenant(t *testing.T) {
-	dir := t.TempDir()
-	pipePath := dir + "/graph.jsonc"
-	pipeDoc := `// test graph
-	{
-	  "pipelines": [
-	    {
-	      "name": "hosted",
-	      "segments": [
-	        { "id": "src", "segment": "sim", "params": { "duration": "5s", "seed": 5 } },
-	        { "id": "an", "segment": "analyzer", "from": ["src"], "params": { "workers": 2 } },
-	      ],
-	    },
-	  ],
-	}`
-	if err := os.WriteFile(pipePath, []byte(pipeDoc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, srv := startSimService(t,
-		TenantConfig{Name: "hosted", Source: SourceConfig{Kind: "pipeline", File: pipePath}},
-		Config{})
+	_, srv := startService(t, Config{Pipelines: []pipeline.PipelineConfig{hostedGraph("hosted")}})
 
 	resp, body := get(t, srv.URL+"/v1/hosted/profile")
 	if resp.StatusCode != http.StatusOK {
@@ -950,42 +949,74 @@ func TestPipelineTenant(t *testing.T) {
 	}
 }
 
-// TestPipelineTenantErrors pins the config failure modes of the
-// pipeline source kind.
+// TestPipelineTenantErrors pins the config failure modes of declared
+// pipelines: tenants and pipelines share one namespace, and a graph is
+// checked before anything is built. Two declared pipelines are two
+// tenants.
 func TestPipelineTenantErrors(t *testing.T) {
-	dir := t.TempDir()
-	two := dir + "/two.jsonc"
-	doc := `{"pipelines": [
-	  {"name": "a", "segments": [{ "id": "src", "segment": "sim", "params": {"duration": "1s"} }]},
-	  {"name": "b", "segments": [{ "id": "src", "segment": "sim", "params": {"duration": "1s"} }]}
-	]}`
-	if err := os.WriteFile(two, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	probe := TenantConfig{Name: "a", Source: SourceConfig{Kind: "probe"}}
+	broken := hostedGraph("b")
+	broken.Nodes[1].From = []string{"ghost"}
 	cases := []struct {
 		name string
-		src  SourceConfig
+		cfg  Config
 		want string
 	}{
-		{"missing file", SourceConfig{Kind: "pipeline"}, `"file"`},
-		{"ambiguous pipeline", SourceConfig{Kind: "pipeline", File: two}, "declares 2 pipelines"},
-		{"unknown pipeline", SourceConfig{Kind: "pipeline", File: two, Pipeline: "c"}, `no pipeline "c"`},
+		{"name taken by a tenant", Config{Tenants: []TenantConfig{probe}, Pipelines: []pipeline.PipelineConfig{hostedGraph("a")}},
+			`pipeline "a": name taken by a tenant`},
+		{"duplicate pipeline", Config{Pipelines: []pipeline.PipelineConfig{hostedGraph("b"), hostedGraph("b")}},
+			"duplicate pipeline name"},
+		{"dangling edge", Config{Pipelines: []pipeline.PipelineConfig{broken}}, `dangling edge: "from" references unknown segment "ghost"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(Config{Tenants: []TenantConfig{{Name: "x", Source: tc.src}}}, obs.NewRegistry(), nil)
+			_, err := New(tc.cfg, obs.NewRegistry(), nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("New error = %v, want containing %q", err, tc.want)
 			}
 		})
 	}
-	// Selecting by name works.
-	svc, err := New(Config{Tenants: []TenantConfig{
-		{Name: "x", Source: SourceConfig{Kind: "pipeline", File: two, Pipeline: "b"}},
-	}}, obs.NewRegistry(), nil)
-	if err != nil {
-		t.Fatal(err)
+	svc, _ := startService(t, Config{Pipelines: []pipeline.PipelineConfig{hostedGraph("a"), hostedGraph("b")}})
+	if got := svc.Tenants(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Errorf("tenants %v, want [a b]", got)
 	}
-	svc.Start(context.Background())
-	svc.Wait()
+	for _, name := range []string{"a", "b"} {
+		if e := svc.Tenant(name).engine; e == nil || e.Final().Packets == 0 {
+			t.Errorf("tenant %s analyzed nothing", name)
+		}
+	}
+}
+
+// TestDeclaredProfileMatchesGraphMount: a declared pipeline's tenant
+// serves, after its capture is finished, the same /v1/{p}/profile bytes
+// as its analyzer's own mount at /pipelines/{p}/an/profile, which the
+// daemon's Endpoints carry next to the /v1 tree; the combined /statusz
+// lists every tenant's graph.
+func TestDeclaredProfileMatchesGraphMount(t *testing.T) {
+	path, packets := writeCapture(t, time.Minute, 3)
+	cfg := Config{
+		Tenants: []TenantConfig{{Name: "short", Source: SourceConfig{Kind: "pcap", Path: path}}},
+		Pipelines: []pipeline.PipelineConfig{{Name: "era", Nodes: []pipeline.NodeConfig{
+			{ID: "src", Kind: "pcap", Params: json.RawMessage(fmt.Sprintf(`{"path": %q}`, path))},
+			{ID: "an", Kind: "analyzer", From: []string{"src"}},
+		}}},
+	}
+	svc, _ := startService(t, cfg)
+	srv := httptest.NewServer(obs.HandlerWith(obs.NewRegistry(), nil, svc.Endpoints()))
+	defer srv.Close()
+
+	_, v1 := get(t, srv.URL+"/v1/era/profile")
+	_, mount := get(t, srv.URL+"/pipelines/era/an/profile")
+	var prof stream.Profile
+	if err := json.Unmarshal(v1, &prof); err != nil || prof.Packets != packets {
+		t.Fatalf("/v1/era/profile: %d packets of %d (%v)", prof.Packets, packets, err)
+	}
+	if !bytes.Equal(v1, mount) {
+		t.Errorf("/v1/era/profile (%d bytes) differs from /pipelines/era/an/profile (%d bytes)", len(v1), len(mount))
+	}
+	var sts []pipeline.PipelineStatus
+	_, body := get(t, srv.URL+"/statusz?format=json")
+	if err := json.Unmarshal(body, &sts); err != nil || len(sts) != 2 || sts[0].Name != "short" || sts[1].Name != "era" {
+		t.Errorf("/statusz lists %+v (%v), want the short and era graphs", sts, err)
+	}
 }

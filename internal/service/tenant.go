@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"log"
 	"net/http"
 	"strconv"
 	"sync"
@@ -21,14 +20,16 @@ import (
 const clusterSeed = 1202
 
 // Tenant is one hosted balancing authority / era / capture. A tenant
-// with local ingest is a segment graph — declared in a cmd/pipelined
-// config ("pipeline" sources) or compiled from the TenantConfig
-// shorthand into the src → an pair such a file would declare — hosted
-// by its own pipeline.Runner; a probe-only tenant has none. Either way
-// it carries a fleet aggregate and a pre-built route set.
+// with local ingest is a segment graph — a declared pipeline, or the
+// src → an pair its TenantConfig shorthand compiles into — hosted by
+// its own pipeline.Runner; a probe-only tenant has none. Either way it
+// carries a fleet aggregate and a pre-built route set.
 type Tenant struct {
 	name string
-	cfg  TenantConfig
+	// source is what the tenant index lists: the shorthand's source
+	// kind, "probe" or "pipeline".
+	source   string
+	clusterK int
 	// runner hosts the tenant's graph; engine is the engine of the
 	// graph's first analyzer, which the profile surface binds to (nil
 	// for probe-only tenants and analyzer-less graphs: the fleet
@@ -52,46 +53,32 @@ type Tenant struct {
 	runErr error
 }
 
-// newTenant builds one tenant from its config: the graph with its
-// source, engine and historian namespace, and the metric series —
-// everything but the route set, which the service wires after it
-// exists (handlers close over the service's cache).
-func newTenant(cfg TenantConfig, svcCfg Config, reg *obs.Registry, journal *obs.Journal) (*Tenant, error) {
-	if cfg.Name == "" {
-		return nil, fmt.Errorf("service: tenant with empty name")
-	}
-	treg := reg.With("tenant", cfg.Name)
+// newTenant builds one tenant around its validated graph (nil for a
+// probe-only tenant) — sources, engines and historian namespaces open
+// here — and its metric series: everything but the route set, which
+// the service wires after it exists (handlers close over the service's
+// cache). logf is the graph's log; nil logs to the process log.
+func newTenant(name, source string, clusterK int, graph *pipeline.Config, logf func(string, ...any), reg *obs.Registry, journal *obs.Journal) (*Tenant, error) {
+	treg := reg.With("tenant", name)
 	t := &Tenant{
-		name:        cfg.Name,
-		cfg:         cfg,
+		name:        name,
+		source:      source,
+		clusterK:    clusterK,
 		journal:     journal,
 		cacheHits:   treg.Counter("uncharted_service_cache_hits_total"),
 		cacheMisses: treg.Counter("uncharted_service_cache_misses_total"),
 		partialsIn:  treg.Counter("uncharted_service_partials_total"),
 		done:        make(chan struct{}),
 	}
-	var graph *pipeline.Config
-	var err error
-	// A shorthand tenant's graph has nothing to say on the daemon's log:
-	// its drift findings are on /drift and in the journal, its failure in
-	// Err. A declared graph may hold log outputs.
-	logf := func(string, ...any) {}
-	switch cfg.Source.Kind {
-	case "probe", "":
+	if graph == nil {
 		// Probe-only tenant: no local ingest, the fleet aggregate is the
 		// profile.
 		return t, nil
-	case "pipeline":
-		graph, err = declaredGraph(cfg.Source)
-		logf = func(format string, args ...any) { log.Printf("tenant "+cfg.Name+": "+format, args...) }
-	default:
-		graph, err = shorthandGraph(cfg, svcCfg.HistorianRoot)
 	}
-	if err == nil {
-		t.runner, err = pipeline.NewRunner(graph, pipeline.Options{Registry: treg, Journal: journal, Logf: logf})
-	}
+	var err error
+	t.runner, err = pipeline.NewRunner(graph, pipeline.Options{Registry: treg, Journal: journal, Logf: logf})
 	if err != nil {
-		return nil, fmt.Errorf("service: tenant %s: %w", cfg.Name, err)
+		return nil, fmt.Errorf("service: tenant %s: %w", name, err)
 	}
 	if a := t.runner.Analyzer(); a != nil {
 		t.engine = a.Engine()
@@ -99,42 +86,21 @@ func newTenant(cfg TenantConfig, svcCfg Config, reg *obs.Registry, journal *obs.
 	return t, nil
 }
 
-// declaredGraph loads the named pipeline of a cmd/pipelined config
-// file: the graph of a "pipeline" source.
-func declaredGraph(sc SourceConfig) (*pipeline.Config, error) {
-	if sc.File == "" {
-		return nil, fmt.Errorf(`pipeline source needs "file" (a cmd/pipelined config)`)
-	}
-	pcfg, err := pipeline.Load(sc.File)
-	if err != nil {
-		return nil, err
-	}
-	if sc.Pipeline == "" {
-		if len(pcfg.Pipelines) != 1 {
-			return nil, fmt.Errorf("%s declares %d pipelines; set \"pipeline\" to pick one", sc.File, len(pcfg.Pipelines))
-		}
-		return pcfg, nil
-	}
-	for _, pc := range pcfg.Pipelines {
-		if pc.Name == sc.Pipeline {
-			return &pipeline.Config{Pipelines: []pipeline.PipelineConfig{pc}}, nil
-		}
-	}
-	return nil, fmt.Errorf("%s declares no pipeline %q", sc.File, sc.Pipeline)
-}
-
-// shorthandGraph compiles the TenantConfig shorthand into the graph a
-// config file would declare for it: pipeline {kind}, segments "src"
-// (the sim, pcap or follow input) → "an". Every value is written out,
-// because the shorthand's defaults are its own: a sim source without a
-// duration simulates the campaign default, clustering is off unless
-// cluster_k says otherwise, the snapshot period defaults to 1 s, only
-// a simulated feed is labeled with the simulated topology's names, and
-// the historian lives in the tenant's namespace under the service root.
-func shorthandGraph(cfg TenantConfig, historianRoot string) (*pipeline.Config, error) {
+// graph compiles the TenantConfig shorthand into the graph a config
+// would declare for it — pipeline {name}, segments "src" (the sim, pcap
+// or follow input) → "an" — or nil for a probe-only tenant. Every value
+// is written out, because the shorthand's defaults are its own: a sim
+// source without a duration simulates the campaign default, clustering
+// is off unless cluster_k says otherwise, the snapshot period defaults
+// to 1 s, only a simulated feed is labeled with the simulated
+// topology's names, and the historian lives in the tenant's namespace
+// under the service root.
+func (cfg TenantConfig) graph(historianRoot string) (*pipeline.Config, error) {
 	sc := cfg.Source
 	var src map[string]any
 	switch sc.Kind {
+	case "probe", "":
+		return nil, nil
 	case "sim":
 		src = map[string]any{"year": sc.Year, "seed": sc.Seed, "duration": time.Duration(sc.Duration), "speed": sc.Speed}
 	case "pcap":
@@ -142,7 +108,7 @@ func shorthandGraph(cfg TenantConfig, historianRoot string) (*pipeline.Config, e
 	case "follow":
 		src = map[string]any{"path": sc.Path}
 	default:
-		return nil, fmt.Errorf("unknown source kind %q (want sim, pcap, follow, probe or pipeline)", sc.Kind)
+		return nil, fmt.Errorf("unknown source kind %q (want sim, pcap, follow or probe)", sc.Kind)
 	}
 	snapshot := time.Duration(cfg.Snapshot)
 	if snapshot <= 0 {
@@ -168,7 +134,7 @@ func shorthandGraph(cfg TenantConfig, historianRoot string) (*pipeline.Config, e
 		}
 		an["historian"] = dir
 	}
-	return pipeline.SourceGraph(sc.Kind, "src", sc.Kind, src, an), nil
+	return pipeline.SourceGraph(cfg.Name, "src", sc.Kind, src, an), nil
 }
 
 // engineVersion is the cache version for engine-backed endpoints: the
@@ -206,11 +172,11 @@ func (t *Tenant) fleetVersion() string {
 func (t *Tenant) fleetProfile() *stream.Profile {
 	if t.engine != nil {
 		if p, ok := t.engine.LastPartial(); ok {
-			prof, _ := t.probes.Profile(t.cfg.ClusterK, clusterSeed, p)
+			prof, _ := t.probes.Profile(t.clusterK, clusterSeed, p)
 			return prof
 		}
 	}
-	prof, _ := t.probes.Profile(t.cfg.ClusterK, clusterSeed)
+	prof, _ := t.probes.Profile(t.clusterK, clusterSeed)
 	return prof
 }
 
