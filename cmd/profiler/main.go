@@ -271,7 +271,7 @@ func printReports(want map[string]bool, p core.Partial, whole *core.Analyzer, re
 		printDialects(p.Dialects, p.Streams)
 	}
 	if want["clusters"] {
-		printClusters(p.ClusterReport(5, 1202))
+		printClusters(p.ClusterReport(5, core.ClusterSeed))
 	}
 	if want["markov"] {
 		printMarkov(p.MarkovReport())

@@ -1,8 +1,8 @@
 // Command unchartedd is the control-room daemon: it hosts N tenants —
-// balancing authorities, capture eras, single captures — each a hosted
-// segment graph with its own engine and historian namespace, behind
-// one multi-tenant HTTP API with a snapshot-keyed response cache and
-// remote-probe aggregation (internal/service).
+// balancing authorities, capture eras, single captures — each a
+// pipeline of one segment graph with its own engine and historian
+// namespace, behind one multi-tenant HTTP API with a snapshot-keyed
+// response cache and remote-probe aggregation (internal/service).
 //
 // The config is one JSONC document (README "Control-room service"): a
 // "tenants" list of shorthand sources (sim, pcap, follow, probe) and a
@@ -11,15 +11,18 @@
 //
 // Every tenant serves /v1/{tenant}/profile, /drift, /query, /statusz,
 // /fleet and /partial (remote probes post drift-codec partials there);
-// its graph's segment endpoints are under /pipelines/{tenant}/..., the
-// combined graph view is /statusz, and /metrics carries every tenant's
-// series with a tenant label.
+// its pipeline's segment endpoints are under /pipelines/{tenant}/...,
+// the combined graph view is /statusz, and /metrics carries the
+// service's series with a tenant label and the graph's with the
+// tenant's name as its pipeline label. Graph lines (a segment failure,
+// DRIFT) go to the daemon log, prefixed [tenant].
 //
 // With an HTTP address (the config's listen, or -addr) the daemon
 // serves until SIGINT/SIGTERM; with none it exits once every tenant's
 // input is exhausted. Either way every tenant drains (final profiles
 // publish) before exit; the exit status is 1 when a tenant's ingest or
-// the journal failed, 2 on a usage error.
+// the journal failed (each failure logged as pipeline <tenant> segment
+// <id>), 2 on a usage error.
 //
 // Usage:
 //
@@ -116,13 +119,10 @@ func run() int {
 
 	<-ctx.Done()
 	log.Printf("unchartedd: draining tenants")
-	svc.Drain()
 	exit := 0
-	for _, name := range svc.Tenants() {
-		if terr := svc.Tenant(name).Err(); terr != nil {
-			log.Printf("tenant %s: %v", name, terr)
-			exit = 1
-		}
+	if err := svc.Drain(); err != nil {
+		printErrors(err)
+		exit = 1
 	}
 	if err := journal.Err(); err != nil {
 		log.Printf("warning: journal write failed: %v", err)

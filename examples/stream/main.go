@@ -74,7 +74,7 @@ func main() {
 		Workers:       4,
 		SnapshotEvery: 250 * time.Millisecond,
 		ClusterK:      5,
-		ClusterSeed:   1202,
+		ClusterSeed:   core.ClusterSeed,
 		Names:         names,
 		Observer: func(shard int) core.FrameObserver {
 			return ids.NewMonitor(baseline, func(al ids.Alert) {

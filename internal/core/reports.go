@@ -121,6 +121,11 @@ func (a *Analyzer) appendSessionFeatures(dst []SessionFeature) []SessionFeature 
 	return out
 }
 
+// ClusterSeed is the K-means++ seed every report, profile and tenant
+// clusters with, so Fig. 10/11 and published profiles stay
+// deterministic across runs and restarts.
+const ClusterSeed = 1202
+
 // ClusterReport is Fig. 10/11: the fitted clusters, their PCA
 // projection and per-cluster interpretation.
 type ClusterReport struct {

@@ -8,9 +8,6 @@ import (
 	"uncharted/internal/topology"
 )
 
-// clusterSeed keeps Fig. 10/11 deterministic.
-const clusterSeed = 1202
-
 // Fig10Clusters regenerates the K-means++ clustering of Y1 sessions
 // with the paper's K=5, including the model-selection sweep and the
 // PCA projection extents.
@@ -19,14 +16,14 @@ func (r *Runner) Fig10Clusters() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rep, err := a.ClusterSessions(5, clusterSeed)
+	rep, err := a.ClusterSessions(5, core.ClusterSeed)
 	if err != nil {
 		return Result{}, err
 	}
 	var b strings.Builder
 	// The §6.3 feature selection: ten candidates scored individually
 	// by silhouette, five survive.
-	if scores, err := a.SelectFeatures(clusterSeed); err == nil {
+	if scores, err := a.SelectFeatures(core.ClusterSeed); err == nil {
 		b.WriteString("Feature selection (10 candidates -> 5, per-feature silhouette):\n")
 		for _, s := range scores {
 			mark := " "
@@ -59,7 +56,7 @@ func (r *Runner) Fig11ClusterProfiles() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rep, err := a.ClusterSessions(5, clusterSeed)
+	rep, err := a.ClusterSessions(5, core.ClusterSeed)
 	if err != nil {
 		return Result{}, err
 	}

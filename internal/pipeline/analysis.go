@@ -34,7 +34,7 @@ func init() {
 			{Name: "readers", Type: ParamInt, Default: 0, Doc: "parallel capture readers for a handed-off source (0 = match workers; a single pcap file wired straight into this analyzer is handed off and split across them)"},
 			{Name: "snapshot", Type: ParamDuration, Default: time.Duration(0), Doc: "rolling-profile period (0 = final profile only)"},
 			{Name: "cluster_k", Type: ParamInt, Default: 5, Doc: "session clustering K (0 = off)"},
-			{Name: "cluster_seed", Type: ParamInt, Default: 1202, Doc: "session clustering seed"},
+			{Name: "cluster_seed", Type: ParamInt, Default: core.ClusterSeed, Doc: "session clustering seed"},
 			{Name: "idle_timeout", Type: ParamDuration, Default: time.Duration(0), Doc: "evict flows idle this long (0 = never)"},
 			{Name: "point_cap", Type: ParamInt, Default: 0, Doc: "cap in-memory samples per series (0 = unbounded)"},
 			{Name: "names", Type: ParamBool, Default: true, Doc: "label addresses with the simulated topology's names (C1, O30, ...)"},
@@ -140,6 +140,10 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 			return ids.NewMonitor(base, alertLogger(bc.Env, bc.ID, shard))
 		}
 	}
+	protos, err := stream.ParseProtocols(bc.Params.Str("protocol"))
+	if err != nil {
+		return nil, err
+	}
 	if dir := bc.Params.Str("historian"); dir != "" {
 		st, err := historian.Open(dir, historian.Options{Registry: bc.Env.Registry.With("segment", bc.ID)})
 		if err != nil {
@@ -151,10 +155,6 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 	var names map[netip.Addr]string
 	if bc.Params.Bool("names") {
 		names = core.NamesFromTopology(topology.Build())
-	}
-	protos, err := stream.ParseProtocols(bc.Params.Str("protocol"))
-	if err != nil {
-		return nil, err
 	}
 	readers := bc.Params.Int("readers")
 	if readers <= 0 {

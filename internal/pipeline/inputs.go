@@ -3,14 +3,12 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
-	"uncharted/internal/obs"
 	"uncharted/internal/pcap"
 	"uncharted/internal/scadasim"
 	"uncharted/internal/stream"
@@ -54,16 +52,6 @@ func init() {
 			{Name: "fault_shortread", Type: ParamFloat, Default: 0.0, Doc: "probability a frame is torn across two TCP segments"},
 		},
 		Build: buildSimInput,
-	})
-	Register(Spec{
-		Kind: "probe",
-		Role: RoleInput,
-		Out:  PortProfiles,
-		Doc:  "receive drift-codec partials POSTed by remote probes at /{id}/partial and emit the merged fleet snapshot",
-		Params: []ParamSpec{
-			{Name: "cluster_k", Type: ParamInt, Default: 0, Doc: "session clustering K for the merged profile (0 = off)"},
-		},
-		Build: buildProbeInput,
 	})
 }
 
@@ -292,81 +280,4 @@ func (s *PacketInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
 		}
 	}
 	return err
-}
-
-// ProbeInput is the remote-probe receiver: probes POST drift-codec
-// profiles (the same wire format, and the same stream.ProbeSet, as the
-// control-room service) to /{id}/partial, and every accepted post
-// re-merges the fleet and emits one Snapshot downstream.
-type ProbeInput struct {
-	env      *Env
-	id       string
-	clusterK int
-	probes   stream.ProbeSet
-	dirty    chan struct{}
-}
-
-func buildProbeInput(bc BuildCtx) (Segment, error) {
-	s := &ProbeInput{
-		env:      bc.Env,
-		id:       bc.ID,
-		clusterK: bc.Params.Int("cluster_k"),
-		dirty:    make(chan struct{}, 1),
-	}
-	bc.Env.Handle("/"+bc.ID+"/partial", http.HandlerFunc(s.handlePartial))
-	return s, nil
-}
-
-func (s *ProbeInput) handlePartial(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST a drift-codec profile", http.StatusMethodNotAllowed)
-		return
-	}
-	ack, code, err := s.probes.Accept(req)
-	if err != nil {
-		http.Error(w, err.Error(), code)
-		return
-	}
-	select {
-	case s.dirty <- struct{}{}:
-	default:
-	}
-	s.env.Journal.Log(time.Now(), obs.EventPartial, ack.Probe, map[string]any{
-		"pipeline": s.env.Pipeline,
-		"segment":  s.id,
-		"packets":  ack.Packets,
-		"probes":   ack.Probes,
-		"version":  ack.Version,
-	})
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\"probe\":%q,\"probes\":%d,\"version\":%d}\n", ack.Probe, ack.Probes, ack.Version)
-}
-
-// snapshot merges the current probe set, nil while it is empty.
-func (s *ProbeInput) snapshot() *Snapshot {
-	prof, merged := s.probes.Profile(s.clusterK, 1202)
-	if prof == nil {
-		return nil
-	}
-	return &Snapshot{Seq: prof.Seq, Partial: merged, Profile: prof}
-}
-
-// Run implements Segment: it emits one merged snapshot per accepted
-// post until the drain, then a final merged state.
-func (s *ProbeInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
-	for {
-		select {
-		case <-ctx.Done():
-			if sn := s.snapshot(); sn != nil {
-				sn.Final = true
-				emit(Msg{Snap: sn})
-			}
-			return nil
-		case <-s.dirty:
-			if sn := s.snapshot(); sn != nil {
-				emit(Msg{Snap: sn})
-			}
-		}
-	}
 }

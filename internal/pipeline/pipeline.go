@@ -1,14 +1,13 @@
 // Package pipeline is the composable runtime that turns the repo's
 // analysis capabilities into declared segment graphs: a JSON/JSONC
 // config names pipelines as DAGs of registered segments — inputs
-// (finished captures, growing captures, the in-process simulator, a
-// remote-probe partial receiver), filters (per-station, per-ASDU-type,
-// per-IP-pair, sampling, tee), analysis stages (the sharded core
-// analyzer, the online IDS, the drift comparator, the historian
-// recorder) and outputs (snapshot HTTP endpoints, JSON/JSONL/CSV
-// export, a JSONL journal, alert webhooks) — and one process runs a
-// whole fleet's worth of them side by side (cmd/unchartedd hosts each
-// as a tenant).
+// (finished captures, growing captures, the in-process simulator),
+// filters (per-station, per-ASDU-type, per-IP-pair, sampling, tee),
+// analysis stages (the sharded core analyzer, the online IDS, the
+// drift comparator, the historian recorder) and outputs (snapshot HTTP
+// endpoints, JSON/JSONL/CSV export, a JSONL journal, alert webhooks) —
+// and one process runs a whole fleet's worth of them side by side
+// (cmd/unchartedd hosts each as a tenant, all in one Runner).
 //
 // Segments compose behind channels of Msg values: a packets edge
 // carries decoded packet batches, a profiles edge carries published

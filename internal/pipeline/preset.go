@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"uncharted/internal/core"
 	"uncharted/internal/obs/trace"
 )
 
@@ -88,7 +89,7 @@ func ProfilerGraph(p ProfilerPreset) (*Config, map[string]any) {
 		"snapshot":     snapshot,
 		"idle_timeout": p.IdleTimeout,
 		"cluster_k":    5,
-		"cluster_seed": 1202,
+		"cluster_seed": core.ClusterSeed,
 		"point_cap":    p.PointCap,
 		"names":        p.Names,
 		"historian":    p.HistorianDir,
@@ -135,7 +136,7 @@ func LiveGraph(p LivePreset) (*Config, map[string]any) {
 		"workers":      p.Workers,
 		"snapshot":     p.SnapshotEvery,
 		"cluster_k":    5,
-		"cluster_seed": 1202,
+		"cluster_seed": core.ClusterSeed,
 		"point_cap":    p.PointCap,
 		"historian":    p.HistorianDir,
 	})

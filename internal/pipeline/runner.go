@@ -120,7 +120,8 @@ type Runner struct {
 }
 
 // NewRunner validates cfg, builds every segment (files open, stores
-// allocate — failures abort construction) and wires the edges.
+// allocate) and wires the edges. A failed build aborts construction and
+// closes every segment already built.
 func NewRunner(cfg *Config, opts Options) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -145,13 +146,14 @@ func NewRunner(cfg *Config, opts Options) (*Runner, error) {
 			},
 		}
 		p := &pipe{name: pc.Name, env: env, byID: make(map[string]*node, len(pc.Nodes))}
+		r.pipes = append(r.pipes, p)
 		for ni := range pc.Nodes {
 			nc := &pc.Nodes[ni]
 			spec, _ := Lookup(nc.Kind)
 			params, err := parseParams(spec.Params, nc.Params)
 			if err != nil {
 				// Unreachable after Validate; belt and braces.
-				return nil, fmt.Errorf("pipeline %s segment %s: %w", pc.Name, nc.ID, err)
+				return nil, errors.Join(fmt.Errorf("pipeline %s segment %s: %w", pc.Name, nc.ID, err), r.Close())
 			}
 			seg, err := spec.Build(BuildCtx{
 				Pipeline: pc.Name,
@@ -161,7 +163,7 @@ func NewRunner(cfg *Config, opts Options) (*Runner, error) {
 				Hook:     opts.Hooks[pc.Name+"/"+nc.ID],
 			})
 			if err != nil {
-				return nil, fmt.Errorf("pipeline %s segment %s (%s): %w", pc.Name, nc.ID, nc.Kind, err)
+				return nil, errors.Join(fmt.Errorf("pipeline %s segment %s (%s): %w", pc.Name, nc.ID, nc.Kind, err), r.Close())
 			}
 			sreg := env.Registry.With("segment", nc.ID)
 			n := &node{
@@ -207,7 +209,6 @@ func NewRunner(cfg *Config, opts Options) (*Runner, error) {
 				n.source, c.source = taker, taker
 			}
 		}
-		r.pipes = append(r.pipes, p)
 	}
 	return r, nil
 }
@@ -356,29 +357,20 @@ func (r *Runner) Segment(pipeline, id string) Segment {
 	return nil
 }
 
-// Pipelines returns the hosted pipeline names in config order.
-func (r *Runner) Pipelines() []string {
-	out := make([]string, len(r.pipes))
-	for i, p := range r.pipes {
-		out[i] = p.name
-	}
-	return out
-}
-
 // Endpoints assembles the full HTTP surface: every segment-registered
 // handler under /pipelines/{pipeline}{path}, one
 // /pipelines/{pipeline}/statusz per pipeline, and a combined /statusz
 // showing the live graph of every pipeline.
 func (r *Runner) Endpoints() map[string]http.Handler {
 	eps := map[string]http.Handler{
-		"/statusz": NewStatusHandler(r.Status),
+		"/statusz": newStatusHandler(r.status),
 	}
 	for _, p := range r.pipes {
 		p := p
 		for path, h := range p.env.Handlers() {
 			eps["/pipelines/"+p.name+path] = h
 		}
-		eps["/pipelines/"+p.name+"/statusz"] = NewStatusHandler(func() []PipelineStatus {
+		eps["/pipelines/"+p.name+"/statusz"] = newStatusHandler(func() []PipelineStatus {
 			return []PipelineStatus{r.pipeStatus(p)}
 		})
 	}

@@ -1,13 +1,9 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -17,7 +13,6 @@ import (
 	"time"
 
 	"uncharted/internal/core"
-	"uncharted/internal/drift"
 	"uncharted/internal/ids"
 	"uncharted/internal/obs"
 	"uncharted/internal/pcap"
@@ -260,7 +255,7 @@ func TestLiveGraphDetectsAttacks(t *testing.T) {
 			if err := runner.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if handedOff := runner.Status()[0].Segments[0].MsgsOut == 1; handedOff == detector {
+			if handedOff := runner.status()[0].Segments[0].MsgsOut == 1; handedOff == detector {
 				t.Fatalf("detector=%v: source handed off = %v", detector, handedOff)
 			}
 			eng := runner.Analyzer().Engine()
@@ -299,7 +294,7 @@ func TestProfilerHandoffEquivalence(t *testing.T) {
 		if err := runner.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if handedOff := runner.Status()[0].Segments[0].MsgsOut == 1; handedOff == inline {
+		if handedOff := runner.status()[0].Segments[0].MsgsOut == 1; handedOff == inline {
 			t.Fatalf("readers=%d inline=%v: source handed off = %v", readers, inline, handedOff)
 		}
 		return runner.Analyzer().Engine().Final()
@@ -404,7 +399,7 @@ func TestHandoffByTopology(t *testing.T) {
 			// Both ends of a handed-off edge report the engine's count; an
 			// inline edge counts the packets that rode it.
 			var src, an SegmentStatus
-			for _, s := range runner.Status()[0].Segments {
+			for _, s := range runner.status()[0].Segments {
 				switch s.ID {
 				case "src":
 					src = s
@@ -534,8 +529,8 @@ func TestRunnerTwoPipelines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runner.Pipelines(); len(got) != 2 || got[0] != "p1" || got[1] != "p2" {
-		t.Fatalf("Pipelines() = %v, want [p1 p2]", got)
+	if got := runner.status(); len(got) != 2 || got[0].Name != "p1" || got[1].Name != "p2" {
+		t.Fatalf("status() lists %d pipelines, want [p1 p2]", len(got))
 	}
 	if err := runner.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -570,7 +565,7 @@ func TestRunnerTwoPipelines(t *testing.T) {
 	}
 
 	// Status reflects completion.
-	for _, st := range runner.Status() {
+	for _, st := range runner.status() {
 		for _, s := range st.Segments {
 			if s.State != "done" {
 				t.Errorf("pipeline %s segment %s state = %s, want done", st.Name, s.ID, s.State)
@@ -788,83 +783,49 @@ func BenchmarkGraphVsHandwired(b *testing.B) {
 	})
 }
 
-// zeros is an endless all-zero body for the oversize-post case.
-type zeros struct{}
-
-func (zeros) Read(p []byte) (int, error) {
-	clear(p)
-	return len(p), nil
+// openUnder lists the files under dir this process holds open, read
+// from /proc/self/fd; the test skips where that does not exist.
+func openUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	var open []string
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
 }
 
-// TestProbeInputPartials drives the probe input's /partial endpoint:
-// the shared stream.ProbeSet's reject paths surface with the pipeline's
-// status codes, and an accepted post is merged into the snapshot the
-// input emits downstream.
-func TestProbeInputPartials(t *testing.T) {
-	cfg, err := Parse([]byte(`{"pipelines": [{"name": "fleet", "segments": [
-	  { "id": "src", "segment": "probe" },
-	  { "id": "latest", "segment": "snapshot_http", "from": ["src"] }
-	]}]}`), "probe.jsonc")
+// TestNewRunnerClosesBuiltSegmentsOnFailure: a segment that fails to
+// build aborts the runner, and every segment built before it is closed
+// — here pipeline a's historian, whose directory one process may have
+// open at a time.
+func TestNewRunnerClosesBuiltSegmentsOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	hist := filepath.Join(dir, "hist")
+	cfg, err := Parse([]byte(fmt.Sprintf(`{"pipelines": [
+	  {"name": "a", "segments": [
+	    {"id": "src", "segment": "sim", "params": {"duration": "5s"}},
+	    {"id": "an", "segment": "analyzer", "from": ["src"], "params": {"historian": %q}}
+	  ]},
+	  {"name": "b", "segments": [
+	    {"id": "src", "segment": "sim", "params": {"duration": "5s"}},
+	    {"id": "an", "segment": "analyzer", "from": ["src"]},
+	    {"id": "drift", "segment": "drift", "from": ["an"], "params": {"baseline": %q}}
+	  ]}
+	]}`, hist, filepath.Join(dir, "missing.prof"))), "leak.jsonc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	runner, err := NewRunner(cfg, Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "pipeline b segment drift (drift)") {
+		t.Fatalf("NewRunner = %v, %v; want pipeline b's drift segment to fail", runner, err)
 	}
-	partial := runner.Endpoints()["/pipelines/fleet/src/partial"]
-	if partial == nil {
-		t.Fatal("probe input mounted no /partial endpoint")
-	}
-	post := func(method, query string, body io.Reader) *httptest.ResponseRecorder {
-		rr := httptest.NewRecorder()
-		partial.ServeHTTP(rr, httptest.NewRequest(method, "/pipelines/fleet/src/partial"+query, body))
-		return rr
-	}
-
-	unlabeled := drift.NewProfile("", "", core.Partial{}, time.Unix(0, 0)).Encode()
-	rejects := []struct {
-		name     string
-		method   string
-		body     io.Reader
-		wantCode int
-		wantBody string
-	}{
-		{"wrong method", http.MethodGet, nil, http.StatusMethodNotAllowed, "POST"},
-		{"oversize body", http.MethodPost, io.LimitReader(zeros{}, stream.MaxPartialBytes+1), http.StatusRequestEntityTooLarge, "exceeds"},
-		{"bad codec", http.MethodPost, strings.NewReader("not a profile"), http.StatusBadRequest, ""},
-		{"missing label", http.MethodPost, bytes.NewReader(unlabeled), http.StatusBadRequest, "probe label"},
-	}
-	for _, tc := range rejects {
-		t.Run(tc.name, func(t *testing.T) {
-			rr := post(tc.method, "", tc.body)
-			if rr.Code != tc.wantCode || !strings.Contains(rr.Body.String(), tc.wantBody) {
-				t.Errorf("code %d body %.120q, want %d containing %q", rr.Code, rr.Body.String(), tc.wantCode, tc.wantBody)
-			}
-		})
-	}
-
-	// The label may come from ?probe= instead of the profile.
-	p := core.Partial{Packets: 42}
-	rr := post(http.MethodPost, "?probe=siteA", bytes.NewReader(drift.NewProfile("", "", p, time.Unix(0, 0)).Encode()))
-	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"probe":"siteA","probes":1,"version":1`) {
-		t.Fatalf("accepted post: code %d body %q", rr.Code, rr.Body.String())
-	}
-
-	// Draining the graph emits the merged fleet state downstream; no
-	// rejected post may have reached it.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := runner.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	rr = httptest.NewRecorder()
-	runner.Endpoints()["/pipelines/fleet/latest"].ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/pipelines/fleet/latest", nil))
-	var prof stream.Profile
-	if err := json.Unmarshal(rr.Body.Bytes(), &prof); err != nil {
-		t.Fatalf("latest snapshot: %v (code %d body %.120q)", err, rr.Code, rr.Body.String())
-	}
-	if prof.Packets != 42 || prof.Workers != 1 || prof.Seq != 1 {
-		t.Errorf("merged snapshot packets=%d workers=%d seq=%d, want 42/1/1", prof.Packets, prof.Workers, prof.Seq)
+	if open := openUnder(t, dir); len(open) > 0 {
+		t.Errorf("failed NewRunner left %d files open: %v", len(open), open)
 	}
 }

@@ -48,8 +48,8 @@ func nodeStateName(s int32) string {
 	return "idle"
 }
 
-// Status assembles the live graph of every hosted pipeline.
-func (r *Runner) Status() []PipelineStatus {
+// status assembles the live graph of every hosted pipeline.
+func (r *Runner) status() []PipelineStatus {
 	out := make([]PipelineStatus, 0, len(r.pipes))
 	for _, p := range r.pipes {
 		out = append(out, r.pipeStatus(p))
@@ -93,10 +93,10 @@ func (r *Runner) pipeStatus(p *pipe) PipelineStatus {
 	return st
 }
 
-// NewStatusHandler serves a pipeline-status document: auto-refreshing
+// newStatusHandler serves a pipeline-status document: auto-refreshing
 // HTML by default, ?format=json for machines, ?format=text for
 // terminals.
-func NewStatusHandler(get func() []PipelineStatus) http.Handler {
+func newStatusHandler(get func() []PipelineStatus) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		format, ok := obs.PickFormat(w, req, "html", "json", "text")
 		if !ok {

@@ -16,6 +16,7 @@ import (
 	"uncharted/internal/core"
 	"uncharted/internal/drift"
 	"uncharted/internal/obs"
+	"uncharted/internal/pipeline"
 	"uncharted/internal/stream"
 )
 
@@ -295,7 +296,7 @@ func TestDriftCachedUnderReportSeq(t *testing.T) {
 	}
 	svc, srv := startSimService(t, TenantConfig{Name: "east", BaselinePath: base}, Config{})
 	resp, body := get(t, srv.URL+"/v1/east/drift")
-	rep, seq := svc.Tenant("east").runner.Analyzer().Drift()
+	rep, seq := svc.runner.Segment("east", "an").(*pipeline.AnalyzerSegment).Drift()
 	if resp.StatusCode != http.StatusOK || rep == nil || len(rep.Findings) == 0 {
 		t.Fatalf("/drift: %d %.80q, report %v", resp.StatusCode, body, rep)
 	}

@@ -4,8 +4,9 @@
 // or a single capture — behind a multi-tenant HTTP API. A tenant with
 // local ingest is a segment graph (internal/pipeline): a pipeline the
 // config declares, or the src → analyzer pair a tenant's shorthand
-// compiles into, and a pipeline.Runner hosts it; the service builds no
-// engine and opens no source of its own.
+// compiles into, named after the tenant. One pipeline.Runner hosts every
+// tenant's pipeline; the service builds no engine and opens no source
+// of its own.
 //
 //	GET  /v1/{tenant}/profile   rolling profile (cached per snapshot;
 //	                            a probe-only tenant's is its /fleet)
@@ -36,8 +37,10 @@ package service
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -49,19 +52,25 @@ import (
 // Service hosts the tenants. Build with New, start ingest with Start,
 // mount Handler, stop with Drain.
 type Service struct {
-	cfg     Config
 	reg     *obs.Registry
-	journal *obs.Journal
 	cache   *Cache
 	tenants map[string]*Tenant
 	order   []string
 	mux     *http.ServeMux
+
+	// runner hosts every tenant's pipeline; nil when every tenant is
+	// probe-only. done closes when its Run returns, with runErr set.
+	runner *pipeline.Runner
+	cancel context.CancelFunc
+	done   chan struct{}
+	runErr error
 }
 
 // New builds the service and all its tenants — the shorthand ones,
-// then one per declared pipeline — sources included: sim tenants
-// synthesize their feed here, so New is where the cost is. reg and
-// journal may be nil.
+// then one per declared pipeline — over one graph holding each
+// tenant's pipeline, sources included: sim tenants synthesize their
+// feed here, so New is where the cost is, and a failed build closes
+// what it had built. reg and journal may be nil.
 func New(cfg Config, reg *obs.Registry, journal *obs.Journal) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -74,39 +83,46 @@ func New(cfg Config, reg *obs.Registry, journal *obs.Journal) (*Service, error) 
 		cache = NewCache(cfg.CacheEntries)
 	}
 	s := &Service{
-		cfg:     cfg,
 		reg:     reg,
-		journal: journal,
 		cache:   cache,
 		tenants: make(map[string]*Tenant),
 		mux:     http.NewServeMux(),
+		done:    make(chan struct{}),
 	}
-	add := func(name, source string, clusterK int, graph *pipeline.Config, logf func(string, ...any)) error {
-		t, err := newTenant(name, source, clusterK, graph, logf, reg, journal)
-		if err != nil {
-			return err
+	graph := &pipeline.Config{}
+	for _, tc := range cfg.Tenants {
+		if g, _ := tc.graph(cfg.HistorianRoot); g != nil { // compiled by Validate
+			graph.Pipelines = append(graph.Pipelines, g.Pipelines...)
 		}
-		s.wireTenant(t)
+	}
+	graph.Pipelines = append(graph.Pipelines, cfg.Pipelines...)
+	analyzers := map[string]*pipeline.AnalyzerSegment{}
+	var graphEps map[string]http.Handler
+	if len(graph.Pipelines) > 0 {
+		r, err := pipeline.NewRunner(graph, pipeline.Options{Registry: reg, Journal: journal})
+		if err != nil {
+			return nil, err
+		}
+		s.runner, graphEps = r, r.Endpoints()
+		for _, pc := range graph.Pipelines {
+			// A tenant's profile surface binds to its pipeline's first
+			// analyzer.
+			if i := slices.IndexFunc(pc.Nodes, func(n pipeline.NodeConfig) bool { return n.Kind == "analyzer" }); i >= 0 {
+				analyzers[pc.Name] = r.Segment(pc.Name, pc.Nodes[i].ID).(*pipeline.AnalyzerSegment)
+			}
+		}
+	}
+	add := func(name, source string, clusterK int) {
+		t := newTenant(name, source, clusterK, analyzers[name], reg, journal)
+		s.wireTenant(t, analyzers[name], graphEps["/pipelines/"+name+"/statusz"])
 		s.tenants[name] = t
 		s.order = append(s.order, name)
-		return nil
 	}
-	// A shorthand tenant's graph has nothing to say on the daemon's log:
-	// its drift findings are on /drift and in the journal, its failure in
-	// Err. A declared graph may hold log outputs.
-	quiet := func(string, ...any) {}
 	for _, tc := range cfg.Tenants {
-		graph, _ := tc.graph(cfg.HistorianRoot) // compiled by Validate
-		source := cmp.Or(tc.Source.Kind, "probe")
-		if err := add(tc.Name, source, tc.ClusterK, graph, quiet); err != nil {
-			return nil, err
-		}
+		add(tc.Name, cmp.Or(tc.Source.Kind, "probe"), tc.ClusterK)
 	}
 	for _, pc := range cfg.Pipelines {
-		graph := &pipeline.Config{Pipelines: []pipeline.PipelineConfig{pc}}
-		if err := add(pc.Name, "pipeline", 0, graph, nil); err != nil {
-			return nil, err
-		}
+		add(pc.Name, "pipeline", 0)
 	}
 	s.routes()
 	return s, nil
@@ -125,16 +141,17 @@ func (s *Service) requests(tenant, endpoint, code string) *obs.Counter {
 }
 
 // wireTenant builds the tenant's route set from its analyzer's
-// endpoints plus the service-level cache and aggregation routes.
-func (s *Service) wireTenant(t *Tenant) {
+// endpoints (an is nil for a tenant without one) and its pipeline's
+// graph view (nil for a probe-only tenant) plus the service-level cache
+// and aggregation routes.
+func (s *Service) wireTenant(t *Tenant, an *pipeline.AnalyzerSegment, graphStatus http.Handler) {
 	t.routes = make(map[string]route)
 	mount := func(endpoint string, h http.Handler) {
 		ok, notModified := s.requests(t.name, endpoint, "200"), s.requests(t.name, endpoint, "304")
 		t.routes[endpoint] = route{h, ok, notModified}
 	}
 	fleet := s.cached(t, "fleet", t.fleetVersion, stream.NewProfileHandler(t.fleetProfile))
-	if t.engine != nil {
-		an := t.runner.Analyzer()
+	if an != nil {
 		eps := an.Endpoints()
 		mount("profile", s.cached(t, "profile", t.engineVersion, eps["/profile"]))
 		mount("statusz", eps["/statusz"])
@@ -150,9 +167,9 @@ func (s *Service) wireTenant(t *Tenant) {
 		// per fleet version answer both URLs.
 		mount("profile", fleet)
 	}
-	if t.runner != nil {
+	if graphStatus != nil {
 		// The live graph view (uncached: it moves every poll).
-		mount("pipeline", pipeline.NewStatusHandler(t.runner.Status))
+		mount("pipeline", graphStatus)
 	}
 	mount("fleet", fleet)
 	mount("partial", http.HandlerFunc(t.handlePartial))
@@ -245,67 +262,52 @@ func (s *Service) handleIndex(w http.ResponseWriter, _ *http.Request) {
 func (s *Service) Handler() http.Handler { return s.mux }
 
 // Endpoints returns the daemon's route map for obs.HandlerWith: the
-// /v1 tree, /readyz, every tenant graph's segment endpoints under
-// /pipelines/{p}/... (a tenant's graph is the pipeline of its name) and
-// the combined graph view of every tenant at /statusz.
+// /v1 tree, /readyz and, when any tenant has a graph, the runner's
+// endpoints — every pipeline's segment endpoints under
+// /pipelines/{p}/... (a tenant's pipeline is named after it), its graph
+// view at /pipelines/{p}/statusz, and every graph at /statusz.
 func (s *Service) Endpoints() map[string]http.Handler {
 	eps := map[string]http.Handler{}
-	var runners []*pipeline.Runner
-	for _, name := range s.order {
-		if r := s.tenants[name].runner; r != nil {
-			runners = append(runners, r)
-			for path, h := range r.Endpoints() {
-				eps[path] = h
-			}
-		}
+	if s.runner != nil {
+		eps = s.runner.Endpoints()
 	}
-	eps["/statusz"] = pipeline.NewStatusHandler(func() []pipeline.PipelineStatus {
-		var sts []pipeline.PipelineStatus
-		for _, r := range runners {
-			sts = append(sts, r.Status()...)
-		}
-		return sts
-	})
 	eps["/v1"], eps["/v1/"] = s.mux, s.mux
 	eps["/readyz"] = obs.ReadyHandler(s.Ready)
 	return eps
 }
 
-// Start launches every tenant's ingest. The engines drain when ctx is
-// cancelled; Drain waits for them.
+// Start launches every tenant's ingest. The graph drains when ctx is
+// cancelled; Drain waits for it. A tenant whose input ends keeps
+// serving: its engine published its final profile and synced its
+// historian, which stays open for /query until Drain.
 func (s *Service) Start(ctx context.Context) {
-	for _, name := range s.order {
-		t := s.tenants[name]
-		tctx, cancel := context.WithCancel(ctx)
-		t.cancel = cancel
-		go t.run(tctx)
-	}
+	ctx, s.cancel = context.WithCancel(ctx)
+	go func() {
+		defer close(s.done)
+		if s.runner != nil {
+			s.runErr = s.runner.Run(ctx)
+		}
+	}()
 }
 
 // Drain cancels every tenant's ingest, waits until all engines have
 // drained their shards and published their final profiles — the
 // graceful-shutdown path reusing the engine lifecycle state machine —
-// and closes the tenants' historians: /query is gone after Drain.
-func (s *Service) Drain() {
-	for _, name := range s.order {
-		if c := s.tenants[name].cancel; c != nil {
-			c()
-		}
+// and closes the tenants' historians: /query is gone after Drain. The
+// error joins every segment failure of the run and of the close, each
+// labeled with its pipeline (the tenant) and segment.
+func (s *Service) Drain() error {
+	s.cancel()
+	<-s.done
+	if s.runner == nil {
+		return nil
 	}
-	for _, name := range s.order {
-		t := s.tenants[name]
-		<-t.done
-		t.closeGraph()
-	}
+	return errors.Join(s.runErr, s.runner.Close())
 }
 
 // Wait blocks until every tenant's ingest finished on its own (finite
 // sources) or was drained.
-func (s *Service) Wait() {
-	for _, name := range s.order {
-		<-s.tenants[name].done
-	}
-}
+func (s *Service) Wait() { <-s.done }
 
 // Ready is the service-wide readiness check: every tenant must be
 // ready.

@@ -190,7 +190,11 @@ func TestIdleTenantKeepsETag(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Start(context.Background())
-	t.Cleanup(svc.Drain)
+	t.Cleanup(func() {
+		if err := svc.Drain(); err != nil {
+			t.Error(err)
+		}
+	})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	url := srv.URL + "/v1/live"
@@ -512,8 +516,7 @@ func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
 				t.Errorf("point query returned %d samples, catalog says %d", len(samples), pt.Samples)
 			}
 
-			svc.Drain()
-			if err := svc.Tenant(tc.name).Err(); err != nil {
+			if err := svc.Drain(); err != nil {
 				t.Errorf("tenant error after drain: %v", err)
 			}
 			// Drain closed the store: a point nobody asked for yet (so not
@@ -573,7 +576,7 @@ func referenceTenantEngine(t *testing.T, cfg TenantConfig) (*stream.Engine, stre
 		SnapshotEvery:   snapshotEvery,
 		IdleTimeout:     time.Duration(cfg.IdleTimeout),
 		ClusterK:        cfg.ClusterK,
-		ClusterSeed:     clusterSeed,
+		ClusterSeed:     core.ClusterSeed,
 		Names:           names,
 		Registry:        obs.NewRegistry().With("tenant", cfg.Name),
 		MaxPointSamples: cfg.PointCap,
@@ -629,11 +632,10 @@ func TestTenantGraphEquivalence(t *testing.T) {
 			svc.Start(context.Background())
 			tenant := svc.Tenant(tc.Name)
 			caughtUp(tenant.engine)
-			if tc.Source.Kind == "follow" {
-				svc.Drain()
+			if tc.Source.Kind != "follow" {
+				svc.Wait()
 			}
-			svc.Wait()
-			if err := tenant.Err(); err != nil {
+			if err := svc.Drain(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -747,7 +749,7 @@ func TestFleetMergeEquivalence(t *testing.T) {
 		t.Fatalf("fleet profile: %v (body %.120q)", err, body)
 	}
 	merged := core.MergePartials([]core.Partial{pa, pb})
-	wantProf := stream.BuildProfile(merged, 2, 0, clusterSeed)
+	wantProf := stream.BuildProfile(merged, 2, 0, core.ClusterSeed)
 	wantProf.Workers = 2
 	wantJSON, err := json.Marshal(wantProf)
 	if err != nil {
@@ -1018,5 +1020,104 @@ func TestDeclaredProfileMatchesGraphMount(t *testing.T) {
 	_, body := get(t, srv.URL+"/statusz?format=json")
 	if err := json.Unmarshal(body, &sts); err != nil || len(sts) != 2 || sts[0].Name != "short" || sts[1].Name != "era" {
 		t.Errorf("/statusz lists %+v (%v), want the short and era graphs", sts, err)
+	}
+}
+
+// TestOneGraphHostsEveryTenant: the service hosts one graph whose
+// pipelines are its tenants', in config order; a tenant's /pipeline is
+// that graph's view of its pipeline; and a tenant whose ingest fails is
+// named in Drain's error while the others keep their final profiles.
+func TestOneGraphHostsEveryTenant(t *testing.T) {
+	path, packets := writeCapture(t, time.Minute, 3)
+	capture, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.pcap")
+	if err := os.WriteFile(cut, capture[:len(capture)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, _ := startService(t, Config{
+		Tenants: []TenantConfig{
+			{Name: "whole", Source: SourceConfig{Kind: "pcap", Path: path}},
+			{Name: "fleet", Source: SourceConfig{Kind: "probe"}},
+			{Name: "cut", Source: SourceConfig{Kind: "pcap", Path: cut}},
+		},
+		Pipelines: []pipeline.PipelineConfig{hostedGraph("declared")},
+	})
+	srv := httptest.NewServer(obs.HandlerWith(obs.NewRegistry(), nil, svc.Endpoints()))
+	defer srv.Close()
+
+	var sts []pipeline.PipelineStatus
+	_, body := get(t, srv.URL+"/statusz?format=json")
+	if err := json.Unmarshal(body, &sts); err != nil {
+		t.Fatalf("/statusz: %v: %.200q", err, body)
+	}
+	var names []string
+	for _, st := range sts {
+		names = append(names, st.Name)
+	}
+	if want := []string{"whole", "cut", "declared"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("/statusz lists %v, want %v", names, want)
+	}
+	for _, name := range names {
+		resp, v1 := get(t, srv.URL+"/v1/"+name+"/pipeline?format=json")
+		_, mount := get(t, srv.URL+"/pipelines/"+name+"/statusz?format=json")
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(v1, mount) {
+			t.Errorf("/v1/%s/pipeline (code %d) differs from /pipelines/%s/statusz:\n%s\nvs\n%s", name, resp.StatusCode, name, v1, mount)
+		}
+	}
+	if resp, _ := get(t, srv.URL+"/v1/fleet/pipeline"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("probe-only tenant's /pipeline: code %d, want 404", resp.StatusCode)
+	}
+
+	err = svc.Drain()
+	if err == nil || !strings.Contains(err.Error(), "pipeline cut segment ") {
+		t.Fatalf("Drain() = %v, want the cut tenant's failure", err)
+	}
+	for _, name := range []string{"whole", "declared"} {
+		if strings.Contains(err.Error(), "pipeline "+name+" ") {
+			t.Errorf("Drain() names healthy tenant %s: %v", name, err)
+		}
+	}
+	var prof stream.Profile
+	if _, body := get(t, srv.URL+"/v1/whole/profile"); json.Unmarshal(body, &prof) != nil || prof.Packets != packets {
+		t.Errorf("/v1/whole/profile after the drain: %d packets of %d", prof.Packets, packets)
+	}
+}
+
+// openUnder lists the files under dir this process holds open, read
+// from /proc/self/fd; the test skips where that does not exist.
+func openUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	var open []string
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
+}
+
+// TestNewClosesBuiltTenantsOnFailure: a tenant whose graph fails to
+// build fails New, and every tenant built before it is closed — here
+// east's historian namespace, which one process may have open at a
+// time.
+func TestNewClosesBuiltTenantsOnFailure(t *testing.T) {
+	root := t.TempDir()
+	sim := SourceConfig{Kind: "sim", Year: 1, Seed: 7, Duration: Duration(5 * time.Second)}
+	_, err := New(Config{HistorianRoot: root, Tenants: []TenantConfig{
+		{Name: "east", Source: sim, Historian: true},
+		{Name: "west", Source: sim, BaselinePath: filepath.Join(root, "missing.prof")},
+	}}, obs.NewRegistry(), nil)
+	if err == nil || !strings.Contains(err.Error(), "pipeline west segment an") {
+		t.Fatalf("New = %v, want west's analyzer to fail", err)
+	}
+	if open := openUnder(t, root); len(open) > 0 {
+		t.Errorf("failed New left %d files open: %v", len(open), open)
 	}
 }

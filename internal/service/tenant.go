@@ -1,13 +1,12 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
+	"uncharted/internal/core"
 	"uncharted/internal/drift"
 	"uncharted/internal/historian"
 	"uncharted/internal/obs"
@@ -15,14 +14,10 @@ import (
 	"uncharted/internal/stream"
 )
 
-// clusterSeed keeps tenant clustering deterministic across restarts,
-// matching the single-engine commands.
-const clusterSeed = 1202
-
 // Tenant is one hosted balancing authority / era / capture. A tenant
-// with local ingest is a segment graph — a declared pipeline, or the
-// src → an pair its TenantConfig shorthand compiles into — hosted by
-// its own pipeline.Runner; a probe-only tenant has none. Either way it
+// with local ingest is the pipeline of its name in the service's graph
+// — a declared pipeline, or the src → an pair its TenantConfig
+// shorthand compiles into; a probe-only tenant has none. Either way it
 // carries a fleet aggregate and a pre-built route set.
 type Tenant struct {
 	name string
@@ -30,11 +25,10 @@ type Tenant struct {
 	// kind, "probe" or "pipeline".
 	source   string
 	clusterK int
-	// runner hosts the tenant's graph; engine is the engine of the
-	// graph's first analyzer, which the profile surface binds to (nil
-	// for probe-only tenants and analyzer-less graphs: the fleet
-	// aggregate is then the only profile).
-	runner *pipeline.Runner
+	// engine is the engine of the pipeline's first analyzer, which the
+	// profile surface binds to (nil for probe-only tenants and
+	// analyzer-less pipelines: the fleet aggregate is then the only
+	// profile).
 	engine *stream.Engine
 	// probes is the fleet aggregate: partials posted by remote probes.
 	probes stream.ProbeSet
@@ -46,19 +40,13 @@ type Tenant struct {
 	partialsIn  *obs.Counter
 
 	journal *obs.Journal
-
-	cancel context.CancelFunc
-	done   chan struct{}
-	errMu  sync.Mutex
-	runErr error
 }
 
-// newTenant builds one tenant around its validated graph (nil for a
-// probe-only tenant) — sources, engines and historian namespaces open
-// here — and its metric series: everything but the route set, which
+// newTenant builds one tenant around its pipeline's first analyzer (nil
+// for none) and its metric series: everything but the route set, which
 // the service wires after it exists (handlers close over the service's
-// cache). logf is the graph's log; nil logs to the process log.
-func newTenant(name, source string, clusterK int, graph *pipeline.Config, logf func(string, ...any), reg *obs.Registry, journal *obs.Journal) (*Tenant, error) {
+// cache).
+func newTenant(name, source string, clusterK int, an *pipeline.AnalyzerSegment, reg *obs.Registry, journal *obs.Journal) *Tenant {
 	treg := reg.With("tenant", name)
 	t := &Tenant{
 		name:        name,
@@ -68,22 +56,11 @@ func newTenant(name, source string, clusterK int, graph *pipeline.Config, logf f
 		cacheHits:   treg.Counter("uncharted_service_cache_hits_total"),
 		cacheMisses: treg.Counter("uncharted_service_cache_misses_total"),
 		partialsIn:  treg.Counter("uncharted_service_partials_total"),
-		done:        make(chan struct{}),
 	}
-	if graph == nil {
-		// Probe-only tenant: no local ingest, the fleet aggregate is the
-		// profile.
-		return t, nil
+	if an != nil {
+		t.engine = an.Engine()
 	}
-	var err error
-	t.runner, err = pipeline.NewRunner(graph, pipeline.Options{Registry: treg, Journal: journal, Logf: logf})
-	if err != nil {
-		return nil, fmt.Errorf("service: tenant %s: %w", name, err)
-	}
-	if a := t.runner.Analyzer(); a != nil {
-		t.engine = a.Engine()
-	}
-	return t, nil
+	return t
 }
 
 // graph compiles the TenantConfig shorthand into the graph a config
@@ -119,7 +96,7 @@ func (cfg TenantConfig) graph(historianRoot string) (*pipeline.Config, error) {
 		"snapshot":     snapshot,
 		"idle_timeout": time.Duration(cfg.IdleTimeout),
 		"cluster_k":    cfg.ClusterK,
-		"cluster_seed": clusterSeed,
+		"cluster_seed": core.ClusterSeed,
 		"point_cap":    cfg.PointCap,
 		"names":        sc.Kind == "sim",
 		"baseline":     cfg.BaselinePath,
@@ -172,11 +149,11 @@ func (t *Tenant) fleetVersion() string {
 func (t *Tenant) fleetProfile() *stream.Profile {
 	if t.engine != nil {
 		if p, ok := t.engine.LastPartial(); ok {
-			prof, _ := t.probes.Profile(t.clusterK, clusterSeed, p)
+			prof, _ := t.probes.Profile(t.clusterK, core.ClusterSeed, p)
 			return prof
 		}
 	}
-	prof, _ := t.probes.Profile(t.clusterK, clusterSeed)
+	prof, _ := t.probes.Profile(t.clusterK, core.ClusterSeed)
 	return prof
 }
 
@@ -219,42 +196,4 @@ func (t *Tenant) handlePartial(w http.ResponseWriter, req *http.Request) {
 		"probes":  ack.Probes,
 		"version": ack.Version,
 	})
-}
-
-// run drives the tenant's graph until its source is exhausted or the
-// service drains it; a cancelled ctx is the normal way a live tenant
-// stops, and the runner reports it as a clean drain. The historian
-// stays open: a finished feed keeps answering /query from it (the
-// engine synced it on its final publish) until Service.Drain.
-func (t *Tenant) run(ctx context.Context) {
-	defer close(t.done)
-	if t.runner != nil {
-		t.fail(t.runner.Run(ctx))
-	}
-}
-
-// closeGraph closes what the tenant's graph kept open past its ingest
-// (the historian namespace). Closing is idempotent, so a second Drain
-// is harmless.
-func (t *Tenant) closeGraph() {
-	if t.runner != nil {
-		t.fail(t.runner.Close())
-	}
-}
-
-// fail records the tenant's first terminal error.
-func (t *Tenant) fail(err error) {
-	t.errMu.Lock()
-	if t.runErr == nil {
-		t.runErr = err
-	}
-	t.errMu.Unlock()
-}
-
-// Err returns the tenant's terminal ingest error, if any; valid once
-// the tenant is drained.
-func (t *Tenant) Err() error {
-	t.errMu.Lock()
-	defer t.errMu.Unlock()
-	return t.runErr
 }

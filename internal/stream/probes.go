@@ -17,12 +17,12 @@ import (
 const MaxPartialBytes = 64 << 20
 
 // ProbeSet accumulates remote-probe partials: the receiving end of
-// `profiler -push`, shared by the control-room service's tenants and
-// the pipeline runtime's probe input. Each probe's latest partial
-// replaces its previous one, so probes can re-post rolling updates;
-// the fleet view is MergePartials over the current set, which is
-// commutative and associative, so arrival order never matters. The
-// zero value is ready to use.
+// `profiler -push`, one per control-room service tenant (its
+// /v1/{tenant}/partial). Each probe's latest partial replaces its
+// previous one, so probes can re-post rolling updates; the fleet view
+// is MergePartials over the current set, which is commutative and
+// associative, so arrival order never matters. The zero value is ready
+// to use.
 type ProbeSet struct {
 	mu      sync.Mutex
 	byProbe map[string]core.Partial
