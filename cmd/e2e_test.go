@@ -721,12 +721,13 @@ func testPipelines(t *testing.T) {
 // profile of each synthesized campaign diffs with the planted era
 // changes surfacing, exit 1 on drift (diff(1) convention) and 0 for an
 // era against itself. The analyzer's drift watch (profiler -baseline)
-// prints the same report at any -workers.
+// prints the same report at any -workers. diff is profilediff's only
+// subcommand, and a capture cut short saves no profile.
 func testProfileDiff(t *testing.T) {
 	dir := t.TempDir()
 	run(t, dir, 0, "iec104gen", "-year", "2", "-scale", "0.5", "-out", "b.pcap")
-	run(t, dir, 0, "profilediff", "save", "-out", "a.prof", "-label", "2017-11", y1)
-	run(t, dir, 0, "profilediff", "save", "-out", "b.prof", "-label", "2019-03", "-workers", "3", "b.pcap")
+	run(t, dir, 0, "profiler", "-report", "flows", "-save-profile", "a.prof", "-profile-label", "2017-11", y1)
+	run(t, dir, 0, "profiler", "-report", "flows", "-save-profile", "b.prof", "-profile-label", "2019-03", "-workers", "3", "b.pcap")
 	report, _ := run(t, dir, 1, "profilediff", "diff", "a.prof", "b.prof")
 	mustContain(t, "era diff", report, "timing-shift", "endpoint-added")
 	run(t, dir, 0, "profilediff", "diff", "a.prof", "a.prof")
@@ -736,6 +737,21 @@ func testProfileDiff(t *testing.T) {
 		t.Errorf("drift reports differ at 1 and 4 shards:\n--- 1 shard\n%s\n--- 4 shards\n%s", l1, l4)
 	}
 	mustContain(t, "profiler -baseline", l1, "timing-shift")
+
+	for _, sub := range []string{"save", "watch"} {
+		_, stderr := run(t, dir, 2, "profilediff", sub, "-out", "c.prof", y1)
+		mustContain(t, "profilediff "+sub, stderr, "usage: profilediff diff")
+	}
+	capture, err := os.ReadFile(y1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, filepath.Join(dir, "short.pcap"), string(capture[:len(capture)-3]))
+	_, stderr := run(t, dir, 1, "profiler", "-report", "flows", "-save-profile", "short.prof", "short.pcap")
+	mustContain(t, "profiler -save-profile on a cut capture", stderr, "nothing saved")
+	if _, err := os.Stat(filepath.Join(dir, "short.prof")); !os.IsNotExist(err) {
+		t.Errorf("profiler saved a profile of a cut capture (stat: %v)", err)
+	}
 }
 
 // testAgcsim: the power-system substrate prints one CSV row per

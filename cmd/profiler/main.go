@@ -14,14 +14,18 @@
 // stage spans exported as a Chrome trace_event JSON file on drain (or
 // SIGUSR1). A one-shard run (the default) keeps every sample in one
 // analyzer, which is what the timing report, -save-baseline and the
-// end-of-run -load-baseline scan read.
+// end-of-run -load-baseline scan read. -save-profile and -push write
+// only from a run that read its capture to the end, or from a -follow
+// run a signal drained: a damaged or interrupted read prints its
+// partial reports, saves and pushes nothing, and exits 1.
 //
 // Usage:
 //
 //	profiler capture.pcap
 //	profiler -report flows,markov capture.pcap
 //	profiler -report stats -journal events.jsonl capture.pcap
-//	profiler -follow -workers 4 -metrics :9104 growing.pcap
+//	profiler -save-profile era-a.prof -profile-label 2017-11 capture.pcap
+//	profiler -follow -workers 4 -baseline era-a.prof -metrics :9104 growing.pcap
 //	profiler -workers 4 -trace out.json capture.pcap
 package main
 
@@ -186,8 +190,15 @@ func run() int {
 			an := h.Runner.Analyzer()
 			e := an.Engine()
 			whole := e.Analyzer() // nil when the run was sharded
-			if code := printReports(want, e.Final(), whole, h.Registry, h.Journal); code != 0 {
-				exit = code
+			p := e.Final()
+			printReports(want, p, whole, h.Registry, h.Journal)
+			switch {
+			case exit != 0 && (*saveProfile != "" || *pushURL != ""):
+				// A profile of part of a capture would diff, and merge into
+				// a fleet, as if it were the whole.
+				log.Print("nothing saved or pushed: the capture was not read to its end")
+			case exit == 0:
+				exit = persist(p)
 			}
 			if rep := an.DriftReport(); rep != nil {
 				// The analyzer diffed the final merged state against the
@@ -244,11 +255,10 @@ func baselineActions(whole *core.Analyzer) int {
 }
 
 // printReports renders the capture header and the wanted reports, in
-// a fixed order, from the run's merged core.Partial, then runs the
-// profile-persistence and probe-push flags over it. whole is the
+// a fixed order, from the run's merged core.Partial. whole is the
 // analyzer that saw the whole run, nil when it was sharded: timing needs
 // its per-point timestamps.
-func printReports(want map[string]bool, p core.Partial, whole *core.Analyzer, reg *obs.Registry, journal *obs.Journal) int {
+func printReports(want map[string]bool, p core.Partial, whole *core.Analyzer, reg *obs.Registry, journal *obs.Journal) {
 	fmt.Printf("Capture: %d packets (%d IEC 104), window %s .. %s, parse errors %d\n\n",
 		p.Packets, p.IECPackets,
 		p.First.Format("2006-01-02 15:04:05"), p.Last.Format("15:04:05"), p.ParseErrors)
@@ -289,7 +299,11 @@ func printReports(want map[string]bool, p core.Partial, whole *core.Analyzer, re
 	if want["stats"] {
 		printStats(reg, journal)
 	}
+}
 
+// persist runs the profile-persistence and probe-push flags over the
+// merged state of a run that read its capture to the end.
+func persist(p core.Partial) int {
 	if *saveProfile != "" {
 		prof := drift.NewProfile(*profileLabel, flag.Arg(0), p, time.Now())
 		if err := drift.SaveProfile(*saveProfile, prof); err != nil {

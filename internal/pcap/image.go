@@ -41,6 +41,17 @@ func (in *input) take(n int, buf *[]byte) ([]byte, error) {
 	return in.img[in.pos-n : in.pos : in.pos], nil
 }
 
+// takeBody is take for the bytes a record or block header has
+// promised: none left there is a capture cut short, so it fails with
+// io.ErrUnexpectedEOF, never with the io.EOF of a clean end.
+func (in *input) takeBody(n int, buf *[]byte) ([]byte, error) {
+	b, err := in.take(n, buf)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
 // Layout reads a record of an image again from where its header
 // starts, knowing what the reader knew when it passed the record: the
 // file header, or the byte order and interfaces of the pcapng section.
@@ -74,7 +85,7 @@ func (l *Layout) Record(img []byte, hdr int) (off, end int, ci CaptureInfo) {
 // reports where the record lies in img instead.
 func NewImageReader(img []byte) (PacketReader, error) {
 	if len(img) < 4 {
-		return nil, fmt.Errorf("pcap: sniffing capture format: %w", io.EOF)
+		return nil, fmt.Errorf("pcap: sniffing capture format: %w", shortSniff(len(img)))
 	}
 	in := input{img: img, end: len(img)}
 	if binary.BigEndian.Uint32(img) == blockSHB {

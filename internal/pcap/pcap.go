@@ -179,7 +179,7 @@ func (r *Reader) next(scratch []byte) (int, []byte, []byte, error) {
 	if capLen > limit {
 		return at, nil, nil, fmt.Errorf("%w: %d > %d", ErrSnapLen, capLen, limit)
 	}
-	data, err := r.in.take(int(capLen), &scratch)
+	data, err := r.in.takeBody(int(capLen), &scratch)
 	if err != nil {
 		return at, nil, nil, fmt.Errorf("pcap: record at byte %d: body: %w", at, err)
 	}

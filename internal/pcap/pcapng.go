@@ -122,7 +122,7 @@ func (ng *NgReader) readBlock() (uint32, []byte, error) {
 			return 0, nil, ErrNotPcapNg
 		}
 		var buf []byte
-		magic, err := ng.in.take(4, &buf)
+		magic, err := ng.in.takeBody(4, &buf)
 		if err != nil {
 			return 0, nil, fmt.Errorf("pcap: reading byte-order magic: %w", err)
 		}
@@ -138,7 +138,7 @@ func (ng *NgReader) readBlock() (uint32, []byte, error) {
 		if total < 28 || total > 1<<24 {
 			return 0, nil, fmt.Errorf("%w: SHB length %d", ErrNgCorrupt, total)
 		}
-		body, err := ng.in.take(int(total-12), &ng.scratch)
+		body, err := ng.in.takeBody(int(total-12), &ng.scratch)
 		if err != nil {
 			return 0, nil, fmt.Errorf("pcap: reading SHB: %w", err)
 		}
@@ -153,7 +153,7 @@ func (ng *NgReader) readBlock() (uint32, []byte, error) {
 	if total < 12 || total%4 != 0 || total > 1<<24 {
 		return 0, nil, fmt.Errorf("%w: block %#08x length %d", ErrNgCorrupt, typ, total)
 	}
-	body, err := ng.in.take(int(total-8), &ng.scratch)
+	body, err := ng.in.takeBody(int(total-8), &ng.scratch)
 	if err != nil {
 		return 0, nil, fmt.Errorf("pcap: reading block %#08x: %w", typ, err)
 	}
@@ -352,12 +352,25 @@ type PacketReader interface {
 	LinkType() LinkType
 }
 
+// shortSniff is why a capture of n < 4 bytes has no format: io.EOF
+// when it is empty, io.ErrUnexpectedEOF when it was cut inside its
+// first header.
+func shortSniff(n int) error {
+	if n == 0 {
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
+}
+
 // NewAutoReader sniffs the capture format (classic pcap in either
 // endianness, with µs or ns timestamps, or pcapng) and returns the
 // matching reader.
 func NewAutoReader(r io.Reader) (PacketReader, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(4)
+	if err == io.EOF {
+		err = shortSniff(len(magic))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("pcap: sniffing capture format: %w", err)
 	}

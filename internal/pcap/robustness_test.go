@@ -2,8 +2,14 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 )
 
 // TestDecodeNeverPanicsOnRandomBytes: layer decoders are fed raw tap
@@ -24,26 +30,84 @@ func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 	}
 }
 
-// TestReaderNeverPanicsOnTruncatedFiles reads random prefixes of a
-// valid capture.
+// TestReaderNeverPanicsOnTruncatedFiles cuts a classic and a pcapng
+// capture at every byte and reads each prefix through every reader
+// that opens it: the records wholly before the cut come back, and the
+// read ends with a bare io.EOF only where the cut falls on a boundary
+// — after the file header or a block, or after a record. A cut
+// anywhere else, a record header whose body is missing included, is a
+// truncation: an error that is not io.EOF, so a streamed read of the
+// capture fails instead of ending clean.
 func TestReaderNeverPanicsOnTruncatedFiles(t *testing.T) {
-	var full bytes.Buffer
-	w := NewWriter(&full, LinkTypeEthernet)
-	for i := 0; i < 10; i++ {
-		if err := w.WritePacket(CaptureInfo{}, bytes.Repeat([]byte{byte(i)}, 40+i)); err != nil {
-			t.Fatal(err)
-		}
+	payloads := make([][]byte, 10)
+	for i := range payloads {
+		payloads[i] = bytes.Repeat([]byte{byte(i)}, 40+i)
 	}
-	raw := full.Bytes()
-	for cut := 0; cut <= len(raw); cut += 3 {
-		r, err := NewReader(bytes.NewReader(raw[:cut]))
-		if err != nil {
-			continue
-		}
-		for {
-			if _, _, err := r.ReadPacket(); err != nil {
-				break
-			}
+	classic, offs := buildClassic(t, payloads)
+	classicBounds := []int{24}
+	for i, off := range offs {
+		classicBounds = append(classicBounds, int(off)+16+len(payloads[i]))
+	}
+
+	ng := newNgWriter(binary.LittleEndian)
+	ng.shb()
+	ngBounds := []int{ng.buf.Len()}
+	ng.idb(LinkTypeEthernet, 0)
+	ngBounds = append(ngBounds, ng.buf.Len())
+	for i, pl := range payloads {
+		ng.epb(0, time.Unix(1700000000+int64(i), 0), 1_000_000, pl)
+		ngBounds = append(ngBounds, ng.buf.Len())
+	}
+
+	streamed := func(open func(io.Reader) (PacketReader, error)) func([]byte) (PacketReader, error) {
+		return func(b []byte) (PacketReader, error) { return open(bytes.NewReader(b)) }
+	}
+	readers := map[string]func([]byte) (PacketReader, error){
+		"NewAutoReader":  streamed(NewAutoReader),
+		"NewImageReader": NewImageReader,
+	}
+	captures := []struct {
+		name    string
+		file    []byte
+		bounds  []int // where a read may end clean
+		records []int // where each record ends
+		open    func(io.Reader) (PacketReader, error)
+	}{
+		{"classic", classic, classicBounds, classicBounds[1:],
+			func(r io.Reader) (PacketReader, error) { return NewReader(r) }},
+		{"pcapng", ng.buf.Bytes(), ngBounds, ngBounds[2:],
+			func(r io.Reader) (PacketReader, error) { return NewNgReader(r) }},
+	}
+	for _, c := range captures {
+		readers := maps.Clone(readers)
+		readers["own"] = streamed(c.open)
+		for name, open := range readers {
+			t.Run(c.name+"/"+name, func(t *testing.T) {
+				for cut := 0; cut <= len(c.file); cut++ {
+					n := 0
+					pr, err := open(c.file[:cut])
+					for err == nil {
+						if _, _, err = pr.ReadPacket(); err == nil {
+							n++
+						}
+					}
+					want := 0
+					for want < len(c.records) && c.records[want] <= cut {
+						want++
+					}
+					switch {
+					case n != want:
+						t.Fatalf("cut at %d: %d records, want %d (%v)", cut, n, want, err)
+					case slices.Contains(c.bounds, cut):
+						if err != io.EOF {
+							t.Fatalf("cut at boundary %d: read ended %v, want io.EOF", cut, err)
+						}
+					case cut > 0 && errors.Is(err, io.EOF):
+						// An empty input (cut 0) has nothing to be cut.
+						t.Fatalf("cut at %d, off every boundary: read ended %v, a clean end", cut, err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -28,7 +28,7 @@ func init() {
 		Role: RoleAnalysis,
 		In:   PortPackets,
 		Out:  PortProfiles,
-		Doc:  "the sharded core analyzer: consumes packets — or runs the source of an input wired to it alone — publishes rolling profiles, serves /{id}/profile, /{id}/statusz, /{id}/readyz (+/drift, /query when armed; /query outlives the feed, until the host stops)",
+		Doc:  "the sharded core analyzer: consumes packets — or runs the source of an input wired to it alone — publishes rolling profiles (a snapshot event each in the journal), serves /{id}/profile, /{id}/statusz, /{id}/readyz (+/drift, /query when armed; /query outlives the feed, until the host stops)",
 		Params: []ParamSpec{
 			{Name: "workers", Type: ParamInt, Default: 1, Doc: "analysis shards"},
 			{Name: "readers", Type: ParamInt, Default: 0, Doc: "parallel capture readers for a handed-off source (0 = match workers; a single pcap file wired straight into this analyzer is handed off and split across them)"},
@@ -58,17 +58,6 @@ func init() {
 			{Name: "train_duration", Type: ParamDuration, Default: 2 * time.Minute, Doc: "training simulation length"},
 		},
 		Build: buildIDS,
-	})
-	Register(Spec{
-		Kind: "drift",
-		Role: RoleAnalysis,
-		In:   PortProfiles,
-		Out:  PortAlerts,
-		Doc:  "two-era drift comparator: compares every snapshot against a stored baseline profile, serves /{id}/drift, emits one alert per new finding",
-		Params: []ParamSpec{
-			{Name: "baseline", Type: ParamString, Required: true, Doc: "stored drift profile to compare against"},
-		},
-		Build: buildDrift,
 	})
 }
 
@@ -294,7 +283,7 @@ func (s *AnalyzerSegment) Run(ctx context.Context, in <-chan Msg, emit Emit) err
 	close(s.fwd)
 	wg.Wait()
 	if prof := s.eng.Profile(); prof != nil {
-		emit(Msg{Snap: &Snapshot{Seq: prof.Seq, Final: true, Partial: s.eng.Final(), Profile: prof}})
+		emit(Msg{Snap: &Snapshot{Seq: prof.Seq, Partial: s.eng.Final(), Profile: prof}})
 	}
 	return err
 }
@@ -403,7 +392,7 @@ func (s *IDSSegment) Run(_ context.Context, in <-chan Msg, emit Emit) error {
 	return nil
 }
 
-// Drift metric names, booked on the registry of the segment that armed
+// Drift metric names, booked on the registry of the analyzer that armed
 // a baseline.
 const (
 	metricDriftFindings = "uncharted_stream_drift_findings"
@@ -413,10 +402,10 @@ const (
 
 // driftWatch is live drift detection, the paper's §6 two-era comparison
 // run on every snapshot: the analyzer's baseline param runs it from the
-// engine's snapshot hook, the drift segment over its profiles edge.
-// Each check compares the snapshot against the stored baseline, books
-// the metrics, journals the comparison and every finding not seen
-// before in this run, and logs the latter as DRIFT lines.
+// engine's snapshot hook. Each check compares the snapshot against the
+// stored baseline, books the metrics, journals the comparison and every
+// finding not seen before in this run, and logs the latter as DRIFT
+// lines.
 type driftWatch struct {
 	env  *Env
 	id   string
@@ -455,9 +444,9 @@ func newDriftWatch(bc BuildCtx, path string) (*driftWatch, error) {
 	}, nil
 }
 
-// check compares snapshot seq against the baseline and returns the
-// findings it reports for the first time. Calls must not overlap.
-func (w *driftWatch) check(p core.Partial, seq int) []drift.Finding {
+// check compares snapshot seq against the baseline. Calls must not
+// overlap.
+func (w *driftWatch) check(p core.Partial, seq int) {
 	rep := drift.Compare(w.base, drift.NewProfile("live", "pipeline:"+w.env.Pipeline, p, p.Last), drift.DefaultThresholds())
 	w.last.Store(&driftState{seq: seq, rep: rep})
 	w.compares.Inc()
@@ -490,7 +479,6 @@ func (w *driftWatch) check(p core.Partial, seq int) []drift.Finding {
 		})
 		w.env.Logf("DRIFT [%s] %v", w.id, f.Alert())
 	}
-	return fresh
 }
 
 // latest returns the most recent comparison and its snapshot's seq;
@@ -533,32 +521,4 @@ func (w *driftWatch) handler() http.Handler {
 		rw.Header().Set("Content-Type", "application/json; charset=utf-8")
 		rep.WriteJSON(rw)
 	})
-}
-
-// DriftSegment runs a drift watch over the snapshots of its profiles
-// edge, serves /{id}/drift and emits one alert per new finding.
-type DriftSegment struct {
-	watch *driftWatch
-}
-
-func buildDrift(bc BuildCtx) (Segment, error) {
-	w, err := newDriftWatch(bc, bc.Params.Str("baseline"))
-	if err != nil {
-		return nil, err
-	}
-	bc.Env.Handle("/"+bc.ID+"/drift", w.handler())
-	return &DriftSegment{watch: w}, nil
-}
-
-// Run implements Segment.
-func (s *DriftSegment) Run(_ context.Context, in <-chan Msg, emit Emit) error {
-	for m := range in {
-		if sn := m.Snap; sn != nil {
-			for _, f := range s.watch.check(sn.Partial, sn.Seq) {
-				al := f.Alert()
-				emit(Msg{Alert: &al})
-			}
-		}
-	}
-	return nil
 }

@@ -24,36 +24,26 @@ import (
 	"uncharted/internal/topology"
 )
 
-// driftHomes are the two places a drift watch runs: the analyzer's
-// baseline param, and a drift segment behind the analyzer (whose
-// alerts a log output prints).
-var driftHomes = []string{"an", "drift"}
+// driftHomes are the places a drift watch runs: the analyzer's
+// baseline param.
+var driftHomes = []string{"an"}
 
 // driftRun is what one home made of one capture.
 type driftRun struct {
 	rep     *drift.DriftReport
 	served  *httptest.ResponseRecorder // GET of the home's /drift
 	drifts  int                        // DRIFT log lines
-	alerts  int                        // alerts the drift segment emitted
+	alerts  int                        // ALERT log lines
 	events  []obs.Event                // drift journal events
 	metrics string                     // Prometheus exposition after the run
 }
 
-// runDriftHome runs capture through pcap → an (→ drift → log when home
-// is "drift") and returns what the home's watch published.
+// runDriftHome runs capture through pcap → an with the baseline on
+// home and returns what the home's watch published.
 func runDriftHome(t *testing.T, home, capture, baseline string, workers int) driftRun {
 	t.Helper()
-	an := map[string]any{"workers": workers, "names": true}
-	if home == "an" {
-		an["baseline"] = baseline
-	}
-	cfg := SourceGraph("p", "src", "pcap", map[string]any{"path": capture}, an)
-	if home == "drift" {
-		p := &cfg.Pipelines[0]
-		p.Nodes = append(p.Nodes,
-			presetNode("drift", "drift", []string{"an"}, map[string]any{"baseline": baseline}),
-			presetNode("log", "log", []string{"drift"}, nil))
-	}
+	cfg := SourceGraph("p", "src", "pcap", map[string]any{"path": capture},
+		map[string]any{"workers": workers, "names": true, "baseline": baseline})
 	var (
 		mu    sync.Mutex
 		lines []string
@@ -76,17 +66,12 @@ func runDriftHome(t *testing.T, home, capture, baseline string, workers int) dri
 		t.Fatal(err)
 	}
 
-	run := driftRun{served: httptest.NewRecorder()}
-	h := runner.Endpoints()["/pipelines/p/drift/drift"]
-	if home == "an" {
-		run.rep, h = runner.Analyzer().DriftReport(), runner.Analyzer().Endpoints()["/drift"]
-	} else {
-		run.rep = runner.Segment("p", "drift").(*DriftSegment).watch.report()
-	}
-	h.ServeHTTP(run.served, httptest.NewRequest(http.MethodGet, "/drift", nil))
+	an := runner.Segment("p", home).(*AnalyzerSegment)
+	run := driftRun{served: httptest.NewRecorder(), rep: an.DriftReport()}
+	an.Endpoints()["/drift"].ServeHTTP(run.served, httptest.NewRequest(http.MethodGet, "/drift", nil))
 	for _, l := range lines {
 		run.drifts += strings.Count(l, "DRIFT ["+home+"]")
-		run.alerts += strings.Count(l, "ALERT [log]")
+		run.alerts += strings.Count(l, "ALERT [")
 	}
 	sc := bufio.NewScanner(&jbuf)
 	sc.Buffer(nil, 1<<20)
@@ -127,10 +112,9 @@ func saveBaseline(t *testing.T, capture, label string, at time.Time) string {
 }
 
 // checkDriftRun asserts what every home owes a run with a baseline:
-// one DRIFT line — and for the drift segment one alert — per finding,
-// the report served at /drift, one summary journal event plus one per
-// finding, each naming the home, and the three drift metrics on the
-// home's registry only.
+// one DRIFT line and no alert per finding, the report served at
+// /drift, one summary journal event plus one per finding, each naming
+// the home, and the three drift metrics on the home's registry only.
 func checkDriftRun(t *testing.T, home string, run driftRun) {
 	t.Helper()
 	if run.rep == nil {
@@ -140,8 +124,8 @@ func checkDriftRun(t *testing.T, home string, run driftRun) {
 	if run.drifts != n {
 		t.Errorf("%d DRIFT lines for %d findings", run.drifts, n)
 	}
-	if want := map[string]int{"an": 0, "drift": n}[home]; run.alerts != want {
-		t.Errorf("%d alerts emitted, want %d", run.alerts, want)
+	if run.alerts != 0 {
+		t.Errorf("%d alerts emitted, want 0", run.alerts)
 	}
 	if run.served.Code != http.StatusOK {
 		t.Fatalf("/drift status %d", run.served.Code)
@@ -170,14 +154,12 @@ func checkDriftRun(t *testing.T, home string, run driftRun) {
 }
 
 // TestDriftEraChange: with the Y1 profile as baseline, the Y2 capture
-// drifts — the paper's §6 longitudinal comparison running live — and
-// both homes report it identically.
+// drifts — the paper's §6 longitudinal comparison running live.
 func TestDriftEraChange(t *testing.T) {
 	dur := 10 * time.Minute
 	baseline := saveBaseline(t, writeEraCapture(t, topology.Y1, dur, 1), "2017-11",
 		time.Date(2017, 11, 7, 0, 0, 0, 0, time.UTC))
 	y2 := writeEraCapture(t, topology.Y2, dur, 1)
-	reps := map[string]*drift.DriftReport{}
 	for _, home := range driftHomes {
 		t.Run(home, func(t *testing.T) {
 			run := runDriftHome(t, home, y2, baseline, 3)
@@ -188,21 +170,15 @@ func TestDriftEraChange(t *testing.T) {
 			if run.rep.MaxSeverity() < drift.SevWarn {
 				t.Errorf("max severity %d, want at least warn for an era change", run.rep.MaxSeverity())
 			}
-			reps[home] = run.rep
 		})
-	}
-	if !reflect.DeepEqual(reps["an"], reps["drift"]) {
-		t.Errorf("final reports differ between the analyzer's baseline param and the drift segment")
 	}
 }
 
 // TestDriftSelfBaselineQuiet: streaming the very capture the baseline
-// was built from stays quiet in both homes — shard merge noise is not
-// drift.
+// was built from stays quiet — shard merge noise is not drift.
 func TestDriftSelfBaselineQuiet(t *testing.T) {
 	capture := writeEraCapture(t, topology.Y1, 10*time.Minute, 1)
 	baseline := saveBaseline(t, capture, "self", time.Time{})
-	reps := map[string]*drift.DriftReport{}
 	for _, home := range driftHomes {
 		t.Run(home, func(t *testing.T) {
 			run := runDriftHome(t, home, capture, baseline, 4)
@@ -210,18 +186,13 @@ func TestDriftSelfBaselineQuiet(t *testing.T) {
 			if len(run.rep.Findings) != 0 {
 				t.Fatalf("self-comparison drifted: %v", run.rep.Findings)
 			}
-			reps[home] = run.rep
 		})
-	}
-	if !reflect.DeepEqual(reps["an"], reps["drift"]) {
-		t.Errorf("final reports differ between the analyzer's baseline param and the drift segment")
 	}
 }
 
 // TestDriftNoBaselineNoRoute: an analyzer without a baseline has no
 // /drift route, no report and no drift metrics — its query surface is
-// the engine's /profile, /statusz and /readyz — and a drift segment
-// cannot be declared without one.
+// the engine's /profile, /statusz and /readyz.
 func TestDriftNoBaselineNoRoute(t *testing.T) {
 	capture := writeTestCapture(t, 2*time.Minute, 1)
 	reg := obs.NewRegistry()
@@ -252,12 +223,6 @@ func TestDriftNoBaselineNoRoute(t *testing.T) {
 	}
 	if strings.Contains(m.String(), "uncharted_stream_drift_") {
 		t.Error("drift metrics registered without a baseline")
-	}
-
-	cfg := SourceGraph("p", "src", "pcap", map[string]any{"path": capture}, nil)
-	cfg.Pipelines[0].Nodes = append(cfg.Pipelines[0].Nodes, presetNode("drift", "drift", []string{"an"}, nil))
-	if _, err := NewRunner(cfg, Options{Logf: t.Logf}); err == nil || !strings.Contains(err.Error(), "baseline") {
-		t.Errorf("drift segment without a baseline: err %v, want a missing-baseline error", err)
 	}
 }
 

@@ -19,7 +19,7 @@ type NodeConfig struct {
 	Kind string `json:"segment"`
 	// From lists the upstream node IDs feeding this node. Empty for
 	// inputs; every consumer of a node shares its output (implicit
-	// fan-out/tee).
+	// fan-out).
 	From []string `json:"from,omitempty"`
 	// Params is the segment's parameter object, validated against the
 	// kind's declared schema.

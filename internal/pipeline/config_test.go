@@ -168,6 +168,35 @@ func TestParseErrors(t *testing.T) {
 			]}]}`,
 			want: []string{"unknown segment kind", "dangling edge"},
 		},
+		// Kinds folded into the analyzer or the runner fail by name.
+		{
+			name: "removed kind drift",
+			doc: `{"pipelines": [{"name": "p", "segments": [
+				{ "id": "src", "segment": "drift" }
+			]}]}`,
+			want: []string{"bad.jsonc:2", `unknown segment kind "drift"`, "unchartedd -segments"},
+		},
+		{
+			name: "removed kind snapshot_http",
+			doc: `{"pipelines": [{"name": "p", "segments": [
+				{ "id": "src", "segment": "snapshot_http" }
+			]}]}`,
+			want: []string{"bad.jsonc:2", `unknown segment kind "snapshot_http"`, "unchartedd -segments"},
+		},
+		{
+			name: "removed kind journal",
+			doc: `{"pipelines": [{"name": "p", "segments": [
+				{ "id": "src", "segment": "journal" }
+			]}]}`,
+			want: []string{"bad.jsonc:2", `unknown segment kind "journal"`, "unchartedd -segments"},
+		},
+		{
+			name: "removed kind tee",
+			doc: `{"pipelines": [{"name": "p", "segments": [
+				{ "id": "src", "segment": "tee" }
+			]}]}`,
+			want: []string{"bad.jsonc:2", `unknown segment kind "tee"`, "unchartedd -segments"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -58,14 +58,6 @@ func init() {
 		},
 		Build: buildSampleFilter,
 	})
-	Register(Spec{
-		Kind:  "tee",
-		Role:  RoleFilter,
-		In:    PortPackets,
-		Out:   PortPackets,
-		Doc:   "pass packets through unchanged: an explicit fan-out point for graph shaping",
-		Build: func(BuildCtx) (Segment, error) { return &TeeFilter{}, nil },
-	})
 }
 
 // FilterSegment applies a per-packet predicate to every batch,
@@ -185,17 +177,4 @@ func buildSampleFilter(bc BuildCtx) (Segment, error) {
 		n++
 		return keep
 	}}, nil
-}
-
-// TeeFilter passes every message through unchanged. Fan-out itself is
-// implicit (any segment may feed several consumers); tee exists so a
-// config can name the junction.
-type TeeFilter struct{}
-
-// Run implements Segment.
-func (t *TeeFilter) Run(_ context.Context, in <-chan Msg, emit Emit) error {
-	for m := range in {
-		emit(m)
-	}
-	return nil
 }

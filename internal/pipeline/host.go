@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -19,8 +18,8 @@ import (
 // Host is what a graph-running command does around its graph, written
 // once: journal file, registry, flight recorder with its SIGUSR1 dump,
 // Runner, HTTP surface, signal context, the run, closing the graph's
-// stores and the trace export. profiler, iec104live and profilediff
-// save|watch keep their flags, their graph and what they print.
+// stores and the trace export. profiler and iec104live keep their
+// flags, their graph and what they print.
 type Host struct {
 	// Graph declares what to run; rec is nil unless TracePath is set.
 	Graph func(rec *trace.Recorder) (*Config, map[string]any)
@@ -43,8 +42,6 @@ type Host struct {
 	// the command's exit code.
 	Before func(*Hosted) error
 	After  func(*Hosted) int
-	// Trouble is the exit code for the host's own failures (default 1).
-	Trouble int
 }
 
 // Hosted is the graph as Before and After see it.
@@ -63,15 +60,15 @@ type Hosted struct {
 
 // Run hosts the graph until its inputs are exhausted or SIGINT/SIGTERM
 // drains it, and returns the process exit code: After's — the graph's
-// own error is its to judge — unless the host itself was in trouble:
-// setup that failed (After is then not called), or a trace export or
-// journal write that failed afterwards.
+// own error is its to judge — unless the host itself was in trouble,
+// which exits 1: setup that failed (After is then not called), or a
+// trace export or journal write that failed afterwards.
 func (h Host) Run() int {
 	code, err := h.run()
 	if err != nil {
 		log.Print(err)
 		if code == 0 {
-			code = cmp.Or(h.Trouble, 1)
+			code = 1
 		}
 	}
 	return code

@@ -78,7 +78,7 @@ func TestHostRootServesTheEngine(t *testing.T) {
 
 // TestHostFailuresExitNonZero: what goes wrong around a graph that
 // itself ran fine — the journal cannot be written, the trace cannot be
-// exported — turns a command's exit code 0 into the host's Trouble.
+// exported — turns a command's exit code 0 into 1.
 func TestHostFailuresExitNonZero(t *testing.T) {
 	t.Run("journal write", func(t *testing.T) {
 		if _, err := os.Stat("/dev/full"); err != nil {
@@ -89,9 +89,9 @@ func TestHostFailuresExitNonZero(t *testing.T) {
 		}
 	})
 	t.Run("trace export", func(t *testing.T) {
-		h := liveHost(Host{TracePath: filepath.Join(t.TempDir(), "missing", "trace.json"), TraceSample: 4, Trouble: 2})
-		if code := h.Run(); code != 2 {
-			t.Fatalf("exit code %d with an unwritable trace, want Trouble = 2", code)
+		h := liveHost(Host{TracePath: filepath.Join(t.TempDir(), "missing", "trace.json"), TraceSample: 4})
+		if code := h.Run(); code != 1 {
+			t.Fatalf("exit code %d with an unwritable trace, want 1", code)
 		}
 	})
 	t.Run("clean", func(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"uncharted/internal/ids"
@@ -18,16 +17,6 @@ import (
 )
 
 func init() {
-	Register(Spec{
-		Kind: "snapshot_http",
-		Role: RoleOutput,
-		In:   PortProfiles,
-		Doc:  "serve the latest snapshot's profile over HTTP (JSON, ?format=text for the operator summary)",
-		Params: []ParamSpec{
-			{Name: "path", Type: ParamString, Default: "", Doc: "mount path under the pipeline (default /{id})"},
-		},
-		Build: buildSnapshotHTTP,
-	})
 	Register(Spec{
 		Kind: "export",
 		Role: RoleOutput,
@@ -38,16 +27,6 @@ func init() {
 			{Name: "format", Type: ParamString, Default: "json", Doc: "json, jsonl or csv"},
 		},
 		Build: buildExport,
-	})
-	Register(Spec{
-		Kind: "journal",
-		Role: RoleOutput,
-		In:   PortProfiles,
-		Doc:  "append one JSONL snapshot event per published profile to a file",
-		Params: []ParamSpec{
-			{Name: "path", Type: ParamString, Required: true, Doc: "JSONL output file"},
-		},
-		Build: buildJournalOutput,
 	})
 	Register(Spec{
 		Kind: "webhook",
@@ -67,34 +46,6 @@ func init() {
 		Doc:   "log every alert through the pipeline's logger",
 		Build: buildLogOutput,
 	})
-}
-
-// SnapshotHTTPOutput publishes the latest profile at a mount path.
-type SnapshotHTTPOutput struct {
-	prof atomic.Pointer[stream.Profile]
-}
-
-func buildSnapshotHTTP(bc BuildCtx) (Segment, error) {
-	s := &SnapshotHTTPOutput{}
-	path := bc.Params.Str("path")
-	if path == "" {
-		path = "/" + bc.ID
-	}
-	if path[0] != '/' {
-		path = "/" + path
-	}
-	bc.Env.Handle(path, stream.NewProfileHandler(s.prof.Load))
-	return s, nil
-}
-
-// Run implements Segment.
-func (s *SnapshotHTTPOutput) Run(_ context.Context, in <-chan Msg, _ Emit) error {
-	for m := range in {
-		if m.Snap != nil && m.Snap.Profile != nil {
-			s.prof.Store(m.Snap.Profile)
-		}
-	}
-	return nil
 }
 
 // ExportOutput writes profiles to a file in one of three formats.
@@ -183,51 +134,6 @@ func (s *ExportOutput) Run(_ context.Context, in <-chan Msg, _ Emit) error {
 		}
 	}
 	return f.Close()
-}
-
-// JournalOutput appends one obs snapshot event per published profile.
-type JournalOutput struct {
-	path string
-}
-
-func buildJournalOutput(bc BuildCtx) (Segment, error) {
-	f, err := os.Create(bc.Params.Str("path"))
-	if err != nil {
-		return nil, err
-	}
-	f.Close()
-	return &JournalOutput{path: bc.Params.Str("path")}, nil
-}
-
-// Run implements Segment.
-func (s *JournalOutput) Run(_ context.Context, in <-chan Msg, _ Emit) error {
-	f, err := os.Create(s.path)
-	if err != nil {
-		return err
-	}
-	j := obs.NewJournal(f)
-	for m := range in {
-		sn := m.Snap
-		if sn == nil {
-			continue
-		}
-		p := sn.Partial
-		j.Log(p.Last, obs.EventSnapshot, "", map[string]any{
-			"seq":          sn.Seq,
-			"final":        sn.Final,
-			"packets":      p.Packets,
-			"iec":          p.IECPackets,
-			"flows":        p.Flows.Total(),
-			"asdus":        p.TotalASDUs,
-			"parse_errors": p.ParseErrors,
-		})
-	}
-	j.Flush()
-	err = j.Err()
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // WebhookOutput delivers alerts as JSON POSTs.

@@ -2,16 +2,17 @@
 // analysis capabilities into declared segment graphs: a JSON/JSONC
 // config names pipelines as DAGs of registered segments — inputs
 // (finished captures, growing captures, the in-process simulator),
-// filters (per-station, per-ASDU-type, per-IP-pair, sampling, tee),
-// analysis stages (the sharded core analyzer, the online IDS, the
-// drift comparator, the historian recorder) and outputs (snapshot HTTP
-// endpoints, JSON/JSONL/CSV export, a JSONL journal, alert webhooks) —
-// and one process runs a whole fleet's worth of them side by side
-// (cmd/unchartedd hosts each as a tenant, all in one Runner).
+// filters (per-station, per-ASDU-type, per-IP-pair, sampling),
+// analysis stages (the sharded core analyzer, which serves its own
+// profile, diffs it against a stored drift baseline and journals every
+// snapshot; the online IDS) and outputs (JSON/JSONL/CSV export, alert
+// webhooks and log lines) — and one process runs a whole fleet's worth
+// of them side by side (cmd/unchartedd hosts each as a tenant, all in
+// one Runner).
 //
 // Segments compose behind channels of Msg values: a packets edge
 // carries decoded packet batches, a profiles edge carries published
-// analysis snapshots, an alerts edge carries IDS/drift alerts. Edges
+// analysis snapshots, an alerts edge carries IDS alerts. Edges
 // are bounded, sends block (lossless backpressure, with stall
 // accounting per segment), and every segment gets its own
 // pipeline/segment-labeled obs metric series. One edge carries no
@@ -53,7 +54,7 @@ const (
 	PortPackets PortType = "packets"
 	// PortProfiles edges carry published analysis snapshots.
 	PortProfiles PortType = "profiles"
-	// PortAlerts edges carry IDS and drift alerts.
+	// PortAlerts edges carry IDS alerts.
 	PortAlerts PortType = "alerts"
 )
 
@@ -72,9 +73,6 @@ const (
 type Snapshot struct {
 	// Seq is the publisher's snapshot sequence number.
 	Seq int
-	// Final marks the last snapshot of a drained publisher: the exact
-	// end-of-stream state.
-	Final bool
 	// Partial is the merged analyzer state behind the snapshot.
 	Partial core.Partial
 	// Profile is the derived rolling profile document.

@@ -275,7 +275,7 @@ func TestLiveGraphDetectsAttacks(t *testing.T) {
 // TestProfilerHandoffEquivalence pins the two ways a capture reaches
 // the analyzer against each other: the preset's src → an topology hands
 // the file to the engine whole (1 reader, then 4 segment readers), and
-// the same graph with a pass-through filter in between decodes inline —
+// the same graph with a keep-everything filter in between decodes inline —
 // all three produce exactly the same state.
 func TestProfilerHandoffEquivalence(t *testing.T) {
 	path := writeTestCapture(t, 20*time.Second, 13)
@@ -284,8 +284,8 @@ func TestProfilerHandoffEquivalence(t *testing.T) {
 		cfg, hooks := ProfilerGraph(ProfilerPreset{Path: path, Workers: 2, Readers: readers, Names: true})
 		if inline {
 			nodes := cfg.Pipelines[0].Nodes
-			nodes[1].From = []string{"tee"}
-			cfg.Pipelines[0].Nodes = append(nodes, presetNode("tee", "tee", []string{"src"}, nil))
+			nodes[1].From = []string{"all"}
+			cfg.Pipelines[0].Nodes = append(nodes, presetNode("all", "sample", []string{"src"}, map[string]any{"every": 1}))
 		}
 		runner, err := NewRunner(cfg, Options{Hooks: hooks, Logf: t.Logf})
 		if err != nil {
@@ -359,7 +359,7 @@ func TestHandoffByTopology(t *testing.T) {
 			false, 1, []int{total, total}},
 		{"filter in between decodes inline", fmt.Sprintf(`
 		  { "id": "src", "segment": "pcap", "params": { "path": %q } },
-		  { "id": "t", "segment": "tee", "from": ["src"] },
+		  { "id": "t", "segment": "sample", "from": ["src"], "params": { "every": 1 } },
 		  { "id": "an", "segment": "analyzer", "from": ["t"], "params": { "readers": 3 } }`, path),
 			false, 1, []int{total}},
 		{"directory decodes inline", fmt.Sprintf(`
@@ -515,8 +515,7 @@ func TestRunnerTwoPipelines(t *testing.T) {
 	      "name": "p2",
 	      "segments": [
 	        { "id": "src", "segment": "sim", "params": { "duration": "5s", "seed": 4 } },
-	        { "id": "an", "segment": "analyzer", "from": ["src"], "params": { "workers": 2 } },
-	        { "id": "latest", "segment": "snapshot_http", "from": ["an"] }
+	        { "id": "an", "segment": "analyzer", "from": ["src"], "params": { "workers": 2 } }
 	      ]
 	    }
 	  ]
@@ -558,7 +557,7 @@ func TestRunnerTwoPipelines(t *testing.T) {
 
 	// The HTTP surface carries both pipelines' mounts.
 	eps := runner.Endpoints()
-	for _, path := range []string{"/statusz", "/pipelines/p1/an/profile", "/pipelines/p2/latest", "/pipelines/p2/statusz"} {
+	for _, path := range []string{"/statusz", "/pipelines/p1/an/profile", "/pipelines/p2/an/profile", "/pipelines/p2/statusz"} {
 		if _, ok := eps[path]; !ok {
 			t.Errorf("endpoint %s missing (have %d endpoints)", path, len(eps))
 		}
@@ -667,20 +666,6 @@ func TestFilters(t *testing.T) {
 		// Deterministic: the first packet of the stream is always kept.
 		if got[0].IP.Src != pkts[0].IP.Src || got[0].IP.Dst != pkts[0].IP.Dst {
 			t.Error("sample did not keep the first packet")
-		}
-	})
-
-	t.Run("tee passes everything", func(t *testing.T) {
-		tee := &TeeFilter{}
-		in := make(chan Msg, 1)
-		in <- Msg{Pkts: pkts}
-		close(in)
-		var out []pcap.Packet
-		if err := tee.Run(context.Background(), in, func(m Msg) { out = append(out, m.Pkts...) }); err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != len(pkts) {
-			t.Fatalf("tee passed %d packets, want %d", len(out), len(pkts))
 		}
 	})
 }
@@ -803,7 +788,7 @@ func openUnder(t *testing.T, dir string) []string {
 // TestNewRunnerClosesBuiltSegmentsOnFailure: a segment that fails to
 // build aborts the runner, and every segment built before it is closed
 // — here pipeline a's historian, whose directory one process may have
-// open at a time.
+// open at a time — when pipeline b's analyzer names a missing baseline.
 func TestNewRunnerClosesBuiltSegmentsOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	hist := filepath.Join(dir, "hist")
@@ -814,16 +799,15 @@ func TestNewRunnerClosesBuiltSegmentsOnFailure(t *testing.T) {
 	  ]},
 	  {"name": "b", "segments": [
 	    {"id": "src", "segment": "sim", "params": {"duration": "5s"}},
-	    {"id": "an", "segment": "analyzer", "from": ["src"]},
-	    {"id": "drift", "segment": "drift", "from": ["an"], "params": {"baseline": %q}}
+	    {"id": "an", "segment": "analyzer", "from": ["src"], "params": {"baseline": %q}}
 	  ]}
 	]}`, hist, filepath.Join(dir, "missing.prof"))), "leak.jsonc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	runner, err := NewRunner(cfg, Options{Logf: t.Logf})
-	if err == nil || !strings.Contains(err.Error(), "pipeline b segment drift (drift)") {
-		t.Fatalf("NewRunner = %v, %v; want pipeline b's drift segment to fail", runner, err)
+	if err == nil || !strings.Contains(err.Error(), "pipeline b segment an (analyzer)") {
+		t.Fatalf("NewRunner = %v, %v; want pipeline b's analyzer to fail", runner, err)
 	}
 	if open := openUnder(t, dir); len(open) > 0 {
 		t.Errorf("failed NewRunner left %d files open: %v", len(open), open)

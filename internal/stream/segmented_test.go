@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -210,6 +211,40 @@ func TestSegmentedReaderStatus(t *testing.T) {
 	}
 	if next != int64(len(capture)) {
 		t.Errorf("segments end at %d, capture is %d bytes", next, len(capture))
+	}
+}
+
+// TestHeaderCutFailsRun: a finished capture cut right after its last
+// record's header fails the run with io.ErrUnexpectedEOF, read whole
+// and split across two readers alike: a record whose body is missing
+// is damage, not the clean end of a capture.
+func TestHeaderCutFailsRun(t *testing.T) {
+	_, tr := simulate(t, 7, 30*time.Second)
+	capture := tracePCAP(t, tr)
+	pr, err := pcap.NewImageReader(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := -1
+	for {
+		hdr, _, _, _, err := pr.(inPlace).NextAt()
+		if err != nil {
+			break
+		}
+		last = hdr
+	}
+	cut := capture[:last+16]
+	for _, readers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("readers=%d", readers), func(t *testing.T) {
+			e := New(Config{Workers: 2, Readers: readers})
+			err := e.Run(context.Background(), NewReaderAtSource(bytes.NewReader(cut), int64(len(cut))))
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("Run returned %v, want an error wrapping %v", err, io.ErrUnexpectedEOF)
+			}
+			if n := len(e.Status().Readers); n != readers {
+				t.Errorf("run used %d readers, want %d", n, readers)
+			}
+		})
 	}
 }
 
