@@ -94,8 +94,6 @@ var commandTests = []struct {
 	{"trace", []string{"iec104live", "profiler", "tracecheck"}, testTrace},
 	{"profiler", []string{"profiler", "iec104gen"}, testProfiler},
 	{"attack", []string{"iec104live"}, testAttack},
-	{"livewire", []string{"iec104replay", "iec104station"}, testLiveWire},
-	{"station", []string{"iec104station"}, testStation},
 	{"dashboard", []string{"iec104live", "unchartedtop"}, testDashboard},
 	{"service", []string{"unchartedd", "loadgen"}, testService},
 	{"pipelines", []string{"unchartedd"}, testPipelines},
@@ -105,7 +103,6 @@ var commandTests = []struct {
 	{"historianctl", []string{"profiler", "historianctl"}, testHistorianctl},
 	{"quickstart", []string{"quickstart"}, example("quickstart", "non-compliant stations: [O28 O37]")},
 	{"anomalies", []string{"anomalies"}, example("anomalies", "O28   speaks legacy-cot8", "perplexity healthy=")},
-	{"livestation", []string{"livestation"}, example("livestation", "(inrogen)", "accepted setpoint IOA 7001", "done: a full primary-connection lifecycle")},
 	{"physical", []string{"physical"}, example("physical", "AGC reduced=true restored=true", "generator activation signature")},
 	{"stream", []string{"stream"}, example("stream", "ALERT", "final merged state (identical to the offline analyzer)")},
 	{"intrusion", []string{"intrusion"}, testIntrusion},
@@ -200,10 +197,6 @@ func ranBy(t *testing.T) []string {
 	return names
 }
 
-// killedBySignal is the exit code exec reports for a process a signal
-// ended rather than one that exited.
-const killedBySignal = -1
-
 // exitCode is err's exit code: 0 for nil, the status of a process that
 // ran; any other error (the binary did not start) fails the test.
 func exitCode(t *testing.T, err error) int {
@@ -234,9 +227,8 @@ func run(t *testing.T, dir string, want int, name string, args ...string) (stdou
 }
 
 // addrLine is the startup line each daemon logs once it is bound:
-// "... on http://ADDR/" (the graph host and unchartedd) or
-// "listening on ADDR" (iec104replay, iec104station serve).
-var addrLine = regexp.MustCompile(`(?:on http://|listening on )([^\s/]+)[/\n]`)
+// "... on http://ADDR/" (the graph host and unchartedd).
+var addrLine = regexp.MustCompile(`on http://([^\s/]+)/`)
 
 // daemonLog collects a daemon's stderr and hands over the address of
 // its first startup line.
@@ -475,35 +467,6 @@ func testAttack(t *testing.T) {
 	}
 }
 
-// testLiveWire: the codec against a real socket. iec104replay serves the
-// capture's busiest outstation over TCP, and iec104station poll dials
-// it, starts data transfer, interrogates and prints measurements
-// answered with cause inrogen. iec104replay has no SIGINT handler, so
-// the signal ends it.
-func testLiveWire(t *testing.T) {
-	dir := t.TempDir()
-	replay := start(t, dir, "iec104replay", "-listen", "127.0.0.1:0", "-speed", "50", y1)
-	out, _ := run(t, dir, 0, "iec104station", "poll", "-addr", replay.addr, "-tail", "100ms")
-	mustContain(t, "poll of the replayed outstation", out, "cause=inrogen")
-	replay.stop(t, killedBySignal)
-}
-
-// testStation: a live outstation confirms a setpoint on a point it has
-// and sends a negative confirmation for one it lacks, which fails the
-// poll. A control station speaking the legacy 8-bit-COT dialect to a
-// standard server fails too. SIGINT closes the outstation cleanly.
-func testStation(t *testing.T) {
-	dir := t.TempDir()
-	rtu := start(t, dir, "iec104station", "serve", "-listen", "127.0.0.1:0", "-ca", "29")
-	_, log := run(t, dir, 0, "iec104station", "poll", "-addr", rtu.addr, "-ca", "29", "-setpoint", "7001=55.5")
-	mustContain(t, "known setpoint", log, "setpoint 7001=55.500 confirmed")
-	_, log = run(t, dir, 1, "iec104station", "poll", "-addr", rtu.addr, "-ca", "29", "-setpoint", "9999=1")
-	mustContain(t, "unknown setpoint", log, "setpoint rejected")
-	run(t, dir, 1, "iec104station", "poll", "-addr", rtu.addr, "-ca", "29", "-dialect", "legacy-cot8", "-tail", "100ms")
-	_, log = rtu.stop(t, 0)
-	mustContain(t, "outstation log", log, "accepted setpoint IOA 7001 = 55.50")
-}
-
 // testDashboard: a single-analyzer command serves its engine's own
 // /statusz at the root, the document unchartedtop decodes, and the graph
 // view under /pipelines/live/statusz. The engine books its metrics on a
@@ -722,7 +685,8 @@ func testPipelines(t *testing.T) {
 // changes surfacing, exit 1 on drift (diff(1) convention) and 0 for an
 // era against itself. The analyzer's drift watch (profiler -baseline)
 // prints the same report at any -workers. diff is profilediff's only
-// subcommand, and a capture cut short saves no profile.
+// subcommand, and a capture cut short, or empty, saves no profile and
+// no IDS whitelist.
 func testProfileDiff(t *testing.T) {
 	dir := t.TempDir()
 	run(t, dir, 0, "iec104gen", "-year", "2", "-scale", "0.5", "-out", "b.pcap")
@@ -747,10 +711,14 @@ func testProfileDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeFile(t, filepath.Join(dir, "short.pcap"), string(capture[:len(capture)-3]))
-	_, stderr := run(t, dir, 1, "profiler", "-report", "flows", "-save-profile", "short.prof", "short.pcap")
-	mustContain(t, "profiler -save-profile on a cut capture", stderr, "nothing saved")
-	if _, err := os.Stat(filepath.Join(dir, "short.prof")); !os.IsNotExist(err) {
-		t.Errorf("profiler saved a profile of a cut capture (stat: %v)", err)
+	_, stderr := run(t, dir, 1, "profiler", "-report", "flows", "-save-profile", "short.prof", "-save-baseline", "short.base", "short.pcap")
+	mustContain(t, "profiler -save-profile -save-baseline on a cut capture", stderr, "nothing saved")
+	writeFile(t, filepath.Join(dir, "empty.pcap"), "")
+	run(t, dir, 1, "profiler", "-report", "flows", "-save-profile", "e.prof", "empty.pcap")
+	for _, name := range []string{"short.prof", "short.base", "e.prof"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("profiler wrote %s from a cut capture (stat: %v)", name, err)
+		}
 	}
 }
 

@@ -14,10 +14,10 @@
 // stage spans exported as a Chrome trace_event JSON file on drain (or
 // SIGUSR1). A one-shard run (the default) keeps every sample in one
 // analyzer, which is what the timing report, -save-baseline and the
-// end-of-run -load-baseline scan read. -save-profile and -push write
-// only from a run that read its capture to the end, or from a -follow
-// run a signal drained: a damaged or interrupted read prints its
-// partial reports, saves and pushes nothing, and exits 1.
+// end-of-run -load-baseline scan read. -save-profile, -push and
+// -save-baseline write only from a run that read its capture to the
+// end, or from a -follow run a signal drained: a damaged or interrupted
+// read prints its partial reports, saves and pushes nothing, and exits 1.
 //
 // Usage:
 //
@@ -193,12 +193,13 @@ func run() int {
 			p := e.Final()
 			printReports(want, p, whole, h.Registry, h.Journal)
 			switch {
-			case exit != 0 && (*saveProfile != "" || *pushURL != ""):
+			case exit != 0 && (*saveProfile != "" || *pushURL != "" || *saveBaseline != ""):
 				// A profile of part of a capture would diff, and merge into
-				// a fleet, as if it were the whole.
+				// a fleet, as if it were the whole; a whitelist trained on
+				// it would flag the rest as new.
 				log.Print("nothing saved or pushed: the capture was not read to its end")
 			case exit == 0:
-				exit = persist(p)
+				exit = persist(p, whole)
 			}
 			if rep := an.DriftReport(); rep != nil {
 				// The analyzer diffed the final merged state against the
@@ -206,7 +207,7 @@ func run() int {
 				rep.WriteText(os.Stdout)
 				fmt.Println()
 			}
-			if code := baselineActions(whole); code != 0 {
+			if code := scanBaseline(whole); code != 0 {
 				exit = code
 			}
 			return exit
@@ -214,43 +215,28 @@ func run() int {
 	}.Run()
 }
 
-// baselineActions runs the IDS-whitelist flags over the analyzer that
-// saw the whole run; a sharded run has none (whole is nil) and its
-// -load-baseline detection was the shards' online monitors.
-func baselineActions(whole *core.Analyzer) int {
-	if whole == nil {
+// scanBaseline runs -load-baseline's end-of-run scan over the analyzer
+// that saw the whole run; a sharded run has none (whole is nil) and its
+// detection was the shards' online monitors. The scan is a report, so
+// it prints on a partial run too.
+func scanBaseline(whole *core.Analyzer) int {
+	if whole == nil || *loadBaseline == "" {
 		return 0
 	}
-	if *saveBaseline != "" {
-		base, err := ids.Train(whole)
-		if err != nil {
-			log.Printf("training baseline: %v", err)
-			return 1
-		}
-		if err := drift.SaveBaseline(*saveBaseline, base); err != nil {
-			log.Print(err)
-			return 1
-		}
-		eps, conns, points := base.Size()
-		log.Printf("saved IDS baseline to %s: %d endpoints, %d connections, %d points",
-			*saveBaseline, eps, conns, points)
+	base, err := drift.LoadBaseline(*loadBaseline)
+	if err != nil {
+		log.Print(err)
+		return 1
 	}
-	if *loadBaseline != "" {
-		base, err := drift.LoadBaseline(*loadBaseline)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		alerts := base.Scan(whole)
-		fmt.Printf("== IDS scan against %s ==\n", *loadBaseline)
-		if len(alerts) == 0 {
-			fmt.Println("no deviations from baseline")
-		}
-		for _, al := range alerts {
-			fmt.Println(al)
-		}
-		fmt.Println()
+	alerts := base.Scan(whole)
+	fmt.Printf("== IDS scan against %s ==\n", *loadBaseline)
+	if len(alerts) == 0 {
+		fmt.Println("no deviations from baseline")
 	}
+	for _, al := range alerts {
+		fmt.Println(al)
+	}
+	fmt.Println()
 	return 0
 }
 
@@ -301,9 +287,10 @@ func printReports(want map[string]bool, p core.Partial, whole *core.Analyzer, re
 	}
 }
 
-// persist runs the profile-persistence and probe-push flags over the
-// merged state of a run that read its capture to the end.
-func persist(p core.Partial) int {
+// persist runs the profile-persistence, probe-push and whitelist-saving
+// flags over the merged state, and the analyzer that saw it whole, of a
+// run that read its capture to the end.
+func persist(p core.Partial, whole *core.Analyzer) int {
 	if *saveProfile != "" {
 		prof := drift.NewProfile(*profileLabel, flag.Arg(0), p, time.Now())
 		if err := drift.SaveProfile(*saveProfile, prof); err != nil {
@@ -318,6 +305,20 @@ func persist(p core.Partial) int {
 			log.Print(err)
 			return 1
 		}
+	}
+	if *saveBaseline != "" && whole != nil {
+		base, err := ids.Train(whole)
+		if err != nil {
+			log.Printf("training baseline: %v", err)
+			return 1
+		}
+		if err := drift.SaveBaseline(*saveBaseline, base); err != nil {
+			log.Print(err)
+			return 1
+		}
+		eps, conns, points := base.Size()
+		log.Printf("saved IDS baseline to %s: %d endpoints, %d connections, %d points",
+			*saveBaseline, eps, conns, points)
 	}
 	return 0
 }

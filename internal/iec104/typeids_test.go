@@ -160,7 +160,8 @@ func TestCommonAddrOverflowLegacyFull(t *testing.T) {
 
 func TestEncodeElementAllMonitorKinds(t *testing.T) {
 	// Exercise the typed (non-raw) encode paths for each element
-	// family and confirm they decode to the same value.
+	// family, commands included, and confirm they decode to the same
+	// value under every dialect.
 	cases := []struct {
 		t TypeID
 		v Value
@@ -175,6 +176,8 @@ func TestEncodeElementAllMonitorKinds(t *testing.T) {
 		{CRcNa, Value{Kind: KindCommand, Bits: 0x02}},
 		{CSeNa, Value{Kind: KindCommand, Float: 0.25}},
 		{CSeNb, Value{Kind: KindCommand, Float: -77}},
+		{CSeNc, Value{Kind: KindCommand, Float: 84.5}},
+		{CIcNa, Value{Kind: KindQualifier, Bits: QOIStation}},
 		{CBoNa, Value{Kind: KindBitstring, Bits: 0x1234}},
 		{CCiNa, Value{Kind: KindQualifier, Bits: 5}},
 		{CRpNa, Value{Kind: KindQualifier, Bits: 1}},
@@ -183,59 +186,75 @@ func TestEncodeElementAllMonitorKinds(t *testing.T) {
 		{PMeNc, Value{Kind: KindCommand, Float: 3.5}},
 		{PAcNa, Value{Kind: KindQualifier, Bits: 1}},
 	}
-	for _, c := range cases {
-		ioa := uint32(11)
-		switch c.t {
-		case CCiNa, CRpNa:
-			ioa = 0
-		}
-		a := &ASDU{Type: c.t, COT: COT{Cause: CauseActivation}, CommonAddr: 2,
-			Objects: []InfoObject{{IOA: ioa, Value: c.v}}}
-		b, err := a.Marshal(Standard)
-		if err != nil {
-			t.Fatalf("%v: marshal: %v", c.t, err)
-		}
-		got, err := ParseASDU(b, Standard)
-		if err != nil {
-			t.Fatalf("%v: parse: %v", c.t, err)
-		}
-		gv := got.Objects[0].Value
-		switch c.v.Kind {
-		case KindBitstring:
-			mask := uint32(0xFFFFFFFF)
-			if gv.Bits&mask != c.v.Bits&mask {
-				t.Errorf("%v: bits %#x, want %#x", c.t, gv.Bits, c.v.Bits)
-			}
-		case KindQualifier:
-			if gv.Bits != c.v.Bits {
-				t.Errorf("%v: qualifier %d, want %d", c.t, gv.Bits, c.v.Bits)
-			}
-		case KindStep:
-			if gv.Float != c.v.Float || gv.Bits&(1<<8) != c.v.Bits&(1<<8) {
-				t.Errorf("%v: step %v/%#x", c.t, gv.Float, gv.Bits)
-			}
-		case KindCounter:
-			if gv.Bits != c.v.Bits || !gv.Quality.Invalid {
-				t.Errorf("%v: counter %d invalid=%t", c.t, gv.Bits, gv.Quality.Invalid)
-			}
-		default:
-			diff := gv.Float - c.v.Float
-			if diff < 0 {
-				diff = -diff
-			}
-			tol := 0.001
-			if c.v.Kind == KindCommand && (c.t == CScNa || c.t == CRcNa) {
-				// Command qualifier octet round-trips through Bits.
-				if gv.Bits != c.v.Bits {
-					t.Errorf("%v: command octet %#x, want %#x", c.t, gv.Bits, c.v.Bits)
+	for _, p := range CandidateProfiles {
+		t.Run(p.String(), func(t *testing.T) {
+			for _, c := range cases {
+				ioa := uint32(11)
+				switch c.t {
+				case CCiNa, CRpNa, CIcNa:
+					ioa = 0
 				}
-				continue
+				a := &ASDU{Type: c.t, COT: COT{Cause: CauseActivation}, CommonAddr: 2,
+					Objects: []InfoObject{{IOA: ioa, Value: c.v}}}
+				b, err := a.Marshal(p)
+				if err != nil {
+					t.Fatalf("%v/%v: marshal: %v", c.t, p, err)
+				}
+				got, err := ParseASDU(b, p)
+				if err != nil {
+					t.Fatalf("%v/%v: parse: %v", c.t, p, err)
+				}
+				gv := got.Objects[0].Value
+				switch c.v.Kind {
+				case KindBitstring:
+					mask := uint32(0xFFFFFFFF)
+					if gv.Bits&mask != c.v.Bits&mask {
+						t.Errorf("%v/%v: bits %#x, want %#x", c.t, p, gv.Bits, c.v.Bits)
+					}
+				case KindQualifier:
+					if gv.Bits != c.v.Bits {
+						t.Errorf("%v/%v: qualifier %d, want %d", c.t, p, gv.Bits, c.v.Bits)
+					}
+				case KindStep:
+					if gv.Float != c.v.Float || gv.Bits&(1<<8) != c.v.Bits&(1<<8) {
+						t.Errorf("%v/%v: step %v/%#x", c.t, p, gv.Float, gv.Bits)
+					}
+				case KindCounter:
+					if gv.Bits != c.v.Bits || !gv.Quality.Invalid {
+						t.Errorf("%v/%v: counter %d invalid=%t", c.t, p, gv.Bits, gv.Quality.Invalid)
+					}
+				default:
+					diff := gv.Float - c.v.Float
+					if diff < 0 {
+						diff = -diff
+					}
+					tol := 0.001
+					if c.v.Kind == KindCommand && (c.t == CScNa || c.t == CRcNa) {
+						// Command qualifier octet round-trips through Bits.
+						if gv.Bits != c.v.Bits {
+							t.Errorf("%v/%v: command octet %#x, want %#x", c.t, p, gv.Bits, c.v.Bits)
+						}
+						continue
+					}
+					if diff > tol {
+						t.Errorf("%v/%v: value %v, want %v", c.t, p, gv.Float, c.v.Float)
+					}
+				}
 			}
-			if diff > tol {
-				t.Errorf("%v: value %v, want %v", c.t, gv.Float, c.v.Float)
-			}
-		}
+		})
 	}
+
+	// The dialect is part of the encoding: a Standard setpoint
+	// activation read as LegacyCOT fails or yields another element.
+	t.Run("wrong_profile", func(t *testing.T) {
+		b, err := NewSetpointFloat(2, 11, 84.5, CauseActivation).Marshal(Standard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ParseASDU(b, LegacyCOT); err == nil && got.Objects[0].IOA == 11 && got.Objects[0].Value.Float == 84.5 {
+			t.Errorf("a Standard setpoint read as LegacyCOT decodes unchanged: %+v", got)
+		}
+	})
 }
 
 func TestClampNVA(t *testing.T) {

@@ -27,8 +27,6 @@ const (
 	// EventConnState: a connection changed state (opened, activated,
 	// closed, dialect pinned, compliance flip).
 	EventConnState EventType = "conn_state"
-	// EventFailover: a redundancy group promoted its standby.
-	EventFailover EventType = "failover"
 	// EventSnapshot: the streaming engine published a rolling profile.
 	EventSnapshot EventType = "snapshot"
 	// EventDrop: the streaming engine shed load (dropped a batch).

@@ -16,7 +16,7 @@ func TestJournalSchema(t *testing.T) {
 	j := NewJournal(&b)
 	ts := time.Date(2026, 7, 5, 9, 0, 0, 0, time.FixedZone("x", 3600))
 	j.Log(ts, EventResync, "10.0.0.1:1>10.0.1.2:2404", map[string]any{"skipped_bytes": 3})
-	j.Log(time.Time{}, EventFailover, "10.0.1.2:2404", nil)
+	j.Log(time.Time{}, EventConnState, "10.0.1.2:2404", nil)
 	j.Flush()
 
 	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
@@ -45,7 +45,7 @@ func TestJournalSchema(t *testing.T) {
 	}
 
 	counts := j.Counts()
-	if counts[EventResync] != 1 || counts[EventFailover] != 1 {
+	if counts[EventResync] != 1 || counts[EventConnState] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
 }

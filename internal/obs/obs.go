@@ -163,14 +163,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return hs
 }
 
-// Fixed bucket layouts.
-var (
-	// DurationBuckets covers stage timings from 1µs to ~10s
-	// (seconds, exponential).
-	DurationBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 2.5, 5, 10}
-	// SizeBuckets covers frame/payload sizes in bytes.
-	SizeBuckets = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
-)
+// DurationBuckets is the fixed bucket layout for stage timings, from
+// 1µs to ~10s (seconds, exponential).
+var DurationBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 2.5, 5, 10}
 
 // series is one (name, labels) time series.
 type series struct {

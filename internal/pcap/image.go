@@ -85,7 +85,7 @@ func (l *Layout) Record(img []byte, hdr int) (off, end int, ci CaptureInfo) {
 // reports where the record lies in img instead.
 func NewImageReader(img []byte) (PacketReader, error) {
 	if len(img) < 4 {
-		return nil, fmt.Errorf("pcap: sniffing capture format: %w", shortSniff(len(img)))
+		return nil, fmt.Errorf("pcap: sniffing capture format: %w", io.ErrUnexpectedEOF)
 	}
 	in := input{img: img, end: len(img)}
 	if binary.BigEndian.Uint32(img) == blockSHB {

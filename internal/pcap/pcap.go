@@ -111,7 +111,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 func newReader(in input) (*Reader, error) {
 	var buf []byte
-	hdr, err := in.take(24, &buf)
+	hdr, err := in.takeBody(24, &buf)
 	if err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
 	}

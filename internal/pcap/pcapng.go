@@ -66,6 +66,9 @@ func NewNgReader(r io.Reader) (*NgReader, error) {
 func newNgReader(in input) (*NgReader, error) {
 	ng := &NgReader{in: in}
 	typ, body, err := ng.readBlock()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // a capture starts with its section header
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -352,24 +355,16 @@ type PacketReader interface {
 	LinkType() LinkType
 }
 
-// shortSniff is why a capture of n < 4 bytes has no format: io.EOF
-// when it is empty, io.ErrUnexpectedEOF when it was cut inside its
-// first header.
-func shortSniff(n int) error {
-	if n == 0 {
-		return io.EOF
-	}
-	return io.ErrUnexpectedEOF
-}
-
 // NewAutoReader sniffs the capture format (classic pcap in either
 // endianness, with µs or ns timestamps, or pcapng) and returns the
-// matching reader.
+// matching reader. Every capture starts with a header, so one shorter
+// than a magic number, an empty one included, was cut short:
+// io.ErrUnexpectedEOF, never the io.EOF of a clean end.
 func NewAutoReader(r io.Reader) (PacketReader, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(4)
 	if err == io.EOF {
-		err = shortSniff(len(magic))
+		err = io.ErrUnexpectedEOF
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pcap: sniffing capture format: %w", err)

@@ -65,6 +65,13 @@ func TestReaderNeverPanicsOnTruncatedFiles(t *testing.T) {
 	readers := map[string]func([]byte) (PacketReader, error){
 		"NewAutoReader":  streamed(NewAutoReader),
 		"NewImageReader": NewImageReader,
+		"PlanImage": func(b []byte) (PacketReader, error) {
+			p, err := PlanImage(b, 1)
+			if err != nil {
+				return nil, err
+			}
+			return p.Open(0)
+		},
 	}
 	captures := []struct {
 		name    string
@@ -102,8 +109,7 @@ func TestReaderNeverPanicsOnTruncatedFiles(t *testing.T) {
 						if err != io.EOF {
 							t.Fatalf("cut at boundary %d: read ended %v, want io.EOF", cut, err)
 						}
-					case cut > 0 && errors.Is(err, io.EOF):
-						// An empty input (cut 0) has nothing to be cut.
+					case errors.Is(err, io.EOF):
 						t.Fatalf("cut at %d, off every boundary: read ended %v, a clean end", cut, err)
 					}
 				}

@@ -96,6 +96,9 @@ func PlanImage(img []byte, n int) (*SegmentPlan, error) {
 func plan(ra io.ReaderAt, size int64, n int, in input) (*SegmentPlan, error) {
 	var magic [4]byte
 	if _, err := ra.ReadAt(magic[:], 0); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // as NewAutoReader: a capture has a header
+		}
 		return nil, fmt.Errorf("pcap: sniffing capture format: %w", err)
 	}
 	var p *SegmentPlan
@@ -141,6 +144,9 @@ func (p *SegmentPlan) Open(i int) (PacketReader, error) {
 func planClassic(ra io.ReaderAt, size int64, n int) (*SegmentPlan, error) {
 	var hdr [24]byte
 	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
 	}
 	h, err := parseFileHeader(hdr[:])

@@ -49,12 +49,12 @@ func followCapture(t *testing.T, size, big int) (capture []byte, ends []int) {
 
 // TestFollowSourceWindowBounded: tailing reads a window ahead of the
 // parse position, not the file. Over an 8 MB capture that is already
-// there, and over the same capture arriving in pieces cut inside the
-// file header, a record header, a record body and the one 300 KiB
-// record (larger than the window), FollowSource yields exactly the
-// sequential reader's records — every complete record on disk, then
-// ErrNotReady — while its buffer never outgrows two windows plus the
-// largest record.
+// there, over the same capture arriving in pieces cut inside the file
+// header, a record header, a record body and the one 300 KiB record
+// (larger than the window), and over a file still empty when the tail
+// starts, FollowSource yields exactly the sequential reader's records —
+// every complete record on disk, then ErrNotReady — while its buffer
+// never outgrows two windows plus the largest record.
 func TestFollowSourceWindowBounded(t *testing.T) {
 	const big = 300 << 10
 	capture, ends := followCapture(t, 8<<20, big)
@@ -70,6 +70,7 @@ func TestFollowSourceWindowBounded(t *testing.T) {
 	}{
 		{"existing", nil},
 		{"grown", []int{10, ends[3] + 9, ends[len(ends)/4] + 16 + 30, ends[bigAt-1] + 16 + followWindow + 5, ends[bigAt] + 16}},
+		{"empty", []int{0, ends[0]}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "follow.pcap")

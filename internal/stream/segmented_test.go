@@ -248,6 +248,22 @@ func TestHeaderCutFailsRun(t *testing.T) {
 	}
 }
 
+// TestEmptyCaptureFailsRun: a capture file always starts with a
+// header, so an empty one was cut short, not read to a clean end. Read
+// whole and split across two readers, the run fails with
+// io.ErrUnexpectedEOF.
+func TestEmptyCaptureFailsRun(t *testing.T) {
+	for _, readers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("readers=%d", readers), func(t *testing.T) {
+			e := New(Config{Workers: 2, Readers: readers})
+			err := e.Run(context.Background(), NewReaderAtSource(bytes.NewReader(nil), 0))
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("Run returned %v, want an error wrapping %v", err, io.ErrUnexpectedEOF)
+			}
+		})
+	}
+}
+
 // TestSegmentedAllocsGuard is the alloc-regression tripwire: per-MB
 // allocations at 4 shards must not exceed the 1-shard figure by more
 // than 10%. The per-reader free-list pools exist precisely so that
