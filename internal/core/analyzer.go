@@ -61,28 +61,46 @@ type endpointState struct {
 	dir dirCache
 }
 
-// dirCache memoizes the lookups whose result depends only on the flow
-// direction (source/destination address pair), so the per-frame path
-// stops re-hashing map keys for them. The eagerly filled fields mirror
-// state consumeFrame creates for every frame regardless of parse
-// outcome; dc, toks and ioas stay lazy because their map entries must
-// only exist once a frame (or I-frame) has actually been accepted.
+// frameDir is one flow direction's booking record, in every dialect:
+// the logical connection and its names, the direction, and the
+// directional session and connection token state an accepted frame
+// books into (see book). It is resolved once per flow direction, so the
+// per-frame path stops re-hashing map keys for it; dc and toks stay
+// nil until the first accepted frame, because their map entries must
+// only exist once a frame has actually been accepted.
+type frameDir struct {
+	proto               protocol.ID
+	ck                  ConnKey
+	serverName, outName string
+	fromOutstation      bool
+	skey                tcpflow.SessionKey
+	dc                  *DirCounts
+	toks                *tokenList
+}
+
+// newFrameDir resolves the booking record of the direction src → dst
+// of connection ck.
+func (a *Analyzer) newFrameDir(proto protocol.ID, ck ConnKey, fromOutstation bool, src, dst netip.Addr) frameDir {
+	return frameDir{
+		proto:          proto,
+		ck:             ck,
+		serverName:     a.Name(ck.Server),
+		outName:        a.Name(ck.Outstation),
+		fromOutstation: fromOutstation,
+		skey:           tcpflow.SessionKey{Src: src, Dst: dst},
+	}
+}
+
+// dirCache is an IEC 104 flow direction's booking record plus what
+// only IEC 104 books: the sender's compliance entry (set once the
+// cache is filled, which creates it for every frame regardless of
+// parse outcome), its slot in the tolerant parser's dialect cache, and
+// the lazily created IOA set.
 type dirCache struct {
-	filled         bool
-	fromOutstation bool
-	command        bool
-	sc             *StationCompliance
-	// ep is the sender's slot in the tolerant parser's dialect cache.
-	ep          iec104.EndpointID
-	ck          ConnKey
-	skey        tcpflow.SessionKey
-	serverName  string
-	outName     string
-	station     string
-	stationAddr netip.Addr
-	dc          *DirCounts
-	toks        *tokenList
-	ioas        *ioaSet
+	frameDir
+	sc   *StationCompliance
+	ep   iec104.EndpointID
+	ioas *ioaSet
 	// typeBooked has a bit per ASDU type this direction has already
 	// entered into typeStations: the station of a direction never
 	// changes, so only the first frame of a type needs the maps.
@@ -195,12 +213,14 @@ type Analyzer struct {
 	nameCache map[netip.Addr]string
 
 	// scratchAPDU / scratchASDU are the caller-owned decode targets of
-	// consumeFrame's tolerant parse. They are reused for every frame,
-	// which is safe because every consumer of an accepted frame
-	// (accumulators, physical store, observers) extracts what it needs
-	// before the next frame is parsed.
-	scratchAPDU iec104.APDU
-	scratchASDU iec104.ASDU
+	// consumeFrame's tolerant parse, and scratchPoints the measurements
+	// extracted from them. They are reused for every frame, which is
+	// safe because every consumer of an accepted frame (accumulators,
+	// physical store, observers) extracts what it needs before the next
+	// frame is parsed.
+	scratchAPDU   iec104.APDU
+	scratchASDU   iec104.ASDU
+	scratchPoints []protocol.Point
 
 	// Errors the pipeline tolerated (non-IEC payloads, undecodable
 	// frames), for reporting.
@@ -230,7 +250,7 @@ type Analyzer struct {
 	// (the default) costs one branch per packet.
 	lane *trace.Lane
 
-	// observer, when set, sees every accepted APDU as it is consumed —
+	// observer, when set, sees every accepted frame as it is booked —
 	// the hook online detectors (ids.Monitor) attach to.
 	observer FrameObserver
 
@@ -241,9 +261,9 @@ type Analyzer struct {
 	// byte for byte — like the IEC 104-only one.
 	protocols     map[protocol.ID]bool
 	detectUnknown bool
-	// protoFlowList keeps every claimed flow for snapshot-time
-	// compliance collection.
-	protoFlowList []*protoFlow
+	// protoDirs keeps the claiming direction of every claimed flow for
+	// snapshot-time compliance collection.
+	protoDirs []*protoDir
 	// connProto records the dialect of each non-IEC-104 logical
 	// connection (absent = IEC 104).
 	connProto map[ConnKey]protocol.ID
@@ -289,12 +309,8 @@ type DialectStat struct {
 // *protoDir in the slot is the negative cache: the flow was inspected
 // and claimed by no enabled dialect.
 type protoDir struct {
-	flow        *protoFlow
-	fromStation bool
-	// skey / dc mirror the IEC 104 dirCache: the directional session
-	// tally this direction books into.
-	skey tcpflow.SessionKey
-	dc   *DirCounts
+	frameDir
+	flow *protoFlow
 	buf  []byte
 	// lastTok / lastCount memoise the tally slot of the direction's
 	// previous token: a PMU stream repeats one data-frame token, each
@@ -305,15 +321,10 @@ type protoDir struct {
 
 // protoFlow is the per-flow state shared by both directions.
 type protoFlow struct {
-	proto protocol.ID
-	sess  protocol.Session
+	sess protocol.Session
 	// ds is the flow's dialect tally, resolved when the flow first
 	// delivers fresh bytes.
 	ds *dialectTally
-	ck ConnKey
-	// serverName / outName / station are resolved once per flow.
-	serverName, outName, station string
-	toks                         *tokenList
 }
 
 // FrameEvent describes one accepted application frame for live
@@ -329,19 +340,17 @@ type FrameEvent struct {
 	Server, Outstation string
 	// FromOutstation is true for monitor-direction frames.
 	FromOutstation bool
-	Token          iec104.Token
-	// ASDU is set for IEC 104 I-format frames only.
-	ASDU *iec104.ASDU
-	// Points carries the frame's extracted measurements for non-IEC-104
-	// dialects (IEC 104 observers extract from the ASDU). Like the
-	// ASDU, the slice is scratch: valid only during the ObserveFrame
-	// call.
+	Token          protocol.Token
+	// Points carries the frame's measurements in every dialect — for
+	// IEC 104, iec104.AppendPoints of an I-format frame's ASDU — exactly
+	// as the analyzer's physical store receives them. The slice is
+	// scratch: valid only during the ObserveFrame call.
 	Points []protocol.Point
 }
 
-// FrameObserver receives every accepted APDU in arrival order. It is
+// FrameObserver receives every accepted frame in arrival order. It is
 // called synchronously on the analysis path, so implementations must
-// be fast and must not retain the ASDU.
+// be fast and must not retain the Points.
 type FrameObserver interface {
 	ObserveFrame(FrameEvent)
 }
@@ -419,6 +428,7 @@ func (a *Analyzer) enabledByPort(port uint16) protocol.Dialect {
 // direction and builds its decode state. Returns nil when no dialect
 // claims the flow (the negative-cache entry).
 func (a *Analyzer) claimFlow(sp *tcpflow.StreamPayload) *protoDir {
+	srcAddr, dstAddr := sp.Src.Addr(), sp.Dst.Addr()
 	// The reverse direction may already be claimed; both directions
 	// share one session so dialects can pair requests with responses.
 	if rev, ok := sp.Flow.Slot[1-sp.Dir].(*protoDir); ok {
@@ -426,9 +436,8 @@ func (a *Analyzer) claimFlow(sp *tcpflow.StreamPayload) *protoDir {
 			return nil
 		}
 		return &protoDir{
-			flow:        rev.flow,
-			fromStation: !rev.fromStation,
-			skey:        tcpflow.SessionKey{Src: sp.Src.Addr(), Dst: sp.Dst.Addr()},
+			frameDir: a.newFrameDir(rev.proto, rev.ck, !rev.fromOutstation, srcAddr, dstAddr),
+			flow:     rev.flow,
 		}
 	}
 	d := a.enabledByPort(sp.Dst.Port())
@@ -443,7 +452,6 @@ func (a *Analyzer) claimFlow(sp *tcpflow.StreamPayload) *protoDir {
 			return nil
 		}
 	}
-	srcAddr, dstAddr := sp.Src.Addr(), sp.Dst.Addr()
 	var fromStation bool
 	var server, station netip.Addr
 	switch {
@@ -470,20 +478,12 @@ func (a *Analyzer) claimFlow(sp *tcpflow.StreamPayload) *protoDir {
 			server, station = srcAddr, dstAddr
 		}
 	}
-	pf := &protoFlow{
-		proto:      d.ID(),
-		sess:       d.NewSession(),
-		ck:         ConnKey{Server: server, Outstation: station},
-		serverName: a.Name(server),
-		outName:    a.Name(station),
-		station:    a.Name(station),
+	pd := &protoDir{
+		frameDir: a.newFrameDir(d.ID(), ConnKey{Server: server, Outstation: station}, fromStation, srcAddr, dstAddr),
+		flow:     &protoFlow{sess: d.NewSession()},
 	}
-	a.protoFlowList = append(a.protoFlowList, pf)
-	return &protoDir{
-		flow:        pf,
-		fromStation: fromStation,
-		skey:        tcpflow.SessionKey{Src: srcAddr, Dst: dstAddr},
-	}
+	a.protoDirs = append(a.protoDirs, pd)
+	return pd
 }
 
 // feedDialect routes a non-IEC-104 stream chunk through the registry.
@@ -507,7 +507,7 @@ func (a *Analyzer) feedDialect(sp *tcpflow.StreamPayload) bool {
 		return true
 	}
 	if pd.flow.ds == nil {
-		pd.flow.ds = a.dialectStatFor(pd.flow.proto)
+		pd.flow.ds = a.dialectStatFor(pd.proto)
 	}
 	pd.flow.ds.bytes += len(sp.Data)
 	buf := sp.Data
@@ -516,7 +516,7 @@ func (a *Analyzer) feedDialect(sp *tcpflow.StreamPayload) bool {
 		buf = pd.buf
 	}
 	for {
-		ev, rest, skipped, ok := pd.flow.sess.Next(buf, pd.fromStation)
+		ev, rest, skipped, ok := pd.flow.sess.Next(buf, pd.fromOutstation)
 		if skipped > 0 {
 			a.metrics.noteResync(skipped)
 		}
@@ -529,59 +529,65 @@ func (a *Analyzer) feedDialect(sp *tcpflow.StreamPayload) bool {
 	}
 }
 
-// consumeDialectEvent books one generic decoded frame into the shared
-// accumulators — the dialect-neutral mirror of consumeFrame.
+// consumeDialectEvent tallies one generic decoded frame by dialect
+// and token, and books an accepted one.
 func (a *Analyzer) consumeDialectEvent(pd *protoDir, sp *tcpflow.StreamPayload, ev protocol.Event) {
-	pf := pd.flow
+	ds := pd.flow.ds
 	if ev.Err != nil {
-		pf.ds.parseErrors++
+		ds.parseErrors++
 		a.ParseErrors++
 		return
 	}
-	pf.ds.frames++
+	ds.frames++
 	if pd.lastCount == nil || pd.lastTok != ev.Token {
-		pd.lastTok, pd.lastCount = ev.Token, pf.ds.slot(ev.Token)
+		pd.lastTok, pd.lastCount = ev.Token, ds.slot(ev.Token)
 	}
 	*pd.lastCount++
-
-	if pf.toks == nil {
-		pf.toks = a.connTokens(pf.ck)
-		a.connProto[pf.ck] = pf.proto
+	if pd.toks == nil { // the direction's first accepted frame
+		a.connProto[pd.ck] = pd.proto
 	}
-	pf.toks.push(ev.Token)
+	a.book(&pd.frameDir, sp.Time, ev.Token, ev.Points)
+}
 
-	if pd.dc == nil {
-		dc, ok := a.sessionAPDUs[pd.skey]
+// book records one accepted frame of any dialect: it extends the
+// connection's token stream, counts the frame in its direction's I/S/U
+// mix by the token's class (for IEC 104 exactly the APDU format),
+// stores the frame's measurements under the outstation and hands the
+// frame to the live observer. pts is the caller's scratch.
+func (a *Analyzer) book(d *frameDir, at time.Time, tok protocol.Token, pts []protocol.Point) {
+	if d.toks == nil {
+		d.toks = a.connTokens(d.ck)
+	}
+	d.toks.push(tok)
+	if d.dc == nil {
+		dc, ok := a.sessionAPDUs[d.skey]
 		if !ok {
 			dc = &DirCounts{}
-			a.sessionAPDUs[pd.skey] = dc
+			a.sessionAPDUs[d.skey] = dc
 		}
-		pd.dc = dc
+		d.dc = dc
 	}
-	// The session feature vector keys on the I/S/U role mix; other
-	// dialects map through the token's class.
-	switch ev.Token.Class() {
+	switch tok.Class() {
 	case protocol.ClassAck:
-		pd.dc.S++
+		d.dc.S++
 	case protocol.ClassControl:
-		pd.dc.U++
+		d.dc.U++
 	default:
-		pd.dc.I++
+		d.dc.I++
 	}
-
-	if len(ev.Points) > 0 {
-		a.store.FeedPoints(pf.station, pf.proto, ev.Points, sp.Time)
+	if len(pts) > 0 {
+		a.store.FeedPoints(d.outName, d.proto, pts, at)
 	}
 	if a.observer != nil {
 		a.observer.ObserveFrame(FrameEvent{
-			Time:           sp.Time,
-			Proto:          pf.proto,
-			Conn:           pf.ck,
-			Server:         pf.serverName,
-			Outstation:     pf.outName,
-			FromOutstation: pd.fromStation,
-			Token:          ev.Token,
-			Points:         ev.Points,
+			Time:           at,
+			Proto:          d.proto,
+			Conn:           d.ck,
+			Server:         d.serverName,
+			Outstation:     d.outName,
+			FromOutstation: d.fromOutstation,
+			Token:          tok,
+			Points:         pts,
 		})
 	}
 }
@@ -625,14 +631,14 @@ func (a *Analyzer) StreamCompliance() []protocol.StreamCompliance {
 	}
 	merged := make(map[key]*protocol.StreamCompliance)
 	var order []key
-	for _, pf := range a.protoFlowList {
-		cr, ok := pf.sess.(protocol.ComplianceReporter)
+	for _, pd := range a.protoDirs {
+		cr, ok := pd.flow.sess.(protocol.ComplianceReporter)
 		if !ok {
 			continue
 		}
-		conn := pf.serverName + "-" + pf.outName
+		conn := pd.serverName + "-" + pd.outName
 		for _, sc := range cr.Compliance() {
-			sc.Proto = pf.proto
+			sc.Proto = pd.proto
 			sc.Conn = conn
 			k := key{sc.Proto, sc.Conn, sc.Unit}
 			cur, ok := merged[k]
@@ -835,7 +841,7 @@ func (a *Analyzer) OnPayload(chunk tcpflow.StreamPayload) {
 		for buf := sp.Raw; len(buf) > 0; {
 			// Resyncs inside a replay re-skip bytes the live stream
 			// already counted, so they stay out of the metrics.
-			frame, rest, _, ok := nextFrame(buf)
+			frame, rest, _, ok := iec104.NextFrame(buf)
 			if !ok {
 				break
 			}
@@ -865,7 +871,7 @@ func (a *Analyzer) OnPayload(chunk tcpflow.StreamPayload) {
 		buf = st.buf
 	}
 	for {
-		frame, rest, skipped, ok := nextFrame(buf)
+		frame, rest, skipped, ok := iec104.NextFrame(buf)
 		if skipped > 0 {
 			a.metrics.noteResync(skipped)
 			if a.journal != nil {
@@ -886,17 +892,11 @@ func (a *Analyzer) OnPayload(chunk tcpflow.StreamPayload) {
 	}
 }
 
-// nextFrame extracts one APDU from the front of buf. The framing and
-// garbage-skip live with the codec (iec104.NextFrame), so the
-// analyzer's specialised IEC 104 path and the generic protocol.Session
-// path can never drift in resync behaviour.
-func nextFrame(buf []byte) (frame, rest []byte, skipped int, ok bool) {
-	return iec104.NextFrame(buf)
-}
-
-// consumeFrame parses one APDU and updates every accumulator. st
-// carries the flow direction's sequence state (nil when the frame is a
-// retransmission replay that must not advance it).
+// consumeFrame parses one APDU, keeps IEC 104's own bookkeeping —
+// compliance, N(S) continuity, type counts and stations, the IOA set —
+// and books the accepted frame. st carries the flow direction's
+// sequence state (nil when the frame is a retransmission replay that
+// must not advance it).
 func (a *Analyzer) consumeFrame(sp *tcpflow.StreamPayload, frame []byte, st *endpointState) {
 	var c *dirCache
 	if st != nil {
@@ -904,7 +904,7 @@ func (a *Analyzer) consumeFrame(sp *tcpflow.StreamPayload, frame []byte, st *end
 	} else {
 		c = &dirCache{}
 	}
-	if !c.filled {
+	if c.sc == nil {
 		a.fillDirCache(c, sp)
 	}
 
@@ -991,44 +991,7 @@ func (a *Analyzer) consumeFrame(sp *tcpflow.StreamPayload, frame []byte, st *end
 		}
 	}
 
-	// Token stream per logical connection. The list is created on the
-	// first accepted frame only, so parse-error-only directions keep no
-	// entry (exactly as before the cache).
-	tok := apdu.Token()
-	if c.toks == nil {
-		c.toks = a.connTokens(c.ck)
-	}
-	c.toks.push(tok)
-	if a.observer != nil {
-		a.observer.ObserveFrame(FrameEvent{
-			Time:           sp.Time,
-			Conn:           c.ck,
-			Server:         c.serverName,
-			Outstation:     c.outName,
-			FromOutstation: c.fromOutstation,
-			Token:          tok,
-			ASDU:           apdu.ASDU,
-		})
-	}
-
-	// Directional session APDU mix.
-	if c.dc == nil {
-		dc, ok := a.sessionAPDUs[c.skey]
-		if !ok {
-			dc = &DirCounts{}
-			a.sessionAPDUs[c.skey] = dc
-		}
-		c.dc = dc
-	}
-	switch apdu.Format {
-	case iec104.FormatI:
-		c.dc.I++
-	case iec104.FormatS:
-		c.dc.S++
-	case iec104.FormatU:
-		c.dc.U++
-	}
-
+	var pts []protocol.Point
 	if apdu.Format == iec104.FormatI && apdu.ASDU != nil {
 		typ := apdu.ASDU.Type
 		a.typeCounts[typ]++
@@ -1051,38 +1014,29 @@ func (a *Analyzer) consumeFrame(sp *tcpflow.StreamPayload, frame []byte, st *end
 				ts = make(map[netip.Addr]bool)
 				a.typeStations[typ] = ts
 			}
-			ts[c.stationAddr] = true
+			ts[c.ck.Outstation] = true
 		}
-		a.store.Feed(c.station, apdu.ASDU, sp.Time, c.command)
+		a.scratchPoints = iec104.AppendPoints(a.scratchPoints[:0], apdu.ASDU, !c.fromOutstation)
+		pts = a.scratchPoints
 	}
+	a.book(&c.frameDir, sp.Time, apdu.Token(), pts)
 }
 
 // fillDirCache computes the direction-constant half of consumeFrame
 // once per flow direction. Everything created here (the compliance
-// entry, interned strings) is state consumeFrame previously created on
-// every frame regardless of parse outcome, so eager filling changes no
-// observable behaviour.
+// entry, interned strings) is state consumeFrame would otherwise create
+// on every frame regardless of parse outcome, so eager filling changes
+// no observable behaviour.
 func (a *Analyzer) fillDirCache(c *dirCache, sp *tcpflow.StreamPayload) {
-	srcAddr := sp.Src.Addr()
-	dstAddr := sp.Dst.Addr()
-	c.fromOutstation = sp.Src.Port() == IEC104Port
+	srcAddr, dstAddr := sp.Src.Addr(), sp.Dst.Addr()
+	fromOutstation := sp.Src.Port() == IEC104Port
+	ck := ConnKey{Server: srcAddr, Outstation: dstAddr}
+	if fromOutstation {
+		ck = ConnKey{Server: dstAddr, Outstation: srcAddr}
+	}
+	c.frameDir = a.newFrameDir(protocol.IEC104, ck, fromOutstation, srcAddr, dstAddr)
 	c.sc = a.complianceFor(srcAddr)
 	c.ep = a.endpoint(srcAddr)
-	c.ck = ConnKey{Server: srcAddr, Outstation: dstAddr}
-	if c.fromOutstation {
-		c.ck = ConnKey{Server: dstAddr, Outstation: srcAddr}
-	}
-	c.serverName = a.Name(c.ck.Server)
-	c.outName = a.Name(c.ck.Outstation)
-	c.skey = tcpflow.SessionKey{Src: srcAddr, Dst: dstAddr}
-	c.station = a.Name(srcAddr)
-	c.stationAddr = srcAddr
-	if !c.fromOutstation {
-		c.station = a.Name(dstAddr)
-		c.stationAddr = dstAddr
-		c.command = true
-	}
-	c.filled = true
 }
 
 func (a *Analyzer) complianceFor(addr netip.Addr) *StationCompliance {
@@ -1216,7 +1170,7 @@ func (a *Analyzer) CaptureWindow() (time.Time, time.Time) {
 // dropped, and with them what the analyzer parked on them — the APDU
 // framing buffer and sequence state, or the generic dialect's decode
 // state and negative-cache mark (stream compliance lives on the
-// protoFlow record, which survives in protoFlowList) — keeping memory
+// claiming protoDir, which survives in protoDirs) — keeping memory
 // bounded. The flow taxonomy stays exact; a flow that wakes up after
 // eviction re-enters as a fresh long-lived flow.
 func (a *Analyzer) EnableFlowEviction(timeout time.Duration) {

@@ -143,7 +143,7 @@ func TestEvictedFlowStartsFresh(t *testing.T) {
 	}
 	for _, dst := range []netip.AddrPort{plc, odd} {
 		_, s := w.slot(t, master, dst)
-		if pd, ok := s.(*protoDir); !ok || pd == nil || pd == oldModbus || len(pd.buf) != 0 || pd.flow.proto != protocol.Modbus {
+		if pd, ok := s.(*protoDir); !ok || pd == nil || pd == oldModbus || len(pd.buf) != 0 || pd.proto != protocol.Modbus {
 			t.Fatalf("woken flow to %v: slot %#v", dst, s)
 		}
 	}

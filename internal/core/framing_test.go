@@ -20,7 +20,7 @@ func mustFrame(t *testing.T) []byte {
 
 func TestNextFrameExact(t *testing.T) {
 	frame := mustFrame(t)
-	got, rest, skipped, ok := nextFrame(frame)
+	got, rest, skipped, ok := iec104.NextFrame(frame)
 	if !ok || !bytes.Equal(got, frame) || len(rest) != 0 || skipped != 0 {
 		t.Fatalf("ok=%v got=%d rest=%d skipped=%d", ok, len(got), len(rest), skipped)
 	}
@@ -28,7 +28,7 @@ func TestNextFrameExact(t *testing.T) {
 
 func TestNextFramePartial(t *testing.T) {
 	frame := mustFrame(t)
-	_, rest, skipped, ok := nextFrame(frame[:4])
+	_, rest, skipped, ok := iec104.NextFrame(frame[:4])
 	if ok {
 		t.Fatal("partial frame extracted")
 	}
@@ -43,7 +43,7 @@ func TestNextFramePartial(t *testing.T) {
 func TestNextFrameSkipsLeadingGarbage(t *testing.T) {
 	frame := mustFrame(t)
 	buf := append([]byte{0x00, 0x11, 0x22}, frame...)
-	got, rest, skipped, ok := nextFrame(buf)
+	got, rest, skipped, ok := iec104.NextFrame(buf)
 	if !ok || !bytes.Equal(got, frame) || len(rest) != 0 {
 		t.Fatalf("resync failed: ok=%v got=%d rest=%d", ok, len(got), len(rest))
 	}
@@ -57,14 +57,14 @@ func TestNextFrameBadLengthResync(t *testing.T) {
 	// A false 0x68 followed by a too-small length, then a real frame.
 	buf := append([]byte{0x68, 0x01}, frame...)
 	// First call drops the false start byte.
-	_, rest, skipped, ok := nextFrame(buf)
+	_, rest, skipped, ok := iec104.NextFrame(buf)
 	if ok {
 		t.Fatal("corrupt header extracted")
 	}
 	if skipped != 1 {
 		t.Fatalf("skipped = %d, want 1 (the false start byte)", skipped)
 	}
-	got, rest2, skipped, ok := nextFrame(rest)
+	got, rest2, skipped, ok := iec104.NextFrame(rest)
 	if !ok || !bytes.Equal(got, frame) || len(rest2) != 0 {
 		t.Fatalf("second resync failed: ok=%v", ok)
 	}
@@ -78,7 +78,7 @@ func TestNextFrameMultiple(t *testing.T) {
 	buf := append(append([]byte{}, frame...), frame...)
 	n := 0
 	for {
-		got, rest, _, ok := nextFrame(buf)
+		got, rest, _, ok := iec104.NextFrame(buf)
 		if !ok {
 			break
 		}

@@ -365,13 +365,15 @@ func TestRecorderDropsUnstorableTimes(t *testing.T) {
 	}
 	rec := NewRecorder(st)
 	frame := func(at time.Time, v float64) {
-		rec.ObserveFrame(core.FrameEvent{Time: at, Outstation: "O29", FromOutstation: true, ASDU: &iec104.ASDU{
+		asdu := &iec104.ASDU{
 			Type: iec104.MMeNc,
 			Objects: []iec104.InfoObject{
 				{IOA: 3001, Value: iec104.Value{Kind: iec104.KindFloat, Float: v}},
 				{IOA: 3002, Value: iec104.Value{Kind: iec104.KindFloat, Float: v}},
 			},
-		}})
+		}
+		rec.ObserveFrame(core.FrameEvent{Time: at, Outstation: "O29", FromOutstation: true,
+			Points: iec104.AppendPoints(nil, asdu, false)})
 	}
 	frame(testBase, 1)
 	frame(time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), 2)

@@ -3,21 +3,25 @@ package historian
 import (
 	"uncharted/internal/core"
 	"uncharted/internal/obs/trace"
+	"uncharted/internal/protocol"
 )
 
 // Recorder bridges the analysis pipeline to the historian: it
 // implements core.FrameObserver and records every IEC 104 measurement,
-// appending every value-bearing information object of each accepted
-// I-format APDU — a frame's samples under one store lock, through the
-// station's write handle. Frames of other dialects (C37.118, Modbus)
-// carry no ASDU and are not recorded. It extracts samples with
-// physical.EachValue under the same station/command resolution as
-// physical.Store.Feed, so the durable history and the in-memory IEC 104
-// series are sample-for-sample identical — the property that makes
-// historian-backed event detection reproduce live results exactly. An
-// object stamped outside 1678-2262 (a zero capture time, a pcapng
-// timestamp past 2262) cannot be stored: it is skipped and counted in
-// MetricDropped, and recording goes on.
+// appending each accepted frame's points — the ones the analyzer's
+// physical store receives, extracted once by the IEC 104 codec —
+// under one store lock, through the station's write handle. So the
+// durable history and the in-memory IEC 104 series are
+// sample-for-sample identical, the property that makes
+// historian-backed event detection reproduce live results exactly.
+// Frames of other dialects (C37.118, Modbus) carry points too but are
+// not recorded: the historian is the long-horizon IEC 104 record the
+// paper's physical findings rest on, and the benchmark's live check
+// (benchmark/run.go) fails a run whose history holds anything but the
+// analyzers' IEC 104 samples, so recording them waits for a revision
+// of that check. A point stamped outside 1678-2262 (a zero capture
+// time, a pcapng timestamp past 2262) cannot be stored: it is skipped
+// and counted in MetricDropped, and recording goes on.
 type Recorder struct {
 	store *Store
 	// lane is the optional flight-recorder lane StageHistorian spans
@@ -38,13 +42,13 @@ func (r *Recorder) SetTraceLane(l *trace.Lane) { r.lane = l }
 
 // ObserveFrame implements core.FrameObserver.
 func (r *Recorder) ObserveFrame(ev core.FrameEvent) {
-	if ev.ASDU == nil || r.err != nil {
+	if ev.Proto != protocol.IEC104 || len(ev.Points) == 0 || r.err != nil {
 		return
 	}
 	sp := r.lane.Start()
-	// Mirrors the analyzer's Feed call: the point belongs to the
-	// outstation; server-to-outstation I-frames are commands.
-	n, err := r.store.appendASDU(ev.Outstation, ev.ASDU, ev.Time, !ev.FromOutstation)
+	// Mirrors the analyzer's FeedPoints call: the points belong to the
+	// outstation.
+	n, err := r.store.appendPoints(ev.Outstation, ev.Proto, ev.Points, ev.Time)
 	if err != nil {
 		r.err = err
 	}

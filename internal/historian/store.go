@@ -10,9 +10,9 @@ import (
 	"sync"
 	"time"
 
-	"uncharted/internal/iec104"
 	"uncharted/internal/obs"
 	"uncharted/internal/physical"
+	"uncharted/internal/protocol"
 )
 
 // Options tunes a Store. The zero value is usable: Open fills in
@@ -322,14 +322,13 @@ func (st *Store) Append(key PointKey, typ physical.PointType, command bool, s ph
 	return st.appendLocked(buf, slot{t: s.T.UnixNano(), v: s.V})
 }
 
-// appendASDU buffers every value-bearing information object of one
-// frame under a single lock — the recorder's form of Append. An object
-// whose time cannot be stored is skipped and counted as dropped, not
-// an error. It returns how many samples it appended and the first
-// append error.
-func (st *Store) appendASDU(station string, a *iec104.ASDU, at time.Time, command bool) (n int, err error) {
-	typ := physical.IEC104Type(a.Type)
-	code, flags := typ.Code(), pointFlags(typ, command)
+// appendPoints buffers one frame's measurements under a single lock —
+// the recorder's form of Append. proto types the points as
+// physical.Store.FeedPoints types them, and a point with no time of its
+// own is stamped at, the capture time. A point whose time cannot be
+// stored is skipped and counted as dropped, not an error. It returns
+// how many samples it appended and the first append error.
+func (st *Store) appendPoints(station string, proto protocol.ID, pts []protocol.Point, at time.Time) (n int, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -337,17 +336,23 @@ func (st *Store) appendASDU(station string, a *iec104.ASDU, at time.Time, comman
 	}
 	sb := st.stationLocked(station)
 	dropped := 0
-	physical.EachValue(a, at, func(ioa uint32, t time.Time, v float64) {
+	for i := range pts {
+		p := &pts[i]
+		t := p.T
+		if t.IsZero() {
+			t = at
+		}
 		if !storable(t) {
 			dropped++
-			return
+			continue
 		}
 		n++
-		e := st.appendLocked(st.bufferLocked(sb, PointKey{Station: station, IOA: ioa}, code, flags), slot{t: t.UnixNano(), v: v})
+		typ := physical.TypeOf(proto, p.Code)
+		e := st.appendLocked(st.bufferLocked(sb, PointKey{Station: station, IOA: p.IOA}, typ.Code(), pointFlags(typ, p.Command)), slot{t: t.UnixNano(), v: p.V})
 		if e != nil && err == nil {
 			err = e
 		}
-	})
+	}
 	st.m.noteAppends(n)
 	st.m.noteDropped(dropped)
 	return n, err

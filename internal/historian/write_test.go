@@ -41,7 +41,7 @@ func goldenWorkload(t testing.TB, dir string, opts Options, sync bool) {
 		for f := 0; f < 30; f++ {
 			at := base.Add(time.Duration(round*30+f) * 250 * time.Millisecond)
 			asdu := &iec104.ASDU{Type: iec104.MMeNc}
-			ev := core.FrameEvent{Time: at, Outstation: stations[f%len(stations)], FromOutstation: true, ASDU: asdu}
+			ev := core.FrameEvent{Time: at, Outstation: stations[f%len(stations)], FromOutstation: true}
 			if f%10 == 9 {
 				asdu.Type, ev.FromOutstation = iec104.CSeNc, false
 			}
@@ -54,6 +54,7 @@ func goldenWorkload(t testing.TB, dir string, opts Options, sync bool) {
 				}
 				asdu.Objects = append(asdu.Objects, obj)
 			}
+			ev.Points = iec104.AppendPoints(nil, asdu, !ev.FromOutstation)
 			rec.ObserveFrame(ev)
 		}
 		// One chatty point outruns the Sync cadence and flushes at
@@ -208,7 +209,8 @@ func TestAppendAndSyncAllocs(t *testing.T) {
 		asdu.Objects = append(asdu.Objects, iec104.InfoObject{IOA: keys[4*o].IOA,
 			Value: iec104.Value{Kind: iec104.KindFloat, Float: 59.9}})
 	}
-	ev := core.FrameEvent{Time: base.Add(time.Hour), Outstation: keys[0].Station, FromOutstation: true, ASDU: asdu}
+	ev := core.FrameEvent{Time: base.Add(time.Hour), Outstation: keys[0].Station, FromOutstation: true,
+		Points: iec104.AppendPoints(nil, asdu, false)}
 	if allocs := testing.AllocsPerRun(20, func() { rec.ObserveFrame(ev) }); allocs != 0 || rec.Err() != nil {
 		t.Errorf("Recorder.ObserveFrame allocates %.2f per 8-object frame (err %v), want 0", allocs, rec.Err())
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"time"
 
 	"uncharted/internal/core"
 	"uncharted/internal/iec104"
@@ -16,15 +15,16 @@ import (
 // arrive instead of after the capture ends. Each check fires at most
 // once per subject (endpoint, connection, token, point) so a noisy
 // intruder does not flood the sink; the frame-level checks match the
-// offline scanner's thresholds exactly. Dialect-change detection needs
-// a settled per-endpoint profile and stays a Scan-time check.
+// offline scanner's thresholds exactly, and the point checks read every
+// dialect's points, as Scan reads every series, so both raise the same
+// point alerts. Dialect-change detection needs a settled per-endpoint
+// profile and stays a Scan-time check.
 //
 // Cost model: everything a frame's checks need is resolved once, on
 // its connection's first frame, into one connState. A steady-state
 // frame costs that value-keyed lookup, one token-keyed vocabulary
-// lookup, one bigram score and an integer-keyed lookup per information
-// object — no string is built and nothing allocated until an alert
-// fires.
+// lookup, one bigram score and an integer-keyed lookup per point — no
+// string is built and nothing allocated until an alert fires.
 //
 // A Monitor is not safe for concurrent use: attach one per analyzer
 // (the streaming engine runs one per shard) and serialise the sink if
@@ -73,7 +73,7 @@ type connState struct {
 	logProb        [seqWindow]float64
 }
 
-// pointState is one information object of an outstation: its widened
+// pointState is one point of an outstation: its widened
 // baseline envelope, or (vr nil) a point the baseline never saw.
 type pointState struct {
 	vr      *valueRange
@@ -223,9 +223,7 @@ func (m *Monitor) ObserveFrame(ev core.FrameEvent) {
 		}
 	}
 
-	if ev.ASDU != nil {
-		m.observeObjects(cs, ev.ASDU, !ev.FromOutstation)
-	}
+	m.observePoints(cs, &ev)
 }
 
 // perplexity scores the window: its bigrams' cached terms summed
@@ -243,32 +241,37 @@ func (cs *connState) perplexity() float64 {
 	return math.Exp(-lp / float64(window-1))
 }
 
-// observeObjects applies the point-whitelist and operating-envelope
-// checks to each value-bearing information object, under the
-// extraction rules of physical.Store.Feed: the station is always the
-// outstation side, control-direction frames are commands.
-func (m *Monitor) observeObjects(cs *connState, asdu *iec104.ASDU, command bool) {
-	physical.EachValue(asdu, time.Time{}, func(ioa uint32, _ time.Time, v float64) {
-		ps := cs.points[ioa]
+// observePoints applies the point-whitelist and operating-envelope
+// checks to each of a frame's measurements, in every dialect, under the
+// rules of the analyzer's physical store that Scan reads: the station
+// is the outstation side, a point's series is typed by its dialect, and
+// a non-finite value is never stored.
+func (m *Monitor) observePoints(cs *connState, ev *core.FrameEvent) {
+	for i := range ev.Points {
+		p := &ev.Points[i]
+		if math.IsNaN(p.V) || math.IsInf(p.V, 0) {
+			continue
+		}
+		ps := cs.points[p.IOA]
 		switch {
 		case ps == nil:
-			cs.points[ioa] = &pointState{alerted: true}
+			cs.points[p.IOA] = &pointState{alerted: true}
 			sev := 1
-			if command {
+			if p.Command {
 				sev = 3
 			}
 			m.emit(AlertUnknownPoint, sev, cs.outstation,
-				"IOA %d (%s) never seen in baseline", ioa, asdu.Type.Acronym())
-		case !ps.alerted && (v < ps.lo || v > ps.hi):
+				"IOA %d (%s) never seen in baseline", p.IOA, physical.TypeOf(ev.Proto, p.Code).Acronym())
+		case !ps.alerted && (p.V < ps.lo || p.V > ps.hi):
 			ps.alerted = true
 			sev := 2
-			if command {
+			if p.Command {
 				sev = 3
 			}
-			m.emit(AlertValueRange, sev, fmt.Sprintf("%s/%d", cs.outstation, ioa),
-				"value %.4g outside baseline [%.4g, %.4g]", v, ps.vr.Min, ps.vr.Max)
+			m.emit(AlertValueRange, sev, fmt.Sprintf("%s/%d", cs.outstation, p.IOA),
+				"value %.4g outside baseline [%.4g, %.4g]", p.V, ps.vr.Min, ps.vr.Max)
 		}
-	})
+	}
 }
 
 // bounds widens a point's baseline envelope by the configured margin:

@@ -163,7 +163,8 @@ func baselineFlow(t *testing.T, b *Baseline, nPoints int) (sFrame, iFrame core.F
 		}
 		sFrame, iFrame = ev, ev
 		sFrame.Token = iec104.TokenS
-		iFrame.Token, iFrame.ASDU, iFrame.FromOutstation = iTok, asdu, true
+		iFrame.Token, iFrame.FromOutstation = iTok, true
+		iFrame.Points = iec104.AppendPoints(nil, asdu, false)
 		return sFrame, iFrame
 	}
 	t.Fatalf("no baseline connection with %d points, S and I%d", nPoints, iec104.MMeNc)
@@ -216,7 +217,7 @@ func TestObserveFrameAllocs(t *testing.T) {
 func TestMonitorWindowFootprintConstant(t *testing.T) {
 	b := trainedBaseline(t)
 	sFrame, iFrame := baselineFlow(t, b, 1)
-	iFrame.ASDU = nil
+	iFrame.Points = nil
 	mon := NewMonitor(b, nil)
 	for i := 0; i < seqWindow; i++ {
 		mon.ObserveFrame(sFrame)

@@ -1,6 +1,8 @@
 package iec104
 
 import (
+	"math"
+
 	"uncharted/internal/protocol"
 )
 
@@ -48,11 +50,44 @@ func (dialect) Sniff(b []byte) bool {
 	return len(b) >= 2 && b[0] == StartByte && b[1] >= 4
 }
 
+// AppendPoints appends the measurements an ASDU carries to dst: one
+// protocol.Point per value-bearing information object, coded by the
+// ASDU's type and stamped with the object's CP56 time tag when it has a
+// valid one (zero otherwise: the consumer uses the capture time). A
+// NaN or infinite value — a short float can carry one off the wire — is
+// skipped: it would hold a series' mean at NaN for the rest of the run.
+// command flags control-direction frames (setpoints), whose values are
+// kept as separate series from telemetry. This is the one IEC 104
+// extraction rule: the analyzer's store, the historian and the live
+// IDS all read its points.
+func AppendPoints(dst []protocol.Point, a *ASDU, command bool) []protocol.Point {
+	for i := range a.Objects {
+		obj := &a.Objects[i] // an InfoObject is ~130 bytes: do not copy it per element
+		switch obj.Value.Kind {
+		case KindFloat, KindNormalized, KindScaled, KindSingle,
+			KindDouble, KindStep, KindCounter, KindCommand:
+		default:
+			continue
+		}
+		v := obj.Value.Float
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		p := protocol.Point{IOA: obj.IOA, Code: uint8(a.Type), V: v, Command: command}
+		if obj.Value.HasTime && !obj.Value.Time.Invalid {
+			p.T = obj.Value.Time.Time
+		}
+		dst = append(dst, p)
+	}
+	return dst
+}
+
 // session is the per-flow protocol.Session. The core analyzer keeps
 // its own specialised IEC 104 path (shared tolerant-parser dialect
 // cache, compliance bookkeeping); this session serves the generic
 // registry consumers — iec104dump's shared decode, mixed-capture
-// tooling — with the same framing and tolerant parsing.
+// tooling — with the same framing, tolerant parsing and point
+// extraction.
 type session struct {
 	parser *TolerantParser
 	apdu   APDU
@@ -76,26 +111,7 @@ func (s *session) Next(buf []byte, fromStation bool) (protocol.Event, []byte, in
 	}
 	ev := protocol.Event{Token: s.apdu.Token()}
 	if s.apdu.Format == FormatI && s.apdu.ASDU != nil {
-		s.pts = s.pts[:0]
-		command := !fromStation
-		for _, obj := range s.apdu.ASDU.Objects {
-			switch obj.Value.Kind {
-			case KindFloat, KindNormalized, KindScaled, KindSingle,
-				KindDouble, KindStep, KindCounter, KindCommand:
-			default:
-				continue
-			}
-			p := protocol.Point{
-				IOA:     obj.IOA,
-				Code:    uint8(s.apdu.ASDU.Type),
-				V:       obj.Value.Float,
-				Command: command,
-			}
-			if obj.Value.HasTime && !obj.Value.Time.Invalid {
-				p.T = obj.Value.Time.Time
-			}
-			s.pts = append(s.pts, p)
-		}
+		s.pts = AppendPoints(s.pts[:0], s.apdu.ASDU, !fromStation)
 		ev.Points = s.pts
 	}
 	return ev, rest, skipped, true

@@ -88,7 +88,7 @@ func TestDigestsMatchRefold(t *testing.T) {
 						} else {
 							a := iec104.NewMeasurement(iec104.MMeNc, 1, ioa,
 								iec104.Value{Kind: iec104.KindFloat, Float: v}, iec104.CauseSpontaneous)
-							st.Feed(station, a, ts, false)
+							feedASDU(st, station, a, ts, false)
 						}
 					}
 					digests := st.Digests()
@@ -394,10 +394,10 @@ func TestNonFiniteValuesSkipped(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		at := t0.Add(time.Duration(i) * time.Second)
 		good := frame(1001, math.Float32bits(float32(i)/4))
-		withBad.Feed("O29", good, at, false)
-		finite.Feed("O29", good, at, false)
-		withBad.Feed("O29", frame(1001, []uint32{nan, posInf, negInf}[i%3]), at, false)
-		withBad.Feed("O29", frame(2002, nan), at, false) // only ever NaN
+		feedASDU(withBad, "O29", good, at, false)
+		feedASDU(finite, "O29", good, at, false)
+		feedASDU(withBad, "O29", frame(1001, []uint32{nan, posInf, negInf}[i%3]), at, false)
+		feedASDU(withBad, "O29", frame(2002, nan), at, false) // only ever NaN
 
 		pt := protocol.Point{IOA: 7, V: float64(i)}
 		withBad.FeedPoints("pmu", protocol.C37118, []protocol.Point{pt, {IOA: 7, V: math.NaN()}, {IOA: 8, V: math.Inf(1)}}, at)

@@ -6,6 +6,7 @@ import (
 
 	"uncharted/internal/iec104"
 	"uncharted/internal/physical"
+	"uncharted/internal/protocol"
 )
 
 // Extract a time series from parsed I-frames and score it: the §6.4
@@ -16,7 +17,7 @@ func ExampleStore() {
 	for i, mw := range []float64{80, 81, 79, 120, 40, 80} {
 		asdu := iec104.NewMeasurement(iec104.MMeNc, 29, 1001,
 			iec104.Value{Kind: iec104.KindFloat, Float: mw}, iec104.CauseSpontaneous)
-		store.Feed("O29", asdu, base.Add(time.Duration(i)*time.Second), false)
+		store.FeedPoints("O29", protocol.IEC104, iec104.AppendPoints(nil, asdu, false), base.Add(time.Duration(i)*time.Second))
 	}
 	s, _ := store.Get(physical.SeriesKey{Station: "O29", IOA: 1001})
 	fmt.Printf("samples=%d nvar>0.05: %t\n", len(s.Samples), s.NormalizedVariance() > 0.05)

@@ -8,7 +8,7 @@
 // # Storage
 //
 // A Store writes each sample once, in packed form: sixteen pointer-free
-// bytes (UTC wall nanoseconds and the value). Feed and FeedPoints find
+// bytes (UTC wall nanoseconds and the value). FeedPoints finds
 // the series through the station's page table — an array index per
 // point, no hash — and append to the chunk the series is filling, a
 // fixed-size piece of a slab the store owns; nothing already stored
@@ -36,7 +36,6 @@ import (
 	"sort"
 	"time"
 
-	"uncharted/internal/iec104"
 	"uncharted/internal/protocol"
 	"uncharted/internal/stats"
 )
@@ -333,53 +332,6 @@ func (st *Store) SetMaxSamplesPerSeries(n int) {
 	st.maxSamples = n
 }
 
-// EachValue calls fn for every value-bearing information object of an
-// ASDU, resolving each object's timestamp (its CP56 time tag when
-// present and valid, otherwise the capture timestamp at). A NaN or
-// infinite value — a short float can carry one off the wire — is
-// skipped: it would hold a series' mean at NaN for the rest of the run.
-// Store.Feed and the historian write path share this extraction, so
-// the in-memory series and the durable history see identical samples.
-func EachValue(a *iec104.ASDU, at time.Time, fn func(ioa uint32, t time.Time, v float64)) {
-	for i := range a.Objects {
-		obj := &a.Objects[i] // an InfoObject is ~130 bytes: do not copy it per element
-		var v float64
-		switch obj.Value.Kind {
-		case iec104.KindFloat, iec104.KindNormalized, iec104.KindScaled,
-			iec104.KindSingle, iec104.KindDouble, iec104.KindStep, iec104.KindCounter,
-			iec104.KindCommand:
-			v = obj.Value.Float
-		default:
-			continue
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		ts := at
-		if obj.Value.HasTime && !obj.Value.Time.Invalid {
-			ts = obj.Value.Time.Time
-		}
-		fn(obj.IOA, ts, v)
-	}
-}
-
-// Feed extracts every value-bearing information object of an ASDU.
-// station names the outstation (or its IP); at is the capture
-// timestamp, used when the object carries no time tag. command flags
-// control-direction frames (setpoints), which are stored as separate
-// series so AGC commands and telemetry never mix.
-func (st *Store) Feed(station string, a *iec104.ASDU, at time.Time, command bool) {
-	idx := st.station(station)
-	EachValue(a, at, func(ioa uint32, ts time.Time, v float64) {
-		sp := idx.slot(ioa)
-		s := *sp
-		if s == nil {
-			s = st.newSeries(sp, SeriesKey{Station: station, IOA: ioa}, IEC104Type(a.Type), command)
-		}
-		st.add(s, ts, v)
-	})
-}
-
 // Get returns one series.
 func (st *Store) Get(key SeriesKey) (*Series, bool) {
 	var s *Series
@@ -452,13 +404,14 @@ func (st *Store) TypeStations() map[PointType]int {
 	return out
 }
 
-// FeedPoints stores dialect-extracted measurements — the
-// multi-protocol analogue of Feed. station names the measurement
-// owner; at is the capture timestamp, used when a point carries no
-// embedded time. Each point's series is typed TypeOf(proto, Code), so
-// dialects never collide in the type namespace even when register and
-// IOA numbers overlap. A NaN or infinite value is skipped, as
-// EachValue skips it.
+// FeedPoints stores one frame's measurements, whatever dialect
+// extracted them (iec104.AppendPoints for IEC 104). station names the
+// measurement owner, the outstation; at is the capture timestamp, used
+// when a point carries no embedded time. Each point's series is typed
+// TypeOf(proto, Code), so dialects never collide in the type namespace
+// even when register and IOA numbers overlap, and a control-direction
+// point starts a command series. A NaN or infinite value is skipped:
+// it would hold a series' mean at NaN for the rest of the run.
 func (st *Store) FeedPoints(station string, proto protocol.ID, pts []protocol.Point, at time.Time) {
 	idx := st.station(station)
 	for i := range pts {

@@ -5,9 +5,16 @@ import (
 	"time"
 
 	"uncharted/internal/iec104"
+	"uncharted/internal/protocol"
 )
 
 var t0 = time.Date(2026, 7, 5, 8, 0, 0, 0, time.UTC)
+
+// feedASDU stores an IEC 104 frame's measurements the way the analyzer
+// does: extracted once by iec104.AppendPoints, fed through FeedPoints.
+func feedASDU(st *Store, station string, a *iec104.ASDU, at time.Time, command bool) {
+	st.FeedPoints(station, protocol.IEC104, iec104.AppendPoints(nil, a, command), at)
+}
 
 func mkSeries(station string, ioa uint32, vals []float64, step time.Duration) *Series {
 	s := &Series{Key: SeriesKey{Station: station, IOA: ioa}}
@@ -20,9 +27,9 @@ func mkSeries(station string, ioa uint32, vals []float64, step time.Duration) *S
 func TestStoreFeedAndExtract(t *testing.T) {
 	st := NewStore()
 	a := iec104.NewMeasurement(iec104.MMeNc, 1, 1001, iec104.Value{Kind: iec104.KindFloat, Float: 59.98}, iec104.CauseSpontaneous)
-	st.Feed("O3", a, t0, false)
+	feedASDU(st, "O3", a, t0, false)
 	a2 := iec104.NewMeasurement(iec104.MMeNc, 1, 1001, iec104.Value{Kind: iec104.KindFloat, Float: 60.02}, iec104.CauseSpontaneous)
-	st.Feed("O3", a2, t0.Add(time.Second), false)
+	feedASDU(st, "O3", a2, t0.Add(time.Second), false)
 
 	s, ok := st.Get(SeriesKey{Station: "O3", IOA: 1001})
 	if !ok || len(s.Samples) != 2 {
@@ -43,7 +50,7 @@ func TestStoreUsesTimeTag(t *testing.T) {
 		Kind: iec104.KindFloat, Float: 1, HasTime: true,
 		Time: iec104.CP56Time2a{Time: tagged},
 	}, iec104.CausePeriodic)
-	st.Feed("O1", a, t0, false)
+	feedASDU(st, "O1", a, t0, false)
 	s, _ := st.Get(SeriesKey{Station: "O1", IOA: 9})
 	if !s.Samples[0].T.Equal(tagged) {
 		t.Fatalf("timestamp %v, want tag %v", s.Samples[0].T, tagged)
@@ -53,7 +60,7 @@ func TestStoreUsesTimeTag(t *testing.T) {
 		Kind: iec104.KindFloat, Float: 1, HasTime: true,
 		Time: iec104.CP56Time2a{Time: tagged, Invalid: true},
 	}, iec104.CausePeriodic)
-	st.Feed("O1", b, t0, false)
+	feedASDU(st, "O1", b, t0, false)
 	s2, _ := st.Get(SeriesKey{Station: "O1", IOA: 10})
 	if !s2.Samples[0].T.Equal(t0) {
 		t.Fatalf("invalid tag not ignored: %v", s2.Samples[0].T)
@@ -64,7 +71,7 @@ func TestStoreSkipsRawKinds(t *testing.T) {
 	st := NewStore()
 	a := &iec104.ASDU{Type: iec104.FSgNa, COT: iec104.COT{Cause: iec104.CauseFile}, CommonAddr: 1,
 		Objects: []iec104.InfoObject{{IOA: 1, Value: iec104.Value{Kind: iec104.KindRaw}, Raw: []byte{1, 2}}}}
-	st.Feed("O1", a, t0, false)
+	feedASDU(st, "O1", a, t0, false)
 	if len(st.All()) != 0 {
 		t.Fatal("raw element produced a series")
 	}
@@ -92,7 +99,7 @@ func TestTypeStations(t *testing.T) {
 	st := NewStore()
 	mk := func(station string, ioa uint32, typ iec104.TypeID) {
 		a := iec104.NewMeasurement(typ, 1, ioa, iec104.Value{Kind: iec104.KindFloat, Float: 1}, iec104.CausePeriodic)
-		st.Feed(station, a, t0, false)
+		feedASDU(st, station, a, t0, false)
 	}
 	mk("O1", 1, iec104.MMeNc)
 	mk("O1", 2, iec104.MMeNc)
@@ -253,9 +260,9 @@ func TestStoreCapBoundsMemory(t *testing.T) {
 		a := iec104.NewMeasurement(iec104.MMeNc, 1, 1001,
 			iec104.Value{Kind: iec104.KindFloat, Float: v}, iec104.CausePeriodic)
 		at := t0.Add(time.Duration(i) * time.Millisecond)
-		capped.Feed("O1", a, at, false)
+		feedASDU(capped, "O1", a, at, false)
 		if i%101 == 0 { // sparse exact reference to keep the test fast
-			exact.Feed("O1", a, at, false)
+			feedASDU(exact, "O1", a, at, false)
 		}
 	}
 

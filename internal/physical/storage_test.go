@@ -107,7 +107,7 @@ func (p *storePair) feed(station string, ioa uint32, ts time.Time, v float64) {
 		p.st.FeedPoints(station, protocol.Modbus, []protocol.Point{{IOA: ioa, V: v, T: ts}}, ts)
 	} else {
 		a := iec104.NewMeasurement(iec104.MMeNc, 1, ioa, iec104.Value{Kind: iec104.KindFloat, Float: v}, iec104.CauseSpontaneous)
-		p.st.Feed(station, a, ts, false)
+		feedASDU(p.st, station, a, ts, false)
 	}
 	p.ref.add(SeriesKey{Station: station, IOA: ioa}, typ, ts, v)
 }

@@ -143,9 +143,13 @@ func pump(ctx context.Context, src stream.Source, emit Emit) error {
 // decoded here: the source goes whole to the consuming analyzer, whose
 // engine reads — and closes — it itself.
 type PacketInput struct {
-	src     stream.Source
-	trace   *scadasim.Trace // a sim input's generated records
-	more    []string        // the rest of a capture directory, opened in turn
+	src   stream.Source
+	trace *scadasim.Trace // a sim input's generated records
+	// first names src when it is a capture directory's first file, and
+	// more the rest of the directory, opened in turn: a directory
+	// file's error names the file.
+	first   string
+	more    []string
 	handoff bool
 }
 
@@ -182,6 +186,9 @@ func buildPCAPInput(bc BuildCtx) (Segment, error) {
 		return nil, err
 	}
 	s := &PacketInput{src: fs, more: files[1:]}
+	if fi.IsDir() {
+		s.first = files[0]
+	}
 	if speed > 0 {
 		s.src = stream.NewReplaySource(fs, speed)
 	}
@@ -270,14 +277,19 @@ func (s *PacketInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
 		return nil
 	}
 	err := pump(ctx, s.src, emit)
-	for _, path := range s.more {
+	path := s.first
+	for _, next := range s.more {
 		if err != nil || ctx.Err() != nil {
 			break
 		}
+		path = next
 		var src *stream.FileSource
 		if src, err = stream.NewFileSource(path); err == nil {
 			err = pump(ctx, src, emit)
 		}
+	}
+	if err != nil && path != "" {
+		err = fmt.Errorf("%s: %w", path, err)
 	}
 	return err
 }

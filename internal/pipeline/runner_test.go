@@ -3,7 +3,9 @@ package pipeline
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -412,6 +414,35 @@ func TestHandoffByTopology(t *testing.T) {
 			}
 			if src.PktsOut != int64(tc.packets[0]) || an.PktsIn != int64(tc.packets[0]) {
 				t.Errorf("edge reports %d packets out, %d in; want %d", src.PktsOut, an.PktsIn, tc.packets[0])
+			}
+		})
+	}
+
+	// A damaged capture in a directory fails the run, and the error
+	// names it wherever it sorts.
+	for _, empty := range []string{"z.pcap", "0.pcap"} {
+		t.Run("directory names its damaged "+empty, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "y1.pcap"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			bad := filepath.Join(dir, empty)
+			if err := os.WriteFile(bad, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := Parse([]byte(fmt.Sprintf(`{"pipelines": [{"name": "p", "segments": [
+			  { "id": "src", "segment": "pcap", "params": { "path": %q } },
+			  { "id": "an", "segment": "analyzer", "from": ["src"] }
+			]}]}`, dir)), "handoff.jsonc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := NewRunner(cfg, Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := runner.Run(context.Background()); !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(fmt.Sprint(err), bad) {
+				t.Fatalf("Run error = %v, want one naming %s and wrapping %v", err, bad, io.ErrUnexpectedEOF)
 			}
 		})
 	}

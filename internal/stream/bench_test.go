@@ -147,6 +147,27 @@ func BenchmarkEngine4Shard4Reader(b *testing.B) { benchmarkEngineRaw(b, 4, 4, fa
 // none of the uninstrumented benchmarks above can show.
 func BenchmarkEngine2ShardInstrumented(b *testing.B) { benchmarkEngineRaw(b, 2, 2, true) }
 
+// scalingRounds times run at 1 and at 4 shards in alternating rounds —
+// 1, 4, 1, 4, 1, 4 — and returns each side's best of three, so load
+// from outside the test (other packages under go test ./...) falls on
+// both sides alike instead of on whichever ran while it lasted. Every
+// run must analyze the whole bench capture.
+func scalingRounds(t *testing.T, run func(workers int) core.Partial) (one, four time.Duration) {
+	t.Helper()
+	best := [2]time.Duration{1<<63 - 1, 1<<63 - 1}
+	for round := 0; round < 3; round++ {
+		for i, workers := range [2]int{1, 4} {
+			start := time.Now()
+			p := run(workers)
+			best[i] = min(best[i], time.Since(start))
+			if p.Packets != len(benchCapture.pkts) {
+				t.Fatalf("engine(%d workers) processed %d packets, want %d", workers, p.Packets, len(benchCapture.pkts))
+			}
+		}
+	}
+	return best[0], best[1]
+}
+
 // TestShardScalingNotSlower is the throughput guard: on a multi-core
 // machine the sharded engine must beat one shard; on a single-CPU
 // machine (GOMAXPROCS=1) sharding cannot win, so the guard bounds the
@@ -157,24 +178,7 @@ func TestShardScalingNotSlower(t *testing.T) {
 	}
 	loadBenchCapture(t)
 
-	measure := func(workers int) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for round := 0; round < 3; round++ {
-			start := time.Now()
-			p := runBenchEngine(t, workers)
-			el := time.Since(start)
-			if p.Packets != len(benchCapture.pkts) {
-				t.Fatalf("engine(%d) processed %d packets, want %d", workers, p.Packets, len(benchCapture.pkts))
-			}
-			if el < best {
-				best = el
-			}
-		}
-		return best
-	}
-
-	one := measure(1)
-	four := measure(4)
+	one, four := scalingRounds(t, func(workers int) core.Partial { return runBenchEngine(t, workers) })
 	t.Logf("GOMAXPROCS=%d: 1 shard %v, 4 shards %v (%.0f / %.0f apdus/s)",
 		runtime.GOMAXPROCS(0), one, four,
 		float64(benchCapture.apdus)/one.Seconds(), float64(benchCapture.apdus)/four.Seconds())

@@ -310,24 +310,7 @@ func TestReaderScalingSmoke(t *testing.T) {
 	}
 	loadBenchCapture(t)
 
-	measure := func(workers int) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for round := 0; round < 3; round++ {
-			start := time.Now()
-			p := runBenchEngineRaw(t, workers, 4, nil)
-			el := time.Since(start)
-			if p.Packets != len(benchCapture.pkts) {
-				t.Fatalf("engine(%d workers) processed %d packets, want %d", workers, p.Packets, len(benchCapture.pkts))
-			}
-			if el < best {
-				best = el
-			}
-		}
-		return best
-	}
-
-	one := measure(1)
-	four := measure(4)
+	one, four := scalingRounds(t, func(workers int) core.Partial { return runBenchEngineRaw(t, workers, 4, nil) })
 	mbps := func(d time.Duration) float64 {
 		return float64(benchCapture.bytes) / (1 << 20) / d.Seconds()
 	}

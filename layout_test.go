@@ -39,6 +39,20 @@ func TestOneHistorianWriter(t *testing.T) {
 	}
 }
 
+// TestOnePointExtraction: an IEC 104 frame's measurements are extracted
+// once, by the analyzer, and every consumer — the physical store, the
+// historian, the live IDS — reads those points; the historian never
+// looks inside an ASDU.
+func TestOnePointExtraction(t *testing.T) {
+	want := []string{filepath.Join("internal", "core", "analyzer.go")}
+	if got := linesNaming(t, ".", "iec104.AppendPoints("); !slices.Equal(got, want) {
+		t.Errorf("iec104.AppendPoints( is called on lines of %v, want one line of %v", got, want)
+	}
+	if got := linesNaming(t, filepath.Join("internal", "historian"), "iec104."); len(got) > 0 {
+		t.Errorf("internal/historian names iec104 in %v", got)
+	}
+}
+
 // linesNaming walks the non-test .go files under root and returns, once
 // per matching line, the path of each file with a line containing any
 // of subs.
