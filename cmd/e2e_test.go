@@ -99,7 +99,7 @@ var commandTests = []struct {
 	{"pipelines", []string{"unchartedd"}, testPipelines},
 	{"profilediff", []string{"profilediff", "profiler", "iec104gen"}, testProfileDiff},
 	{"agcsim", []string{"agcsim"}, testAgcsim},
-	{"iec104dump", []string{"iec104dump"}, testDump},
+	{"iec104dump", []string{"iec104dump", "iec104gen"}, testDump},
 	{"historianctl", []string{"profiler", "historianctl"}, testHistorianctl},
 	{"quickstart", []string{"quickstart"}, example("quickstart", "non-compliant stations: [O28 O37]")},
 	{"anomalies", []string{"anomalies"}, example("anomalies", "O28   speaks legacy-cot8", "perplexity healthy=")},
@@ -738,7 +738,9 @@ func testAgcsim(t *testing.T) {
 
 // testDump: -n stops after that many frames and still summarizes the
 // endpoints' dialects; -proto auto -q prints only the summary of every
-// dialect the registry detects.
+// dialect the registry detects. Frames torn across TCP segments are
+// rejoined by reassembly, so a torn capture dumps without a parse
+// error.
 func testDump(t *testing.T) {
 	dir := t.TempDir()
 	out, _ := run(t, dir, 0, "iec104dump", "-n", "3", y1)
@@ -749,6 +751,18 @@ func testDump(t *testing.T) {
 	out, _ = run(t, dir, 0, "iec104dump", "-proto", "auto", "-q", y1)
 	if !strings.HasPrefix(out, "\nDialect summary:\n") || !strings.Contains(out, "iec104   frames=") {
 		t.Errorf("iec104dump -proto auto -q: want the dialect summary alone:\n%s", out)
+	}
+	run(t, dir, 0, "iec104gen", "-year", "1", "-seed", "3", "-scale", "0.05", "-fault-shortread", "0.3", "-out", "torn.pcap")
+	for _, mode := range []string{"iec104", "auto"} {
+		out, _ = run(t, dir, 0, "iec104dump", "-proto", mode, "-q", "torn.pcap")
+		errs := regexp.MustCompile(`parse-errors=(\d+)`).FindAllStringSubmatch(out, -1)
+		clean := len(errs) > 0 && strings.Contains(out, "frames=")
+		for _, m := range errs {
+			clean = clean && m[1] == "0"
+		}
+		if !clean {
+			t.Errorf("iec104dump -proto %s -q over a torn capture: want frames and 0 parse errors:\n%s", mode, out)
+		}
 	}
 }
 

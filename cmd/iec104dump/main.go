@@ -1,11 +1,13 @@
 // Command iec104dump prints the industrial traffic of a capture,
-// Wireshark-style. The default IEC 104 mode uses the tolerant parser:
-// frames from outstations that kept legacy IEC 101 field sizes (the
-// paper's O37/O28/O53/O58) decode correctly, with the detected dialect
-// reported per endpoint. -proto switches to the protocol registry:
-// c37118 or modbus dumps that dialect alone, auto claims each flow by
-// registered port (content-sniffing the rest) and dumps the whole
-// multi-protocol tap.
+// Wireshark-style, frame by frame as the analyzer books it: TCP
+// streams are reassembled (retransmissions dropped, torn frames
+// rejoined), claimed by their dialect and decoded by its session. IEC
+// 104 goes through the tolerant parser, so frames from outstations that
+// kept legacy IEC 101 field sizes (the paper's O37/O28/O53/O58) decode
+// correctly, with the detected dialect reported per endpoint. -proto
+// switches dialect: c37118 or modbus dumps that dialect alone, auto
+// claims each flow by registered port (content-sniffing the rest) and
+// dumps the whole multi-protocol tap.
 //
 // Usage:
 //
@@ -19,10 +21,10 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/netip"
 	"os"
 	"sort"
 
+	"uncharted/internal/core"
 	"uncharted/internal/iec104"
 	"uncharted/internal/pcap"
 	"uncharted/internal/protocol"
@@ -37,249 +39,142 @@ func main() {
 	log.SetPrefix("iec104dump: ")
 
 	limit := flag.Int("n", 0, "stop after this many printed frames (0 = all)")
-	quiet := flag.Bool("q", false, "suppress per-packet lines; print only the endpoint summary")
+	quiet := flag.Bool("q", false, "suppress per-frame lines; print only the summary")
 	proto := flag.String("proto", "iec104", "protocol to dump: iec104 (tolerant parser), c37118, modbus, or auto (registry detection across all dialects)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("usage: iec104dump [-n N] [-q] [-proto auto|iec104|c37118|modbus] capture.pcap")
 	}
-	if *proto != "iec104" && *proto != "auto" {
-		if protocol.ByName(*proto) == nil {
+	a := core.NewAnalyzer(nil)
+	d := &dumper{limit: *limit, quiet: *quiet, tally: map[protocol.ID]*dialectTally{}}
+	if *proto != "auto" {
+		dial := protocol.ByName(*proto)
+		if dial == nil {
 			log.Fatalf("unknown protocol %q (want iec104, c37118, modbus or auto)", *proto)
 		}
+		d.only = dial
 	}
+	if err := a.EnableProtocolNames(*proto); err != nil {
+		log.Fatal(err)
+	}
+	a.SetFrameObserver(d)
 
 	f, err := os.Open(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer f.Close()
-
 	r, err := pcap.NewAutoReader(f)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *proto != "iec104" {
-		dumpGeneric(r, *proto, *limit, *quiet)
+	var (
+		scratch []byte
+		pkt     pcap.Packet
+	)
+	for !d.full() {
+		data, ci, err := r.ReadPacketInto(scratch)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		scratch = data
+		if pcap.DecodePacketInto(&pkt, r.LinkType(), ci, data) == nil {
+			a.Feed(&pkt)
+		}
+	}
+	if d.only != nil && d.only.ID() == protocol.IEC104 {
+		printEndpoints(a)
 		return
 	}
-	parser := iec104.NewTolerantParser()
-	stats := map[netip.Addr]*endpointStats{}
-
-	shown := 0
-	for {
-		data, ci, err := r.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		pkt, err := pcap.DecodePacket(r.LinkType(), ci, data)
-		if err != nil || len(pkt.TCP.Payload) == 0 {
-			continue
-		}
-		if pkt.TCP.SrcPort != 2404 && pkt.TCP.DstPort != 2404 {
-			continue
-		}
-		src := pkt.IP.Src
-		es, ok := stats[src]
-		if !ok {
-			es = &endpointStats{}
-			stats[src] = es
-		}
-		apdus, err := parser.Parse(src.String(), pkt.TCP.Payload)
-		if err != nil {
-			es.errors++
-			continue
-		}
-		es.frames += len(apdus)
-		if *quiet {
-			continue
-		}
-		for _, a := range apdus {
-			line := fmt.Sprintf("%s %21s > %-21s %-4s",
-				ci.Timestamp.Format("15:04:05.000000"),
-				fmt.Sprintf("%s:%d", pkt.IP.Src, pkt.TCP.SrcPort),
-				fmt.Sprintf("%s:%d", pkt.IP.Dst, pkt.TCP.DstPort),
-				a.Token())
-			if a.Format == iec104.FormatI && a.ASDU != nil {
-				line += fmt.Sprintf(" %s cot=%s ca=%d objs=%d",
-					a.ASDU.Type.Acronym(), a.ASDU.COT.Cause, a.ASDU.CommonAddr, len(a.ASDU.Objects))
-				if len(a.ASDU.Objects) > 0 {
-					o := a.ASDU.Objects[0]
-					line += fmt.Sprintf(" ioa=%d val=%.4g", o.IOA, o.Value.Float)
-				}
-			}
-			fmt.Println(line)
-			shown++
-			if *limit > 0 && shown >= *limit {
-				printSummary(parser, stats)
-				return
-			}
-		}
-	}
-	printSummary(parser, stats)
+	d.printSummary(a)
 }
 
-func printSummary(parser *iec104.TolerantParser, stats map[netip.Addr]*endpointStats) {
+// dumper is the analyzer's FrameObserver: it prints each accepted frame
+// of the dumped dialect (every dialect when only is nil) and tallies
+// them.
+type dumper struct {
+	only         protocol.Dialect
+	quiet        bool
+	limit, shown int
+	tally        map[protocol.ID]*dialectTally
+}
+
+// dialectTally accumulates per-dialect totals for the summary.
+type dialectTally struct{ frames, points int }
+
+// full reports whether -n frames have been printed.
+func (d *dumper) full() bool { return d.limit > 0 && d.shown >= d.limit }
+
+func (d *dumper) ObserveFrame(ev core.FrameEvent) {
+	if (d.only != nil && ev.Proto != d.only.ID()) || d.full() {
+		return
+	}
+	t := d.tally[ev.Proto]
+	if t == nil {
+		t = &dialectTally{}
+		d.tally[ev.Proto] = t
+	}
+	t.frames++
+	t.points += len(ev.Points)
+	if d.quiet {
+		return
+	}
+	src, dst := ev.Server, ev.Outstation
+	if ev.FromOutstation {
+		src, dst = dst, src
+	}
+	line := fmt.Sprintf("%s %15s > %-15s %-8s %-5s",
+		ev.Time.Format("15:04:05.000000"), src, dst, ev.Proto, ev.Token)
+	if ev.Proto == protocol.IEC104 && ev.Token.Class() == protocol.ClassData {
+		line += fmt.Sprintf(" %-9s", iec104.TypeID(ev.Token.Code).Acronym())
+	}
+	if len(ev.Points) > 0 {
+		p := ev.Points[0]
+		line += fmt.Sprintf(" points=%d first{ioa=%d val=%.4g", len(ev.Points), p.IOA, p.V)
+		if p.Command {
+			line += " cmd"
+		}
+		line += "}"
+	}
+	fmt.Println(line)
+	d.shown++
+}
+
+// printEndpoints prints the IEC 104 summary: every sending endpoint's
+// frames, strict-parser rejections and detected dialect, then the
+// capture's parse errors.
+func printEndpoints(a *core.Analyzer) {
 	fmt.Println("\nEndpoint dialects:")
-	addrs := make([]netip.Addr, 0, len(stats))
-	for a := range stats {
-		addrs = append(addrs, a)
+	for _, sc := range a.Compliance().Stations {
+		dialect := "(control frames only)"
+		if sc.Detected {
+			dialect = sc.Profile.String()
+		}
+		fmt.Printf("  %-16s frames=%-7d strict-invalid=%-6d dialect=%s\n", sc.Name, sc.Frames, sc.StrictInvalid, dialect)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Compare(addrs[j]) < 0 })
-	for _, a := range addrs {
-		profile := "(control frames only)"
-		if p, ok := parser.ProfileFor(a.String()); ok {
-			profile = p.String()
-		}
-		es := stats[a]
-		fmt.Printf("  %-16s frames=%-7d parse-errors=%-4d dialect=%s\n", a, es.frames, es.errors, profile)
+	fmt.Printf("  parse-errors=%d\n", a.ParseErrors)
+}
+
+// printSummary prints the per-dialect totals. A dialect's parse errors
+// are its Dialects row's; IEC 104 has no row (see core.Analyzer.Dialects),
+// so its errors are the rest of the analyzer's.
+func (d *dumper) printSummary(a *core.Analyzer) {
+	errs := map[protocol.ID]int{protocol.IEC104: a.ParseErrors}
+	for _, ds := range a.Dialects() {
+		errs[ds.Proto] = ds.ParseErrors
+		errs[protocol.IEC104] -= ds.ParseErrors
 	}
-}
-
-// endpointStats tallies tolerant-parser results per source address.
-type endpointStats struct {
-	frames int
-	errors int
-}
-
-// genFlow is one claimed connection's decode state, shared by both
-// directions so sessions can pair requests with responses.
-type genFlow struct {
-	d    protocol.Dialect
-	sess protocol.Session
-}
-
-// genDir is one direction's view of a flow.
-type genDir struct {
-	flow        *genFlow
-	fromStation bool
-	buf         []byte
-}
-
-// dumpGeneric prints frames through the protocol registry: mode names
-// one dialect ("c37118", "modbus") or "auto" for port+sniff detection
-// across every registered dialect, IEC 104 included.
-func dumpGeneric(r pcap.PacketReader, mode string, limit int, quiet bool) {
-	only := protocol.ByName(mode) // nil in auto mode
-	dirs := map[[2]netip.AddrPort]*genDir{}
-	tally := map[protocol.ID]*dialectTally{}
-
-	claim := func(src, dst netip.AddrPort, payload []byte) *genDir {
-		d := protocol.ByPort(dst.Port())
-		if d == nil {
-			d = protocol.ByPort(src.Port())
-		}
-		if d == nil && only != nil && only.Sniff(payload) {
-			d = only
-		}
-		if d == nil && only == nil {
-			d = protocol.Detect(payload)
-		}
-		if d == nil || (only != nil && d.ID() != only.ID()) {
-			return nil
-		}
-		var fromStation bool
-		switch {
-		case dst.Port() == d.Port():
-			fromStation = d.StationInitiates()
-		case src.Port() == d.Port():
-			fromStation = !d.StationInitiates()
-		default:
-			fromStation = d.StationInitiates()
-		}
-		return &genDir{
-			flow:        &genFlow{d: d, sess: d.NewSession()},
-			fromStation: fromStation,
-		}
-	}
-
-	shown := 0
-	for {
-		data, ci, err := r.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		pkt, err := pcap.DecodePacket(r.LinkType(), ci, data)
-		if err != nil || len(pkt.TCP.Payload) == 0 {
-			continue
-		}
-		src := netip.AddrPortFrom(pkt.IP.Src, pkt.TCP.SrcPort)
-		dst := netip.AddrPortFrom(pkt.IP.Dst, pkt.TCP.DstPort)
-		key := [2]netip.AddrPort{src, dst}
-		gd, seen := dirs[key]
-		if !seen {
-			if rev, ok := dirs[[2]netip.AddrPort{dst, src}]; ok && rev != nil {
-				gd = &genDir{flow: rev.flow, fromStation: !rev.fromStation}
-			} else {
-				gd = claim(src, dst, pkt.TCP.Payload)
-			}
-			dirs[key] = gd
-		}
-		if gd == nil {
-			continue
-		}
-		dt := tally[gd.flow.d.ID()]
-		if dt == nil {
-			dt = &dialectTally{}
-			tally[gd.flow.d.ID()] = dt
-		}
-		gd.buf = append(gd.buf, pkt.TCP.Payload...)
-		for {
-			ev, rest, _, ok := gd.flow.sess.Next(gd.buf, gd.fromStation)
-			if !ok {
-				gd.buf = append(gd.buf[:0], rest...)
-				break
-			}
-			gd.buf = rest
-			if ev.Err != nil {
-				dt.errors++
-				continue
-			}
-			dt.frames++
-			dt.points += len(ev.Points)
-			if quiet {
-				continue
-			}
-			line := fmt.Sprintf("%s %21s > %-21s %-8s %-5s",
-				ci.Timestamp.Format("15:04:05.000000"), src, dst,
-				gd.flow.d.Name(), ev.Token)
-			if len(ev.Points) > 0 {
-				p := ev.Points[0]
-				line += fmt.Sprintf(" points=%d first{ioa=%d val=%.4g", len(ev.Points), p.IOA, p.V)
-				if p.Command {
-					line += " cmd"
-				}
-				line += "}"
-			}
-			fmt.Println(line)
-			shown++
-			if limit > 0 && shown >= limit {
-				printGenericSummary(tally)
-				return
-			}
-		}
-	}
-	printGenericSummary(tally)
-}
-
-// dialectTally accumulates per-dialect totals for the -proto summary.
-type dialectTally struct{ frames, errors, points int }
-
-func printGenericSummary(tally map[protocol.ID]*dialectTally) {
 	fmt.Println("\nDialect summary:")
-	ids := make([]protocol.ID, 0, len(tally))
-	for id := range tally {
+	ids := make([]protocol.ID, 0, len(d.tally))
+	for id := range d.tally {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		t := tally[id]
-		fmt.Printf("  %-8s frames=%-8d parse-errors=%-5d points=%d\n", id, t.frames, t.errors, t.points)
+		t := d.tally[id]
+		fmt.Printf("  %-8s frames=%-8d parse-errors=%-5d points=%d\n", id, t.frames, errs[id], t.points)
 	}
 }

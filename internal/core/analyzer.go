@@ -47,64 +47,45 @@ type DirCounts struct {
 // Total returns the APDU count.
 func (d DirCounts) Total() int { return d.I + d.S + d.U }
 
-// endpointState holds the APDU framing buffer and IEC 104 sequence
-// state of one flow direction. It is parked on the flow
-// (tcpflow.Flow.Slot), so a chunk reaches it without a lookup and it
-// goes away with the flow.
-type endpointState struct {
-	buf []byte
-	// nextNS is the expected N(S) of the next I-frame; nsSeen arms
-	// the check after the first I-frame.
-	nextNS uint16
-	nsSeen bool
-	// dir caches the direction-constant lookups of consumeFrame.
-	dir dirCache
-}
+// dirState is one flow direction's state, in every dialect. It is
+// parked on the flow (tcpflow.Flow.Slot), so a chunk reaches it without
+// a lookup and it goes away with the flow. It holds the dialect session
+// both directions share, the framing buffer, the direction's booking
+// record — dialect, logical connection, direction — resolved once, so
+// the per-frame path hashes no map key for it, and the slots of what
+// its frames book into. Those slots (dc, toks, ds, sc, ioas) stay nil
+// until the first frame that books into them, because their map entries
+// must only exist once such a frame has arrived. A nil *dirState in the
+// slot is the negative cache: the flow was inspected and claimed by no
+// enabled dialect.
+type dirState struct {
+	proto          protocol.ID
+	fromOutstation bool
+	sess           protocol.Session
+	buf            []byte
+	ck             ConnKey
 
-// frameDir is one flow direction's booking record, in every dialect:
-// the logical connection and its names, the direction, and the
-// directional session and connection token state an accepted frame
-// books into (see book). It is resolved once per flow direction, so the
-// per-frame path stops re-hashing map keys for it; dc and toks stay
-// nil until the first accepted frame, because their map entries must
-// only exist once a frame has actually been accepted.
-type frameDir struct {
-	proto               protocol.ID
-	ck                  ConnKey
-	serverName, outName string
-	fromOutstation      bool
-	skey                tcpflow.SessionKey
-	dc                  *DirCounts
-	toks                *tokenList
-}
-
-// newFrameDir resolves the booking record of the direction src → dst
-// of connection ck.
-func (a *Analyzer) newFrameDir(proto protocol.ID, ck ConnKey, fromOutstation bool, src, dst netip.Addr) frameDir {
-	return frameDir{
-		proto:          proto,
-		ck:             ck,
-		serverName:     a.Name(ck.Server),
-		outName:        a.Name(ck.Outstation),
-		fromOutstation: fromOutstation,
-		skey:           tcpflow.SessionKey{Src: src, Dst: dst},
-	}
-}
-
-// dirCache is an IEC 104 flow direction's booking record plus what
-// only IEC 104 books: the sender's compliance entry (set once the
-// cache is filled, which creates it for every frame regardless of
-// parse outcome), its slot in the tolerant parser's dialect cache, and
-// the lazily created IOA set.
-type dirCache struct {
-	frameDir
+	dc   *DirCounts
+	toks *tokenList
+	ds   *dialectTally
 	sc   *StationCompliance
-	ep   iec104.EndpointID
 	ioas *ioaSet
-	// typeBooked has a bit per ASDU type this direction has already
+	// nextSeq is the expected sequence number of the next data unit;
+	// seqSeen arms the continuity check after the first one.
+	nextSeq uint16
+	seqSeen bool
+	// typeBooked has a bit per unit type this direction has already
 	// entered into typeStations: the station of a direction never
-	// changes, so only the first frame of a type needs the maps.
+	// changes, so only the first unit of a type needs the maps.
 	typeBooked [4]uint64
+}
+
+// skey is the direction's directional host pair.
+func (d *dirState) skey() tcpflow.SessionKey {
+	if d.fromOutstation {
+		return tcpflow.SessionKey{Src: d.ck.Outstation, Dst: d.ck.Server}
+	}
+	return tcpflow.SessionKey{Src: d.ck.Server, Dst: d.ck.Outstation}
 }
 
 // ioaSet is the set of distinct information object addresses one
@@ -152,11 +133,13 @@ func (s *ioaSet) size() int {
 // chain counts it as it arrives (cur is the write position), so a
 // snapshot clones a count table, and vocab lists the chain's nodes in
 // first-seen order. Both are bounded by the alphabet; a caller that
-// wants the stream itself records it with a FrameObserver.
+// wants the stream itself records it with a FrameObserver. The
+// endpoints' names ride along for the frames booked on the connection.
 type tokenList struct {
-	chain markov.Chain
-	cur   markov.Cursor
-	vocab []iec104.Token
+	chain               markov.Chain
+	cur                 markov.Cursor
+	vocab               []iec104.Token
+	serverName, outName string
 }
 
 // connTokens returns connection k's token state, creating it on the
@@ -164,7 +147,7 @@ type tokenList struct {
 func (a *Analyzer) connTokens(k ConnKey) *tokenList {
 	tl, ok := a.tokens[k]
 	if !ok {
-		tl = &tokenList{}
+		tl = &tokenList{serverName: a.Name(k.Server), outName: a.Name(k.Outstation)}
 		a.tokens[k] = tl
 	}
 	return tl
@@ -182,7 +165,6 @@ func (tl *tokenList) push(tok iec104.Token) {
 type Analyzer struct {
 	names map[netip.Addr]string
 
-	parser   *iec104.TolerantParser
 	tracker  *tcpflow.Tracker
 	sessions *tcpflow.Sessions
 	store    *physical.Store
@@ -204,40 +186,29 @@ type Analyzer struct {
 
 	compliance map[netip.Addr]*StationCompliance
 
-	// endpoints resolves a sender address to its slot in the tolerant
-	// parser (keyed there by the rendered address); nameCache interns
-	// rendered addresses for endpoints the address book does not know.
-	// Both are consulted once per flow direction, so neither the
-	// per-frame path nor a reconnect calls netip.Addr.String.
-	endpoints map[netip.Addr]iec104.EndpointID
+	// nameCache interns rendered addresses for endpoints the address
+	// book does not know, so neither the per-frame path nor a reconnect
+	// calls netip.Addr.String.
 	nameCache map[netip.Addr]string
 
-	// scratchAPDU / scratchASDU are the caller-owned decode targets of
-	// consumeFrame's tolerant parse, and scratchPoints the measurements
-	// extracted from them. They are reused for every frame, which is
-	// safe because every consumer of an accepted frame (accumulators,
-	// physical store, observers) extracts what it needs before the next
-	// frame is parsed.
-	scratchAPDU   iec104.APDU
-	scratchASDU   iec104.ASDU
-	scratchPoints []protocol.Point
-
-	// Errors the pipeline tolerated (non-IEC payloads, undecodable
-	// frames), for reporting.
+	// Errors the pipeline tolerated (undecodable frames of any
+	// dialect), for reporting.
 	ParseErrors int
 	Packets     int
 	IECPackets  int
-	// SeqAnomalies counts I-frames whose N(S) did not continue the
-	// per-connection sequence: lost packets the tap missed, capture
-	// truncation, or a misbehaving stack.
+	// SeqAnomalies counts data units (IEC 104 I-frames) whose sequence
+	// number did not continue the per-direction sequence: lost packets
+	// the tap missed, capture truncation, or a misbehaving stack.
 	SeqAnomalies int
-	// otherPorts tallies payload bytes of non-IEC-104 streams by
-	// their well-known (lower) port — ICCP on 102, C37.118 on 4712...
+	// otherPorts tallies payload bytes of streams no enabled dialect
+	// claimed by their well-known (lower) port — ICCP on 102, C37.118
+	// on 4712 unless enabled...
 	otherPorts map[uint16]int
 
-	// DedupRetransmissions drops TCP-retransmitted APDU tokens (the
-	// paper found repeated U16/U32 tokens were TCP retransmissions,
-	// not endpoint behaviour). The ablation bench flips this off.
+	// DedupRetransmissions drops TCP-retransmitted frames in every
+	// dialect (the paper found repeated U16/U32 tokens were TCP
+	// retransmissions, not endpoint behaviour). The ablation bench
+	// flips this off.
 	DedupRetransmissions bool
 
 	// metrics and journal are nil until Instrument attaches them; every
@@ -254,41 +225,26 @@ type Analyzer struct {
 	// the hook online detectors (ids.Monitor) attach to.
 	observer FrameObserver
 
-	// Multi-protocol state. protocols marks dialects enabled beyond
-	// IEC 104 (which keeps its specialised path above); detectUnknown
-	// additionally content-sniffs streams on ports no dialect owns.
-	// Both are off by default, so an un-configured analyzer behaves —
-	// byte for byte — like the IEC 104-only one.
+	// protocols marks the enabled dialects, protocol.Default from the
+	// start; detectUnknown additionally content-sniffs streams on ports
+	// no dialect owns. An un-configured analyzer claims IEC 104 on its
+	// port and tallies everything else in otherPorts.
 	protocols     map[protocol.ID]bool
 	detectUnknown bool
-	// protoDirs keeps the claiming direction of every claimed flow for
-	// snapshot-time compliance collection.
-	protoDirs []*protoDir
-	// connProto records the dialect of each non-IEC-104 logical
-	// connection (absent = IEC 104).
-	connProto map[ConnKey]protocol.ID
-	// dialectStats accumulates per-dialect frame/error/byte tallies.
+	// scopes holds the open Scope of every protocol.Scoped dialect.
+	scopes map[protocol.ID]protocol.Scope
+	// protoDirs keeps the claiming direction of every claimed flow whose
+	// session reports stream compliance, for snapshot-time collection.
+	protoDirs []*dirState
+	// dialectStats accumulates per-dialect error and byte tallies.
 	dialectStats map[protocol.ID]*dialectTally
 }
 
-// dialectTally is the analyzer-side accumulator behind DialectStat. It
-// counts tokens by value, so the per-frame path never renders a token
-// string; Dialects renders the textual keys at snapshot time.
+// dialectTally is the analyzer-side accumulator behind DialectStat. A
+// dialect's frames are not counted here: every accepted frame is a
+// token its connection's chain counts, so Dialects sums the chains.
 type dialectTally struct {
-	frames, parseErrors, bytes int
-	// tokens holds one counter per distinct token, by pointer, so a flow
-	// direction can keep the slot of the token it keeps repeating.
-	tokens map[protocol.Token]*int
-}
-
-// slot returns the counter of tok, creating it on first use.
-func (ds *dialectTally) slot(tok protocol.Token) *int {
-	n, ok := ds.tokens[tok]
-	if !ok {
-		n = new(int)
-		ds.tokens[tok] = n
-	}
-	return n
+	parseErrors, bytes int
 }
 
 // DialectStat is one dialect's traffic summary in a snapshot.
@@ -303,36 +259,11 @@ type DialectStat struct {
 	TokenCounts map[string]int
 }
 
-// protoDir is one flow direction's generic decode state, parked on the
-// flow like endpointState. Both directions share one *protoFlow
-// (dialects pair requests with responses across directions). A nil
-// *protoDir in the slot is the negative cache: the flow was inspected
-// and claimed by no enabled dialect.
-type protoDir struct {
-	frameDir
-	flow *protoFlow
-	buf  []byte
-	// lastTok / lastCount memoise the tally slot of the direction's
-	// previous token: a PMU stream repeats one data-frame token, each
-	// direction of a Modbus association its request or its response.
-	lastTok   protocol.Token
-	lastCount *int
-}
-
-// protoFlow is the per-flow state shared by both directions.
-type protoFlow struct {
-	sess protocol.Session
-	// ds is the flow's dialect tally, resolved when the flow first
-	// delivers fresh bytes.
-	ds *dialectTally
-}
-
 // FrameEvent describes one accepted application frame for live
 // observers.
 type FrameEvent struct {
 	Time time.Time
-	// Proto is the dialect the frame belongs to (IEC 104 unless the
-	// analyzer has other protocols enabled).
+	// Proto is the dialect the frame belongs to.
 	Proto protocol.ID
 	// Conn is the logical server/outstation relationship.
 	Conn ConnKey
@@ -358,23 +289,13 @@ type FrameObserver interface {
 // SetFrameObserver attaches (or, with nil, detaches) a live observer.
 func (a *Analyzer) SetFrameObserver(o FrameObserver) { a.observer = o }
 
-// EnableProtocols turns on generic registry decoding for the given
-// dialects: streams on an enabled dialect's registered port are framed
-// and tokenised by that dialect's Session instead of landing in the
-// OtherPorts tally. IEC 104 needs no enabling — it always runs through
-// the analyzer's specialised path — and unregistered IDs are ignored.
-// With no protocols enabled the analyzer's output is byte-identical to
-// the IEC 104-only pipeline.
+// EnableProtocols turns on the given dialects beside protocol.Default
+// (IEC 104), which is enabled from the start: streams on an enabled
+// dialect's registered port are framed and tokenised by that dialect's
+// Session instead of landing in the OtherPorts tally. Unregistered IDs
+// are ignored.
 func (a *Analyzer) EnableProtocols(ids ...protocol.ID) {
-	if a.protocols == nil {
-		a.protocols = make(map[protocol.ID]bool)
-		a.connProto = make(map[ConnKey]protocol.ID)
-		a.dialectStats = make(map[protocol.ID]*dialectTally)
-	}
 	for _, id := range ids {
-		if id == protocol.IEC104 {
-			continue
-		}
 		if protocol.Get(id) != nil {
 			a.protocols[id] = true
 		}
@@ -386,17 +307,15 @@ func (a *Analyzer) EnableProtocols(ids ...protocol.ID) {
 // claiming them for the first dialect whose Sniff accepts the first
 // payload — the mixed-capture auto-detect mode.
 func (a *Analyzer) EnableProtocolDetect() {
-	var ids []protocol.ID
 	for _, d := range protocol.All() {
-		ids = append(ids, d.ID())
+		a.protocols[d.ID()] = true
 	}
-	a.EnableProtocols(ids...)
 	a.detectUnknown = true
 }
 
 // EnableProtocolNames applies a -proto style protocol list: each name
-// enables that dialect, "auto" switches on full auto-detection, and
-// "iec104" alone is the (default) single-protocol mode.
+// enables that dialect and "auto" switches on full auto-detection;
+// "iec104" alone is the default.
 func (a *Analyzer) EnableProtocolNames(names ...string) error {
 	for _, name := range names {
 		if name == "auto" {
@@ -406,9 +325,6 @@ func (a *Analyzer) EnableProtocolNames(names ...string) error {
 		id, ok := protocol.ParseID(name)
 		if !ok {
 			return fmt.Errorf("unknown protocol %q", name)
-		}
-		if id == protocol.IEC104 {
-			continue
 		}
 		a.EnableProtocols(id)
 	}
@@ -425,20 +341,17 @@ func (a *Analyzer) enabledByPort(port uint16) protocol.Dialect {
 }
 
 // claimFlow decides whether an enabled dialect owns a new flow
-// direction and builds its decode state. Returns nil when no dialect
-// claims the flow (the negative-cache entry).
-func (a *Analyzer) claimFlow(sp *tcpflow.StreamPayload) *protoDir {
-	srcAddr, dstAddr := sp.Src.Addr(), sp.Dst.Addr()
+// direction — by registered port, else, in auto-detect mode, by content
+// sniff — and builds its state. Returns nil when no dialect claims the
+// flow (the negative-cache entry).
+func (a *Analyzer) claimFlow(sp *tcpflow.StreamPayload) *dirState {
 	// The reverse direction may already be claimed; both directions
 	// share one session so dialects can pair requests with responses.
-	if rev, ok := sp.Flow.Slot[1-sp.Dir].(*protoDir); ok {
+	if rev, ok := sp.Flow.Slot[1-sp.Dir].(*dirState); ok {
 		if rev == nil {
 			return nil
 		}
-		return &protoDir{
-			frameDir: a.newFrameDir(rev.proto, rev.ck, !rev.fromOutstation, srcAddr, dstAddr),
-			flow:     rev.flow,
-		}
+		return &dirState{proto: rev.proto, fromOutstation: !rev.fromOutstation, sess: rev.sess, ck: rev.ck}
 	}
 	d := a.enabledByPort(sp.Dst.Port())
 	if d == nil {
@@ -452,6 +365,7 @@ func (a *Analyzer) claimFlow(sp *tcpflow.StreamPayload) *protoDir {
 			return nil
 		}
 	}
+	srcAddr, dstAddr := sp.Src.Addr(), sp.Dst.Addr()
 	var fromStation bool
 	var server, station netip.Addr
 	switch {
@@ -478,96 +392,167 @@ func (a *Analyzer) claimFlow(sp *tcpflow.StreamPayload) *protoDir {
 			server, station = srcAddr, dstAddr
 		}
 	}
-	pd := &protoDir{
-		frameDir: a.newFrameDir(d.ID(), ConnKey{Server: server, Outstation: station}, fromStation, srcAddr, dstAddr),
-		flow:     &protoFlow{sess: d.NewSession()},
+	st := &dirState{
+		proto:          d.ID(),
+		fromOutstation: fromStation,
+		sess:           a.session(d, server, station),
+		ck:             ConnKey{Server: server, Outstation: station},
 	}
-	a.protoDirs = append(a.protoDirs, pd)
-	return pd
+	if _, ok := st.sess.(protocol.ComplianceReporter); ok {
+		a.protoDirs = append(a.protoDirs, st)
+	}
+	return st
 }
 
-// feedDialect routes a non-IEC-104 stream chunk through the registry.
-// It reports whether an enabled dialect consumed the chunk.
-func (a *Analyzer) feedDialect(sp *tcpflow.StreamPayload) bool {
-	pd, seen := sp.Flow.Slot[sp.Dir].(*protoDir)
+// session returns the session of a new flow between server and
+// station: from the dialect's scope when it is protocol.Scoped (opened
+// on first use), else a fresh one.
+func (a *Analyzer) session(d protocol.Dialect, server, station netip.Addr) protocol.Session {
+	sd, ok := d.(protocol.Scoped)
+	if !ok {
+		return d.NewSession()
+	}
+	sc, ok := a.scopes[d.ID()]
+	if !ok {
+		sc = sd.NewScope()
+		a.scopes[d.ID()] = sc
+	}
+	return sc.Session(server, station)
+}
+
+// OnPayload implements tcpflow.Consumer: it receives reassembled
+// in-order stream data and frames it through the session of the dialect
+// that claimed the flow direction. Streams no enabled dialect claims
+// (the tap also carries ICCP and other plant traffic) are tallied by
+// port and skipped.
+func (a *Analyzer) OnPayload(chunk tcpflow.StreamPayload) {
+	sp := &chunk
+	d, seen := sp.Flow.Slot[sp.Dir].(*dirState)
 	if !seen {
-		pd = a.claimFlow(sp)
-		sp.Flow.Slot[sp.Dir] = pd
+		d = a.claimFlow(sp)
+		sp.Flow.Slot[sp.Dir] = d
 	}
-	if pd == nil {
-		return false
-	}
-	if sp.Retransmit {
-		// Generic sessions are stateful across frames (config frames,
-		// transaction pairing), so retransmitted bytes are dropped
-		// rather than replayed through the session.
-		return true
-	}
-	if len(sp.Data) == 0 {
-		return true
-	}
-	if pd.flow.ds == nil {
-		pd.flow.ds = a.dialectStatFor(pd.proto)
-	}
-	pd.flow.ds.bytes += len(sp.Data)
-	buf := sp.Data
-	if len(pd.buf) > 0 {
-		pd.buf = append(pd.buf, sp.Data...)
-		buf = pd.buf
-	}
-	for {
-		ev, rest, skipped, ok := pd.flow.sess.Next(buf, pd.fromOutstation)
-		if skipped > 0 {
-			a.metrics.noteResync(skipped)
-		}
-		if !ok {
-			pd.buf = append(pd.buf[:0], rest...)
-			return true
-		}
-		buf = rest
-		a.consumeDialectEvent(pd, sp, ev)
-	}
-}
-
-// consumeDialectEvent tallies one generic decoded frame by dialect
-// and token, and books an accepted one.
-func (a *Analyzer) consumeDialectEvent(pd *protoDir, sp *tcpflow.StreamPayload, ev protocol.Event) {
-	ds := pd.flow.ds
-	if ev.Err != nil {
-		ds.parseErrors++
-		a.ParseErrors++
+	if d == nil {
+		a.notePortTraffic(sp)
 		return
 	}
-	ds.frames++
-	if pd.lastCount == nil || pd.lastTok != ev.Token {
-		pd.lastTok, pd.lastCount = ev.Token, ds.slot(ev.Token)
+	if sp.Retransmit {
+		if !a.DedupRetransmissions {
+			a.replay(d, sp)
+		}
+		return
 	}
-	*pd.lastCount++
-	if pd.toks == nil { // the direction's first accepted frame
-		a.connProto[pd.ck] = pd.proto
+	if len(sp.Data) == 0 {
+		return
 	}
-	a.book(&pd.frameDir, sp.Time, ev.Token, ev.Points)
+	a.tally(d).bytes += len(sp.Data)
+	// Fast path: with no partial frame pending, scan the segment in
+	// place instead of copying it into the framing buffer. Only a
+	// trailing partial frame (or resync tail) is retained. sp.Data may
+	// live in a pooled buffer that is recycled after this call, so the
+	// tail must be copied out before returning.
+	buf := sp.Data
+	if len(d.buf) > 0 {
+		d.buf = append(d.buf, sp.Data...)
+		buf = d.buf
+	}
+	for {
+		ev, rest, skipped, ok := d.sess.Next(buf, d.fromOutstation)
+		if skipped > 0 {
+			a.metrics.noteResync(skipped)
+			if a.journal != nil {
+				a.journalEvent(sp.Time, obs.EventResync, connLabel(sp), map[string]any{
+					"skipped_bytes": skipped,
+				})
+			}
+		}
+		if !ok {
+			// Copy-to-front also bounds the buffer: the consumed prefix
+			// is reclaimed instead of the backing array growing with
+			// the stream. rest may overlap d.buf; copy is a memmove.
+			d.buf = append(d.buf[:0], rest...)
+			return
+		}
+		a.book(d, sp, &ev, len(buf)-len(rest)-skipped, true)
+		buf = rest
+	}
 }
 
-// book records one accepted frame of any dialect: it extends the
-// connection's token stream, counts the frame in its direction's I/S/U
-// mix by the token's class (for IEC 104 exactly the APDU format),
-// stores the frame's measurements under the outstation and hands the
-// frame to the live observer. pts is the caller's scratch.
-func (a *Analyzer) book(d *frameDir, at time.Time, tok protocol.Token, pts []protocol.Point) {
+// replay is the retransmission ablation (DedupRetransmissions off): the
+// retransmitted segment's raw bytes are framed as if they were fresh
+// traffic. Real captures analysed packet-by-packet (no reassembly) see
+// exactly this, which is how the paper first mistook repeated U16/U32
+// tokens for endpoint behaviour (§6.3.1). The bytes bypass the framing
+// buffer so they cannot desynchronise the live stream; resyncs inside a
+// replay re-skip bytes the live stream already counted, so they stay
+// out of the metrics; and replayed units leave the sequence check be.
+func (a *Analyzer) replay(d *dirState, sp *tcpflow.StreamPayload) {
+	a.tally(d)
+	for buf := sp.Raw; ; {
+		ev, rest, skipped, ok := d.sess.Next(buf, d.fromOutstation)
+		if !ok {
+			return
+		}
+		a.book(d, sp, &ev, len(buf)-len(rest)-skipped, false)
+		buf = rest
+	}
+}
+
+// tally resolves the direction's dialect tally on its first fresh bytes
+// or replayed segment, so a dialect's entry exists once it saw traffic.
+func (a *Analyzer) tally(d *dirState) *dialectTally {
+	if d.ds == nil {
+		d.ds = a.dialectStatFor(d.proto)
+	}
+	return d.ds
+}
+
+// book books one framed event of any dialect into its direction. A
+// parse error is counted with its cause. An accepted frame has its data
+// unit recorded when the dialect reports one (bookUnit), extends the
+// connection's token stream, is counted in its direction's I/S/U mix by
+// the token's class (for IEC 104 exactly the APDU format), has its
+// measurements stored under the outstation and goes to the live
+// observer. ev is the session's scratch; frameLen is the frame's size
+// for the journal; fresh is false for a retransmission replay.
+func (a *Analyzer) book(d *dirState, sp *tcpflow.StreamPayload, ev *protocol.Event, frameLen int, fresh bool) {
+	if ev.Detail != nil {
+		if d.sc == nil {
+			d.sc = a.complianceFor(d.skey().Src)
+		}
+		d.sc.Frames++
+	}
+	if ev.Err != nil {
+		d.ds.parseErrors++
+		a.ParseErrors++
+		if a.metrics != nil || a.journal != nil {
+			cause := cmp.Or(ev.Cause, "other")
+			a.metrics.noteParseError(cause)
+			a.journalEvent(sp.Time, obs.EventParseError, connLabel(sp), map[string]any{
+				"cause":     cause,
+				"frame_len": frameLen,
+			})
+		}
+		return
+	}
+	a.metrics.noteFrame(ev.Token)
+	if ev.Detail != nil && ev.Detail.Unit {
+		a.bookUnit(d, sp, ev.Detail, fresh)
+	}
 	if d.toks == nil {
 		d.toks = a.connTokens(d.ck)
 	}
-	d.toks.push(tok)
+	d.toks.push(ev.Token)
 	if d.dc == nil {
-		dc, ok := a.sessionAPDUs[d.skey]
+		k := d.skey()
+		dc, ok := a.sessionAPDUs[k]
 		if !ok {
 			dc = &DirCounts{}
-			a.sessionAPDUs[d.skey] = dc
+			a.sessionAPDUs[k] = dc
 		}
 		d.dc = dc
 	}
-	switch tok.Class() {
+	switch ev.Token.Class() {
 	case protocol.ClassAck:
 		d.dc.S++
 	case protocol.ClassControl:
@@ -575,47 +560,150 @@ func (a *Analyzer) book(d *frameDir, at time.Time, tok protocol.Token, pts []pro
 	default:
 		d.dc.I++
 	}
-	if len(pts) > 0 {
-		a.store.FeedPoints(d.outName, d.proto, pts, at)
+	if len(ev.Points) > 0 {
+		a.store.FeedPoints(d.toks.outName, d.proto, ev.Points, sp.Time)
 	}
 	if a.observer != nil {
 		a.observer.ObserveFrame(FrameEvent{
-			Time:           at,
+			Time:           sp.Time,
 			Proto:          d.proto,
 			Conn:           d.ck,
-			Server:         d.serverName,
-			Outstation:     d.outName,
+			Server:         d.toks.serverName,
+			Outstation:     d.toks.outName,
 			FromOutstation: d.fromOutstation,
-			Token:          tok,
-			Points:         pts,
+			Token:          ev.Token,
+			Points:         ev.Points,
 		})
+	}
+}
+
+// bookUnit records a data unit's details: the sender's strict verdict
+// and settled encoding (journalled when the station settles on a legacy
+// dialect or changes dialect), the direction's sequence continuity
+// unless the unit is a replay, the type counts and stations, and the
+// IOA set.
+func (a *Analyzer) bookUnit(d *dirState, sp *tcpflow.StreamPayload, u *protocol.Detail, fresh bool) {
+	sc := d.sc
+	if u.StrictInvalid {
+		sc.StrictInvalid++
+	}
+	if u.Settled != nil {
+		// The compliance row is the §6.1 report, whose dialects are the
+		// tolerant parser's profiles.
+		p, _ := u.Settled.(iec104.Profile)
+		newlyDetected := !sc.Detected
+		// A flip is the station settling on a legacy dialect, or a
+		// pinned dialect changing; first detection of the standard
+		// profile is the expected case, not a flip.
+		flipped := (newlyDetected && !p.IsStandard()) ||
+			(!newlyDetected && sc.Profile != p)
+		sc.Profile = p
+		sc.Detected = true
+		if newlyDetected || flipped {
+			a.journalEvent(sp.Time, obs.EventConnState, connLabel(sp), map[string]any{
+				"state":   "dialect_detected",
+				"station": sc.Name,
+				"dialect": p.String(),
+			})
+		}
+		if flipped {
+			a.metrics.noteFlip()
+		}
+	}
+	if u.StrictInvalid && a.metrics != nil {
+		// Label by the dialect that rescued the frame; detection above
+		// may have just pinned it.
+		dialect := "undetected"
+		if sc.Detected {
+			dialect = sc.Profile.String()
+		}
+		a.metrics.noteStrictInvalid(dialect)
+	}
+	if fresh {
+		if d.seqSeen && u.Seq != d.nextSeq {
+			a.SeqAnomalies++
+			a.metrics.noteSeqAnomaly()
+			if a.journal != nil {
+				a.journalEvent(sp.Time, obs.EventSeqAnomaly, connLabel(sp), map[string]any{
+					"expected_ns": d.nextSeq,
+					"got_ns":      u.Seq,
+				})
+			}
+		}
+		d.seqSeen = true
+		d.nextSeq = u.NextSeq
+	}
+	typ := iec104.TypeID(u.Type)
+	a.typeCounts[typ]++
+	a.totalASDUs++
+	if d.ioas == nil {
+		k := d.skey()
+		ioas, ok := a.sessionIOAs[k]
+		if !ok {
+			ioas = &ioaSet{}
+			a.sessionIOAs[k] = ioas
+		}
+		d.ioas = ioas
+	}
+	for _, ioa := range u.Addrs {
+		d.ioas.add(ioa)
+	}
+	if word, bit := &d.typeBooked[typ>>6], uint64(1)<<(typ&63); *word&bit == 0 {
+		*word |= bit
+		ts, ok := a.typeStations[typ]
+		if !ok {
+			ts = make(map[netip.Addr]bool)
+			a.typeStations[typ] = ts
+		}
+		ts[d.ck.Outstation] = true
 	}
 }
 
 func (a *Analyzer) dialectStatFor(id protocol.ID) *dialectTally {
 	ds, ok := a.dialectStats[id]
 	if !ok {
-		ds = &dialectTally{tokens: make(map[protocol.Token]*int)}
+		ds = &dialectTally{}
 		a.dialectStats[id] = ds
 	}
 	return ds
 }
 
-// Dialects returns per-dialect traffic summaries sorted by dialect ID.
-// Empty unless EnableProtocols saw traffic.
+// Dialects returns per-dialect traffic summaries sorted by dialect ID:
+// one per dialect other than IEC 104 that saw traffic.
+//
+// IEC 104 is tallied like every dialect but left out here, the one place
+// that decides it: an IEC 104 row would make every IEC 104-only profile,
+// golden file and saved profile a codec version 2 encoding (the drift
+// codec writes version 2 whenever Dialects is non-empty), and since a
+// seal builds Dialects afresh, it would add a map and a string per token
+// to every shard's seal. Its frames, tokens and errors are in the
+// Partial's chains, type counts, compliance rows and ParseErrors.
+//
+// A dialect's frames and token counts are its tokens' counts in the
+// connections' chains, which count every accepted frame's token.
 func (a *Analyzer) Dialects() []DialectStat {
 	out := make([]DialectStat, 0, len(a.dialectStats))
 	for id, ds := range a.dialectStats {
-		st := DialectStat{
-			Proto: id, Frames: ds.frames, ParseErrors: ds.parseErrors, Bytes: ds.bytes,
-			TokenCounts: make(map[string]int, len(ds.tokens)),
+		if id == protocol.IEC104 {
+			continue
 		}
-		for t, n := range ds.tokens {
-			st.TokenCounts[t.String()] += *n
-		}
-		out = append(out, st)
+		out = append(out, DialectStat{Proto: id, ParseErrors: ds.parseErrors, Bytes: ds.bytes, TokenCounts: make(map[string]int)})
+	}
+	if len(out) == 0 {
+		return out
 	}
 	slices.SortFunc(out, func(x, y DialectStat) int { return cmp.Compare(x.Proto, y.Proto) })
+	for _, tl := range a.tokens {
+		for _, tok := range tl.vocab {
+			i, ok := slices.BinarySearchFunc(out, tok.Proto, func(st DialectStat, id protocol.ID) int { return cmp.Compare(st.Proto, id) })
+			if !ok {
+				continue
+			}
+			n := tl.chain.Count(tok)
+			out[i].Frames += n
+			out[i].TokenCounts[tok.String()] += n
+		}
+	}
 	return out
 }
 
@@ -631,14 +719,10 @@ func (a *Analyzer) StreamCompliance() []protocol.StreamCompliance {
 	}
 	merged := make(map[key]*protocol.StreamCompliance)
 	var order []key
-	for _, pd := range a.protoDirs {
-		cr, ok := pd.flow.sess.(protocol.ComplianceReporter)
-		if !ok {
-			continue
-		}
-		conn := pd.serverName + "-" + pd.outName
-		for _, sc := range cr.Compliance() {
-			sc.Proto = pd.proto
+	for _, d := range a.protoDirs {
+		conn := a.Name(d.ck.Server) + "-" + a.Name(d.ck.Outstation)
+		for _, sc := range d.sess.(protocol.ComplianceReporter).Compliance() {
+			sc.Proto = d.proto
 			sc.Conn = conn
 			k := key{sc.Proto, sc.Conn, sc.Unit}
 			cur, ok := merged[k]
@@ -700,7 +784,6 @@ func (sc *StationCompliance) NonCompliant() bool {
 func NewAnalyzer(names map[netip.Addr]string) *Analyzer {
 	a := &Analyzer{
 		names:                names,
-		parser:               iec104.NewTolerantParser(),
 		sessions:             tcpflow.NewSessions(),
 		store:                physical.NewStore(),
 		tokens:               make(map[ConnKey]*tokenList),
@@ -708,10 +791,12 @@ func NewAnalyzer(names map[netip.Addr]string) *Analyzer {
 		sessionIOAs:          make(map[tcpflow.SessionKey]*ioaSet),
 		typeStations:         make(map[iec104.TypeID]map[netip.Addr]bool),
 		compliance:           make(map[netip.Addr]*StationCompliance),
-		endpoints:            make(map[netip.Addr]iec104.EndpointID),
 		nameCache:            make(map[netip.Addr]string),
 		otherPorts:           make(map[uint16]int),
 		DedupRetransmissions: true,
+		protocols:            map[protocol.ID]bool{protocol.Default: true},
+		scopes:               make(map[protocol.ID]protocol.Scope),
+		dialectStats:         make(map[protocol.ID]*dialectTally),
 	}
 	a.tracker = tcpflow.NewTracker(a)
 	return a
@@ -776,16 +861,6 @@ func (a *Analyzer) Name(addr netip.Addr) string {
 	return n
 }
 
-// endpoint resolves a sender to its slot in the tolerant parser.
-func (a *Analyzer) endpoint(addr netip.Addr) iec104.EndpointID {
-	id, ok := a.endpoints[addr]
-	if !ok {
-		id = a.parser.Endpoint(addr.String())
-		a.endpoints[addr] = id
-	}
-	return id
-}
-
 // SetTraceLane attaches (or, with nil, detaches) a flight-recorder
 // lane: FeedPacket then records one sampled StageFeed span per packet.
 // The lane is single-producer, so it must belong to the goroutine that
@@ -812,231 +887,6 @@ func (a *Analyzer) Feed(pkt *pcap.Packet) {
 	f, dir := a.tracker.Track(pkt)
 	a.sessions.FeedFlow(f, dir, pkt)
 	a.lane.End(sp, trace.StageFeed, 1, -1)
-}
-
-// OnPayload implements tcpflow.Consumer: it receives reassembled
-// in-order stream data and runs APDU framing plus tolerant parsing.
-// Streams that do not touch the IEC 104 port (the tap also carries
-// C37.118 synchrophasors, ICCP and other plant traffic) are tallied
-// and skipped.
-func (a *Analyzer) OnPayload(chunk tcpflow.StreamPayload) {
-	sp := &chunk
-	if sp.Src.Port() != IEC104Port && sp.Dst.Port() != IEC104Port {
-		if a.protocols != nil && a.feedDialect(sp) {
-			return
-		}
-		a.notePortTraffic(sp)
-		return
-	}
-	if sp.Retransmit {
-		if a.DedupRetransmissions {
-			return
-		}
-		// Ablation mode: process the retransmitted segment's raw
-		// bytes as if they were fresh traffic. Real captures analysed
-		// packet-by-packet (no reassembly) see exactly this, which is
-		// how the paper first mistook repeated U16/U32 tokens for
-		// endpoint behaviour (§6.3.1). The bytes bypass the framing
-		// buffer so they cannot desynchronise the live stream.
-		for buf := sp.Raw; len(buf) > 0; {
-			// Resyncs inside a replay re-skip bytes the live stream
-			// already counted, so they stay out of the metrics.
-			frame, rest, _, ok := iec104.NextFrame(buf)
-			if !ok {
-				break
-			}
-			buf = rest
-			// nil sequence state: retransmitted frames must not
-			// trip the continuity check.
-			a.consumeFrame(sp, frame, nil)
-		}
-		return
-	}
-	if len(sp.Data) == 0 {
-		return
-	}
-	st, ok := sp.Flow.Slot[sp.Dir].(*endpointState)
-	if !ok {
-		st = &endpointState{}
-		sp.Flow.Slot[sp.Dir] = st
-	}
-	// Fast path: with no partial frame pending, scan the segment in
-	// place instead of copying it into the framing buffer. Only a
-	// trailing partial frame (or resync tail) is retained. sp.Data may
-	// live in a pooled buffer that is recycled after this call, so the
-	// tail must be copied out before returning.
-	buf := sp.Data
-	if len(st.buf) > 0 {
-		st.buf = append(st.buf, sp.Data...)
-		buf = st.buf
-	}
-	for {
-		frame, rest, skipped, ok := iec104.NextFrame(buf)
-		if skipped > 0 {
-			a.metrics.noteResync(skipped)
-			if a.journal != nil {
-				a.journalEvent(sp.Time, obs.EventResync, connLabel(sp), map[string]any{
-					"skipped_bytes": skipped,
-				})
-			}
-		}
-		if !ok {
-			// Copy-to-front also bounds the buffer: the consumed prefix
-			// is reclaimed instead of the backing array growing with
-			// the stream. rest may overlap st.buf; copy is a memmove.
-			st.buf = append(st.buf[:0], rest...)
-			return
-		}
-		buf = rest
-		a.consumeFrame(sp, frame, st)
-	}
-}
-
-// consumeFrame parses one APDU, keeps IEC 104's own bookkeeping —
-// compliance, N(S) continuity, type counts and stations, the IOA set —
-// and books the accepted frame. st carries the flow direction's
-// sequence state (nil when the frame is a retransmission replay that
-// must not advance it).
-func (a *Analyzer) consumeFrame(sp *tcpflow.StreamPayload, frame []byte, st *endpointState) {
-	var c *dirCache
-	if st != nil {
-		c = &st.dir
-	} else {
-		c = &dirCache{}
-	}
-	if c.sc == nil {
-		a.fillDirCache(c, sp)
-	}
-
-	sc := c.sc
-	sc.Frames++
-
-	_, err := a.parser.ParseFrameAt(c.ep, frame, &a.scratchAPDU, &a.scratchASDU)
-	if err != nil {
-		a.ParseErrors++
-		if a.metrics != nil || a.journal != nil {
-			cause := parseErrorCause(err)
-			a.metrics.noteParseError(cause)
-			a.journalEvent(sp.Time, obs.EventParseError, connLabel(sp), map[string]any{
-				"cause":     cause,
-				"frame_len": len(frame),
-			})
-		}
-		return
-	}
-	// apdu (and its ASDU) are the analyzer's scratch: valid only until
-	// the next frame is parsed, never retained past this function.
-	apdu := &a.scratchAPDU
-	a.metrics.noteFrame(apdu.Format)
-
-	if apdu.Format == iec104.FormatI {
-		// Record the strict-parser verdict for the compliance report.
-		// Once the tolerant parser has pinned the endpoint's dialect,
-		// the verdict is a constant of the dialect — running the full
-		// 5-profile detection per frame would dominate large-capture
-		// analysis time for no information.
-		strictInvalid := false
-		if sc.Detected {
-			if !sc.Profile.IsStandard() {
-				sc.StrictInvalid++
-				strictInvalid = true
-			}
-		} else if !a.parser.StrictPlausible(frame) {
-			sc.StrictInvalid++
-			strictInvalid = true
-		}
-		if p, ok := a.parser.ProfileAt(c.ep); ok {
-			newlyDetected := !sc.Detected
-			// A flip is the station settling on a legacy dialect, or a
-			// pinned dialect changing; first detection of the standard
-			// profile is the expected case, not a flip.
-			flipped := (newlyDetected && !p.IsStandard()) ||
-				(!newlyDetected && sc.Profile != p)
-			sc.Profile = p
-			sc.Detected = true
-			if newlyDetected || flipped {
-				a.journalEvent(sp.Time, obs.EventConnState, connLabel(sp), map[string]any{
-					"state":   "dialect_detected",
-					"station": sc.Name,
-					"dialect": p.String(),
-				})
-			}
-			if flipped {
-				a.metrics.noteFlip()
-			}
-		}
-		if strictInvalid && a.metrics != nil {
-			// Label by the dialect that rescued the frame; detection
-			// above may have just pinned it.
-			dialect := "undetected"
-			if sc.Detected {
-				dialect = sc.Profile.String()
-			}
-			a.metrics.noteStrictInvalid(dialect)
-		}
-		// N(S) continuity per flow direction.
-		if st != nil {
-			if st.nsSeen && apdu.SendSeq != st.nextNS {
-				a.SeqAnomalies++
-				a.metrics.noteSeqAnomaly()
-				if a.journal != nil {
-					a.journalEvent(sp.Time, obs.EventSeqAnomaly, connLabel(sp), map[string]any{
-						"expected_ns": st.nextNS,
-						"got_ns":      apdu.SendSeq,
-					})
-				}
-			}
-			st.nsSeen = true
-			st.nextNS = (apdu.SendSeq + 1) & 0x7FFF
-		}
-	}
-
-	var pts []protocol.Point
-	if apdu.Format == iec104.FormatI && apdu.ASDU != nil {
-		typ := apdu.ASDU.Type
-		a.typeCounts[typ]++
-		a.totalASDUs++
-		if c.ioas == nil {
-			ioas, ok := a.sessionIOAs[c.skey]
-			if !ok {
-				ioas = &ioaSet{}
-				a.sessionIOAs[c.skey] = ioas
-			}
-			c.ioas = ioas
-		}
-		for i := range apdu.ASDU.Objects {
-			c.ioas.add(apdu.ASDU.Objects[i].IOA)
-		}
-		if word, bit := &c.typeBooked[typ>>6], uint64(1)<<(typ&63); *word&bit == 0 {
-			*word |= bit
-			ts, ok := a.typeStations[typ]
-			if !ok {
-				ts = make(map[netip.Addr]bool)
-				a.typeStations[typ] = ts
-			}
-			ts[c.ck.Outstation] = true
-		}
-		a.scratchPoints = iec104.AppendPoints(a.scratchPoints[:0], apdu.ASDU, !c.fromOutstation)
-		pts = a.scratchPoints
-	}
-	a.book(&c.frameDir, sp.Time, apdu.Token(), pts)
-}
-
-// fillDirCache computes the direction-constant half of consumeFrame
-// once per flow direction. Everything created here (the compliance
-// entry, interned strings) is state consumeFrame would otherwise create
-// on every frame regardless of parse outcome, so eager filling changes
-// no observable behaviour.
-func (a *Analyzer) fillDirCache(c *dirCache, sp *tcpflow.StreamPayload) {
-	srcAddr, dstAddr := sp.Src.Addr(), sp.Dst.Addr()
-	fromOutstation := sp.Src.Port() == IEC104Port
-	ck := ConnKey{Server: srcAddr, Outstation: dstAddr}
-	if fromOutstation {
-		ck = ConnKey{Server: dstAddr, Outstation: srcAddr}
-	}
-	c.frameDir = a.newFrameDir(protocol.IEC104, ck, fromOutstation, srcAddr, dstAddr)
-	c.sc = a.complianceFor(srcAddr)
-	c.ep = a.endpoint(srcAddr)
 }
 
 func (a *Analyzer) complianceFor(addr netip.Addr) *StationCompliance {
@@ -1084,7 +934,7 @@ func (a *Analyzer) ReadPCAP(r io.Reader) error {
 	}
 }
 
-// notePortTraffic accounts a non-IEC stream chunk under the lower
+// notePortTraffic accounts an unclaimed stream chunk under the lower
 // (well-known) port of the pair.
 func (a *Analyzer) notePortTraffic(sp *tcpflow.StreamPayload) {
 	port := sp.Src.Port()
@@ -1094,8 +944,8 @@ func (a *Analyzer) notePortTraffic(sp *tcpflow.StreamPayload) {
 	a.otherPorts[port] += len(sp.Data)
 }
 
-// otherPortsInto writes the payload byte counts of non-IEC-104 streams
-// by well-known port (the ICCP / C37.118 traffic the paper's tap also
+// otherPortsInto writes the payload byte counts of unclaimed streams by
+// well-known port (the ICCP / C37.118 traffic the paper's tap also
 // carried and left for future work) over m, or into a new map when m is
 // nil, and returns it.
 func (a *Analyzer) otherPortsInto(m map[uint16]int) map[uint16]int {
@@ -1167,11 +1017,11 @@ func (a *Analyzer) CaptureWindow() (time.Time, time.Time) {
 
 // EnableFlowEviction turns on idle-flow eviction in the tracker for
 // streaming over endless captures: flows idle longer than timeout are
-// dropped, and with them what the analyzer parked on them — the APDU
-// framing buffer and sequence state, or the generic dialect's decode
-// state and negative-cache mark (stream compliance lives on the
-// claiming protoDir, which survives in protoDirs) — keeping memory
-// bounded. The flow taxonomy stays exact; a flow that wakes up after
+// dropped, and with them what the analyzer parked on them — each
+// direction's framing buffer, sequence state and claim, or the
+// negative-cache mark (stream compliance lives on the claiming
+// dirState, which survives in protoDirs; a scoped dialect's session
+// lives in its scope) — keeping memory bounded. The flow taxonomy stays exact; a flow that wakes up after
 // eviction re-enters as a fresh long-lived flow.
 func (a *Analyzer) EnableFlowEviction(timeout time.Duration) {
 	a.tracker.SetIdleTimeout(timeout)

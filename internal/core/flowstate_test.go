@@ -99,16 +99,16 @@ func TestEvictedFlowStartsFresh(t *testing.T) {
 	w.send(master, odd, []byte("not a protocol"))
 
 	oldFlow, oldIEC := w.slot(t, rtu, scada)
-	st, ok := oldIEC.(*endpointState)
-	if !ok || len(st.buf) != 9 || !st.nsSeen || st.nextNS != 8 {
+	st, ok := oldIEC.(*dirState)
+	if !ok || st == nil || len(st.buf) != 9 || !st.seqSeen || st.nextSeq != 8 {
 		t.Fatalf("before eviction: IEC 104 slot %#v", oldIEC)
 	}
 	_, oldModbus := w.slot(t, master, plc)
-	if pd, ok := oldModbus.(*protoDir); !ok || pd == nil || len(pd.buf) != 5 {
+	if pd, ok := oldModbus.(*dirState); !ok || pd == nil || len(pd.buf) != 5 {
 		t.Fatalf("before eviction: Modbus slot %#v", oldModbus)
 	}
-	if _, s := w.slot(t, master, odd); s != any((*protoDir)(nil)) {
-		t.Fatalf("before eviction: unclaimed flow's slot %#v, want the nil *protoDir mark", s)
+	if _, s := w.slot(t, master, odd); s != any((*dirState)(nil)) {
+		t.Fatalf("before eviction: unclaimed flow's slot %#v, want the nil *dirState mark", s)
 	}
 	errsBefore := a.ParseErrors
 
@@ -135,7 +135,7 @@ func TestEvictedFlowStartsFresh(t *testing.T) {
 		t.Fatalf("woken flows: %d sequence anomalies, %d new parse errors", a.SeqAnomalies, a.ParseErrors-errsBefore)
 	}
 	newFlow, newIEC := w.slot(t, rtu, scada)
-	if st2 := newIEC.(*endpointState); newFlow == oldFlow || st2 == st || len(st2.buf) != 0 || st2.nextNS != 101 {
+	if st2 := newIEC.(*dirState); newFlow == oldFlow || st2 == st || len(st2.buf) != 0 || st2.nextSeq != 101 {
 		t.Fatalf("woken IEC 104 flow: same flow %t, same state %t, state %+v", newFlow == oldFlow, st2 == st, st2)
 	}
 	if dc := a.sessionAPDUs[tcpflow.SessionKey{Src: rtu.Addr(), Dst: scada.Addr()}]; dc == nil || dc.I != 2 {
@@ -143,7 +143,7 @@ func TestEvictedFlowStartsFresh(t *testing.T) {
 	}
 	for _, dst := range []netip.AddrPort{plc, odd} {
 		_, s := w.slot(t, master, dst)
-		if pd, ok := s.(*protoDir); !ok || pd == nil || pd == oldModbus || len(pd.buf) != 0 || pd.proto != protocol.Modbus {
+		if pd, ok := s.(*dirState); !ok || pd == nil || pd == oldModbus || len(pd.buf) != 0 || pd.proto != protocol.Modbus {
 			t.Fatalf("woken flow to %v: slot %#v", dst, s)
 		}
 	}
@@ -190,9 +190,9 @@ func pollingExchange(t *testing.T, a *Analyzer) func() {
 	}
 }
 
-// TestIEC104FeedAllocs is TestDialectFeedAllocCeiling's sibling for the
-// specialised path: once the flows, sessions, series and the
-// outstation's dialect are known, a polling exchange allocates nothing.
+// TestIEC104FeedAllocs is TestDialectFeedAllocCeiling's sibling for IEC
+// 104: once the flows, sessions, series and the outstation's dialect
+// are known, a polling exchange allocates nothing.
 // (The rare new sample chunk averages out below one allocation per run;
 // TestSteadyStateFeedGrowsNothing counts the bytes.)
 func TestIEC104FeedAllocs(t *testing.T) {
@@ -276,5 +276,48 @@ func TestIOASetCountsDistinct(t *testing.T) {
 	}
 	if (*ioaSet)(nil).size() != 0 {
 		t.Fatal("nil set is not empty")
+	}
+}
+
+// TestFlowOpenAllocs: a reconnect to a known station — a fresh flow,
+// STARTDT exchanged, one measurement — allocates the flow and session
+// records, its two directions' states and nothing else: the IEC 104
+// session is the station pair's, taken from the dialect's scope, so no
+// flow allocates a session or a tolerant parser of its own.
+func TestFlowOpenAllocs(t *testing.T) {
+	a := NewAnalyzer(nil)
+	w := newWire(a, time.Unix(1560000000, 0).UTC())
+	rtu := netip.MustParseAddrPort("10.0.1.1:2404")
+	u := func(fn iec104.UFunc) []byte {
+		b, err := iec104.NewU(fn).Marshal(iec104.Standard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	act, con := u(iec104.UStartDTAct), u(iec104.UStartDTCon)
+	frame := measurementFrame(t, 0, 100, 50)
+	port := uint16(40000)
+	open := func() {
+		port++
+		scada := netip.AddrPortFrom(netip.MustParseAddr("10.0.0.5"), port)
+		w.send(scada, rtu, act)
+		w.send(rtu, scada, con)
+		w.send(rtu, scada, frame)
+		w.at = w.at.Add(time.Millisecond)
+	}
+	for i := 0; i < 200; i++ {
+		open()
+	}
+	// Five is what the analyzer allocated when IEC 104 had a path of
+	// its own beside the dialect sessions.
+	if n := testing.AllocsPerRun(2000, open); n > 5 {
+		t.Errorf("%v allocs per fresh flow to a known station, want at most 5", n)
+	}
+	if len(a.protoDirs) != 0 {
+		t.Errorf("%d IEC 104 directions kept past their flows, want none", len(a.protoDirs))
+	}
+	if opened := int(port - 40000); a.ParseErrors != 0 || a.Partial().TotalASDUs != opened {
+		t.Fatalf("%d parse errors, %d ASDUs", a.ParseErrors, a.Partial().TotalASDUs)
 	}
 }

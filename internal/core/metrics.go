@@ -1,11 +1,11 @@
 package core
 
 import (
-	"errors"
 	"time"
 
 	"uncharted/internal/iec104"
 	"uncharted/internal/obs"
+	"uncharted/internal/protocol"
 	"uncharted/internal/tcpflow"
 )
 
@@ -47,20 +47,18 @@ type analyzerMetrics struct {
 
 func newAnalyzerMetrics(reg *obs.Registry) *analyzerMetrics {
 	reg.SetHelp(MetricPackets, "TCP packets fed to the analyzer, split by whether they touch the IEC 104 port.")
-	reg.SetHelp(MetricFrames, "APDUs the tolerant parser accepted, by APCI format.")
-	reg.SetHelp(MetricParseErrors, "Frames no candidate dialect could decode, by cause.")
+	reg.SetHelp(MetricFrames, "Frames a dialect session accepted, by class: i data, s acknowledgement, u control (for IEC 104 the APCI format).")
+	reg.SetHelp(MetricParseErrors, "Frames a dialect session could not decode, by cause.")
 	reg.SetHelp(MetricStrictInvalid, "I-frames a strict standard-profile parser rejects, by the dialect that rescued them.")
-	reg.SetHelp(MetricResyncs, "Times the framer skipped garbage to find a 0x68 start byte.")
-	reg.SetHelp(MetricResyncBytes, "Bytes discarded while resynchronising on 0x68.")
-	reg.SetHelp(MetricSeqAnomalies, "I-frames whose N(S) broke the per-direction sequence continuity.")
+	reg.SetHelp(MetricResyncs, "Times a framer skipped garbage to find a frame start (0x68 in IEC 104).")
+	reg.SetHelp(MetricResyncBytes, "Bytes discarded while resynchronising on a frame start.")
+	reg.SetHelp(MetricSeqAnomalies, "Data units (IEC 104 I-frames) whose sequence number broke the per-direction continuity.")
 	reg.SetHelp(MetricComplianceFlips, "Stations whose detected dialect settled on (or moved to) a new profile.")
 	reg.SetHelp(MetricDecodeErrors, "Capture records that failed Ethernet/IP/TCP decoding.")
-	// Pre-register the known causes at zero so the malformed-frame
-	// breakdown is visible (and rate()-able) before the first error.
-	for _, cause := range []string{
-		"no_profile", "short_frame", "bad_start_byte", "bad_length", "bad_control",
-		"short_asdu", "unsupported_type", "object_count", "no_objects", "trailing_bytes",
-	} {
+	// Pre-register the IEC 104 session's causes at zero so the
+	// malformed-frame breakdown is visible (and rate()-able) before the
+	// first error.
+	for _, cause := range iec104.Causes() {
 		reg.Counter(MetricParseErrors, "cause", cause)
 	}
 	return &analyzerMetrics{
@@ -111,18 +109,20 @@ func (m *analyzerMetrics) notePacket(iec bool) {
 	}
 }
 
-// noteFrame books one accepted APDU by format. Nil-safe.
-func (m *analyzerMetrics) noteFrame(format iec104.Format) {
+// noteFrame books one accepted frame by its token's class: data,
+// acknowledgement or control, for IEC 104 exactly the APDU format.
+// Nil-safe.
+func (m *analyzerMetrics) noteFrame(tok protocol.Token) {
 	if m == nil {
 		return
 	}
-	switch format {
-	case iec104.FormatI:
-		m.framesI.Inc()
-	case iec104.FormatS:
+	switch tok.Class() {
+	case protocol.ClassAck:
 		m.framesS.Inc()
-	case iec104.FormatU:
+	case protocol.ClassControl:
 		m.framesU.Inc()
+	default:
+		m.framesI.Inc()
 	}
 }
 
@@ -178,36 +178,6 @@ func (m *analyzerMetrics) noteStrictInvalid(dialect string) {
 		m.strictBy[dialect] = t
 	}
 	t.Inc()
-}
-
-// parseErrorCause maps a tolerant-parser failure to a stable label for
-// the malformed-frame breakdown.
-func parseErrorCause(err error) string {
-	switch {
-	case errors.Is(err, iec104.ErrNoProfile):
-		return "no_profile"
-	case errors.Is(err, iec104.ErrShortFrame):
-		return "short_frame"
-	case errors.Is(err, iec104.ErrBadStartByte):
-		return "bad_start_byte"
-	case errors.Is(err, iec104.ErrBadLength):
-		return "bad_length"
-	case errors.Is(err, iec104.ErrBadControl):
-		return "bad_control"
-	case errors.Is(err, iec104.ErrShortASDU):
-		return "short_asdu"
-	case errors.Is(err, iec104.ErrUnsupportedType):
-		return "unsupported_type"
-	case errors.Is(err, iec104.ErrObjectCount):
-		return "object_count"
-	case errors.Is(err, iec104.ErrNoObjects):
-		return "no_objects"
-	case errors.Is(err, iec104.ErrTrailing):
-		return "trailing_bytes"
-	case err == nil:
-		return "empty_parse"
-	}
-	return "other"
 }
 
 // connLabel renders a flow direction for journal events.

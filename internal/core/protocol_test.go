@@ -112,10 +112,15 @@ func TestMixedCaptureDialects(t *testing.T) {
 		t.Errorf("Modbus ReadHolding responses missing from token counts: %v", stats[protocol.Modbus].TokenCounts)
 	}
 
-	// The per-dialect token tally (bumped through a slot each flow
-	// direction memoises) is the recount of the raw token streams.
+	// The per-dialect token counts (summed from the connections'
+	// chains) are the recount of the raw token streams of every dialect
+	// Dialects reports.
 	recount := make(map[protocol.ID]map[string]int)
-	for ck, id := range a.connProto {
+	for ck, toks := range streams {
+		id := toks[0].Proto
+		if id == protocol.IEC104 {
+			continue
+		}
 		if recount[id] == nil {
 			recount[id] = make(map[string]int)
 		}
@@ -320,5 +325,96 @@ func TestDialectFeedAllocCeiling(t *testing.T) {
 	}
 	if a.ParseErrors != 0 {
 		t.Fatalf("%d parse errors on clean frames", a.ParseErrors)
+	}
+}
+
+// TestSniffedFlowClaims: under auto-detection a flow on a port no
+// dialect owns is claimed by content sniff, IEC 104 like any dialect.
+// IEC 104 on port 2405 is profiled — a chain, a compliance row, type
+// counts — and without auto-detection it stays other traffic; a Modbus
+// flow whose transaction ID begins with IEC 104's start byte is Modbus,
+// whatever the ID's low byte (the APDU length octet it lines up with).
+func TestSniffedFlowClaims(t *testing.T) {
+	u := func(fn iec104.UFunc) []byte {
+		b, err := iec104.NewU(fn).Marshal(iec104.Standard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ack, err := iec104.NewS(1).Marshal(iec104.Standard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scada := netip.MustParseAddrPort("10.0.0.5:40001")
+	rtu := netip.MustParseAddrPort("10.0.1.1:2405")
+	master := netip.MustParseAddrPort("10.0.0.6:40002")
+	plc := netip.MustParseAddrPort("10.0.8.1:5020")
+	type msg struct {
+		from netip.AddrPort
+		data []byte
+	}
+	iecExchange := []msg{
+		{scada, u(iec104.UStartDTAct)}, {rtu, u(iec104.UStartDTCon)},
+		{rtu, measurementFrame(t, 0, 100, 50)}, {scada, ack},
+	}
+	modbusExchange := func(txid uint16) []msg {
+		return []msg{
+			{master, modbus.ReadRequest(txid, 1, modbus.FuncReadHolding, 100, 6)},
+			{plc, modbus.ReadRegistersResponse(txid, 1, modbus.FuncReadHolding, []uint16{1, 2, 3, 4, 5, 6})},
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		detect   bool
+		exchange []msg
+		conn     ConnKey
+		proto    protocol.ID // the claiming dialect; unclaimed when port is set
+		port     uint16      // the OtherPorts entry of an unclaimed flow
+	}{
+		{"iec104 on 2405, auto", true, iecExchange, ConnKey{scada.Addr(), rtu.Addr()}, protocol.IEC104, 0},
+		{"iec104 on 2405", false, iecExchange, ConnKey{}, 0, 2405},
+		{"modbus with txid 0x6805 on 5020, auto", true, modbusExchange(0x6805), ConnKey{master.Addr(), plc.Addr()}, protocol.Modbus, 0},
+		{"modbus with txid 0x6810 on 5020, auto", true, modbusExchange(0x6810), ConnKey{master.Addr(), plc.Addr()}, protocol.Modbus, 0},
+		{"modbus with txid 0x68FD on 5020, auto", true, modbusExchange(0x68FD), ConnKey{master.Addr(), plc.Addr()}, protocol.Modbus, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAnalyzer(nil)
+			if tc.detect {
+				a.EnableProtocolDetect()
+			}
+			w := newWire(a, time.Unix(1560000000, 0).UTC())
+			peer := map[netip.AddrPort]netip.AddrPort{scada: rtu, rtu: scada, master: plc, plc: master}
+			sent := 0
+			for _, m := range tc.exchange {
+				w.send(m.from, peer[m.from], m.data)
+				sent += len(m.data)
+			}
+			p := a.Partial()
+			if tc.port != 0 {
+				if len(p.Chains) != 0 || p.OtherPorts[tc.port] != sent {
+					t.Fatalf("%d chains, OtherPorts %v; want none and %d bytes on %d", len(p.Chains), p.OtherPorts, sent, tc.port)
+				}
+				return
+			}
+			if len(p.Chains) != 1 || p.Chains[0].Key != tc.conn || p.Chains[0].Proto != tc.proto || len(p.OtherPorts) != 0 {
+				t.Fatalf("chains %+v, OtherPorts %v; want one %s chain of %v", p.Chains, p.OtherPorts, tc.proto, tc.conn)
+			}
+			if tc.proto != protocol.IEC104 {
+				return
+			}
+			if p.TypeCounts[iec104.MMeNc] != 1 || p.TotalASDUs != 1 {
+				t.Errorf("type counts %v, %d ASDUs; want one M_ME_NC_1", p.TypeCounts, p.TotalASDUs)
+			}
+			var station *StationCompliance
+			for i := range p.Compliance {
+				if p.Compliance[i].Addr == rtu.Addr() {
+					station = &p.Compliance[i]
+				}
+			}
+			if station == nil || station.Frames != 2 || !station.Detected || station.Profile != iec104.Standard {
+				t.Errorf("station compliance %+v in %+v, want 2 frames of the standard dialect", station, p.Compliance)
+			}
+		})
 	}
 }

@@ -286,7 +286,7 @@ func (a *Analyzer) appendConnChains(dst []ConnChain) []ConnChain {
 			Key:        key,
 			Server:     a.Name(key.Server),
 			Outstation: a.Name(key.Outstation),
-			Proto:      a.connProto[key],
+			Proto:      a.tokens[key].vocab[0].Proto, // the dialect of its first token
 			Chain:      &a.tokens[key].chain,
 		})
 	}

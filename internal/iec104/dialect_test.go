@@ -68,3 +68,38 @@ func TestAppendPoints(t *testing.T) {
 		})
 	}
 }
+
+// TestSniff: auto-detection claims a flow for IEC 104 only on an APCI
+// the codec's control-field decode accepts — a 4-octet S or U frame
+// naming one function, or an I frame with room for an ASDU header — so
+// a Modbus header that happens to begin with 0x68 is not claimed.
+func TestSniff(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		want bool
+	}{
+		{"STARTDT act", []byte{0x68, 0x04, 0x07, 0x00, 0x00, 0x00}, true},
+		{"S frame", []byte{0x68, 0x04, 0x01, 0x00, 0x02, 0x00}, true},
+		{"I frame", []byte{0x68, 0x0e, 0x00, 0x00, 0x00, 0x00, 0x0d, 0x01, 0x03, 0x00}, true},
+		{"U frame naming two functions", []byte{0x68, 0x04, 0x0f, 0x00, 0x00, 0x00}, false},
+		{"U frame with padding", []byte{0x68, 0x04, 0x07, 0x01, 0x00, 0x00}, false},
+		{"S frame with ASDU bytes", []byte{0x68, 0x05, 0x01, 0x00, 0x02, 0x00, 0x00}, false},
+		{"I frame too short for an ASDU header", []byte{0x68, 0x08, 0x00, 0x00, 0x00, 0x00, 0x0d, 0x01}, false},
+		{"Modbus request with transaction ID 0x6805", []byte{0x68, 0x05, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x64, 0x00, 0x06}, false},
+		{"Modbus request with transaction ID 0x6810", []byte{0x68, 0x10, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x64, 0x00, 0x06}, false},
+		{"Modbus request with transaction ID 0x68FD", []byte{0x68, 0xfd, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x64, 0x00, 0x06}, false},
+		{"Modbus response with transaction ID 0x6810", []byte{0x68, 0x10, 0x00, 0x00, 0x00, 0x0f, 0x01, 0x03, 0x0c, 0x00, 0x01}, false},
+		{"I frame N(S) 0 N(R) 0", []byte{0x68, 0x0e, 0x00, 0x00, 0x00, 0x00, 0x0d, 0x01, 0x03, 0x00}, true},
+		{"I frame N(S) 0 N(R) 1", []byte{0x68, 0x0e, 0x00, 0x00, 0x02, 0x00, 0x0d, 0x01, 0x03, 0x00}, true},
+		{"I frame N(S) 0 N(R) 128", []byte{0x68, 0x0e, 0x00, 0x00, 0x00, 0x01, 0x0d, 0x01, 0x03, 0x00}, true},
+		{"I frame N(S) 1 N(R) 256", []byte{0x68, 0x0e, 0x02, 0x00, 0x00, 0x02, 0x0d, 0x01, 0x03, 0x00}, true},
+		{"length octet beyond the maximum", []byte{0x68, 0xfe, 0x00, 0x00, 0x00, 0x00}, false},
+		{"no start byte", []byte{0x00, 0x04, 0x07, 0x00, 0x00, 0x00}, false},
+		{"shorter than an APCI", []byte{0x68, 0x04, 0x07}, false},
+	} {
+		if got := (dialect{}).Sniff(tc.b); got != tc.want {
+			t.Errorf("%s: Sniff = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

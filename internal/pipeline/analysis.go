@@ -277,6 +277,7 @@ func (s *AnalyzerSegment) Run(ctx context.Context, in <-chan Msg, emit Emit) err
 		if cerr := first.Src.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
+		err = nameFile(first.Src, err)
 	} else {
 		err = s.eng.Run(context.Background(), &chanSource{in: in, cur: first.Pkts})
 	}

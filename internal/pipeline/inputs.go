@@ -131,6 +131,16 @@ func pump(ctx context.Context, src stream.Source, emit Emit) error {
 	if ctx.Err() != nil {
 		return nil
 	}
+	return nameFile(src, err)
+}
+
+// nameFile prefixes the error of a run over a capture file with the
+// file's path, whether the input read it inline (pump) or handed it to
+// an analyzer's engine.
+func nameFile(src stream.Source, err error) error {
+	if fs, ok := src.(*stream.FileSource); ok && err != nil {
+		return fmt.Errorf("%s: %w", fs.Path(), err)
+	}
 	return err
 }
 
@@ -145,10 +155,8 @@ func pump(ctx context.Context, src stream.Source, emit Emit) error {
 type PacketInput struct {
 	src   stream.Source
 	trace *scadasim.Trace // a sim input's generated records
-	// first names src when it is a capture directory's first file, and
-	// more the rest of the directory, opened in turn: a directory
-	// file's error names the file.
-	first   string
+	// more is the rest of a capture directory, opened in turn. A
+	// file's errors name it (nameFile), read inline or handed off.
 	more    []string
 	handoff bool
 }
@@ -186,9 +194,6 @@ func buildPCAPInput(bc BuildCtx) (Segment, error) {
 		return nil, err
 	}
 	s := &PacketInput{src: fs, more: files[1:]}
-	if fi.IsDir() {
-		s.first = files[0]
-	}
 	if speed > 0 {
 		s.src = stream.NewReplaySource(fs, speed)
 	}
@@ -277,19 +282,14 @@ func (s *PacketInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
 		return nil
 	}
 	err := pump(ctx, s.src, emit)
-	path := s.first
-	for _, next := range s.more {
+	for _, path := range s.more {
 		if err != nil || ctx.Err() != nil {
 			break
 		}
-		path = next
 		var src *stream.FileSource
 		if src, err = stream.NewFileSource(path); err == nil {
 			err = pump(ctx, src, emit)
 		}
-	}
-	if err != nil && path != "" {
-		err = fmt.Errorf("%s: %w", path, err)
 	}
 	return err
 }

@@ -419,14 +419,24 @@ func TestHandoffByTopology(t *testing.T) {
 	}
 
 	// A damaged capture in a directory fails the run, and the error
-	// names it wherever it sorts.
-	for _, empty := range []string{"z.pcap", "0.pcap"} {
-		t.Run("directory names its damaged "+empty, func(t *testing.T) {
+	// names it wherever it sorts — also when it is the directory's only
+	// file, which the input hands off whole to the analyzer's engine.
+	for _, tc := range []struct {
+		empty string
+		alone bool
+	}{{"z.pcap", false}, {"0.pcap", false}, {"0.pcap", true}} {
+		name := "directory names its damaged " + tc.empty
+		if tc.alone {
+			name = "directory of one damaged file names it"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "y1.pcap"), data, 0o644); err != nil {
-				t.Fatal(err)
+			if !tc.alone {
+				if err := os.WriteFile(filepath.Join(dir, "y1.pcap"), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-			bad := filepath.Join(dir, empty)
+			bad := filepath.Join(dir, tc.empty)
 			if err := os.WriteFile(bad, nil, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,10 @@
 // (core, drift, markov, ids) without import cycles.
 package protocol
 
-import "time"
+import (
+	"net/netip"
+	"time"
+)
 
 // ID names a registered dialect. IEC104 is the zero value: a
 // zero-valued Token is an IEC 104 token, which is what keeps the
@@ -30,6 +33,10 @@ const (
 
 	numIDs
 )
+
+// Default is the dialect an analyzer decodes from the start, the
+// paper's own; the others are enabled by name or by auto-detection.
+const Default = IEC104
 
 // String returns the canonical lowercase dialect name.
 func (id ID) String() string {
@@ -98,13 +105,56 @@ type Event struct {
 	// framing layer recognised and skipped it, but it yields no token
 	// and no points. Callers count it as a parse error.
 	Err error
+	// Cause labels Err for the malformed-frame breakdown with a stable
+	// snake_case word ("short_asdu", "bad_length"); empty reads as
+	// "other".
+	Cause string
+	// Detail is what the dialect reports of the frame beyond its token,
+	// or nil when it reports nothing more. Scratch like Points.
+	Detail *Detail
 }
 
-// Session is the per-flow decode state of one dialect: framing buffers,
-// resync state, and whatever cross-direction pairing the dialect needs
-// (Modbus transaction IDs, C37.118 per-IDCode config frames). Sessions
-// are created per TCP flow and are not goroutine-safe; the sharded
-// engine keeps both directions of a flow on one shard.
+// Detail is what a dialect with typed, numbered data units and a
+// per-sender encoding audit reports of a frame: IEC 104, whose tolerant
+// parser settles each sender's legacy field sizes (§6.1). A dialect
+// that sets Detail sets it on every event, parse errors included: the
+// analyzer keeps a compliance row per sending station of such a dialect
+// and counts every frame on it.
+type Detail struct {
+	// Unit marks a data unit (an IEC 104 I-frame). The fields below
+	// describe it, and mean nothing when Unit is false.
+	Unit bool
+	// Type is the unit's type identification (an IEC 104 ASDU TypeID).
+	Type uint8
+	// Addrs lists the address of every object the unit carries,
+	// value-bearing or not.
+	Addrs []uint32
+	// Seq is the unit's send sequence number and NextSeq the one the
+	// sender's next unit must carry.
+	Seq, NextSeq uint16
+	// StrictInvalid reports that a parser holding to the standard's
+	// encoding rejects or misreads the unit.
+	StrictInvalid bool
+	// Settled is the sender's encoding when the tolerant parser settled
+	// it with this unit, first or anew; nil when the unit left it as it
+	// was.
+	Settled Encoding
+}
+
+// Encoding is a sender's wire encoding as a dialect's tolerant parser
+// settled it (an iec104.Profile).
+type Encoding interface {
+	String() string
+	// IsStandard reports whether the encoding is the standard's own.
+	IsStandard() bool
+}
+
+// Session is the decode state of one dialect's flow: whatever
+// cross-direction pairing the dialect needs (Modbus transaction IDs,
+// C37.118 per-IDCode config frames) or, for a Scoped dialect, what it
+// learned of the flow's server/station pair. The caller keeps each
+// direction's framing buffer. Sessions are not goroutine-safe; the
+// sharded engine keeps both directions of a flow on one shard.
 type Session interface {
 	// Next extracts the next application frame from buf, the
 	// reassembled byte stream of one direction. fromStation reports
@@ -116,6 +166,23 @@ type Session interface {
 	//
 	// The returned Event is scratch: valid until the next call.
 	Next(buf []byte, fromStation bool) (ev Event, rest []byte, skipped int, ok bool)
+}
+
+// Scoped is an optional Dialect extension for a dialect that learns
+// per station across flows: IEC 104's tolerant parser pins each
+// sender's field sizes once for all its connections. An analyzer opens
+// one Scope per such dialect and takes every flow's session from it.
+type Scoped interface {
+	NewScope() Scope
+}
+
+// Scope hands out the sessions of one analyzer's flows. Its sessions
+// share state, so a scope and its sessions belong to one goroutine.
+type Scope interface {
+	// Session returns the session of a server/station pair: the same
+	// one for every flow between them, so opening a flow allocates no
+	// session once the pair is known.
+	Session(server, station netip.Addr) Session
 }
 
 // ComplianceReporter is an optional Session extension: dialects with a

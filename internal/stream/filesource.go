@@ -49,6 +49,7 @@ type imageRecord struct {
 // Config.Readers parallel readers, and an imageSource, so no record is
 // copied between the file and the shard that decodes it.
 type FileSource struct {
+	path   string // empty for NewReaderAtSource
 	img    []byte
 	mapped bool           // Close unmaps img
 	seq    *segmentSource // the sequential face, opened on first use
@@ -73,15 +74,18 @@ func NewFileSource(path string) (*FileSource, error) {
 		return nil, fmt.Errorf("stream: %s is too large to map (%d bytes)", path, st.Size())
 	}
 	if img, err := mapFile(f, size); err == nil {
-		return &FileSource{img: img, mapped: true}, nil
+		return &FileSource{path: path, img: img, mapped: true}, nil
 	}
 	// No mapping (an empty file, no mmap here): one heap image instead.
 	img := make([]byte, size)
 	if _, err := io.ReadFull(f, img); err != nil {
 		return nil, fmt.Errorf("stream: reading %s: %w", path, err)
 	}
-	return &FileSource{img: img}, nil
+	return &FileSource{path: path, img: img}, nil
 }
+
+// Path is the file NewFileSource opened.
+func (s *FileSource) Path() string { return s.path }
 
 // NewReaderAtSource reads a capture of the given size (bytes.Reader
 // satisfies io.ReaderAt) into a heap image and reads it like

@@ -40,16 +40,37 @@ func TestOneHistorianWriter(t *testing.T) {
 }
 
 // TestOnePointExtraction: an IEC 104 frame's measurements are extracted
-// once, by the analyzer, and every consumer — the physical store, the
-// historian, the live IDS — reads those points; the historian never
-// looks inside an ASDU.
+// once, by the dialect's session, and every consumer — the analyzer's
+// physical store, the historian, the live IDS — reads those points; the
+// historian never looks inside an ASDU.
 func TestOnePointExtraction(t *testing.T) {
-	want := []string{filepath.Join("internal", "core", "analyzer.go")}
-	if got := linesNaming(t, ".", "iec104.AppendPoints("); !slices.Equal(got, want) {
-		t.Errorf("iec104.AppendPoints( is called on lines of %v, want one line of %v", got, want)
+	if got := linesNaming(t, ".", "iec104.AppendPoints("); len(got) > 0 {
+		t.Errorf("iec104.AppendPoints( is called outside the IEC 104 session, on lines of %v", got)
+	}
+	dialect := filepath.Join("internal", "iec104", "dialect.go")
+	want := []string{dialect, dialect} // the definition and the session's call
+	if got := linesNaming(t, filepath.Join("internal", "iec104"), "AppendPoints("); !slices.Equal(got, want) {
+		t.Errorf("AppendPoints( is named on lines of %v, want its definition and one call in %v", got, dialect)
 	}
 	if got := linesNaming(t, filepath.Join("internal", "historian"), "iec104."); len(got) > 0 {
 		t.Errorf("internal/historian names iec104 in %v", got)
+	}
+}
+
+// TestOneIEC104Parser: an IEC 104 frame is framed and parsed in one
+// place, the dialect's session, which every consumer reaches through
+// the analyzer. Only the benchmark harness, which times the codec layer
+// by layer, calls the tolerant parser itself.
+func TestOneIEC104Parser(t *testing.T) {
+	own := []string{filepath.Join("internal", "iec104") + string(filepath.Separator), "benchmark" + string(filepath.Separator)}
+	var got []string
+	for _, path := range linesNaming(t, ".", "iec104.NextFrame(", ".ParseFrameAt(", ".ParseFrameInto(", ".ProfileAt(", ".StrictPlausible(") {
+		if !strings.HasPrefix(path, own[0]) && !strings.HasPrefix(path, own[1]) {
+			got = append(got, path)
+		}
+	}
+	if len(got) > 0 {
+		t.Errorf("IEC 104 frames are framed or parsed outside the session, on lines of %v", got)
 	}
 }
 
