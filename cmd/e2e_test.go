@@ -453,9 +453,9 @@ func testProfiler(t *testing.T) {
 	}
 }
 
-// testAttack: -attack is the declared sim -> {an, ids} graph. The
-// injected recon raises alerts through the ids segment, and the run
-// still prints its final profile.
+// testAttack: -attack arms the analyzer's online detector in the
+// declared sim -> an graph. The injected recon raises alerts, logged as
+// ALERT lines, and the run still prints its final profile.
 func testAttack(t *testing.T) {
 	stdout, stderr := run(t, t.TempDir(), 0, "iec104live", "-attack", "recon", "-duration", "30s")
 	mustContain(t, "iec104live -attack recon log", stderr, "ALERT", "new-endpoint")

@@ -6,9 +6,10 @@
 // the exact final profile as JSON.
 //
 // With -attack an Industroyer-style scenario is injected mid-feed and
-// the feed fans out to an online detector (the graph's ids segment,
-// trained on a clean run of the same grid) that raises alerts the
-// moment the offending frames pass through.
+// the analyzer arms its online detector (one monitor per shard, trained
+// on a clean run of the same grid), which logs an ALERT line the moment
+// the offending frames pass through — once per alert, whichever shard
+// sees it first. The simulator feed is handed to the engine either way.
 //
 // With -pcap the identical traffic is also written as a capture, so
 // the streamed profile can be cross-checked against the offline
@@ -38,7 +39,6 @@ import (
 	"os"
 	"time"
 
-	"uncharted/internal/ids"
 	"uncharted/internal/obs/trace"
 	"uncharted/internal/pipeline"
 )
@@ -85,7 +85,7 @@ func run() int {
 	// segments.
 	return pipeline.Host{
 		Graph: func(rec *trace.Recorder) (*pipeline.Config, map[string]any) {
-			graph, hooks := pipeline.LiveGraph(pipeline.LivePreset{
+			return pipeline.LiveGraph(pipeline.LivePreset{
 				Year:          *year,
 				Seed:          int(*seed),
 				Duration:      *duration,
@@ -97,8 +97,6 @@ func run() int {
 				PointCap:      *pointCap,
 				Trace:         rec,
 			})
-			hooks["live/ids"] = func(al ids.Alert) { log.Printf("ALERT %v", al) }
-			return graph, hooks
 		},
 		JournalPath: *journalPath,
 		Addr:        *metricsAddr,
@@ -135,9 +133,6 @@ func run() int {
 				log.Printf("interrupted after %s, shards drained", elapsed)
 			default:
 				log.Printf("feed exhausted in %s", elapsed)
-			}
-			if det, ok := h.Runner.Segment("live", "ids").(*pipeline.IDSSegment); ok {
-				log.Printf("online alerts raised: %d", det.Alerts())
 			}
 			// The final profile is exact: every dispatched packet was analyzed
 			// before the shards shut down.

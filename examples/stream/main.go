@@ -2,17 +2,16 @@
 // simulated grid feeds the engine at 60x real time while the main
 // goroutine polls rolling snapshots — the same view -follow mode
 // serves over HTTP — and an online detector (one ids.Monitor per
-// shard) flags an Industroyer-style recon sweep the moment its frames
-// pass through. At the end the engine drains and the final merged
-// state is printed; it matches what the offline profiler reports on
-// the equivalent recorded capture.
+// shard, sharing one fired-once set) flags an Industroyer-style recon
+// sweep the moment its frames pass through. At the end the engine
+// drains and the final merged state is printed; it matches what the
+// offline profiler reports on the equivalent recorded capture.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"uncharted/internal/core"
@@ -60,7 +59,7 @@ func main() {
 		if err != nil {
 			break
 		}
-		trainer.FeedPacket(pkt)
+		trainer.Feed(&pkt)
 	}
 	baseline, err := ids.Train(trainer)
 	if err != nil {
@@ -69,20 +68,16 @@ func main() {
 
 	attacked, _ := simulate(21, true)
 
-	var mu sync.Mutex // monitors are per shard; the sink is shared
 	e := stream.New(stream.Config{
 		Workers:       4,
 		SnapshotEvery: 250 * time.Millisecond,
 		ClusterK:      5,
 		ClusterSeed:   core.ClusterSeed,
 		Names:         names,
-		Observer: func(shard int) core.FrameObserver {
-			return ids.NewMonitor(baseline, func(al ids.Alert) {
-				mu.Lock()
-				defer mu.Unlock()
-				fmt.Printf("  ALERT [shard %d] %v\n", shard, al)
-			})
-		},
+		// One monitor per shard, raising each alert once between them.
+		Observer: ids.NewMonitorSet(baseline, func(al ids.Alert) {
+			fmt.Printf("  ALERT %v\n", al)
+		}),
 	})
 
 	done := make(chan error, 1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"sync"
 
 	"uncharted/internal/core"
 	"uncharted/internal/iec104"
@@ -26,12 +27,13 @@ import (
 // lookup, one bigram score and an integer-keyed lookup per point — no
 // string is built and nothing allocated until an alert fires.
 //
-// A Monitor is not safe for concurrent use: attach one per analyzer
-// (the streaming engine runs one per shard) and serialise the sink if
-// alerts from several monitors converge.
+// A Monitor is not safe for concurrent use: attach one per analyzer.
+// An engine's shards get theirs from NewMonitorSet, which makes them
+// raise each alert once between them.
 type Monitor struct {
 	b    *Baseline
 	sink func(Alert)
+	set  *firedSet // nil unless built by NewMonitorSet
 
 	// flows is the per-frame lookup. Alerts are about names, so address
 	// pairs that resolve to one pair of names share a state (conns) and
@@ -111,17 +113,72 @@ func NewMonitor(b *Baseline, sink func(Alert)) *Monitor {
 	return m
 }
 
-// Alerts returns how many alerts have fired so far.
+// alertKey is what an alert fires once for: its kind plus what the
+// monitor's once-flag for that kind keys — an address, a connection's
+// names (and the token), or an outstation and IOA.
+type alertKey struct {
+	kind               AlertKind
+	addr               netip.Addr
+	server, outstation string
+	tok                iec104.Token
+	ioa                uint32
+}
+
+// firedSet is the fired-once set the monitors of one engine share.
+type firedSet struct {
+	mu    sync.Mutex
+	fired map[alertKey]bool
+}
+
+// NewMonitorSet returns one engine's online detector as its observer
+// factory (stream.Config.Observer): a Monitor per shard, all sharing one
+// fired-once set, so an alert whose subject several shards see — a rogue
+// address probing stations on two shards, a connection whose addresses
+// hash apart — fires once, from the shard that trips it first. A monitor
+// consults the set only when one of its own once-flags trips, so a
+// steady-state frame never reaches it. sink receives each alert once,
+// on the goroutine of the shard that fired it, so it must be safe for
+// concurrent use.
+func NewMonitorSet(b *Baseline, sink func(Alert)) func(shard int) core.FrameObserver {
+	set := &firedSet{fired: make(map[alertKey]bool)}
+	return func(int) core.FrameObserver {
+		m := NewMonitor(b, sink)
+		m.set = set
+		return m
+	}
+}
+
+// Alerts returns how many alerts have fired so far (from this monitor:
+// one a shared set suppressed did not fire).
 func (m *Monitor) Alerts() int { return m.alerts }
 
-func (m *Monitor) emit(kind AlertKind, sev int, subject, format string, args ...any) {
+// first marks key fired and reports whether it had not fired before.
+func (s *firedSet) first(key alertKey) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.fired[key] {
+		return false
+	}
+	s.fired[key] = true
+	return true
+}
+
+func (m *Monitor) emit(key alertKey, sev int, subject, format string, args ...any) {
+	if m.set != nil && !m.set.first(key) {
+		return
+	}
 	m.alerts++
 	if m.sink != nil {
-		m.sink(Alert{Kind: kind, Severity: sev, Subject: subject, Detail: fmt.Sprintf(format, args...)})
+		m.sink(Alert{Kind: key.kind, Severity: sev, Subject: subject, Detail: fmt.Sprintf(format, args...)})
 	}
 }
 
 func (cs *connState) label() string { return cs.server + "-" + cs.outstation }
+
+// key is the once-key of a connection's alert of kind.
+func (cs *connState) key(kind AlertKind) alertKey {
+	return alertKey{kind: kind, server: cs.server, outstation: cs.outstation}
+}
 
 // resolve handles a flow's first frame: the endpoint and connection
 // whitelist checks, which depend only on who is talking, and the lookup
@@ -134,7 +191,7 @@ func (m *Monitor) resolve(ev *core.FrameEvent) *connState {
 			if addr == ev.Conn.Outstation {
 				name = ev.Outstation
 			}
-			m.emit(AlertNewEndpoint, 3, name,
+			m.emit(alertKey{kind: AlertNewEndpoint, addr: addr}, 3, name,
 				"address %s speaks IEC 104 but is not in the baseline", addr)
 		}
 	}
@@ -150,7 +207,7 @@ func (m *Monitor) resolve(ev *core.FrameEvent) *connState {
 		}
 		m.conns[ck] = cs
 		if cs.vocab == nil {
-			m.emit(AlertNewConnection, 2, cs.label(), "no baseline traffic between these endpoints")
+			m.emit(cs.key(AlertNewConnection), 2, cs.label(), "no baseline traffic between these endpoints")
 		}
 	}
 	m.flows[ev.Conn] = cs
@@ -186,7 +243,9 @@ func (m *Monitor) ObserveFrame(ev core.FrameEvent) {
 		if isCommand {
 			sev = 3 // a brand-new command type is the Industroyer pattern
 		}
-		m.emit(AlertNewToken, sev, cs.label(), "token %s outside baseline vocabulary", tok)
+		key := cs.key(AlertNewToken)
+		key.tok = tok
+		m.emit(key, sev, cs.label(), "token %s outside baseline vocabulary", tok)
 	}
 
 	scoring := m.scoreSeq && !cs.alertedSeq
@@ -209,7 +268,7 @@ func (m *Monitor) ObserveFrame(ev core.FrameEvent) {
 		rate := float64(cs.commands) / float64(cs.tokens)
 		if rate > 0.2 && rate > 4*cs.baseRate+0.05 {
 			cs.alertedBurst = true
-			m.emit(AlertCommandBurst, 3, cs.label(),
+			m.emit(cs.key(AlertCommandBurst), 3, cs.label(),
 				"command rate %.0f%% of APDUs (baseline %.0f%%)", 100*rate, 100*cs.baseRate)
 		}
 	}
@@ -217,7 +276,7 @@ func (m *Monitor) ObserveFrame(ev core.FrameEvent) {
 	if scoring && cs.tokens%seqCheckEvery == 0 {
 		if p := cs.perplexity(); p > m.b.PerplexityFactor*m.b.worstPerplexity {
 			cs.alertedSeq = true
-			m.emit(AlertSequence, 2, cs.label(),
+			m.emit(cs.key(AlertSequence), 2, cs.label(),
 				"token-sequence perplexity %.1f exceeds baseline ceiling %.1f",
 				p, m.b.worstPerplexity)
 		}
@@ -260,7 +319,7 @@ func (m *Monitor) observePoints(cs *connState, ev *core.FrameEvent) {
 			if p.Command {
 				sev = 3
 			}
-			m.emit(AlertUnknownPoint, sev, cs.outstation,
+			m.emit(alertKey{kind: AlertUnknownPoint, outstation: cs.outstation, ioa: p.IOA}, sev, cs.outstation,
 				"IOA %d (%s) never seen in baseline", p.IOA, physical.TypeOf(ev.Proto, p.Code).Acronym())
 		case !ps.alerted && (p.V < ps.lo || p.V > ps.hi):
 			ps.alerted = true
@@ -268,7 +327,7 @@ func (m *Monitor) observePoints(cs *connState, ev *core.FrameEvent) {
 			if p.Command {
 				sev = 3
 			}
-			m.emit(AlertValueRange, sev, fmt.Sprintf("%s/%d", cs.outstation, p.IOA),
+			m.emit(alertKey{kind: AlertValueRange, outstation: cs.outstation, ioa: p.IOA}, sev, fmt.Sprintf("%s/%d", cs.outstation, p.IOA),
 				"value %.4g outside baseline [%.4g, %.4g]", p.V, ps.vr.Min, ps.vr.Max)
 		}
 	}

@@ -28,7 +28,7 @@ func init() {
 		Role: RoleAnalysis,
 		In:   PortPackets,
 		Out:  PortProfiles,
-		Doc:  "the sharded core analyzer: consumes packets — or runs the source of an input wired to it alone — publishes rolling profiles (a snapshot event each in the journal), serves /{id}/profile, /{id}/statusz, /{id}/readyz (+/drift, /query when armed; /query outlives the feed, until the host stops)",
+		Doc:  "the sharded core analyzer: consumes packets — or runs the source of an input wired to it alone — publishes rolling profiles (a snapshot event each in the journal) and, with an IDS armed, one alert per violation, serves /{id}/profile, /{id}/statusz, /{id}/readyz (+/drift, /query when armed; /query outlives the feed, until the host stops)",
 		Params: []ParamSpec{
 			{Name: "workers", Type: ParamInt, Default: 1, Doc: "analysis shards"},
 			{Name: "readers", Type: ParamInt, Default: 0, Doc: "parallel capture readers for a handed-off source (0 = match workers; a single pcap file wired straight into this analyzer is handed off and split across them)"},
@@ -41,23 +41,12 @@ func init() {
 			{Name: "protocol", Type: ParamString, Default: "", Doc: "extra dialects to decode, comma-separated (c37118, modbus), or \"auto\" to content-detect every registered dialect"},
 			{Name: "historian", Type: ParamString, Default: "", Doc: "record every IEC 104 measurement into the durable historian at this directory (adds /{id}/query)"},
 			{Name: "baseline", Type: ParamString, Default: "", Doc: "stored drift profile: arms live drift detection (adds /{id}/drift)"},
-			{Name: "ids_baseline", Type: ParamString, Default: "", Doc: "stored IDS baseline: arms one online monitor per shard"},
+			{Name: "ids_baseline", Type: ParamString, Default: "", Doc: "stored IDS baseline: arms the online detector, one monitor per shard raising each alert once"},
+			{Name: "ids_train_year", Type: ParamInt, Default: 0, Doc: "arm the online detector with a whitelist trained on a clean simulation of this campaign (1 or 2) instead"},
+			{Name: "ids_train_seed", Type: ParamInt, Default: 1, Doc: "training simulation seed"},
+			{Name: "ids_train_duration", Type: ParamDuration, Default: 2 * time.Minute, Doc: "training simulation length"},
 		},
 		Build: buildAnalyzer,
-	})
-	Register(Spec{
-		Kind: "ids",
-		Role: RoleAnalysis,
-		In:   PortPackets,
-		Out:  PortAlerts,
-		Doc:  "online intrusion detector: feeds packets through a whitelist monitor and emits one alert per violation",
-		Params: []ParamSpec{
-			{Name: "baseline", Type: ParamString, Default: "", Doc: "stored IDS baseline to load (alternative to train_*)"},
-			{Name: "train_year", Type: ParamInt, Default: 0, Doc: "train the whitelist from a clean simulation of this campaign (1 or 2)"},
-			{Name: "train_seed", Type: ParamInt, Default: 1, Doc: "training simulation seed"},
-			{Name: "train_duration", Type: ParamDuration, Default: 2 * time.Minute, Doc: "training simulation length"},
-		},
-		Build: buildIDS,
 	})
 }
 
@@ -89,13 +78,14 @@ func (s *chanSource) Next() (pcap.Packet, error) {
 func (s *chanSource) Close() error { return nil }
 
 // AnalyzerSegment wraps the streaming engine: every front end's
-// analysis is this one sharded analyzer.
+// analysis, and its online detection, is this one sharded analyzer.
 type AnalyzerSegment struct {
 	env   *Env
 	id    string
 	eng   *stream.Engine
 	hist  *historian.Store
 	drift *driftWatch // nil unless the baseline param armed it
+	emit  Emit        // Run's, for alerts
 
 	fwd        chan *Snapshot
 	fwdDropped *obs.Counter
@@ -120,14 +110,15 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 		s.drift = w
 	}
 	var observer func(shard int) core.FrameObserver
-	if path := bc.Params.Str("ids_baseline"); path != "" {
-		base, err := drift.LoadBaseline(path)
-		if err != nil {
-			return nil, err
-		}
-		observer = func(shard int) core.FrameObserver {
-			return ids.NewMonitor(base, alertLogger(bc.Env, bc.ID, shard))
-		}
+	base, err := idsBaseline(bc.Params)
+	if err != nil {
+		return nil, err
+	}
+	if base != nil {
+		eps, conns, points := base.Size()
+		bc.Env.Logf("segment %s: online detector armed: %d endpoints, %d connections, %d physical points whitelisted",
+			bc.ID, eps, conns, points)
+		observer = ids.NewMonitorSet(base, s.alert)
 	}
 	protos, err := stream.ParseProtocols(bc.Params.Str("protocol"))
 	if err != nil {
@@ -190,19 +181,32 @@ func buildAnalyzer(bc BuildCtx) (Segment, error) {
 	return s, nil
 }
 
-// alertLogger is the built-in sink for ids_baseline monitors: journal,
-// log, done. Monitors are per shard but share it; it serialises itself.
-func alertLogger(env *Env, id string, shard int) func(ids.Alert) {
-	var mu sync.Mutex
-	return func(al ids.Alert) {
-		mu.Lock()
-		defer mu.Unlock()
-		env.Logf("ALERT [%s shard %d] %v", id, shard, al)
-		env.Journal.Log(time.Now(), obs.EventAlert, al.Subject, map[string]any{
-			"segment": id, "shard": shard, "kind": string(al.Kind),
-			"severity": al.Severity, "detail": al.Detail,
-		})
+// idsBaseline loads or trains the whitelist the ids_* params name; nil
+// when they arm no detector.
+func idsBaseline(p Params) (*ids.Baseline, error) {
+	path, year := p.Str("ids_baseline"), p.Int("ids_train_year")
+	switch {
+	case path != "" && year > 0:
+		return nil, fmt.Errorf("ids_baseline and ids_train_year both arm the detector; set one")
+	case path != "":
+		return drift.LoadBaseline(path)
+	case year > 0:
+		return TrainBaseline(campaign(year), int64(p.Int("ids_train_seed")), p.Dur("ids_train_duration"))
 	}
+	return nil, nil
+}
+
+// alert is the online detector's sink, called once per alert from the
+// shard that fired it (Logf, the journal and emit are safe for
+// concurrent use): it logs the alert beside the DRIFT lines, journals it
+// and emits it, losslessly, on the output edge.
+func (s *AnalyzerSegment) alert(al ids.Alert) {
+	s.env.Logf("ALERT [%s] %v", s.id, al)
+	s.env.Journal.Log(time.Now(), obs.EventAlert, al.Subject, map[string]any{
+		"segment": s.id, "kind": string(al.Kind),
+		"severity": al.Severity, "detail": al.Detail,
+	})
+	s.emit(Msg{Alert: &al})
 }
 
 // Engine exposes the wrapped engine (presets print its final profile).
@@ -250,13 +254,15 @@ func (s *AnalyzerSegment) Close() error {
 }
 
 // Run implements Segment: snapshots forwarded by the OnSnapshot hook
-// ride the profiles edge, and the exact final state follows the drain.
-// An inline edge is consumed via a chanSource, whose end-of-stream is
-// the runtime's close cascade. When the first message carries a source
-// handoff instead of packets, the engine runs straight over that
-// source under the runner's context: cancellation is the drain, and
-// the final profile still publishes.
+// and alerts ride the profiles edge, and the exact final state follows
+// the drain of a run that read its input to the end or was canceled; a
+// failed run emits no final snapshot. An inline edge is consumed via a
+// chanSource, whose end-of-stream is the runtime's close cascade. When
+// the first message carries a source handoff instead of packets, the
+// engine runs straight over that source under the runner's context:
+// cancellation is the drain, and the final profile still publishes.
 func (s *AnalyzerSegment) Run(ctx context.Context, in <-chan Msg, emit Emit) error {
+	s.emit = emit
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -283,47 +289,10 @@ func (s *AnalyzerSegment) Run(ctx context.Context, in <-chan Msg, emit Emit) err
 	}
 	close(s.fwd)
 	wg.Wait()
-	if prof := s.eng.Profile(); prof != nil {
-		emit(Msg{Snap: &Snapshot{Seq: prof.Seq, Partial: s.eng.Final(), Profile: prof}})
+	if prof := s.eng.Profile(); prof != nil && err == nil {
+		emit(Msg{Snap: &Snapshot{Seq: prof.Seq, Partial: s.eng.Final(), Profile: prof, Final: true}})
 	}
 	return err
-}
-
-// IDSSegment feeds packets through a single whitelist monitor and
-// emits alerts.
-type IDSSegment struct {
-	env  *Env
-	id   string
-	base *ids.Baseline
-	// onAlert is the optional hook sink (func(ids.Alert)).
-	onAlert func(ids.Alert)
-	alerts  atomic.Int64
-}
-
-func buildIDS(bc BuildCtx) (Segment, error) {
-	s := &IDSSegment{env: bc.Env, id: bc.ID}
-	s.onAlert, _ = bc.Hook.(func(ids.Alert))
-	switch {
-	case bc.Params.Str("baseline") != "":
-		base, err := drift.LoadBaseline(bc.Params.Str("baseline"))
-		if err != nil {
-			return nil, err
-		}
-		s.base = base
-	case bc.Params.Int("train_year") > 0:
-		base, err := TrainBaseline(campaign(bc.Params.Int("train_year")),
-			int64(bc.Params.Int("train_seed")), bc.Params.Dur("train_duration"))
-		if err != nil {
-			return nil, err
-		}
-		s.base = base
-	default:
-		return nil, fmt.Errorf("need baseline or train_year")
-	}
-	eps, conns, points := s.base.Size()
-	bc.Env.Logf("segment %s: online detector armed: %d endpoints, %d connections, %d physical points whitelisted",
-		bc.ID, eps, conns, points)
-	return s, nil
 }
 
 // campaign maps a year param (1 or 2) to its capture campaign.
@@ -357,40 +326,9 @@ func TrainBaseline(y topology.Year, seed int64, d time.Duration) (*ids.Baseline,
 		if err != nil {
 			break
 		}
-		a.FeedPacket(pkt)
+		a.Feed(&pkt)
 	}
 	return ids.Train(a)
-}
-
-// Alerts returns how many alerts the monitor has raised.
-func (s *IDSSegment) Alerts() int64 { return s.alerts.Load() }
-
-// Run implements Segment. The monitor's sink runs synchronously on
-// this goroutine (FeedPacket calls it inline), so no locking is
-// needed around emit.
-func (s *IDSSegment) Run(_ context.Context, in <-chan Msg, emit Emit) error {
-	an := core.NewAnalyzer(core.NamesFromTopology(topology.Build()))
-	// The sink journals and emits but does not log: rendering alerts is
-	// the downstream log/webhook segments' job.
-	mon := ids.NewMonitor(s.base, func(al ids.Alert) {
-		s.alerts.Add(1)
-		s.env.Journal.Log(time.Now(), obs.EventAlert, al.Subject, map[string]any{
-			"segment": s.id, "kind": string(al.Kind),
-			"severity": al.Severity, "detail": al.Detail,
-		})
-		if s.onAlert != nil {
-			s.onAlert(al)
-		}
-		a := al
-		emit(Msg{Alert: &a})
-	})
-	an.SetFrameObserver(mon)
-	for m := range in {
-		for i := range m.Pkts {
-			an.FeedPacket(m.Pkts[i])
-		}
-	}
-	return nil
 }
 
 // Drift metric names, booked on the registry of the analyzer that armed

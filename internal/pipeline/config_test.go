@@ -16,9 +16,9 @@ const golden = `// a comment before everything
       "segments": [
         { "id": "src", "segment": "sim", "params": { "duration": "10s", "seed": 3 } },
         { "id": "keep", "segment": "station", "from": ["src"], "params": { "stations": ["C1"] } },
-        { "id": "an", "segment": "analyzer", "from": ["keep"], "params": { "workers": 2 } }, // trailing comma next
-        { "id": "ids", "segment": "ids", "from": ["keep"], "params": { "train_year": 1 } },
-        { "id": "alerts", "segment": "log", "from": ["ids"], },
+        { "id": "an", "segment": "analyzer", "from": ["keep"], "params": { "workers": 2, "ids_train_year": 1 } }, // trailing comma next
+        { "id": "a2", "segment": "analyzer", "from": ["keep"] },
+        { "id": "alerts", "segment": "webhook", "from": ["an"], "params": { "url": "http://127.0.0.1:1/alerts" }, },
       ],
     },
     {
@@ -44,18 +44,18 @@ func TestParseGolden(t *testing.T) {
 	if main.Name != "main" || len(main.Nodes) != 5 {
 		t.Fatalf("pipeline[0] = %q with %d nodes, want main with 5", main.Name, len(main.Nodes))
 	}
-	wantKinds := []string{"sim", "station", "analyzer", "ids", "log"}
+	wantKinds := []string{"sim", "station", "analyzer", "analyzer", "webhook"}
 	for i, k := range wantKinds {
 		if main.Nodes[i].Kind != k {
 			t.Errorf("main node %d kind = %q, want %q", i, main.Nodes[i].Kind, k)
 		}
 	}
-	// Fan-out: both an and ids consume keep.
+	// Fan-out: both an and a2 consume keep.
 	if got := main.Nodes[2].From[0]; got != "keep" {
 		t.Errorf("an.from = %q, want keep", got)
 	}
 	if got := main.Nodes[3].From[0]; got != "keep" {
-		t.Errorf("ids.from = %q, want keep", got)
+		t.Errorf("a2.from = %q, want keep", got)
 	}
 	if cfg.Pipelines[1].Name != "side" {
 		t.Errorf("pipeline[1] = %q, want side", cfg.Pipelines[1].Name)
@@ -196,6 +196,20 @@ func TestParseErrors(t *testing.T) {
 				{ "id": "src", "segment": "tee" }
 			]}]}`,
 			want: []string{"bad.jsonc:2", `unknown segment kind "tee"`, "unchartedd -segments"},
+		},
+		{
+			name: "removed kind ids",
+			doc: `{"pipelines": [{"name": "p", "segments": [
+				{ "id": "src", "segment": "ids" }
+			]}]}`,
+			want: []string{"bad.jsonc:2", `unknown segment kind "ids"`, "unchartedd -segments"},
+		},
+		{
+			name: "removed kind log",
+			doc: `{"pipelines": [{"name": "p", "segments": [
+				{ "id": "src", "segment": "log" }
+			]}]}`,
+			want: []string{"bad.jsonc:2", `unknown segment kind "log"`, "unchartedd -segments"},
 		},
 	}
 	for _, tc := range cases {

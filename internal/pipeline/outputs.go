@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"uncharted/internal/ids"
 	"uncharted/internal/obs"
 	"uncharted/internal/stream"
 )
@@ -21,7 +20,7 @@ func init() {
 		Kind: "export",
 		Role: RoleOutput,
 		In:   PortProfiles,
-		Doc:  "write profiles to a file: json (final profile), jsonl (one profile per snapshot) or csv (one summary row per snapshot)",
+		Doc:  "write profiles to a file: json (the final profile; none, and no file, from a failed run), jsonl (one profile per snapshot) or csv (one summary row per snapshot)",
 		Params: []ParamSpec{
 			{Name: "path", Type: ParamString, Required: true, Doc: "output file"},
 			{Name: "format", Type: ParamString, Default: "json", Doc: "json, jsonl or csv"},
@@ -31,20 +30,13 @@ func init() {
 	Register(Spec{
 		Kind: "webhook",
 		Role: RoleOutput,
-		In:   PortAlerts,
-		Doc:  "POST one JSON document per alert to an HTTP endpoint (delivery failures are logged, not fatal)",
+		In:   PortProfiles,
+		Doc:  "POST one JSON document per alert of an analyzer's IDS to an HTTP endpoint (delivery failures are logged, not fatal)",
 		Params: []ParamSpec{
 			{Name: "url", Type: ParamString, Required: true, Doc: "webhook endpoint"},
 			{Name: "timeout", Type: ParamDuration, Default: 5 * time.Second, Doc: "per-delivery timeout"},
 		},
 		Build: buildWebhook,
-	})
-	Register(Spec{
-		Kind:  "log",
-		Role:  RoleOutput,
-		In:    PortAlerts,
-		Doc:   "log every alert through the pipeline's logger",
-		Build: buildLogOutput,
 	})
 }
 
@@ -76,7 +68,7 @@ func (s *ExportOutput) Run(_ context.Context, in <-chan Msg, _ Emit) error {
 	if err != nil {
 		return err
 	}
-	var last *stream.Profile
+	var final *stream.Profile
 	var cw *csv.Writer
 	if s.format == "csv" {
 		cw = csv.NewWriter(f)
@@ -117,7 +109,9 @@ func (s *ExportOutput) Run(_ context.Context, in <-chan Msg, _ Emit) error {
 				return err
 			}
 		default:
-			last = sn.Profile
+			if sn.Final {
+				final = sn.Profile
+			}
 		}
 	}
 	if s.format == "csv" {
@@ -127,8 +121,14 @@ func (s *ExportOutput) Run(_ context.Context, in <-chan Msg, _ Emit) error {
 			return err
 		}
 	}
-	if s.format == "json" && last != nil {
-		if err := last.WriteJSON(f); err != nil {
+	if s.format == "json" {
+		// Only a run that read its input to the end or was drained
+		// publishes a final snapshot; a failed one leaves no file.
+		if final == nil {
+			f.Close()
+			return os.Remove(s.path)
+		}
+		if err := final.WriteJSON(f); err != nil {
 			f.Close()
 			return err
 		}
@@ -185,34 +185,6 @@ func (s *WebhookOutput) Run(_ context.Context, in <-chan Msg, _ Emit) error {
 		if resp.StatusCode >= 300 {
 			s.failures.Inc()
 			s.env.Logf("webhook %s: endpoint answered %s", s.id, resp.Status)
-		}
-	}
-	return nil
-}
-
-// LogOutput logs alerts.
-type LogOutput struct {
-	env *Env
-	id  string
-	// onAlert is the optional hook sink (func(ids.Alert)).
-	onAlert func(ids.Alert)
-}
-
-func buildLogOutput(bc BuildCtx) (Segment, error) {
-	s := &LogOutput{env: bc.Env, id: bc.ID}
-	s.onAlert, _ = bc.Hook.(func(ids.Alert))
-	return s, nil
-}
-
-// Run implements Segment.
-func (s *LogOutput) Run(_ context.Context, in <-chan Msg, _ Emit) error {
-	for m := range in {
-		if m.Alert == nil {
-			continue
-		}
-		s.env.Logf("ALERT [%s] %v", s.id, *m.Alert)
-		if s.onAlert != nil {
-			s.onAlert(*m.Alert)
 		}
 	}
 	return nil

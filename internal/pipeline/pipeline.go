@@ -2,17 +2,17 @@
 // analysis capabilities into declared segment graphs: a JSON/JSONC
 // config names pipelines as DAGs of registered segments — inputs
 // (finished captures, growing captures, the in-process simulator),
-// filters (per-station, per-ASDU-type, per-IP-pair, sampling),
-// analysis stages (the sharded core analyzer, which serves its own
-// profile, diffs it against a stored drift baseline and journals every
-// snapshot; the online IDS) and outputs (JSON/JSONL/CSV export, alert
-// webhooks and log lines) — and one process runs a whole fleet's worth
-// of them side by side (cmd/unchartedd hosts each as a tenant, all in
-// one Runner).
+// filters (per-station, per-ASDU-type, per-IP-pair, sampling), the
+// analysis stage (the sharded core analyzer, which serves its own
+// profile, diffs it against a stored drift baseline, journals every
+// snapshot and runs the online IDS, one monitor per shard) and outputs
+// (JSON/JSONL/CSV export, alert webhooks) — and one process runs a
+// whole fleet's worth of them side by side (cmd/unchartedd hosts each
+// as a tenant, all in one Runner).
 //
 // Segments compose behind channels of Msg values: a packets edge
-// carries decoded packet batches, a profiles edge carries published
-// analysis snapshots, an alerts edge carries IDS alerts. Edges
+// carries decoded packet batches, a profiles edge carries what an
+// analyzer publishes — its snapshots and its IDS alerts. Edges
 // are bounded, sends block (lossless backpressure, with stall
 // accounting per segment), and every segment gets its own
 // pipeline/segment-labeled obs metric series. One edge carries no
@@ -52,10 +52,9 @@ const (
 	PortNone PortType = ""
 	// PortPackets edges carry batches of decoded packets.
 	PortPackets PortType = "packets"
-	// PortProfiles edges carry published analysis snapshots.
+	// PortProfiles edges carry what an analyzer publishes: its
+	// snapshots and, with an IDS armed, its alerts.
 	PortProfiles PortType = "profiles"
-	// PortAlerts edges carry IDS alerts.
-	PortAlerts PortType = "alerts"
 )
 
 // Role groups segments in the catalog: where they sit in a graph.
@@ -77,10 +76,13 @@ type Snapshot struct {
 	Partial core.Partial
 	// Profile is the derived rolling profile document.
 	Profile *stream.Profile
+	// Final marks the exact state of a run that read its input to the
+	// end or was drained; a failed run publishes none.
+	Final bool
 }
 
-// Msg is the value flowing over an edge. Exactly one field is set,
-// matching the edge's port type.
+// Msg is the value flowing over an edge. One field is set per message:
+// Pkts or Src on a packets edge, Snap or Alert on a profiles edge.
 type Msg struct {
 	Pkts  []pcap.Packet
 	Snap  *Snapshot

@@ -103,7 +103,8 @@ func ProfilerGraph(p ProfilerPreset) (*Config, map[string]any) {
 // LivePreset parameterises the iec104live command's graph.
 type LivePreset struct {
 	// Year / Seed / Duration / Speed / Attack map to the sim input's
-	// params of the same name. An Attack also arms the online detector.
+	// params of the same name. An Attack also arms the analyzer's online
+	// detector.
 	Year     int
 	Seed     int
 	Duration time.Duration
@@ -121,32 +122,26 @@ type LivePreset struct {
 
 // LiveGraph returns the declared graph of iec104live — pipeline "live",
 // segments "sim" → "an" — plus the hooks to install via Options.Hooks.
-// With an Attack the feed also fans out to segment "ids", an online
-// detector trained on a clean run of the same grid and length (another
-// seed, like training on yesterday's capture); its alert sink is the
-// caller's "live/ids" hook.
+// An Attack also arms the analyzer's online detector with a whitelist
+// trained on a clean run of the same grid and length (another seed,
+// like training on yesterday's capture).
 func LiveGraph(p LivePreset) (*Config, map[string]any) {
-	cfg := SourceGraph("live", "sim", "sim", map[string]any{
-		"year":     p.Year,
-		"seed":     p.Seed,
-		"duration": p.Duration,
-		"speed":    p.Speed,
-		"attack":   p.Attack,
-	}, map[string]any{
+	an := map[string]any{
 		"workers":      p.Workers,
 		"snapshot":     p.SnapshotEvery,
 		"cluster_k":    5,
 		"cluster_seed": core.ClusterSeed,
 		"point_cap":    p.PointCap,
 		"historian":    p.HistorianDir,
-	})
-	if p.Attack != "" {
-		live := &cfg.Pipelines[0]
-		live.Nodes = append(live.Nodes, presetNode("ids", "ids", []string{"sim"}, map[string]any{
-			"train_year":     p.Year,
-			"train_seed":     p.Seed + 1000,
-			"train_duration": p.Duration,
-		}))
 	}
-	return cfg, map[string]any{"live/an": p.Trace}
+	if p.Attack != "" {
+		an["ids_train_year"], an["ids_train_seed"], an["ids_train_duration"] = p.Year, p.Seed+1000, p.Duration
+	}
+	return SourceGraph("live", "sim", "sim", map[string]any{
+		"year":     p.Year,
+		"seed":     p.Seed,
+		"duration": p.Duration,
+		"speed":    p.Speed,
+		"attack":   p.Attack,
+	}, an), map[string]any{"live/an": p.Trace}
 }

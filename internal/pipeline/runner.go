@@ -63,6 +63,9 @@ type node struct {
 	in        chan Msg
 	producers atomic.Int32
 	consumers []*node
+	// fedByFailure: a producer failed, or was itself fed by one that
+	// did, so this node's input ended early.
+	fedByFailure atomic.Bool
 	// source, on both ends of a handed-off edge, is its consumer.
 	source sourceTaker
 
@@ -294,8 +297,13 @@ func (r *Runner) runNode(ctx context.Context, p *pipe, n *node) {
 		}()
 	}
 	// Release the downstream edges: the last producer to finish closes
-	// the consumer's queue, which is its EOF.
+	// the consumer's queue, which is its EOF. A failure is passed on
+	// first, so a consumer's EOF is not taken for the end of its input.
+	failed := err != nil || n.fedByFailure.Load()
 	for _, c := range n.consumers {
+		if failed {
+			c.fedByFailure.Store(true)
+		}
 		if c.producers.Add(-1) == 0 {
 			close(c.in)
 		}
@@ -321,12 +329,17 @@ func (r *Runner) meterIn(n *node) <-chan Msg {
 }
 
 // emitFor builds a node's Emit: broadcast to every consumer, blocking
-// on full queues with stall accounting. Terminal nodes get a no-op.
+// on full queues with stall accounting. Terminal nodes get a no-op. A
+// final snapshot of a node fed by a failure is dropped: its input did
+// not end, it broke off, so the state is not a whole run's.
 func (r *Runner) emitFor(n *node) Emit {
 	if len(n.consumers) == 0 {
 		return func(Msg) {}
 	}
 	return func(m Msg) {
+		if m.Snap != nil && m.Snap.Final && n.fedByFailure.Load() {
+			return
+		}
 		n.msgsOut.Inc()
 		n.pktsOut.Add(int64(m.packets()))
 		for _, c := range n.consumers {

@@ -208,9 +208,10 @@ func TestProfilerOneShardAnalyzer(t *testing.T) {
 	}
 }
 
-// TestLiveGraphDetectsAttacks: iec104live -attack is the declared sim →
-// {an, ids} graph — each scenario raises its alert through the ids
-// segment — and the extra consumer changes how the feed reaches the
+// TestLiveGraphDetectsAttacks: iec104live -attack is the declared
+// sim → an graph with the analyzer's online detector armed — each
+// scenario raises its alert, and the feed is still handed to the engine
+// — and a second packets consumer changes how the feed reaches the
 // analyzer (inline edge instead of a handed-off source), not what the
 // analyzer concludes.
 func TestLiveGraphDetectsAttacks(t *testing.T) {
@@ -221,34 +222,28 @@ func TestLiveGraphDetectsAttacks(t *testing.T) {
 	} {
 		t.Run(attack, func(t *testing.T) {
 			cfg, hooks := LiveGraph(LivePreset{Year: 1, Seed: 1, Duration: 30 * time.Second, Workers: 2, Attack: attack})
+			alerts, runner := runLogged(t, cfg, Options{Hooks: hooks})
 			critical := 0
-			hooks["live/ids"] = func(al ids.Alert) { // called from the ids segment's goroutine only
+			for _, al := range alerts {
 				if al.Kind == kind && al.Severity == 3 {
 					critical++
 				}
 			}
-			runner, err := NewRunner(cfg, Options{Hooks: hooks, Logf: t.Logf})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := runner.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
 			if critical == 0 {
-				t.Errorf("no critical %s alert reached the hook", kind)
+				t.Errorf("no critical %s alert among the analyzer's %d", kind, len(alerts))
 			}
-			if n := runner.Segment("live", "ids").(*IDSSegment).Alerts(); n < int64(critical) {
-				t.Errorf("IDSSegment.Alerts() = %d, hook saw %d critical ones", n, critical)
+			if out := runner.status()[0].Segments[0].MsgsOut; out != 1 {
+				t.Errorf("sim emitted %d messages, want its source handed off in one", out)
 			}
 		})
 	}
 
 	t.Run("clean feed, inline vs handoff", func(t *testing.T) {
-		run := func(detector bool) (core.Partial, *stream.Profile) {
+		run := func(fanOut bool) (core.Partial, *stream.Profile) {
 			cfg, hooks := LiveGraph(LivePreset{Year: 1, Seed: 3, Duration: 20 * time.Second, Workers: 2})
-			if detector {
+			if fanOut {
 				live := &cfg.Pipelines[0]
-				live.Nodes = append(live.Nodes, presetNode("ids", "ids", []string{"sim"}, map[string]any{"train_year": 1, "train_duration": 20 * time.Second}))
+				live.Nodes = append(live.Nodes, presetNode("a2", "analyzer", []string{"sim"}, nil))
 			}
 			runner, err := NewRunner(cfg, Options{Hooks: hooks, Logf: t.Logf})
 			if err != nil {
@@ -257,8 +252,8 @@ func TestLiveGraphDetectsAttacks(t *testing.T) {
 			if err := runner.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if handedOff := runner.status()[0].Segments[0].MsgsOut == 1; handedOff == detector {
-				t.Fatalf("detector=%v: source handed off = %v", detector, handedOff)
+			if handedOff := runner.status()[0].Segments[0].MsgsOut == 1; handedOff == fanOut {
+				t.Fatalf("fanOut=%v: source handed off = %v", fanOut, handedOff)
 			}
 			eng := runner.Analyzer().Engine()
 			return eng.Final(), eng.Profile()
@@ -266,10 +261,10 @@ func TestLiveGraphDetectsAttacks(t *testing.T) {
 		wantPartial, wantProfile := run(false)
 		gotPartial, gotProfile := run(true)
 		if wantPartial.Packets == 0 || !reflect.DeepEqual(wantPartial, gotPartial) {
-			t.Errorf("final state differs with the detector attached: %d vs %d packets", gotPartial.Packets, wantPartial.Packets)
+			t.Errorf("final state differs with a second consumer attached: %d vs %d packets", gotPartial.Packets, wantPartial.Packets)
 		}
 		if !reflect.DeepEqual(wantProfile, gotProfile) {
-			t.Error("final profile differs with the detector attached")
+			t.Error("final profile differs with a second consumer attached")
 		}
 	})
 }
@@ -453,6 +448,47 @@ func TestHandoffByTopology(t *testing.T) {
 			}
 			if err := runner.Run(context.Background()); !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(fmt.Sprint(err), bad) {
 				t.Fatalf("Run error = %v, want one naming %s and wrapping %v", err, bad, io.ErrUnexpectedEOF)
+			}
+		})
+	}
+
+	// A capture cut mid-record fails the run — the engine's own read when
+	// handed off, the input's when a filter sits in between — and a json
+	// export downstream writes no profile of what was read before the cut.
+	for _, tc := range []struct {
+		workers int
+		inline  bool
+	}{{1, false}, {2, false}, {2, true}} {
+		name, from, filter := fmt.Sprintf("failed run exports no profile at %d shards", tc.workers), "src", ""
+		if tc.inline {
+			name, from, filter = "failed inline run exports no profile", "all", `{ "id": "all", "segment": "sample", "from": ["src"], "params": { "every": 1 } },`
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cut, out := filepath.Join(dir, "cut.pcap"), filepath.Join(dir, "out.json")
+			if err := os.WriteFile(cut, data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := Parse([]byte(fmt.Sprintf(`{"pipelines": [{"name": "p", "segments": [
+			  { "id": "src", "segment": "pcap", "params": { "path": %q } }, %s
+			  { "id": "an", "segment": "analyzer", "from": [%q], "params": { "workers": %d } },
+			  { "id": "out", "segment": "export", "from": ["an"], "params": { "path": %q } }
+			]}]}`, cut, filter, from, tc.workers, out)), "handoff.jsonc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := NewRunner(cfg, Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := runner.Run(context.Background()); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("Run error = %v, want one wrapping %v", err, io.ErrUnexpectedEOF)
+			}
+			if handedOff := runner.status()[0].Segments[0].MsgsOut == 1; handedOff == tc.inline {
+				t.Errorf("source handed off = %v, want %v", handedOff, !tc.inline)
+			}
+			if fi, err := os.Stat(out); err == nil {
+				t.Errorf("export of the failed run wrote %s (%d bytes)", out, fi.Size())
 			}
 		})
 	}

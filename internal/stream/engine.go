@@ -112,9 +112,9 @@ type Config struct {
 	// Trace.WriteChromeTrace after Run.
 	Trace *trace.Recorder
 	// Observer, when set, attaches a core.FrameObserver to each shard
-	// (e.g. an ids.Monitor). Called once per shard at start; monitors
-	// are per-shard, so no locking is needed inside them, but a shared
-	// alert sink must be serialised by the caller.
+	// (e.g. ids.NewMonitorSet's monitors). Called once per shard at
+	// start; each observer runs on its shard's goroutine, so anything
+	// observers share must be safe for concurrent use.
 	Observer func(shard int) core.FrameObserver
 	// Historian, when set, records every IEC 104 measurement into the
 	// durable store: each shard gets a historian.Recorder composed with

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"uncharted/internal/service"
 )
 
 // TestOneEngineConstructor: every front end declares a graph, and only
@@ -62,16 +64,50 @@ func TestOnePointExtraction(t *testing.T) {
 // the analyzer. Only the benchmark harness, which times the codec layer
 // by layer, calls the tolerant parser itself.
 func TestOneIEC104Parser(t *testing.T) {
-	own := []string{filepath.Join("internal", "iec104") + string(filepath.Separator), "benchmark" + string(filepath.Separator)}
+	if got := linesOutside(t, filepath.Join("internal", "iec104"), "iec104.NextFrame(", ".ParseFrameAt(", ".ParseFrameInto(", ".ProfileAt(", ".StrictPlausible("); len(got) > 0 {
+		t.Errorf("IEC 104 frames are framed or parsed outside the session, on lines of %v", got)
+	}
+}
+
+// TestOneMonitorSet: an engine's online detector is built by
+// ids.NewMonitorSet — one monitor per shard, all sharing one fired-once
+// set — so an alert fires once however many shards see its subject.
+// Only the benchmark harness, which times a bare monitor, builds one
+// with ids.NewMonitor.
+func TestOneMonitorSet(t *testing.T) {
+	if got := linesOutside(t, filepath.Join("internal", "ids"), "ids.NewMonitor("); len(got) > 0 {
+		t.Errorf("a Monitor is built outside ids.NewMonitorSet, on lines of %v", got)
+	}
+}
+
+// TestReadmeConfigParses: the service config README shows is one the
+// daemon accepts, segment kinds and params included.
+func TestReadmeConfigParses(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(readme), "```jsonc\n")
+	if !ok {
+		t.Fatal("README.md has no jsonc block")
+	}
+	block, _, _ = strings.Cut(block, "```")
+	if _, err := service.ParseConfig([]byte(block), "README.md"); err != nil {
+		t.Errorf("README's config block does not parse: %v", err)
+	}
+}
+
+// linesOutside is linesNaming over the whole tree, less the files under
+// own and under benchmark/, which times the layers one by one.
+func linesOutside(t *testing.T, own string, subs ...string) []string {
+	t.Helper()
 	var got []string
-	for _, path := range linesNaming(t, ".", "iec104.NextFrame(", ".ParseFrameAt(", ".ParseFrameInto(", ".ProfileAt(", ".StrictPlausible(") {
-		if !strings.HasPrefix(path, own[0]) && !strings.HasPrefix(path, own[1]) {
+	for _, path := range linesNaming(t, ".", subs...) {
+		if !strings.HasPrefix(path, own+string(filepath.Separator)) && !strings.HasPrefix(path, "benchmark"+string(filepath.Separator)) {
 			got = append(got, path)
 		}
 	}
-	if len(got) > 0 {
-		t.Errorf("IEC 104 frames are framed or parsed outside the session, on lines of %v", got)
-	}
+	return got
 }
 
 // linesNaming walks the non-test .go files under root and returns, once
