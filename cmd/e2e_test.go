@@ -507,26 +507,33 @@ func testDashboard(t *testing.T) {
 
 // testService: the control-room daemon with two paced simulator tenants
 // (ingest keeps publishing under load), a finished-capture tenant with a
-// historian and a declared pipeline over the same capture. The mixed
-// read workload sees no 5xx and a hot snapshot cache. The capture
-// tenant's feed ends within the first second, and its historian still
-// answers a point query afterwards (the drain closes it, not EOF); the
-// declared pipeline serves its profile under /v1 like any tenant. A
+// historian and one with the analyzer's defaults over the same capture,
+// each declared as a pipeline. The mixed read workload sees no 5xx and a
+// hot snapshot cache. The capture tenant's feed ends within the first
+// second, and its historian still answers a point query afterwards (the
+// drain closes it, not EOF); the other serves its profile under /v1. A
 // daemon over a truncated capture exits 1: a tenant whose ingest failed
 // is not a clean run.
 func testService(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "smoke.json"), fmt.Sprintf(`{
   "listen": "127.0.0.1:0",
-  "historian_root": "hist",
-  "tenants": [
-    {"name": "east", "source": {"kind": "sim", "year": 1, "seed": 7, "speed": 120},
-     "workers": 2, "snapshot": "500ms", "historian": true},
-    {"name": "west", "source": {"kind": "sim", "year": 2, "seed": 9, "speed": 120},
-     "workers": 2, "snapshot": "500ms", "historian": true},
-    {"name": "era", "source": {"kind": "pcap", "path": %[1]q}, "historian": true}
-  ],
   "pipelines": [
+    {"name": "east", "segments": [
+      {"id": "src", "segment": "sim", "params": {"year": 1, "seed": 7, "duration": "40m", "speed": 120}},
+      {"id": "an", "segment": "analyzer", "from": ["src"],
+       "params": {"workers": 2, "snapshot": "500ms", "cluster_k": 0, "historian": "hist/east"}}
+    ]},
+    {"name": "west", "segments": [
+      {"id": "src", "segment": "sim", "params": {"year": 2, "seed": 9, "duration": "15m", "speed": 120}},
+      {"id": "an", "segment": "analyzer", "from": ["src"],
+       "params": {"workers": 2, "snapshot": "500ms", "cluster_k": 0, "historian": "hist/west"}}
+    ]},
+    {"name": "era", "segments": [
+      {"id": "src", "segment": "pcap", "params": {"path": %[1]q}},
+      {"id": "an", "segment": "analyzer", "from": ["src"],
+       "params": {"snapshot": "1s", "cluster_k": 0, "names": false, "historian": "hist/era"}}
+    ]},
     {"name": "declared", "segments": [
       {"id": "src", "segment": "pcap", "params": {"path": %[1]q}},
       {"id": "an", "segment": "analyzer", "from": ["src"]}
@@ -594,7 +601,9 @@ func testService(t *testing.T) {
 	}
 	writeFile(t, filepath.Join(dir, "cut.pcap"), string(capture[:300000]))
 	writeFile(t, filepath.Join(dir, "cut.json"),
-		`{"listen": "127.0.0.1:0", "tenants": [{"name": "cut", "source": {"kind": "pcap", "path": "cut.pcap"}}]}`)
+		`{"listen": "127.0.0.1:0", "pipelines": [{"name": "cut", "segments": [
+  {"id": "src", "segment": "pcap", "params": {"path": "cut.pcap"}},
+  {"id": "an", "segment": "analyzer", "from": ["src"]}]}]}`)
 	cut := start(t, dir, "unchartedd", "cut.json")
 	eventually(t, "truncated tenant failed", func() error {
 		var g graphView
@@ -610,7 +619,8 @@ func testService(t *testing.T) {
 }
 
 // testPipelines: every committed example config dry-runs clean on the
-// daemon, and a misspelt key fails the dry run naming the key. The live
+// daemon, and a misspelt analyzer param fails the dry run naming the
+// param, its pipeline and segment. The live
 // IDS fleet boots for real: it publishes a snapshot, its historian
 // catalog fills, the combined /statusz lists it, and SIGINT drains it
 // with exit 0. With no address to serve on, a finished capture's graph
@@ -627,10 +637,11 @@ func testPipelines(t *testing.T) {
 		}
 	}
 	run(t, dir, 0, "unchartedd", append([]string{"-validate"}, configs...)...)
-	writeFile(t, filepath.Join(dir, "typo.json"),
-		`{"tenants": [{"name": "east", "source": {"kind": "sim"}, "worker": 2}]}`)
+	writeFile(t, filepath.Join(dir, "typo.json"), `{"pipelines": [{"name": "east", "segments": [
+  {"id": "src", "segment": "sim"},
+  {"id": "an", "segment": "analyzer", "from": ["src"], "params": {"worker": 2}}]}]}`)
 	_, stderr := run(t, dir, 1, "unchartedd", "-validate", "typo.json")
-	mustContain(t, "-validate typo.json", stderr, `typo.json:1: tenant "east": unknown key "worker"`)
+	mustContain(t, "-validate typo.json", stderr, `typo.json:3: pipeline "east" segment "an": unknown param "worker"`)
 
 	// Keep the example's historian inside the test's directory.
 	src, err := os.ReadFile("../examples/pipelines/live-ids.jsonc")

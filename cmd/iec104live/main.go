@@ -129,7 +129,7 @@ func run() int {
 			case h.Err != nil:
 				log.Printf("stream failed: %v", h.Err)
 				exit = 1
-			case h.Interrupted:
+			case !h.Runner.Analyzer().Whole():
 				log.Printf("interrupted after %s, shards drained", elapsed)
 			default:
 				log.Printf("feed exhausted in %s", elapsed)

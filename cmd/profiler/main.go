@@ -173,6 +173,7 @@ func run() int {
 		TracePath:   *tracePath,
 		TraceSample: *traceSample,
 		After: func(h *pipeline.Hosted) int {
+			an := h.Runner.Analyzer()
 			exit := 0
 			switch {
 			case h.Err != nil:
@@ -181,19 +182,18 @@ func run() int {
 				// notice.
 				fmt.Fprintf(os.Stderr, "profiler: warning: capture read stopped early: %v (reporting partial results)\n", h.Err)
 				exit = 1
-			case h.Interrupted && !*follow:
-				// An interrupt is how a followed capture ends; on a finished
-				// one it cuts the read short like a damaged file does.
+			case !an.Whole():
+				// A drain is how a followed capture ends; on a finished one
+				// it cuts the read short like a damaged file does.
 				fmt.Fprintln(os.Stderr, "profiler: warning: interrupted before the end of the capture (reporting partial results)")
 				exit = 1
 			}
-			an := h.Runner.Analyzer()
 			e := an.Engine()
 			whole := e.Analyzer() // nil when the run was sharded
 			p := e.Final()
 			printReports(want, p, whole, h.Registry, h.Journal)
 			switch {
-			case exit != 0 && (*saveProfile != "" || *pushURL != "" || *saveBaseline != ""):
+			case !an.Whole() && (*saveProfile != "" || *pushURL != "" || *saveBaseline != ""):
 				// A profile of part of a capture would diff, and merge into
 				// a fleet, as if it were the whole; a whitelist trained on
 				// it would flag the rest as new.

@@ -1,16 +1,17 @@
 // Command unchartedd is the control-room daemon: it hosts N tenants —
 // balancing authorities, capture eras, single captures — each a
-// pipeline of one segment graph with its own engine and historian
-// namespace, behind one multi-tenant HTTP API with a snapshot-keyed
-// response cache and remote-probe aggregation (internal/service).
+// pipeline of one segment graph, with its own engine and historian,
+// behind one multi-tenant HTTP API with a snapshot-keyed response cache
+// and remote-probe aggregation (internal/service).
 //
 // The config is one JSONC document (README "Control-room service"): a
-// "tenants" list of shorthand sources (sim, pcap, follow, probe) and a
 // "pipelines" list of declared segment graphs, each hosted as the
-// tenant of its name. A key the loader does not know is an error.
+// tenant of its name; one with no segments is a probe-only tenant. A
+// key the loader does not know is an error.
 //
 // Every tenant serves /v1/{tenant}/profile, /drift, /query, /statusz,
-// /fleet and /partial (remote probes post drift-codec partials there);
+// /pipeline, /fleet and /partial (remote probes post drift-codec
+// partials there);
 // its pipeline's segment endpoints are under /pipelines/{tenant}/...,
 // the combined graph view is /statusz, and /metrics carries the
 // service's series with a tenant label and the graph's with the
@@ -131,9 +132,9 @@ func run() int {
 	return exit
 }
 
-// runValidate dry-runs every config: parse, schema-check, compile every
-// tenant and graph-check every pipeline, without building a single
-// segment. Errors name the config path and line.
+// runValidate dry-runs every config: parse, schema-check and
+// graph-check every pipeline, without building a single segment.
+// Errors name the config path and line.
 func runValidate(paths []string) int {
 	if len(paths) == 0 {
 		log.Print("usage: unchartedd -validate config.jsonc [more.jsonc ...]")
@@ -151,7 +152,7 @@ func runValidate(paths []string) int {
 		for _, pc := range cfg.Pipelines {
 			segs += len(pc.Nodes)
 		}
-		log.Printf("%s: ok (%d tenants, %d pipelines, %d segments)", path, len(cfg.Tenants), len(cfg.Pipelines), segs)
+		log.Printf("%s: ok (%d pipelines, %d segments)", path, len(cfg.Pipelines), segs)
 	}
 	return exit
 }

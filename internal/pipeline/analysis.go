@@ -58,6 +58,8 @@ type chanSource struct {
 	in  <-chan Msg
 	cur []pcap.Packet
 	i   int
+	// cut: the edge said its input ended short (Msg.Cut).
+	cut bool
 }
 
 func (s *chanSource) Next() (pcap.Packet, error) {
@@ -71,7 +73,7 @@ func (s *chanSource) Next() (pcap.Packet, error) {
 		if !ok {
 			return pcap.Packet{}, io.EOF
 		}
-		s.cur, s.i = m.Pkts, 0
+		s.cur, s.i, s.cut = m.Pkts, 0, s.cut || m.Cut
 	}
 }
 
@@ -89,6 +91,7 @@ type AnalyzerSegment struct {
 
 	fwd        chan *Snapshot
 	fwdDropped *obs.Counter
+	whole      bool // set by Run
 }
 
 // buildAnalyzer builds the segment; its Options.Hooks payload is the
@@ -255,12 +258,11 @@ func (s *AnalyzerSegment) Close() error {
 
 // Run implements Segment: snapshots forwarded by the OnSnapshot hook
 // and alerts ride the profiles edge, and the exact final state follows
-// the drain of a run that read its input to the end or was canceled; a
-// failed run emits no final snapshot. An inline edge is consumed via a
-// chanSource, whose end-of-stream is the runtime's close cascade. When
-// the first message carries a source handoff instead of packets, the
-// engine runs straight over that source under the runner's context:
-// cancellation is the drain, and the final profile still publishes.
+// the drain of a whole run (Whole); any other emits no final snapshot.
+// An inline edge is consumed via a chanSource, whose end-of-stream is
+// the runtime's close cascade. When the first message carries a source
+// handoff instead of packets, the engine runs straight over that source
+// under the runner's context: cancellation is the drain.
 func (s *AnalyzerSegment) Run(ctx context.Context, in <-chan Msg, emit Emit) error {
 	s.emit = emit
 	var wg sync.WaitGroup
@@ -272,28 +274,38 @@ func (s *AnalyzerSegment) Run(ctx context.Context, in <-chan Msg, emit Emit) err
 		}
 	}()
 	var err error
+	cut := false
 	if first, ok := <-in; ok && first.Src != nil {
 		err = s.eng.Run(ctx, first.Src)
 		// Canceled mid-read and nothing else wrong: a drain, not a
 		// failure. A historian error comes joined with the
 		// cancellation, so it is not dropped here.
-		if err == ctx.Err() {
-			err = nil
+		if err != nil && err == ctx.Err() {
+			err, cut = nil, !tail(first.Src)
 		}
 		if cerr := first.Src.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 		err = nameFile(first.Src, err)
 	} else {
-		err = s.eng.Run(context.Background(), &chanSource{in: in, cur: first.Pkts})
+		src := &chanSource{in: in, cur: first.Pkts, cut: first.Cut}
+		err = s.eng.Run(context.Background(), src)
+		cut = src.cut
 	}
+	s.whole = err == nil && !cut
 	close(s.fwd)
 	wg.Wait()
-	if prof := s.eng.Profile(); prof != nil && err == nil {
+	if prof := s.eng.Profile(); prof != nil && s.whole {
 		emit(Msg{Snap: &Snapshot{Seq: prof.Seq, Partial: s.eng.Final(), Profile: prof, Final: true}})
 	}
 	return err
 }
+
+// Whole reports, once Run has returned, whether the run read its whole
+// input: to its end, or a tail up to the drain that ended it. Only a
+// whole run's state stands for its input; a failed one, or a drain
+// that cut a finite input short, saw part of it.
+func (s *AnalyzerSegment) Whole() bool { return s.whole }
 
 // campaign maps a year param (1 or 2) to its capture campaign.
 func campaign(y int) topology.Year {

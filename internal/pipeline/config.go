@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -137,6 +138,9 @@ func (c *Config) Check(file string, lines Lines) error {
 		errs = append(errs, &ConfigError{File: file, Msg: "config declares no pipelines"})
 	}
 	seenPipes := map[string]bool{}
+	// historians maps each analyzer's cleaned historian directory to
+	// the first segment that opens it, and its line.
+	historians := map[string]string{}
 	for pi := range c.Pipelines {
 		p := &c.Pipelines[pi]
 		pwhere := fmt.Sprintf("pipeline %q", p.Name)
@@ -150,10 +154,6 @@ func (c *Config) Check(file string, lines Lines) error {
 			fail(pi, -1, pwhere, "duplicate pipeline name")
 		}
 		seenPipes[p.Name] = true
-		if len(p.Nodes) == 0 {
-			fail(pi, -1, pwhere, "pipeline has no segments")
-			continue
-		}
 
 		byID := map[string]*NodeConfig{}
 		for ni := range p.Nodes {
@@ -183,8 +183,18 @@ func (c *Config) Check(file string, lines Lines) error {
 				fail(pi, ni, where, fmt.Sprintf("unknown segment kind %q (run `unchartedd -segments` for the catalog)", n.Kind))
 				continue
 			}
-			if _, err := parseParams(spec.Params, n.Params); err != nil {
+			params, err := parseParams(spec.Params, n.Params)
+			if err != nil {
 				fail(pi, ni, where, err.Error())
+			} else if dir := params.Str("historian"); n.Kind == "analyzer" && dir != "" {
+				dir = filepath.Clean(dir)
+				if first, taken := historians[dir]; taken {
+					fail(pi, ni, where, fmt.Sprintf("historian %s is also opened by %s; one process may have a directory open at a time", dir, first))
+				} else if line := lines[fmt.Sprintf("pipelines[%d].segments[%d]", pi, ni)]; line > 0 {
+					historians[dir] = fmt.Sprintf("%s (line %d)", where, line)
+				} else {
+					historians[dir] = where
+				}
 			}
 			if spec.In == PortNone {
 				hasInput = true

@@ -50,12 +50,11 @@ type Hosted struct {
 	Registry *obs.Registry
 	Journal  *obs.Journal // nil without a JournalPath
 	Addr     net.Addr     // bound HTTP address; nil without a Host.Addr
-	// Set for After: the graph's terminal error (Run joined with Close),
-	// whether SIGINT/SIGTERM rather than the inputs ended the run, and
-	// its wall time.
-	Err         error
-	Interrupted bool
-	Elapsed     time.Duration
+	// Set for After: the graph's terminal error (Run joined with Close)
+	// and its wall time. Whether the run was whole is its analyzer's
+	// (AnalyzerSegment.Whole).
+	Err     error
+	Elapsed time.Duration
 }
 
 // Run hosts the graph until its inputs are exhausted or SIGINT/SIGTERM
@@ -124,7 +123,7 @@ func (h Host) run() (code int, err error) {
 	defer stop()
 	start := time.Now()
 	res.Err = runner.Run(ctx)
-	res.Elapsed, res.Interrupted = time.Since(start), ctx.Err() != nil
+	res.Elapsed = time.Since(start)
 	res.Err = errors.Join(res.Err, runner.Close())
 
 	if rec != nil {

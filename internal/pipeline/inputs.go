@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -121,17 +122,33 @@ func (b *batcher) Flush(context.Context) bool {
 	return true
 }
 
+// errDrainedShort is what an input returns when a drain stopped it
+// before the end of a finite input: not a failure, but its consumers'
+// input ended short (Msg.Cut).
+var errDrainedShort = errors.New("drained before the end of the input")
+
 // pump drives one opened source into emitted messages with the shared
-// read loop, then closes it. A canceled ctx is a drain, not an error.
+// read loop, then closes it. A drain is not a failure: it is how a tail
+// ends, and cuts any other source short (errDrainedShort).
 func pump(ctx context.Context, src stream.Source, emit Emit) error {
 	err := stream.Pull(ctx, src, inlinePoll, nil, &batcher{emit: emit})
 	if cerr := src.Close(); err == nil {
 		err = cerr
 	}
-	if ctx.Err() != nil {
-		return nil
+	if err != nil && ctx.Err() != nil {
+		if tail(src) {
+			return nil
+		}
+		return errDrainedShort
 	}
 	return nameFile(src, err)
+}
+
+// tail reports whether a drain is how src ends: a growing capture has
+// no end of its own.
+func tail(src stream.Source) bool {
+	_, ok := src.(*stream.FollowSource)
+	return ok
 }
 
 // nameFile prefixes the error of a run over a capture file with the
@@ -283,7 +300,7 @@ func (s *PacketInput) Run(ctx context.Context, _ <-chan Msg, emit Emit) error {
 	}
 	err := pump(ctx, s.src, emit)
 	for _, path := range s.more {
-		if err != nil || ctx.Err() != nil {
+		if err != nil {
 			break
 		}
 		var src *stream.FileSource

@@ -76,8 +76,10 @@ type Snapshot struct {
 	Partial core.Partial
 	// Profile is the derived rolling profile document.
 	Profile *stream.Profile
-	// Final marks the exact state of a run that read its input to the
-	// end or was drained; a failed run publishes none.
+	// Final marks the exact state of a whole run: one that read its
+	// input to the end, or drained a tail (a drain is how a tail ends).
+	// A failed run, or a drain that cut a finite input short, publishes
+	// none.
 	Final bool
 }
 
@@ -94,6 +96,10 @@ type Msg struct {
 	// its own readers — N parallel ones over a seekable capture. The
 	// receiver owns Src and must Close it.
 	Src stream.Source
+	// Cut, the last message on an edge before it closes, says the input
+	// upstream ended short: a producer failed, or a drain stopped a
+	// finite input before its end. The runner sends it.
+	Cut bool
 }
 
 // packets reports how many packets ride this message (for metrics).

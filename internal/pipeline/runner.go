@@ -63,9 +63,10 @@ type node struct {
 	in        chan Msg
 	producers atomic.Int32
 	consumers []*node
-	// fedByFailure: a producer failed, or was itself fed by one that
-	// did, so this node's input ended early.
-	fedByFailure atomic.Bool
+	// fedByCut: a producer failed or was drained short of its input's
+	// end, or was itself fed by one that was, so this node's input ended
+	// early (Msg.Cut).
+	fedByCut atomic.Bool
 	// source, on both ends of a handed-off edge, is its consumer.
 	source sourceTaker
 
@@ -281,6 +282,10 @@ func (r *Runner) runNode(ctx context.Context, p *pipe, n *node) {
 	n.state.Store(nodeRunning)
 	in := r.meterIn(n)
 	err := n.seg.Run(ctx, in, r.emitFor(n))
+	short := err == errDrainedShort
+	if short {
+		err = nil
+	}
 	if err != nil {
 		n.setErr(err)
 		n.state.Store(nodeFailed)
@@ -297,14 +302,18 @@ func (r *Runner) runNode(ctx context.Context, p *pipe, n *node) {
 		}()
 	}
 	// Release the downstream edges: the last producer to finish closes
-	// the consumer's queue, which is its EOF. A failure is passed on
-	// first, so a consumer's EOF is not taken for the end of its input.
-	failed := err != nil || n.fedByFailure.Load()
+	// the consumer's queue, which is its EOF. An input that ended short
+	// is passed on first, and said on the edge before it closes, so a
+	// consumer's EOF is not taken for the end of its input.
+	cut := err != nil || short || n.fedByCut.Load()
 	for _, c := range n.consumers {
-		if failed {
-			c.fedByFailure.Store(true)
+		if cut {
+			c.fedByCut.Store(true)
 		}
 		if c.producers.Add(-1) == 0 {
+			if c.fedByCut.Load() {
+				c.in <- Msg{Cut: true}
+			}
 			close(c.in)
 		}
 	}
@@ -329,17 +338,12 @@ func (r *Runner) meterIn(n *node) <-chan Msg {
 }
 
 // emitFor builds a node's Emit: broadcast to every consumer, blocking
-// on full queues with stall accounting. Terminal nodes get a no-op. A
-// final snapshot of a node fed by a failure is dropped: its input did
-// not end, it broke off, so the state is not a whole run's.
+// on full queues with stall accounting. Terminal nodes get a no-op.
 func (r *Runner) emitFor(n *node) Emit {
 	if len(n.consumers) == 0 {
 		return func(Msg) {}
 	}
 	return func(m Msg) {
-		if m.Snap != nil && m.Snap.Final && n.fedByFailure.Load() {
-			return
-		}
 		n.msgsOut.Inc()
 		n.pktsOut.Add(int64(m.packets()))
 		for _, c := range n.consumers {

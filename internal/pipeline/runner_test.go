@@ -493,6 +493,63 @@ func TestHandoffByTopology(t *testing.T) {
 		})
 	}
 
+	// A drain ends a run whole only when it ends a tail: a paced capture
+	// drained mid-read — handed off, or inline behind a filter — exports
+	// no profile of the part it read, and a followed one drained at its
+	// frontier exports the profile of everything it tailed.
+	for _, tc := range []struct {
+		name, input, filter, from string
+		whole                     bool
+	}{
+		{"drained paced run exports no profile", fmt.Sprintf(`"pcap", "params": { "path": %q, "speed": 1 }`, path), "", "src", false},
+		{"drained inline paced run exports no profile", fmt.Sprintf(`"pcap", "params": { "path": %q, "speed": 1 }`, path),
+			`{ "id": "all", "segment": "sample", "from": ["src"], "params": { "every": 1 } },`, "all", false},
+		{"drained follow exports its profile", fmt.Sprintf(`"follow", "params": { "path": %q }`, path), "", "src", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "out.json")
+			cfg, err := Parse([]byte(fmt.Sprintf(`{"pipelines": [{"name": "p", "segments": [
+			  { "id": "src", "segment": %s }, %s
+			  { "id": "an", "segment": "analyzer", "from": [%q] },
+			  { "id": "out", "segment": "export", "from": ["an"], "params": { "path": %q } }
+			]}]}`, tc.input, tc.filter, tc.from, out)), "handoff.jsonc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := NewRunner(cfg, Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			an := runner.Analyzer()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- runner.Run(ctx) }()
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				if n := an.Engine().Status().Packets; n > 0 && (!tc.whole || n == int64(total)) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the input never reached the analyzer")
+				}
+			}
+			cancel()
+			if err := <-done; err != nil {
+				t.Fatalf("drain returned %v, want nil", err)
+			}
+			read := an.Engine().Final().Packets
+			if !tc.whole && read == total {
+				t.Fatalf("the paced read finished (%d packets) before the drain", read)
+			}
+			if an.Whole() != tc.whole {
+				t.Errorf("Whole() = %v after reading %d of %d packets, want %v", an.Whole(), read, total, tc.whole)
+			}
+			if _, err := os.Stat(out); (err == nil) != tc.whole {
+				t.Errorf("export written = %v, want %v", err == nil, tc.whole)
+			}
+		})
+	}
+
 	t.Run("readers on a pcap input is an unknown param", func(t *testing.T) {
 		_, err := Parse([]byte(fmt.Sprintf(`{"pipelines": [{"name": "p", "segments": [
 		  { "id": "src", "segment": "pcap", "params": { "path": %q, "readers": 2 } },
@@ -548,6 +605,9 @@ func TestHandoffDrains(t *testing.T) {
 		if prof := eng.Profile(); prof == nil || prof.Packets != eng.Final().Packets || prof.Packets == 0 {
 			t.Errorf("final profile after drain: %+v", prof)
 		}
+		if !runner.Analyzer().Whole() {
+			t.Error("a drained tail's run is not whole")
+		}
 	})
 
 	t.Run("finished capture mid-read", func(t *testing.T) {
@@ -569,6 +629,9 @@ func TestHandoffDrains(t *testing.T) {
 		}
 		if got := eng.Final().Packets; got != 0 {
 			t.Errorf("canceled run still read %d packets: the source ignored the runner's context", got)
+		}
+		if runner.Analyzer().Whole() {
+			t.Error("a finished capture drained before its end reads as a whole run")
 		}
 	})
 }

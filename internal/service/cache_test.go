@@ -294,7 +294,7 @@ func TestDriftCachedUnderReportSeq(t *testing.T) {
 	if err := drift.SaveProfile(base, drift.NewProfile("empty", "test", core.Partial{}, time.Unix(0, 0).UTC())); err != nil {
 		t.Fatal(err)
 	}
-	svc, srv := startSimService(t, TenantConfig{Name: "east", BaselinePath: base}, Config{})
+	svc, srv := startPipelines(t, simTenant("east", "2m", fmt.Sprintf(`{"snapshot": "1s", "cluster_k": 0, "baseline": %q}`, base)))
 	resp, body := get(t, srv.URL+"/v1/east/drift")
 	rep, seq := svc.runner.Segment("east", "an").(*pipeline.AnalyzerSegment).Drift()
 	if resp.StatusCode != http.StatusOK || rep == nil || len(rep.Findings) == 0 {

@@ -1,90 +1,49 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
+	"uncharted/internal/core"
+	"uncharted/internal/historian"
 	"uncharted/internal/pipeline"
 )
 
-// Duration is a time.Duration that unmarshals from JSON as either a
-// Go duration string ("30s", "1m30s") or a number of nanoseconds, so
-// config files stay readable.
+// Duration is a TenantConfig period.
 type Duration time.Duration
 
-// UnmarshalJSON implements json.Unmarshaler.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var v any
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	switch v := v.(type) {
-	case float64:
-		*d = Duration(time.Duration(v))
-		return nil
-	case string:
-		dur, err := time.ParseDuration(v)
-		if err != nil {
-			return err
-		}
-		*d = Duration(dur)
-		return nil
-	}
-	return fmt.Errorf("duration: want string or number, got %T", v)
-}
-
-// MarshalJSON implements json.Marshaler.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// SourceConfig says where a tenant's packets come from.
+// SourceConfig says where a Go-built tenant's packets come from.
 type SourceConfig struct {
-	// Kind picks the source: "sim" (in-process simulator), "pcap"
-	// (finished capture), "follow" (growing capture, tail -f style) or
-	// "probe" (no local ingest: the tenant only aggregates partials
-	// posted by remote probes).
-	Kind string `json:"kind"`
-	// Year / Seed / Duration / Speed parameterise a sim source. Year
-	// is the capture campaign (1 or 2), Speed the replay pacing
-	// (60 = one simulated minute per wall second; 0 = as fast as
-	// possible); a pcap source is paced the same way.
-	Year     int      `json:"year,omitempty"`
-	Seed     int64    `json:"seed,omitempty"`
-	Duration Duration `json:"duration,omitempty"`
-	Speed    float64  `json:"speed,omitempty"`
-	// Path is the capture file for pcap / follow sources.
-	Path string `json:"path,omitempty"`
+	// Kind is "follow" (a growing capture, tailed) or "probe" (no local
+	// ingest: the tenant only aggregates partials posted by remote
+	// probes).
+	Kind string
+	// Path is a follow source's capture file.
+	Path string
 }
 
-// TenantConfig describes one hosted tenant: a balancing authority,
-// era or capture with its own engine, historian namespace and query
-// surface.
+// TenantConfig builds a tenant in Go rather than in a config file: it
+// compiles into the pipeline a config would declare for it (graph).
 type TenantConfig struct {
 	// Name routes the tenant: /v1/{name}/... It must be a clean path
 	// element.
-	Name   string       `json:"name"`
-	Source SourceConfig `json:"source"`
+	Name   string
+	Source SourceConfig
 	// Workers is the tenant's shard count (default 1).
-	Workers int `json:"workers,omitempty"`
+	Workers int
 	// Snapshot is the rolling-profile period (default 1s).
-	Snapshot Duration `json:"snapshot,omitempty"`
+	Snapshot Duration
 	// ClusterK enables session clustering in published profiles.
-	ClusterK int `json:"cluster_k,omitempty"`
-	// PointCap bounds in-memory samples per series (0 = unbounded).
-	PointCap int `json:"point_cap,omitempty"`
-	// IdleTimeout evicts idle flows from the tenant's trackers.
-	IdleTimeout Duration `json:"idle_timeout,omitempty"`
-	// Historian, when true, records the tenant's measurements into its
-	// own namespace under the service's historian root and serves
-	// /v1/{name}/query.
-	Historian bool `json:"historian,omitempty"`
+	ClusterK int
+	// Historian records the tenant's measurements into its own
+	// namespace under Config.HistorianRoot and serves /v1/{name}/query.
+	Historian bool
 	// BaselinePath arms live drift detection against a stored profile
 	// and serves /v1/{name}/drift.
-	BaselinePath string `json:"baseline,omitempty"`
+	BaselinePath string
 }
 
 // Config parameterises the whole control-room service: the daemon's
@@ -95,15 +54,15 @@ type Config struct {
 	// CacheEntries caps the snapshot/query response cache (default
 	// 4096 entries; 0 uses the default, negative disables caching).
 	CacheEntries int `json:"cache_entries,omitempty"`
-	// HistorianRoot is the directory holding one historian namespace
-	// per tenant that enables it.
-	HistorianRoot string `json:"historian_root,omitempty"`
-	// Tenants is the shorthand tenant list.
-	Tenants []TenantConfig `json:"tenants,omitempty"`
 	// Pipelines declares segment graphs in the pipeline package's
-	// vocabulary; each is hosted as the tenant of its name. Tenants and
-	// pipelines share one namespace.
+	// vocabulary; each is hosted as the tenant of its name, and one with
+	// no segments is a probe-only tenant.
 	Pipelines []pipeline.PipelineConfig `json:"pipelines,omitempty"`
+	// Tenants are tenants built in Go, hosted after the pipelines;
+	// HistorianRoot holds their historian namespaces. Neither is a
+	// config key.
+	Tenants       []TenantConfig `json:"-"`
+	HistorianRoot string         `json:"-"`
 }
 
 // LoadConfig reads a service config file; see ParseConfig.
@@ -116,9 +75,9 @@ func LoadConfig(path string) (Config, error) {
 }
 
 // ParseConfig decodes a service config document — JSONC, every key
-// known (pipeline.Decode) — compiles every shorthand tenant and
-// graph-checks every pipeline without building a segment. All failures
-// are reported together as pipeline.ConfigErrors naming file and line.
+// known (pipeline.Decode) — and graph-checks every pipeline without
+// building a segment. All failures are reported together as
+// pipeline.ConfigErrors naming file and line.
 func ParseConfig(data []byte, file string) (Config, error) {
 	var cfg Config
 	lines, err := pipeline.Decode(data, file, &cfg)
@@ -131,44 +90,63 @@ func ParseConfig(data []byte, file string) (Config, error) {
 	return cfg, nil
 }
 
-// Validate checks a programmatically built config the way ParseConfig
-// checks a file.
-func (c Config) Validate() error { return c.check("", nil) }
-
+// check graph-checks every tenant's pipeline, locating failures in
+// file by lines (nil for a config built in Go).
 func (c Config) check(file string, lines pipeline.Lines) error {
+	graph, err := c.graph()
+	return errors.Join(err, graph.Check(file, lines))
+}
+
+// graph is the one graph the service hosts, one pipeline per tenant:
+// the declared pipelines, then the Go-built tenants compiled.
+func (c Config) graph() (*pipeline.Config, error) {
+	graph := &pipeline.Config{Pipelines: slices.Clone(c.Pipelines)}
 	var errs []error
-	fail := func(path, where, msg string) {
-		errs = append(errs, &pipeline.ConfigError{File: file, Line: lines[path], Where: where, Msg: msg})
-	}
-	if len(c.Tenants)+len(c.Pipelines) == 0 {
-		fail("", "", "no tenants or pipelines configured")
-	}
-	tenants := map[string]bool{}
-	for i, tc := range c.Tenants {
-		path, where := fmt.Sprintf("tenants[%d]", i), fmt.Sprintf("tenant %q", tc.Name)
-		if !pipeline.ValidName(tc.Name) {
-			fail(path, where, "name must be letters, digits, '-' or '_'")
-			continue // its graph would be named after it
-		}
-		if tenants[tc.Name] {
-			fail(path, where, "duplicate tenant name")
-		}
-		tenants[tc.Name] = true
-		graph, err := tc.graph(c.HistorianRoot)
-		if err == nil && graph != nil {
-			err = graph.Validate()
-		}
+	for _, tc := range c.Tenants {
+		pc, err := tc.graph(c.HistorianRoot)
 		if err != nil {
-			fail(path, where, err.Error())
+			errs = append(errs, fmt.Errorf("tenant %q: %w", tc.Name, err))
+			continue
 		}
+		graph.Pipelines = append(graph.Pipelines, pc)
 	}
-	for i, pc := range c.Pipelines {
-		if tenants[pc.Name] {
-			fail(fmt.Sprintf("pipelines[%d]", i), fmt.Sprintf("pipeline %q", pc.Name), "name taken by a tenant")
+	return graph, errors.Join(errs...)
+}
+
+// graph compiles the tenant into the pipeline of its name: "src"
+// (follow) → "an", with every analyzer param written out, or an empty,
+// probe-only pipeline.
+func (tc TenantConfig) graph(historianRoot string) (pipeline.PipelineConfig, error) {
+	switch tc.Source.Kind {
+	case "probe":
+		return pipeline.PipelineConfig{Name: tc.Name}, nil
+	case "follow":
+	default:
+		return pipeline.PipelineConfig{}, fmt.Errorf("unknown source kind %q (want follow or probe)", tc.Source.Kind)
+	}
+	snapshot := time.Duration(tc.Snapshot)
+	if snapshot <= 0 {
+		snapshot = time.Second
+	}
+	an := map[string]any{
+		"workers":      tc.Workers,
+		"snapshot":     snapshot,
+		"idle_timeout": time.Duration(0),
+		"cluster_k":    tc.ClusterK,
+		"cluster_seed": core.ClusterSeed,
+		"point_cap":    0,
+		"names":        false,
+		"baseline":     tc.BaselinePath,
+	}
+	if tc.Historian {
+		if historianRoot == "" {
+			return pipeline.PipelineConfig{}, fmt.Errorf("historian enabled but no HistorianRoot")
 		}
+		dir, err := historian.NamespaceDir(historianRoot, tc.Name)
+		if err != nil {
+			return pipeline.PipelineConfig{}, err
+		}
+		an["historian"] = dir
 	}
-	if len(c.Pipelines) > 0 {
-		errs = append(errs, (&pipeline.Config{Pipelines: c.Pipelines}).Check(file, lines))
-	}
-	return errors.Join(errs...)
+	return pipeline.SourceGraph(tc.Name, "src", "follow", map[string]any{"path": tc.Source.Path}, an).Pipelines[0], nil
 }

@@ -1,12 +1,11 @@
 // Package service is the control-room layer of the measurement
 // pipeline: one process hosting N concurrent streaming engines — one
 // per tenant, where a tenant is a balancing authority, a capture era,
-// or a single capture — behind a multi-tenant HTTP API. A tenant with
-// local ingest is a segment graph (internal/pipeline): a pipeline the
-// config declares, or the src → analyzer pair a tenant's shorthand
-// compiles into, named after the tenant. One pipeline.Runner hosts every
-// tenant's pipeline; the service builds no engine and opens no source
-// of its own.
+// or a single capture — behind a multi-tenant HTTP API. A tenant is a
+// pipeline (internal/pipeline) the config declares, hosted under its
+// name; a pipeline with no segments is a probe-only tenant. One
+// pipeline.Runner hosts every tenant's pipeline; the service builds no
+// engine and opens no source of its own.
 //
 //	GET  /v1/{tenant}/profile   rolling profile (cached per snapshot;
 //	                            a probe-only tenant's is its /fleet)
@@ -14,7 +13,7 @@
 //	GET  /v1/{tenant}/query     historian queries, per-tenant namespace
 //	GET  /v1/{tenant}/statusz   live pipeline topology (uncached)
 //	GET  /v1/{tenant}/fleet     fleet-wide merged profile (cached)
-//	GET  /v1/{tenant}/pipeline  the tenant's live segment graph (engine tenants)
+//	GET  /v1/{tenant}/pipeline  the tenant's live segment graph
 //	POST /v1/{tenant}/partial   remote-probe partial ingest
 //	GET  /v1/{tenant}/readyz    tenant readiness
 //	GET  /v1/                   tenant index
@@ -35,7 +34,6 @@
 package service
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -58,25 +56,29 @@ type Service struct {
 	order   []string
 	mux     *http.ServeMux
 
-	// runner hosts every tenant's pipeline; nil when every tenant is
-	// probe-only. done closes when its Run returns, with runErr set.
+	// runner hosts every tenant's pipeline. done closes when its Run
+	// returns, with runErr set.
 	runner *pipeline.Runner
 	cancel context.CancelFunc
 	done   chan struct{}
 	runErr error
 }
 
-// New builds the service and all its tenants — the shorthand ones,
-// then one per declared pipeline — over one graph holding each
-// tenant's pipeline, sources included: sim tenants synthesize their
-// feed here, so New is where the cost is, and a failed build closes
-// what it had built. reg and journal may be nil.
+// New builds the service and all its tenants, one per pipeline of one
+// graph that holds each tenant's pipeline, sources included: sim inputs
+// synthesize their feed here, so New is where the cost is, and a failed
+// build closes what it had built. reg and journal may be nil.
 func New(cfg Config, reg *obs.Registry, journal *obs.Journal) (*Service, error) {
-	if err := cfg.Validate(); err != nil {
+	graph, err := cfg.graph()
+	if err != nil {
 		return nil, err
 	}
 	if reg == nil {
 		reg = obs.NewRegistry()
+	}
+	runner, err := pipeline.NewRunner(graph, pipeline.Options{Registry: reg, Journal: journal})
+	if err != nil {
+		return nil, err
 	}
 	var cache *Cache
 	if cfg.CacheEntries >= 0 {
@@ -87,42 +89,21 @@ func New(cfg Config, reg *obs.Registry, journal *obs.Journal) (*Service, error) 
 		cache:   cache,
 		tenants: make(map[string]*Tenant),
 		mux:     http.NewServeMux(),
+		runner:  runner,
 		done:    make(chan struct{}),
 	}
-	graph := &pipeline.Config{}
-	for _, tc := range cfg.Tenants {
-		if g, _ := tc.graph(cfg.HistorianRoot); g != nil { // compiled by Validate
-			graph.Pipelines = append(graph.Pipelines, g.Pipelines...)
+	graphEps := runner.Endpoints()
+	for _, pc := range graph.Pipelines {
+		// A tenant's profile surface binds to its pipeline's first
+		// analyzer.
+		var an *pipeline.AnalyzerSegment
+		if i := slices.IndexFunc(pc.Nodes, func(n pipeline.NodeConfig) bool { return n.Kind == "analyzer" }); i >= 0 {
+			an = runner.Segment(pc.Name, pc.Nodes[i].ID).(*pipeline.AnalyzerSegment)
 		}
-	}
-	graph.Pipelines = append(graph.Pipelines, cfg.Pipelines...)
-	analyzers := map[string]*pipeline.AnalyzerSegment{}
-	var graphEps map[string]http.Handler
-	if len(graph.Pipelines) > 0 {
-		r, err := pipeline.NewRunner(graph, pipeline.Options{Registry: reg, Journal: journal})
-		if err != nil {
-			return nil, err
-		}
-		s.runner, graphEps = r, r.Endpoints()
-		for _, pc := range graph.Pipelines {
-			// A tenant's profile surface binds to its pipeline's first
-			// analyzer.
-			if i := slices.IndexFunc(pc.Nodes, func(n pipeline.NodeConfig) bool { return n.Kind == "analyzer" }); i >= 0 {
-				analyzers[pc.Name] = r.Segment(pc.Name, pc.Nodes[i].ID).(*pipeline.AnalyzerSegment)
-			}
-		}
-	}
-	add := func(name, source string, clusterK int) {
-		t := newTenant(name, source, clusterK, analyzers[name], reg, journal)
-		s.wireTenant(t, analyzers[name], graphEps["/pipelines/"+name+"/statusz"])
-		s.tenants[name] = t
-		s.order = append(s.order, name)
-	}
-	for _, tc := range cfg.Tenants {
-		add(tc.Name, cmp.Or(tc.Source.Kind, "probe"), tc.ClusterK)
-	}
-	for _, pc := range cfg.Pipelines {
-		add(pc.Name, "pipeline", 0)
+		t := newTenant(pc, an, reg, journal)
+		s.wireTenant(t, an, graphEps["/pipelines/"+pc.Name+"/statusz"])
+		s.tenants[pc.Name] = t
+		s.order = append(s.order, pc.Name)
 	}
 	s.routes()
 	return s, nil
@@ -142,8 +123,7 @@ func (s *Service) requests(tenant, endpoint, code string) *obs.Counter {
 
 // wireTenant builds the tenant's route set from its analyzer's
 // endpoints (an is nil for a tenant without one) and its pipeline's
-// graph view (nil for a probe-only tenant) plus the service-level cache
-// and aggregation routes.
+// graph view plus the service-level cache and aggregation routes.
 func (s *Service) wireTenant(t *Tenant, an *pipeline.AnalyzerSegment, graphStatus http.Handler) {
 	t.routes = make(map[string]route)
 	mount := func(endpoint string, h http.Handler) {
@@ -167,10 +147,8 @@ func (s *Service) wireTenant(t *Tenant, an *pipeline.AnalyzerSegment, graphStatu
 		// per fleet version answer both URLs.
 		mount("profile", fleet)
 	}
-	if graphStatus != nil {
-		// The live graph view (uncached: it moves every poll).
-		mount("pipeline", graphStatus)
-	}
+	// The live graph view (uncached: it moves every poll).
+	mount("pipeline", graphStatus)
 	mount("fleet", fleet)
 	mount("partial", http.HandlerFunc(t.handlePartial))
 	mount("readyz", obs.ReadyHandler(t.Ready))
@@ -262,15 +240,12 @@ func (s *Service) handleIndex(w http.ResponseWriter, _ *http.Request) {
 func (s *Service) Handler() http.Handler { return s.mux }
 
 // Endpoints returns the daemon's route map for obs.HandlerWith: the
-// /v1 tree, /readyz and, when any tenant has a graph, the runner's
-// endpoints — every pipeline's segment endpoints under
-// /pipelines/{p}/... (a tenant's pipeline is named after it), its graph
-// view at /pipelines/{p}/statusz, and every graph at /statusz.
+// /v1 tree, /readyz and the runner's endpoints — every pipeline's
+// segment endpoints under /pipelines/{p}/... (a tenant's pipeline is
+// named after it), its graph view at /pipelines/{p}/statusz, and every
+// graph at /statusz.
 func (s *Service) Endpoints() map[string]http.Handler {
-	eps := map[string]http.Handler{}
-	if s.runner != nil {
-		eps = s.runner.Endpoints()
-	}
+	eps := s.runner.Endpoints()
 	eps["/v1"], eps["/v1/"] = s.mux, s.mux
 	eps["/readyz"] = obs.ReadyHandler(s.Ready)
 	return eps
@@ -284,9 +259,7 @@ func (s *Service) Start(ctx context.Context) {
 	ctx, s.cancel = context.WithCancel(ctx)
 	go func() {
 		defer close(s.done)
-		if s.runner != nil {
-			s.runErr = s.runner.Run(ctx)
-		}
+		s.runErr = s.runner.Run(ctx)
 	}()
 }
 
@@ -299,9 +272,6 @@ func (s *Service) Start(ctx context.Context) {
 func (s *Service) Drain() error {
 	s.cancel()
 	<-s.done
-	if s.runner == nil {
-		return nil
-	}
 	return errors.Join(s.runErr, s.runner.Close())
 }
 

@@ -26,17 +26,19 @@ import (
 	"uncharted/internal/topology"
 )
 
-// startSimService boots a one-sim-tenant service over a short
-// synthesized capture and returns it with an httptest server mounted
-// on its /v1 tree. The engine runs the feed to completion before
-// return, so queries observe the final snapshot.
-func startSimService(t *testing.T, tc TenantConfig, svcCfg Config) (*Service, *httptest.Server) {
+// simTenant declares tenant name as a simulated y1 feed of the given
+// duration into an analyzer with the given params (a JSON object).
+func simTenant(name, duration, params string) pipeline.PipelineConfig {
+	return pipeline.PipelineConfig{Name: name, Nodes: []pipeline.NodeConfig{
+		{ID: "src", Kind: "sim", Params: json.RawMessage(fmt.Sprintf(`{"year": 1, "seed": 7, "duration": %q}`, duration))},
+		{ID: "an", Kind: "analyzer", From: []string{"src"}, Params: json.RawMessage(params)},
+	}}
+}
+
+// startPipelines boots the tenants ps declare; see startService.
+func startPipelines(t *testing.T, ps ...pipeline.PipelineConfig) (*Service, *httptest.Server) {
 	t.Helper()
-	if tc.Source.Kind == "" {
-		tc.Source = SourceConfig{Kind: "sim", Year: 1, Seed: 7, Duration: Duration(2 * time.Minute)}
-	}
-	svcCfg.Tenants = append(svcCfg.Tenants, tc)
-	return startService(t, svcCfg)
+	return startService(t, Config{Pipelines: ps})
 }
 
 // startService boots cfg, waits until every tenant's finite feed has
@@ -74,8 +76,8 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 // honor ?format=, reject unknown formats with a JSON 400, and keep the
 // profile document's JSON field names stable.
 func TestServiceEndpointHeaders(t *testing.T) {
-	_, srv := startSimService(t, TenantConfig{Name: "east", Workers: 2, Historian: true},
-		Config{HistorianRoot: t.TempDir()})
+	_, srv := startPipelines(t, simTenant("east", "2m",
+		fmt.Sprintf(`{"workers": 2, "snapshot": "1s", "cluster_k": 0, "historian": %q}`, t.TempDir())))
 
 	cases := []struct {
 		name       string
@@ -138,7 +140,7 @@ func TestServiceEndpointHeaders(t *testing.T) {
 }
 
 func TestServiceCacheOverHTTP(t *testing.T) {
-	_, srv := startSimService(t, TenantConfig{Name: "east", Workers: 1}, Config{})
+	_, srv := startPipelines(t, simTenant("east", "2m", `{"snapshot": "1s", "cluster_k": 0}`))
 
 	r1, b1 := get(t, srv.URL+"/v1/east/profile")
 	if r1.Header.Get("X-Cache") != "miss" {
@@ -300,7 +302,7 @@ func TestIdleTenantKeepsETag(t *testing.T) {
 // version the aggregate is merged, built and encoded once whichever
 // URL asks first, and the other is a hit with the same bytes.
 func TestProbeProfileSharesFleetEntry(t *testing.T) {
-	svc, srv := startSimService(t, TenantConfig{Name: "fleet", Source: SourceConfig{Kind: "probe"}}, Config{})
+	svc, srv := startPipelines(t, pipeline.PipelineConfig{Name: "fleet"})
 	misses := func() int64 {
 		for _, c := range svc.reg.Snapshot().Counters {
 			if c.Name == "uncharted_service_cache_misses_total" {
@@ -351,7 +353,7 @@ func TestProbeProfileSharesFleetEntry(t *testing.T) {
 // resolves at wiring time and the looked-up ones for every other code
 // are the same uncharted_service_requests_total family on /metrics.
 func TestRequestCountersByCode(t *testing.T) {
-	svc, srv := startSimService(t, TenantConfig{Name: "east", Workers: 1}, Config{})
+	svc, srv := startPipelines(t, simTenant("east", "2m", `{"snapshot": "1s", "cluster_k": 0}`))
 	r, _ := get(t, srv.URL+"/v1/east/profile")
 	get(t, srv.URL+"/v1/east/profile")
 	req, _ := http.NewRequest("GET", srv.URL+"/v1/east/profile", nil)
@@ -383,7 +385,7 @@ func TestRequestCountersByCode(t *testing.T) {
 }
 
 func TestPartialEndpointValidation(t *testing.T) {
-	_, srv := startSimService(t, TenantConfig{Name: "fleet", Source: SourceConfig{Kind: "probe"}}, Config{})
+	_, srv := startPipelines(t, pipeline.PipelineConfig{Name: "fleet"})
 
 	// GET on a POST-only route: the mux's method pattern rejects it.
 	resp, _ := get(t, srv.URL+"/v1/fleet/partial")
@@ -470,8 +472,8 @@ func writeCapture(t *testing.T, d time.Duration, seed int64) (string, int) {
 
 // TestFinishedPCAPTenantKeepsServingQueries: a tenant whose capture has
 // been read to EOF still answers point queries from its historian — the
-// store stays open until Drain — whether the graph came from the
-// shorthand or is a declared pipeline.
+// store stays open until Drain — whether the input handed its capture
+// to the analyzer's engine or, a filter in between, decoded it inline.
 func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
 	path, _ := writeCapture(t, 2*time.Minute, 7)
 	histRoot := t.TempDir()
@@ -479,9 +481,11 @@ func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"shorthand", Config{HistorianRoot: histRoot, Tenants: []TenantConfig{
-			{Name: "shorthand", Source: SourceConfig{Kind: "pcap", Path: path}, Historian: true},
-		}}},
+		{"inline", Config{Pipelines: []pipeline.PipelineConfig{{Name: "inline", Nodes: []pipeline.NodeConfig{
+			{ID: "src", Kind: "pcap", Params: json.RawMessage(fmt.Sprintf(`{"path": %q}`, path))},
+			{ID: "all", Kind: "sample", From: []string{"src"}, Params: json.RawMessage(`{"every": 1}`)},
+			{ID: "an", Kind: "analyzer", From: []string{"all"}, Params: json.RawMessage(fmt.Sprintf(`{"historian": %q}`, histRoot+"/inline"))},
+		}}}}},
 		{"pipeline", Config{Pipelines: []pipeline.PipelineConfig{{Name: "pipeline", Nodes: []pipeline.NodeConfig{
 			{ID: "src", Kind: "pcap", Params: json.RawMessage(fmt.Sprintf(`{"path": %q}`, path))},
 			{ID: "an", Kind: "analyzer", From: []string{"src"}, Params: json.RawMessage(fmt.Sprintf(`{"historian": %q}`, histRoot+"/declared"))},
@@ -529,31 +533,35 @@ func TestFinishedPCAPTenantKeepsServingQueries(t *testing.T) {
 	}
 }
 
+// refTenant is what referenceTenantEngine wires: an input of kind
+// pcap or follow (reading path) or sim (year, seed, duration), and the
+// engine config.
+type refTenant struct {
+	kind, path string
+	year       topology.Year
+	seed       int64
+	duration   time.Duration
+	eng        stream.Config
+}
+
 // referenceTenantEngine wires an engine the way newTenant did before a
 // tenant became a graph — the source opened by kind, names from a
-// simulated feed's topology only, the shorthand's own defaults — and is
-// kept as what TestTenantGraphEquivalence compares the graph with.
-func referenceTenantEngine(t *testing.T, cfg TenantConfig) (*stream.Engine, stream.Source) {
+// simulated feed's topology only — and is kept as what
+// TestTenantGraphEquivalence compares the graph with.
+func referenceTenantEngine(t *testing.T, name string, r refTenant) (*stream.Engine, stream.Source) {
 	t.Helper()
 	var (
-		src   stream.Source
-		names map[netip.Addr]string
-		err   error
+		src stream.Source
+		err error
 	)
-	switch sc := cfg.Source; sc.Kind {
+	switch r.kind {
 	case "pcap":
-		src, err = stream.NewFileSource(sc.Path)
+		src, err = stream.NewFileSource(r.path)
 	case "follow":
-		src, err = stream.NewFollowSource(sc.Path)
+		src, err = stream.NewFollowSource(r.path)
 	case "sim":
-		year := topology.Y1
-		if sc.Year == 2 {
-			year = topology.Y2
-		}
-		scfg := scadasim.DefaultConfig(year, sc.Seed)
-		if sc.Duration > 0 {
-			scfg.Duration = time.Duration(sc.Duration)
-		}
+		scfg := scadasim.DefaultConfig(r.year, r.seed)
+		scfg.Duration = r.duration
 		sim, serr := scadasim.New(scfg)
 		if serr != nil {
 			t.Fatal(serr)
@@ -562,48 +570,55 @@ func referenceTenantEngine(t *testing.T, cfg TenantConfig) (*stream.Engine, stre
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		src, names = stream.NewRecordSource(tr.Records, sc.Speed), core.NamesFromTopology(sim.Network())
+		src, r.eng.Names = stream.NewRecordSource(tr.Records, 0), core.NamesFromTopology(sim.Network())
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshotEvery := time.Duration(cfg.Snapshot)
-	if snapshotEvery <= 0 {
-		snapshotEvery = time.Second
-	}
-	return stream.New(stream.Config{
-		Workers:         cfg.Workers,
-		SnapshotEvery:   snapshotEvery,
-		IdleTimeout:     time.Duration(cfg.IdleTimeout),
-		ClusterK:        cfg.ClusterK,
-		ClusterSeed:     core.ClusterSeed,
-		Names:           names,
-		Registry:        obs.NewRegistry().With("tenant", cfg.Name),
-		MaxPointSamples: cfg.PointCap,
-	}), src
+	r.eng.Registry = obs.NewRegistry().With("tenant", name)
+	return stream.New(r.eng), src
 }
 
-// TestTenantGraphEquivalence: a shorthand tenant — now compiled into a
-// src → an graph and hosted like a declared pipeline — ends in exactly
-// the state, and serves byte for byte the /profile, of the engine the
-// shorthand used to wire by hand. The rows leave duration, cluster_k,
-// workers and names to the shorthand's own defaults, which are not the
-// segments'. The snapshot period is an hour so that both sides publish
-// once, at the end, and the profiles carry the same sequence number.
+// TestTenantGraphEquivalence: a tenant — a declared pipeline, or one
+// the Go constructor compiles — ends in exactly the state, and serves
+// byte for byte the /profile, of an engine wired by hand. The declared
+// rows leave what they do not name to the segments' defaults (cluster_k
+// 5, names on, a 2-minute simulation). The snapshot period is an hour
+// so that both sides publish once, at the end, and the profiles carry
+// the same sequence number.
 func TestTenantGraphEquivalence(t *testing.T) {
 	path, packets := writeCapture(t, time.Minute, 5)
-	hour := Duration(time.Hour)
-	for _, tc := range []TenantConfig{
-		{Name: "pcap", Source: SourceConfig{Kind: "pcap", Path: path}, Workers: 2, Snapshot: hour,
-			PointCap: 32, IdleTimeout: Duration(20 * time.Second)},
-		{Name: "follow", Source: SourceConfig{Kind: "follow", Path: path}, Snapshot: hour, ClusterK: 3},
-		{Name: "sim", Source: SourceConfig{Kind: "sim", Year: 2, Seed: 9}, Workers: 2, Snapshot: hour},
+	const hour = time.Hour
+	declared := func(name, kind, src, an string) Config {
+		return Config{Pipelines: []pipeline.PipelineConfig{{Name: name, Nodes: []pipeline.NodeConfig{
+			{ID: "src", Kind: kind, Params: json.RawMessage(src)},
+			{ID: "an", Kind: "analyzer", From: []string{"src"}, Params: json.RawMessage(an)},
+		}}}}
+	}
+	capture := fmt.Sprintf(`{"path": %q}`, path)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ref  refTenant
+	}{
+		{"pcap", declared("pcap", "pcap", capture,
+			`{"workers": 2, "snapshot": "1h", "point_cap": 32, "idle_timeout": "20s", "names": false}`),
+			refTenant{kind: "pcap", path: path, eng: stream.Config{Workers: 2, SnapshotEvery: hour,
+				MaxPointSamples: 32, IdleTimeout: 20 * time.Second, ClusterK: 5, ClusterSeed: core.ClusterSeed}}},
+		{"follow", declared("follow", "follow", capture, `{"snapshot": "1h", "cluster_k": 3, "names": false}`),
+			refTenant{kind: "follow", path: path, eng: stream.Config{Workers: 1, SnapshotEvery: hour, ClusterK: 3, ClusterSeed: core.ClusterSeed}}},
+		{"sim", declared("sim", "sim", `{"year": 2, "seed": 9}`, `{"workers": 2, "snapshot": "1h"}`),
+			refTenant{kind: "sim", year: topology.Y2, seed: 9, duration: 2 * time.Minute,
+				eng: stream.Config{Workers: 2, SnapshotEvery: hour, ClusterK: 5, ClusterSeed: core.ClusterSeed}}},
+		{"constructor", Config{Tenants: []TenantConfig{{Name: "constructor", Source: SourceConfig{Kind: "follow", Path: path},
+			Snapshot: Duration(hour), ClusterK: 3}}},
+			refTenant{kind: "follow", path: path, eng: stream.Config{SnapshotEvery: hour, ClusterK: 3, ClusterSeed: core.ClusterSeed}}},
 	} {
-		t.Run(tc.Name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			// caughtUp blocks until a tailing engine has dispatched the
 			// whole capture; a finite feed ends on its own.
 			caughtUp := func(e *stream.Engine) {
-				for deadline := time.Now().Add(20 * time.Second); tc.Source.Kind == "follow" && e.Status().Packets < int64(packets); {
+				for deadline := time.Now().Add(20 * time.Second); tc.ref.kind == "follow" && e.Status().Packets < int64(packets); {
 					if time.Now().After(deadline) {
 						t.Fatalf("tail stuck at %d of %d packets", e.Status().Packets, packets)
 					}
@@ -611,12 +626,12 @@ func TestTenantGraphEquivalence(t *testing.T) {
 				}
 			}
 
-			ref, src := referenceTenantEngine(t, tc)
+			ref, src := referenceTenantEngine(t, tc.name, tc.ref)
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() { done <- ref.Run(ctx, src) }()
 			caughtUp(ref)
-			if tc.Source.Kind == "follow" {
+			if tc.ref.kind == "follow" {
 				cancel()
 			}
 			if err := <-done; err != nil && err != context.Canceled {
@@ -625,14 +640,14 @@ func TestTenantGraphEquivalence(t *testing.T) {
 			cancel()
 			src.Close()
 
-			svc, err := New(Config{Tenants: []TenantConfig{tc}}, obs.NewRegistry(), nil)
+			svc, err := New(tc.cfg, obs.NewRegistry(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			svc.Start(context.Background())
-			tenant := svc.Tenant(tc.Name)
+			tenant := svc.Tenant(tc.name)
 			caughtUp(tenant.engine)
-			if tc.Source.Kind != "follow" {
+			if tc.ref.kind != "follow" {
 				svc.Wait()
 			}
 			if err := svc.Drain(); err != nil {
@@ -640,7 +655,7 @@ func TestTenantGraphEquivalence(t *testing.T) {
 			}
 
 			want, got := ref.Final(), tenant.engine.Final()
-			if want.Packets == 0 || (tc.Source.Kind != "sim" && want.Packets != packets) {
+			if want.Packets == 0 || (tc.ref.kind != "sim" && want.Packets != packets) {
 				t.Fatalf("reference analyzed %d packets of %d", want.Packets, packets)
 			}
 			if !reflect.DeepEqual(want, got) {
@@ -650,19 +665,53 @@ func TestTenantGraphEquivalence(t *testing.T) {
 			wantBody := httptest.NewRecorder()
 			stream.NewProfileHandler(ref.Profile).ServeHTTP(wantBody, httptest.NewRequest("GET", "/profile", nil))
 			gotBody := httptest.NewRecorder()
-			svc.Handler().ServeHTTP(gotBody, httptest.NewRequest("GET", "/v1/"+tc.Name+"/profile", nil))
+			svc.Handler().ServeHTTP(gotBody, httptest.NewRequest("GET", "/v1/"+tc.name+"/profile", nil))
 			if gotBody.Code != http.StatusOK || !bytes.Equal(wantBody.Body.Bytes(), gotBody.Body.Bytes()) {
 				t.Errorf("/profile (code %d, %d bytes) differs from the hand-wired engine's (%d bytes)",
 					gotBody.Code, gotBody.Body.Len(), wantBody.Body.Len())
 			}
-			// The tenant's graph is on view like a declared pipeline's, named
-			// after the tenant.
+			// The tenant's graph is on view, named after the tenant, and the
+			// index lists its input's kind.
 			view := httptest.NewRecorder()
-			svc.Handler().ServeHTTP(view, httptest.NewRequest("GET", "/v1/"+tc.Name+"/pipeline?format=text", nil))
-			if view.Code != http.StatusOK || !strings.Contains(view.Body.String(), "pipeline "+tc.Name) {
+			svc.Handler().ServeHTTP(view, httptest.NewRequest("GET", "/v1/"+tc.name+"/pipeline?format=text", nil))
+			if view.Code != http.StatusOK || !strings.Contains(view.Body.String(), "pipeline "+tc.name) {
 				t.Errorf("/pipeline: code %d body %.200q", view.Code, view.Body.String())
 			}
+			if tenant.source != tc.ref.kind {
+				t.Errorf("index source %q, want %q", tenant.source, tc.ref.kind)
+			}
 		})
+	}
+}
+
+// TestConstructorCompilesBenchmarkShape pins the pipelines the Go
+// constructor compiles, params included: a tailed capture with a
+// historian and a drift baseline clustering at k 5 — the live tenants
+// the benchmark's fleet hosts — and an empty, probe-only pipeline.
+func TestConstructorCompilesBenchmarkShape(t *testing.T) {
+	cfg := Config{HistorianRoot: "/h", Tenants: []TenantConfig{
+		{Name: "live0", Source: SourceConfig{Kind: "follow", Path: "/c/y1.pcap"}, Workers: 1,
+			Snapshot: Duration(250 * time.Millisecond), ClusterK: 5, Historian: true, BaselinePath: "/c/base.prof"},
+		{Name: "probe0", Source: SourceConfig{Kind: "probe"}},
+	}}
+	graph, err := cfg.graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(graph.Pipelines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[{"name":"live0","segments":[` +
+		`{"id":"src","segment":"follow","params":{"path":"/c/y1.pcap"}},` +
+		`{"id":"an","segment":"analyzer","from":["src"],"params":{"baseline":"/c/base.prof","cluster_k":5,"cluster_seed":1202,` +
+		`"historian":"/h/live0","idle_timeout":0,"names":false,"point_cap":0,"snapshot":250000000,"workers":1}}]},` +
+		`{"name":"probe0","segments":null}]`
+	if string(got) != want {
+		t.Errorf("compiled\n%s\nwant\n%s", got, want)
+	}
+	if err := cfg.check("", nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -726,7 +775,7 @@ func TestFleetMergeEquivalence(t *testing.T) {
 
 	// Boot a probe tenant and post both partials, as profiler -push
 	// would.
-	_, srv := startSimService(t, TenantConfig{Name: "fleet", Source: SourceConfig{Kind: "probe"}}, Config{})
+	_, srv := startPipelines(t, pipeline.PipelineConfig{Name: "fleet"})
 	for probe, p := range map[string]core.Partial{"siteA": pa, "siteB": pb} {
 		prof := drift.NewProfile(probe, "split-capture", p, time.Unix(0, 0).UTC())
 		resp, err := http.Post(srv.URL+"/v1/fleet/partial", "application/octet-stream",
@@ -819,54 +868,19 @@ func TestFleetMergeEquivalence(t *testing.T) {
 	}
 }
 
-func TestConfigDuration(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    time.Duration
-		wantErr bool
-	}{
-		{`"30s"`, 30 * time.Second, false},
-		{`"1m30s"`, 90 * time.Second, false},
-		{`1000000000`, time.Second, false},
-		{`"bogus"`, 0, true},
-		{`true`, 0, true},
-	}
-	for _, tc := range cases {
-		var d Duration
-		err := json.Unmarshal([]byte(tc.in), &d)
-		if tc.wantErr != (err != nil) {
-			t.Errorf("%s: err = %v, wantErr %v", tc.in, err, tc.wantErr)
-			continue
-		}
-		if !tc.wantErr && time.Duration(d) != tc.want {
-			t.Errorf("%s: %v, want %v", tc.in, time.Duration(d), tc.want)
-		}
-	}
-	// Round trip.
-	out, err := json.Marshal(Duration(90 * time.Second))
-	if err != nil || string(out) != `"1m30s"` {
-		t.Errorf("marshal: %s, %v", out, err)
-	}
-}
-
 func TestServiceRejectsBadConfigs(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
 		{"no tenants", Config{}},
-		{"duplicate tenant", Config{Tenants: []TenantConfig{
-			{Name: "a", Source: SourceConfig{Kind: "probe"}},
-			{Name: "a", Source: SourceConfig{Kind: "probe"}},
-		}}},
-		{"bad tenant name", Config{Tenants: []TenantConfig{
-			{Name: "a/b", Source: SourceConfig{Kind: "probe"}},
-		}}},
+		{"duplicate tenant", Config{Pipelines: []pipeline.PipelineConfig{{Name: "a"}, {Name: "a"}}}},
+		{"bad tenant name", Config{Pipelines: []pipeline.PipelineConfig{{Name: "a/b"}}}},
 		{"unknown source", Config{Tenants: []TenantConfig{
 			{Name: "a", Source: SourceConfig{Kind: "carrier-pigeon"}},
 		}}},
 		{"historian without root", Config{Tenants: []TenantConfig{
-			{Name: "a", Source: SourceConfig{Kind: "sim", Duration: Duration(time.Minute)}, Historian: true},
+			{Name: "a", Source: SourceConfig{Kind: "follow", Path: "a.pcap"}, Historian: true},
 		}}},
 	}
 	for _, tc := range cases {
@@ -885,7 +899,7 @@ func TestLoadgenAgainstService(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test")
 	}
-	_, srv := startSimService(t, TenantConfig{Name: "east", Workers: 1}, Config{})
+	_, srv := startPipelines(t, simTenant("east", "2m", `{"snapshot": "1s", "cluster_k": 0}`))
 
 	rep, err := RunLoad(context.Background(), LoadOptions{
 		BaseURL:  srv.URL,
@@ -918,10 +932,7 @@ func TestLoadgenAgainstService(t *testing.T) {
 
 // hostedGraph is a declared sim → analyzer pipeline over a short feed.
 func hostedGraph(name string) pipeline.PipelineConfig {
-	return pipeline.PipelineConfig{Name: name, Nodes: []pipeline.NodeConfig{
-		{ID: "src", Kind: "sim", Params: json.RawMessage(`{"duration": "5s", "seed": 5}`)},
-		{ID: "an", Kind: "analyzer", From: []string{"src"}, Params: json.RawMessage(`{"workers": 2}`)},
-	}}
+	return simTenant(name, "5s", `{"workers": 2}`)
 }
 
 // TestPipelineTenant hosts a declared segment graph as a tenant: the
@@ -952,9 +963,9 @@ func TestPipelineTenant(t *testing.T) {
 }
 
 // TestPipelineTenantErrors pins the config failure modes of declared
-// pipelines: tenants and pipelines share one namespace, and a graph is
-// checked before anything is built. Two declared pipelines are two
-// tenants.
+// pipelines: Go-built tenants and pipelines share one namespace, and a
+// graph is checked before anything is built. Two declared pipelines are
+// two tenants.
 func TestPipelineTenantErrors(t *testing.T) {
 	probe := TenantConfig{Name: "a", Source: SourceConfig{Kind: "probe"}}
 	broken := hostedGraph("b")
@@ -965,7 +976,7 @@ func TestPipelineTenantErrors(t *testing.T) {
 		want string
 	}{
 		{"name taken by a tenant", Config{Tenants: []TenantConfig{probe}, Pipelines: []pipeline.PipelineConfig{hostedGraph("a")}},
-			`pipeline "a": name taken by a tenant`},
+			`pipeline "a": duplicate pipeline name`},
 		{"duplicate pipeline", Config{Pipelines: []pipeline.PipelineConfig{hostedGraph("b"), hostedGraph("b")}},
 			"duplicate pipeline name"},
 		{"dangling edge", Config{Pipelines: []pipeline.PipelineConfig{broken}}, `dangling edge: "from" references unknown segment "ghost"`},
@@ -996,14 +1007,13 @@ func TestPipelineTenantErrors(t *testing.T) {
 // lists every tenant's graph.
 func TestDeclaredProfileMatchesGraphMount(t *testing.T) {
 	path, packets := writeCapture(t, time.Minute, 3)
-	cfg := Config{
-		Tenants: []TenantConfig{{Name: "short", Source: SourceConfig{Kind: "pcap", Path: path}}},
-		Pipelines: []pipeline.PipelineConfig{{Name: "era", Nodes: []pipeline.NodeConfig{
+	era := func(name string) pipeline.PipelineConfig {
+		return pipeline.PipelineConfig{Name: name, Nodes: []pipeline.NodeConfig{
 			{ID: "src", Kind: "pcap", Params: json.RawMessage(fmt.Sprintf(`{"path": %q}`, path))},
 			{ID: "an", Kind: "analyzer", From: []string{"src"}},
-		}}},
+		}}
 	}
-	svc, _ := startService(t, cfg)
+	svc, _ := startPipelines(t, era("short"), era("era"))
 	srv := httptest.NewServer(obs.HandlerWith(obs.NewRegistry(), nil, svc.Endpoints()))
 	defer srv.Close()
 
@@ -1023,10 +1033,38 @@ func TestDeclaredProfileMatchesGraphMount(t *testing.T) {
 	}
 }
 
+// TestDeclaredFleetClustersLikeProfile: a declared tenant's fleet view
+// clusters with its analyzer's cluster_k and cluster_seed, so with no
+// probe posted its /fleet carries the clusters its /profile does.
+func TestDeclaredFleetClustersLikeProfile(t *testing.T) {
+	path, _ := writeCapture(t, 3*time.Minute, 7)
+	_, srv := startPipelines(t, pipeline.PipelineConfig{Name: "era", Nodes: []pipeline.NodeConfig{
+		{ID: "src", Kind: "pcap", Params: json.RawMessage(fmt.Sprintf(`{"path": %q}`, path))},
+		{ID: "an", Kind: "analyzer", From: []string{"src"}},
+	}})
+	clusters := func(endpoint string) string {
+		t.Helper()
+		resp, body := get(t, srv.URL+"/v1/era/"+endpoint)
+		var doc struct{ Clusters json.RawMessage }
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &doc) != nil {
+			t.Fatalf("/%s: code %d body %.120q", endpoint, resp.StatusCode, body)
+		}
+		return string(doc.Clusters)
+	}
+	profile, fleet := clusters("profile"), clusters("fleet")
+	if profile == "" {
+		t.Fatal("/profile has no clusters at the analyzer's default cluster_k")
+	}
+	if fleet != profile {
+		t.Errorf("/fleet clusters %.200s, want /profile's %.200s", fleet, profile)
+	}
+}
+
 // TestOneGraphHostsEveryTenant: the service hosts one graph whose
-// pipelines are its tenants', in config order; a tenant's /pipeline is
-// that graph's view of its pipeline; and a tenant whose ingest fails is
-// named in Drain's error while the others keep their final profiles.
+// pipelines are its tenants', in config order, a probe-only tenant's
+// empty one included; a tenant's /pipeline is that graph's view of its
+// pipeline; and a tenant whose ingest fails is named in Drain's error
+// while the others keep their final profiles.
 func TestOneGraphHostsEveryTenant(t *testing.T) {
 	path, packets := writeCapture(t, time.Minute, 3)
 	capture, err := os.ReadFile(path)
@@ -1037,14 +1075,13 @@ func TestOneGraphHostsEveryTenant(t *testing.T) {
 	if err := os.WriteFile(cut, capture[:len(capture)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	svc, _ := startService(t, Config{
-		Tenants: []TenantConfig{
-			{Name: "whole", Source: SourceConfig{Kind: "pcap", Path: path}},
-			{Name: "fleet", Source: SourceConfig{Kind: "probe"}},
-			{Name: "cut", Source: SourceConfig{Kind: "pcap", Path: cut}},
-		},
-		Pipelines: []pipeline.PipelineConfig{hostedGraph("declared")},
-	})
+	declared := func(name, path string) pipeline.PipelineConfig {
+		return pipeline.PipelineConfig{Name: name, Nodes: []pipeline.NodeConfig{
+			{ID: "src", Kind: "pcap", Params: json.RawMessage(fmt.Sprintf(`{"path": %q}`, path))},
+			{ID: "an", Kind: "analyzer", From: []string{"src"}},
+		}}
+	}
+	svc, _ := startPipelines(t, declared("whole", path), pipeline.PipelineConfig{Name: "fleet"}, declared("cut", cut), hostedGraph("declared"))
 	srv := httptest.NewServer(obs.HandlerWith(obs.NewRegistry(), nil, svc.Endpoints()))
 	defer srv.Close()
 
@@ -1057,7 +1094,7 @@ func TestOneGraphHostsEveryTenant(t *testing.T) {
 	for _, st := range sts {
 		names = append(names, st.Name)
 	}
-	if want := []string{"whole", "cut", "declared"}; !reflect.DeepEqual(names, want) {
+	if want := []string{"whole", "fleet", "cut", "declared"}; !reflect.DeepEqual(names, want) {
 		t.Errorf("/statusz lists %v, want %v", names, want)
 	}
 	for _, name := range names {
@@ -1067,8 +1104,15 @@ func TestOneGraphHostsEveryTenant(t *testing.T) {
 			t.Errorf("/v1/%s/pipeline (code %d) differs from /pipelines/%s/statusz:\n%s\nvs\n%s", name, resp.StatusCode, name, v1, mount)
 		}
 	}
-	if resp, _ := get(t, srv.URL+"/v1/fleet/pipeline"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("probe-only tenant's /pipeline: code %d, want 404", resp.StatusCode)
+	if len(sts[1].Segments) != 0 {
+		t.Errorf("probe-only tenant's graph has segments: %+v", sts[1])
+	}
+	var index struct {
+		Tenants []struct{ Name, Source string }
+	}
+	if _, body := get(t, srv.URL+"/v1/"); json.Unmarshal(body, &index) != nil || len(index.Tenants) != 4 ||
+		index.Tenants[1].Source != "probe" || index.Tenants[3].Source != "sim" {
+		t.Errorf("/v1/ lists %+v, want the fleet as a probe and the declared tenant's sim input", index.Tenants)
 	}
 
 	err = svc.Drain()
@@ -1109,10 +1153,9 @@ func openUnder(t *testing.T, dir string) []string {
 // time.
 func TestNewClosesBuiltTenantsOnFailure(t *testing.T) {
 	root := t.TempDir()
-	sim := SourceConfig{Kind: "sim", Year: 1, Seed: 7, Duration: Duration(5 * time.Second)}
-	_, err := New(Config{HistorianRoot: root, Tenants: []TenantConfig{
-		{Name: "east", Source: sim, Historian: true},
-		{Name: "west", Source: sim, BaselinePath: filepath.Join(root, "missing.prof")},
+	_, err := New(Config{Pipelines: []pipeline.PipelineConfig{
+		simTenant("east", "5s", fmt.Sprintf(`{"historian": %q}`, filepath.Join(root, "east"))),
+		simTenant("west", "5s", fmt.Sprintf(`{"baseline": %q}`, filepath.Join(root, "missing.prof"))),
 	}}, obs.NewRegistry(), nil)
 	if err == nil || !strings.Contains(err.Error(), "pipeline west segment an") {
 		t.Fatalf("New = %v, want west's analyzer to fail", err)

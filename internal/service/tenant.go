@@ -1,30 +1,26 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
-	"uncharted/internal/core"
 	"uncharted/internal/drift"
-	"uncharted/internal/historian"
 	"uncharted/internal/obs"
 	"uncharted/internal/pipeline"
 	"uncharted/internal/stream"
 )
 
-// Tenant is one hosted balancing authority / era / capture. A tenant
-// with local ingest is the pipeline of its name in the service's graph
-// — a declared pipeline, or the src → an pair its TenantConfig
-// shorthand compiles into; a probe-only tenant has none. Either way it
-// carries a fleet aggregate and a pre-built route set.
+// Tenant is one hosted balancing authority / era / capture: the
+// pipeline of its name in the service's graph, bound to that
+// pipeline's first analyzer or, in a probe-only tenant's empty
+// pipeline, to none. It carries a fleet aggregate and a pre-built
+// route set.
 type Tenant struct {
 	name string
-	// source is what the tenant index lists: the shorthand's source
-	// kind, "probe" or "pipeline".
-	source   string
-	clusterK int
+	// source is what the tenant index lists: the kind of the pipeline's
+	// input segment, or "probe" when it has none.
+	source string
 	// engine is the engine of the pipeline's first analyzer, which the
 	// profile surface binds to (nil for probe-only tenants and
 	// analyzer-less pipelines: the fleet aggregate is then the only
@@ -42,76 +38,30 @@ type Tenant struct {
 	journal *obs.Journal
 }
 
-// newTenant builds one tenant around its pipeline's first analyzer (nil
-// for none) and its metric series: everything but the route set, which
-// the service wires after it exists (handlers close over the service's
-// cache).
-func newTenant(name, source string, clusterK int, an *pipeline.AnalyzerSegment, reg *obs.Registry, journal *obs.Journal) *Tenant {
-	treg := reg.With("tenant", name)
+// newTenant builds the tenant of pipeline pc around its first analyzer
+// (nil for none) and its metric series: everything but the route set,
+// which the service wires after it exists (handlers close over the
+// service's cache).
+func newTenant(pc pipeline.PipelineConfig, an *pipeline.AnalyzerSegment, reg *obs.Registry, journal *obs.Journal) *Tenant {
+	treg := reg.With("tenant", pc.Name)
 	t := &Tenant{
-		name:        name,
-		source:      source,
-		clusterK:    clusterK,
+		name:        pc.Name,
+		source:      "probe",
 		journal:     journal,
 		cacheHits:   treg.Counter("uncharted_service_cache_hits_total"),
 		cacheMisses: treg.Counter("uncharted_service_cache_misses_total"),
 		partialsIn:  treg.Counter("uncharted_service_partials_total"),
 	}
+	for _, n := range pc.Nodes {
+		if spec, _ := pipeline.Lookup(n.Kind); spec.In == pipeline.PortNone {
+			t.source = n.Kind
+			break
+		}
+	}
 	if an != nil {
 		t.engine = an.Engine()
 	}
 	return t
-}
-
-// graph compiles the TenantConfig shorthand into the graph a config
-// would declare for it — pipeline {name}, segments "src" (the sim, pcap
-// or follow input) → "an" — or nil for a probe-only tenant. Every value
-// is written out, because the shorthand's defaults are its own: a sim
-// source without a duration simulates the campaign default, clustering
-// is off unless cluster_k says otherwise, the snapshot period defaults
-// to 1 s, only a simulated feed is labeled with the simulated
-// topology's names, and the historian lives in the tenant's namespace
-// under the service root.
-func (cfg TenantConfig) graph(historianRoot string) (*pipeline.Config, error) {
-	sc := cfg.Source
-	var src map[string]any
-	switch sc.Kind {
-	case "probe", "":
-		return nil, nil
-	case "sim":
-		src = map[string]any{"year": sc.Year, "seed": sc.Seed, "duration": time.Duration(sc.Duration), "speed": sc.Speed}
-	case "pcap":
-		src = map[string]any{"path": sc.Path, "speed": sc.Speed}
-	case "follow":
-		src = map[string]any{"path": sc.Path}
-	default:
-		return nil, fmt.Errorf("unknown source kind %q (want sim, pcap, follow or probe)", sc.Kind)
-	}
-	snapshot := time.Duration(cfg.Snapshot)
-	if snapshot <= 0 {
-		snapshot = time.Second
-	}
-	an := map[string]any{
-		"workers":      cfg.Workers,
-		"snapshot":     snapshot,
-		"idle_timeout": time.Duration(cfg.IdleTimeout),
-		"cluster_k":    cfg.ClusterK,
-		"cluster_seed": core.ClusterSeed,
-		"point_cap":    cfg.PointCap,
-		"names":        sc.Kind == "sim",
-		"baseline":     cfg.BaselinePath,
-	}
-	if cfg.Historian {
-		if historianRoot == "" {
-			return nil, fmt.Errorf("historian enabled but no historian_root configured")
-		}
-		dir, err := historian.NamespaceDir(historianRoot, cfg.Name)
-		if err != nil {
-			return nil, err
-		}
-		an["historian"] = dir
-	}
-	return pipeline.SourceGraph(cfg.Name, "src", sc.Kind, src, an), nil
 }
 
 // engineVersion is the cache version for engine-backed endpoints: the
@@ -145,15 +95,19 @@ func (t *Tenant) fleetVersion() string {
 
 // fleetProfile merges the probe partials with the tenant's own latest
 // snapshot (when an engine exists) into the fleet-wide rolling
-// profile, or nil when nothing has been seen yet.
+// profile, clustered like the engine's own profile (not at all without
+// one), or nil when nothing has been seen yet.
 func (t *Tenant) fleetProfile() *stream.Profile {
-	if t.engine != nil {
-		if p, ok := t.engine.LastPartial(); ok {
-			prof, _ := t.probes.Profile(t.clusterK, core.ClusterSeed, p)
-			return prof
-		}
+	if t.engine == nil {
+		prof, _ := t.probes.Profile(0, 0)
+		return prof
 	}
-	prof, _ := t.probes.Profile(t.clusterK, core.ClusterSeed)
+	k, seed := t.engine.Clustering()
+	if p, ok := t.engine.LastPartial(); ok {
+		prof, _ := t.probes.Profile(k, seed, p)
+		return prof
+	}
+	prof, _ := t.probes.Profile(k, seed)
 	return prof
 }
 

@@ -1062,6 +1062,10 @@ func (e *Engine) Analyzer() *core.Analyzer {
 	return e.shards[0].an
 }
 
+// Clustering returns the session clustering K and seed the engine's
+// profiles are built with.
+func (e *Engine) Clustering() (k int, seed int64) { return e.cfg.ClusterK, e.cfg.ClusterSeed }
+
 // LastPartial returns the merged analyzer state behind the most
 // recently published snapshot, or ok=false before the first one. The
 // value is detached from the shards (the merge copies what it reads
