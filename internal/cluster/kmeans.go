@@ -67,6 +67,25 @@ func sqDist(a, b []float64) float64 {
 // Lloyd iterations. The rng makes runs reproducible; pass
 // rand.New(rand.NewSource(seed)).
 func KMeans(points [][]float64, k int, rng *rand.Rand) (*Result, error) {
+	return new(Workspace).KMeans(points, k, rng)
+}
+
+// Workspace holds the arrays of a fit — assignments, centroids, their
+// running sums and counts and the K-means++ distances — for a caller
+// that fits again and again, such as a rolling profile refitted every
+// publish. The zero value is ready to use; it is not safe for
+// concurrent use.
+type Workspace struct {
+	assign, counts  []int
+	sums, centroids [][]float64
+	flat, d2        []float64
+	res             Result
+}
+
+// KMeans is the package's KMeans over the workspace's arrays: the same
+// fit, bit for bit, but the Result and its Centroids and Assign belong
+// to the workspace and are overwritten by its next KMeans.
+func (w *Workspace) KMeans(points [][]float64, k int, rng *rand.Rand) (*Result, error) {
 	dim, err := checkPoints(points)
 	if err != nil {
 		return nil, err
@@ -74,28 +93,45 @@ func KMeans(points [][]float64, k int, rng *rand.Rand) (*Result, error) {
 	if k < 1 || k > len(points) {
 		return nil, fmt.Errorf("%w: k=%d with %d points", ErrBadK, k, len(points))
 	}
-	return lloyd(points, dim, seedPlusPlus(points, dim, k, rng)), nil
+	w.flat = zeroed(w.flat, 2*k*dim)
+	w.sums = rowsOver(w.sums, w.flat[:k*dim], k, dim)
+	w.centroids = rowsOver(w.centroids, w.flat[k*dim:], k, dim)
+	w.d2 = zeroed(w.d2, len(points))
+	w.assign = zeroed(w.assign, len(points))
+	w.counts = zeroed(w.counts, k)
+	w.res = Result{K: k}
+	lloyd(&w.res, points, seedPlusPlus(points, w.centroids, w.d2, rng), w.assign, w.sums, w.counts)
+	return &w.res, nil
 }
 
-// rows returns n rows of dim values over one backing array, each capped
-// at its own length.
-func rows(n, dim int) [][]float64 {
-	flat := make([]float64, n*dim)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+// zeroed returns s resized to n zero values, reusing its array when it
+// is large enough.
+func zeroed[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
 	}
-	return out
+	s = s[:n]
+	clear(s)
+	return s
 }
 
-// lloyd runs Lloyd iterations from the given centroids, which it moves.
-func lloyd(points [][]float64, dim int, centroids [][]float64) *Result {
-	k := len(centroids)
-	assign := make([]int, len(points))
-	sums := rows(k, dim)
-	counts := make([]int, k)
+// rowsOver returns n rows of dim values over flat, each capped at its
+// own length, reusing rows' array when it is large enough.
+func rowsOver(rows [][]float64, flat []float64, n, dim int) [][]float64 {
+	if cap(rows) < n {
+		rows = make([][]float64, n)
+	}
+	rows = rows[:n]
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return rows
+}
+
+// lloyd runs Lloyd iterations from the given centroids, which it moves,
+// into res. assign starts zeroed; sums and counts are its scratch.
+func lloyd(res *Result, points, centroids [][]float64, assign []int, sums [][]float64, counts []int) {
 	const maxIter = 200
-	res := &Result{K: k}
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for i, p := range points {
@@ -141,16 +177,15 @@ func lloyd(points [][]float64, dim int, centroids [][]float64) *Result {
 	for i, p := range points {
 		res.SSE += sqDist(p, centroids[assign[i]])
 	}
-	return res
 }
 
-// seedPlusPlus picks initial centroids with the K-means++ D² weighting.
-func seedPlusPlus(points [][]float64, dim, k int, rng *rand.Rand) [][]float64 {
-	slots := rows(k, dim)
+// seedPlusPlus picks initial centroids into slots, one row per cluster,
+// with the K-means++ D² weighting; d2 holds one distance per point.
+func seedPlusPlus(points, slots [][]float64, d2 []float64, rng *rand.Rand) [][]float64 {
+	k := len(slots)
 	centroids := slots[:1]
 	copy(centroids[0], points[rng.Intn(len(points))])
 
-	d2 := make([]float64, len(points))
 	for len(centroids) < k {
 		var total float64
 		for i, p := range points {
@@ -203,11 +238,15 @@ func KMeansWithSeeds(points [][]float64, seeds [][]float64) (*Result, error) {
 	if len(seeds) == 0 || len(seeds) > len(points) {
 		return nil, ErrBadK
 	}
-	centroids := make([][]float64, len(seeds))
+	k := len(seeds)
+	centroids := make([][]float64, k)
 	for i, s := range seeds {
 		centroids[i] = append([]float64(nil), s...)
 	}
-	return lloyd(points, dim, centroids), nil
+	res := &Result{K: k}
+	sums := rowsOver(nil, make([]float64, k*dim), k, dim)
+	lloyd(res, points, centroids, make([]int, len(points)), sums, make([]int, k))
+	return res, nil
 }
 
 // Silhouette returns the mean silhouette coefficient of a clustering:

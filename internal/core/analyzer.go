@@ -134,12 +134,13 @@ func (s *ioaSet) size() int {
 // snapshot clones a count table, and vocab lists the chain's nodes in
 // first-seen order. Both are bounded by the alphabet; a caller that
 // wants the stream itself records it with a FrameObserver. The
-// endpoints' names ride along for the frames booked on the connection.
+// endpoints' names ride along for the frames booked on the connection,
+// and its label for the chains every seal publishes.
 type tokenList struct {
-	chain               markov.Chain
-	cur                 markov.Cursor
-	vocab               []iec104.Token
-	serverName, outName string
+	chain                      markov.Chain
+	cur                        markov.Cursor
+	vocab                      []iec104.Token
+	serverName, outName, label string
 }
 
 // connTokens returns connection k's token state, creating it on the
@@ -148,6 +149,7 @@ func (a *Analyzer) connTokens(k ConnKey) *tokenList {
 	tl, ok := a.tokens[k]
 	if !ok {
 		tl = &tokenList{serverName: a.Name(k.Server), outName: a.Name(k.Outstation)}
+		tl.label = chainLabel(tl.serverName, tl.outName)
 		a.tokens[k] = tl
 	}
 	return tl
@@ -528,10 +530,12 @@ func (a *Analyzer) book(d *dirState, sp *tcpflow.StreamPayload, ev *protocol.Eve
 		if a.metrics != nil || a.journal != nil {
 			cause := cmp.Or(ev.Cause, "other")
 			a.metrics.noteParseError(cause)
-			a.journalEvent(sp.Time, obs.EventParseError, connLabel(sp), map[string]any{
-				"cause":     cause,
-				"frame_len": frameLen,
-			})
+			if a.journal != nil {
+				a.journalEvent(sp.Time, obs.EventParseError, connLabel(sp), map[string]any{
+					"cause":     cause,
+					"frame_len": frameLen,
+				})
+			}
 		}
 		return
 	}
@@ -599,7 +603,7 @@ func (a *Analyzer) bookUnit(d *dirState, sp *tcpflow.StreamPayload, u *protocol.
 			(!newlyDetected && sc.Profile != p)
 		sc.Profile = p
 		sc.Detected = true
-		if newlyDetected || flipped {
+		if (newlyDetected || flipped) && a.journal != nil {
 			a.journalEvent(sp.Time, obs.EventConnState, connLabel(sp), map[string]any{
 				"state":   "dialect_detected",
 				"station": sc.Name,

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"net/netip"
 	"testing"
+	"time"
 
 	"uncharted/internal/iec104"
+	"uncharted/internal/obs"
 )
 
 func mustFrame(t *testing.T) []byte {
@@ -52,24 +55,19 @@ func TestNextFrameSkipsLeadingGarbage(t *testing.T) {
 	}
 }
 
+// TestNextFrameBadLengthResync: a false start byte with a too-small
+// length octet is skipped and the scan goes on in the same call, so the
+// frame behind it comes out at once, both bad bytes counted as skipped.
 func TestNextFrameBadLengthResync(t *testing.T) {
 	frame := mustFrame(t)
 	// A false 0x68 followed by a too-small length, then a real frame.
 	buf := append([]byte{0x68, 0x01}, frame...)
-	// First call drops the false start byte.
-	_, rest, skipped, ok := iec104.NextFrame(buf)
-	if ok {
-		t.Fatal("corrupt header extracted")
+	got, rest, skipped, ok := iec104.NextFrame(buf)
+	if !ok || !bytes.Equal(got, frame) || len(rest) != 0 {
+		t.Fatalf("resync failed: ok=%v got=%d rest=%d", ok, len(got), len(rest))
 	}
-	if skipped != 1 {
-		t.Fatalf("skipped = %d, want 1 (the false start byte)", skipped)
-	}
-	got, rest2, skipped, ok := iec104.NextFrame(rest)
-	if !ok || !bytes.Equal(got, frame) || len(rest2) != 0 {
-		t.Fatalf("second resync failed: ok=%v", ok)
-	}
-	if skipped != 1 {
-		t.Fatalf("second skipped = %d, want 1 (the stray length octet)", skipped)
+	if skipped != 2 {
+		t.Fatalf("skipped = %d, want 2 (the false start byte and the stray length octet)", skipped)
 	}
 }
 
@@ -119,5 +117,85 @@ func TestStrictPlausible(t *testing.T) {
 	u, _ := iec104.NewU(iec104.UTestFRAct).Marshal(iec104.Standard)
 	if !tp.StrictPlausible(u) {
 		t.Error("U frame reported implausible")
+	}
+}
+
+// frameCount is a FrameObserver counting the frames the analyzer books.
+type frameCount int
+
+func (n *frameCount) ObserveFrame(FrameEvent) { *n++ }
+
+// TestFalseStartBooksFramesBehindIt: a false start byte (0x68 with a
+// length octet below 4) in front of complete frames in one segment does
+// not strand them. The analyzer books the frames behind it as the
+// segment arrives, as it would had the sender split the bytes after the
+// false start, and leaves nothing in the direction's framing buffer.
+func TestFalseStartBooksFramesBehindIt(t *testing.T) {
+	testfr, err := iec104.NewU(iec104.UTestFRAct).Marshal(iec104.Standard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := iec104.NewS(0).Marshal(iec104.Standard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtu := netip.MustParseAddrPort("10.0.1.1:2404")
+	scada := netip.MustParseAddrPort("10.0.0.5:40001")
+	run := func(t *testing.T, segments [][]byte) (frameCount, *dirState) {
+		t.Helper()
+		var n frameCount
+		a := NewAnalyzer(nil)
+		a.SetFrameObserver(&n)
+		w := newWire(a, time.Unix(1560000000, 0).UTC())
+		for _, seg := range segments {
+			w.send(scada, rtu, seg)
+		}
+		_, slot := w.slot(t, scada, rtu)
+		return n, slot.(*dirState)
+	}
+
+	t.Run("one segment", func(t *testing.T) {
+		seg := append(append([]byte{0x68, 0x01}, testfr...), ack...)
+		n, d := run(t, [][]byte{seg})
+		if n != 2 || len(d.buf) != 0 {
+			t.Fatalf("booked %d frames with %d bytes left buffered, want 2 and 0", n, len(d.buf))
+		}
+		split, _ := run(t, [][]byte{seg[:2], seg[2:]})
+		if split != n {
+			t.Fatalf("the segment booked %d frames, the same bytes split after the false start %d", n, split)
+		}
+	})
+	t.Run("200 segments", func(t *testing.T) {
+		segs := make([][]byte, 200)
+		for i := range segs {
+			segs[i] = append([]byte{0x68, 0x01, 0x68, 0x01}, testfr...)
+		}
+		n, d := run(t, segs)
+		if n != 200 || len(d.buf) != 0 {
+			t.Fatalf("booked %d frames with %d bytes left buffered, want 200 and 0", n, len(d.buf))
+		}
+	})
+}
+
+// TestParseErrorWithoutJournalAllocs: an instrumented analyzer with no
+// journal counts a parse error and builds no journal event for it, so a
+// malformed frame on a known flow allocates nothing.
+func TestParseErrorWithoutJournalAllocs(t *testing.T) {
+	a := NewAnalyzer(nil)
+	a.Instrument(obs.NewRegistry(), nil)
+	w := newWire(a, time.Unix(1560000000, 0).UTC())
+	rtu := netip.MustParseAddrPort("10.0.1.1:2404")
+	scada := netip.MustParseAddrPort("10.0.0.5:40001")
+	bad := []byte{iec104.StartByte, 0x04, 0x03, 0x00, 0x00, 0x00} // a U frame naming no function
+	send := func() { w.send(scada, rtu, bad) }
+	for i := 0; i < 8; i++ {
+		send()
+	}
+	errs := a.ParseErrors
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Fatalf("a parse error allocates %.1f objects without a journal, want 0", allocs)
+	}
+	if a.ParseErrors-errs != 201 {
+		t.Fatalf("%d parse errors booked over 201 malformed frames", a.ParseErrors-errs)
 	}
 }

@@ -24,8 +24,8 @@ const (
 
 // analyzerMetrics holds the analyzer's private tallies of the series
 // every analyzer on the registry shares (flush publishes them), plus
-// the registry for the rare labeled path (parse-error causes) that
-// resolves lazily and counts directly.
+// the registry the labeled tallies resolve through on a label's first
+// use.
 type analyzerMetrics struct {
 	reg *obs.Registry
 
@@ -40,9 +40,11 @@ type analyzerMetrics struct {
 	flips        obs.Tally
 	decodeErrors obs.Tally
 
-	// strictBy holds the per-dialect strict-invalid tallies. The
-	// analyzer runs single-goroutine, so a plain map suffices.
+	// strictBy and causeBy hold the per-dialect strict-invalid and the
+	// per-cause parse-error tallies. The analyzer runs single-goroutine,
+	// so plain maps suffice.
 	strictBy map[string]*obs.Tally
+	causeBy  map[string]*obs.Tally
 }
 
 func newAnalyzerMetrics(reg *obs.Registry) *analyzerMetrics {
@@ -74,6 +76,7 @@ func newAnalyzerMetrics(reg *obs.Registry) *analyzerMetrics {
 		flips:        reg.Counter(MetricComplianceFlips).Tally(),
 		decodeErrors: reg.Counter(MetricDecodeErrors).Tally(),
 		strictBy:     make(map[string]*obs.Tally),
+		causeBy:      make(map[string]*obs.Tally),
 	}
 }
 
@@ -93,6 +96,9 @@ func (m *analyzerMetrics) flush() {
 	m.flips.Flush()
 	m.decodeErrors.Flush()
 	for _, t := range m.strictBy {
+		t.Flush()
+	}
+	for _, t := range m.causeBy {
 		t.Flush()
 	}
 }
@@ -156,28 +162,32 @@ func (m *analyzerMetrics) noteDecodeErrors(n int) {
 	}
 }
 
-// noteParseError books a rejected frame under its cause label. Parse
-// errors are rare, so the labeled series resolves through the registry
-// rather than a pre-allocated handle. Nil-safe.
+// noteParseError books a rejected frame under its cause label.
+// Nil-safe.
 func (m *analyzerMetrics) noteParseError(cause string) {
 	if m != nil {
-		m.reg.Counter(MetricParseErrors, "cause", cause).Inc()
+		m.labeled(m.causeBy, MetricParseErrors, "cause", cause).Inc()
 	}
 }
 
 // noteStrictInvalid books a strict-parser rejection under the dialect
 // the tolerant parser used. Nil-safe.
 func (m *analyzerMetrics) noteStrictInvalid(dialect string) {
-	if m == nil {
-		return
+	if m != nil {
+		m.labeled(m.strictBy, MetricStrictInvalid, "dialect", dialect).Inc()
 	}
-	t := m.strictBy[dialect]
+}
+
+// labeled returns the tally of series name{key="value"} kept in by,
+// resolving it through the registry on the label's first use.
+func (m *analyzerMetrics) labeled(by map[string]*obs.Tally, name, key, value string) *obs.Tally {
+	t := by[value]
 	if t == nil {
-		tally := m.reg.Counter(MetricStrictInvalid, "dialect", dialect).Tally()
+		tally := m.reg.Counter(name, key, value).Tally()
 		t = &tally
-		m.strictBy[dialect] = t
+		by[value] = t
 	}
-	t.Inc()
+	return t
 }
 
 // connLabel renders a flow direction for journal events.

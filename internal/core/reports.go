@@ -153,7 +153,8 @@ func (a *Analyzer) ClusterSessions(k int, seed int64) (*ClusterReport, error) {
 // model-selection diagnostics — the K = 2..8 sweep and the 2-D PCA
 // projection — that the offline report prints.
 func ClusterFeatures(feats []SessionFeature, k int, seed int64) (*ClusterReport, error) {
-	rep, std, err := fitClusters(feats, k, seed)
+	var w Workspace
+	rep, std, err := w.fitClusters(feats, k, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -177,17 +178,47 @@ func ClusterFeatures(feats []SessionFeature, k int, seed int64) (*ClusterReport,
 // the sweep draws from its own generator, so leaving it out moves
 // nothing.
 func FitClusters(feats []SessionFeature, k int, seed int64) (*ClusterReport, error) {
-	rep, _, err := fitClusters(feats, k, seed)
+	var w Workspace
+	return w.FitClusters(feats, k, seed)
+}
+
+// Workspace is the scratch of the reports one publisher rebuilds every
+// tick: the standardized feature rows, the clustering's generator and
+// arrays, and the Markov report's chain copies, summaries and classes.
+// Its methods compute what the package functions of the same names do,
+// bit for bit; what a method returns that points into the workspace is
+// named in its comment and is overwritten by the next call. The zero
+// value is ready to use; it is not safe for concurrent use.
+type Workspace struct {
+	flat, col []float64
+	rows      [][]float64
+	rng       *rand.Rand
+	fit       cluster.Workspace
+	chains    []ConnChain
+	summaries []markov.ConnSummary
+	classes   []markov.OutstationClass
+}
+
+// FitClusters is the package's FitClusters. The report's Assign belongs
+// to the workspace; its Sizes and Outliers are the caller's.
+func (w *Workspace) FitClusters(feats []SessionFeature, k int, seed int64) (*ClusterReport, error) {
+	rep, _, err := w.fitClusters(feats, k, seed)
 	return rep, err
 }
 
-// fitClusters is FitClusters, also returning the standardized rows.
-func fitClusters(feats []SessionFeature, k int, seed int64) (*ClusterReport, [][]float64, error) {
+// fitClusters is FitClusters, also returning the standardized rows,
+// which belong to the workspace.
+func (w *Workspace) fitClusters(feats []SessionFeature, k int, seed int64) (*ClusterReport, [][]float64, error) {
 	if need := max(k, 2); len(feats) < need {
 		return nil, nil, fmt.Errorf("core: %d sessions with APDUs, need at least %d", len(feats), need)
 	}
-	std := standardize(feats)
-	res, err := cluster.KMeans(std, k, rand.New(rand.NewSource(seed+1)))
+	std := w.standardize(feats)
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(seed + 1))
+	} else {
+		w.rng.Seed(seed + 1)
+	}
+	res, err := w.fit.KMeans(std, k, w.rng)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -210,6 +241,9 @@ func fitClusters(feats []SessionFeature, k int, seed int64) (*ClusterReport, [][
 			smallest, smallestSize = c, n
 		}
 	}
+	if smallest >= 0 {
+		rep.Outliers = make([]string, 0, rep.Sizes[smallest])
+	}
 	for i, asg := range res.Assign {
 		if asg == smallest {
 			rep.Outliers = append(rep.Outliers, feats[i].Src+">"+feats[i].Dst)
@@ -220,15 +254,17 @@ func fitClusters(feats []SessionFeature, k int, seed int64) (*ClusterReport, [][
 
 // standardize returns each feature's Vector with every column scaled
 // as stats.Standardize scales it, as rows over one backing array.
-func standardize(feats []SessionFeature) [][]float64 {
+func (w *Workspace) standardize(feats []SessionFeature) [][]float64 {
 	const dim = 5 // len(SessionFeature.Vector())
-	flat := make([]float64, len(feats)*dim)
-	rows := make([][]float64, len(feats))
+	n := len(feats)
+	w.flat = slices.Grow(w.flat[:0], n*dim)[:n*dim]
+	w.col = slices.Grow(w.col[:0], n)[:n]
+	w.rows = slices.Grow(w.rows[:0], n)[:n]
+	rows, col := w.rows, w.col
 	for i, f := range feats {
-		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+		rows[i] = w.flat[i*dim : (i+1)*dim : (i+1)*dim]
 		rows[i][0], rows[i][1], rows[i][2], rows[i][3], rows[i][4] = f.DeltaT, f.Num, f.PctI, f.PctS, f.PctU
 	}
-	col := make([]float64, len(feats))
 	for j := 0; j < dim; j++ {
 		for i, r := range rows {
 			col[i] = r[j]
@@ -255,6 +291,22 @@ type ConnChain struct {
 	Proto   protocol.ID
 	Chain   *markov.Chain
 	Cluster markov.SizeCluster
+	// Label is Server + "-" + Outstation, the connection's name in the
+	// Fig. 13 lists: built once with the connection, so the lists every
+	// tick publishes share it. A chain built without one is labelled
+	// where a report needs it.
+	Label string
+}
+
+// chainLabel is a connection's name in the Fig. 13 lists.
+func chainLabel(server, outstation string) string { return server + "-" + outstation }
+
+// label returns the chain's Label, building it when it has none.
+func (cc *ConnChain) label() string {
+	if cc.Label != "" {
+		return cc.Label
+	}
+	return chainLabel(cc.Server, cc.Outstation)
 }
 
 // MarkovReport is Figs. 12-17 and Table 6.
@@ -282,12 +334,14 @@ func (a *Analyzer) appendConnChains(dst []ConnChain) []ConnChain {
 	chains := slices.Grow(dst, len(keys))
 	base := len(chains)
 	for _, key := range keys {
+		tl := a.tokens[key]
 		chains = append(chains, ConnChain{
 			Key:        key,
-			Server:     a.Name(key.Server),
-			Outstation: a.Name(key.Outstation),
-			Proto:      a.tokens[key].vocab[0].Proto, // the dialect of its first token
-			Chain:      &a.tokens[key].chain,
+			Server:     tl.serverName,
+			Outstation: tl.outName,
+			Proto:      tl.vocab[0].Proto, // the dialect of its first token
+			Chain:      &tl.chain,
+			Label:      tl.label,
 		})
 	}
 	added := chains[base:]
@@ -308,25 +362,44 @@ func (a *Analyzer) MarkovChains() MarkovReport {
 // the entry point shard-merged streaming profiles use. Each chain's
 // Cluster field is (re)computed.
 func MarkovFromChains(chains []ConnChain) MarkovReport {
-	rep := MarkovReport{Chains: slices.Grow([]ConnChain(nil), len(chains))}
-	summaries := make([]markov.ConnSummary, 0, len(chains))
-	for _, cc := range chains {
+	var w Workspace
+	return w.MarkovFromChains(chains)
+}
+
+// MarkovFromChains is the package's MarkovFromChains. The report's
+// Chains and Classes belong to the workspace; its Point11, Square and
+// Ellipse lists are the caller's, and hold the chains' labels.
+func (w *Workspace) MarkovFromChains(chains []ConnChain) MarkovReport {
+	w.chains = append(w.chains[:0], chains...)
+	var n [3]int // by markov.SizeCluster
+	for i := range w.chains {
+		cc := &w.chains[i]
 		cc.Cluster = markov.Classify11SquareEllipse(cc.Chain)
-		rep.Chains = append(rep.Chains, cc)
-		label := cc.Server + "-" + cc.Outstation
+		n[cc.Cluster]++
+	}
+	rep := MarkovReport{
+		Chains:  w.chains,
+		Point11: slices.Grow([]string(nil), n[markov.ClusterPoint11]),
+		Square:  slices.Grow([]string(nil), n[markov.ClusterSquare]),
+		Ellipse: slices.Grow([]string(nil), n[markov.ClusterEllipse]),
+	}
+	w.summaries = w.summaries[:0]
+	for i := range w.chains {
+		cc := &w.chains[i]
 		switch cc.Cluster {
 		case markov.ClusterPoint11:
-			rep.Point11 = append(rep.Point11, label)
+			rep.Point11 = append(rep.Point11, cc.label())
 		case markov.ClusterEllipse:
-			rep.Ellipse = append(rep.Ellipse, label)
+			rep.Ellipse = append(rep.Ellipse, cc.label())
 		default:
-			rep.Square = append(rep.Square, label)
+			rep.Square = append(rep.Square, cc.label())
 		}
-		summaries = append(summaries, markov.ConnSummary{
+		w.summaries = append(w.summaries, markov.ConnSummary{
 			Server: cc.Server, Outstation: cc.Outstation, Chain: cc.Chain,
 		})
 	}
-	rep.Classes = markov.ClassifyAll(summaries)
+	w.classes = markov.AppendClasses(w.classes[:0], w.summaries)
+	rep.Classes = w.classes
 	rep.Distribution = markov.TypeDistribution(rep.Classes)
 	return rep
 }

@@ -10,10 +10,12 @@ import (
 
 // TestStandardizeMatchesStats: the clustering input standardized over
 // one backing array equals stats.Standardize applied column by column,
-// bit for bit — a constant column (all zeros) included.
+// bit for bit — a constant column (all zeros) included — also when one
+// workspace standardizes feature sets that grow and then shrink.
 func TestStandardizeMatchesStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
-	for _, n := range []int{1, 2, 7, 180} {
+	var w Workspace
+	for _, n := range []int{1, 2, 7, 180, 7} {
 		feats := make([]SessionFeature, n)
 		for i := range feats {
 			feats[i] = SessionFeature{
@@ -24,7 +26,7 @@ func TestStandardizeMatchesStats(t *testing.T) {
 				PctU:   rng.Float64() * 1e-3,
 			}
 		}
-		got := standardize(feats)
+		got := w.standardize(feats)
 		for j := 0; j < 5; j++ {
 			col := make([]float64, n)
 			for i, f := range feats {

@@ -9,29 +9,36 @@ import (
 )
 
 // NextFrame extracts one APDU from the front of buf. It resynchronises
-// on the 0x68 start byte if leading garbage is present; skipped reports
-// how many bytes were discarded doing so (including a false start byte
-// on a corrupt length octet). This is the dialect-owned garbage-skip
-// the IEC 104 session frames through.
+// on the 0x68 start byte if leading garbage is present, and rescans
+// after a false start byte whose length octet is below 4; skipped
+// reports how many bytes were discarded doing so. ok=false means only
+// that more bytes are needed: rest is then a frame's head and what
+// has arrived of its body, shorter than the longest APDU. This is the
+// dialect-owned garbage-skip the IEC 104 session frames through.
 func NextFrame(buf []byte) (frame, rest []byte, skipped int, ok bool) {
-	// Drop bytes until a start byte.
-	i := 0
-	for i < len(buf) && buf[i] != StartByte {
-		i++
+	for {
+		// Drop bytes until a start byte.
+		i := 0
+		for i < len(buf) && buf[i] != StartByte {
+			i++
+		}
+		skipped += i
+		buf = buf[i:]
+		if len(buf) < 2 {
+			return nil, buf, skipped, false
+		}
+		if buf[1] < 4 {
+			// Corrupt length: skip the false start byte and rescan.
+			buf = buf[1:]
+			skipped++
+			continue
+		}
+		total := 2 + int(buf[1])
+		if len(buf) < total {
+			return nil, buf, skipped, false
+		}
+		return buf[:total], buf[total:], skipped, true
 	}
-	buf = buf[i:]
-	if len(buf) < 2 {
-		return nil, buf, i, false
-	}
-	total := 2 + int(buf[1])
-	if int(buf[1]) < 4 {
-		// Corrupt length; skip the false start byte.
-		return nil, buf[1:], i + 1, false
-	}
-	if len(buf) < total {
-		return nil, buf, i, false
-	}
-	return buf[:total], buf[total:], i, true
 }
 
 // dialect implements protocol.Dialect for IEC 60870-5-104.

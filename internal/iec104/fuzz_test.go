@@ -1,6 +1,7 @@
 package iec104
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -139,5 +140,76 @@ func FuzzTolerantParser(f *testing.F) {
 		// Feeding the same endpoint again must not panic either: the
 		// parser keeps per-endpoint dialect state between calls.
 		_, _ = tp.Parse("fuzz-endpoint", data)
+	})
+}
+
+// frameAll frames chunks as one direction's stream, the way a session's
+// caller does: each chunk is appended to what the last call left, and
+// NextFrame is called until it asks for more bytes. It returns the
+// frames, the total skipped and what is left when the stream ends. A
+// call that returns a frame consumes at least one byte, and one that
+// asks for more leaves less than the longest frame (257 bytes).
+func frameAll(t *testing.T, chunks ...[]byte) (frames [][]byte, skipped int, left []byte) {
+	t.Helper()
+	for _, c := range chunks {
+		buf := append(left, c...)
+		for {
+			frame, rest, n, ok := NextFrame(buf)
+			skipped += n
+			if !ok {
+				if len(rest) >= 2+255 {
+					t.Fatalf("asked for more bytes with %d left", len(rest))
+				}
+				left = append([]byte(nil), rest...)
+				break
+			}
+			if len(rest) >= len(buf) || len(frame) == 0 {
+				t.Fatalf("returned a frame of %d bytes and consumed none of %d", len(frame), len(buf))
+			}
+			frames = append(frames, frame)
+			buf = rest
+		}
+	}
+	return frames, skipped, left
+}
+
+// FuzzNextFrame holds IEC 104 framing to the session contract: every
+// call makes progress or asks for more bytes with less than a frame
+// left, and cutting the stream at any point yields the same frames, the
+// same total skipped and the same leftover as framing it whole.
+func FuzzNextFrame(f *testing.F) {
+	seeds := fuzzSeeds(f)
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	// False starts — a start byte whose length octet is below 4 — in
+	// front of, between and behind whole frames.
+	f.Add(append([]byte{StartByte, 0x01}, seeds[0]...))
+	f.Add(append(append([]byte{StartByte, 0x01, StartByte, 0x01}, seeds[len(seeds)-9]...), StartByte, 0x03))
+	f.Add(append(append(append([]byte(nil), seeds[1]...), StartByte, 0x00, 0x00), seeds[2]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return
+		}
+		frames, skipped, left := frameAll(t, data)
+		framed := skipped + len(left)
+		for _, fr := range frames {
+			framed += len(fr)
+		}
+		if framed != len(data) {
+			t.Fatalf("frames, skipped and leftover cover %d of %d bytes", framed, len(data))
+		}
+		for cut := 0; cut <= len(data); cut++ {
+			f2, s2, l2 := frameAll(t, data[:cut], data[cut:])
+			if s2 != skipped || !bytes.Equal(l2, left) || len(f2) != len(frames) {
+				t.Fatalf("cut at %d: %d frames, %d skipped, %d left; whole: %d, %d, %d",
+					cut, len(f2), s2, len(l2), len(frames), skipped, len(left))
+			}
+			for i := range frames {
+				if !bytes.Equal(f2[i], frames[i]) {
+					t.Fatalf("cut at %d: frame %d differs", cut, i)
+				}
+			}
+		}
 	})
 }

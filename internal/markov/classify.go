@@ -146,21 +146,27 @@ func ClassifyOutstation(conns []ConnSummary) OutstationClass {
 }
 
 // ClassifyAll groups connection summaries by outstation and classifies
-// each, returning results sorted by outstation name. The groups are the
-// runs of a copy of conns sorted by outstation; conns is not modified.
+// each, returning results sorted by outstation name. conns is not
+// modified.
 func ClassifyAll(conns []ConnSummary) []OutstationClass {
-	sorted := slices.Clone(conns)
-	slices.SortStableFunc(sorted, func(a, b ConnSummary) int { return strings.Compare(a.Outstation, b.Outstation) })
-	var out []OutstationClass
-	for len(sorted) > 0 {
+	return AppendClasses(nil, slices.Clone(conns))
+}
+
+// AppendClasses is ClassifyAll over a list the caller hands over, for
+// one that classifies every tick into lists it keeps: conns is sorted
+// by outstation in place, its runs are classified, and the classes are
+// appended to dst.
+func AppendClasses(dst []OutstationClass, conns []ConnSummary) []OutstationClass {
+	slices.SortStableFunc(conns, func(a, b ConnSummary) int { return strings.Compare(a.Outstation, b.Outstation) })
+	for len(conns) > 0 {
 		n := 1
-		for n < len(sorted) && sorted[n].Outstation == sorted[0].Outstation {
+		for n < len(conns) && conns[n].Outstation == conns[0].Outstation {
 			n++
 		}
-		out = append(out, ClassifyOutstation(sorted[:n]))
-		sorted = sorted[n:]
+		dst = append(dst, ClassifyOutstation(conns[:n]))
+		conns = conns[n:]
 	}
-	return out
+	return dst
 }
 
 // TypeDistribution tallies classes 1..8 (index 0 collects

@@ -218,31 +218,94 @@ func SortDigests(ds []Digest) { slices.SortFunc(ds, compareKeys) }
 
 // MergeDigests combines digest lists from several shards: digests of
 // the same series are folded together, and the result is sorted by
-// series key for deterministic output. The lists are concatenated into
-// the result — its one allocation — stably sorted, and each run of one
-// series is folded into its first digest in list order, so the moments
-// come out of the same merges in the same order whatever the key
-// layout. The inputs are not modified.
+// series key for deterministic output. Each run of one series is folded
+// into its first digest in list order — the lists' order, then each
+// list's own — so the moments come out of the same merges in the same
+// order whatever the key layout. The result is its one allocation, and
+// the inputs are not modified.
+//
+// The lists a merge is given are sorted by key (a seal sorts its own,
+// and a merge's result is sorted), so it merges them k ways, taking a
+// tie from the earliest list. A list that is not sorted — a hand-built
+// one, say — sends the merge to concatenating and stably sorting
+// instead, which orders every run the same way.
 func MergeDigests(lists ...[]Digest) []Digest {
-	total := 0
+	total, sorted := 0, true
 	for _, list := range lists {
 		total += len(list)
+		sorted = sorted && slices.IsSortedFunc(list, compareKeys)
 	}
 	merged := make([]Digest, 0, total)
-	for _, list := range lists {
-		merged = append(merged, list...)
-	}
-	slices.SortStableFunc(merged, compareKeys)
-	n := 0
-	for i := range merged {
-		if n > 0 && merged[n-1].Key == merged[i].Key {
-			merged[n-1].merge(merged[i])
-			continue
+	if !sorted {
+		for _, list := range lists {
+			merged = append(merged, list...)
 		}
-		merged[n] = merged[i]
-		n++
+		slices.SortStableFunc(merged, compareKeys)
+		n := 0
+		for i := range merged {
+			n = fold(merged[:n], &merged[i])
+		}
+		return merged[:n]
 	}
-	return merged[:n]
+	// A min-heap of the lists' heads, by key and then list position;
+	// pos[l] is list l's cursor. A handful of lists fit on the stack.
+	var heapBuf, posBuf [16]int
+	heads, pos := heapBuf[:0], posBuf[:0]
+	for l, list := range lists {
+		pos = append(pos, 0)
+		if len(list) > 0 {
+			heads = append(heads, l)
+		}
+	}
+	less := func(a, b int) bool {
+		if c := compareKeys(lists[a][pos[a]], lists[b][pos[b]]); c != 0 {
+			return c < 0
+		}
+		return a < b
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(heads, i, less)
+	}
+	for len(heads) > 0 {
+		l := heads[0]
+		merged = merged[:fold(merged, &lists[l][pos[l]])]
+		if pos[l]++; pos[l] == len(lists[l]) {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		siftDown(heads, 0, less)
+	}
+	return merged
+}
+
+// fold appends d to the sorted list merged, or folds it into merged's
+// last digest when that is d's series, and returns merged's new length.
+// merged's capacity holds every digest of the merge.
+func fold(merged []Digest, d *Digest) int {
+	if n := len(merged); n > 0 && merged[n-1].Key == d.Key {
+		merged[n-1].merge(*d)
+		return n
+	}
+	merged = append(merged, *d)
+	return len(merged)
+}
+
+// siftDown restores the heap order of h below position i.
+func siftDown(h []int, i int, less func(a, b int) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && less(h[c+1], h[c]) {
+			c++
+		}
+		if !less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // scored is a ranking candidate: its score and its index in the list
@@ -252,23 +315,24 @@ type scored struct {
 	i     int
 }
 
-// sortScored orders candidates stably by decreasing score. A candidate
-// is scored once and the sort moves 16-byte pairs without reflection: a
-// Digest is 128 bytes to swap and two divisions to score again.
+// sortScored orders candidates by decreasing score, ties by position:
+// the order a stable sort of the list gives. A candidate is scored once
+// and the sort moves 16-byte pairs without reflection: a Digest is 128
+// bytes to swap and two divisions to score again.
 func sortScored(rank []scored) {
-	slices.SortStableFunc(rank, func(a, b scored) int {
+	slices.SortFunc(rank, func(a, b scored) int {
 		switch {
 		case a.score > b.score:
 			return -1
 		case b.score > a.score:
 			return 1
 		}
-		return 0
+		return cmp.Compare(a.i, b.i)
 	})
 }
 
-// ranked returns the candidates' elements of xs stably ordered by
-// decreasing score (nil for no candidates).
+// ranked returns the candidates' elements of xs ordered by decreasing
+// score, ties in list order (nil for no candidates).
 func ranked[E any](xs []E, rank []scored) []E {
 	sortScored(rank)
 	out := slices.Grow([]E(nil), len(rank))
@@ -283,16 +347,32 @@ func ranked[E any](xs []E, rank []scored) []E {
 // counterpart of Store.Ranked. Positions rather than copies: a caller
 // rendering the ranking reads each 128-byte digest once, in place.
 func RankDigests(ds []Digest, minSamples int) []int {
-	rank := make([]scored, 0, len(ds))
+	var r Ranker
+	return r.Rank(ds, minSamples)
+}
+
+// Ranker is RankDigests for a caller that ranks again and again — a
+// publisher, once a tick — keeping its candidate and position lists
+// from one ranking to the next. The zero value is ready to use; it is
+// not safe for concurrent use.
+type Ranker struct {
+	cand []scored
+	pos  []int
+}
+
+// Rank is RankDigests. The positions it returns belong to the Ranker
+// and are overwritten by its next Rank.
+func (r *Ranker) Rank(ds []Digest, minSamples int) []int {
+	r.cand = slices.Grow(r.cand[:0], len(ds))
 	for i := range ds {
 		if ds[i].Count >= minSamples {
-			rank = append(rank, scored{ds[i].NormalizedVariance(), i})
+			r.cand = append(r.cand, scored{ds[i].NormalizedVariance(), i})
 		}
 	}
-	sortScored(rank)
-	out := make([]int, len(rank))
-	for i, r := range rank {
-		out[i] = r.i
+	sortScored(r.cand)
+	r.pos = slices.Grow(r.pos[:0], len(r.cand))
+	for _, c := range r.cand {
+		r.pos = append(r.pos, c.i)
 	}
-	return out
+	return r.pos
 }

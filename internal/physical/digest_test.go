@@ -303,6 +303,69 @@ func TestMergeDigestsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMergeDigestsMergesSortedLists: lists sorted by key, as seals and
+// merges produce them — series repeated within a list and across lists,
+// empty digests among them, and more lists than the merge keeps on its
+// stack — merge k ways to exactly the reference's result, moments equal
+// bit for bit, with the inputs left alone and the result the only
+// allocation.
+func TestMergeDigestsMergesSortedLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	stations := []string{"C1", "O1", "O12", "O2", "pmu-7"}
+	digest := func() Digest {
+		d := Digest{
+			Key:  SeriesKey{Station: stations[rng.Intn(len(stations))], IOA: uint32(rng.Intn(5))},
+			Type: PointType(rng.Intn(3)),
+		}
+		if rng.Intn(8) == 0 {
+			return d
+		}
+		start := t0.Add(time.Duration(rng.Intn(1000)) * time.Second)
+		for i, n := 0, 1+rng.Intn(20); i < n; i++ {
+			d.observe(start.Add(time.Duration(i)*time.Second), 50+20*rng.NormFloat64())
+		}
+		return d
+	}
+	sortedLists := func(n, maxLen int) [][]Digest {
+		lists := make([][]Digest, n)
+		for i := range lists {
+			lists[i] = make([]Digest, rng.Intn(maxLen))
+			for j := range lists[i] {
+				lists[i][j] = digest()
+			}
+			slices.SortStableFunc(lists[i], compareKeys)
+		}
+		return lists
+	}
+	for n := 0; n < 2000; n++ {
+		lists := sortedLists(rng.Intn(6), 30)
+		if n%50 == 0 {
+			lists = sortedLists(17+rng.Intn(8), 10)
+		}
+		before := make([][]Digest, len(lists))
+		for i, l := range lists {
+			before[i] = slices.Clone(l)
+		}
+		got, want := MergeDigests(lists...), refMergeDigests(lists...)
+		if len(got) != len(want) {
+			t.Fatalf("case %d: %d digests, reference %d", n, len(got), len(want))
+		}
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("case %d: digest %d is %+v, reference %+v", n, i, got[i], want[i])
+			}
+		}
+		if !reflect.DeepEqual(lists, before) {
+			t.Fatalf("case %d: MergeDigests modified its inputs", n)
+		}
+	}
+
+	lists := sortedLists(3, 60)
+	if allocs := testing.AllocsPerRun(50, func() { MergeDigests(lists...) }); allocs != 1 {
+		t.Fatalf("merging sorted lists allocates %.0f objects, want 1 (the result)", allocs)
+	}
+}
+
 // refRankDigests is RankDigests as it was before it scored each digest
 // once: filter, then a reflective stable sort recomputing the score per
 // comparison. Kept as the reference the order is proven against.

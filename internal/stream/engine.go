@@ -414,6 +414,8 @@ type Engine struct {
 	mu      sync.Mutex
 	running bool
 	final   core.Partial
+	// ws is the scratch every publish builds its profile with, under mu.
+	ws workspace
 }
 
 // published is one publish, stored as one record so a reader that sees
@@ -861,9 +863,11 @@ func (rd *reader) enqueue(ctx context.Context, i int, b *batch) bool {
 	if e.cfg.Policy == DropNewest {
 		e.metrics.noteDropped(i, n, cause)
 		e.metrics.noteDepth(i, cap(q))
-		e.cfg.Journal.Log(b.firstTime(), obs.EventDrop, "", map[string]any{
-			"shard": i, "packets": n, "cause": cause,
-		})
+		if e.cfg.Journal != nil {
+			e.cfg.Journal.Log(b.firstTime(), obs.EventDrop, "", map[string]any{
+				"shard": i, "packets": n, "cause": cause,
+			})
+		}
 		b.recycle()
 		lane.End(sp, trace.StageEnqueue, n, cap(q))
 		return true
@@ -999,20 +1003,22 @@ func (e *Engine) finishHistorian(at time.Time) error {
 // shutdown).
 func (e *Engine) publish(p core.Partial, seq int, final bool, fed int64) {
 	psp := e.trcSnap.Start()
-	prof := BuildProfile(p, seq, e.cfg.ClusterK, e.cfg.ClusterSeed)
+	prof := e.ws.build(p, seq, e.cfg.ClusterK, e.cfg.ClusterSeed)
 	prof.Workers = e.cfg.Workers
 	prof.DroppedBatches, prof.DroppedPackets = e.metrics.dropped()
 	e.pub.Store(&published{prof: prof, part: p, fed: fed, dropped: prof.DroppedPackets})
 	e.lastPub.Store(time.Now().UnixNano())
 	e.metrics.noteSnapshot()
-	e.cfg.Journal.Log(p.Last, obs.EventSnapshot, "", map[string]any{
-		"seq":          seq,
-		"packets":      p.Packets,
-		"iec":          p.IECPackets,
-		"flows":        p.Flows.Total(),
-		"asdus":        p.TotalASDUs,
-		"parse_errors": p.ParseErrors,
-	})
+	if e.cfg.Journal != nil {
+		e.cfg.Journal.Log(p.Last, obs.EventSnapshot, "", map[string]any{
+			"seq":          seq,
+			"packets":      p.Packets,
+			"iec":          p.IECPackets,
+			"flows":        p.Flows.Total(),
+			"asdus":        p.TotalASDUs,
+			"parse_errors": p.ParseErrors,
+		})
+	}
 	if e.cfg.OnSnapshot != nil {
 		e.cfg.OnSnapshot(p, prof, final)
 	}

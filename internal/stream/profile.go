@@ -146,6 +146,22 @@ type PhysicalPoint struct {
 // and every list is sized exactly, so a publish allocates the document
 // and little else.
 func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
+	var w workspace
+	return w.build(p, seq, k, seed)
+}
+
+// workspace is the scratch the engine's profile builds reuse from one
+// publish to the next — the reports' core.Workspace and the physical
+// ranking's candidates — so a tick allocates the document it publishes
+// and nothing it throws away. The engine uses it under e.mu; no
+// document points into it.
+type workspace struct {
+	reports core.Workspace
+	rank    physical.Ranker
+}
+
+// build is BuildProfile over the workspace.
+func (w *workspace) build(p core.Partial, seq, k int, seed int64) *Profile {
 	prof := &Profile{
 		Seq:          seq,
 		First:        p.First,
@@ -181,7 +197,7 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 		}
 	}
 
-	mk := p.MarkovReport()
+	mk := w.reports.MarkovFromChains(p.Chains)
 	prof.Markov = MarkovProfile{
 		Connections:  slices.Grow([]ConnProfile(nil), len(mk.Chains)),
 		Point11:      mk.Point11,
@@ -201,7 +217,7 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 	}
 
 	if k > 0 {
-		if cr, err := core.FitClusters(p.Features, k, seed); err == nil {
+		if cr, err := w.reports.FitClusters(p.Features, k, seed); err == nil {
 			prof.Clusters = &ClusterProfile{
 				K:          cr.K,
 				Sizes:      cr.Sizes,
@@ -236,7 +252,7 @@ func BuildProfile(p core.Partial, seq, k int, seed int64) *Profile {
 		})
 	}
 
-	if rank := physical.RankDigests(p.Physical, 2); len(rank) > 0 {
+	if rank := w.rank.Rank(p.Physical, 2); len(rank) > 0 {
 		prof.Physical = make([]PhysicalPoint, len(rank))
 		for i, j := range rank {
 			d := &p.Physical[j]
