@@ -151,6 +151,8 @@ func (a *Analyzer) connTokens(k ConnKey) *tokenList {
 		tl = &tokenList{serverName: a.Name(k.Server), outName: a.Name(k.Outstation)}
 		tl.label = chainLabel(tl.serverName, tl.outName)
 		a.tokens[k] = tl
+		a.connOrder = append(a.connOrder, k)
+		a.connSorted = false
 	}
 	return tl
 }
@@ -173,6 +175,13 @@ type Analyzer struct {
 
 	// tokens per logical connection.
 	tokens map[ConnKey]*tokenList
+	// connOrder lists tokens' keys and sessionOrder the session table's
+	// sessions, each in report order and kept from one seal to the next:
+	// they are re-sorted only after connTokens or Sessions.FeedFlow added
+	// one (connSorted false, sessionOrder shorter than the table).
+	connOrder    []ConnKey
+	connSorted   bool
+	sessionOrder []*tcpflow.Session
 	// sessionAPDUs tallies formats per directional host pair.
 	sessionAPDUs map[tcpflow.SessionKey]*DirCounts
 	// sessionIOAs tracks distinct information object addresses per
@@ -997,19 +1006,35 @@ func (a *Analyzer) ConnTokens(k ConnKey) (*markov.Chain, []iec104.Token) {
 	return nil, nil
 }
 
-// ConnKeys returns every logical connection sorted by name.
+// ConnKeys returns every logical connection sorted by name, in a list
+// of the caller's own.
 func (a *Analyzer) ConnKeys() []ConnKey {
-	out := make([]ConnKey, 0, len(a.tokens))
-	for k := range a.tokens {
-		out = append(out, k)
+	return slices.Clone(a.sortedConnKeys())
+}
+
+// sortedConnKeys is connOrder sorted by server, then outstation. The
+// list is the analyzer's: callers only read it.
+func (a *Analyzer) sortedConnKeys() []ConnKey {
+	if !a.connSorted {
+		slices.SortFunc(a.connOrder, func(x, y ConnKey) int {
+			if c := x.Server.Compare(y.Server); c != 0 {
+				return c
+			}
+			return x.Outstation.Compare(y.Outstation)
+		})
+		a.connSorted = true
 	}
-	slices.SortFunc(out, func(x, y ConnKey) int {
-		if c := x.Server.Compare(y.Server); c != 0 {
-			return c
-		}
-		return x.Outstation.Compare(y.Outstation)
-	})
-	return out
+	return a.connOrder
+}
+
+// sortedSessions is the session table in Sessions.Sorted's order. The
+// list is the analyzer's: callers only read it.
+func (a *Analyzer) sortedSessions() []*tcpflow.Session {
+	if all := a.sessions.All(); len(a.sessionOrder) != len(all) {
+		a.sessionOrder = append(a.sessionOrder, all[len(a.sessionOrder):]...)
+		slices.SortFunc(a.sessionOrder, func(x, y *tcpflow.Session) int { return x.Key.Compare(y.Key) })
+	}
+	return a.sessionOrder
 }
 
 // CaptureWindow returns the first/last packet timestamps seen. The

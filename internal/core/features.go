@@ -50,7 +50,7 @@ type ExtendedFeature struct {
 // directional session.
 func (a *Analyzer) ExtendedSessionFeatures() []ExtendedFeature {
 	var out []ExtendedFeature
-	for _, s := range a.sessions.Sorted() {
+	for _, s := range a.sortedSessions() {
 		key := tcpflow.SessionKey{Src: s.Key.Src, Dst: s.Key.Dst}
 		dc, ok := a.sessionAPDUs[key]
 		if !ok || dc.Total() == 0 {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"maps"
 	"net/netip"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,7 +73,10 @@ func measurementFrame(t *testing.T, ns uint16, ioa uint32, v float64) []byte {
 // of a frame and woken later re-enters with an empty framing buffer and
 // an unarmed N(S) check (IEC 104), or a fresh claim and an empty decode
 // buffer (generic dialects, including the "nobody claims this" mark) —
-// and nothing in the analyzer still points at the old state.
+// and nothing in the analyzer still points at the old state. The
+// tracker reuses evicted records, so the woken flows are checked by
+// content: each is what an analyzer that never saw the 4-tuple builds
+// from the same packets.
 func TestEvictedFlowStartsFresh(t *testing.T) {
 	const idle = 10 * time.Second
 	a := NewAnalyzer(nil)
@@ -124,28 +130,50 @@ func TestEvictedFlowStartsFresh(t *testing.T) {
 			t.Fatal("evicted flow still tracked")
 		}
 	}
+	if !reflect.DeepEqual(*oldFlow, tcpflow.Flow{}) {
+		t.Fatalf("evicted flow record still holds state: %+v", *oldFlow)
+	}
 
-	// Wake all three. A stale framing buffer would glue nine old bytes in
+	// Wake all three, and send the same packets to an analyzer that never
+	// saw these flows. A stale framing buffer would glue nine old bytes in
 	// front of the new frame; an armed N(S) check would flag 100 ≠ 8.
-	w.send(rtu, scada, measurementFrame(t, 100, 100, 52))
-	w.send(master, plc, req)
-	w.send(master, odd, req) // this time it is Modbus, and detection sees it
+	ref := NewAnalyzer(nil)
+	ref.EnableProtocolDetect()
+	rw := newWire(ref, w.at)
+	rw.seq = maps.Clone(w.seq)
+	for _, to := range []*wire{w, rw} {
+		to.send(rtu, scada, measurementFrame(t, 100, 100, 52))
+		to.send(master, plc, req)
+		to.send(master, odd, req) // this time it is Modbus, and detection sees it
+	}
 
 	if a.SeqAnomalies != 0 || a.ParseErrors != errsBefore {
 		t.Fatalf("woken flows: %d sequence anomalies, %d new parse errors", a.SeqAnomalies, a.ParseErrors-errsBefore)
 	}
-	newFlow, newIEC := w.slot(t, rtu, scada)
-	if st2 := newIEC.(*dirState); newFlow == oldFlow || st2 == st || len(st2.buf) != 0 || st2.nextSeq != 101 {
-		t.Fatalf("woken IEC 104 flow: same flow %t, same state %t, state %+v", newFlow == oldFlow, st2 == st, st2)
+	for _, dst := range []netip.AddrPort{scada, plc, odd} {
+		src := master
+		if dst == scada {
+			src = rtu
+		}
+		woken, ws := w.slot(t, src, dst)
+		fresh, fs := rw.slot(t, src, dst)
+		if got, want := flowFields(woken), flowFields(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("woken flow to %v: %+v, fresh %+v", dst, got, want)
+		}
+		wd, ok := ws.(*dirState)
+		fd, _ := fs.(*dirState)
+		if !ok || wd == nil || fd == nil || !reflect.DeepEqual(ownFields(wd), ownFields(fd)) {
+			t.Fatalf("woken flow to %v: state %+v, fresh %+v", dst, ws, fs)
+		}
+	}
+	if _, s := w.slot(t, rtu, scada); s.(*dirState).nextSeq != 101 {
+		t.Fatalf("woken IEC 104 state %+v, want N(S) 101 next", s)
+	}
+	if _, s := w.slot(t, master, odd); s.(*dirState).proto != protocol.Modbus {
+		t.Fatalf("woken flow to %v claimed by %v, want Modbus", odd, s.(*dirState).proto)
 	}
 	if dc := a.sessionAPDUs[tcpflow.SessionKey{Src: rtu.Addr(), Dst: scada.Addr()}]; dc == nil || dc.I != 2 {
 		t.Fatalf("IEC 104 session tally %+v, want 2 I-frames", dc)
-	}
-	for _, dst := range []netip.AddrPort{plc, odd} {
-		_, s := w.slot(t, master, dst)
-		if pd, ok := s.(*dirState); !ok || pd == nil || pd == oldModbus || len(pd.buf) != 0 || pd.proto != protocol.Modbus {
-			t.Fatalf("woken flow to %v: slot %#v", dst, s)
-		}
 	}
 	var frames int
 	for _, ds := range a.Dialects() {
@@ -155,6 +183,27 @@ func TestEvictedFlowStartsFresh(t *testing.T) {
 	}
 	if frames != 2 {
 		t.Fatalf("%d Modbus frames decoded after the wake-up, want 2", frames)
+	}
+}
+
+// flowFields is a flow's exported record — key, times, flags,
+// initiator, direction counts — without its slots, which hold the
+// consumer's own state.
+func flowFields(f *tcpflow.Flow) tcpflow.Flow {
+	return tcpflow.Flow{
+		Key: f.Key, First: f.First, Last: f.Last,
+		SawSYN: f.SawSYN, SawFIN: f.SawFIN, SawRST: f.SawRST,
+		Initiator: f.Initiator, AtoB: f.AtoB, BtoA: f.BtoA,
+	}
+}
+
+// ownFields is a direction's state without its pointers into the
+// analyzer's shared records (the dialect session, tallies, chain,
+// compliance record), which outlive the flow by design.
+func ownFields(d *dirState) dirState {
+	return dirState{
+		proto: d.proto, fromOutstation: d.fromOutstation, buf: d.buf, ck: d.ck,
+		nextSeq: d.nextSeq, seqSeen: d.seqSeen, typeBooked: d.typeBooked,
 	}
 }
 
@@ -280,10 +329,12 @@ func TestIOASetCountsDistinct(t *testing.T) {
 }
 
 // TestFlowOpenAllocs: a reconnect to a known station — a fresh flow,
-// STARTDT exchanged, one measurement — allocates the flow and session
-// records, its two directions' states and nothing else: the IEC 104
-// session is the station pair's, taken from the dialect's scope, so no
-// flow allocates a session or a tolerant parser of its own.
+// STARTDT exchanged, one measurement — allocates its two directions'
+// states and nothing else. The flow record and its reassembly streams
+// come from the tracker's chunks (one allocation per 32 flows), the
+// session is the host pair's, and the IEC 104 session is the station
+// pair's, taken from the dialect's scope, so no flow allocates a
+// session or a tolerant parser of its own.
 func TestFlowOpenAllocs(t *testing.T) {
 	a := NewAnalyzer(nil)
 	w := newWire(a, time.Unix(1560000000, 0).UTC())
@@ -309,15 +360,49 @@ func TestFlowOpenAllocs(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		open()
 	}
-	// Five is what the analyzer allocated when IEC 104 had a path of
-	// its own beside the dialect sessions.
-	if n := testing.AllocsPerRun(2000, open); n > 5 {
-		t.Errorf("%v allocs per fresh flow to a known station, want at most 5", n)
+	if n := testing.AllocsPerRun(2000, open); n > 2 {
+		t.Errorf("%v allocs per fresh flow to a known station, want at most 2", n)
 	}
 	if len(a.protoDirs) != 0 {
 		t.Errorf("%d IEC 104 directions kept past their flows, want none", len(a.protoDirs))
 	}
 	if opened := int(port - 40000); a.ParseErrors != 0 || a.Partial().TotalASDUs != opened {
 		t.Fatalf("%d parse errors, %d ASDUs", a.ParseErrors, a.Partial().TotalASDUs)
+	}
+}
+
+// TestSealOrdersTrackNewKeys: the seal's connection and session orders
+// are kept between seals and re-sorted only when one was added. Each
+// station here is new after a seal and sorts before some already
+// sealed, and every seal still lists the chains by connection and the
+// session features in Sessions.Sorted's order. ConnKeys' list is the
+// caller's own.
+func TestSealOrdersTrackNewKeys(t *testing.T) {
+	a := NewAnalyzer(nil)
+	w := newWire(a, time.Unix(1560000000, 0).UTC())
+	scada := netip.MustParseAddrPort("10.0.0.5:40001")
+	var p Partial
+	for i, rtu := range []string{"10.0.1.9", "10.0.1.5", "10.0.1.7", "10.0.1.1", "10.0.1.3"} {
+		w.send(netip.AddrPortFrom(netip.MustParseAddr(rtu), IEC104Port), scada, measurementFrame(t, 0, 100, 50))
+		a.PartialInto(&p)
+		if len(p.Chains) != i+1 || !slices.IsSortedFunc(p.Chains, func(x, y ConnChain) int {
+			return x.Key.Outstation.Compare(y.Key.Outstation)
+		}) {
+			t.Fatalf("seal %d: chains %+v, want %d sorted by station", i, p.Chains, i+1)
+		}
+		sessions := a.Sessions().Sorted()
+		if len(p.Features) != len(sessions) {
+			t.Fatalf("seal %d: %d feature rows for %d sessions", i, len(p.Features), len(sessions))
+		}
+		for j, s := range sessions {
+			if f := p.Features[j]; f.Src != a.Name(s.Key.Src) || f.Dst != a.Name(s.Key.Dst) {
+				t.Fatalf("seal %d: feature row %d is %s → %s, want session %v", i, j, f.Src, f.Dst, s.Key)
+			}
+		}
+	}
+	keys := a.ConnKeys()
+	keys[0] = ConnKey{}
+	if a.ConnKeys()[0] == (ConnKey{}) {
+		t.Fatal("ConnKeys hands out the analyzer's own list")
 	}
 }

@@ -101,7 +101,7 @@ func (a *Analyzer) SessionFeatures() []SessionFeature {
 // once for every session with an APDU tally.
 func (a *Analyzer) appendSessionFeatures(dst []SessionFeature) []SessionFeature {
 	out := slices.Grow(dst, len(a.sessionAPDUs))
-	for _, s := range a.sessions.Sorted() {
+	for _, s := range a.sortedSessions() {
 		key := tcpflow.SessionKey{Src: s.Key.Src, Dst: s.Key.Dst}
 		dc, ok := a.sessionAPDUs[key]
 		if !ok || dc.Total() == 0 {
@@ -330,7 +330,7 @@ func (a *Analyzer) connChains() []ConnChain {
 // appendConnChains appends connChains' list to dst. The list may be
 // reused; the chain copies it points at are fresh on every call.
 func (a *Analyzer) appendConnChains(dst []ConnChain) []ConnChain {
-	keys := a.ConnKeys()
+	keys := a.sortedConnKeys()
 	chains := slices.Grow(dst, len(keys))
 	base := len(chains)
 	for _, key := range keys {

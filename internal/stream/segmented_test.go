@@ -264,11 +264,21 @@ func TestEmptyCaptureFailsRun(t *testing.T) {
 	}
 }
 
-// TestSegmentedAllocsGuard is the alloc-regression tripwire: per-MB
-// allocations at 4 shards must not exceed the 1-shard figure by more
-// than 10%. The per-reader free-list pools exist precisely so that
-// adding shards (more consumers recycling into the producer's pools)
-// does not turn slab reuse into fresh allocation; this guard is
+// TestSegmentedAllocsGuard is the alloc-regression tripwire for
+// sharding: per-MB allocations at 4 shards must not exceed the 1-shard
+// figure by more than 100 a MB. Each shard keeps its own copy of the
+// per-station state (series, dialect scopes, names, compliance
+// records), about 81 allocations a MB more at 4 shards than at 1 on
+// this capture. Whatever makes the per-packet or per-batch path cost
+// more with more shards comes on top of that, and more than about 19
+// such allocations a MB fails the guard.
+//
+// The bound is a difference, not a ratio, because the duplicated state
+// does not shrink when the per-packet path gets cheaper, so a ratio
+// would tighten with every such cut. A pool that never reuses costs
+// about the same at every shard count and is not this test's to catch:
+// TestSlabSizedByTraffic, TestBatchRecyclePoisons and
+// TestMappedReadCopiesNothing fail on it. The guard is
 // hardware-independent — it counts allocations, not time.
 func TestSegmentedAllocsGuard(t *testing.T) {
 	if testing.Short() {
@@ -293,8 +303,8 @@ func TestSegmentedAllocsGuard(t *testing.T) {
 	four := perMB(4)
 	t.Logf("GOMAXPROCS=%d: allocs/MB 1 shard %.0f, 4 shards %.0f (%.2fx)",
 		runtime.GOMAXPROCS(0), one, four, four/one)
-	if four > 1.10*one {
-		t.Errorf("4-shard run allocates %.0f/MB, more than 10%% over the 1-shard %.0f/MB", four, one)
+	if four-one > 100 {
+		t.Errorf("4-shard run allocates %.0f/MB, more than 100/MB over the 1-shard %.0f/MB", four, one)
 	}
 }
 

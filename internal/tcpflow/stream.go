@@ -1,10 +1,9 @@
 package tcpflow
 
-import "sort"
-
 // stream reassembles one direction of a TCP byte stream. It tolerates
 // out-of-order arrival and detects retransmissions by sequence-range
 // overlap. Sequence numbers use uint32 arithmetic so wraparound works.
+// The zero value is an empty stream, ready to use.
 type stream struct {
 	started bool
 	next    uint32 // next expected sequence number
@@ -15,10 +14,6 @@ type stream struct {
 	// scratch is reused for the concatenation when a segment unlocks
 	// buffered out-of-order data, so drains do not allocate either.
 	scratch []byte
-}
-
-func newStream() *stream {
-	return &stream{}
 }
 
 // seqLess reports whether a precedes b in sequence space (RFC 1982
@@ -84,29 +79,33 @@ func (s *stream) insert(seq uint32, payload []byte) (newData []byte, retransmit,
 }
 
 // takePendingAt pops a pending segment whose usable data starts at (or
-// before) seq. Overlapping prefixes are trimmed.
+// before) seq: the one starting there, else of those reaching past seq
+// the one starting furthest before it, with the overlap trimmed. One
+// pass over pending finds it and drops every segment that ends at or
+// before seq, which nothing can use any more.
 func (s *stream) takePendingAt(seq uint32) ([]byte, bool) {
 	if p, ok := s.pending[seq]; ok {
 		delete(s.pending, seq)
 		return p, true
 	}
-	// Look for a segment starting earlier but extending past seq.
-	keys := make([]uint32, 0, len(s.pending))
-	for k := range s.pending {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return seqLess(keys[i], keys[j]) })
-	for _, k := range keys {
-		p := s.pending[k]
-		end := k + uint32(len(p))
-		if seqLess(k, seq) && seqLess(seq, end) {
-			delete(s.pending, k)
-			return p[seq-k:], true
+	var best uint32
+	found := false
+	for k, p := range s.pending {
+		if !seqLess(k, seq) {
+			continue // starts after seq: still ahead of a gap
 		}
-		if seqLess(k, seq) && !seqLess(seq, end) {
-			// Entirely stale.
-			delete(s.pending, k)
+		if !seqLess(seq, k+uint32(len(p))) {
+			delete(s.pending, k) // entirely stale
+			continue
+		}
+		if !found || seq-k > seq-best {
+			best, found = k, true
 		}
 	}
-	return nil, false
+	if !found {
+		return nil, false
+	}
+	p := s.pending[best]
+	delete(s.pending, best)
+	return p[seq-best:], true
 }

@@ -133,8 +133,8 @@ type Flow struct {
 	flip bool        // key's a side is Key.B (only if the two orders disagree)
 	sess [2]*Session // directional sessions, parked by Sessions.FeedFlow
 
-	streams     [2]*stream
-	closeCounts bool // flow already booked as closed in the metrics
+	streams     [2]stream // by value: a zero stream is ready to use
+	closeCounts bool      // flow already booked as closed in the metrics
 }
 
 // Duration is the observed flow lifetime within the capture.
@@ -159,7 +159,10 @@ func (f *Flow) Retransmits() int { return f.AtoB.Retransmits + f.BtoA.Retransmit
 // stream's internal reassembly scratch): they are valid only for the
 // duration of the synchronous OnPayload call, and consumers must copy
 // whatever they keep. This is what lets the ingest path reuse one
-// packet buffer for the whole capture.
+// packet buffer for the whole capture. Flow, too, is the tracker's
+// record, which eviction zeroes and reuses: state that should live as
+// long as the flow goes in its Slot, not in a table keyed by the
+// pointer.
 type StreamPayload struct {
 	Flow *Flow
 	// Dir is the chunk's direction within Flow: 0 when Flow.Key.A sent
@@ -183,7 +186,18 @@ type Consumer interface {
 	OnPayload(StreamPayload)
 }
 
+// flowChunk is how many flow records the tracker carves out of one
+// allocation. Opening a flow takes a record eviction gave back, else the
+// next record of the current chunk, so a capture pays one allocation per
+// 32 flows until its live set peaks and none after; a tracker holds at
+// most its peak of live flows, rounded up to a chunk.
+const flowChunk = 32
+
 // Tracker ingests decoded packets and maintains flow state.
+//
+// A *Flow the tracker hands out (Track's result, StreamPayload.Flow, an
+// element of Flows) is valid until the flow is evicted: the record is
+// zeroed then and reused for a later flow.
 type Tracker struct {
 	flows    map[flowKey]*Flow
 	order    []*Flow // insertion order for deterministic output
@@ -207,6 +221,11 @@ type Tracker struct {
 	lastSweep   time.Time
 	evicted     Summary
 	evictedN    int
+
+	// slab is the unused rest of the chunk open carves records from, and
+	// free the records eviction zeroed, which open takes first.
+	slab []Flow
+	free []*Flow
 }
 
 // NewTracker returns an empty tracker. consumer may be nil.
@@ -236,7 +255,10 @@ func (t *Tracker) SetIdleTimeout(d time.Duration) { t.idleTimeout = d }
 
 // EvictIdle drops every flow whose last packet is older than the idle
 // timeout relative to now (capture time) and returns how many were
-// evicted. A zero timeout makes it a no-op.
+// evicted. A zero timeout makes it a no-op. An evicted record is zeroed
+// at once, so nothing it pointed to (the consumer's slots, the parked
+// sessions, the streams' buffers) stays reachable through it, and goes
+// back to the tracker for the next flow it opens.
 func (t *Tracker) EvictIdle(now time.Time) int {
 	if t.idleTimeout <= 0 {
 		return 0
@@ -254,9 +276,12 @@ func (t *Tracker) EvictIdle(now time.Time) int {
 		t.evicted.add(f)
 		t.evictedN++
 		t.metrics.noteFlowEvicted(f.closeCounts)
+		*f = Flow{}
+		t.free = append(t.free, f)
 		n++
 	}
-	// Zero the freed tail so evicted flows are collectable.
+	// Zero the freed tail: order holds live flows only, and the evicted
+	// records wait on the free list.
 	for i := len(kept); i < len(t.order); i++ {
 		t.order[i] = nil
 	}
@@ -364,19 +389,28 @@ func (t *Tracker) Track(pkt *pcap.Packet) (*Flow, int) {
 	return f, dir
 }
 
-// open starts tracking the flow pkt is the first packet of.
+// open starts tracking the flow pkt is the first packet of, in a zero
+// record: one eviction gave back, or the next of the current chunk.
 func (t *Tracker) open(pkt *pcap.Packet, key flowKey, swapped bool) *Flow {
+	var f *Flow
+	if n := len(t.free); n > 0 {
+		f = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		if len(t.slab) == 0 {
+			t.slab = make([]Flow, flowChunk)
+		}
+		f = &t.slab[0]
+		t.slab = t.slab[1:]
+	}
 	src := netip.AddrPortFrom(pkt.IP.Src, pkt.TCP.SrcPort)
 	dst := netip.AddrPortFrom(pkt.IP.Dst, pkt.TCP.DstPort)
-	f := &Flow{
-		Key: MakeKey(src, dst), First: pkt.Info.Timestamp, Last: pkt.Info.Timestamp,
-		key: key,
-	}
+	f.Key = MakeKey(src, dst)
+	f.First, f.Last = pkt.Info.Timestamp, pkt.Info.Timestamp
+	f.key = key
 	// The flattened order and MakeKey's agree for every pair of valid
 	// addresses; flip keeps AtoB/BtoA right even if they did not.
 	f.flip = (f.Key.A == src) == swapped
-	f.streams[0] = newStream()
-	f.streams[1] = newStream()
 	t.flows[key] = f
 	t.order = append(t.order, f)
 	t.metrics.noteFlowOpened()
@@ -480,6 +514,14 @@ type SessionKey struct {
 	Src, Dst netip.Addr
 }
 
+// Compare orders session keys by source, then destination address.
+func (k SessionKey) Compare(o SessionKey) int {
+	if c := k.Src.Compare(o.Src); c != 0 {
+		return c
+	}
+	return k.Dst.Compare(o.Dst)
+}
+
 // Session accumulates one direction of communication between two hosts.
 // Of the Packets-1 gaps between consecutive packets it keeps running
 // moments, not the gaps: their sum (added in arrival order, so the mean
@@ -566,11 +608,6 @@ func (ss *Sessions) All() []*Session { return ss.order }
 // reports.
 func (ss *Sessions) Sorted() []*Session {
 	out := slices.Clone(ss.order)
-	slices.SortFunc(out, func(x, y *Session) int {
-		if c := x.Key.Src.Compare(y.Key.Src); c != 0 {
-			return c
-		}
-		return x.Key.Dst.Compare(y.Key.Dst)
-	})
+	slices.SortFunc(out, func(x, y *Session) int { return x.Key.Compare(y.Key) })
 	return out
 }

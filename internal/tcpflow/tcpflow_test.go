@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -425,9 +426,10 @@ func TestTrackReturnsFlowAndDirection(t *testing.T) {
 }
 
 // TestEvictedFlowDropsSlots: what a consumer parks on a flow dies with
-// the flow. The 4-tuple that wakes up after eviction is a new Flow with
-// empty slots and no parked session, and the old one is out of reach of
-// the tracker.
+// the flow. Eviction zeroes the record, so nothing it held stays
+// reachable through it, and the 4-tuple that wakes up later — in that
+// record or another — is exactly what a fresh tracker opens for the same
+// packet: empty slots, no parked session, fresh streams and counts.
 func TestEvictedFlowDropsSlots(t *testing.T) {
 	tr := NewTracker(nil)
 	tr.SetIdleTimeout(5 * time.Second)
@@ -436,20 +438,65 @@ func TestEvictedFlowDropsSlots(t *testing.T) {
 	f, dir := tr.Track(&first)
 	sess := ss.FeedFlow(f, dir, &first)
 	f.Slot[dir] = "parked"
+	// A buffered out-of-order segment gives the stream a pending map.
+	ahead := mkPacket(hostA, hostB, t0, pcap.FlagACK|pcap.FlagPSH, 9, 1, []byte{9})
+	tr.Track(&ahead)
 
 	if n := tr.EvictIdle(t0.Add(time.Minute)); n != 1 || len(tr.Flows()) != 0 {
 		t.Fatalf("evicted %d flows, %d live", n, len(tr.Flows()))
 	}
+	if !reflect.DeepEqual(*f, Flow{}) {
+		t.Fatalf("evicted record still holds state: %+v", *f)
+	}
 	again := mkPacket(hostA, hostB, t0.Add(2*time.Minute), pcap.FlagACK|pcap.FlagPSH, 2, 1, []byte{2})
 	g, gdir := tr.Track(&again)
-	if g == f || gdir != dir {
-		t.Fatalf("woken flow: same record %t, direction %d → %d", g == f, dir, gdir)
-	}
-	if g.Slot != [2]any{} || g.sess != [2]*Session{} {
-		t.Fatalf("woken flow carries state: slots %v, sessions %v", g.Slot, g.sess)
+	fresh, fdir := NewTracker(nil).Track(&again)
+	if gdir != dir || fdir != dir || !reflect.DeepEqual(*g, *fresh) {
+		t.Fatalf("woken flow (direction %d → %d) %+v, a fresh tracker opens %+v", dir, gdir, *g, *fresh)
 	}
 	// The session is per host pair, not per flow: it goes on.
 	if ss.FeedFlow(g, gdir, &again) != sess || sess.Packets != 2 || g.sess[gdir] != sess {
 		t.Fatalf("session not continued: %+v", sess)
+	}
+}
+
+// TestEvictedFlowsAreReused: under an idle timeout, a churn of short
+// connections — SYN, one segment, FIN, a new source port each — opens
+// every flow in a record an earlier flow's eviction gave back, so once
+// the live set has peaked a flow allocates nothing. A run is two
+// chunks' worth of flows, so a tracker that carved every record afresh
+// would read 2. (Each short-lived flow's duration still joins the
+// evicted summary's list, whose amortized growth rounds away here.)
+func TestEvictedFlowsAreReused(t *testing.T) {
+	tr := NewTracker(nil)
+	tr.SetIdleTimeout(400 * time.Millisecond)
+	// The three packets are built once and re-stamped, so a run
+	// allocates only what the tracker does.
+	conn := [3]pcap.Packet{
+		mkPacket(hostA, hostB, t0, pcap.FlagSYN, 0, 0, nil),
+		mkPacket(hostA, hostB, t0, pcap.FlagACK|pcap.FlagPSH, 1, 1, []byte{1, 2, 3}),
+		mkPacket(hostA, hostB, t0, pcap.FlagACK|pcap.FlagFIN, 4, 1, nil),
+	}
+	at := t0
+	port := 0
+	churn := func() {
+		for range 2 * flowChunk {
+			port++
+			for i := range conn {
+				conn[i].TCP.SrcPort = uint16(1024 + port%60000)
+				conn[i].Info.Timestamp = at.Add(time.Duration(i) * time.Millisecond)
+				tr.Track(&conn[i])
+			}
+			at = at.Add(100 * time.Millisecond)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		churn()
+	}
+	if n := testing.AllocsPerRun(50, churn); n != 0 {
+		t.Errorf("%v allocs per %d flows once warm, want 0", n, 2*flowChunk)
+	}
+	if live, evicted := len(tr.Flows()), tr.EvictedFlows(); live > 8 || live+evicted != port {
+		t.Fatalf("%d flows live and %d evicted of %d opened", live, evicted, port)
 	}
 }
