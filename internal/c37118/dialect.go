@@ -1,7 +1,6 @@
 package c37118
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"time"
@@ -12,35 +11,20 @@ import (
 // Port is the registered TCP port for C37.118 data transfer.
 const Port = 4712
 
-// NextFrame extracts one C37.118 frame from the front of buf,
-// resynchronising on the 0xAA sync byte. A sync byte followed by an
-// implausible header (reserved frame type or a size below the minimum)
-// is treated as a false sync and skipped. skipped reports the garbage
-// byte count; ok=false means more bytes are needed.
-func NextFrame(buf []byte) (frame, rest []byte, skipped int, ok bool) {
-	skipped = 0
-	for {
-		i := bytes.IndexByte(buf, SyncByte)
-		if i < 0 {
-			i = len(buf)
+// framing is the C37.118 head rule: the sync byte, a defined frame
+// type and a size of at least the empty-frame minimum. Any other head
+// is a false sync.
+var framing = protocol.Framing{
+	Sync: SyncByte,
+	Head: 4,
+	Max:  0xFFFF,
+	Length: func(head []byte) int {
+		size := int(head[2])<<8 | int(head[3])
+		if FrameType(head[1]>>4&0x07) > FrameCommand || size < 16 {
+			return 0
 		}
-		skipped += i
-		buf = buf[i:]
-		if len(buf) < 4 {
-			return nil, buf, skipped, false
-		}
-		size := int(buf[2])<<8 | int(buf[3])
-		if FrameType(buf[1]>>4&0x07) > FrameCommand || size < 16 {
-			// False sync: skip the 0xAA and rescan.
-			buf = buf[1:]
-			skipped++
-			continue
-		}
-		if len(buf) < size {
-			return nil, buf, skipped, false
-		}
-		return buf[:size], buf[size:], skipped, true
-	}
+		return size
+	},
 }
 
 // RateHz converts the DATA_RATE field to frames per second: positive
@@ -69,15 +53,9 @@ func (dialect) NewSession() protocol.Session {
 // the inverse of the IEC 104 / Modbus server model.
 func (dialect) StationInitiates() bool { return true }
 
-// Sniff accepts a plausible frame head: sync byte, a defined frame
-// type, and a size of at least the empty-frame minimum.
-func (dialect) Sniff(b []byte) bool {
-	if len(b) < 4 || b[0] != SyncByte {
-		return false
-	}
-	size := int(b[2])<<8 | int(b[3])
-	return FrameType(b[1]>>4&0x07) <= FrameCommand && size >= 16
-}
+// Sniff accepts a plausible frame head.
+func (dialect) Sniff(b []byte) bool        { return framing.Plausible(b) }
+func (dialect) Framing() *protocol.Framing { return &framing }
 
 // streamStat tracks one synchrophasor stream (one IDCode) inside a
 // flow: its latest configuration and the observed data-frame cadence,
@@ -113,7 +91,7 @@ func (s *session) stream(id uint16) *streamStat {
 }
 
 func (s *session) Next(buf []byte, fromStation bool) (protocol.Event, []byte, int, bool) {
-	frame, rest, skipped, ok := NextFrame(buf)
+	frame, rest, skipped, ok := framing.Next(buf)
 	if !ok {
 		return protocol.Event{}, rest, skipped, false
 	}

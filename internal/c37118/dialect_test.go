@@ -44,30 +44,6 @@ func dialectTestCfg(rate int16) *Config {
 	}
 }
 
-func TestNextFrameResync(t *testing.T) {
-	cfg := dialectTestCfg(25)
-	frame, err := cfg.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Garbage with an embedded false sync (0xAA followed by a reserved
-	// frame type) before the real frame.
-	buf := append([]byte{0x01, 0xAA, 0xFF, 0x00, 0x00, 0x02}, frame...)
-	got, rest, skipped, ok := NextFrame(buf)
-	if !ok {
-		t.Fatalf("NextFrame did not find the frame")
-	}
-	if !bytes.Equal(got, frame) {
-		t.Fatalf("NextFrame returned wrong frame")
-	}
-	if len(rest) != 0 {
-		t.Fatalf("rest = %d bytes, want 0", len(rest))
-	}
-	if skipped != 6 {
-		t.Fatalf("skipped = %d, want 6", skipped)
-	}
-}
-
 // Drive a config + data-frame stream through the dialect session and
 // require tokens, extracted measurements and a data-rate verdict.
 func TestSessionDecodeAndCompliance(t *testing.T) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -19,76 +19,6 @@ func mustFrame(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-func TestNextFrameExact(t *testing.T) {
-	frame := mustFrame(t)
-	got, rest, skipped, ok := iec104.NextFrame(frame)
-	if !ok || !bytes.Equal(got, frame) || len(rest) != 0 || skipped != 0 {
-		t.Fatalf("ok=%v got=%d rest=%d skipped=%d", ok, len(got), len(rest), skipped)
-	}
-}
-
-func TestNextFramePartial(t *testing.T) {
-	frame := mustFrame(t)
-	_, rest, skipped, ok := iec104.NextFrame(frame[:4])
-	if ok {
-		t.Fatal("partial frame extracted")
-	}
-	if len(rest) != 4 {
-		t.Fatalf("partial buffer trimmed to %d", len(rest))
-	}
-	if skipped != 0 {
-		t.Fatalf("skipped %d bytes of a clean partial frame", skipped)
-	}
-}
-
-func TestNextFrameSkipsLeadingGarbage(t *testing.T) {
-	frame := mustFrame(t)
-	buf := append([]byte{0x00, 0x11, 0x22}, frame...)
-	got, rest, skipped, ok := iec104.NextFrame(buf)
-	if !ok || !bytes.Equal(got, frame) || len(rest) != 0 {
-		t.Fatalf("resync failed: ok=%v got=%d rest=%d", ok, len(got), len(rest))
-	}
-	if skipped != 3 {
-		t.Fatalf("skipped = %d, want 3", skipped)
-	}
-}
-
-// TestNextFrameBadLengthResync: a false start byte with a too-small
-// length octet is skipped and the scan goes on in the same call, so the
-// frame behind it comes out at once, both bad bytes counted as skipped.
-func TestNextFrameBadLengthResync(t *testing.T) {
-	frame := mustFrame(t)
-	// A false 0x68 followed by a too-small length, then a real frame.
-	buf := append([]byte{0x68, 0x01}, frame...)
-	got, rest, skipped, ok := iec104.NextFrame(buf)
-	if !ok || !bytes.Equal(got, frame) || len(rest) != 0 {
-		t.Fatalf("resync failed: ok=%v got=%d rest=%d", ok, len(got), len(rest))
-	}
-	if skipped != 2 {
-		t.Fatalf("skipped = %d, want 2 (the false start byte and the stray length octet)", skipped)
-	}
-}
-
-func TestNextFrameMultiple(t *testing.T) {
-	frame := mustFrame(t)
-	buf := append(append([]byte{}, frame...), frame...)
-	n := 0
-	for {
-		got, rest, _, ok := iec104.NextFrame(buf)
-		if !ok {
-			break
-		}
-		if !bytes.Equal(got, frame) {
-			t.Fatal("frame mismatch")
-		}
-		buf = rest
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("extracted %d frames", n)
-	}
 }
 
 func TestDirCountsTotal(t *testing.T) {
@@ -126,10 +56,11 @@ type frameCount int
 func (n *frameCount) ObserveFrame(FrameEvent) { *n++ }
 
 // TestFalseStartBooksFramesBehindIt: a false start byte (0x68 with a
-// length octet below 4) in front of complete frames in one segment does
-// not strand them. The analyzer books the frames behind it as the
-// segment arrives, as it would had the sender split the bytes after the
-// false start, and leaves nothing in the direction's framing buffer.
+// length octet below 4 or above 253) in front of complete frames in
+// one segment does not strand them. The analyzer books the frames
+// behind it as the segment arrives, as it would had the sender split
+// the bytes after the false start, and leaves nothing in the
+// direction's framing buffer.
 func TestFalseStartBooksFramesBehindIt(t *testing.T) {
 	testfr, err := iec104.NewU(iec104.UTestFRAct).Marshal(iec104.Standard)
 	if err != nil {
@@ -175,6 +106,17 @@ func TestFalseStartBooksFramesBehindIt(t *testing.T) {
 			t.Fatalf("booked %d frames with %d bytes left buffered, want 200 and 0", n, len(d.buf))
 		}
 	})
+	// Read as a length, an over-long octet would hold the frames behind
+	// it until 256 or 257 bytes arrived, then book them all as one
+	// parse error.
+	for _, l := range []byte{0xFE, 0xFF} {
+		t.Run(fmt.Sprintf("length %#x", l), func(t *testing.T) {
+			n, d := run(t, [][]byte{append([]byte{0x68, l}, testfr...)})
+			if n != 1 || len(d.buf) != 0 {
+				t.Fatalf("booked %d frames with %d bytes left buffered, want 1 and 0", n, len(d.buf))
+			}
+		})
+	}
 }
 
 // TestParseErrorWithoutJournalAllocs: an instrumented analyzer with no

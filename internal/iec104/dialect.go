@@ -8,46 +8,33 @@ import (
 	"uncharted/internal/protocol"
 )
 
-// NextFrame extracts one APDU from the front of buf. It resynchronises
-// on the 0x68 start byte if leading garbage is present, and rescans
-// after a false start byte whose length octet is below 4; skipped
-// reports how many bytes were discarded doing so. ok=false means only
-// that more bytes are needed: rest is then a frame's head and what
-// has arrived of its body, shorter than the longest APDU. This is the
-// dialect-owned garbage-skip the IEC 104 session frames through.
-func NextFrame(buf []byte) (frame, rest []byte, skipped int, ok bool) {
-	for {
-		// Drop bytes until a start byte.
-		i := 0
-		for i < len(buf) && buf[i] != StartByte {
-			i++
+// framing is the IEC 104 head rule: the start byte and a length octet
+// from 4 (an S or U frame) to MaxAPDULen. A longer one is a false
+// start, as Sniff and the parser judge it.
+var framing = protocol.Framing{
+	Sync: StartByte,
+	Head: 2,
+	Max:  2 + MaxAPDULen,
+	Length: func(head []byte) int {
+		if head[1] < 4 || head[1] > MaxAPDULen {
+			return 0
 		}
-		skipped += i
-		buf = buf[i:]
-		if len(buf) < 2 {
-			return nil, buf, skipped, false
-		}
-		if buf[1] < 4 {
-			// Corrupt length: skip the false start byte and rescan.
-			buf = buf[1:]
-			skipped++
-			continue
-		}
-		total := 2 + int(buf[1])
-		if len(buf) < total {
-			return nil, buf, skipped, false
-		}
-		return buf[:total], buf[total:], skipped, true
-	}
+		return 2 + int(head[1])
+	},
 }
+
+// NextFrame is framing.Next, kept only for the benchmark module's IEC
+// 104 layer, which frames without a session until ROADMAP item 1(j).
+func NextFrame(buf []byte) (frame, rest []byte, skipped int, ok bool) { return framing.Next(buf) }
 
 // dialect implements protocol.Dialect for IEC 60870-5-104.
 type dialect struct{}
 
-func (dialect) ID() protocol.ID        { return protocol.IEC104 }
-func (dialect) Name() string           { return "iec104" }
-func (dialect) Port() uint16           { return 2404 }
-func (dialect) StationInitiates() bool { return false }
+func (dialect) ID() protocol.ID            { return protocol.IEC104 }
+func (dialect) Name() string               { return "iec104" }
+func (dialect) Port() uint16               { return 2404 }
+func (dialect) StationInitiates() bool     { return false }
+func (dialect) Framing() *protocol.Framing { return &framing }
 
 // NewSession returns a session with a scope of its own, whose tolerant
 // parser keys the two directions of the flow as "master" and "station".
@@ -60,12 +47,12 @@ func (dialect) NewSession() protocol.Session {
 // parser whose dialect cache every flow of a station shares.
 func (dialect) NewScope() protocol.Scope { return newScope() }
 
-// Sniff accepts a plausible APCI head, judged by the codec's own
-// control-field decode: a 4-octet APDU is an S or a U frame naming one
-// function, a longer one an I frame with room for an ASDU header that
-// does not read as a Modbus MBAP header.
+// Sniff accepts a plausible APCI head, judged further by the codec's
+// own control-field decode: a 4-octet APDU is an S or a U frame naming
+// one function, a longer one an I frame with room for an ASDU header
+// that does not read as a Modbus MBAP header.
 func (dialect) Sniff(b []byte) bool {
-	if len(b) < 6 || b[0] != StartByte || int(b[1]) > MaxAPDULen {
+	if len(b) < 6 || !framing.Plausible(b) {
 		return false
 	}
 	if b[2]&0x01 == 0 { // I format
@@ -221,7 +208,7 @@ type session struct {
 // Next frames one APDU and parses it as its sender's, reporting it
 // with the Detail every IEC 104 event carries.
 func (s *session) Next(buf []byte, fromStation bool) (protocol.Event, []byte, int, bool) {
-	frame, rest, skipped, ok := NextFrame(buf)
+	frame, rest, skipped, ok := framing.Next(buf)
 	if !ok {
 		return protocol.Event{}, rest, skipped, false
 	}

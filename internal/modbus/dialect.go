@@ -18,9 +18,8 @@ func (dialect) NewSession() protocol.Session {
 }
 
 // Sniff accepts a plausible MBAP header.
-func (dialect) Sniff(b []byte) bool {
-	return len(b) >= 8 && plausibleHeader(b)
-}
+func (dialect) Sniff(b []byte) bool        { return framing.Plausible(b) }
+func (dialect) Framing() *protocol.Framing { return &framing }
 
 // request remembers an outstanding master request so the matching
 // response can be decoded into addressed measurements.
@@ -54,14 +53,11 @@ func tokenFor(a ADU, fromStation bool) protocol.Token {
 }
 
 func (s *session) Next(buf []byte, fromStation bool) (protocol.Event, []byte, int, bool) {
-	frame, rest, skipped, ok := NextFrame(buf)
+	frame, rest, skipped, ok := framing.Next(buf)
 	if !ok {
 		return protocol.Event{}, rest, skipped, false
 	}
-	a, err := DecodeADU(frame)
-	if err != nil {
-		return protocol.Event{Err: err}, rest, skipped, true
-	}
+	a := aduOf(frame)
 	ev := protocol.Event{Token: tokenFor(a, fromStation)}
 	s.pts = s.pts[:0]
 	switch {
@@ -89,12 +85,11 @@ func (s *session) request(a ADU) {
 		}
 		// A master whose responses never arrive (half-duplex capture,
 		// dropped direction) must not grow the pairing table without
-		// bound.
+		// bound. A full table is cleared rather than losing whichever
+		// entry map iteration yields, so which responses decode depends
+		// on the stream alone.
 		if len(s.pending) >= 1024 {
-			for k := range s.pending {
-				delete(s.pending, k)
-				break
-			}
+			clear(s.pending)
 		}
 		s.pending[a.TxID] = request{
 			fn:    a.Func,

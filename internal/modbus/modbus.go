@@ -12,6 +12,8 @@ package modbus
 import (
 	"encoding/binary"
 	"errors"
+
+	"uncharted/internal/protocol"
 )
 
 // Port is the registered Modbus/TCP server port.
@@ -39,9 +41,8 @@ const maxPDU = 253
 
 // Errors.
 var (
-	ErrShort    = errors.New("modbus: truncated ADU")
-	ErrBadProto = errors.New("modbus: MBAP protocol id is not zero")
-	ErrBadLen   = errors.New("modbus: MBAP length out of range")
+	ErrShort     = errors.New("modbus: truncated ADU")
+	ErrBadHeader = errors.New("modbus: implausible MBAP header")
 )
 
 // ADU is one decoded Modbus/TCP application data unit.
@@ -61,64 +62,41 @@ func (a ADU) Exception() bool { return a.Func&ExceptionBit != 0 }
 // BaseFunc strips the exception bit.
 func (a ADU) BaseFunc() uint8 { return a.Func &^ ExceptionBit }
 
-// plausibleHeader reports whether b (len >= 8) starts a credible MBAP
-// header: protocol id zero, length covering at least unit+function and
-// at most a full PDU, and a non-zero function code. MBAP has no magic
-// byte, so resync leans on these invariants.
-func plausibleHeader(b []byte) bool {
-	if b[2] != 0 || b[3] != 0 {
-		return false
-	}
-	length := int(binary.BigEndian.Uint16(b[4:6]))
-	if length < 2 || length > maxPDU+1 {
-		return false
-	}
-	return b[7]&^ExceptionBit != 0
+// framing is the MBAP head rule, tried at every offset for want of a
+// magic byte: protocol id zero, a length covering unit and function and
+// at most a full PDU, and a non-zero function code.
+var framing = protocol.Framing{
+	Sync: protocol.NoSync,
+	Head: 8,
+	Max:  6 + maxPDU + 1,
+	Length: func(head []byte) int {
+		length := int(binary.BigEndian.Uint16(head[4:6]))
+		if head[2] != 0 || head[3] != 0 || length < 2 || length > maxPDU+1 || head[7]&^ExceptionBit == 0 {
+			return 0
+		}
+		return 6 + length
+	},
 }
 
-// NextFrame extracts one ADU from the front of buf. With no sync byte
-// to scan for, resync slides forward one byte at a time until a
-// plausible MBAP header lines up; skipped reports the bytes discarded.
-// ok=false means more bytes are needed.
-func NextFrame(buf []byte) (frame, rest []byte, skipped int, ok bool) {
-	for {
-		if len(buf) < 8 {
-			return nil, buf, skipped, false
-		}
-		if !plausibleHeader(buf) {
-			buf = buf[1:]
-			skipped++
-			continue
-		}
-		total := 6 + int(binary.BigEndian.Uint16(buf[4:6]))
-		if len(buf) < total {
-			return nil, buf, skipped, false
-		}
-		return buf[:total], buf[total:], skipped, true
-	}
-}
-
-// DecodeADU parses one framed ADU (as returned by NextFrame).
+// DecodeADU parses the ADU at the front of b: a head the MBAP framing
+// rule accepts and the whole frame it names.
 func DecodeADU(b []byte) (ADU, error) {
-	if len(b) < 8 {
+	if len(b) < framing.Head {
 		return ADU{}, ErrShort
 	}
-	if b[2] != 0 || b[3] != 0 {
-		return ADU{}, ErrBadProto
+	n := framing.Length(b[:framing.Head])
+	if n == 0 {
+		return ADU{}, ErrBadHeader
 	}
-	length := int(binary.BigEndian.Uint16(b[4:6]))
-	if length < 2 || length > maxPDU+1 {
-		return ADU{}, ErrBadLen
-	}
-	if len(b) < 6+length {
+	if len(b) < n {
 		return ADU{}, ErrShort
 	}
-	return ADU{
-		TxID: binary.BigEndian.Uint16(b[0:2]),
-		Unit: b[6],
-		Func: b[7],
-		Data: b[8 : 6+length],
-	}, nil
+	return aduOf(b[:n]), nil
+}
+
+// aduOf reads a frame the MBAP framing rule cut.
+func aduOf(frame []byte) ADU {
+	return ADU{TxID: binary.BigEndian.Uint16(frame[0:2]), Unit: frame[6], Func: frame[7], Data: frame[8:]}
 }
 
 // MarshalADU renders an ADU with the given PDU body.

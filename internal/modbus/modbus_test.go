@@ -1,7 +1,7 @@
 package modbus
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"uncharted/internal/protocol"
@@ -23,23 +23,6 @@ func TestADURoundTrip(t *testing.T) {
 	}
 	if !a.Exception() || a.BaseFunc() != FuncReadHolding {
 		t.Fatalf("exception decode %+v", a)
-	}
-}
-
-func TestNextFrameResync(t *testing.T) {
-	frame := ReadRequest(7, 1, FuncReadInput, 0, 4)
-	// Garbage that cannot form a plausible MBAP header (protocol id
-	// bytes non-zero), then the real frame.
-	buf := append([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0xFF}, frame...)
-	got, rest, skipped, ok := NextFrame(buf)
-	if !ok {
-		t.Fatal("frame not found")
-	}
-	if !bytes.Equal(got, frame) {
-		t.Fatal("wrong frame returned")
-	}
-	if skipped != 5 || len(rest) != 0 {
-		t.Fatalf("skipped=%d rest=%d", skipped, len(rest))
 	}
 }
 
@@ -127,6 +110,47 @@ func TestSessionCoilReadAndWrites(t *testing.T) {
 	ev, _, _, _ = sess.Next(Exception(4, 1, FuncReadHolding, 2), true)
 	if ev.Token.String() != "X3" || len(ev.Points) != 0 {
 		t.Fatalf("exception token=%v points=%d", ev.Token, len(ev.Points))
+	}
+}
+
+// TestPairingOverflowDeterministic: once unanswered reads fill the
+// pairing table, which later responses decode is a function of the
+// stream alone. Two sessions fed the same overflowing stream report
+// the same events, and the table, cleared when full, pairs the reads
+// booked after the clear.
+func TestPairingOverflowDeterministic(t *testing.T) {
+	const n = 1100
+	run := func() []protocol.Event {
+		sess := dialect{}.NewSession()
+		var evs []protocol.Event
+		book := func(b []byte, fromStation bool) {
+			ev, _, _, ok := sess.Next(b, fromStation)
+			if !ok || ev.Err != nil {
+				t.Fatalf("ok=%v err=%v", ok, ev.Err)
+			}
+			ev.Points = append([]protocol.Point(nil), ev.Points...)
+			evs = append(evs, ev)
+		}
+		for i := 0; i < n; i++ {
+			book(ReadRequest(uint16(i), 1, FuncReadHolding, uint16(i), 1), false)
+		}
+		for i := 0; i < n; i++ {
+			book(ReadRegistersResponse(uint16(i), 1, FuncReadHolding, []uint16{uint16(i)}), true)
+		}
+		return evs
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two sessions fed the same stream decoded different responses")
+	}
+	decoded := 0
+	for _, ev := range a[n:] {
+		if len(ev.Points) > 0 {
+			decoded++
+		}
+	}
+	if decoded != n-1024 {
+		t.Fatalf("%d responses decoded, want the %d read after the table cleared", decoded, n-1024)
 	}
 }
 

@@ -156,13 +156,13 @@ type Encoding interface {
 // direction's framing buffer. Sessions are not goroutine-safe; the
 // sharded engine keeps both directions of a flow on one shard.
 type Session interface {
-	// Next extracts the next application frame from buf, the
-	// reassembled byte stream of one direction. fromStation reports
-	// whether the bytes flow station->master. It returns the decoded
-	// event, the unconsumed tail (which may alias buf), how many
-	// garbage bytes were skipped resynchronising, and ok=false when
-	// more bytes are needed (the caller retains rest and calls again
-	// after the next segment).
+	// Next cuts the next frame from buf, the reassembled byte stream
+	// of one direction, with its dialect's Framing.Next and decodes it;
+	// fromStation reports whether the bytes flow station->master.
+	// Besides the event it returns what Framing.Next does: the tail
+	// (which may alias buf), the bytes skipped resynchronising, and
+	// ok=false only when more bytes are needed (the caller keeps rest
+	// and calls again after the next segment).
 	//
 	// The returned Event is scratch: valid until the next call.
 	Next(buf []byte, fromStation bool) (ev Event, rest []byte, skipped int, ok bool)
@@ -226,8 +226,11 @@ type Dialect interface {
 	StationInitiates() bool
 	// Sniff reports whether b plausibly begins one of this dialect's
 	// frames — the auto-detect heuristic for traffic on unregistered
-	// ports. It must be cheap and must not retain b.
+	// ports: the Framing's Plausible, and whatever more the dialect
+	// checks. It must be cheap and must not retain b.
 	Sniff(b []byte) bool
+	// Framing is the head rule the dialect's sessions frame through.
+	Framing() *Framing
 	NewSession() Session
 }
 

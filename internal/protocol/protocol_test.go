@@ -14,6 +14,7 @@ func (d *fakeDialect) Name() string           { return d.id.String() }
 func (d *fakeDialect) Port() uint16           { return d.port }
 func (d *fakeDialect) StationInitiates() bool { return false }
 func (d *fakeDialect) Sniff(b []byte) bool    { return len(b) > 0 && b[0] == d.mag }
+func (d *fakeDialect) Framing() *Framing      { return nil }
 func (d *fakeDialect) NewSession() Session    { return nil }
 
 func TestRegistry(t *testing.T) {

@@ -69,6 +69,17 @@ func TestOneIEC104Parser(t *testing.T) {
 	}
 }
 
+// TestOneFramingLoop: every dialect session frames through the one
+// resync loop, protocol.Framing.Next, and a dialect declares only its
+// head rule. The one NextFrame left is IEC 104's wrapper over its
+// Framing, which the benchmark harness's codec layer calls.
+func TestOneFramingLoop(t *testing.T) {
+	got := linesNaming(t, "internal", "func NextFrame(")
+	if len(got) != 1 || got[0] != filepath.Join("internal", "iec104", "dialect.go") {
+		t.Errorf("NextFrame is declared on lines of %v, want only iec104's wrapper", got)
+	}
+}
+
 // TestOneMonitorSet: an engine's online detector is built by
 // ids.NewMonitorSet — one monitor per shard, all sharing one fired-once
 // set — so an alert fires once however many shards see its subject.
